@@ -46,7 +46,7 @@ let per_layer =
    own, charged to no layer. *)
 let root_metric = "job"
 
-let min_setup_spawns = 3
+let min_setup_spawns = 5
 let max_setup_spawns = 15
 let setup_budget_s = 1.
 let min_reps = 3
@@ -99,7 +99,7 @@ let parse_args () =
   in
   go (List.tl (Array.to_list Sys.argv));
   if !host_probe then begin
-    Host.print ();
+    Host.serve ();
     exit 0
   end;
   match (List.assoc_opt !workload workloads, !seed) with
@@ -107,15 +107,30 @@ let parse_args () =
       { workload = !workload; seed; seconds = !seconds; trace = !trace; setup_only = !setup_only }
   | _ -> usage ()
 
+(* The probe reading taken since the last timed stretch, if any:
+   consecutive timed stretches share the reading between them. *)
+let last_reading = ref None
+
+(* Runs [f] between two probe readings and returns its result, wall
+   and CPU time, and the [Host.scale] factor of those two readings. *)
+let timed host f =
+  let before = match !last_reading with Some r -> r | None -> Host.read host in
+  let c0 = cpu_now () and t0 = now () in
+  let r = f () in
+  let wall = now () -. t0 and cpu = cpu_now () -. c0 in
+  let after = Host.read host in
+  last_reading := Some after;
+  (r, wall, cpu, Host.scale ~before ~after)
+
 (* Set-up time as a fresh process sees it: exec, runtime and library
    initialisation, then the workload's own set-up — so work moved into
    module initialisation shows as well as work moved into [setup].
-   Median over child processes, each waited for: at least
-   [min_setup_spawns], and more (up to [max_setup_spawns]) while they
-   have taken less than [setup_budget_s] in total. *)
-let spawned_setup_s a =
+   Median of the host-scaled times of child processes, each waited for:
+   at least [min_setup_spawns], and more (up to [max_setup_spawns])
+   while they and their probe readings have taken less than
+   [setup_budget_s] in total. *)
+let spawned_setup_s a host =
   let run () =
-    let t0 = now () in
     let pid =
       Unix.create_process Sys.executable_name
         [| Sys.executable_name; "--setup-only"; "--workload"; a.workload; "--seed";
@@ -123,17 +138,19 @@ let spawned_setup_s a =
         Unix.stdin Unix.stderr Unix.stderr
     in
     match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> now () -. t0
+    | _, Unix.WEXITED 0 -> ()
     | _ -> failwith "set-up child process failed"
   in
-  let rec go acc total =
+  let t0 = now () in
+  let rec go acc =
     let n = List.length acc in
-    if n >= max_setup_spawns || (n >= min_setup_spawns && total >= setup_budget_s) then median acc
+    if n >= max_setup_spawns || (n >= min_setup_spawns && now () -. t0 >= setup_budget_s) then
+      median acc
     else
-      let t = run () in
-      go (t :: acc) (total +. t)
+      let (), wall, _, scale = timed host run in
+      go ((wall *. scale) :: acc)
   in
-  go [] 0.
+  go []
 
 let json_number v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -152,50 +169,47 @@ let out_dir = ".perfbench-out"
 
 let ensure_out_dir () = if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755
 
-let () =
-  let a = parse_args () in
-  let (Wl.Workload w) = (List.assoc a.workload workloads) ~seed:a.seed in
-  if a.setup_only then begin
-    w.setup None;
-    exit 0
-  end;
-  let host_before = Host.probe () in
-  let setup_s = spawned_setup_s a in
+(* Runs the workload for the budget and returns the result line and
+   whether every check passed. *)
+let measure a (Wl.Workload w) host =
+  let setup_s = spawned_setup_s a host in
   let setup_spans = Spans.create () in
   w.setup (if a.trace then Some setup_spans else None);
   let reference, first_checks = w.first () in
   let ops = w.ops reference in
-  (* Timed repetitions until the budget is spent. A traced run pairs
-     each untraced repetition with a traced one, alternating which goes
-     first, so both halves of a pair see the same phase of the host. *)
-  let walls = ref [] and cpus = ref [] and pairs = ref [] and mismatches = ref 0 in
+  (* Timed repetitions until the budget is spent. A traced run
+     alternates untraced and traced repetitions, swapping their order
+     each round, so both see the same phases of the host. *)
+  let walls = ref [] and scaled_walls = ref [] and scaled_cpus = ref [] in
+  let traces = ref [] and mismatches = ref 0 in
   let untraced () =
-    let c0 = cpu_now () and t0 = now () in
-    let r = w.run () in
-    let wall = now () -. t0 in
-    cpus := (cpu_now () -. c0) :: !cpus;
+    let r, wall, cpu, scale = timed host w.run in
     walls := wall :: !walls;
-    mismatches := !mismatches + w.diff reference r;
-    wall
+    scaled_walls := (wall *. scale) :: !scaled_walls;
+    scaled_cpus := (cpu *. scale) :: !scaled_cpus;
+    mismatches := !mismatches + w.diff reference r
   in
   let traced () =
     let spans = Spans.create () in
-    let t0 = now () in
-    let r = Spans.span spans ~metric:root_metric "job" (fun () -> w.run_traced spans) in
-    let wall = now () -. t0 in
+    let r, wall, _, scale =
+      timed host (fun () -> Spans.span spans ~metric:root_metric "job" (fun () -> w.run_traced spans))
+    in
     mismatches := !mismatches + w.diff reference r;
-    (wall, spans, r)
+    let rollup = Spans.rollup spans in
+    Hashtbl.filter_map_inplace (fun _ s -> Some (s *. scale)) rollup;
+    traces := (wall *. scale, rollup, spans, r) :: !traces
   in
+  last_reading := None;
   let deadline = now () +. a.seconds in
   let rec loop i =
-    (if not a.trace then ignore (untraced ())
+    (if not a.trace then untraced ()
      else if i mod 2 = 0 then begin
-       let u = untraced () in
-       pairs := (u, traced ()) :: !pairs
+       untraced ();
+       traced ()
      end
      else begin
-       let t = traced () in
-       pairs := (untraced (), t) :: !pairs
+       traced ();
+       untraced ()
      end);
     if now () < deadline || i + 1 < min_reps then loop (i + 1)
   in
@@ -204,12 +218,16 @@ let () =
   let peak_mb =
     match Obs.Rss.peak_kb () with Some kb -> float_of_int kb /. 1024. | None -> Float.nan
   in
-  let host_after = Host.probe () in
-  (* The host's speed drifts in phases of seconds to minutes, and noise
-     only ever adds time: the fastest repetition is the steadiest
-     estimate of the program's own cost. *)
-  let job_s = fastest !walls in
-  let reps = List.length !walls + List.length !pairs + 1 in
+  let readings = Host.readings host in
+  let mem_ns = median (List.map (fun r -> r.Host.mem_ns) readings) in
+  let alu_ns = median (List.map (fun r -> r.Host.alu_ns) readings) in
+  (* The host's speed drifts in phases of seconds to minutes, and the
+     probe drifts with it: the end-to-end times are the median over
+     repetitions of each one's time scaled by the probe readings on
+     either side of it. *)
+  let job_s = median !scaled_walls in
+  let traced_walls = List.map (fun (t, _, _, _) -> t) !traces in
+  let reps = List.length !walls + List.length !traces + 1 in
   let check_ops = List.fold_left (fun n c -> n + c.Wl.attempted) 0 checks in
   let failed_checks = List.filter (fun c -> c.Wl.failed > 0) checks in
   let failed = !mismatches + List.fold_left (fun n c -> n + c.Wl.failed) 0 failed_checks in
@@ -227,21 +245,32 @@ let () =
             | "setup_s" -> setup_s
             | "job_s" -> job_s
             | "ops_per_s" -> float_of_int ops /. job_s
-            | "cpu_s" -> fastest !cpus
+            | "cpu_s" -> median !scaled_cpus
             | "peak_rss_mb" -> peak_mb
             | _ -> assert false
           in
           (name, unit, v))
         end_to_end
     else begin
-      (* Per-layer figures come from the pair with the median trace
-         overhead (traced minus untraced time), plus the traced set-up
-         (route-d20's builds). The layers' self times and
-         [unattributed_s] add up to that pair's untraced job time. *)
-      let overhead (u, (t, _, _)) = t -. u in
-      let by_overhead = List.sort (fun x y -> compare (overhead x) (overhead y)) !pairs in
-      let job, (wall, spans, result) = List.nth by_overhead (List.length by_overhead / 2) in
-      let rollup = Spans.rollup spans in
+      (* A layer's figure is the median over the traced repetitions of
+         its host-scaled self time, plus the traced set-up (route-d20's
+         builds, as measured). [unattributed_s] is [job_s] minus the
+         layers' figures, so the two add up to the end-to-end job time. *)
+      let names =
+        List.sort_uniq compare
+          (List.concat_map (fun (_, r, _, _) -> List.of_seq (Hashtbl.to_seq_keys r)) !traces)
+      in
+      let rollup = Hashtbl.create 64 in
+      List.iter
+        (fun m ->
+          Hashtbl.replace rollup m
+            (median
+               (List.map (fun (_, r, _, _) -> Option.value ~default:0. (Hashtbl.find_opt r m)) !traces)))
+        names;
+      (* The trace file and the counts come from the traced repetition
+         with the median time. *)
+      let by_wall = List.sort (fun (x, _, _, _) (y, _, _, _) -> compare x y) !traces in
+      let _, _, spans, result = List.nth by_wall (List.length by_wall / 2) in
       let layer_s = Hashtbl.fold (fun m s acc -> if m = root_metric then acc else acc +. s) rollup 0. in
       Hashtbl.iter
         (fun m s ->
@@ -250,10 +279,10 @@ let () =
       let derived =
         w.counts result rollup
         @ [
-            ("unattributed_s", job -. layer_s);
-            ("trace_overhead_s", wall -. job);
-            ("host.mem_ns", (host_before.Host.mem_ns +. host_after.Host.mem_ns) /. 2.);
-            ("host.alu_ns", (host_before.Host.alu_ns +. host_after.Host.alu_ns) /. 2.);
+            ("unattributed_s", job_s -. layer_s);
+            ("trace_overhead_s", median traced_walls -. job_s);
+            ("host.mem_ns", mem_ns);
+            ("host.alu_ns", alu_ns);
           ]
       in
       Hashtbl.iter
@@ -281,27 +310,42 @@ let () =
   in
   let correct = failed = 0 in
   Printf.eprintf
-    "perfbench: %s seed %d: %d untraced reps, job_s %.4f (median %.4f max %.4f), traced median %.4f, setup_s %.4f; host mem %.2f/%.2f ns, alu %.3f/%.3f ns (before/after)\n"
-    a.workload a.seed (List.length !walls) job_s (median !walls)
+    "perfbench: %s seed %d: %d untraced reps, job_s %.4f (as measured: min %.4f median %.4f max %.4f), traced median %.4f (scaled), setup_s %.4f; probe %.4f..%.4f s, mem %.2f ns, alu %.3f ns (medians)\n"
+    a.workload a.seed (List.length !walls) job_s (fastest !walls) (median !walls)
     (List.fold_left Float.max 0. !walls)
-    (median (List.map (fun (_, (w, _, _)) -> w) !pairs))
-    setup_s host_before.mem_ns host_after.mem_ns host_before.alu_ns host_after.alu_ns;
+    (median traced_walls)
+    setup_s
+    (fastest (List.map (fun r -> r.Host.total_s) readings))
+    (List.fold_left (fun m r -> Float.max m r.Host.total_s) 0. readings)
+    mem_ns alu_ns;
   let line =
     Printf.sprintf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}" correct
       ((ops * reps) + check_ops)
       failed (json_metrics metrics)
   in
-  (* Every run is logged with the host probes taken around it, so a slow
-     phase of the host is visible beside the figures it slowed. *)
+  (* Every run is logged with its probe readings, so a slow phase of the
+     host is visible beside the figures it slowed. *)
   ensure_out_dir ();
   Out_channel.with_open_gen [ Open_append; Open_creat; Open_text ] 0o644
     (Filename.concat out_dir "runs.jsonl")
     (fun oc ->
       Printf.fprintf oc
-        "{\"workload\": %S, \"seed\": %d, \"trace\": %b, \"reps\": %d, \"walls_s\": [%s], \"host_before\": {\"mem_ns\": %s, \"alu_ns\": %s}, \"host_after\": {\"mem_ns\": %s, \"alu_ns\": %s}, \"result\": %s}\n"
+        "{\"workload\": %S, \"seed\": %d, \"trace\": %b, \"reps\": %d, \"walls_s\": [%s], \"probe_s\": [%s], \"mem_ns\": %s, \"alu_ns\": %s, \"result\": %s}\n"
         a.workload a.seed a.trace (List.length !walls)
         (String.concat ", " (List.rev_map json_number !walls))
-        (json_number host_before.mem_ns) (json_number host_before.alu_ns)
-        (json_number host_after.mem_ns) (json_number host_after.alu_ns) line);
+        (String.concat ", " (List.map (fun r -> json_number r.Host.total_s) readings))
+        (json_number mem_ns) (json_number alu_ns) line);
+  (line, correct)
+
+let () =
+  let a = parse_args () in
+  let workload = (List.assoc a.workload workloads) ~seed:a.seed in
+  if a.setup_only then begin
+    let (Wl.Workload w) = workload in
+    w.setup None;
+    exit 0
+  end;
+  let host = Host.start () in
+  let line, correct = Fun.protect ~finally:(fun () -> Host.stop host) (fun () -> measure a workload host) in
   print_endline line;
   exit (if correct then 0 else 1)

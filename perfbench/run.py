@@ -4,9 +4,9 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the repository root. Builds perfbench/perfbench.exe (and the
-library it links) with dune into _build/, then runs it; the benchmark's
-own output, ending in one JSON result line, goes to stdout. Build output
-goes to stderr. Exits non-zero when the build fails, the arguments are
+library it links) with dune into _build/, then runs it on one CPU; the
+benchmark's own output, ending in one JSON result line, goes to stdout.
+Build output goes to stderr. Exits non-zero when the build fails, the arguments are
 wrong (the benchmark itself rejects an unknown workload), or an output
 check fails.
 """
@@ -44,6 +44,9 @@ def main() -> int:
         print("run.py: build failed", file=sys.stderr)
         return 1
     exe = os.path.join("_build", "default", "perfbench", "perfbench.exe")
+    # One CPU for the benchmark and the processes it starts: the host
+    # probe then measures the CPU the job runs on.
+    cpu = min(os.sched_getaffinity(0))
     run = subprocess.run(
         [
             exe,
@@ -53,6 +56,7 @@ def main() -> int:
             "--trace", args.trace,
         ],
         env=env,
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
     )
     return run.returncode
 
