@@ -1,4 +1,4 @@
-.PHONY: all build test check doc docs-smoke bench bench-smoke batch-smoke record-smoke chaos-smoke churn-smoke storage-smoke hotspot-smoke trace-smoke clean
+.PHONY: all build test check doc docs-smoke bench bench-smoke batch-smoke record-smoke chaos-smoke churn-smoke storage-smoke hotspot-smoke trace-smoke perfbench-smoke clean
 
 all: build
 
@@ -80,6 +80,18 @@ hotspot-smoke: build
 # validated manifest/metrics/Prometheus sinks.
 trace-smoke: build
 	sh scripts/trace_smoke.sh
+
+# End-to-end benchmark smoke: every perfbench workload for one second
+# untraced, then sweep-d20 traced (the traced re-drive calls
+# Failure.sample, survivors and sample_and_route directly). run.py
+# exits non-zero when an output check fails — batch = scalar, the RCM
+# closed forms, every repetition equal to the reference — so this
+# gates correctness, not speed.
+perfbench-smoke:
+	for w in sweep-d20 route-d20 churn storage; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
+	python3 perfbench/run.py --workload sweep-d20 --seed 1 --seconds 1 --trace 1
 
 clean:
 	dune clean

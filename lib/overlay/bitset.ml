@@ -73,23 +73,17 @@ let count t =
   done;
   !total
 
+(* Writes the member ids into the array, at most its length
+   (fill_stubs.c). *)
+external members_into : words -> int array -> unit = "rcm_bitset_members" [@@noalloc]
+
 (* Member ids ascending: words in index order, bits low-to-high, so the
-   result matches a left-to-right scan of the equivalent [bool array]. *)
+   result matches a left-to-right scan of the equivalent [bool array].
+   The C walk reads the same low 32 bits per word that [count] sizes
+   the array from. *)
 let members t =
   let out = Array.make (count t) 0 in
-  let idx = ref 0 in
-  for w = 0 to Bigarray.Array1.dim t.words - 1 do
-    let word = ref (Bigarray.Array1.unsafe_get t.words w) in
-    let v = ref (w lsl 5) in
-    while !word <> 0 do
-      if !word land 1 = 1 then begin
-        out.(!idx) <- !v;
-        incr idx
-      end;
-      word := !word lsr 1;
-      incr v
-    done
-  done;
+  members_into t.words out;
   out
 
 let of_bool_array mask =

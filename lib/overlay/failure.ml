@@ -2,17 +2,23 @@ module Bitset = Bitset
 
 type t = Bitset.t
 
+(* Fills the mask words from a Splitmix state (fill_stubs.c). *)
+external sample_words :
+  Bitset.words -> (int[@untagged]) -> (float[@unboxed]) -> (int64[@unboxed]) -> unit
+  = "rcm_sample_alive_bc" "rcm_sample_alive"
+[@@noalloc]
+
 (* Draw order is one bernoulli per node, id ascending — exactly the
    order the historical [Array.init n (fun _ -> not (bernoulli ...))]
    consumed, so masks sampled from a given rng state are unchanged by
-   the packed representation. *)
+   the packed representation and by the C loop, which replays those n
+   draws from the rng's state. *)
 let sample ?(rng = Prng.Splitmix.create ~seed:0xdead) ~q n =
   if not (Numerics.Prob.is_valid q) then invalid_arg "Failure.sample: invalid q";
   if n < 0 then invalid_arg "Failure.sample: negative size";
-  let mask = Bitset.all n in
-  for v = 0 to n - 1 do
-    if Prng.Splitmix.bernoulli rng ~p:q then Bitset.set mask v false
-  done;
+  let mask = Bitset.create n in
+  sample_words (Bitset.words mask) n q (Prng.Splitmix.state rng);
+  Prng.Splitmix.advance rng n;
   mask
 
 let alive_count = Bitset.count

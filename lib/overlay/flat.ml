@@ -46,26 +46,30 @@ let check_target ~nodes ~context u =
   if u < 0 || u >= nodes then
     invalid_arg (Printf.sprintf "Flat.%s: neighbour %d outside [0, %d)" context u nodes)
 
-(* Uniform-degree construction. [f v i] is called for v = 0..nodes-1 in
-   ascending order and, within each node, i = 0..degree-1 in ascending
-   order — the exact evaluation order of the classic
-   [Array.init size (fun v -> Array.init degree (f v))] builders, so a
-   PRNG threaded through [f] is left in the same state either way. *)
 (* Hint the kernel to back a payload with 2 MiB huge pages (see
    flat_stubs.c); a no-op outside Linux or without THP. *)
 external advise_hugepages : ('a, 'b, 'c) Bigarray.Array1.t -> unit
   = "rcm_advise_hugepages"
 [@@noalloc]
 
+(* Both payloads, advised before anything writes them: the advice only
+   shapes pages faulted in after it. *)
+let alloc ~nodes ~edges =
+  let offsets = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (nodes + 1) in
+  let targets = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout edges in
+  advise_hugepages offsets;
+  advise_hugepages targets;
+  (offsets, targets)
+
+(* Uniform-degree construction. [f v i] is called for v = 0..nodes-1 in
+   ascending order and, within each node, i = 0..degree-1 in ascending
+   order — the exact evaluation order of the classic
+   [Array.init size (fun v -> Array.init degree (f v))] builders, so a
+   PRNG threaded through [f] is left in the same state either way. *)
 let init ~nodes ~degree f =
   if nodes < 0 then invalid_arg "Flat.init: negative node count";
   if degree < 0 then invalid_arg "Flat.init: negative degree";
-  let offsets = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (nodes + 1) in
-  let targets =
-    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (nodes * degree)
-  in
-  advise_hugepages offsets;
-  advise_hugepages targets;
+  let offsets, targets = alloc ~nodes ~edges:(nodes * degree) in
   let k = ref 0 in
   for v = 0 to nodes - 1 do
     offsets.{v} <- !k;
@@ -79,22 +83,42 @@ let init ~nodes ~degree f =
   offsets.{nodes} <- !k;
   { offsets; targets; uniform = (if nodes > 0 then degree else -1) }
 
+type pattern = Flip | Finger | Flip_suffix of Prng.Splitmix.t
+
+(* The builtin fills (fill_stubs.c): offsets and targets of a uniform
+   degree-[bits] block over 2^bits nodes, every id in range by
+   construction. *)
+external fill_flip : offsets -> targets -> int -> unit = "rcm_fill_flip" [@@noalloc]
+external fill_ring : offsets -> targets -> int -> unit = "rcm_fill_ring" [@@noalloc]
+
+external fill_xor : offsets -> targets -> (int[@untagged]) -> (int64[@unboxed]) -> unit
+  = "rcm_fill_xor_bc" "rcm_fill_xor"
+[@@noalloc]
+
+let init_pattern ~bits pattern =
+  if bits < 1 || bits > Idspace.Space.max_bits then
+    invalid_arg
+      (Printf.sprintf "Flat.init_pattern: bits must be in 1..%d (got %d)"
+         Idspace.Space.max_bits bits);
+  let nodes = 1 lsl bits in
+  let offsets, targets = alloc ~nodes ~edges:(nodes * bits) in
+  (match pattern with
+  | Flip -> fill_flip offsets targets bits
+  | Finger -> fill_ring offsets targets bits
+  | Flip_suffix rng ->
+      fill_xor offsets targets bits (Prng.Splitmix.state rng);
+      Prng.Splitmix.advance rng (nodes * bits));
+  { offsets; targets; uniform = bits }
+
 (* Variable-degree conversion from classic per-node rows (copies). *)
 let of_rows rows =
   let nodes = Array.length rows in
-  let offsets = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (nodes + 1) in
-  let edges = ref 0 in
-  for v = 0 to nodes - 1 do
-    offsets.{v} <- !edges;
-    edges := !edges + Array.length rows.(v)
-  done;
-  offsets.{nodes} <- !edges;
-  let targets = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout !edges in
-  advise_hugepages offsets;
-  advise_hugepages targets;
+  let edges = Array.fold_left (fun acc row -> acc + Array.length row) 0 rows in
+  let offsets, targets = alloc ~nodes ~edges in
   let k = ref 0 in
-  Array.iter
-    (fun neighbours ->
+  Array.iteri
+    (fun v neighbours ->
+      offsets.{v} <- !k;
       Array.iter
         (fun u ->
           check_target ~nodes ~context:"of_rows" u;
@@ -102,6 +126,7 @@ let of_rows rows =
           incr k)
         neighbours)
     rows;
+  offsets.{nodes} <- !k;
   let uniform =
     if nodes = 0 then -1
     else begin

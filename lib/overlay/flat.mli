@@ -44,6 +44,22 @@ val init : nodes:int -> degree:int -> (int -> int -> int) -> t
     backend (the bit-identity contract of {!Table.build}).
     @raise Invalid_argument if a produced id falls outside [0, nodes). *)
 
+(** The builtin entry functions of {!Table.build}, with [2^bits] nodes
+    of degree [bits], entry [i] of row [v] being:
+    - [Flip]: [v lxor 2^(bits-1-i)] (tree, hypercube);
+    - [Finger]: [(v + 2^i) mod 2^bits] (ring);
+    - [Flip_suffix rng]: the [Flip] entry with its [bits-1-i] low bits
+      replaced by those of one [Prng.Splitmix.int rng (2^bits)] draw
+      (xor). *)
+type pattern = Flip | Finger | Flip_suffix of Prng.Splitmix.t
+
+val init_pattern : bits:int -> pattern -> t
+(** [init_pattern ~bits p] is [init ~nodes:(1 lsl bits) ~degree:bits f]
+    for the entry function [f] of [p], filled by a C loop instead of a
+    closure call per entry. [Flip_suffix rng] draws in [init]'s order
+    and leaves [rng] where [init] would: [2^bits * bits] draws on.
+    @raise Invalid_argument unless [1 <= bits <= Idspace.Space.max_bits]. *)
+
 val of_rows : int array array -> t
 (** Copies a classic per-node adjacency into a flat block (supports
     variable-degree rows, e.g. the bidirectional Symphony overlay).

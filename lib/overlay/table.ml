@@ -138,25 +138,33 @@ let make ~space ~geometry ~backend ~degree entry =
   in
   { space; geometry; repr }
 
+(* The builtin geometries' flat blocks come from [Flat.init_pattern],
+   a C replay of the entry function beside it; the entry functions
+   still build every Classic table, which the flat tests compare
+   against. *)
 let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic) ~bits geometry =
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
-  let degree, entry =
+  let degree, entry, pattern =
     match geometry with
-    | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> (bits, tree_entry ~bits)
-    | Rcm.Geometry.Xor -> (bits, xor_entry space rng)
-    | Rcm.Geometry.Ring -> (bits, ring_entry ~size)
+    | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> (bits, tree_entry ~bits, Some Flat.Flip)
+    | Rcm.Geometry.Xor -> (bits, xor_entry space rng, Some (Flat.Flip_suffix rng))
+    | Rcm.Geometry.Ring -> (bits, ring_entry ~size, Some Flat.Finger)
     | Rcm.Geometry.Symphony { k_n; k_s } ->
         if k_n + k_s >= size then invalid_arg "Table.build_symphony: degree exceeds ring size";
-        (k_n + k_s, symphony_entry ~size rng ~k_n)
+        (k_n + k_s, symphony_entry ~size rng ~k_n, None)
     | Rcm.Geometry.Custom { family; params } -> (
         match Hashtbl.find_opt custom_builders family with
-        | Some builder -> builder ~space ~rng params
+        | Some builder ->
+            let degree, entry = builder ~space ~rng params in
+            (degree, entry, None)
         | None ->
             invalid_arg
               (Printf.sprintf "Table.build: family %S has no registered table builder" family))
   in
-  make ~space ~geometry ~backend ~degree entry
+  match (backend, pattern) with
+  | Flat, Some pattern -> { space; geometry; repr = Csr (Flat.init_pattern ~bits pattern) }
+  | _ -> make ~space ~geometry ~backend ~degree entry
 
 (* Wrap an externally managed neighbour matrix (no copy): the churn
    simulator repairs rows in place and routes through the shared

@@ -19,6 +19,12 @@ let next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* Every step adds the same gamma to the state, whatever it outputs,
+   so [k] steps are one multiply-add (mod 2^64). *)
+let advance t k =
+  if k < 0 then invalid_arg "Splitmix.advance: negative count";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int k) golden_gamma)
+
 let split t =
   let seed = next_int64 t in
   of_int64 seed

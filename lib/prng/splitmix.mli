@@ -26,6 +26,13 @@ val split : t -> t
 val next_int64 : t -> int64
 (** The raw 64-bit output stream. *)
 
+val advance : t -> int -> unit
+(** [advance t k] leaves [t] in the state [k] calls of {!next_int64}
+    would leave it in, in O(1). A C kernel that replays [k] draws from
+    {!state} hands the stream back this way: later draws continue
+    exactly where the equivalent OCaml loop would have left off.
+    @raise Invalid_argument if [k < 0]. *)
+
 val float : t -> float
 (** [float t] is uniform on [0, 1) with 53 random bits. *)
 

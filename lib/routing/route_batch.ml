@@ -524,14 +524,27 @@ let sample_and_route ?scratch table ~rng ~alive ~pool ~pairs =
     let j = Prng.Splitmix.int rng npool in
     if j = i then draw_distinct i else j
   in
+  (* Each drawn id is checked before any kernel indexes a row, the
+     mask or a loadmap slice with it — a check per draw, not a pass
+     over a pool that can hold every node. The table's node count is
+     2^bits, and an id is below it iff no bit at or above [bits] is
+     set (a negative id has them all). *)
+  let member i =
+    let v = Array.unsafe_get pool i in
+    if v lsr bits <> 0 then
+      invalid_arg
+        (Printf.sprintf "Route_batch.sample_and_route: pool id %d outside [0, %d)" v
+           (1 lsl bits));
+    v
+  in
   (match Overlay.Table.geometry table with
   | Rcm.Geometry.Hypercube ->
       (* The hypercube router draws while routing, so sampling and
          forwarding draws must interleave pair by pair — no lanes. *)
       for k = 0 to pairs - 1 do
         let i = Prng.Splitmix.int rng npool in
-        let src = Array.unsafe_get pool i in
-        let dst = Array.unsafe_get pool (draw_distinct i) in
+        let src = member i in
+        let dst = member (draw_distinct i) in
         store s k (hypercube_pair offsets targets words ~bits ~rng ~trav ~term ~dst src 0)
       done
   | Rcm.Geometry.Custom { family; params } -> (
@@ -543,8 +556,8 @@ let sample_and_route ?scratch table ~rng ~alive ~pool ~pairs =
           let router = custom_router_exn ~family "sample_and_route" in
           for k = 0 to pairs - 1 do
             let i = Prng.Splitmix.int rng npool in
-            let src = Array.unsafe_get pool i in
-            let dst = Array.unsafe_get pool (draw_distinct i) in
+            let src = member i in
+            let dst = member (draw_distinct i) in
             store s k (scalar_custom_pair router table ~rng ~alive ~trav ~term ~src ~dst)
           done
       | Block block ->
@@ -554,8 +567,8 @@ let sample_and_route ?scratch table ~rng ~alive ~pool ~pairs =
           let dsts = Array.make pairs 0 in
           for k = 0 to pairs - 1 do
             let i = Prng.Splitmix.int rng npool in
-            Array.unsafe_set srcs k (Array.unsafe_get pool i);
-            Array.unsafe_set dsts k (Array.unsafe_get pool (draw_distinct i))
+            Array.unsafe_set srcs k (member i);
+            Array.unsafe_set dsts k (member (draw_distinct i))
           done;
           block targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf bits
             (Overlay.Flat.uniform_degree flat) trav term;
@@ -569,8 +582,8 @@ let sample_and_route ?scratch table ~rng ~alive ~pool ~pairs =
       let dsts = Array.make pairs 0 in
       for k = 0 to pairs - 1 do
         let i = Prng.Splitmix.int rng npool in
-        Array.unsafe_set srcs k (Array.unsafe_get pool i);
-        Array.unsafe_set dsts k (Array.unsafe_get pool (draw_distinct i))
+        Array.unsafe_set srcs k (member i);
+        Array.unsafe_set dsts k (member (draw_distinct i))
       done;
       let deg = Overlay.Flat.uniform_degree flat in
       (match geometry with

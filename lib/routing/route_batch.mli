@@ -85,8 +85,10 @@ val sample_and_route :
     scalar [Sampler.ordered_pair] sequence) and routes each as it is
     drawn — one kernel call per trial for the simulation layers.
     @raise Invalid_argument if the backend is not [Flat], the mask
-    length mismatches, [pool] has fewer than two members, or [pairs]
-    is negative. *)
+    length mismatches, [pool] has fewer than two members, [pairs] is
+    negative, or a drawn pool id is outside the table's node range
+    (ids are checked as they are drawn, so pairs drawn before it may
+    already be routed). *)
 
 (** {1 Reading results}
 

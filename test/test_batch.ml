@@ -86,27 +86,47 @@ let test_bitset_set_and_bounds () =
       Overlay.Failure.set mask (-1) true);
   Alcotest.check_raises "negative length"
     (Invalid_argument "Bitset.create: negative length") (fun () ->
-      ignore (Overlay.Failure.Bitset.create (-3)))
+      ignore (Overlay.Failure.Bitset.create (-3)));
+  (* Bits above the low 32 of a word, written through [words] rather
+     than [set], are neither counted nor listed. *)
+  let words = Overlay.Failure.Bitset.words mask in
+  words.{0} <- words.{0} lor (0xFF lsl 32);
+  Alcotest.(check int) "high bits not counted" 38 (Overlay.Failure.alive_count mask);
+  Alcotest.(check (array int))
+    "high bits not listed"
+    (Array.of_list (List.filter (Overlay.Failure.get mask) (List.init 40 Fun.id)))
+    (Overlay.Failure.survivors mask)
 
 (* The packed sample must draw exactly the bernoulli sequence the
-   historical bool-array sampler drew: one draw per node, ascending. *)
+   historical bool-array sampler drew: one draw per node, ascending.
+   The lengths cover partial and empty tail words. The last q is node
+   0's own draw, so node 0 lives only if the sampler compares with
+   [<] as [bernoulli] does, not [<=]. *)
 let test_sample_draw_order () =
+  let first_draw = Prng.Splitmix.float (Prng.Splitmix.create ~seed:123) in
   List.iter
-    (fun q ->
-      let rng_mask = Prng.Splitmix.create ~seed:123 in
-      let rng_ref = Prng.Splitmix.create ~seed:123 in
-      let mask = Overlay.Failure.sample ~rng:rng_mask ~q 100 in
-      let reference =
-        Array.init 100 (fun _ -> not (Prng.Splitmix.bernoulli rng_ref ~p:q))
-      in
-      Alcotest.(check (array bool))
-        (Printf.sprintf "q=%g: same mask" q)
-        reference
-        (Overlay.Failure.to_bool_array mask);
-      Alcotest.(check int64)
-        (Printf.sprintf "q=%g: same rng state" q)
-        (Prng.Splitmix.state rng_ref) (Prng.Splitmix.state rng_mask))
-    [ 0.0; 0.3; 0.9; 1.0 ]
+    (fun n ->
+      List.iter
+        (fun q ->
+          let rng_mask = Prng.Splitmix.create ~seed:123 in
+          let rng_ref = Prng.Splitmix.create ~seed:123 in
+          let mask = Overlay.Failure.sample ~rng:rng_mask ~q n in
+          let reference =
+            Array.init n (fun _ -> not (Prng.Splitmix.bernoulli rng_ref ~p:q))
+          in
+          Alcotest.(check (array bool))
+            (Printf.sprintf "n=%d q=%g: same mask" n q)
+            reference
+            (Overlay.Failure.to_bool_array mask);
+          Alcotest.(check int)
+            (Printf.sprintf "n=%d q=%g: no bits past the end" n q)
+            (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 reference)
+            (Overlay.Failure.alive_count mask);
+          Alcotest.(check int64)
+            (Printf.sprintf "n=%d q=%g: same rng state" n q)
+            (Prng.Splitmix.state rng_ref) (Prng.Splitmix.state rng_mask))
+        [ 0.0; 0.3; 0.5; 0.9; 1.0; first_draw ])
+    bitset_lengths
 
 (* --- route_many versus the scalar router --------------------------------- *)
 
@@ -326,6 +346,33 @@ let test_validation_errors () =
   | _ -> Alcotest.fail "pair outside the id space accepted"
   | exception Invalid_argument _ -> ()
 
+(* A two-member pool makes the bad id an endpoint of the first pair.
+   Every lane must reject it before a kernel indexes a row, the mask or
+   a loadmap slice with it, with and without a sink installed. *)
+let test_pool_ids_checked () =
+  let bits = 10 in
+  List.iter
+    (fun geometry ->
+      let flat = flat_table ~seed:3 ~bits geometry in
+      let alive = Overlay.Failure.none (Overlay.Table.node_count flat) in
+      List.iter
+        (fun bad ->
+          let route () =
+            Routing.Route_batch.sample_and_route flat ~rng:(Prng.Splitmix.create ~seed:1)
+              ~alive ~pool:[| 3; bad |] ~pairs:4
+          in
+          let sink = Obs.Loadmap.create ~nodes:(Overlay.Table.node_count flat) in
+          List.iter
+            (fun (label, run) ->
+              match run () with
+              | _ ->
+                  Alcotest.failf "%s: pool id %d accepted (%s)" (Rcm.Geometry.slug geometry)
+                    bad label
+              | exception Invalid_argument _ -> ())
+            [ ("no sink", route); ("sink", fun () -> Obs.Loadmap.with_sink sink route) ])
+        [ 1 lsl 24; -1 ])
+    all_geometries
+
 (* --- metrics totals -------------------------------------------------------- *)
 
 (* The one-flush-per-batch metrics path must land on exactly the
@@ -452,6 +499,7 @@ let suite =
     prop_batch_scalar_agreement;
     Alcotest.test_case "scratch reuse and raw views" `Quick test_scratch_reuse_and_raw_views;
     Alcotest.test_case "validation errors" `Quick test_validation_errors;
+    Alcotest.test_case "pool ids checked on every lane" `Quick test_pool_ids_checked;
     Alcotest.test_case "metrics totals: batch = scalar" `Quick test_metrics_totals_equal;
     Alcotest.test_case "CLI --no-batch byte-identical" `Slow test_cli_no_batch_byte_identical;
   ]

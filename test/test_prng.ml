@@ -148,6 +148,22 @@ let harmonic_in_range =
       let x = Prng.Splitmix.harmonic_int g ~n in
       1 <= x && x <= n)
 
+let advance_matches_steps =
+  qcheck "advance n = n next_int64 steps"
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let stepped = Prng.Splitmix.create ~seed in
+      let advanced = Prng.Splitmix.create ~seed in
+      for _ = 1 to n do
+        ignore (Prng.Splitmix.next_int64 stepped)
+      done;
+      Prng.Splitmix.advance advanced n;
+      Prng.Splitmix.state stepped = Prng.Splitmix.state advanced
+      &&
+      match Prng.Splitmix.advance advanced (-n - 1) with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+
 let int_unbiased_small_bounds =
   qcheck "int covers the whole range"
     QCheck2.Gen.(int_range 2 20)
@@ -271,6 +287,7 @@ let suite =
     ("harmonic distribution", `Quick, test_harmonic_distribution);
     harmonic_in_range;
     int_unbiased_small_bounds;
+    advance_matches_steps;
     ("zipf guards", `Quick, test_zipf_guards);
     ("zipf pmf shape", `Quick, test_zipf_pmf_shape);
     ("zipf s=0 is uniform", `Quick, test_zipf_uniform_at_s0);
