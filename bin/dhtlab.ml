@@ -750,6 +750,11 @@ let churn geometry bits sessions session_dist gap gap_dist maintain k cache warm
       seed;
     }
   in
+  (match Experiments.Churn_curves.validate ~geometries cfg with
+  | () -> ()
+  | exception Invalid_argument msg ->
+      Fmt.epr "dhtlab churn: %s@." msg;
+      exit 2);
   let fault = match fault with Some _ as f -> f | None -> Exec.Fault.of_env () in
   let checkpoint =
     match checkpoint_path with

@@ -143,9 +143,21 @@ let run_point cfg geometry ~session_mean ~seed =
 
 let default_geometries = Rcm.Geometry.all_default
 
+(* Every point's engine config is built once here, so a bad value fails
+   before any point runs rather than inside a supervised (retried)
+   point task. *)
+let validate ?(geometries = default_geometries) cfg =
+  if cfg.session_means = [] then invalid_arg "Churn_curves: empty session sweep";
+  List.iter
+    (fun geometry ->
+      List.iter
+        (fun session_mean -> ignore (session_config cfg geometry ~session_mean ~seed:0))
+        cfg.session_means)
+    geometries
+
 let run ?pool ?(geometries = default_geometries) ?(retries = 0) ?fault ?checkpoint cfg =
+  validate ~geometries cfg;
   if retries < 0 then invalid_arg "Churn_curves.run: negative retries";
-  if cfg.session_means = [] then invalid_arg "Churn_curves.run: empty session sweep";
   let geoms = Array.of_list geometries in
   let means = Array.of_list cfg.session_means in
   let per_geom = Array.length means in

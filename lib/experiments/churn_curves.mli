@@ -46,6 +46,15 @@ type point = {
 
 val default_geometries : Rcm.Geometry.t list
 
+val validate : ?geometries:Rcm.Geometry.t list -> config -> unit
+(** Builds the {!Sim.Session_churn.config} of every grid point
+    ([geometries] defaults to {!default_geometries}), so any bad value
+    — non-positive or non-finite times and means, [k < 1],
+    [cache_k < 0], no measurements or pairs, an empty sweep, a custom
+    family without a churn profile — fails here, once, before any
+    point runs.
+    @raise Invalid_argument on the first violation. *)
+
 val run :
   ?pool:Exec.Pool.t ->
   ?geometries:Rcm.Geometry.t list ->
@@ -57,6 +66,8 @@ val run :
 (** Points in geometry-major order (the [geometries] order, then
     [session_means] order). Deterministic in [cfg.seed] at any pool
     size.
+    @raise Invalid_argument when {!validate} rejects [cfg] or
+    [retries < 0].
     @raise Exec.Cancel.Cancelled on cooperative cancellation (the
     checkpoint is flushed first).
     @raise Failure when a point exhausts its retries. *)

@@ -2,15 +2,26 @@
    implementations: contacts kept in least-recently-seen order (head at
    index 0, tail at the end), ping-before-evict on the head, and a
    bounded replacement cache whose most-recently-seen entry is promoted
-   when a dead head is evicted. *)
+   when a dead head is evicted.
 
-type bucket = { mutable contacts : int array; mutable cache : int array }
+   Storage is flat. Bucket [b = v * bits + level - 1] owns the contact
+   slots [b * stride ..] of [contacts] and the cache slots
+   [b * cache_stride ..] of [cache]; [len.(b)] and [cache_len.(b)] say
+   how many are in use. Every maintenance step is an in-place blit
+   within those slots, so the churn hot path allocates nothing. *)
 
 type t = {
   space : Idspace.Space.t;
+  bits : int;
+  nodes : int;
   k : int;
   cache_k : int;
-  buckets : bucket array array;
+  stride : int;
+  cache_stride : int;
+  contacts : int array;
+  len : int array;
+  cache : int array;
+  cache_len : int array;
 }
 
 type maintenance =
@@ -20,190 +31,236 @@ type maintenance =
 
 let space t = t.space
 
-let bits t = Idspace.Space.bits t.space
+let bits t = t.bits
 
-let node_count t = Idspace.Space.size t.space
+let node_count t = t.nodes
 
 let k t = t.k
 
 let cache_k t = t.cache_k
 
-let capacity t ~level = min t.k (1 lsl (bits t - level))
+let capacity t ~level = min t.k (1 lsl (t.bits - level))
 
-let check_level t level =
-  if level < 1 || level > bits t then
-    invalid_arg "Kbucket.bucket: level outside 1..bits"
+(* Explicit range checks: a flat layout would otherwise let an
+   out-of-range node or contact address a neighbour's slots. *)
+let check_node t fn v =
+  if v < 0 || v >= t.nodes then invalid_arg (fn ^ ": node outside 0..2^bits-1")
 
-let unsafe_bucket t v level =
-  check_level t level;
-  t.buckets.(v).(level - 1).contacts
+let check_level t fn level =
+  if level < 1 || level > t.bits then invalid_arg (fn ^ ": level outside 1..bits")
 
-let bucket t v level = Array.copy (unsafe_bucket t v level)
+let bucket_index t fn v level =
+  check_node t fn v;
+  check_level t fn level;
+  (v * t.bits) + level - 1
+
+let length t v level = t.len.(bucket_index t "Kbucket.length" v level)
+
+let contact t v level i =
+  let b = bucket_index t "Kbucket.contact" v level in
+  if i < 0 || i >= t.len.(b) then invalid_arg "Kbucket.contact: index outside the bucket";
+  t.contacts.((b * t.stride) + i)
+
+let bucket t v level =
+  let b = bucket_index t "Kbucket.bucket" v level in
+  Array.sub t.contacts (b * t.stride) t.len.(b)
 
 let cache t v level =
-  check_level t level;
-  Array.copy t.buckets.(v).(level - 1).cache
+  let b = bucket_index t "Kbucket.cache" v level in
+  Array.sub t.cache (b * t.cache_stride) t.cache_len.(b)
+
+(* Position of [id] among the [n] entries of [a] starting at [off], or
+   -1. *)
+let index_of a off n id =
+  let rec scan i = if i >= n then -1 else if a.(off + i) = id then i else scan (i + 1) in
+  scan 0
+
+(* One rejection draw for bucket slot [filled]: a suffix already taken
+   is redrawn without counting an attempt; a dead candidate is retried
+   up to 8 times, then accepted. For a fixed prefix, id and suffix are
+   in bijection, so scanning the ids written so far is the same test as
+   remembering the drawn suffixes. *)
+let rec draw ~alive rng contacts ~off ~filled ~prefix ~candidates attempts =
+  let id = prefix lor Prng.Splitmix.int rng candidates in
+  if index_of contacts off filled id >= 0 then
+    draw ~alive rng contacts ~off ~filled ~prefix ~candidates attempts
+  else
+    match alive with
+    | Some is_alive when attempts < 8 && not (is_alive id) ->
+        draw ~alive rng contacts ~off ~filled ~prefix ~candidates (attempts + 1)
+    | Some _ | None -> id
 
 (* All candidates for the level bucket of v share v's first level-1
    bits and differ on bit [level]; there are 2^(bits-level) of them.
-   When the candidate set is small we enumerate it; otherwise we draw
+   When the candidate set is small we enumerate it; otherwise we draw k
    distinct random suffixes by rejection (k << candidates). With
    [?alive] a dead draw is retried up to 8 times before being accepted,
    so redraws under churn prefer live contacts without ever spinning on
-   a mostly-dead population. *)
-let sample_bucket ?alive space rng ~k v ~level =
-  let bits = Idspace.Space.bits space in
-  let base = Idspace.Id.flip_bit ~bits v level in
-  let candidates = 1 lsl (bits - level) in
-  if candidates <= k then
-    Array.init candidates (fun suffix ->
-        Idspace.Id.with_suffix ~bits base ~prefix_len:level ~suffix)
-  else begin
-    let is_alive id = match alive with None -> true | Some f -> f id in
-    let chosen = Hashtbl.create k in
-    let out = Array.make k 0 in
-    let filled = ref 0 in
-    while !filled < k do
-      let rec draw attempts =
-        let suffix = Prng.Splitmix.int rng candidates in
-        if Hashtbl.mem chosen suffix then draw attempts
-        else
-          let id = Idspace.Id.with_suffix ~bits base ~prefix_len:level ~suffix in
-          if attempts >= 8 || is_alive id then (suffix, id) else draw (attempts + 1)
-      in
-      let suffix, id = draw 0 in
-      Hashtbl.add chosen suffix ();
-      out.(!filled) <- id;
-      incr filled
+   a mostly-dead population. Writes straight into the bucket's slots. *)
+let sample_bucket ?alive t rng v ~level =
+  let b = (v * t.bits) + level - 1 in
+  let off = b * t.stride in
+  let candidates = 1 lsl (t.bits - level) in
+  let prefix = (v lxor candidates) land lnot (candidates - 1) in
+  if candidates <= t.k then begin
+    for suffix = 0 to candidates - 1 do
+      t.contacts.(off + suffix) <- prefix lor suffix
     done;
-    out
+    t.len.(b) <- candidates
+  end
+  else begin
+    for filled = 0 to t.k - 1 do
+      t.contacts.(off + filled) <-
+        draw ~alive rng t.contacts ~off ~filled ~prefix ~candidates 0
+    done;
+    t.len.(b) <- t.k
   end
 
 let build ?(rng = Prng.Splitmix.create ~seed:0xb0cce) ?(cache_k = 0) ~bits ~k () =
   if k < 1 then invalid_arg "Kbucket.build: k < 1";
   if cache_k < 0 then invalid_arg "Kbucket.build: cache_k < 0";
   let space = Idspace.Space.create ~bits in
-  let node v =
-    Array.init bits (fun i ->
-        { contacts = sample_bucket space rng ~k v ~level:(i + 1); cache = [||] })
+  let nodes = Idspace.Space.size space in
+  (* No bucket holds more than the 2^(bits-1) level-1 candidates, so a
+     huge k or cache_k costs no more than that per slot. *)
+  let widest = 1 lsl (bits - 1) in
+  let stride = min k widest and cache_stride = min cache_k widest in
+  let buckets = nodes * bits in
+  let t =
+    {
+      space;
+      bits;
+      nodes;
+      k;
+      cache_k;
+      stride;
+      cache_stride;
+      contacts = Array.make (buckets * stride) 0;
+      len = Array.make buckets 0;
+      cache = Array.make (buckets * cache_stride) 0;
+      cache_len = Array.make buckets 0;
+    }
   in
-  { space; k; cache_k; buckets = Array.init (Idspace.Space.size space) node }
+  for v = 0 to nodes - 1 do
+    for level = 1 to bits do
+      sample_bucket t rng v ~level
+    done
+  done;
+  t
 
 let rebuild_bucket ?alive t rng v ~level =
-  let b = t.buckets.(v).(level - 1) in
-  b.contacts <- sample_bucket ?alive t.space rng ~k:t.k v ~level;
-  b.cache <- [||]
+  let b = bucket_index t "Kbucket.rebuild_bucket" v level in
+  sample_bucket ?alive t rng v ~level;
+  t.cache_len.(b) <- 0
 
 let iter_contacts t v f =
-  Array.iter (fun b -> Array.iter f b.contacts) t.buckets.(v)
+  check_node t "Kbucket.iter_contacts" v;
+  for b = v * t.bits to ((v + 1) * t.bits) - 1 do
+    let off = b * t.stride in
+    for i = 0 to t.len.(b) - 1 do
+      f t.contacts.(off + i)
+    done
+  done
 
-let index_of a x =
-  let n = Array.length a in
-  let rec scan i = if i >= n then None else if a.(i) = x then Some i else scan (i + 1) in
-  scan 0
-
-(* Remove index i, keeping order. *)
-let remove_at a i =
-  let n = Array.length a in
-  Array.init (n - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
-
-let append a x =
-  let n = Array.length a in
-  Array.init (n + 1) (fun j -> if j < n then a.(j) else x)
-
-let move_to_tail a i =
-  let x = a.(i) in
-  append (remove_at a i) x
+(* Moves entry [i] of the [n] entries at [off] to the tail, keeping the
+   others in order. *)
+let move_to_tail a off n i =
+  let x = a.(off + i) in
+  Array.blit a (off + i + 1) a (off + i) (n - i - 1);
+  a.(off + n - 1) <- x
 
 let observe t v id =
-  if v <> id then
-    match Idspace.Id.highest_differing_bit ~bits:(bits t) v id with
-    | None -> ()
-    | Some level ->
-        let b = t.buckets.(v).(level - 1) in
-        (match index_of b.contacts id with
-        | Some i -> b.contacts <- move_to_tail b.contacts i
-        | None ->
-            if Array.length b.contacts < capacity t ~level then
-              b.contacts <- append b.contacts id
-            else if t.cache_k > 0 then begin
-              (match index_of b.cache id with
-              | Some i -> b.cache <- move_to_tail b.cache i
-              | None -> b.cache <- append b.cache id);
-              if Array.length b.cache > t.cache_k then
-                b.cache <- remove_at b.cache 0
-            end)
-
-let ping_evict t v ~level ~alive =
-  check_level t level;
-  let b = t.buckets.(v).(level - 1) in
-  if Array.length b.contacts = 0 then No_contact
-  else begin
-    let head = b.contacts.(0) in
-    if alive head then begin
-      b.contacts <- move_to_tail b.contacts 0;
-      Refreshed head
+  check_node t "Kbucket.observe" v;
+  check_node t "Kbucket.observe" id;
+  if v <> id then begin
+    let level = t.bits - Idspace.Id.floor_log2 (v lxor id) in
+    let b = (v * t.bits) + level - 1 in
+    let off = b * t.stride and n = t.len.(b) in
+    let i = index_of t.contacts off n id in
+    if i >= 0 then move_to_tail t.contacts off n i
+    else if n < capacity t ~level then begin
+      t.contacts.(off + n) <- id;
+      t.len.(b) <- n + 1
     end
-    else begin
-      let rest = remove_at b.contacts 0 in
-      let promoted =
-        let m = Array.length b.cache in
-        if m = 0 then None
-        else begin
-          let candidate = b.cache.(m - 1) in
-          b.cache <- remove_at b.cache (m - 1);
-          Some candidate
-        end
-      in
-      b.contacts <- (match promoted with None -> rest | Some c -> append rest c);
-      Evicted { dead = head; promoted }
+    else if t.cache_k > 0 then begin
+      let coff = b * t.cache_stride and m = t.cache_len.(b) in
+      let j = index_of t.cache coff m id in
+      if j >= 0 then move_to_tail t.cache coff m j
+      else if m < t.cache_stride then begin
+        t.cache.(coff + m) <- id;
+        t.cache_len.(b) <- m + 1
+      end
+      else begin
+        (* Full cache: the oldest entry drops out at the head. *)
+        Array.blit t.cache (coff + 1) t.cache coff (m - 1);
+        t.cache.(coff + m - 1) <- id
+      end
     end
   end
 
+(* Ping-before-evict on the head of non-empty bucket [b], whose liveness
+   the caller has already probed: a live head rotates to the tail; a
+   dead one is dropped and the cache's newest entry, if any, takes the
+   freed tail slot. *)
+let ping_head t b ~head_alive =
+  let off = b * t.stride and n = t.len.(b) in
+  let head = t.contacts.(off) in
+  Array.blit t.contacts (off + 1) t.contacts off (n - 1);
+  if head_alive then t.contacts.(off + n - 1) <- head
+  else begin
+    let m = t.cache_len.(b) in
+    if m = 0 then t.len.(b) <- n - 1
+    else begin
+      t.contacts.(off + n - 1) <- t.cache.((b * t.cache_stride) + m - 1);
+      t.cache_len.(b) <- m - 1
+    end
+  end
+
+let ping_evict t v ~level ~alive =
+  let b = bucket_index t "Kbucket.ping_evict" v level in
+  if t.len.(b) = 0 then No_contact
+  else begin
+    let head = t.contacts.(b * t.stride) in
+    let head_alive = alive head in
+    let promoted =
+      let m = t.cache_len.(b) in
+      if head_alive || m = 0 then None
+      else Some t.cache.((b * t.cache_stride) + m - 1)
+    in
+    ping_head t b ~head_alive;
+    if head_alive then Refreshed head else Evicted { dead = head; promoted }
+  end
+
 let maintain t v ~alive =
-  for level = 1 to bits t do
-    ignore (ping_evict t v ~level ~alive)
+  check_node t "Kbucket.maintain" v;
+  for b = v * t.bits to ((v + 1) * t.bits) - 1 do
+    if t.len.(b) > 0 then ping_head t b ~head_alive:(alive t.contacts.(b * t.stride))
   done
 
 let invariant_violation t =
-  let d = bits t in
   let fail = ref None in
   let note msg = if !fail = None then fail := Some msg in
-  let check_entry v level id =
-    if id = v then note (Printf.sprintf "node %d level %d: contains self" v level)
-    else
-      match Idspace.Id.highest_differing_bit ~bits:d v id with
-      | Some l when l = level -> ()
-      | _ ->
-          note
-            (Printf.sprintf "node %d level %d: contact %d belongs to another bucket"
-               v level id)
-  in
-  Array.iteri
-    (fun v levels ->
+  for v = 0 to t.nodes - 1 do
+    for level = 1 to t.bits do
+      let contacts = bucket t v level and cached = cache t v level in
+      if Array.length contacts > capacity t ~level then
+        note (Printf.sprintf "node %d level %d: over capacity" v level);
+      if Array.length cached > t.cache_k then
+        note (Printf.sprintf "node %d level %d: cache over bound" v level);
+      let entries = Array.append contacts cached in
       Array.iteri
-        (fun i b ->
-          let level = i + 1 in
-          if Array.length b.contacts > capacity t ~level then
-            note (Printf.sprintf "node %d level %d: over capacity" v level);
-          if Array.length b.cache > t.cache_k then
-            note (Printf.sprintf "node %d level %d: cache over bound" v level);
-          let seen = Hashtbl.create 16 in
-          let distinct id =
-            if Hashtbl.mem seen id then
-              note (Printf.sprintf "node %d level %d: duplicate %d" v level id)
-            else Hashtbl.add seen id ()
-          in
-          Array.iter
-            (fun id ->
-              check_entry v level id;
-              distinct id)
-            b.contacts;
-          Array.iter
-            (fun id ->
-              check_entry v level id;
-              distinct id)
-            b.cache)
-        levels)
-    t.buckets;
+        (fun i id ->
+          if id = v then note (Printf.sprintf "node %d level %d: contains self" v level)
+          else if
+            id < 0 || id >= t.nodes
+            || Idspace.Id.highest_differing_bit ~bits:t.bits v id <> Some level
+          then
+            note
+              (Printf.sprintf "node %d level %d: contact %d belongs to another bucket" v
+                 level id);
+          if index_of entries 0 i id >= 0 then
+            note (Printf.sprintf "node %d level %d: duplicate %d" v level id))
+        entries
+    done
+  done;
   !fail

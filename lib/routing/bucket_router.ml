@@ -6,9 +6,15 @@
    is Plaxton with backup pointers: only the leading bucket may be used
    and the message is dropped when all its contacts are dead. *)
 
-let first_alive ~alive contacts =
-  let n = Array.length contacts in
-  let rec scan i = if i >= n then None else if Overlay.Failure.get alive contacts.(i) then Some contacts.(i) else scan (i + 1) in
+(* First live contact of [cur]'s bucket for bit [level], or -1. *)
+let first_alive ~alive table cur level =
+  let n = Overlay.Kbucket.length table cur level in
+  let rec scan i =
+    if i >= n then -1
+    else
+      let c = Overlay.Kbucket.contact table cur level i in
+      if Overlay.Failure.get alive c then c else scan (i + 1)
+  in
   scan 0
 
 let route ?(on_hop = ignore) ~mode table ~alive ~src ~dst =
@@ -20,23 +26,22 @@ let route ?(on_hop = ignore) ~mode table ~alive ~src ~dst =
       let leading = bits - Idspace.Id.floor_log2 diff in
       let next =
         match mode with
-        | `Tree -> first_alive ~alive (Overlay.Kbucket.unsafe_bucket table cur leading)
+        | `Tree -> first_alive ~alive table cur leading
         | `Xor ->
             let rec try_level level =
-              if level > bits then None
+              if level > bits then -1
               else if Idspace.Id.get_bit ~bits diff level then
-                match first_alive ~alive (Overlay.Kbucket.unsafe_bucket table cur level) with
-                | Some _ as found -> found
-                | None -> try_level (level + 1)
+                let found = first_alive ~alive table cur level in
+                if found >= 0 then found else try_level (level + 1)
               else try_level (level + 1)
             in
             try_level leading
       in
-      match next with
-      | None -> Outcome.Dropped { hops; stuck_at = cur }
-      | Some next ->
-          on_hop next;
-          step next (hops + 1)
+      if next < 0 then Outcome.Dropped { hops; stuck_at = cur }
+      else begin
+        on_hop next;
+        step next (hops + 1)
+      end
     end
   in
   step src 0

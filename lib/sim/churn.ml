@@ -14,10 +14,16 @@ type config = {
 let config ?(bits = 10) ?(mean_uptime = 8.0) ?(mean_downtime = 2.0) ?(repair_interval = 1.0)
     ?(warmup = 20.0) ?(measurements = 5) ?(measurement_spacing = 2.0)
     ?(pairs_per_measurement = 800) ?(seed = 808) geometry =
-  if mean_uptime <= 0.0 || mean_downtime <= 0.0 then
-    invalid_arg "Churn.config: lifetimes must be positive";
-  if repair_interval <= 0.0 then invalid_arg "Churn.config: repair interval must be positive";
+  let positive x = Float.is_finite x && x > 0.0 in
+  if not (positive mean_uptime && positive mean_downtime) then
+    invalid_arg "Churn.config: lifetimes must be positive and finite";
+  if not (positive repair_interval) then
+    invalid_arg "Churn.config: repair interval must be positive and finite";
   if measurements < 1 then invalid_arg "Churn.config: need at least one measurement";
+  if not (Float.is_finite warmup && warmup >= 0.0 && positive measurement_spacing) then
+    invalid_arg "Churn.config: bad measurement schedule";
+  if pairs_per_measurement < 1 then
+    invalid_arg "Churn.config: need at least one pair per measurement";
   (match geometry with
   | Rcm.Geometry.Xor | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> ()
   | Rcm.Geometry.Custom { family; _ } ->
@@ -73,7 +79,7 @@ let exponential rng ~mean = -.mean *. Float.log1p (-.Prng.Splitmix.float rng)
    single candidate, so their staleness can only heal when the target
    itself returns — exactly the paper's point that detection is fast
    but re-establishing connections is the hard part. *)
-let refresh_entry cfg rng ~alive ~v ~slot ~current =
+let refresh_entry cfg ~profile rng ~alive ~v ~slot ~current =
   let bits = cfg.bits in
   let size = 1 lsl bits in
   let attempt_alive draw =
@@ -83,32 +89,32 @@ let refresh_entry cfg rng ~alive ~v ~slot ~current =
     in
     try_draw 0
   in
-  match cfg.geometry with
-  | Rcm.Geometry.Xor ->
+  match (cfg.geometry, profile) with
+  | Rcm.Geometry.Xor, _ ->
       let level = slot + 1 in
       let flipped = Idspace.Id.flip_bit ~bits v level in
       attempt_alive (fun () ->
           let suffix = Prng.Splitmix.int rng size in
           Idspace.Id.with_suffix ~bits flipped ~prefix_len:level ~suffix)
-  | Rcm.Geometry.Ring -> current
-  | Rcm.Geometry.Symphony { k_n; k_s = _ } ->
+  | Rcm.Geometry.Ring, _ -> current
+  | Rcm.Geometry.Symphony { k_n; k_s = _ }, _ ->
       if slot < k_n then current
       else
         attempt_alive (fun () ->
             (v + Prng.Splitmix.harmonic_int rng ~n:(size - 1)) land (size - 1))
-  | Rcm.Geometry.Custom _ ->
-      let profile = Churn_profile.resolve_exn "Churn.refresh_entry" cfg.geometry ~bits in
+  | _, Some profile ->
       if slot < profile.Churn_profile.near_slots then current
       else attempt_alive (fun () -> profile.Churn_profile.redraw rng ~v ~slot)
-  | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube ->
-      (* Rejected by [config]. *)
+  | (Rcm.Geometry.Tree | Rcm.Geometry.Hypercube | Rcm.Geometry.Custom _), None ->
+      (* Rejected by [config], or resolved by [run]. *)
       assert false
 
-let repair_row cfg rng ~alive ~neighbors v =
+let repair_row cfg ~profile rng ~alive ~neighbors v =
   let row = neighbors.(v) in
   Array.iteri
     (fun slot target ->
-      if not (Overlay.Failure.get alive target) then row.(slot) <- refresh_entry cfg rng ~alive ~v ~slot ~current:target)
+      if not (Overlay.Failure.get alive target) then
+        row.(slot) <- refresh_entry cfg ~profile rng ~alive ~v ~slot ~current:target)
     row
 
 (* Stale-entry fractions, overall and split by link class: slots below
@@ -135,7 +141,7 @@ let stale_fractions ~alive ~near_slots neighbors =
   in
   (overall, fraction 0, fraction 1)
 
-let measure cfg rng ~alive ~table ~neighbors ~time =
+let measure cfg ~profile rng ~alive ~table ~neighbors ~time =
   let n = 1 lsl cfg.bits in
   let pool = Overlay.Failure.survivors alive in
   (* Fewer than two survivors means there is no pair to route: that is
@@ -152,12 +158,6 @@ let measure cfg rng ~alive ~table ~neighbors ~time =
       done;
       Some (float_of_int !delivered /. float_of_int cfg.pairs_per_measurement)
     end
-  in
-  let profile =
-    match cfg.geometry with
-    | Rcm.Geometry.Custom _ ->
-        Some (Churn_profile.resolve_exn "Churn.measure" cfg.geometry ~bits:cfg.bits)
-    | _ -> None
   in
   let near_slots =
     match (cfg.geometry, profile) with
@@ -194,12 +194,20 @@ let measure cfg rng ~alive ~table ~neighbors ~time =
 let run cfg =
   let rng = Prng.Splitmix.create ~seed:cfg.seed in
   let n = 1 lsl cfg.bits in
+  (* A custom family's profile is resolved once here and passed down,
+     not per redrawn slot. *)
+  let profile =
+    match cfg.geometry with
+    | Rcm.Geometry.Custom _ ->
+        Some (Churn_profile.resolve_exn "Churn.run" cfg.geometry ~bits:cfg.bits)
+    | _ -> None
+  in
   let base = Overlay.Table.build ~rng ~bits:cfg.bits cfg.geometry in
   (* Copy rows so the churn process owns a mutable matrix. *)
   let neighbors = Array.init n (fun v -> Array.copy (Overlay.Table.neighbors base v)) in
   let table = Overlay.Table.of_neighbors ~bits:cfg.bits cfg.geometry neighbors in
   let alive = Overlay.Failure.none n in
-  let queue = Event_queue.create () in
+  let queue = Event_queue.create ~filler:Measure in
   for v = 0 to n - 1 do
     Event_queue.add queue ~time:(exponential rng ~mean:cfg.mean_uptime) (Toggle v);
     Event_queue.add queue
@@ -229,18 +237,18 @@ let run cfg =
           Array.iteri
             (fun slot current ->
               neighbors.(v).(slot) <-
-                refresh_entry cfg rng ~alive ~v ~slot ~current)
+                refresh_entry cfg ~profile rng ~alive ~v ~slot ~current)
             neighbors.(v);
           Event_queue.add queue ~time:(time +. exponential rng ~mean:cfg.mean_uptime)
             (Toggle v)
         end;
         loop ()
     | Some (time, Repair v) ->
-        if Overlay.Failure.get alive v then repair_row cfg rng ~alive ~neighbors v;
+        if Overlay.Failure.get alive v then repair_row cfg ~profile rng ~alive ~neighbors v;
         Event_queue.add queue ~time:(time +. cfg.repair_interval) (Repair v);
         loop ()
     | Some (time, Measure) ->
-        out := measure cfg rng ~alive ~table ~neighbors ~time :: !out;
+        out := measure cfg ~profile rng ~alive ~table ~neighbors ~time :: !out;
         loop ()
   in
   loop ();

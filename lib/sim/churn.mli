@@ -38,7 +38,9 @@ val config :
   ?seed:int ->
   Rcm.Geometry.t ->
   config
-(** @raise Invalid_argument for non-positive rates or unsupported
+(** @raise Invalid_argument for non-positive or non-finite lifetimes,
+    repair interval or measurement spacing, a negative or non-finite
+    warmup, no measurements, no pairs per measurement, or unsupported
     geometries (tree and hypercube have no churn story here). *)
 
 type measurement = {

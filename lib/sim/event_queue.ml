@@ -1,102 +1,116 @@
-(* Slots are a variant so vacated positions can be reset to the
-   immediate constant [Empty]: a popped entry (and its payload) must
-   not stay reachable through the backing array, or a long-running
-   session-churn simulation retains every event it ever processed. *)
-type 'a slot = Empty | Entry of { time : float; seq : int; payload : 'a }
+(* Struct-of-arrays binary min-heap: slot i holds the event
+   (times.(i), seqs.(i), payloads.(i)). Ordering is by (time, insertion
+   sequence), so ties pop in insertion order and simulations stay
+   deterministic. Sifts move a hole rather than swapping, and compare
+   unboxed floats and ints without touching the payloads.
+
+   Vacated payload slots are reset to the caller's [filler], never to
+   a live payload: a popped event must not stay reachable through the
+   backing array, or a long-running session-churn simulation retains
+   every event it ever processed. *)
 
 type 'a t = {
-  mutable heap : 'a slot array;
+  filler : 'a;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable payloads : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create ~filler =
+  { filler; times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
 
 let size t = t.size
 
 let is_empty t = t.size = 0
 
-(* Min-heap ordered by (time, insertion sequence): ties resolve in
-   insertion order, which keeps simulations deterministic. *)
-let earlier a b =
-  match (a, b) with
-  | Entry a, Entry b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
-  | Empty, _ | _, Empty -> invalid_arg "Event_queue: empty slot in heap"
+(* Reallocate the three arrays at [capacity], keeping the live prefix. *)
+let resize t capacity =
+  let times = Array.make capacity 0.0 in
+  let seqs = Array.make capacity 0 in
+  let payloads = Array.make capacity t.filler in
+  Array.blit t.times 0 times 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.payloads 0 payloads 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.payloads <- payloads
 
-let ensure_capacity t =
-  if t.size >= Array.length t.heap then begin
-    let capacity = max 16 (2 * Array.length t.heap) in
-    let bigger = Array.make capacity Empty in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end
-
-(* Halve the backing array once it is no more than a quarter full, so a
-   queue that briefly spiked does not pin the peak-sized array (and, via
-   any stale slots, the entries in it) forever. *)
+(* Halve the arrays once they are no more than a quarter full, so a
+   queue that briefly spiked does not pin the peak-sized arrays
+   forever. *)
 let maybe_shrink t =
-  let capacity = Array.length t.heap in
-  if capacity > 16 && t.size <= capacity / 4 then begin
-    let smaller = Array.make (capacity / 2) Empty in
-    Array.blit t.heap 0 smaller 0 t.size;
-    t.heap <- smaller
-  end
+  let capacity = Array.length t.times in
+  if capacity > 16 && t.size <= capacity / 4 then resize t (capacity / 2)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let left = (2 * i) + 1 in
-  if left < t.size then begin
-    let right = left + 1 in
-    let smallest =
-      if right < t.size && earlier t.heap.(right) t.heap.(left) then right else left
-    in
-    if earlier t.heap.(smallest) t.heap.(i) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(smallest);
-      t.heap.(smallest) <- tmp;
-      sift_down t smallest
-    end
-  end
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.payloads.(dst) <- t.payloads.(src)
 
 let add t ~time payload =
   if Float.is_nan time then invalid_arg "Event_queue.add: nan time";
-  let entry = Entry { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  ensure_capacity t;
-  t.heap.(t.size) <- entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  if t.size >= Array.length t.times then resize t (max 16 (2 * Array.length t.times));
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* Sift a hole up from the new last slot. The new event has the
+     largest sequence number, so it passes a parent only on a strictly
+     earlier time. *)
+  let hole = ref t.size in
+  let parent = ref ((t.size - 1) / 2) in
+  while !hole > 0 && time < t.times.(!parent) do
+    move t ~src:!parent ~dst:!hole;
+    hole := !parent;
+    parent := (!hole - 1) / 2
+  done;
+  t.times.(!hole) <- time;
+  t.seqs.(!hole) <- seq;
+  t.payloads.(!hole) <- payload;
+  t.size <- t.size + 1
 
 let pop t =
   if t.size = 0 then None
   else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      t.heap.(t.size) <- Empty;
-      sift_down t 0
-    end
-    else t.heap.(0) <- Empty;
+    let time = t.times.(0) and payload = t.payloads.(0) in
+    let last = t.size - 1 in
+    t.size <- last;
+    (* Sift the root hole down, then drop the former last event into
+       it. *)
+    let moving_time = t.times.(last) and moving_seq = t.seqs.(last) in
+    let moving = t.payloads.(last) in
+    t.payloads.(last) <- t.filler;
+    if last > 0 then begin
+      let hole = ref 0 and settled = ref false in
+      while not !settled do
+        let left = (2 * !hole) + 1 in
+        if left >= last then settled := true
+        else begin
+          let right = left + 1 in
+          let child =
+            if
+              right < last
+              && (t.times.(right) < t.times.(left)
+                 || (t.times.(right) = t.times.(left) && t.seqs.(right) < t.seqs.(left)))
+            then right
+            else left
+          in
+          if
+            t.times.(child) < moving_time
+            || (t.times.(child) = moving_time && t.seqs.(child) < moving_seq)
+          then begin
+            move t ~src:child ~dst:!hole;
+            hole := child
+          end
+          else settled := true
+        end
+      done;
+      t.times.(!hole) <- moving_time;
+      t.seqs.(!hole) <- moving_seq;
+      t.payloads.(!hole) <- moving
+    end;
     maybe_shrink t;
-    match top with
-    | Entry { time; payload; _ } -> Some (time, payload)
-    | Empty -> assert false
+    Some (time, payload)
   end
 
-let peek_time t =
-  if t.size = 0 then None
-  else
-    match t.heap.(0) with
-    | Entry { time; _ } -> Some time
-    | Empty -> assert false
+let peek_time t = if t.size = 0 then None else Some t.times.(0)

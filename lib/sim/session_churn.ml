@@ -17,21 +17,24 @@ let config ?(bits = 10) ?(session = Lifetime.exponential ~mean:8.0)
     ?(gap = Lifetime.exponential ~mean:2.0) ?(maintenance_interval = 1.0) ?(k = 4)
     ?(cache_k = 4) ?(warmup = 20.0) ?(measurements = 5) ?(measurement_spacing = 2.0)
     ?(pairs_per_measurement = 800) ?(seed = 808) geometry =
-  if maintenance_interval <= 0.0 then
-    invalid_arg "Session_churn.config: maintenance interval must be positive";
+  if bits < 1 || bits > Idspace.Space.max_bits then
+    invalid_arg
+      (Printf.sprintf "Session_churn.config: bits must be in 1..%d" Idspace.Space.max_bits);
+  let positive x = Float.is_finite x && x > 0.0 in
+  if not (positive maintenance_interval) then
+    invalid_arg "Session_churn.config: maintenance interval must be positive and finite";
   if k < 1 then invalid_arg "Session_churn.config: k < 1";
   if cache_k < 0 then invalid_arg "Session_churn.config: cache_k < 0";
   if measurements < 1 then invalid_arg "Session_churn.config: need at least one measurement";
-  if warmup < 0.0 || measurement_spacing <= 0.0 then
+  if not (Float.is_finite warmup && warmup >= 0.0 && positive measurement_spacing) then
     invalid_arg "Session_churn.config: bad measurement schedule";
   if pairs_per_measurement < 1 then
     invalid_arg "Session_churn.config: need at least one pair per measurement";
+  (* Resolving a custom family's profile checks both its registration
+     and its parameters against [bits]. *)
   (match geometry with
-  | Rcm.Geometry.Custom { family; _ } ->
-      if not (Churn_profile.registered ~family) then
-        invalid_arg
-          (Printf.sprintf
-             "Session_churn.config: family %S has no registered churn profile" family)
+  | Rcm.Geometry.Custom _ ->
+      ignore (Churn_profile.resolve_exn "Session_churn.config" geometry ~bits)
   | _ -> ());
   {
     geometry;
@@ -109,12 +112,13 @@ let bucket_staleness table ~alive =
     if Overlay.Failure.get alive v then
       for level = 1 to bits do
         let capacity = Overlay.Kbucket.capacity table ~level in
-        let contacts = Overlay.Kbucket.unsafe_bucket table v level in
+        let len = Overlay.Kbucket.length table v level in
         total := !total + capacity;
-        stale := !stale + (capacity - Array.length contacts);
-        Array.iter
-          (fun c -> if not (Overlay.Failure.get alive c) then incr stale)
-          contacts
+        stale := !stale + (capacity - len);
+        for i = 0 to len - 1 do
+          if not (Overlay.Failure.get alive (Overlay.Kbucket.contact table v level i)) then
+            incr stale
+        done
       done
   done;
   if !total = 0 then 0.0 else float_of_int !stale /. float_of_int !total
@@ -142,7 +146,7 @@ let matrix_staleness ~alive ~near_slots neighbors =
   in
   (overall, fraction 0, fraction 1)
 
-let measure cfg rng ~alive ~tables ~time =
+let measure cfg ~profile rng ~alive ~tables ~time =
   let n = 1 lsl cfg.bits in
   let pool = Overlay.Failure.survivors alive in
   let route src dst =
@@ -171,13 +175,10 @@ let measure cfg rng ~alive ~tables ~time =
         (s, s, s)
     | Matrix { neighbors; _ } ->
         let near_slots =
-          match cfg.geometry with
-          | Rcm.Geometry.Symphony { k_n; _ } -> k_n
-          | Rcm.Geometry.Custom _ ->
-              (Churn_profile.resolve_exn "Session_churn.measure" cfg.geometry
-                 ~bits:cfg.bits)
-                .Churn_profile.near_slots
-          | _ -> 0
+          match (cfg.geometry, profile) with
+          | Rcm.Geometry.Symphony { k_n; _ }, _ -> k_n
+          | _, Some p -> p.Churn_profile.near_slots
+          | _, None -> 0
         in
         matrix_staleness ~alive ~near_slots neighbors
   in
@@ -187,17 +188,14 @@ let measure cfg rng ~alive ~tables ~time =
      staleness; custom families bring their own; the rest use the
      paper's basic model. *)
   let static_prediction =
-    match cfg.geometry with
-    | Rcm.Geometry.Xor -> Rcm.Replication.routability_xor ~d:cfg.bits ~q:stale ~k:cfg.k
-    | Rcm.Geometry.Symphony { k_n; k_s } ->
+    match (cfg.geometry, profile) with
+    | Rcm.Geometry.Xor, _ -> Rcm.Replication.routability_xor ~d:cfg.bits ~q:stale ~k:cfg.k
+    | Rcm.Geometry.Symphony { k_n; k_s }, _ ->
         Rcm.Engine.routability
           (Rcm.Symphony.spec_heterogeneous ~q_near:stale_near ~k_n ~k_s)
           ~d:cfg.bits ~q:stale_shortcut
-    | Rcm.Geometry.Custom _ ->
-        let p = Churn_profile.resolve_exn "Session_churn.measure" cfg.geometry ~bits:cfg.bits in
-        p.Churn_profile.prediction ~bits:cfg.bits ~stale ~stale_near ~stale_shortcut
-    | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube | Rcm.Geometry.Ring ->
-        Rcm.Model.routability cfg.geometry ~d:cfg.bits ~q:stale
+    | _, Some p -> p.Churn_profile.prediction ~bits:cfg.bits ~stale ~stale_near ~stale_shortcut
+    | _, None -> Rcm.Model.routability cfg.geometry ~d:cfg.bits ~q:stale
   in
   {
     time;
@@ -223,24 +221,20 @@ let rejoin_xor table rng ~alive v =
   Overlay.Kbucket.iter_contacts table v (fun c ->
       if is_alive c then Overlay.Kbucket.observe table c v)
 
-let rejoin_matrix cfg rng ~alive ~neighbors v =
-  match cfg.geometry with
-  | Rcm.Geometry.Symphony { k_n; _ } ->
+let rejoin_matrix cfg ~profile rng ~alive ~neighbors v =
+  match (cfg.geometry, profile) with
+  | Rcm.Geometry.Symphony { k_n; _ }, _ ->
       let size = 1 lsl cfg.bits in
       let row = neighbors.(v) in
       for slot = k_n to Array.length row - 1 do
         row.(slot) <- redraw_shortcut rng ~alive ~size v
       done
-  | Rcm.Geometry.Custom _ ->
-      let profile =
-        Churn_profile.resolve_exn "Session_churn.rejoin" cfg.geometry ~bits:cfg.bits
-      in
+  | _, Some profile ->
       let row = neighbors.(v) in
       for slot = profile.Churn_profile.near_slots to Array.length row - 1 do
         row.(slot) <- Churn_profile.redraw_alive profile rng ~alive ~v ~slot
       done
-  | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube | Rcm.Geometry.Ring
-  | Rcm.Geometry.Xor ->
+  | _, None ->
       (* Deterministic links re-bind to the same identifiers. *)
       ()
 
@@ -250,7 +244,7 @@ let rejoin_matrix cfg rng ~alive ~neighbors v =
    candidate is drawn and, when live, observed, which is how buckets
    emptied by eviction regain contacts once their cache has drained.
    Symphony: dead shortcuts are redrawn in place. *)
-let maintain_node cfg rng ~alive ~tables ~refresh_level v =
+let maintain_node cfg ~profile rng ~alive ~tables ~refresh_level v =
   match tables with
   | Buckets table ->
       let is_alive id = Overlay.Failure.get alive id in
@@ -266,29 +260,33 @@ let maintain_node cfg rng ~alive ~tables ~refresh_level v =
         Overlay.Kbucket.observe table candidate v
       end
   | Matrix { neighbors; _ } -> (
-      match cfg.geometry with
-      | Rcm.Geometry.Symphony { k_n; _ } ->
+      match (cfg.geometry, profile) with
+      | Rcm.Geometry.Symphony { k_n; _ }, _ ->
           let size = 1 lsl cfg.bits in
           let row = neighbors.(v) in
           for slot = k_n to Array.length row - 1 do
             if not (Overlay.Failure.get alive row.(slot)) then
               row.(slot) <- redraw_shortcut rng ~alive ~size v
           done
-      | Rcm.Geometry.Custom _ ->
-          let profile =
-            Churn_profile.resolve_exn "Session_churn.maintain" cfg.geometry
-              ~bits:cfg.bits
-          in
+      | _, Some profile ->
           let row = neighbors.(v) in
           for slot = profile.Churn_profile.near_slots to Array.length row - 1 do
             if not (Overlay.Failure.get alive row.(slot)) then
               row.(slot) <- Churn_profile.redraw_alive profile rng ~alive ~v ~slot
           done
-      | _ -> ())
+      | _, None -> ())
 
 let run cfg =
   let rng = Prng.Splitmix.create ~seed:cfg.seed in
   let n = 1 lsl cfg.bits in
+  (* A custom family's profile is resolved once here and passed down,
+     not per event. *)
+  let profile =
+    match cfg.geometry with
+    | Rcm.Geometry.Custom _ ->
+        Some (Churn_profile.resolve_exn "Session_churn.run" cfg.geometry ~bits:cfg.bits)
+    | _ -> None
+  in
   let tables =
     match cfg.geometry with
     | Rcm.Geometry.Xor ->
@@ -303,14 +301,12 @@ let run cfg =
   in
   let alive = Overlay.Failure.none n in
   let refresh_level = Array.make n 0 in
-  let queue = Event_queue.create () in
+  let queue = Event_queue.create ~filler:Measure in
   let maintained =
-    match cfg.geometry with
-    | Rcm.Geometry.Symphony _ | Rcm.Geometry.Xor -> true
-    | Rcm.Geometry.Custom _ ->
-        (Churn_profile.resolve_exn "Session_churn.run" cfg.geometry ~bits:cfg.bits)
-          .Churn_profile.maintained
-    | _ -> false
+    match (cfg.geometry, profile) with
+    | (Rcm.Geometry.Symphony _ | Rcm.Geometry.Xor), _ -> true
+    | _, Some p -> p.Churn_profile.maintained
+    | _, None -> false
   in
   for v = 0 to n - 1 do
     Event_queue.add queue ~time:(Lifetime.draw cfg.session rng) (Depart v);
@@ -341,13 +337,13 @@ let run cfg =
             Overlay.Failure.set alive v true;
             (match tables with
             | Buckets table -> rejoin_xor table rng ~alive v
-            | Matrix { neighbors; _ } -> rejoin_matrix cfg rng ~alive ~neighbors v);
+            | Matrix { neighbors; _ } -> rejoin_matrix cfg ~profile rng ~alive ~neighbors v);
             Event_queue.add queue ~time:(time +. Lifetime.draw cfg.session rng) (Depart v)
         | Maintain v ->
             if Overlay.Failure.get alive v then
-              maintain_node cfg rng ~alive ~tables ~refresh_level v;
+              maintain_node cfg ~profile rng ~alive ~tables ~refresh_level v;
             Event_queue.add queue ~time:(time +. cfg.maintenance_interval) (Maintain v)
-        | Measure -> out := measure cfg rng ~alive ~tables ~time :: !out);
+        | Measure -> out := measure cfg ~profile rng ~alive ~tables ~time :: !out);
         loop ()
   in
   loop ();

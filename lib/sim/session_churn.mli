@@ -55,9 +55,14 @@ val config :
   ?seed:int ->
   Rcm.Geometry.t ->
   config
-(** All five geometries are supported.
-    @raise Invalid_argument on non-positive intervals, [k < 1],
-    [cache_k < 0], or an empty measurement schedule. *)
+(** All five geometries are supported, and custom families with a
+    {!Churn_profile}.
+    @raise Invalid_argument when [bits] is outside
+    1..{!Idspace.Space.max_bits}, on a non-positive or non-finite
+    maintenance interval or measurement spacing, a negative or
+    non-finite warmup, [k < 1], [cache_k < 0], no measurements, no
+    pairs per measurement, or a custom family whose profile does not
+    resolve at [bits]. *)
 
 val churn_rate : config -> float
 (** Steady-state per-node turnover rate: 1 / (mean session + mean gap).

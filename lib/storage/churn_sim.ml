@@ -74,7 +74,7 @@ let run geometry cfg ~seed =
       overlay
   in
   let alive = Overlay.Failure.none cfg.nodes in
-  let queue = Sim.Event_queue.create () in
+  let queue = Sim.Event_queue.create ~filler:Measure in
   for v = 0 to cfg.nodes - 1 do
     Sim.Event_queue.add queue
       ~time:(Sim.Lifetime.draw cfg.session rng)

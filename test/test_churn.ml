@@ -3,7 +3,7 @@ open Helpers
 (* --- Event queue -------------------------------------------------------- *)
 
 let test_queue_ordering () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~filler:"" in
   Sim.Event_queue.add q ~time:3.0 "c";
   Sim.Event_queue.add q ~time:1.0 "a";
   Sim.Event_queue.add q ~time:2.0 "b";
@@ -13,7 +13,7 @@ let test_queue_ordering () =
   Alcotest.(check bool) "empty" true (Sim.Event_queue.pop q = None)
 
 let test_queue_fifo_ties () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~filler:"" in
   Sim.Event_queue.add q ~time:1.0 "first";
   Sim.Event_queue.add q ~time:1.0 "second";
   Alcotest.(check (option (pair (float 0.0) string))) "fifo" (Some (1.0, "first"))
@@ -22,7 +22,7 @@ let test_queue_fifo_ties () =
     (Sim.Event_queue.pop q)
 
 let test_queue_interleaved () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~filler:(-1) in
   Sim.Event_queue.add q ~time:5.0 5;
   Sim.Event_queue.add q ~time:1.0 1;
   Alcotest.(check (option (pair (float 0.0) int))) "1" (Some (1.0, 1)) (Sim.Event_queue.pop q);
@@ -33,7 +33,7 @@ let test_queue_interleaved () =
   Alcotest.(check int) "one left" 1 (Sim.Event_queue.size q)
 
 let test_queue_rejects_nan () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~filler:() in
   Alcotest.check_raises "nan" (Invalid_argument "Event_queue.add: nan time") (fun () ->
       Sim.Event_queue.add q ~time:nan ())
 
@@ -41,7 +41,7 @@ let queue_pops_sorted =
   qcheck "queue pops in non-decreasing time order"
     QCheck2.Gen.(list_size (int_range 0 200) (float_range 0.0 100.0))
     (fun times ->
-      let q = Sim.Event_queue.create () in
+      let q = Sim.Event_queue.create ~filler:() in
       List.iter (fun t -> Sim.Event_queue.add q ~time:t ()) times;
       let rec drain last =
         match Sim.Event_queue.pop q with
@@ -54,7 +54,7 @@ let test_queue_pop_releases_payload () =
   (* Regression for the pop space leak: the vacated heap slot must be
      cleared, so a popped payload with no other references is
      collectable. *)
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~filler:Bytes.empty in
   let weak = Weak.create 1 in
   Sim.Event_queue.add q ~time:1.0 (Bytes.create 64);
   Sim.Event_queue.add q ~time:2.0 (Bytes.create 64);
@@ -74,7 +74,7 @@ let test_queue_shrinks_after_spike () =
      thousands-slot array forever: the heap halves when a quarter
      full. Measured via reachable words so the test does not depend on
      internals. *)
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~filler:(-1) in
   for i = 1 to 4096 do
     Sim.Event_queue.add q ~time:(float_of_int i) i
   done;
@@ -104,7 +104,7 @@ let queue_matches_sorted_reference =
       (* Coarse integer times force many ties, exercising the seq
          tie-break. *)
       let events = List.mapi (fun i t -> (float_of_int t, i)) raw in
-      let q = Sim.Event_queue.create () in
+      let q = Sim.Event_queue.create ~filler:(-1) in
       List.iter (fun (t, i) -> Sim.Event_queue.add q ~time:t i) events;
       let rec drain acc =
         match Sim.Event_queue.pop q with None -> List.rev acc | Some e -> drain (e :: acc)
@@ -118,7 +118,7 @@ let queue_interleaved_matches_model =
     (fun ops ->
       (* [Some t] adds an event at time t; [None] pops. The model is a
          sorted association list with stable insertion. *)
-      let q = Sim.Event_queue.create () in
+      let q = Sim.Event_queue.create ~filler:(-1) in
       let model = ref [] in
       let next = ref 0 in
       List.for_all
@@ -223,17 +223,37 @@ let quick_config ?(geometry = Rcm.Geometry.Xor) ?(mean_downtime = 2.0)
   Sim.Churn.config ~bits:8 ~mean_uptime:8.0 ~mean_downtime ~repair_interval ~warmup:15.0
     ~measurements:3 ~measurement_spacing:2.0 ~pairs_per_measurement:400 ~seed geometry
 
+(* Each thunk builds one bad config; every one must be rejected. *)
+let check_rejected cases =
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check bool) (name ^ " rejected") true
+        (try
+           ignore (f ());
+           false
+         with Invalid_argument _ -> true))
+    cases
+
 let test_churn_rejects_bad_config () =
-  Alcotest.(check bool) "tree rejected" true
-    (try
-       ignore (Sim.Churn.config Rcm.Geometry.Tree);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad lifetime" true
-    (try
-       ignore (Sim.Churn.config ~mean_uptime:0.0 Rcm.Geometry.Xor);
-       false
-     with Invalid_argument _ -> true)
+  let xor = Rcm.Geometry.Xor in
+  check_rejected
+    [
+      ("tree", fun () -> Sim.Churn.config Rcm.Geometry.Tree);
+      ("zero uptime", fun () -> Sim.Churn.config ~mean_uptime:0.0 xor);
+      ("nan uptime", fun () -> Sim.Churn.config ~mean_uptime:nan xor);
+      ("infinite uptime", fun () -> Sim.Churn.config ~mean_uptime:infinity xor);
+      ("nan downtime", fun () -> Sim.Churn.config ~mean_downtime:nan xor);
+      ("infinite downtime", fun () -> Sim.Churn.config ~mean_downtime:infinity xor);
+      ("nan repair interval", fun () -> Sim.Churn.config ~repair_interval:nan xor);
+      ("infinite repair interval", fun () -> Sim.Churn.config ~repair_interval:infinity xor);
+      ("negative warmup", fun () -> Sim.Churn.config ~warmup:(-1.0) xor);
+      ("nan warmup", fun () -> Sim.Churn.config ~warmup:nan xor);
+      ("zero spacing", fun () -> Sim.Churn.config ~measurement_spacing:0.0 xor);
+      ("nan spacing", fun () -> Sim.Churn.config ~measurement_spacing:nan xor);
+      (* Zero pairs used to report routability = Some nan, a fabricated
+         sample. *)
+      ("zero pairs", fun () -> Sim.Churn.config ~pairs_per_measurement:0 xor);
+    ]
 
 let test_churn_reproducible () =
   let a = Sim.Churn.run (quick_config ()) in
@@ -373,18 +393,21 @@ let session_config ?(geometry = Rcm.Geometry.Xor) ?(session_mean = 8.0) ?(gap_me
     ~measurement_spacing:2.0 ~pairs_per_measurement:300 ~seed geometry
 
 let test_session_config_guards () =
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "rejected" true
-        (try
-           ignore (f ());
-           false
-         with Invalid_argument _ -> true))
+  let xor = Rcm.Geometry.Xor in
+  check_rejected
     [
-      (fun () -> Sim.Session_churn.config ~k:0 Rcm.Geometry.Xor);
-      (fun () -> Sim.Session_churn.config ~cache_k:(-1) Rcm.Geometry.Xor);
-      (fun () -> Sim.Session_churn.config ~maintenance_interval:0.0 Rcm.Geometry.Xor);
-      (fun () -> Sim.Session_churn.config ~measurements:0 Rcm.Geometry.Xor);
+      ("k = 0", fun () -> Sim.Session_churn.config ~k:0 xor);
+      ("negative cache", fun () -> Sim.Session_churn.config ~cache_k:(-1) xor);
+      ("zero maintenance", fun () -> Sim.Session_churn.config ~maintenance_interval:0.0 xor);
+      ("nan maintenance", fun () -> Sim.Session_churn.config ~maintenance_interval:nan xor);
+      ( "infinite maintenance",
+        fun () -> Sim.Session_churn.config ~maintenance_interval:infinity xor );
+      ("no measurements", fun () -> Sim.Session_churn.config ~measurements:0 xor);
+      ("nan warmup", fun () -> Sim.Session_churn.config ~warmup:nan xor);
+      ("infinite warmup", fun () -> Sim.Session_churn.config ~warmup:infinity xor);
+      ("nan spacing", fun () -> Sim.Session_churn.config ~measurement_spacing:nan xor);
+      ("zero pairs", fun () -> Sim.Session_churn.config ~pairs_per_measurement:0 xor);
+      ("zero bits", fun () -> Sim.Session_churn.config ~bits:0 xor);
     ]
 
 let test_session_rates () =
@@ -507,6 +530,32 @@ let curves_geometries = [ Rcm.Geometry.Xor; Rcm.Geometry.Ring ]
 
 let csv_of_points points =
   List.map (Experiments.Churn_curves.to_csv_row curves_config) points
+
+let test_curves_validate_up_front () =
+  (* A bad config is one Invalid_argument from [run] before any point
+     runs, not a point fault retried until the sweep fails. *)
+  let bad =
+    [
+      ("k = 0", { curves_config with k = 0 });
+      ("zero maintenance", { curves_config with maintenance_interval = 0.0 });
+      ("nan session", { curves_config with session_means = [ 2.0; nan ] });
+      ("nan warmup", { curves_config with warmup = nan });
+      ("nan spacing", { curves_config with measurement_spacing = nan });
+      ("empty sweep", { curves_config with session_means = [] });
+    ]
+  in
+  List.iter
+    (fun (name, cfg) ->
+      check_rejected [ (name ^ " (validate)", fun () -> Experiments.Churn_curves.validate cfg) ];
+      check_rejected
+        [
+          ( name ^ " (run)",
+            fun () ->
+              ignore
+                (Experiments.Churn_curves.run ~geometries:curves_geometries ~retries:3 cfg) );
+        ])
+    bad;
+  Experiments.Churn_curves.validate ~geometries:curves_geometries curves_config
 
 let test_curves_deterministic_across_pools () =
   (* The --jobs guarantee at the library level: per-point seeds derive
@@ -646,6 +695,7 @@ let suite =
     ("session no-churn limit", `Quick, test_session_no_churn_limit);
     ("session maintenance heals xor", `Slow, test_session_maintenance_heals_xor);
     ("session no-pair measurements", `Quick, test_session_no_pair_measurements);
+    ("curves validate up front", `Quick, test_curves_validate_up_front);
     ("curves deterministic across pools", `Slow, test_curves_deterministic_across_pools);
     ("curves checkpoint replay", `Slow, test_curves_checkpoint_replay);
     ("checkpoint churn round trip", `Quick, test_checkpoint_churn_round_trip);

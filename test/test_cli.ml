@@ -307,6 +307,52 @@ let test_trace_cli_report_and_chrome () =
   | Unix.WEXITED 0, _ -> Alcotest.fail "trace report on a missing file exited 0"
   | _, _ -> ()
 
+(* Bad churn configs are rejected once, up front, with exit 2 and a
+   one-line message — not retried as point faults until the run dies
+   with an uncaught exception. *)
+let test_churn_bad_config_exits_2 () =
+  List.iter
+    (fun args ->
+      let command =
+        Printf.sprintf "%s 2>&1"
+          (Filename.quote_command binary ([ "churn"; "--trial-retries"; "3" ] @ args))
+      in
+      let name = String.concat " " args in
+      let status, out = run_capture_shell command in
+      (match status with
+      | Unix.WEXITED 2 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "churn %s exited with %d:\n%s" name n out
+      | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+          Alcotest.failf "churn %s killed by signal %d" name n);
+      Alcotest.(check bool)
+        (Printf.sprintf "churn %s names the command" name)
+        true
+        (Astring_contains.contains out "dhtlab churn: ");
+      Alcotest.(check bool)
+        (Printf.sprintf "churn %s is not an internal error" name)
+        false
+        (Astring_contains.contains out "internal error"))
+    [
+      [ "--smoke"; "-k"; "0" ];
+      [ "--smoke"; "--maintain"; "0" ];
+      (* --smoke would override the session sweep. *)
+      [ "--sessions"; "nan" ];
+      [ "--smoke"; "--maintain"; "nan" ];
+      [ "--smoke"; "--warmup"; "nan" ];
+      [ "--smoke"; "--spacing"; "nan" ];
+    ]
+
+(* Golden outputs: generated once and checked in, so a change to draw
+   or event order fails here even when it is the same at every domain
+   count. Regenerate a file (the command is in its test case) only for
+   a deliberate change of output. *)
+let check_golden args file () =
+  let status, out = run_capture args in
+  check_exit (String.concat " " args) status;
+  Alcotest.(check string) ("matches golden/" ^ file)
+    (read_file (Filename.concat "golden" file))
+    out
+
 let suite =
   [
     ("binary present", `Quick, test_binary_present);
@@ -327,4 +373,13 @@ let suite =
     ("checkpoint/resume stdout roundtrip", `Quick, test_checkpoint_resume_roundtrip_stdout);
     ("obs flags preserve stdout + sinks validate", `Quick, test_obs_flags_preserve_stdout);
     ("trace report/export-chrome CLI", `Quick, test_trace_cli_report_and_chrome);
+    ("churn bad config exits 2", `Quick, test_churn_bad_config_exits_2);
+    ("golden churn --smoke --seed 7", `Quick,
+      check_golden [ "churn"; "--smoke"; "--csv"; "--seed"; "7" ] "churn-smoke-seed7.csv");
+    ("golden storage --smoke --sessions 2,8", `Quick,
+      check_golden
+        [ "storage"; "--smoke"; "--sessions"; "2,8"; "--csv" ]
+        "storage-smoke-sessions-2-8.csv");
+    ("golden figure rep-xor --quick", `Quick,
+      check_golden [ "figure"; "rep-xor"; "--quick" ] "figure-rep-xor-quick.txt");
   ]

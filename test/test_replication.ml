@@ -81,16 +81,24 @@ let build_buckets ?(k = 3) ?(seed = 41) () =
   Overlay.Kbucket.build ~rng:(rng_of_seed seed) ~bits ~k ()
 
 let test_bucket_sizes () =
-  let t = build_buckets () in
-  for v = 0 to 255 do
-    for level = 1 to bits do
-      let expected = min 3 (1 lsl (bits - level)) in
-      Alcotest.(check int)
-        (Printf.sprintf "bucket %d of %d" level v)
-        expected
-        (Array.length (Overlay.Kbucket.bucket t v level))
-    done
-  done
+  (* A k far beyond every candidate set fills each bucket with all of
+     its candidates, at no more memory than they need. *)
+  List.iter
+    (fun (k, t) ->
+      for v = 0 to 255 do
+        for level = 1 to bits do
+          let expected = min k (1 lsl (bits - level)) in
+          Alcotest.(check int)
+            (Printf.sprintf "k=%d: bucket %d of %d" k level v)
+            expected
+            (Array.length (Overlay.Kbucket.bucket t v level))
+        done
+      done)
+    [
+      (3, build_buckets ());
+      ( 1_000_000,
+        Overlay.Kbucket.build ~rng:(rng_of_seed 41) ~cache_k:1_000_000 ~bits ~k:1_000_000 () );
+    ]
 
 let test_bucket_contacts_distinct () =
   let t = build_buckets ~k:8 () in
@@ -142,8 +150,9 @@ let test_bucket_copy_isolated () =
   Array.fill snapshot 0 (Array.length snapshot) (-1);
   Alcotest.(check (array int)) "table unchanged" before (Overlay.Kbucket.bucket t 7 1);
   Alcotest.(check (option string)) "invariants hold" None (Overlay.Kbucket.invariant_violation t);
-  (* [unsafe_bucket] is the live array, by design — same contents. *)
-  Alcotest.(check (array int)) "unsafe view agrees" before (Overlay.Kbucket.unsafe_bucket t 7 1)
+  (* The allocation-free accessors read the same contents. *)
+  Alcotest.(check (array int)) "accessors agree" before
+    (Array.init (Overlay.Kbucket.length t 7 1) (Overlay.Kbucket.contact t 7 1))
 
 let test_bucket_observe_lru () =
   let t = build_buckets ~k:3 () in
@@ -228,6 +237,227 @@ let kbucket_invariants_under_churn =
       match Overlay.Kbucket.invariant_violation t with
       | None -> true
       | Some msg -> QCheck2.Test.fail_report msg)
+
+(* A list-based reference model of the k-bucket rules: per bucket, the
+   contacts least-recently-seen first and the replacement cache oldest
+   first. Rebuilds replay the sampling rule with their own copy of the
+   generator, so the model also pins the draws. *)
+module Kbucket_model = struct
+  type t = {
+    bits : int;
+    k : int;
+    cache_k : int;
+    contacts : int list array;
+    cache : int list array;
+  }
+
+  let slot m v level = (v * m.bits) + level - 1
+
+  let capacity m level = min m.k (1 lsl (m.bits - level))
+
+  let remove x l = List.filter (fun y -> y <> x) l
+
+  let sample ?alive m rng v level =
+    let bits = m.bits in
+    let base = Idspace.Id.flip_bit ~bits v level in
+    let id_of suffix = Idspace.Id.with_suffix ~bits base ~prefix_len:level ~suffix in
+    let candidates = 1 lsl (bits - level) in
+    if candidates <= m.k then List.init candidates id_of
+    else begin
+      let is_alive id = match alive with None -> true | Some f -> f id in
+      let rec fill chosen =
+        if List.length chosen = m.k then List.rev_map id_of chosen
+        else begin
+          let rec draw attempts =
+            let suffix = Prng.Splitmix.int rng candidates in
+            if List.mem suffix chosen then draw attempts
+            else if attempts >= 8 || is_alive (id_of suffix) then suffix
+            else draw (attempts + 1)
+          in
+          fill (draw 0 :: chosen)
+        end
+      in
+      fill []
+    end
+
+  let build m rng =
+    for v = 0 to (1 lsl m.bits) - 1 do
+      for level = 1 to m.bits do
+        m.contacts.(slot m v level) <- sample m rng v level
+      done
+    done
+
+  let create ~bits ~k ~cache_k rng =
+    let buckets = (1 lsl bits) * bits in
+    let m =
+      { bits; k; cache_k; contacts = Array.make buckets []; cache = Array.make buckets [] }
+    in
+    build m rng;
+    m
+
+  let observe m v id =
+    if v <> id then begin
+      let level = Option.get (Idspace.Id.highest_differing_bit ~bits:m.bits v id) in
+      let b = slot m v level in
+      if List.mem id m.contacts.(b) then m.contacts.(b) <- remove id m.contacts.(b) @ [ id ]
+      else if List.length m.contacts.(b) < capacity m level then
+        m.contacts.(b) <- m.contacts.(b) @ [ id ]
+      else if m.cache_k > 0 then begin
+        let c = remove id m.cache.(b) @ [ id ] in
+        m.cache.(b) <- (if List.length c > m.cache_k then List.tl c else c)
+      end
+    end
+
+  let ping_evict m v level ~alive =
+    let b = slot m v level in
+    match m.contacts.(b) with
+    | [] -> Overlay.Kbucket.No_contact
+    | head :: rest when alive head ->
+        m.contacts.(b) <- rest @ [ head ];
+        Overlay.Kbucket.Refreshed head
+    | head :: rest -> (
+        match List.rev m.cache.(b) with
+        | [] ->
+            m.contacts.(b) <- rest;
+            Overlay.Kbucket.Evicted { dead = head; promoted = None }
+        | newest :: older ->
+            m.cache.(b) <- List.rev older;
+            m.contacts.(b) <- rest @ [ newest ];
+            Overlay.Kbucket.Evicted { dead = head; promoted = Some newest })
+
+  let maintain m v ~alive =
+    for level = 1 to m.bits do
+      ignore (ping_evict m v level ~alive)
+    done
+
+  let rebuild ?alive m rng v level =
+    let b = slot m v level in
+    m.contacts.(b) <- sample ?alive m rng v level;
+    m.cache.(b) <- []
+
+  (* First bucket or cache that differs from the table, if any. *)
+  let mismatch m t =
+    let found = ref None in
+    for v = 0 to (1 lsl m.bits) - 1 do
+      for level = 1 to m.bits do
+        let b = slot m v level in
+        let real = Array.to_list (Overlay.Kbucket.bucket t v level) in
+        let real_cache = Array.to_list (Overlay.Kbucket.cache t v level) in
+        if !found = None && (real <> m.contacts.(b) || real_cache <> m.cache.(b)) then
+          found := Some (Printf.sprintf "node %d level %d" v level)
+      done
+    done;
+    !found
+end
+
+type kbucket_op =
+  | Toggle of int
+  | Observe of int * int
+  | Ping of int * int
+  | Maintain of int
+  | Rebuild of int * int
+
+(* Most operations act on four owners, so their buckets fill, their
+   caches overflow and their heads get evicted within one run. *)
+let kbucket_op_gen =
+  let open QCheck2.Gen in
+  let node = int_range 0 63 and level = int_range 1 6 in
+  let owner = frequency [ (4, int_range 0 3); (1, node) ] in
+  oneof
+    [
+      map (fun v -> Toggle v) node;
+      map2 (fun v id -> Observe (v, id)) owner node;
+      map2 (fun v l -> Ping (v, l)) owner level;
+      map (fun v -> Maintain v) owner;
+      map2 (fun v l -> Rebuild (v, l)) owner level;
+    ]
+
+let kbucket_matches_model =
+  qcheck "k-bucket rules match a list model" ~count:100
+    QCheck2.Gen.(
+      quad (oneofl [ 0; 2 ]) bool (int_range 0 10_000)
+        (list_size (int_range 1 200) kbucket_op_gen))
+    (fun (cache_k, with_alive, seed, ops) ->
+      let bits = 6 and k = 3 in
+      let rng = rng_of_seed seed in
+      let model_rng = rng_of_seed seed in
+      let t = Overlay.Kbucket.build ~rng ~cache_k ~bits ~k () in
+      let m = Kbucket_model.create ~bits ~k ~cache_k model_rng in
+      let dead = Array.make (1 lsl bits) false in
+      let alive id = not dead.(id) in
+      let fail step what = QCheck2.Test.fail_reportf "step %d: %s" step what in
+      let same_rng step =
+        Prng.Splitmix.state rng = Prng.Splitmix.state model_rng
+        || fail step "generator state diverged"
+      in
+      let same_tables step =
+        match Kbucket_model.mismatch m t with None -> true | Some where -> fail step where
+      in
+      same_rng 0 && same_tables 0
+      && List.for_all
+           (fun (step, op) ->
+             let rebuilt =
+               match op with
+               | Toggle v ->
+                   dead.(v) <- not dead.(v);
+                   false
+               | Observe (v, id) ->
+                   Overlay.Kbucket.observe t v id;
+                   Kbucket_model.observe m v id;
+                   false
+               | Ping (v, level) ->
+                   let got = Overlay.Kbucket.ping_evict t v ~level ~alive in
+                   let want = Kbucket_model.ping_evict m v level ~alive in
+                   if got <> want then ignore (fail step "ping_evict result differs");
+                   false
+               | Maintain v ->
+                   Overlay.Kbucket.maintain t v ~alive;
+                   Kbucket_model.maintain m v ~alive;
+                   false
+               | Rebuild (v, level) ->
+                   if with_alive then begin
+                     Overlay.Kbucket.rebuild_bucket ~alive t rng v ~level;
+                     Kbucket_model.rebuild ~alive m model_rng v level
+                   end
+                   else begin
+                     Overlay.Kbucket.rebuild_bucket t rng v ~level;
+                     Kbucket_model.rebuild m model_rng v level
+                   end;
+                   true
+             in
+             same_tables step && ((not rebuilt) || same_rng step))
+           (List.mapi (fun i op -> (i + 1, op)) ops))
+
+let test_bucket_range_checks () =
+  let t = Overlay.Kbucket.build ~rng:(rng_of_seed 9) ~cache_k:2 ~bits:6 ~k:3 () in
+  let rng = rng_of_seed 10 in
+  let alive _ = true in
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s: accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("observe: node 64", fun () -> Overlay.Kbucket.observe t 64 0);
+      ("observe: node -1", fun () -> Overlay.Kbucket.observe t (-1) 0);
+      ("observe: contact 64", fun () -> Overlay.Kbucket.observe t 0 64);
+      ("observe: contact -1", fun () -> Overlay.Kbucket.observe t 0 (-1));
+      ("observe: node 64 = contact", fun () -> Overlay.Kbucket.observe t 64 64);
+      ("ping_evict: node 64", fun () -> ignore (Overlay.Kbucket.ping_evict t 64 ~level:1 ~alive));
+      ("ping_evict: level 0", fun () -> ignore (Overlay.Kbucket.ping_evict t 0 ~level:0 ~alive));
+      ("maintain: node -1", fun () -> Overlay.Kbucket.maintain t (-1) ~alive);
+      ("maintain: node 64", fun () -> Overlay.Kbucket.maintain t 64 ~alive);
+      ("rebuild: node 64", fun () -> Overlay.Kbucket.rebuild_bucket t rng 64 ~level:1);
+      ("rebuild: level 7", fun () -> Overlay.Kbucket.rebuild_bucket t rng 0 ~level:7);
+      ("iter_contacts: node 64", fun () -> Overlay.Kbucket.iter_contacts t 64 ignore);
+      ("bucket: node 64", fun () -> ignore (Overlay.Kbucket.bucket t 64 1));
+      ("cache: node -1", fun () -> ignore (Overlay.Kbucket.cache t (-1) 1));
+      ("length: level 7", fun () -> ignore (Overlay.Kbucket.length t 0 7));
+      ("contact: index k", fun () -> ignore (Overlay.Kbucket.contact t 0 1 3));
+      ("contact: index -1", fun () -> ignore (Overlay.Kbucket.contact t 0 1 (-1)));
+    ];
+  Alcotest.(check (option string)) "rejected calls left the table intact" None
+    (Overlay.Kbucket.invariant_violation t)
 
 (* --- Bucket routing ----------------------------------------------------------- *)
 
@@ -454,6 +684,8 @@ let suite =
     ("k-bucket cache promotion", `Quick, test_bucket_cache_promotion);
     ("k-bucket ping refreshes live head", `Quick, test_bucket_ping_refreshes_live_head);
     kbucket_invariants_under_churn;
+    kbucket_matches_model;
+    ("k-bucket range checks", `Quick, test_bucket_range_checks);
     ("bucket routing at q=0", `Quick, test_bucket_route_no_failures);
     ("bucket routing k=1 sanity", `Quick, test_bucket_route_k1_matches_table_router);
     ("bucket routing uses backups", `Quick, test_bucket_route_survives_dead_primary);
