@@ -55,19 +55,16 @@ record-smoke: build
 chaos-smoke: build
 	sh scripts/chaos_smoke.sh
 
-# Session-churn smoke: --jobs determinism, csv/json shape, checkpoint
-# + resume (including a truncated mid-state checkpoint) and SIGINT
-# recovery of the churn sweep, each diffed byte-for-byte against an
-# uninterrupted baseline.
+# Checkpointed-sweep smokes (one script, one table row per sweep):
+# --jobs determinism, csv/json shape, checkpoint + resume (including a
+# truncated mid-state checkpoint) and SIGINT recovery of the churn and
+# the storage sweep, each diffed byte-for-byte against an uninterrupted
+# baseline.
 churn-smoke: build
-	sh scripts/churn_smoke.sh
+	sh scripts/sweep_smoke.sh churn
 
-# Replicated-storage smoke: --jobs determinism, csv/json shape,
-# checkpoint + resume (including a truncated mid-state checkpoint) and
-# SIGINT recovery of the storage sweep, each diffed byte-for-byte
-# against an uninterrupted baseline.
 storage-smoke: build
-	sh scripts/storage_smoke.sh
+	sh scripts/sweep_smoke.sh storage
 
 # Load-telemetry smoke: hotspot sweep loadmap byte-identity across
 # --jobs, batch vs scalar per-node count parity, and the CSV/JSON/

@@ -49,15 +49,16 @@ let seed_arg =
   let doc = "PRNG seed (all outputs are deterministic in the seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* Mirrors Exec.Pool.create's domain check at argument-parsing time:
-   --jobs 0 (or any non-positive count) is a CLI error, not a silent
-   fallback. *)
-let positive_int_conv =
+(* Mirrors the library's own checks (Exec.Pool.create's domain count,
+   Sim.Checkpoint's flush interval) at argument-parsing time: --jobs 0
+   or --checkpoint-every 0 is a CLI error, not a silent fallback or an
+   uncaught exception. *)
+let positive_int_conv what =
   let parse s =
     match int_of_string_opt (String.trim s) with
     | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "job count must be at least 1, got %d" n))
-    | None -> Error (`Msg (Printf.sprintf "invalid job count %S (expected an integer >= 1)" s))
+    | Some n -> Error (`Msg (Printf.sprintf "%s must be at least 1, got %d" what n))
+    | None -> Error (`Msg (Printf.sprintf "invalid %s %S (expected an integer >= 1)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -68,7 +69,8 @@ let jobs_arg =
      a warning), otherwise to the machine's recommended domain count. Outputs are \
      bit-identical for every job count; 1 disables parallelism."
   in
-  Arg.(value & opt (some positive_int_conv) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (positive_int_conv "job count")) None
+       & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let overlay_arg =
   let doc =
@@ -336,7 +338,9 @@ let inject_fault_arg =
      $(b,DHT_RCM_FAULT)). Chaos testing only: faulted trials are retried per \
      $(b,--trial-retries) and otherwise reported as failed."
   in
-  Arg.(value & opt (some fault_conv) None & info [ "inject-fault" ] ~docv:"SPEC" ~doc)
+  let flag = Arg.(value & opt (some fault_conv) None & info [ "inject-fault" ] ~docv:"SPEC" ~doc) in
+  (* The flag wins over DHT_RCM_FAULT. *)
+  Term.(const (function Some _ as f -> f | None -> Exec.Fault.of_env ()) $ flag)
 
 let retries_arg =
   let doc =
@@ -361,8 +365,78 @@ let resume_arg =
   Arg.(value & flag & info [ "resume" ] ~doc)
 
 let checkpoint_every_arg =
-  let doc = "Trials between automatic checkpoint flushes." in
-  Arg.(value & opt int 8 & info [ "checkpoint-every" ] ~docv:"K" ~doc)
+  let doc = "Trials (or points) between automatic checkpoint flushes (an integer >= 1)." in
+  Arg.(value & opt (positive_int_conv "checkpoint interval") 8
+       & info [ "checkpoint-every" ] ~docv:"K" ~doc)
+
+type checkpoint_opts = { ck_path : string option; resume : bool; every : int }
+
+let checkpoint_term =
+  Term.(
+    const (fun ck_path resume every -> { ck_path; resume; every })
+    $ checkpoint_arg $ resume_arg $ checkpoint_every_arg)
+
+(* Print "dhtlab <cmd>: <msg>" on stderr and exit with [code]. *)
+let die cmd code fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "dhtlab %s: %s@." cmd msg;
+      exit code)
+    fmt
+
+let validate_or_die cmd check =
+  match check () with () -> () | exception Invalid_argument msg -> die cmd 2 "%s" msg
+
+(* The setup and teardown the sweep commands share. Open the checkpoint
+   ([--resume] loads it first; [ck] is [None] for a command without
+   checkpoint options), install cancellation and run [f] under the
+   observability options. A checkpoint that cannot be read exits 2; a
+   point that exhausts its retries, or a file that cannot be written,
+   exits 1 (sweeps flush their checkpoint before raising); an interrupt
+   reports what the checkpoint holds and exits 130. *)
+let run_sweep_cmd ~cmd ~unit ?ck obs f =
+  let checkpoint =
+    match ck with
+    | None | Some { ck_path = None; resume = false; _ } -> None
+    | Some { ck_path = None; resume = true; _ } ->
+        die cmd 2 "--resume requires --checkpoint FILE"
+    | Some { ck_path = Some path; resume; every } -> (
+        let open_store = if resume then Sim.Checkpoint.load else Sim.Checkpoint.create in
+        match open_store ~interval:every ~path () with
+        | store -> Some store
+        | exception Failure msg -> die cmd 2 "%s" msg)
+  in
+  Exec.Cancel.install ();
+  match
+    with_obs obs (fun () ->
+        Option.iter
+          (fun store -> Obs.Manifest.add_artefact ~kind:"checkpoint" (Sim.Checkpoint.path store))
+          checkpoint;
+        f checkpoint)
+  with
+  | () -> ()
+  | exception Exec.Cancel.Cancelled -> (
+      (* with_obs already closed the trace and the metric sinks; the
+         sweep flushed the checkpoint before unwinding. *)
+      match (ck, checkpoint) with
+      | _, Some store ->
+          die cmd Exec.Cancel.exit_code "interrupted; %d completed %s checkpointed in %s"
+            (Sim.Checkpoint.length store) unit (Sim.Checkpoint.path store)
+      | Some _, None ->
+          die cmd Exec.Cancel.exit_code "interrupted (no --checkpoint; completed %s discarded)"
+            unit
+      | None, None -> die cmd Exec.Cancel.exit_code "interrupted")
+  | exception (Failure msg | Sys_error msg) -> die cmd 1 "%s" msg
+
+(* CSV header plus one row per point, one JSON object per point, or the
+   table. *)
+let print_points ~csv ~json ~header ~row ~to_json pp points =
+  if csv then begin
+    print_endline header;
+    List.iter (fun p -> print_endline (row p)) points
+  end
+  else if json then List.iter (fun p -> print_endline (to_json p)) points
+  else pp points
 
 let smoke_arg =
   let doc =
@@ -390,69 +464,42 @@ let note_sim_params ~subcommand ~geometries ~bits ~trials ~pairs ~seed ~qs =
     (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") qs))
 
 let simulate geometry bits q trials pairs seed jobs backend no_batch obs csv json smoke
-    retries fault checkpoint_path resume checkpoint_every =
+    retries fault ck =
   let bits, trials, pairs = if smoke then (8, 6, 200) else (bits, trials, pairs) in
   let geometries = geometries_of_opt geometry in
   let qs = match q with Some q -> [ q ] | None -> default_q_grid in
-  let fault = match fault with Some _ as f -> f | None -> Exec.Fault.of_env () in
-  let checkpoint =
-    match checkpoint_path with
-    | Some path ->
-        Some
-          (if resume then Sim.Checkpoint.load ~interval:checkpoint_every ~path ()
-           else Sim.Checkpoint.create ~interval:checkpoint_every ~path ())
-    | None ->
-        if resume then begin
-          Fmt.epr "dhtlab: --resume requires --checkpoint FILE@.";
-          exit 2
-        end;
-        None
-  in
-  Exec.Cancel.install ();
-  match
-    with_obs obs @@ fun () ->
-    note_sim_params ~subcommand:"simulate" ~geometries ~bits ~trials ~pairs ~seed ~qs;
-    note_overlay backend;
-    apply_batch no_batch;
-    Option.iter
-      (fun path -> Obs.Manifest.add_artefact ~kind:"checkpoint" path)
-      checkpoint_path;
-    with_jobs jobs (fun pool ->
-        if csv then print_endline Sim.Estimate.csv_header;
-        List.iter
-          (fun g ->
-            let cache = Overlay.Table_cache.create () in
-            let results =
-              (* Always supervised: the install'ed SIGINT handler only
-                 sets a flag, so the sweep must check it at trial
-                 boundaries for Ctrl-C to stop a plain run too. *)
-              Sim.Estimate.run_sweep ?pool ~cache ~backend ~supervise:true ~retries ?fault
-                ?checkpoint
-                (Sim.Estimate.config ~trials ~pairs_per_trial:pairs ~seed ~bits
-                   ~q:(List.hd qs) g)
-                qs
-            in
-            List.iter
-              (fun (q, result) ->
-                if csv then print_endline (Sim.Estimate.to_csv_row result)
-                else if json then print_endline (Sim.Estimate.to_json result)
-                else
-                  let analysis = Rcm.Model.routability g ~d:bits ~q in
-                  Fmt.pr "%a  (analysis: %.4f)@." Sim.Estimate.pp_result result analysis)
-              results)
-          geometries)
-  with
-  | () -> ()
-  | exception Exec.Cancel.Cancelled ->
-      (* with_obs's finally already closed the trace and printed the
-         metrics summary; run_sweep flushed the checkpoint before
-         unwinding. Exit with the distinct interrupted status. *)
-      (match checkpoint with
-      | Some ck ->
-          Fmt.epr "dhtlab: interrupted; %d completed trials checkpointed in %s@."
-            (Sim.Checkpoint.length ck) (Sim.Checkpoint.path ck)
-      | None -> Fmt.epr "dhtlab: interrupted (no --checkpoint; completed trials discarded)@.");
-      exit Exec.Cancel.exit_code
+  (* The seed is a trial-key field and must survive a JSON double. *)
+  if ck.ck_path <> None && not (Sim.Checkpoint.exact_int seed) then
+    die "simulate" 2 "--seed %d cannot be checkpointed (it must lie within +-(2^53 - 1))"
+      seed;
+  run_sweep_cmd ~cmd:"simulate" ~unit:"trials" ~ck obs @@ fun checkpoint ->
+  note_sim_params ~subcommand:"simulate" ~geometries ~bits ~trials ~pairs ~seed ~qs;
+  note_overlay backend;
+  apply_batch no_batch;
+  with_jobs jobs (fun pool ->
+      if csv then print_endline Sim.Estimate.csv_header;
+      List.iter
+        (fun g ->
+          let cache = Overlay.Table_cache.create () in
+          let results =
+            (* Always supervised: the install'ed SIGINT handler only
+               sets a flag, so the sweep must check it at trial
+               boundaries for Ctrl-C to stop a plain run too. *)
+            Sim.Estimate.run_sweep ?pool ~cache ~backend ~supervise:true ~retries ?fault
+              ?checkpoint
+              (Sim.Estimate.config ~trials ~pairs_per_trial:pairs ~seed ~bits
+                 ~q:(List.hd qs) g)
+              qs
+          in
+          List.iter
+            (fun (q, result) ->
+              if csv then print_endline (Sim.Estimate.to_csv_row result)
+              else if json then print_endline (Sim.Estimate.to_json result)
+              else
+                let analysis = Rcm.Model.routability g ~d:bits ~q in
+                Fmt.pr "%a  (analysis: %.4f)@." Sim.Estimate.pp_result result analysis)
+            results)
+        geometries)
 
 let simulate_cmd =
   let doc = "Monte-Carlo routability under the static-resilience failure model." in
@@ -461,8 +508,7 @@ let simulate_cmd =
     Term.(
       const simulate $ geometry_arg $ bits_arg ~default:12 $ q_arg $ trials_arg $ pairs_arg
       $ seed_arg $ jobs_arg $ overlay_arg $ no_batch_arg $ obs_term $ csv_arg $ json_arg
-      $ smoke_arg
-      $ retries_arg $ inject_fault_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg)
+      $ smoke_arg $ retries_arg $ inject_fault_arg $ checkpoint_term)
 
 (* --- figure ------------------------------------------------------------------- *)
 
@@ -727,15 +773,15 @@ let lifetime_conv =
   Arg.conv (parse, pp)
 
 let churn geometry bits sessions session_dist gap gap_dist maintain k cache warmup
-    measurements spacing pairs seed jobs obs csv json smoke retries fault checkpoint_path
-    resume checkpoint_every =
+    measurements spacing pairs seed jobs obs csv json smoke retries fault ck =
+  let module C = Experiments.Churn_curves in
   let bits, sessions, measurements, pairs =
     if smoke then (8, [ 2.0; 8.0 ], 2, 200) else (bits, sessions, measurements, pairs)
   in
   let geometries = geometries_of_opt geometry in
   let cfg =
     {
-      Experiments.Churn_curves.bits;
+      C.bits;
       session_means = sessions;
       session_shape = session_dist;
       gap_mean = gap;
@@ -750,72 +796,27 @@ let churn geometry bits sessions session_dist gap gap_dist maintain k cache warm
       seed;
     }
   in
-  (match Experiments.Churn_curves.validate ~geometries cfg with
-  | () -> ()
-  | exception Invalid_argument msg ->
-      Fmt.epr "dhtlab churn: %s@." msg;
-      exit 2);
-  let fault = match fault with Some _ as f -> f | None -> Exec.Fault.of_env () in
-  let checkpoint =
-    match checkpoint_path with
-    | Some path ->
-        Some
-          (if resume then Sim.Checkpoint.load ~interval:checkpoint_every ~path ()
-           else Sim.Checkpoint.create ~interval:checkpoint_every ~path ())
-    | None ->
-        if resume then begin
-          Fmt.epr "dhtlab: --resume requires --checkpoint FILE@.";
-          exit 2
-        end;
-        None
-  in
-  Exec.Cancel.install ();
-  match
-    with_obs obs @@ fun () ->
-    Obs.Manifest.note "subcommand" (Obs.Manifest.String "churn");
-    Obs.Manifest.note "geometries"
-      (Obs.Manifest.Strings (List.map Rcm.Geometry.slug geometries));
-    Obs.Manifest.note "bits" (Obs.Manifest.Int bits);
-    Obs.Manifest.note "sessions"
-      (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") sessions));
-    Obs.Manifest.note "session_dist"
-      (Obs.Manifest.String (Sim.Lifetime.shape_to_string session_dist));
-    Obs.Manifest.note "gap" (Obs.Manifest.String (Printf.sprintf "%g" gap));
-    Obs.Manifest.note "gap_dist"
-      (Obs.Manifest.String (Sim.Lifetime.shape_to_string gap_dist));
-    Obs.Manifest.note "maintain" (Obs.Manifest.String (Printf.sprintf "%g" maintain));
-    Obs.Manifest.note "k" (Obs.Manifest.Int k);
-    Obs.Manifest.note "cache_k" (Obs.Manifest.Int cache);
-    Obs.Manifest.note "pairs" (Obs.Manifest.Int pairs);
-    Obs.Manifest.note "seed" (Obs.Manifest.Int seed);
-    Option.iter
-      (fun path -> Obs.Manifest.add_artefact ~kind:"checkpoint" path)
-      checkpoint_path;
-    with_jobs jobs (fun pool ->
-        let points =
-          Experiments.Churn_curves.run ?pool ~geometries ~retries ?fault ?checkpoint cfg
-        in
-        if csv then begin
-          print_endline Experiments.Churn_curves.csv_header;
-          List.iter
-            (fun p -> print_endline (Experiments.Churn_curves.to_csv_row cfg p))
-            points
-        end
-        else if json then
-          List.iter
-            (fun p -> print_endline (Experiments.Churn_curves.to_json cfg p))
-            points
-        else Fmt.pr "%a" Experiments.Churn_curves.pp_points points)
-  with
-  | () -> ()
-  | exception Exec.Cancel.Cancelled ->
-      (match checkpoint with
-      | Some ck ->
-          Fmt.epr "dhtlab: interrupted; %d completed points checkpointed in %s@."
-            (Sim.Checkpoint.length ck) (Sim.Checkpoint.path ck)
-      | None ->
-          Fmt.epr "dhtlab: interrupted (no --checkpoint; completed points discarded)@.");
-      exit Exec.Cancel.exit_code
+  validate_or_die "churn" (fun () -> C.validate ~geometries cfg);
+  run_sweep_cmd ~cmd:"churn" ~unit:"points" ~ck obs @@ fun checkpoint ->
+  Obs.Manifest.note "subcommand" (Obs.Manifest.String "churn");
+  Obs.Manifest.note "geometries"
+    (Obs.Manifest.Strings (List.map Rcm.Geometry.slug geometries));
+  Obs.Manifest.note "bits" (Obs.Manifest.Int bits);
+  Obs.Manifest.note "sessions"
+    (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") sessions));
+  Obs.Manifest.note "session_dist"
+    (Obs.Manifest.String (Sim.Lifetime.shape_to_string session_dist));
+  Obs.Manifest.note "gap" (Obs.Manifest.String (Printf.sprintf "%g" gap));
+  Obs.Manifest.note "gap_dist" (Obs.Manifest.String (Sim.Lifetime.shape_to_string gap_dist));
+  Obs.Manifest.note "maintain" (Obs.Manifest.String (Printf.sprintf "%g" maintain));
+  Obs.Manifest.note "k" (Obs.Manifest.Int k);
+  Obs.Manifest.note "cache_k" (Obs.Manifest.Int cache);
+  Obs.Manifest.note "pairs" (Obs.Manifest.Int pairs);
+  Obs.Manifest.note "seed" (Obs.Manifest.Int seed);
+  with_jobs jobs (fun pool ->
+      C.run ?pool ~geometries ~retries ?fault ?checkpoint cfg
+      |> print_points ~csv ~json ~header:C.csv_header ~row:(C.to_csv_row cfg)
+           ~to_json:(C.to_json cfg) (Fmt.pr "%a" C.pp_points))
 
 let churn_cmd =
   let doc =
@@ -890,13 +891,14 @@ let churn_cmd =
       const churn $ geometry_arg $ bits_arg ~default:10 $ sessions $ session_dist $ gap
       $ gap_dist $ maintain $ k $ cache $ warmup $ measurements $ spacing $ pairs
       $ seed_arg $ jobs_arg $ obs_term $ csv_arg $ json_arg $ smoke $ retries_arg
-      $ inject_fault_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg)
+      $ inject_fault_arg $ checkpoint_term)
 
 (* --- storage ----------------------------------------------------------------- *)
 
 let storage geometry bits nodes keys reads zipf rs read_quorum write_quorum qs trials
     sessions session_dist gap gap_dist warmup measurements spacing seed jobs obs csv
-    json smoke retries fault checkpoint_path resume checkpoint_every =
+    json smoke retries fault ck =
+  let module S = Experiments.Storage_sweep in
   let churn_mode = sessions <> [] in
   let bits, nodes, keys, reads, rs, qs, trials, sessions, measurements =
     if smoke then
@@ -917,11 +919,11 @@ let storage geometry bits nodes keys reads zipf rs read_quorum write_quorum qs t
   let geometries =
     match geometry with
     | Some g -> [ g ]
-    | None -> Experiments.Storage_sweep.default_geometries
+    | None -> S.default_geometries
   in
   let mode =
     if churn_mode then
-      Experiments.Storage_sweep.Churn
+      S.Churn
         {
           session_means = sessions;
           session_shape = session_dist;
@@ -931,11 +933,11 @@ let storage geometry bits nodes keys reads zipf rs read_quorum write_quorum qs t
           measurements;
           spacing;
         }
-    else Experiments.Storage_sweep.Static { qs; trials }
+    else S.Static { qs; trials }
   in
   let cfg =
     {
-      Experiments.Storage_sweep.bits;
+      S.bits;
       nodes;
       keys;
       reads;
@@ -947,86 +949,38 @@ let storage geometry bits nodes keys reads zipf rs read_quorum write_quorum qs t
       seed;
     }
   in
-  (match Experiments.Storage_sweep.validate cfg with
-  | () -> ()
-  | exception Invalid_argument msg ->
-      Fmt.epr "dhtlab storage: %s@." msg;
-      exit 2);
-  let fault = match fault with Some _ as f -> f | None -> Exec.Fault.of_env () in
-  let checkpoint =
-    match checkpoint_path with
-    | Some path ->
-        Some
-          (if resume then Sim.Checkpoint.load ~interval:checkpoint_every ~path ()
-           else Sim.Checkpoint.create ~interval:checkpoint_every ~path ())
-    | None ->
-        if resume then begin
-          Fmt.epr "dhtlab: --resume requires --checkpoint FILE@.";
-          exit 2
-        end;
-        None
-  in
-  Exec.Cancel.install ();
-  match
-    with_obs obs @@ fun () ->
-    Obs.Manifest.note "subcommand" (Obs.Manifest.String "storage");
-    Obs.Manifest.note "geometries"
-      (Obs.Manifest.Strings (List.map Rcm.Geometry.slug geometries));
-    Obs.Manifest.note "bits" (Obs.Manifest.Int bits);
-    Obs.Manifest.note "nodes" (Obs.Manifest.Int nodes);
-    Obs.Manifest.note "keys" (Obs.Manifest.Int keys);
-    Obs.Manifest.note "reads" (Obs.Manifest.Int reads);
-    Obs.Manifest.note "zipf" (Obs.Manifest.String (Printf.sprintf "%g" zipf));
-    Obs.Manifest.note "rs"
-      (Obs.Manifest.Strings (List.map string_of_int rs));
-    Obs.Manifest.note "read_quorum" (Obs.Manifest.String read_quorum);
-    Obs.Manifest.note "write_quorum" (Obs.Manifest.String write_quorum);
-    Obs.Manifest.note "mode"
-      (Obs.Manifest.String (if churn_mode then "churn" else "static"));
-    (if churn_mode then begin
-       Obs.Manifest.note "sessions"
-         (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") sessions));
-       Obs.Manifest.note "session_dist"
-         (Obs.Manifest.String (Sim.Lifetime.shape_to_string session_dist));
-       Obs.Manifest.note "gap" (Obs.Manifest.String (Printf.sprintf "%g" gap));
-       Obs.Manifest.note "gap_dist"
-         (Obs.Manifest.String (Sim.Lifetime.shape_to_string gap_dist))
-     end
-     else begin
-       Obs.Manifest.note "qs"
-         (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") qs));
-       Obs.Manifest.note "trials" (Obs.Manifest.Int trials)
-     end);
-    Obs.Manifest.note "seed" (Obs.Manifest.Int seed);
-    Option.iter
-      (fun path -> Obs.Manifest.add_artefact ~kind:"checkpoint" path)
-      checkpoint_path;
-    with_jobs jobs (fun pool ->
-        let points =
-          Experiments.Storage_sweep.run ?pool ~geometries ~retries ?fault ?checkpoint
-            cfg
-        in
-        if csv then begin
-          print_endline Experiments.Storage_sweep.csv_header;
-          List.iter
-            (fun p -> print_endline (Experiments.Storage_sweep.to_csv_row cfg p))
-            points
-        end
-        else if json then
-          List.iter
-            (fun p -> print_endline (Experiments.Storage_sweep.to_json cfg p))
-            points
-        else Fmt.pr "%a" Experiments.Storage_sweep.pp_points points)
-  with
-  | () -> ()
-  | exception Exec.Cancel.Cancelled ->
-      (match checkpoint with
-      | Some ck ->
-          Fmt.epr "dhtlab: interrupted; %d completed points checkpointed in %s@."
-            (Sim.Checkpoint.length ck) (Sim.Checkpoint.path ck)
-      | None ->
-          Fmt.epr "dhtlab: interrupted (no --checkpoint; completed points discarded)@.");
-      exit Exec.Cancel.exit_code
+  validate_or_die "storage" (fun () -> S.validate cfg);
+  run_sweep_cmd ~cmd:"storage" ~unit:"points" ~ck obs @@ fun checkpoint ->
+  Obs.Manifest.note "subcommand" (Obs.Manifest.String "storage");
+  Obs.Manifest.note "geometries"
+    (Obs.Manifest.Strings (List.map Rcm.Geometry.slug geometries));
+  Obs.Manifest.note "bits" (Obs.Manifest.Int bits);
+  Obs.Manifest.note "nodes" (Obs.Manifest.Int nodes);
+  Obs.Manifest.note "keys" (Obs.Manifest.Int keys);
+  Obs.Manifest.note "reads" (Obs.Manifest.Int reads);
+  Obs.Manifest.note "zipf" (Obs.Manifest.String (Printf.sprintf "%g" zipf));
+  Obs.Manifest.note "rs" (Obs.Manifest.Strings (List.map string_of_int rs));
+  Obs.Manifest.note "read_quorum" (Obs.Manifest.String read_quorum);
+  Obs.Manifest.note "write_quorum" (Obs.Manifest.String write_quorum);
+  Obs.Manifest.note "mode" (Obs.Manifest.String (if churn_mode then "churn" else "static"));
+  (if churn_mode then begin
+     Obs.Manifest.note "sessions"
+       (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") sessions));
+     Obs.Manifest.note "session_dist"
+       (Obs.Manifest.String (Sim.Lifetime.shape_to_string session_dist));
+     Obs.Manifest.note "gap" (Obs.Manifest.String (Printf.sprintf "%g" gap));
+     Obs.Manifest.note "gap_dist"
+       (Obs.Manifest.String (Sim.Lifetime.shape_to_string gap_dist))
+   end
+   else begin
+     Obs.Manifest.note "qs" (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") qs));
+     Obs.Manifest.note "trials" (Obs.Manifest.Int trials)
+   end);
+  Obs.Manifest.note "seed" (Obs.Manifest.Int seed);
+  with_jobs jobs (fun pool ->
+      S.run ?pool ~geometries ~retries ?fault ?checkpoint cfg
+      |> print_points ~csv ~json ~header:S.csv_header ~row:(S.to_csv_row cfg)
+           ~to_json:(S.to_json cfg) (Fmt.pr "%a" S.pp_points))
 
 let storage_cmd =
   let doc =
@@ -1132,8 +1086,7 @@ let storage_cmd =
       const storage $ geometry_arg $ bits_arg ~default:10 $ nodes $ keys $ reads $ zipf
       $ rs $ read_quorum $ write_quorum $ qs $ trials $ sessions $ session_dist $ gap
       $ gap_dist $ warmup $ measurements $ spacing $ seed_arg $ jobs_arg $ obs_term
-      $ csv_arg $ json_arg $ smoke $ retries_arg $ inject_fault_arg $ checkpoint_arg
-      $ resume_arg $ checkpoint_every_arg)
+      $ csv_arg $ json_arg $ smoke $ retries_arg $ inject_fault_arg $ checkpoint_term)
 
 (* --- hotspots ----------------------------------------------------------------- *)
 
@@ -1232,10 +1185,8 @@ let hotspots geometry bits pairs qs nodes keys reads r storage_q zipf_ss trials
      to it drops the storage plane (no sparse hypercube overlay). *)
   let planes =
     if geometry = Some Rcm.Geometry.Hypercube then begin
-      if not (List.mem H.Routing planes) then begin
-        Fmt.epr "dhtlab hotspots: no sparse hypercube overlay exists@.";
-        exit 2
-      end;
+      if not (List.mem H.Routing planes) then
+        die "hotspots" 2 "no sparse hypercube overlay exists";
       [ H.Routing ]
     end
     else planes
@@ -1261,81 +1212,56 @@ let hotspots geometry bits pairs qs nodes keys reads r storage_q zipf_ss trials
       seed;
     }
   in
-  (match H.validate cfg with
-  | () -> ()
-  | exception Invalid_argument msg ->
-      Fmt.epr "dhtlab hotspots: %s@." msg;
-      exit 2);
-  let fault = match fault with Some _ as f -> f | None -> Exec.Fault.of_env () in
-  Exec.Cancel.install ();
-  match
-    with_obs obs @@ fun () ->
-    Obs.Manifest.note "subcommand" (Obs.Manifest.String "hotspots");
-    Obs.Manifest.note "planes"
-      (Obs.Manifest.Strings (List.map H.plane_tag planes));
-    Obs.Manifest.note "geometries"
-      (Obs.Manifest.Strings (List.map Rcm.Geometry.slug routing_geometries));
-    Obs.Manifest.note "bits" (Obs.Manifest.Int bits);
-    Obs.Manifest.note "pairs" (Obs.Manifest.Int pairs);
-    Obs.Manifest.note "qs"
-      (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") qs));
-    Obs.Manifest.note "nodes" (Obs.Manifest.Int storage_nodes);
-    Obs.Manifest.note "keys" (Obs.Manifest.Int keys);
-    Obs.Manifest.note "reads" (Obs.Manifest.Int reads);
-    Obs.Manifest.note "r" (Obs.Manifest.Int r);
-    Obs.Manifest.note "storage_q"
-      (Obs.Manifest.String (Printf.sprintf "%g" storage_q));
-    Obs.Manifest.note "zipf"
-      (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") zipf_ss));
-    Obs.Manifest.note "trials" (Obs.Manifest.Int trials);
-    Obs.Manifest.note "seed" (Obs.Manifest.Int seed);
-    apply_batch no_batch;
-    with_jobs jobs (fun pool ->
-        let points =
-          H.run ?pool ~planes ~routing_geometries ~storage_geometries ~retries
-            ?fault cfg
-        in
-        (* Per-node counts of each plane's merged map feed the
-           loadmap/<kind> histograms, which --metrics-prom renders as
-           the dhtlab_loadmap_* summary families. *)
-        List.iter
-          (fun pl ->
-            Option.iter Obs.Loadmap_report.to_metrics (H.merged pl points))
-          planes;
-        Option.iter
-          (fun path ->
-            match List.find_map (fun pl -> H.merged pl points) planes with
-            | Some lm ->
-                Obs.Loadmap.save lm path;
-                Obs.Manifest.add_artefact ~kind:"loadmap" path;
-                Fmt.epr "dhtlab hotspots: wrote %s@." path
-            | None -> ())
-          loadmap_out;
-        Option.iter (fun prefix -> write_heatmap ~prefix planes points) heatmap;
-        if csv then begin
-          print_endline H.csv_header;
-          List.iter (fun p -> print_endline (H.to_csv_row cfg p)) points
-        end
-        else if json then
-          List.iter (fun p -> print_endline (H.to_json cfg p)) points
-        else begin
+  validate_or_die "hotspots" (fun () -> H.validate ~planes cfg);
+  run_sweep_cmd ~cmd:"hotspots" ~unit:"points" obs @@ fun _ ->
+  Obs.Manifest.note "subcommand" (Obs.Manifest.String "hotspots");
+  Obs.Manifest.note "planes" (Obs.Manifest.Strings (List.map H.plane_tag planes));
+  Obs.Manifest.note "geometries"
+    (Obs.Manifest.Strings (List.map Rcm.Geometry.slug routing_geometries));
+  Obs.Manifest.note "bits" (Obs.Manifest.Int bits);
+  Obs.Manifest.note "pairs" (Obs.Manifest.Int pairs);
+  Obs.Manifest.note "qs" (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") qs));
+  Obs.Manifest.note "nodes" (Obs.Manifest.Int storage_nodes);
+  Obs.Manifest.note "keys" (Obs.Manifest.Int keys);
+  Obs.Manifest.note "reads" (Obs.Manifest.Int reads);
+  Obs.Manifest.note "r" (Obs.Manifest.Int r);
+  Obs.Manifest.note "storage_q" (Obs.Manifest.String (Printf.sprintf "%g" storage_q));
+  Obs.Manifest.note "zipf" (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") zipf_ss));
+  Obs.Manifest.note "trials" (Obs.Manifest.Int trials);
+  Obs.Manifest.note "seed" (Obs.Manifest.Int seed);
+  apply_batch no_batch;
+  with_jobs jobs (fun pool ->
+      let points =
+        H.run ?pool ~planes ~routing_geometries ~storage_geometries ~retries ?fault cfg
+      in
+      (* Per-node counts of each plane's merged map feed the
+         loadmap/<kind> histograms, which --metrics-prom renders as the
+         dhtlab_loadmap_* summary families. *)
+      List.iter (fun pl -> Option.iter Obs.Loadmap_report.to_metrics (H.merged pl points)) planes;
+      Option.iter
+        (fun path ->
+          match List.find_map (fun pl -> H.merged pl points) planes with
+          | Some lm ->
+              Obs.Loadmap.save lm path;
+              Obs.Manifest.add_artefact ~kind:"loadmap" path;
+              Fmt.epr "dhtlab hotspots: wrote %s@." path
+          | None -> ())
+        loadmap_out;
+      Option.iter (fun prefix -> write_heatmap ~prefix planes points) heatmap;
+      print_points ~csv ~json ~header:H.csv_header ~row:(H.to_csv_row cfg)
+        ~to_json:(H.to_json cfg)
+        (fun points ->
           Fmt.pr "%a" H.pp_points points;
           List.iter
             (fun pl ->
               Option.iter
                 (fun lm ->
-                  Fmt.pr "@.# %s plane, merged over the sweep@.%a"
-                    (H.plane_tag pl)
+                  Fmt.pr "@.# %s plane, merged over the sweep@.%a" (H.plane_tag pl)
                     (fun ppf lm -> Obs.Loadmap_report.pp ~top ppf lm)
                     lm)
                 (H.merged pl points))
-            planes
-        end)
-  with
-  | () -> ()
-  | exception Exec.Cancel.Cancelled ->
-      Fmt.epr "dhtlab: interrupted@.";
-      exit Exec.Cancel.exit_code
+            planes)
+        points)
 
 let hotspots_cmd =
   let doc =

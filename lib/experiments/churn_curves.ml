@@ -62,74 +62,32 @@ let session_config cfg geometry ~session_mean ~seed =
     ~measurement_spacing:cfg.measurement_spacing ~pairs_per_measurement:cfg.pairs ~seed
     geometry
 
-(* Per-point PRNG discipline, exactly the [Estimate.trial_seeds]
-   pattern: point i of the (geometry-major) task grid runs on a seed
-   derived by index from one master stream, so points execute on any
-   domain in any order and still draw the same values. Masked to 48
-   bits because the seed is part of the checkpoint key and must
-   round-trip exactly through the JSON number parser (doubles are exact
-   only below 2^53). *)
-let point_seeds cfg ~tasks =
-  let master = Prng.Splitmix.create ~seed:cfg.seed in
-  Array.init tasks (fun _ ->
-      Int64.to_int (Prng.Splitmix.next_int64 master) land 0xFFFF_FFFF_FFFF)
-
-let churn_key cfg geometry ~session_mean ~seed =
-  {
-    Sim.Checkpoint.c_geometry = Rcm.Geometry.slug geometry;
-    c_bits = cfg.bits;
-    c_session = Sim.Lifetime.shape_to_string cfg.session_shape;
-    c_session_mean = session_mean;
-    c_gap = Sim.Lifetime.shape_to_string cfg.gap_shape;
-    c_gap_mean = cfg.gap_mean;
-    c_maintain = cfg.maintenance_interval;
-    c_k = cfg.k;
-    c_cache_k = cfg.cache_k;
-    c_warmup = cfg.warmup;
-    c_measurements = cfg.measurements;
-    c_spacing = cfg.measurement_spacing;
-    c_pairs = cfg.pairs;
-    c_seed = seed;
-  }
-
 let mean_over f measurements =
   match measurements with
   | [] -> Float.nan
   | ms -> List.fold_left (fun acc m -> acc +. f m) 0.0 ms /. float_of_int (List.length ms)
 
-let summarize (report : Sim.Session_churn.report) =
-  let ms = report.measurements in
-  {
-    Sim.Checkpoint.p_mean_alive = report.mean_alive;
-    p_mean_stale = report.mean_stale;
-    p_stale_near = mean_over (fun m -> m.Sim.Session_churn.stale_near) ms;
-    p_stale_shortcut = mean_over (fun m -> m.Sim.Session_churn.stale_shortcut) ms;
-    p_routable_measurements = List.length ms - report.no_pair_measurements;
-    p_mean_routability = report.mean_routability;
-    p_mean_prediction = report.mean_prediction;
-    p_no_pair_measurements = report.no_pair_measurements;
-    p_events = report.events_processed;
-  }
-
-let point_of_stored cfg geometry ~session_mean (p : Sim.Checkpoint.churn_point) =
+(* The fields a point takes from the config alone; a run or a
+   checkpoint record fills in the measured ones. *)
+let point_at cfg (geometry, session_mean) =
   let scfg = session_config cfg geometry ~session_mean ~seed:0 in
   {
     geometry;
     session_mean;
     churn_rate = Sim.Session_churn.churn_rate scfg;
     availability = Sim.Session_churn.expected_availability scfg;
-    mean_alive = p.Sim.Checkpoint.p_mean_alive;
-    mean_stale = p.p_mean_stale;
-    stale_near = p.p_stale_near;
-    stale_shortcut = p.p_stale_shortcut;
-    routable_measurements = p.p_routable_measurements;
-    mean_routability = p.p_mean_routability;
-    mean_prediction = p.p_mean_prediction;
-    no_pair_measurements = p.p_no_pair_measurements;
-    events = p.p_events;
+    mean_alive = Float.nan;
+    mean_stale = Float.nan;
+    stale_near = Float.nan;
+    stale_shortcut = Float.nan;
+    routable_measurements = 0;
+    mean_routability = Float.nan;
+    mean_prediction = Float.nan;
+    no_pair_measurements = 0;
+    events = 0;
   }
 
-let run_point cfg geometry ~session_mean ~seed =
+let run_point cfg ((geometry, session_mean) as coords) ~seed =
   let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
   let report = Sim.Session_churn.run (session_config cfg geometry ~session_mean ~seed) in
   if Obs.Metrics.enabled () then begin
@@ -139,7 +97,74 @@ let run_point cfg geometry ~session_mean ~seed =
     Obs.Metrics.observe_named "churn/events"
       (float_of_int report.Sim.Session_churn.events_processed)
   end;
-  summarize report
+  let ms = report.measurements in
+  {
+    (point_at cfg coords) with
+    mean_alive = report.mean_alive;
+    mean_stale = report.mean_stale;
+    stale_near = mean_over (fun m -> m.Sim.Session_churn.stale_near) ms;
+    stale_shortcut = mean_over (fun m -> m.Sim.Session_churn.stale_shortcut) ms;
+    routable_measurements = List.length ms - report.no_pair_measurements;
+    mean_routability = report.mean_routability;
+    mean_prediction = report.mean_prediction;
+    no_pair_measurements = report.no_pair_measurements;
+    events = report.events_processed;
+  }
+
+let codec cfg =
+  let open Obs.Tiny_json in
+  let int = Sim.Checkpoint.int in
+  {
+    Sweep.kind = "churn";
+    key =
+      (fun (geometry, session_mean) ~seed ->
+        [
+          ("geometry", Str (Rcm.Geometry.slug geometry));
+          ("bits", int cfg.bits);
+          ("session", Str (Sim.Lifetime.shape_to_string cfg.session_shape));
+          ("session_mean", Num session_mean);
+          ("gap", Str (Sim.Lifetime.shape_to_string cfg.gap_shape));
+          ("gap_mean", Num cfg.gap_mean);
+          ("maintain", Num cfg.maintenance_interval);
+          ("k", int cfg.k);
+          ("cache_k", int cfg.cache_k);
+          ("warmup", Num cfg.warmup);
+          ("measurements", int cfg.measurements);
+          ("spacing", Num cfg.measurement_spacing);
+          ("pairs", int cfg.pairs);
+          ("seed", int seed);
+        ]);
+    encode =
+      (fun p ->
+        [
+          ("alive", Num p.mean_alive);
+          ("stale", Num p.mean_stale);
+          ("stale_near", Num p.stale_near);
+          ("stale_shortcut", Num p.stale_shortcut);
+          ("routable", int p.routable_measurements);
+          (* nan (no measurement found a pair) exactly when routable = 0 *)
+          ("routability", Num p.mean_routability);
+          ("prediction", Num p.mean_prediction);
+          ("no_pairs", int p.no_pair_measurements);
+          ("events", int p.events);
+        ]);
+    decode =
+      (fun coords f ->
+        let open Sim.Checkpoint in
+        let routable = get_int f "routable" in
+        {
+          (point_at cfg coords) with
+          mean_alive = get_float f "alive";
+          mean_stale = get_float f "stale";
+          stale_near = get_float f "stale_near";
+          stale_shortcut = get_float f "stale_shortcut";
+          routable_measurements = routable;
+          mean_routability = (if routable > 0 then get_float f "routability" else Float.nan);
+          mean_prediction = get_float f "prediction";
+          no_pair_measurements = get_int f "no_pairs";
+          events = get_int f "events";
+        });
+  }
 
 let default_geometries = Rcm.Geometry.all_default
 
@@ -155,72 +180,17 @@ let validate ?(geometries = default_geometries) cfg =
         cfg.session_means)
     geometries
 
-let run ?pool ?(geometries = default_geometries) ?(retries = 0) ?fault ?checkpoint cfg =
+let run ?pool ?(geometries = default_geometries) ?retries ?fault ?checkpoint cfg =
   validate ~geometries cfg;
-  if retries < 0 then invalid_arg "Churn_curves.run: negative retries";
-  let geoms = Array.of_list geometries in
-  let means = Array.of_list cfg.session_means in
-  let per_geom = Array.length means in
-  let n = Array.length geoms * per_geom in
-  let seeds = point_seeds cfg ~tasks:n in
-  Obs.Progress.start ~label:"churn"
-    ~groups:
-      (Array.to_list (Array.map (fun g -> (Rcm.Geometry.slug g, per_geom)) geoms))
-    ~total:n ();
-  let tick i = Obs.Progress.tick ~group:(Rcm.Geometry.slug geoms.(i / per_geom)) () in
-  let run_one i =
-    let geometry = geoms.(i / per_geom) in
-    let session_mean = means.(i mod per_geom) in
-    let seed = seeds.(i) in
-    let key = churn_key cfg geometry ~session_mean ~seed in
-    let stored = Option.bind checkpoint (fun ck -> Sim.Checkpoint.find_churn ck key) in
-    match stored with
-    | Some p ->
-        tick i;
-        Exec.Pool.Done p
-    | None ->
-        let task ~attempt i =
-          Exec.Fault.inject fault ~task:i ~attempt;
-          run_point cfg geometry ~session_mean ~seed
-        in
-        let outcome = Exec.Pool.supervised ~retries ~task i in
-        (match (checkpoint, outcome) with
-        | Some ck, Exec.Pool.Done p -> Sim.Checkpoint.record_churn ck key p
-        | (Some _ | None), _ -> ());
-        (match outcome with
-        | Exec.Pool.Cancelled -> ()
-        | Exec.Pool.Done _ | Exec.Pool.Failed _ -> tick i);
-        outcome
+  let grid =
+    List.concat_map (fun g -> List.map (fun mean -> (g, mean)) cfg.session_means) geometries
   in
-  let outcomes =
-    match pool with
-    | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n run_one
-    | Some _ | None -> Array.init n run_one
-  in
-  Option.iter Sim.Checkpoint.flush checkpoint;
-  Obs.Progress.finish ();
-  if Array.exists (function Exec.Pool.Cancelled -> true | _ -> false) outcomes then
-    raise Exec.Cancel.Cancelled;
-  (* A point that exhausted its retries aborts the sweep: unlike the
-     trial-level estimator there is no partial statistic to salvage —
-     each point *is* the statistic. *)
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Exec.Pool.Failed { attempts; error } ->
-          failwith
-            (Printf.sprintf "churn point %d (%s, session %g) failed after %d attempts: %s"
-               i
-               (Rcm.Geometry.slug geoms.(i / per_geom))
-               means.(i mod per_geom) attempts error)
-      | Exec.Pool.Done _ | Exec.Pool.Cancelled -> ())
-    outcomes;
-  List.init n (fun i ->
-      let geometry = geoms.(i / per_geom) in
-      let session_mean = means.(i mod per_geom) in
-      match outcomes.(i) with
-      | Exec.Pool.Done p -> point_of_stored cfg geometry ~session_mean p
-      | Exec.Pool.Failed _ | Exec.Pool.Cancelled -> assert false)
+  Sweep.run ?pool ?retries ?fault
+    ?checkpoint:(Option.map (fun ck -> (ck, codec cfg)) checkpoint)
+    ~label:"churn"
+    ~group:(fun (g, _) -> Rcm.Geometry.slug g)
+    ~describe:(fun (g, mean) -> Printf.sprintf "%s, session %g" (Rcm.Geometry.slug g) mean)
+    ~seed:cfg.seed grid (run_point cfg)
 
 (* --- rendering -------------------------------------------------------------- *)
 

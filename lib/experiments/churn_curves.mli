@@ -4,11 +4,10 @@
     Sweeps the mean session time (at a fixed gap distribution) and runs
     one {!Sim.Session_churn} steady state per (geometry, mean) grid
     point, pairing each measured routability with the static r(N,q)
-    closed form at q = the measured stale fraction. Points parallelise
-    over an {!Exec.Pool} with index-derived seeds, so results are
-    bit-identical at any domain count; completed points checkpoint into
-    the shared {!Sim.Checkpoint} store (["kind": "churn"] records) and
-    replay on resume. *)
+    closed form at q = the measured stale fraction. The grid runs on
+    {!Sweep}: index-derived seeds, so results are bit-identical at any
+    domain count; completed points checkpoint as ["kind": "churn"]
+    point records ({!codec}) and replay on resume. *)
 
 type config = {
   bits : int;
@@ -70,7 +69,15 @@ val run :
     [retries < 0].
     @raise Exec.Cancel.Cancelled on cooperative cancellation (the
     checkpoint is flushed first).
-    @raise Failure when a point exhausts its retries. *)
+    @raise Failure when a stored record does not decode or a point
+    exhausts its retries. *)
+
+val codec : config -> (Rcm.Geometry.t * float, point) Sweep.codec
+(** The ["churn"] checkpoint records of a sweep over [config], with
+    (geometry, session mean) coordinates. The key holds every config
+    field that determines a point plus its derived seed; a
+    [mean_routability] of [nan] (no measurement found a pair, so
+    [routable_measurements = 0]) is stored as an absent field. *)
 
 val pp_points : Format.formatter -> point list -> unit
 

@@ -51,13 +51,13 @@ let storage_config cfg ~zipf_s =
     trials = cfg.trials;
   }
 
-let validate cfg =
+let validate ?(planes = [ Routing; Storage ]) cfg =
   if cfg.bits < 1 || cfg.bits > 22 then
     invalid_arg "Hotspot_sweep: bits outside 1..22";
   if cfg.pairs < 1 then invalid_arg "Hotspot_sweep: pairs must be >= 1";
   if cfg.trials < 1 then invalid_arg "Hotspot_sweep: trials must be >= 1";
-  if cfg.qs = [] && cfg.zipf_ss = [] then
-    invalid_arg "Hotspot_sweep: both axes are empty";
+  if List.for_all (function Routing -> cfg.qs = [] | Storage -> cfg.zipf_ss = []) planes
+  then invalid_arg "Hotspot_sweep: empty grid (no selected plane has an axis value)";
   List.iter (fun q -> Rcm.Spec.check_q q) cfg.qs;
   Rcm.Spec.check_q cfg.storage_q;
   if cfg.zipf_ss <> [] then
@@ -85,13 +85,6 @@ let primary_kind = function
 
 let primary p =
   match p.plane with Routing -> p.traversals | Storage -> p.storage_reads
-
-(* Same per-point PRNG discipline as the sibling sweeps: seeds derive
-   by grid index from one master stream, masked to 48 bits. *)
-let point_seeds cfg ~tasks =
-  let master = Prng.Splitmix.create ~seed:cfg.seed in
-  Array.init tasks (fun _ ->
-      Int64.to_int (Prng.Splitmix.next_int64 master) land 0xFFFF_FFFF_FFFF)
 
 (* One routing-plane point: [trials] fresh worlds, each routing
    [pairs] sampled pairs among the survivors of an i.i.d. q-failure,
@@ -152,7 +145,7 @@ let point_of_loadmap ~plane ~geometry ~axis lm =
     repairs = Obs.Loadmap_report.summarize lm Obs.Loadmap.Repair;
   }
 
-let run_point cfg ~plane ~geometry ~axis ~seed =
+let run_point cfg (plane, geometry, axis) ~seed =
   let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
   let lm =
     match plane with
@@ -171,93 +164,28 @@ let default_storage_geometries = Storage_sweep.default_geometries
 
 let run ?pool ?(planes = [ Routing; Storage ])
     ?(routing_geometries = default_routing_geometries)
-    ?(storage_geometries = default_storage_geometries) ?(retries = 0) ?fault
-    cfg =
-  if retries < 0 then invalid_arg "Hotspot_sweep.run: negative retries";
-  if planes = [] then invalid_arg "Hotspot_sweep.run: no planes selected";
-  validate cfg;
+    ?(storage_geometries = default_storage_geometries) ?retries ?fault cfg =
+  validate ~planes cfg;
   List.iter
     (fun g ->
       if g = Rcm.Geometry.Hypercube then
         invalid_arg "Hotspot_sweep.run: no sparse hypercube overlay exists")
     storage_geometries;
-  let want p = List.mem p planes in
   (* The grid: routing plane first (geometry-major over qs), then the
      storage plane (geometry-major over zipf exponents). *)
-  let coords_list =
-    (if want Routing then
-       List.concat_map
-         (fun g -> List.map (fun q -> (Routing, g, q)) cfg.qs)
-         routing_geometries
-     else [])
-    @
-    if want Storage then
-      List.concat_map
-        (fun g -> List.map (fun s -> (Storage, g, s)) cfg.zipf_ss)
-        storage_geometries
+  let plane_grid plane geometries axis =
+    if List.mem plane planes then
+      List.concat_map (fun g -> List.map (fun a -> (plane, g, a)) axis) geometries
     else []
   in
-  let coords = Array.of_list coords_list in
-  let n = Array.length coords in
-  if n = 0 then invalid_arg "Hotspot_sweep.run: empty grid";
-  let seeds = point_seeds cfg ~tasks:n in
-  let group_of (plane, g, _) =
-    plane_tag plane ^ "/" ^ Rcm.Geometry.slug g
-  in
-  let groups =
-    (* Grid order is group-contiguous, so counting runs of equal names
-       yields one (name, size) per (plane, geometry). *)
-    let rec runs = function
-      | [] -> []
-      | c :: _ as l ->
-          let name = group_of c in
-          let same, rest =
-            List.partition (fun c' -> group_of c' = name) l
-          in
-          (name, List.length same) :: runs rest
-    in
-    runs coords_list
-  in
-  Obs.Progress.start ~label:"hotspots" ~groups ~total:n ();
-  let tick i = Obs.Progress.tick ~group:(group_of coords.(i)) () in
-  let run_one i =
-    let plane, geometry, axis = coords.(i) in
-    let task ~attempt i =
-      Exec.Fault.inject fault ~task:i ~attempt;
-      run_point cfg ~plane ~geometry ~axis ~seed:seeds.(i)
-    in
-    let outcome = Exec.Pool.supervised ~retries ~task i in
-    (match outcome with
-    | Exec.Pool.Cancelled -> ()
-    | Exec.Pool.Done _ | Exec.Pool.Failed _ -> tick i);
-    outcome
-  in
-  let outcomes =
-    match pool with
-    | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n run_one
-    | Some _ | None -> Array.init n run_one
-  in
-  Obs.Progress.finish ();
-  if Array.exists (function Exec.Pool.Cancelled -> true | _ -> false) outcomes
-  then raise Exec.Cancel.Cancelled;
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Exec.Pool.Failed { attempts; error } ->
-          let plane, geometry, axis = coords.(i) in
-          failwith
-            (Printf.sprintf
-               "hotspot point %d (%s plane, %s, axis %g) failed after %d \
-                attempts: %s"
-               i (plane_tag plane)
-               (Rcm.Geometry.slug geometry)
-               axis attempts error)
-      | Exec.Pool.Done _ | Exec.Pool.Cancelled -> ())
-    outcomes;
-  List.init n (fun i ->
-      match outcomes.(i) with
-      | Exec.Pool.Done p -> p
-      | Exec.Pool.Failed _ | Exec.Pool.Cancelled -> assert false)
+  Sweep.run ?pool ?retries ?fault ~label:"hotspots"
+    ~group:(fun (plane, g, _) -> plane_tag plane ^ "/" ^ Rcm.Geometry.slug g)
+    ~describe:(fun (plane, g, axis) ->
+      Printf.sprintf "%s plane, %s, axis %g" (plane_tag plane) (Rcm.Geometry.slug g) axis)
+    ~seed:cfg.seed
+    (plane_grid Routing routing_geometries cfg.qs
+    @ plane_grid Storage storage_geometries cfg.zipf_ss)
+    (run_point cfg)
 
 (* Merge every point of one plane (they share a node count) in list —
    i.e. grid — order. Integer addition commutes, so the result is

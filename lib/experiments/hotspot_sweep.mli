@@ -18,9 +18,10 @@
     Every point carries its merged loadmap and a
     {!Obs.Loadmap_report.summary} per counter kind; the congestion
     column of the figure is the plane's {!primary} kind (traversals,
-    or storage reads). Points parallelise over an {!Exec.Pool} with
-    index-derived 48-bit seeds: per-node counts are bit-identical at
-    any domain count (pinned by [scripts/hotspot_smoke.sh]). *)
+    or storage reads). The grid runs on {!Sweep} with index-derived
+    48-bit seeds: per-node counts are bit-identical at any domain count
+    (pinned by [scripts/hotspot_smoke.sh]). Points are not
+    checkpointed. *)
 
 type plane = Routing | Storage
 
@@ -45,8 +46,11 @@ val default_config : config
 (** bits 10, 2000 pairs, q 0.0 .. 0.5; 512 storage nodes, 64 keys,
     256 reads, R = 3 at q = 0.3, s 0.0 .. 1.2; 3 trials. *)
 
-val validate : config -> unit
-(** @raise Invalid_argument on out-of-range fields. *)
+val validate : ?planes:plane list -> config -> unit
+(** Checks ranges, and that the selected [planes] (default both) have
+    at least one axis value between them, i.e. that the grid is not
+    empty.
+    @raise Invalid_argument on the first violation. *)
 
 type point = {
   plane : plane;
@@ -84,6 +88,9 @@ val run :
 (** Points in grid order: the routing plane (geometry-major over
     [qs]), then the storage plane (geometry-major over [zipf_ss]).
     Deterministic in [cfg.seed] at any pool size.
+    @raise Invalid_argument when {!validate} rejects [cfg] for
+    [planes], a storage geometry has no sparse overlay, or
+    [retries < 0].
     @raise Exec.Cancel.Cancelled on cooperative cancellation
     @raise Failure when a point exhausts its retries. *)
 

@@ -74,6 +74,17 @@ let churn_config cfg ~quorum ~session_shape ~gap_shape ~gap_mean ~warmup
     spacing;
   }
 
+let failure_config cfg ~quorum ~trials =
+  {
+    Storage.Failure_sim.bits = cfg.bits;
+    nodes = cfg.nodes;
+    keys = cfg.keys;
+    reads = cfg.reads;
+    zipf_s = cfg.zipf_s;
+    quorum;
+    trials;
+  }
+
 let validate cfg =
   if cfg.rs = [] then invalid_arg "Storage_sweep: empty replication sweep";
   if axis_values cfg = [] then invalid_arg "Storage_sweep: empty axis";
@@ -83,16 +94,7 @@ let validate cfg =
       match cfg.mode with
       | Static { qs; trials } ->
           List.iter (fun q -> Rcm.Spec.check_q q) qs;
-          Storage.Failure_sim.validate
-            {
-              Storage.Failure_sim.bits = cfg.bits;
-              nodes = cfg.nodes;
-              keys = cfg.keys;
-              reads = cfg.reads;
-              zipf_s = cfg.zipf_s;
-              quorum;
-              trials;
-            }
+          Storage.Failure_sim.validate (failure_config cfg ~quorum ~trials)
       | Churn { session_means; session_shape; gap_mean; gap_shape; warmup; measurements; spacing } ->
           List.iter
             (fun mean ->
@@ -127,17 +129,113 @@ type point = {
   events : int;
 }
 
-(* Same per-point PRNG discipline as Churn_curves.point_seeds: seeds
-   derive by grid index from one master stream, masked to 48 bits so
-   they round-trip exactly through the checkpoint's JSON numbers. *)
-let point_seeds cfg ~tasks =
-  let master = Prng.Splitmix.create ~seed:cfg.seed in
-  Array.init tasks (fun _ ->
-      Int64.to_int (Prng.Splitmix.next_int64 master) land 0xFFFF_FFFF_FFFF)
-
 let mode_tag = function Static _ -> "static" | Churn _ -> "churn"
 
-let storage_key cfg geometry ~quorum ~axis ~seed =
+let analytic cfg ~quorum ~axis =
+  let r = quorum.Storage.Quorum.r and rq = quorum.Storage.Quorum.rq in
+  match cfg.mode with
+  | Static _ -> Rcm.Data_availability.replica_survival ~q:axis ~r ~quorum:rq
+  | Churn { gap_mean; _ } ->
+      (* Steady-state offline fraction plays the role of q: the
+         no-repair baseline the simulated (repaired) survival should
+         beat. *)
+      let q = gap_mean /. (axis +. gap_mean) in
+      Rcm.Data_availability.replica_survival ~q ~r ~quorum:rq
+
+(* The fields a point takes from the config alone; a run or a
+   checkpoint record fills in the measured ones. *)
+let point_at cfg (geometry, quorum, axis) =
+  {
+    geometry;
+    r = quorum.Storage.Quorum.r;
+    rq = quorum.Storage.Quorum.rq;
+    wq = quorum.Storage.Quorum.wq;
+    axis;
+    churn_rate =
+      (match cfg.mode with
+      | Static _ -> Float.nan
+      | Churn { gap_mean; _ } -> 1. /. (axis +. gap_mean));
+    attempted = 0;
+    quorum_reads = 0;
+    degraded_reads = 0;
+    failed_reads = 0;
+    no_client = 0;
+    availability = Float.nan;
+    survival = Float.nan;
+    analytic = Float.nan;
+    mean_alive = Float.nan;
+    probe_routes = 0;
+    repair_routes = 0;
+    repair_transfers = 0;
+    load_max = 0;
+    load_mean = Float.nan;
+    load_p99 = 0;
+    events = 0;
+  }
+
+let run_point cfg ((geometry, quorum, axis) as coords) ~seed =
+  let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
+  let base = { (point_at cfg coords) with analytic = analytic cfg ~quorum ~axis } in
+  let point =
+    match cfg.mode with
+    | Static { trials; _ } ->
+        let r =
+          Storage.Failure_sim.run geometry (failure_config cfg ~quorum ~trials) ~q:axis ~seed
+        in
+        {
+          base with
+          attempted = r.Storage.Failure_sim.attempted;
+          quorum_reads = r.quorum_reads;
+          degraded_reads = r.degraded_reads;
+          failed_reads = r.failed_reads;
+          no_client = r.no_client;
+          availability = Option.value r.availability ~default:Float.nan;
+          survival = r.survival;
+          mean_alive = r.mean_alive;
+          probe_routes = r.probe_routes;
+          repair_routes = r.repair_routes;
+          repair_transfers = r.repair_transfers;
+          load_max = r.load_max;
+          load_mean = r.load_mean;
+          load_p99 = r.load_p99;
+        }
+    | Churn { session_shape; gap_shape; gap_mean; warmup; measurements; spacing; _ } ->
+        let r =
+          Storage.Churn_sim.run geometry
+            (churn_config cfg ~quorum ~session_shape ~gap_shape ~gap_mean ~warmup
+               ~measurements ~spacing ~session_mean:axis)
+            ~seed
+        in
+        {
+          base with
+          attempted = r.Storage.Churn_sim.attempted;
+          quorum_reads = r.quorum_reads;
+          degraded_reads = r.degraded_reads;
+          failed_reads = r.failed_reads;
+          no_client = r.no_client;
+          availability = Option.value r.availability ~default:Float.nan;
+          survival = r.survival;
+          mean_alive = r.mean_alive;
+          probe_routes = r.probe_routes;
+          repair_routes = r.repair_routes;
+          repair_transfers = r.repair_transfers;
+          load_max = r.load_max;
+          load_mean = r.load_mean;
+          load_p99 = r.load_p99;
+          events = r.events;
+        }
+  in
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.incr_named "storage/points";
+    Obs.Metrics.observe_named "storage/point_s" (Unix.gettimeofday () -. t0)
+  end;
+  point
+
+let codec cfg =
+  let open Obs.Tiny_json in
+  let int = Sim.Checkpoint.int in
+  (* One key shape covers both modes: the churn-only fields are empty
+     or zero in static mode. *)
   let session, gap, gap_mean, warmup, measurements, spacing, trials =
     match cfg.mode with
     | Static { trials; _ } -> ("", "", 0., 0., 0, 0., trials)
@@ -151,222 +249,103 @@ let storage_key cfg geometry ~quorum ~axis ~seed =
           1 )
   in
   {
-    Sim.Checkpoint.k_geometry = Rcm.Geometry.slug geometry;
-    k_bits = cfg.bits;
-    k_nodes = cfg.nodes;
-    k_keys = cfg.keys;
-    k_reads = cfg.reads;
-    k_zipf = cfg.zipf_s;
-    k_r = quorum.Storage.Quorum.r;
-    k_rq = quorum.Storage.Quorum.rq;
-    k_wq = quorum.Storage.Quorum.wq;
-    k_mode = mode_tag cfg.mode;
-    k_axis = axis;
-    k_session = session;
-    k_gap = gap;
-    k_gap_mean = gap_mean;
-    k_warmup = warmup;
-    k_measurements = measurements;
-    k_spacing = spacing;
-    k_trials = trials;
-    k_seed = seed;
-  }
-
-let analytic cfg ~quorum ~axis =
-  let r = quorum.Storage.Quorum.r and rq = quorum.Storage.Quorum.rq in
-  match cfg.mode with
-  | Static _ -> Rcm.Data_availability.replica_survival ~q:axis ~r ~quorum:rq
-  | Churn { gap_mean; _ } ->
-      (* Steady-state offline fraction plays the role of q: the
-         no-repair baseline the simulated (repaired) survival should
-         beat. *)
-      let q = gap_mean /. (axis +. gap_mean) in
-      Rcm.Data_availability.replica_survival ~q ~r ~quorum:rq
-
-let run_static cfg geometry ~quorum ~q ~trials ~seed =
-  let result =
-    Storage.Failure_sim.run geometry
-      {
-        Storage.Failure_sim.bits = cfg.bits;
-        nodes = cfg.nodes;
-        keys = cfg.keys;
-        reads = cfg.reads;
-        zipf_s = cfg.zipf_s;
-        quorum;
-        trials;
-      }
-      ~q ~seed
-  in
-  {
-    Sim.Checkpoint.sp_attempted = result.Storage.Failure_sim.attempted;
-    sp_quorum = result.quorum_reads;
-    sp_degraded = result.degraded_reads;
-    sp_failed = result.failed_reads;
-    sp_no_client = result.no_client;
-    sp_availability = Option.value result.availability ~default:Float.nan;
-    sp_survival = result.survival;
-    sp_analytic = analytic cfg ~quorum ~axis:q;
-    sp_mean_alive = result.mean_alive;
-    sp_probe_routes = result.probe_routes;
-    sp_repair_routes = result.repair_routes;
-    sp_repair_transfers = result.repair_transfers;
-    sp_load_max = result.load_max;
-    sp_load_mean = result.load_mean;
-    sp_load_p99 = result.load_p99;
-    sp_events = 0;
-  }
-
-let run_churn cfg geometry ~quorum ~session_mean ~seed =
-  match cfg.mode with
-  | Static _ -> assert false
-  | Churn { session_shape; gap_shape; gap_mean; warmup; measurements; spacing; _ } ->
-      let result =
-        Storage.Churn_sim.run geometry
-          (churn_config cfg ~quorum ~session_shape ~gap_shape ~gap_mean
-             ~warmup ~measurements ~spacing ~session_mean)
-          ~seed
-      in
-      {
-        Sim.Checkpoint.sp_attempted = result.Storage.Churn_sim.attempted;
-        sp_quorum = result.quorum_reads;
-        sp_degraded = result.degraded_reads;
-        sp_failed = result.failed_reads;
-        sp_no_client = result.no_client;
-        sp_availability = Option.value result.availability ~default:Float.nan;
-        sp_survival = result.survival;
-        sp_analytic = analytic cfg ~quorum ~axis:session_mean;
-        sp_mean_alive = result.mean_alive;
-        sp_probe_routes = result.probe_routes;
-        sp_repair_routes = result.repair_routes;
-        sp_repair_transfers = result.repair_transfers;
-        sp_load_max = result.load_max;
-        sp_load_mean = result.load_mean;
-        sp_load_p99 = result.load_p99;
-        sp_events = result.events;
-      }
-
-let run_point cfg geometry ~quorum ~axis ~seed =
-  let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-  let point =
-    match cfg.mode with
-    | Static { trials; _ } -> run_static cfg geometry ~quorum ~q:axis ~trials ~seed
-    | Churn _ -> run_churn cfg geometry ~quorum ~session_mean:axis ~seed
-  in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.incr_named "storage/points";
-    Obs.Metrics.observe_named "storage/point_s" (Unix.gettimeofday () -. t0)
-  end;
-  point
-
-let churn_rate_of cfg ~axis =
-  match cfg.mode with
-  | Static _ -> Float.nan
-  | Churn { gap_mean; _ } -> 1. /. (axis +. gap_mean)
-
-let point_of_stored cfg geometry ~quorum ~axis (p : Sim.Checkpoint.storage_point) =
-  {
-    geometry;
-    r = quorum.Storage.Quorum.r;
-    rq = quorum.Storage.Quorum.rq;
-    wq = quorum.Storage.Quorum.wq;
-    axis;
-    churn_rate = churn_rate_of cfg ~axis;
-    attempted = p.Sim.Checkpoint.sp_attempted;
-    quorum_reads = p.sp_quorum;
-    degraded_reads = p.sp_degraded;
-    failed_reads = p.sp_failed;
-    no_client = p.sp_no_client;
-    availability = p.sp_availability;
-    survival = p.sp_survival;
-    analytic = p.sp_analytic;
-    mean_alive = p.sp_mean_alive;
-    probe_routes = p.sp_probe_routes;
-    repair_routes = p.sp_repair_routes;
-    repair_transfers = p.sp_repair_transfers;
-    load_max = p.sp_load_max;
-    load_mean = p.sp_load_mean;
-    load_p99 = p.sp_load_p99;
-    events = p.sp_events;
+    Sweep.kind = "storage";
+    key =
+      (fun (geometry, quorum, axis) ~seed ->
+        [
+          ("geometry", Str (Rcm.Geometry.slug geometry));
+          ("bits", int cfg.bits);
+          ("nodes", int cfg.nodes);
+          ("keys", int cfg.keys);
+          ("reads", int cfg.reads);
+          ("zipf", Num cfg.zipf_s);
+          ("r", int quorum.Storage.Quorum.r);
+          ("rq", int quorum.Storage.Quorum.rq);
+          ("wq", int quorum.Storage.Quorum.wq);
+          ("mode", Str (mode_tag cfg.mode));
+          ("axis", Num axis);
+          ("session", Str session);
+          ("gap", Str gap);
+          ("gap_mean", Num gap_mean);
+          ("warmup", Num warmup);
+          ("measurements", int measurements);
+          ("spacing", Num spacing);
+          ("trials", int trials);
+          ("seed", int seed);
+        ]);
+    encode =
+      (fun p ->
+        [
+          ("attempted", int p.attempted);
+          ("quorum", int p.quorum_reads);
+          ("degraded", int p.degraded_reads);
+          ("failed", int p.failed_reads);
+          ("no_client", int p.no_client);
+          (* nan (no read attempted) exactly when attempted = 0 *)
+          ("availability", Num p.availability);
+          ("survival", Num p.survival);
+          ("analytic", Num p.analytic);
+          ("alive", Num p.mean_alive);
+          ("probe_routes", int p.probe_routes);
+          ("repair_routes", int p.repair_routes);
+          ("repair_transfers", int p.repair_transfers);
+          ("load_max", int p.load_max);
+          ("load_mean", Num p.load_mean);
+          ("load_p99", int p.load_p99);
+          ("events", int p.events);
+        ]);
+    decode =
+      (fun coords f ->
+        let open Sim.Checkpoint in
+        let attempted = get_int f "attempted" in
+        {
+          (point_at cfg coords) with
+          attempted;
+          quorum_reads = get_int f "quorum";
+          degraded_reads = get_int f "degraded";
+          failed_reads = get_int f "failed";
+          no_client = get_int f "no_client";
+          availability = (if attempted > 0 then get_float f "availability" else Float.nan);
+          survival = get_float f "survival";
+          analytic = get_float f "analytic";
+          mean_alive = get_float f "alive";
+          probe_routes = get_int f "probe_routes";
+          repair_routes = get_int f "repair_routes";
+          repair_transfers = get_int f "repair_transfers";
+          load_max = get_int f "load_max";
+          load_mean = get_float f "load_mean";
+          load_p99 = get_int f "load_p99";
+          events = get_int f "events";
+        });
   }
 
 let default_geometries =
   [ Rcm.Geometry.Ring; Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.default_symphony ]
 
-let run ?pool ?(geometries = default_geometries) ?(retries = 0) ?fault ?checkpoint cfg =
-  if retries < 0 then invalid_arg "Storage_sweep.run: negative retries";
+let run ?pool ?(geometries = default_geometries) ?retries ?fault ?checkpoint cfg =
   validate cfg;
   List.iter
     (fun g ->
       if g = Rcm.Geometry.Hypercube then
         invalid_arg "Storage_sweep.run: no sparse hypercube overlay exists")
     geometries;
-  let geoms = Array.of_list geometries in
-  let rs = Array.of_list cfg.rs in
-  let axes = Array.of_list (axis_values cfg) in
-  let quorums = Array.map (fun r -> quorum_for cfg ~r) rs in
-  let per_r = Array.length axes in
-  let per_geom = Array.length rs * per_r in
-  let n = Array.length geoms * per_geom in
-  let seeds = point_seeds cfg ~tasks:n in
-  let coords i =
-    let geometry = geoms.(i / per_geom) in
-    let rest = i mod per_geom in
-    (geometry, quorums.(rest / per_r), axes.(rest mod per_r))
+  let quorums = List.map (fun r -> quorum_for cfg ~r) cfg.rs in
+  let grid =
+    List.concat_map
+      (fun g ->
+        List.concat_map
+          (fun quorum -> List.map (fun axis -> (g, quorum, axis)) (axis_values cfg))
+          quorums)
+      geometries
   in
-  Obs.Progress.start ~label:"storage"
-    ~groups:
-      (Array.to_list (Array.map (fun g -> (Rcm.Geometry.slug g, per_geom)) geoms))
-    ~total:n ();
-  let tick i = Obs.Progress.tick ~group:(Rcm.Geometry.slug geoms.(i / per_geom)) () in
-  let run_one i =
-    let geometry, quorum, axis = coords i in
-    let seed = seeds.(i) in
-    let key = storage_key cfg geometry ~quorum ~axis ~seed in
-    let stored = Option.bind checkpoint (fun ck -> Sim.Checkpoint.find_storage ck key) in
-    match stored with
-    | Some p ->
-        tick i;
-        Exec.Pool.Done p
-    | None ->
-        let task ~attempt i =
-          Exec.Fault.inject fault ~task:i ~attempt;
-          run_point cfg geometry ~quorum ~axis ~seed
-        in
-        let outcome = Exec.Pool.supervised ~retries ~task i in
-        (match (checkpoint, outcome) with
-        | Some ck, Exec.Pool.Done p -> Sim.Checkpoint.record_storage ck key p
-        | (Some _ | None), _ -> ());
-        (match outcome with
-        | Exec.Pool.Cancelled -> ()
-        | Exec.Pool.Done _ | Exec.Pool.Failed _ -> tick i);
-        outcome
-  in
-  let outcomes =
-    match pool with
-    | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n run_one
-    | Some _ | None -> Array.init n run_one
-  in
-  Option.iter Sim.Checkpoint.flush checkpoint;
-  Obs.Progress.finish ();
-  if Array.exists (function Exec.Pool.Cancelled -> true | _ -> false) outcomes then
-    raise Exec.Cancel.Cancelled;
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Exec.Pool.Failed { attempts; error } ->
-          let geometry, quorum, axis = coords i in
-          failwith
-            (Printf.sprintf
-               "storage point %d (%s, r=%d, %s %g) failed after %d attempts: %s" i
-               (Rcm.Geometry.slug geometry)
-               quorum.Storage.Quorum.r (mode_tag cfg.mode) axis attempts error)
-      | Exec.Pool.Done _ | Exec.Pool.Cancelled -> ())
-    outcomes;
-  List.init n (fun i ->
-      let geometry, quorum, axis = coords i in
-      match outcomes.(i) with
-      | Exec.Pool.Done p -> point_of_stored cfg geometry ~quorum ~axis p
-      | Exec.Pool.Failed _ | Exec.Pool.Cancelled -> assert false)
+  Sweep.run ?pool ?retries ?fault
+    ?checkpoint:(Option.map (fun ck -> (ck, codec cfg)) checkpoint)
+    ~label:"storage"
+    ~group:(fun (g, _, _) -> Rcm.Geometry.slug g)
+    ~describe:(fun (g, quorum, axis) ->
+      Printf.sprintf "%s, r=%d, %s %g" (Rcm.Geometry.slug g) quorum.Storage.Quorum.r
+        (mode_tag cfg.mode) axis)
+    ~seed:cfg.seed grid (run_point cfg)
 
 (* --- rendering -------------------------------------------------------------- *)
 

@@ -17,9 +17,10 @@
       read-repair.
 
     The grid is geometry-major, then replication degree [r], then the
-    axis. Points parallelise over an {!Exec.Pool} with index-derived
-    48-bit seeds (bit-identical at any domain count); completed points
-    checkpoint as ["kind": "storage"] records and replay on resume. *)
+    axis, and runs on {!Sweep}: index-derived 48-bit seeds
+    (bit-identical at any domain count); completed points checkpoint as
+    ["kind": "storage"] point records ({!codec}) and replay on
+    resume. *)
 
 type mode =
   | Static of { qs : float list; trials : int }
@@ -97,9 +98,20 @@ val run :
   point list
 (** Points in grid order (geometries, then [rs], then the axis).
     Deterministic in [cfg.seed] at any pool size.
+    @raise Invalid_argument when {!validate} rejects [cfg], a
+    geometry has no sparse overlay, or [retries < 0].
     @raise Exec.Cancel.Cancelled on cooperative cancellation (the
     checkpoint is flushed first)
-    @raise Failure when a point exhausts its retries. *)
+    @raise Failure when a stored record does not decode or a point
+    exhausts its retries. *)
+
+val codec : config -> (Rcm.Geometry.t * Storage.Quorum.t * float, point) Sweep.codec
+(** The ["storage"] checkpoint records of a sweep over [config], with
+    (geometry, quorum, axis) coordinates. One key shape covers both
+    modes (the churn-only fields are [""] / 0 in static mode, [trials]
+    is 1 in churn mode) and ends with the derived seed; an
+    [availability] of [nan] (nothing attempted) is stored as an absent
+    field. *)
 
 val pp_points : Format.formatter -> point list -> unit
 

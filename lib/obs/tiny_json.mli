@@ -37,6 +37,11 @@ val to_int : t -> int option
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option
 
+val add_escaped : Buffer.t -> string -> unit
+(** Append [s] as a quoted JSON string: quote, backslash, newline, tab
+    and carriage return get their short escapes, other control bytes
+    [\u00XX]; every other byte is copied as is. *)
+
 val to_string : t -> string
 (** Compact one-line rendering (re-emission for converters, e.g. the
     Chrome trace exporter). Non-finite numbers render as [null]. *)

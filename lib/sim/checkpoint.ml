@@ -1,3 +1,5 @@
+module Json = Obs.Tiny_json
+
 let version = 1
 
 type key = {
@@ -18,242 +20,156 @@ type trial = {
 
 type outcome = Trial of trial | Failed of { attempts : int; error : string }
 
-(* Churn-curve points live in the same JSONL file tagged with
-   ["kind": "churn"]. Loaders predating the tag skip any record with a
-   "kind" field (they treat it as a header), so the format stays
-   version 1 and old files load unchanged. *)
-type churn_key = {
-  c_geometry : string;
-  c_bits : int;
-  c_session : string;
-  c_session_mean : float;
-  c_gap : string;
-  c_gap_mean : float;
-  c_maintain : float;
-  c_k : int;
-  c_cache_k : int;
-  c_warmup : float;
-  c_measurements : int;
-  c_spacing : float;
-  c_pairs : int;
-  c_seed : int;
-}
+type fields = (string * Json.t) list
 
-type churn_point = {
-  p_mean_alive : float;
-  p_mean_stale : float;
-  p_stale_near : float;
-  p_stale_shortcut : float;
-  p_routable_measurements : int;
-  p_mean_routability : float;  (* meaningful iff p_routable_measurements > 0 *)
-  p_mean_prediction : float;
-  p_no_pair_measurements : int;
-  p_events : int;
-}
+(* Point records live in one map ordered by (kind, fields). Key fields
+   come first in a record, so the least record not below (kind, key) is
+   the one that key names, if any: a list sorts just before every list
+   that extends it, and anything between the two extends it too. The
+   map's order is also the file's order. The value is the line the
+   record was read from (0 when this process recorded it). *)
+module Points = Map.Make (struct
+  type t = string * fields
 
-(* Storage-sweep points are tagged ["kind": "storage"] — same skipping
-   rule as churn records, so the format stays version 1. The static /
-   churn axis split is carried by [k_mode]; churn-only fields are empty
-   or zero in static mode so one record shape covers both. *)
-type storage_key = {
-  k_geometry : string;
-  k_bits : int;
-  k_nodes : int;
-  k_keys : int;
-  k_reads : int;
-  k_zipf : float;
-  k_r : int;
-  k_rq : int;
-  k_wq : int;
-  k_mode : string;
-  k_axis : float;
-  k_session : string;
-  k_gap : string;
-  k_gap_mean : float;
-  k_warmup : float;
-  k_measurements : int;
-  k_spacing : float;
-  k_trials : int;
-  k_seed : int;
-}
-
-type storage_point = {
-  sp_attempted : int;
-  sp_quorum : int;
-  sp_degraded : int;
-  sp_failed : int;
-  sp_no_client : int;
-  sp_availability : float;  (* meaningful iff sp_attempted > 0 *)
-  sp_survival : float;
-  sp_analytic : float;
-  sp_mean_alive : float;
-  sp_probe_routes : int;
-  sp_repair_routes : int;
-  sp_repair_transfers : int;
-  sp_load_max : int;
-  sp_load_mean : float;
-  sp_load_p99 : int;
-  sp_events : int;
-}
+  let compare = compare
+end)
 
 type t = {
   path : string;
   interval : int;
   lock : Mutex.t;
-  entries : (key, outcome) Hashtbl.t;
-  churn_entries : (churn_key, churn_point) Hashtbl.t;
-  storage_entries : (storage_key, storage_point) Hashtbl.t;
+  trials : (key, outcome) Hashtbl.t;
+  mutable points : int Points.t;
   mutable unflushed : int;
 }
 
 let path t = t.path
 
-(* --- serialisation --------------------------------------------------------- *)
+let header_kind = "dht_rcm-checkpoint"
 
-(* %.17g round-trips every finite double exactly through
-   [float_of_string], so the q of a stored key and the alive fraction
-   of a stored trial compare bit-equal after a reload — the property
-   the byte-identical-resume guarantee stands on. *)
-let add_float buffer v = Buffer.add_string buffer (Printf.sprintf "%.17g" v)
+(* --- fields ---------------------------------------------------------------- *)
 
-let add_json_string buffer s =
-  Buffer.add_char buffer '"';
-  String.iter
+(* A JSON number is a double: integers round-trip exactly only within
+   ±(2^53 - 1). *)
+let max_exact = (1 lsl 53) - 1
+
+let exact_int i = i >= -max_exact && i <= max_exact
+
+let int i =
+  if not (exact_int i) then
+    invalid_arg
+      (Printf.sprintf "Sim.Checkpoint: %d is outside +-(2^53 - 1) and would not round-trip" i);
+  Json.Num (float_of_int i)
+
+let to_int = function
+  | Json.Num v when Float.is_integer v && Float.abs v <= float_of_int max_exact ->
+      Some (int_of_float v)
+  | _ -> None
+
+let field conv what fields name =
+  match List.assoc_opt name fields with
+  | None -> failwith (Printf.sprintf "missing field %S" name)
+  | Some v -> (
+      match conv v with
+      | Some x -> x
+      | None -> failwith (Printf.sprintf "field %S: expected %s" name what))
+
+let get_int = field to_int "an integer"
+let get_float = field Json.to_num "a number"
+let get_string = field Json.to_str "a string"
+
+let get_ints =
+  field
     (function
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.add_char buffer '"'
+      | Json.Arr items when List.for_all (fun v -> to_int v <> None) items ->
+          Some (List.filter_map to_int items)
+      | _ -> None)
+    "an integer array"
 
-let header_line = Printf.sprintf "{\"v\": %d, \"kind\": \"dht_rcm-checkpoint\"}" version
+(* --- the printer ----------------------------------------------------------- *)
 
-let buffer_entry buffer (key, outcome) =
-  Buffer.add_string buffer (Printf.sprintf "{\"v\": %d, \"geometry\": " version);
-  add_json_string buffer key.geometry;
-  Buffer.add_string buffer (Printf.sprintf ", \"bits\": %d, \"q\": " key.bits);
-  add_float buffer key.q;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"pairs\": %d, \"seed\": %d, \"trial\": %d" key.pairs key.seed
-       key.trial);
-  (match outcome with
-  | Trial trial ->
-      Buffer.add_string buffer
-        (Printf.sprintf ", \"status\": \"ok\", \"delivered\": %d, \"attempted\": %d, \"alive_fraction\": "
-           trial.delivered trial.attempted);
-      add_float buffer trial.alive_fraction;
-      Buffer.add_string buffer ", \"hops\": [";
+(* Every line goes through here. %.17g round-trips every finite double
+   exactly through [float_of_string], so stored keys compare bit-equal
+   after a reload and replayed values are the computed ones. A
+   non-finite number has no JSON spelling: an object field holding one
+   is left out. *)
+let rec add_value buffer = function
+  | Json.Null -> Buffer.add_string buffer "null"
+  | Json.Bool b -> Buffer.add_string buffer (string_of_bool b)
+  | Json.Num v ->
+      if not (Float.is_finite v) then invalid_arg "Sim.Checkpoint: non-finite array item";
+      Buffer.add_string buffer (Printf.sprintf "%.17g" v)
+  | Json.Str s -> Json.add_escaped buffer s
+  | Json.Arr items ->
+      Buffer.add_char buffer '[';
       List.iteri
-        (fun i h ->
+        (fun i v ->
           if i > 0 then Buffer.add_char buffer ',';
-          Buffer.add_string buffer (string_of_int h))
-        trial.hops;
+          add_value buffer v)
+        items;
       Buffer.add_char buffer ']'
+  | Json.Obj fields ->
+      Buffer.add_char buffer '{';
+      List.filter (function _, Json.Num v -> Float.is_finite v | _ -> true) fields
+      |> List.iteri (fun i (name, v) ->
+             if i > 0 then Buffer.add_string buffer ", ";
+             Json.add_escaped buffer name;
+             Buffer.add_string buffer ": ";
+             add_value buffer v);
+      Buffer.add_char buffer '}'
+
+(* --- estimate trial records ------------------------------------------------- *)
+
+let trial_fields key outcome =
+  [
+    ("geometry", Json.Str key.geometry);
+    ("bits", int key.bits);
+    ("q", Json.Num key.q);
+    ("pairs", int key.pairs);
+    ("seed", int key.seed);
+    ("trial", int key.trial);
+  ]
+  @
+  match outcome with
+  | Trial t ->
+      [
+        ("status", Json.Str "ok");
+        ("delivered", int t.delivered);
+        ("attempted", int t.attempted);
+        ("alive_fraction", Json.Num t.alive_fraction);
+        ("hops", Json.Arr (List.map int t.hops));
+      ]
   | Failed { attempts; error } ->
-      Buffer.add_string buffer
-        (Printf.sprintf ", \"status\": \"failed\", \"attempts\": %d, \"error\": " attempts);
-      add_json_string buffer error);
-  Buffer.add_string buffer "}\n"
+      [ ("status", Json.Str "failed"); ("attempts", int attempts); ("error", Json.Str error) ]
 
-let buffer_churn_entry buffer (key, point) =
-  Buffer.add_string buffer
-    (Printf.sprintf "{\"v\": %d, \"kind\": \"churn\", \"geometry\": " version);
-  add_json_string buffer key.c_geometry;
-  Buffer.add_string buffer (Printf.sprintf ", \"bits\": %d, \"session\": " key.c_bits);
-  add_json_string buffer key.c_session;
-  Buffer.add_string buffer ", \"session_mean\": ";
-  add_float buffer key.c_session_mean;
-  Buffer.add_string buffer ", \"gap\": ";
-  add_json_string buffer key.c_gap;
-  Buffer.add_string buffer ", \"gap_mean\": ";
-  add_float buffer key.c_gap_mean;
-  Buffer.add_string buffer ", \"maintain\": ";
-  add_float buffer key.c_maintain;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"k\": %d, \"cache_k\": %d, \"warmup\": " key.c_k key.c_cache_k);
-  add_float buffer key.c_warmup;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"measurements\": %d, \"spacing\": " key.c_measurements);
-  add_float buffer key.c_spacing;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"pairs\": %d, \"seed\": %d, \"alive\": " key.c_pairs key.c_seed);
-  add_float buffer point.p_mean_alive;
-  Buffer.add_string buffer ", \"stale\": ";
-  add_float buffer point.p_mean_stale;
-  Buffer.add_string buffer ", \"stale_near\": ";
-  add_float buffer point.p_stale_near;
-  Buffer.add_string buffer ", \"stale_shortcut\": ";
-  add_float buffer point.p_stale_shortcut;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"routable\": %d" point.p_routable_measurements);
-  (* nan has no JSON spelling (and the parser would reject it): a point
-     with no routability sample simply omits the field. *)
-  if point.p_routable_measurements > 0 then begin
-    Buffer.add_string buffer ", \"routability\": ";
-    add_float buffer point.p_mean_routability
-  end;
-  Buffer.add_string buffer ", \"prediction\": ";
-  add_float buffer point.p_mean_prediction;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"no_pairs\": %d, \"events\": %d}\n" point.p_no_pair_measurements
-       point.p_events)
+let trial_of_fields fields =
+  let key =
+    {
+      geometry = get_string fields "geometry";
+      bits = get_int fields "bits";
+      q = get_float fields "q";
+      pairs = get_int fields "pairs";
+      seed = get_int fields "seed";
+      trial = get_int fields "trial";
+    }
+  in
+  let outcome =
+    match get_string fields "status" with
+    | "ok" ->
+        Trial
+          {
+            delivered = get_int fields "delivered";
+            attempted = get_int fields "attempted";
+            alive_fraction = get_float fields "alive_fraction";
+            hops = get_ints fields "hops";
+          }
+    | "failed" ->
+        Failed { attempts = get_int fields "attempts"; error = get_string fields "error" }
+    | other -> failwith (Printf.sprintf "unknown status %S" other)
+  in
+  (key, outcome)
 
-let buffer_storage_entry buffer (key, point) =
-  Buffer.add_string buffer
-    (Printf.sprintf "{\"v\": %d, \"kind\": \"storage\", \"geometry\": " version);
-  add_json_string buffer key.k_geometry;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"bits\": %d, \"nodes\": %d, \"keys\": %d, \"reads\": %d, \"zipf\": "
-       key.k_bits key.k_nodes key.k_keys key.k_reads);
-  add_float buffer key.k_zipf;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"r\": %d, \"rq\": %d, \"wq\": %d, \"mode\": " key.k_r key.k_rq
-       key.k_wq);
-  add_json_string buffer key.k_mode;
-  Buffer.add_string buffer ", \"axis\": ";
-  add_float buffer key.k_axis;
-  Buffer.add_string buffer ", \"session\": ";
-  add_json_string buffer key.k_session;
-  Buffer.add_string buffer ", \"gap\": ";
-  add_json_string buffer key.k_gap;
-  Buffer.add_string buffer ", \"gap_mean\": ";
-  add_float buffer key.k_gap_mean;
-  Buffer.add_string buffer ", \"warmup\": ";
-  add_float buffer key.k_warmup;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"measurements\": %d, \"spacing\": " key.k_measurements);
-  add_float buffer key.k_spacing;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"trials\": %d, \"seed\": %d, \"attempted\": %d, \"quorum\": %d, \"degraded\": %d, \"failed\": %d, \"no_client\": %d"
-       key.k_trials key.k_seed point.sp_attempted point.sp_quorum point.sp_degraded
-       point.sp_failed point.sp_no_client);
-  (* nan has no JSON spelling: a point with no attempted read omits the
-     availability field (same rule as churn routability). *)
-  if point.sp_attempted > 0 then begin
-    Buffer.add_string buffer ", \"availability\": ";
-    add_float buffer point.sp_availability
-  end;
-  Buffer.add_string buffer ", \"survival\": ";
-  add_float buffer point.sp_survival;
-  Buffer.add_string buffer ", \"analytic\": ";
-  add_float buffer point.sp_analytic;
-  Buffer.add_string buffer ", \"alive\": ";
-  add_float buffer point.sp_mean_alive;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"probe_routes\": %d, \"repair_routes\": %d, \"repair_transfers\": %d, \"load_max\": %d, \"load_mean\": "
-       point.sp_probe_routes point.sp_repair_routes point.sp_repair_transfers
-       point.sp_load_max);
-  add_float buffer point.sp_load_mean;
-  Buffer.add_string buffer
-    (Printf.sprintf ", \"load_p99\": %d, \"events\": %d}\n" point.sp_load_p99
-       point.sp_events)
-
-(* Entries are written in key order so two checkpoints of the same
+(* Trials are written in key order so two checkpoints of the same
    completed work are byte-identical regardless of the (hash-table,
    domain-scheduling) order in which trials were recorded. *)
 let compare_keys a b =
@@ -266,329 +182,27 @@ let compare_keys a b =
       let c = compare a.q b.q in
       if c <> 0 then c else compare a.trial b.trial
 
+(* --- store ----------------------------------------------------------------- *)
+
 let write_locked t =
-  let entries =
-    Hashtbl.fold (fun key outcome acc -> (key, outcome) :: acc) t.entries []
+  let trials =
+    Hashtbl.fold (fun key outcome acc -> (key, outcome) :: acc) t.trials []
     |> List.sort (fun (a, _) (b, _) -> compare_keys a b)
   in
-  let churn_entries =
-    Hashtbl.fold (fun key point acc -> (key, point) :: acc) t.churn_entries []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let storage_entries =
-    Hashtbl.fold (fun key point acc -> (key, point) :: acc) t.storage_entries []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   Obs.Atomic_file.write t.path (fun oc ->
-      output_string oc header_line;
-      output_char oc '\n';
       let buffer = Buffer.create 256 in
-      List.iter
-        (fun entry ->
-          Buffer.clear buffer;
-          buffer_entry buffer entry;
-          Buffer.output_buffer oc buffer)
-        entries;
-      List.iter
-        (fun entry ->
-          Buffer.clear buffer;
-          buffer_churn_entry buffer entry;
-          Buffer.output_buffer oc buffer)
-        churn_entries;
-      List.iter
-        (fun entry ->
-          Buffer.clear buffer;
-          buffer_storage_entry buffer entry;
-          Buffer.output_buffer oc buffer)
-        storage_entries);
+      let line fields =
+        Buffer.clear buffer;
+        add_value buffer (Json.Obj (("v", int version) :: fields));
+        Buffer.add_char buffer '\n';
+        Buffer.output_buffer oc buffer
+      in
+      line [ ("kind", Json.Str header_kind) ];
+      List.iter (fun (key, outcome) -> line (trial_fields key outcome)) trials;
+      Points.iter
+        (fun (kind, fields) _ -> line (("kind", Json.Str kind) :: fields))
+        t.points);
   t.unflushed <- 0
-
-(* --- a minimal JSON parser for our own records ----------------------------- *)
-
-(* The loader only has to read what [buffer_entry] writes, but it
-   parses real JSON (escapes, nested arrays) rather than scraping
-   substrings, so a hand-edited or foreign file fails loudly instead of
-   silently resuming from garbage. *)
-
-exception Corrupt of string
-
-type cursor = { src : string; mutable pos : int }
-
-let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
-
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
-
-let skip_ws c =
-  while
-    match peek c with
-    | Some (' ' | '\t' | '\r') -> true
-    | _ -> false
-  do
-    c.pos <- c.pos + 1
-  done
-
-let expect c ch =
-  skip_ws c;
-  match peek c with
-  | Some x when x = ch -> c.pos <- c.pos + 1
-  | Some x -> corrupt "expected %c at byte %d, found %c" ch c.pos x
-  | None -> corrupt "expected %c at byte %d, found end of line" ch c.pos
-
-type value = Num of float | Str of string | Ints of int list
-
-let parse_string c =
-  expect c '"';
-  let buffer = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> corrupt "unterminated string"
-    | Some '"' -> c.pos <- c.pos + 1
-    | Some '\\' -> (
-        c.pos <- c.pos + 1;
-        match peek c with
-        | Some '"' -> c.pos <- c.pos + 1; Buffer.add_char buffer '"'; go ()
-        | Some '\\' -> c.pos <- c.pos + 1; Buffer.add_char buffer '\\'; go ()
-        | Some 'n' -> c.pos <- c.pos + 1; Buffer.add_char buffer '\n'; go ()
-        | Some 't' -> c.pos <- c.pos + 1; Buffer.add_char buffer '\t'; go ()
-        | Some 'r' -> c.pos <- c.pos + 1; Buffer.add_char buffer '\r'; go ()
-        | Some '/' -> c.pos <- c.pos + 1; Buffer.add_char buffer '/'; go ()
-        | Some 'u' ->
-            if c.pos + 4 >= String.length c.src then corrupt "truncated \\u escape";
-            let hex = String.sub c.src (c.pos + 1) 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x80 ->
-                c.pos <- c.pos + 5;
-                Buffer.add_char buffer (Char.chr code);
-                go ()
-            | Some _ | None -> corrupt "unsupported \\u escape \\u%s" hex)
-        | Some ch -> corrupt "bad escape \\%c" ch
-        | None -> corrupt "unterminated escape")
-    | Some ch ->
-        c.pos <- c.pos + 1;
-        Buffer.add_char buffer ch;
-        go ()
-  in
-  go ();
-  Buffer.contents buffer
-
-let parse_number c =
-  skip_ws c;
-  let start = c.pos in
-  let numeric = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while (match peek c with Some ch when numeric ch -> true | _ -> false) do
-    c.pos <- c.pos + 1
-  done;
-  let text = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt text with
-  | Some v -> v
-  | None -> corrupt "bad number %S at byte %d" text start
-
-let parse_int_list c =
-  expect c '[';
-  skip_ws c;
-  if peek c = Some ']' then begin
-    c.pos <- c.pos + 1;
-    []
-  end
-  else begin
-    let items = ref [] in
-    let rec go () =
-      let v = parse_number c in
-      if Float.rem v 1.0 <> 0.0 then corrupt "expected an integer in hops array";
-      items := int_of_float v :: !items;
-      skip_ws c;
-      match peek c with
-      | Some ',' -> c.pos <- c.pos + 1; go ()
-      | Some ']' -> c.pos <- c.pos + 1
-      | _ -> corrupt "expected , or ] in array at byte %d" c.pos
-    in
-    go ();
-    List.rev !items
-  end
-
-let parse_line line =
-  let c = { src = line; pos = 0 } in
-  expect c '{';
-  let fields = ref [] in
-  skip_ws c;
-  if peek c = Some '}' then c.pos <- c.pos + 1
-  else begin
-    let rec go () =
-      skip_ws c;
-      let name = parse_string c in
-      expect c ':';
-      skip_ws c;
-      let value =
-        match peek c with
-        | Some '"' -> Str (parse_string c)
-        | Some '[' -> Ints (parse_int_list c)
-        | Some _ -> Num (parse_number c)
-        | None -> corrupt "missing value for %S" name
-      in
-      fields := (name, value) :: !fields;
-      skip_ws c;
-      match peek c with
-      | Some ',' -> c.pos <- c.pos + 1; go ()
-      | Some '}' -> c.pos <- c.pos + 1
-      | _ -> corrupt "expected , or } at byte %d" c.pos
-    in
-    go ()
-  end;
-  skip_ws c;
-  if c.pos <> String.length c.src then corrupt "trailing garbage at byte %d" c.pos;
-  List.rev !fields
-
-let get fields name =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> corrupt "missing field %S" name
-
-let get_int fields name =
-  match get fields name with
-  | Num v when Float.rem v 1.0 = 0.0 -> int_of_float v
-  | _ -> corrupt "field %S: expected an integer" name
-
-let get_float fields name =
-  match get fields name with Num v -> v | _ -> corrupt "field %S: expected a number" name
-
-let get_string fields name =
-  match get fields name with Str s -> s | _ -> corrupt "field %S: expected a string" name
-
-let get_ints fields name =
-  match get fields name with
-  | Ints l -> l
-  | _ -> corrupt "field %S: expected an integer array" name
-
-type parsed =
-  | Header
-  | Estimate_record of key * outcome
-  | Churn_record of churn_key * churn_point
-  | Storage_record of storage_key * storage_point
-
-let churn_of_fields fields =
-  let key =
-    {
-      c_geometry = get_string fields "geometry";
-      c_bits = get_int fields "bits";
-      c_session = get_string fields "session";
-      c_session_mean = get_float fields "session_mean";
-      c_gap = get_string fields "gap";
-      c_gap_mean = get_float fields "gap_mean";
-      c_maintain = get_float fields "maintain";
-      c_k = get_int fields "k";
-      c_cache_k = get_int fields "cache_k";
-      c_warmup = get_float fields "warmup";
-      c_measurements = get_int fields "measurements";
-      c_spacing = get_float fields "spacing";
-      c_pairs = get_int fields "pairs";
-      c_seed = get_int fields "seed";
-    }
-  in
-  let routable = get_int fields "routable" in
-  let point =
-    {
-      p_mean_alive = get_float fields "alive";
-      p_mean_stale = get_float fields "stale";
-      p_stale_near = get_float fields "stale_near";
-      p_stale_shortcut = get_float fields "stale_shortcut";
-      p_routable_measurements = routable;
-      p_mean_routability =
-        (if routable > 0 then get_float fields "routability" else Float.nan);
-      p_mean_prediction = get_float fields "prediction";
-      p_no_pair_measurements = get_int fields "no_pairs";
-      p_events = get_int fields "events";
-    }
-  in
-  Churn_record (key, point)
-
-let storage_of_fields fields =
-  let key =
-    {
-      k_geometry = get_string fields "geometry";
-      k_bits = get_int fields "bits";
-      k_nodes = get_int fields "nodes";
-      k_keys = get_int fields "keys";
-      k_reads = get_int fields "reads";
-      k_zipf = get_float fields "zipf";
-      k_r = get_int fields "r";
-      k_rq = get_int fields "rq";
-      k_wq = get_int fields "wq";
-      k_mode = get_string fields "mode";
-      k_axis = get_float fields "axis";
-      k_session = get_string fields "session";
-      k_gap = get_string fields "gap";
-      k_gap_mean = get_float fields "gap_mean";
-      k_warmup = get_float fields "warmup";
-      k_measurements = get_int fields "measurements";
-      k_spacing = get_float fields "spacing";
-      k_trials = get_int fields "trials";
-      k_seed = get_int fields "seed";
-    }
-  in
-  let attempted = get_int fields "attempted" in
-  let point =
-    {
-      sp_attempted = attempted;
-      sp_quorum = get_int fields "quorum";
-      sp_degraded = get_int fields "degraded";
-      sp_failed = get_int fields "failed";
-      sp_no_client = get_int fields "no_client";
-      sp_availability =
-        (if attempted > 0 then get_float fields "availability" else Float.nan);
-      sp_survival = get_float fields "survival";
-      sp_analytic = get_float fields "analytic";
-      sp_mean_alive = get_float fields "alive";
-      sp_probe_routes = get_int fields "probe_routes";
-      sp_repair_routes = get_int fields "repair_routes";
-      sp_repair_transfers = get_int fields "repair_transfers";
-      sp_load_max = get_int fields "load_max";
-      sp_load_mean = get_float fields "load_mean";
-      sp_load_p99 = get_int fields "load_p99";
-      sp_events = get_int fields "events";
-    }
-  in
-  Storage_record (key, point)
-
-let entry_of_line line =
-  let fields = parse_line line in
-  let v = get_int fields "v" in
-  if v <> version then corrupt "unsupported checkpoint version %d (expected %d)" v version;
-  match List.assoc_opt "kind" fields with
-  | Some (Str "churn") -> churn_of_fields fields
-  | Some (Str "storage") -> storage_of_fields fields
-  | Some _ -> Header
-  | None ->
-      let key =
-        {
-          geometry = get_string fields "geometry";
-          bits = get_int fields "bits";
-          q = get_float fields "q";
-          pairs = get_int fields "pairs";
-          seed = get_int fields "seed";
-          trial = get_int fields "trial";
-        }
-      in
-      let outcome =
-        match get_string fields "status" with
-        | "ok" ->
-            Trial
-              {
-                delivered = get_int fields "delivered";
-                attempted = get_int fields "attempted";
-                alive_fraction = get_float fields "alive_fraction";
-                hops = get_ints fields "hops";
-              }
-        | "failed" ->
-            Failed
-              { attempts = get_int fields "attempts"; error = get_string fields "error" }
-        | other -> corrupt "unknown status %S" other
-      in
-      Estimate_record (key, outcome)
-
-(* --- store ----------------------------------------------------------------- *)
 
 let make ~interval ~path =
   if interval < 1 then invalid_arg "Sim.Checkpoint: interval must be >= 1";
@@ -596,72 +210,95 @@ let make ~interval ~path =
     path;
     interval;
     lock = Mutex.create ();
-    entries = Hashtbl.create 64;
-    churn_entries = Hashtbl.create 16;
-    storage_entries = Hashtbl.create 16;
+    trials = Hashtbl.create 64;
+    points = Points.empty;
     unflushed = 0;
   }
 
 let create ?(interval = 8) ~path () = make ~interval ~path
 
+let read_file path =
+  let ic = try open_in_bin path with Sys_error msg -> failwith msg in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      try In_channel.input_all ic with Sys_error msg -> failwith (path ^ ": " ^ msg))
+
+let add_line t ~line text =
+  match Json.parse text with
+  | Json.Obj fields -> (
+      let v = get_int fields "v" in
+      if v <> version then
+        failwith (Printf.sprintf "unsupported checkpoint version %d (expected %d)" v version);
+      let fields = List.remove_assoc "v" fields in
+      match List.assoc_opt "kind" fields with
+      | None ->
+          let key, outcome = trial_of_fields fields in
+          Hashtbl.replace t.trials key outcome
+      | Some (Json.Str kind) when kind = header_kind -> ()
+      | Some (Json.Str kind) ->
+          t.points <- Points.add (kind, List.remove_assoc "kind" fields) line t.points
+      | Some _ -> failwith "field \"kind\": expected a string")
+  | _ -> failwith "expected a JSON object"
+
 let load ?(interval = 8) ~path () =
   let t = make ~interval ~path in
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let lineno = ref 0 in
-        try
-          while true do
-            let line = input_line ic in
-            incr lineno;
-            if String.trim line <> "" then
-              match entry_of_line line with
-              | Estimate_record (key, outcome) -> Hashtbl.replace t.entries key outcome
-              | Churn_record (key, point) -> Hashtbl.replace t.churn_entries key point
-              | Storage_record (key, point) ->
-                  Hashtbl.replace t.storage_entries key point
-              | Header -> ()
-          done
-        with
-        | End_of_file -> ()
-        | Corrupt msg ->
-            failwith (Printf.sprintf "Sim.Checkpoint.load: %s, line %d: %s" path !lineno msg))
-  end;
+  if Sys.file_exists path then
+    List.iteri
+      (fun i text ->
+        if String.trim text <> "" then
+          try add_line t ~line:(i + 1) text
+          with Failure msg | Json.Error msg ->
+            failwith (Printf.sprintf "%s, line %d: %s" path (i + 1) msg))
+      (String.split_on_char '\n' (read_file path));
   t
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let find t key = locked t (fun () -> Hashtbl.find_opt t.entries key)
+let bump_locked t =
+  t.unflushed <- t.unflushed + 1;
+  if t.unflushed >= t.interval then write_locked t
 
-let find_churn t key = locked t (fun () -> Hashtbl.find_opt t.churn_entries key)
-
-let find_storage t key = locked t (fun () -> Hashtbl.find_opt t.storage_entries key)
-
-let length t =
-  locked t (fun () ->
-      Hashtbl.length t.entries + Hashtbl.length t.churn_entries
-      + Hashtbl.length t.storage_entries)
-
-let flush t = locked t (fun () -> write_locked t)
+let find t key = locked t (fun () -> Hashtbl.find_opt t.trials key)
 
 let record t key outcome =
   locked t (fun () ->
-      Hashtbl.replace t.entries key outcome;
-      t.unflushed <- t.unflushed + 1;
-      if t.unflushed >= t.interval then write_locked t)
+      Hashtbl.replace t.trials key outcome;
+      bump_locked t)
 
-let record_churn t key point =
-  locked t (fun () ->
-      Hashtbl.replace t.churn_entries key point;
-      t.unflushed <- t.unflushed + 1;
-      if t.unflushed >= t.interval then write_locked t)
+let rec is_prefix key fields =
+  match (key, fields) with
+  | [], _ -> true
+  | k :: key, f :: fields -> compare k f = 0 && is_prefix key fields
+  | _ :: _, [] -> false
 
-let record_storage t key point =
+let find_locked t kind key =
+  match Points.find_first_opt (fun r -> compare r (kind, key) >= 0) t.points with
+  | Some (((k, fields) as record), line) when k = kind && is_prefix key fields ->
+      Some (record, line)
+  | Some _ | None -> None
+
+let find_point t ~kind ~key ~decode =
+  match locked t (fun () -> find_locked t kind key) with
+  | None -> None
+  | Some ((_, fields), line) -> (
+      let n = List.length key in
+      match decode (List.filteri (fun i _ -> i >= n) fields) with
+      | value -> Some value
+      | exception Failure msg -> failwith (Printf.sprintf "%s, line %d: %s" t.path line msg))
+
+let record_point t ~kind ~key value =
   locked t (fun () ->
-      Hashtbl.replace t.storage_entries key point;
-      t.unflushed <- t.unflushed + 1;
-      if t.unflushed >= t.interval then write_locked t)
+      let points =
+        match find_locked t kind key with
+        | Some (record, _) -> Points.remove record t.points
+        | None -> t.points
+      in
+      t.points <- Points.add (kind, key @ value) 0 points;
+      bump_locked t)
+
+let length t = locked t (fun () -> Hashtbl.length t.trials + Points.cardinal t.points)
+
+let flush t = locked t (fun () -> write_locked t)

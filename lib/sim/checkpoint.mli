@@ -1,25 +1,34 @@
 (** Versioned JSONL checkpoint store for Monte-Carlo sweeps.
 
-    A checkpoint records the outcome of every completed trial of a
-    sweep, keyed by everything that determines the trial bit-for-bit:
-    geometry, identifier length, failure probability, pairs per trial,
-    master seed and trial index. [Sim.Estimate.run_sweep] consults the
-    store before running a trial and records each outcome after it, so
-    a sweep interrupted in hour three resumes by replaying stored
-    results (bit-identical, since the stored fields round-trip exactly)
-    and only computes what is missing.
+    A checkpoint records every completed unit of a sweep, keyed by
+    everything that determines it bit-for-bit, so a sweep interrupted
+    in hour three resumes by replaying stored results and only computes
+    what is missing. Two record shapes share the file:
 
-    On-disk format: one JSON object per line. The first line is a
-    header carrying the format version; every record also carries
-    ["v"] so partial tooling can check it. Floats are printed with 17
-    significant digits, which round-trips every finite double exactly —
-    the foundation of the byte-identical-resume guarantee. The file is
-    rewritten in full through {!Obs.Atomic_file} (write temp, rename)
-    after every [interval] recorded trials and on {!flush}, so readers
-    and resumed runs never see a truncated checkpoint.
+    - {b trial records} of [Sim.Estimate.run_sweep], one per trial,
+      keyed by geometry, identifier length, failure probability, pairs
+      per trial, master seed and trial index (the typed {!key} /
+      {!outcome} API);
+    - {b point records} of the point sweeps ([Experiments.Sweep]), one
+      per grid point: a ["kind"] tag, then the ordered key fields, then
+      the value fields ({!find_point} / {!record_point}). Each
+      experiment's codec decides the fields.
 
-    The store is mutex-protected: trials running on any pool domain may
-    {!record} concurrently. *)
+    On-disk format: one JSON object per line, every object starting
+    with ["v"] (the format version). The first line is a header,
+    [{"v": 1, "kind": "dht_rcm-checkpoint"}]; trial records follow in
+    key order, then point records sorted by (kind, key fields). One
+    printer writes every line: every number with [%.17g], which
+    round-trips every finite double (and every integer within
+    ±(2^53 − 1)) exactly — the foundation of the byte-identical-resume
+    guarantee; a non-finite number is written as an absent field, since
+    JSON has no spelling for it. {!Obs.Tiny_json} reads the lines back.
+    The file is rewritten in full through {!Obs.Atomic_file} (write
+    temp, rename) after every [interval] records and on {!flush}, so
+    readers and resumed runs never see a truncated checkpoint.
+
+    The store is mutex-protected: work running on any pool domain may
+    record concurrently. *)
 
 type t
 
@@ -28,7 +37,7 @@ type key = {
   bits : int;
   q : float;
   pairs : int;
-  seed : int;
+  seed : int;  (** within ±(2^53 − 1), see {!exact_int} *)
   trial : int;  (** trial index within the config, from 0 *)
 }
 
@@ -46,103 +55,26 @@ type outcome =
           resume (under the same fault plan it would fail again), so
           the resumed report matches the uninterrupted one. *)
 
-(** Churn-curve sweep points share the file, as records tagged
-    ["kind": "churn"]. Loaders predating the tag skip any record with a
-    "kind" field, so the format stays version 1 and old files load
-    unchanged. The key carries every config field that determines the
-    point bit-for-bit. *)
-type churn_key = {
-  c_geometry : string;  (** [Rcm.Geometry.name] *)
-  c_bits : int;
-  c_session : string;  (** [Lifetime.shape_to_string] *)
-  c_session_mean : float;
-  c_gap : string;
-  c_gap_mean : float;
-  c_maintain : float;
-  c_k : int;
-  c_cache_k : int;
-  c_warmup : float;
-  c_measurements : int;
-  c_spacing : float;
-  c_pairs : int;
-  c_seed : int;  (** the per-point derived seed *)
-}
-
-type churn_point = {
-  p_mean_alive : float;
-  p_mean_stale : float;
-  p_stale_near : float;
-  p_stale_shortcut : float;
-  p_routable_measurements : int;
-  p_mean_routability : float;
-      (** [nan] (stored as an absent field) when
-          [p_routable_measurements = 0] *)
-  p_mean_prediction : float;
-  p_no_pair_measurements : int;
-  p_events : int;
-}
-
-(** Storage-sweep points share the file too, tagged ["kind": "storage"]
-    (same skipping rule as churn records, so the format stays version
-    1). One record shape covers both sweep modes: [k_mode] is
-    ["static"] (axis = q) or ["churn"] (axis = mean session length,
-    with the churn-only fields populated; they are [""] / 0 in static
-    mode). *)
-type storage_key = {
-  k_geometry : string;  (** [Rcm.Geometry.name] *)
-  k_bits : int;
-  k_nodes : int;
-  k_keys : int;
-  k_reads : int;
-  k_zipf : float;
-  k_r : int;
-  k_rq : int;
-  k_wq : int;
-  k_mode : string;  (** ["static"] or ["churn"] *)
-  k_axis : float;  (** q, or mean session length *)
-  k_session : string;  (** [Lifetime.shape_to_string]; [""] when static *)
-  k_gap : string;
-  k_gap_mean : float;
-  k_warmup : float;
-  k_measurements : int;
-  k_spacing : float;
-  k_trials : int;
-  k_seed : int;  (** the per-point derived seed *)
-}
-
-type storage_point = {
-  sp_attempted : int;
-  sp_quorum : int;
-  sp_degraded : int;
-  sp_failed : int;
-  sp_no_client : int;
-  sp_availability : float;
-      (** [nan] (stored as an absent field) when [sp_attempted = 0] *)
-  sp_survival : float;
-  sp_analytic : float;
-  sp_mean_alive : float;
-  sp_probe_routes : int;
-  sp_repair_routes : int;
-  sp_repair_transfers : int;
-  sp_load_max : int;
-  sp_load_mean : float;
-  sp_load_p99 : int;
-  sp_events : int;
-}
+type fields = (string * Obs.Tiny_json.t) list
+(** The fields of a record, in file order. *)
 
 val version : int
 
 val create : ?interval:int -> path:string -> unit -> t
 (** A fresh store writing to [path]; any existing file is ignored and
     replaced at the first flush. [interval] (default 8) is the number
-    of recorded trials between automatic flushes. *)
+    of recorded trials or points between automatic flushes.
+    @raise Invalid_argument when [interval < 1]. *)
 
 val load : ?interval:int -> path:string -> unit -> t
 (** Like {!create}, but seeds the store from an existing checkpoint at
     [path]. A missing file yields an empty store (an interrupted run
-    may have stopped before its first flush); a malformed file raises
-    [Failure] naming the offending line.
-    @raise Failure on a corrupt or version-incompatible file. *)
+    may have stopped before its first flush). Point records of every
+    kind are kept, and rewritten unchanged, whether or not the run
+    looks them up.
+    @raise Failure naming the path and line (["<path>, line N: ..."])
+    on a corrupt or version-incompatible line, or naming the path when
+    the file cannot be read. *)
 
 val find : t -> key -> outcome option
 
@@ -150,15 +82,33 @@ val record : t -> key -> outcome -> unit
 (** Stores (or replaces) the outcome and flushes automatically every
     [interval] records. *)
 
-val find_churn : t -> churn_key -> churn_point option
+val find_point : t -> kind:string -> key:fields -> decode:(fields -> 'a) -> 'a option
+(** The point record of [kind] whose fields begin with [key], its value
+    fields (those after the key) passed through [decode].
+    @raise Failure naming the path and line when [decode] raises
+    [Failure]. *)
 
-val record_churn : t -> churn_key -> churn_point -> unit
-(** As {!record}, for churn-curve points. *)
+val record_point : t -> kind:string -> key:fields -> fields -> unit
+(** [record_point t ~kind ~key value] stores (or replaces) the point
+    record of [kind] and [key], flushing as {!record} does. *)
 
-val find_storage : t -> storage_key -> storage_point option
+(** {1 Fields} *)
 
-val record_storage : t -> storage_key -> storage_point -> unit
-(** As {!record}, for storage-sweep points. *)
+val exact_int : int -> bool
+(** Whether a JSON number holds this integer exactly: it lies within
+    ±(2^53 − 1). *)
+
+val int : int -> Obs.Tiny_json.t
+(** The number field of an integer.
+    @raise Invalid_argument unless {!exact_int}. *)
+
+val get_int : fields -> string -> int
+val get_float : fields -> string -> float
+val get_string : fields -> string -> string
+(** Field getters for decoders.
+    @raise Failure naming the field when it is absent or of another
+    type ([get_int] also rejects a fraction or a value outside
+    ±(2^53 − 1)). *)
 
 val flush : t -> unit
 (** Write the whole store to disk now (atomic temp + rename). Always
@@ -166,6 +116,6 @@ val flush : t -> unit
     cancellation. Idempotent. *)
 
 val length : t -> int
-(** Number of stored records (trial outcomes plus churn points). *)
+(** Number of stored records: trial records plus point records. *)
 
 val path : t -> string

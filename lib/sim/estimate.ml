@@ -254,6 +254,10 @@ let stored_of_stats s =
 let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = false)
     ?(retries = 0) ?fault ?checkpoint cfg qs =
   if retries < 0 then invalid_arg "Estimate.run_sweep: negative retries";
+  (* The master seed is a trial-key field: beyond 2^53 it would reload
+     as a neighbouring seed and the resume would replay nothing. *)
+  if checkpoint <> None && not (Checkpoint.exact_int cfg.seed) then
+    invalid_arg "Estimate.run_sweep: a checkpointed seed must lie within +-(2^53 - 1)";
   if qs = [] then []
   else begin
     List.iter
@@ -315,6 +319,10 @@ let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = fals
           let stored =
             Option.bind checkpoint (fun ck -> Checkpoint.find ck (key_of cfg_k ~trial))
           in
+          if stored <> None && Obs.Trace.enabled () then
+            Obs.Trace.event "checkpoint/replay"
+              ~attrs:[ ("kind", Obs.Trace.String "trial"); ("task", Obs.Trace.Int k) ]
+              ();
           match stored with
           | Some (Checkpoint.Trial s) ->
               tick k;

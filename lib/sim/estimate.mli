@@ -95,8 +95,10 @@ val run_sweep :
 
     Without any of these options the historical fast path runs: trial
     exceptions propagate and abort the sweep.
-    @raise Invalid_argument if any [q] is not a probability or
-    [retries < 0].
+    @raise Invalid_argument if any [q] is not a probability,
+    [retries < 0], or a [checkpoint] is given with a seed outside
+    ±(2^53 − 1) (the seed is a key field; see
+    {!Checkpoint.exact_int}).
     @raise Exec.Cancel.Cancelled when cancellation was requested. *)
 
 val routability : result -> float

@@ -25,8 +25,11 @@ let validate cfg =
     invalid_arg "Churn_sim: replication degree exceeds node count";
   if cfg.measurements < 1 then
     invalid_arg "Churn_sim: need at least one measurement";
-  if cfg.warmup < 0. || cfg.spacing <= 0. then
-    invalid_arg "Churn_sim: bad measurement schedule"
+  (* An infinite warmup would never reach the first measurement, and a
+     nan time would be rejected only by the event queue mid-run. *)
+  if not (Float.is_finite cfg.warmup && cfg.warmup >= 0.
+          && Float.is_finite cfg.spacing && cfg.spacing > 0.)
+  then invalid_arg "Churn_sim: bad measurement schedule"
 
 let churn_rate cfg =
   1. /. (Sim.Lifetime.mean cfg.session +. Sim.Lifetime.mean cfg.gap)

@@ -30,7 +30,9 @@ type config = {
 }
 
 val validate : config -> unit
-(** @raise Invalid_argument on out-of-range fields. *)
+(** @raise Invalid_argument on out-of-range fields, including a warmup
+    that is not finite and >= 0 or a spacing that is not finite and
+    > 0. *)
 
 val churn_rate : config -> float
 (** Session turnover per node per unit time:

@@ -602,61 +602,78 @@ let test_checkpoint_churn_round_trip () =
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      let key =
+      let cfg =
         {
-          Sim.Checkpoint.c_geometry = "xor";
-          c_bits = 9;
-          c_session = "pareto:1.5";
-          c_session_mean = 4.0;
-          c_gap = "exp";
-          c_gap_mean = 2.0;
-          c_maintain = 0.5;
-          c_k = 4;
-          c_cache_k = 2;
-          c_warmup = 10.0;
-          c_measurements = 3;
-          c_spacing = 2.0;
-          c_pairs = 200;
-          c_seed = 0x1234_5678_9ABC;
+          curves_config with
+          Experiments.Churn_curves.bits = 9;
+          session_shape = Sim.Lifetime.Pareto 1.5;
+          gap_mean = 2.0;
+          maintenance_interval = 0.5;
+          k = 4;
+          cache_k = 2;
+          warmup = 10.0;
+          measurements = 3;
+          measurement_spacing = 2.0;
+          pairs = 200;
         }
       in
+      let codec = Experiments.Churn_curves.codec cfg in
+      let coords = (Rcm.Geometry.Xor, 4.0) in
       let point =
         {
-          Sim.Checkpoint.p_mean_alive = 0.8125;
-          p_mean_stale = 0.19921875;
-          p_stale_near = 0.25;
-          p_stale_shortcut = 0.125;
-          p_routable_measurements = 3;
-          p_mean_routability = 0.9765625;
-          p_mean_prediction = 0.96875;
-          p_no_pair_measurements = 0;
-          p_events = 4242;
+          Experiments.Churn_curves.geometry = Rcm.Geometry.Xor;
+          session_mean = 4.0;
+          (* derived from the config on decode, not stored *)
+          churn_rate = Float.nan;
+          availability = Float.nan;
+          mean_alive = 0.8125;
+          mean_stale = 0.19921875;
+          stale_near = 0.25;
+          stale_shortcut = 0.125;
+          routable_measurements = 3;
+          mean_routability = 0.9765625;
+          mean_prediction = 0.96875;
+          no_pair_measurements = 0;
+          events = 4242;
         }
       in
       (* A second point with no routability sample: the nan mean must
          survive the round trip (stored as an absent field). *)
-      let pairless_key = { key with Sim.Checkpoint.c_seed = 77 } in
       let pairless =
         {
           point with
-          Sim.Checkpoint.p_mean_routability = Float.nan;
-          p_routable_measurements = 0;
-          p_no_pair_measurements = 3;
+          Experiments.Churn_curves.mean_routability = Float.nan;
+          routable_measurements = 0;
+          no_pair_measurements = 3;
         }
       in
+      let seed = 0x1234_5678_9ABC in
       let store = Sim.Checkpoint.create ~path () in
-      Sim.Checkpoint.record_churn store key point;
-      Sim.Checkpoint.record_churn store pairless_key pairless;
+      let record seed p =
+        Sim.Checkpoint.record_point store ~kind:codec.kind ~key:(codec.key coords ~seed)
+          (codec.encode p)
+      in
+      record seed point;
+      record 77 pairless;
       Sim.Checkpoint.flush store;
       let loaded = Sim.Checkpoint.load ~path () in
       Alcotest.(check int) "two records" 2 (Sim.Checkpoint.length loaded);
-      (match Sim.Checkpoint.find_churn loaded key with
-      | Some p -> Alcotest.(check bool) "exact round trip" true (p = point)
-      | None -> Alcotest.fail "stored point not found");
-      match Sim.Checkpoint.find_churn loaded pairless_key with
+      let find seed =
+        Sim.Checkpoint.find_point loaded ~kind:codec.kind ~key:(codec.key coords ~seed)
+          ~decode:(codec.decode coords)
+      in
+      (match find seed with
       | Some p ->
-          Alcotest.(check bool) "nan restored" true (Float.is_nan p.p_mean_routability);
-          Alcotest.(check int) "counts restored" 3 p.p_no_pair_measurements
+          Alcotest.(check bool) "exact round trip" true
+            (codec.encode p = codec.encode point
+            && p.geometry = Rcm.Geometry.Xor
+            && p.session_mean = 4.0
+            && Float.is_finite p.churn_rate)
+      | None -> Alcotest.fail "stored point not found");
+      match find 77 with
+      | Some p ->
+          Alcotest.(check bool) "nan restored" true (Float.is_nan p.mean_routability);
+          Alcotest.(check int) "counts restored" 3 p.no_pair_measurements
       | None -> Alcotest.fail "pairless point not found")
 
 let suite =

@@ -307,40 +307,133 @@ let test_trace_cli_report_and_chrome () =
   | Unix.WEXITED 0, _ -> Alcotest.fail "trace report on a missing file exited 0"
   | _, _ -> ()
 
-(* Bad churn configs are rejected once, up front, with exit 2 and a
-   one-line message — not retried as point faults until the run dies
-   with an uncaught exception. *)
-let test_churn_bad_config_exits_2 () =
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let temp_dir name =
+  let dir = Filename.temp_file "dhtlab" name in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  dir
+
+(* Sweep commands fail with a one-line "dhtlab <cmd>: " message and a
+   meaningful exit code, never an uncaught exception (125) or a hang:
+   bad configs and unusable checkpoints exit 2, once, up front (not
+   retried as point faults); a point that exhausts its retries exits 1
+   with the checkpoint flushed; cmdliner rejects a zero flush interval
+   (124), as it does --jobs 0. *)
+let test_sweep_command_errors () =
+  let dir = temp_dir "errors" in
+  let corrupt = Filename.concat dir "corrupt.jsonl" in
+  write_file corrupt "{\"v\": 1, \"kind\": \"dht_rcm-checkpoint\"}\n{\"v\": 1, \"kind\": \"ch";
+  let partial = Filename.concat dir "partial.jsonl" in
+  let unused = Filename.concat dir "unused.jsonl" in
+  let smoke_xor = [ "simulate"; "--smoke"; "-g"; "xor" ] in
+  let retried = [ "churn"; "--trial-retries"; "3" ] in
   List.iter
-    (fun args ->
-      let command =
-        Printf.sprintf "%s 2>&1"
-          (Filename.quote_command binary ([ "churn"; "--trial-retries"; "3" ] @ args))
-      in
+    (fun (args, code, prefix) ->
+      let command = Printf.sprintf "%s 2>&1" (Filename.quote_command binary args) in
       let name = String.concat " " args in
       let status, out = run_capture_shell command in
       (match status with
-      | Unix.WEXITED 2 -> ()
-      | Unix.WEXITED n -> Alcotest.failf "churn %s exited with %d:\n%s" name n out
-      | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-          Alcotest.failf "churn %s killed by signal %d" name n);
-      Alcotest.(check bool)
-        (Printf.sprintf "churn %s names the command" name)
-        true
-        (Astring_contains.contains out "dhtlab churn: ");
-      Alcotest.(check bool)
-        (Printf.sprintf "churn %s is not an internal error" name)
-        false
+      | Unix.WEXITED n when n = code -> ()
+      | Unix.WEXITED n -> Alcotest.failf "%s exited with %d (expected %d):\n%s" name n code out
+      | Unix.WSIGNALED n | Unix.WSTOPPED n -> Alcotest.failf "%s killed by signal %d" name n);
+      Alcotest.(check bool) (Printf.sprintf "%s: message starts %S" name prefix) true
+        (Astring_contains.contains out prefix);
+      Alcotest.(check bool) (name ^ " is not an internal error") false
         (Astring_contains.contains out "internal error"))
     [
-      [ "--smoke"; "-k"; "0" ];
-      [ "--smoke"; "--maintain"; "0" ];
+      (retried @ [ "--smoke"; "-k"; "0" ], 2, "dhtlab churn: ");
+      (retried @ [ "--smoke"; "--maintain"; "0" ], 2, "dhtlab churn: ");
       (* --smoke would override the session sweep. *)
-      [ "--sessions"; "nan" ];
-      [ "--smoke"; "--maintain"; "nan" ];
-      [ "--smoke"; "--warmup"; "nan" ];
-      [ "--smoke"; "--spacing"; "nan" ];
-    ]
+      (retried @ [ "--sessions"; "nan" ], 2, "dhtlab churn: ");
+      (retried @ [ "--smoke"; "--maintain"; "nan" ], 2, "dhtlab churn: ");
+      (retried @ [ "--smoke"; "--warmup"; "nan" ], 2, "dhtlab churn: ");
+      (retried @ [ "--smoke"; "--spacing"; "nan" ], 2, "dhtlab churn: ");
+      (smoke_xor @ [ "--checkpoint-every"; "0"; "--checkpoint"; unused ], 124,
+        "dhtlab: option '--checkpoint-every'");
+      ([ "churn"; "--smoke"; "--checkpoint-every"; "0" ], 124,
+        "dhtlab: option '--checkpoint-every'");
+      ([ "storage"; "--smoke"; "--checkpoint-every"; "0" ], 124,
+        "dhtlab: option '--checkpoint-every'");
+      (smoke_xor @ [ "--resume"; "--checkpoint"; corrupt ], 2,
+        Printf.sprintf "dhtlab simulate: %s, line 2: " corrupt);
+      ([ "churn"; "--smoke"; "--resume"; "--checkpoint"; corrupt ], 2,
+        Printf.sprintf "dhtlab churn: %s, line 2: " corrupt);
+      ([ "storage"; "--smoke"; "--resume"; "--checkpoint"; dir ], 2, "dhtlab storage: " ^ dir);
+      (smoke_xor @ [ "--seed"; "9007199254740993"; "--checkpoint"; unused ], 2,
+        "dhtlab simulate: --seed 9007199254740993");
+      ([ "hotspots"; "--plane"; "storage"; "--zipf"; "" ], 2, "dhtlab hotspots: ");
+      ([ "hotspots"; "--plane"; "routing"; "--qs"; "" ], 2, "dhtlab hotspots: ");
+      ([ "storage"; "--smoke"; "--sessions"; "2"; "--warmup"; "nan" ], 2, "dhtlab storage: ");
+      ([ "storage"; "--smoke"; "--sessions"; "2"; "--warmup"; "inf" ], 2, "dhtlab storage: ");
+      ([ "storage"; "--smoke"; "--sessions"; "2"; "--spacing"; "inf" ], 2, "dhtlab storage: ");
+      ([ "churn"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,
+        "dhtlab churn: churn point 0 (tree, session 2) failed after 1 attempts");
+      ([ "storage"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,
+        "dhtlab storage: storage point 0 (");
+      ([ "hotspots"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,
+        "dhtlab hotspots: hotspots point 0 (");
+      ([ "churn"; "--smoke"; "--inject-fault"; "trial:0.5:3"; "--checkpoint"; partial ], 1,
+        "dhtlab churn: churn point ");
+    ];
+  Alcotest.(check bool) "the checkpoint holds the points completed before exit 1" true
+    (Sim.Checkpoint.length (Sim.Checkpoint.load ~path:partial ()) > 0);
+  Alcotest.(check bool) "rejected runs wrote no checkpoint" false (Sys.file_exists unused)
+
+(* Golden checkpoints pin the record format: each command's
+   --checkpoint file must match its golden byte for byte, and resuming
+   from a copy of the golden under a fault plan that fails every
+   computed point or trial ([--inject-fault trial:1:1], no retries)
+   must recompute nothing — the writing command's stdout, and the
+   golden rewritten unchanged. *)
+let check_checkpoint_golden ~write ~resume file () =
+  let dir = temp_dir "golden" in
+  let golden = read_file (Filename.concat "golden" file) in
+  let ck = Filename.concat dir "ck.jsonl" in
+  let status, out = run_capture (write @ [ "--jobs"; "1"; "--checkpoint"; ck ]) in
+  check_exit (String.concat " " write) status;
+  Alcotest.(check string) ("checkpoint matches golden/" ^ file) golden (read_file ck);
+  let copy = Filename.concat dir "copy.jsonl" in
+  write_file copy golden;
+  let status, resumed =
+    run_capture
+      (resume @ [ "--jobs"; "2"; "--inject-fault"; "trial:1:1"; "--checkpoint"; copy; "--resume" ])
+  in
+  check_exit "resume from the golden" status;
+  Alcotest.(check string) "resume prints the writing command's stdout" out resumed;
+  Alcotest.(check string) "resume rewrites the golden unchanged" golden (read_file copy)
+
+let simulate_golden_args = [ "simulate"; "--smoke"; "-g"; "xor"; "-q"; "0.3"; "--seed"; "7" ]
+
+(* A resume from a complete golden emits one checkpoint/replay trace
+   event per stored point or trial. *)
+let check_replay_trace ~args ~kind ~count file () =
+  let dir = temp_dir "replay" in
+  let copy = Filename.concat dir "copy.jsonl" in
+  let trace = Filename.concat dir "trace.jsonl" in
+  write_file copy (read_file (Filename.concat "golden" file));
+  let status, _ =
+    run_capture (args @ [ "--checkpoint"; copy; "--resume"; "--trace-out"; trace ])
+  in
+  check_exit "traced resume" status;
+  let open Obs.Tiny_json in
+  let replays =
+    String.split_on_char '\n' (read_file trace)
+    |> List.filter (fun line -> line <> "")
+    |> List.filter_map (fun line ->
+           let record = parse line in
+           if Option.bind (member "name" record) to_str = Some "checkpoint/replay" then
+             member "attrs" record
+           else None)
+  in
+  Alcotest.(check (list int)) "one event per replayed task" (List.init count Fun.id)
+    (List.sort compare (List.filter_map (fun a -> Option.bind (member "task" a) to_int) replays));
+  Alcotest.(check bool) "events name the record kind" true
+    (List.for_all (fun a -> Option.bind (member "kind" a) to_str = Some kind) replays)
 
 (* Golden outputs: generated once and checked in, so a change to draw
    or event order fails here even when it is the same at every domain
@@ -373,7 +466,34 @@ let suite =
     ("checkpoint/resume stdout roundtrip", `Quick, test_checkpoint_resume_roundtrip_stdout);
     ("obs flags preserve stdout + sinks validate", `Quick, test_obs_flags_preserve_stdout);
     ("trace report/export-chrome CLI", `Quick, test_trace_cli_report_and_chrome);
-    ("churn bad config exits 2", `Quick, test_churn_bad_config_exits_2);
+    ("sweep command errors", `Quick, test_sweep_command_errors);
+    ("resume traces replayed points", `Quick,
+      check_replay_trace ~args:[ "churn"; "--smoke"; "--seed"; "7" ] ~kind:"churn" ~count:10
+        "checkpoint-churn-smoke-seed7.jsonl");
+    ("resume traces replayed trials", `Quick,
+      check_replay_trace ~args:simulate_golden_args ~kind:"trial" ~count:6
+        "checkpoint-simulate-smoke-xor-faults.jsonl");
+    ("golden checkpoint churn --smoke --seed 7", `Quick,
+      check_checkpoint_golden
+        ~write:[ "churn"; "--smoke"; "--seed"; "7" ]
+        ~resume:[ "churn"; "--smoke"; "--seed"; "7" ]
+        "checkpoint-churn-smoke-seed7.jsonl");
+    ("golden checkpoint storage --smoke --seed 7", `Quick,
+      check_checkpoint_golden
+        ~write:[ "storage"; "--smoke"; "--seed"; "7" ]
+        ~resume:[ "storage"; "--smoke"; "--seed"; "7" ]
+        "checkpoint-storage-smoke-seed7.jsonl");
+    ("golden checkpoint storage --sessions 2,8", `Quick,
+      check_checkpoint_golden
+        ~write:[ "storage"; "--smoke"; "--sessions"; "2,8"; "--seed"; "7" ]
+        ~resume:[ "storage"; "--smoke"; "--sessions"; "2,8"; "--seed"; "7" ]
+        "checkpoint-storage-smoke-sessions-2-8-seed7.jsonl");
+    ("golden checkpoint simulate with faults", `Quick,
+      check_checkpoint_golden
+        ~write:
+          (simulate_golden_args
+          @ [ "--trial-retries"; "1"; "--inject-fault"; "trial:0.5:9:5" ])
+        ~resume:simulate_golden_args "checkpoint-simulate-smoke-xor-faults.jsonl");
     ("golden churn --smoke --seed 7", `Quick,
       check_golden [ "churn"; "--smoke"; "--csv"; "--seed"; "7" ] "churn-smoke-seed7.csv");
     ("golden storage --smoke --sessions 2,8", `Quick,

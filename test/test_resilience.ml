@@ -209,6 +209,152 @@ let test_checkpoint_missing_and_corrupt () =
       | _ -> Alcotest.fail "future version accepted"
       | exception Failure _ -> ())
 
+(* Every record goes through one printer and one reader: random fields
+   (-0.0, subnormals, max_float, integers at ±(2^53 - 1), strings with
+   quotes, backslashes, control and high bytes, empty and long int
+   lists) must reload bit-equal and reprint to the same bytes. *)
+type field_value = F of float | I of int | S of string
+
+let max_exact = (1 lsl 53) - 1
+
+let float_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      oneofl
+        [ 0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308; Float.min_float;
+          Float.max_float; -.Float.max_float; 0.1; 1.0 /. 3.0; 1e22; 123456789.0 ];
+      map Int64.float_of_bits int64 |> map (fun f -> if Float.is_finite f then f else 0.5);
+      float_range (-1e6) 1e6;
+    ]
+
+let exact_int_gen =
+  QCheck2.Gen.(
+    oneof [ oneofl [ 0; 1; -1; max_exact; -max_exact ]; int_range (-max_exact) max_exact ])
+
+let string_gen =
+  QCheck2.Gen.(
+    string_size
+      ~gen:(oneof [ oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '\127' ]; char ])
+      (int_range 0 24))
+
+let field_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun f -> F f) float_gen;
+        map (fun i -> I i) exact_int_gen;
+        map (fun s -> S s) string_gen;
+      ])
+
+let record_gen =
+  QCheck2.Gen.(
+    quad
+      (list_size (int_range 0 12) (pair string_gen field_gen))
+      (pair float_gen exact_int_gen)
+      (oneof [ return []; list_size (int_range 0 2000) exact_int_gen ])
+      string_gen)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_checkpoint_fields_round_trip (fields, (q, seed), hops, text) =
+  with_temp_file (fun path ->
+      (* Names are made unique by an index prefix, and never "v" or
+         "kind", which every record line reserves. *)
+      let named = List.mapi (fun i (name, v) -> (Printf.sprintf "f%d:%s" i name, v)) fields in
+      let json = function
+        | F f -> Obs.Tiny_json.Num f
+        | I i -> Sim.Checkpoint.int i
+        | S s -> Obs.Tiny_json.Str s
+      in
+      let key = [ ("seed", Sim.Checkpoint.int seed); ("name", Obs.Tiny_json.Str text) ] in
+      let trial_key =
+        { Sim.Checkpoint.geometry = text; bits = 8; q; pairs = 300; seed; trial = 0 }
+      in
+      let ok =
+        Sim.Checkpoint.Trial
+          { Sim.Checkpoint.delivered = 1; attempted = 2; alive_fraction = q; hops }
+      in
+      let failed = Sim.Checkpoint.Failed { attempts = 3; error = text } in
+      let ck = Sim.Checkpoint.create ~path () in
+      Sim.Checkpoint.record_point ck ~kind:"prop" ~key
+        (List.map (fun (name, v) -> (name, json v)) named);
+      Sim.Checkpoint.record ck trial_key ok;
+      Sim.Checkpoint.record ck { trial_key with trial = 1 } failed;
+      Sim.Checkpoint.flush ck;
+      let bytes = read_file path in
+      let loaded = Sim.Checkpoint.load ~path () in
+      let decoded =
+        Sim.Checkpoint.find_point loaded ~kind:"prop" ~key ~decode:(fun f ->
+            List.for_all
+              (fun (name, v) ->
+                match v with
+                | F x -> bits_equal x (Sim.Checkpoint.get_float f name)
+                | I i -> i = Sim.Checkpoint.get_int f name
+                | S s -> s = Sim.Checkpoint.get_string f name)
+              named)
+      in
+      let trial_ok =
+        match Sim.Checkpoint.find loaded trial_key with
+        | Some (Sim.Checkpoint.Trial t) -> bits_equal t.alive_fraction q && t.hops = hops
+        | Some (Sim.Checkpoint.Failed _) | None -> false
+      in
+      let failed_ok = Sim.Checkpoint.find loaded { trial_key with trial = 1 } = Some failed in
+      Sim.Checkpoint.flush loaded;
+      decoded = Some true && trial_ok && failed_ok && read_file path = bytes)
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+(* A valid checkpoint with every record shape and escapes in strings. *)
+let sample_checkpoint path =
+  let ck = Sim.Checkpoint.create ~path () in
+  Sim.Checkpoint.record ck (sample_key 0)
+    (Sim.Checkpoint.Trial
+       { Sim.Checkpoint.delivered = 280; attempted = 300; alive_fraction = 0.8125;
+         hops = [ 3; 4; 5 ] });
+  Sim.Checkpoint.record ck (sample_key 1)
+    (Sim.Checkpoint.Failed { attempts = 2; error = "bad \"quote\" \\ \001 and\nnewline" });
+  Sim.Checkpoint.record_point ck ~kind:"churn"
+    ~key:[ ("geometry", Obs.Tiny_json.Str "xor"); ("seed", Sim.Checkpoint.int 77) ]
+    [ ("alive", Obs.Tiny_json.Num 0.1); ("events", Sim.Checkpoint.int 4242) ];
+  Sim.Checkpoint.flush ck;
+  String.split_on_char '\n' (read_file path) |> List.filter (fun l -> l <> "")
+
+let prop_checkpoint_cut_line_rejected (line_pick, cut_pick) =
+  with_temp_file (fun path ->
+      let lines = sample_checkpoint path in
+      let i = line_pick mod List.length lines in
+      let cut_line = List.nth lines i in
+      let cut = 1 + (cut_pick mod (String.length cut_line - 1)) in
+      List.mapi (fun j l -> if j = i then String.sub l 0 cut else l) lines
+      |> String.concat "\n" |> write_file path;
+      match Sim.Checkpoint.load ~path () with
+      | _ -> false
+      | exception Failure msg ->
+          Astring_contains.contains msg (Printf.sprintf "%s, line %d: " path (i + 1)))
+
+let test_checkpoint_refuses_inexact_ints () =
+  Alcotest.check_raises "2^53 refused"
+    (Invalid_argument
+       (Printf.sprintf "Sim.Checkpoint: %d is outside +-(2^53 - 1) and would not round-trip"
+          (max_exact + 1)))
+    (fun () -> ignore (Sim.Checkpoint.int (max_exact + 1)));
+  with_temp_file (fun path ->
+      let ck = Sim.Checkpoint.create ~interval:100 ~path () in
+      Sim.Checkpoint.record ck { (sample_key 0) with seed = max_exact + 2 }
+        (Sim.Checkpoint.Failed { attempts = 1; error = "x" });
+      (match Sim.Checkpoint.flush ck with
+      | () -> Alcotest.fail "a seed above 2^53 was written"
+      | exception Invalid_argument _ -> ());
+      match
+        Sim.Estimate.run_sweep ~checkpoint:ck { cfg with seed = max_exact + 2 } [ 0.2 ]
+      with
+      | _ -> Alcotest.fail "run_sweep accepted a checkpointed seed above 2^53"
+      | exception Invalid_argument _ -> ())
+
 (* --- Sim.Estimate under supervision ---------------------------------------- *)
 
 let test_sweep_transient_fault_plus_retry_bit_identical () =
@@ -362,6 +508,13 @@ let suite =
     ("checkpoint: store round-trip, stable bytes", `Quick, test_checkpoint_store_roundtrip);
     ("checkpoint: missing file empty, corrupt rejected", `Quick,
       test_checkpoint_missing_and_corrupt);
+    Helpers.qcheck ~count:100 "checkpoint: fields round-trip bit-equal, same bytes"
+      record_gen prop_checkpoint_fields_round_trip;
+    Helpers.qcheck ~count:300 "checkpoint: a cut line fails naming the line"
+      QCheck2.Gen.(pair nat nat)
+      prop_checkpoint_cut_line_rejected;
+    ("checkpoint: integers beyond 2^53 refused", `Quick,
+      test_checkpoint_refuses_inexact_ints);
     ("sweep: transient fault + retry bit-identical", `Quick,
       test_sweep_transient_fault_plus_retry_bit_identical);
     ("sweep: persistent fault counts failures exactly", `Quick,

@@ -583,52 +583,43 @@ let test_sweep_churn_mode_runs () =
 
 (* --- Checkpoint storage records ----------------------------------------------- *)
 
-let storage_key seed =
-  {
-    Sim.Checkpoint.k_geometry = "ring";
-    k_bits = 6;
-    k_nodes = 32;
-    k_keys = 8;
-    k_reads = 16;
-    k_zipf = 0.8;
-    k_r = 2;
-    k_rq = 2;
-    k_wq = 1;
-    k_mode = "static";
-    k_axis = 0.3;
-    k_session = "";
-    k_gap = "";
-    k_gap_mean = 0.0;
-    k_warmup = 0.0;
-    k_measurements = 0;
-    k_spacing = 0.0;
-    k_trials = 2;
-    k_seed = seed;
-  }
-
 let test_checkpoint_storage_round_trip () =
   let path = Filename.temp_file "dht_rcm_storage_rt" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
+      let cfg =
+        {
+          sweep_config with
+          Experiments.Storage_sweep.mode = Static { qs = [ 0.3 ]; trials = 2 };
+        }
+      in
+      let codec = Experiments.Storage_sweep.codec cfg in
+      let coords = (Rcm.Geometry.Ring, Storage.Quorum.make ~r:2 ~rq:2 ~wq:1, 0.3) in
       let point =
         {
-          Sim.Checkpoint.sp_attempted = 32;
-          sp_quorum = 28;
-          sp_degraded = 3;
-          sp_failed = 1;
-          sp_no_client = 0;
-          sp_availability = 0.875;
-          sp_survival = 0.9375;
-          sp_analytic = 0.91;
-          sp_mean_alive = 0.703125;
-          sp_probe_routes = 57;
-          sp_repair_routes = 4;
-          sp_repair_transfers = 3;
-          sp_load_max = 9;
-          sp_load_mean = 1.78125;
-          sp_load_p99 = 7;
-          sp_events = 0;
+          Experiments.Storage_sweep.geometry = Rcm.Geometry.Ring;
+          r = 2;
+          rq = 2;
+          wq = 1;
+          axis = 0.3;
+          churn_rate = Float.nan;
+          attempted = 32;
+          quorum_reads = 28;
+          degraded_reads = 3;
+          failed_reads = 1;
+          no_client = 0;
+          availability = 0.875;
+          survival = 0.9375;
+          analytic = 0.91;
+          mean_alive = 0.703125;
+          probe_routes = 57;
+          repair_routes = 4;
+          repair_transfers = 3;
+          load_max = 9;
+          load_mean = 1.78125;
+          load_p99 = 7;
+          events = 0;
         }
       in
       (* A dead point: nothing attempted, nan availability — the nan
@@ -636,25 +627,37 @@ let test_checkpoint_storage_round_trip () =
       let dead =
         {
           point with
-          Sim.Checkpoint.sp_attempted = 0;
-          sp_availability = Float.nan;
-          sp_quorum = 0;
-          sp_no_client = 32;
+          Experiments.Storage_sweep.attempted = 0;
+          availability = Float.nan;
+          quorum_reads = 0;
+          no_client = 32;
         }
       in
       let store = Sim.Checkpoint.create ~path () in
-      Sim.Checkpoint.record_storage store (storage_key 1) point;
-      Sim.Checkpoint.record_storage store (storage_key 2) dead;
+      let record seed p =
+        Sim.Checkpoint.record_point store ~kind:codec.kind ~key:(codec.key coords ~seed)
+          (codec.encode p)
+      in
+      record 1 point;
+      record 2 dead;
       Sim.Checkpoint.flush store;
       let loaded = Sim.Checkpoint.load ~path () in
       Alcotest.(check int) "two records" 2 (Sim.Checkpoint.length loaded);
-      (match Sim.Checkpoint.find_storage loaded (storage_key 1) with
-      | Some p -> Alcotest.(check bool) "exact round trip" true (p = point)
-      | None -> Alcotest.fail "stored point not found");
-      match Sim.Checkpoint.find_storage loaded (storage_key 2) with
+      let find seed =
+        Sim.Checkpoint.find_point loaded ~kind:codec.kind ~key:(codec.key coords ~seed)
+          ~decode:(codec.decode coords)
+      in
+      (match find 1 with
       | Some p ->
-          Alcotest.(check bool) "nan restored" true (Float.is_nan p.sp_availability);
-          Alcotest.(check int) "counts restored" 32 p.sp_no_client
+          Alcotest.(check bool) "exact round trip" true
+            (codec.encode p = codec.encode point
+            && p.geometry = Rcm.Geometry.Ring
+            && (p.r, p.rq, p.wq, p.axis) = (2, 2, 1, 0.3))
+      | None -> Alcotest.fail "stored point not found");
+      match find 2 with
+      | Some p ->
+          Alcotest.(check bool) "nan restored" true (Float.is_nan p.availability);
+          Alcotest.(check int) "counts restored" 32 p.no_client
       | None -> Alcotest.fail "dead point not found")
 
 let suite =
