@@ -75,7 +75,10 @@ let regenerate_figures () =
   Fmt.pr "%a@." Experiments.Series.pp
     (Experiments.Latency.run_all { Experiments.Latency.default_config with bits = ablation_bits });
   Fmt.pr "%a@." Experiments.Churn_bridge.pp_rows
-    (Experiments.Churn_bridge.run Experiments.Churn_bridge.default_config);
+    (Experiments.Churn_bridge.run
+       ~geometries:
+         [ Geom_record.geometry ~h:2 (); Rcm.Geometry.Ring; Rcm.Geometry.default_symphony ]
+       Experiments.Churn_bridge.default_config);
   Fmt.pr "%a@." Experiments.Series.pp
     (Experiments.Correlated_failures.run_all Experiments.Correlated_failures.default_config);
   Fmt.pr "%a@." Experiments.Critical_q.pp_rows (Experiments.Critical_q.run ());
@@ -178,14 +181,6 @@ let bench_latency_prediction =
     (Staged.stage (fun () ->
          ignore (Experiments.Latency.predicted_hops Rcm.Geometry.Ring ~d:12 ~q:0.2)))
 
-let bench_churn =
-  Test.make ~name:"e8/churn-run-d8"
-    (Staged.stage (fun () ->
-         ignore
-           (Sim.Churn.run
-              (Sim.Churn.config ~bits:8 ~warmup:10.0 ~measurements:2
-                 ~pairs_per_measurement:200 Rcm.Geometry.Xor))))
-
 let bench_session_churn =
   Test.make ~name:"churn/session-run-d8"
     (Staged.stage (fun () ->
@@ -212,7 +207,6 @@ let all_tests =
       bench_replication_analysis;
       bench_sparse_build;
       bench_latency_prediction;
-      bench_churn;
       bench_session_churn;
     ]
 

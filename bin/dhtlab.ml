@@ -1469,7 +1469,7 @@ let geometries names_only =
             [
               ("analysis", g.Geom.analysis); ("chain", g.Geom.chain);
               ("batch-block", g.Geom.batch_block); ("sparse", g.Geom.sparse);
-              ("churn", g.Geom.churn); ("session-churn", g.Geom.session_churn);
+              ("session-churn", g.Geom.session_churn);
               ("builtin", g.Geom.builtin);
             ]
         in

@@ -22,47 +22,43 @@ type row = {
   geometry : Rcm.Geometry.t;
   mean_downtime : float;
   repair_interval : float;
-  report : Sim.Churn.report;
+  report : Sim.Session_churn.report;
   static_sim : float;
       (** routability of a *static* failure snapshot at q = the churn
           run's measured stale fraction — isolates the static-to-churn
           mapping from the analytical model's idealisations *)
 }
 
-let geometries = [ Rcm.Geometry.Xor; Rcm.Geometry.Ring; Rcm.Geometry.default_symphony ]
-
-let run ?(geometries = geometries) cfg =
+let run ~geometries cfg =
   List.concat_map
     (fun geometry ->
       List.concat_map
         (fun mean_downtime ->
           List.map
             (fun repair_interval ->
-              let churn_config =
-                Sim.Churn.config ~bits:cfg.bits ~mean_downtime ~repair_interval
-                  ~pairs_per_measurement:cfg.pairs ~seed:cfg.seed geometry
+              let report =
+                Sim.Session_churn.run
+                  (Sim.Session_churn.config ~bits:cfg.bits
+                     ~session:(Sim.Lifetime.exponential ~mean:8.0)
+                     ~gap:(Sim.Lifetime.exponential ~mean:mean_downtime)
+                     ~maintenance_interval:repair_interval
+                     ~pairs_per_measurement:cfg.pairs ~seed:cfg.seed geometry)
               in
-              let report = Sim.Churn.run churn_config in
               let static_sim =
                 Sim.Estimate.routability
                   (Sim.Estimate.run
                      (Sim.Estimate.config ~trials:3 ~pairs_per_trial:cfg.pairs
                         ~seed:cfg.seed ~bits:cfg.bits
-                        ~q:report.Sim.Churn.mean_stale geometry))
+                        ~q:report.Sim.Session_churn.mean_stale geometry))
               in
               { geometry; mean_downtime; repair_interval; report; static_sim })
             cfg.repair_intervals)
         cfg.mean_downtimes)
     geometries
 
-(* How well the static *analysis* transfers: |measured - static@q_stale|. *)
-let prediction_error row =
-  Float.abs
-    (row.report.Sim.Churn.mean_routability -. row.report.Sim.Churn.mean_prediction)
-
 (* How well the static *simulation* transfers — the pure bridge test. *)
 let bridge_error row =
-  Float.abs (row.report.Sim.Churn.mean_routability -. row.static_sim)
+  Float.abs (row.report.Sim.Session_churn.mean_routability -. row.static_sim)
 
 let pp_rows ppf rows =
   Fmt.pf ppf "# E8: churn vs static resilience at q = stale fraction@.";
@@ -72,7 +68,7 @@ let pp_rows ppf rows =
     (fun row ->
       Fmt.pf ppf "%-10s %9.2f %8.2f %8.3f %8.4f %12.4f %12.4f %12.4f %8.4f@."
         (Rcm.Geometry.slug row.geometry)
-        row.mean_downtime row.repair_interval row.report.Sim.Churn.mean_alive
-        row.report.Sim.Churn.mean_stale row.report.Sim.Churn.mean_routability
-        row.report.Sim.Churn.mean_prediction row.static_sim (bridge_error row))
+        row.mean_downtime row.repair_interval row.report.Sim.Session_churn.mean_alive
+        row.report.Sim.Session_churn.mean_stale row.report.Sim.Session_churn.mean_routability
+        row.report.Sim.Session_churn.mean_prediction row.static_sim (bridge_error row))
     rows

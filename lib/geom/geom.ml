@@ -19,7 +19,6 @@ type t = {
   chain : bool;
   batch_block : bool;
   sparse : bool;
-  churn : bool;
   session_churn : bool;
 }
 
@@ -50,7 +49,7 @@ let names () = List.map name !registry
 
 (* --- the five paper geometries -------------------------------------------- *)
 
-let builtin default ~example ~degree ~hops ~batch_block ~sparse ~churn ~session_churn =
+let builtin default ~example ~degree ~hops ~batch_block ~sparse ~session_churn =
   {
     default;
     builtin = true;
@@ -61,23 +60,22 @@ let builtin default ~example ~degree ~hops ~batch_block ~sparse ~churn ~session_
     chain = true;
     batch_block;
     sparse;
-    churn;
     session_churn;
   }
 
 let () =
   register
     (builtin Rcm.Geometry.Tree ~example:"tree" ~degree:"d" ~hops:"O(log N)"
-       ~batch_block:true ~sparse:true ~churn:false ~session_churn:true);
+       ~batch_block:true ~sparse:true ~session_churn:true);
   register
     (builtin Rcm.Geometry.Hypercube ~example:"hypercube" ~degree:"d" ~hops:"O(log N)"
-       ~batch_block:false ~sparse:false ~churn:false ~session_churn:true);
+       ~batch_block:false ~sparse:false ~session_churn:true);
   register
     (builtin Rcm.Geometry.Xor ~example:"xor" ~degree:"d" ~hops:"O(log N)"
-       ~batch_block:true ~sparse:true ~churn:true ~session_churn:true);
+       ~batch_block:true ~sparse:true ~session_churn:true);
   register
     (builtin Rcm.Geometry.Ring ~example:"ring" ~degree:"d" ~hops:"O(log N)"
-       ~batch_block:true ~sparse:true ~churn:true ~session_churn:true);
+       ~batch_block:true ~sparse:true ~session_churn:true);
   register
     (builtin Rcm.Geometry.default_symphony ~example:"symphony" ~degree:"k_n + k_s"
-       ~hops:"O(log^2 N)" ~batch_block:true ~sparse:true ~churn:true ~session_churn:true)
+       ~hops:"O(log^2 N)" ~batch_block:true ~sparse:true ~session_churn:true)

@@ -32,7 +32,6 @@ type t = {
   sparse : bool;
       (** sparse overlay builder + sparse router + placement style
           registered — implies storage/hotspot support *)
-  churn : bool;  (** supported by the repair-process churn engine *)
   session_churn : bool;  (** supported by the session-churn engine *)
 }
 

@@ -348,6 +348,5 @@ let () =
       chain = true;
       batch_block = true;
       sparse = true;
-      churn = true;
       session_churn = true;
     }

@@ -1,11 +1,10 @@
-(* How a custom geometry family behaves under the churn engines: which
+(* How a custom geometry family behaves under the churn engine: which
    table slots are positional (never redrawn in place) versus
    re-drawable, how a re-drawable slot is redrawn, whether maintenance
    ticks repair dead entries, and which closed form predicts
    routability from measured staleness. Registered per family at
-   module-init time by the plugin library; both Churn and
-   Session_churn resolve through here, so one registration covers both
-   engines. *)
+   module-init time by the plugin library; Session_churn resolves
+   through here. *)
 
 type t = {
   near_slots : int;
@@ -24,8 +23,6 @@ let register ~family resolver =
     invalid_arg (Printf.sprintf "Churn_profile.register: %S already registered" family);
   Hashtbl.replace resolvers family resolver
 
-let registered ~family = Hashtbl.mem resolvers family
-
 let resolve_exn context geometry ~bits =
   match geometry with
   | Rcm.Geometry.Custom { family; params } -> (
@@ -37,11 +34,10 @@ let resolve_exn context geometry ~bits =
                family))
   | _ -> invalid_arg (context ^ ": Churn_profile.resolve_exn on a built-in geometry")
 
-(* Alive-preferring redraw with the engines' shared bounded-rejection
-   rule (at most 8 extra draws, then accept whatever came up) — the
-   same semantics as Churn.refresh_entry and
-   Session_churn.redraw_shortcut, so custom families age exactly like
-   the built-ins. *)
+(* Alive-preferring redraw with the engine's bounded-rejection rule
+   (at most 8 extra draws, then accept whatever came up) — the same
+   semantics as Session_churn.redraw_shortcut, so custom families age
+   exactly like the built-ins. *)
 let redraw_alive profile rng ~alive ~v ~slot =
   let rec try_draw attempts =
     let candidate = profile.redraw rng ~v ~slot in

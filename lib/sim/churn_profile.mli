@@ -1,14 +1,14 @@
 (** Churn behaviour of custom geometry families.
 
-    The churn engines ({!Churn}, {!Session_churn}) need four
-    per-geometry facts beyond routing: which routing-table slots are
-    {e positional} (a single deterministic candidate — ring fingers,
-    Symphony near links — that can only heal when its target returns),
+    The churn engine ({!Session_churn}) needs four per-geometry facts
+    beyond routing: which routing-table slots are {e positional} (a
+    single deterministic candidate — ring fingers, Symphony near
+    links — that can only heal when its target returns),
     how a {e re-drawable} slot draws a fresh candidate, whether
     periodic maintenance repairs dead entries in place, and which
     closed form maps measured staleness back to predicted
     routability. Built-in geometries hard-code these; a plugin family
-    registers them here once and both engines pick them up. *)
+    registers them here once. *)
 
 type t = {
   near_slots : int;
@@ -18,8 +18,8 @@ type t = {
           ([stale_near] / [stale_shortcut]) uses the same boundary. *)
   redraw : Prng.Splitmix.t -> v:int -> slot:int -> int;
       (** One raw candidate draw for re-drawable slot [slot] of node
-          [v]'s row — no liveness logic here; the engines wrap it in
-          their shared alive-preferring bounded rejection (at most 8
+          [v]'s row — no liveness logic here; the engine wraps it in
+          its alive-preferring bounded rejection (at most 8
           retries). Must consume the same draws the table builder's
           entry function would for that slot, so a fully-repaired row
           is distributed like a fresh one. *)
@@ -45,11 +45,6 @@ val register : family:string -> resolver -> unit
     time from the plugin library.
     @raise Invalid_argument if the family is already registered. *)
 
-val registered : family:string -> bool
-(** Whether a family has a churn profile — what
-    [Churn.config] / [Session_churn.config] check before accepting a
-    custom geometry. *)
-
 val resolve_exn : string -> Rcm.Geometry.t -> bits:int -> t
 (** [resolve_exn context geometry ~bits] resolves a custom geometry's
     profile, raising [Invalid_argument] (prefixed with [context]) for
@@ -59,4 +54,4 @@ val redraw_alive :
   t -> Prng.Splitmix.t -> alive:Overlay.Failure.t -> v:int -> slot:int -> int
 (** One alive-preferring redraw of a re-drawable slot: up to 8
     rejection draws of {!field-redraw} preferring live candidates, then
-    accept the last — the engines' shared repair rule. *)
+    accept the last — the engine's repair rule. *)

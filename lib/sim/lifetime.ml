@@ -18,14 +18,23 @@ let exponential ~mean =
   check_mean mean;
   { shape = Exponential; mean }
 
+(* Shape parameters must be finite: an infinite alpha or shape turns
+   the inverse-CDF draw into nan (Pareto) or a constant (Weibull), and
+   a nan one slips past any comparison. *)
+let valid_alpha alpha = Float.is_finite alpha && alpha > 1.0
+
+let valid_shape shape = Float.is_finite shape && shape > 0.0
+
 let pareto ~alpha ~mean =
   check_mean mean;
-  if alpha <= 1.0 then invalid_arg "Lifetime.pareto: alpha must exceed 1 (finite mean)";
+  if not (valid_alpha alpha) then
+    invalid_arg "Lifetime.pareto: alpha must be finite and exceed 1 (finite mean)";
   { shape = Pareto alpha; mean }
 
 let weibull ~shape ~mean =
   check_mean mean;
-  if shape <= 0.0 then invalid_arg "Lifetime.weibull: shape must be positive";
+  if not (valid_shape shape) then
+    invalid_arg "Lifetime.weibull: shape must be finite and positive";
   { shape = Weibull shape; mean }
 
 let mean t = t.mean
@@ -64,11 +73,11 @@ let of_string s =
           match (name, float_of_string_opt param) with
           | _, None -> Error (Printf.sprintf "bad parameter %S in %S" param s)
           | "pareto", Some alpha ->
-              if alpha > 1.0 then Ok (Pareto alpha)
-              else Error "pareto alpha must exceed 1 (finite mean)"
+              if valid_alpha alpha then Ok (Pareto alpha)
+              else Error "pareto alpha must be finite and exceed 1 (finite mean)"
           | "weibull", Some shape ->
-              if shape > 0.0 then Ok (Weibull shape)
-              else Error "weibull shape must be positive"
+              if valid_shape shape then Ok (Weibull shape)
+              else Error "weibull shape must be finite and positive"
           | _ -> Error (Printf.sprintf "unknown distribution %S (want exp, pareto:ALPHA or weibull:SHAPE)" name)))
 
 let shape_to_string = function

@@ -8,8 +8,8 @@
 
 type shape =
   | Exponential
-  | Pareto of float  (** tail exponent alpha, must exceed 1 *)
-  | Weibull of float  (** shape parameter, < 1 is heavy-tailed *)
+  | Pareto of float  (** tail exponent alpha, finite and > 1 *)
+  | Weibull of float  (** shape parameter, finite and > 0; < 1 is heavy-tailed *)
 
 type t
 
@@ -17,11 +17,12 @@ val exponential : mean:float -> t
 
 val pareto : alpha:float -> mean:float -> t
 (** Scale x_m = mean·(alpha-1)/alpha.
-    @raise Invalid_argument when [alpha <= 1] (infinite mean). *)
+    @raise Invalid_argument unless [alpha] is finite and > 1 (a finite
+    mean needs alpha > 1). *)
 
 val weibull : shape:float -> mean:float -> t
 (** Scale = mean / Gamma(1 + 1/shape).
-    @raise Invalid_argument when [shape <= 0]. *)
+    @raise Invalid_argument unless [shape] is finite and > 0. *)
 
 val mean : t -> float
 val shape : t -> shape
@@ -35,7 +36,8 @@ val draw : t -> Prng.Splitmix.t -> float
     seed. *)
 
 val of_string : string -> (shape, string) result
-(** Parses ["exp"], ["pareto:ALPHA"], ["weibull:SHAPE"]. *)
+(** Parses ["exp"], ["pareto:ALPHA"], ["weibull:SHAPE"], with the
+    same range checks as {!pareto} and {!weibull}. *)
 
 val shape_to_string : shape -> string
 

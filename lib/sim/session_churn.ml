@@ -13,6 +13,13 @@ type config = {
   seed : int;
 }
 
+let check_schedule context ~warmup ~measurements ~spacing =
+  if measurements < 1 then invalid_arg (context ^ ": need at least one measurement");
+  (* An infinite warmup would never reach the first measurement, and a
+     nan time would be rejected only by the event queue mid-run. *)
+  if not (Float.is_finite warmup && warmup >= 0.0 && Float.is_finite spacing && spacing > 0.0)
+  then invalid_arg (context ^ ": bad measurement schedule")
+
 let config ?(bits = 10) ?(session = Lifetime.exponential ~mean:8.0)
     ?(gap = Lifetime.exponential ~mean:2.0) ?(maintenance_interval = 1.0) ?(k = 4)
     ?(cache_k = 4) ?(warmup = 20.0) ?(measurements = 5) ?(measurement_spacing = 2.0)
@@ -25,9 +32,7 @@ let config ?(bits = 10) ?(session = Lifetime.exponential ~mean:8.0)
     invalid_arg "Session_churn.config: maintenance interval must be positive and finite";
   if k < 1 then invalid_arg "Session_churn.config: k < 1";
   if cache_k < 0 then invalid_arg "Session_churn.config: cache_k < 0";
-  if measurements < 1 then invalid_arg "Session_churn.config: need at least one measurement";
-  if not (Float.is_finite warmup && warmup >= 0.0 && positive measurement_spacing) then
-    invalid_arg "Session_churn.config: bad measurement schedule";
+  check_schedule "Session_churn.config" ~warmup ~measurements ~spacing:measurement_spacing;
   if pairs_per_measurement < 1 then
     invalid_arg "Session_churn.config: need at least one pair per measurement";
   (* Resolving a custom family's profile checks both its registration
@@ -79,6 +84,46 @@ type report = {
 
 type event = Depart of int | Arrive of int | Maintain of int | Measure
 
+(* The one session/gap event loop; the interface documents its draw
+   order, which every caller's output depends on. *)
+let drive ~rng ~alive ~session ~gap ~maintenance ~warmup ~measurements ~spacing ~rejoin
+    ~measure =
+  let queue = Event_queue.create ~filler:Measure in
+  for v = 0 to Overlay.Failure.length alive - 1 do
+    Event_queue.add queue ~time:(Lifetime.draw session rng) (Depart v);
+    match maintenance with
+    | Some (interval, _) ->
+        Event_queue.add queue ~time:(Prng.Splitmix.float rng *. interval) (Maintain v)
+    | None -> ()
+  done;
+  for i = 0 to measurements - 1 do
+    Event_queue.add queue ~time:(warmup +. (float_of_int i *. spacing)) Measure
+  done;
+  let horizon = warmup +. (float_of_int measurements *. spacing) in
+  let rec loop events =
+    match Event_queue.pop queue with
+    | None -> events
+    | Some (time, _) when time > horizon -> events
+    | Some (time, ev) ->
+        (match ev with
+        | Depart v ->
+            Overlay.Failure.set alive v false;
+            Event_queue.add queue ~time:(time +. Lifetime.draw gap rng) (Arrive v)
+        | Arrive v ->
+            Overlay.Failure.set alive v true;
+            rejoin v;
+            Event_queue.add queue ~time:(time +. Lifetime.draw session rng) (Depart v)
+        | Maintain v -> (
+            match maintenance with
+            | Some (interval, tick) ->
+                if Overlay.Failure.get alive v then tick v;
+                Event_queue.add queue ~time:(time +. interval) (Maintain v)
+            | None -> ())
+        | Measure -> measure time);
+        loop (events + 1)
+  in
+  loop 0
+
 (* The two table representations under churn: xor runs real Kademlia
    k-buckets with LRU maintenance; every other geometry owns a mutable
    neighbour matrix (ring fingers and tree/hypercube bit-links are
@@ -90,7 +135,7 @@ type tables =
   | Matrix of { neighbors : int array array; table : Overlay.Table.t }
 
 (* Alive-preferring redraw of a symphony shortcut (bounded rejection,
-   as in Churn.refresh_entry). *)
+   as in Churn_profile.redraw_alive). *)
 let redraw_shortcut rng ~alive ~size v =
   let rec try_draw attempts =
     let candidate = (v + Prng.Splitmix.harmonic_int rng ~n:(size - 1)) land (size - 1) in
@@ -301,52 +346,29 @@ let run cfg =
   in
   let alive = Overlay.Failure.none n in
   let refresh_level = Array.make n 0 in
-  let queue = Event_queue.create ~filler:Measure in
   let maintained =
     match (cfg.geometry, profile) with
     | (Rcm.Geometry.Symphony _ | Rcm.Geometry.Xor), _ -> true
     | _, Some p -> p.Churn_profile.maintained
     | _, None -> false
   in
-  for v = 0 to n - 1 do
-    Event_queue.add queue ~time:(Lifetime.draw cfg.session rng) (Depart v);
+  let maintenance =
     if maintained then
-      Event_queue.add queue
-        ~time:(Prng.Splitmix.float rng *. cfg.maintenance_interval)
-        (Maintain v)
-  done;
-  for i = 0 to cfg.measurements - 1 do
-    Event_queue.add queue
-      ~time:(cfg.warmup +. (float_of_int i *. cfg.measurement_spacing))
-      Measure
-  done;
-  let horizon = cfg.warmup +. (float_of_int cfg.measurements *. cfg.measurement_spacing) in
-  let out = ref [] in
-  let events = ref 0 in
-  let rec loop () =
-    match Event_queue.pop queue with
-    | None -> ()
-    | Some (time, _) when time > horizon -> ()
-    | Some (time, ev) ->
-        incr events;
-        (match ev with
-        | Depart v ->
-            Overlay.Failure.set alive v false;
-            Event_queue.add queue ~time:(time +. Lifetime.draw cfg.gap rng) (Arrive v)
-        | Arrive v ->
-            Overlay.Failure.set alive v true;
-            (match tables with
-            | Buckets table -> rejoin_xor table rng ~alive v
-            | Matrix { neighbors; _ } -> rejoin_matrix cfg ~profile rng ~alive ~neighbors v);
-            Event_queue.add queue ~time:(time +. Lifetime.draw cfg.session rng) (Depart v)
-        | Maintain v ->
-            if Overlay.Failure.get alive v then
-              maintain_node cfg ~profile rng ~alive ~tables ~refresh_level v;
-            Event_queue.add queue ~time:(time +. cfg.maintenance_interval) (Maintain v)
-        | Measure -> out := measure cfg ~profile rng ~alive ~tables ~time :: !out);
-        loop ()
+      Some
+        (cfg.maintenance_interval, maintain_node cfg ~profile rng ~alive ~tables ~refresh_level)
+    else None
   in
-  loop ();
+  let rejoin v =
+    match tables with
+    | Buckets table -> rejoin_xor table rng ~alive v
+    | Matrix { neighbors; _ } -> rejoin_matrix cfg ~profile rng ~alive ~neighbors v
+  in
+  let out = ref [] in
+  let events =
+    drive ~rng ~alive ~session:cfg.session ~gap:cfg.gap ~maintenance ~warmup:cfg.warmup
+      ~measurements:cfg.measurements ~spacing:cfg.measurement_spacing ~rejoin
+      ~measure:(fun time -> out := measure cfg ~profile rng ~alive ~tables ~time :: !out)
+  in
   let measurements = List.rev !out in
   let mean f =
     List.fold_left (fun acc m -> acc +. f m) 0.0 measurements
@@ -366,7 +388,7 @@ let run cfg =
     mean_routability;
     mean_prediction = mean (fun m -> m.static_prediction);
     no_pair_measurements = List.length measurements - List.length routable;
-    events_processed = !events;
+    events_processed = events;
   }
 
 let pp_report ppf r =

@@ -105,4 +105,40 @@ type report = {
 val run : config -> report
 (** Deterministic in [config.seed]. *)
 
+val check_schedule : string -> warmup:float -> measurements:int -> spacing:float -> unit
+(** [check_schedule context ~warmup ~measurements ~spacing] is the
+    measurement-schedule check every churn config runs before any
+    event: at least one measurement, a finite [warmup >= 0] and a
+    finite [spacing > 0].
+    @raise Invalid_argument otherwise, the message prefixed with
+    [context]. *)
+
+val drive :
+  rng:Prng.Splitmix.t ->
+  alive:Overlay.Failure.t ->
+  session:Lifetime.t ->
+  gap:Lifetime.t ->
+  maintenance:(float * (int -> unit)) option ->
+  warmup:float ->
+  measurements:int ->
+  spacing:float ->
+  rejoin:(int -> unit) ->
+  measure:(float -> unit) ->
+  int
+(** The session/gap event loop shared by {!run} and the storage churn
+    simulation; returns the number of events processed up to the
+    horizon [warmup + measurements * spacing].
+
+    [alive] starts all alive; every node begins a session. The
+    initial schedule draws, per node in id order, one [session]
+    length and then, only when [maintenance = Some (interval, tick)],
+    one maintenance offset drawn uniformly below [interval]. A departure
+    marks the node dead and draws a [gap]; an arrival marks it alive,
+    calls [rejoin v], then draws the next session. A maintenance event
+    calls [tick v] only if [v] is alive and always reschedules itself
+    [interval] later, so the schedule never depends on the alive
+    pattern's history. [measure time] runs at [warmup + i * spacing]
+    for [i < measurements]. Every draw comes from [rng], in event
+    order. *)
+
 val pp_report : Format.formatter -> report -> unit

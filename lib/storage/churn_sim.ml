@@ -23,13 +23,8 @@ let validate cfg =
     invalid_arg "Churn_sim: zipf_s must be finite and non-negative";
   if cfg.quorum.Quorum.r > cfg.nodes then
     invalid_arg "Churn_sim: replication degree exceeds node count";
-  if cfg.measurements < 1 then
-    invalid_arg "Churn_sim: need at least one measurement";
-  (* An infinite warmup would never reach the first measurement, and a
-     nan time would be rejected only by the event queue mid-run. *)
-  if not (Float.is_finite cfg.warmup && cfg.warmup >= 0.
-          && Float.is_finite cfg.spacing && cfg.spacing > 0.)
-  then invalid_arg "Churn_sim: bad measurement schedule"
+  Sim.Session_churn.check_schedule "Churn_sim" ~warmup:cfg.warmup
+    ~measurements:cfg.measurements ~spacing:cfg.spacing
 
 let churn_rate cfg =
   1. /. (Sim.Lifetime.mean cfg.session +. Sim.Lifetime.mean cfg.gap)
@@ -64,8 +59,6 @@ type result = {
   events : int;
 }
 
-type event = Depart of int | Arrive of int | Measure
-
 let run geometry cfg ~seed =
   validate cfg;
   let rng = Prng.Splitmix.create ~seed in
@@ -77,20 +70,6 @@ let run geometry cfg ~seed =
       overlay
   in
   let alive = Overlay.Failure.none cfg.nodes in
-  let queue = Sim.Event_queue.create ~filler:Measure in
-  for v = 0 to cfg.nodes - 1 do
-    Sim.Event_queue.add queue
-      ~time:(Sim.Lifetime.draw cfg.session rng)
-      (Depart v)
-  done;
-  for i = 0 to cfg.measurements - 1 do
-    Sim.Event_queue.add queue
-      ~time:(cfg.warmup +. (float_of_int i *. cfg.spacing))
-      Measure
-  done;
-  let horizon =
-    cfg.warmup +. (float_of_int cfg.measurements *. cfg.spacing)
-  in
   let attempted = ref 0 in
   let quorum_reads = ref 0 in
   let degraded_reads = ref 0 in
@@ -99,7 +78,6 @@ let run geometry cfg ~seed =
   let probe_routes = ref 0 in
   let repair_routes = ref 0 in
   let repair_transfers = ref 0 in
-  let events = ref 0 in
   let out = ref [] in
   let measure time =
     let survivors = Overlay.Failure.survivors alive in
@@ -143,27 +121,13 @@ let run geometry cfg ~seed =
       }
       :: !out
   in
-  let rec loop () =
-    match Sim.Event_queue.pop queue with
-    | None -> ()
-    | Some (time, _) when time > horizon -> ()
-    | Some (time, ev) ->
-        incr events;
-        (match ev with
-        | Depart v ->
-            Overlay.Failure.set alive v false;
-            Sim.Event_queue.add queue
-              ~time:(time +. Sim.Lifetime.draw cfg.gap rng)
-              (Arrive v)
-        | Arrive v ->
-            Overlay.Failure.set alive v true;
-            Sim.Event_queue.add queue
-              ~time:(time +. Sim.Lifetime.draw cfg.session rng)
-              (Depart v)
-        | Measure -> measure time);
-        loop ()
+  (* The overlay is static: no maintenance ticks, and a rejoining node
+     keeps its contacts. *)
+  let events =
+    Sim.Session_churn.drive ~rng ~alive ~session:cfg.session ~gap:cfg.gap
+      ~maintenance:None ~warmup:cfg.warmup ~measurements:cfg.measurements
+      ~spacing:cfg.spacing ~rejoin:ignore ~measure
   in
-  loop ();
   let measurements = List.rev !out in
   let count = List.length measurements in
   let mean f =
@@ -196,5 +160,5 @@ let run geometry cfg ~seed =
     load_max = (if Array.length loads = 0 then 0 else loads.(Array.length loads - 1));
     load_mean = float_of_int total_load /. float_of_int cfg.nodes;
     load_p99 = p99;
-    events = !events;
+    events;
   }

@@ -1,8 +1,8 @@
 (** Data availability under session churn.
 
     Nodes alternate alive sessions and offline gaps drawn from
-    {!Sim.Lifetime} distributions (event-driven, as in
-    {!Sim.Session_churn}); the overlay's contact structure is static
+    {!Sim.Lifetime} distributions, on {!Sim.Session_churn.drive}'s
+    event loop; the overlay's contact structure is static
     (tables are not repaired — the storage layer, not the routing
     layer, is the system under test here) while the alive-mask evolves.
     At each measurement epoch a batch of quorum reads with read-repair

@@ -167,7 +167,12 @@ let test_lifetime_of_string () =
       match Sim.Lifetime.of_string bad with
       | Ok _ -> Alcotest.failf "%s should be rejected" bad
       | Error _ -> ())
-    [ "gaussian"; "pareto:1.0"; "pareto:x"; "weibull:0"; "weibull:"; "" ]
+    [
+      "gaussian"; "pareto:1.0"; "pareto:x"; "weibull:0"; "weibull:"; "";
+      (* Shape parameters must be finite: pareto:inf makes every draw
+         nan, weibull:inf makes every session exactly its mean. *)
+      "pareto:inf"; "pareto:nan"; "weibull:inf"; "weibull:nan";
+    ]
 
 let test_lifetime_guards () =
   List.iter
@@ -179,8 +184,14 @@ let test_lifetime_guards () =
          with Invalid_argument _ -> true))
     [
       (fun () -> Sim.Lifetime.exponential ~mean:0.0);
+      (fun () -> Sim.Lifetime.exponential ~mean:nan);
+      (fun () -> Sim.Lifetime.exponential ~mean:infinity);
       (fun () -> Sim.Lifetime.pareto ~alpha:1.0 ~mean:5.0);
+      (fun () -> Sim.Lifetime.pareto ~alpha:nan ~mean:5.0);
+      (fun () -> Sim.Lifetime.pareto ~alpha:infinity ~mean:5.0);
       (fun () -> Sim.Lifetime.weibull ~shape:0.0 ~mean:5.0);
+      (fun () -> Sim.Lifetime.weibull ~shape:nan ~mean:5.0);
+      (fun () -> Sim.Lifetime.weibull ~shape:infinity ~mean:5.0);
     ]
 
 let test_lifetime_sample_means () =
@@ -216,12 +227,22 @@ let test_lifetime_with_mean () =
   Alcotest.(check bool) "shape preserved" true
     (Sim.Lifetime.shape t' = Sim.Lifetime.Pareto 2.0)
 
-(* --- Churn simulation ------------------------------------------------------ *)
+(* --- Churn with redraw repair (E8's settings) ---------------------------------- *)
 
-let quick_config ?(geometry = Rcm.Geometry.Xor) ?(mean_downtime = 2.0)
-    ?(repair_interval = 1.0) ?(seed = 13) () =
-  Sim.Churn.config ~bits:8 ~mean_uptime:8.0 ~mean_downtime ~repair_interval ~warmup:15.0
-    ~measurements:3 ~measurement_spacing:2.0 ~pairs_per_measurement:400 ~seed geometry
+(* E8's repair-process settings: exponential sessions of mean 8, dead
+   entries redrawn at every maintenance tick. The paper's one-contact
+   xor table runs as record:h=2, whose churn profile redraws dead
+   entries (the built-in xor runs Kademlia k-buckets instead). *)
+let record_h2 = Geom_record.geometry ~h:2 ()
+
+let repair_config ?(geometry = record_h2) ?(mean_downtime = 2.0) ?(repair_interval = 1.0) () =
+  Sim.Session_churn.config ~bits:8
+    ~session:(Sim.Lifetime.exponential ~mean:8.0)
+    ~gap:(Sim.Lifetime.exponential ~mean:mean_downtime)
+    ~maintenance_interval:repair_interval ~warmup:15.0 ~measurements:3
+    ~measurement_spacing:2.0 ~pairs_per_measurement:400 ~seed:13 geometry
+
+let down_fraction cfg = 1.0 -. Sim.Session_churn.expected_availability cfg
 
 (* Each thunk builds one bad config; every one must be rejected. *)
 let check_rejected cases =
@@ -234,99 +255,105 @@ let check_rejected cases =
          with Invalid_argument _ -> true))
     cases
 
-let test_churn_rejects_bad_config () =
-  let xor = Rcm.Geometry.Xor in
-  check_rejected
-    [
-      ("tree", fun () -> Sim.Churn.config Rcm.Geometry.Tree);
-      ("zero uptime", fun () -> Sim.Churn.config ~mean_uptime:0.0 xor);
-      ("nan uptime", fun () -> Sim.Churn.config ~mean_uptime:nan xor);
-      ("infinite uptime", fun () -> Sim.Churn.config ~mean_uptime:infinity xor);
-      ("nan downtime", fun () -> Sim.Churn.config ~mean_downtime:nan xor);
-      ("infinite downtime", fun () -> Sim.Churn.config ~mean_downtime:infinity xor);
-      ("nan repair interval", fun () -> Sim.Churn.config ~repair_interval:nan xor);
-      ("infinite repair interval", fun () -> Sim.Churn.config ~repair_interval:infinity xor);
-      ("negative warmup", fun () -> Sim.Churn.config ~warmup:(-1.0) xor);
-      ("nan warmup", fun () -> Sim.Churn.config ~warmup:nan xor);
-      ("zero spacing", fun () -> Sim.Churn.config ~measurement_spacing:0.0 xor);
-      ("nan spacing", fun () -> Sim.Churn.config ~measurement_spacing:nan xor);
-      (* Zero pairs used to report routability = Some nan, a fabricated
-         sample. *)
-      ("zero pairs", fun () -> Sim.Churn.config ~pairs_per_measurement:0 xor);
-    ]
-
-let test_churn_reproducible () =
-  let a = Sim.Churn.run (quick_config ()) in
-  let b = Sim.Churn.run (quick_config ()) in
-  check_close a.Sim.Churn.mean_routability b.Sim.Churn.mean_routability;
-  check_close a.Sim.Churn.mean_stale b.Sim.Churn.mean_stale
-
-let test_churn_alive_fraction () =
-  (* Steady-state down fraction = 2 / (8+2) = 0.2. *)
-  let report = Sim.Churn.run (quick_config ()) in
-  let expected = 1.0 -. Sim.Churn.expected_down_fraction (quick_config ()) in
-  Alcotest.(check bool)
-    (Printf.sprintf "alive %.3f ~ %.3f" report.Sim.Churn.mean_alive expected)
-    true
-    (Float.abs (report.Sim.Churn.mean_alive -. expected) < 0.06)
-
-let test_churn_no_churn_limit () =
-  (* Vanishing downtime: everything stays alive and routable. *)
-  let cfg =
-    Sim.Churn.config ~bits:8 ~mean_uptime:1e9 ~mean_downtime:1e-9 ~repair_interval:1.0
-      ~warmup:5.0 ~measurements:2 ~measurement_spacing:1.0 ~pairs_per_measurement:200
-      ~seed:3 Rcm.Geometry.Xor
+let test_churn_config_guards () =
+  (* Session_churn.config and Storage.Churn_sim.validate share one
+     schedule check: each bad schedule is rejected by both. *)
+  let storage =
+    {
+      Storage.Churn_sim.bits = 7;
+      nodes = 64;
+      keys = 8;
+      reads = 32;
+      zipf_s = 0.8;
+      quorum = Storage.Quorum.make ~r:3 ~rq:2 ~wq:2;
+      session = Sim.Lifetime.exponential ~mean:8.0;
+      gap = Sim.Lifetime.exponential ~mean:2.0;
+      warmup = 15.0;
+      measurements = 3;
+      spacing = 2.0;
+    }
   in
-  let report = Sim.Churn.run cfg in
-  Alcotest.(check bool) "alive ~ 1" true (report.Sim.Churn.mean_alive > 0.999);
-  Alcotest.(check bool) "stale ~ 0" true (report.Sim.Churn.mean_stale < 0.01);
-  check_close 1.0 report.Sim.Churn.mean_routability
+  Storage.Churn_sim.validate storage;
+  List.iter
+    (fun (name, warmup, measurements, spacing) ->
+      check_rejected
+        [
+          ( name ^ " (session)",
+            fun () ->
+              ignore
+                (Sim.Session_churn.config ~warmup ~measurements
+                   ~measurement_spacing:spacing Rcm.Geometry.Xor) );
+          ( name ^ " (storage)",
+            fun () -> Storage.Churn_sim.validate { storage with warmup; measurements; spacing } );
+        ])
+    [
+      ("no measurements", 15.0, 0, 2.0);
+      ("negative warmup", -1.0, 3, 2.0);
+      ("nan warmup", nan, 3, 2.0);
+      ("infinite warmup", infinity, 3, 2.0);
+      ("zero spacing", 15.0, 3, 0.0);
+      ("nan spacing", 15.0, 3, nan);
+      ("infinite spacing", 15.0, 3, infinity);
+    ]
 
 let test_churn_repair_helps_xor () =
   (* Faster repair -> fewer stale entries -> higher routability. *)
-  let slow = Sim.Churn.run (quick_config ~repair_interval:4.0 ()) in
-  let fast = Sim.Churn.run (quick_config ~repair_interval:0.25 ()) in
+  let slow = Sim.Session_churn.run (repair_config ~repair_interval:4.0 ()) in
+  let fast = Sim.Session_churn.run (repair_config ~repair_interval:0.25 ()) in
   Alcotest.(check bool)
-    (Printf.sprintf "stale %.4f < %.4f" fast.Sim.Churn.mean_stale slow.Sim.Churn.mean_stale)
+    (Printf.sprintf "stale %.4f < %.4f" fast.Sim.Session_churn.mean_stale
+       slow.Sim.Session_churn.mean_stale)
     true
-    (fast.Sim.Churn.mean_stale < slow.Sim.Churn.mean_stale);
+    (fast.Sim.Session_churn.mean_stale < slow.Sim.Session_churn.mean_stale);
   Alcotest.(check bool)
-    (Printf.sprintf "routability %.4f >= %.4f" fast.Sim.Churn.mean_routability
-       slow.Sim.Churn.mean_routability)
+    (Printf.sprintf "routability %.4f >= %.4f" fast.Sim.Session_churn.mean_routability
+       slow.Sim.Session_churn.mean_routability)
     true
-    (fast.Sim.Churn.mean_routability >= slow.Sim.Churn.mean_routability -. 0.01)
+    (fast.Sim.Session_churn.mean_routability
+    >= slow.Sim.Session_churn.mean_routability -. 0.01)
 
 let test_churn_ring_repair_noop () =
-  (* Ring fingers are deterministic: repair interval cannot matter. *)
-  let a = Sim.Churn.run (quick_config ~geometry:Rcm.Geometry.Ring ~repair_interval:0.25 ()) in
-  let b = Sim.Churn.run (quick_config ~geometry:Rcm.Geometry.Ring ~repair_interval:4.0 ()) in
-  check_close a.Sim.Churn.mean_stale b.Sim.Churn.mean_stale;
-  check_close a.Sim.Churn.mean_routability b.Sim.Churn.mean_routability
+  (* Ring fingers and tree/hypercube bit-links are deterministic, so no
+     maintenance is scheduled and the repair interval cannot change a
+     single draw. *)
+  List.iter
+    (fun geometry ->
+      let run repair_interval =
+        Sim.Session_churn.run (repair_config ~geometry ~repair_interval ())
+      in
+      let a = run 0.25 and b = run 4.0 in
+      let slug = Rcm.Geometry.slug geometry in
+      Alcotest.(check bool) (slug ^ ": identical measurement lists") true
+        (a.Sim.Session_churn.measurements = b.Sim.Session_churn.measurements);
+      Alcotest.(check int) (slug ^ ": identical event counts")
+        a.Sim.Session_churn.events_processed b.Sim.Session_churn.events_processed)
+    [ Rcm.Geometry.Ring; Rcm.Geometry.Tree; Rcm.Geometry.Hypercube ]
 
 let test_churn_ring_stale_equals_down () =
   (* Unrepairable entries are stale exactly when their target is down:
      stale fraction ~ down fraction. *)
-  let report = Sim.Churn.run (quick_config ~geometry:Rcm.Geometry.Ring ()) in
-  let down = Sim.Churn.expected_down_fraction (quick_config ()) in
+  let cfg = repair_config ~geometry:Rcm.Geometry.Ring () in
+  let report = Sim.Session_churn.run cfg in
+  let down = down_fraction cfg in
   Alcotest.(check bool)
-    (Printf.sprintf "stale %.3f ~ down %.3f" report.Sim.Churn.mean_stale down)
+    (Printf.sprintf "stale %.3f ~ down %.3f" report.Sim.Session_churn.mean_stale down)
     true
-    (Float.abs (report.Sim.Churn.mean_stale -. down) < 0.05)
+    (Float.abs (report.Sim.Session_churn.mean_stale -. down) < 0.05)
 
 let test_churn_more_churn_hurts () =
-  let calm = Sim.Churn.run (quick_config ~mean_downtime:0.5 ()) in
-  let stormy = Sim.Churn.run (quick_config ~mean_downtime:6.0 ()) in
+  let calm = Sim.Session_churn.run (repair_config ~mean_downtime:0.5 ()) in
+  let stormy = Sim.Session_churn.run (repair_config ~mean_downtime:6.0 ()) in
   Alcotest.(check bool) "routability drops" true
-    (stormy.Sim.Churn.mean_routability < calm.Sim.Churn.mean_routability)
+    (stormy.Sim.Session_churn.mean_routability < calm.Sim.Session_churn.mean_routability)
 
 let test_churn_bridge_accuracy_xor () =
   (* The static simulation at q = stale fraction predicts churn
-     routability to a few points for XOR (EXPERIMENTS.md E8). *)
+     routability to a few points for the xor table (EXPERIMENTS.md E8). *)
   let cfg =
     { Experiments.Churn_bridge.default_config with
       bits = 8; mean_downtimes = [ 2.0 ]; repair_intervals = [ 1.0 ]; pairs = 600 }
   in
-  let rows = Experiments.Churn_bridge.run ~geometries:[ Rcm.Geometry.Xor ] cfg in
+  let rows = Experiments.Churn_bridge.run ~geometries:[ record_h2 ] cfg in
   List.iter
     (fun row ->
       let err = Experiments.Churn_bridge.bridge_error row in
@@ -337,50 +364,39 @@ let test_churn_symphony_class_staleness () =
   (* Symphony's near links cannot be repaired in place, so their stale
      fraction approaches the down fraction, while repaired shortcuts
      stay fresher. *)
-  let report =
-    Sim.Churn.run (quick_config ~geometry:Rcm.Geometry.default_symphony ~repair_interval:0.5 ())
-  in
+  let cfg = repair_config ~geometry:Rcm.Geometry.default_symphony ~repair_interval:0.5 () in
+  let report = Sim.Session_churn.run cfg in
   let near = ref 0.0 and shortcut = ref 0.0 and count = ref 0 in
   List.iter
     (fun m ->
-      near := !near +. m.Sim.Churn.stale_near;
-      shortcut := !shortcut +. m.Sim.Churn.stale_shortcut;
+      near := !near +. m.Sim.Session_churn.stale_near;
+      shortcut := !shortcut +. m.Sim.Session_churn.stale_shortcut;
       incr count)
-    report.Sim.Churn.measurements;
+    report.Sim.Session_churn.measurements;
   let near = !near /. float_of_int !count in
   let shortcut = !shortcut /. float_of_int !count in
   Alcotest.(check bool)
     (Printf.sprintf "near %.3f > shortcut %.3f" near shortcut)
     true (near > shortcut);
-  let down = Sim.Churn.expected_down_fraction (quick_config ()) in
+  let down = down_fraction cfg in
   Alcotest.(check bool)
     (Printf.sprintf "near %.3f ~ down %.3f" near down)
     true
     (Float.abs (near -. down) < 0.07)
 
-let test_churn_measurement_count () =
-  let report = Sim.Churn.run (quick_config ()) in
-  Alcotest.(check int) "measurements" 3 (List.length report.Sim.Churn.measurements)
-
-let test_churn_no_pair_measurements () =
-  (* Near-total outage: sessions are instants, gaps are eras, so no
-     measurement finds two live nodes. The fabricated-zero bug used to
-     report mean_routability = 0.0 here; the fix reports the absence. *)
-  let cfg =
-    Sim.Churn.config ~bits:6 ~mean_uptime:1e-4 ~mean_downtime:1e7 ~repair_interval:1.0
-      ~warmup:5.0 ~measurements:3 ~measurement_spacing:2.0 ~pairs_per_measurement:50
-      ~seed:21 Rcm.Geometry.Xor
+let test_churn_bridge_golden () =
+  (* The whole default E8 table, byte for byte: a change of draw or
+     event order in the churn engine or the static estimator fails
+     here. Regenerate only for a deliberate change of output. *)
+  let file = Filename.concat "golden" "churn-bridge-default.txt" in
+  let golden = In_channel.with_open_bin file In_channel.input_all in
+  let rows =
+    Experiments.Churn_bridge.run
+      ~geometries:[ record_h2; Rcm.Geometry.Ring; Rcm.Geometry.default_symphony ]
+      Experiments.Churn_bridge.default_config
   in
-  let report = Sim.Churn.run cfg in
-  Alcotest.(check int) "all measurements pairless" 3 report.Sim.Churn.no_pair_measurements;
-  List.iter
-    (fun m -> Alcotest.(check bool) "no sample" true (m.Sim.Churn.routability = None))
-    report.Sim.Churn.measurements;
-  Alcotest.(check bool) "mean is nan, not zero" true
-    (Float.is_nan report.Sim.Churn.mean_routability);
-  let rendered = Fmt.str "%a" Sim.Churn.pp_report report in
-  Alcotest.(check bool) "report names the pairless measurements" true
-    (Astring_contains.contains rendered "no routable pairs")
+  Alcotest.(check string) ("matches " ^ file) golden
+    (Fmt.str "%a" Experiments.Churn_bridge.pp_rows rows)
 
 (* --- Session-churn engine --------------------------------------------------- *)
 
@@ -402,10 +418,6 @@ let test_session_config_guards () =
       ("nan maintenance", fun () -> Sim.Session_churn.config ~maintenance_interval:nan xor);
       ( "infinite maintenance",
         fun () -> Sim.Session_churn.config ~maintenance_interval:infinity xor );
-      ("no measurements", fun () -> Sim.Session_churn.config ~measurements:0 xor);
-      ("nan warmup", fun () -> Sim.Session_churn.config ~warmup:nan xor);
-      ("infinite warmup", fun () -> Sim.Session_churn.config ~warmup:infinity xor);
-      ("nan spacing", fun () -> Sim.Session_churn.config ~measurement_spacing:nan xor);
       ("zero pairs", fun () -> Sim.Session_churn.config ~pairs_per_measurement:0 xor);
       ("zero bits", fun () -> Sim.Session_churn.config ~bits:0 xor);
     ]
@@ -448,25 +460,12 @@ let test_session_all_geometries () =
     |> List.filter (fun d -> d.Geom.session_churn)
     |> List.map (fun d -> d.Geom.default))
 
-let test_churn_registry_geometries () =
-  (* The steady-state churn engine accepts exactly the descriptors that
-     declare the churn capability; each produces sane measurements. *)
-  Geom.all ()
-  |> List.filter (fun d -> d.Geom.churn)
-  |> List.iter (fun d ->
-         let geometry = d.Geom.default in
-         let slug = Rcm.Geometry.slug geometry in
-         let report = Sim.Churn.run (quick_config ~geometry ()) in
-         check_in_unit ~msg:(slug ^ " routability") report.Sim.Churn.mean_routability;
-         check_in_unit ~msg:(slug ^ " stale") report.Sim.Churn.mean_stale;
-         check_in_unit ~msg:(slug ^ " alive") report.Sim.Churn.mean_alive)
-
 let test_session_alive_tracks_availability () =
   let report = Sim.Session_churn.run (session_config ~geometry:Rcm.Geometry.Ring ()) in
   Alcotest.(check bool)
     (Printf.sprintf "alive %.3f ~ availability 0.8" report.Sim.Session_churn.mean_alive)
     true
-    (Float.abs (report.Sim.Session_churn.mean_alive -. 0.8) < 0.1)
+    (Float.abs (report.Sim.Session_churn.mean_alive -. 0.8) < 0.06)
 
 let test_session_no_churn_limit () =
   (* Sessions dwarf the horizon: nobody leaves, tables stay perfect. *)
@@ -501,6 +500,9 @@ let test_session_no_pair_measurements () =
       (session_config ~geometry:Rcm.Geometry.Ring ~session_mean:1e-4 ~gap_mean:1e7 ())
   in
   Alcotest.(check int) "all pairless" 3 report.Sim.Session_churn.no_pair_measurements;
+  List.iter
+    (fun m -> Alcotest.(check bool) "no sample" true (m.Sim.Session_churn.routability = None))
+    report.Sim.Session_churn.measurements;
   Alcotest.(check bool) "mean is nan" true
     (Float.is_nan report.Sim.Session_churn.mean_routability);
   let rendered = Fmt.str "%a" Sim.Session_churn.pp_report report in
@@ -691,23 +693,18 @@ let suite =
     ("lifetime guards", `Quick, test_lifetime_guards);
     ("lifetime sample means", `Slow, test_lifetime_sample_means);
     ("lifetime rescaling", `Quick, test_lifetime_with_mean);
-    ("churn config guards", `Quick, test_churn_rejects_bad_config);
-    ("churn reproducible", `Quick, test_churn_reproducible);
-    ("churn alive fraction", `Quick, test_churn_alive_fraction);
-    ("churn no-churn limit", `Quick, test_churn_no_churn_limit);
+    ("churn config guards", `Quick, test_churn_config_guards);
     ("churn repair helps xor", `Quick, test_churn_repair_helps_xor);
     ("churn ring repair no-op", `Quick, test_churn_ring_repair_noop);
     ("churn ring stale = down fraction", `Quick, test_churn_ring_stale_equals_down);
     ("churn more churn hurts", `Quick, test_churn_more_churn_hurts);
     ("churn bridge accuracy (xor)", `Slow, test_churn_bridge_accuracy_xor);
     ("churn symphony per-class staleness", `Slow, test_churn_symphony_class_staleness);
-    ("churn measurement count", `Quick, test_churn_measurement_count);
-    ("churn no-pair measurements", `Quick, test_churn_no_pair_measurements);
+    ("churn bridge golden", `Slow, test_churn_bridge_golden);
     ("session config guards", `Quick, test_session_config_guards);
     ("session churn/availability rates", `Quick, test_session_rates);
     ("session reproducible", `Quick, test_session_reproducible);
     ("session all geometries", `Slow, test_session_all_geometries);
-    ("churn registry geometries", `Slow, test_churn_registry_geometries);
     ("session alive tracks availability", `Quick, test_session_alive_tracks_availability);
     ("session no-churn limit", `Quick, test_session_no_churn_limit);
     ("session maintenance heals xor", `Slow, test_session_maintenance_heals_xor);

@@ -371,6 +371,14 @@ let test_sweep_command_errors () =
       ([ "storage"; "--smoke"; "--sessions"; "2"; "--warmup"; "nan" ], 2, "dhtlab storage: ");
       ([ "storage"; "--smoke"; "--sessions"; "2"; "--warmup"; "inf" ], 2, "dhtlab storage: ");
       ([ "storage"; "--smoke"; "--sessions"; "2"; "--spacing"; "inf" ], 2, "dhtlab storage: ");
+      (* Lifetime shape parameters must be finite. *)
+      ([ "churn"; "--smoke"; "--session-dist"; "pareto:inf" ], 124,
+        "dhtlab: option '--session-dist'");
+      ([ "churn"; "--smoke"; "--gap-dist"; "weibull:inf" ], 124, "dhtlab: option '--gap-dist'");
+      ([ "storage"; "--smoke"; "--sessions"; "2,8"; "--session-dist"; "pareto:inf" ], 124,
+        "dhtlab: option '--session-dist'");
+      ([ "storage"; "--smoke"; "--sessions"; "2,8"; "--gap-dist"; "weibull:inf" ], 124,
+        "dhtlab: option '--gap-dist'");
       ([ "churn"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,
         "dhtlab churn: churn point 0 (tree, session 2) failed after 1 attempts");
       ([ "storage"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,

@@ -221,13 +221,6 @@ let test_descriptor_conformance () =
       end;
       (let accepted =
          try
-           ignore (Sim.Churn.config ~bits geometry);
-           true
-         with Invalid_argument _ -> false
-       in
-       Alcotest.(check bool) (slug ^ ": churn capability") d.Geom.churn accepted);
-      (let accepted =
-         try
            ignore (Sim.Session_churn.config ~bits geometry);
            true
          with Invalid_argument _ -> false
