@@ -5,9 +5,9 @@
 
    Why C: at 2^20 nodes each pass is a million-iteration loop whose
    body is a handful of ALU ops. In OCaml every per-node
-   Splitmix.bernoulli / Splitmix.int is an out-of-line call that boxes
-   an Int64 (dune's default profile compiles library modules -opaque,
-   so nothing inlines across them), and Flat.init pays a closure call
+   Splitmix.bernoulli / Splitmix.int is an out-of-line call (dune's
+   default profile compiles library modules -opaque, so nothing
+   inlines across them), and Flat.init pays a closure call
    and a range check per table entry. Even with the SplitMix step
    inlined and its state unboxed, an OCaml mask loop took over twice
    as long as the one below at 2^20 nodes (9.0 vs 3.7 ms on one
@@ -22,7 +22,8 @@
    (Prng.Splitmix.advance), which the loop fixes up front — one draw
    per node for a mask, one per entry for xor. A pass whose draw count
    depends on the values drawn (rejection sampling) cannot be split
-   this way and stays in OCaml.
+   this way: it must take the generator itself and write the final
+   state back, as the hypercube lane in route_batch_stubs.c does.
 
    Memory discipline: no allocation, no callbacks, no exceptions;
    argument checks are the OCaml callers'. */

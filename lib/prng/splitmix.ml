@@ -1,59 +1,67 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer, read and written with the
+   unboxed native-endian primitives: without flambda a [mutable int64]
+   field would box every step, so every bounded draw would allocate.
+   Over the buffer a draw returning an [int] allocates nothing, and C
+   stubs (route_batch_stubs.c) update the same state in place. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_int64 seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
 
-let of_int64 seed = { state = seed }
+let create ~seed = of_int64 (Int64.of_int seed)
 
-let state t = t.state
+let state t = get64 t 0
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* SplitMix64 finaliser (Steele, Lea & Flood 2014): one additive step and
-   two xor-shift-multiply mixing rounds. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+   two xor-shift-multiply mixing rounds. Inlined into every draw below so
+   the int64 intermediates stay unboxed. *)
+let[@inline] step t =
+  let z = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 t = step t
 
 (* Every step adds the same gamma to the state, whatever it outputs,
    so [k] steps are one multiply-add (mod 2^64). *)
 let advance t k =
   if k < 0 then invalid_arg "Splitmix.advance: negative count";
-  t.state <- Int64.add t.state (Int64.mul (Int64.of_int k) golden_gamma)
+  set64 t 0 (Int64.add (get64 t 0) (Int64.mul (Int64.of_int k) golden_gamma))
 
-let split t =
-  let seed = next_int64 t in
-  of_int64 seed
+let split t = of_int64 (step t)
 
 (* 53 uniformly random mantissa bits scaled into [0, 1). *)
-let float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let float t = Int64.to_float (Int64.shift_right_logical (step t) 11) *. 0x1.0p-53
 
-let bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (step t) 2)
 
 (* Unbiased bounded integers by rejection on the top chunk. *)
 let int t bound =
-  if bound <= 0 then invalid_arg "Splitmix.int: non-positive bound"
-  else begin
-    let max62 = (1 lsl 62) - 1 in
-    let limit = max62 - (((max62 mod bound) + 1) mod bound) in
-    let rec draw () =
-      let v = bits62 t in
-      if v <= limit then v mod bound else draw ()
-    in
-    draw ()
-  end
+  if bound <= 0 then invalid_arg "Splitmix.int: non-positive bound";
+  let max62 = (1 lsl 62) - 1 in
+  let limit = max62 - (((max62 mod bound) + 1) mod bound) in
+  let v = ref (bits62 t) in
+  while !v > limit do
+    v := bits62 t
+  done;
+  !v mod bound
 
 let int_in_range t ~lo ~hi =
   if lo > hi then invalid_arg "Splitmix.int_in_range: empty range"
   else lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 
 let bernoulli t ~p =
   if not (Numerics.Prob.is_valid p) then invalid_arg "Splitmix.bernoulli: invalid p"

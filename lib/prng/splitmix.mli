@@ -6,6 +6,11 @@
     share a master seed without correlating. *)
 
 type t
+(** At run time a generator is an 8-byte [bytes] buffer holding the
+    state as a native-endian unsigned 64-bit integer. Draws read and
+    write it unboxed, so a draw returning an [int] or [bool] allocates
+    nothing. A [[@@noalloc]] C stub may take a [t] and update the state
+    in place (the hypercube lane in [route_batch_stubs.c] does). *)
 
 val create : seed:int -> t
 val of_int64 : int64 -> t

@@ -3,27 +3,30 @@
    The scalar [Router.route] pays, on every hop, for geometry dispatch,
    a closure-based neighbour iteration and a [repr] match inside every
    [Overlay.Table] accessor. At 2^20 nodes that caps the whole engine
-   at ~100k routes/s. The kernels below route an entire pair set
-   through one monomorphic int loop per geometry: neighbour lookups
+   at ~100k routes/s. Every built-in geometry instead routes a whole
+   pair set through one C loop (route_batch_stubs.c): neighbour lookups
    are direct loads from the CSR [offsets]/[targets] Bigarrays,
    liveness is one load + shift + mask against the packed
    {!Overlay.Bitset} words, and per-pair results land in reusable
    off-heap scratch buffers — zero allocation per hop, and one metrics
-   flush per batch instead of one per route.
+   flush per batch instead of one per route. This module checks the
+   inputs, dispatches on the geometry, owns the scratch and tallies.
 
    Bit-identity contract (pinned by [test/test_batch.ml] and the CLI
    byte-identity checks): for every geometry the kernel visits
    candidates in exactly the scalar router's order and consumes PRNG
    draws in exactly the scalar order, so outcomes, hop counts, stuck
    nodes and the post-batch rng state are equal to the scalar path's.
-   [sample_and_route] additionally inlines [Stats.Sampler.ordered_pair]
-   draw-for-draw, because the hypercube router consumes randomness
-   while routing: pair sampling and routing draws must interleave
-   exactly as in the scalar trial loop. *)
+   [sample_and_route] draws its pairs draw-for-draw as
+   [Stats.Sampler.ordered_pair] does. The hypercube router consumes
+   randomness while routing, so its C kernel draws the pairs itself,
+   interleaved with its routing draws exactly as in the scalar trial
+   loop, and writes the generator's final state back. *)
 
 type offsets = Overlay.Flat.offsets
 type targets = Overlay.Flat.targets
 type words = Overlay.Bitset.words
+type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* --- batch toggle --------------------------------------------------------- *)
 
@@ -32,98 +35,6 @@ let enabled_flag = Atomic.make true
 let set_enabled b = Atomic.set enabled_flag b
 
 let enabled () = Atomic.get enabled_flag
-
-(* --- result encoding ------------------------------------------------------ *)
-
-(* One immediate int per routed pair: low 32 bits carry the hop count,
-   the bits above carry [stuck_at + 1] (0 = delivered). Hop counts and
-   node ids are < 2^30 ({!Idspace.Space.max_bits}), so the packed value
-   fits a 63-bit int with room to spare. *)
-
-let[@inline] delivered_result hops = hops
-
-let[@inline] dropped_result cur hops = ((cur + 1) lsl 32) lor hops
-
-(* --- branch-light primitives ---------------------------------------------- *)
-
-(* floor(log2 x) for 0 < x < 2^30 as a shift cascade (no loop-carried
-   data dependence, no table). *)
-let[@inline] floor_log2 x =
-  let r = if x >= 0x10000 then 16 else 0 in
-  let x = x lsr r in
-  let s = if x >= 0x100 then 8 else 0 in
-  let x = x lsr s in
-  let r = r + s in
-  let s = if x >= 0x10 then 4 else 0 in
-  let x = x lsr s in
-  let r = r + s in
-  let s = if x >= 4 then 2 else 0 in
-  let x = x lsr s in
-  let r = r + s in
-  r + (x lsr 1)
-
-let[@inline] is_alive (words : words) v =
-  Bigarray.Array1.unsafe_get words (v lsr 5) lsr (v land 31) land 1 <> 0
-
-let[@inline] neighbor_at (targets : targets) k =
-  Int32.to_int (Bigarray.Array1.unsafe_get targets k)
-
-let[@inline] row_start (offsets : offsets) v = Bigarray.Array1.unsafe_get offsets v
-
-(* --- hypercube (the one geometry routed in OCaml) ------------------------- *)
-
-type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* Loadmap counter bump, compiled away to one length test when the
-   zero-length "telemetry off" buffer is installed — the OCaml twin of
-   the NULL-pointer guard in the C drivers. Indices are node ids of the
-   routed table, in range by construction. *)
-let[@inline] bump (b : buf) v =
-  if Bigarray.Array1.dim b > 0 then
-    Bigarray.Array1.unsafe_set b v (Bigarray.Array1.unsafe_get b v + 1)
-
-(* Hypercube (CAN, scalar [Hypercube_router]): uniform reservoir over
-   the alive neighbours correcting a differing bit, scanning set bits
-   of [diff] lowest-first and drawing [Splitmix.int rng seen] per alive
-   candidate — draw-for-draw the scalar sequence. Traversals are
-   counted at the accepted hop (the reservoir winner the walk moves
-   to), terminations where the walk ends, matching the scalar Router
-   hook and the C drivers. *)
-let rec hypercube_pair (offsets : offsets) (targets : targets) (words : words) ~bits ~rng
-    ~trav ~term ~dst cur hops =
-  if cur = dst then begin
-    bump term dst;
-    delivered_result hops
-  end
-  else
-    hypercube_scan offsets targets words ~bits ~rng ~trav ~term ~dst cur hops
-      (cur lxor dst) (-1) 0
-
-and hypercube_scan (offsets : offsets) (targets : targets) (words : words) ~bits ~rng
-    ~trav ~term ~dst cur hops bit chosen seen =
-  if bit = 0 then
-    if chosen < 0 then begin
-      bump term cur;
-      dropped_result cur hops
-    end
-    else begin
-      bump trav chosen;
-      hypercube_pair offsets targets words ~bits ~rng ~trav ~term ~dst chosen (hops + 1)
-    end
-  else begin
-    let low = bit land -bit in
-    let cand = neighbor_at targets (row_start offsets cur + bits - 1 - floor_log2 low) in
-    let rest = bit land (bit - 1) in
-    if is_alive words cand then begin
-      let seen = seen + 1 in
-      let chosen = if Prng.Splitmix.int rng seen = 0 then cand else chosen in
-      hypercube_scan offsets targets words ~bits ~rng ~trav ~term ~dst cur hops rest chosen
-        seen
-    end
-    else
-      hypercube_scan offsets targets words ~bits ~rng ~trav ~term ~dst cur hops rest chosen
-        seen
-  end
 
 (* --- per-domain scratch --------------------------------------------------- *)
 
@@ -171,23 +82,6 @@ let prepare s n =
   s.count <- n;
   s.delivered <- 0;
   s.dropped <- 0
-
-let[@inline] store s k r =
-  let hops = r land 0xFFFF_FFFF in
-  let stuck = (r lsr 32) - 1 in
-  Bigarray.Array1.unsafe_set s.hops_buf k hops;
-  Bigarray.Array1.unsafe_set s.stuck_buf k stuck;
-  if stuck < 0 then begin
-    s.delivered <- s.delivered + 1;
-    if hops >= Array.length s.hist then begin
-      let grown = Array.make (2 * max (Array.length s.hist) (hops + 1)) 0 in
-      Array.blit s.hist 0 grown 0 s.hist_used;
-      s.hist <- grown
-    end;
-    s.hist.(hops) <- s.hist.(hops) + 1;
-    if hops >= s.hist_used then s.hist_used <- hops + 1
-  end
-  else s.dropped <- s.dropped + 1
 
 (* --- scratch accessors ---------------------------------------------------- *)
 
@@ -259,21 +153,22 @@ let flush_metrics geometry s =
     end
   end
 
-(* --- batched lane drivers (C) --------------------------------------------- *)
+(* --- C kernels -------------------------------------------------------------- *)
 
-(* The rng-free geometries (tree, xor, ring/symphony) route whole pair
-   blocks through per-geometry lane drivers in route_batch_stubs.c:
-   many independent routes in flight, one software-prefetched hop per
-   lane per round, results written straight into the scratch buffers
-   ([stuck = -1] when delivered, else the stuck node id). See the stub
-   file's header for why the hot loop is C (memory-level parallelism
-   needs prefetches that retire and hops of a few instructions) and for
-   the bit-identity contract. Lane interleaving is invisible in the
-   results: each pair still visits candidates in the scalar order — or
-   an order-insensitive equivalent — these geometries consume no
-   randomness while routing, and results are indexed by pair, not by
-   completion order. The hypercube router draws from the PRNG on every
-   hop, so it keeps the sequential OCaml loop above.
+(* Every built-in geometry routes through a kernel in
+   route_batch_stubs.c, which writes results straight into the scratch
+   buffers ([stuck = -1] when delivered, else the stuck node id). See
+   the stub file's header for why the hot loops are C (memory-level
+   parallelism needs prefetches that retire and hops of a few
+   instructions) and for the bit-identity contract.
+
+   The rng-free geometries (tree, xor, ring/symphony) route whole pair
+   blocks through lanes: many independent routes in flight, one
+   software-prefetched hop per lane per round. Lane interleaving is
+   invisible in the results: each pair still visits candidates in the
+   scalar order — or an order-insensitive equivalent — these
+   geometries consume no randomness while routing, and results are
+   indexed by pair, not by completion order.
 
    Arguments: targets, alive words, offsets, srcs, dsts, pair count,
    hops out, stuck out, bits (distance mask for ring), uniform degree
@@ -328,8 +223,33 @@ external route_block_ring :
   unit = "rcm_route_ring_bc" "rcm_route_ring"
 [@@noalloc]
 
-(* Fold a C-routed block into the batch totals — the counterpart of
-   [store], which does this per pair on the OCaml hypercube path. *)
+(* The hypercube router draws from the PRNG on every hop, so its
+   kernel walks the pairs in order, taking the generator and writing
+   its final state back. Arguments as above, plus a pool between dsts
+   and the pair count and the generator last: with a non-empty pool
+   the kernel draws the pairs from it, interleaved with the routing
+   draws, and srcs/dsts are unused. Returns the number of pairs
+   routed; fewer than the count means a drawn pool id was outside the
+   node range, and the stuck buffer holds it at that index. *)
+external route_hypercube :
+  targets ->
+  words ->
+  offsets ->
+  int array ->
+  int array ->
+  int array ->
+  int ->
+  buf ->
+  buf ->
+  int ->
+  int ->
+  buf ->
+  buf ->
+  Prng.Splitmix.t ->
+  int = "rcm_route_hypercube_bc" "rcm_route_hypercube"
+[@@noalloc]
+
+(* Fold a routed block into the batch totals. *)
 let tally s n =
   for k = 0 to n - 1 do
     if Bigarray.Array1.unsafe_get s.stuck_buf k < 0 then begin
@@ -396,19 +316,13 @@ let custom_router_exn ~family context =
       invalid_arg
         (Printf.sprintf "Route_batch.%s: family %S has no registered router" context family)
 
-(* One pair through a family's scalar router, with the batch path's
-   loadmap accounting (bumps on the calling domain's slices, exactly
-   like the C drivers) and the packed result encoding. Metrics are NOT
-   recorded here — the caller flushes once per batch. *)
-let scalar_custom_pair (router : Router.custom_router) table ~rng ~alive ~trav ~term ~src
-    ~dst =
-  match router ~on_hop:(fun v -> bump trav v) table ~rng ~alive ~src ~dst with
-  | Outcome.Delivered { hops } ->
-      bump term dst;
-      delivered_result hops
-  | Outcome.Dropped { hops; stuck_at } ->
-      bump term stuck_at;
-      dropped_result stuck_at hops
+(* Loadmap counter bump for the [Scalar] lane, one length test when the
+   zero-length "telemetry off" buffer is installed — the OCaml twin of
+   the NULL-pointer guard in the C kernels. Indices are node ids of the
+   routed table, in range by construction. *)
+let bump (b : buf) v =
+  if Bigarray.Array1.dim b > 0 then
+    Bigarray.Array1.unsafe_set b v (Bigarray.Array1.unsafe_get b v + 1)
 
 (* --- drivers -------------------------------------------------------------- *)
 
@@ -443,160 +357,124 @@ let loadmap_slices ~table context =
         ( Obs.Loadmap.slice lm Obs.Loadmap.Route_traversal,
           Obs.Loadmap.slice lm Obs.Loadmap.Route_termination )
 
-let route_many ?scratch table ~rng ~alive pairs =
-  let flat = flat_of table "route_many" in
-  let words = mask_words ~table ~alive "route_many" in
-  let space = Overlay.Table.space table in
-  Array.iter
-    (fun (src, dst) ->
-      Idspace.Space.check space src;
-      Idspace.Space.check space dst)
-    pairs;
+(* Where a batch's pairs come from: given up front ([route_many]), or
+   drawn from a pool of node ids as the batch runs ([sample_and_route],
+   draw for draw [Stats.Sampler.ordered_pair]: the source index, then
+   destination indices until one differs). *)
+type pairs = Given of int array * int array | Drawn of int array
+
+(* One batch on one table: check the inputs, dispatch on the geometry,
+   tally and flush. Every drawn pool id is checked before any kernel
+   indexes a row, the mask or a loadmap slice with it — a check per
+   draw, not a pass over a pool that can hold every node. The table's
+   node count is 2^bits, and an id is below it iff no bit at or above
+   [bits] is set (a negative id has them all). *)
+let route context ?scratch table ~rng ~alive pairs n =
+  let flat = flat_of table context in
+  let words = mask_words ~table ~alive context in
+  let bits = Overlay.Table.bits table in
+  (match pairs with
+  | Given (srcs, dsts) ->
+      let space = Overlay.Table.space table in
+      Array.iteri
+        (fun k src ->
+          Idspace.Space.check space src;
+          Idspace.Space.check space dsts.(k))
+        srcs
+  | Drawn pool ->
+      if Array.length pool < 2 then
+        invalid_arg (Printf.sprintf "Route_batch.%s: pool smaller than 2" context);
+      if n < 0 then
+        invalid_arg (Printf.sprintf "Route_batch.%s: negative pair count" context));
+  let reject v =
+    invalid_arg
+      (Printf.sprintf "Route_batch.%s: pool id %d outside [0, %d)" context v (1 lsl bits))
+  in
+  let member pool i =
+    let v = Array.unsafe_get pool i in
+    if v lsr bits <> 0 then reject v;
+    v
+  in
+  let rec draw_distinct npool i =
+    let j = Prng.Splitmix.int rng npool in
+    if j = i then draw_distinct npool i else j
+  in
+  (* The pair arrays the OCaml-side lanes read: the given ones, or
+     fresh ones that [draw] fills with pairs [lo, hi) from the pool. *)
+  let endpoints () =
+    match pairs with
+    | Given (srcs, dsts) -> (srcs, dsts)
+    | Drawn _ -> (Array.make n 0, Array.make n 0)
+  in
+  let draw srcs dsts lo hi =
+    match pairs with
+    | Given _ -> ()
+    | Drawn pool ->
+        let npool = Array.length pool in
+        for k = lo to hi - 1 do
+          let i = Prng.Splitmix.int rng npool in
+          Array.unsafe_set srcs k (member pool i);
+          Array.unsafe_set dsts k (member pool (draw_distinct npool i))
+        done
+  in
   let offsets = Overlay.Flat.offsets flat in
   let targets = Overlay.Flat.targets flat in
-  let bits = Overlay.Table.bits table in
-  let n = Array.length pairs in
-  let trav, term = loadmap_slices ~table "route_many" in
+  let deg = Overlay.Flat.uniform_degree flat in
+  let trav, term = loadmap_slices ~table context in
   let s = match scratch with Some s -> s | None -> domain_scratch () in
   prepare s n;
+  (* Block lanes consume no randomness while routing, so drawing every
+     pair first reproduces the scalar draw sequence — sample pair k,
+     route pair k. *)
+  let block (lane : block_router) param =
+    let srcs, dsts = endpoints () in
+    draw srcs dsts 0 n;
+    lane targets words offsets srcs dsts n s.hops_buf s.stuck_buf param deg trav term
+  in
   (match Overlay.Table.geometry table with
+  | Rcm.Geometry.Tree -> block route_block_tree bits
+  | Rcm.Geometry.Xor -> block route_block_xor bits
+  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> block route_block_ring ((1 lsl bits) - 1)
   | Rcm.Geometry.Hypercube ->
-      for k = 0 to n - 1 do
-        let src, dst = Array.unsafe_get pairs k in
-        store s k (hypercube_pair offsets targets words ~bits ~rng ~trav ~term ~dst src 0)
-      done
+      let srcs, dsts, pool =
+        match pairs with
+        | Given (srcs, dsts) -> (srcs, dsts, [||])
+        | Drawn pool -> ([||], [||], pool)
+      in
+      let routed =
+        route_hypercube targets words offsets srcs dsts pool n s.hops_buf s.stuck_buf bits
+          deg trav term rng
+      in
+      if routed < n then reject (Bigarray.Array1.unsafe_get s.stuck_buf routed)
   | Rcm.Geometry.Custom { family; params } -> (
       match custom_lane ~family params with
+      | Block lane -> block lane bits
       | Scalar ->
-          let router = custom_router_exn ~family "route_many" in
+          (* Sampling and routing interleave pair by pair — the scalar
+             trial loop's draw order for any router, randomized ones
+             included. Metrics are flushed once per batch below. *)
+          let router = custom_router_exn ~family context in
+          let srcs, dsts = endpoints () in
           for k = 0 to n - 1 do
-            let src, dst = Array.unsafe_get pairs k in
-            store s k (scalar_custom_pair router table ~rng ~alive ~trav ~term ~src ~dst)
-          done
-      | Block block ->
-          let srcs = Array.map fst pairs in
-          let dsts = Array.map snd pairs in
-          block targets words offsets srcs dsts n s.hops_buf s.stuck_buf bits
-            (Overlay.Flat.uniform_degree flat) trav term;
-          tally s n)
-  | geometry ->
-      let srcs = Array.make n 0 in
-      let dsts = Array.make n 0 in
-      Array.iteri
-        (fun k (src, dst) ->
-          Array.unsafe_set srcs k src;
-          Array.unsafe_set dsts k dst)
-        pairs;
-      let deg = Overlay.Flat.uniform_degree flat in
-      (match geometry with
-      | Rcm.Geometry.Tree ->
-          route_block_tree targets words offsets srcs dsts n s.hops_buf s.stuck_buf bits
-            deg trav term
-      | Rcm.Geometry.Xor ->
-          route_block_xor targets words offsets srcs dsts n s.hops_buf s.stuck_buf bits
-            deg trav term
-      | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ ->
-          route_block_ring targets words offsets srcs dsts n s.hops_buf s.stuck_buf
-            ((1 lsl bits) - 1) deg trav term
-      | Rcm.Geometry.Hypercube | Rcm.Geometry.Custom _ -> assert false);
-      tally s n);
+            draw srcs dsts k (k + 1);
+            let src = srcs.(k) and dst = dsts.(k) in
+            let hops, stuck =
+              match router ~on_hop:(bump trav) table ~rng ~alive ~src ~dst with
+              | Outcome.Delivered { hops } -> (hops, -1)
+              | Outcome.Dropped { hops; stuck_at } -> (hops, stuck_at)
+            in
+            bump term (if stuck < 0 then dst else stuck);
+            Bigarray.Array1.unsafe_set s.hops_buf k hops;
+            Bigarray.Array1.unsafe_set s.stuck_buf k stuck
+          done));
+  tally s n;
   flush_metrics (Overlay.Table.geometry table) s;
   s
 
+let route_many ?scratch table ~rng ~alive pairs =
+  route "route_many" ?scratch table ~rng ~alive
+    (Given (Array.map fst pairs, Array.map snd pairs))
+    (Array.length pairs)
+
 let sample_and_route ?scratch table ~rng ~alive ~pool ~pairs =
-  let flat = flat_of table "sample_and_route" in
-  let words = mask_words ~table ~alive "sample_and_route" in
-  let npool = Array.length pool in
-  if npool < 2 then invalid_arg "Route_batch.sample_and_route: pool smaller than 2";
-  if pairs < 0 then invalid_arg "Route_batch.sample_and_route: negative pair count";
-  let offsets = Overlay.Flat.offsets flat in
-  let targets = Overlay.Flat.targets flat in
-  let bits = Overlay.Table.bits table in
-  let trav, term = loadmap_slices ~table "sample_and_route" in
-  let s = match scratch with Some s -> s | None -> domain_scratch () in
-  prepare s pairs;
-  (* Pair sampling inlined from [Stats.Sampler.ordered_pair]: first
-     draw is the source index, then rejection-draw a distinct
-     destination index. Keeping it inside the batch loop preserves the
-     scalar interleaving of sampling draws with the hypercube router's
-     forwarding draws. *)
-  let rec draw_distinct i =
-    let j = Prng.Splitmix.int rng npool in
-    if j = i then draw_distinct i else j
-  in
-  (* Each drawn id is checked before any kernel indexes a row, the
-     mask or a loadmap slice with it — a check per draw, not a pass
-     over a pool that can hold every node. The table's node count is
-     2^bits, and an id is below it iff no bit at or above [bits] is
-     set (a negative id has them all). *)
-  let member i =
-    let v = Array.unsafe_get pool i in
-    if v lsr bits <> 0 then
-      invalid_arg
-        (Printf.sprintf "Route_batch.sample_and_route: pool id %d outside [0, %d)" v
-           (1 lsl bits));
-    v
-  in
-  (match Overlay.Table.geometry table with
-  | Rcm.Geometry.Hypercube ->
-      (* The hypercube router draws while routing, so sampling and
-         forwarding draws must interleave pair by pair — no lanes. *)
-      for k = 0 to pairs - 1 do
-        let i = Prng.Splitmix.int rng npool in
-        let src = member i in
-        let dst = member (draw_distinct i) in
-        store s k (hypercube_pair offsets targets words ~bits ~rng ~trav ~term ~dst src 0)
-      done
-  | Rcm.Geometry.Custom { family; params } -> (
-      match custom_lane ~family params with
-      | Scalar ->
-          (* The default lane interleaves sampling and routing pair by
-             pair — the scalar trial loop's draw order for any router,
-             randomized ones included. *)
-          let router = custom_router_exn ~family "sample_and_route" in
-          for k = 0 to pairs - 1 do
-            let i = Prng.Splitmix.int rng npool in
-            let src = member i in
-            let dst = member (draw_distinct i) in
-            store s k (scalar_custom_pair router table ~rng ~alive ~trav ~term ~src ~dst)
-          done
-      | Block block ->
-          (* Block lanes declare themselves rng-free, so sampling every
-             pair first reproduces the scalar draw sequence. *)
-          let srcs = Array.make pairs 0 in
-          let dsts = Array.make pairs 0 in
-          for k = 0 to pairs - 1 do
-            let i = Prng.Splitmix.int rng npool in
-            Array.unsafe_set srcs k (member i);
-            Array.unsafe_set dsts k (member (draw_distinct i))
-          done;
-          block targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf bits
-            (Overlay.Flat.uniform_degree flat) trav term;
-          tally s pairs)
-  | geometry ->
-      (* These geometries consume no randomness while routing, so the
-         scalar draw sequence — sample pair k, route pair k — is
-         exactly reproduced by sampling every pair first and routing
-         the block through the lane driver afterwards. *)
-      let srcs = Array.make pairs 0 in
-      let dsts = Array.make pairs 0 in
-      for k = 0 to pairs - 1 do
-        let i = Prng.Splitmix.int rng npool in
-        Array.unsafe_set srcs k (member i);
-        Array.unsafe_set dsts k (member (draw_distinct i))
-      done;
-      let deg = Overlay.Flat.uniform_degree flat in
-      (match geometry with
-      | Rcm.Geometry.Tree ->
-          route_block_tree targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf bits
-            deg trav term
-      | Rcm.Geometry.Xor ->
-          route_block_xor targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf bits
-            deg trav term
-      | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ ->
-          route_block_ring targets words offsets srcs dsts pairs s.hops_buf s.stuck_buf
-            ((1 lsl bits) - 1) deg trav term
-      | Rcm.Geometry.Hypercube | Rcm.Geometry.Custom _ -> assert false);
-      tally s pairs);
-  flush_metrics (Overlay.Table.geometry table) s;
-  s
+  route "sample_and_route" ?scratch table ~rng ~alive (Drawn pool) pairs

@@ -1,5 +1,6 @@
-/* Batched lane drivers for the rng-free geometries (tree, xor, ring /
-   symphony), one call per pair block.
+/* Batched routing kernels, one call per pair block: tree, xor and ring /
+   symphony route many pairs at once; hypercube walks its pairs one
+   after another, drawing from the caller's generator.
 
    Why C, and why whole blocks: at 2^20 nodes the CSR targets block is
    tens of MiB, so each hop is a dependent random load the hardware
@@ -12,21 +13,23 @@
    next lanes' misses. (b) is what OCaml's codegen cannot deliver: the
    hop steps below lean on count-leading-zeros and conditional moves,
    and a per-hop foreign call would cost more than the hop. The
-   geometry dispatch, pair sampling, scratch ownership, metrics and the
-   hypercube router (which consumes PRNG draws on every hop and must
-   interleave with sampling) all stay in OCaml — see route_batch.ml.
+   geometry dispatch, scratch ownership, metrics and the rng-free
+   lanes' pair sampling stay in OCaml — see route_batch.ml.
 
    Bit-identity contract (pinned by test/test_batch.ml and the CLI
    byte-identity checks): each driver visits candidates in exactly the
    scalar router's order — or in an order-insensitive form proved
-   equivalent (ring, below) — and consumes no randomness, so outcomes,
-   hop counts and stuck nodes equal the scalar path's for every pair.
+   equivalent (ring, below) — so outcomes, hop counts and stuck nodes
+   equal the scalar path's for every pair. The lane kernels consume no
+   randomness. The hypercube kernel consumes exactly the scalar draws,
+   in the scalar order, and writes the final generator state back.
 
    Memory discipline: no allocation, no callbacks, no GC interaction —
-   the OCaml int arrays (srcs/dsts) and Bigarray payloads cannot move
-   during the call, so raw pointers are safe. Results are written
-   straight into the caller's scratch Bigarrays: hops_out[k] = hop
-   count, stuck_out[k] = -1 when delivered or the stuck node id.
+   the OCaml int arrays (srcs/dsts/pool), the generator's bytes and the
+   Bigarray payloads cannot move during the call, so raw pointers are
+   safe. Results are written straight into the caller's scratch
+   Bigarrays: hops_out[k] = hop count, stuck_out[k] = -1 when delivered
+   or the stuck node id.
 
    Load telemetry (Obs.Loadmap): each driver also takes two per-node
    counter slices, trav and term, owned by the calling domain's loadmap
@@ -41,6 +44,7 @@
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Independent routes in flight per block. Enough that a full round of
    other lanes (each a handful of nanoseconds once rows are cached)
@@ -378,4 +382,138 @@ CAMLprim value rcm_route_ring_bc(value *argv, int argn)
   (void)argn;
   return rcm_route_ring(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
                         argv[6], argv[7], argv[8], argv[9], argv[10], argv[11]);
+}
+
+/* One step of Prng.Splitmix.next_int64 (the same step as fill_stubs.c). */
+static inline uint64_t splitmix_next(uint64_t *state)
+{
+  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/* Prng.Splitmix.int at [bound] > 0: the top 62 bits of a draw, drawn
+   again while above the bound's rejection limit, then reduced mod
+   [bound]. */
+static inline intnat splitmix_limit(intnat bound)
+{
+  const intnat max62 = ((intnat)1 << 62) - 1;
+  return max62 - (max62 % bound + 1) % bound;
+}
+
+static inline intnat splitmix_int(uint64_t *state, intnat bound, intnat limit)
+{
+  intnat v;
+  do
+    v = (intnat)(splitmix_next(state) >> 2);
+  while (v > limit);
+  return v % bound;
+}
+
+/* Hypercube (CAN, scalar Hypercube_router): the next hop is uniform
+   over the alive neighbours correcting a differing bit. The scan takes
+   the set bits of [cur ^ dst] lowest first (table index
+   [bits - 1 - ctz]) and keeps each alive candidate with probability
+   1/seen — one Splitmix.int rng seen per alive candidate, draw for
+   draw the scalar sequence. Those draws pin the pair order, so the
+   pairs are walked one at a time, not in lanes; what hides part of the
+   row latency instead is a prefetch of each alive candidate's row as
+   the scan finds it, since one of them is the next hop. The rejection
+   limits of the reservoir bounds (seen <= 64) are tabled once per
+   call, which takes one division off every draw.
+
+   With a non-empty [pool] the pairs are drawn here too, as
+   Stats.Sampler.ordered_pair draws them and interleaved with the
+   routing draws: the source index, then destination indices until one
+   differs. Each drawn id is checked against the node range [0, 2^bits)
+   before anything is indexed with it; a bad id stops the call with the
+   id in stuck_out[k]. Otherwise srcs/dsts give the pairs.
+
+   The generator [rng] is a Prng.Splitmix.t, 8 bytes holding the
+   native-endian state; its final state is written back on every exit.
+   Returns the number of pairs routed: n, or the index of the pair
+   whose drawn id was rejected. */
+CAMLprim value rcm_route_hypercube(value vtargets, value vwords, value voffsets,
+                                   value vsrcs, value vdsts, value vpool,
+                                   value vn, value vhops_out, value vstuck_out,
+                                   value vbits, value vdeg, value vtrav,
+                                   value vterm, value vrng)
+{
+  const int32_t *targets = (const int32_t *)Caml_ba_data_val(vtargets);
+  const intnat *words = (const intnat *)Caml_ba_data_val(vwords);
+  const intnat *offsets = (const intnat *)Caml_ba_data_val(voffsets);
+  intnat *hops_out = (intnat *)Caml_ba_data_val(vhops_out);
+  intnat *stuck_out = (intnat *)Caml_ba_data_val(vstuck_out);
+  intnat *trav = loadmap_slice(vtrav), *term = loadmap_slice(vterm);
+  intnat n = Long_val(vn), bits = Long_val(vbits), deg = Long_val(vdeg);
+  intnat npool = (intnat)Wosize_val(vpool);
+  intnat pool_limit = npool > 0 ? splitmix_limit(npool) : 0;
+  intnat limits[65];
+  for (intnat b = 1; b <= 64; b++)
+    limits[b] = splitmix_limit(b);
+  uint64_t s;
+  intnat k;
+  memcpy(&s, Bytes_val(vrng), sizeof s);
+  for (k = 0; k < n; k++) {
+    intnat src, dst;
+    if (npool > 0) {
+      intnat i = splitmix_int(&s, npool, pool_limit), j;
+      src = Long_val(Field(vpool, i));
+      if ((uintnat)src >> bits) {
+        stuck_out[k] = src;
+        break;
+      }
+      do
+        j = splitmix_int(&s, npool, pool_limit);
+      while (j == i);
+      dst = Long_val(Field(vpool, j));
+      if ((uintnat)dst >> bits) {
+        stuck_out[k] = dst;
+        break;
+      }
+    } else {
+      src = Long_val(Field(vsrcs, k));
+      dst = Long_val(Field(vdsts, k));
+    }
+    intnat cur = src, hops = 0, stuck = -1;
+    while (cur != dst) {
+      const int32_t *row = targets + row_base(offsets, deg, cur);
+      uintnat rem = (uintnat)(cur ^ dst);
+      intnat chosen = -1, seen = 0;
+      do {
+        intnat cand = row[bits - 1 - __builtin_ctzl(rem)];
+        if (alive_bit(words, cand)) {
+          intnat rs = row_base(offsets, deg, cand);
+          prefetch_row(targets, rs, row_limit(offsets, deg, cand, rs) - 1);
+          seen++;
+          if (splitmix_int(&s, seen, limits[seen]) == 0)
+            chosen = cand;
+        }
+        rem &= rem - 1;
+      } while (rem);
+      if (chosen < 0) {
+        stuck = cur;
+        break;
+      }
+      cur = chosen;
+      hops++;
+      if (trav)
+        trav[cur]++;
+    }
+    hops_out[k] = hops;
+    stuck_out[k] = stuck;
+    if (term)
+      term[stuck < 0 ? dst : stuck]++;
+  }
+  memcpy(Bytes_val(vrng), &s, sizeof s);
+  return Val_long(k);
+}
+
+CAMLprim value rcm_route_hypercube_bc(value *argv, int argn)
+{
+  (void)argn;
+  return rcm_route_hypercube(argv[0], argv[1], argv[2], argv[3], argv[4],
+                             argv[5], argv[6], argv[7], argv[8], argv[9],
+                             argv[10], argv[11], argv[12], argv[13]);
 }

@@ -33,16 +33,24 @@ fail() {
 }
 
 echo "batch-smoke: 1/2 batch vs scalar byte-identity (flat backend)"
-for g in ring xor tree hypercube symphony; do
+# Rows are geometry:bits:q. Hypercube also runs at d = 16, where its
+# routes are long enough to draw many reservoir samples per pair.
+for row in ring:8:0.25 xor:8:0.25 tree:8:0.25 hypercube:8:0.25 symphony:8:0.25 \
+           hypercube:16:0.1 hypercube:16:0.4; do
+    g=${row%%:*}
+    d=${row#*:}
+    q=${d#*:}
+    d=${d%%:*}
     for jobs in 1 2; do
-        ARGS="simulate -g $g -d 8 -q 0.25 --trials 2 --pairs 80 \
+        OUT="$WORK/$g-d$d-q$q.$jobs"
+        ARGS="simulate -g $g -d $d -q $q --trials 2 --pairs 80 \
               --seed 42 --overlay flat --jobs $jobs"
-        $DHTLAB $ARGS > "$WORK/$g.$jobs.batch.txt"
-        $DHTLAB $ARGS --no-batch > "$WORK/$g.$jobs.scalar.txt"
-        diff "$WORK/$g.$jobs.batch.txt" "$WORK/$g.$jobs.scalar.txt" \
-            || fail "batch and scalar stdout differ ($g, $jobs jobs)"
-        grep -q "routability" "$WORK/$g.$jobs.batch.txt" \
-            || fail "sweep output carries no routability line ($g)"
+        $DHTLAB $ARGS > "$OUT.batch.txt"
+        $DHTLAB $ARGS --no-batch > "$OUT.scalar.txt"
+        diff "$OUT.batch.txt" "$OUT.scalar.txt" \
+            || fail "batch and scalar stdout differ ($g -d $d -q $q, $jobs jobs)"
+        grep -q "routability" "$OUT.batch.txt" \
+            || fail "sweep output carries no routability line ($g -d $d -q $q)"
     done
 done
 

@@ -279,6 +279,101 @@ let prop_batch_scalar_agreement =
                   (Array.init (Array.length pairs) Fun.id))
            [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]))
 
+(* --- the hypercube lane ------------------------------------------------------ *)
+
+(* The C lane draws [Splitmix.int rng seen] per alive candidate. Its
+   rejection branch fires about once in 2^62 draws, so this pins it on
+   purpose: two steps before the state whose next output is all ones
+   (max62 in the top 62 bits), the third draw — the first hop's
+   [seen = 3] draw at q = 0 — is rejected and drawn again. *)
+let test_hypercube_rejection () =
+  let bits = 6 in
+  let table = flat_table ~seed:1 ~bits Rcm.Geometry.Hypercube in
+  let alive = Overlay.Failure.none (Overlay.Table.node_count table) in
+  let src = 0 and dst = (1 lsl bits) - 1 in
+  let start = Int64.sub 0x31628AF67B2131ABL (Int64.mul 2L 0x9E3779B97F4A7C15L) in
+  let rng_batch = Prng.Splitmix.of_int64 start in
+  let rng_scalar = Prng.Splitmix.of_int64 start in
+  let scratch =
+    Routing.Route_batch.route_many
+      ~scratch:(Routing.Route_batch.create_scratch ())
+      table ~rng:rng_batch ~alive
+      [| (src, dst) |]
+  in
+  Alcotest.check outcome "outcome"
+    (Routing.Hypercube_router.route table ~rng:rng_scalar ~alive ~src ~dst)
+    (Routing.Route_batch.outcome scratch 0);
+  Alcotest.(check int64) "rng state" (Prng.Splitmix.state rng_scalar)
+    (Prng.Splitmix.state rng_batch);
+  (* Hops at distance 6, 5, ..., 1 draw 21 times, plus the redraw. *)
+  let drawn = Prng.Splitmix.of_int64 start in
+  Prng.Splitmix.advance drawn 22;
+  Alcotest.(check int64) "21 reservoir draws and one redraw" (Prng.Splitmix.state drawn)
+    (Prng.Splitmix.state rng_batch)
+
+(* Both entry points at bits 14 against their scalar loops, with a loadmap
+   sink on each side: outcomes, the final rng state and every per-node
+   count must be equal. *)
+let test_hypercube_bits14 () =
+  let table = flat_table ~seed:14 ~bits:14 Rcm.Geometry.Hypercube in
+  let nodes = Overlay.Table.node_count table in
+  let pairs = 2_000 in
+  List.iteri
+    (fun qi q ->
+      let alive =
+        Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(140 + qi)) ~q nodes
+      in
+      let pool = Overlay.Failure.survivors alive in
+      let given =
+        let rng = Prng.Splitmix.create ~seed:(240 + qi) in
+        Array.init pairs (fun _ -> Stats.Sampler.ordered_pair rng pool)
+      in
+      (* [next_pair rng k] is the scalar loop's pair k. *)
+      List.iter
+        (fun (entry, batch, next_pair) ->
+          let what = Printf.sprintf "%s q=%g" entry q in
+          let rng_batch = Prng.Splitmix.create ~seed:77 in
+          let rng_scalar = Prng.Splitmix.create ~seed:77 in
+          let lm_batch = Obs.Loadmap.create ~nodes in
+          let lm_scalar = Obs.Loadmap.create ~nodes in
+          let scratch = Obs.Loadmap.with_sink lm_batch (fun () -> batch rng_batch) in
+          let expected =
+            Obs.Loadmap.with_sink lm_scalar (fun () ->
+                Array.init pairs (fun k ->
+                    let src, dst = next_pair rng_scalar k in
+                    Routing.Router.route table ~rng:rng_scalar ~alive ~src ~dst))
+          in
+          Array.iteri
+            (fun k e ->
+              Alcotest.check outcome
+                (Printf.sprintf "%s: pair %d" what k)
+                e
+                (Routing.Route_batch.outcome scratch k))
+            expected;
+          Alcotest.(check int64) (what ^ ": rng state") (Prng.Splitmix.state rng_scalar)
+            (Prng.Splitmix.state rng_batch);
+          Alcotest.(check int)
+            (what ^ ": one termination per pair")
+            pairs
+            (Obs.Loadmap.total lm_batch Obs.Loadmap.Route_termination);
+          Alcotest.(check bool) (what ^ ": per-node loadmap counts") true
+            (Obs.Loadmap.equal lm_scalar lm_batch))
+        [
+          ( "route_many",
+            (fun rng ->
+              Routing.Route_batch.route_many
+                ~scratch:(Routing.Route_batch.create_scratch ())
+                table ~rng ~alive given),
+            fun _ k -> given.(k) );
+          ( "sample_and_route",
+            (fun rng ->
+              Routing.Route_batch.sample_and_route
+                ~scratch:(Routing.Route_batch.create_scratch ())
+                table ~rng ~alive ~pool ~pairs),
+            fun rng _ -> Stats.Sampler.ordered_pair rng pool );
+        ])
+    [ 0.0; 0.3; 0.6 ]
+
 (* --- scratch lifecycle ---------------------------------------------------- *)
 
 let test_scratch_reuse_and_raw_views () =
@@ -348,7 +443,8 @@ let test_validation_errors () =
 
 (* A two-member pool makes the bad id an endpoint of the first pair.
    Every lane must reject it before a kernel indexes a row, the mask or
-   a loadmap slice with it, with and without a sink installed. *)
+   a loadmap slice with it, with and without a sink installed, and
+   leave the generator just past the draw that picked it. *)
 let test_pool_ids_checked () =
   let bits = 10 in
   List.iter
@@ -357,9 +453,20 @@ let test_pool_ids_checked () =
       let alive = Overlay.Failure.none (Overlay.Table.node_count flat) in
       List.iter
         (fun bad ->
+          let pool = [| 3; bad |] in
+          let rng = ref (Prng.Splitmix.create ~seed:1) in
           let route () =
-            Routing.Route_batch.sample_and_route flat ~rng:(Prng.Splitmix.create ~seed:1)
-              ~alive ~pool:[| 3; bad |] ~pairs:4
+            rng := Prng.Splitmix.create ~seed:1;
+            Routing.Route_batch.sample_and_route flat ~rng:!rng ~alive ~pool ~pairs:4
+          in
+          let expected =
+            let g = Prng.Splitmix.create ~seed:1 in
+            let i = Prng.Splitmix.int g 2 in
+            if pool.(i) <> bad then
+              while Prng.Splitmix.int g 2 = i do
+                ()
+              done;
+            Prng.Splitmix.state g
           in
           let sink = Obs.Loadmap.create ~nodes:(Overlay.Table.node_count flat) in
           List.iter
@@ -368,7 +475,11 @@ let test_pool_ids_checked () =
               | _ ->
                   Alcotest.failf "%s: pool id %d accepted (%s)" (Rcm.Geometry.slug geometry)
                     bad label
-              | exception Invalid_argument _ -> ())
+              | exception Invalid_argument _ ->
+                  Alcotest.(check int64)
+                    (Printf.sprintf "%s: rng state after pool id %d (%s)"
+                       (Rcm.Geometry.slug geometry) bad label)
+                    expected (Prng.Splitmix.state !rng))
             [ ("no sink", route); ("sink", fun () -> Obs.Loadmap.with_sink sink route) ])
         [ 1 lsl 24; -1 ])
     all_geometries
@@ -497,6 +608,8 @@ let suite =
     Alcotest.test_case "sample_and_route = scalar trial loop" `Quick
       test_sample_and_route_matches_scalar;
     prop_batch_scalar_agreement;
+    Alcotest.test_case "hypercube lane: rejected draw" `Quick test_hypercube_rejection;
+    Alcotest.test_case "hypercube lane: bits 14, both entry points" `Quick test_hypercube_bits14;
     Alcotest.test_case "scratch reuse and raw views" `Quick test_scratch_reuse_and_raw_views;
     Alcotest.test_case "validation errors" `Quick test_validation_errors;
     Alcotest.test_case "pool ids checked on every lane" `Quick test_pool_ids_checked;

@@ -175,6 +175,99 @@ let int_unbiased_small_bounds =
       done;
       Array.for_all Fun.id seen)
 
+(* --- the representation against a model over next_int64 ------------------ *)
+
+(* [of_int64 reject_state] draws all ones next: its top 62 bits are
+   max62, the one value [int] rejects at bound 3 (and at [max_int]). *)
+let reject_state = 0x31628AF67B2131ABL
+
+let test_int_rejection () =
+  let t = Prng.Splitmix.of_int64 reject_state in
+  let probe = Prng.Splitmix.copy t in
+  Alcotest.(check int64) "next draw is all ones" (-1L) (Prng.Splitmix.next_int64 probe);
+  let second = Prng.Splitmix.next_int64 probe in
+  let two_steps = Prng.Splitmix.copy t in
+  Prng.Splitmix.advance two_steps 2;
+  let v = Prng.Splitmix.int t 3 in
+  Alcotest.(check int64) "two draws consumed" (Prng.Splitmix.state two_steps)
+    (Prng.Splitmix.state t);
+  Alcotest.(check int) "the second draw's value"
+    (Int64.to_int (Int64.shift_right_logical second 2) mod 3)
+    v
+
+(* Every draw function written over [next_int64] alone: the stream
+   contract any representation of the state must keep. *)
+let model_bits62 g = Int64.to_int (Int64.shift_right_logical (Prng.Splitmix.next_int64 g) 2)
+
+let rec model_int g bound =
+  let max62 = (1 lsl 62) - 1 in
+  let v = model_bits62 g in
+  if v <= max62 - (((max62 mod bound) + 1) mod bound) then v mod bound
+  else model_int g bound
+
+let model_float g =
+  Int64.to_float (Int64.shift_right_logical (Prng.Splitmix.next_int64 g) 11) *. 0x1.0p-53
+
+let model_harmonic g n =
+  let x = int_of_float (exp (model_float g *. log (float_of_int (n + 1)))) in
+  max 1 (min n x)
+
+let draws_match_model =
+  qcheck "draws match a model over next_int64"
+    QCheck2.Gen.(
+      triple
+        (frequency [ (1, pure reject_state); (9, int64) ])
+        (int_range 1 61) (int_range 1 100_000))
+    (fun (state, k, n) ->
+      let same label draw model =
+        let t = Prng.Splitmix.of_int64 state and g = Prng.Splitmix.of_int64 state in
+        List.for_all Fun.id (List.init 4 (fun _ -> draw t = model g))
+        && Prng.Splitmix.state t = Prng.Splitmix.state g
+        || QCheck2.Test.fail_reportf "%s differs from the model at state %Ld" label state
+      in
+      List.for_all
+        (fun bound ->
+          same (Printf.sprintf "int %d" bound)
+            (fun t -> Prng.Splitmix.int t bound)
+            (fun g -> model_int g bound))
+        [ 1; 2; 3; 1 lsl k; (1 lsl k) + 1; max_int ]
+      && same "float" Prng.Splitmix.float model_float
+      && same "bool" Prng.Splitmix.bool (fun g ->
+             Int64.logand (Prng.Splitmix.next_int64 g) 1L = 1L)
+      && same "int_in_range"
+           (fun t -> Prng.Splitmix.int_in_range t ~lo:(-n) ~hi:k)
+           (fun g -> model_int g (k + n + 1) - n)
+      && same "harmonic_int"
+           (fun t -> Prng.Splitmix.harmonic_int t ~n)
+           (fun g -> model_harmonic g n))
+
+let state_resumes_and_copy_is_independent =
+  qcheck "of_int64 (state t) resumes; copy is independent"
+    QCheck2.Gen.(pair int64 (int_range 0 20))
+    (fun (state, steps) ->
+      let t = Prng.Splitmix.of_int64 state in
+      for _ = 1 to steps do
+        ignore (Prng.Splitmix.int t 7)
+      done;
+      let resumed = Prng.Splitmix.of_int64 (Prng.Splitmix.state t) in
+      let copy = Prng.Splitmix.copy t in
+      let ahead = List.init 3 (fun _ -> Prng.Splitmix.next_int64 copy) in
+      List.init 3 (fun _ -> Prng.Splitmix.next_int64 resumed) = ahead
+      && List.init 3 (fun _ -> Prng.Splitmix.next_int64 t) = ahead)
+
+(* Native code only: the bytecode interpreter boxes every int64. *)
+let test_int_allocates_nothing () =
+  let g = Prng.Splitmix.create ~seed:41 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Prng.Splitmix.int g 1_000_003
+  done;
+  let words = Gc.minor_words () -. before in
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check (float 0.0)) "minor words for 10k int draws" 0.0 words;
+  Alcotest.(check bool) "draws used" true (!acc > 0)
+
 (* --- Zipf ------------------------------------------------------------------- *)
 
 let test_zipf_guards () =
@@ -288,6 +381,10 @@ let suite =
     harmonic_in_range;
     int_unbiased_small_bounds;
     advance_matches_steps;
+    ("int rejection branch", `Quick, test_int_rejection);
+    draws_match_model;
+    state_resumes_and_copy_is_independent;
+    ("int draws allocate nothing", `Quick, test_int_allocates_nothing);
     ("zipf guards", `Quick, test_zipf_guards);
     ("zipf pmf shape", `Quick, test_zipf_pmf_shape);
     ("zipf s=0 is uniform", `Quick, test_zipf_uniform_at_s0);
