@@ -1,4 +1,4 @@
-.PHONY: all build test check doc docs-smoke bench bench-smoke batch-smoke record-smoke chaos-smoke churn-smoke storage-smoke hotspot-smoke trace-smoke perfbench-smoke clean
+.PHONY: all build test check doc docs-smoke sweep-smoke trace-smoke perfbench-smoke clean
 
 all: build
 
@@ -25,52 +25,15 @@ doc:
 docs-smoke: build
 	sh scripts/docs_smoke.sh
 
-bench:
-	dune exec bench/main.exe
-
-# CI-sized bench: runs only the pool sweep (with metrics enabled),
-# writes BENCH_<date>.json, and asserts it matches the schema the
-# perf-tracking tooling expects.
-bench-smoke:
-	dune exec bench/main.exe -- --smoke
-	dune exec bench/validate.exe
-
-# Batch-kernel smoke: flat-backend sweeps routed through the batched
-# per-geometry kernels diffed byte-for-byte against --no-batch (the
-# scalar router), plus schema validation of the bench batch section.
-# Expects bench-smoke to have written BENCH_<date>.json first.
-batch-smoke: build
-	sh scripts/batch_smoke.sh
-
-# ReCord plugin smoke: the registry-path geometry simulated and
-# figure-regenerated byte-identically across --jobs and batch/scalar,
-# plus schema validation of the bench record section. Expects
-# bench-smoke to have written BENCH_<date>.json first.
-record-smoke: build
-	sh scripts/record_smoke.sh
-
-# Fault-tolerance smoke: fault-injected --smoke sweep, SIGINT mid-run,
-# --resume, and a deterministic truncated-checkpoint resume — each
-# diffed byte-for-byte against an uninterrupted baseline.
-chaos-smoke: build
-	sh scripts/chaos_smoke.sh
-
-# Checkpointed-sweep smokes (one script, one table row per sweep):
-# --jobs determinism, csv/json shape, checkpoint + resume (including a
-# truncated mid-state checkpoint) and SIGINT recovery of the churn and
-# the storage sweep, each diffed byte-for-byte against an uninterrupted
-# baseline.
-churn-smoke: build
-	sh scripts/sweep_smoke.sh churn
-
-storage-smoke: build
-	sh scripts/sweep_smoke.sh storage
-
-# Load-telemetry smoke: hotspot sweep loadmap byte-identity across
-# --jobs, batch vs scalar per-node count parity, and the CSV/JSON/
-# loadmap file shapes.
-hotspot-smoke: build
-	sh scripts/hotspot_smoke.sh
+# Smoke table, one row per sweep (scripts/sweep_smoke.sh): byte-identity
+# across --jobs and --no-batch, CSV/JSON/loadmap shapes, checkpoint +
+# resume (also from a truncated checkpoint) and SIGINT recovery with
+# validated manifest/metrics telemetry, each diffed byte-for-byte
+# against an uninterrupted baseline.
+sweep-smoke: build
+	for row in simulate record hotspots churn storage; do \
+	  sh scripts/sweep_smoke.sh $$row || exit 1; \
+	done
 
 # Observability smoke: traced --smoke sweep (stdout byte-identical to
 # an untraced one), trace report aggregates, Chrome export, and

@@ -1,8 +1,5 @@
-(* Schema checks for the JSON artefacts this repository's tools write:
+(* Schema checks for the JSON artefacts dhtlab writes:
 
-     validate.exe [FILE]            BENCH_<date>.json (bench/main); without
-                                    FILE, the newest BENCH_*.json in the
-                                    current directory
      validate.exe --manifest FILE   provenance manifest (dhtlab --manifest /
                                     dhtlab export): schema plus recomputing
                                     the MD5 of every artefact still on disk
@@ -45,23 +42,23 @@ let as_list path v =
 
 let check_finite path v = if not (Float.is_finite v) then fail "%s: not finite" path
 
-(* --- metrics snapshot (shared by BENCH files and --metrics-out) ------------ *)
+(* --- metrics snapshot (--metrics-out) ---------------------------------------- *)
 
 (* Counters are integers; histograms carry count plus the summary
    stats, each a number or null (the JSON spelling of nan/inf and of
    an empty histogram's stats). *)
-let validate_metrics path metrics =
-  let counters = as_obj_fields (path ^ ".counters") (field path metrics "counters") in
+let validate_metrics json =
+  let counters = as_obj_fields "$.counters" (field "$" json "counters") in
   List.iter
     (fun (name, v) ->
       match to_int v with
       | Some _ -> ()
-      | None -> fail "%s.counters[%S]: expected an integer" path name)
+      | None -> fail "$.counters[%S]: expected an integer" name)
     counters;
-  let histograms = as_obj_fields (path ^ ".histograms") (field path metrics "histograms") in
+  let histograms = as_obj_fields "$.histograms" (field "$" json "histograms") in
   List.iter
     (fun (name, h) ->
-      let hpath = Printf.sprintf "%s.histograms[%S]" path name in
+      let hpath = Printf.sprintf "$.histograms[%S]" name in
       let count = as_int (hpath ^ ".count") (field hpath h "count") in
       if count < 0 then fail "%s.count: negative" hpath;
       List.iter
@@ -71,289 +68,6 @@ let validate_metrics path metrics =
           | _ -> fail "%s.%s: expected a number or null" hpath key)
         [ "sum"; "min"; "max"; "mean"; "p50"; "p90"; "p99" ])
     histograms;
-  (counters, histograms)
-
-(* --- BENCH_<date>.json ------------------------------------------------------ *)
-
-let validate_bench json =
-  (match field "$" json "date" with
-  | Str s when String.length s = 10 -> ()
-  | Str s -> fail "$.date: expected YYYY-MM-DD, found %S" s
-  | _ -> fail "$.date: expected a string");
-  List.iter
-    (fun (name, v) ->
-      let v = as_number (Printf.sprintf "$.ns_per_run[%S]" name) v in
-      if not (Float.is_finite v) || v < 0.0 then fail "$.ns_per_run[%S]: bad value" name)
-    (as_obj_fields "$.ns_per_run" (field "$" json "ns_per_run"));
-  let sweep = field "$" json "fig6_sim_sweep" in
-  let domains = as_number "$.fig6_sim_sweep.domains" (field "$.fig6_sim_sweep" sweep "domains") in
-  if domains < 1.0 || Float.rem domains 1.0 <> 0.0 then
-    fail "$.fig6_sim_sweep.domains: expected a positive integer";
-  List.iter
-    (fun key ->
-      let path = "$.fig6_sim_sweep." ^ key in
-      let v = as_number path (field "$.fig6_sim_sweep" sweep key) in
-      check_finite path v;
-      if v <= 0.0 then fail "%s: expected > 0" path)
-    [ "sequential_s"; "parallel_s"; "speedup" ];
-  (* Overlay backend records: one per (geometry, backend), each carrying
-     the build/route timings, the table payload size and the kernel's
-     peak-RSS reading (0 where /proc is unavailable). *)
-  (match as_list "$.overlay" (field "$" json "overlay") with
-  | [] -> fail "$.overlay: empty (backend bench did not run?)"
-  | records ->
-      List.iteri
-        (fun i r ->
-          let path = Printf.sprintf "$.overlay[%d]" i in
-          let backend = as_string (path ^ ".backend") (field path r "backend") in
-          if backend <> "classic" && backend <> "flat" then
-            fail "%s.backend: expected \"classic\" or \"flat\", found %S" path backend;
-          ignore (as_string (path ^ ".geometry") (field path r "geometry"));
-          if as_int (path ^ ".bits") (field path r "bits") < 1 then
-            fail "%s.bits: expected >= 1" path;
-          List.iter
-            (fun key ->
-              let p = path ^ "." ^ key in
-              let v = as_number p (field path r key) in
-              check_finite p v;
-              if v < 0.0 then fail "%s: negative" p)
-            [ "build_s"; "routes_per_s" ];
-          if as_int (path ^ ".table_bytes") (field path r "table_bytes") <= 0 then
-            fail "%s.table_bytes: expected > 0" path;
-          if as_int (path ^ ".peak_rss_kb") (field path r "peak_rss_kb") < 0 then
-            fail "%s.peak_rss_kb: negative" path)
-        records);
-  let fsweep = field "$" json "flat_sweep" in
-  if as_int "$.flat_sweep.bits" (field "$.flat_sweep" fsweep "bits") < 1 then
-    fail "$.flat_sweep.bits: expected >= 1";
-  if as_int "$.flat_sweep.trials" (field "$.flat_sweep" fsweep "trials") < 1 then
-    fail "$.flat_sweep.trials: expected >= 1";
-  let wall = as_number "$.flat_sweep.wall_s" (field "$.flat_sweep" fsweep "wall_s") in
-  check_finite "$.flat_sweep.wall_s" wall;
-  if wall <= 0.0 then fail "$.flat_sweep.wall_s: expected > 0";
-  if as_int "$.flat_sweep.peak_rss_kb" (field "$.flat_sweep" fsweep "peak_rss_kb") < 0 then
-    fail "$.flat_sweep.peak_rss_kb: negative";
-  (* Batch-kernel section: per-geometry scalar/batch routes/s plus the
-     end-to-end sweep wall clocks. Rates and speedups must be positive
-     — a zero means the timed block collapsed below clock resolution,
-     which the bench sizes are chosen to avoid. *)
-  let batch = field "$" json "batch" in
-  if as_int "$.batch.bits" (field "$.batch" batch "bits") < 1 then
-    fail "$.batch.bits: expected >= 1";
-  (match as_list "$.batch.kernels" (field "$.batch" batch "kernels") with
-  | [] -> fail "$.batch.kernels: empty (batch bench did not run?)"
-  | kernels ->
-      List.iteri
-        (fun i r ->
-          let path = Printf.sprintf "$.batch.kernels[%d]" i in
-          ignore (as_string (path ^ ".geometry") (field path r "geometry"));
-          List.iter
-            (fun key ->
-              let p = path ^ "." ^ key in
-              let v = as_number p (field path r key) in
-              check_finite p v;
-              if v <= 0.0 then fail "%s: expected > 0" p)
-            [ "scalar_routes_per_s"; "batch_routes_per_s"; "speedup" ])
-        kernels);
-  let bsweep = field "$.batch" batch "sweep" in
-  List.iter
-    (fun key ->
-      let p = "$.batch.sweep." ^ key in
-      let v = as_number p (field "$.batch.sweep" bsweep key) in
-      check_finite p v;
-      if v <= 0.0 then fail "%s: expected > 0" p)
-    [ "scalar_s"; "batch_s"; "speedup" ];
-  (* Session-churn sweep: the steady-state curve points themselves.
-     routability may be null (no measurement found a live pair at
-     brutal churn rates); every other statistic must be a finite number
-     in its natural range. *)
-  let churn = field "$" json "churn" in
-  if as_int "$.churn.bits" (field "$.churn" churn "bits") < 1 then
-    fail "$.churn.bits: expected >= 1";
-  let churn_wall = as_number "$.churn.wall_s" (field "$.churn" churn "wall_s") in
-  check_finite "$.churn.wall_s" churn_wall;
-  if churn_wall <= 0.0 then fail "$.churn.wall_s: expected > 0";
-  (match as_list "$.churn.points" (field "$.churn" churn "points") with
-  | [] -> fail "$.churn.points: empty (churn bench did not run?)"
-  | points ->
-      List.iteri
-        (fun i p ->
-          let path = Printf.sprintf "$.churn.points[%d]" i in
-          ignore (as_string (path ^ ".geometry") (field path p "geometry"));
-          ignore (as_string (path ^ ".session") (field path p "session"));
-          ignore (as_string (path ^ ".gap") (field path p "gap"));
-          List.iter
-            (fun key ->
-              let pth = path ^ "." ^ key in
-              let v = as_number pth (field path p key) in
-              check_finite pth v;
-              if v <= 0.0 then fail "%s: expected > 0" pth)
-            [ "session_mean"; "gap_mean"; "churn_rate" ];
-          List.iter
-            (fun key ->
-              let pth = path ^ "." ^ key in
-              let v = as_number pth (field path p key) in
-              check_finite pth v;
-              if v < 0.0 || v > 1.0 then fail "%s: outside [0, 1]" pth)
-            [
-              "availability"; "alive"; "stale"; "stale_near"; "stale_shortcut"; "prediction";
-            ];
-          (match field path p "routability" with
-          | Null -> ()
-          | Num _ as v ->
-              let r = as_number (path ^ ".routability") v in
-              if not (Float.is_finite r) || r < 0.0 || r > 1.0 then
-                fail "%s.routability: outside [0, 1]" path
-          | _ -> fail "%s.routability: expected a number or null" path);
-          if as_int (path ^ ".no_pair_measurements") (field path p "no_pair_measurements") < 0
-          then fail "%s.no_pair_measurements: negative" path;
-          if as_int (path ^ ".events") (field path p "events") <= 0 then
-            fail "%s.events: expected > 0" path)
-        points);
-  (* Replicated-storage sweep: availability may be null (nothing was
-     attempted when no node survived), every other statistic is bounded,
-     and the measured survival is cross-checked against the Leslie
-     closed form the analytic column carries. *)
-  let storage = field "$" json "storage" in
-  if as_int "$.storage.bits" (field "$.storage" storage "bits") < 1 then
-    fail "$.storage.bits: expected >= 1";
-  let storage_wall = as_number "$.storage.wall_s" (field "$.storage" storage "wall_s") in
-  check_finite "$.storage.wall_s" storage_wall;
-  if storage_wall <= 0.0 then fail "$.storage.wall_s: expected > 0";
-  (match as_list "$.storage.points" (field "$" storage "points") with
-  | [] -> fail "$.storage.points: empty (storage bench did not run?)"
-  | points ->
-      List.iteri
-        (fun i p ->
-          let path = Printf.sprintf "$.storage.points[%d]" i in
-          ignore (as_string (path ^ ".geometry") (field path p "geometry"));
-          (match as_string (path ^ ".mode") (field path p "mode") with
-          | "static" | "churn" -> ()
-          | m -> fail "%s.mode: expected \"static\" or \"churn\", found %S" path m);
-          let r = as_int (path ^ ".r") (field path p "r") in
-          let rq = as_int (path ^ ".rq") (field path p "rq") in
-          let wq = as_int (path ^ ".wq") (field path p "wq") in
-          if r < 1 then fail "%s.r: expected >= 1" path;
-          if rq < 1 || rq > r then fail "%s.rq: outside [1, r]" path;
-          if wq < 1 || wq > r then fail "%s.wq: outside [1, r]" path;
-          List.iter
-            (fun key ->
-              let pth = path ^ "." ^ key in
-              let v = as_number pth (field path p key) in
-              check_finite pth v;
-              if v < 0.0 || v > 1.0 then fail "%s: outside [0, 1]" pth)
-            [ "survival"; "analytic"; "alive" ];
-          (match field path p "availability" with
-          | Null -> ()
-          | Num _ as v ->
-              let a = as_number (path ^ ".availability") v in
-              if not (Float.is_finite a) || a < 0.0 || a > 1.0 then
-                fail "%s.availability: outside [0, 1]" path
-          | _ -> fail "%s.availability: expected a number or null" path);
-          List.iter
-            (fun key ->
-              if as_int (path ^ "." ^ key) (field path p key) < 0 then
-                fail "%s.%s: negative" path key)
-            [
-              "attempted"; "quorum_reads"; "degraded_reads"; "failed_reads"; "no_client";
-              "probe_routes"; "repair_routes"; "repair_transfers"; "load_max"; "load_p99";
-              "events";
-            ])
-        points);
-  (* Per-node load telemetry: the overhead of routing with the loadmap
-     sink installed must be recorded and positive (a ratio far above 1
-     means the counting points got expensive), per-point counter totals
-     are non-negative, and every Gini coefficient sits in [0, 1]. *)
-  let loadmap = field "$" json "loadmap" in
-  if as_int "$.loadmap.bits" (field "$.loadmap" loadmap "bits") < 1 then
-    fail "$.loadmap.bits: expected >= 1";
-  let loadmap_wall = as_number "$.loadmap.wall_s" (field "$.loadmap" loadmap "wall_s") in
-  check_finite "$.loadmap.wall_s" loadmap_wall;
-  if loadmap_wall <= 0.0 then fail "$.loadmap.wall_s: expected > 0";
-  let overhead = field "$.loadmap" loadmap "overhead" in
-  if as_int "$.loadmap.overhead.pairs" (field "$.loadmap.overhead" overhead "pairs") < 1
-  then fail "$.loadmap.overhead.pairs: expected >= 1";
-  List.iter
-    (fun key ->
-      let p = "$.loadmap.overhead." ^ key in
-      let v = as_number p (field "$.loadmap.overhead" overhead key) in
-      check_finite p v;
-      if v <= 0.0 then fail "%s: expected > 0" p)
-    [ "base_s"; "sink_s"; "ratio" ];
-  (match as_list "$.loadmap.points" (field "$.loadmap" loadmap "points") with
-  | [] -> fail "$.loadmap.points: empty (loadmap bench did not run?)"
-  | points ->
-      List.iteri
-        (fun i p ->
-          let path = Printf.sprintf "$.loadmap.points[%d]" i in
-          (match as_string (path ^ ".plane") (field path p "plane") with
-          | "routing" | "storage" -> ()
-          | pl -> fail "%s.plane: expected \"routing\" or \"storage\", found %S" path pl);
-          ignore (as_string (path ^ ".geometry") (field path p "geometry"));
-          ignore (as_string (path ^ ".kind") (field path p "kind"));
-          if as_int (path ^ ".nodes") (field path p "nodes") < 1 then
-            fail "%s.nodes: expected >= 1" path;
-          List.iter
-            (fun key ->
-              let spath = Printf.sprintf "%s.%s" path key in
-              let s = field path p key in
-              let total = as_int (spath ^ ".total") (field spath s "total") in
-              let active = as_int (spath ^ ".active_nodes") (field spath s "active_nodes") in
-              let max_load = as_int (spath ^ ".max") (field spath s "max") in
-              if total < 0 then fail "%s.total: negative" spath;
-              if active < 0 then fail "%s.active_nodes: negative" spath;
-              if max_load < 0 then fail "%s.max: negative" spath;
-              if max_load > total then fail "%s.max: exceeds total" spath;
-              List.iter
-                (fun k ->
-                  let p' = spath ^ "." ^ k in
-                  let v = as_number p' (field spath s k) in
-                  check_finite p' v;
-                  if v < 0.0 then fail "%s: negative" p')
-                [ "mean"; "congestion" ];
-              let gini = as_number (spath ^ ".gini") (field spath s "gini") in
-              check_finite (spath ^ ".gini") gini;
-              if gini < 0.0 || gini > 1.0 then fail "%s.gini: outside [0, 1]" spath)
-            [ "traversals"; "terminations"; "storage_reads"; "repairs" ])
-        points);
-  (* ReCord plugin section: the same kernel-record shape as $.batch,
-     one record per digit base, plus the hop-pmf total-variation
-     distance between the chain prediction and the simulated histogram
-     — a probability-mass gap, so it must sit in [0, 1]. *)
-  let record = field "$" json "record" in
-  if as_int "$.record.bits" (field "$.record" record "bits") < 1 then
-    fail "$.record.bits: expected >= 1";
-  (match as_list "$.record.kernels" (field "$.record" record "kernels") with
-  | [] -> fail "$.record.kernels: empty (record bench did not run?)"
-  | kernels ->
-      List.iteri
-        (fun i r ->
-          let path = Printf.sprintf "$.record.kernels[%d]" i in
-          let g = as_string (path ^ ".geometry") (field path r "geometry") in
-          if String.length g < 7 || String.sub g 0 7 <> "record:" then
-            fail "%s.geometry: expected a record:* slug, found %S" path g;
-          List.iter
-            (fun key ->
-              let p = path ^ "." ^ key in
-              let v = as_number p (field path r key) in
-              check_finite p v;
-              if v <= 0.0 then fail "%s: expected > 0" p)
-            [ "scalar_routes_per_s"; "batch_routes_per_s"; "speedup" ])
-        kernels);
-  let tv = as_number "$.record.hop_tv" (field "$.record" record "hop_tv") in
-  check_finite "$.record.hop_tv" tv;
-  if tv < 0.0 || tv > 1.0 then fail "$.record.hop_tv: outside [0, 1]";
-  let counters, histograms = validate_metrics "$.metrics" (field "$" json "metrics") in
-  (* The smoke sweep always routes through the pool and the overlay
-     cache: an empty metrics section means the instrumentation was
-     never switched on, which is exactly the regression this guards. *)
-  if counters = [] then fail "$.metrics.counters: empty (metrics were not enabled?)";
-  Printf.sprintf "%d metric series" (List.length counters + List.length histograms)
-
-(* --- metrics snapshot file (--metrics-out) ---------------------------------- *)
-
-let validate_metrics_file json =
-  let counters, histograms = validate_metrics "$" json in
   Printf.sprintf "%d counters, %d histograms" (List.length counters) (List.length histograms)
 
 (* --- provenance manifest (--manifest) --------------------------------------- *)
@@ -361,13 +75,14 @@ let validate_metrics_file json =
 (* Hex MD5 of a file's current bytes, as Obs.Manifest records it. *)
 let md5_hex path = Digest.to_hex (Digest.file path)
 
-let validate_manifest ~dir json =
+let validate_manifest json =
   if as_int "$.v" (field "$" json "v") <> 1 then fail "$.v: expected manifest version 1";
   if as_string "$.kind" (field "$" json "kind") <> "dht_rcm-manifest" then
     fail "$.kind: expected \"dht_rcm-manifest\"";
   (match as_list "$.argv" (field "$" json "argv") with
   | [] -> fail "$.argv: empty"
   | argv -> List.iteri (fun i v -> ignore (as_string (Printf.sprintf "$.argv[%d]" i) v)) argv);
+  let cwd = as_string "$.cwd" (field "$" json "cwd") in
   ignore (as_string "$.hostname" (field "$" json "hostname"));
   ignore (as_string "$.ocaml_version" (field "$" json "ocaml_version"));
   let started = as_number "$.started" (field "$" json "started") in
@@ -381,15 +96,15 @@ let validate_manifest ~dir json =
   ignore (as_obj_fields "$.notes" (field "$" json "notes"));
   let artefacts = as_list "$.artefacts" (field "$" json "artefacts") in
   (* Re-checksum every artefact the manifest claims exists. Paths are
-     as the run recorded them — usually relative to where it ran, so
-     resolve against the manifest's own directory. *)
+     as the run recorded them, so a relative one resolves against the
+     directory the run started in, not the manifest's own. *)
   let checked =
     List.mapi
       (fun i entry ->
         let path = Printf.sprintf "$.artefacts[%d]" i in
         ignore (as_string (path ^ ".kind") (field path entry "kind"));
         let file = as_string (path ^ ".path") (field path entry "path") in
-        let resolved = if Filename.is_relative file then Filename.concat dir file else file in
+        let resolved = if Filename.is_relative file then Filename.concat cwd file else file in
         match field path entry "exists" with
         | Bool false -> 0
         | Bool true ->
@@ -412,23 +127,6 @@ let validate_manifest ~dir json =
 
 (* --- entry point ------------------------------------------------------------ *)
 
-let newest_bench_json () =
-  Sys.readdir "."
-  |> Array.to_list
-  |> List.filter (fun name ->
-         String.length name > 6
-         && String.sub name 0 6 = "BENCH_"
-         (* bench writes atomically via <name>.json.tmp + rename; a
-            leftover temp from a crashed run must never be picked up as
-            the newest record. *)
-         && Filename.check_suffix name ".json")
-  |> List.sort (fun a b -> String.compare b a)
-  |> function
-  | [] ->
-      prerr_endline "validate: no BENCH_*.json in the current directory";
-      exit 1
-  | newest :: _ -> newest
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -442,24 +140,21 @@ let read_file path =
       really_input_string ic n)
 
 let usage () =
-  prerr_endline "usage: validate.exe [FILE | --manifest FILE | --metrics FILE]";
+  prerr_endline "usage: validate.exe (--manifest FILE | --metrics FILE)";
   exit 2
 
 let () =
   let mode, path =
     match Array.to_list Sys.argv with
-    | [ _ ] -> (`Bench, newest_bench_json ())
     | [ _; "--manifest"; file ] -> (`Manifest, file)
     | [ _; "--metrics"; file ] -> (`Metrics, file)
-    | [ _; file ] when String.length file > 0 && file.[0] <> '-' -> (`Bench, file)
     | _ -> usage ()
   in
   match
     let json = parse (read_file path) in
     match mode with
-    | `Bench -> validate_bench json
-    | `Metrics -> validate_metrics_file json
-    | `Manifest -> validate_manifest ~dir:(Filename.dirname path) json
+    | `Metrics -> validate_metrics json
+    | `Manifest -> validate_manifest json
   with
   | summary -> Printf.printf "validate: %s ok (%s)\n" path summary
   | exception Check_error msg | exception Error msg ->

@@ -3,7 +3,7 @@
     A fault plan makes a seeded pseudo-random subset of task indices
     raise {!Injected} instead of running — the chaos half of the
     fault-tolerance story. Because the failing subset is a pure
-    function of [(seed, task index, attempt)], tests, the CI chaos job
+    function of [(seed, task index, attempt)], tests, the CI smoke table
     and an interrupted-then-resumed sweep all see the {e same} faults:
     the supervisor's retry and failed-trial accounting can be asserted
     exactly, and a resumed run reproduces the uninterrupted one

@@ -20,8 +20,8 @@
     column of the figure is the plane's {!primary} kind (traversals,
     or storage reads). The grid runs on {!Sweep} with index-derived
     48-bit seeds: per-node counts are bit-identical at any domain count
-    (pinned by [scripts/hotspot_smoke.sh]). Points are not
-    checkpointed. *)
+    (pinned by the [hotspots] row of [scripts/sweep_smoke.sh]). Points
+    are not checkpointed. *)
 
 type plane = Routing | Storage
 

@@ -1,12 +1,11 @@
 (** The geometry registry: one descriptor per geometry family.
 
     Everything that needs "the list of geometries" — the CLI's
-    [--geometry] documentation and [geometries] subcommand, the bench
-    suite, the docs-drift check, the backend-equivalence /
-    batch-differential / churn / storage test matrices — enumerates
-    this registry instead of pattern-matching hard-coded variants, so
-    a plugged-in family rides into all of them by registering one
-    descriptor.
+    [--geometry] documentation and [geometries] subcommand, the
+    docs-drift check, the backend-equivalence / batch-differential /
+    churn / storage test matrices — enumerates this registry instead
+    of pattern-matching hard-coded variants, so a plugged-in family
+    rides into all of them by registering one descriptor.
 
     The descriptor is {e declarative}: its capability flags state
     which engines the family supports; the actual behaviour hangs off

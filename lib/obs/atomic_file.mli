@@ -1,7 +1,7 @@
 (** Atomic file writes: write-to-temp then [Sys.rename].
 
     Every artefact this repository leaves on disk (figure CSVs, the
-    gnuplot driver, [BENCH_<date>.json], JSONL traces and checkpoints)
+    gnuplot driver, manifests, JSONL traces and checkpoints)
     must either exist in full or not at all: an interrupted or crashed
     run may abandon work, but it must never leave a truncated file that
     a later tool half-parses. POSIX [rename] within one directory is

@@ -5,6 +5,7 @@ let version = 1
 type state = {
   path : string;
   argv : string list;
+  cwd : string;
   started : float;
   hostname : string;
   mutable notes : (string * value) list;  (* reversed insertion order *)
@@ -29,6 +30,7 @@ let start ~argv ~path =
           {
             path;
             argv;
+            cwd = Sys.getcwd ();
             started = Unix.gettimeofday ();
             hostname;
             notes = [];
@@ -103,6 +105,8 @@ let render m ~finished ~exit_status =
   Buffer.add_string buffer
     (Printf.sprintf "{\n  \"v\": %d,\n  \"kind\": \"dht_rcm-manifest\",\n  \"argv\": " version);
   add_value buffer (Strings m.argv);
+  Buffer.add_string buffer ",\n  \"cwd\": ";
+  add_json_string buffer m.cwd;
   Buffer.add_string buffer ",\n  \"hostname\": ";
   add_json_string buffer m.hostname;
   Buffer.add_string buffer ",\n  \"ocaml_version\": ";

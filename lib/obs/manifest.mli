@@ -10,8 +10,10 @@
     {!add_artefact} every file they write, and the front end
     {!finish}es it with the exit status — at which point every artefact
     is stat'ed and checksummed (MD5 via [Digest]) and the manifest is
-    written atomically via {!Atomic_file}. The schema is validated by
-    [bench/validate.exe --manifest] and pinned in README.
+    written atomically via {!Atomic_file}. Artefact paths are recorded
+    as given, so a relative one is relative to the ["cwd"] the manifest
+    records. The schema is validated by [bench/validate.exe --manifest]
+    and pinned in README.
 
     Process-wide singleton like {!Metrics}/{!Trace}; every entry point
     is a no-op when no manifest was started, so library code can note
@@ -22,8 +24,9 @@ type value = String of string | Int of int | Float of float | Bool of bool | Str
 
 val start : argv:string list -> path:string -> unit
 (** Open a manifest to be written at [path]. Captures the wall-clock
-    start time, hostname, OCaml version and [argv]. Replaces any
-    manifest already open (the previous one is discarded unwritten). *)
+    start time, working directory, hostname, OCaml version and
+    [argv]. Replaces any manifest already open (the previous one is
+    discarded unwritten). *)
 
 val active : unit -> bool
 

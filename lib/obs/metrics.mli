@@ -4,8 +4,8 @@
     The registry is global and process-wide so that instrumentation
     points scattered across the overlay, routing, simulation and
     executor layers all land in one place, and a front end ([dhtlab
-    --metrics], [bench/main.ml]) can render or serialise the
-    whole state with one {!snapshot}.
+    --metrics], [--metrics-out], [--metrics-prom]) can render or
+    serialise the whole state with one {!snapshot}.
 
     {b Disabled by default, zero-cost when disabled.} Every mutation
     ({!incr}, {!observe}, {!time}, …) first reads one atomic flag and

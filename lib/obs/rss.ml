@@ -1,7 +1,6 @@
-(* Peak resident-set measurement from the kernel's accounting, so bench
-   numbers reflect real memory (Bigarray payloads included, which
-   Gc.stat cannot see). Linux-only by nature; every function degrades
-   to a no-op / None elsewhere. *)
+(* Peak resident-set measurement from the kernel's accounting, so
+   benchmark numbers reflect real memory (Bigarray payloads included,
+   which Gc.stat cannot see). Linux-only by nature; None elsewhere. *)
 
 let status_field field =
   match open_in "/proc/self/status" with
@@ -31,18 +30,3 @@ let status_field field =
           scan ())
 
 let peak_kb () = status_field "VmHWM"
-
-let current_kb () = status_field "VmRSS"
-
-(* Writing "5" to clear_refs resets the peak-RSS watermark to the
-   current RSS, so successive measurements don't inherit an earlier
-   phase's high-water mark. Needs a 4.0+ kernel; failures are ignored
-   (the caller just measures a cumulative peak instead). *)
-let reset_peak () =
-  match open_out "/proc/self/clear_refs" with
-  | exception Sys_error _ -> ()
-  | oc -> (
-      try
-        output_string oc "5";
-        close_out oc
-      with Sys_error _ -> close_out_noerr oc)

@@ -1,20 +1,10 @@
 (** Process resident-set size, read from the kernel's accounting
     ([/proc/self/status]).
 
-    Unlike [Gc.stat], these numbers include memory the OCaml heap does
-    not manage — notably the Bigarray blocks of flat overlays — which is
-    exactly what the bench suite needs to certify that large-[bits]
-    sweeps fit in a memory budget. Linux-only: on other systems the
-    readers return [None] and {!reset_peak} is a no-op. *)
+    Unlike [Gc.stat], this includes memory the OCaml heap does not
+    manage — notably the Bigarray blocks of flat overlays — which is
+    what perfbench's [peak_rss_mb] needs to report a run's real
+    footprint. Linux-only: elsewhere the reader returns [None]. *)
 
 val peak_kb : unit -> int option
-(** Peak resident set ([VmHWM]) in KiB, since process start or the last
-    {!reset_peak}. *)
-
-val current_kb : unit -> int option
-(** Current resident set ([VmRSS]) in KiB. *)
-
-val reset_peak : unit -> unit
-(** Reset the kernel's peak-RSS watermark to the current RSS (write [5]
-    to [/proc/self/clear_refs]), so a later {!peak_kb} measures only the
-    phase that follows. Silently does nothing where unsupported. *)
+(** Peak resident set ([VmHWM]) in KiB since process start. *)

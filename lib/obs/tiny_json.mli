@@ -1,8 +1,8 @@
 (** A minimal JSON reader for this repository's own artefacts.
 
     Every JSON file the system writes (metrics snapshots, manifests,
-    JSONL traces, [BENCH_<date>.json]) is produced by our own printers,
-    but the tools that read them back ({!Trace_reader},
+    JSONL traces, checkpoints) is produced by our own printers, but the
+    tools that read them back ({!Trace_reader},
     [bench/validate.ml]) parse real JSON — escapes, nesting, numbers —
     rather than scraping substrings, so a hand-edited or truncated file
     fails loudly instead of being half-read. Dependency-free on

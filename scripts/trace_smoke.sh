@@ -3,7 +3,9 @@
 #
 #   1. --smoke sweep with --trace-out (plus the metrics/manifest sinks
 #      and a sub-second heartbeat): stdout must be byte-identical to
-#      the same sweep with no observability at all.
+#      the same sweep with no observability at all, and the pooled
+#      run's metrics must carry the overlay-cache and per-domain pool
+#      counters.
 #   2. dhtlab trace report on the result: every aggregate section the
 #      tooling promises (spans, domains, per-geometry hop counts,
 #      slowest spans) must be present, and at least one heartbeat must
@@ -12,15 +14,16 @@
 #      Chrome trace-event envelope and complete-span events.
 #
 # Usage: scripts/trace_smoke.sh [path-to-dhtlab] [path-to-validate]
-# TRACE_WORK, when set, names the work directory to use (and keep) so
-# CI can upload it on failure. Exits non-zero on the first violation.
+# SMOKE_WORK, when set, names a directory to keep the artefacts in
+# (under SMOKE_WORK/trace) so CI can upload them on failure. Exits
+# non-zero on the first violation.
 
 set -eu
 
 DHTLAB=${1:-_build/default/bin/dhtlab.exe}
 VALIDATE=${2:-_build/default/bench/validate.exe}
-if [ -n "${TRACE_WORK:-}" ]; then
-    WORK=$TRACE_WORK
+if [ -n "${SMOKE_WORK:-}" ]; then
+    WORK=$SMOKE_WORK/trace
     mkdir -p "$WORK"
 else
     WORK=$(mktemp -d "${TMPDIR:-/tmp}/trace_smoke.XXXXXX")
@@ -46,6 +49,10 @@ diff "$WORK/baseline.txt" "$WORK/traced.txt" \
 [ -e "$WORK/run.jsonl.tmp" ] && fail "trace close left run.jsonl.tmp behind"
 $VALIDATE --manifest "$WORK/run.manifest.json" || fail "manifest failed validation"
 $VALIDATE --metrics "$WORK/run.metrics.json" || fail "metrics snapshot failed validation"
+for counter in cache/misses pool/domain1/tasks; do
+    grep -q "\"$counter\"" "$WORK/run.metrics.json" \
+        || fail "metrics carry no $counter counter (metrics not enabled?)"
+done
 grep -q '^# TYPE dhtlab_' "$WORK/run.prom" \
     || fail "Prometheus textfile carries no dhtlab_ family"
 

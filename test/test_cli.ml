@@ -318,6 +318,32 @@ let temp_dir name =
   Sys.mkdir dir 0o700;
   dir
 
+let validator = Filename.concat (Filename.concat ".." "bench") "validate.exe"
+
+(* A manifest records artefact paths as the run was given them, so
+   relative ones resolve against the directory the run started in, not
+   the manifest's: a run with relative paths and its manifest in a
+   subdirectory must validate from where it ran. *)
+let test_manifest_relative_paths () =
+  let dir = temp_dir "relative" in
+  Sys.mkdir (Filename.concat dir "sub") 0o700;
+  let in_dir exe args =
+    Printf.sprintf "cd %s && %s 2>&1" (Filename.quote dir)
+      (Filename.quote_command (Filename.concat (Sys.getcwd ()) exe) args)
+  in
+  let status, _ =
+    run_capture_shell
+      (in_dir binary
+         [
+           "simulate"; "--smoke"; "-g"; "xor"; "--seed"; "7"; "--checkpoint"; "ck.jsonl";
+           "--manifest"; "sub/m.json";
+         ])
+  in
+  check_exit "simulate with relative paths" status;
+  match run_capture_shell (in_dir validator [ "--manifest"; "sub/m.json" ]) with
+  | Unix.WEXITED 0, _ -> ()
+  | _, out -> Alcotest.failf "validate.exe rejected the manifest: %s" out
+
 (* Sweep commands fail with a one-line "dhtlab <cmd>: " message and a
    meaningful exit code, never an uncaught exception (125) or a hang:
    bad configs and unusable checkpoints exit 2, once, up front (not
@@ -474,6 +500,7 @@ let suite =
     ("checkpoint/resume stdout roundtrip", `Quick, test_checkpoint_resume_roundtrip_stdout);
     ("obs flags preserve stdout + sinks validate", `Quick, test_obs_flags_preserve_stdout);
     ("trace report/export-chrome CLI", `Quick, test_trace_cli_report_and_chrome);
+    ("manifest with relative paths validates", `Quick, test_manifest_relative_paths);
     ("sweep command errors", `Quick, test_sweep_command_errors);
     ("resume traces replayed points", `Quick,
       check_replay_trace ~args:[ "churn"; "--smoke"; "--seed"; "7" ] ~kind:"churn" ~count:10

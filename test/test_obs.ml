@@ -82,24 +82,32 @@ let test_json_snapshot_shape () =
             (contains_substring json fragment))
         [ {|"counters"|}; {|"histograms"|}; {|"test/a": 1|}; {|"test/b"|}; {|"count": 1|} ])
 
+(* On the flat backend, so the batch kernel's C lanes route the pairs
+   and do the loadmap counting. *)
 let run_estimate () =
-  Sim.Estimate.run
+  Sim.Estimate.run ~backend:Overlay.Table.Flat
     (Sim.Estimate.config ~trials:2 ~pairs_per_trial:200 ~seed:7 ~bits:8 ~q:0.3
        Rcm.Geometry.Xor)
 
 (* The acceptance contract of the whole layer: instrumentation observes
-   the engine, it never participates. Results with metrics + tracing on
-   must be bit-identical to results with everything off. *)
+   the engine, it never participates. Results with metrics, tracing and
+   a loadmap sink on must be bit-identical to results with everything
+   off. *)
 let test_instrumentation_preserves_results () =
   Obs.Metrics.set_enabled false;
   let plain = run_estimate () in
   let trace_path = Filename.temp_file "dht_rcm_test" ".jsonl" in
+  let loadmap = Obs.Loadmap.create ~nodes:256 in
   let observed =
-    with_metrics (fun () -> Obs.Trace.with_file trace_path (fun () -> run_estimate ()))
+    with_metrics (fun () ->
+        Obs.Trace.with_file trace_path (fun () ->
+            Obs.Loadmap.with_sink loadmap run_estimate))
   in
   Fun.protect
     ~finally:(fun () -> Sys.remove trace_path)
     (fun () ->
+      Alcotest.(check bool) "the sink counted traversals" true
+        (Obs.Loadmap.total loadmap Obs.Loadmap.Route_traversal > 0);
       Alcotest.(check int) "delivered" plain.Sim.Estimate.delivered
         observed.Sim.Estimate.delivered;
       Alcotest.(check int) "attempted" plain.Sim.Estimate.attempted
