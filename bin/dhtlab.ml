@@ -387,6 +387,14 @@ let die cmd code fmt =
 let validate_or_die cmd check =
   match check () with () -> () | exception Invalid_argument msg -> die cmd 2 "%s" msg
 
+(* Every geometry must fit [bits] before the first point runs
+   (Rcm.Geometry.check_size, the rule the table builders apply). *)
+let check_sizes cmd ~bits geometries =
+  List.iter
+    (fun g ->
+      match Rcm.Geometry.check_size ~bits g with Ok () -> () | Error e -> die cmd 2 "%s" e)
+    geometries
+
 (* The setup and teardown the sweep commands share. Open the checkpoint
    ([--resume] loads it first; [ck] is [None] for a command without
    checkpoint options), install cancellation and run [f] under the
@@ -467,6 +475,7 @@ let simulate geometry bits q trials pairs seed jobs backend no_batch obs csv jso
     retries fault ck =
   let bits, trials, pairs = if smoke then (8, 6, 200) else (bits, trials, pairs) in
   let geometries = geometries_of_opt geometry in
+  check_sizes "simulate" ~bits geometries;
   let qs = match q with Some q -> [ q ] | None -> default_q_grid in
   (* The seed is a trial-key field and must survive a JSON double. *)
   if ck.ck_path <> None && not (Sim.Checkpoint.exact_int seed) then
@@ -748,6 +757,7 @@ let percolation geometry bits trials pairs seed csv jobs backend no_batch obs =
     { Experiments.Connectivity.default_config with bits; trials; pairs; seed }
   in
   let geometries = geometries_of_opt geometry in
+  check_sizes "percolation" ~bits geometries;
   with_obs obs @@ fun () ->
   note_sim_params ~subcommand:"percolation" ~geometries ~bits ~trials ~pairs ~seed ~qs:[];
   note_overlay backend;
@@ -949,7 +959,7 @@ let storage geometry bits nodes keys reads zipf rs read_quorum write_quorum qs t
       seed;
     }
   in
-  validate_or_die "storage" (fun () -> S.validate cfg);
+  validate_or_die "storage" (fun () -> S.validate ~geometries cfg);
   run_sweep_cmd ~cmd:"storage" ~unit:"points" ~ck obs @@ fun checkpoint ->
   Obs.Manifest.note "subcommand" (Obs.Manifest.String "storage");
   Obs.Manifest.note "geometries"
@@ -1212,7 +1222,8 @@ let hotspots geometry bits pairs qs nodes keys reads r storage_q zipf_ss trials
       seed;
     }
   in
-  validate_or_die "hotspots" (fun () -> H.validate ~planes cfg);
+  validate_or_die "hotspots" (fun () ->
+      H.validate ~planes ~routing_geometries ~storage_geometries cfg);
   run_sweep_cmd ~cmd:"hotspots" ~unit:"points" obs @@ fun _ ->
   Obs.Manifest.note "subcommand" (Obs.Manifest.String "hotspots");
   Obs.Manifest.note "planes" (Obs.Manifest.Strings (List.map H.plane_tag planes));

@@ -51,7 +51,12 @@ let storage_config cfg ~zipf_s =
     trials = cfg.trials;
   }
 
-let validate ?(planes = [ Routing; Storage ]) cfg =
+let default_routing_geometries = Rcm.Geometry.all_default
+
+let default_storage_geometries = Storage_sweep.default_geometries
+
+let validate ?(planes = [ Routing; Storage ]) ?(routing_geometries = default_routing_geometries)
+    ?(storage_geometries = default_storage_geometries) cfg =
   if cfg.bits < 1 || cfg.bits > 22 then
     invalid_arg "Hotspot_sweep: bits outside 1..22";
   if cfg.pairs < 1 then invalid_arg "Hotspot_sweep: pairs must be >= 1";
@@ -63,7 +68,13 @@ let validate ?(planes = [ Routing; Storage ]) cfg =
   if cfg.zipf_ss <> [] then
     List.iter
       (fun s -> Storage.Failure_sim.validate (storage_config cfg ~zipf_s:s))
-      cfg.zipf_ss
+      cfg.zipf_ss;
+  let check ?nodes plane geometries =
+    if List.mem plane planes then
+      List.iter (Rcm.Geometry.check_size_exn "Hotspot_sweep" ?nodes ~bits:cfg.bits) geometries
+  in
+  check Routing routing_geometries;
+  check ~nodes:cfg.storage_nodes Storage storage_geometries
 
 type point = {
   plane : plane;
@@ -158,19 +169,10 @@ let run_point cfg (plane, geometry, axis) ~seed =
   end;
   point_of_loadmap ~plane ~geometry ~axis lm
 
-let default_routing_geometries = Rcm.Geometry.all_default
-
-let default_storage_geometries = Storage_sweep.default_geometries
-
 let run ?pool ?(planes = [ Routing; Storage ])
     ?(routing_geometries = default_routing_geometries)
     ?(storage_geometries = default_storage_geometries) ?retries ?fault cfg =
-  validate ~planes cfg;
-  List.iter
-    (fun g ->
-      if g = Rcm.Geometry.Hypercube then
-        invalid_arg "Hotspot_sweep.run: no sparse hypercube overlay exists")
-    storage_geometries;
+  validate ~planes ~routing_geometries ~storage_geometries cfg;
   (* The grid: routing plane first (geometry-major over qs), then the
      storage plane (geometry-major over zipf exponents). *)
   let plane_grid plane geometries axis =

@@ -46,10 +46,17 @@ val default_config : config
 (** bits 10, 2000 pairs, q 0.0 .. 0.5; 512 storage nodes, 64 keys,
     256 reads, R = 3 at q = 0.3, s 0.0 .. 1.2; 3 trials. *)
 
-val validate : ?planes:plane list -> config -> unit
-(** Checks ranges, and that the selected [planes] (default both) have
-    at least one axis value between them, i.e. that the grid is not
-    empty.
+val validate :
+  ?planes:plane list ->
+  ?routing_geometries:Rcm.Geometry.t list ->
+  ?storage_geometries:Rcm.Geometry.t list ->
+  config ->
+  unit
+(** Checks ranges, that the selected [planes] (default both) have at
+    least one axis value between them, i.e. that the grid is not
+    empty, and that each selected plane's geometries (defaults as in
+    {!run}) can be built at [bits] — sparse, with [storage_nodes]
+    nodes, on the storage plane ({!Rcm.Geometry.check_size}).
     @raise Invalid_argument on the first violation. *)
 
 type point = {

@@ -85,7 +85,10 @@ let failure_config cfg ~quorum ~trials =
     trials;
   }
 
-let validate cfg =
+let default_geometries =
+  [ Rcm.Geometry.Ring; Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.default_symphony ]
+
+let validate ?(geometries = default_geometries) cfg =
   if cfg.rs = [] then invalid_arg "Storage_sweep: empty replication sweep";
   if axis_values cfg = [] then invalid_arg "Storage_sweep: empty axis";
   List.iter
@@ -102,7 +105,10 @@ let validate cfg =
                 (churn_config cfg ~quorum ~session_shape ~gap_shape ~gap_mean
                    ~warmup ~measurements ~spacing ~session_mean:mean))
             session_means)
-    cfg.rs
+    cfg.rs;
+  List.iter
+    (Rcm.Geometry.check_size_exn "Storage_sweep" ~nodes:cfg.nodes ~bits:cfg.bits)
+    geometries
 
 type point = {
   geometry : Rcm.Geometry.t;
@@ -319,16 +325,8 @@ let codec cfg =
         });
   }
 
-let default_geometries =
-  [ Rcm.Geometry.Ring; Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.default_symphony ]
-
 let run ?pool ?(geometries = default_geometries) ?retries ?fault ?checkpoint cfg =
-  validate cfg;
-  List.iter
-    (fun g ->
-      if g = Rcm.Geometry.Hypercube then
-        invalid_arg "Storage_sweep.run: no sparse hypercube overlay exists")
-    geometries;
+  validate ~geometries cfg;
   let quorums = List.map (fun r -> quorum_for cfg ~r) cfg.rs in
   let grid =
     List.concat_map

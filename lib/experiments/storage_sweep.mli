@@ -51,8 +51,11 @@ val default_config : config
 (** bits 10, nodes 512, 64 keys, 256 reads, zipf 0.8, R ∈ {1, 2, 4}
     at majority quorums, static qs 0.1 .. 0.5 with 4 trials. *)
 
-val validate : config -> unit
-(** Checks ranges and resolves the quorum specs against every [r].
+val validate : ?geometries:Rcm.Geometry.t list -> config -> unit
+(** Checks ranges, resolves the quorum specs against every [r], and
+    checks that every geometry (default {!default_geometries}) can be
+    built sparse at [bits] and [nodes] ({!Rcm.Geometry.check_size}), so
+    a bad config fails before any point runs.
     @raise Invalid_argument on any violation. *)
 
 val quorum_for : config -> r:int -> Storage.Quorum.t

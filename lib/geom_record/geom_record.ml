@@ -45,6 +45,14 @@ let () =
               if h < 2 || h > 1024 then Error "h must be in 2..1024"
               else if h land (h - 1) <> 0 then Error "h must be a power of two"
               else Ok ());
+      check_bits =
+        (fun params ~bits ->
+          let group = group_of params in
+          if bits mod group = 0 then Ok ()
+          else
+            Error
+              (Printf.sprintf "h=%d needs digit width %d to divide bits=%d" (1 lsl group)
+                 group bits));
     }
 
 let geometry ?(h = 2) () =
@@ -80,18 +88,10 @@ let () =
    generalisation of xor_entry, consuming one draw per entry in
    (v, slot) order on both backends. *)
 
-let checked_group ~bits params =
-  let group = group_of params in
-  if bits mod group <> 0 then
-    invalid_arg
-      (Printf.sprintf "record: h=%d needs digit width %d to divide bits=%d"
-         (1 lsl group) group bits);
-  group
-
 let () =
   Overlay.Table.register_custom_builder ~family (fun ~space ~rng params ->
       let bits = Idspace.Space.bits space in
-      let group = checked_group ~bits params in
+      let group = group_of params in
       let b = 1 lsl group in
       let digits = bits / group in
       let size = Idspace.Space.size space in
@@ -238,23 +238,19 @@ let () =
 let () =
   Overlay.Sparse.register_custom_builder ~family (fun t rng params ->
       let bits = Overlay.Sparse.bits t in
-      let group = checked_group ~bits params in
+      let group = group_of params in
       let b = 1 lsl group in
       let digits = bits / group in
-      Array.init (Overlay.Sparse.node_count t) (fun v ->
-          let id_v = Overlay.Sparse.id_of t v in
-          Array.init (digits * (b - 1)) (fun i ->
-              let level = (i / (b - 1)) + 1 in
-              let rank = (i mod (b - 1)) + 1 in
-              let own = Idspace.Digit.get ~bits ~group id_v level in
-              let pattern =
-                Idspace.Digit.set ~bits ~group id_v level ((own + rank) mod b)
-              in
-              let lo, hi =
-                Overlay.Sparse.prefix_range t ~pattern ~prefix_len:(level * group)
-              in
-              if hi <= lo then Overlay.Sparse.missing
-              else lo + Prng.Splitmix.int rng (hi - lo))))
+      let entry v i =
+        let id_v = Overlay.Sparse.id_of t v in
+        let level = (i / (b - 1)) + 1 in
+        let rank = (i mod (b - 1)) + 1 in
+        let own = Idspace.Digit.get ~bits ~group id_v level in
+        let pattern = Idspace.Digit.set ~bits ~group id_v level ((own + rank) mod b) in
+        let lo, hi = Overlay.Sparse.prefix_range t ~pattern ~prefix_len:(level * group) in
+        if hi <= lo then Overlay.Sparse.missing else lo + Prng.Splitmix.int rng (hi - lo)
+      in
+      (digits * (b - 1), entry))
 
 let sparse_route ?(on_hop = ignore) overlay ~alive ~src ~dst =
   let bits = Overlay.Sparse.bits overlay in
@@ -262,11 +258,12 @@ let sparse_route ?(on_hop = ignore) overlay ~alive ~src ~dst =
   let b = 1 lsl group in
   let digits = bits / group in
   let id_dst = Overlay.Sparse.id_of overlay dst in
+  let targets = Overlay.Sparse.targets overlay in
+  let degree = Overlay.Sparse.degree overlay in
   let rec step cur hops =
     if cur = dst then Routing.Outcome.Delivered { hops }
     else begin
       let id_cur = Overlay.Sparse.id_of overlay cur in
-      let contacts = Overlay.Sparse.unsafe_contacts overlay cur in
       let leading =
         match Idspace.Digit.highest_differing ~bits ~group id_cur id_dst with
         | Some level -> level
@@ -279,7 +276,8 @@ let sparse_route ?(on_hop = ignore) overlay ~alive ~src ~dst =
           let want = Idspace.Digit.get ~bits ~group id_dst level in
           if own = want then try_level (level + 1)
           else begin
-            let candidate = contacts.(((level - 1) * (b - 1)) + ((want - own + b) mod b) - 1) in
+            let slot = ((level - 1) * (b - 1)) + ((want - own + b) mod b) - 1 in
+            let candidate = Int32.to_int targets.{(cur * degree) + slot} in
             if candidate <> Overlay.Sparse.missing && Overlay.Failure.get alive candidate
             then Some candidate
             else try_level (level + 1)
@@ -312,7 +310,7 @@ let () = Storage.Placement.register_custom_style ~family `Closest
 
 let () =
   Sim.Churn_profile.register ~family (fun params ~bits ->
-      let group = checked_group ~bits params in
+      let group = group_of params in
       let b = 1 lsl group in
       let size = 1 lsl bits in
       {

@@ -42,9 +42,10 @@ let row t v = Array.init (degree t v) (fun i -> neighbor t v i)
 let memory_bytes t =
   (8 * Bigarray.Array1.dim t.offsets) + (4 * Bigarray.Array1.dim t.targets)
 
-let check_target ~nodes ~context u =
-  if u < 0 || u >= nodes then
-    invalid_arg (Printf.sprintf "Flat.%s: neighbour %d outside [0, %d)" context u nodes)
+let bad_target ~nodes ~context u =
+  invalid_arg (Printf.sprintf "Flat.%s: neighbour %d outside [0, %d)" context u nodes)
+
+let check_target ~nodes ~context u = if u < 0 || u >= nodes then bad_target ~nodes ~context u
 
 (* Hint the kernel to back a payload with 2 MiB huge pages (see
    flat_stubs.c); a no-op outside Linux or without THP. *)
@@ -65,17 +66,19 @@ let alloc ~nodes ~edges =
    ascending order and, within each node, i = 0..degree-1 in ascending
    order — the exact evaluation order of the classic
    [Array.init size (fun v -> Array.init degree (f v))] builders, so a
-   PRNG threaded through [f] is left in the same state either way. *)
-let init ~nodes ~degree f =
+   PRNG threaded through [f] is left in the same state either way.
+   [allow_missing] admits -1 entries (sparse overlays' empty buckets). *)
+let init ?(allow_missing = false) ~nodes ~degree f =
   if nodes < 0 then invalid_arg "Flat.init: negative node count";
   if degree < 0 then invalid_arg "Flat.init: negative degree";
   let offsets, targets = alloc ~nodes ~edges:(nodes * degree) in
+  let lowest = if allow_missing then -1 else 0 in
   let k = ref 0 in
   for v = 0 to nodes - 1 do
     offsets.{v} <- !k;
     for i = 0 to degree - 1 do
       let u = f v i in
-      check_target ~nodes ~context:"init" u;
+      if u < lowest || u >= nodes then bad_target ~nodes ~context:"init" u;
       Bigarray.Array1.unsafe_set targets !k (Int32.of_int u);
       incr k
     done

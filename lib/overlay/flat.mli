@@ -35,14 +35,19 @@ type offsets = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type targets = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Neighbour ids, row-major. *)
 
-val init : nodes:int -> degree:int -> (int -> int -> int) -> t
+val init : ?allow_missing:bool -> nodes:int -> degree:int -> (int -> int -> int) -> t
 (** [init ~nodes ~degree f] builds a uniform-degree block whose entry
     [(v, i)] is [f v i]. [f] is evaluated for [v] ascending and, within
     each node, [i] ascending — exactly the order of the classic
     [Array.init size (fun v -> Array.init degree (f v))] builders, so a
     PRNG threaded through [f] ends in the same state under either
     backend (the bit-identity contract of {!Table.build}).
-    @raise Invalid_argument if a produced id falls outside [0, nodes). *)
+    [allow_missing] (default [false]) also admits [-1], the empty
+    bucket of a sparse overlay; only {!Sparse.build} passes it, and the
+    block stays inside its {!Sparse.t}, so the routing kernels, which
+    take {!Table} blocks, never see a [-1].
+    @raise Invalid_argument if a produced id falls outside [0, nodes)
+    (and is not an admitted [-1]). *)
 
 (** The builtin entry functions of {!Table.build}, with [2^bits] nodes
     of degree [bits], entry [i] of row [v] being:

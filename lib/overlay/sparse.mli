@@ -8,7 +8,11 @@
     draw a uniform occupied id from the matching prefix range (possibly
     [missing] when the range is empty); Symphony works on the circle of
     occupied positions. CAN is excluded: its sparse form is a
-    zone partition, not an id subset. *)
+    zone partition, not an id subset.
+
+    Contacts are stored as one uniform-degree {!Flat} block of node
+    indexes, [missing] marking an empty bucket; the block stays inside
+    [t], so no [missing] entry reaches the batch routing kernel. *)
 
 type t
 
@@ -17,15 +21,21 @@ val missing : int
 
 val build :
   ?rng:Prng.Splitmix.t -> bits:int -> nodes:int -> Rcm.Geometry.t -> t
-(** @raise Invalid_argument for [Hypercube], a custom geometry with no
-    registered sparse builder, node counts outside 2..2^bits, or bits
-    outside 1..30. *)
+(** Draws the ids, then fills the contacts in linear passes over the
+    sorted ids.
+    @raise Invalid_argument when {!Rcm.Geometry.check_size} rejects
+    [(bits, nodes, geometry)] (hypercube included), or for a custom
+    geometry with no registered sparse builder. *)
 
-type custom_builder = t -> Prng.Splitmix.t -> (string * int) list -> int array array
-(** A plugin family's sparse construction: called with the overlay's
-    ids populated (contacts empty — use the id/range accessors only)
-    and the family parameters; returns one contact-index array per
-    node, [missing] entries allowed. *)
+type custom_builder =
+  t -> Prng.Splitmix.t -> (string * int) list -> int * (int -> int -> int)
+(** A plugin family's sparse construction, the shape of
+    [Table.custom_builder]: called with the overlay's ids populated
+    (no contacts yet — use the id/range accessors only), the build
+    PRNG and the family parameters; returns the uniform degree and the
+    entry function [(v, i) -> contact index], [missing] allowed. The
+    entries are evaluated in {!Flat.init}'s order, [v] ascending then
+    [i] ascending. *)
 
 val register_custom_builder : family:string -> custom_builder -> unit
 (** Registers the sparse contact builder of a custom family. Call at
@@ -48,20 +58,29 @@ val contacts : t -> int -> int array
 (** Contact *indexes* of a node (layout as in {!Table}: level-indexed
     for tree/xor and ring fingers, near-then-shortcuts for symphony);
     entries may be [missing] for tree/xor. Returns a fresh copy —
-    callers may mutate it freely. Hot paths that only read should use
-    {!unsafe_contacts}. *)
+    callers may mutate it freely. Hot loops read {!targets}. *)
 
-val unsafe_contacts : t -> int -> int array
-(** The node's internal contact array, without copying. The caller
-    must not mutate it: it is shared with every other caller and with
-    the router. *)
+val ids : t -> int array
+(** The sorted id array itself ([id_of t v] is its entry [v]),
+    read-only by convention: it is shared with every caller and the
+    routers, so writing through it corrupts the overlay. *)
+
+val degree : t -> int
+(** The contact count of every node. *)
+
+val targets : t -> Flat.targets
+(** The contact block, read-only by convention like {!Flat.targets}:
+    entry [i] of node [v] is [targets.{v * degree t + i}], a node index
+    or [missing]. The sparse routers index it directly, once per
+    candidate, instead of calling an accessor. *)
 
 val successor_index : t -> int -> int
 (** Index of the first node clockwise from an id (inclusive, with
     wraparound). *)
 
 val lower_bound : t -> int -> int
-(** First index whose id is >= the target; [node_count] when none. *)
+(** First index whose id is >= the target; [node_count] when none.
+    Allocates nothing. *)
 
 val prefix_range : t -> pattern:int -> prefix_len:int -> int * int
 (** Half-open index range of nodes sharing the prefix of [pattern]. *)

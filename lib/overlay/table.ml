@@ -143,6 +143,7 @@ let make ~space ~geometry ~backend ~degree entry =
    still build every Classic table, which the flat tests compare
    against. *)
 let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic) ~bits geometry =
+  Rcm.Geometry.check_size_exn "Table.build" ~bits geometry;
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
   let degree, entry, pattern =
@@ -150,9 +151,7 @@ let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic) ~bits 
     | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> (bits, tree_entry ~bits, Some Flat.Flip)
     | Rcm.Geometry.Xor -> (bits, xor_entry space rng, Some (Flat.Flip_suffix rng))
     | Rcm.Geometry.Ring -> (bits, ring_entry ~size, Some Flat.Finger)
-    | Rcm.Geometry.Symphony { k_n; k_s } ->
-        if k_n + k_s >= size then invalid_arg "Table.build_symphony: degree exceeds ring size";
-        (k_n + k_s, symphony_entry ~size rng ~k_n, None)
+    | Rcm.Geometry.Symphony { k_n; k_s } -> (k_n + k_s, symphony_entry ~size rng ~k_n, None)
     | Rcm.Geometry.Custom { family; params } -> (
         match Hashtbl.find_opt custom_builders family with
         | Some builder ->

@@ -54,7 +54,8 @@ val build : ?rng:Prng.Splitmix.t -> ?backend:backend -> bits:int -> Rcm.Geometry
     {!Classic}) selects the physical representation and does not affect
     any observable value, including the post-build [rng] state.
     Custom geometries dispatch to their family's registered builder.
-    @raise Invalid_argument on a custom geometry whose family never
+    @raise Invalid_argument when {!Rcm.Geometry.check_size} rejects
+    [(bits, geometry)], or on a custom geometry whose family never
     called {!register_custom_builder}. *)
 
 type custom_builder =

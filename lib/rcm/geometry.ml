@@ -30,6 +30,7 @@ type family = {
   summary : string;
   defaults : (string * int) list;
   validate : (string * int) list -> (unit, string) result;
+  check_bits : (string * int) list -> bits:int -> (unit, string) result;
 }
 
 let builtin_names =
@@ -130,6 +131,44 @@ let system = function
   | Symphony _ -> "Symphony"
   | Custom { family; _ } -> (
       match find_family family with Some f -> f.family_system | None -> family)
+
+(* The one size rule every overlay builder applies (Table.build,
+   Sparse.build) and every sweep command checks before its first
+   point. *)
+let check_size ?nodes ~bits g =
+  let max_bits = Idspace.Space.max_bits in
+  if bits < 1 || bits > max_bits then
+    Error (Printf.sprintf "bits must be in 1..%d (got %d)" max_bits bits)
+  else begin
+    let size = 1 lsl bits in
+    let n = Option.value nodes ~default:size in
+    if n < 2 || n > size then
+      Error (Printf.sprintf "nodes must be in 2..2^%d = %d (got %d)" bits size n)
+    else
+      match g with
+      | Tree | Xor | Ring -> Ok ()
+      | Hypercube ->
+          if nodes = None then Ok ()
+          else Error "no sparse hypercube overlay exists (CAN's sparse form is a zone partition)"
+      | Symphony { k_n; k_s } ->
+          if k_n + k_s < n then Ok ()
+          else
+            Error
+              (Printf.sprintf "symphony degree k_n + k_s = %d must be below the node count %d"
+                 (k_n + k_s) n)
+      | Custom { family; params } -> (
+          match find_family family with
+          | None -> Ok ()
+          | Some f -> (
+              match f.check_bits params ~bits with
+              | Ok () -> Ok ()
+              | Error e -> Error (Printf.sprintf "%s: %s" (slug g) e)))
+  end
+
+let check_size_exn context ?nodes ~bits g =
+  match check_size ?nodes ~bits g with
+  | Ok () -> ()
+  | Error e -> invalid_arg (context ^ ": " ^ e)
 
 let description g =
   match g with

@@ -40,6 +40,10 @@ type family = {
   defaults : (string * int) list;  (** full parameter schema with defaults *)
   validate : (string * int) list -> (unit, string) result;
       (** called on the normalised full parameter list *)
+  check_bits : (string * int) list -> bits:int -> (unit, string) result;
+      (** the family's own size rule, called by {!check_size} on the
+          normalised parameters (e.g. ReCord's digit width must divide
+          [bits]) *)
 }
 (** Parse-time face of a plugin geometry family. *)
 
@@ -73,6 +77,21 @@ val slug : t -> string
     and ["family:key=v:key=v"] for {!Custom} — the form used in
     checkpoint keys, CSV/JSON labels and metric names, and accepted
     back by {!of_string}. *)
+
+val check_size : ?nodes:int -> bits:int -> t -> (unit, string) result
+(** [check_size ~bits g] is [Ok ()] when an overlay of [g] can be
+    built over the [2^bits] identifier space, fully populated or, given
+    [nodes], with [nodes] occupied identifiers (a sparse build): [bits]
+    in [1..Idspace.Space.max_bits], [nodes] in [2..2^bits], a Symphony
+    degree [k_n + k_s] below the node count, no sparse hypercube, and
+    a custom family's [check_bits] rule. [Overlay.Table.build] and
+    [Overlay.Sparse.build] raise [Invalid_argument] with this message,
+    so a command that checks its grid first rejects a config before
+    any point runs. *)
+
+val check_size_exn : string -> ?nodes:int -> bits:int -> t -> unit
+(** [check_size_exn context] is {!check_size} raising
+    [Invalid_argument (context ^ ": " ^ message)] on an error. *)
 
 val system : t -> string
 (** The representative system name (Plaxton, CAN, Kademlia, Chord,

@@ -1,78 +1,89 @@
 (* Greedy routing over sparse overlays (node identity = index into the
    sorted id array, distances measured on identifiers). Same forwarding
    rules as the fully-populated routers; tree/xor tables may have
-   [Sparse.missing] entries, which simply never match. *)
+   [Sparse.missing] entries, which simply never match.
 
-let ring_distance ~bits a b = Idspace.Id.ring_distance ~bits a b
+   [route] checks [src], [dst] and the mask length once; the walks then
+   index the ids array, the contact block and the alive-bitset words
+   directly and allocate only the final outcome. The library builds
+   with -opaque in the dev profile, so an accessor of another module
+   would stay one call per candidate. *)
+
+let[@inline] alive_at (words : Overlay.Failure.Bitset.words) v =
+  Bigarray.Array1.unsafe_get words (v lsr 5) lsr (v land 31) land 1 <> 0
+
+let[@inline] contact (targets : Overlay.Flat.targets) k =
+  Int32.to_int (Bigarray.Array1.unsafe_get targets k)
 
 (* Greedy clockwise over ring-structured contacts (Chord fingers or
-   Symphony links). *)
-let route_ring ?(on_hop = ignore) overlay ~alive ~src ~dst =
-  let bits = Overlay.Sparse.bits overlay in
-  let id_dst = Overlay.Sparse.id_of overlay dst in
-  let rec step cur hops remaining =
-    if remaining = 0 then Outcome.Delivered { hops }
-    else begin
-      let best = ref (-1) in
-      let best_remaining = ref remaining in
-      Array.iter
-        (fun candidate ->
-          if candidate <> Overlay.Sparse.missing && Overlay.Failure.get alive candidate then begin
-            let after = ring_distance ~bits (Overlay.Sparse.id_of overlay candidate) id_dst in
-            if after < !best_remaining then begin
-              best := candidate;
-              best_remaining := after
-            end
-          end)
-        (Overlay.Sparse.unsafe_contacts overlay cur);
-      if !best < 0 then Outcome.Dropped { hops; stuck_at = cur }
-      else begin
-        on_hop !best;
-        step !best (hops + 1) !best_remaining
+   Symphony links): hop to the alive contact closest to [dst]
+   clockwise, as long as it is closer than the current node. *)
+let route_ring on_hop overlay ~alive ~src ~dst =
+  let mask = (1 lsl Overlay.Sparse.bits overlay) - 1 in
+  let ids = Overlay.Sparse.ids overlay in
+  let targets = Overlay.Sparse.targets overlay in
+  let degree = Overlay.Sparse.degree overlay in
+  let words = Overlay.Failure.Bitset.words alive in
+  let id_dst = Array.unsafe_get ids dst in
+  let cur = ref src and hops = ref 0 and stuck = ref (-1) in
+  let remaining = ref ((id_dst - Array.unsafe_get ids src) land mask) in
+  while !remaining > 0 && !stuck < 0 do
+    let best = ref (-1) and best_remaining = ref !remaining in
+    let base = !cur * degree in
+    for k = base to base + degree - 1 do
+      let c = contact targets k in
+      if c >= 0 && alive_at words c then begin
+        let after = (id_dst - Array.unsafe_get ids c) land mask in
+        if after < !best_remaining then begin
+          best := c;
+          best_remaining := after
+        end
       end
-    end
-  in
-  step src 0 (ring_distance ~bits (Overlay.Sparse.id_of overlay src) id_dst)
-
-(* Prefix routing: [`Xor] falls back to lower-order differing bits,
-   [`Tree] must use the leading one. *)
-let route_prefix ?(on_hop = ignore) ~mode overlay ~alive ~src ~dst =
-  let bits = Overlay.Sparse.bits overlay in
-  let id_dst = Overlay.Sparse.id_of overlay dst in
-  let rec step cur hops =
-    if cur = dst then Outcome.Delivered { hops }
+    done;
+    if !best < 0 then stuck := !cur
     else begin
-      let id_cur = Overlay.Sparse.id_of overlay cur in
-      let diff = Idspace.Id.xor_distance id_cur id_dst in
-      let leading = bits - Idspace.Id.floor_log2 diff in
-      let contacts = Overlay.Sparse.unsafe_contacts overlay cur in
-      let usable level =
-        let candidate = contacts.(level - 1) in
-        if candidate <> Overlay.Sparse.missing && Overlay.Failure.get alive candidate then Some candidate
-        else None
-      in
-      let next =
-        match mode with
-        | `Tree -> usable leading
-        | `Xor ->
-            let rec try_level level =
-              if level > bits then None
-              else if Idspace.Id.get_bit ~bits diff level then
-                match usable level with
-                | Some _ as found -> found
-                | None -> try_level (level + 1)
-              else try_level (level + 1)
-            in
-            try_level leading
-      in
-      match next with
-      | None -> Outcome.Dropped { hops; stuck_at = cur }
-      | Some next ->
-          on_hop next;
-          step next (hops + 1)
+      on_hop !best;
+      cur := !best;
+      incr hops;
+      remaining := !best_remaining
     end
-  in
-  step src 0
+  done;
+  if !stuck >= 0 then Outcome.Dropped { hops = !hops; stuck_at = !stuck }
+  else Outcome.Delivered { hops = !hops }
+
+(* Prefix routing: the level-l contact (slot l-1) corrects bit l.
+   [~xor:true] falls back to lower-order differing bits, the tree must
+   use the leading one. *)
+let route_prefix on_hop ~xor overlay ~alive ~src ~dst =
+  let bits = Overlay.Sparse.bits overlay in
+  let ids = Overlay.Sparse.ids overlay in
+  let targets = Overlay.Sparse.targets overlay in
+  let degree = Overlay.Sparse.degree overlay in
+  let words = Overlay.Failure.Bitset.words alive in
+  let id_dst = Array.unsafe_get ids dst in
+  let cur = ref src and hops = ref 0 and stuck = ref (-1) in
+  while !cur <> dst && !stuck < 0 do
+    let diff = Array.unsafe_get ids !cur lxor id_dst in
+    let slot0 = (!cur * degree) - 1 in
+    let next = ref (-1) in
+    let level = ref (bits - Idspace.Id.floor_log2 diff) in
+    let last = if xor then bits else !level in
+    while !next < 0 && !level <= last do
+      if diff land (1 lsl (bits - !level)) <> 0 then begin
+        let c = contact targets (slot0 + !level) in
+        if c >= 0 && alive_at words c then next := c
+      end;
+      incr level
+    done;
+    if !next < 0 then stuck := !cur
+    else begin
+      on_hop !next;
+      cur := !next;
+      incr hops
+    end
+  done;
+  if !stuck >= 0 then Outcome.Dropped { hops = !hops; stuck_at = !stuck }
+  else Outcome.Delivered { hops = !hops }
 
 (* Custom-family sparse routers, keyed by family name, wrapped by
    [route] with the same loadmap accounting as the built-ins. *)
@@ -93,10 +104,16 @@ let register_custom ~family router =
   Hashtbl.replace custom_routers family router
 
 let dispatch ?on_hop overlay ~alive ~src ~dst =
+  let n = Overlay.Sparse.node_count overlay in
+  if src < 0 || src >= n || dst < 0 || dst >= n then
+    invalid_arg "Sparse_router.route: src or dst outside the overlay";
+  if Overlay.Failure.length alive < n then
+    invalid_arg "Sparse_router.route: alive mask shorter than the overlay";
+  let hop = Option.value on_hop ~default:ignore in
   match Overlay.Sparse.geometry overlay with
-  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> route_ring ?on_hop overlay ~alive ~src ~dst
-  | Rcm.Geometry.Tree -> route_prefix ?on_hop ~mode:`Tree overlay ~alive ~src ~dst
-  | Rcm.Geometry.Xor -> route_prefix ?on_hop ~mode:`Xor overlay ~alive ~src ~dst
+  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> route_ring hop overlay ~alive ~src ~dst
+  | Rcm.Geometry.Tree -> route_prefix hop ~xor:false overlay ~alive ~src ~dst
+  | Rcm.Geometry.Xor -> route_prefix hop ~xor:true overlay ~alive ~src ~dst
   | Rcm.Geometry.Hypercube ->
       invalid_arg "Sparse_router.route: no sparse hypercube overlay exists"
   | Rcm.Geometry.Custom { family; _ } -> (

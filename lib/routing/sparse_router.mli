@@ -30,5 +30,8 @@ val route :
   dst:int ->
   Outcome.t
 (** [src], [dst] and the hops reported to [on_hop] are node *indexes*.
-    @raise Invalid_argument on a hypercube overlay, or on a custom
-    geometry whose family has no registered sparse router. *)
+    The built-in walks allocate only the returned outcome.
+    @raise Invalid_argument when [src] or [dst] is not a node index or
+    [alive] covers fewer nodes than the overlay, on a hypercube
+    overlay, or on a custom geometry whose family has no registered
+    sparse router. *)

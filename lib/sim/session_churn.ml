@@ -24,9 +24,7 @@ let config ?(bits = 10) ?(session = Lifetime.exponential ~mean:8.0)
     ?(gap = Lifetime.exponential ~mean:2.0) ?(maintenance_interval = 1.0) ?(k = 4)
     ?(cache_k = 4) ?(warmup = 20.0) ?(measurements = 5) ?(measurement_spacing = 2.0)
     ?(pairs_per_measurement = 800) ?(seed = 808) geometry =
-  if bits < 1 || bits > Idspace.Space.max_bits then
-    invalid_arg
-      (Printf.sprintf "Session_churn.config: bits must be in 1..%d" Idspace.Space.max_bits);
+  Rcm.Geometry.check_size_exn "Session_churn.config" ~bits geometry;
   let positive x = Float.is_finite x && x > 0.0 in
   if not (positive maintenance_interval) then
     invalid_arg "Session_churn.config: maintenance interval must be positive and finite";
@@ -35,8 +33,7 @@ let config ?(bits = 10) ?(session = Lifetime.exponential ~mean:8.0)
   check_schedule "Session_churn.config" ~warmup ~measurements ~spacing:measurement_spacing;
   if pairs_per_measurement < 1 then
     invalid_arg "Session_churn.config: need at least one pair per measurement";
-  (* Resolving a custom family's profile checks both its registration
-     and its parameters against [bits]. *)
+  (* Resolving a custom family's profile checks its registration. *)
   (match geometry with
   | Rcm.Geometry.Custom _ ->
       ignore (Churn_profile.resolve_exn "Session_churn.config" geometry ~bits)

@@ -134,14 +134,7 @@ let run geometry cfg ~seed =
     List.fold_left (fun acc m -> acc +. f m) 0. measurements
     /. float_of_int count
   in
-  let loads = Store.loads store in
-  Array.sort compare loads;
-  let total_load = Array.fold_left ( + ) 0 loads in
-  let p99 =
-    let len = Array.length loads in
-    loads.(min (len - 1)
-             (max 0 (int_of_float (Float.ceil (0.99 *. float_of_int len)) - 1)))
-  in
+  let load_max, load_mean, load_p99 = Store.load_stats (Store.loads store) in
   {
     measurements;
     attempted = !attempted;
@@ -157,8 +150,8 @@ let run geometry cfg ~seed =
     probe_routes = !probe_routes;
     repair_routes = !repair_routes;
     repair_transfers = !repair_transfers;
-    load_max = (if Array.length loads = 0 then 0 else loads.(Array.length loads - 1));
-    load_mean = float_of_int total_load /. float_of_int cfg.nodes;
-    load_p99 = p99;
+    load_max;
+    load_mean;
+    load_p99;
     events;
   }

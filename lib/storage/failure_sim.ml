@@ -38,16 +38,6 @@ type result = {
   load_p99 : int;
 }
 
-let percentile_99 sorted =
-  let len = Array.length sorted in
-  if len = 0 then 0
-  else
-    let idx =
-      min (len - 1)
-        (max 0 (int_of_float (Float.ceil (0.99 *. float_of_int len)) - 1))
-    in
-    sorted.(idx)
-
 let run geometry cfg ~q ~seed =
   validate cfg;
   Rcm.Spec.check_q q;
@@ -92,8 +82,7 @@ let run geometry cfg ~q ~seed =
     let loads = Store.loads store in
     Array.blit loads 0 all_loads (trial * cfg.nodes) cfg.nodes
   done;
-  Array.sort compare all_loads;
-  let total_load = Array.fold_left ( + ) 0 all_loads in
+  let load_max, load_mean, load_p99 = Store.load_stats all_loads in
   {
     attempted = !attempted;
     quorum_reads = !quorum_reads;
@@ -110,7 +99,7 @@ let run geometry cfg ~q ~seed =
     probe_routes = !probe_routes;
     repair_routes = !repair_routes;
     repair_transfers = !repair_transfers;
-    load_max = (if Array.length all_loads = 0 then 0 else all_loads.(Array.length all_loads - 1));
-    load_mean = float_of_int total_load /. float_of_int (cfg.trials * cfg.nodes);
-    load_p99 = percentile_99 all_loads;
+    load_max;
+    load_mean;
+    load_p99;
   }

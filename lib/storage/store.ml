@@ -44,6 +44,32 @@ let holders t k = Array.copy t.holders.(k)
 let initial_holders t k = Array.copy t.initial.(k)
 let loads t = Array.copy t.loads
 
+(* One counting pass instead of a sort: read counts are small
+   non-negative ints, so a histogram up to the max gives the mean and
+   the entry at sorted rank ceil(0.99 n) - 1 directly. *)
+let load_stats loads =
+  let len = Array.length loads in
+  if len = 0 then (0, Float.nan, 0)
+  else begin
+    let top = ref 0 and total = ref 0 in
+    Array.iter
+      (fun l ->
+        if l > !top then top := l;
+        total := !total + l)
+      loads;
+    let counts = Array.make (!top + 1) 0 in
+    Array.iter (fun l -> counts.(l) <- counts.(l) + 1) loads;
+    let rank =
+      min (len - 1) (max 0 (int_of_float (Float.ceil (0.99 *. float_of_int len)) - 1))
+    in
+    let p99 = ref 0 and below = ref counts.(0) in
+    while !below <= rank do
+      incr p99;
+      below := !below + counts.(!p99)
+    done;
+    (!top, float_of_int !total /. float_of_int len, !p99)
+  end
+
 let surviving_keys t ~alive ~quorum =
   let survived = ref 0 in
   Array.iter

@@ -50,6 +50,12 @@ val loads : t -> int array
 (** Per-node count of reads served (a copy): node [v]'s entry grows by
     one each time a probe reaches [v] and it returns data. *)
 
+val load_stats : int array -> int * float * int
+(** [load_stats loads] is the max, the mean and the 99th percentile
+    (the entry at rank [ceil (0.99 n) - 1] of the sorted array) of
+    non-negative per-node loads, from one counting pass; [(0, nan, 0)]
+    for an empty array. *)
+
 val surviving_keys : t -> alive:Overlay.Failure.t -> quorum:int -> int
 (** Number of key slots whose {e initial} holder set has at least
     [quorum] alive members — the replica-survival observable. *)

@@ -411,6 +411,16 @@ let test_sweep_command_errors () =
         "dhtlab storage: storage point 0 (");
       ([ "hotspots"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,
         "dhtlab hotspots: hotspots point 0 (");
+      (* A geometry that cannot be built at the requested size is a
+         config error, reported before any point runs. *)
+      ([ "simulate"; "-g"; "record:h=4"; "-d"; "7"; "--trials"; "1"; "--pairs"; "10" ], 2,
+        "dhtlab simulate: ");
+      ([ "percolation"; "-g"; "record:h=4"; "-d"; "7" ], 2, "dhtlab percolation: ");
+      ([ "storage"; "-g"; "symphony"; "-d"; "6"; "--nodes"; "2"; "-r"; "1"; "--qs"; "0.1";
+         "--trials"; "1" ], 2, "dhtlab storage: ");
+      ([ "storage"; "-g"; "record:h=4"; "-d"; "7"; "--nodes"; "5"; "-r"; "1"; "--qs"; "0.1";
+         "--trials"; "1" ], 2, "dhtlab storage: ");
+      ([ "hotspots"; "-g"; "record:h=4"; "-d"; "7" ], 2, "dhtlab hotspots: ");
       ([ "churn"; "--smoke"; "--inject-fault"; "trial:0.5:3"; "--checkpoint"; partial ], 1,
         "dhtlab churn: churn point ");
     ];
@@ -535,6 +545,11 @@ let suite =
       check_golden
         [ "storage"; "--smoke"; "--sessions"; "2,8"; "--csv" ]
         "storage-smoke-sessions-2-8.csv");
+    ("golden storage sparse regime d16", `Quick,
+      check_golden
+        [ "storage"; "-d"; "16"; "--nodes"; "300"; "--keys"; "32"; "--reads"; "128"; "-r"; "1,3";
+          "--qs"; "0.2,0.4"; "--trials"; "2"; "--seed"; "7"; "--csv" ]
+        "storage-sparse-d16.csv");
     ("golden figure rep-xor --quick", `Quick,
       check_golden [ "figure"; "rep-xor"; "--quick" ] "figure-rep-xor-quick.txt");
   ]

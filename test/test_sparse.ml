@@ -201,6 +201,310 @@ let test_full_occupancy_matches_dense_ring () =
         dense_outcome Routing.Outcome.pp sparse_outcome
   done
 
+(* --- the array-of-arrays model ---------------------------------------------
+
+   The sparse builders and routers as they were before contacts moved
+   into one flat block: per-node [Array.init] rows, binary-search
+   fingers, [prefix_range] buckets, ids sorted after sampling, and
+   closure-per-hop walks. The flat layout must reproduce them draw for
+   draw: same ids, same contacts, same PRNG state after the build, and
+   the same outcome and hop path for every route. *)
+module Model = struct
+  type t = { bits : int; ids : int array; contacts : int array array }
+
+  let missing = -1
+
+  let lower_bound t target =
+    let rec search lo hi =
+      if lo >= hi then lo
+      else begin
+        let mid = (lo + hi) / 2 in
+        if t.ids.(mid) >= target then search lo mid else search (mid + 1) hi
+      end
+    in
+    search 0 (Array.length t.ids)
+
+  let successor_index t target =
+    let i = lower_bound t target in
+    if i = Array.length t.ids then 0 else i
+
+  let prefix_range t ~pattern ~prefix_len =
+    if prefix_len = 0 then (0, Array.length t.ids)
+    else begin
+      let width = t.bits - prefix_len in
+      let lo_id = pattern land lnot ((1 lsl width) - 1) in
+      let hi_id = lo_id + (1 lsl width) in
+      (lower_bound t lo_id, lower_bound t hi_id)
+    end
+
+  let sample_ids rng ~bits ~count =
+    let size = 1 lsl bits in
+    if 2 * count >= size then begin
+      let all = Array.init size Fun.id in
+      Prng.Splitmix.shuffle_in_place rng all;
+      let chosen = Array.sub all 0 count in
+      Array.sort compare chosen;
+      chosen
+    end
+    else begin
+      let seen = Hashtbl.create (2 * count) in
+      let chosen = Array.make count 0 in
+      let filled = ref 0 in
+      while !filled < count do
+        let id = Prng.Splitmix.int rng size in
+        if not (Hashtbl.mem seen id) then begin
+          Hashtbl.add seen id ();
+          chosen.(!filled) <- id;
+          incr filled
+        end
+      done;
+      Array.sort compare chosen;
+      chosen
+    end
+
+  let ring_contacts t =
+    let size = 1 lsl t.bits in
+    Array.init (Array.length t.ids) (fun v ->
+        Array.init t.bits (fun i ->
+            let target = (t.ids.(v) + (1 lsl i)) land (size - 1) in
+            successor_index t target))
+
+  let prefix_contacts t rng =
+    Array.init (Array.length t.ids) (fun v ->
+        let id_v = t.ids.(v) in
+        Array.init t.bits (fun i ->
+            let level = i + 1 in
+            let pattern = Idspace.Id.flip_bit ~bits:t.bits id_v level in
+            let lo, hi = prefix_range t ~pattern ~prefix_len:level in
+            if hi <= lo then missing else lo + Prng.Splitmix.int rng (hi - lo)))
+
+  let symphony_contacts t rng ~k_n ~k_s =
+    let n = Array.length t.ids in
+    Array.init n (fun v ->
+        Array.init (k_n + k_s) (fun i ->
+            if i < k_n then (v + i + 1) mod n
+            else (v + Prng.Splitmix.harmonic_int rng ~n:(n - 1)) mod n))
+
+  let record_contacts t rng ~group =
+    let bits = t.bits in
+    let b = 1 lsl group in
+    let digits = bits / group in
+    Array.init (Array.length t.ids) (fun v ->
+        let id_v = t.ids.(v) in
+        Array.init (digits * (b - 1)) (fun i ->
+            let level = (i / (b - 1)) + 1 in
+            let rank = (i mod (b - 1)) + 1 in
+            let own = Idspace.Digit.get ~bits ~group id_v level in
+            let pattern = Idspace.Digit.set ~bits ~group id_v level ((own + rank) mod b) in
+            let lo, hi = prefix_range t ~pattern ~prefix_len:(level * group) in
+            if hi <= lo then missing else lo + Prng.Splitmix.int rng (hi - lo)))
+
+  let group_of g = Idspace.Id.floor_log2 (Rcm.Geometry.param_exn g "h")
+
+  let build rng ~bits ~nodes geometry =
+    let t = { bits; ids = sample_ids rng ~bits ~count:nodes; contacts = [||] } in
+    let contacts =
+      match geometry with
+      | Rcm.Geometry.Ring -> ring_contacts t
+      | Rcm.Geometry.Tree | Rcm.Geometry.Xor -> prefix_contacts t rng
+      | Rcm.Geometry.Symphony { k_n; k_s } -> symphony_contacts t rng ~k_n ~k_s
+      | Rcm.Geometry.Custom _ -> record_contacts t rng ~group:(group_of geometry)
+      | Rcm.Geometry.Hypercube -> assert false
+    in
+    { t with contacts }
+
+  let route_ring ~on_hop t ~alive ~src ~dst =
+    let ring_distance = Idspace.Id.ring_distance ~bits:t.bits in
+    let id_dst = t.ids.(dst) in
+    let rec step cur hops remaining =
+      if remaining = 0 then Routing.Outcome.Delivered { hops }
+      else begin
+        let best = ref (-1) in
+        let best_remaining = ref remaining in
+        Array.iter
+          (fun candidate ->
+            if candidate <> missing && Overlay.Failure.get alive candidate then begin
+              let after = ring_distance t.ids.(candidate) id_dst in
+              if after < !best_remaining then begin
+                best := candidate;
+                best_remaining := after
+              end
+            end)
+          t.contacts.(cur);
+        if !best < 0 then Routing.Outcome.Dropped { hops; stuck_at = cur }
+        else begin
+          on_hop !best;
+          step !best (hops + 1) !best_remaining
+        end
+      end
+    in
+    step src 0 (ring_distance t.ids.(src) id_dst)
+
+  let route_prefix ~on_hop ~mode t ~alive ~src ~dst =
+    let bits = t.bits in
+    let id_dst = t.ids.(dst) in
+    let rec step cur hops =
+      if cur = dst then Routing.Outcome.Delivered { hops }
+      else begin
+        let diff = Idspace.Id.xor_distance t.ids.(cur) id_dst in
+        let leading = bits - Idspace.Id.floor_log2 diff in
+        let contacts = t.contacts.(cur) in
+        let usable level =
+          let candidate = contacts.(level - 1) in
+          if candidate <> missing && Overlay.Failure.get alive candidate then Some candidate
+          else None
+        in
+        let next =
+          match mode with
+          | `Tree -> usable leading
+          | `Xor ->
+              let rec try_level level =
+                if level > bits then None
+                else if Idspace.Id.get_bit ~bits diff level then
+                  match usable level with
+                  | Some _ as found -> found
+                  | None -> try_level (level + 1)
+                else try_level (level + 1)
+              in
+              try_level leading
+        in
+        match next with
+        | None -> Routing.Outcome.Dropped { hops; stuck_at = cur }
+        | Some next ->
+            on_hop next;
+            step next (hops + 1)
+      end
+    in
+    step src 0
+
+  let route_record ~on_hop ~group t ~alive ~src ~dst =
+    let bits = t.bits in
+    let b = 1 lsl group in
+    let digits = bits / group in
+    let id_dst = t.ids.(dst) in
+    let rec step cur hops =
+      if cur = dst then Routing.Outcome.Delivered { hops }
+      else begin
+        let id_cur = t.ids.(cur) in
+        let contacts = t.contacts.(cur) in
+        let leading = Option.get (Idspace.Digit.highest_differing ~bits ~group id_cur id_dst) in
+        let rec try_level level =
+          if level > digits then None
+          else begin
+            let own = Idspace.Digit.get ~bits ~group id_cur level in
+            let want = Idspace.Digit.get ~bits ~group id_dst level in
+            if own = want then try_level (level + 1)
+            else begin
+              let candidate = contacts.(((level - 1) * (b - 1)) + ((want - own + b) mod b) - 1) in
+              if candidate <> missing && Overlay.Failure.get alive candidate then Some candidate
+              else try_level (level + 1)
+            end
+          end
+        in
+        match try_level leading with
+        | None -> Routing.Outcome.Dropped { hops; stuck_at = cur }
+        | Some next ->
+            on_hop next;
+            step next (hops + 1)
+      end
+    in
+    step src 0
+
+  let route ~on_hop geometry t ~alive ~src ~dst =
+    match geometry with
+    | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> route_ring ~on_hop t ~alive ~src ~dst
+    | Rcm.Geometry.Tree -> route_prefix ~on_hop ~mode:`Tree t ~alive ~src ~dst
+    | Rcm.Geometry.Xor -> route_prefix ~on_hop ~mode:`Xor t ~alive ~src ~dst
+    | Rcm.Geometry.Custom _ -> route_record ~on_hop ~group:(group_of geometry) t ~alive ~src ~dst
+    | Rcm.Geometry.Hypercube -> assert false
+end
+
+let record4 = Result.get_ok (Rcm.Geometry.of_string "record:h=4")
+
+(* Seed, geometry, bits 4..20 (even for record:h=4, whose digits are 2
+   bits wide) and a node count in either sampling regime: the dense one
+   (2 nodes >= 2^bits, capped at bits 12) shuffles the whole space,
+   the sparse one (capped at 1500 nodes) rejects duplicate draws. *)
+let model_case_gen =
+  let open QCheck2.Gen in
+  let* seed = int_range 0 1_000_000 in
+  let* geometry =
+    oneofl [ Rcm.Geometry.Ring; Rcm.Geometry.Tree; Rcm.Geometry.Xor;
+             Rcm.Geometry.default_symphony; record4 ]
+  in
+  let* dense = bool in
+  let* bits = if dense then int_range 4 12 else int_range 4 20 in
+  let bits = if Rcm.Geometry.equal geometry record4 then bits land lnot 1 else bits in
+  let+ nodes =
+    if dense then int_range (1 lsl (bits - 1)) (1 lsl bits)
+    else int_range 3 (min 1500 ((1 lsl (bits - 1)) - 1))
+  in
+  (seed, geometry, bits, nodes)
+
+let flat_layout_matches_model =
+  qcheck "flat layout = array-of-arrays model: ids, contacts, rng, routes" model_case_gen
+    (fun (seed, geometry, bits, nodes) ->
+      let case =
+        Printf.sprintf "%s bits %d nodes %d seed %d" (Rcm.Geometry.slug geometry) bits nodes seed
+      in
+      let rng = rng_of_seed seed and model_rng = rng_of_seed seed in
+      let t = Overlay.Sparse.build ~rng ~bits ~nodes geometry in
+      let m = Model.build model_rng ~bits ~nodes geometry in
+      if Prng.Splitmix.state rng <> Prng.Splitmix.state model_rng then
+        QCheck2.Test.fail_reportf "%s: PRNG state after the build differs" case;
+      for v = 0 to nodes - 1 do
+        if Overlay.Sparse.id_of t v <> m.ids.(v) then
+          QCheck2.Test.fail_reportf "%s: id %d differs" case v;
+        if Overlay.Sparse.contacts t v <> m.contacts.(v) then
+          QCheck2.Test.fail_reportf "%s: contacts of node %d differ" case v
+      done;
+      let alive = Overlay.Failure.sample ~rng ~q:(float_of_int (seed mod 6) /. 10.) nodes in
+      for _ = 1 to 64 do
+        let src = Prng.Splitmix.int rng nodes and dst = Prng.Splitmix.int rng nodes in
+        let path = ref [] and model_path = ref [] in
+        let outcome =
+          Routing.Sparse_router.route ~on_hop:(fun v -> path := v :: !path) t ~alive ~src ~dst
+        in
+        let expected =
+          Model.route ~on_hop:(fun v -> model_path := v :: !model_path) geometry m ~alive ~src ~dst
+        in
+        if not (Routing.Outcome.equal outcome expected && !path = !model_path) then
+          QCheck2.Test.fail_reportf "%s: route %d -> %d: %a vs model %a" case src dst
+            Routing.Outcome.pp outcome Routing.Outcome.pp expected
+      done;
+      true)
+
+(* Native code only, like the PRNG's allocation check: a sparse walk
+   allocates its outcome (2 words delivered, 3 dropped) and nothing
+   per hop or per candidate. *)
+let test_routing_allocates_only_outcomes () =
+  List.iter
+    (fun g ->
+      let t = build ~bits:12 ~nodes:2048 g in
+      let rng = rng_of_seed 3 in
+      let alive = Overlay.Failure.sample ~rng ~q:0.3 2048 in
+      let pool = Overlay.Failure.survivors alive in
+      let routes = 10_000 in
+      let pick _ = pool.(Prng.Splitmix.int rng (Array.length pool)) in
+      let srcs = Array.init routes pick and dsts = Array.init routes pick in
+      let outcomes = Array.make routes (Routing.Outcome.Delivered { hops = 0 }) in
+      let before = Gc.minor_words () in
+      for k = 0 to routes - 1 do
+        outcomes.(k) <- Routing.Sparse_router.route t ~alive ~src:srcs.(k) ~dst:dsts.(k)
+      done;
+      let words = Gc.minor_words () -. before in
+      let needed =
+        Array.fold_left
+          (fun acc -> function
+            | Routing.Outcome.Delivered _ -> acc + 2
+            | Routing.Outcome.Dropped _ -> acc + 3)
+          0 outcomes
+      in
+      if Sys.backend_type = Sys.Native && words > float_of_int needed then
+        Alcotest.failf "%s: %.0f minor words for 10k routes, outcomes need %d"
+          (Rcm.Geometry.name g) words needed)
+    [ Rcm.Geometry.Ring; Rcm.Geometry.Tree; Rcm.Geometry.Xor ]
+
 let test_e6_experiment_shape () =
   let cfg =
     { Experiments.Sparse_occupancy.default_config with
@@ -234,5 +538,7 @@ let suite =
     ("sparse chord hop bound", `Quick, test_routing_hop_bounds);
     sparse_delivered_paths_alive;
     ("full occupancy = dense ring", `Quick, test_full_occupancy_matches_dense_ring);
+    flat_layout_matches_model;
+    ("routing allocates only its outcome", `Quick, test_routing_allocates_only_outcomes);
     ("E6 experiment shape", `Slow, test_e6_experiment_shape);
   ]
