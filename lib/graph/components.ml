@@ -10,17 +10,21 @@ type report = {
    sum_c s_c (s_c - 1) / (a (a - 1)). This is the information-theoretic
    ceiling on routability — the paper's point that the reachable
    component is a subset of the connected component means measured
-   routability can never exceed it. *)
-let analyze ?alive graph =
-  let n = Digraph.node_count graph in
+   routability can never exceed it. Components are those of the
+   underlying undirected graph over the alive nodes, read through
+   [iter] without materialising the graph. *)
+let analyze_iter ?alive ~nodes iter =
   let is_alive v = match alive with None -> true | Some a -> a.(v) in
   let alive_nodes = ref 0 in
-  for v = 0 to n - 1 do
-    if is_alive v then incr alive_nodes
+  let uf = Union_find.create nodes in
+  for v = 0 to nodes - 1 do
+    if is_alive v then begin
+      incr alive_nodes;
+      iter v (fun u -> if is_alive u then ignore (Union_find.union uf v u))
+    end
   done;
-  let uf = Digraph.undirected_components ?alive graph in
   let sizes = Hashtbl.create 64 in
-  for v = 0 to n - 1 do
+  for v = 0 to nodes - 1 do
     if is_alive v then begin
       let r = Union_find.find uf v in
       Hashtbl.replace sizes r (1 + Option.value ~default:0 (Hashtbl.find_opt sizes r))
@@ -42,6 +46,9 @@ let analyze ?alive graph =
     giant_fraction = (if !alive_nodes = 0 then 0.0 else float_of_int largest /. a);
     pair_connectivity;
   }
+
+let analyze ?alive graph =
+  analyze_iter ?alive ~nodes:(Digraph.node_count graph) (Digraph.iter_successors graph)
 
 let pp ppf r =
   Fmt.pf ppf "alive=%d components=%d largest=%d giant=%.4f pair-connectivity=%.4f"

@@ -14,5 +14,14 @@ type report = {
 }
 
 val analyze : ?alive:bool array -> Digraph.t -> report
+(** Components of the underlying undirected graph, restricted to the
+    nodes whose [alive] entry is true (all nodes by default). *)
+
+val analyze_iter :
+  ?alive:bool array -> nodes:int -> (int -> (int -> unit) -> unit) -> report
+(** [analyze_iter ~nodes iter] is {!analyze} of the graph over [nodes]
+    nodes whose node [v] has the successors [iter v] visits, read in
+    place: an overlay table is analysed without copying it into a
+    {!Digraph.t}. *)
 
 val pp : Format.formatter -> report -> unit

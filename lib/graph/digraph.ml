@@ -74,13 +74,3 @@ let of_edges ~nodes edges =
       cursor.(v) <- cursor.(v) + 1)
     edges;
   { offsets; targets }
-
-let undirected_components ?alive t =
-  let n = node_count t in
-  let is_alive v = match alive with None -> true | Some a -> a.(v) in
-  let uf = Union_find.create n in
-  for v = 0 to n - 1 do
-    if is_alive v then
-      iter_successors t v (fun u -> if is_alive u then ignore (Union_find.union uf v u))
-  done;
-  uf

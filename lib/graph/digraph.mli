@@ -27,8 +27,3 @@ val fold_successors : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 val successors : t -> int -> int array
 (** Fresh array of out-neighbours (allocates; prefer the iterators in
     hot paths). *)
-
-val undirected_components : ?alive:bool array -> t -> Union_find.t
-(** Connected components of the underlying undirected graph, optionally
-    restricted to nodes whose [alive] entry is true (dead nodes stay as
-    singletons). *)

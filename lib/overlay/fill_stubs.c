@@ -1,26 +1,19 @@
 /* The per-node passes of a static trial, in C: the failure-mask sample
-   (Failure.sample), the survivor list (Bitset.members) and the flat
-   fills of the builtin tree/hypercube, xor and ring tables
-   (Flat.init_pattern, called by Table.build).
+   (Failure.sample) and the survivor list (Bitset.members).
 
    Why C: at 2^20 nodes each pass is a million-iteration loop whose
    body is a handful of ALU ops. In OCaml every per-node
-   Splitmix.bernoulli / Splitmix.int is an out-of-line call (dune's
-   default profile compiles library modules -opaque, so nothing
-   inlines across them), and Flat.init pays a closure call
-   and a range check per table entry. Even with the SplitMix step
-   inlined and its state unboxed, an OCaml mask loop took over twice
-   as long as the one below at 2^20 nodes (9.0 vs 3.7 ms on one
-   2.0 GHz Xeon vCPU).
+   Splitmix.bernoulli is an out-of-line call (dune's default profile
+   compiles library modules -opaque, so nothing inlines across them).
+   Even with the SplitMix step inlined and its state unboxed, an OCaml
+   mask loop took over twice as long as the one below at 2^20 nodes
+   (9.0 vs 3.7 ms on one 2.0 GHz Xeon vCPU).
 
    Bit-identity contract (pinned by test/test_batch.ml against a
-   bernoulli loop and by test/test_flat.ml against the Classic tables
-   of Table's entry functions): every loop replays its OCaml
-   counterpart draw for draw and entry for entry. A loop that draws
-   starts from the caller's Prng.Splitmix state and does not hand it
-   back; the caller advances its generator by the exact draw count
-   (Prng.Splitmix.advance), which the loop fixes up front — one draw
-   per node for a mask, one per entry for xor. A pass whose draw count
+   bernoulli loop): the mask loop replays Splitmix.bernoulli draw for
+   draw. It starts from the caller's Prng.Splitmix state and does not
+   hand it back; the caller advances its generator by the draw count,
+   one per node (Prng.Splitmix.advance). A pass whose draw count
    depends on the values drawn (rejection sampling) cannot be split
    this way: it must take the generator itself and write the final
    state back, as the hypercube lane in route_batch_stubs.c does.
@@ -86,60 +79,4 @@ CAMLprim value rcm_bitset_members(value vwords, value vout)
     }
   }
   return Val_unit;
-}
-
-/* Uniform blocks of degree bits over nodes = 2^bits, row v at
-   v * bits. Entry (v, i) mirrors Table's entry functions:
-     flip:  v xor 2^(bits-1-i)                       (tree_entry)
-     ring:  (v + 2^i) mod 2^bits                     (ring_entry)
-     xor:   the flip, with its bits-1-i low bits taken from one draw
-            (xor_entry). Splitmix.int at the power-of-two bound 2^bits
-            never rejects, so the draw is (z >> 2) mod 2^bits and the
-            suffix is its low bits-1-i bits. */
-static void fill_offsets(intnat *offsets, intnat nodes, intnat bits)
-{
-  for (intnat v = 0; v <= nodes; v++)
-    offsets[v] = v * bits;
-}
-
-CAMLprim value rcm_fill_flip(value voffsets, value vtargets, value vbits)
-{
-  intnat bits = Long_val(vbits), nodes = (intnat)1 << bits;
-  int32_t *row = (int32_t *)Caml_ba_data_val(vtargets);
-  fill_offsets((intnat *)Caml_ba_data_val(voffsets), nodes, bits);
-  for (intnat v = 0; v < nodes; v++, row += bits)
-    for (intnat i = 0; i < bits; i++)
-      row[i] = (int32_t)(v ^ ((intnat)1 << (bits - 1 - i)));
-  return Val_unit;
-}
-
-CAMLprim value rcm_fill_ring(value voffsets, value vtargets, value vbits)
-{
-  intnat bits = Long_val(vbits), nodes = (intnat)1 << bits;
-  int32_t *row = (int32_t *)Caml_ba_data_val(vtargets);
-  fill_offsets((intnat *)Caml_ba_data_val(voffsets), nodes, bits);
-  for (intnat v = 0; v < nodes; v++, row += bits)
-    for (intnat i = 0; i < bits; i++)
-      row[i] = (int32_t)((v + ((intnat)1 << i)) & (nodes - 1));
-  return Val_unit;
-}
-
-CAMLprim value rcm_fill_xor(value voffsets, value vtargets, intnat bits, int64_t state)
-{
-  intnat nodes = (intnat)1 << bits;
-  int32_t *row = (int32_t *)Caml_ba_data_val(vtargets);
-  uint64_t s = (uint64_t)state;
-  fill_offsets((intnat *)Caml_ba_data_val(voffsets), nodes, bits);
-  for (intnat v = 0; v < nodes; v++, row += bits)
-    for (intnat i = 0; i < bits; i++) {
-      intnat bit = (intnat)1 << (bits - 1 - i), low = bit - 1;
-      intnat suffix = (intnat)(splitmix_next(&s) >> 2) & low;
-      row[i] = (int32_t)(((v & ~low) ^ bit) | suffix);
-    }
-  return Val_unit;
-}
-
-CAMLprim value rcm_fill_xor_bc(value voffsets, value vtargets, value vbits, value vstate)
-{
-  return rcm_fill_xor(voffsets, vtargets, Long_val(vbits), Int64_val(vstate));
 }

@@ -29,7 +29,14 @@ let edge_count t = Bigarray.Array1.dim t.targets
 
 let degree t v = t.offsets.{v + 1} - t.offsets.{v}
 
-let neighbor t v i = Int32.to_int (Bigarray.Array1.unsafe_get t.targets (t.offsets.{v} + i))
+(* The offsets reads check [v]; [i] is checked against the row, which
+   an unchecked read would leave for a neighbouring row or the end of
+   the payload. *)
+let neighbor t v i =
+  let start = t.offsets.{v} in
+  if i < 0 || i >= t.offsets.{v + 1} - start then
+    invalid_arg (Printf.sprintf "Flat.neighbor: entry %d outside row %d" i v);
+  Int32.to_int (Bigarray.Array1.unsafe_get t.targets (start + i))
 
 let iter_neighbors t v f =
   for i = t.offsets.{v} to t.offsets.{v + 1} - 1 do
@@ -85,33 +92,6 @@ let init ?(allow_missing = false) ~nodes ~degree f =
   done;
   offsets.{nodes} <- !k;
   { offsets; targets; uniform = (if nodes > 0 then degree else -1) }
-
-type pattern = Flip | Finger | Flip_suffix of Prng.Splitmix.t
-
-(* The builtin fills (fill_stubs.c): offsets and targets of a uniform
-   degree-[bits] block over 2^bits nodes, every id in range by
-   construction. *)
-external fill_flip : offsets -> targets -> int -> unit = "rcm_fill_flip" [@@noalloc]
-external fill_ring : offsets -> targets -> int -> unit = "rcm_fill_ring" [@@noalloc]
-
-external fill_xor : offsets -> targets -> (int[@untagged]) -> (int64[@unboxed]) -> unit
-  = "rcm_fill_xor_bc" "rcm_fill_xor"
-[@@noalloc]
-
-let init_pattern ~bits pattern =
-  if bits < 1 || bits > Idspace.Space.max_bits then
-    invalid_arg
-      (Printf.sprintf "Flat.init_pattern: bits must be in 1..%d (got %d)"
-         Idspace.Space.max_bits bits);
-  let nodes = 1 lsl bits in
-  let offsets, targets = alloc ~nodes ~edges:(nodes * bits) in
-  (match pattern with
-  | Flip -> fill_flip offsets targets bits
-  | Finger -> fill_ring offsets targets bits
-  | Flip_suffix rng ->
-      fill_xor offsets targets bits (Prng.Splitmix.state rng);
-      Prng.Splitmix.advance rng (nodes * bits));
-  { offsets; targets; uniform = bits }
 
 (* Variable-degree conversion from classic per-node rows (copies). *)
 let of_rows rows =

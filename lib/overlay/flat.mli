@@ -10,10 +10,11 @@
       of an {!Exec.Pool} without copying and without adding GC scanning
       work. Per-trial failures never touch the block: they are an
       alive-bitset ({!Failure.t}) overlaid at routing time.
-    - {b Compactness.} 4 bytes per edge + 8 per node, versus ~3 heap
-      words per edge-containing row for the classic representation —
-      about 5× smaller at bits = 20, which is what makes 2^20–2^22-node
-      sweeps fit in memory.
+    - {b Compactness.} 4 bytes per edge + 8 per node, about half the
+      classic rows' word-size entries and headers, which is what makes
+      2^20–2^22-node sweeps of Symphony and plugin tables fit in
+      memory. The builtin tree, hypercube, ring and xor tables need no
+      block at all: {!Table} stores their closed-form rule.
     - {b Immutability by convention.} Nothing in this module mutates a
       block after construction. {!offsets} and {!targets} expose the
       underlying Bigarrays read-only so the batch routing kernel
@@ -49,22 +50,6 @@ val init : ?allow_missing:bool -> nodes:int -> degree:int -> (int -> int -> int)
     @raise Invalid_argument if a produced id falls outside [0, nodes)
     (and is not an admitted [-1]). *)
 
-(** The builtin entry functions of {!Table.build}, with [2^bits] nodes
-    of degree [bits], entry [i] of row [v] being:
-    - [Flip]: [v lxor 2^(bits-1-i)] (tree, hypercube);
-    - [Finger]: [(v + 2^i) mod 2^bits] (ring);
-    - [Flip_suffix rng]: the [Flip] entry with its [bits-1-i] low bits
-      replaced by those of one [Prng.Splitmix.int rng (2^bits)] draw
-      (xor). *)
-type pattern = Flip | Finger | Flip_suffix of Prng.Splitmix.t
-
-val init_pattern : bits:int -> pattern -> t
-(** [init_pattern ~bits p] is [init ~nodes:(1 lsl bits) ~degree:bits f]
-    for the entry function [f] of [p], filled by a C loop instead of a
-    closure call per entry. [Flip_suffix rng] draws in [init]'s order
-    and leaves [rng] where [init] would: [2^bits * bits] draws on.
-    @raise Invalid_argument unless [1 <= bits <= Idspace.Space.max_bits]. *)
-
 val of_rows : int array array -> t
 (** Copies a classic per-node adjacency into a flat block (supports
     variable-degree rows, e.g. the bidirectional Symphony overlay).
@@ -78,8 +63,9 @@ val degree : t -> int -> int
 (** [degree t v] is the number of neighbours of [v]. *)
 
 val neighbor : t -> int -> int -> int
-(** [neighbor t v i] is entry [i] of [v]'s row. Bounds are {e not}
-    checked on [i]; callers index below [degree t v]. *)
+(** [neighbor t v i] is entry [i] of [v]'s row.
+    @raise Invalid_argument unless [0 <= v < node_count t] and
+    [0 <= i < degree t v]. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Applies [f] to [v]'s neighbours in table order. *)

@@ -9,8 +9,13 @@ let backend_of_string = function
 
 (* Classic keeps one heap array per node (mutable, so the churn
    simulator can repair rows in place); Csr is the shared read-only
-   struct-of-arrays block of [Flat]. *)
-type repr = Rows of int array array | Csr of Flat.t
+   struct-of-arrays block of [Flat]; Computed is a flat table whose
+   entries follow a closed-form rule, evaluated on each read. *)
+type rule = Flip | Finger | Flip_suffix of int64
+
+type layout = Block of Flat.t | Rule of rule
+
+type repr = Rows of int array array | Csr of Flat.t | Computed of rule
 
 type t = { space : Idspace.Space.t; geometry : Rcm.Geometry.t; repr : repr }
 
@@ -18,39 +23,14 @@ let space t = t.space
 
 let geometry t = t.geometry
 
-let backend t = match t.repr with Rows _ -> Classic | Csr _ -> Flat
+let backend t = match t.repr with Rows _ -> Classic | Csr _ | Computed _ -> Flat
 
-let csr t = match t.repr with Rows _ -> None | Csr f -> Some f
+let layout t =
+  match t.repr with Rows _ -> None | Csr f -> Some (Block f) | Computed r -> Some (Rule r)
 
 let node_count t = Idspace.Space.size t.space
 
 let bits t = Idspace.Space.bits t.space
-
-let neighbors t v =
-  match t.repr with Rows rows -> rows.(v) | Csr f -> Flat.row f v
-
-let neighbor t v i =
-  match t.repr with Rows rows -> rows.(v).(i) | Csr f -> Flat.neighbor f v i
-
-let degree t v =
-  match t.repr with Rows rows -> Array.length rows.(v) | Csr f -> Flat.degree f v
-
-let iter_neighbors t v f =
-  match t.repr with Rows rows -> Array.iter f rows.(v) | Csr fl -> Flat.iter_neighbors fl v f
-
-let edge_count t =
-  match t.repr with
-  | Rows rows -> Array.fold_left (fun acc row -> acc + Array.length row) 0 rows
-  | Csr f -> Flat.edge_count f
-
-(* Rows: one boxed array per node (header word + elements) under the
-   outer array; an OCaml word is 8 bytes. Csr: Bigarray payloads. *)
-let memory_bytes t =
-  match t.repr with
-  | Rows rows ->
-      let n = Array.length rows in
-      8 * (1 + n + Array.fold_left (fun acc row -> acc + 1 + Array.length row) 0 rows)
-  | Csr f -> Flat.memory_bytes f
 
 (* Per-geometry table entries, shared verbatim by both backends: entry
    [(v, i)] is evaluated for v ascending then i ascending either way, so
@@ -62,18 +42,17 @@ let memory_bytes t =
    one differing bit, as the paper's n(h) = C(d,h), p = (1-q)^h model
    requires — agrees with v on all lower-order bits. The hypercube (CAN)
    table is topologically identical (the d nodes at Hamming distance
-   one) but routed greedily in any bit order. *)
-let tree_entry ~bits v i = Idspace.Id.flip_bit ~bits v (i + 1)
+   one) but routed greedily in any bit order. Bit i + 1 counting from
+   the MSB (the convention of [Idspace.Id.flip_bit]) is 2^(bits-1-i). *)
+let[@inline] tree_entry ~bits v i = v lxor (1 lsl (bits - 1 - i))
 
 (* XOR (Kademlia): the level-i bucket contact matches v on bits 1..i-1,
    differs on bit i, and has uniformly random lower-order bits — the
-   construction of section 3.3. *)
-let xor_entry space rng v i =
-  let bits = Idspace.Space.bits space in
-  let level = i + 1 in
-  let flipped = Idspace.Id.flip_bit ~bits v level in
-  let suffix = Prng.Splitmix.int rng (Idspace.Space.size space) in
-  Idspace.Id.with_suffix ~bits flipped ~prefix_len:level ~suffix
+   construction of section 3.3: the tree entry with its bits-1-i low
+   bits taken from [suffix]. *)
+let[@inline] xor_entry ~bits v i ~suffix =
+  let bit = 1 lsl (bits - 1 - i) in
+  (v lxor bit) land lnot (bit - 1) lor (suffix land (bit - 1))
 
 (* Ring (Chord): finger i of node v points at clockwise distance exactly
    2^i (classic Chord over a fully-populated ring; finger 0 is the
@@ -108,6 +87,81 @@ let ring_with_successors_entry ~bits ~size v i =
   if i < bits then (v + (1 lsl i)) land (size - 1)
   else (v + (i - bits) + 1) land (size - 1)
 
+(* A rule table's entry (v, i), from the entry function its build
+   evaluated. Flip_suffix's suffix is draw v * bits + i of the build
+   generator, computed in O(1) and without allocating: the build took
+   [Splitmix.int rng 2^bits] there, which never rejects at a
+   power-of-two bound, so it is that draw's top 62 bits mod 2^bits,
+   and xor_entry keeps only their low bits-1-i bits. *)
+let[@inline] rule_entry ~bits rule v i =
+  match rule with
+  | Flip -> tree_entry ~bits v i
+  | Finger -> ring_entry ~size:(1 lsl bits) v i
+  | Flip_suffix seed ->
+      xor_entry ~bits v i ~suffix:(Prng.Splitmix.bits62_at seed ((v * bits) + i))
+
+(* Rows raise on a bad index by themselves; a block or a rule would
+   read a neighbouring row, outside the payload or an unspecified
+   shift, so their accessors check first. *)
+let check_node t context v =
+  if v < 0 || v >= node_count t then
+    invalid_arg
+      (Printf.sprintf "Table.%s: node %d outside [0, %d)" context v (node_count t))
+
+let neighbor t v i =
+  match t.repr with
+  | Rows rows -> rows.(v).(i)
+  | Csr f -> Flat.neighbor f v i
+  | Computed rule ->
+      let bits = bits t in
+      check_node t "neighbor" v;
+      if i < 0 || i >= bits then
+        invalid_arg
+          (Printf.sprintf "Table.neighbor: entry %d outside [0, %d) of node %d" i bits v);
+      rule_entry ~bits rule v i
+
+let degree t v =
+  match t.repr with
+  | Rows rows -> Array.length rows.(v)
+  | Csr f -> Flat.degree f v
+  | Computed _ ->
+      check_node t "degree" v;
+      bits t
+
+let neighbors t v =
+  match t.repr with
+  | Rows rows -> rows.(v)
+  | Csr f -> Flat.row f v
+  | Computed _ -> Array.init (degree t v) (neighbor t v)
+
+let iter_neighbors t v f =
+  match t.repr with
+  | Rows rows -> Array.iter f rows.(v)
+  | Csr fl -> Flat.iter_neighbors fl v f
+  | Computed rule ->
+      check_node t "iter_neighbors" v;
+      let bits = bits t in
+      for i = 0 to bits - 1 do
+        f (rule_entry ~bits rule v i)
+      done
+
+let edge_count t =
+  match t.repr with
+  | Rows rows -> Array.fold_left (fun acc row -> acc + Array.length row) 0 rows
+  | Csr f -> Flat.edge_count f
+  | Computed _ -> node_count t * bits t
+
+(* Rows: one boxed array per node (header word + elements) under the
+   outer array; an OCaml word is 8 bytes. Csr: Bigarray payloads. A
+   rule has no adjacency payload. *)
+let memory_bytes t =
+  match t.repr with
+  | Rows rows ->
+      let n = Array.length rows in
+      8 * (1 + n + Array.fold_left (fun acc row -> acc + 1 + Array.length row) 0 rows)
+  | Csr f -> Flat.memory_bytes f
+  | Computed _ -> 0
+
 (* Custom-family table builders, keyed by family name. A builder
    returns the uniform degree plus the entry function [(v, i) ->
    neighbour id] that [make] evaluates for v ascending then i
@@ -138,32 +192,41 @@ let make ~space ~geometry ~backend ~degree entry =
   in
   { space; geometry; repr }
 
-(* The builtin geometries' flat blocks come from [Flat.init_pattern],
-   a C replay of the entry function beside it; the entry functions
-   still build every Classic table, which the flat tests compare
-   against. *)
+(* On the flat backend the builtin tree, hypercube, ring and xor
+   tables are rules: nothing is stored, and every read evaluates the
+   entry function the classic build evaluated. An xor rule keeps the
+   generator's state before its draws and advances the generator past
+   all 2^bits * bits of them, so the resume state is the classic
+   build's. *)
 let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic) ~bits geometry =
   Rcm.Geometry.check_size_exn "Table.build" ~bits geometry;
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
-  let degree, entry, pattern =
-    match geometry with
-    | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> (bits, tree_entry ~bits, Some Flat.Flip)
-    | Rcm.Geometry.Xor -> (bits, xor_entry space rng, Some (Flat.Flip_suffix rng))
-    | Rcm.Geometry.Ring -> (bits, ring_entry ~size, Some Flat.Finger)
-    | Rcm.Geometry.Symphony { k_n; k_s } -> (k_n + k_s, symphony_entry ~size rng ~k_n, None)
-    | Rcm.Geometry.Custom { family; params } -> (
-        match Hashtbl.find_opt custom_builders family with
-        | Some builder ->
-            let degree, entry = builder ~space ~rng params in
-            (degree, entry, None)
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Table.build: family %S has no registered table builder" family))
-  in
-  match (backend, pattern) with
-  | Flat, Some pattern -> { space; geometry; repr = Csr (Flat.init_pattern ~bits pattern) }
-  | _ -> make ~space ~geometry ~backend ~degree entry
+  let rule r = { space; geometry; repr = Computed r } in
+  match (backend, geometry) with
+  | Flat, (Rcm.Geometry.Tree | Rcm.Geometry.Hypercube) -> rule Flip
+  | Flat, Rcm.Geometry.Ring -> rule Finger
+  | Flat, Rcm.Geometry.Xor ->
+      let seed = Prng.Splitmix.state rng in
+      Prng.Splitmix.advance rng (size * bits);
+      rule (Flip_suffix seed)
+  | _ ->
+      let degree, entry =
+        match geometry with
+        | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> (bits, tree_entry ~bits)
+        | Rcm.Geometry.Xor ->
+            (bits, fun v i -> xor_entry ~bits v i ~suffix:(Prng.Splitmix.int rng size))
+        | Rcm.Geometry.Ring -> (bits, ring_entry ~size)
+        | Rcm.Geometry.Symphony { k_n; k_s } -> (k_n + k_s, symphony_entry ~size rng ~k_n)
+        | Rcm.Geometry.Custom { family; params } -> (
+            match Hashtbl.find_opt custom_builders family with
+            | Some builder -> builder ~space ~rng params
+            | None ->
+                invalid_arg
+                  (Printf.sprintf "Table.build: family %S has no registered table builder"
+                     family))
+      in
+      make ~space ~geometry ~backend ~degree entry
 
 (* Wrap an externally managed neighbour matrix (no copy): the churn
    simulator repairs rows in place and routes through the shared
@@ -178,7 +241,7 @@ let of_neighbors ~bits geometry neighbors =
 
 let flatten t =
   match t.repr with
-  | Csr _ -> t
+  | Csr _ | Computed _ -> t
   | Rows rows -> { t with repr = Csr (Flat.of_rows rows) }
 
 (* Real Symphony links are bidirectional: a node routes over its own
@@ -246,6 +309,5 @@ let build_deterministic_xor ?(backend = Classic) ~bits () =
 let to_digraph t =
   match t.repr with
   | Rows rows -> Graph.Digraph.of_adjacency rows
-  | Csr f ->
-      Graph.Digraph.of_iter ~nodes:(Flat.node_count f) ~degree:(Flat.degree f)
-        ~iter:(Flat.iter_neighbors f)
+  | Csr _ | Computed _ ->
+      Graph.Digraph.of_iter ~nodes:(node_count t) ~degree:(degree t) ~iter:(iter_neighbors t)

@@ -20,10 +20,13 @@
     - {!Classic} — one heap [int array] per node. Rows are mutable, so
       overlays that repair themselves in place (churn) use this backend
       via {!of_neighbors}.
-    - {!Flat} — a single {!Flat.t} struct-of-arrays block (CSR over
-      Bigarrays). Immutable, ~5× smaller at bits = 20, and shared
-      read-only across {!Exec.Pool} domains with zero copying; the
-      backend for large ([bits >= 20]) simulations.
+    - {!Flat} — immutable, shared read-only across {!Exec.Pool}
+      domains with zero copying; the backend for large ([bits >= 20])
+      simulations. The builtin tree, hypercube, ring and xor tables
+      follow a closed form, so {!build} stores that {!rule} (a few
+      words) and every read computes the entry. Every other flat table
+      is a single {!Flat.t} struct-of-arrays block (CSR over
+      Bigarrays), ~2× smaller than classic rows.
 
     The two backends are {b bit-identical}: for the same [(geometry,
     bits, rng)] every accessor returns the same values, and randomized
@@ -122,10 +125,22 @@ val geometry : t -> Rcm.Geometry.t
 val backend : t -> backend
 (** The physical representation of this table. *)
 
-val csr : t -> Flat.t option
-(** The underlying {!Flat} block when the backend is {!Flat}, [None]
-    for {!Classic} rows. The batch routing kernel uses this to decide
-    whether the direct-indexing fast path applies. *)
+(** The closed forms of the builtin flat tables, with [2^bits] nodes of
+    degree [bits], entry [i] of node [v] being:
+    - [Flip]: [v lxor 2^(bits-1-i)] (tree, hypercube);
+    - [Finger]: [(v + 2^i) mod 2^bits] (ring);
+    - [Flip_suffix state]: the [Flip] entry with its [bits-1-i] low
+      bits taken from draw [v * bits + i] of the generator
+      [Prng.Splitmix.of_int64 state], the build generator before its
+      draws (xor). *)
+type rule = Flip | Finger | Flip_suffix of int64
+
+(** How a {!Flat} table holds its entries. *)
+type layout = Block of Flat.t | Rule of rule
+
+val layout : t -> layout option
+(** [None] for {!Classic} rows. The batch routing kernel hands a
+    block's arrays or the rule to its lanes. *)
 
 val node_count : t -> int
 val bits : t -> int
@@ -135,8 +150,9 @@ val edge_count : t -> int
 
 val memory_bytes : t -> int
 (** Approximate resident size of the adjacency payload: exact Bigarray
-    bytes for {!Flat}; header-word accounting (8-byte words) for
-    {!Classic} rows. GC bookkeeping is not included. *)
+    bytes for a {!Flat} block, [0] for a rule; header-word accounting
+    (8-byte words) for {!Classic} rows. GC bookkeeping is not
+    included. *)
 
 val neighbors : t -> int -> int array
 (** The neighbour array of a node. For a {!Classic} table this is the
@@ -146,10 +162,14 @@ val neighbors : t -> int -> int array
     never allocate. *)
 
 val neighbor : t -> int -> int -> int
-(** [neighbor t v i] is entry [i] of [v]'s table. *)
+(** [neighbor t v i] is entry [i] of [v]'s table. On a rule table it
+    computes the entry without allocating.
+    @raise Invalid_argument unless [0 <= v < node_count t] and
+    [0 <= i < degree t v]. *)
 
 val degree : t -> int -> int
-(** Number of table entries of a node. *)
+(** Number of table entries of a node.
+    @raise Invalid_argument unless [0 <= v < node_count t]. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Applies a function to each entry of [v]'s table, in table order

@@ -24,12 +24,15 @@ let copy = Bytes.copy
 (* SplitMix64 finaliser (Steele, Lea & Flood 2014): one additive step and
    two xor-shift-multiply mixing rounds. Inlined into every draw below so
    the int64 intermediates stay unboxed. *)
-let[@inline] step t =
-  let z = Int64.add (get64 t 0) golden_gamma in
-  set64 t 0 z;
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let[@inline] step t =
+  let z = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 z;
+  mix z
 
 let next_int64 t = step t
 
@@ -45,6 +48,11 @@ let split t = of_int64 (step t)
 let float t = Int64.to_float (Int64.shift_right_logical (step t) 11) *. 0x1.0p-53
 
 let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (step t) 2)
+
+(* Draw [k] is the mix of the state after [k + 1] steps. *)
+let bits62_at state k =
+  let z = Int64.add state (Int64.mul (Int64.of_int (k + 1)) golden_gamma) in
+  Int64.to_int (Int64.shift_right_logical (mix z) 2)
 
 (* Unbiased bounded integers by rejection on the top chunk. *)
 let int t bound =

@@ -38,6 +38,15 @@ val advance : t -> int -> unit
     exactly where the equivalent OCaml loop would have left off.
     @raise Invalid_argument if [k < 0]. *)
 
+val bits62_at : int64 -> int -> int
+(** [bits62_at state k] is the top 62 bits of draw [k] (counting from
+    0) of the generator [of_int64 state]: the output of {!next_int64}
+    after [advance] by [k], shifted right by 2, in O(1) and without
+    allocating. {!int} at a power-of-two bound never rejects, so its
+    value at that draw is [bits62_at state k mod bound]; this lets a
+    table compute one entry of a drawn construction without replaying
+    the draws before it. *)
+
 val float : t -> float
 (** [float t] is uniform on [0, 1) with 53 random bits. *)
 

@@ -1,12 +1,13 @@
-(* Batched branch-free routing over the flat CSR backend.
+(* Batched branch-free routing over the flat backend.
 
    The scalar [Router.route] pays, on every hop, for geometry dispatch,
    a closure-based neighbour iteration and a [repr] match inside every
    [Overlay.Table] accessor. At 2^20 nodes that caps the whole engine
    at ~100k routes/s. Every built-in geometry instead routes a whole
-   pair set through one C loop (route_batch_stubs.c): neighbour lookups
-   are direct loads from the CSR [offsets]/[targets] Bigarrays,
-   liveness is one load + shift + mask against the packed
+   pair set through one C loop (route_batch_stubs.c): a neighbour is
+   computed from the table's rule or loaded from the CSR
+   [offsets]/[targets] Bigarrays of a block, liveness is one load +
+   shift + mask against the packed
    {!Overlay.Bitset} words, and per-pair results land in reusable
    off-heap scratch buffers — zero allocation per hop, and one metrics
    flush per batch instead of one per route. This module checks the
@@ -163,19 +164,22 @@ let flush_metrics geometry s =
    instructions) and for the bit-identity contract.
 
    The rng-free geometries (tree, xor, ring/symphony) route whole pair
-   blocks through lanes: many independent routes in flight, one
-   software-prefetched hop per lane per round. Lane interleaving is
-   invisible in the results: each pair still visits candidates in the
-   scalar order — or an order-insensitive equivalent — these
-   geometries consume no randomness while routing, and results are
-   indexed by pair, not by completion order.
+   blocks through lanes: many independent routes in flight, one hop
+   per lane per round. Lane interleaving is invisible in the results:
+   each pair still visits candidates in the scalar order — or an
+   order-insensitive equivalent — these geometries consume no
+   randomness while routing, and results are indexed by pair, not by
+   completion order.
 
-   Arguments: targets, alive words, offsets, srcs, dsts, pair count,
-   hops out, stuck out, bits (distance mask for ring), uniform degree
-   (-1 when ragged), and the loadmap traversal / termination counter
-   slices (zero-length = telemetry off). *)
+   Arguments: the table's rule code and seed (see [entries]), targets,
+   alive words, offsets, srcs, dsts, pair count, hops out, stuck out,
+   bits, uniform degree (-1 when ragged), and the loadmap traversal /
+   termination counter slices (zero-length = telemetry off). A
+   built-in lane applied to a rule code and seed is a [block_router]. *)
 
 external route_block_tree :
+  int ->
+  int64 ->
   targets ->
   words ->
   offsets ->
@@ -192,6 +196,8 @@ external route_block_tree :
 [@@noalloc]
 
 external route_block_xor :
+  int ->
+  int64 ->
   targets ->
   words ->
   offsets ->
@@ -208,6 +214,8 @@ external route_block_xor :
 [@@noalloc]
 
 external route_block_ring :
+  int ->
+  int64 ->
   targets ->
   words ->
   offsets ->
@@ -232,6 +240,8 @@ external route_block_ring :
    routed; fewer than the count means a drawn pool id was outside the
    node range, and the stuck buffer holds it at that index. *)
 external route_hypercube :
+  int ->
+  int64 ->
   targets ->
   words ->
   offsets ->
@@ -273,12 +283,11 @@ let tally s n =
    registered scalar router pair by pair, interleaving pair-sampling
    draws with any forwarding draws — bit-identical to the scalar trial
    loop for every router, including randomized ones, at scalar speed.
-   [Block] is the opt-in fast path: a driver with the same signature
-   as the built-in C lanes, valid only for rng-free routers (the block
-   runs after all pairs are sampled). The [int] argument in [bits]
-   position is lane-defined, exactly as the ring lane passes a
-   distance mask there — a plugin driver can pack extra static
-   parameters into it inside its closure. *)
+   [Block] is the opt-in fast path: a driver with the signature of a
+   built-in C lane applied to the block code, valid only for rng-free
+   routers (the block runs after all pairs are sampled). The [int]
+   argument in [bits] position is lane-defined — a plugin driver can
+   pack extra static parameters into it inside its closure. *)
 type block_router =
   targets ->
   words ->
@@ -326,13 +335,34 @@ let bump (b : buf) v =
 
 (* --- drivers -------------------------------------------------------------- *)
 
-let flat_of table context =
-  match Overlay.Table.csr table with
-  | Some f -> f
+let layout_of table context =
+  match Overlay.Table.layout table with
+  | Some layout -> layout
   | None ->
       invalid_arg
         (Printf.sprintf "Route_batch.%s: table backend is not Flat (flatten it first)"
            context)
+
+let empty_targets = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
+
+(* What the C lanes take for a table's entries: the code of the rule
+   that computes them (0 for a block, which loads them), the xor
+   rule's generator state, and a block's arrays and uniform degree
+   (empty arrays and the rule's degree for a rule). The codes are
+   route_batch_stubs.c's [BLOCK]..[FLIP_SUFFIX]. Only the built-in
+   tree, hypercube, ring and xor tables are rules, so a plugin's Block
+   lane always gets a block. *)
+let entries ~bits = function
+  | Overlay.Table.Block f ->
+      (0, 0L, Overlay.Flat.targets f, Overlay.Flat.offsets f, Overlay.Flat.uniform_degree f)
+  | Overlay.Table.Rule rule ->
+      let code, seed =
+        match rule with
+        | Overlay.Table.Flip -> (1, 0L)
+        | Overlay.Table.Finger -> (2, 0L)
+        | Overlay.Table.Flip_suffix seed -> (3, seed)
+      in
+      (code, seed, empty_targets, empty_buf, bits)
 
 let mask_words ~table ~alive context =
   if Overlay.Failure.length alive <> Overlay.Table.node_count table then
@@ -370,7 +400,7 @@ type pairs = Given of int array * int array | Drawn of int array
    node count is 2^bits, and an id is below it iff no bit at or above
    [bits] is set (a negative id has them all). *)
 let route context ?scratch table ~rng ~alive pairs n =
-  let flat = flat_of table context in
+  let layout = layout_of table context in
   let words = mask_words ~table ~alive context in
   let bits = Overlay.Table.bits table in
   (match pairs with
@@ -417,9 +447,7 @@ let route context ?scratch table ~rng ~alive pairs n =
           Array.unsafe_set dsts k (member pool (draw_distinct npool i))
         done
   in
-  let offsets = Overlay.Flat.offsets flat in
-  let targets = Overlay.Flat.targets flat in
-  let deg = Overlay.Flat.uniform_degree flat in
+  let code, seed, targets, offsets, deg = entries ~bits layout in
   let trav, term = loadmap_slices ~table context in
   let s = match scratch with Some s -> s | None -> domain_scratch () in
   prepare s n;
@@ -432,9 +460,9 @@ let route context ?scratch table ~rng ~alive pairs n =
     lane targets words offsets srcs dsts n s.hops_buf s.stuck_buf param deg trav term
   in
   (match Overlay.Table.geometry table with
-  | Rcm.Geometry.Tree -> block route_block_tree bits
-  | Rcm.Geometry.Xor -> block route_block_xor bits
-  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> block route_block_ring ((1 lsl bits) - 1)
+  | Rcm.Geometry.Tree -> block (route_block_tree code seed) bits
+  | Rcm.Geometry.Xor -> block (route_block_xor code seed) bits
+  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> block (route_block_ring code seed) bits
   | Rcm.Geometry.Hypercube ->
       let srcs, dsts, pool =
         match pairs with
@@ -442,8 +470,8 @@ let route context ?scratch table ~rng ~alive pairs n =
         | Drawn pool -> ([||], [||], pool)
       in
       let routed =
-        route_hypercube targets words offsets srcs dsts pool n s.hops_buf s.stuck_buf bits
-          deg trav term rng
+        route_hypercube code seed targets words offsets srcs dsts pool n s.hops_buf
+          s.stuck_buf bits deg trav term rng
       in
       if routed < n then reject (Bigarray.Array1.unsafe_get s.stuck_buf routed)
   | Rcm.Geometry.Custom { family; params } -> (

@@ -1,10 +1,14 @@
-(** Batched routing kernel over the flat CSR overlay backend.
+(** Batched routing kernel over the flat overlay backend.
 
     Routes a whole pair set per call through monomorphic, per-geometry
-    int loops: direct loads from {!Overlay.Flat}'s [offsets]/[targets]
-    Bigarrays, packed-bitset liveness tests ({!Overlay.Bitset}) and
-    reusable off-heap scratch buffers — zero allocation per hop, and
-    10–50× the scalar [Router.route] throughput at [bits = 20].
+    int loops: each entry is computed in registers from the table's
+    rule (the built-in tree, hypercube, ring and xor tables; see
+    {!Overlay.Table.layout}) or loaded from an {!Overlay.Flat} block's
+    [offsets]/[targets] Bigarrays (Symphony, the variant builders,
+    plugins, {!Overlay.Table.flatten}), with packed-bitset liveness
+    tests ({!Overlay.Bitset}) and reusable off-heap scratch buffers —
+    zero allocation per hop, and 10–50× the scalar [Router.route]
+    throughput at [bits = 20].
 
     {1 Bit-identity}
 
@@ -41,7 +45,7 @@
     Only tables with the {!Overlay.Table.Flat} backend are accepted
     (callers with classic rows use {!Overlay.Table.flatten} first, or
     stay on the scalar path — which churn/sparse overlays do, since
-    their representations are mutable or non-CSR). *)
+    their representations are mutable or not {!Overlay.Table}s). *)
 
 type scratch
 (** Reusable per-batch result buffers plus outcome/hop-histogram
@@ -156,8 +160,8 @@ type block_router =
     otherwise, and bump the [trav]/[term] loadmap slices at the scalar
     counting points (skip when zero-length). The [bits] argument is
     lane-defined — wrap the raw external in a closure to pack extra
-    static parameters into it (the built-in ring lane passes a
-    distance mask there). Block lanes are valid only for families
+    static parameters into it. A custom family's table is always a
+    block, never a rule. Block lanes are valid only for families
     whose router draws no randomness while forwarding. *)
 
 type lane = Scalar | Block of block_router

@@ -2,7 +2,14 @@
    symphony route many pairs at once; hypercube walks its pairs one
    after another, drawing from the caller's generator.
 
-   Why C, and why whole blocks: at 2^20 nodes the CSR targets block is
+   Entries: a lane reads entry i of node v through entry() below,
+   which either computes it from the table's rule (the builtin tree,
+   hypercube, ring and xor tables: Overlay.Table.rule) or loads it
+   from a CSR block (Symphony, the variant builders, plugins,
+   Table.flatten). That one switch is the only difference between the
+   two; there is one set of lanes.
+
+   Why C, and why whole blocks: at 2^20 nodes a CSR targets block is
    tens of MiB, so each hop is a dependent random load the hardware
    prefetchers cannot follow. Hiding that latency needs (a) many
    independent routes in flight with a software PREFETCH issued one
@@ -10,11 +17,13 @@
    while a discarded demand load would stall the reorder buffer on
    every miss and serialise the lanes again — and (b) so few
    instructions per hop that the out-of-order window always holds the
-   next lanes' misses. (b) is what OCaml's codegen cannot deliver: the
-   hop steps below lean on count-leading-zeros and conditional moves,
-   and a per-hop foreign call would cost more than the hop. The
-   geometry dispatch, scratch ownership, metrics and the rng-free
-   lanes' pair sampling stay in OCaml — see route_batch.ml.
+   next lanes' misses. A computed entry is a few ALU ops in registers
+   and needs no prefetch; the lanes still overlap the liveness probes.
+   (b) is what OCaml's codegen cannot deliver: the hop steps below
+   lean on count-leading-zeros and conditional moves, and a per-hop
+   foreign call would cost more than the hop. The geometry dispatch,
+   scratch ownership, metrics and the rng-free lanes' pair sampling
+   stay in OCaml — see route_batch.ml.
 
    Bit-identity contract (pinned by test/test_batch.ml and the CLI
    byte-identity checks): each driver visits candidates in exactly the
@@ -27,9 +36,10 @@
    Memory discipline: no allocation, no callbacks, no GC interaction —
    the OCaml int arrays (srcs/dsts/pool), the generator's bytes and the
    Bigarray payloads cannot move during the call, so raw pointers are
-   safe. Results are written straight into the caller's scratch
-   Bigarrays: hops_out[k] = hop count, stuck_out[k] = -1 when delivered
-   or the stuck node id.
+   safe. The xor rule's seed is read out of its boxed int64 once.
+   Results are written straight into the caller's scratch Bigarrays:
+   hops_out[k] = hop count, stuck_out[k] = -1 when delivered or the
+   stuck node id.
 
    Load telemetry (Obs.Loadmap): each driver also takes two per-node
    counter slices, trav and term, owned by the calling domain's loadmap
@@ -54,7 +64,7 @@
    the whole row), so its optimum is fewer lanes — fat hops fill the
    out-of-order window quickly, and extra lanes only add L1 pressure —
    where the thin hops want more lanes in flight to cover the same
-   latency. Both measured on 2^20-node tables. */
+   latency. Both measured on 2^20-node block tables. */
 #define LANES 64
 #define RING_LANES 24
 
@@ -71,29 +81,154 @@ static inline intnat *loadmap_slice(value v)
                                            : (intnat *)Caml_ba_data_val(v);
 }
 
-/* Fetch of row [rs, re]: first, middle and last entry cover the <= 3
-   cache lines a misaligned row of degree <= 32 can span. */
-static inline void prefetch_row(const int32_t *targets, intnat rs, intnat re)
+/* One step of Prng.Splitmix.next_int64: add gamma to the state, then
+   mix. */
+#define SPLITMIX_GAMMA 0x9E3779B97F4A7C15ULL
+
+static inline uint64_t splitmix_mix(uint64_t z)
 {
-  __builtin_prefetch(targets + rs);
-  __builtin_prefetch(targets + ((rs + re) >> 1));
-  __builtin_prefetch(targets + re);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
 }
 
-/* Row base: uniform tables (deg >= 0, every builder-produced block)
+static inline uint64_t splitmix_next(uint64_t *state)
+{
+  return splitmix_mix(*state += SPLITMIX_GAMMA);
+}
+
+/* The table a lane routes on. [rule] is one of the codes below, as
+   route_batch.ml passes them: BLOCK loads entries from the CSR arrays
+   (targets/offsets/deg); the others compute them, and the arrays are
+   empty. Each rule is a builtin Table entry function over 2^bits
+   nodes of degree bits:
+     FLIP         v xor 2^(bits-1-i)                        (tree_entry)
+     FINGER       (v + 2^i) mod 2^bits                      (ring_entry)
+     FLIP_SUFFIX  the flip, with its bits-1-i low bits from SplitMix
+                  draw v*bits + i of the generator at [seed]
+                  (xor_entry). Splitmix.int at the power-of-two
+                  bound 2^bits never rejects, so the suffix is the
+                  low bits of the draw's top 62 bits. The draw index
+                  runs to 2^30 * 30, so it is computed in 64 bits. */
+enum { BLOCK = 0, FLIP = 1, FINGER = 2, FLIP_SUFFIX = 3 };
+
+struct table {
+  const int32_t *targets;
+  const intnat *offsets;
+  intnat deg; /* a block's uniform degree, -1 when ragged */
+  intnat rule;
+  intnat bits;
+  uint64_t seed;
+};
+
+/* Row base: uniform blocks (deg >= 0, every builder-produced block)
    use a multiply so the prefetch and the hop skip the offsets
-   indirection; ragged tables (bidirectional Symphony via of_rows) fall
+   indirection; ragged blocks (bidirectional Symphony via of_rows) fall
    back to the offsets array. */
-static inline intnat row_base(const intnat *offsets, intnat deg, intnat v)
+static inline intnat row_base(const struct table *t, intnat v)
 {
-  return deg >= 0 ? v * deg : offsets[v];
+  return t->deg >= 0 ? v * t->deg : t->offsets[v];
 }
 
-static inline intnat row_limit(const intnat *offsets, intnat deg, intnat v,
-                               intnat base)
+static inline intnat row_limit(const struct table *t, intnat v, intnat base)
 {
-  return deg >= 0 ? base + deg : offsets[v + 1];
+  return t->deg >= 0 ? base + t->deg : t->offsets[v + 1];
 }
+
+/* Entry i of node v: computed from the rule, or loaded from the
+   block. */
+static inline intnat entry(const struct table *t, intnat v, intnat i)
+{
+  switch (t->rule) {
+  case FLIP:
+    return v ^ ((intnat)1 << (t->bits - 1 - i));
+  case FINGER:
+    return (v + ((intnat)1 << i)) & (((intnat)1 << t->bits) - 1);
+  case FLIP_SUFFIX: {
+    intnat bit = (intnat)1 << (t->bits - 1 - i), low = bit - 1;
+    uint64_t draw = (uint64_t)v * (uint64_t)t->bits + (uint64_t)i;
+    uint64_t z = splitmix_mix(t->seed + (draw + 1) * SPLITMIX_GAMMA);
+    return ((v & ~low) ^ bit) | ((intnat)(z >> 2) & low);
+  }
+  default:
+    return t->targets[row_base(t, v) + i];
+  }
+}
+
+/* Number of entries of node v. */
+static inline intnat degree(const struct table *t, intnat v)
+{
+  if (t->rule != BLOCK)
+    return t->bits;
+  intnat rs = row_base(t, v);
+  return row_limit(t, v, rs) - rs;
+}
+
+/* Fetch of v's row of a block: first, middle and last entry cover the
+   <= 3 cache lines a misaligned row of degree <= 32 can span. A rule's
+   entries are computed in registers, so there is nothing to fetch. */
+static inline void prefetch_entries(const struct table *t, intnat v)
+{
+  if (t->rule != BLOCK)
+    return;
+  intnat rs = row_base(t, v), re = row_limit(t, v, rs) - 1;
+  __builtin_prefetch(t->targets + rs);
+  __builtin_prefetch(t->targets + ((rs + re) >> 1));
+  __builtin_prefetch(t->targets + re);
+}
+
+/* Everything a lane driver reads besides its lane state: the table,
+   the alive words, the pairs (OCaml int arrays) and their count, the
+   result buffers and the loadmap slices. */
+struct batch {
+  struct table t;
+  const intnat *words;
+  value srcs, dsts;
+  intnat n;
+  intnat *hops_out, *stuck_out, *trav, *term;
+};
+
+static inline struct batch batch_of(value vrule, value vseed, value vtargets,
+                                    value vwords, value voffsets, value vsrcs,
+                                    value vdsts, value vn, value vhops_out,
+                                    value vstuck_out, value vbits, value vdeg,
+                                    value vtrav, value vterm)
+{
+  struct batch b;
+  b.t.targets = (const int32_t *)Caml_ba_data_val(vtargets);
+  b.t.offsets = (const intnat *)Caml_ba_data_val(voffsets);
+  b.t.deg = Long_val(vdeg);
+  b.t.rule = Long_val(vrule);
+  b.t.bits = Long_val(vbits);
+  b.t.seed = (uint64_t)Int64_val(vseed);
+  b.words = (const intnat *)Caml_ba_data_val(vwords);
+  b.srcs = vsrcs;
+  b.dsts = vdsts;
+  b.n = Long_val(vn);
+  b.hops_out = (intnat *)Caml_ba_data_val(vhops_out);
+  b.stuck_out = (intnat *)Caml_ba_data_val(vstuck_out);
+  b.trav = loadmap_slice(vtrav);
+  b.term = loadmap_slice(vterm);
+  return b;
+}
+
+/* A driver body is written once, over entry(), as an always-inline
+   function of the batch and a rule, and each driver instantiates it
+   twice: with the constant BLOCK, where entry() folds to a plain load
+   and the body compiles to a lane over bare arrays, and with the
+   table's computed rule. (With the rule tested at run time instead,
+   the ring lane ran about a third slower on a 2^20-node Symphony
+   block.) */
+#define LANE_BODY static inline __attribute__((always_inline))
+
+#define UNPACK(b, rule_)                                        \
+  struct table t = (b)->t;                                      \
+  const intnat *words = (b)->words;                             \
+  value vsrcs = (b)->srcs, vdsts = (b)->dsts;                   \
+  intnat *hops_out = (b)->hops_out, *stuck_out = (b)->stuck_out; \
+  intnat *trav = (b)->trav, *term = (b)->term;                  \
+  intnat n = (b)->n;                                            \
+  t.rule = (rule_)
 
 #define TAKE_PAIR(m)                                  \
   do {                                                \
@@ -103,11 +238,8 @@ static inline intnat row_limit(const intnat *offsets, intnat deg, intnat v,
     lcur[m] = src_;                                   \
     ldst[m] = Long_val(Field(vdsts, kk));             \
     lhops[m] = 0;                                     \
-    if (src_ != ldst[m]) {                            \
-      intnat rs_ = row_base(offsets, deg, src_);      \
-      prefetch_row(targets, rs_,                      \
-                   row_limit(offsets, deg, src_, rs_) - 1); \
-    }                                                 \
+    if (src_ != ldst[m])                              \
+      prefetch_entries(&t, src_);                     \
   } while (0)
 
 #define LANE_DONE(m)   \
@@ -133,24 +265,43 @@ static inline intnat row_limit(const intnat *offsets, intnat deg, intnat v,
       LANE_DONE(m);                                     \
   } while (0)
 
+/* The lane drivers' OCaml arguments: the rule code and its seed, the
+   block arrays (targets, then the alive words, then offsets), the
+   pairs and their count, the result buffers, bits, the block's
+   uniform degree and the loadmap slices. */
+#define LANE_DRIVER(name, body)                                            \
+  CAMLprim value name(value vrule, value vseed, value vtargets,            \
+                      value vwords, value voffsets, value vsrcs,           \
+                      value vdsts, value vn, value vhops_out,              \
+                      value vstuck_out, value vbits, value vdeg,           \
+                      value vtrav, value vterm)                            \
+  {                                                                        \
+    struct batch b = batch_of(vrule, vseed, vtargets, vwords, voffsets,    \
+                              vsrcs, vdsts, vn, vhops_out, vstuck_out,     \
+                              vbits, vdeg, vtrav, vterm);                  \
+    if (b.t.rule == BLOCK)                                                 \
+      body(&b, BLOCK);                                                     \
+    else                                                                   \
+      body(&b, b.t.rule);                                                  \
+    return Val_unit;                                                       \
+  }                                                                        \
+                                                                           \
+  CAMLprim value name##_bc(value *argv, int argn)                          \
+  {                                                                        \
+    (void)argn;                                                            \
+    return name(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],      \
+                argv[6], argv[7], argv[8], argv[9], argv[10], argv[11],    \
+                argv[12], argv[13]);                                       \
+  }
+
 /* Tree (Plaxton, scalar Tree_router): the only useful neighbour is the
    one correcting the leftmost differing bit (table index
    [bits - 1 - floor_log2 diff]); dead means dropped. */
-CAMLprim value rcm_route_tree(value vtargets, value vwords, value voffsets,
-                              value vsrcs, value vdsts, value vn,
-                              value vhops_out, value vstuck_out, value vbits,
-                              value vdeg, value vtrav, value vterm)
+LANE_BODY void tree_lanes(const struct batch *b, intnat rule)
 {
-  const int32_t *targets = (const int32_t *)Caml_ba_data_val(vtargets);
-  const intnat *words = (const intnat *)Caml_ba_data_val(vwords);
-  const intnat *offsets = (const intnat *)Caml_ba_data_val(voffsets);
-  intnat *hops_out = (intnat *)Caml_ba_data_val(vhops_out);
-  intnat *stuck_out = (intnat *)Caml_ba_data_val(vstuck_out);
-  intnat *trav = loadmap_slice(vtrav), *term = loadmap_slice(vterm);
-  intnat n = Long_val(vn), bits = Long_val(vbits), deg = Long_val(vdeg);
+  UNPACK(b, rule);
   intnat lk[LANES], lcur[LANES], ldst[LANES], lhops[LANES];
-  intnat lanes = n < LANES ? n : LANES;
-  intnat next_pair = 0, live = lanes;
+  intnat lanes = n < LANES ? n : LANES, live = lanes, next_pair = 0;
   for (intnat m = 0; m < lanes; m++)
     TAKE_PAIR(m);
   while (live > 0) {
@@ -163,8 +314,7 @@ CAMLprim value rcm_route_tree(value vtargets, value vwords, value voffsets,
         continue;
       }
       intnat p = 63 - __builtin_clzl((unsigned long)(cur ^ dst));
-      intnat rb = row_base(offsets, deg, cur);
-      intnat next = targets[rb + bits - 1 - p];
+      intnat next = entry(&t, cur, t.bits - 1 - p);
       if (!alive_bit(words, next)) {
         FINISH(m, cur);
         continue;
@@ -173,40 +323,22 @@ CAMLprim value rcm_route_tree(value vtargets, value vwords, value voffsets,
       lhops[m]++;
       if (trav)
         trav[next]++;
-      if (next != dst) {
-        intnat rs = row_base(offsets, deg, next);
-        prefetch_row(targets, rs, row_limit(offsets, deg, next, rs) - 1);
-      }
+      if (next != dst)
+        prefetch_entries(&t, next);
     }
   }
-  return Val_unit;
 }
 
-CAMLprim value rcm_route_tree_bc(value *argv, int argn)
-{
-  (void)argn;
-  return rcm_route_tree(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                        argv[6], argv[7], argv[8], argv[9], argv[10], argv[11]);
-}
+LANE_DRIVER(rcm_route_tree, tree_lanes)
 
 /* XOR (Kademlia, scalar Xor_router): candidates are the set bits of
    [cur lxor dst] from the highest down; the first alive contact
    wins. */
-CAMLprim value rcm_route_xor(value vtargets, value vwords, value voffsets,
-                             value vsrcs, value vdsts, value vn,
-                             value vhops_out, value vstuck_out, value vbits,
-                             value vdeg, value vtrav, value vterm)
+LANE_BODY void xor_lanes(const struct batch *b, intnat rule)
 {
-  const int32_t *targets = (const int32_t *)Caml_ba_data_val(vtargets);
-  const intnat *words = (const intnat *)Caml_ba_data_val(vwords);
-  const intnat *offsets = (const intnat *)Caml_ba_data_val(voffsets);
-  intnat *hops_out = (intnat *)Caml_ba_data_val(vhops_out);
-  intnat *stuck_out = (intnat *)Caml_ba_data_val(vstuck_out);
-  intnat *trav = loadmap_slice(vtrav), *term = loadmap_slice(vterm);
-  intnat n = Long_val(vn), bits = Long_val(vbits), deg = Long_val(vdeg);
+  UNPACK(b, rule);
   intnat lk[LANES], lcur[LANES], ldst[LANES], lhops[LANES];
-  intnat lanes = n < LANES ? n : LANES;
-  intnat next_pair = 0, live = lanes;
+  intnat lanes = n < LANES ? n : LANES, live = lanes, next_pair = 0;
   for (intnat m = 0; m < lanes; m++)
     TAKE_PAIR(m);
   while (live > 0) {
@@ -218,12 +350,11 @@ CAMLprim value rcm_route_xor(value vtargets, value vwords, value voffsets,
         FINISH(m, -1);
         continue;
       }
-      intnat rb = row_base(offsets, deg, cur);
       unsigned long rem = (unsigned long)(cur ^ dst);
       intnat next = -1;
       do {
         intnat p = 63 - __builtin_clzl(rem);
-        intnat cand = targets[rb + bits - 1 - p];
+        intnat cand = entry(&t, cur, t.bits - 1 - p);
         if (alive_bit(words, cand)) {
           next = cand;
           break;
@@ -238,21 +369,13 @@ CAMLprim value rcm_route_xor(value vtargets, value vwords, value voffsets,
       lhops[m]++;
       if (trav)
         trav[next]++;
-      if (next != dst) {
-        intnat rs = row_base(offsets, deg, next);
-        prefetch_row(targets, rs, row_limit(offsets, deg, next, rs) - 1);
-      }
+      if (next != dst)
+        prefetch_entries(&t, next);
     }
   }
-  return Val_unit;
 }
 
-CAMLprim value rcm_route_xor_bc(value *argv, int argn)
-{
-  (void)argn;
-  return rcm_route_xor(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                       argv[6], argv[7], argv[8], argv[9], argv[10], argv[11]);
-}
+LANE_DRIVER(rcm_route_xor, xor_lanes)
 
 /* Ring and Symphony (scalar Greedy_ring): greedy clockwise, next hop =
    the unique minimiser of the remaining clockwise distance over the
@@ -261,26 +384,51 @@ CAMLprim value rcm_route_xor_bc(value *argv, int argn)
    unique and equals the scalar router's first-scanned minimiser no
    matter in which order candidates are examined.
 
-   That order-independence is what makes the hop cheap. The expensive
-   part of a naive scan is not the row (cache-resident after the lane
-   prefetch) but the per-candidate liveness probe — a dependent
-   random-index load into the bitset for every contact. Instead, the
-   fast path computes all candidate keys with pure arithmetic, then
-   probes liveness lazily, best candidate first: at failure fraction q
-   that is 1/(1-q) probes per hop (~1.2 at q=0.2) instead of [degree].
-   Keys pack [(after << 5) | slot] into 32 bits so the min-reduction
-   runs branch-free (conditional moves, vectorizable); that needs
-   [bits + 5 <= 32] and at most 32 slots, which covers every practical
-   table — wider rows or deeper id spaces take the eager path. */
+   With the FINGER rule that minimiser has a closed form. Finger k of
+   cur lies at clockwise distance 2^k, so from remaining distance
+   rem > 0 it leaves rem - 2^k when 2^k <= rem, and 2^bits + rem - 2^k
+   > rem otherwise (2^k < 2^bits): the fingers strictly closer to dst
+   are exactly those with 2^k <= rem, i.e. k <= floor(log2 rem), and
+   the remaining distance rem - 2^k falls as k rises. So the largest
+   alive k <= floor(log2 rem) is the unique greedy minimum, and the
+   hop scans k downwards from there, computing each finger and
+   probing only until the first alive one.
 
-static inline intnat ring_hop_fast(const int32_t *row, const intnat *words,
-                                   intnat deg, intnat dst, intnat mask,
-                                   intnat *rem /* in/out */)
+   On a block, order-independence is what makes the hop cheap. The
+   expensive part of a naive scan is not the row (cache-resident after
+   the lane prefetch) but the per-candidate liveness probe — a
+   dependent random-index load into the bitset for every contact.
+   Instead, the fast path computes all candidate keys with pure
+   arithmetic, then probes liveness lazily, best candidate first: at
+   failure fraction q that is 1/(1-q) probes per hop (~1.2 at q=0.2)
+   instead of [degree]. Keys pack [(after << 5) | slot] into 32 bits so
+   the min-reduction runs branch-free (conditional moves,
+   vectorizable); that needs [bits + 5 <= 32] and at most 32 slots,
+   which covers every practical table — wider rows or deeper id spaces
+   take the eager path. */
+
+static inline intnat ring_hop_finger(const struct table *t,
+                                     const intnat *words, intnat cur,
+                                     intnat *rem /* in/out */)
+{
+  for (intnat k = 63 - __builtin_clzl((unsigned long)*rem); k >= 0; k--) {
+    intnat cand = entry(t, cur, k);
+    if (alive_bit(words, cand)) {
+      *rem -= (intnat)1 << k;
+      return cand;
+    }
+  }
+  return -1;
+}
+
+static inline intnat ring_hop_fast(const struct table *t, const intnat *words,
+                                   intnat cur, intnat deg, intnat dst,
+                                   intnat mask, intnat *rem /* in/out */)
 {
   uint32_t key[32];
   uint32_t seed = (uint32_t)*rem << 5;
   for (intnat k = 0; k < deg; k++) {
-    uint32_t cand = (uint32_t)row[k];
+    uint32_t cand = (uint32_t)entry(t, cur, k);
     key[k] = ((((uint32_t)dst - cand) & (uint32_t)mask) << 5) | (uint32_t)k;
   }
   for (;;) {
@@ -291,7 +439,7 @@ static inline intnat ring_hop_fast(const int32_t *row, const intnat *words,
     if (best >= seed)
       return -1;
     intnat bi = best & 31;
-    intnat cand = row[bi];
+    intnat cand = entry(t, cur, bi);
     if (alive_bit(words, cand)) {
       *rem = (intnat)(best >> 5);
       return cand;
@@ -300,14 +448,14 @@ static inline intnat ring_hop_fast(const int32_t *row, const intnat *words,
   }
 }
 
-static inline intnat ring_hop_eager(const int32_t *row, const intnat *words,
-                                    intnat deg, intnat dst, intnat mask,
-                                    intnat *rem /* in/out */)
+static inline intnat ring_hop_eager(const struct table *t, const intnat *words,
+                                    intnat cur, intnat deg, intnat dst,
+                                    intnat mask, intnat *rem /* in/out */)
 {
   int64_t seed = (int64_t)*rem << 30;
   int64_t best = seed;
   for (intnat k = 0; k < deg; k++) {
-    intnat cand = row[k];
+    intnat cand = entry(t, cur, k);
     int64_t key = ((int64_t)((dst - cand) & mask) << 30) | cand;
     if (!alive_bit(words, cand))
       key = INT64_MAX;
@@ -320,22 +468,13 @@ static inline intnat ring_hop_eager(const int32_t *row, const intnat *words,
   return (intnat)(best & 0x3FFFFFFF);
 }
 
-CAMLprim value rcm_route_ring(value vtargets, value vwords, value voffsets,
-                              value vsrcs, value vdsts, value vn,
-                              value vhops_out, value vstuck_out, value vmask,
-                              value vdeg, value vtrav, value vterm)
+LANE_BODY void ring_lanes(const struct batch *b, intnat rule)
 {
-  const int32_t *targets = (const int32_t *)Caml_ba_data_val(vtargets);
-  const intnat *words = (const intnat *)Caml_ba_data_val(vwords);
-  const intnat *offsets = (const intnat *)Caml_ba_data_val(voffsets);
-  intnat *hops_out = (intnat *)Caml_ba_data_val(vhops_out);
-  intnat *stuck_out = (intnat *)Caml_ba_data_val(vstuck_out);
-  intnat *trav = loadmap_slice(vtrav), *term = loadmap_slice(vterm);
-  intnat n = Long_val(vn), mask = Long_val(vmask), deg = Long_val(vdeg);
-  int shallow = mask < (1 << 27);
+  UNPACK(b, rule);
+  intnat mask = ((intnat)1 << t.bits) - 1;
+  int shallow = t.bits <= 27;
   intnat lk[RING_LANES], lcur[RING_LANES], ldst[RING_LANES], lhops[RING_LANES], lrem[RING_LANES];
-  intnat lanes = n < RING_LANES ? n : RING_LANES;
-  intnat next_pair = 0, live = lanes;
+  intnat lanes = n < RING_LANES ? n : RING_LANES, live = lanes, next_pair = 0;
   for (intnat m = 0; m < lanes; m++) {
     TAKE_PAIR(m);
     lrem[m] = (ldst[m] - lcur[m]) & mask;
@@ -350,14 +489,15 @@ CAMLprim value rcm_route_ring(value vtargets, value vwords, value voffsets,
         continue;
       }
       intnat cur = lcur[m], dst = ldst[m];
-      intnat rb = row_base(offsets, deg, cur);
-      intnat rdeg = row_limit(offsets, deg, cur, rb) - rb;
-      intnat rem = lrem[m];
-      intnat next = (shallow && rdeg <= 32)
-                        ? ring_hop_fast(targets + rb, words, rdeg, dst, mask,
-                                        &rem)
-                        : ring_hop_eager(targets + rb, words, rdeg, dst, mask,
-                                         &rem);
+      intnat rem = lrem[m], next;
+      if (t.rule == FINGER)
+        next = ring_hop_finger(&t, words, cur, &rem);
+      else {
+        intnat deg = degree(&t, cur);
+        next = (shallow && deg <= 32)
+                   ? ring_hop_fast(&t, words, cur, deg, dst, mask, &rem)
+                   : ring_hop_eager(&t, words, cur, deg, dst, mask, &rem);
+      }
       if (next < 0) {
         FINISH(m, cur);
         lrem[m] = (ldst[m] - lcur[m]) & mask;
@@ -368,30 +508,13 @@ CAMLprim value rcm_route_ring(value vtargets, value vwords, value voffsets,
       lhops[m]++;
       if (trav)
         trav[next]++;
-      if (rem != 0) {
-        intnat rs = row_base(offsets, deg, next);
-        prefetch_row(targets, rs, row_limit(offsets, deg, next, rs) - 1);
-      }
+      if (rem != 0)
+        prefetch_entries(&t, next);
     }
   }
-  return Val_unit;
 }
 
-CAMLprim value rcm_route_ring_bc(value *argv, int argn)
-{
-  (void)argn;
-  return rcm_route_ring(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                        argv[6], argv[7], argv[8], argv[9], argv[10], argv[11]);
-}
-
-/* One step of Prng.Splitmix.next_int64 (the same step as fill_stubs.c). */
-static inline uint64_t splitmix_next(uint64_t *state)
-{
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
+LANE_DRIVER(rcm_route_ring, ring_lanes)
 
 /* Prng.Splitmix.int at [bound] > 0: the top 62 bits of a draw, drawn
    again while above the bound's rejection limit, then reduced mod
@@ -417,9 +540,10 @@ static inline intnat splitmix_int(uint64_t *state, intnat bound, intnat limit)
    [bits - 1 - ctz]) and keeps each alive candidate with probability
    1/seen — one Splitmix.int rng seen per alive candidate, draw for
    draw the scalar sequence. Those draws pin the pair order, so the
-   pairs are walked one at a time, not in lanes; what hides part of the
-   row latency instead is a prefetch of each alive candidate's row as
-   the scan finds it, since one of them is the next hop. The rejection
+   pairs are walked one at a time, not in lanes. On a block, what hides
+   part of the row latency instead is a prefetch of each alive
+   candidate's row as the scan finds it, since one of them is the next
+   hop; on the FLIP rule every candidate is computed. The rejection
    limits of the reservoir bounds (seen <= 64) are tabled once per
    call, which takes one division off every draw.
 
@@ -434,27 +558,18 @@ static inline intnat splitmix_int(uint64_t *state, intnat bound, intnat limit)
    native-endian state; its final state is written back on every exit.
    Returns the number of pairs routed: n, or the index of the pair
    whose drawn id was rejected. */
-CAMLprim value rcm_route_hypercube(value vtargets, value vwords, value voffsets,
-                                   value vsrcs, value vdsts, value vpool,
-                                   value vn, value vhops_out, value vstuck_out,
-                                   value vbits, value vdeg, value vtrav,
-                                   value vterm, value vrng)
+LANE_BODY intnat hypercube_walk(const struct batch *b, intnat rule,
+                               value vpool, uint64_t *state)
 {
-  const int32_t *targets = (const int32_t *)Caml_ba_data_val(vtargets);
-  const intnat *words = (const intnat *)Caml_ba_data_val(vwords);
-  const intnat *offsets = (const intnat *)Caml_ba_data_val(voffsets);
-  intnat *hops_out = (intnat *)Caml_ba_data_val(vhops_out);
-  intnat *stuck_out = (intnat *)Caml_ba_data_val(vstuck_out);
-  intnat *trav = loadmap_slice(vtrav), *term = loadmap_slice(vterm);
-  intnat n = Long_val(vn), bits = Long_val(vbits), deg = Long_val(vdeg);
+  UNPACK(b, rule);
+  intnat bits = t.bits;
   intnat npool = (intnat)Wosize_val(vpool);
   intnat pool_limit = npool > 0 ? splitmix_limit(npool) : 0;
   intnat limits[65];
-  for (intnat b = 1; b <= 64; b++)
-    limits[b] = splitmix_limit(b);
-  uint64_t s;
+  for (intnat c = 1; c <= 64; c++)
+    limits[c] = splitmix_limit(c);
+  uint64_t s = *state;
   intnat k;
-  memcpy(&s, Bytes_val(vrng), sizeof s);
   for (k = 0; k < n; k++) {
     intnat src, dst;
     if (npool > 0) {
@@ -478,14 +593,12 @@ CAMLprim value rcm_route_hypercube(value vtargets, value vwords, value voffsets,
     }
     intnat cur = src, hops = 0, stuck = -1;
     while (cur != dst) {
-      const int32_t *row = targets + row_base(offsets, deg, cur);
       uintnat rem = (uintnat)(cur ^ dst);
       intnat chosen = -1, seen = 0;
       do {
-        intnat cand = row[bits - 1 - __builtin_ctzl(rem)];
+        intnat cand = entry(&t, cur, bits - 1 - __builtin_ctzl(rem));
         if (alive_bit(words, cand)) {
-          intnat rs = row_base(offsets, deg, cand);
-          prefetch_row(targets, rs, row_limit(offsets, deg, cand, rs) - 1);
+          prefetch_entries(&t, cand);
           seen++;
           if (splitmix_int(&s, seen, limits[seen]) == 0)
             chosen = cand;
@@ -506,8 +619,26 @@ CAMLprim value rcm_route_hypercube(value vtargets, value vwords, value voffsets,
     if (term)
       term[stuck < 0 ? dst : stuck]++;
   }
+  *state = s;
+  return k;
+}
+
+CAMLprim value rcm_route_hypercube(value vrule, value vseed, value vtargets,
+                                   value vwords, value voffsets, value vsrcs,
+                                   value vdsts, value vpool, value vn,
+                                   value vhops_out, value vstuck_out,
+                                   value vbits, value vdeg, value vtrav,
+                                   value vterm, value vrng)
+{
+  struct batch b = batch_of(vrule, vseed, vtargets, vwords, voffsets, vsrcs,
+                            vdsts, vn, vhops_out, vstuck_out, vbits, vdeg,
+                            vtrav, vterm);
+  uint64_t s;
+  memcpy(&s, Bytes_val(vrng), sizeof s);
+  intnat routed = b.t.rule == BLOCK ? hypercube_walk(&b, BLOCK, vpool, &s)
+                                    : hypercube_walk(&b, b.t.rule, vpool, &s);
   memcpy(Bytes_val(vrng), &s, sizeof s);
-  return Val_long(k);
+  return Val_long(routed);
 }
 
 CAMLprim value rcm_route_hypercube_bc(value *argv, int argn)
@@ -515,5 +646,6 @@ CAMLprim value rcm_route_hypercube_bc(value *argv, int argn)
   (void)argn;
   return rcm_route_hypercube(argv[0], argv[1], argv[2], argv[3], argv[4],
                              argv[5], argv[6], argv[7], argv[8], argv[9],
-                             argv[10], argv[11], argv[12], argv[13]);
+                             argv[10], argv[11], argv[12], argv[13], argv[14],
+                             argv[15]);
 }

@@ -38,6 +38,15 @@ let map_trials pool trials task =
   | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool trials task
   | Some _ | None -> Array.init trials task
 
+(* Components of the failed overlay, read from the table in place. A
+   per-trial copy into a [Graph.Digraph.t] would walk a rule table,
+   whose entries are computed on each read, once more than needed. *)
+let components table alive =
+  Graph.Components.analyze_iter
+    ~alive:(Overlay.Failure.to_bool_array alive)
+    ~nodes:(Overlay.Table.node_count table)
+    (Overlay.Table.iter_neighbors table)
+
 (* Connectivity vs routability on the *same* failed instance: the
    reachable component is a subset of the connected component
    (section 4.1), so measured routability must not exceed
@@ -51,10 +60,7 @@ let run_trial ~bits ~backend ~q geometry cache build_seed ~pairs =
       ~attrs:(if Obs.Trace.enabled () then [ ("q", Obs.Trace.Float q) ] else [])
       (fun () -> Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table))
   in
-  let graph = Overlay.Table.to_digraph table in
-  let connectivity =
-    Graph.Components.analyze ~alive:(Overlay.Failure.to_bool_array alive) graph
-  in
+  let connectivity = components table alive in
   let pool = Overlay.Failure.survivors alive in
   let trial =
     if Array.length pool < 2 then { connectivity; routability = 0.0; routed_pairs = 0 }
@@ -134,12 +140,7 @@ let giant_fraction ?pool ?cache ?(backend = Overlay.Table.Classic) ?(trials = 3)
     map_trials pool trials (fun i ->
         let table, rng = table_for ~bits ~backend geometry cache seeds.(i) in
         let alive = Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table) in
-        let report =
-          Graph.Components.analyze
-            ~alive:(Overlay.Failure.to_bool_array alive)
-            (Overlay.Table.to_digraph table)
-        in
-        report.Graph.Components.giant_fraction)
+        (components table alive).Graph.Components.giant_fraction)
   in
   Array.fold_left ( +. ) 0.0 fractions /. float_of_int trials
 

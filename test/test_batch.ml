@@ -279,6 +279,66 @@ let prop_batch_scalar_agreement =
                   (Array.init (Array.length pairs) Fun.id))
            [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]))
 
+(* Property: a rule table, whose entries the lanes compute, routes
+   exactly like the same entries stored as a block (the flattened
+   classic build), which the same lanes load: outcomes (hops and stuck
+   nodes), loadmap traversal and termination counters and the
+   generator state after the batch (the hypercube lane draws while it
+   routes), through both entry points. Bits 1 is a two-node table. *)
+let prop_rule_block_agreement =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:80 ~name:"computed lanes = loaded lanes"
+       QCheck.(
+         quad small_nat (int_range 1 16) (float_range 0.0 0.6)
+           (make ~print:Rcm.Geometry.slug
+              (Gen.oneofl
+                 [
+                   Rcm.Geometry.Tree; Rcm.Geometry.Hypercube; Rcm.Geometry.Xor; Rcm.Geometry.Ring;
+                 ])))
+       (fun (seed, bits, q, geometry) ->
+         let rule = flat_table ~seed ~bits geometry in
+         let block =
+           Overlay.Table.flatten
+             (Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed) ~bits geometry)
+         in
+         let nodes = Overlay.Table.node_count rule in
+         let alive =
+           Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(seed + 1)) ~q nodes
+         in
+         let pool = Overlay.Failure.survivors alive in
+         let pairs = 300 in
+         let given =
+           let rng = Prng.Splitmix.create ~seed:(seed + 2) in
+           if Array.length pool < 2 then [||]
+           else Array.init pairs (fun _ -> Stats.Sampler.ordered_pair rng pool)
+         in
+         let run batch table =
+           let lm = Obs.Loadmap.create ~nodes in
+           let rng = Prng.Splitmix.create ~seed:(seed + 3) in
+           let s = Obs.Loadmap.with_sink lm (fun () -> batch table ~rng) in
+           ( Array.init (Routing.Route_batch.batch_size s) (Routing.Route_batch.outcome s),
+             lm,
+             Prng.Splitmix.state rng )
+         in
+         let agree batch =
+           let outcomes_r, lm_r, state_r = run batch rule in
+           let outcomes_b, lm_b, state_b = run batch block in
+           Array.for_all2 Routing.Outcome.equal outcomes_r outcomes_b
+           && Obs.Loadmap.equal lm_r lm_b && state_r = state_b
+         in
+         (match (Overlay.Table.layout rule, Overlay.Table.layout block) with
+         | Some (Overlay.Table.Rule _), Some (Overlay.Table.Block _) -> true
+         | _ -> false)
+         && agree (fun table ~rng ->
+                Routing.Route_batch.route_many
+                  ~scratch:(Routing.Route_batch.create_scratch ())
+                  table ~rng ~alive given)
+         && (Array.length pool < 2
+            || agree (fun table ~rng ->
+                   Routing.Route_batch.sample_and_route
+                     ~scratch:(Routing.Route_batch.create_scratch ())
+                     table ~rng ~alive ~pool ~pairs))))
+
 (* --- the hypercube lane ------------------------------------------------------ *)
 
 (* The C lane draws [Splitmix.int rng seen] per alive candidate. Its
@@ -608,6 +668,7 @@ let suite =
     Alcotest.test_case "sample_and_route = scalar trial loop" `Quick
       test_sample_and_route_matches_scalar;
     prop_batch_scalar_agreement;
+    prop_rule_block_agreement;
     Alcotest.test_case "hypercube lane: rejected draw" `Quick test_hypercube_rejection;
     Alcotest.test_case "hypercube lane: bits 14, both entry points" `Quick test_hypercube_bits14;
     Alcotest.test_case "scratch reuse and raw views" `Quick test_scratch_reuse_and_raw_views;

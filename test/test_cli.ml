@@ -490,6 +490,17 @@ let check_golden args file () =
     (read_file (Filename.concat "golden" file))
     out
 
+(* The only goldens that build tables above d = 16: at d = 20 an xor
+   table's entries come from draws up to 2^20 * 20, so these pin the
+   computed entries far past what the small-table tests reach. *)
+let simulate_d20_golden g =
+  ( "golden simulate -d 20 " ^ g,
+    `Quick,
+    check_golden
+      [ "simulate"; "-g"; g; "-d"; "20"; "--trials"; "1"; "--pairs"; "2000"; "--seed"; "11";
+        "--csv" ]
+      ("simulate-d20-" ^ g ^ ".csv") )
+
 let suite =
   [
     ("binary present", `Quick, test_binary_present);
@@ -553,3 +564,4 @@ let suite =
     ("golden figure rep-xor --quick", `Quick,
       check_golden [ "figure"; "rep-xor"; "--quick" ] "figure-rep-xor-quick.txt");
   ]
+  @ List.map simulate_d20_golden [ "tree"; "hypercube"; "xor"; "ring" ]

@@ -228,10 +228,10 @@ let test_percolation_bit_identical () =
         (bits_of_float flat.Sim.Percolation.mean_giant_fraction))
     all_geometries
 
-(* Property: for the geometries whose flat blocks are C replays of the
-   classic entry functions, random (bits, seed) builds agree
-   entry-for-entry across backends. Bits 1 is xor without a random
-   suffix. *)
+(* Property: for the geometries whose flat tables are rules computing
+   the classic entry functions on each read, random (bits, seed) builds
+   agree entry-for-entry across backends. Bits 1 is xor without a
+   random suffix. *)
 let prop_backend_agreement =
   QCheck.Test.make ~count:40 ~name:"flat/classic builds agree"
     QCheck.(pair (int_range 1 12) small_nat)
@@ -250,6 +250,83 @@ let prop_backend_agreement =
                  Overlay.Table.neighbors classic v = Overlay.Table.neighbors flat v)
                (List.init (Overlay.Table.node_count classic) Fun.id))
         [ Rcm.Geometry.Tree; Rcm.Geometry.Hypercube; Rcm.Geometry.Xor; Rcm.Geometry.Ring ])
+
+(* Every read outside a table raises on both backends, for every
+   built-in geometry: without the check a block reads a neighbouring
+   row, the offsets sentinel or bytes past its payload, and a rule
+   shifts by an unspecified amount. Degree 4 at 16 nodes, except
+   Symphony's 2. *)
+let test_neighbor_bounds () =
+  List.iter
+    (fun geometry ->
+      List.iter
+        (fun backend ->
+          let t =
+            Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:4) ~backend ~bits:4 geometry
+          in
+          let what =
+            Printf.sprintf "%s/%s" (Rcm.Geometry.slug geometry)
+              (Overlay.Table.backend_name backend)
+          in
+          let n = Overlay.Table.node_count t in
+          let last = Overlay.Table.degree t (n - 1) in
+          List.iter
+            (fun (v, i) ->
+              match Overlay.Table.neighbor t v i with
+              | u -> Alcotest.failf "%s: neighbor %d %d returned %d" what v i u
+              | exception Invalid_argument _ -> ())
+            [
+              (0, Overlay.Table.degree t 0);
+              (n - 1, -1);
+              (0, -1);
+              (n, 0);
+              (-1, 0);
+              (n - 1, last);
+              (n - 1, 1_000_000);
+            ];
+          List.iter
+            (fun v ->
+              match Overlay.Table.degree t v with
+              | d -> Alcotest.failf "%s: degree %d returned %d" what v d
+              | exception Invalid_argument _ -> ())
+            [ -1; n ];
+          Alcotest.(check int) (what ^ ": last entry still readable")
+            (Overlay.Table.neighbors t (n - 1)).(last - 1)
+            (Overlay.Table.neighbor t (n - 1) (last - 1)))
+        [ Overlay.Table.Classic; Overlay.Table.Flat ])
+    [
+      Rcm.Geometry.Tree;
+      Rcm.Geometry.Hypercube;
+      Rcm.Geometry.Xor;
+      Rcm.Geometry.Ring;
+      Rcm.Geometry.Symphony { k_n = 1; k_s = 1 };
+    ]
+
+(* A rule computes its entries on every read, whole-table walks
+   (to_digraph, the scalar routers) included, so reading one must not
+   allocate: the xor rule's draw stays unboxed (native code only). *)
+let test_rule_reads_allocate_nothing () =
+  List.iter
+    (fun geometry ->
+      let t =
+        Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:9) ~backend:Overlay.Table.Flat
+          ~bits:16 geometry
+      in
+      let acc = ref 0 in
+      let add u = acc := !acc lxor u in
+      let before = Gc.minor_words () in
+      for k = 0 to 9_999 do
+        let v = k * 6151 land 0xffff in
+        add (Overlay.Table.neighbor t v (k mod 16));
+        Overlay.Table.iter_neighbors t v add
+      done;
+      let words = Gc.minor_words () -. before in
+      if Sys.backend_type = Sys.Native then
+        Alcotest.(check (float 0.0))
+          (Rcm.Geometry.slug geometry ^ ": minor words for 10k rule rows")
+          0.0 words;
+      Alcotest.(check bool) "entries used" true (!acc >= 0))
+    [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]
 
 (* --- CLI byte-identity across --overlay and --jobs ----------------------- *)
 
@@ -326,6 +403,8 @@ let suite =
     Alcotest.test_case "estimate bit-identical" `Quick test_estimate_bit_identical;
     Alcotest.test_case "percolation bit-identical" `Quick test_percolation_bit_identical;
     QCheck_alcotest.to_alcotest prop_backend_agreement;
+    Alcotest.test_case "neighbor bounds (both backends)" `Quick test_neighbor_bounds;
+    Alcotest.test_case "rule reads allocate nothing" `Quick test_rule_reads_allocate_nothing;
     Alcotest.test_case "CLI simulate byte-identical" `Slow test_cli_simulate_byte_identical;
     Alcotest.test_case "CLI figure byte-identical" `Slow test_cli_figure_byte_identical;
   ]

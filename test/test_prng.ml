@@ -164,6 +164,20 @@ let advance_matches_steps =
       | () -> false
       | exception Invalid_argument _ -> true)
 
+(* Draw k without the k draws before it, checked against stepping,
+   at indexes up to past the largest xor table's 2^30 * 30 draws; a
+   power-of-two [int] is the same draw mod the bound. *)
+let bits62_at_matches_draws =
+  qcheck "bits62_at k = draw k"
+    QCheck2.Gen.(triple int64 (int_range 0 (31 * (1 lsl 30))) (int_range 1 30))
+    (fun (state, k, b) ->
+      let g = Prng.Splitmix.of_int64 state in
+      Prng.Splitmix.advance g k;
+      let direct = Prng.Splitmix.bits62_at state k in
+      let next = Prng.Splitmix.next_int64 (Prng.Splitmix.copy g) in
+      let draw = Int64.to_int (Int64.shift_right_logical next 2) in
+      direct = draw && Prng.Splitmix.int g (1 lsl b) = direct land ((1 lsl b) - 1))
+
 let int_unbiased_small_bounds =
   qcheck "int covers the whole range"
     QCheck2.Gen.(int_range 2 20)
@@ -381,6 +395,7 @@ let suite =
     harmonic_in_range;
     int_unbiased_small_bounds;
     advance_matches_steps;
+    bits62_at_matches_draws;
     ("int rejection branch", `Quick, test_int_rejection);
     draws_match_model;
     state_resumes_and_copy_is_independent;
