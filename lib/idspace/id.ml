@@ -6,12 +6,17 @@ let hamming_distance a b =
 
 let ring_distance ~bits a b = (b - a) land ((1 lsl bits) - 1)
 
+(* Binary search for the highest set bit of a 63-bit int in six
+   shift-and-test steps: after the step of width w, the result lies in
+   [log, log + w). *)
 let floor_log2 x =
-  if x <= 0 then invalid_arg "Id.floor_log2: non-positive argument"
-  else begin
-    let rec scan v acc = if v <= 1 then acc else scan (v lsr 1) (acc + 1) in
-    scan x 0
-  end
+  if x <= 0 then invalid_arg "Id.floor_log2: non-positive argument";
+  let log = if x lsr 32 <> 0 then 32 else 0 in
+  let log = if x lsr (log + 16) <> 0 then log + 16 else log in
+  let log = if x lsr (log + 8) <> 0 then log + 8 else log in
+  let log = if x lsr (log + 4) <> 0 then log + 4 else log in
+  let log = if x lsr (log + 2) <> 0 then log + 2 else log in
+  if x lsr (log + 1) <> 0 then log + 1 else log
 
 (* Paper section 3: the routing process is at phase j when the relevant
    distance lies in [2^j, 2^(j+1)); a target at distance [dist] therefore

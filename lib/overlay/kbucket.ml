@@ -7,8 +7,12 @@
    Storage is flat. Bucket [b = v * bits + level - 1] owns the contact
    slots [b * stride ..] of [contacts] and the cache slots
    [b * cache_stride ..] of [cache]; [len.(b)] and [cache_len.(b)] say
-   how many are in use. Every maintenance step is an in-place blit
-   within those slots, so the churn hot path allocates nothing. *)
+   how many are in use. Every maintenance step moves ints within those
+   slots one store at a time: the arrays live in the major heap, where
+   [Array.blit] would pass every element through [caml_modify], while
+   a store typed [int] needs no write barrier. Scans are loops over
+   [int array]s, so they compare ints directly and build no closure;
+   the churn hot path allocates nothing. *)
 
 type t = {
   space : Idspace.Space.t;
@@ -39,7 +43,9 @@ let k t = t.k
 
 let cache_k t = t.cache_k
 
-let capacity t ~level = min t.k (1 lsl (t.bits - level))
+let capacity t ~level =
+  let candidates = 1 lsl (t.bits - level) in
+  if t.k < candidates then t.k else candidates
 
 (* Explicit range checks: a flat layout would otherwise let an
    out-of-range node or contact address a neighbour's slots. *)
@@ -71,9 +77,12 @@ let cache t v level =
 
 (* Position of [id] among the [n] entries of [a] starting at [off], or
    -1. *)
-let index_of a off n id =
-  let rec scan i = if i >= n then -1 else if a.(off + i) = id then i else scan (i + 1) in
-  scan 0
+let index_of (a : int array) off n id =
+  let i = ref 0 in
+  while !i < n && a.(off + !i) <> id do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 (* One rejection draw for bucket slot [filled]: a suffix already taken
    is redrawn without counting an attempt; a dead candidate is retried
@@ -162,11 +171,17 @@ let iter_contacts t v f =
     done
   done
 
+(* Moves the [count] entries after slot [dst] down by one slot. *)
+let shift_down (a : int array) dst count =
+  for j = dst to dst + count - 1 do
+    a.(j) <- a.(j + 1)
+  done
+
 (* Moves entry [i] of the [n] entries at [off] to the tail, keeping the
    others in order. *)
-let move_to_tail a off n i =
+let move_to_tail (a : int array) off n i =
   let x = a.(off + i) in
-  Array.blit a (off + i + 1) a (off + i) (n - i - 1);
+  shift_down a (off + i) (n - i - 1);
   a.(off + n - 1) <- x
 
 let observe t v id =
@@ -192,7 +207,7 @@ let observe t v id =
       end
       else begin
         (* Full cache: the oldest entry drops out at the head. *)
-        Array.blit t.cache (coff + 1) t.cache coff (m - 1);
+        shift_down t.cache coff (m - 1);
         t.cache.(coff + m - 1) <- id
       end
     end
@@ -205,7 +220,7 @@ let observe t v id =
 let ping_head t b ~head_alive =
   let off = b * t.stride and n = t.len.(b) in
   let head = t.contacts.(off) in
-  Array.blit t.contacts (off + 1) t.contacts off (n - 1);
+  shift_down t.contacts off (n - 1);
   if head_alive then t.contacts.(off + n - 1) <- head
   else begin
     let m = t.cache_len.(b) in

@@ -12,8 +12,13 @@
 
     Contacts and caches live in flat [int] arrays, one fixed run of
     slots per bucket, so maintenance rotates, evicts and promotes in
-    place: {!observe}, {!maintain} and {!rebuild_bucket} allocate
-    nothing, and {!ping_evict} only its result.
+    place, one [int] store at a time (an [Array.blit] into these
+    major-heap arrays would pass every element through the write
+    barrier), and scans compare [int]s in a loop: {!observe},
+    {!maintain} and {!rebuild_bucket} allocate nothing, and
+    {!ping_evict} only its result. A caller on a hot path should build
+    its [alive] predicate, and the option {!rebuild_bucket} takes, once
+    rather than per call.
 
     Used by the replication experiments (A5) and the churn simulators;
     the basic single-contact tables live in {!Table}. *)

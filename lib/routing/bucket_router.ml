@@ -9,39 +9,40 @@
 (* First live contact of [cur]'s bucket for bit [level], or -1. *)
 let first_alive ~alive table cur level =
   let n = Overlay.Kbucket.length table cur level in
-  let rec scan i =
-    if i >= n then -1
-    else
-      let c = Overlay.Kbucket.contact table cur level i in
-      if Overlay.Failure.get alive c then c else scan (i + 1)
-  in
-  scan 0
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < n do
+    let c = Overlay.Kbucket.contact table cur level !i in
+    if Overlay.Failure.get alive c then found := c;
+    incr i
+  done;
+  !found
 
+(* Loops rather than local recursive functions: without flambda each
+   of those would allocate a closure per route or per hop. *)
 let route ?(on_hop = ignore) ~mode table ~alive ~src ~dst =
   let bits = Overlay.Kbucket.bits table in
-  let rec step cur hops =
-    if cur = dst then Outcome.Delivered { hops }
+  let cur = ref src and hops = ref 0 and stuck = ref false in
+  while (not !stuck) && !cur <> dst do
+    let diff = Idspace.Id.xor_distance !cur dst in
+    let leading = bits - Idspace.Id.floor_log2 diff in
+    let next =
+      match mode with
+      | `Tree -> first_alive ~alive table !cur leading
+      | `Xor ->
+          let found = ref (-1) and level = ref leading in
+          while !found < 0 && !level <= bits do
+            if Idspace.Id.get_bit ~bits diff !level then
+              found := first_alive ~alive table !cur !level;
+            incr level
+          done;
+          !found
+    in
+    if next < 0 then stuck := true
     else begin
-      let diff = Idspace.Id.xor_distance cur dst in
-      let leading = bits - Idspace.Id.floor_log2 diff in
-      let next =
-        match mode with
-        | `Tree -> first_alive ~alive table cur leading
-        | `Xor ->
-            let rec try_level level =
-              if level > bits then -1
-              else if Idspace.Id.get_bit ~bits diff level then
-                let found = first_alive ~alive table cur level in
-                if found >= 0 then found else try_level (level + 1)
-              else try_level (level + 1)
-            in
-            try_level leading
-      in
-      if next < 0 then Outcome.Dropped { hops; stuck_at = cur }
-      else begin
-        on_hop next;
-        step next (hops + 1)
-      end
+      on_hop next;
+      cur := next;
+      incr hops
     end
-  in
-  step src 0
+  done;
+  if !stuck then Outcome.Dropped { hops = !hops; stuck_at = !cur }
+  else Outcome.Delivered { hops = !hops }

@@ -1,25 +1,21 @@
 (* Struct-of-arrays binary min-heap: slot i holds the event
    (times.(i), seqs.(i), payloads.(i)). Ordering is by (time, insertion
    sequence), so ties pop in insertion order and simulations stay
-   deterministic. Sifts move a hole rather than swapping, and compare
-   unboxed floats and ints without touching the payloads.
+   deterministic. Sifts move a hole rather than swapping.
 
-   Vacated payload slots are reset to the caller's [filler], never to
-   a live payload: a popped event must not stay reachable through the
-   backing array, or a long-running session-churn simulation retains
-   every event it ever processed. *)
+   All three columns are unboxed ([float array] and [int array]), so a
+   sift stores plain words: no slot goes through the write barrier and
+   a popped payload leaves nothing reachable behind it. *)
 
-type 'a t = {
-  filler : 'a;
+type t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable payloads : 'a array;
+  mutable payloads : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create ~filler =
-  { filler; times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
+let create () = { times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
 
 let size t = t.size
 
@@ -29,7 +25,7 @@ let is_empty t = t.size = 0
 let resize t capacity =
   let times = Array.make capacity 0.0 in
   let seqs = Array.make capacity 0 in
-  let payloads = Array.make capacity t.filler in
+  let payloads = Array.make capacity 0 in
   Array.blit t.times 0 times 0 t.size;
   Array.blit t.seqs 0 seqs 0 t.size;
   Array.blit t.payloads 0 payloads 0 t.size;
@@ -69,48 +65,46 @@ let add t ~time payload =
   t.payloads.(!hole) <- payload;
   t.size <- t.size + 1
 
+let min_time t =
+  if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
+  t.times.(0)
+
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) and payload = t.payloads.(0) in
-    let last = t.size - 1 in
-    t.size <- last;
-    (* Sift the root hole down, then drop the former last event into
-       it. *)
+  if t.size = 0 then invalid_arg "Event_queue.pop: empty queue";
+  let payload = t.payloads.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  (* Sift the root hole down, then drop the former last event into it. *)
+  if last > 0 then begin
     let moving_time = t.times.(last) and moving_seq = t.seqs.(last) in
     let moving = t.payloads.(last) in
-    t.payloads.(last) <- t.filler;
-    if last > 0 then begin
-      let hole = ref 0 and settled = ref false in
-      while not !settled do
-        let left = (2 * !hole) + 1 in
-        if left >= last then settled := true
-        else begin
-          let right = left + 1 in
-          let child =
-            if
-              right < last
-              && (t.times.(right) < t.times.(left)
-                 || (t.times.(right) = t.times.(left) && t.seqs.(right) < t.seqs.(left)))
-            then right
-            else left
-          in
+    let hole = ref 0 and settled = ref false in
+    while not !settled do
+      let left = (2 * !hole) + 1 in
+      if left >= last then settled := true
+      else begin
+        let right = left + 1 in
+        let child =
           if
-            t.times.(child) < moving_time
-            || (t.times.(child) = moving_time && t.seqs.(child) < moving_seq)
-          then begin
-            move t ~src:child ~dst:!hole;
-            hole := child
-          end
-          else settled := true
+            right < last
+            && (t.times.(right) < t.times.(left)
+               || (t.times.(right) = t.times.(left) && t.seqs.(right) < t.seqs.(left)))
+          then right
+          else left
+        in
+        if
+          t.times.(child) < moving_time
+          || (t.times.(child) = moving_time && t.seqs.(child) < moving_seq)
+        then begin
+          move t ~src:child ~dst:!hole;
+          hole := child
         end
-      done;
-      t.times.(!hole) <- moving_time;
-      t.seqs.(!hole) <- moving_seq;
-      t.payloads.(!hole) <- moving
-    end;
-    maybe_shrink t;
-    Some (time, payload)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
+        else settled := true
+      end
+    done;
+    t.times.(!hole) <- moving_time;
+    t.seqs.(!hole) <- moving_seq;
+    t.payloads.(!hole) <- moving
+  end;
+  maybe_shrink t;
+  payload

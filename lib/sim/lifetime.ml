@@ -80,9 +80,20 @@ let of_string s =
               else Error "weibull shape must be finite and positive"
           | _ -> Error (Printf.sprintf "unknown distribution %S (want exp, pareto:ALPHA or weibull:SHAPE)" name)))
 
+(* The shortest of %.15g, %.16g and %.17g that reads back to [x]
+   (%.17g always does). Checkpoint keys carry this spelling, so two
+   parameters that differ in any bit must print differently; %g keeps
+   only six digits. *)
+let round_trip x =
+  let s = Printf.sprintf "%.15g" x in
+  if float_of_string s = x then s
+  else
+    let s = Printf.sprintf "%.16g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
 let shape_to_string = function
   | Exponential -> "exp"
-  | Pareto alpha -> Printf.sprintf "pareto:%g" alpha
-  | Weibull shape -> Printf.sprintf "weibull:%g" shape
+  | Pareto alpha -> "pareto:" ^ round_trip alpha
+  | Weibull shape -> "weibull:" ^ round_trip shape
 
 let pp ppf t = Fmt.pf ppf "%s(mean=%g)" (shape_to_string t.shape) t.mean

@@ -40,5 +40,9 @@ val of_string : string -> (shape, string) result
     same range checks as {!pareto} and {!weibull}. *)
 
 val shape_to_string : shape -> string
+(** The {!of_string} spelling of a shape. Its parameter is printed with
+    the fewest significant digits (15, 16 or 17) that read back to the
+    same float, so [of_string (shape_to_string s)] returns [s] bit for
+    bit and distinct shapes never share a checkpoint key. *)
 
 val pp : Format.formatter -> t -> unit

@@ -79,45 +79,58 @@ type report = {
   events_processed : int;
 }
 
-type event = Depart of int | Arrive of int | Maintain of int | Measure
+(* An event is one [int] payload in the queue: node·4 + kind, with a
+   measurement as node 0. An immediate payload allocates nothing and
+   needs no write barrier when the heap moves it. *)
+let depart = 0
+and arrive = 1
+and maintain = 2
+and measure_event = 3
 
 (* The one session/gap event loop; the interface documents its draw
    order, which every caller's output depends on. *)
 let drive ~rng ~alive ~session ~gap ~maintenance ~warmup ~measurements ~spacing ~rejoin
     ~measure =
-  let queue = Event_queue.create ~filler:Measure in
+  let queue = Event_queue.create () in
   for v = 0 to Overlay.Failure.length alive - 1 do
-    Event_queue.add queue ~time:(Lifetime.draw session rng) (Depart v);
+    Event_queue.add queue ~time:(Lifetime.draw session rng) ((4 * v) + depart);
     match maintenance with
     | Some (interval, _) ->
-        Event_queue.add queue ~time:(Prng.Splitmix.float rng *. interval) (Maintain v)
+        Event_queue.add queue ~time:(Prng.Splitmix.float rng *. interval) ((4 * v) + maintain)
     | None -> ()
   done;
   for i = 0 to measurements - 1 do
-    Event_queue.add queue ~time:(warmup +. (float_of_int i *. spacing)) Measure
+    Event_queue.add queue ~time:(warmup +. (float_of_int i *. spacing)) measure_event
   done;
   let horizon = warmup +. (float_of_int measurements *. spacing) in
   let rec loop events =
-    match Event_queue.pop queue with
-    | None -> events
-    | Some (time, _) when time > horizon -> events
-    | Some (time, ev) ->
-        (match ev with
-        | Depart v ->
-            Overlay.Failure.set alive v false;
-            Event_queue.add queue ~time:(time +. Lifetime.draw gap rng) (Arrive v)
-        | Arrive v ->
-            Overlay.Failure.set alive v true;
-            rejoin v;
-            Event_queue.add queue ~time:(time +. Lifetime.draw session rng) (Depart v)
-        | Maintain v -> (
-            match maintenance with
-            | Some (interval, tick) ->
-                if Overlay.Failure.get alive v then tick v;
-                Event_queue.add queue ~time:(time +. interval) (Maintain v)
-            | None -> ())
-        | Measure -> measure time);
+    if Event_queue.is_empty queue then events
+    else begin
+      let time = Event_queue.min_time queue in
+      if time > horizon then events
+      else begin
+        let ev = Event_queue.pop queue in
+        let v = ev lsr 2 and kind = ev land 3 in
+        if kind = depart then begin
+          Overlay.Failure.set alive v false;
+          Event_queue.add queue ~time:(time +. Lifetime.draw gap rng) ((4 * v) + arrive)
+        end
+        else if kind = arrive then begin
+          Overlay.Failure.set alive v true;
+          rejoin v;
+          Event_queue.add queue ~time:(time +. Lifetime.draw session rng) ((4 * v) + depart)
+        end
+        else if kind = maintain then begin
+          match maintenance with
+          | Some (interval, tick) ->
+              if Overlay.Failure.get alive v then tick v;
+              Event_queue.add queue ~time:(time +. interval) ((4 * v) + maintain)
+          | None -> ()
+        end
+        else measure time;
         loop (events + 1)
+      end
+    end
   in
   loop 0
 
@@ -131,15 +144,17 @@ type tables =
   | Buckets of Overlay.Kbucket.t
   | Matrix of { neighbors : int array array; table : Overlay.Table.t }
 
+let draw_shortcut rng ~size v = (v + Prng.Splitmix.harmonic_int rng ~n:(size - 1)) land (size - 1)
+
 (* Alive-preferring redraw of a symphony shortcut (bounded rejection,
    as in Churn_profile.redraw_alive). *)
 let redraw_shortcut rng ~alive ~size v =
-  let rec try_draw attempts =
-    let candidate = (v + Prng.Splitmix.harmonic_int rng ~n:(size - 1)) land (size - 1) in
-    if Overlay.Failure.get alive candidate || attempts >= 8 then candidate
-    else try_draw (attempts + 1)
-  in
-  try_draw 0
+  let candidate = ref (draw_shortcut rng ~size v) and attempts = ref 0 in
+  while !attempts < 8 && not (Overlay.Failure.get alive !candidate) do
+    candidate := draw_shortcut rng ~size v;
+    incr attempts
+  done;
+  !candidate
 
 (* Stale fraction of the k-bucket overlay, counted against bucket
    *capacity*: a slot emptied by eviction is exactly as useless to the
@@ -253,15 +268,14 @@ let measure cfg ~profile rng ~alive ~tables ~time =
    draws, caches cleared) and announces itself to the live contacts it
    just acquired — the announce is what seeds *their* buckets and
    replacement caches with the returned node, mirroring a real Kademlia
-   bootstrap lookup. *)
-let rejoin_xor table rng ~alive v =
-  let bits = Overlay.Kbucket.bits table in
-  let is_alive id = Overlay.Failure.get alive id in
-  for level = 1 to bits do
-    Overlay.Kbucket.rebuild_bucket ~alive:is_alive table rng v ~level
+   bootstrap lookup. [prefer_alive] is [Some] of the run's liveness
+   predicate, built once per run rather than once per bucket. *)
+let rejoin_xor table rng ~alive ~prefer_alive v =
+  for level = 1 to Overlay.Kbucket.bits table do
+    Overlay.Kbucket.rebuild_bucket ?alive:prefer_alive table rng v ~level
   done;
   Overlay.Kbucket.iter_contacts table v (fun c ->
-      if is_alive c then Overlay.Kbucket.observe table c v)
+      if Overlay.Failure.get alive c then Overlay.Kbucket.observe table c v)
 
 let rejoin_matrix cfg ~profile rng ~alive ~neighbors v =
   match (cfg.geometry, profile) with
@@ -286,10 +300,9 @@ let rejoin_matrix cfg ~profile rng ~alive ~neighbors v =
    candidate is drawn and, when live, observed, which is how buckets
    emptied by eviction regain contacts once their cache has drained.
    Symphony: dead shortcuts are redrawn in place. *)
-let maintain_node cfg ~profile rng ~alive ~tables ~refresh_level v =
+let maintain_node cfg ~profile rng ~alive ~is_alive ~tables ~refresh_level v =
   match tables with
   | Buckets table ->
-      let is_alive id = Overlay.Failure.get alive id in
       Overlay.Kbucket.maintain table v ~alive:is_alive;
       let bits = cfg.bits in
       let level = (refresh_level.(v) mod bits) + 1 in
@@ -297,7 +310,7 @@ let maintain_node cfg ~profile rng ~alive ~tables ~refresh_level v =
       let base = Idspace.Id.flip_bit ~bits v level in
       let suffix = Prng.Splitmix.int rng (1 lsl (bits - level)) in
       let candidate = Idspace.Id.with_suffix ~bits base ~prefix_len:level ~suffix in
-      if is_alive candidate then begin
+      if Overlay.Failure.get alive candidate then begin
         Overlay.Kbucket.observe table v candidate;
         Overlay.Kbucket.observe table candidate v
       end
@@ -342,6 +355,10 @@ let run cfg =
         Matrix { neighbors; table }
   in
   let alive = Overlay.Failure.none n in
+  (* The xor hooks' liveness predicate and its option, built once: made
+     per rejoin or tick they would allocate on every event. *)
+  let is_alive = Overlay.Failure.get alive in
+  let prefer_alive = Some is_alive in
   let refresh_level = Array.make n 0 in
   let maintained =
     match (cfg.geometry, profile) with
@@ -352,12 +369,13 @@ let run cfg =
   let maintenance =
     if maintained then
       Some
-        (cfg.maintenance_interval, maintain_node cfg ~profile rng ~alive ~tables ~refresh_level)
+        ( cfg.maintenance_interval,
+          maintain_node cfg ~profile rng ~alive ~is_alive ~tables ~refresh_level )
     else None
   in
   let rejoin v =
     match tables with
-    | Buckets table -> rejoin_xor table rng ~alive v
+    | Buckets table -> rejoin_xor table rng ~alive ~prefer_alive v
     | Matrix { neighbors; _ } -> rejoin_matrix cfg ~profile rng ~alive ~neighbors v
   in
   let out = ref [] in

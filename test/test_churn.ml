@@ -2,79 +2,71 @@ open Helpers
 
 (* --- Event queue -------------------------------------------------------- *)
 
+(* The earliest event as [Some (time, payload)], or [None] when empty. *)
+let pop_event q =
+  if Sim.Event_queue.is_empty q then None
+  else begin
+    let time = Sim.Event_queue.min_time q in
+    Some (time, Sim.Event_queue.pop q)
+  end
+
 let test_queue_ordering () =
-  let q = Sim.Event_queue.create ~filler:"" in
-  Sim.Event_queue.add q ~time:3.0 "c";
-  Sim.Event_queue.add q ~time:1.0 "a";
-  Sim.Event_queue.add q ~time:2.0 "b";
-  Alcotest.(check (option (pair (float 0.0) string))) "a" (Some (1.0, "a")) (Sim.Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "b" (Some (2.0, "b")) (Sim.Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "c" (Some (3.0, "c")) (Sim.Event_queue.pop q);
-  Alcotest.(check bool) "empty" true (Sim.Event_queue.pop q = None)
+  let q = Sim.Event_queue.create () in
+  Sim.Event_queue.add q ~time:3.0 3;
+  Sim.Event_queue.add q ~time:1.0 1;
+  Sim.Event_queue.add q ~time:2.0 2;
+  Alcotest.(check (option (pair (float 0.0) int))) "1" (Some (1.0, 1)) (pop_event q);
+  Alcotest.(check (option (pair (float 0.0) int))) "2" (Some (2.0, 2)) (pop_event q);
+  Alcotest.(check (option (pair (float 0.0) int))) "3" (Some (3.0, 3)) (pop_event q);
+  Alcotest.(check bool) "empty" true (pop_event q = None);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Event_queue.pop: empty queue")
+    (fun () -> ignore (Sim.Event_queue.pop q));
+  Alcotest.check_raises "min_time on empty"
+    (Invalid_argument "Event_queue.min_time: empty queue") (fun () ->
+      ignore (Sim.Event_queue.min_time q))
 
 let test_queue_fifo_ties () =
-  let q = Sim.Event_queue.create ~filler:"" in
-  Sim.Event_queue.add q ~time:1.0 "first";
-  Sim.Event_queue.add q ~time:1.0 "second";
-  Alcotest.(check (option (pair (float 0.0) string))) "fifo" (Some (1.0, "first"))
-    (Sim.Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "fifo2" (Some (1.0, "second"))
-    (Sim.Event_queue.pop q)
+  let q = Sim.Event_queue.create () in
+  Sim.Event_queue.add q ~time:1.0 10;
+  Sim.Event_queue.add q ~time:1.0 20;
+  Alcotest.(check (option (pair (float 0.0) int))) "fifo" (Some (1.0, 10)) (pop_event q);
+  Alcotest.(check (option (pair (float 0.0) int))) "fifo2" (Some (1.0, 20)) (pop_event q)
 
 let test_queue_interleaved () =
-  let q = Sim.Event_queue.create ~filler:(-1) in
+  let q = Sim.Event_queue.create () in
   Sim.Event_queue.add q ~time:5.0 5;
   Sim.Event_queue.add q ~time:1.0 1;
-  Alcotest.(check (option (pair (float 0.0) int))) "1" (Some (1.0, 1)) (Sim.Event_queue.pop q);
+  Alcotest.(check (option (pair (float 0.0) int))) "1" (Some (1.0, 1)) (pop_event q);
   Sim.Event_queue.add q ~time:3.0 3;
   Sim.Event_queue.add q ~time:0.5 0;
-  Alcotest.(check (option (pair (float 0.0) int))) "0" (Some (0.5, 0)) (Sim.Event_queue.pop q);
-  Alcotest.(check (option (pair (float 0.0) int))) "3" (Some (3.0, 3)) (Sim.Event_queue.pop q);
+  Alcotest.(check (option (pair (float 0.0) int))) "0" (Some (0.5, 0)) (pop_event q);
+  Alcotest.(check (option (pair (float 0.0) int))) "3" (Some (3.0, 3)) (pop_event q);
   Alcotest.(check int) "one left" 1 (Sim.Event_queue.size q)
 
 let test_queue_rejects_nan () =
-  let q = Sim.Event_queue.create ~filler:() in
+  let q = Sim.Event_queue.create () in
   Alcotest.check_raises "nan" (Invalid_argument "Event_queue.add: nan time") (fun () ->
-      Sim.Event_queue.add q ~time:nan ())
+      Sim.Event_queue.add q ~time:nan 0)
 
 let queue_pops_sorted =
   qcheck "queue pops in non-decreasing time order"
     QCheck2.Gen.(list_size (int_range 0 200) (float_range 0.0 100.0))
     (fun times ->
-      let q = Sim.Event_queue.create ~filler:() in
-      List.iter (fun t -> Sim.Event_queue.add q ~time:t ()) times;
+      let q = Sim.Event_queue.create () in
+      List.iter (fun t -> Sim.Event_queue.add q ~time:t 0) times;
       let rec drain last =
-        match Sim.Event_queue.pop q with
+        match pop_event q with
         | None -> true
-        | Some (t, ()) -> t >= last && drain t
+        | Some (t, _) -> t >= last && drain t
       in
       drain neg_infinity)
-
-let test_queue_pop_releases_payload () =
-  (* Regression for the pop space leak: the vacated heap slot must be
-     cleared, so a popped payload with no other references is
-     collectable. *)
-  let q = Sim.Event_queue.create ~filler:Bytes.empty in
-  let weak = Weak.create 1 in
-  Sim.Event_queue.add q ~time:1.0 (Bytes.create 64);
-  Sim.Event_queue.add q ~time:2.0 (Bytes.create 64);
-  (* Pop inside a helper so no stack slot keeps the payload alive. *)
-  let stash () =
-    match Sim.Event_queue.pop q with
-    | Some (_, payload) -> Weak.set weak 0 (Some payload)
-    | None -> Alcotest.fail "queue should not be empty"
-  in
-  stash ();
-  Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" false (Weak.check weak 0);
-  Alcotest.(check int) "one entry left" 1 (Sim.Event_queue.size q)
 
 let test_queue_shrinks_after_spike () =
   (* A queue that once held thousands of events must not pin a
      thousands-slot array forever: the heap halves when a quarter
      full. Measured via reachable words so the test does not depend on
      internals. *)
-  let q = Sim.Event_queue.create ~filler:(-1) in
+  let q = Sim.Event_queue.create () in
   for i = 1 to 4096 do
     Sim.Event_queue.add q ~time:(float_of_int i) i
   done;
@@ -89,7 +81,7 @@ let test_queue_shrinks_after_spike () =
     (drained * 16 < at_peak);
   (* Ordering survives the shrinks. *)
   let rec drain last =
-    match Sim.Event_queue.pop q with
+    match pop_event q with
     | None -> ()
     | Some (t, _) ->
         Alcotest.(check bool) "still sorted" true (t >= last);
@@ -104,10 +96,10 @@ let queue_matches_sorted_reference =
       (* Coarse integer times force many ties, exercising the seq
          tie-break. *)
       let events = List.mapi (fun i t -> (float_of_int t, i)) raw in
-      let q = Sim.Event_queue.create ~filler:(-1) in
+      let q = Sim.Event_queue.create () in
       List.iter (fun (t, i) -> Sim.Event_queue.add q ~time:t i) events;
       let rec drain acc =
-        match Sim.Event_queue.pop q with None -> List.rev acc | Some e -> drain (e :: acc)
+        match pop_event q with None -> List.rev acc | Some e -> drain (e :: acc)
       in
       let expected = List.stable_sort (fun (a, _) (b, _) -> compare a b) events in
       drain [] = expected)
@@ -118,7 +110,7 @@ let queue_interleaved_matches_model =
     (fun ops ->
       (* [Some t] adds an event at time t; [None] pops. The model is a
          sorted association list with stable insertion. *)
-      let q = Sim.Event_queue.create ~filler:(-1) in
+      let q = Sim.Event_queue.create () in
       let model = ref [] in
       let next = ref 0 in
       List.for_all
@@ -136,7 +128,7 @@ let queue_interleaved_matches_model =
               incr next;
               true
           | None -> (
-              let popped = Sim.Event_queue.pop q in
+              let popped = pop_event q in
               match (popped, !model) with
               | None, [] -> true
               | Some e, m :: rest ->
@@ -173,6 +165,36 @@ let test_lifetime_of_string () =
          nan, weibull:inf makes every session exactly its mean. *)
       "pareto:inf"; "pareto:nan"; "weibull:inf"; "weibull:nan";
     ]
+
+let lifetime_shape_round_trips =
+  (* Any finite double above the bound: a uniform range for ordinary
+     parameters, raw bit patterns for the rest (huge, tiny, subnormal,
+     ones that need all 17 digits). *)
+  let above lo =
+    QCheck2.Gen.(
+      oneof
+        [
+          float_range (Float.succ lo) 1e3;
+          map
+            (fun bits ->
+              let x = Float.abs (Int64.float_of_bits bits) in
+              if Float.is_finite x && x > lo then x else Float.succ lo)
+            int64;
+        ])
+  in
+  qcheck "lifetime shape_to_string round-trips bit for bit"
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun a -> Sim.Lifetime.Pareto a) (above 1.0);
+          map (fun k -> Sim.Lifetime.Weibull k) (above 0.0);
+        ])
+    (fun shape ->
+      match (shape, Sim.Lifetime.of_string (Sim.Lifetime.shape_to_string shape)) with
+      | Sim.Lifetime.Pareto a, Ok (Sim.Lifetime.Pareto b)
+      | Sim.Lifetime.Weibull a, Ok (Sim.Lifetime.Weibull b) ->
+          Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      | _ -> false)
 
 let test_lifetime_guards () =
   List.iter
@@ -509,6 +531,22 @@ let test_session_no_pair_measurements () =
   Alcotest.(check bool) "report names the pairless measurements" true
     (Astring_contains.contains rendered "no routable pairs")
 
+let test_session_xor_allocation () =
+  (* The xor event path — heap, k-bucket rejoin and maintenance hooks,
+     probe routes — keeps payloads unboxed and builds no closure or
+     option per event; what remains per event is a few boxed floats.
+     Bytecode boxes every float, so only native code is held to it. *)
+  let before = Gc.minor_words () in
+  let report = Sim.Session_churn.run (Sim.Session_churn.config ~bits:10 ~seed:5 Rcm.Geometry.Xor) in
+  let words = Gc.minor_words () -. before in
+  let events = report.Sim.Session_churn.events_processed in
+  let per_event = words /. float_of_int events in
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check bool)
+      (Printf.sprintf "%.1f minor words per event (at most 20)" per_event)
+      true (per_event <= 20.0);
+  Alcotest.(check bool) "events processed" true (events > 0)
+
 (* --- Churn curves ----------------------------------------------------------- *)
 
 let curves_config =
@@ -685,12 +723,12 @@ let suite =
     ("event queue interleaved", `Quick, test_queue_interleaved);
     ("event queue rejects nan", `Quick, test_queue_rejects_nan);
     queue_pops_sorted;
-    ("event queue pop releases payload", `Quick, test_queue_pop_releases_payload);
     ("event queue shrinks after spike", `Quick, test_queue_shrinks_after_spike);
     queue_matches_sorted_reference;
     queue_interleaved_matches_model;
     ("lifetime parsing", `Quick, test_lifetime_of_string);
     ("lifetime guards", `Quick, test_lifetime_guards);
+    lifetime_shape_round_trips;
     ("lifetime sample means", `Slow, test_lifetime_sample_means);
     ("lifetime rescaling", `Quick, test_lifetime_with_mean);
     ("churn config guards", `Quick, test_churn_config_guards);
@@ -709,6 +747,7 @@ let suite =
     ("session no-churn limit", `Quick, test_session_no_churn_limit);
     ("session maintenance heals xor", `Slow, test_session_maintenance_heals_xor);
     ("session no-pair measurements", `Quick, test_session_no_pair_measurements);
+    ("session xor churn allocates little", `Quick, test_session_xor_allocation);
     ("curves validate up front", `Quick, test_curves_validate_up_front);
     ("curves deterministic across pools", `Slow, test_curves_deterministic_across_pools);
     ("curves checkpoint replay", `Slow, test_curves_checkpoint_replay);

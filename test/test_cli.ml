@@ -207,6 +207,32 @@ let test_checkpoint_resume_roundtrip_stdout () =
       check_exit "resumed" status;
       Alcotest.(check string) "resume reproduces stdout byte-for-byte" baseline resumed)
 
+(* Checkpoint keys spell lifetime parameters exactly: resuming with a
+   shape that differs from the stored one only past six significant
+   digits must compute its own points, not replay the stored ones. *)
+let test_resume_keys_exact_lifetime_shape () =
+  let ck = Filename.temp_file "dhtlab" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove ck with Sys_error _ -> ())
+    (fun () ->
+      Sys.remove ck;
+      let churn dist =
+        [
+          "churn"; "-g"; "xor"; "-d"; "10"; "--sessions"; "2,8"; "--session-dist"; dist;
+          "--seed"; "7"; "--csv";
+        ]
+      in
+      let status, stored = run_capture (churn "weibull:0.5" @ [ "--checkpoint"; ck ]) in
+      check_exit "stored shape" status;
+      let status, fresh = run_capture (churn "weibull:0.5000004") in
+      check_exit "fresh" status;
+      Alcotest.(check bool) "the two shapes give different points" true (stored <> fresh);
+      let status, resumed =
+        run_capture (churn "weibull:0.5000004" @ [ "--checkpoint"; ck; "--resume" ])
+      in
+      check_exit "resumed" status;
+      Alcotest.(check string) "resume prints the fresh output" fresh resumed)
+
 (* The tentpole acceptance criterion: any combination of observability
    flags leaves stdout byte-identical, while every requested sink file
    appears, validates, and no .tmp staging file survives. *)
@@ -565,3 +591,4 @@ let suite =
       check_golden [ "figure"; "rep-xor"; "--quick" ] "figure-rep-xor-quick.txt");
   ]
   @ List.map simulate_d20_golden [ "tree"; "hypercube"; "xor"; "ring" ]
+  @ [ ("resume keys the exact lifetime shape", `Quick, test_resume_keys_exact_lifetime_shape) ]

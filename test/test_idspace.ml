@@ -37,11 +37,39 @@ let test_ring_distance () =
   Alcotest.(check int) "wraps" 253 (Idspace.Id.ring_distance ~bits 13 10);
   Alcotest.(check int) "self" 0 (Idspace.Id.ring_distance ~bits 9 9)
 
+(* Reference for [Id.floor_log2]: shift one bit at a time. *)
+let reference_floor_log2 x =
+  let rec scan v acc = if v <= 1 then acc else scan (v lsr 1) (acc + 1) in
+  scan x 0
+
 let test_floor_log2 () =
   Alcotest.(check int) "1" 0 (Idspace.Id.floor_log2 1);
   Alcotest.(check int) "2" 1 (Idspace.Id.floor_log2 2);
   Alcotest.(check int) "255" 7 (Idspace.Id.floor_log2 255);
-  Alcotest.(check int) "256" 8 (Idspace.Id.floor_log2 256)
+  Alcotest.(check int) "256" 8 (Idspace.Id.floor_log2 256);
+  let agrees x = Idspace.Id.floor_log2 x = reference_floor_log2 x in
+  for x = 1 to 1 lsl 16 do
+    if not (agrees x) then Alcotest.failf "floor_log2 %d" x
+  done;
+  for k = 1 to 61 do
+    List.iter
+      (fun x -> if not (agrees x) then Alcotest.failf "floor_log2 (2^%d%+d)" k (x - (1 lsl k)))
+      [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done;
+  Alcotest.(check int) "max_int" (reference_floor_log2 max_int) (Idspace.Id.floor_log2 max_int);
+  List.iter
+    (fun x ->
+      Alcotest.check_raises (Printf.sprintf "floor_log2 %d" x)
+        (Invalid_argument "Id.floor_log2: non-positive argument") (fun () ->
+          ignore (Idspace.Id.floor_log2 x)))
+    [ 0; -1; min_int ]
+
+let floor_log2_matches_reference =
+  qcheck "floor_log2 matches the bitwise recursion"
+    (* A random positive int shifted down a random amount, so every
+       bit length is drawn about equally often. *)
+    QCheck2.Gen.(map2 (fun x shift -> max 1 ((x land max_int) lsr shift)) int (int_range 0 61))
+    (fun x -> Idspace.Id.floor_log2 x = reference_floor_log2 x)
 
 let test_phases () =
   Alcotest.(check int) "0" 0 (Idspace.Id.phases_of_distance 0);
@@ -154,4 +182,5 @@ let suite =
     flip_involution;
     prefix_plus_differ;
     with_suffix_preserves_prefix;
+    floor_log2_matches_reference;
   ]
