@@ -31,7 +31,7 @@ docs-smoke: build
 # validated manifest/metrics telemetry, each diffed byte-for-byte
 # against an uninterrupted baseline.
 sweep-smoke: build
-	for row in simulate record hotspots churn storage; do \
+	for row in simulate record hotspots churn percolation storage; do \
 	  sh scripts/sweep_smoke.sh $$row || exit 1; \
 	done
 

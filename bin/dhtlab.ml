@@ -37,22 +37,10 @@ let q_arg =
   let doc = "Uniform node failure probability." in
   Arg.(value & opt (some float) None & info [ "q" ] ~docv:"PROB" ~doc)
 
-let trials_arg =
-  let doc = "Independent overlay/failure trials." in
-  Arg.(value & opt int 3 & info [ "trials" ] ~docv:"N" ~doc)
-
-let pairs_arg =
-  let doc = "Routed source/destination pairs per trial." in
-  Arg.(value & opt int 2_000 & info [ "pairs" ] ~docv:"N" ~doc)
-
-let seed_arg =
-  let doc = "PRNG seed (all outputs are deterministic in the seed)." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-
 (* Mirrors the library's own checks (Exec.Pool.create's domain count,
-   Sim.Checkpoint's flush interval) at argument-parsing time: --jobs 0
-   or --checkpoint-every 0 is a CLI error, not a silent fallback or an
-   uncaught exception. *)
+   Sim.Checkpoint's flush interval, the trial and pair counts) at
+   argument-parsing time: --jobs 0 or --pairs 0 is a CLI error, not a
+   silent fallback or an uncaught exception. *)
 let positive_int_conv what =
   let parse s =
     match int_of_string_opt (String.trim s) with
@@ -61,6 +49,18 @@ let positive_int_conv what =
     | None -> Error (`Msg (Printf.sprintf "invalid %s %S (expected an integer >= 1)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let trials_arg =
+  let doc = "Independent overlay/failure trials." in
+  Arg.(value & opt (positive_int_conv "trial count") 3 & info [ "trials" ] ~docv:"N" ~doc)
+
+let pairs_arg =
+  let doc = "Routed source/destination pairs per trial." in
+  Arg.(value & opt (positive_int_conv "pair count") 2_000 & info [ "pairs" ] ~docv:"N" ~doc)
+
+let seed_arg =
+  let doc = "PRNG seed (all outputs are deterministic in the seed)." in
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let jobs_arg =
   let doc =

@@ -14,61 +14,23 @@ type config = {
 let default_config =
   { bits = 16; groups = [ 1; 2; 4 ]; qs = Grid.fig6_q; trials = 3; pairs = 1_500; seed = 111 }
 
-(* One (q, trial) grid point; the trial generator is derived by index
-   from the master stream (the split-per-trial discipline, made
-   index-addressable so trials parallelise deterministically). *)
-let simulate_trial cfg ~mode ~group ~q build_seed =
+(* One simulated column over the q grid, flattened into |qs| × trials
+   tasks (parallel under [pool]); per-q sums are reduced in trial
+   order, so values are bit-identical to the sequential sweep. *)
+let simulate_sweep ?pool cfg ~mode ~group qs =
   let style =
     match mode with
     | `Tree -> Overlay.Digit_table.Preserve_suffix
     | `Xor -> Overlay.Digit_table.Randomize_suffix
   in
-  let trial_rng = Prng.Splitmix.of_int64 build_seed in
-  let table = Overlay.Digit_table.build ~rng:trial_rng ~bits:cfg.bits ~group style in
-  let alive =
-    Overlay.Failure.sample ~rng:trial_rng ~q (Overlay.Digit_table.node_count table)
-  in
-  let pool = Overlay.Failure.survivors alive in
-  if Array.length pool < 2 then (0, 0)
-  else begin
-    let delivered = ref 0 in
-    for _ = 1 to cfg.pairs do
-      let src, dst = Stats.Sampler.ordered_pair trial_rng pool in
-      if Routing.Outcome.is_delivered (Routing.Digit_router.route ~mode table ~alive ~src ~dst)
-      then incr delivered
-    done;
-    (!delivered, cfg.pairs)
-  end
-
-let trial_seeds cfg =
-  let master = Prng.Splitmix.create ~seed:cfg.seed in
-  Array.init cfg.trials (fun _ -> Prng.Splitmix.next_int64 master)
-
-(* One simulated column over the q grid, flattened into |qs| × trials
-   tasks (parallel under [pool]); per-q sums are reduced in trial
-   order, so values are bit-identical to the sequential sweep. *)
-let simulate_sweep ?pool cfg ~mode ~group qs =
-  let seeds = trial_seeds cfg in
-  let qarr = Array.of_list qs in
-  let n = Array.length qarr * cfg.trials in
-  let task k =
-    simulate_trial cfg ~mode ~group ~q:qarr.(k / cfg.trials) seeds.(k mod cfg.trials)
-  in
-  let stats =
-    match pool with
-    | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n task
-    | Some _ | None -> Array.init n task
-  in
-  Array.mapi
-    (fun qi _ ->
-      let delivered = ref 0 and attempted = ref 0 in
-      for t = 0 to cfg.trials - 1 do
-        let d, a = stats.((qi * cfg.trials) + t) in
-        delivered := !delivered + d;
-        attempted := !attempted + a
-      done;
-      if !attempted = 0 then 0.0 else float_of_int !delivered /. float_of_int !attempted)
-    qarr
+  Sim.Trial.grid ?pool ~seed:cfg.seed ~trials:cfg.trials qs (fun q build_seed ->
+      let rng = Prng.Splitmix.of_int64 build_seed in
+      let table = Overlay.Digit_table.build ~rng ~bits:cfg.bits ~group style in
+      let alive = Overlay.Failure.sample ~rng ~q (Overlay.Digit_table.node_count table) in
+      Sim.Trial.run ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
+          Routing.Digit_router.route ~mode table ~alive ~src ~dst))
+  |> List.map Sim.Trial.routability
+  |> Array.of_list
 
 let simulate cfg ~mode ~group q = (simulate_sweep cfg ~mode ~group [ q ]).(0)
 

@@ -19,7 +19,8 @@ type config = {
 val default_config : config
 
 val simulate : config -> mode:[ `Tree | `Xor ] -> group:int -> float -> float
-(** Simulated routability at one grid point. *)
+(** Simulated routability at one grid point; [nan] when no trial had
+    two survivors. *)
 
 val simulate_sweep :
   ?pool:Exec.Pool.t ->

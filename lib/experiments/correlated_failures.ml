@@ -10,30 +10,17 @@ let default_config =
    barely notice the difference, while ring-structured geometries lose
    the short-distance fallback chains that pass through the dead block. *)
 let simulate cfg geometry ~mode q =
-  let rng = Prng.Splitmix.create ~seed:cfg.seed in
-  let delivered = ref 0 in
-  let attempted = ref 0 in
-  for _ = 1 to cfg.trials do
-    let trial_rng = Prng.Splitmix.split rng in
-    let table = Overlay.Table.build ~rng:trial_rng ~bits:cfg.bits geometry in
-    let n = Overlay.Table.node_count table in
-    let alive =
-      match mode with
-      | `Independent -> Overlay.Failure.sample ~rng:trial_rng ~q n
-      | `Block -> Overlay.Failure.sample_block ~rng:trial_rng ~fraction:q n
-    in
-    let pool = Overlay.Failure.survivors alive in
-    if Array.length pool >= 2 then
-      for _ = 1 to cfg.pairs do
-        let src, dst = Stats.Sampler.ordered_pair trial_rng pool in
-        incr attempted;
-        if
-          Routing.Outcome.is_delivered
-            (Routing.Router.route table ~rng:trial_rng ~alive ~src ~dst)
-        then incr delivered
-      done
-  done;
-  if !attempted = 0 then 0.0 else float_of_int !delivered /. float_of_int !attempted
+  Sim.Trial.routability
+    (Sim.Trial.repeat ~seed:cfg.seed ~trials:cfg.trials (fun rng ->
+         let table = Overlay.Table.build ~rng ~bits:cfg.bits geometry in
+         let n = Overlay.Table.node_count table in
+         let alive =
+           match mode with
+           | `Independent -> Overlay.Failure.sample ~rng ~q n
+           | `Block -> Overlay.Failure.sample_block ~rng ~fraction:q n
+         in
+         Sim.Trial.run ~table ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
+             Routing.Router.route table ~rng ~alive ~src ~dst)))
 
 let run cfg geometry =
   Series.tabulate

@@ -13,6 +13,8 @@ val default_config : config
 
 val simulate :
   config -> Rcm.Geometry.t -> mode:[ `Independent | `Block ] -> float -> float
+(** Simulated routability at one failure level; [nan] when no trial had
+    two survivors. *)
 
 val run : config -> Rcm.Geometry.t -> Series.t
 (** Two columns (independent, block) for one geometry. *)

@@ -21,25 +21,12 @@ let default_config =
   }
 
 let simulate cfg ~dim ~side q =
-  let rng = Prng.Splitmix.create ~seed:cfg.seed in
   let table = Overlay.Torus.build ~dim ~side in
-  let delivered = ref 0 in
-  let attempted = ref 0 in
-  for _ = 1 to cfg.trials do
-    let trial_rng = Prng.Splitmix.split rng in
-    let alive = Overlay.Failure.sample ~rng:trial_rng ~q (Overlay.Torus.node_count table) in
-    let pool = Overlay.Failure.survivors alive in
-    if Array.length pool >= 2 then
-      for _ = 1 to cfg.pairs do
-        let src, dst = Stats.Sampler.ordered_pair trial_rng pool in
-        incr attempted;
-        if
-          Routing.Outcome.is_delivered
-            (Routing.Torus_router.route table ~rng:trial_rng ~alive ~src ~dst)
-        then incr delivered
-      done
-  done;
-  if !attempted = 0 then 0.0 else float_of_int !delivered /. float_of_int !attempted
+  Sim.Trial.routability
+    (Sim.Trial.repeat ~seed:cfg.seed ~trials:cfg.trials (fun rng ->
+         let alive = Overlay.Failure.sample ~rng ~q (Overlay.Torus.node_count table) in
+         Sim.Trial.run ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
+             Routing.Torus_router.route table ~rng ~alive ~src ~dst)))
 
 let label ~dim ~side suffix = Printf.sprintf "%dx%d(%s)" dim side suffix
 

@@ -16,6 +16,8 @@ type config = {
 val default_config : config
 
 val simulate : config -> dim:int -> side:int -> float -> float
+(** Simulated routability at one failure level; [nan] when no trial had
+    two survivors. *)
 
 val label : dim:int -> side:int -> string -> string
 

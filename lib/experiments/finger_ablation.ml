@@ -9,8 +9,7 @@ let default_config = { bits = 12; qs = Grid.fig6_q; trials = 3; pairs = 2_000; s
    below the deterministic curve. *)
 let run cfg =
   let sim ~build q =
-    Stats.Binomial_ci.point
-      (Table_sim.routability ~build ~q ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed)
+    Table_sim.routability ~build ~q ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed
   in
   Series.tabulate
     ~title:

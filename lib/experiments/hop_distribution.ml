@@ -28,21 +28,13 @@ let predicted geometry ~d ~q =
   if !total <= 0.0 then [||] else Array.map (fun m -> m /. !total) mix
 
 let simulated cfg geometry =
-  let rng = Prng.Splitmix.create ~seed:cfg.seed in
   let histogram = Stats.Histogram.create ~buckets:(4 * cfg.bits) in
-  for _ = 1 to cfg.trials do
-    let trial_rng = Prng.Splitmix.split rng in
-    let table = Overlay.Table.build ~rng:trial_rng ~bits:cfg.bits geometry in
-    let alive = Overlay.Failure.sample ~rng:trial_rng ~q:cfg.q (Overlay.Table.node_count table) in
-    let pool = Overlay.Failure.survivors alive in
-    if Array.length pool >= 2 then
-      for _ = 1 to cfg.pairs do
-        let src, dst = Stats.Sampler.ordered_pair trial_rng pool in
-        match Routing.Router.route table ~rng:trial_rng ~alive ~src ~dst with
-        | Routing.Outcome.Delivered { hops } -> Stats.Histogram.add histogram hops
-        | Routing.Outcome.Dropped _ -> ()
-      done
-  done;
+  Sim.Trial.repeat ~seed:cfg.seed ~trials:cfg.trials (fun rng ->
+      let table = Overlay.Table.build ~rng ~bits:cfg.bits geometry in
+      let alive = Overlay.Failure.sample ~rng ~q:cfg.q (Overlay.Table.node_count table) in
+      Sim.Trial.run ~table ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
+          Routing.Router.route table ~rng ~alive ~src ~dst))
+  |> List.iter (fun (t : Sim.Trial.t) -> List.iter (Stats.Histogram.add histogram) t.hops);
   Stats.Histogram.to_fractions histogram
 
 let pad target xs =

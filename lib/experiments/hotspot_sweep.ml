@@ -115,17 +115,9 @@ let run_routing_point cfg geometry ~q ~seed =
         let alive =
           Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table)
         in
-        let pool = Overlay.Failure.survivors alive in
-        if Array.length pool >= 2 then
-          if Routing.Route_batch.enabled () then
-            ignore
-              (Routing.Route_batch.sample_and_route table ~rng ~alive ~pool
-                 ~pairs:cfg.pairs)
-          else
-            for _ = 1 to cfg.pairs do
-              let src, dst = Stats.Sampler.ordered_pair rng pool in
-              ignore (Routing.Router.route table ~rng ~alive ~src ~dst)
-            done
+        ignore
+          (Sim.Trial.run ~table ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
+               Routing.Router.route table ~rng ~alive ~src ~dst))
       done);
   lm
 

@@ -16,29 +16,17 @@ let default_config =
    protocol. *)
 
 let simulate_kbucket cfg ~mode ~k q =
-  let rng = Prng.Splitmix.create ~seed:cfg.seed in
-  let delivered = ref 0 in
-  let attempted = ref 0 in
-  for _ = 1 to cfg.trials do
-    let trial_rng = Prng.Splitmix.split rng in
-    let table = Overlay.Kbucket.build ~rng:trial_rng ~bits:cfg.bits ~k () in
-    let alive = Overlay.Failure.sample ~rng:trial_rng ~q (Overlay.Kbucket.node_count table) in
-    let pool = Overlay.Failure.survivors alive in
-    if Array.length pool >= 2 then
-      for _ = 1 to cfg.pairs do
-        let src, dst = Stats.Sampler.ordered_pair trial_rng pool in
-        incr attempted;
-        if Routing.Outcome.is_delivered (Routing.Bucket_router.route ~mode table ~alive ~src ~dst)
-        then incr delivered
-      done
-  done;
-  if !attempted = 0 then 0.0 else float_of_int !delivered /. float_of_int !attempted
+  Sim.Trial.routability
+    (Sim.Trial.repeat ~seed:cfg.seed ~trials:cfg.trials (fun rng ->
+         let table = Overlay.Kbucket.build ~rng ~bits:cfg.bits ~k () in
+         let alive = Overlay.Failure.sample ~rng ~q (Overlay.Kbucket.node_count table) in
+         Sim.Trial.run ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
+             Routing.Bucket_router.route ~mode table ~alive ~src ~dst)))
 
 let simulate_ring_successors cfg ~successors q =
-  Stats.Binomial_ci.point
-    (Table_sim.routability
-       ~build:(fun _rng -> Overlay.Table.build_ring_with_successors ~bits:cfg.bits ~successors ())
-       ~q ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed)
+  Table_sim.routability
+    ~build:(fun _rng -> Overlay.Table.build_ring_with_successors ~bits:cfg.bits ~successors ())
+    ~q ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed
 
 let xor_series cfg =
   Series.tabulate

@@ -21,54 +21,18 @@ let default_config =
 
 let effective_bits cfg = Idspace.Id.floor_log2 cfg.nodes
 
-(* One (q, trial) grid point on a trial generator derived by index
-   (the split-per-trial discipline, index-addressable so trials run on
-   any domain with identical draws). *)
-let simulate_trial cfg geometry ~bits ~q build_seed =
-  let trial_rng = Prng.Splitmix.of_int64 build_seed in
-  let overlay = Overlay.Sparse.build ~rng:trial_rng ~bits ~nodes:cfg.nodes geometry in
-  let alive = Overlay.Failure.sample ~rng:trial_rng ~q cfg.nodes in
-  let pool = Overlay.Failure.survivors alive in
-  if Array.length pool < 2 then (0, 0)
-  else begin
-    let delivered = ref 0 in
-    for _ = 1 to cfg.pairs do
-      let src, dst = Stats.Sampler.ordered_pair trial_rng pool in
-      if Routing.Outcome.is_delivered (Routing.Sparse_router.route overlay ~alive ~src ~dst)
-      then incr delivered
-    done;
-    (!delivered, cfg.pairs)
-  end
-
-let trial_seeds cfg =
-  let master = Prng.Splitmix.create ~seed:cfg.seed in
-  Array.init cfg.trials (fun _ -> Prng.Splitmix.next_int64 master)
-
 (* One simulated column over the q grid, flattened into |qs| × trials
    tasks (parallel under [pool]); per-q sums reduce in trial order, so
    values are bit-identical to the sequential sweep. *)
 let simulate_sweep ?pool cfg geometry ~bits qs =
-  let seeds = trial_seeds cfg in
-  let qarr = Array.of_list qs in
-  let n = Array.length qarr * cfg.trials in
-  let task k =
-    simulate_trial cfg geometry ~bits ~q:qarr.(k / cfg.trials) seeds.(k mod cfg.trials)
-  in
-  let stats =
-    match pool with
-    | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n task
-    | Some _ | None -> Array.init n task
-  in
-  Array.mapi
-    (fun qi _ ->
-      let delivered = ref 0 and attempted = ref 0 in
-      for t = 0 to cfg.trials - 1 do
-        let d, a = stats.((qi * cfg.trials) + t) in
-        delivered := !delivered + d;
-        attempted := !attempted + a
-      done;
-      if !attempted = 0 then 0.0 else float_of_int !delivered /. float_of_int !attempted)
-    qarr
+  Sim.Trial.grid ?pool ~seed:cfg.seed ~trials:cfg.trials qs (fun q build_seed ->
+      let rng = Prng.Splitmix.of_int64 build_seed in
+      let overlay = Overlay.Sparse.build ~rng ~bits ~nodes:cfg.nodes geometry in
+      let alive = Overlay.Failure.sample ~rng ~q cfg.nodes in
+      Sim.Trial.run ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
+          Routing.Sparse_router.route overlay ~alive ~src ~dst))
+  |> List.map Sim.Trial.routability
+  |> Array.of_list
 
 let simulate cfg geometry ~bits q = (simulate_sweep cfg geometry ~bits [ q ]).(0)
 

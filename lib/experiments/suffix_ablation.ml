@@ -10,8 +10,7 @@ let default_config = { bits = 12; qs = Grid.fig6_q; trials = 3; pairs = 2_000; s
    the chain accounts for, and routability drops below the analysis. *)
 let run cfg =
   let sim ~build q =
-    Stats.Binomial_ci.point
-      (Table_sim.routability ~build ~q ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed)
+    Table_sim.routability ~build ~q ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed
   in
   Series.tabulate
     ~title:

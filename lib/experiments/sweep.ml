@@ -5,15 +5,15 @@ type ('c, 'p) codec = {
   decode : 'c -> Sim.Checkpoint.fields -> 'p;
 }
 
-(* Per-point PRNG discipline, exactly the [Estimate.trial_seeds]
-   pattern: point i runs on a seed derived by index from one master
-   stream, so points execute on any domain in any order and still draw
-   the same values. Masked to 48 bits because the seed is part of the
-   checkpoint key and must round-trip exactly through a JSON number. *)
+(* Per-point PRNG discipline, exactly {!Sim.Trial.seeds}: point i runs
+   on a seed derived by index from one master stream, so points execute
+   on any domain in any order and still draw the same values. Masked to
+   48 bits because the seed is part of the checkpoint key and must
+   round-trip exactly through a JSON number. *)
 let point_seeds ~seed n =
-  let master = Prng.Splitmix.create ~seed in
-  Array.init n (fun _ ->
-      Int64.to_int (Prng.Splitmix.next_int64 master) land 0xFFFF_FFFF_FFFF)
+  Array.map
+    (fun s -> Int64.to_int s land 0xFFFF_FFFF_FFFF)
+    (Sim.Trial.seeds ~seed ~trials:n)
 
 (* One progress group per run of equal names in grid order. *)
 let groups names =

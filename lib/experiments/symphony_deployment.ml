@@ -10,34 +10,20 @@ let default_config =
    the usable degree, which is precisely the deployment's point. *)
 
 let simulate_unidirectional cfg ~k_n ~k_s q =
-  Stats.Binomial_ci.point
-    (Table_sim.routability
-       ~build:(fun rng ->
-         Overlay.Table.build ~rng ~bits:cfg.bits (Rcm.Geometry.Symphony { k_n; k_s }))
-       ~q ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed)
+  Table_sim.routability
+    ~build:(fun rng ->
+      Overlay.Table.build ~rng ~bits:cfg.bits (Rcm.Geometry.Symphony { k_n; k_s }))
+    ~q ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed
 
 let simulate_bidirectional cfg ~k_n ~k_s q =
-  let rng = Prng.Splitmix.create ~seed:cfg.seed in
-  let delivered = ref 0 in
-  let attempted = ref 0 in
-  for _ = 1 to cfg.trials do
-    let trial_rng = Prng.Splitmix.split rng in
-    let table =
-      Overlay.Table.build_symphony_bidirectional ~rng:trial_rng ~bits:cfg.bits ~k_n ~k_s ()
-    in
-    let alive = Overlay.Failure.sample ~rng:trial_rng ~q (Overlay.Table.node_count table) in
-    let pool = Overlay.Failure.survivors alive in
-    if Array.length pool >= 2 then
-      for _ = 1 to cfg.pairs do
-        let src, dst = Stats.Sampler.ordered_pair trial_rng pool in
-        incr attempted;
-        if
-          Routing.Outcome.is_delivered
-            (Routing.Bidirectional_ring.route table ~alive ~src ~dst)
-        then incr delivered
-      done
-  done;
-  if !attempted = 0 then 0.0 else float_of_int !delivered /. float_of_int !attempted
+  Sim.Trial.routability
+    (Sim.Trial.repeat ~seed:cfg.seed ~trials:cfg.trials (fun rng ->
+         let table =
+           Overlay.Table.build_symphony_bidirectional ~rng ~bits:cfg.bits ~k_n ~k_s ()
+         in
+         let alive = Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table) in
+         Sim.Trial.run ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
+             Routing.Bidirectional_ring.route table ~alive ~src ~dst)))
 
 let run ?(k_n = 1) ?(k_s = 1) cfg =
   Series.tabulate

@@ -1,24 +1,9 @@
 (* Monte-Carlo routability for ablation overlays built by custom
    constructors (Sim.Estimate only knows the standard geometries). *)
 let routability ~build ~q ~trials ~pairs ~seed =
-  let rng = Prng.Splitmix.create ~seed in
-  let delivered = ref 0 in
-  let attempted = ref 0 in
-  for _ = 1 to trials do
-    let trial_rng = Prng.Splitmix.split rng in
-    let table : Overlay.Table.t = build trial_rng in
-    let alive =
-      Overlay.Failure.sample ~rng:trial_rng ~q (Overlay.Table.node_count table)
-    in
-    let pool = Overlay.Failure.survivors alive in
-    if Array.length pool >= 2 then
-      for _ = 1 to pairs do
-        let src, dst = Stats.Sampler.ordered_pair trial_rng pool in
-        incr attempted;
-        if
-          Routing.Outcome.is_delivered
-            (Routing.Router.route table ~rng:trial_rng ~alive ~src ~dst)
-        then incr delivered
-      done
-  done;
-  Stats.Binomial_ci.wilson ~successes:!delivered ~trials:(max 1 !attempted) ()
+  Sim.Trial.routability
+    (Sim.Trial.repeat ~seed ~trials (fun rng ->
+         let table : Overlay.Table.t = build rng in
+         let alive = Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table) in
+         Sim.Trial.run ~table ~rng ~alive ~pairs (fun src dst ->
+             Routing.Router.route table ~rng ~alive ~src ~dst)))

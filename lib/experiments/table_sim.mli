@@ -7,6 +7,8 @@ val routability :
   trials:int ->
   pairs:int ->
   seed:int ->
-  Stats.Binomial_ci.t
+  float
 (** [build] is called once per trial with that trial's generator;
-    failures and pair sampling then proceed as in {!Sim.Estimate}. *)
+    failures and pair sampling then proceed as in {!Sim.Estimate}.
+    Delivered over attempted pairs, [nan] when no trial had two
+    survivors. *)

@@ -25,8 +25,6 @@ let alive_count = Bitset.count
 
 let survivors = Bitset.members
 
-let alive_ids = Bitset.members
-
 let none = Bitset.all
 
 let length = Bitset.length

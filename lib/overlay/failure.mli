@@ -28,9 +28,6 @@ val alive_count : t -> int
 val survivors : t -> int array
 (** Ids of alive nodes, ascending. *)
 
-val alive_ids : t -> int array
-(** Alias of {!survivors}. *)
-
 val length : t -> int
 (** Number of nodes the mask covers (alive or dead). *)
 

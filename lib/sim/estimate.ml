@@ -28,51 +28,19 @@ let routability r =
 
 let failed_percent r = 100.0 *. (1.0 -. routability r)
 
-(* Per-trial PRNG discipline: trial i runs on the generator seeded with
-   the i-th output of the master stream — exactly what the historical
-   [Splitmix.split] per trial produced, but derivable by index, so
-   trials can execute on any domain in any order and still draw the
-   same values. See DESIGN.md, "Determinism under parallelism". *)
-let trial_seeds cfg =
-  let master = Prng.Splitmix.create ~seed:cfg.seed in
-  Array.init cfg.trials (fun _ -> Prng.Splitmix.next_int64 master)
-
-(* The table for a trial, either built fresh (consuming build draws
-   from the trial generator) or taken from the cache together with the
-   post-build PRNG state, so the draws that follow are identical.
-   Cached builds are traced inside [Table_cache.get]; the uncached
-   path emits the same [overlay/build] span here. *)
-let table_for cfg ~backend cache build_seed =
-  match cache with
-  | None ->
-      Obs.Trace.span "overlay/build"
-        ~attrs:
-          (if Obs.Trace.enabled () then
-             [
-               ("geometry", Obs.Trace.String (Rcm.Geometry.slug cfg.geometry));
-               ("bits", Obs.Trace.Int cfg.bits);
-               ("backend", Obs.Trace.String (Overlay.Table.backend_name backend));
-             ]
-           else [])
-        (fun () ->
-          let rng = Prng.Splitmix.of_int64 build_seed in
-          (Overlay.Table.build ~rng ~backend ~bits:cfg.bits cfg.geometry, rng))
-  | Some cache ->
-      let table, resume =
-        Overlay.Table_cache.get cache ~backend ~bits:cfg.bits ~build_seed cfg.geometry
-      in
-      (table, Prng.Splitmix.of_int64 resume)
-
-(* What one trial contributes, kept separate per trial so trials can run
-   on different domains; hop counts are kept in routing order and
-   replayed into the shared Welford summary by trial index, which makes
-   the merged statistics bit-identical to a sequential run. *)
-type trial_stats = {
-  t_delivered : int;
-  t_attempted : int;
-  t_alive_fraction : float;
-  t_hops : float list;
-}
+(* Hop counts of one trial as the compact "hops:count,..." string the
+   estimate/trial trace event carries — the per-geometry hop-count
+   distributions [dhtlab trace report] aggregates (the Roos et al.
+   lens on routing behaviour) are rebuilt from these. *)
+let hops_attr hops =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun h -> Hashtbl.replace table h (1 + Option.value ~default:0 (Hashtbl.find_opt table h)))
+    hops;
+  Hashtbl.fold (fun h c acc -> (h, c) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (h, c) -> Printf.sprintf "%d:%d" h c)
+  |> String.concat ","
 
 (* One static-resilience trial (section 1): build (or fetch) the
    overlay, fail every node independently with probability q, then
@@ -83,84 +51,26 @@ type trial_stats = {
    All instrumentation below observes after the fact: it reads clocks
    and counters, never [rng], so metrics/tracing cannot shift a single
    PRNG draw (the bit-identity contract of DESIGN.md). *)
-(* Hop counts of one trial as the compact "hops:count,..." string the
-   estimate/trial trace event carries — the per-geometry hop-count
-   distributions [dhtlab trace report] aggregates (the Roos et al.
-   lens on routing behaviour) are rebuilt from these. *)
-let hops_attr hops =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun h ->
-      let h = int_of_float h in
-      Hashtbl.replace table h (1 + Option.value ~default:0 (Hashtbl.find_opt table h)))
-    hops;
-  Hashtbl.fold (fun h c acc -> (h, c) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (h, c) -> Printf.sprintf "%d:%d" h c)
-  |> String.concat ","
-
 let run_trial cfg ~backend cache build_seed =
   (* The clock is read when either subsystem observes this trial;
      tracing alone must not depend on metrics being enabled. *)
   let t0 =
     if Obs.Metrics.enabled () || Obs.Trace.enabled () then Unix.gettimeofday () else 0.0
   in
-  let table, rng = table_for cfg ~backend cache build_seed in
+  let table, rng = Trial.table ?cache ~backend ~bits:cfg.bits cfg.geometry build_seed in
   let alive =
     Obs.Trace.span "failure/inject"
       ~attrs:(if Obs.Trace.enabled () then [ ("q", Obs.Trace.Float cfg.q) ] else [])
       (fun () -> Overlay.Failure.sample ~rng ~q:cfg.q (Overlay.Table.node_count table))
   in
-  let pool = Overlay.Failure.survivors alive in
-  let alive_fraction =
-    float_of_int (Array.length pool) /. float_of_int (Overlay.Table.node_count table)
-  in
-  let stats =
-    if Array.length pool < 2 then
-      { t_delivered = 0; t_attempted = 0; t_alive_fraction = alive_fraction; t_hops = [] }
-    else if
-      (* Flat tables route their whole pair block through the batch
-         kernel in one call (per-domain scratch, one metrics flush) —
-         bit-identical to the scalar loop below, including the rng
-         stream, so the two paths are freely interchangeable
-         ([--no-batch] pins this via stdout byte-identity). Classic
-         tables keep the scalar loop: their rows are not CSR blocks. *)
-      Routing.Route_batch.enabled () && Overlay.Table.backend table = Overlay.Table.Flat
-    then begin
-      let scratch =
-        Routing.Route_batch.sample_and_route table ~rng ~alive ~pool
-          ~pairs:cfg.pairs_per_trial
-      in
-      {
-        t_delivered = Routing.Route_batch.delivered_count scratch;
-        t_attempted = cfg.pairs_per_trial;
-        t_alive_fraction = alive_fraction;
-        t_hops = Routing.Route_batch.delivered_hops_rev_order scratch;
-      }
-    end
-    else begin
-      let delivered = ref 0 in
-      let hops_rev = ref [] in
-      for _ = 1 to cfg.pairs_per_trial do
-        let src, dst = Stats.Sampler.ordered_pair rng pool in
-        match Routing.Router.route table ~rng ~alive ~src ~dst with
-        | Routing.Outcome.Delivered { hops } ->
-            incr delivered;
-            hops_rev := float_of_int hops :: !hops_rev
-        | Routing.Outcome.Dropped _ -> ()
-      done;
-      {
-        t_delivered = !delivered;
-        t_attempted = cfg.pairs_per_trial;
-        t_alive_fraction = alive_fraction;
-        t_hops = List.rev !hops_rev;
-      }
-    end
+  let trial =
+    Trial.run ~table ~rng ~alive ~pairs:cfg.pairs_per_trial (fun src dst ->
+        Routing.Router.route table ~rng ~alive ~src ~dst)
   in
   if Obs.Metrics.enabled () then begin
     let elapsed = Unix.gettimeofday () -. t0 in
     Obs.Metrics.incr_named "estimate/trials";
-    Obs.Metrics.observe_named "estimate/alive_fraction" alive_fraction;
+    Obs.Metrics.observe_named "estimate/alive_fraction" trial.alive_fraction;
     Obs.Metrics.observe_named "estimate/trial_s" elapsed;
     (* Per-grid-point task latency, keyed by q: the sweep scheduler's
        unit of work is one (trial, q) task. *)
@@ -172,14 +82,14 @@ let run_trial cfg ~backend cache build_seed =
         [
           ("geometry", Obs.Trace.String (Rcm.Geometry.slug cfg.geometry));
           ("q", Obs.Trace.Float cfg.q);
-          ("alive_fraction", Obs.Trace.Float alive_fraction);
-          ("delivered", Obs.Trace.Int stats.t_delivered);
-          ("attempted", Obs.Trace.Int stats.t_attempted);
+          ("alive_fraction", Obs.Trace.Float trial.alive_fraction);
+          ("delivered", Obs.Trace.Int trial.delivered);
+          ("attempted", Obs.Trace.Int trial.attempted);
           ("dur_s", Obs.Trace.Float (Unix.gettimeofday () -. t0));
-          ("hops", Obs.Trace.String (hops_attr stats.t_hops));
+          ("hops", Obs.Trace.String (hops_attr trial.hops));
         ]
       ();
-  stats
+  trial
 
 (* Reduce trial contributions in index order (the determinism
    contract: this is the only order-sensitive step). Failed trials
@@ -197,12 +107,12 @@ let collect cfg outcomes =
   let failed = ref 0 in
   Array.iter
     (function
-      | Exec.Pool.Done s ->
+      | Exec.Pool.Done (t : Trial.t) ->
           incr survivors;
-          delivered := !delivered + s.t_delivered;
-          attempted := !attempted + s.t_attempted;
-          alive_total := !alive_total +. s.t_alive_fraction;
-          List.iter (Stats.Summary.add hop_summary) s.t_hops
+          delivered := !delivered + t.delivered;
+          attempted := !attempted + t.attempted;
+          alive_total := !alive_total +. t.alive_fraction;
+          List.iter (fun h -> Stats.Summary.add hop_summary (float_of_int h)) t.hops
       | Exec.Pool.Failed _ -> incr failed
       | Exec.Pool.Cancelled ->
           (* run_sweep unwinds with Cancel.Cancelled before collecting. *)
@@ -221,10 +131,9 @@ let collect cfg outcomes =
     failed_trials = !failed;
   }
 
-(* Checkpoint round-trip: a stored trial replays exactly the stats the
-   live trial produced (ints are ints; the alive fraction is written
-   with 17 significant digits, so it reloads bit-equal; hop counts are
-   integers stored as such). *)
+(* A stored trial replays exactly the trial the live run produced
+   (ints are ints; the alive fraction is written with 17 significant
+   digits, so it reloads bit-equal). *)
 let key_of cfg ~trial =
   {
     Checkpoint.geometry = Rcm.Geometry.slug cfg.geometry;
@@ -233,22 +142,6 @@ let key_of cfg ~trial =
     pairs = cfg.pairs_per_trial;
     seed = cfg.seed;
     trial;
-  }
-
-let stats_of_stored (s : Checkpoint.trial) =
-  {
-    t_delivered = s.Checkpoint.delivered;
-    t_attempted = s.Checkpoint.attempted;
-    t_alive_fraction = s.Checkpoint.alive_fraction;
-    t_hops = List.map float_of_int s.Checkpoint.hops;
-  }
-
-let stored_of_stats s =
-  {
-    Checkpoint.delivered = s.t_delivered;
-    attempted = s.t_attempted;
-    alive_fraction = s.t_alive_fraction;
-    hops = List.map int_of_float s.t_hops;
   }
 
 let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = false)
@@ -274,7 +167,7 @@ let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = fals
            ]
          else [])
     @@ fun () ->
-    let seeds = trial_seeds cfg in
+    let seeds = Trial.seeds ~seed:cfg.seed ~trials:cfg.trials in
     let qarr = Array.of_list qs in
     let configs = Array.map (fun q -> { cfg with q }) qarr in
     (* Flatten the sweep into |qs| × trials independent tasks: trial
@@ -326,7 +219,7 @@ let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = fals
           match stored with
           | Some (Checkpoint.Trial s) ->
               tick k;
-              Exec.Pool.Done (stats_of_stored s)
+              Exec.Pool.Done s
           | Some (Checkpoint.Failed { attempts; error }) ->
               tick k;
               Exec.Pool.Failed { attempts; error }
@@ -335,7 +228,7 @@ let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = fals
               (match (checkpoint, outcome) with
               | Some ck, Exec.Pool.Done s ->
                   Checkpoint.record ck (key_of cfg_k ~trial)
-                    (Checkpoint.Trial (stored_of_stats s))
+                    (Checkpoint.Trial s)
               | Some ck, Exec.Pool.Failed { attempts; error } ->
                   Checkpoint.record ck (key_of cfg_k ~trial)
                     (Checkpoint.Failed { attempts; error })

@@ -14,30 +14,6 @@ type report = {
   mean_routability : float;
 }
 
-(* Trial i runs on the generator seeded by the i-th output of the
-   master stream (equivalent to the historical split-per-trial, but
-   derivable by index for domain-parallel execution). *)
-let trial_seeds ~seed ~trials =
-  let master = Prng.Splitmix.create ~seed in
-  Array.init trials (fun _ -> Prng.Splitmix.next_int64 master)
-
-let table_for ~bits ~backend geometry cache build_seed =
-  match cache with
-  | None ->
-      let rng = Prng.Splitmix.of_int64 build_seed in
-      (Overlay.Table.build ~rng ~backend ~bits geometry, rng)
-  | Some cache ->
-      let table, resume =
-        Overlay.Table_cache.get cache ~backend ~bits ~build_seed geometry
-      in
-      (table, Prng.Splitmix.of_int64 resume)
-
-(* Run tasks over trial indices, on the pool when one is supplied. *)
-let map_trials pool trials task =
-  match pool with
-  | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool trials task
-  | Some _ | None -> Array.init trials task
-
 (* Components of the failed overlay, read from the table in place. A
    per-trial copy into a [Graph.Digraph.t] would walk a rule table,
    whose entries are computed on each read, once more than needed. *)
@@ -54,45 +30,16 @@ let components table alive =
    introduction argues makes percolation theory insufficient. *)
 let run_trial ~bits ~backend ~q geometry cache build_seed ~pairs =
   let t0 = Obs.Metrics.now () in
-  let table, rng = table_for ~bits ~backend geometry cache build_seed in
+  let table, rng = Trial.table ?cache ~backend ~bits geometry build_seed in
   let alive =
     Obs.Trace.span "failure/inject"
       ~attrs:(if Obs.Trace.enabled () then [ ("q", Obs.Trace.Float q) ] else [])
       (fun () -> Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table))
   in
   let connectivity = components table alive in
-  let pool = Overlay.Failure.survivors alive in
-  let trial =
-    if Array.length pool < 2 then { connectivity; routability = 0.0; routed_pairs = 0 }
-    else begin
-      (* Same batch-vs-scalar split as [Estimate.run_trial]: flat
-         tables route the whole pair block in one kernel call,
-         bit-identically to the loop below. *)
-      let delivered =
-        if
-          Routing.Route_batch.enabled ()
-          && Overlay.Table.backend table = Overlay.Table.Flat
-        then
-          Routing.Route_batch.delivered_count
-            (Routing.Route_batch.sample_and_route table ~rng ~alive ~pool ~pairs)
-        else begin
-          let delivered = ref 0 in
-          for _ = 1 to pairs do
-            let src, dst = Stats.Sampler.ordered_pair rng pool in
-            if
-              Routing.Outcome.is_delivered
-                (Routing.Router.route table ~rng ~alive ~src ~dst)
-            then incr delivered
-          done;
-          !delivered
-        end
-      in
-      {
-        connectivity;
-        routability = float_of_int delivered /. float_of_int pairs;
-        routed_pairs = pairs;
-      }
-    end
+  let routed =
+    Trial.run ~table ~rng ~alive ~pairs (fun src dst ->
+        Routing.Router.route table ~rng ~alive ~src ~dst)
   in
   (* Observation only — reads the clock and the finished trial, never
      [rng], so results are bit-identical with metrics on or off. *)
@@ -100,33 +47,41 @@ let run_trial ~bits ~backend ~q geometry cache build_seed ~pairs =
     Obs.Metrics.incr_named "percolation/trials";
     Obs.Metrics.observe_named "percolation/trial_s" (Obs.Metrics.now () -. t0)
   end;
-  trial
+  { connectivity; routability = Trial.routability [ routed ]; routed_pairs = routed.attempted }
 
 let run ?pool ?cache ?(backend = Overlay.Table.Classic) ?(trials = 3) ?(pairs = 2_000)
     ?(seed = 42) ~bits ~q geometry =
   if trials < 1 then invalid_arg "Percolation.run: need at least one trial";
-  let seeds = trial_seeds ~seed ~trials in
+  if pairs < 1 then invalid_arg "Percolation.run: need at least one pair";
   let group = Printf.sprintf "q=%g" q in
   Obs.Progress.start
     ~label:(Rcm.Geometry.slug geometry)
     ~groups:[ (group, trials) ] ~total:trials ();
   let all =
-    Array.to_list
-      (map_trials pool trials (fun i ->
-           let trial = run_trial ~bits ~backend ~q geometry cache seeds.(i) ~pairs in
+    List.concat
+      (Trial.grid ?pool ~seed ~trials [ q ] (fun q build_seed ->
+           let trial = run_trial ~bits ~backend ~q geometry cache build_seed ~pairs in
            Obs.Progress.tick ~group ();
            trial))
   in
   Obs.Progress.finish ();
-  let mean f = List.fold_left (fun acc t -> acc +. f t) 0.0 all /. float_of_int trials in
+  let mean f = function
+    | [] -> Float.nan
+    | trials ->
+        List.fold_left (fun acc t -> acc +. f t) 0.0 trials /. float_of_int (List.length trials)
+  in
   {
     geometry;
     bits;
     q;
     trials = all;
-    mean_pair_connectivity = mean (fun t -> t.connectivity.Graph.Components.pair_connectivity);
-    mean_giant_fraction = mean (fun t -> t.connectivity.Graph.Components.giant_fraction);
-    mean_routability = mean (fun t -> t.routability);
+    mean_pair_connectivity =
+      mean (fun t -> t.connectivity.Graph.Components.pair_connectivity) all;
+    mean_giant_fraction = mean (fun t -> t.connectivity.Graph.Components.giant_fraction) all;
+    (* Over the trials that routed: a trial with fewer than two
+       survivors has no routability sample, and none at all is [nan]. *)
+    mean_routability =
+      mean (fun t -> t.routability) (List.filter (fun t -> t.routed_pairs > 0) all);
   }
 
 let routing_gap r = r.mean_pair_connectivity -. r.mean_routability
@@ -135,14 +90,14 @@ let routing_gap r = r.mean_pair_connectivity -. r.mean_routability
    without routing (for threshold estimation). *)
 let giant_fraction ?pool ?cache ?(backend = Overlay.Table.Classic) ?(trials = 3)
     ?(seed = 42) ~bits ~q geometry =
-  let seeds = trial_seeds ~seed ~trials in
   let fractions =
-    map_trials pool trials (fun i ->
-        let table, rng = table_for ~bits ~backend geometry cache seeds.(i) in
-        let alive = Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table) in
-        (components table alive).Graph.Components.giant_fraction)
+    List.concat
+      (Trial.grid ?pool ~seed ~trials [ () ] (fun () build_seed ->
+           let table, rng = Trial.table ?cache ~backend ~bits geometry build_seed in
+           let alive = Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table) in
+           (components table alive).Graph.Components.giant_fraction))
   in
-  Array.fold_left ( +. ) 0.0 fractions /. float_of_int trials
+  List.fold_left ( +. ) 0.0 fractions /. float_of_int trials
 
 (* The failure probability at which the giant component among the
    survivors stops covering [target] of them — the finite-size stand-in

@@ -8,8 +8,8 @@
 
 type trial = {
   connectivity : Graph.Components.report;
-  routability : float;
-  routed_pairs : int;
+  routability : float;  (** [nan] when the trial had fewer than two survivors *)
+  routed_pairs : int;  (** [0] when the trial had fewer than two survivors *)
 }
 
 type report = {
@@ -20,6 +20,7 @@ type report = {
   mean_pair_connectivity : float;
   mean_giant_fraction : float;
   mean_routability : float;
+      (** Over the trials that routed; [nan] when none did. *)
 }
 
 val run :
@@ -38,7 +39,8 @@ val run :
     bit-identical for every [pool] size, with or without [cache], and
     for either overlay [backend] (default [Classic]). [cache] shares
     overlay builds across calls with the same seed (e.g. the points of
-    a q-sweep). *)
+    a q-sweep).
+    @raise Invalid_argument if [trials < 1] or [pairs < 1]. *)
 
 val routing_gap : report -> float
 (** pair-connectivity minus routability; non-negative up to Monte-Carlo

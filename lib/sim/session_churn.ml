@@ -204,26 +204,17 @@ let matrix_staleness ~alive ~near_slots neighbors =
   (overall, fraction 0, fraction 1)
 
 let measure cfg ~profile rng ~alive ~tables ~time =
-  let n = 1 lsl cfg.bits in
-  let pool = Overlay.Failure.survivors alive in
   let route src dst =
     match tables with
     | Buckets table ->
         Routing.Bucket_router.route ~mode:`Xor table ~alive ~src ~dst
     | Matrix { table; _ } -> Routing.Router.route table ~rng ~alive ~src ~dst
   in
+  let trial = Trial.run ~rng ~alive ~pairs:cfg.pairs_per_measurement route in
   (* Fewer than two survivors: no pair exists, so no routability sample
      — never fabricate a zero. *)
   let routability =
-    if Array.length pool < 2 then None
-    else begin
-      let delivered = ref 0 in
-      for _ = 1 to cfg.pairs_per_measurement do
-        let src, dst = Stats.Sampler.ordered_pair rng pool in
-        if Routing.Outcome.is_delivered (route src dst) then incr delivered
-      done;
-      Some (float_of_int !delivered /. float_of_int cfg.pairs_per_measurement)
-    end
+    if trial.attempted = 0 then None else Some (Trial.routability [ trial ])
   in
   let stale, stale_near, stale_shortcut =
     match tables with
@@ -256,7 +247,7 @@ let measure cfg ~profile rng ~alive ~tables ~time =
   in
   {
     time;
-    alive_fraction = float_of_int (Array.length pool) /. float_of_int n;
+    alive_fraction = trial.alive_fraction;
     stale_fraction = stale;
     stale_near;
     stale_shortcut;

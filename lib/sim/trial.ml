@@ -1,0 +1,93 @@
+type t = Checkpoint.trial = {
+  delivered : int;
+  attempted : int;
+  alive_fraction : float;
+  hops : int list;
+}
+
+let run ?table ~rng ~alive ~pairs route =
+  if pairs < 1 then invalid_arg "Trial.run: need at least one pair";
+  let pool = Overlay.Failure.survivors alive in
+  let alive_fraction =
+    float_of_int (Array.length pool) /. float_of_int (Overlay.Failure.length alive)
+  in
+  if Array.length pool < 2 then { delivered = 0; attempted = 0; alive_fraction; hops = [] }
+  else
+    match table with
+    | Some table
+      when Routing.Route_batch.enabled () && Overlay.Table.backend table = Overlay.Table.Flat
+      ->
+        (* One kernel call routes the whole pair block, bit-identically
+           to the loop below ([--no-batch] pins this via stdout
+           byte-identity). Row tables are not CSR blocks, so they keep
+           the loop. *)
+        let s = Routing.Route_batch.sample_and_route table ~rng ~alive ~pool ~pairs in
+        let hops = ref [] in
+        for k = pairs - 1 downto 0 do
+          if Routing.Route_batch.is_delivered s k then
+            hops := Routing.Route_batch.hops s k :: !hops
+        done;
+        {
+          delivered = Routing.Route_batch.delivered_count s;
+          attempted = pairs;
+          alive_fraction;
+          hops = !hops;
+        }
+    | Some _ | None ->
+        let delivered = ref 0 in
+        let hops = ref [] in
+        for _ = 1 to pairs do
+          let src, dst = Stats.Sampler.ordered_pair rng pool in
+          match route src dst with
+          | Routing.Outcome.Delivered { hops = h } ->
+              incr delivered;
+              hops := h :: !hops
+          | Routing.Outcome.Dropped _ -> ()
+        done;
+        { delivered = !delivered; attempted = pairs; alive_fraction; hops = List.rev !hops }
+
+let routability trials =
+  let delivered, attempted =
+    List.fold_left (fun (d, a) t -> (d + t.delivered, a + t.attempted)) (0, 0) trials
+  in
+  if attempted = 0 then Float.nan else float_of_int delivered /. float_of_int attempted
+
+let seeds ~seed ~trials =
+  let master = Prng.Splitmix.create ~seed in
+  Array.init trials (fun _ -> Prng.Splitmix.next_int64 master)
+
+(* Cached builds are traced inside [Table_cache.get]; the uncached path
+   emits the same [overlay/build] span here. *)
+let table ?cache ~backend ~bits geometry seed =
+  match cache with
+  | None ->
+      Obs.Trace.span "overlay/build"
+        ~attrs:
+          (if Obs.Trace.enabled () then
+             [
+               ("geometry", Obs.Trace.String (Rcm.Geometry.slug geometry));
+               ("bits", Obs.Trace.Int bits);
+               ("backend", Obs.Trace.String (Overlay.Table.backend_name backend));
+             ]
+           else [])
+        (fun () ->
+          let rng = Prng.Splitmix.of_int64 seed in
+          (Overlay.Table.build ~rng ~backend ~bits geometry, rng))
+  | Some cache ->
+      let table, resume = Overlay.Table_cache.get cache ~backend ~bits ~build_seed:seed geometry in
+      (table, Prng.Splitmix.of_int64 resume)
+
+let repeat ~seed ~trials f =
+  Array.to_list (Array.map (fun s -> f (Prng.Splitmix.of_int64 s)) (seeds ~seed ~trials))
+
+let grid ?pool ~seed ~trials points f =
+  let seeds = seeds ~seed ~trials in
+  let points = Array.of_list points in
+  let task k = f points.(k / trials) seeds.(k mod trials) in
+  let n = Array.length points * trials in
+  let results =
+    match pool with
+    | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n task
+    | Some _ | None -> Array.init n task
+  in
+  List.init (Array.length points) (fun p -> List.init trials (fun i -> results.((p * trials) + i)))

@@ -1,0 +1,67 @@
+(** One static-resilience trial (section 1), shared by every static
+    experiment: on a failed overlay, draw ordered pairs of survivors,
+    route each without back-tracking and tally the deliveries. Also the
+    per-index seed derivation and the trial fan-out that go with it
+    (DESIGN.md, "Determinism under parallelism"). *)
+
+type t = Checkpoint.trial = {
+  delivered : int;
+  attempted : int;
+  alive_fraction : float;  (** survivors over the nodes the mask covers *)
+  hops : int list;  (** hop counts of delivered pairs, in routing order *)
+}
+
+val run :
+  ?table:Overlay.Table.t ->
+  rng:Prng.Splitmix.t ->
+  alive:Overlay.Failure.t ->
+  pairs:int ->
+  (int -> int -> Routing.Outcome.t) ->
+  t
+(** [run ~rng ~alive ~pairs route] draws [pairs] ordered pairs of
+    distinct survivors of [alive] with {!Stats.Sampler.ordered_pair} and
+    routes each, as it is drawn, with [route src dst]. With fewer than
+    two survivors it attempts nothing and draws nothing.
+
+    When [table] is a flat table and {!Routing.Route_batch.enabled}, the
+    pairs go through {!Routing.Route_batch.sample_and_route} instead,
+    which draws and routes them identically (generator state included);
+    [route] must then be [table]'s scalar router.
+    @raise Invalid_argument if [pairs < 1]. *)
+
+val routability : t list -> float
+(** Delivered over attempted, pooled over the trials; [nan] when no
+    trial attempted a pair. *)
+
+val seeds : seed:int -> trials:int -> int64 array
+(** [(seeds ~seed ~trials).(i)] seeds trial [i]: the [i]-th output of
+    the master stream [Splitmix.create ~seed]. It is the state the
+    [i+1]-th [Splitmix.split] of that master returns, but derived by
+    index, so trials run on any domain in any order with the same
+    draws. *)
+
+val table :
+  ?cache:Overlay.Table_cache.t ->
+  backend:Overlay.Table.backend ->
+  bits:int ->
+  Rcm.Geometry.t ->
+  int64 ->
+  Overlay.Table.t * Prng.Splitmix.t
+(** [table ~backend ~bits geometry seed] is the trial's overlay and its
+    generator after the build: built on [Splitmix.of_int64 seed] under
+    an [overlay/build] span, or taken from [cache] with the resumed
+    generator, so the draws that follow are the same either way. *)
+
+val repeat : seed:int -> trials:int -> (Prng.Splitmix.t -> 'a) -> 'a list
+(** [repeat ~seed ~trials f] runs [f] on each trial's generator
+    [Splitmix.of_int64 (seeds ~seed ~trials).(i)], in index order. *)
+
+val grid :
+  ?pool:Exec.Pool.t -> seed:int -> trials:int -> 'p list -> ('p -> int64 -> 'a) -> 'a list list
+(** [grid ~seed ~trials points f] is, for each point, the list of
+    [f point (seeds ~seed ~trials).(i)] over the trials. The
+    [|points| × trials] tasks run on [pool] when it has more than one
+    domain; results come back in index order, so they are the same for
+    every pool size. Every point reuses the same trial seeds, so a
+    table cache keyed on them builds [trials] overlays for the whole
+    grid. *)

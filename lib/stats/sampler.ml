@@ -1,16 +1,3 @@
-let indices_where mask =
-  let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask in
-  let out = Array.make count 0 in
-  let j = ref 0 in
-  Array.iteri
-    (fun i b ->
-      if b then begin
-        out.(!j) <- i;
-        incr j
-      end)
-    mask;
-  out
-
 let ordered_pair rng pool =
   let n = Array.length pool in
   if n < 2 then invalid_arg "Sampler.ordered_pair: pool smaller than 2"
@@ -21,21 +8,4 @@ let ordered_pair rng pool =
       if j = i then draw_j () else j
     in
     (pool.(i), pool.(draw_j ()))
-  end
-
-let reservoir rng ~k stream =
-  if k <= 0 then invalid_arg "Sampler.reservoir: non-positive k"
-  else begin
-    let chosen = Array.make k None in
-    let seen = ref 0 in
-    Seq.iter
-      (fun x ->
-        incr seen;
-        if !seen <= k then chosen.(!seen - 1) <- Some x
-        else begin
-          let j = Prng.Splitmix.int rng !seen in
-          if j < k then chosen.(j) <- Some x
-        end)
-      stream;
-    Array.to_list chosen |> List.filter_map Fun.id
   end

@@ -1,12 +1,5 @@
 (** Sampling helpers for Monte-Carlo routability estimation. *)
 
-val indices_where : bool array -> int array
-(** [indices_where mask] is the sorted array of indices set in [mask]
-    (e.g. the surviving nodes of a failure trial). *)
-
 val ordered_pair : Prng.Splitmix.t -> 'a array -> 'a * 'a
 (** A uniform ordered pair of two distinct elements.
     @raise Invalid_argument when the pool has fewer than 2 elements. *)
-
-val reservoir : Prng.Splitmix.t -> k:int -> 'a Seq.t -> 'a list
-(** Reservoir sampling of up to [k] elements from a stream. *)

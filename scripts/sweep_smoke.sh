@@ -25,7 +25,7 @@
 #      no .tmp turd; the resumed run must be byte-identical to an
 #      uninterrupted one and record exit_status 0.
 #
-# Usage: scripts/sweep_smoke.sh simulate|record|hotspots|churn|storage
+# Usage: scripts/sweep_smoke.sh simulate|record|hotspots|churn|percolation|storage
 #        [path-to-dhtlab] [path-to-validate]
 # SMOKE_WORK, when set, names a directory to keep the artefacts in (the
 # row's are in SMOKE_WORK/<row>, emptied first): CI points it somewhere
@@ -72,6 +72,14 @@ case "$ROW" in
         CHECKPOINT='"kind": "churn"'
         HEAVY="churn -d 12 --sessions 2,4,8,16 --pairs 4000 --seed 7 --jobs 2"
         ;;
+    percolation)
+        # Every geometry's trials fan out on the pool, and flat tables
+        # route through the batch kernel unless --no-batch.
+        ARGS="percolation -d 10 --trials 2 --pairs 1000 --seed 7 --no-progress"
+        JOBS="1 2"
+        SCALAR_JOBS=2
+        EXPECT="connectivity routability"
+        ;;
     storage)
         ARGS="storage --smoke --seed 7"
         JOBS="2 1"
@@ -84,7 +92,7 @@ case "$ROW" in
         HEAVY="storage -d 11 --nodes 1024 --keys 128 --reads 2000 -r 1,2,4 --qs 0.1,0.2,0.3,0.4 --trials 8 --seed 7 --jobs 2"
         ;;
     *)
-        echo "usage: $0 simulate|record|hotspots|churn|storage [path-to-dhtlab] [path-to-validate]" >&2
+        echo "usage: $0 simulate|record|hotspots|churn|percolation|storage [path-to-dhtlab] [path-to-validate]" >&2
         exit 2
         ;;
 esac

@@ -57,7 +57,7 @@ let test_bitset_bool_array_agreement () =
       in
       Alcotest.(check (array int))
         (Printf.sprintf "n=%d: alive_ids vs filter" n)
-        expected_ids (Overlay.Failure.alive_ids mask);
+        expected_ids (Overlay.Failure.survivors mask);
       Alcotest.(check (array bool))
         (Printf.sprintf "n=%d: to_bool_array roundtrip" n)
         bools

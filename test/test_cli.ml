@@ -437,6 +437,14 @@ let test_sweep_command_errors () =
         "dhtlab storage: storage point 0 (");
       ([ "hotspots"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,
         "dhtlab hotspots: hotspots point 0 (");
+      (* Zero or negative trial and pair counts fail at parse time. *)
+      ([ "simulate"; "-d"; "8"; "--trials"; "0" ], 124, "dhtlab: option '--trials'");
+      ([ "validate"; "--sim"; "-d"; "8"; "--pairs"; "0" ], 124, "dhtlab: option '--pairs'");
+      ([ "percolation"; "-g"; "ring"; "-d"; "8"; "--pairs"; "0" ], 124,
+        "dhtlab: option '--pairs'");
+      ([ "percolation"; "-g"; "ring"; "-d"; "8"; "--pairs=-3" ], 124,
+        "dhtlab: option '--pairs'");
+      ([ "hotspots"; "--smoke"; "--trials"; "0" ], 124, "dhtlab: option '--trials'");
       (* A geometry that cannot be built at the requested size is a
          config error, reported before any point runs. *)
       ([ "simulate"; "-g"; "record:h=4"; "-d"; "7"; "--trials"; "1"; "--pairs"; "10" ], 2,
@@ -527,6 +535,13 @@ let simulate_d20_golden g =
         "--csv" ]
       ("simulate-d20-" ^ g ^ ".csv") )
 
+(* The ablation figures: each builds its own overlays around
+   [Sim.Trial], so these pin every static experiment's draws. *)
+let figure_golden name =
+  ( "golden figure " ^ name ^ " --quick",
+    `Quick,
+    check_golden [ "figure"; name; "--quick" ] ("figure-" ^ name ^ "-quick.txt") )
+
 let suite =
   [
     ("binary present", `Quick, test_binary_present);
@@ -591,4 +606,12 @@ let suite =
       check_golden [ "figure"; "rep-xor"; "--quick" ] "figure-rep-xor-quick.txt");
   ]
   @ List.map simulate_d20_golden [ "tree"; "hypercube"; "xor"; "ring" ]
-  @ [ ("resume keys the exact lifetime shape", `Quick, test_resume_keys_exact_lifetime_shape) ]
+  @ [
+      ("resume keys the exact lifetime shape", `Quick, test_resume_keys_exact_lifetime_shape);
+      (* Table mode: the percolation CSV has no geometry column. *)
+      ("golden percolation -d 10", `Quick,
+        check_golden [ "percolation"; "-d"; "10" ] "percolation-d10.txt");
+    ]
+  @ List.map figure_golden
+      [ "suffix"; "fingers"; "rep-tree"; "rep-ring"; "sparse"; "hops"; "blocks"; "base-tree";
+        "base-xor"; "dims"; "sym-bidir"; "record-hops" ]

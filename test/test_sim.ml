@@ -169,6 +169,102 @@ let test_percolation_tree_gap_large () =
     true
     (Sim.Percolation.routing_gap r > 0.3)
 
+(* --- Sim.Trial contracts ------------------------------------------------------ *)
+
+let trial_seeds_match_split =
+  qcheck "trial: seeds are the states of successive splits"
+    QCheck2.Gen.(pair int (int_range 1 8))
+    (fun (seed, trials) ->
+      let master = Prng.Splitmix.create ~seed in
+      let split = Array.init trials (fun _ -> Prng.Splitmix.state (Prng.Splitmix.split master)) in
+      Sim.Trial.seeds ~seed ~trials = split)
+
+let route_on table ~rng ~alive src dst = Routing.Router.route table ~rng ~alive ~src ~dst
+
+(* The batch hook must be invisible: same tallies, same hops in the
+   same order, and the generator left in the same state. *)
+let test_trial_batch_equals_scalar () =
+  let was = Routing.Route_batch.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Routing.Route_batch.set_enabled was)
+    (fun () ->
+      List.iter
+        (fun g ->
+          List.iter
+            (fun q ->
+              let build_rng = Prng.Splitmix.create ~seed:31 in
+              let table =
+                Overlay.Table.build ~rng:build_rng ~backend:Overlay.Table.Flat ~bits:8 g
+              in
+              let alive = Overlay.Failure.sample ~rng:build_rng ~q 256 in
+              let trial batch =
+                Routing.Route_batch.set_enabled batch;
+                let rng = Prng.Splitmix.copy build_rng in
+                let t = Sim.Trial.run ~table ~rng ~alive ~pairs:300 (route_on table ~rng ~alive) in
+                (t, Prng.Splitmix.state rng)
+              in
+              let batch, batch_state = trial true in
+              let scalar, scalar_state = trial false in
+              let name = Printf.sprintf "%s q=%.1f" (Rcm.Geometry.name g) q in
+              Alcotest.(check bool) (name ^ ": same trial") true (batch = scalar);
+              Alcotest.(check int64) (name ^ ": same generator state") scalar_state batch_state)
+            [ 0.0; 0.3; 0.7 ])
+        Rcm.Geometry.all_default)
+
+let test_trial_too_few_survivors () =
+  List.iter
+    (fun live ->
+      let alive = Overlay.Failure.of_bool_array (Array.init 16 (fun v -> v < live)) in
+      let rng = Prng.Splitmix.create ~seed:5 in
+      let t =
+        Sim.Trial.run ~rng ~alive ~pairs:10 (fun _ _ -> Alcotest.fail "routed a pair")
+      in
+      let name = Printf.sprintf "%d survivors" live in
+      Alcotest.(check int) (name ^ ": nothing attempted") 0 t.Sim.Trial.attempted;
+      Alcotest.(check int64) (name ^ ": no draw") (Prng.Splitmix.state (Prng.Splitmix.create ~seed:5))
+        (Prng.Splitmix.state rng);
+      Alcotest.(check bool) (name ^ ": routability is nan") true
+        (Float.is_nan (Sim.Trial.routability [ t ])))
+    [ 0; 1 ];
+  Alcotest.(check bool) "no trials: nan" true (Float.is_nan (Sim.Trial.routability []));
+  Alcotest.check_raises "no pairs" (Invalid_argument "Trial.run: need at least one pair")
+    (fun () ->
+      ignore
+        (Sim.Trial.run ~rng:(Prng.Splitmix.create ~seed:1) ~alive:(Overlay.Failure.none 4)
+           ~pairs:0 (fun _ _ -> Alcotest.fail "routed a pair")))
+
+let test_trial_grid_pool_invariant () =
+  let grid pool =
+    Sim.Trial.grid ?pool ~seed:17 ~trials:3 [ 0.1; 0.4 ] (fun q seed ->
+        let rng = Prng.Splitmix.of_int64 seed in
+        let table = Overlay.Table.build ~rng ~bits:7 Rcm.Geometry.Xor in
+        let alive = Overlay.Failure.sample ~rng ~q 128 in
+        Sim.Trial.run ~rng ~alive ~pairs:100 (route_on table ~rng ~alive))
+  in
+  let sequential = grid None in
+  Exec.Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check bool) "2-domain pool = no pool" true (grid (Some pool) = sequential));
+  Alcotest.(check (list int)) "trials per point" [ 3; 3 ] (List.map List.length sequential)
+
+(* q = 1 leaves no survivors: no experiment may report that as 0. *)
+let test_no_survivors_is_nan () =
+  let nan name v = Alcotest.(check bool) (name ^ " is nan") true (Float.is_nan v) in
+  nan "Correlated_failures.simulate"
+    (Experiments.Correlated_failures.simulate
+       { Experiments.Correlated_failures.default_config with bits = 6; trials = 2; pairs = 50 }
+       Rcm.Geometry.Tree ~mode:`Independent 1.0);
+  nan "Base_sweep.simulate"
+    (Experiments.Base_sweep.simulate
+       { Experiments.Base_sweep.default_config with bits = 6; trials = 2; pairs = 50 }
+       ~mode:`Tree ~group:1 1.0);
+  nan "Dimension_sweep.simulate"
+    (Experiments.Dimension_sweep.simulate
+       { Experiments.Dimension_sweep.default_config with trials = 2; pairs = 50 }
+       ~dim:2 ~side:8 1.0);
+  nan "Percolation.run mean_routability"
+    (Sim.Percolation.run ~trials:2 ~pairs:50 ~seed:3 ~bits:6 ~q:1.0 Rcm.Geometry.Ring)
+      .Sim.Percolation.mean_routability
+
 let suite =
   [
     ("estimate: q=0 delivers all", `Quick, test_estimate_no_failures);
@@ -184,4 +280,9 @@ let suite =
     ("percolation: q=0", `Quick, test_percolation_no_failures);
     ("percolation: gap non-negative", `Slow, test_percolation_gap_nonnegative);
     ("percolation: tree gap large", `Slow, test_percolation_tree_gap_large);
+    trial_seeds_match_split;
+    ("trial: batch = scalar", `Quick, test_trial_batch_equals_scalar);
+    ("trial: fewer than two survivors", `Quick, test_trial_too_few_survivors);
+    ("trial: grid pool-invariant", `Quick, test_trial_grid_pool_invariant);
+    ("no survivors report nan", `Quick, test_no_survivors_is_nan);
   ]

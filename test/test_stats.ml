@@ -90,10 +90,6 @@ let test_histogram_negative () =
   Alcotest.check_raises "negative" (Invalid_argument "Histogram.add: negative bucket")
     (fun () -> Stats.Histogram.add h (-1))
 
-let test_sampler_indices_where () =
-  Alcotest.(check (array int)) "indices" [| 1; 3 |]
-    (Stats.Sampler.indices_where [| false; true; false; true |])
-
 let test_sampler_pair_distinct () =
   let rng = rng_of_seed 99 in
   let pool = [| 10; 20; 30 |] in
@@ -107,16 +103,6 @@ let test_sampler_pair_too_small () =
   Alcotest.check_raises "small pool"
     (Invalid_argument "Sampler.ordered_pair: pool smaller than 2") (fun () ->
       ignore (Stats.Sampler.ordered_pair rng [| 1 |]))
-
-let test_reservoir_small_stream () =
-  let rng = rng_of_seed 3 in
-  let out = Stats.Sampler.reservoir rng ~k:10 (List.to_seq [ 1; 2; 3 ]) in
-  Alcotest.(check (list int)) "keeps all" [ 1; 2; 3 ] (List.sort compare out)
-
-let test_reservoir_size () =
-  let rng = rng_of_seed 4 in
-  let out = Stats.Sampler.reservoir rng ~k:5 (Seq.init 100 Fun.id) in
-  Alcotest.(check int) "k elements" 5 (List.length out)
 
 let suite =
   [
@@ -133,9 +119,6 @@ let suite =
     wilson_ordered;
     ("histogram basic", `Quick, test_histogram_basic);
     ("histogram negative", `Quick, test_histogram_negative);
-    ("sampler indices_where", `Quick, test_sampler_indices_where);
     ("sampler pair distinct", `Quick, test_sampler_pair_distinct);
     ("sampler pair too small", `Quick, test_sampler_pair_too_small);
-    ("reservoir small stream", `Quick, test_reservoir_small_stream);
-    ("reservoir size", `Quick, test_reservoir_size);
   ]
