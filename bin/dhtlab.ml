@@ -33,10 +33,6 @@ let bits_arg ~default =
   let doc = "Identifier length d; the network has N = 2^d nodes." in
   Arg.(value & opt int default & info [ "d"; "bits" ] ~docv:"BITS" ~doc)
 
-let q_arg =
-  let doc = "Uniform node failure probability." in
-  Arg.(value & opt (some float) None & info [ "q" ] ~docv:"PROB" ~doc)
-
 (* Mirrors the library's own checks (Exec.Pool.create's domain count,
    Sim.Checkpoint's flush interval, the trial and pair counts) at
    argument-parsing time: --jobs 0 or --pairs 0 is a CLI error, not a
@@ -49,6 +45,21 @@ let positive_int_conv what =
     | None -> Error (`Msg (Printf.sprintf "invalid %s %S (expected an integer >= 1)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* A failure probability, checked as the library checks it
+   (Numerics.Prob.is_valid), so -q 1.5 or -q nan is a CLI error. *)
+let prob_conv =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some p when Numerics.Prob.is_valid p -> Ok p
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "invalid probability %S (expected a number in [0, 1])" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let q_arg =
+  let doc = "Uniform node failure probability." in
+  Arg.(value & opt (some prob_conv) None & info [ "q" ] ~docv:"PROB" ~doc)
 
 let trials_arg =
   let doc = "Independent overlay/failure trials." in
@@ -72,32 +83,13 @@ let jobs_arg =
   Arg.(value & opt (some (positive_int_conv "job count")) None
        & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let overlay_arg =
-  let doc =
-    "Overlay table representation: $(b,flat) (the default; one compact read-only \
-     struct-of-arrays block per overlay, shared zero-copy across worker domains — \
-     use it for large $(b,--bits) runs) or $(b,classic) (one heap array per node). \
-     Simulated numbers and stdout are byte-identical either way; ablation figures \
-     that build specialised overlays (suffix, fingers, rep-*, sparse, base-*, dims, \
-     sym-bidir, hops, blocks) ignore the flag. The resolved choice lands in the \
-     provenance manifest."
-  in
-  Arg.(value
-       & opt (enum [ ("flat", Overlay.Table.Flat); ("classic", Overlay.Table.Classic) ])
-           Overlay.Table.Flat
-       & info [ "overlay" ] ~docv:"BACKEND" ~doc)
-
-let note_overlay backend =
-  Obs.Manifest.note "overlay" (Obs.Manifest.String (Overlay.Table.backend_name backend))
-
 let no_batch_arg =
   let doc =
-    "Route pairs one at a time through the scalar router even on the $(b,flat) overlay \
-     backend, instead of the batched per-geometry kernel. The two paths are \
-     bit-identical — same outcomes, hop counts, PRNG draws and stdout (pinned by the \
-     test suite) — but the kernel is an order of magnitude faster, so this flag exists \
-     for differential checks and as an escape hatch. The resolved choice lands in the \
-     provenance manifest."
+    "Route pairs one at a time through the scalar router instead of the batched \
+     per-geometry kernel. The two paths are bit-identical — same outcomes, hop \
+     counts, PRNG draws and stdout (pinned by the test suite) — but the kernel is an \
+     order of magnitude faster, so this flag exists for differential checks and as an \
+     escape hatch. The resolved choice lands in the provenance manifest."
   in
   Arg.(value & flag & info [ "no-batch" ] ~doc)
 
@@ -295,9 +287,18 @@ let print_series ~csv series =
   if csv then print_string (Experiments.Series.to_csv series)
   else Fmt.pr "%a@." Experiments.Series.pp series
 
+(* Print "dhtlab <cmd>: <msg>" on stderr and exit with [code]. *)
+let die cmd code fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "dhtlab %s: %s@." cmd msg;
+      exit code)
+    fmt
+
 (* --- analyze ----------------------------------------------------------------- *)
 
 let analyze geometry bits q csv full =
+  if bits < 1 then die "analyze" 2 "--bits %d: the identifier length must be at least 1" bits;
   let geometries = geometries_of_opt geometry in
   if full then
     List.iter (fun g -> Fmt.pr "%a@." Experiments.Report.pp (Experiments.Report.build ~bits g)) geometries
@@ -375,14 +376,6 @@ let checkpoint_term =
   Term.(
     const (fun ck_path resume every -> { ck_path; resume; every })
     $ checkpoint_arg $ resume_arg $ checkpoint_every_arg)
-
-(* Print "dhtlab <cmd>: <msg>" on stderr and exit with [code]. *)
-let die cmd code fmt =
-  Fmt.kstr
-    (fun msg ->
-      Fmt.epr "dhtlab %s: %s@." cmd msg;
-      exit code)
-    fmt
 
 let validate_or_die cmd check =
   match check () with () -> () | exception Invalid_argument msg -> die cmd 2 "%s" msg
@@ -471,8 +464,8 @@ let note_sim_params ~subcommand ~geometries ~bits ~trials ~pairs ~seed ~qs =
   Obs.Manifest.note "qs"
     (Obs.Manifest.Strings (List.map (Printf.sprintf "%g") qs))
 
-let simulate geometry bits q trials pairs seed jobs backend no_batch obs csv json smoke
-    retries fault ck =
+let simulate geometry bits q trials pairs seed jobs no_batch obs csv json smoke retries fault
+    ck =
   let bits, trials, pairs = if smoke then (8, 6, 200) else (bits, trials, pairs) in
   let geometries = geometries_of_opt geometry in
   check_sizes "simulate" ~bits geometries;
@@ -483,7 +476,6 @@ let simulate geometry bits q trials pairs seed jobs backend no_batch obs csv jso
       seed;
   run_sweep_cmd ~cmd:"simulate" ~unit:"trials" ~ck obs @@ fun checkpoint ->
   note_sim_params ~subcommand:"simulate" ~geometries ~bits ~trials ~pairs ~seed ~qs;
-  note_overlay backend;
   apply_batch no_batch;
   with_jobs jobs (fun pool ->
       if csv then print_endline Sim.Estimate.csv_header;
@@ -494,8 +486,7 @@ let simulate geometry bits q trials pairs seed jobs backend no_batch obs csv jso
             (* Always supervised: the install'ed SIGINT handler only
                sets a flag, so the sweep must check it at trial
                boundaries for Ctrl-C to stop a plain run too. *)
-            Sim.Estimate.run_sweep ?pool ~cache ~backend ~supervise:true ~retries ?fault
-              ?checkpoint
+            Sim.Estimate.run_sweep ?pool ~cache ~supervise:true ~retries ?fault ?checkpoint
               (Sim.Estimate.config ~trials ~pairs_per_trial:pairs ~seed ~bits
                  ~q:(List.hd qs) g)
               qs
@@ -516,8 +507,8 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       const simulate $ geometry_arg $ bits_arg ~default:12 $ q_arg $ trials_arg $ pairs_arg
-      $ seed_arg $ jobs_arg $ overlay_arg $ no_batch_arg $ obs_term $ csv_arg $ json_arg
-      $ smoke_arg $ retries_arg $ inject_fault_arg $ checkpoint_term)
+      $ seed_arg $ jobs_arg $ no_batch_arg $ obs_term $ csv_arg $ json_arg $ smoke_arg
+      $ retries_arg $ inject_fault_arg $ checkpoint_term)
 
 (* --- figure ------------------------------------------------------------------- *)
 
@@ -533,13 +524,13 @@ let record_geometry h =
   | Ok g -> g
   | Error e -> Fmt.failwith "%s" e
 
-let figure_series ?pool ?backend name quick =
+let figure_series ?pool name quick =
   let fig6_config =
     if quick then Experiments.Fig6a.quick_config else Experiments.Fig6a.default_config
   in
   match name with
-    | "f6a" -> Experiments.Fig6a.run ?pool ?backend fig6_config
-    | "f6b" -> Experiments.Fig6b.run ?pool ?backend fig6_config
+    | "f6a" -> Experiments.Fig6a.run ?pool fig6_config
+    | "f6b" -> Experiments.Fig6b.run ?pool fig6_config
     | "f7a" -> Experiments.Fig7a.run Experiments.Fig7a.default_config
     | "f7b" -> Experiments.Fig7b.run Experiments.Fig7b.default_config
     | "sym-knobs" ->
@@ -613,15 +604,14 @@ let figure_series ?pool ?backend name quick =
       Fmt.failwith "unknown figure %S (expected one of %s)" other
         (String.concat ", " figure_names)
 
-let figure name quick csv plot jobs backend no_batch obs =
+let figure name quick csv plot jobs no_batch obs =
   let series =
     with_obs obs (fun () ->
         Obs.Manifest.note "subcommand" (Obs.Manifest.String "figure");
         Obs.Manifest.note "figure" (Obs.Manifest.String name);
         Obs.Manifest.note "quick" (Obs.Manifest.Bool quick);
-        note_overlay backend;
         apply_batch no_batch;
-        with_jobs jobs (fun pool -> figure_series ?pool ~backend name quick))
+        with_jobs jobs (fun pool -> figure_series ?pool name quick))
   in
   print_series ~csv series;
   if plot then Experiments.Ascii_plot.print series
@@ -634,12 +624,12 @@ let figure_cmd =
   in
   Cmd.v (Cmd.info "figure" ~doc)
     Term.(
-      const figure $ figure_name $ quick_arg $ csv_arg $ plot_arg $ jobs_arg $ overlay_arg
-      $ no_batch_arg $ obs_term)
+      const figure $ figure_name $ quick_arg $ csv_arg $ plot_arg $ jobs_arg $ no_batch_arg
+      $ obs_term)
 
 (* --- export ----------------------------------------------------------------- *)
 
-let export dir quick jobs backend no_batch obs =
+let export dir quick jobs no_batch obs =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   (* Every export gets a provenance manifest next to its CSVs unless
      the caller pointed --manifest elsewhere. *)
@@ -651,13 +641,12 @@ let export dir quick jobs backend no_batch obs =
   with_obs obs @@ fun () ->
   Obs.Manifest.note "subcommand" (Obs.Manifest.String "export");
   Obs.Manifest.note "quick" (Obs.Manifest.Bool quick);
-  note_overlay backend;
   apply_batch no_batch;
   let written =
     with_jobs jobs (fun pool ->
         List.map
           (fun name ->
-            let series = figure_series ?pool ~backend name quick in
+            let series = figure_series ?pool name quick in
             let path = Filename.concat dir (name ^ ".csv") in
             (* Atomic (temp + rename): a crash mid-export leaves either the
                previous file or the new one, never a truncated CSV that a
@@ -697,7 +686,7 @@ let export_cmd =
   in
   Cmd.v (Cmd.info "export" ~doc)
     Term.(
-      const export $ dir $ quick_arg $ jobs_arg $ overlay_arg $ no_batch_arg $ obs_term)
+      const export $ dir $ quick_arg $ jobs_arg $ no_batch_arg $ obs_term)
 
 (* --- scalability ----------------------------------------------------------------- *)
 
@@ -752,7 +741,7 @@ let validate_cmd =
 
 (* --- percolation ----------------------------------------------------------------- *)
 
-let percolation geometry bits trials pairs seed csv jobs backend no_batch obs =
+let percolation geometry bits trials pairs seed csv jobs no_batch obs =
   let cfg =
     { Experiments.Connectivity.default_config with bits; trials; pairs; seed }
   in
@@ -760,11 +749,10 @@ let percolation geometry bits trials pairs seed csv jobs backend no_batch obs =
   check_sizes "percolation" ~bits geometries;
   with_obs obs @@ fun () ->
   note_sim_params ~subcommand:"percolation" ~geometries ~bits ~trials ~pairs ~seed ~qs:[];
-  note_overlay backend;
   apply_batch no_batch;
   with_jobs jobs (fun pool ->
       List.iter
-        (fun g -> print_series ~csv (Experiments.Connectivity.run ?pool ~backend cfg g))
+        (fun g -> print_series ~csv (Experiments.Connectivity.run ?pool cfg g))
         geometries)
 
 let percolation_cmd =
@@ -773,7 +761,7 @@ let percolation_cmd =
     (Cmd.info "percolation" ~doc)
     Term.(
       const percolation $ geometry_arg $ bits_arg ~default:12 $ trials_arg $ pairs_arg
-      $ seed_arg $ csv_arg $ jobs_arg $ overlay_arg $ no_batch_arg $ obs_term)
+      $ seed_arg $ csv_arg $ jobs_arg $ no_batch_arg $ obs_term)
 
 (* --- churn ----------------------------------------------------------------- *)
 
@@ -1368,10 +1356,16 @@ let hotspots_cmd =
 
 (* --- route ----------------------------------------------------------------- *)
 
-let route geometry bits q src dst seed backend =
+let route geometry bits q src dst seed =
   let geometry = Option.value ~default:Rcm.Geometry.Ring geometry in
+  check_sizes "route" ~bits [ geometry ];
+  List.iter
+    (fun (what, v) ->
+      if v < 0 || v >= 1 lsl bits then
+        die "route" 2 "%s %d is outside the id space [0, %d)" what v (1 lsl bits))
+    [ ("SRC", src); ("DST", dst) ];
   let rng = Prng.Splitmix.create ~seed in
-  let table = Overlay.Table.build ~rng ~backend ~bits geometry in
+  let table = Overlay.Table.build ~rng ~bits geometry in
   let q = Option.value ~default:0.0 q in
   let alive = Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table) in
   Overlay.Failure.set alive src true;
@@ -1395,8 +1389,7 @@ let route_cmd =
   Cmd.v
     (Cmd.info "route" ~doc)
     Term.(
-      const route $ geometry_arg $ bits_arg ~default:8 $ q_arg $ src $ dst $ seed_arg
-      $ overlay_arg)
+      const route $ geometry_arg $ bits_arg ~default:8 $ q_arg $ src $ dst $ seed_arg)
 
 (* --- trace ----------------------------------------------------------------- *)
 

@@ -31,12 +31,12 @@ let run_geometry cfg geometry =
    column and is kept for its simpler interface in tests). Trial seeds
    do not depend on q, so one cache serves the whole sweep: overlay
    builds drop from |qs| × trials to trials. *)
-let run ?pool ?backend cfg geometry =
+let run ?pool cfg geometry =
   let cache = Overlay.Table_cache.create () in
   let reports =
     List.map
       (fun q ->
-        Sim.Percolation.run ?pool ~cache ?backend ~trials:cfg.trials ~pairs:cfg.pairs
+        Sim.Percolation.run ?pool ~cache ~trials:cfg.trials ~pairs:cfg.pairs
           ~seed:cfg.seed ~bits:cfg.bits ~q geometry)
       cfg.qs
   in

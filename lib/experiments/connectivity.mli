@@ -9,12 +9,10 @@ type config = { bits : int; qs : float list; trials : int; pairs : int; seed : i
 
 val default_config : config
 
-val run :
-  ?pool:Exec.Pool.t -> ?backend:Overlay.Table.backend -> config -> Rcm.Geometry.t -> Series.t
+val run : ?pool:Exec.Pool.t -> config -> Rcm.Geometry.t -> Series.t
 (** Columns: pair-connectivity, giant-component fraction, routability,
-    and their gap, over the q grid. Bit-identical for every pool size
-    and overlay backend; overlay builds are shared across the sweep
-    (trials builds total). *)
+    and their gap, over the q grid. Bit-identical for every pool size;
+    overlay builds are shared across the sweep (trials builds total). *)
 
 val run_geometry : config -> Rcm.Geometry.t -> Series.t
 (** Two-column (connectivity, routability) variant. *)

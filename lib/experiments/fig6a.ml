@@ -29,21 +29,21 @@ let simulation_label geometry = Rcm.Geometry.slug geometry ^ "(sim)"
 let analysis_column cfg geometry =
   (analysis_label geometry, fun q -> Rcm.Model.failed_paths_percent geometry ~d:cfg.bits ~q)
 
-let simulation_column ?pool ?cache ?backend cfg geometry =
+let simulation_column ?pool ?cache cfg geometry =
   ( simulation_label geometry,
     fun q ->
       Sim.Estimate.failed_percent
-        (Sim.Estimate.run ?pool ?cache ?backend { (estimate_config cfg geometry) with q }) )
+        (Sim.Estimate.run ?pool ?cache { (estimate_config cfg geometry) with q }) )
 
 (* One simulated column over the whole q grid: the sweep runs all
    |qs| × trials grid points as one task batch (parallel under [pool])
    and, because trial seeds do not depend on q, builds each trial's
    overlay once for the whole column instead of once per point. *)
-let simulation_values ?pool ?cache ?backend cfg geometry =
+let simulation_values ?pool ?cache cfg geometry =
   let cache =
     match cache with Some c -> c | None -> Overlay.Table_cache.create ()
   in
-  Sim.Estimate.run_sweep ?pool ~cache ?backend (estimate_config cfg geometry) cfg.qs
+  Sim.Estimate.run_sweep ?pool ~cache (estimate_config cfg geometry) cfg.qs
   |> List.map (fun (_, r) -> Sim.Estimate.failed_percent r)
   |> Array.of_list
 
@@ -59,7 +59,7 @@ let analysis cfg =
     ~x_label:"q" ~x:cfg.qs
     (List.map (analysis_column cfg) geometries)
 
-let simulation ?pool ?backend cfg =
+let simulation ?pool cfg =
   let cache = Overlay.Table_cache.create () in
   Series.create
     ~title:
@@ -68,11 +68,10 @@ let simulation ?pool ?backend cfg =
     ~x_label:"q" ~x:(Array.of_list cfg.qs)
     (List.map
        (fun g ->
-         Series.column ~label:(simulation_label g)
-           (simulation_values ?pool ~cache ?backend cfg g))
+         Series.column ~label:(simulation_label g) (simulation_values ?pool ~cache cfg g))
        geometries)
 
-let run ?pool ?backend cfg =
+let run ?pool cfg =
   let cache = Overlay.Table_cache.create () in
   Series.create
     ~title:
@@ -83,7 +82,6 @@ let run ?pool ?backend cfg =
        (fun g ->
          [
            Series.column ~label:(analysis_label g) (analysis_values cfg g);
-           Series.column ~label:(simulation_label g)
-             (simulation_values ?pool ~cache ?backend cfg g);
+           Series.column ~label:(simulation_label g) (simulation_values ?pool ~cache cfg g);
          ])
        geometries)

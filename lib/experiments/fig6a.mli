@@ -29,7 +29,6 @@ val analysis_column : config -> Rcm.Geometry.t -> string * (float -> float)
 val simulation_column :
   ?pool:Exec.Pool.t ->
   ?cache:Overlay.Table_cache.t ->
-  ?backend:Overlay.Table.backend ->
   config ->
   Rcm.Geometry.t ->
   string * (float -> float)
@@ -43,7 +42,6 @@ val analysis_values : config -> Rcm.Geometry.t -> float array
 val simulation_values :
   ?pool:Exec.Pool.t ->
   ?cache:Overlay.Table_cache.t ->
-  ?backend:Overlay.Table.backend ->
   config ->
   Rcm.Geometry.t ->
   float array
@@ -55,9 +53,9 @@ val simulation_values :
 val analysis : config -> Series.t
 (** Analytical failed-path percentages only. *)
 
-val simulation : ?pool:Exec.Pool.t -> ?backend:Overlay.Table.backend -> config -> Series.t
+val simulation : ?pool:Exec.Pool.t -> config -> Series.t
 (** Monte-Carlo failed-path percentages only. *)
 
-val run : ?pool:Exec.Pool.t -> ?backend:Overlay.Table.backend -> config -> Series.t
+val run : ?pool:Exec.Pool.t -> config -> Series.t
 (** Interleaved analysis and simulation columns — the full figure.
-    Byte-identical output for every pool size and overlay backend. *)
+    Byte-identical output for every pool size. *)

@@ -14,7 +14,7 @@ let quick_config = Fig6a.quick_config
    by suboptimal hops, so it upper-bounds the failed-path percentage;
    the gap narrows below q ~ 0.2 (the region the paper calls "of
    practical interest"). *)
-let run ?pool ?backend cfg =
+let run ?pool cfg =
   Series.create
     ~title:
       (Printf.sprintf
@@ -23,8 +23,7 @@ let run ?pool ?backend cfg =
     ~x_label:"q" ~x:(Array.of_list cfg.qs)
     [
       Series.column ~label:"ring(ana)" (Fig6a.analysis_values cfg Rcm.Geometry.Ring);
-      Series.column ~label:"ring(sim)"
-        (Fig6a.simulation_values ?pool ?backend cfg Rcm.Geometry.Ring);
+      Series.column ~label:"ring(sim)" (Fig6a.simulation_values ?pool cfg Rcm.Geometry.Ring);
     ]
 
 (* The bound of section 4.3.3 must hold pointwise up to Monte-Carlo

@@ -13,10 +13,9 @@ type config = Fig6a.config = {
 val default_config : config
 val quick_config : config
 
-val run : ?pool:Exec.Pool.t -> ?backend:Overlay.Table.backend -> config -> Series.t
-(** Bit-identical output for every pool size and overlay backend; the
-    simulation column reuses one overlay build per trial across the
-    whole q grid. *)
+val run : ?pool:Exec.Pool.t -> config -> Series.t
+(** Bit-identical output for every pool size; the simulation column
+    reuses one overlay build per trial across the whole q grid. *)
 
 val bound_violations : ?slack:float -> Series.t -> (float * float * float) list
 (** Grid points where the simulated failed percentage exceeds the

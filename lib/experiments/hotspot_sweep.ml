@@ -108,10 +108,7 @@ let run_routing_point cfg geometry ~q ~seed =
   let rng = Prng.Splitmix.create ~seed in
   Obs.Loadmap.with_sink lm (fun () ->
       for _ = 1 to cfg.trials do
-        let table =
-          Overlay.Table.build ~rng ~backend:Overlay.Table.Flat ~bits:cfg.bits
-            geometry
-        in
+        let table = Overlay.Table.build ~rng ~bits:cfg.bits geometry in
         let alive =
           Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table)
         in

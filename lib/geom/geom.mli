@@ -2,8 +2,8 @@
 
     Everything that needs "the list of geometries" — the CLI's
     [--geometry] documentation and [geometries] subcommand, the
-    docs-drift check, the backend-equivalence / batch-differential /
-    churn / storage test matrices — enumerates this registry instead
+    docs-drift check, the batch-differential / churn / storage test
+    matrices — enumerates this registry instead
     of pattern-matching hard-coded variants, so a plugged-in family
     rides into all of them by registering one descriptor.
 

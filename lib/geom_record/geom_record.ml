@@ -86,7 +86,7 @@ let () =
    the node's own digit. The entry sets that digit and randomizes
    every lower-order bit with a single Prng draw — the digit
    generalisation of xor_entry, consuming one draw per entry in
-   (v, slot) order on both backends. *)
+   (v, slot) order. *)
 
 let () =
   Overlay.Table.register_custom_builder ~family (fun ~space ~rng params ->

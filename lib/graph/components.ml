@@ -12,7 +12,9 @@ type report = {
    component is a subset of the connected component means measured
    routability can never exceed it. Components are those of the
    underlying undirected graph over the alive nodes, read through
-   [iter] without materialising the graph. *)
+   [iter] without materialising the graph. Fewer than two alive nodes
+   form no pair and none form no component, so those ratios are [nan]
+   rather than a fabricated 0. *)
 let analyze_iter ?alive ~nodes iter =
   let is_alive v = match alive with None -> true | Some a -> a.(v) in
   let alive_nodes = ref 0 in
@@ -37,18 +39,15 @@ let analyze_iter ?alive ~nodes iter =
     Hashtbl.fold (fun _ s acc -> acc +. (float_of_int s *. float_of_int (s - 1))) sizes 0.0
   in
   let pair_connectivity =
-    if !alive_nodes < 2 then 0.0 else connected_pairs /. (a *. (a -. 1.0))
+    if !alive_nodes < 2 then Float.nan else connected_pairs /. (a *. (a -. 1.0))
   in
   {
     alive_nodes = !alive_nodes;
     component_count;
     largest;
-    giant_fraction = (if !alive_nodes = 0 then 0.0 else float_of_int largest /. a);
+    giant_fraction = (if !alive_nodes = 0 then Float.nan else float_of_int largest /. a);
     pair_connectivity;
   }
-
-let analyze ?alive graph =
-  analyze_iter ?alive ~nodes:(Digraph.node_count graph) (Digraph.iter_successors graph)
 
 let pp ppf r =
   Fmt.pf ppf "alive=%d components=%d largest=%d giant=%.4f pair-connectivity=%.4f"

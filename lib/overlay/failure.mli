@@ -50,7 +50,7 @@ val of_bool_array : bool array -> t
 
 val to_bool_array : t -> bool array
 (** Inverse of {!of_bool_array} (for [bool array] consumers such as
-    {!Graph.Components.analyze}). *)
+    the component analysis of [Sim.Percolation]). *)
 
 val sample_block : ?rng:Prng.Splitmix.t -> fraction:float -> int -> t
 (** [sample_block ~fraction n] kills round(fraction * n) *contiguous*

@@ -5,8 +5,8 @@
 
    Bigarrays live outside the OCaml heap, so a block built once is
    shared read-only by every domain of an [Exec.Pool] with zero copying
-   and zero GC traffic — the representation behind [Table]'s [Flat]
-   backend. Node ids fit int32 because [Idspace.Space.max_bits] is 30. *)
+   and zero GC traffic — the representation behind [Table]'s blocks.
+   Node ids fit int32 because [Idspace.Space.max_bits] is 30. *)
 
 type offsets = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type targets = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -71,9 +71,10 @@ let alloc ~nodes ~edges =
 
 (* Uniform-degree construction. [f v i] is called for v = 0..nodes-1 in
    ascending order and, within each node, i = 0..degree-1 in ascending
-   order — the exact evaluation order of the classic
-   [Array.init size (fun v -> Array.init degree (f v))] builders, so a
-   PRNG threaded through [f] is left in the same state either way.
+   order — the evaluation order of
+   [Array.init nodes (fun v -> Array.init degree (f v))], so a PRNG
+   threaded through [f] is left where building those rows would leave
+   it.
    [allow_missing] admits -1 entries (sparse overlays' empty buckets). *)
 let init ?(allow_missing = false) ~nodes ~degree f =
   if nodes < 0 then invalid_arg "Flat.init: negative node count";
@@ -93,7 +94,7 @@ let init ?(allow_missing = false) ~nodes ~degree f =
   offsets.{nodes} <- !k;
   { offsets; targets; uniform = (if nodes > 0 then degree else -1) }
 
-(* Variable-degree conversion from classic per-node rows (copies). *)
+(* Variable-degree conversion from per-node rows (copies). *)
 let of_rows rows =
   let nodes = Array.length rows in
   let edges = Array.fold_left (fun acc row -> acc + Array.length row) 0 rows in

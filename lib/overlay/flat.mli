@@ -10,8 +10,8 @@
       of an {!Exec.Pool} without copying and without adding GC scanning
       work. Per-trial failures never touch the block: they are an
       alive-bitset ({!Failure.t}) overlaid at routing time.
-    - {b Compactness.} 4 bytes per edge + 8 per node, about half the
-      classic rows' word-size entries and headers, which is what makes
+    - {b Compactness.} 4 bytes per edge + 8 per node, about half of
+      per-node rows' word-size entries and headers, which is what makes
       2^20–2^22-node sweeps of Symphony and plugin tables fit in
       memory. The builtin tree, hypercube, ring and xor tables need no
       block at all: {!Table} stores their closed-form rule.
@@ -21,11 +21,11 @@
       ({!Routing.Route_batch}) can index rows directly; callers must
       never write through them — a shared block that one domain mutates
       would race every other domain. Overlays that need in-place repair
-      (churn) use the classic representation via {!Table.of_neighbors}.
+      (churn) keep per-node rows via {!Table.of_neighbors}.
 
     Node ids fit [int32] because {!Idspace.Space.max_bits} is 30. Blocks
-    are usually built and consumed through {!Table} (backend [Flat])
-    rather than directly. *)
+    are usually built and consumed through {!Table} rather than
+    directly. *)
 
 type t
 
@@ -39,10 +39,10 @@ type targets = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 val init : ?allow_missing:bool -> nodes:int -> degree:int -> (int -> int -> int) -> t
 (** [init ~nodes ~degree f] builds a uniform-degree block whose entry
     [(v, i)] is [f v i]. [f] is evaluated for [v] ascending and, within
-    each node, [i] ascending — exactly the order of the classic
-    [Array.init size (fun v -> Array.init degree (f v))] builders, so a
-    PRNG threaded through [f] ends in the same state under either
-    backend (the bit-identity contract of {!Table.build}).
+    each node, [i] ascending — the order of
+    [Array.init nodes (fun v -> Array.init degree (f v))], so a PRNG
+    threaded through [f] ends where building those rows would leave it
+    (the contract of {!Table.build}).
     [allow_missing] (default [false]) also admits [-1], the empty
     bucket of a sparse overlay; only {!Sparse.build} passes it, and the
     block stays inside its {!Sparse.t}, so the routing kernels, which
@@ -51,7 +51,7 @@ val init : ?allow_missing:bool -> nodes:int -> degree:int -> (int -> int -> int)
     (and is not an admitted [-1]). *)
 
 val of_rows : int array array -> t
-(** Copies a classic per-node adjacency into a flat block (supports
+(** Copies a per-node adjacency into a flat block (supports
     variable-degree rows, e.g. the bidirectional Symphony overlay).
     Later mutation of [rows] is {e not} reflected in the block.
     @raise Invalid_argument if an entry falls outside the node range. *)

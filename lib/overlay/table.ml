@@ -1,16 +1,9 @@
-type backend = Classic | Flat
+type backend = Flat
 
-let backend_name = function Classic -> "classic" | Flat -> "flat"
-
-let backend_of_string = function
-  | "classic" -> Some Classic
-  | "flat" -> Some Flat
-  | _ -> None
-
-(* Classic keeps one heap array per node (mutable, so the churn
-   simulator can repair rows in place); Csr is the shared read-only
-   struct-of-arrays block of [Flat]; Computed is a flat table whose
-   entries follow a closed-form rule, evaluated on each read. *)
+(* Rows is churn's mutable matrix, one heap array per node, repaired in
+   place ([of_neighbors] only); Csr is a shared read-only
+   struct-of-arrays block; Computed is a table whose entries follow a
+   closed-form rule, evaluated on each read. *)
 type rule = Flip | Finger | Flip_suffix of int64
 
 type layout = Block of Flat.t | Rule of rule
@@ -23,8 +16,6 @@ let space t = t.space
 
 let geometry t = t.geometry
 
-let backend t = match t.repr with Rows _ -> Classic | Csr _ | Computed _ -> Flat
-
 let layout t =
   match t.repr with Rows _ -> None | Csr f -> Some (Block f) | Computed r -> Some (Rule r)
 
@@ -32,10 +23,10 @@ let node_count t = Idspace.Space.size t.space
 
 let bits t = Idspace.Space.bits t.space
 
-(* Per-geometry table entries, shared verbatim by both backends: entry
-   [(v, i)] is evaluated for v ascending then i ascending either way, so
-   randomized constructions consume PRNG draws in the same order and the
-   two backends are bit-identical (tables and post-build resume state).
+(* Per-geometry table entries. A block evaluates entry [(v, i)] for v
+   ascending then i ascending, so randomized constructions consume PRNG
+   draws in row order; a rule evaluates the same functions on each
+   read.
 
    Tree (Plaxton): the level-i neighbour of v matches v on bits 1..i-1,
    differs on bit i, and — so that every successful hop corrects exactly
@@ -165,10 +156,8 @@ let memory_bytes t =
 (* Custom-family table builders, keyed by family name. A builder
    returns the uniform degree plus the entry function [(v, i) ->
    neighbour id] that [make] evaluates for v ascending then i
-   ascending on both backends — which is the whole bit-identity
-   mechanism: a plugin that draws from [rng] only inside its entry
-   function gets Classic/Flat equality for free. Registered at
-   module-init time from plugin libraries, before any build. *)
+   ascending into a block. Registered at module-init time from plugin
+   libraries, before any build. *)
 type custom_builder =
   space:Idspace.Space.t ->
   rng:Prng.Splitmix.t ->
@@ -183,54 +172,40 @@ let register_custom_builder ~family builder =
       (Printf.sprintf "Table.register_custom_builder: %S already registered" family);
   Hashtbl.replace custom_builders family builder
 
-let make ~space ~geometry ~backend ~degree entry =
-  let size = Idspace.Space.size space in
-  let repr =
-    match backend with
-    | Classic -> Rows (Array.init size (fun v -> Array.init degree (entry v)))
-    | Flat -> Csr (Flat.init ~nodes:size ~degree entry)
-  in
-  { space; geometry; repr }
+let make ~space ~geometry ~degree entry =
+  { space; geometry; repr = Csr (Flat.init ~nodes:(Idspace.Space.size space) ~degree entry) }
 
-(* On the flat backend the builtin tree, hypercube, ring and xor
-   tables are rules: nothing is stored, and every read evaluates the
-   entry function the classic build evaluated. An xor rule keeps the
-   generator's state before its draws and advances the generator past
-   all 2^bits * bits of them, so the resume state is the classic
-   build's. *)
-let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic) ~bits geometry =
+(* The builtin tree, hypercube, ring and xor tables are rules: nothing
+   is stored, and every read evaluates the entry function. An xor rule
+   keeps the generator's state before its draws and advances the
+   generator past all 2^bits * bits of them, so the resume state is
+   that of drawing every suffix in row order. *)
+let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ~bits geometry =
   Rcm.Geometry.check_size_exn "Table.build" ~bits geometry;
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
   let rule r = { space; geometry; repr = Computed r } in
-  match (backend, geometry) with
-  | Flat, (Rcm.Geometry.Tree | Rcm.Geometry.Hypercube) -> rule Flip
-  | Flat, Rcm.Geometry.Ring -> rule Finger
-  | Flat, Rcm.Geometry.Xor ->
+  match geometry with
+  | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> rule Flip
+  | Rcm.Geometry.Ring -> rule Finger
+  | Rcm.Geometry.Xor ->
       let seed = Prng.Splitmix.state rng in
       Prng.Splitmix.advance rng (size * bits);
       rule (Flip_suffix seed)
-  | _ ->
-      let degree, entry =
-        match geometry with
-        | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> (bits, tree_entry ~bits)
-        | Rcm.Geometry.Xor ->
-            (bits, fun v i -> xor_entry ~bits v i ~suffix:(Prng.Splitmix.int rng size))
-        | Rcm.Geometry.Ring -> (bits, ring_entry ~size)
-        | Rcm.Geometry.Symphony { k_n; k_s } -> (k_n + k_s, symphony_entry ~size rng ~k_n)
-        | Rcm.Geometry.Custom { family; params } -> (
-            match Hashtbl.find_opt custom_builders family with
-            | Some builder -> builder ~space ~rng params
-            | None ->
-                invalid_arg
-                  (Printf.sprintf "Table.build: family %S has no registered table builder"
-                     family))
-      in
-      make ~space ~geometry ~backend ~degree entry
+  | Rcm.Geometry.Symphony { k_n; k_s } ->
+      make ~space ~geometry ~degree:(k_n + k_s) (symphony_entry ~size rng ~k_n)
+  | Rcm.Geometry.Custom { family; params } -> (
+      match Hashtbl.find_opt custom_builders family with
+      | Some builder ->
+          let degree, entry = builder ~space ~rng params in
+          make ~space ~geometry ~degree entry
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Table.build: family %S has no registered table builder" family))
 
 (* Wrap an externally managed neighbour matrix (no copy): the churn
    simulator repairs rows in place and routes through the shared
-   table. Always classic — a mutable-by-design overlay must not be
+   table. The only row table — a mutable-by-design overlay must not be
    flattened into a shared read-only block. *)
 let of_neighbors ~bits geometry neighbors =
   let space = Idspace.Space.create ~bits in
@@ -248,11 +223,10 @@ let flatten t =
    near neighbours and shortcuts in both directions *and* over the
    shortcuts that chose it as an endpoint. The paper's model (and
    [build]) is the unidirectional basic geometry; this variant is the
-   deployed protocol, used by ablation A9. Rows are built classically
-   (degrees vary per node) and converted when the flat backend is
-   requested — PRNG consumption is identical either way. *)
-let build_symphony_bidirectional ?(rng = Prng.Splitmix.create ~seed:0x51de)
-    ?(backend = Classic) ~bits ~k_n ~k_s () =
+   deployed protocol, used by ablation A9. Degrees vary per node, so
+   the sorted link sets become a variable-degree block. *)
+let build_symphony_bidirectional ?(rng = Prng.Splitmix.create ~seed:0x51de) ~bits ~k_n ~k_s
+    () =
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
   if (2 * k_n) + k_s >= size then
@@ -278,36 +252,25 @@ let build_symphony_bidirectional ?(rng = Prng.Splitmix.create ~seed:0x51de)
   let neighbors =
     Array.map (fun links -> Array.of_list (List.sort_uniq compare links)) buckets
   in
-  let t =
-    { space; geometry = Rcm.Geometry.Symphony { k_n; k_s }; repr = Rows neighbors }
-  in
-  match backend with Classic -> t | Flat -> flatten t
+  { space; geometry = Rcm.Geometry.Symphony { k_n; k_s }; repr = Csr (Flat.of_rows neighbors) }
 
-let build_ring_with_successors ?(backend = Classic) ~bits ~successors () =
+let build_ring_with_successors ~bits ~successors () =
   if successors < 0 then invalid_arg "Table.build_ring_with_successors: negative count";
   if successors >= 1 lsl bits then
     invalid_arg "Table.build_ring_with_successors: list longer than the ring";
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
-  make ~space ~geometry:Rcm.Geometry.Ring ~backend ~degree:(bits + successors)
+  make ~space ~geometry:Rcm.Geometry.Ring ~degree:(bits + successors)
     (ring_with_successors_entry ~bits ~size)
 
-let build_randomized_ring ?(rng = Prng.Splitmix.create ~seed:0x5eed) ?(backend = Classic)
-    ~bits () =
+let build_randomized_ring ?(rng = Prng.Splitmix.create ~seed:0x5eed) ~bits () =
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
-  make ~space ~geometry:Rcm.Geometry.Ring ~backend ~degree:bits
-    (ring_randomized_entry ~size rng)
+  make ~space ~geometry:Rcm.Geometry.Ring ~degree:bits (ring_randomized_entry ~size rng)
 
 (* Ablation A3: Kademlia bucket contacts without suffix randomisation —
    the level-i contact differs from the owner in bit i only. Under XOR
    routing this realises the Markov chain of Fig. 5(b) exactly. *)
-let build_deterministic_xor ?(backend = Classic) ~bits () =
+let build_deterministic_xor ~bits () =
   let space = Idspace.Space.create ~bits in
-  make ~space ~geometry:Rcm.Geometry.Xor ~backend ~degree:bits (tree_entry ~bits)
-
-let to_digraph t =
-  match t.repr with
-  | Rows rows -> Graph.Digraph.of_adjacency rows
-  | Csr _ | Computed _ ->
-      Graph.Digraph.of_iter ~nodes:(node_count t) ~degree:(degree t) ~iter:(iter_neighbors t)
+  make ~space ~geometry:Rcm.Geometry.Xor ~degree:bits (tree_entry ~bits)

@@ -12,51 +12,40 @@
     - symphony [(k_n, k_s)]: indices [0..k_n-1] are the clockwise near
       neighbours, the rest are harmonic-distance shortcuts.
 
-    {1 Backends}
+    {1 Representation}
 
-    A table is stored in one of two physical representations selected at
-    build time:
+    Every table that {!build} and the variant builders return is flat:
+    immutable, and shared read-only across {!Exec.Pool} domains with
+    zero copying. The builtin tree, hypercube, ring and xor tables
+    follow a closed form, so {!build} stores that {!rule} (a few words)
+    and every read computes the entry. Every other table is a single
+    {!Flat.t} struct-of-arrays block (CSR over Bigarrays). Per-node rows
+    exist only behind {!of_neighbors}: churn's mutable matrix, which it
+    repairs in place.
 
-    - {!Classic} — one heap [int array] per node. Rows are mutable, so
-      overlays that repair themselves in place (churn) use this backend
-      via {!of_neighbors}.
-    - {!Flat} — immutable, shared read-only across {!Exec.Pool}
-      domains with zero copying; the backend for large ([bits >= 20])
-      simulations. The builtin tree, hypercube, ring and xor tables
-      follow a closed form, so {!build} stores that {!rule} (a few
-      words) and every read computes the entry. Every other flat table
-      is a single {!Flat.t} struct-of-arrays block (CSR over
-      Bigarrays), ~2× smaller than classic rows.
+    Randomized builders draw for node [v] ascending, then entry [i]
+    ascending, and a rule advances the generator past the draws it
+    stands for. A table and the post-build generator state are
+    therefore those of evaluating the entry functions row by row, which
+    the [flat] test suite checks against reference rows.
 
-    The two backends are {b bit-identical}: for the same [(geometry,
-    bits, rng)] every accessor returns the same values, and randomized
-    builders leave [rng] in the same state (draws happen for node [v]
-    ascending, then entry [i] ascending, under both backends). Routing
-    and simulation results therefore do not depend on the backend —
-    a property pinned by the [flat] test suite and by byte-identical
-    CLI output checks.
-
-    Per-trial node failures never modify a table of either backend: they
-    are sampled into a packed alive-bitset (see {!Failure}) and
-    overlaid at routing time by the routers. *)
+    Per-trial node failures never modify a table: they are sampled
+    into a packed alive-bitset (see {!Failure}) and overlaid at routing
+    time by the routers. *)
 
 type t
 
-type backend = Classic | Flat  (** Physical representation (see above). *)
+type backend = Flat
+(** The one physical representation. It selects nothing: it remains
+    only for the ignored [?backend] arguments of {!Table_cache.get} and
+    [Sim.Estimate.run_sweep], which the benchmark harness in
+    [perfbench/] still passes. *)
 
-val backend_name : backend -> string
-(** ["classic"] or ["flat"] (the CLI [--overlay] spelling). *)
-
-val backend_of_string : string -> backend option
-(** Inverse of {!backend_name}. *)
-
-val build : ?rng:Prng.Splitmix.t -> ?backend:backend -> bits:int -> Rcm.Geometry.t -> t
+val build : ?rng:Prng.Splitmix.t -> bits:int -> Rcm.Geometry.t -> t
 (** Builds the overlay. Randomized constructions (xor bucket suffixes,
     symphony shortcuts) draw from [rng]; ring fingers are the classic
-    deterministic Chord fingers at distance [2^i]. [backend] (default
-    {!Classic}) selects the physical representation and does not affect
-    any observable value, including the post-build [rng] state.
-    Custom geometries dispatch to their family's registered builder.
+    deterministic Chord fingers at distance [2^i]. Custom geometries
+    dispatch to their family's registered builder.
     @raise Invalid_argument when {!Rcm.Geometry.check_size} rejects
     [(bits, geometry)], or on a custom geometry whose family never
     called {!register_custom_builder}. *)
@@ -69,11 +58,10 @@ type custom_builder =
 (** A plugin family's table construction: given the identifier space,
     the build PRNG and the family parameters, return the uniform
     degree and the entry function [(v, i) -> neighbour id]. {!build}
-    evaluates entries for [v] ascending then [i] ascending on both
-    backends, so a builder that draws from [rng] only inside its entry
-    function (and draws the same number of times per entry regardless
-    of outcome) inherits Classic/Flat bit-identity — the same
-    mechanism the built-in randomized constructions use. *)
+    evaluates entries for [v] ascending then [i] ascending into a
+    block, so a builder that draws from [rng] only inside its entry
+    function leaves [rng] where evaluating the rows in order would —
+    the same mechanism the built-in randomized constructions use. *)
 
 val register_custom_builder : family:string -> custom_builder -> unit
 (** Registers the table builder of a custom family. Call at
@@ -83,47 +71,43 @@ val register_custom_builder : family:string -> custom_builder -> unit
 val of_neighbors : bits:int -> Rcm.Geometry.t -> int array array -> t
 (** Wraps an externally managed neighbour matrix {e without copying}:
     later in-place mutation of the rows is visible to routing. Used by
-    the churn simulator, whose repair process rewrites rows. The result
-    is always {!Classic} — a mutable overlay must not be flattened into
-    a shared read-only block.
+    the churn simulator, whose repair process rewrites rows. It is the
+    only table with per-node rows — a mutable overlay must not be
+    flattened into a shared read-only block.
     @raise Invalid_argument on a wrong row count or out-of-space id. *)
 
 val flatten : t -> t
-(** [flatten t] is [t] converted to the {!Flat} backend (a copy of the
-    adjacency; identity if already flat). The result does not alias
-    [t]'s rows, so subsequent mutation of a {!of_neighbors} matrix is
-    not reflected. *)
+(** [flatten t] copies an {!of_neighbors} matrix into a block, and is
+    the identity on any other table. The result does not alias [t]'s
+    rows, so subsequent mutation of the matrix is not reflected. *)
 
-val build_ring_with_successors : ?backend:backend -> bits:int -> successors:int -> unit -> t
+val build_ring_with_successors : bits:int -> successors:int -> unit -> t
 (** Chord fingers plus an extra [successors]-entry successor list
     (clockwise distances 2 .. successors+1; distance 1 is already
     finger 0). The greedy router uses them as fallback hops — the
     "additional sequential neighbors" knob of the paper's
     introduction. *)
 
-val build_randomized_ring : ?rng:Prng.Splitmix.t -> ?backend:backend -> bits:int -> unit -> t
+val build_randomized_ring : ?rng:Prng.Splitmix.t -> bits:int -> unit -> t
 (** Ablation variant: Chord fingers drawn uniformly from distance
     [[2^i, 2^(i+1))] — the randomized construction the analysis section
     describes. Slightly less routable near the destination because the
     top finger can overshoot. *)
 
 val build_symphony_bidirectional :
-  ?rng:Prng.Splitmix.t -> ?backend:backend -> bits:int -> k_n:int -> k_s:int -> unit -> t
+  ?rng:Prng.Splitmix.t -> bits:int -> k_n:int -> k_s:int -> unit -> t
 (** The deployed Symphony: near neighbours on both sides and shortcuts
     usable from either endpoint (links are undirected, so nodes also
     route over incoming shortcuts). Mean degree [2 (k_n + k_s)]. Route
     it with {!Routing.Bidirectional_ring}, not the clockwise router. *)
 
-val build_deterministic_xor : ?backend:backend -> bits:int -> unit -> t
+val build_deterministic_xor : bits:int -> unit -> t
 (** Ablation variant: Kademlia bucket contacts with preserved suffixes
     (the level-i contact differs in bit i only). Realises the Fig. 5(b)
     Markov chain exactly. *)
 
 val space : t -> Idspace.Space.t
 val geometry : t -> Rcm.Geometry.t
-
-val backend : t -> backend
-(** The physical representation of this table. *)
 
 (** The closed forms of the builtin flat tables, with [2^bits] nodes of
     degree [bits], entry [i] of node [v] being:
@@ -135,11 +119,11 @@ val backend : t -> backend
       draws (xor). *)
 type rule = Flip | Finger | Flip_suffix of int64
 
-(** How a {!Flat} table holds its entries. *)
+(** How a flat table holds its entries. *)
 type layout = Block of Flat.t | Rule of rule
 
 val layout : t -> layout option
-(** [None] for {!Classic} rows. The batch routing kernel hands a
+(** [None] for {!of_neighbors} rows. The batch routing kernel hands a
     block's arrays or the rule to its lanes. *)
 
 val node_count : t -> int
@@ -150,14 +134,12 @@ val edge_count : t -> int
 
 val memory_bytes : t -> int
 (** Approximate resident size of the adjacency payload: exact Bigarray
-    bytes for a {!Flat} block, [0] for a rule; header-word accounting
-    (8-byte words) for {!Classic} rows. GC bookkeeping is not
-    included. *)
+    bytes for a block, [0] for a rule; header-word accounting (8-byte
+    words) for {!of_neighbors} rows. GC bookkeeping is not included. *)
 
 val neighbors : t -> int -> int array
-(** The neighbour array of a node. For a {!Classic} table this is the
-    live row ({e not} a copy; do not mutate unless the table was made by
-    {!of_neighbors} and you own it). For a {!Flat} table it is a fresh
+(** The neighbour array of a node. For an {!of_neighbors} table this is
+    the live row ({e not} a copy); for any other table it is a fresh
     copy. Hot paths should prefer {!neighbor}/{!iter_neighbors}, which
     never allocate. *)
 
@@ -174,6 +156,3 @@ val degree : t -> int -> int
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Applies a function to each entry of [v]'s table, in table order
     (the order routers scan). *)
-
-val to_digraph : t -> Graph.Digraph.t
-(** The overlay as a directed graph (for connectivity analysis). *)

@@ -1,4 +1,4 @@
-type key = Rcm.Geometry.t * int * int64 * Table.backend
+type key = Rcm.Geometry.t * int * int64
 
 type entry = { table : Table.t; resume : int64 }
 
@@ -51,8 +51,8 @@ let evict_oldest t =
   in
   loop ()
 
-let get t ?(backend = Table.Classic) ~bits ~build_seed geometry =
-  let key = (geometry, bits, build_seed, backend) in
+let get t ?backend:_ ~bits ~build_seed geometry =
+  let key = (geometry, bits, build_seed) in
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.entries key with
   | Some e ->
@@ -75,12 +75,11 @@ let get t ?(backend = Table.Classic) ~bits ~build_seed geometry =
                [
                  ("geometry", Obs.Trace.String (Rcm.Geometry.name geometry));
                  ("bits", Obs.Trace.Int bits);
-                 ("backend", Obs.Trace.String (Table.backend_name backend));
                ]
              else [])
           (fun () ->
             let rng = Prng.Splitmix.of_int64 build_seed in
-            let table = Table.build ~rng ~backend ~bits geometry in
+            let table = Table.build ~rng ~bits geometry in
             (table, Prng.Splitmix.state rng))
       in
       let fresh = { table; resume } in

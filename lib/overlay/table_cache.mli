@@ -39,10 +39,9 @@ val get :
     [table] is the overlay that [Table.build] produces from a
     generator in state [build_seed], and [resume] is the generator's
     state after that build. Repeated calls with the same key return
-    the physically same table. [backend] (default [Classic]) selects
-    the physical representation and is part of the cache key; [resume]
-    is the same for both backends (builds consume identical draws), so
-    downstream trial streams do not depend on the backend. *)
+    the physically same table. [backend] is ignored: {!Table.build}
+    has one layout, and the argument remains only because the
+    benchmark harness in [perfbench/] still passes it. *)
 
 val locked : t -> (unit -> 'a) -> 'a
 (** [locked t f] runs [f] while holding the cache's lock, releasing it

@@ -1,4 +1,4 @@
-(* Batched branch-free routing over the flat backend.
+(* Batched branch-free routing over flat tables.
 
    The scalar [Router.route] pays, on every hop, for geometry dispatch,
    a closure-based neighbour iteration and a [repr] match inside every
@@ -340,8 +340,7 @@ let layout_of table context =
   | Some layout -> layout
   | None ->
       invalid_arg
-        (Printf.sprintf "Route_batch.%s: table backend is not Flat (flatten it first)"
-           context)
+        (Printf.sprintf "Route_batch.%s: table holds per-node rows (flatten it first)" context)
 
 let empty_targets = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
 

@@ -1,4 +1,4 @@
-(** Batched routing kernel over the flat overlay backend.
+(** Batched routing kernel over flat overlay tables.
 
     Routes a whole pair set per call through monomorphic, per-geometry
     int loops: each entry is computed in registers from the table's
@@ -42,10 +42,11 @@
 
     {1 Scope}
 
-    Only tables with the {!Overlay.Table.Flat} backend are accepted
-    (callers with classic rows use {!Overlay.Table.flatten} first, or
-    stay on the scalar path — which churn/sparse overlays do, since
-    their representations are mutable or not {!Overlay.Table}s). *)
+    Only rule and block tables are accepted: an
+    {!Overlay.Table.of_neighbors} matrix must go through
+    {!Overlay.Table.flatten} first, or stay on the scalar path — which
+    churn/sparse overlays do, since their representations are mutable
+    or not {!Overlay.Table}s. *)
 
 type scratch
 (** Reusable per-batch result buffers plus outcome/hop-histogram
@@ -72,7 +73,7 @@ val route_many :
     defaults to {!domain_scratch}; the return value is that same
     scratch, valid until the next batch run on it). [rng] is consumed
     by the hypercube kernel only, exactly as in the scalar router.
-    @raise Invalid_argument if the table's backend is not [Flat], if
+    @raise Invalid_argument if the table holds per-node rows, if
     the mask length differs from the node count, or a pair member is
     outside the id space. *)
 
@@ -88,7 +89,7 @@ val sample_and_route :
     ordered pairs of distinct members of [pool] (draw-for-draw the
     scalar [Sampler.ordered_pair] sequence) and routes each as it is
     drawn — one kernel call per trial for the simulation layers.
-    @raise Invalid_argument if the backend is not [Flat], the mask
+    @raise Invalid_argument if the table holds per-node rows, the mask
     length mismatches, [pool] has fewer than two members, [pairs] is
     negative, or a drawn pool id is outside the table's node range
     (ids are checked as they are drawn, so pairs drawn before it may

@@ -52,8 +52,8 @@ type custom_router =
     invariants above (greedy progress in the family's own distance,
     termination, failure-obliviousness), call [on_hop] for every node
     the message reaches after [src] including the final one, and touch
-    the table only through the geometry-generic accessors (backend
-    bit-identity). It must {e not} record metrics or loadmap entries —
+    the table only through the geometry-generic accessors, so it routes
+    every table layout alike. It must {e not} record metrics or loadmap entries —
     {!route} layers those on, exactly as for the built-ins. *)
 
 val register_custom : family:string -> custom_router -> unit
@@ -82,10 +82,10 @@ val route :
     can stay geometry-generic. [on_hop] is called with every node the
     message reaches after [src], including the final one.
 
-    Works identically on both overlay backends: routers touch tables
-    only through the {!Overlay.Table.neighbor} /
+    Works identically on every table layout: routers touch tables only
+    through the {!Overlay.Table.neighbor} /
     {!Overlay.Table.iter_neighbors} accessors (plus space metadata), so
-    classic and flat tables route bit-identically.
+    rules, blocks and churn's rows route bit-identically.
     @raise Invalid_argument when [src] or [dst] is outside the space. *)
 
 val route_with_path :

@@ -51,13 +51,13 @@ let hops_attr hops =
    All instrumentation below observes after the fact: it reads clocks
    and counters, never [rng], so metrics/tracing cannot shift a single
    PRNG draw (the bit-identity contract of DESIGN.md). *)
-let run_trial cfg ~backend cache build_seed =
+let run_trial cfg cache build_seed =
   (* The clock is read when either subsystem observes this trial;
      tracing alone must not depend on metrics being enabled. *)
   let t0 =
     if Obs.Metrics.enabled () || Obs.Trace.enabled () then Unix.gettimeofday () else 0.0
   in
-  let table, rng = Trial.table ?cache ~backend ~bits:cfg.bits cfg.geometry build_seed in
+  let table, rng = Trial.table ?cache ~bits:cfg.bits cfg.geometry build_seed in
   let alive =
     Obs.Trace.span "failure/inject"
       ~attrs:(if Obs.Trace.enabled () then [ ("q", Obs.Trace.Float cfg.q) ] else [])
@@ -144,8 +144,8 @@ let key_of cfg ~trial =
     trial;
   }
 
-let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = false)
-    ?(retries = 0) ?fault ?checkpoint cfg qs =
+let run_sweep ?pool ?cache ?backend:_ ?(supervise = false) ?(retries = 0) ?fault ?checkpoint
+    cfg qs =
   if retries < 0 then invalid_arg "Estimate.run_sweep: negative retries";
   (* The master seed is a trial-key field: beyond 2^53 it would reload
      as a neighbouring seed and the resume would replay nothing. *)
@@ -186,7 +186,7 @@ let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = fals
     let tick k = Obs.Progress.tick ~group:group_names.(k / cfg.trials) () in
     let task ~attempt k =
       Exec.Fault.inject fault ~task:k ~attempt;
-      run_trial configs.(k / cfg.trials) ~backend cache seeds.(k mod cfg.trials)
+      run_trial configs.(k / cfg.trials) cache seeds.(k mod cfg.trials)
     in
     let supervised = supervise || retries > 0 || fault <> None || checkpoint <> None in
     let outcomes =
@@ -255,8 +255,8 @@ let run_sweep ?pool ?cache ?(backend = Overlay.Table.Classic) ?(supervise = fals
         (qarr.(qi), collect configs.(qi) (Array.sub outcomes (qi * cfg.trials) cfg.trials)))
   end
 
-let run ?pool ?cache ?backend cfg =
-  match run_sweep ?pool ?cache ?backend cfg [ cfg.q ] with
+let run ?pool ?cache cfg =
+  match run_sweep ?pool ?cache cfg [ cfg.q ] with
   | [ (_, r) ] -> r
   | _ -> assert false
 

@@ -42,22 +42,14 @@ val config :
   config
 (** @raise Invalid_argument on non-positive counts or invalid [q]. *)
 
-val run :
-  ?pool:Exec.Pool.t ->
-  ?cache:Overlay.Table_cache.t ->
-  ?backend:Overlay.Table.backend ->
-  config ->
-  result
+val run : ?pool:Exec.Pool.t -> ?cache:Overlay.Table_cache.t -> config -> result
 (** Deterministic in [config.seed] alone: trial [i] always runs on the
     generator seeded by the [i]-th output of the master stream, and
     trial contributions are reduced in index order, so the result is
     bit-identical for every [pool] size (including no pool — the
-    sequential path), with or without [cache], and for either overlay
-    [backend] (default [Classic]; [Flat] stores the overlay as a shared
-    read-only struct-of-arrays block — see {!Overlay.Flat} — which is
-    what large [bits] runs need). [pool] distributes trials across
-    domains; [cache] reuses overlay tables across calls that share
-    trial seeds (e.g. a q-sweep). *)
+    sequential path) and with or without [cache]. [pool] distributes
+    trials across domains; [cache] reuses overlay tables across calls
+    that share trial seeds (e.g. a q-sweep). *)
 
 val run_sweep :
   ?pool:Exec.Pool.t ->
@@ -75,7 +67,9 @@ val run_sweep :
     [|qs| × trials] independent tasks so the whole grid parallelises
     at once, and — because trial seeds do not depend on [q] — paying
     [trials] overlay builds for the whole sweep when a [cache] is
-    supplied instead of [|qs| × trials].
+    supplied instead of [|qs| × trials]. [backend] is ignored: tables
+    have one layout, and the argument remains only because the
+    benchmark harness in [perfbench/] still passes it.
 
     Supervision. When [supervise] is set (or implied by [retries > 0],
     [fault] or [checkpoint]), trials run under

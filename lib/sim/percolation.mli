@@ -18,7 +18,9 @@ type report = {
   q : float;
   trials : trial list;
   mean_pair_connectivity : float;
+      (** Over the trials with two survivors; [nan] when none had. *)
   mean_giant_fraction : float;
+      (** Over the trials with a survivor; [nan] when none had. *)
   mean_routability : float;
       (** Over the trials that routed; [nan] when none did. *)
 }
@@ -26,7 +28,6 @@ type report = {
 val run :
   ?pool:Exec.Pool.t ->
   ?cache:Overlay.Table_cache.t ->
-  ?backend:Overlay.Table.backend ->
   ?trials:int ->
   ?pairs:int ->
   ?seed:int ->
@@ -36,10 +37,9 @@ val run :
   report
 (** Deterministic in [seed] alone: per-trial generators are derived by
     index and trial results reduced in index order, so the report is
-    bit-identical for every [pool] size, with or without [cache], and
-    for either overlay [backend] (default [Classic]). [cache] shares
-    overlay builds across calls with the same seed (e.g. the points of
-    a q-sweep).
+    bit-identical for every [pool] size and with or without [cache].
+    [cache] shares overlay builds across calls with the same seed (e.g.
+    the points of a q-sweep).
     @raise Invalid_argument if [trials < 1] or [pairs < 1]. *)
 
 val routing_gap : report -> float
@@ -49,19 +49,18 @@ val routing_gap : report -> float
 val giant_fraction :
   ?pool:Exec.Pool.t ->
   ?cache:Overlay.Table_cache.t ->
-  ?backend:Overlay.Table.backend ->
   ?trials:int ->
   ?seed:int ->
   bits:int ->
   q:float ->
   Rcm.Geometry.t ->
   float
-(** Mean fraction of survivors inside the largest connected component. *)
+(** Mean fraction of survivors inside the largest connected component,
+    over the trials with a survivor; [nan] when no trial had one. *)
 
 val giant_threshold :
   ?pool:Exec.Pool.t ->
   ?cache:Overlay.Table_cache.t ->
-  ?backend:Overlay.Table.backend ->
   ?trials:int ->
   ?target:float ->
   ?steps:int ->
@@ -71,7 +70,8 @@ val giant_threshold :
   float
 (** Bisected failure probability at which the giant component stops
     covering [target] (default 0.5) of the survivors — the finite-size
-    stand-in for 1 - p_c in Definition 2. Routing always collapses at
-    or before this point. *)
+    stand-in for 1 - p_c in Definition 2; a [nan] {!giant_fraction}
+    counts as not covered. Routing always collapses at or before this
+    point. *)
 
 val pp : Format.formatter -> report -> unit

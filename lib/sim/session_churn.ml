@@ -338,10 +338,10 @@ let run cfg =
     | Rcm.Geometry.Xor ->
         Buckets (Overlay.Kbucket.build ~rng ~cache_k:cfg.cache_k ~bits:cfg.bits ~k:cfg.k ())
     | _ ->
+        (* A built table's [neighbors] are fresh copies, so churn owns
+           these rows. *)
         let base = Overlay.Table.build ~rng ~bits:cfg.bits cfg.geometry in
-        let neighbors =
-          Array.init n (fun v -> Array.copy (Overlay.Table.neighbors base v))
-        in
+        let neighbors = Array.init n (Overlay.Table.neighbors base) in
         let table = Overlay.Table.of_neighbors ~bits:cfg.bits cfg.geometry neighbors in
         Matrix { neighbors; table }
   in

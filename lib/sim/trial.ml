@@ -14,13 +14,11 @@ let run ?table ~rng ~alive ~pairs route =
   if Array.length pool < 2 then { delivered = 0; attempted = 0; alive_fraction; hops = [] }
   else
     match table with
-    | Some table
-      when Routing.Route_batch.enabled () && Overlay.Table.backend table = Overlay.Table.Flat
-      ->
+    | Some table when Routing.Route_batch.enabled () && Overlay.Table.layout table <> None ->
         (* One kernel call routes the whole pair block, bit-identically
            to the loop below ([--no-batch] pins this via stdout
-           byte-identity). Row tables are not CSR blocks, so they keep
-           the loop. *)
+           byte-identity). Churn's row tables are neither blocks nor
+           rules, so they keep the loop. *)
         let s = Routing.Route_batch.sample_and_route table ~rng ~alive ~pool ~pairs in
         let hops = ref [] in
         for k = pairs - 1 downto 0 do
@@ -58,7 +56,7 @@ let seeds ~seed ~trials =
 
 (* Cached builds are traced inside [Table_cache.get]; the uncached path
    emits the same [overlay/build] span here. *)
-let table ?cache ~backend ~bits geometry seed =
+let table ?cache ~bits geometry seed =
   match cache with
   | None ->
       Obs.Trace.span "overlay/build"
@@ -67,14 +65,13 @@ let table ?cache ~backend ~bits geometry seed =
              [
                ("geometry", Obs.Trace.String (Rcm.Geometry.slug geometry));
                ("bits", Obs.Trace.Int bits);
-               ("backend", Obs.Trace.String (Overlay.Table.backend_name backend));
              ]
            else [])
         (fun () ->
           let rng = Prng.Splitmix.of_int64 seed in
-          (Overlay.Table.build ~rng ~backend ~bits geometry, rng))
+          (Overlay.Table.build ~rng ~bits geometry, rng))
   | Some cache ->
-      let table, resume = Overlay.Table_cache.get cache ~backend ~bits ~build_seed:seed geometry in
+      let table, resume = Overlay.Table_cache.get cache ~bits ~build_seed:seed geometry in
       (table, Prng.Splitmix.of_int64 resume)
 
 let repeat ~seed ~trials f =

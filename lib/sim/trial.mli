@@ -23,7 +23,9 @@ val run :
     routes each, as it is drawn, with [route src dst]. With fewer than
     two survivors it attempts nothing and draws nothing.
 
-    When [table] is a flat table and {!Routing.Route_batch.enabled}, the
+    When [table] is a rule or a block (any table but an
+    {!Overlay.Table.of_neighbors} matrix) and
+    {!Routing.Route_batch.enabled}, the
     pairs go through {!Routing.Route_batch.sample_and_route} instead,
     which draws and routes them identically (generator state included);
     [route] must then be [table]'s scalar router.
@@ -42,12 +44,11 @@ val seeds : seed:int -> trials:int -> int64 array
 
 val table :
   ?cache:Overlay.Table_cache.t ->
-  backend:Overlay.Table.backend ->
   bits:int ->
   Rcm.Geometry.t ->
   int64 ->
   Overlay.Table.t * Prng.Splitmix.t
-(** [table ~backend ~bits geometry seed] is the trial's overlay and its
+(** [table ~bits geometry seed] is the trial's overlay and its
     generator after the build: built on [Splitmix.of_int64 seed] under
     an [overlay/build] span, or taken from [cache] with the resumed
     generator, so the draws that follow are the same either way. *)

@@ -108,14 +108,7 @@ if [ -s "$work/bad_targets.txt" ]; then
   err "documented make targets missing: $(tr '\n' ' ' <"$work/bad_targets.txt")"
 fi
 
-# --- 5. the overlay backends the docs promise are really selectable --------
-for backend in flat classic; do
-  if ! grep -q "$backend" "$work/help_all.txt"; then
-    err "--overlay backend '$backend' absent from help output"
-  fi
-done
-
-# --- 6. every registered geometry is documented ----------------------------
+# --- 5. every registered geometry is documented ----------------------------
 # The registry (builtins and plugins alike) is the ground truth: a
 # geometry that registers a descriptor must appear in the README
 # geometry table and in EXPERIMENTS.md, so plugging in a family

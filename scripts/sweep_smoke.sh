@@ -50,7 +50,7 @@ case "$ROW" in
         HEAVY="simulate -g xor -d 12 --trials 6 --pairs 15000 --seed 7 --jobs 2"
         ;;
     record)
-        ARGS="simulate -g record:h=4 -d 8 -q 0.25 --trials 2 --pairs 80 --seed 42 --overlay flat"
+        ARGS="simulate -g record:h=4 -d 8 -q 0.25 --trials 2 --pairs 80 --seed 42"
         JOBS="1 8"
         SCALAR_JOBS=8
         EXPECT="routability"
@@ -234,7 +234,7 @@ fi
 
 case "$ROW" in
     simulate)
-        say "extra: batch vs scalar byte-identity per geometry (flat backend)"
+        say "extra: batch vs scalar byte-identity per geometry"
         # Points are geometry:bits:q. Hypercube also runs at d = 16, where
         # its routes are long enough to draw many reservoir samples per pair.
         for point in ring:8:0.25 xor:8:0.25 tree:8:0.25 hypercube:8:0.25 symphony:8:0.25 \
@@ -243,7 +243,7 @@ case "$ROW" in
             d=${point#*:}
             q=${d#*:}
             d=${d%%:*}
-            ARGS="simulate -g $g -d $d -q $q --trials 2 --pairs 80 --seed 42 --overlay flat"
+            ARGS="simulate -g $g -d $d -q $q --trials 2 --pairs 80 --seed 42"
             for jobs in 1 2; do
                 sweep "$g-d$d-q$q.j$jobs.batch" --jobs "$jobs"
                 sweep "$g-d$d-q$q.j$jobs.scalar" --jobs "$jobs" --no-batch

@@ -1,8 +1,8 @@
 (* Batch routing kernel versus the scalar router: outcomes, hop
    counts, stuck nodes, PRNG streams and metrics totals must be equal
    (not just close) for every geometry, failure level and domain count
-   — the contract that lets the simulation layers switch to the batch
-   kernel whenever the overlay backend is flat. Also pins the packed
+   — the contract that lets the simulation layers route every rule or
+   block table through the batch kernel. Also pins the packed
    Failure bitset against its bool-array ancestor. *)
 
 (* Every registered geometry, built-ins and plugins alike — a plugin's
@@ -13,9 +13,7 @@ let all_geometries = List.map (fun d -> d.Geom.default) (Geom.all ())
 let outcome = Alcotest.testable Routing.Outcome.pp Routing.Outcome.equal
 
 let flat_table ~seed ~bits geometry =
-  Overlay.Table.build
-    ~rng:(Prng.Splitmix.create ~seed)
-    ~backend:Overlay.Table.Flat ~bits geometry
+  Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed) ~bits geometry
 
 (* --- packed bitset invariants -------------------------------------------- *)
 
@@ -280,8 +278,8 @@ let prop_batch_scalar_agreement =
            [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]))
 
 (* Property: a rule table, whose entries the lanes compute, routes
-   exactly like the same entries stored as a block (the flattened
-   classic build), which the same lanes load: outcomes (hops and stuck
+   exactly like the same entries stored as a block (its rows, wrapped
+   and flattened), which the same lanes load: outcomes (hops and stuck
    nodes), loadmap traversal and termination counters and the
    generator state after the batch (the hypercube lane draws while it
    routes), through both entry points. Bits 1 is a two-node table. *)
@@ -297,11 +295,12 @@ let prop_rule_block_agreement =
                  ])))
        (fun (seed, bits, q, geometry) ->
          let rule = flat_table ~seed ~bits geometry in
+         let nodes = Overlay.Table.node_count rule in
          let block =
            Overlay.Table.flatten
-             (Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed) ~bits geometry)
+             (Overlay.Table.of_neighbors ~bits geometry
+                (Array.init nodes (Overlay.Table.neighbors rule)))
          in
-         let nodes = Overlay.Table.node_count rule in
          let alive =
            Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(seed + 1)) ~q nodes
          in
@@ -473,16 +472,17 @@ let test_scratch_reuse_and_raw_views () =
       ignore (Routing.Route_batch.hops s2 3))
 
 let test_validation_errors () =
-  let classic =
-    Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:1) ~bits:5 Rcm.Geometry.Ring
+  let flat = flat_table ~seed:1 ~bits:5 Rcm.Geometry.Ring in
+  let rows =
+    Overlay.Table.of_neighbors ~bits:5 Rcm.Geometry.Ring
+      (Array.init (Overlay.Table.node_count flat) (Overlay.Table.neighbors flat))
   in
-  let flat = Overlay.Table.flatten classic in
   let alive = Overlay.Failure.none (Overlay.Table.node_count flat) in
   let rng = Prng.Splitmix.create ~seed:1 in
-  Alcotest.check_raises "classic table rejected"
-    (Invalid_argument "Route_batch.route_many: table backend is not Flat (flatten it first)")
+  Alcotest.check_raises "row table rejected"
+    (Invalid_argument "Route_batch.route_many: table holds per-node rows (flatten it first)")
     (fun () ->
-      ignore (Routing.Route_batch.route_many classic ~rng ~alive [| (0, 1) |]));
+      ignore (Routing.Route_batch.route_many rows ~rng ~alive [| (0, 1) |]));
   Alcotest.check_raises "mask length mismatch"
     (Invalid_argument "Route_batch.route_many: alive mask size mismatch") (fun () ->
       ignore
@@ -587,7 +587,7 @@ let test_metrics_totals_equal () =
           Sim.Estimate.config ~trials:2 ~pairs_per_trial:150 ~seed:19 ~bits:6 ~q:0.3
             geometry
         in
-        ignore (Sim.Estimate.run ~backend:Overlay.Table.Flat cfg);
+        ignore (Sim.Estimate.run cfg);
         routing_metrics (Obs.Metrics.snapshot ())
       in
       List.iter
@@ -630,17 +630,13 @@ let run_stdout args =
       Alcotest.failf "dhtlab %s killed by signal %d" (String.concat " " args) n);
   Buffer.contents buffer
 
-(* The reference is the flat backend with the batch kernel on (the
-   default); disabling it, alone or with 8 domains, must not move a
-   byte of output. *)
+(* The reference is the batch kernel (the default); disabling it,
+   alone or with 8 domains, must not move a byte of output. *)
 let test_cli_no_batch_byte_identical () =
   List.iter
     (fun name ->
       let base =
-        [
-          "simulate"; "-g"; name; "-d"; "7"; "-q"; "0.25"; "--trials"; "2"; "--pairs";
-          "60"; "--overlay"; "flat";
-        ]
+        [ "simulate"; "-g"; name; "-d"; "7"; "-q"; "0.25"; "--trials"; "2"; "--pairs"; "60" ]
       in
       let reference = run_stdout (base @ [ "-j"; "1" ]) in
       Alcotest.(check bool) (name ^ ": non-empty") true (String.length reference > 0);

@@ -437,6 +437,18 @@ let test_sweep_command_errors () =
         "dhtlab storage: storage point 0 (");
       ([ "hotspots"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,
         "dhtlab hotspots: hotspots point 0 (");
+      (* Failure probabilities, route endpoints and sizes, and analysis
+         bits are checked before anything runs. *)
+      ([ "analyze"; "-q"; "1.5" ], 124, "dhtlab: option '-q'");
+      ([ "analyze"; "-q"; "nan" ], 124, "dhtlab: option '-q'");
+      ([ "scalability"; "-q"; "1.5" ], 124, "dhtlab: option '-q'");
+      ([ "simulate"; "-d"; "8"; "-q"; "1.5" ], 124, "dhtlab: option '-q'");
+      ([ "route"; "-d"; "4"; "99"; "1" ], 2, "dhtlab route: SRC 99");
+      ([ "route"; "-d"; "31"; "3"; "5" ], 2, "dhtlab route: ");
+      ([ "analyze"; "-d"; "0" ], 2, "dhtlab analyze: ");
+      ([ "analyze"; "--full"; "-d"; "0" ], 2, "dhtlab analyze: ");
+      (* One table layout: the old backend flag is gone. *)
+      ([ "simulate"; "--overlay"; "flat"; "-d"; "6" ], 124, "dhtlab: unknown option '--overlay'");
       (* Zero or negative trial and pair counts fail at parse time. *)
       ([ "simulate"; "-d"; "8"; "--trials"; "0" ], 124, "dhtlab: option '--trials'");
       ([ "validate"; "--sim"; "-d"; "8"; "--pairs"; "0" ], 124, "dhtlab: option '--pairs'");
@@ -536,11 +548,15 @@ let simulate_d20_golden g =
       ("simulate-d20-" ^ g ^ ".csv") )
 
 (* The ablation figures: each builds its own overlays around
-   [Sim.Trial], so these pin every static experiment's draws. *)
-let figure_golden name =
-  ( "golden figure " ^ name ^ " --quick",
+   [Sim.Trial], so these pin every static experiment's draws, once on
+   the batch kernel and once on the scalar routers ([--no-batch]);
+   both runs diff against the same file. *)
+let figure_golden ?(flags = []) name =
+  ( String.concat " " (("golden figure" :: name :: flags) @ [ "--quick" ]),
     `Quick,
-    check_golden [ "figure"; name; "--quick" ] ("figure-" ^ name ^ "-quick.txt") )
+    check_golden ([ "figure"; name ] @ flags @ [ "--quick" ]) ("figure-" ^ name ^ "-quick.txt") )
+
+let figure_no_batch_golden = figure_golden ~flags:[ "--no-batch" ]
 
 let suite =
   [
@@ -602,8 +618,7 @@ let suite =
         [ "storage"; "-d"; "16"; "--nodes"; "300"; "--keys"; "32"; "--reads"; "128"; "-r"; "1,3";
           "--qs"; "0.2,0.4"; "--trials"; "2"; "--seed"; "7"; "--csv" ]
         "storage-sparse-d16.csv");
-    ("golden figure rep-xor --quick", `Quick,
-      check_golden [ "figure"; "rep-xor"; "--quick" ] "figure-rep-xor-quick.txt");
+    figure_golden "rep-xor";
   ]
   @ List.map simulate_d20_golden [ "tree"; "hypercube"; "xor"; "ring" ]
   @ [
@@ -612,6 +627,8 @@ let suite =
       ("golden percolation -d 10", `Quick,
         check_golden [ "percolation"; "-d"; "10" ] "percolation-d10.txt");
     ]
-  @ List.map figure_golden
+  @ [ figure_no_batch_golden "rep-xor" ]
+  @ List.concat_map
+      (fun name -> [ figure_golden name; figure_no_batch_golden name ])
       [ "suffix"; "fingers"; "rep-tree"; "rep-ring"; "sparse"; "hops"; "blocks"; "base-tree";
         "base-xor"; "dims"; "sym-bidir"; "record-hops" ]

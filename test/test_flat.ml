@@ -1,98 +1,124 @@
-(* Flat (CSR/Bigarray) versus classic overlay backend: the two
-   representations must be indistinguishable through every accessor,
-   leave the build PRNG in the same state, and produce bit-identical
-   simulation results and byte-identical CLI output at every domain
-   count — the contract that lets --overlay default to flat. *)
+(* Built tables against reference rows. Every table [Table.build]
+   returns is a rule or a block; entry for entry it must hold the rows
+   that evaluating the section 3 neighbour constructions node by node
+   gives, and leave the build generator where those evaluations leave
+   it. Also pins the Flat module, the bounds of every accessor, and
+   bit-identical simulation results and byte-identical CLI output
+   between the batch kernel and the scalar router at every domain
+   count. *)
 
 (* Every registered geometry, built-ins and plugins alike: a new
-   descriptor joins the backend-equivalence matrix just by registering. *)
+   descriptor joins the simulation matrix just by registering. *)
 let all_geometries = List.map (fun d -> d.Geom.default) (Geom.all ())
 
-let check_tables_equal ~what classic flat =
-  let n = Overlay.Table.node_count classic in
-  Alcotest.(check int) (what ^ ": node_count") n (Overlay.Table.node_count flat);
+let builtin_geometries =
+  List.filter_map (fun d -> if d.Geom.builtin then Some d.Geom.default else None) (Geom.all ())
+
+(* The section 3 neighbour constructions of the five built-in
+   geometries, evaluated node by node and entry by entry, drawing from
+   [rng] in that order: entry [i] of node [v] is
+   - tree (Plaxton) and hypercube (CAN): [v] with bit [i + 1] flipped;
+   - xor (Kademlia): that id with its bits below [i + 1] drawn at
+     random;
+   - ring (Chord): the finger at clockwise distance [2^i];
+   - symphony: the [i + 1]-th successor for [i < k_n], then a shortcut
+     at a harmonic clockwise distance. *)
+let reference_rows ~rng ~bits geometry =
+  let size = 1 lsl bits in
+  let clockwise v dist = (v + dist) land (size - 1) in
+  let flip v i = Idspace.Id.flip_bit ~bits v (i + 1) in
+  let degree, entry =
+    match geometry with
+    | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> (bits, flip)
+    | Rcm.Geometry.Xor ->
+        ( bits,
+          fun v i ->
+            let suffix = Prng.Splitmix.int rng size in
+            Idspace.Id.with_suffix ~bits (flip v i) ~prefix_len:(i + 1) ~suffix )
+    | Rcm.Geometry.Ring -> (bits, fun v i -> clockwise v (1 lsl i))
+    | Rcm.Geometry.Symphony { k_n; k_s } ->
+        ( k_n + k_s,
+          fun v i ->
+            if i < k_n then clockwise v (i + 1)
+            else clockwise v (Prng.Splitmix.harmonic_int rng ~n:(size - 1)) )
+    | Rcm.Geometry.Custom _ -> invalid_arg "reference_rows: not a built-in geometry"
+  in
+  Array.init size (fun v -> Array.init degree (entry v))
+
+let show_row row = String.concat "," (Array.to_list (Array.map string_of_int row))
+
+(* [table] holds exactly [rows], through every accessor. *)
+let check_rows ~what rows table =
+  Alcotest.(check int) (what ^ ": node_count") (Array.length rows)
+    (Overlay.Table.node_count table);
   Alcotest.(check int)
     (what ^ ": edge_count")
-    (Overlay.Table.edge_count classic)
-    (Overlay.Table.edge_count flat);
-  for v = 0 to n - 1 do
-    let row_c = Overlay.Table.neighbors classic v in
-    let row_f = Overlay.Table.neighbors flat v in
-    if row_c <> row_f then
-      Alcotest.failf "%s: node %d rows differ (classic %s, flat %s)" what v
-        (String.concat "," (Array.to_list (Array.map string_of_int row_c)))
-        (String.concat "," (Array.to_list (Array.map string_of_int row_f)));
-    Alcotest.(check int)
-      (Printf.sprintf "%s: degree %d" what v)
-      (Overlay.Table.degree classic v) (Overlay.Table.degree flat v);
-    for i = 0 to Overlay.Table.degree classic v - 1 do
-      if Overlay.Table.neighbor classic v i <> Overlay.Table.neighbor flat v i then
-        Alcotest.failf "%s: neighbor (%d, %d) differs" what v i
-    done
-  done
+    (Array.fold_left (fun acc row -> acc + Array.length row) 0 rows)
+    (Overlay.Table.edge_count table);
+  Array.iteri
+    (fun v row ->
+      let got = Overlay.Table.neighbors table v in
+      if row <> got then
+        Alcotest.failf "%s: node %d rows differ (reference %s, built %s)" what v (show_row row)
+          (show_row got);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: degree %d" what v)
+        (Array.length row) (Overlay.Table.degree table v);
+      Array.iteri
+        (fun i u ->
+          if Overlay.Table.neighbor table v i <> u then
+            Alcotest.failf "%s: neighbor (%d, %d) differs" what v i)
+        row;
+      let seen = ref [] in
+      Overlay.Table.iter_neighbors table v (fun u -> seen := u :: !seen);
+      if Array.of_list (List.rev !seen) <> row then
+        Alcotest.failf "%s: iter_neighbors of node %d differs" what v)
+    rows
 
-(* Same seed, both backends: identical tables AND identical post-build
-   PRNG state (the resume-state contract Table_cache relies on). *)
-let test_build_equivalence () =
+let is_rule table =
+  match Overlay.Table.layout table with Some (Overlay.Table.Rule _) -> true | _ -> false
+
+let is_block table =
+  match Overlay.Table.layout table with Some (Overlay.Table.Block _) -> true | _ -> false
+
+(* Same seed: the built table equals the reference rows, and the
+   generator ends in the same state (the resume-state contract
+   Table_cache relies on). Tree, hypercube, xor and ring are rules,
+   Symphony a block. *)
+let test_built_equals_reference () =
   List.iter
     (fun geometry ->
       let what = Rcm.Geometry.slug geometry in
-      let rng_c = Prng.Splitmix.create ~seed:77 in
-      let rng_f = Prng.Splitmix.create ~seed:77 in
-      let classic = Overlay.Table.build ~rng:rng_c ~bits:6 geometry in
-      let flat =
-        Overlay.Table.build ~rng:rng_f ~backend:Overlay.Table.Flat ~bits:6 geometry
-      in
-      Alcotest.(check bool)
-        (what ^ ": classic backend") true
-        (Overlay.Table.backend classic = Overlay.Table.Classic);
-      Alcotest.(check bool)
-        (what ^ ": flat backend") true
-        (Overlay.Table.backend flat = Overlay.Table.Flat);
-      check_tables_equal ~what classic flat;
+      let rng_r = Prng.Splitmix.create ~seed:77 in
+      let rng_b = Prng.Splitmix.create ~seed:77 in
+      let rows = reference_rows ~rng:rng_r ~bits:6 geometry in
+      let built = Overlay.Table.build ~rng:rng_b ~bits:6 geometry in
+      let symphony = match geometry with Rcm.Geometry.Symphony _ -> true | _ -> false in
+      Alcotest.(check bool) (what ^ ": layout") true
+        (if symphony then is_block built else is_rule built);
+      check_rows ~what rows built;
       Alcotest.(check int64)
         (what ^ ": post-build rng state")
-        (Prng.Splitmix.state rng_c) (Prng.Splitmix.state rng_f))
-    all_geometries
-
-let test_variant_builders_equivalence () =
-  let pairs =
-    [
-      ( "ring_with_successors",
-        fun backend ->
-          Overlay.Table.build_ring_with_successors ~backend ~bits:6 ~successors:3 () );
-      ( "randomized_ring",
-        fun backend ->
-          Overlay.Table.build_randomized_ring
-            ~rng:(Prng.Splitmix.create ~seed:5) ~backend ~bits:6 () );
-      ( "deterministic_xor",
-        fun backend -> Overlay.Table.build_deterministic_xor ~backend ~bits:6 () );
-      ( "symphony_bidirectional",
-        fun backend ->
-          Overlay.Table.build_symphony_bidirectional
-            ~rng:(Prng.Splitmix.create ~seed:5) ~backend ~bits:6 ~k_n:1 ~k_s:2 () );
-    ]
-  in
-  List.iter
-    (fun (what, build) ->
-      check_tables_equal ~what (build Overlay.Table.Classic) (build Overlay.Table.Flat))
-    pairs
+        (Prng.Splitmix.state rng_r) (Prng.Splitmix.state rng_b))
+    builtin_geometries
 
 let test_flatten () =
-  let rng = Prng.Splitmix.create ~seed:3 in
-  let classic = Overlay.Table.build ~rng ~bits:5 Rcm.Geometry.Xor in
-  let flat = Overlay.Table.flatten classic in
-  Alcotest.(check bool) "flattened" true (Overlay.Table.backend flat = Overlay.Table.Flat);
-  check_tables_equal ~what:"flatten" classic flat;
-  (* Idempotent: flattening a flat table is the identity. *)
+  let rows = reference_rows ~rng:(Prng.Splitmix.create ~seed:3) ~bits:5 Rcm.Geometry.Xor in
+  let flat = Overlay.Table.flatten (Overlay.Table.of_neighbors ~bits:5 Rcm.Geometry.Xor rows) in
+  Alcotest.(check bool) "flattened to a block" true (is_block flat);
+  check_rows ~what:"flatten" rows flat;
+  (* Idempotent: a block or a rule is already flat. *)
   Alcotest.(check bool) "idempotent" true (Overlay.Table.flatten flat == flat);
-  (* No aliasing: mutating the classic rows afterwards must not leak
-     into the flat block (churn repairs must stay classic-only). *)
+  let rule = Overlay.Table.build ~bits:5 Rcm.Geometry.Ring in
+  Alcotest.(check bool) "rule unchanged" true (Overlay.Table.flatten rule == rule);
+  (* No aliasing: mutating the rows afterwards must not leak into the
+     flat block (churn repairs stay on its own matrix). *)
   let rows = Array.init 4 (fun v -> [| (v + 1) mod 4 |]) in
   let mutable_table = Overlay.Table.of_neighbors ~bits:2 Rcm.Geometry.Ring rows in
+  Alcotest.(check bool) "rows have no layout" true (Overlay.Table.layout mutable_table = None);
   let frozen = Overlay.Table.flatten mutable_table in
   rows.(0).(0) <- 3;
-  Alcotest.(check int) "mutation visible classically" 3
+  Alcotest.(check int) "mutation visible in the rows" 3
     (Overlay.Table.neighbor mutable_table 0 0);
   Alcotest.(check int) "flat copy unaffected" 1 (Overlay.Table.neighbor frozen 0 0)
 
@@ -118,55 +144,6 @@ let test_flat_module_basics () =
     (Invalid_argument "Flat.init: neighbour -1 outside [0, 3)")
     (fun () -> ignore (Overlay.Flat.init ~nodes:3 ~degree:1 (fun _ _ -> -1)))
 
-let test_backend_names () =
-  Alcotest.(check string) "flat" "flat" (Overlay.Table.backend_name Overlay.Table.Flat);
-  Alcotest.(check string) "classic" "classic"
-    (Overlay.Table.backend_name Overlay.Table.Classic);
-  Alcotest.(check bool) "roundtrip" true
-    (List.for_all
-       (fun b -> Overlay.Table.backend_of_string (Overlay.Table.backend_name b) = Some b)
-       [ Overlay.Table.Classic; Overlay.Table.Flat ]);
-  Alcotest.(check bool) "unknown" true (Overlay.Table.backend_of_string "csr" = None)
-
-(* The cache keys on the backend: the same (geometry, bits, seed) under
-   the other backend is a distinct entry, both resume states equal. *)
-let test_cache_keys_backend () =
-  let cache = Overlay.Table_cache.create () in
-  let t_c, resume_c =
-    Overlay.Table_cache.get cache ~bits:5 ~build_seed:9L Rcm.Geometry.Xor
-  in
-  let t_f, resume_f =
-    Overlay.Table_cache.get cache ~backend:Overlay.Table.Flat ~bits:5 ~build_seed:9L
-      Rcm.Geometry.Xor
-  in
-  Alcotest.(check int) "two entries" 2 (Overlay.Table_cache.length cache);
-  Alcotest.(check int) "two misses" 2 (Overlay.Table_cache.misses cache);
-  Alcotest.(check int64) "resume states equal" resume_c resume_f;
-  Alcotest.(check bool) "backends differ" true
-    (Overlay.Table.backend t_c <> Overlay.Table.backend t_f);
-  check_tables_equal ~what:"cache" t_c t_f;
-  let t_c2, _ = Overlay.Table_cache.get cache ~bits:5 ~build_seed:9L Rcm.Geometry.Xor in
-  Alcotest.(check bool) "classic hit is physical" true (t_c == t_c2);
-  Alcotest.(check int) "one hit" 1 (Overlay.Table_cache.hits cache)
-
-let test_digraph_equivalence () =
-  List.iter
-    (fun geometry ->
-      let what = Rcm.Geometry.slug geometry in
-      let rng = Prng.Splitmix.create ~seed:12 in
-      let classic = Overlay.Table.build ~rng ~bits:5 geometry in
-      let flat = Overlay.Table.flatten classic in
-      let g_c = Overlay.Table.to_digraph classic in
-      let g_f = Overlay.Table.to_digraph flat in
-      Alcotest.(check int) (what ^ ": edges") (Graph.Digraph.edge_count g_c)
-        (Graph.Digraph.edge_count g_f);
-      for v = 0 to Graph.Digraph.node_count g_c - 1 do
-        Alcotest.(check (array int))
-          (Printf.sprintf "%s: successors %d" what v)
-          (Graph.Digraph.successors g_c v) (Graph.Digraph.successors g_f v)
-      done)
-    all_geometries
-
 let bits_of_float = Int64.bits_of_float
 
 let check_results_equal ~what (a : Sim.Estimate.result) (b : Sim.Estimate.result) =
@@ -185,8 +162,13 @@ let check_results_equal ~what (a : Sim.Estimate.result) (b : Sim.Estimate.result
     (bits_of_float (Stats.Summary.mean a.Sim.Estimate.hop_summary))
     (bits_of_float (Stats.Summary.mean b.Sim.Estimate.hop_summary))
 
-(* The estimator is bit-identical across backends, with and without a
-   cache, and on a multi-domain pool. *)
+(* [f] with the batch kernel off: the scalar router's reference. *)
+let scalar f =
+  Routing.Route_batch.set_enabled false;
+  Fun.protect ~finally:(fun () -> Routing.Route_batch.set_enabled true) f
+
+(* The estimator on the batch kernel is bit-identical to the scalar
+   router, with and without a cache, and on a multi-domain pool. *)
 let test_estimate_bit_identical () =
   List.iter
     (fun geometry ->
@@ -194,80 +176,66 @@ let test_estimate_bit_identical () =
       let cfg =
         Sim.Estimate.config ~trials:2 ~pairs_per_trial:120 ~seed:11 ~bits:6 ~q:0.25 geometry
       in
-      let classic = Sim.Estimate.run cfg in
-      let flat = Sim.Estimate.run ~backend:Overlay.Table.Flat cfg in
-      check_results_equal ~what classic flat;
+      let reference = scalar (fun () -> Sim.Estimate.run cfg) in
+      check_results_equal ~what reference (Sim.Estimate.run cfg);
       let cache = Overlay.Table_cache.create () in
-      let flat_cached = Sim.Estimate.run ~cache ~backend:Overlay.Table.Flat cfg in
-      check_results_equal ~what:(what ^ "+cache") classic flat_cached;
+      check_results_equal ~what:(what ^ "+cache") reference (Sim.Estimate.run ~cache cfg);
       Exec.Pool.with_pool ~domains:2 (fun pool ->
-          let flat_pooled = Sim.Estimate.run ~pool ~backend:Overlay.Table.Flat cfg in
-          check_results_equal ~what:(what ^ "+pool") classic flat_pooled))
+          check_results_equal ~what:(what ^ "+pool") reference (Sim.Estimate.run ~pool cfg)))
     all_geometries
 
 let test_percolation_bit_identical () =
   List.iter
     (fun geometry ->
       let what = Rcm.Geometry.slug geometry in
-      let run backend =
-        Sim.Percolation.run ~backend ~trials:2 ~pairs:100 ~seed:8 ~bits:6 ~q:0.3 geometry
-      in
-      let classic = run Overlay.Table.Classic in
-      let flat = run Overlay.Table.Flat in
+      let run () = Sim.Percolation.run ~trials:2 ~pairs:100 ~seed:8 ~bits:6 ~q:0.3 geometry in
+      let reference = scalar run in
+      let batch = run () in
       Alcotest.(check int64)
         (what ^ ": connectivity bits")
-        (bits_of_float classic.Sim.Percolation.mean_pair_connectivity)
-        (bits_of_float flat.Sim.Percolation.mean_pair_connectivity);
+        (bits_of_float reference.Sim.Percolation.mean_pair_connectivity)
+        (bits_of_float batch.Sim.Percolation.mean_pair_connectivity);
       Alcotest.(check int64)
         (what ^ ": routability bits")
-        (bits_of_float classic.Sim.Percolation.mean_routability)
-        (bits_of_float flat.Sim.Percolation.mean_routability);
+        (bits_of_float reference.Sim.Percolation.mean_routability)
+        (bits_of_float batch.Sim.Percolation.mean_routability);
       Alcotest.(check int64)
         (what ^ ": giant bits")
-        (bits_of_float classic.Sim.Percolation.mean_giant_fraction)
-        (bits_of_float flat.Sim.Percolation.mean_giant_fraction))
+        (bits_of_float reference.Sim.Percolation.mean_giant_fraction)
+        (bits_of_float batch.Sim.Percolation.mean_giant_fraction))
     all_geometries
 
-(* Property: for the geometries whose flat tables are rules computing
-   the classic entry functions on each read, random (bits, seed) builds
-   agree entry-for-entry across backends. Bits 1 is xor without a
-   random suffix. *)
-let prop_backend_agreement =
-  QCheck.Test.make ~count:40 ~name:"flat/classic builds agree"
+(* Property: random (bits, seed) builds equal the reference rows,
+   generator state included, for every built-in geometry the size
+   admits. Bits 1 is xor without a random suffix. *)
+let prop_built_equals_reference =
+  QCheck.Test.make ~count:40 ~name:"built = reference rows (random bits, seeds)"
     QCheck.(pair (int_range 1 12) small_nat)
     (fun (bits, seed) ->
       List.for_all
         (fun geometry ->
-          let rng_c = Prng.Splitmix.create ~seed in
-          let rng_f = Prng.Splitmix.create ~seed in
-          let classic = Overlay.Table.build ~rng:rng_c ~bits geometry in
-          let flat =
-            Overlay.Table.build ~rng:rng_f ~backend:Overlay.Table.Flat ~bits geometry
-          in
-          Prng.Splitmix.state rng_c = Prng.Splitmix.state rng_f
-          && List.for_all
-               (fun v ->
-                 Overlay.Table.neighbors classic v = Overlay.Table.neighbors flat v)
-               (List.init (Overlay.Table.node_count classic) Fun.id))
-        [ Rcm.Geometry.Tree; Rcm.Geometry.Hypercube; Rcm.Geometry.Xor; Rcm.Geometry.Ring ])
+          let rng_r = Prng.Splitmix.create ~seed in
+          let rng_b = Prng.Splitmix.create ~seed in
+          let rows = reference_rows ~rng:rng_r ~bits geometry in
+          let built = Overlay.Table.build ~rng:rng_b ~bits geometry in
+          Prng.Splitmix.state rng_r = Prng.Splitmix.state rng_b
+          && Seq.for_all
+               (fun (v, row) -> Overlay.Table.neighbors built v = row)
+               (Array.to_seqi rows))
+        (List.filter (fun g -> Rcm.Geometry.check_size ~bits g = Ok ()) builtin_geometries))
 
-(* Every read outside a table raises on both backends, for every
-   built-in geometry: without the check a block reads a neighbouring
-   row, the offsets sentinel or bytes past its payload, and a rule
-   shifts by an unspecified amount. Degree 4 at 16 nodes, except
-   Symphony's 2. *)
+(* Every read outside a table raises, on churn's rows and on built
+   tables, for every built-in geometry: without the check a block reads
+   a neighbouring row, the offsets sentinel or bytes past its payload,
+   and a rule shifts by an unspecified amount. Degree 4 at 16 nodes,
+   except Symphony's 2. *)
 let test_neighbor_bounds () =
   List.iter
     (fun geometry ->
+      let rows = reference_rows ~rng:(Prng.Splitmix.create ~seed:4) ~bits:4 geometry in
       List.iter
-        (fun backend ->
-          let t =
-            Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:4) ~backend ~bits:4 geometry
-          in
-          let what =
-            Printf.sprintf "%s/%s" (Rcm.Geometry.slug geometry)
-              (Overlay.Table.backend_name backend)
-          in
+        (fun (kind, t) ->
+          let what = Printf.sprintf "%s/%s" (Rcm.Geometry.slug geometry) kind in
           let n = Overlay.Table.node_count t in
           let last = Overlay.Table.degree t (n - 1) in
           List.iter
@@ -293,25 +261,20 @@ let test_neighbor_bounds () =
           Alcotest.(check int) (what ^ ": last entry still readable")
             (Overlay.Table.neighbors t (n - 1)).(last - 1)
             (Overlay.Table.neighbor t (n - 1) (last - 1)))
-        [ Overlay.Table.Classic; Overlay.Table.Flat ])
-    [
-      Rcm.Geometry.Tree;
-      Rcm.Geometry.Hypercube;
-      Rcm.Geometry.Xor;
-      Rcm.Geometry.Ring;
-      Rcm.Geometry.Symphony { k_n = 1; k_s = 1 };
-    ]
+        [
+          ("rows", Overlay.Table.of_neighbors ~bits:4 geometry rows);
+          ("built", Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:4) ~bits:4 geometry);
+        ])
+    builtin_geometries
 
 (* A rule computes its entries on every read, whole-table walks
-   (to_digraph, the scalar routers) included, so reading one must not
-   allocate: the xor rule's draw stays unboxed (native code only). *)
+   (component analysis, the scalar routers) included, so reading one
+   must not allocate: the xor rule's draw stays unboxed (native code
+   only). *)
 let test_rule_reads_allocate_nothing () =
   List.iter
     (fun geometry ->
-      let t =
-        Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:9) ~backend:Overlay.Table.Flat
-          ~bits:16 geometry
-      in
+      let t = Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:9) ~bits:16 geometry in
       let acc = ref 0 in
       let add u = acc := !acc lxor u in
       let before = Gc.minor_words () in
@@ -328,7 +291,7 @@ let test_rule_reads_allocate_nothing () =
       Alcotest.(check bool) "entries used" true (!acc >= 0))
     [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]
 
-(* --- CLI byte-identity across --overlay and --jobs ----------------------- *)
+(* --- CLI byte-identity across --no-batch and --jobs ------------------------ *)
 
 let binary = Filename.concat (Filename.concat ".." "bin") "dhtlab.exe"
 
@@ -348,63 +311,33 @@ let run_stdout args =
       Alcotest.failf "dhtlab %s killed by signal %d" (String.concat " " args) n);
   Buffer.contents buffer
 
-(* simulate: every geometry, classic/flat x jobs 1/8, one reference
-   output per geometry — all seven runs byte-identical. *)
-let test_cli_simulate_byte_identical () =
-  List.iter
-    (fun name ->
-      let base =
-        [ "simulate"; "-g"; name; "-d"; "7"; "-q"; "0.2"; "--trials"; "2"; "--pairs"; "60" ]
-      in
-      let reference = run_stdout (base @ [ "--overlay"; "classic"; "-j"; "1" ]) in
-      Alcotest.(check bool) (name ^ ": non-empty") true (String.length reference > 0);
-      List.iter
-        (fun extra ->
-          let got = run_stdout (base @ extra) in
-          if not (String.equal reference got) then
-            Alcotest.failf "simulate %s: %s diverges from classic -j 1" name
-              (String.concat " " extra))
-        [
-          [ "--overlay"; "classic"; "-j"; "8" ];
-          [ "--overlay"; "flat"; "-j"; "1" ];
-          [ "--overlay"; "flat"; "-j"; "8" ];
-        ])
-    [ "tree"; "hypercube"; "xor"; "ring"; "symphony" ]
-
 (* figure: the two simulation-backed paper figures (f6a covers
-   tree/hypercube/xor, f6b ring), both backends, jobs 1 and 8. *)
+   tree/hypercube/xor, f6b ring) on the scalar router at one job, then
+   on the batch kernel at jobs 1 and 8. *)
 let test_cli_figure_byte_identical () =
   List.iter
     (fun fig ->
       let base = [ "figure"; fig; "--quick" ] in
-      let reference = run_stdout (base @ [ "--overlay"; "classic"; "-j"; "1" ]) in
+      let reference = run_stdout (base @ [ "--no-batch"; "-j"; "1" ]) in
       List.iter
         (fun extra ->
           let got = run_stdout (base @ extra) in
           if not (String.equal reference got) then
-            Alcotest.failf "figure %s: %s diverges from classic -j 1" fig
+            Alcotest.failf "figure %s: %s diverges from --no-batch -j 1" fig
               (String.concat " " extra))
-        [
-          [ "--overlay"; "flat"; "-j"; "1" ];
-          [ "--overlay"; "flat"; "-j"; "8" ];
-          [ "--overlay"; "classic"; "-j"; "8" ];
-        ])
+        [ [ "-j"; "1" ]; [ "-j"; "8" ] ])
     [ "f6a"; "f6b" ]
 
 let suite =
   [
-    Alcotest.test_case "build equivalence (5 geometries)" `Quick test_build_equivalence;
-    Alcotest.test_case "variant builders equivalence" `Quick test_variant_builders_equivalence;
+    Alcotest.test_case "built = reference rows (5 geometries)" `Quick
+      test_built_equals_reference;
     Alcotest.test_case "flatten: copy, idempotent, no aliasing" `Quick test_flatten;
     Alcotest.test_case "Flat module basics" `Quick test_flat_module_basics;
-    Alcotest.test_case "backend names" `Quick test_backend_names;
-    Alcotest.test_case "cache keyed by backend" `Quick test_cache_keys_backend;
-    Alcotest.test_case "to_digraph equivalence" `Quick test_digraph_equivalence;
     Alcotest.test_case "estimate bit-identical" `Quick test_estimate_bit_identical;
     Alcotest.test_case "percolation bit-identical" `Quick test_percolation_bit_identical;
-    QCheck_alcotest.to_alcotest prop_backend_agreement;
-    Alcotest.test_case "neighbor bounds (both backends)" `Quick test_neighbor_bounds;
+    QCheck_alcotest.to_alcotest prop_built_equals_reference;
+    Alcotest.test_case "neighbor bounds (rows and built)" `Quick test_neighbor_bounds;
     Alcotest.test_case "rule reads allocate nothing" `Quick test_rule_reads_allocate_nothing;
-    Alcotest.test_case "CLI simulate byte-identical" `Slow test_cli_simulate_byte_identical;
     Alcotest.test_case "CLI figure byte-identical" `Slow test_cli_figure_byte_identical;
   ]

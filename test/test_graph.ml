@@ -27,55 +27,15 @@ let union_find_counts_consistent =
       let roots = List.init 20 (Graph.Union_find.find uf) |> List.sort_uniq compare in
       List.length roots = Graph.Union_find.component_count uf)
 
-let diamond =
-  (* 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3 *)
-  Graph.Digraph.of_adjacency [| [| 1; 2 |]; [| 3 |]; [| 3 |]; [||] |]
+(* 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3 *)
+let diamond = [| [| 1; 2 |]; [| 3 |]; [| 3 |]; [||] |]
 
-let test_digraph_shape () =
-  Alcotest.(check int) "nodes" 4 (Graph.Digraph.node_count diamond);
-  Alcotest.(check int) "edges" 4 (Graph.Digraph.edge_count diamond);
-  Alcotest.(check int) "deg 0" 2 (Graph.Digraph.out_degree diamond 0);
-  Alcotest.(check int) "deg 3" 0 (Graph.Digraph.out_degree diamond 3);
-  Alcotest.(check (array int)) "succ 0" [| 1; 2 |] (Graph.Digraph.successors diamond 0)
-
-let test_digraph_of_edges () =
-  let g = Graph.Digraph.of_edges ~nodes:3 [ (0, 1); (1, 2); (0, 2) ] in
-  Alcotest.(check int) "edges" 3 (Graph.Digraph.edge_count g);
-  Alcotest.(check (array int)) "succ 0" [| 1; 2 |] (Graph.Digraph.successors g 0)
-
-let test_digraph_of_edges_invalid () =
-  Alcotest.check_raises "endpoint range"
-    (Invalid_argument "Digraph.of_edges: endpoint outside node range") (fun () ->
-      ignore (Graph.Digraph.of_edges ~nodes:2 [ (0, 5) ]))
-
-let test_bfs_distances () =
-  let d = Graph.Bfs.distances diamond ~source:0 in
-  Alcotest.(check (array int)) "distances" [| 0; 1; 1; 2 |] d
-
-let test_bfs_unreachable () =
-  let d = Graph.Bfs.distances diamond ~source:3 in
-  Alcotest.(check (array int)) "sink reaches nothing"
-    [| Graph.Bfs.unreachable; Graph.Bfs.unreachable; Graph.Bfs.unreachable; 0 |]
-    d
-
-let test_bfs_alive_mask () =
-  (* Killing node 1 leaves only the 0 -> 2 -> 3 path. *)
-  let alive = [| true; false; true; true |] in
-  let d = Graph.Bfs.distances ~alive diamond ~source:0 in
-  Alcotest.(check int) "via 2" 2 d.(3);
-  Alcotest.(check int) "dead unreachable" Graph.Bfs.unreachable d.(1)
-
-let test_bfs_dead_source () =
-  let alive = [| false; true; true; true |] in
-  let d = Graph.Bfs.distances ~alive diamond ~source:0 in
-  Alcotest.(check int) "dead source reaches nothing" Graph.Bfs.unreachable d.(3)
-
-let test_bfs_counts () =
-  Alcotest.(check int) "reachable from 0" 3 (Graph.Bfs.reachable_count diamond ~source:0);
-  Alcotest.(check int) "eccentricity" 2 (Graph.Bfs.eccentricity diamond ~source:0)
+let analyze ?alive adjacency =
+  Graph.Components.analyze_iter ?alive ~nodes:(Array.length adjacency) (fun v f ->
+      Array.iter f adjacency.(v))
 
 let test_components_report () =
-  let r = Graph.Components.analyze diamond in
+  let r = analyze diamond in
   Alcotest.(check int) "alive" 4 r.Graph.Components.alive_nodes;
   Alcotest.(check int) "one component" 1 r.Graph.Components.component_count;
   check_close 1.0 r.Graph.Components.pair_connectivity;
@@ -83,50 +43,41 @@ let test_components_report () =
 
 let test_components_split () =
   (* Two disjoint directed pairs. *)
-  let g = Graph.Digraph.of_adjacency [| [| 1 |]; [||]; [| 3 |]; [||] |] in
-  let r = Graph.Components.analyze g in
+  let r = analyze [| [| 1 |]; [||]; [| 3 |]; [||] |] in
   Alcotest.(check int) "two components" 2 r.Graph.Components.component_count;
   (* Connected ordered pairs: (0,1),(1,0),(2,3),(3,2) of 12 possible. *)
   check_close (4.0 /. 12.0) r.Graph.Components.pair_connectivity
 
 let test_components_with_failures () =
   let alive = [| true; false; true; true |] in
-  let r = Graph.Components.analyze ~alive diamond in
+  let r = analyze ~alive diamond in
   Alcotest.(check int) "alive" 3 r.Graph.Components.alive_nodes;
   Alcotest.(check int) "one component (0-2-3)" 1 r.Graph.Components.component_count;
   check_close 1.0 r.Graph.Components.giant_fraction
 
-let bfs_distance_positive_only_at_reachable =
-  qcheck "bfs distances are -1 or genuine hop counts"
-    QCheck2.Gen.(int_range 0 1000)
-    (fun seed ->
-      let rng = rng_of_seed seed in
-      let n = 2 + Prng.Splitmix.int rng 20 in
-      let adjacency =
-        Array.init n (fun _ ->
-            Array.init (Prng.Splitmix.int rng 4) (fun _ -> Prng.Splitmix.int rng n))
-      in
-      let g = Graph.Digraph.of_adjacency adjacency in
-      let src = Prng.Splitmix.int rng n in
-      let d = Graph.Bfs.distances g ~source:src in
-      d.(src) = 0
-      && Array.for_all (fun x -> x >= -1 && x < n) d)
+(* One survivor forms no pair, so its pair connectivity is missing,
+   while it is its own giant component; with none, both are missing —
+   never a fabricated 0. *)
+let test_components_below_two_alive () =
+  let one = analyze ~alive:[| false; false; true; false |] diamond in
+  Alcotest.(check int) "one alive" 1 one.Graph.Components.alive_nodes;
+  Alcotest.(check bool) "one alive: connectivity nan" true
+    (Float.is_nan one.Graph.Components.pair_connectivity);
+  check_close 1.0 one.Graph.Components.giant_fraction;
+  let none = analyze ~alive:(Array.make 4 false) diamond in
+  Alcotest.(check int) "no component" 0 none.Graph.Components.component_count;
+  Alcotest.(check bool) "none alive: connectivity nan" true
+    (Float.is_nan none.Graph.Components.pair_connectivity);
+  Alcotest.(check bool) "none alive: giant nan" true
+    (Float.is_nan none.Graph.Components.giant_fraction)
 
 let suite =
   [
     ("union-find basic", `Quick, test_union_find_basic);
     ("union-find transitive", `Quick, test_union_find_transitive);
     union_find_counts_consistent;
-    ("digraph shape", `Quick, test_digraph_shape);
-    ("digraph of_edges", `Quick, test_digraph_of_edges);
-    ("digraph invalid edges", `Quick, test_digraph_of_edges_invalid);
-    ("bfs distances", `Quick, test_bfs_distances);
-    ("bfs unreachable", `Quick, test_bfs_unreachable);
-    ("bfs alive mask", `Quick, test_bfs_alive_mask);
-    ("bfs dead source", `Quick, test_bfs_dead_source);
-    ("bfs counts", `Quick, test_bfs_counts);
     ("components report", `Quick, test_components_report);
     ("components split", `Quick, test_components_split);
     ("components with failures", `Quick, test_components_with_failures);
-    bfs_distance_positive_only_at_reachable;
+    ("components below two alive nodes", `Quick, test_components_below_two_alive);
   ]

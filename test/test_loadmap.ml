@@ -223,9 +223,7 @@ let test_progress_safe_rate () =
 (* --- batch kernel versus scalar routers: per-node counters -------------------- *)
 
 let flat_table ~seed ~bits geometry =
-  Overlay.Table.build
-    ~rng:(Prng.Splitmix.create ~seed)
-    ~backend:Overlay.Table.Flat ~bits geometry
+  Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed) ~bits geometry
 
 (* The C kernel accumulates into Bigarray slices; the scalar routers
    go through [note]. For every geometry and failure level the two

@@ -82,10 +82,10 @@ let test_json_snapshot_shape () =
             (contains_substring json fragment))
         [ {|"counters"|}; {|"histograms"|}; {|"test/a": 1|}; {|"test/b"|}; {|"count": 1|} ])
 
-(* On the flat backend, so the batch kernel's C lanes route the pairs
-   and do the loadmap counting. *)
+(* The batch kernel's C lanes route the pairs and do the loadmap
+   counting. *)
 let run_estimate () =
-  Sim.Estimate.run ~backend:Overlay.Table.Flat
+  Sim.Estimate.run
     (Sim.Estimate.config ~trials:2 ~pairs_per_trial:200 ~seed:7 ~bits:8 ~q:0.3
        Rcm.Geometry.Xor)
 

@@ -117,13 +117,17 @@ let test_build_reproducible () =
       (Overlay.Table.neighbors t2 v)
   done
 
-let test_to_digraph () =
+(* A full ring overlay is connected: one component holding all 256
+   nodes, read through the table in place. *)
+let test_one_component () =
   let t = build Rcm.Geometry.Ring in
-  let g = Overlay.Table.to_digraph t in
-  Alcotest.(check int) "nodes" 256 (Graph.Digraph.node_count g);
-  Alcotest.(check int) "edges" (256 * bits) (Graph.Digraph.edge_count g);
-  (* A full ring overlay is strongly connected: BFS reaches everyone. *)
-  Alcotest.(check int) "reachable" 255 (Graph.Bfs.reachable_count g ~source:0)
+  Alcotest.(check int) "edges" (256 * bits) (Overlay.Table.edge_count t);
+  let r =
+    Graph.Components.analyze_iter ~nodes:(Overlay.Table.node_count t)
+      (Overlay.Table.iter_neighbors t)
+  in
+  Alcotest.(check int) "one component" 1 r.Graph.Components.component_count;
+  Alcotest.(check int) "largest" 256 r.Graph.Components.largest
 
 let test_failure_sampling () =
   let rng = rng_of_seed 23 in
@@ -247,7 +251,7 @@ let suite =
     ("symphony structure", `Quick, test_symphony_structure);
     ("deterministic xor table", `Quick, test_deterministic_xor_table);
     ("build reproducible", `Quick, test_build_reproducible);
-    ("to_digraph", `Quick, test_to_digraph);
+    ("ring is one component", `Quick, test_one_component);
     ("failure sampling", `Quick, test_failure_sampling);
     ("failure extremes", `Quick, test_failure_extremes);
     ("failure survivors/kill", `Quick, test_failure_survivors_kill);

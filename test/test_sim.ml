@@ -193,9 +193,7 @@ let test_trial_batch_equals_scalar () =
           List.iter
             (fun q ->
               let build_rng = Prng.Splitmix.create ~seed:31 in
-              let table =
-                Overlay.Table.build ~rng:build_rng ~backend:Overlay.Table.Flat ~bits:8 g
-              in
+              let table = Overlay.Table.build ~rng:build_rng ~bits:8 g in
               let alive = Overlay.Failure.sample ~rng:build_rng ~q 256 in
               let trial batch =
                 Routing.Route_batch.set_enabled batch;
@@ -261,9 +259,13 @@ let test_no_survivors_is_nan () =
     (Experiments.Dimension_sweep.simulate
        { Experiments.Dimension_sweep.default_config with trials = 2; pairs = 50 }
        ~dim:2 ~side:8 1.0);
-  nan "Percolation.run mean_routability"
-    (Sim.Percolation.run ~trials:2 ~pairs:50 ~seed:3 ~bits:6 ~q:1.0 Rcm.Geometry.Ring)
-      .Sim.Percolation.mean_routability
+  let percolation =
+    Sim.Percolation.run ~trials:2 ~pairs:50 ~seed:3 ~bits:6 ~q:1.0 Rcm.Geometry.Ring
+  in
+  nan "Percolation.run mean_routability" percolation.Sim.Percolation.mean_routability;
+  nan "Percolation.run mean_pair_connectivity"
+    percolation.Sim.Percolation.mean_pair_connectivity;
+  nan "Percolation.run mean_giant_fraction" percolation.Sim.Percolation.mean_giant_fraction
 
 let suite =
   [
