@@ -481,24 +481,16 @@ let simulate geometry bits q trials pairs seed jobs no_batch obs csv json smoke 
       if csv then print_endline Sim.Estimate.csv_header;
       List.iter
         (fun g ->
-          let cache = Overlay.Table_cache.create () in
-          let results =
-            (* Always supervised: the install'ed SIGINT handler only
-               sets a flag, so the sweep must check it at trial
-               boundaries for Ctrl-C to stop a plain run too. *)
-            Sim.Estimate.run_sweep ?pool ~cache ~supervise:true ~retries ?fault ?checkpoint
-              (Sim.Estimate.config ~trials ~pairs_per_trial:pairs ~seed ~bits
-                 ~q:(List.hd qs) g)
-              qs
-          in
-          List.iter
-            (fun (q, result) ->
-              if csv then print_endline (Sim.Estimate.to_csv_row result)
-              else if json then print_endline (Sim.Estimate.to_json result)
-              else
-                let analysis = Rcm.Model.routability g ~d:bits ~q in
-                Fmt.pr "%a  (analysis: %.4f)@." Sim.Estimate.pp_result result analysis)
-            results)
+          Sim.Estimate.run_sweep ?pool ~cache:(Overlay.Table_cache.create ()) ~retries ?fault
+            ?checkpoint
+            (Sim.Estimate.config ~trials ~pairs_per_trial:pairs ~seed ~bits ~q:(List.hd qs) g)
+            qs
+          |> List.iter (fun (q, result) ->
+                 if csv then print_endline (Sim.Estimate.to_csv_row result)
+                 else if json then print_endline (Sim.Estimate.to_json result)
+                 else
+                   let analysis = Rcm.Model.routability g ~d:bits ~q in
+                   Fmt.pr "%a  (analysis: %.4f)@." Sim.Estimate.pp_result result analysis))
         geometries)
 
 let simulate_cmd =
@@ -617,7 +609,7 @@ let figure name quick csv plot jobs no_batch obs =
   if plot then Experiments.Ascii_plot.print series
 
 let figure_cmd =
-  let doc = "Regenerate a paper figure (f6a, f6b, f7a, f7b) or ablation (sym-knobs, suffix, fingers)." in
+  let doc = "Regenerate a paper figure or an ablation: " ^ String.concat ", " figure_names in
   let figure_name =
     Arg.(required & pos 0 (some (enum (List.map (fun n -> (n, n)) figure_names))) None
          & info [] ~docv:"FIGURE" ~doc:"Figure id.")
@@ -630,7 +622,10 @@ let figure_cmd =
 (* --- export ----------------------------------------------------------------- *)
 
 let export dir quick jobs no_batch obs =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  (try
+     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+     if not (Sys.is_directory dir) then die "export" 2 "%s: Not a directory" dir
+   with Sys_error msg -> die "export" 2 "%s" msg);
   (* Every export gets a provenance manifest next to its CSVs unless
      the caller pointed --manifest elsewhere. *)
   let obs =
@@ -714,6 +709,7 @@ let scalability_cmd =
 (* --- validate ----------------------------------------------------------------- *)
 
 let validate with_sim bits trials pairs seed =
+  if with_sim then check_sizes "validate" ~bits Rcm.Geometry.all_default;
   let chain_rows = Experiments.Validation.chain_vs_closed () in
   Fmt.pr "%a@." Experiments.Validation.pp_chain_rows chain_rows;
   let ok_chains = Experiments.Validation.max_chain_error chain_rows < 1e-10 in

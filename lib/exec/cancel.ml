@@ -10,8 +10,6 @@ let request () = Atomic.set flag true
 
 let reset () = Atomic.set flag false
 
-let check () = if Atomic.get flag then raise Cancelled
-
 let installed = ref false
 
 let install () =

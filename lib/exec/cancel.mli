@@ -2,19 +2,19 @@
 
     A single process-wide flag, set either programmatically
     ({!request}) or by the SIGINT/SIGTERM handlers that {!install}
-    registers. Nothing is interrupted preemptively: supervised task
-    runners ({!Pool.supervised}, {!Pool.map_supervised}) consult the
-    flag at task boundaries, so a cancelled sweep stops cleanly between
-    trials with every completed trial intact — the front end can then
-    flush checkpoints, metrics and traces before exiting.
+    registers. Nothing is interrupted preemptively: {!Pool.supervised},
+    which every sweep runs its tasks under ([Sim.Sweep.run]), consults
+    the flag at task boundaries, so a cancelled sweep stops cleanly
+    between tasks with every completed one intact — the front end can
+    then flush checkpoints, metrics and traces before exiting.
 
     The flag is an [Atomic.t]: safe to read from any domain, and safe
     to set from an OCaml signal handler. *)
 
 exception Cancelled
-(** Raised by sweep drivers (e.g. [Sim.Estimate.run_sweep]) after they
-    have observed the flag, recorded partial state and unwound — the
-    front end catches it, reports, and exits with {!exit_code}. *)
+(** Raised by the sweep engine ([Sim.Sweep.run]) after it has observed
+    the flag, flushed its checkpoint and unwound — the front end
+    catches it, reports, and exits with {!exit_code}. *)
 
 val exit_code : int
 (** The distinct exit code for a cancelled run: 130 (128 + SIGINT),
@@ -35,6 +35,3 @@ val requested : unit -> bool
 val reset : unit -> unit
 (** Clear the flag (between independent runs in one process, and in
     tests). Does not uninstall signal handlers. *)
-
-val check : unit -> unit
-(** @raise Cancelled when the flag is set. *)

@@ -258,5 +258,3 @@ let supervised ?(retries = 0) ~task k =
     in
     attempt 1
   end
-
-let map_supervised ?retries t n task = map t n (fun k -> supervised ?retries ~task k)

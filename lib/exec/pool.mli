@@ -91,18 +91,10 @@ type 'a outcome =
 val supervised : ?retries:int -> task:(attempt:int -> int -> 'a) -> int -> 'a outcome
 (** [supervised ~retries ~task k] runs [task ~attempt k] (attempts
     numbered from 1) with the retry/cancellation policy above. Usable
-    without a pool — the sequential execution path supervises trials
-    with exactly the same policy as the parallel one.
+    without a pool — the sequential execution path supervises tasks
+    with exactly the same policy as the parallel one. [Sim.Sweep.run]
+    runs every sweep task through it.
     @raise Invalid_argument if [retries < 0]. *)
-
-val map_supervised :
-  ?retries:int -> t -> int -> (attempt:int -> int -> 'a) -> 'a outcome array
-(** [map_supervised pool n task] is
-    [map pool n (supervised ~retries ~task)]: index-ordered outcomes,
-    bit-identical at every pool size. Task exceptions never propagate;
-    cancellation yields {!Cancelled} outcomes rather than an exception,
-    so the caller decides how to unwind after recording partial
-    results. *)
 
 val shutdown : t -> unit
 (** Joins the worker domains. The pool must not be used afterwards

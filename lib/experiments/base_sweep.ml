@@ -23,7 +23,13 @@ let simulate_sweep ?pool cfg ~mode ~group qs =
     | `Tree -> Overlay.Digit_table.Preserve_suffix
     | `Xor -> Overlay.Digit_table.Randomize_suffix
   in
-  Sim.Trial.grid ?pool ~seed:cfg.seed ~trials:cfg.trials qs (fun q build_seed ->
+  let label =
+    Printf.sprintf "base-%s b=%d"
+      (match mode with `Tree -> "tree" | `Xor -> "xor")
+      (Idspace.Digit.base ~group)
+  in
+  Sim.Sweep.grid ?pool ~label ~name:(Printf.sprintf "q=%g") ~seed:cfg.seed ~trials:cfg.trials
+    qs (fun q build_seed ->
       let rng = Prng.Splitmix.of_int64 build_seed in
       let table = Overlay.Digit_table.build ~rng ~bits:cfg.bits ~group style in
       let alive = Overlay.Failure.sample ~rng ~q (Overlay.Digit_table.node_count table) in

@@ -115,7 +115,7 @@ let codec cfg =
   let open Obs.Tiny_json in
   let int = Sim.Checkpoint.int in
   {
-    Sweep.kind = "churn";
+    Sim.Sweep.kind = "churn";
     key =
       (fun (geometry, session_mean) ~seed ->
         [
@@ -185,7 +185,7 @@ let run ?pool ?(geometries = default_geometries) ?retries ?fault ?checkpoint cfg
   let grid =
     List.concat_map (fun g -> List.map (fun mean -> (g, mean)) cfg.session_means) geometries
   in
-  Sweep.run ?pool ?retries ?fault
+  Sim.Sweep.points ?pool ?retries ?fault
     ?checkpoint:(Option.map (fun ck -> (ck, codec cfg)) checkpoint)
     ~label:"churn"
     ~group:(fun (g, _) -> Rcm.Geometry.slug g)

@@ -72,7 +72,7 @@ val run :
     @raise Failure when a stored record does not decode or a point
     exhausts its retries. *)
 
-val codec : config -> (Rcm.Geometry.t * float, point) Sweep.codec
+val codec : config -> (Rcm.Geometry.t * float, point) Sim.Sweep.codec
 (** The ["churn"] checkpoint records of a sweep over [config], with
     (geometry, session mean) coordinates. The key holds every config
     field that determines a point plus its derived seed; a

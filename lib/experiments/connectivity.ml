@@ -4,33 +4,11 @@ let default_config =
   { bits = 12; qs = Grid.fig6_q; trials = 3; pairs = 2_000; seed = 4242 }
 
 (* A1: for each geometry and failure level, measure pair-connectivity
-   (percolation ceiling) and routability on the same failed overlays.
-   The gap is the quantity the paper's introduction argues percolation
-   theory cannot see. *)
-let run_geometry cfg geometry =
-  Series.tabulate
-    ~title:
-      (Printf.sprintf "A1 connectivity vs routability: %s, N=2^%d"
-         (Rcm.Geometry.slug geometry) cfg.bits)
-    ~x_label:"q" ~x:cfg.qs
-    [
-      ( "connectivity",
-        fun q ->
-          (Sim.Percolation.run ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed
-             ~bits:cfg.bits ~q geometry)
-            .Sim.Percolation.mean_pair_connectivity );
-      ( "routability",
-        fun q ->
-          (Sim.Percolation.run ~trials:cfg.trials ~pairs:cfg.pairs ~seed:cfg.seed
-             ~bits:cfg.bits ~q geometry)
-            .Sim.Percolation.mean_routability );
-    ]
-
-(* Single-pass variant: one Percolation.run per grid point, yielding
-   both columns (used by the CLI and bench; run_geometry recomputes per
-   column and is kept for its simpler interface in tests). Trial seeds
-   do not depend on q, so one cache serves the whole sweep: overlay
-   builds drop from |qs| × trials to trials. *)
+   (percolation ceiling) and routability on the same failed overlays,
+   one Percolation.run per grid point. The gap is the quantity the
+   paper's introduction argues percolation theory cannot see. Trial
+   seeds do not depend on q, so one cache serves the whole sweep:
+   overlay builds drop from |qs| × trials to trials. *)
 let run ?pool cfg geometry =
   let cache = Overlay.Table_cache.create () in
   let reports =

@@ -29,12 +29,6 @@ let simulation_label geometry = Rcm.Geometry.slug geometry ^ "(sim)"
 let analysis_column cfg geometry =
   (analysis_label geometry, fun q -> Rcm.Model.failed_paths_percent geometry ~d:cfg.bits ~q)
 
-let simulation_column ?pool ?cache cfg geometry =
-  ( simulation_label geometry,
-    fun q ->
-      Sim.Estimate.failed_percent
-        (Sim.Estimate.run ?pool ?cache { (estimate_config cfg geometry) with q }) )
-
 (* One simulated column over the whole q grid: the sweep runs all
    |qs| × trials grid points as one task batch (parallel under [pool])
    and, because trial seeds do not depend on q, builds each trial's
@@ -58,18 +52,6 @@ let analysis cfg =
          cfg.bits)
     ~x_label:"q" ~x:cfg.qs
     (List.map (analysis_column cfg) geometries)
-
-let simulation ?pool cfg =
-  let cache = Overlay.Table_cache.create () in
-  Series.create
-    ~title:
-      (Printf.sprintf "Fig 6(a) simulation: %% failed paths, N=2^%d (tree/hypercube/xor)"
-         cfg.bits)
-    ~x_label:"q" ~x:(Array.of_list cfg.qs)
-    (List.map
-       (fun g ->
-         Series.column ~label:(simulation_label g) (simulation_values ?pool ~cache cfg g))
-       geometries)
 
 let run ?pool cfg =
   let cache = Overlay.Table_cache.create () in

@@ -26,16 +26,6 @@ val geometries : Rcm.Geometry.t list
 val analysis_column : config -> Rcm.Geometry.t -> string * (float -> float)
 (** One analytical failed-percent column (shared with {!Fig6b}). *)
 
-val simulation_column :
-  ?pool:Exec.Pool.t ->
-  ?cache:Overlay.Table_cache.t ->
-  config ->
-  Rcm.Geometry.t ->
-  string * (float -> float)
-(** One simulated failed-percent column as a per-point closure (shared
-    with {!Fig6b}); prefer {!simulation_values} for whole-grid sweeps,
-    which batches the grid and reuses overlay builds. *)
-
 val analysis_values : config -> Rcm.Geometry.t -> float array
 (** The analytical column evaluated over [cfg.qs]. *)
 
@@ -52,9 +42,6 @@ val simulation_values :
 
 val analysis : config -> Series.t
 (** Analytical failed-path percentages only. *)
-
-val simulation : ?pool:Exec.Pool.t -> config -> Series.t
-(** Monte-Carlo failed-path percentages only. *)
 
 val run : ?pool:Exec.Pool.t -> config -> Series.t
 (** Interleaved analysis and simulation columns — the full figure.

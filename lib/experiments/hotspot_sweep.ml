@@ -169,7 +169,7 @@ let run ?pool ?(planes = [ Routing; Storage ])
       List.concat_map (fun g -> List.map (fun a -> (plane, g, a)) axis) geometries
     else []
   in
-  Sweep.run ?pool ?retries ?fault ~label:"hotspots"
+  Sim.Sweep.points ?pool ?retries ?fault ~label:"hotspots"
     ~group:(fun (plane, g, _) -> plane_tag plane ^ "/" ^ Rcm.Geometry.slug g)
     ~describe:(fun (plane, g, axis) ->
       Printf.sprintf "%s plane, %s, axis %g" (plane_tag plane) (Rcm.Geometry.slug g) axis)

@@ -25,7 +25,9 @@ let effective_bits cfg = Idspace.Id.floor_log2 cfg.nodes
    tasks (parallel under [pool]); per-q sums reduce in trial order, so
    values are bit-identical to the sequential sweep. *)
 let simulate_sweep ?pool cfg geometry ~bits qs =
-  Sim.Trial.grid ?pool ~seed:cfg.seed ~trials:cfg.trials qs (fun q build_seed ->
+  Sim.Sweep.grid ?pool
+    ~label:(Printf.sprintf "sparse %s d=%d" (Rcm.Geometry.slug geometry) bits)
+    ~name:(Printf.sprintf "q=%g") ~seed:cfg.seed ~trials:cfg.trials qs (fun q build_seed ->
       let rng = Prng.Splitmix.of_int64 build_seed in
       let overlay = Overlay.Sparse.build ~rng ~bits ~nodes:cfg.nodes geometry in
       let alive = Overlay.Failure.sample ~rng ~q cfg.nodes in

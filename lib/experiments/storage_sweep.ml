@@ -255,7 +255,7 @@ let codec cfg =
           1 )
   in
   {
-    Sweep.kind = "storage";
+    Sim.Sweep.kind = "storage";
     key =
       (fun (geometry, quorum, axis) ~seed ->
         [
@@ -336,7 +336,7 @@ let run ?pool ?(geometries = default_geometries) ?retries ?fault ?checkpoint cfg
           quorums)
       geometries
   in
-  Sweep.run ?pool ?retries ?fault
+  Sim.Sweep.points ?pool ?retries ?fault
     ?checkpoint:(Option.map (fun ck -> (ck, codec cfg)) checkpoint)
     ~label:"storage"
     ~group:(fun (g, _, _) -> Rcm.Geometry.slug g)

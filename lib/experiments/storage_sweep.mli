@@ -108,7 +108,7 @@ val run :
     @raise Failure when a stored record does not decode or a point
     exhausts its retries. *)
 
-val codec : config -> (Rcm.Geometry.t * Storage.Quorum.t * float, point) Sweep.codec
+val codec : config -> (Rcm.Geometry.t * Storage.Quorum.t * float, point) Sim.Sweep.codec
 (** The ["storage"] checkpoint records of a sweep over [config], with
     (geometry, quorum, axis) coordinates. One key shape covers both
     modes (the churn-only fields are [""] / 0 in static mode, [trials]

@@ -53,25 +53,10 @@ let add_artefact ~kind path =
 
 (* --- rendering ------------------------------------------------------------- *)
 
-let add_json_string buffer s =
-  Buffer.add_char buffer '"';
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.add_char buffer '"'
-
 let json_float v = if Float.is_finite v then Printf.sprintf "%.6f" v else "null"
 
 let add_value buffer = function
-  | String s -> add_json_string buffer s
+  | String s -> Tiny_json.add_escaped buffer s
   | Int i -> Buffer.add_string buffer (string_of_int i)
   | Float f -> Buffer.add_string buffer (json_float f)
   | Bool b -> Buffer.add_string buffer (string_of_bool b)
@@ -80,22 +65,22 @@ let add_value buffer = function
       List.iteri
         (fun i s ->
           if i > 0 then Buffer.add_string buffer ", ";
-          add_json_string buffer s)
+          Tiny_json.add_escaped buffer s)
         l;
       Buffer.add_char buffer ']'
 
 let add_artefact_json buffer (kind, path) =
   Buffer.add_string buffer "    {\"kind\": ";
-  add_json_string buffer kind;
+  Tiny_json.add_escaped buffer kind;
   Buffer.add_string buffer ", \"path\": ";
-  add_json_string buffer path;
+  Tiny_json.add_escaped buffer path;
   if Sys.file_exists path then begin
     let bytes = (Unix.stat path).Unix.st_size in
     (* MD5 from the stdlib [Digest]: not cryptographic, but exactly
        enough to prove an artefact on disk is the one this run wrote. *)
     let md5 = Digest.to_hex (Digest.file path) in
-    Buffer.add_string buffer
-      (Printf.sprintf ", \"exists\": true, \"bytes\": %d, \"md5\": %S" bytes md5)
+    Buffer.add_string buffer (Printf.sprintf ", \"exists\": true, \"bytes\": %d, \"md5\": " bytes);
+    Tiny_json.add_escaped buffer md5
   end
   else Buffer.add_string buffer ", \"exists\": false";
   Buffer.add_char buffer '}'
@@ -106,11 +91,11 @@ let render m ~finished ~exit_status =
     (Printf.sprintf "{\n  \"v\": %d,\n  \"kind\": \"dht_rcm-manifest\",\n  \"argv\": " version);
   add_value buffer (Strings m.argv);
   Buffer.add_string buffer ",\n  \"cwd\": ";
-  add_json_string buffer m.cwd;
+  Tiny_json.add_escaped buffer m.cwd;
   Buffer.add_string buffer ",\n  \"hostname\": ";
-  add_json_string buffer m.hostname;
+  Tiny_json.add_escaped buffer m.hostname;
   Buffer.add_string buffer ",\n  \"ocaml_version\": ";
-  add_json_string buffer Sys.ocaml_version;
+  Tiny_json.add_escaped buffer Sys.ocaml_version;
   Buffer.add_string buffer
     (Printf.sprintf ",\n  \"started\": %.6f,\n  \"finished\": %.6f,\n  \"wall_s\": %s,\n  \"exit_status\": %d"
        m.started finished
@@ -120,7 +105,7 @@ let render m ~finished ~exit_status =
   List.iteri
     (fun i (key, v) ->
       if i > 0 then Buffer.add_string buffer ", ";
-      add_json_string buffer key;
+      Tiny_json.add_escaped buffer key;
       Buffer.add_string buffer ": ";
       add_value buffer v)
     (List.rev m.notes);

@@ -248,34 +248,25 @@ let pp_summary ppf () =
 let json_float v =
   if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 let json_of_snapshot s =
   let buffer = Buffer.create 1024 in
   Buffer.add_string buffer "{\"counters\": {";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_string buffer ", ";
-      Buffer.add_string buffer (Printf.sprintf "\"%s\": %d" (json_escape name) v))
+      Tiny_json.add_escaped buffer name;
+      Buffer.add_string buffer (Printf.sprintf ": %d" v))
     s.counters;
   Buffer.add_string buffer "}, \"histograms\": {";
   List.iteri
     (fun i (name, h) ->
       if i > 0 then Buffer.add_string buffer ", ";
+      Tiny_json.add_escaped buffer name;
       Buffer.add_string buffer
         (Printf.sprintf
-           "\"%s\": {\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"mean\": %s, \
+           ": {\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"mean\": %s, \
             \"p50\": %s, \"p90\": %s, \"p99\": %s}"
-           (json_escape name) h.count (json_float h.sum) (json_float h.min)
+           h.count (json_float h.sum) (json_float h.min)
            (json_float h.max) (json_float h.mean) (json_float h.p50) (json_float h.p90)
            (json_float h.p99)))
     s.histograms;

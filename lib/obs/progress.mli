@@ -1,10 +1,10 @@
 (** Live progress line for long sweeps.
 
     A single process-wide reporter, like {!Metrics} and {!Trace}: the
-    sweep drivers ([Sim.Estimate.run_sweep], [Sim.Percolation.run])
-    declare a phase with its task total, every completed trial {!tick}s
-    it — from whichever domain ran the trial — and the supervisor
-    ({!Exec.Pool.supervised}) reports retries and failures. The
+    sweep engine ([Sim.Sweep.run], behind every Monte-Carlo sweep)
+    declares a phase with its task total, every completed task {!tick}s
+    it — from whichever domain ran the task — and the supervisor
+    ([Exec.Pool.supervised]) reports retries and failures. The
     reporter repaints one carriage-return line on stderr, rate-limited
     to a few frames per second, showing completed/total, throughput,
     the current grid group (e.g. [q=0.30]), a per-group and an overall

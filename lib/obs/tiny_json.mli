@@ -40,7 +40,9 @@ val to_obj : t -> (string * t) list option
 val add_escaped : Buffer.t -> string -> unit
 (** Append [s] as a quoted JSON string: quote, backslash, newline, tab
     and carriage return get their short escapes, other control bytes
-    [\u00XX]; every other byte is copied as is. *)
+    [\u00XX]; every other byte is copied as is. The one string writer
+    of every JSON sink: trace records, metrics snapshots, manifests,
+    the Chrome export and checkpoints. *)
 
 val to_string : t -> string
 (** Compact one-line rendering (re-emission for converters, e.g. the

@@ -71,16 +71,7 @@ let with_file path f =
   Fun.protect ~finally:close f
 
 let buffer_value buffer = function
-  | String s ->
-      Buffer.add_char buffer '"';
-      String.iter
-        (function
-          | '"' -> Buffer.add_string buffer "\\\""
-          | '\\' -> Buffer.add_string buffer "\\\\"
-          | '\n' -> Buffer.add_string buffer "\\n"
-          | c -> Buffer.add_char buffer c)
-        s;
-      Buffer.add_char buffer '"'
+  | String s -> Tiny_json.add_escaped buffer s
   | Int i -> Buffer.add_string buffer (string_of_int i)
   | Float f ->
       Buffer.add_string buffer (if Float.is_finite f then Printf.sprintf "%.9g" f else "null")
@@ -88,10 +79,11 @@ let buffer_value buffer = function
 
 let emit ~kind ~name ?dur_s attrs =
   let buffer = Buffer.create 160 in
-  Buffer.add_string buffer
-    (Printf.sprintf "{\"ts\": %.6f, \"kind\": %S, \"name\": %S, \"domain\": %d"
-       (Unix.gettimeofday ()) kind name
-       (Domain.self () :> int));
+  Buffer.add_string buffer (Printf.sprintf "{\"ts\": %.6f, \"kind\": " (Unix.gettimeofday ()));
+  Tiny_json.add_escaped buffer kind;
+  Buffer.add_string buffer ", \"name\": ";
+  Tiny_json.add_escaped buffer name;
+  Buffer.add_string buffer (Printf.sprintf ", \"domain\": %d" (Domain.self () :> int));
   (match dur_s with
   | Some d -> Buffer.add_string buffer (Printf.sprintf ", \"dur_s\": %.9f" d)
   | None -> ());
@@ -100,7 +92,8 @@ let emit ~kind ~name ?dur_s attrs =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buffer ", ";
-        Buffer.add_string buffer (Printf.sprintf "%S: " k);
+        Tiny_json.add_escaped buffer k;
+        Buffer.add_string buffer ": ";
         buffer_value buffer v)
       attrs;
     Buffer.add_char buffer '}'

@@ -325,10 +325,11 @@ let export_chrome records oc =
       output_string oc "\n  ";
       let buffer = Buffer.create 160 in
       Buffer.add_char buffer '{';
-      Buffer.add_string buffer
-        (Printf.sprintf "\"name\": %s, \"cat\": %S, \"pid\": 1, \"tid\": %d"
-           (Tiny_json.to_string (Tiny_json.Str r.name))
-           r.kind r.domain);
+      Buffer.add_string buffer "\"name\": ";
+      Tiny_json.add_escaped buffer r.name;
+      Buffer.add_string buffer ", \"cat\": ";
+      Tiny_json.add_escaped buffer r.kind;
+      Buffer.add_string buffer (Printf.sprintf ", \"pid\": 1, \"tid\": %d" r.domain);
       (match (r.kind, r.dur_s) with
       | "span", Some dur ->
           Buffer.add_string buffer

@@ -15,7 +15,7 @@
     {1 Representation}
 
     Every table that {!build} and the variant builders return is flat:
-    immutable, and shared read-only across {!Exec.Pool} domains with
+    immutable, and shared read-only across [Exec.Pool] domains with
     zero copying. The builtin tree, hypercube, ring and xor tables
     follow a closed form, so {!build} stores that {!rule} (a few words)
     and every read computes the entry. Every other table is a single
@@ -99,7 +99,7 @@ val build_symphony_bidirectional :
 (** The deployed Symphony: near neighbours on both sides and shortcuts
     usable from either endpoint (links are undirected, so nodes also
     route over incoming shortcuts). Mean degree [2 (k_n + k_s)]. Route
-    it with {!Routing.Bidirectional_ring}, not the clockwise router. *)
+    it with [Routing.Bidirectional_ring], not the clockwise router. *)
 
 val build_deterministic_xor : bits:int -> unit -> t
 (** Ablation variant: Kademlia bucket contacts with preserved suffixes

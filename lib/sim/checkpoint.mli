@@ -5,11 +5,11 @@
     in hour three resumes by replaying stored results and only computes
     what is missing. Two record shapes share the file:
 
-    - {b trial records} of [Sim.Estimate.run_sweep], one per trial,
+    - {b trial records} of {!Estimate.run_sweep}, one per trial,
       keyed by geometry, identifier length, failure probability, pairs
       per trial, master seed and trial index (the typed {!key} /
       {!outcome} API);
-    - {b point records} of the point sweeps ([Experiments.Sweep]), one
+    - {b point records} of the point sweeps ({!Sweep.points}), one
       per grid point: a ["kind"] tag, then the ordered key fields, then
       the value fields ({!find_point} / {!record_point}). Each
       experiment's codec decides the fields.

@@ -114,9 +114,7 @@ let collect cfg outcomes =
           alive_total := !alive_total +. t.alive_fraction;
           List.iter (fun h -> Stats.Summary.add hop_summary (float_of_int h)) t.hops
       | Exec.Pool.Failed _ -> incr failed
-      | Exec.Pool.Cancelled ->
-          (* run_sweep unwinds with Cancel.Cancelled before collecting. *)
-          assert false)
+      | Exec.Pool.Cancelled -> assert false (* Sweep.run raised *))
     outcomes;
   {
     config = cfg;
@@ -144,9 +142,29 @@ let key_of cfg ~trial =
     trial;
   }
 
-let run_sweep ?pool ?cache ?backend:_ ?(supervise = false) ?(retries = 0) ?fault ?checkpoint
-    cfg qs =
-  if retries < 0 then invalid_arg "Estimate.run_sweep: negative retries";
+(* The engine's view of the typed trial records: task [k] is trial
+   [k mod trials] of grid point [k / trials]. *)
+let store checkpoint configs ~trials =
+  let key k = key_of configs.(k / trials) ~trial:(k mod trials) in
+  {
+    Sweep.checkpoint;
+    kind = "trial";
+    find =
+      (fun k ->
+        match Checkpoint.find checkpoint (key k) with
+        | Some (Checkpoint.Trial s) -> Some (Exec.Pool.Done s)
+        | Some (Checkpoint.Failed { attempts; error }) ->
+            Some (Exec.Pool.Failed { attempts; error })
+        | None -> None);
+    record =
+      (fun k -> function
+        | Exec.Pool.Done s -> Checkpoint.record checkpoint (key k) (Checkpoint.Trial s)
+        | Exec.Pool.Failed { attempts; error } ->
+            Checkpoint.record checkpoint (key k) (Checkpoint.Failed { attempts; error })
+        | Exec.Pool.Cancelled -> ());
+  }
+
+let run_sweep ?pool ?cache ?backend:_ ?retries ?fault ?checkpoint cfg qs =
   (* The master seed is a trial-key field: beyond 2^53 it would reload
      as a neighbouring seed and the resume would replay nothing. *)
   if checkpoint <> None && not (Checkpoint.exact_int cfg.seed) then
@@ -168,91 +186,22 @@ let run_sweep ?pool ?cache ?backend:_ ?(supervise = false) ?(retries = 0) ?fault
          else [])
     @@ fun () ->
     let seeds = Trial.seeds ~seed:cfg.seed ~trials:cfg.trials in
-    let qarr = Array.of_list qs in
-    let configs = Array.map (fun q -> { cfg with q }) qarr in
+    let configs = Array.of_list (List.map (fun q -> { cfg with q }) qs) in
     (* Flatten the sweep into |qs| × trials independent tasks: trial
        seeds do not depend on q, so every grid point reuses the same
        [trials] overlays (via [cache]) and the whole grid parallelises
        at once instead of 3 trials at a time. *)
-    let n = Array.length qarr * cfg.trials in
-    (* One progress group per grid point; completion ticks come from
-       every path a trial can take (fresh, retried, replayed from a
-       checkpoint), so the live line's count matches the sweep total. *)
-    let group_names = Array.map (fun q -> Printf.sprintf "q=%g" q) qarr in
-    Obs.Progress.start
-      ~label:(Rcm.Geometry.slug cfg.geometry)
-      ~groups:(Array.to_list (Array.map (fun g -> (g, cfg.trials)) group_names))
-      ~total:n ();
-    let tick k = Obs.Progress.tick ~group:group_names.(k / cfg.trials) () in
-    let task ~attempt k =
-      Exec.Fault.inject fault ~task:k ~attempt;
-      run_trial configs.(k / cfg.trials) cache seeds.(k mod cfg.trials)
-    in
-    let supervised = supervise || retries > 0 || fault <> None || checkpoint <> None in
     let outcomes =
-      if not supervised then begin
-        (* The historical fast path: trial exceptions propagate and
-           abort the sweep, exactly as before this layer existed. *)
-        let plain k =
-          let s = task ~attempt:1 k in
-          tick k;
-          s
-        in
-        let stats =
-          match pool with
-          | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n plain
-          | Some _ | None -> Array.init n plain
-        in
-        Array.map (fun s -> Exec.Pool.Done s) stats
-      end
-      else begin
-        let run_one k =
-          let cfg_k = configs.(k / cfg.trials) in
-          let trial = k mod cfg.trials in
-          let stored =
-            Option.bind checkpoint (fun ck -> Checkpoint.find ck (key_of cfg_k ~trial))
-          in
-          if stored <> None && Obs.Trace.enabled () then
-            Obs.Trace.event "checkpoint/replay"
-              ~attrs:[ ("kind", Obs.Trace.String "trial"); ("task", Obs.Trace.Int k) ]
-              ();
-          match stored with
-          | Some (Checkpoint.Trial s) ->
-              tick k;
-              Exec.Pool.Done s
-          | Some (Checkpoint.Failed { attempts; error }) ->
-              tick k;
-              Exec.Pool.Failed { attempts; error }
-          | None ->
-              let outcome = Exec.Pool.supervised ~retries ~task k in
-              (match (checkpoint, outcome) with
-              | Some ck, Exec.Pool.Done s ->
-                  Checkpoint.record ck (key_of cfg_k ~trial)
-                    (Checkpoint.Trial s)
-              | Some ck, Exec.Pool.Failed { attempts; error } ->
-                  Checkpoint.record ck (key_of cfg_k ~trial)
-                    (Checkpoint.Failed { attempts; error })
-              | (Some _ | None), _ -> ());
-              (match outcome with
-              | Exec.Pool.Cancelled -> () (* not completed: keep the count honest *)
-              | Exec.Pool.Done _ | Exec.Pool.Failed _ -> tick k);
-              outcome
-        in
-        match pool with
-        | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n run_one
-        | Some _ | None -> Array.init n run_one
-      end
+      Sweep.run ?pool ?retries ?fault
+        ?store:(Option.map (fun ck -> store ck configs ~trials:cfg.trials) checkpoint)
+        ~label:(Rcm.Geometry.slug cfg.geometry)
+        ~group:(fun k -> Printf.sprintf "q=%g" configs.(k / cfg.trials).q)
+        (Array.length configs * cfg.trials)
+        (fun k -> run_trial configs.(k / cfg.trials) cache seeds.(k mod cfg.trials))
     in
-    Option.iter Checkpoint.flush checkpoint;
-    (* Erase the live line before anything prints results, also on the
-       cancelled unwind below. *)
-    Obs.Progress.finish ();
-    if Array.exists (function Exec.Pool.Cancelled -> true | _ -> false) outcomes then
-      (* Completed trials are safe in the checkpoint (flushed above);
-         partial per-q results would be misleading, so unwind. *)
-      raise Exec.Cancel.Cancelled;
-    List.init (Array.length qarr) (fun qi ->
-        (qarr.(qi), collect configs.(qi) (Array.sub outcomes (qi * cfg.trials) cfg.trials)))
+    List.mapi
+      (fun qi c -> (c.q, collect c (Array.sub outcomes (qi * cfg.trials) cfg.trials)))
+      (Array.to_list configs)
   end
 
 let run ?pool ?cache cfg =

@@ -25,11 +25,9 @@ type result = {
   mean_alive_fraction : float;
       (** Mean over surviving trials; [nan] when every trial failed. *)
   failed_trials : int;
-      (** Trials that exhausted their retries under supervision (see
-          {!run_sweep}). The estimate covers the surviving trials only,
-          so the CI widens honestly with the lost sample size; always 0
-          on the unsupervised path, where a trial exception aborts the
-          sweep instead. *)
+      (** Trials that raised on every attempt (see {!run_sweep}). The
+          estimate covers the surviving trials only, so the CI widens
+          honestly with the lost sample size. *)
 }
 
 val config :
@@ -49,13 +47,13 @@ val run : ?pool:Exec.Pool.t -> ?cache:Overlay.Table_cache.t -> config -> result
     bit-identical for every [pool] size (including no pool — the
     sequential path) and with or without [cache]. [pool] distributes
     trials across domains; [cache] reuses overlay tables across calls
-    that share trial seeds (e.g. a q-sweep). *)
+    that share trial seeds (e.g. a q-sweep). A trial that raises is
+    counted in [failed_trials], as in {!run_sweep}. *)
 
 val run_sweep :
   ?pool:Exec.Pool.t ->
   ?cache:Overlay.Table_cache.t ->
   ?backend:Overlay.Table.backend ->
-  ?supervise:bool ->
   ?retries:int ->
   ?fault:Exec.Fault.t ->
   ?checkpoint:Checkpoint.t ->
@@ -71,24 +69,19 @@ val run_sweep :
     have one layout, and the argument remains only because the
     benchmark harness in [perfbench/] still passes it.
 
-    Supervision. When [supervise] is set (or implied by [retries > 0],
-    [fault] or [checkpoint]), trials run under
-    {!Exec.Pool.supervised}: a trial exception is retried up to
-    [retries] times — the retry re-derives its PRNG stream from the
-    trial index, so a transient fault replays bit-identically — then
-    recorded as failed, surfacing in {!result.failed_trials} instead
-    of aborting the sweep. [fault] injects deterministic trial
-    failures before the trial touches its PRNG (testing/chaos only).
-    [checkpoint] consults the store before each trial and records each
-    outcome after it, flushing before return; a resumed sweep replays
-    stored trials and produces byte-identical results to an
-    uninterrupted one. On cooperative cancellation
+    Trials run on {!Sweep.run}, under {!Exec.Pool.supervised}: a
+    trial exception is retried up to [retries] times (default 0) —
+    the retry re-derives its PRNG stream from the trial index, so a
+    transient fault replays bit-identically — then recorded as failed,
+    surfacing in {!result.failed_trials} instead of aborting the
+    sweep. [fault] injects deterministic trial failures before the
+    trial touches its PRNG (testing/chaos only). [checkpoint] replays
+    the trials the store holds and records each other outcome,
+    flushing before return; a resumed sweep produces byte-identical
+    results to an uninterrupted one. On cooperative cancellation
     ({!Exec.Cancel.requested}) the sweep flushes the checkpoint and
     raises {!Exec.Cancel.Cancelled} rather than returning partial
     per-q results.
-
-    Without any of these options the historical fast path runs: trial
-    exceptions propagate and abort the sweep.
     @raise Invalid_argument if any [q] is not a probability,
     [retries < 0], or a [checkpoint] is given with a seed outside
     ±(2^53 − 1) (the seed is a key field; see

@@ -64,18 +64,12 @@ let mean_defined f trials =
 let run ?pool ?cache ?(trials = 3) ?(pairs = 2_000) ?(seed = 42) ~bits ~q geometry =
   if trials < 1 then invalid_arg "Percolation.run: need at least one trial";
   if pairs < 1 then invalid_arg "Percolation.run: need at least one pair";
-  let group = Printf.sprintf "q=%g" q in
-  Obs.Progress.start
-    ~label:(Rcm.Geometry.slug geometry)
-    ~groups:[ (group, trials) ] ~total:trials ();
   let all =
     List.concat
-      (Trial.grid ?pool ~seed ~trials [ q ] (fun q build_seed ->
-           let trial = run_trial ~bits ~q geometry cache build_seed ~pairs in
-           Obs.Progress.tick ~group ();
-           trial))
+      (Sweep.grid ?pool ~label:(Rcm.Geometry.slug geometry) ~name:(Printf.sprintf "q=%g")
+         ~seed ~trials [ q ] (fun q build_seed ->
+           run_trial ~bits ~q geometry cache build_seed ~pairs))
   in
-  Obs.Progress.finish ();
   {
     geometry;
     bits;
@@ -96,7 +90,8 @@ let routing_gap r = r.mean_pair_connectivity -. r.mean_routability
 let giant_fraction ?pool ?cache ?(trials = 3) ?(seed = 42) ~bits ~q geometry =
   mean_defined Fun.id
     (List.concat
-       (Trial.grid ?pool ~seed ~trials [ () ] (fun () build_seed ->
+       (Sweep.grid ?pool ~label:(Rcm.Geometry.slug geometry) ~name:(Printf.sprintf "q=%g")
+          ~seed ~trials [ q ] (fun q build_seed ->
             let table, rng = Trial.table ?cache ~bits geometry build_seed in
             let alive = Overlay.Failure.sample ~rng ~q (Overlay.Table.node_count table) in
             (components table alive).Graph.Components.giant_fraction)))
@@ -127,8 +122,3 @@ let giant_threshold ?pool ?cache ?(trials = 3) ?(target = 0.5) ?(steps = 12) ?(s
     in
     bisect 0.0 1.0 steps
   end
-
-let pp ppf r =
-  Fmt.pf ppf "%a d=%d q=%.3f: pair-connectivity %.4f, routability %.4f (gap %.4f)"
-    Rcm.Geometry.pp r.geometry r.bits r.q r.mean_pair_connectivity r.mean_routability
-    (routing_gap r)

@@ -39,8 +39,9 @@ val run :
     index and trial results reduced in index order, so the report is
     bit-identical for every [pool] size and with or without [cache].
     [cache] shares overlay builds across calls with the same seed (e.g.
-    the points of a q-sweep).
-    @raise Invalid_argument if [trials < 1] or [pairs < 1]. *)
+    the points of a q-sweep). Trials run on {!Sweep.grid}.
+    @raise Invalid_argument if [trials < 1] or [pairs < 1].
+    @raise Failure when a trial raises (see {!Sweep.grid}). *)
 
 val routing_gap : report -> float
 (** pair-connectivity minus routability; non-negative up to Monte-Carlo
@@ -73,5 +74,3 @@ val giant_threshold :
     stand-in for 1 - p_c in Definition 2; a [nan] {!giant_fraction}
     counts as not covered. Routing always collapses at or before this
     point. *)
-
-val pp : Format.formatter -> report -> unit

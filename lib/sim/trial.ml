@@ -76,15 +76,3 @@ let table ?cache ~bits geometry seed =
 
 let repeat ~seed ~trials f =
   Array.to_list (Array.map (fun s -> f (Prng.Splitmix.of_int64 s)) (seeds ~seed ~trials))
-
-let grid ?pool ~seed ~trials points f =
-  let seeds = seeds ~seed ~trials in
-  let points = Array.of_list points in
-  let task k = f points.(k / trials) seeds.(k mod trials) in
-  let n = Array.length points * trials in
-  let results =
-    match pool with
-    | Some pool when Exec.Pool.size pool > 1 -> Exec.Pool.map pool n task
-    | Some _ | None -> Array.init n task
-  in
-  List.init (Array.length points) (fun p -> List.init trials (fun i -> results.((p * trials) + i)))

@@ -1,8 +1,8 @@
 (** One static-resilience trial (section 1), shared by every static
     experiment: on a failed overlay, draw ordered pairs of survivors,
     route each without back-tracking and tally the deliveries. Also the
-    per-index seed derivation and the trial fan-out that go with it
-    (DESIGN.md, "Determinism under parallelism"). *)
+    per-index seed derivation that goes with it (DESIGN.md,
+    "Determinism under parallelism"); {!Sweep} fans trials out. *)
 
 type t = Checkpoint.trial = {
   delivered : int;
@@ -56,13 +56,3 @@ val table :
 val repeat : seed:int -> trials:int -> (Prng.Splitmix.t -> 'a) -> 'a list
 (** [repeat ~seed ~trials f] runs [f] on each trial's generator
     [Splitmix.of_int64 (seeds ~seed ~trials).(i)], in index order. *)
-
-val grid :
-  ?pool:Exec.Pool.t -> seed:int -> trials:int -> 'p list -> ('p -> int64 -> 'a) -> 'a list list
-(** [grid ~seed ~trials points f] is, for each point, the list of
-    [f point (seeds ~seed ~trials).(i)] over the trials. The
-    [|points| × trials] tasks run on [pool] when it has more than one
-    domain; results come back in index order, so they are the same for
-    every pool size. Every point reuses the same trial seeds, so a
-    table cache keyed on them builds [trials] overlays for the whole
-    grid. *)

@@ -382,6 +382,7 @@ let test_sweep_command_errors () =
   write_file corrupt "{\"v\": 1, \"kind\": \"dht_rcm-checkpoint\"}\n{\"v\": 1, \"kind\": \"ch";
   let partial = Filename.concat dir "partial.jsonl" in
   let unused = Filename.concat dir "unused.jsonl" in
+  let missing = Filename.concat (Filename.concat dir "missing") "out" in
   let smoke_xor = [ "simulate"; "--smoke"; "-g"; "xor" ] in
   let retried = [ "churn"; "--trial-retries"; "3" ] in
   List.iter
@@ -469,6 +470,14 @@ let test_sweep_command_errors () =
       ([ "hotspots"; "-g"; "record:h=4"; "-d"; "7" ], 2, "dhtlab hotspots: ");
       ([ "churn"; "--smoke"; "--inject-fault"; "trial:0.5:3"; "--checkpoint"; partial ], 1,
         "dhtlab churn: churn point ");
+      (* validate --sim checks every default geometry's size before V1
+         prints. *)
+      ([ "validate"; "--sim"; "-d"; "0" ], 2, "dhtlab validate: ");
+      ([ "validate"; "--sim"; "-d"; "1" ], 2, "dhtlab validate: ");
+      ([ "validate"; "--sim"; "-d"; "70" ], 2, "dhtlab validate: ");
+      (* The export directory is checked before any figure runs. *)
+      ([ "export"; "--quick"; "-o"; corrupt ], 2, "dhtlab export: " ^ corrupt ^ ": ");
+      ([ "export"; "--quick"; "-o"; missing ], 2, "dhtlab export: " ^ missing ^ ": ");
     ];
   Alcotest.(check bool) "the checkpoint holds the points completed before exit 1" true
     (Sim.Checkpoint.length (Sim.Checkpoint.load ~path:partial ()) > 0);
@@ -632,3 +641,7 @@ let suite =
       (fun name -> [ figure_golden name; figure_no_batch_golden name ])
       [ "suffix"; "fingers"; "rep-tree"; "rep-ring"; "sparse"; "hops"; "blocks"; "base-tree";
         "base-xor"; "dims"; "sym-bidir"; "record-hops" ]
+  @ [
+      ("golden validate --sim -d 10", `Quick,
+        check_golden [ "validate"; "--sim"; "-d"; "10" ] "validate-sim-d10.txt");
+    ]

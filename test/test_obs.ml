@@ -469,6 +469,41 @@ let test_heartbeat_beats_and_stops () =
   Alcotest.(check int) "no beat after stop" after (Atomic.get beats);
   Obs.Heartbeat.stop () (* idempotent *)
 
+(* Every JSON sink writes strings through one escaper: control bytes in
+   a trace name, attr key or attr value and in a metric name come out
+   escaped (RFC 8259 forbids them raw) and parse back equal. *)
+let test_json_strings_escaped () =
+  let odd = "odd\tname\001" in
+  let error = "Failure(\"a\tb\001c\")" in
+  let check_clean what text =
+    Alcotest.(check bool) (what ^ ": no raw control byte") false
+      (String.exists (fun c -> Char.code c < 0x20 && c <> '\n') text)
+  in
+  let field json path =
+    List.fold_left (fun v key -> Option.bind v (Obs.Tiny_json.member key)) (Some json) path
+  in
+  let path = Filename.temp_file "dht_rcm_test" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.Trace.with_file path (fun () ->
+          Obs.Trace.event odd ~attrs:[ (odd, Obs.Trace.String error) ] ());
+      let ic = open_in_bin path in
+      let line = input_line ic in
+      close_in ic;
+      check_clean "trace" line;
+      let json = Obs.Tiny_json.parse line in
+      Alcotest.(check (option string)) "trace name" (Some odd)
+        (Option.bind (field json [ "name" ]) Obs.Tiny_json.to_str);
+      Alcotest.(check (option string)) "trace attr" (Some error)
+        (Option.bind (field json [ "attrs"; odd ]) Obs.Tiny_json.to_str));
+  with_metrics (fun () ->
+      Obs.Metrics.incr_named odd;
+      let text = Obs.Metrics.to_json () in
+      check_clean "metrics" text;
+      Alcotest.(check (option int)) "metric name" (Some 1)
+        (Option.bind (field (Obs.Tiny_json.parse text) [ "counters"; odd ]) Obs.Tiny_json.to_int))
+
 let suite =
   [
     ("metrics: counters", `Quick, test_counters);
@@ -486,4 +521,5 @@ let suite =
     ("progress: renders On, silent Off", `Quick, test_progress_renders_and_off_is_silent);
     ("manifest: roundtrip with checksums", `Quick, test_manifest_roundtrip);
     ("heartbeat: beats and stops", `Quick, test_heartbeat_beats_and_stops);
+    ("json: control bytes escaped in trace and metrics", `Quick, test_json_strings_escaped);
   ]

@@ -99,7 +99,7 @@ let test_supervised_retry_replays_bit_identically () =
   let value k = Printf.sprintf "task-%d" k in
   let task ~attempt k = if k mod 3 = 0 && attempt = 1 then failwith "transient" else value k in
   Exec.Pool.with_pool ~domains:2 (fun pool ->
-      let outcomes = Exec.Pool.map_supervised ~retries:1 pool 10 task in
+      let outcomes = Exec.Pool.map pool 10 (Exec.Pool.supervised ~retries:1 ~task) in
       Array.iteri
         (fun k outcome ->
           match outcome with
@@ -111,7 +111,8 @@ let test_supervised_retry_replays_bit_identically () =
 let test_supervised_exhausted_retries_fail () =
   let task ~attempt:_ k = if k = 2 then failwith "persistent" else k in
   let outcomes =
-    Exec.Pool.with_pool ~domains:1 (fun pool -> Exec.Pool.map_supervised ~retries:2 pool 4 task)
+    Exec.Pool.with_pool ~domains:1 (fun pool ->
+        Exec.Pool.map pool 4 (Exec.Pool.supervised ~retries:2 ~task))
   in
   (match outcomes.(2) with
   | Exec.Pool.Failed { attempts; error } ->
@@ -137,7 +138,7 @@ let test_supervised_cancellation_at_task_boundaries () =
       in
       let outcomes =
         Exec.Pool.with_pool ~domains:1 (fun pool ->
-            Exec.Pool.map_supervised pool 5 task)
+            Exec.Pool.map pool 5 (Exec.Pool.supervised ~task))
       in
       let shape =
         Array.to_list outcomes
@@ -467,7 +468,7 @@ let test_sweep_cancellation_raises_and_flushes () =
       Exec.Cancel.request ();
       with_temp_file (fun path ->
           let ck = Sim.Checkpoint.create ~path () in
-          (match Sim.Estimate.run_sweep ~supervise:true ~checkpoint:ck cfg qs with
+          (match Sim.Estimate.run_sweep ~checkpoint:ck cfg qs with
           | _ -> Alcotest.fail "cancelled sweep returned results"
           | exception Exec.Cancel.Cancelled -> ());
           (* The checkpoint was flushed on the way out: the file exists
@@ -476,22 +477,123 @@ let test_sweep_cancellation_raises_and_flushes () =
           Alcotest.(check int) "no trials ran" 0
             (Sim.Checkpoint.length (Sim.Checkpoint.load ~path ()))))
 
-let test_unsupervised_sweep_still_raises () =
-  (* Without any supervision option the historical contract holds: a
-     trial exception aborts the sweep. *)
-  match Exec.Fault.parse "trial:1:1:5" with
+let test_raising_trial_is_counted () =
+  (* Every sweep is supervised: a trial that raises is counted in
+     failed_trials, whether a fault plan or a bug raised it. *)
+  (match Exec.Fault.parse "trial:1:1:5" with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok fault -> (
+      match Sim.Estimate.run_sweep { cfg with Sim.Estimate.trials = 1 } ~fault [ 0.2 ] with
+      | [ (_, r) ] -> Alcotest.(check int) "injected fault counted" 1 r.Sim.Estimate.failed_trials
+      | _ -> Alcotest.fail "expected one grid point"));
+  (* No table takes 40 bits: every trial raises inside the build. *)
+  let r = Sim.Estimate.run { cfg with Sim.Estimate.bits = 40 } in
+  Alcotest.(check int) "library run counts the raising trials" cfg.Sim.Estimate.trials
+    r.Sim.Estimate.failed_trials;
+  Alcotest.(check bool) "no estimate" true (r.Sim.Estimate.ci = None)
+
+(* --- Sim.Sweep --------------------------------------------------------------- *)
+
+let value_codec =
+  {
+    Sim.Sweep.kind = "test";
+    key = (fun c ~seed -> [ ("c", Sim.Checkpoint.int c); ("seed", Sim.Checkpoint.int seed) ]);
+    encode = (fun v -> [ ("value", Sim.Checkpoint.int v) ]);
+    decode = (fun _ f -> Sim.Checkpoint.get_int f "value");
+  }
+
+(* Points 0, 1, 2 on the engine, counting the point calls. *)
+let value_points ck calls =
+  Sim.Sweep.points ~checkpoint:(ck, value_codec) ~label:"test" ~group:string_of_int
+    ~describe:string_of_int ~seed:3 [ 0; 1; 2 ] (fun c ~seed:_ ->
+      Atomic.incr calls;
+      10 * c)
+
+let outcome_shape = function
+  | Exec.Pool.Done v -> Printf.sprintf "done %d" v
+  | Exec.Pool.Failed { attempts; error } -> Printf.sprintf "failed %d %s" attempts error
+  | Exec.Pool.Cancelled -> "cancelled"
+
+let test_engine_pool_invariant () =
+  match Exec.Fault.parse "trial:0.3:5:2" with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok fault ->
-      let task_exn = ref false in
-      (try
-         ignore
-           (Sim.Estimate.run_sweep
-              { cfg with Sim.Estimate.trials = 1 }
-              ~retries:0
-              ~fault (* fault implies supervision; this checks the flag wiring *)
-              [ 0.2 ])
-       with Exec.Fault.Injected _ -> task_exn := true);
-      Alcotest.(check bool) "fault implies supervision (no raise)" false !task_exn
+      let run pool =
+        Array.map outcome_shape
+          (Sim.Sweep.run ?pool ~retries:1 ~fault ~label:"test"
+             ~group:(fun i -> string_of_int (i / 4))
+             24
+             (fun i -> if i mod 7 = 3 then failwith "boom" else i * i))
+      in
+      let sequential = run None in
+      Alcotest.(check bool) "some tasks failed" true
+        (Array.exists (fun s -> Astring_contains.contains s "failed") sequential);
+      List.iter
+        (fun domains ->
+          Exec.Pool.with_pool ~domains (fun pool ->
+              Alcotest.(check (array string))
+                (Printf.sprintf "%d domains = inline" domains)
+                sequential (run (Some pool))))
+        [ 1; 2 ]
+
+(* The first occurrence of [sub] in [text] replaced by [by]. *)
+let replace_first text ~sub ~by =
+  let n = String.length sub in
+  let rec find i = if String.sub text i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub text 0 i ^ by ^ String.sub text (i + n) (String.length text - i - n)
+
+let test_engine_decodes_before_any_task () =
+  with_temp_file (fun path ->
+      let calls = Atomic.make 0 in
+      Alcotest.(check (list int)) "computed" [ 0; 10; 20 ]
+        (value_points (Sim.Checkpoint.create ~path ()) calls);
+      (* Line 2, the first point record, keeps its key but its value no
+         longer decodes; the file still loads. *)
+      write_file path
+        (replace_first (read_file path) ~sub:{|"value": |} ~by:{|"value": "x", "was": |});
+      let ck = Sim.Checkpoint.load ~path () in
+      Atomic.set calls 0;
+      (match value_points ck calls with
+      | _ -> Alcotest.fail "an undecodable record replayed"
+      | exception Failure msg ->
+          Alcotest.(check bool) ("names the path and line: " ^ msg) true
+            (Astring_contains.contains msg (path ^ ", line 2: ")));
+      Alcotest.(check int) "no task ran" 0 (Atomic.get calls))
+
+let test_engine_failed_task () =
+  let outcomes =
+    Sim.Sweep.run ~label:"test" ~group:(fun _ -> "") 3 (fun i ->
+        if i = 1 then failwith "boom" else i)
+  in
+  Alcotest.(check (array string)) "the raising task is Failed"
+    [| "done 0"; {|failed 1 Failure("boom")|}; "done 2" |]
+    (Array.map outcome_shape outcomes);
+  Alcotest.check_raises "the grid form aborts"
+    (Failure {|lbl point 1 (q=0.4, trial 0) failed after 1 attempts: Failure("boom")|})
+    (fun () ->
+      ignore
+        (Sim.Sweep.grid ~label:"lbl" ~name:(Printf.sprintf "q=%g") ~seed:1 ~trials:2
+           [ 0.1; 0.4 ] (fun q _ -> if q = 0.4 then failwith "boom" else q)))
+
+let test_engine_cancellation_flushes () =
+  Fun.protect ~finally:Exec.Cancel.reset (fun () ->
+      Exec.Cancel.reset ();
+      with_temp_file (fun path ->
+          (* An interval above the point count: only the engine's own
+             flush writes the file. The second point requests
+             cancellation and still completes; the third never starts. *)
+          let ck = Sim.Checkpoint.create ~interval:100 ~path () in
+          (match
+             Sim.Sweep.points ~checkpoint:(ck, value_codec) ~label:"test" ~group:string_of_int
+               ~describe:string_of_int ~seed:3 [ 0; 1; 2 ] (fun c ~seed:_ ->
+                 if c = 1 then Exec.Cancel.request ();
+                 10 * c)
+           with
+          | _ -> Alcotest.fail "a cancelled sweep returned"
+          | exception Exec.Cancel.Cancelled -> ());
+          Alcotest.(check int) "the completed points are on disk" 2
+            (Sim.Checkpoint.length (Sim.Checkpoint.load ~path ()))))
 
 let suite =
   [
@@ -526,5 +628,10 @@ let suite =
     ("sweep: resume replays stored failures", `Quick, test_sweep_resume_replays_failures);
     ("sweep: cancellation raises and flushes", `Quick,
       test_sweep_cancellation_raises_and_flushes);
-    ("sweep: fault alone implies supervision", `Quick, test_unsupervised_sweep_still_raises);
+    ("sweep: a raising trial is counted, not raised", `Quick, test_raising_trial_is_counted);
+    ("engine: outcomes equal at 1 and 2 domains", `Quick, test_engine_pool_invariant);
+    ("engine: undecodable record fails before any task", `Quick,
+      test_engine_decodes_before_any_task);
+    ("engine: raising task is Failed, grid aborts", `Quick, test_engine_failed_task);
+    ("engine: cancellation flushes, then raises", `Quick, test_engine_cancellation_flushes);
   ]

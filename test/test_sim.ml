@@ -233,7 +233,8 @@ let test_trial_too_few_survivors () =
 
 let test_trial_grid_pool_invariant () =
   let grid pool =
-    Sim.Trial.grid ?pool ~seed:17 ~trials:3 [ 0.1; 0.4 ] (fun q seed ->
+    Sim.Sweep.grid ?pool ~label:"xor" ~name:(Printf.sprintf "q=%g") ~seed:17 ~trials:3
+      [ 0.1; 0.4 ] (fun q seed ->
         let rng = Prng.Splitmix.of_int64 seed in
         let table = Overlay.Table.build ~rng ~bits:7 Rcm.Geometry.Xor in
         let alive = Overlay.Failure.sample ~rng ~q 128 in
