@@ -42,19 +42,23 @@ trace-smoke: build
 	sh scripts/trace_smoke.sh
 
 # End-to-end benchmark smoke: every perfbench workload for one second
-# untraced, then sweep-d20, storage and churn traced (the traced
-# re-drives call Failure.sample, survivors and sample_and_route,
-# Sparse.build, Store.create and Store.read, and Session_churn.run once
-# per point, directly). run.py exits non-zero when an output check
-# fails — batch = scalar, the RCM closed forms, every repetition
-# (traced ones included) equal to the reference, for churn its events,
-# alive fraction and routability — so this gates correctness, not
-# speed.
+# untraced, then sweep-d20, route-d20, storage and churn traced (the
+# traced re-drives call Failure.sample, survivors and sample_and_route
+# with a survivor pool, Sparse.build, Store.create and Store.read, and
+# Session_churn.run once per point, directly). run.py exits non-zero
+# when an output check fails — batch = scalar, the RCM closed forms,
+# every repetition (traced ones included) equal to the reference, for
+# churn its events, alive fraction and routability — so this gates
+# correctness, not speed. The untraced repetitions draw their pairs
+# through the rank index and the traced re-drives through the pool, so
+# the equality check also compares the two pair sources: 150k pairs a
+# repetition in sweep-d20, 3.6M in route-d20.
 perfbench-smoke:
 	for w in sweep-d20 route-d20 churn storage; do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
 	python3 perfbench/run.py --workload sweep-d20 --seed 1 --seconds 1 --trace 1
+	python3 perfbench/run.py --workload route-d20 --seed 1 --seconds 1 --trace 1
 	python3 perfbench/run.py --workload storage --seed 1 --seconds 1 --trace 1
 	python3 perfbench/run.py --workload churn --seed 1 --seconds 1 --trace 1
 

@@ -34,17 +34,23 @@ let bits_arg ~default =
   Arg.(value & opt int default & info [ "d"; "bits" ] ~docv:"BITS" ~doc)
 
 (* Mirrors the library's own checks (Exec.Pool.create's domain count,
-   Sim.Checkpoint's flush interval, the trial and pair counts) at
-   argument-parsing time: --jobs 0 or --pairs 0 is a CLI error, not a
-   silent fallback or an uncaught exception. *)
-let positive_int_conv what =
+   Sim.Checkpoint's flush interval, the trial and pair counts,
+   Sim.Sweep.run's retry count) at argument-parsing time: --jobs 0,
+   --pairs 0 or --trial-retries=-1 is a CLI error, not a silent
+   fallback or an uncaught exception. *)
+let int_at_least least what =
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "%s must be at least 1, got %d" what n))
-    | None -> Error (`Msg (Printf.sprintf "invalid %s %S (expected an integer >= 1)" what s))
+    | Some n when n >= least -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%s must be at least %d, got %d" what least n))
+    | None ->
+        Error (`Msg (Printf.sprintf "invalid %s %S (expected an integer >= %d)" what s least))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int_conv = int_at_least 1
+
+let non_negative_int_conv = int_at_least 0
 
 (* A failure probability, checked as the library checks it
    (Numerics.Prob.is_valid), so -q 1.5 or -q nan is a CLI error. *)
@@ -349,7 +355,8 @@ let retries_arg =
      re-derive the trial's PRNG stream from its index, so a retried transient fault is \
      bit-identical to the attempt that failed."
   in
-  Arg.(value & opt int 0 & info [ "trial-retries" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (non_negative_int_conv "retry count") 0 & info [ "trial-retries" ] ~docv:"N" ~doc)
 
 let checkpoint_arg =
   let doc =

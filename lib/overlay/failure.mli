@@ -18,15 +18,27 @@ module Bitset = Bitset
 type t = Bitset.t
 (** An alive-mask: node [v] is alive iff bit [v] is set. *)
 
-val sample : ?rng:Prng.Splitmix.t -> q:float -> int -> t
-(** [sample ~q n] is an alive-mask of [n] nodes; entry [v] is dead with
-    probability [q], independently (one bernoulli draw per node, id
-    ascending). *)
+val sample : rng:Prng.Splitmix.t -> q:float -> int -> t
+(** [sample ~rng ~q n] is an alive-mask of [n] nodes; entry [v] is dead
+    with probability [q], independently: exactly
+    [not (Splitmix.bernoulli rng ~p:q)] per node, id ascending, and
+    [rng] advances by [n] draws. A C loop computes the draws from the
+    generator's counter and compares them as integers against
+    [ceil(q·2^53)], which is exact, so it vectorises (AVX-512 or AVX2
+    where the CPU has them) without changing a bit. *)
+
+val sample_variants : (string * (rng:Prng.Splitmix.t -> q:float -> int -> t)) list
+(** {!sample} once per compiled variant of its loop that this host can
+    run, each called directly rather than picked per call:
+    ["x86-64-v4"] and ["x86-64-v3"] (x86-64 GCC builds on CPUs with
+    those levels), then ["default"]. Every one returns {!sample}'s
+    mask. For tests. *)
 
 val alive_count : t -> int
 
 val survivors : t -> int array
-(** Ids of alive nodes, ascending. *)
+(** Ids of alive nodes, ascending: a fresh array of {!alive_count}
+    ints. Static trials draw through a {!Rank} index instead. *)
 
 val length : t -> int
 (** Number of nodes the mask covers (alive or dead). *)
@@ -52,7 +64,7 @@ val to_bool_array : t -> bool array
 (** Inverse of {!of_bool_array} (for [bool array] consumers such as
     the component analysis of [Sim.Percolation]). *)
 
-val sample_block : ?rng:Prng.Splitmix.t -> fraction:float -> int -> t
-(** [sample_block ~fraction n] kills round(fraction * n) *contiguous*
+val sample_block : rng:Prng.Splitmix.t -> fraction:float -> int -> t
+(** [sample_block ~rng ~fraction n] kills round(fraction * n) *contiguous*
     ids starting at a random offset (wrapping) — a correlated outage,
     in contrast to {!sample}'s independent failures. *)

@@ -18,11 +18,13 @@
    candidates in exactly the scalar router's order and consumes PRNG
    draws in exactly the scalar order, so outcomes, hop counts, stuck
    nodes and the post-batch rng state are equal to the scalar path's.
-   [sample_and_route] draws its pairs draw-for-draw as
-   [Stats.Sampler.ordered_pair] does. The hypercube router consumes
-   randomness while routing, so its C kernel draws the pairs itself,
-   interleaved with its routing draws exactly as in the scalar trial
-   loop, and writes the generator's final state back. *)
+   [sample_and_route] draws its pairs draw-for-draw as the scalar
+   trial loop does: [Stats.Sampler.ordered_indexes], mapped to ids
+   through the mask's rank index (or read from a given pool), in the
+   C [draw_pair]. The hypercube router consumes randomness while
+   routing, so its C kernel draws the pairs itself, interleaved with
+   its routing draws exactly as in the scalar trial loop, and writes
+   the generator's final state back. *)
 
 type offsets = Overlay.Flat.offsets
 type targets = Overlay.Flat.targets
@@ -43,6 +45,10 @@ type scratch = {
   mutable cap : int;
   mutable hops_buf : buf;
   mutable stuck_buf : buf;  (* stuck node id, -1 when delivered *)
+  (* The pairs of the last drawn batch; grown on demand and longer
+     than the batch once a larger one has run. *)
+  mutable srcs : int array;
+  mutable dsts : int array;
   mutable count : int;  (* pairs routed by the last batch *)
   mutable delivered : int;
   mutable dropped : int;
@@ -60,6 +66,8 @@ let create_scratch () =
     cap = 0;
     hops_buf = empty_buf;
     stuck_buf = empty_buf;
+    srcs = [||];
+    dsts = [||];
     count = 0;
     delivered = 0;
     dropped = 0;
@@ -231,10 +239,29 @@ external route_block_ring :
   unit = "rcm_route_ring_bc" "rcm_route_ring"
 [@@noalloc]
 
+(* Draws pairs [lo, hi) into the two arrays, draw for draw
+   [Stats.Sampler.ordered_indexes] mapped through the survivor source:
+   the rank index, or the pool when it is non-empty (the C
+   [draw_pair]). Takes the generator and writes its final state back.
+   Returns hi, or the index of the pair a pool id outside [0, 2^bits)
+   stopped, with that id in the first array. *)
+external draw_pairs :
+  Overlay.Rank.t ->
+  int array ->
+  Prng.Splitmix.t ->
+  int array ->
+  int array ->
+  int ->
+  int ->
+  int ->
+  int = "rcm_draw_pairs_bc" "rcm_draw_pairs"
+[@@noalloc]
+
 (* The hypercube router draws from the PRNG on every hop, so its
    kernel walks the pairs in order, taking the generator and writing
-   its final state back. Arguments as above, plus a pool between dsts
-   and the pair count and the generator last: with a non-empty pool
+   its final state back. Arguments as above, plus a survivor source
+   (rank index and pool, as [draw_pairs] takes them) between dsts and
+   the pair count and the generator last: when the source has members
    the kernel draws the pairs from it, interleaved with the routing
    draws, and srcs/dsts are unused. Returns the number of pairs
    routed; fewer than the count means a drawn pool id was outside the
@@ -247,6 +274,7 @@ external route_hypercube :
   offsets ->
   int array ->
   int array ->
+  Overlay.Rank.t ->
   int array ->
   int ->
   buf ->
@@ -387,10 +415,10 @@ let loadmap_slices ~table context =
           Obs.Loadmap.slice lm Obs.Loadmap.Route_termination )
 
 (* Where a batch's pairs come from: given up front ([route_many]), or
-   drawn from a pool of node ids as the batch runs ([sample_and_route],
-   draw for draw [Stats.Sampler.ordered_pair]: the source index, then
-   destination indices until one differs). *)
-type pairs = Given of int array * int array | Drawn of int array
+   drawn as the batch runs ([sample_and_route]) from the survivors of
+   a rank index, or from a pool of node ids when the pool is
+   non-empty. *)
+type pairs = Given of int array * int array | Drawn of Overlay.Rank.t * int array
 
 (* One batch on one table: check the inputs, dispatch on the geometry,
    tally and flush. Every drawn pool id is checked before any kernel
@@ -402,54 +430,49 @@ let route context ?scratch table ~rng ~alive pairs n =
   let layout = layout_of table context in
   let words = mask_words ~table ~alive context in
   let bits = Overlay.Table.bits table in
-  (match pairs with
-  | Given (srcs, dsts) ->
-      let space = Overlay.Table.space table in
-      Array.iteri
-        (fun k src ->
-          Idspace.Space.check space src;
-          Idspace.Space.check space dsts.(k))
-        srcs
-  | Drawn pool ->
-      if Array.length pool < 2 then
-        invalid_arg (Printf.sprintf "Route_batch.%s: pool smaller than 2" context);
-      if n < 0 then
-        invalid_arg (Printf.sprintf "Route_batch.%s: negative pair count" context));
+  let rank, pool =
+    match pairs with
+    | Given (srcs, dsts) ->
+        let space = Overlay.Table.space table in
+        Array.iteri
+          (fun k src ->
+            Idspace.Space.check space src;
+            Idspace.Space.check space dsts.(k))
+          srcs;
+        (Overlay.Rank.empty, [||])
+    | Drawn (rank, pool) ->
+        if n < 0 then
+          invalid_arg (Printf.sprintf "Route_batch.%s: negative pair count" context);
+        (rank, pool)
+  in
   let reject v =
     invalid_arg
       (Printf.sprintf "Route_batch.%s: pool id %d outside [0, %d)" context v (1 lsl bits))
   in
-  let member pool i =
-    let v = Array.unsafe_get pool i in
-    if v lsr bits <> 0 then reject v;
-    v
-  in
-  let rec draw_distinct npool i =
-    let j = Prng.Splitmix.int rng npool in
-    if j = i then draw_distinct npool i else j
-  in
-  (* The pair arrays the OCaml-side lanes read: the given ones, or
-     fresh ones that [draw] fills with pairs [lo, hi) from the pool. *)
-  let endpoints () =
-    match pairs with
-    | Given (srcs, dsts) -> (srcs, dsts)
-    | Drawn _ -> (Array.make n 0, Array.make n 0)
-  in
   let draw srcs dsts lo hi =
     match pairs with
     | Given _ -> ()
-    | Drawn pool ->
-        let npool = Array.length pool in
-        for k = lo to hi - 1 do
-          let i = Prng.Splitmix.int rng npool in
-          Array.unsafe_set srcs k (member pool i);
-          Array.unsafe_set dsts k (member pool (draw_distinct npool i))
-        done
+    | Drawn _ ->
+        let drawn = draw_pairs rank pool rng srcs dsts lo hi bits in
+        if drawn < hi then reject srcs.(drawn)
   in
   let code, seed, targets, offsets, deg = entries ~bits layout in
   let trav, term = loadmap_slices ~table context in
   let s = match scratch with Some s -> s | None -> domain_scratch () in
   prepare s n;
+  (* The pair arrays the OCaml-side lanes read: the given ones, or the
+     scratch's, which [draw] fills with pairs [lo, hi). Reusing them
+     keeps a drawn batch from allocating two arrays of [n] per trial. *)
+  let endpoints () =
+    match pairs with
+    | Given (srcs, dsts) -> (srcs, dsts)
+    | Drawn _ ->
+        if Array.length s.srcs < n then begin
+          s.srcs <- Array.make n 0;
+          s.dsts <- Array.make n 0
+        end;
+        (s.srcs, s.dsts)
+  in
   (* Block lanes consume no randomness while routing, so drawing every
      pair first reproduces the scalar draw sequence — sample pair k,
      route pair k. *)
@@ -463,13 +486,11 @@ let route context ?scratch table ~rng ~alive pairs n =
   | Rcm.Geometry.Xor -> block (route_block_xor code seed) bits
   | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> block (route_block_ring code seed) bits
   | Rcm.Geometry.Hypercube ->
-      let srcs, dsts, pool =
-        match pairs with
-        | Given (srcs, dsts) -> (srcs, dsts, [||])
-        | Drawn pool -> ([||], [||], pool)
+      let srcs, dsts =
+        match pairs with Given (srcs, dsts) -> (srcs, dsts) | Drawn _ -> ([||], [||])
       in
       let routed =
-        route_hypercube code seed targets words offsets srcs dsts pool n s.hops_buf
+        route_hypercube code seed targets words offsets srcs dsts rank pool n s.hops_buf
           s.stuck_buf bits deg trav term rng
       in
       if routed < n then reject (Bigarray.Array1.unsafe_get s.stuck_buf routed)
@@ -503,5 +524,21 @@ let route_many ?scratch table ~rng ~alive pairs =
     (Given (Array.map fst pairs, Array.map snd pairs))
     (Array.length pairs)
 
-let sample_and_route ?scratch table ~rng ~alive ~pool ~pairs =
-  route "sample_and_route" ?scratch table ~rng ~alive (Drawn pool) pairs
+let sample_and_route ?scratch ?pool ?survivors table ~rng ~alive ~pairs =
+  let fail what = invalid_arg ("Route_batch.sample_and_route: " ^ what) in
+  let indexed rank =
+    if Overlay.Rank.count rank < 2 then fail "fewer than two survivors";
+    Drawn (rank, [||])
+  in
+  let source =
+    match (pool, survivors) with
+    | Some _, Some _ -> fail "both a pool and survivors given"
+    | Some pool, None ->
+        if Array.length pool < 2 then fail "pool smaller than 2";
+        Drawn (Overlay.Rank.empty, pool)
+    | None, Some rank ->
+        if Overlay.Rank.mask rank != alive then fail "survivors index another mask";
+        indexed rank
+    | None, None -> indexed (Overlay.Rank.create alive)
+  in
+  route "sample_and_route" ?scratch table ~rng ~alive source pairs

@@ -17,12 +17,13 @@
     scalar order, so outcomes, hop counts, stuck nodes and the
     post-batch [rng] state equal the scalar path's — the simulation
     layers switch between the two freely without changing a single
-    published number. {!sample_and_route} additionally inlines
-    [Stats.Sampler.ordered_pair] draw-for-draw so pair-sampling and
-    hypercube forwarding draws interleave exactly as in the scalar
-    trial loop. Metrics are aggregated in scratch and flushed once per
-    batch; the resulting [--metrics] totals are equal (not just close)
-    to the scalar path's.
+    published number. {!sample_and_route} additionally draws its
+    pairs in C, draw-for-draw as the scalar trial loop does
+    ([Stats.Sampler.ordered_indexes] mapped through
+    {!Overlay.Rank.select}), so pair-sampling and hypercube forwarding
+    draws interleave exactly as in that loop. Metrics are aggregated
+    in scratch and flushed once per batch; the resulting [--metrics]
+    totals are equal (not just close) to the scalar path's.
 
     {1 Load telemetry}
 
@@ -49,8 +50,9 @@
     or not {!Overlay.Table}s. *)
 
 type scratch
-(** Reusable per-batch result buffers plus outcome/hop-histogram
-    accumulators. A scratch instance is single-domain state: share one
+(** Reusable per-batch result buffers, the pair arrays of drawn
+    batches, and outcome/hop-histogram accumulators. A scratch instance
+    is single-domain state: share one
     per domain (see {!domain_scratch}), never across domains. *)
 
 val create_scratch : unit -> scratch
@@ -79,21 +81,32 @@ val route_many :
 
 val sample_and_route :
   ?scratch:scratch ->
+  ?pool:int array ->
+  ?survivors:Overlay.Rank.t ->
   Overlay.Table.t ->
   rng:Prng.Splitmix.t ->
   alive:Overlay.Failure.t ->
-  pool:int array ->
   pairs:int ->
   scratch
-(** [sample_and_route table ~rng ~alive ~pool ~pairs] draws [pairs]
-    ordered pairs of distinct members of [pool] (draw-for-draw the
-    scalar [Sampler.ordered_pair] sequence) and routes each as it is
-    drawn — one kernel call per trial for the simulation layers.
+(** [sample_and_route table ~rng ~alive ~pairs] draws [pairs] ordered
+    pairs of distinct survivors of [alive] and routes each as it is
+    drawn — one kernel call per trial for the simulation layers. The
+    draws are the scalar trial loop's, draw for draw: survivor indexes
+    as [Stats.Sampler.ordered_indexes] draws them, mapped to node ids
+    through {!Overlay.Rank.select}. No survivor list is built.
+
+    [survivors] is [alive]'s rank index when the caller already has
+    one ([Sim.Trial.run] does); without it the index is built here.
+    [pool], a list of node ids, replaces the survivors as the source:
+    pairs are drawn from it by index the same way, so
+    [~pool:(Overlay.Failure.survivors alive)] gives exactly the pairs
+    and generator state of the default. Its ids are checked as they
+    are drawn, so pairs drawn before a bad one may already be routed.
     @raise Invalid_argument if the table holds per-node rows, the mask
-    length mismatches, [pool] has fewer than two members, [pairs] is
-    negative, or a drawn pool id is outside the table's node range
-    (ids are checked as they are drawn, so pairs drawn before it may
-    already be routed). *)
+    length mismatches, [pairs] is negative, [alive] has fewer than two
+    survivors, [survivors] indexes another mask, [pool] has fewer than
+    two members or is given with [survivors], or a drawn pool id is
+    outside the table's node range. *)
 
 (** {1 Reading results}
 
@@ -155,7 +168,9 @@ type block_router =
   unit
 (** A block driver with the built-in C lanes' calling convention:
     [targets alive_words offsets srcs dsts n hops_out stuck_out bits
-    degree trav term]. It must route pair [k] with the scalar router's
+    degree trav term], where pairs [0 .. n-1] are
+    [(srcs.(k), dsts.(k))] (the arrays may be longer). It must route
+    pair [k] with the scalar router's
     candidate order (lane interleaving must be invisible in results),
     write [stuck_out.(k) = -1] on delivery or the stuck node id
     otherwise, and bump the [trav]/[term] loadmap slices at the scalar

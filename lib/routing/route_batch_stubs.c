@@ -21,9 +21,10 @@
    and needs no prefetch; the lanes still overlap the liveness probes.
    (b) is what OCaml's codegen cannot deliver: the hop steps below
    lean on count-leading-zeros and conditional moves, and a per-hop
-   foreign call would cost more than the hop. The geometry dispatch,
-   scratch ownership, metrics and the rng-free lanes' pair sampling
-   stay in OCaml — see route_batch.ml.
+   foreign call would cost more than the hop. Pair draws are here too
+   (draw_pair: two bounded draws and two selects over the mask's rank
+   index, a few ALU ops and L2 loads each). The geometry dispatch,
+   scratch ownership and metrics stay in OCaml — see route_batch.ml.
 
    Bit-identity contract (pinned by test/test_batch.ml and the CLI
    byte-identity checks): each driver visits candidates in exactly the
@@ -31,7 +32,10 @@
    equivalent (ring, below) — so outcomes, hop counts and stuck nodes
    equal the scalar path's for every pair. The lane kernels consume no
    randomness. The hypercube kernel consumes exactly the scalar draws,
-   in the scalar order, and writes the final generator state back.
+   in the scalar order, and writes the final generator state back. A
+   drawn pair is the pair the scalar trial loop draws: the same
+   bounded draws, and select returns exactly the survivor list's
+   entry.
 
    Memory discipline: no allocation, no callbacks, no GC interaction —
    the OCaml int arrays (srcs/dsts/pool), the generator's bytes and the
@@ -55,6 +59,8 @@
 #include <caml/mlvalues.h>
 #include <stdint.h>
 #include <string.h>
+
+#include "rank.h"
 
 /* Independent routes in flight per block. Enough that a full round of
    other lanes (each a handful of nanoseconds once rows are cached)
@@ -534,6 +540,90 @@ static inline intnat splitmix_int(uint64_t *state, intnat bound, intnat limit)
   return v % bound;
 }
 
+/* --- pair draws ------------------------------------------------------------ */
+
+/* Where drawn pairs come from, fixed for a whole call: survivor i is
+   rank_select(i) over the mask's rank index (Overlay.Rank, rank.h), or
+   pool[i] when a pool of ids is given (Route_batch's ?pool). A pool
+   is not trusted: each id it yields is checked against the node range
+   before anything is indexed with it. Select only yields ids below
+   the mask's length, which is the node count. */
+struct survivors {
+  struct rank rank;
+  value pool;           /* an int array, empty when the index is the source */
+  intnat count, limit;  /* members to draw from (0: pairs are given) */
+};
+
+static inline struct survivors survivors_of(value vrank, value vpool)
+{
+  struct survivors sv;
+  sv.rank = rank_of(vrank);
+  sv.pool = vpool;
+  sv.count = Wosize_val(vpool) > 0 ? (intnat)Wosize_val(vpool) : sv.rank.count;
+  sv.limit = sv.count > 0 ? splitmix_limit(sv.count) : 0;
+  return sv;
+}
+
+static inline intnat survivor(const struct survivors *sv, intnat i)
+{
+  return Wosize_val(sv->pool) > 0 ? Long_val(Field(sv->pool, i))
+                                  : rank_select(&sv->rank, i);
+}
+
+/* One pair as Stats.Sampler.ordered_indexes draws it — the source
+   index, then destination indexes until one differs — each mapped to
+   its id. Returns 0; or -1 when an id is outside [0, 2^bits), with
+   that id in *src and the generator just past the draw that picked
+   it. */
+static inline int draw_pair(const struct survivors *sv, uint64_t *s, intnat bits,
+                            intnat *src, intnat *dst)
+{
+  intnat i = splitmix_int(s, sv->count, sv->limit), j;
+  *src = survivor(sv, i);
+  if ((uintnat)*src >> bits)
+    return -1;
+  do
+    j = splitmix_int(s, sv->count, sv->limit);
+  while (j == i);
+  *dst = survivor(sv, j);
+  if ((uintnat)*dst >> bits) {
+    *src = *dst;
+    return -1;
+  }
+  return 0;
+}
+
+/* Route_batch's draw for the lanes that route after drawing: pairs
+   [lo, hi) into srcs/dsts (OCaml int arrays: immediate stores, no
+   write barrier), from the generator [rng], whose final state is
+   written back. Returns hi, or the index of the pair a rejected id
+   stopped, with that id in srcs. */
+CAMLprim value rcm_draw_pairs(value vrank, value vpool, value vrng, value vsrcs,
+                              value vdsts, value vlo, value vhi, value vbits)
+{
+  struct survivors sv = survivors_of(vrank, vpool);
+  intnat bits = Long_val(vbits), hi = Long_val(vhi), k;
+  uint64_t s;
+  memcpy(&s, Bytes_val(vrng), sizeof s);
+  for (k = Long_val(vlo); k < hi; k++) {
+    intnat src, dst;
+    int bad = draw_pair(&sv, &s, bits, &src, &dst);
+    Field(vsrcs, k) = Val_long(src);
+    if (bad)
+      break;
+    Field(vdsts, k) = Val_long(dst);
+  }
+  memcpy(Bytes_val(vrng), &s, sizeof s);
+  return Val_long(k);
+}
+
+CAMLprim value rcm_draw_pairs_bc(value *argv, int argn)
+{
+  (void)argn;
+  return rcm_draw_pairs(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                        argv[6], argv[7]);
+}
+
 /* Hypercube (CAN, scalar Hypercube_router): the next hop is uniform
    over the alive neighbours correcting a differing bit. The scan takes
    the set bits of [cur ^ dst] lowest first (table index
@@ -547,24 +637,19 @@ static inline intnat splitmix_int(uint64_t *state, intnat bound, intnat limit)
    limits of the reservoir bounds (seen <= 64) are tabled once per
    call, which takes one division off every draw.
 
-   With a non-empty [pool] the pairs are drawn here too, as
-   Stats.Sampler.ordered_pair draws them and interleaved with the
-   routing draws: the source index, then destination indices until one
-   differs. Each drawn id is checked against the node range [0, 2^bits)
-   before anything is indexed with it; a bad id stops the call with the
-   id in stuck_out[k]. Otherwise srcs/dsts give the pairs.
+   When [sv] has members, the pairs are drawn here too, by draw_pair,
+   interleaved with the routing draws; a rejected id stops the call
+   with the id in stuck_out[k]. Otherwise srcs/dsts give the pairs.
 
    The generator [rng] is a Prng.Splitmix.t, 8 bytes holding the
    native-endian state; its final state is written back on every exit.
    Returns the number of pairs routed: n, or the index of the pair
    whose drawn id was rejected. */
 LANE_BODY intnat hypercube_walk(const struct batch *b, intnat rule,
-                               value vpool, uint64_t *state)
+                               const struct survivors *sv, uint64_t *state)
 {
   UNPACK(b, rule);
   intnat bits = t.bits;
-  intnat npool = (intnat)Wosize_val(vpool);
-  intnat pool_limit = npool > 0 ? splitmix_limit(npool) : 0;
   intnat limits[65];
   for (intnat c = 1; c <= 64; c++)
     limits[c] = splitmix_limit(c);
@@ -572,19 +657,9 @@ LANE_BODY intnat hypercube_walk(const struct batch *b, intnat rule,
   intnat k;
   for (k = 0; k < n; k++) {
     intnat src, dst;
-    if (npool > 0) {
-      intnat i = splitmix_int(&s, npool, pool_limit), j;
-      src = Long_val(Field(vpool, i));
-      if ((uintnat)src >> bits) {
+    if (sv->count > 0) {
+      if (draw_pair(sv, &s, bits, &src, &dst) < 0) {
         stuck_out[k] = src;
-        break;
-      }
-      do
-        j = splitmix_int(&s, npool, pool_limit);
-      while (j == i);
-      dst = Long_val(Field(vpool, j));
-      if ((uintnat)dst >> bits) {
-        stuck_out[k] = dst;
         break;
       }
     } else {
@@ -625,7 +700,7 @@ LANE_BODY intnat hypercube_walk(const struct batch *b, intnat rule,
 
 CAMLprim value rcm_route_hypercube(value vrule, value vseed, value vtargets,
                                    value vwords, value voffsets, value vsrcs,
-                                   value vdsts, value vpool, value vn,
+                                   value vdsts, value vrank, value vpool, value vn,
                                    value vhops_out, value vstuck_out,
                                    value vbits, value vdeg, value vtrav,
                                    value vterm, value vrng)
@@ -633,10 +708,11 @@ CAMLprim value rcm_route_hypercube(value vrule, value vseed, value vtargets,
   struct batch b = batch_of(vrule, vseed, vtargets, vwords, voffsets, vsrcs,
                             vdsts, vn, vhops_out, vstuck_out, vbits, vdeg,
                             vtrav, vterm);
+  struct survivors sv = survivors_of(vrank, vpool);
   uint64_t s;
   memcpy(&s, Bytes_val(vrng), sizeof s);
-  intnat routed = b.t.rule == BLOCK ? hypercube_walk(&b, BLOCK, vpool, &s)
-                                    : hypercube_walk(&b, b.t.rule, vpool, &s);
+  intnat routed = b.t.rule == BLOCK ? hypercube_walk(&b, BLOCK, &sv, &s)
+                                    : hypercube_walk(&b, b.t.rule, &sv, &s);
   memcpy(Bytes_val(vrng), &s, sizeof s);
   return Val_long(routed);
 }
@@ -647,5 +723,5 @@ CAMLprim value rcm_route_hypercube_bc(value *argv, int argn)
   return rcm_route_hypercube(argv[0], argv[1], argv[2], argv[3], argv[4],
                              argv[5], argv[6], argv[7], argv[8], argv[9],
                              argv[10], argv[11], argv[12], argv[13], argv[14],
-                             argv[15]);
+                             argv[15], argv[16]);
 }

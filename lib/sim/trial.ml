@@ -7,11 +7,10 @@ type t = Checkpoint.trial = {
 
 let run ?table ~rng ~alive ~pairs route =
   if pairs < 1 then invalid_arg "Trial.run: need at least one pair";
-  let pool = Overlay.Failure.survivors alive in
-  let alive_fraction =
-    float_of_int (Array.length pool) /. float_of_int (Overlay.Failure.length alive)
-  in
-  if Array.length pool < 2 then { delivered = 0; attempted = 0; alive_fraction; hops = [] }
+  let survivors = Overlay.Rank.create alive in
+  let count = Overlay.Rank.count survivors in
+  let alive_fraction = float_of_int count /. float_of_int (Overlay.Failure.length alive) in
+  if count < 2 then { delivered = 0; attempted = 0; alive_fraction; hops = [] }
   else
     match table with
     | Some table when Routing.Route_batch.enabled () && Overlay.Table.layout table <> None ->
@@ -19,7 +18,7 @@ let run ?table ~rng ~alive ~pairs route =
            to the loop below ([--no-batch] pins this via stdout
            byte-identity). Churn's row tables are neither blocks nor
            rules, so they keep the loop. *)
-        let s = Routing.Route_batch.sample_and_route table ~rng ~alive ~pool ~pairs in
+        let s = Routing.Route_batch.sample_and_route table ~rng ~alive ~survivors ~pairs in
         let hops = ref [] in
         for k = pairs - 1 downto 0 do
           if Routing.Route_batch.is_delivered s k then
@@ -35,8 +34,8 @@ let run ?table ~rng ~alive ~pairs route =
         let delivered = ref 0 in
         let hops = ref [] in
         for _ = 1 to pairs do
-          let src, dst = Stats.Sampler.ordered_pair rng pool in
-          match route src dst with
+          let i, j = Stats.Sampler.ordered_indexes rng count in
+          match route (Overlay.Rank.select survivors i) (Overlay.Rank.select survivors j) with
           | Routing.Outcome.Delivered { hops = h } ->
               incr delivered;
               hops := h :: !hops

@@ -19,9 +19,15 @@ val run :
   (int -> int -> Routing.Outcome.t) ->
   t
 (** [run ~rng ~alive ~pairs route] draws [pairs] ordered pairs of
-    distinct survivors of [alive] with {!Stats.Sampler.ordered_pair} and
-    routes each, as it is drawn, with [route src dst]. With fewer than
-    two survivors it attempts nothing and draws nothing.
+    distinct survivors of [alive] and routes each, as it is drawn, with
+    [route src dst]. A pair is two survivor indexes drawn by
+    {!Stats.Sampler.ordered_indexes}, mapped to node ids through an
+    {!Overlay.Rank} index of [alive]: the pairs
+    {!Stats.Sampler.ordered_pair} draws from
+    [Overlay.Failure.survivors alive], without building that list. The
+    index is the trial's only allocation that grows with the node
+    count: N/4 bytes, the mask's own size. With fewer than two
+    survivors it attempts nothing and draws nothing.
 
     When [table] is a rule or a block (any table but an
     {!Overlay.Table.of_neighbors} matrix) and

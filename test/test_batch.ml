@@ -97,34 +97,148 @@ let test_bitset_set_and_bounds () =
 
 (* The packed sample must draw exactly the bernoulli sequence the
    historical bool-array sampler drew: one draw per node, ascending.
-   The lengths cover partial and empty tail words. The last q is node
-   0's own draw, so node 0 lives only if the sampler compares with
-   [<] as [bernoulli] does, not [<=]. *)
+   Every compiled variant of the C loop is checked, each called
+   directly, besides the per-call pick that [sample] makes. The
+   lengths cover partial and empty tail words. q = 2^-60 kills only a
+   node whose draw has 53 leading zero bits; the last q is node 0's
+   own draw, so node 0 lives only if the sampler compares with [<] as
+   [bernoulli] does, not [<=]. *)
+let sample_variants = ("picked", Overlay.Failure.sample) :: Overlay.Failure.sample_variants
+
+(* The variants whose mask or generator state differ from the
+   bernoulli loop's at [seed], [q] and [n]. *)
+let sample_mismatches ~seed ~q n =
+  let rng_ref = Prng.Splitmix.create ~seed in
+  let reference = Array.init n (fun _ -> not (Prng.Splitmix.bernoulli rng_ref ~p:q)) in
+  let alive = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 reference in
+  List.filter_map
+    (fun (name, sample) ->
+      let rng = Prng.Splitmix.create ~seed in
+      let mask = sample ~rng ~q n in
+      if
+        Overlay.Failure.to_bool_array mask = reference
+        (* no bits past the end *)
+        && Overlay.Failure.alive_count mask = alive
+        && Prng.Splitmix.state rng = Prng.Splitmix.state rng_ref
+      then None
+      else Some name)
+    sample_variants
+
 let test_sample_draw_order () =
+  Alcotest.(check bool) "the default variant always runs" true
+    (List.mem_assoc "default" Overlay.Failure.sample_variants);
   let first_draw = Prng.Splitmix.float (Prng.Splitmix.create ~seed:123) in
   List.iter
     (fun n ->
       List.iter
         (fun q ->
-          let rng_mask = Prng.Splitmix.create ~seed:123 in
-          let rng_ref = Prng.Splitmix.create ~seed:123 in
-          let mask = Overlay.Failure.sample ~rng:rng_mask ~q n in
-          let reference =
-            Array.init n (fun _ -> not (Prng.Splitmix.bernoulli rng_ref ~p:q))
-          in
-          Alcotest.(check (array bool))
-            (Printf.sprintf "n=%d q=%g: same mask" n q)
-            reference
-            (Overlay.Failure.to_bool_array mask);
-          Alcotest.(check int)
-            (Printf.sprintf "n=%d q=%g: no bits past the end" n q)
-            (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 reference)
-            (Overlay.Failure.alive_count mask);
-          Alcotest.(check int64)
-            (Printf.sprintf "n=%d q=%g: same rng state" n q)
-            (Prng.Splitmix.state rng_ref) (Prng.Splitmix.state rng_mask))
-        [ 0.0; 0.3; 0.5; 0.9; 1.0; first_draw ])
+          Alcotest.(check (list string))
+            (Printf.sprintf "n=%d q=%h: variants off the bernoulli loop" n q)
+            []
+            (sample_mismatches ~seed:123 ~q n))
+        [ 0.0; 0x1p-60; 0.3; 0.5; 0.9; 1.0; first_draw ])
     bitset_lengths
+
+let prop_sample_variants =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"failure sample: every variant at random q"
+       QCheck.(triple small_nat (float_range 0.0 1.0) (int_range 0 300))
+       (fun (seed, q, n) -> sample_mismatches ~seed ~q n = []))
+
+(* --- rank index ------------------------------------------------------------- *)
+
+(* Random masks: a length with a partial tail word; all dead, one
+   alive, all alive, a random density, or words that are each all
+   alive, all dead or random (long dead runs between full words are
+   what makes select walk past its directory entry); and optionally
+   stray bits above the low 32 of every word, written through
+   [Bitset.words], which neither [members] nor the index may count. *)
+let mask_of (n, kind, seed, stray) =
+  let rng = Prng.Splitmix.create ~seed in
+  let mask =
+    match kind with
+    | 0 -> Overlay.Failure.Bitset.create n
+    | 1 ->
+        let m = Overlay.Failure.Bitset.create n in
+        if n > 0 then Overlay.Failure.Bitset.set m (Prng.Splitmix.int rng n) true;
+        m
+    | 2 -> Overlay.Failure.Bitset.all n
+    | 3 -> Overlay.Failure.sample ~rng ~q:(Prng.Splitmix.float rng) n
+    | _ ->
+        let m = Overlay.Failure.Bitset.create n in
+        for w = 0 to ((n + 31) / 32) - 1 do
+          let style = Prng.Splitmix.int rng 3 in
+          for v = 32 * w to min n (32 * (w + 1)) - 1 do
+            if style = 0 || (style = 2 && Prng.Splitmix.bool rng) then
+              Overlay.Failure.Bitset.set m v true
+          done
+        done;
+        m
+  in
+  (if stray then
+     let words = Overlay.Failure.Bitset.words mask in
+     for w = 0 to Bigarray.Array1.dim words - 1 do
+       words.{w} <- words.{w} lor ((1 + Prng.Splitmix.int rng 0x3FFF_FFFF) lsl 32)
+     done);
+  mask
+
+let arb_mask =
+  QCheck.make
+    ~print:(fun (n, kind, seed, stray) ->
+      Printf.sprintf "n=%d kind=%d seed=%d stray=%b" n kind seed stray)
+    QCheck.Gen.(quad (int_range 0 300) (int_range 0 4) nat bool)
+
+let prop_select_equals_members =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400 ~name:"rank: select = members" arb_mask (fun spec ->
+         let mask = mask_of spec in
+         let members = Overlay.Failure.Bitset.members mask in
+         let rank = Overlay.Rank.create mask in
+         let words = (Overlay.Failure.Bitset.length mask + 31) / 32 in
+         Overlay.Rank.count rank = Array.length members
+         && Overlay.Rank.memory_bytes rank <= 8 * words
+         && Array.for_all Fun.id (Array.mapi (fun i v -> Overlay.Rank.select rank i = v) members)))
+
+(* At 2^20 nodes the directory, the word search and the in-word
+   select run over every survivor of a mask the size the d = 20
+   sweeps sample. *)
+let test_select_d20 () =
+  let n = 1 lsl 20 in
+  List.iter
+    (fun q ->
+      let mask = Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:20) ~q n in
+      let members = Overlay.Failure.survivors mask in
+      let rank = Overlay.Rank.create mask in
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%g: index within the mask's N/4 bytes" q)
+        true
+        (Overlay.Rank.memory_bytes rank <= n / 4);
+      Array.iteri
+        (fun i v ->
+          let id = Overlay.Rank.select rank i in
+          if id <> v then Alcotest.failf "q=%g: select %d = %d, member %d" q i id v)
+        members)
+    [ 0.0; 0.2; 0.9 ]
+
+let test_select_bounds () =
+  let rank = Overlay.Rank.create (Overlay.Failure.none 40) in
+  Alcotest.(check int) "count" 40 (Overlay.Rank.count rank);
+  Alcotest.check_raises "past the last member"
+    (Invalid_argument "Rank.select: index 40 outside [0, 40)") (fun () ->
+      ignore (Overlay.Rank.select rank 40));
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Rank.select: index -1 outside [0, 40)") (fun () ->
+      ignore (Overlay.Rank.select rank (-1)));
+  Alcotest.(check int) "empty index" 0 (Overlay.Rank.count Overlay.Rank.empty);
+  (* A bit past the length, written through [words], is not a member:
+     select never yields an id outside the mask. *)
+  let mask = Overlay.Failure.Bitset.create 40 in
+  Overlay.Failure.set mask 7 true;
+  let words = Overlay.Failure.Bitset.words mask in
+  words.{1} <- words.{1} lor (1 lsl 12);
+  let rank = Overlay.Rank.create mask in
+  Alcotest.(check int) "tail bit not counted" 1 (Overlay.Rank.count rank);
+  Alcotest.(check int) "select the one member" 7 (Overlay.Rank.select rank 0)
 
 (* --- route_many versus the scalar router --------------------------------- *)
 
@@ -242,6 +356,115 @@ let test_sample_and_route_matches_scalar () =
           end)
         qs)
     all_geometries
+
+(* A custom family with no registered lane, so the batch engine drives
+   its router through the Scalar lane. Its table is the Chord finger
+   table and its router draws while it routes: each hop goes to a
+   uniformly drawn alive finger that does not overshoot the
+   destination, so pair-sampling and forwarding draws interleave. *)
+let scalar_lane_geometry =
+  lazy
+    (let family = "test-scalar-lane" in
+     Rcm.Geometry.register_family
+       {
+         Rcm.Geometry.family_name = family;
+         aliases = [];
+         family_system = "test";
+         summary = "Chord fingers with a randomized greedy router (Scalar lane test)";
+         defaults = [];
+         validate = (fun _ -> Ok ());
+         check_bits = (fun _ ~bits:_ -> Ok ());
+       };
+     Overlay.Table.register_custom_builder ~family (fun ~space ~rng:_ _ ->
+         let size = Idspace.Space.size space in
+         (Idspace.Space.bits space, fun v i -> (v + (1 lsl i)) mod size));
+     Routing.Router.register_custom ~family
+       (fun ?(on_hop = fun _ -> ()) table ~rng ~alive ~src ~dst ->
+         let size = Overlay.Table.node_count table in
+         let gap v = (dst - v + size) mod size in
+         let rec step cur hops =
+           if cur = dst then Routing.Outcome.Delivered { hops }
+           else
+             let closer =
+               List.filter
+                 (fun v -> Overlay.Failure.get alive v && gap v < gap cur)
+                 (Array.to_list (Overlay.Table.neighbors table cur))
+             in
+             match closer with
+             | [] -> Routing.Outcome.Dropped { hops; stuck_at = cur }
+             | _ ->
+                 let next = List.nth closer (Prng.Splitmix.int rng (List.length closer)) in
+                 on_hop next;
+                 step next (hops + 1)
+         in
+         step src 0);
+     Result.get_ok (Rcm.Geometry.custom ~family []))
+
+(* Without a pool, sample_and_route draws survivor indexes and maps
+   them through a rank index of the mask, built there or handed in;
+   handed the survivor list as a pool, it draws the same indexes and
+   reads them from the list. All three must route the same pairs in
+   the same order: the same outcome per pair, the same per-node
+   loadmap counts (termination is counted at each delivered pair's
+   destination) and the same generator state after the batch, on
+   every registered geometry and on a custom family's Scalar lane. *)
+let test_sample_and_route_rank_equals_pool () =
+  List.iter
+    (fun geometry ->
+      let name = Rcm.Geometry.slug geometry in
+      List.iter
+        (fun bits ->
+          let table = flat_table ~seed:9 ~bits geometry in
+          let nodes = Overlay.Table.node_count table in
+          List.iteri
+            (fun qi q ->
+              let alive =
+                Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(60 + qi)) ~q nodes
+              in
+              let pool = Overlay.Failure.survivors alive in
+              let run sample =
+                let rng = Prng.Splitmix.create ~seed:41 in
+                let lm = Obs.Loadmap.create ~nodes in
+                let s =
+                  Obs.Loadmap.with_sink lm (fun () ->
+                      sample ~scratch:(Routing.Route_batch.create_scratch ()) ~rng)
+                in
+                ( Array.init (Routing.Route_batch.batch_size s) (Routing.Route_batch.outcome s),
+                  lm,
+                  Prng.Splitmix.state rng )
+              in
+              if Array.length pool >= 2 then begin
+                let pairs = 200 in
+                let from_pool, lm_pool, state_pool =
+                  run (fun ~scratch ~rng ->
+                      Routing.Route_batch.sample_and_route ~scratch table ~rng ~alive ~pool
+                        ~pairs)
+                in
+                List.iter
+                  (fun (source, sample) ->
+                    let what = Printf.sprintf "%s bits=%d q=%g %s" name bits q source in
+                    let outcomes, lm, state = run sample in
+                    Array.iteri
+                      (fun k e ->
+                        Alcotest.check outcome (Printf.sprintf "%s: pair %d" what k) e
+                          outcomes.(k))
+                      from_pool;
+                    Alcotest.(check bool) (what ^ ": loadmap counts") true
+                      (Obs.Loadmap.equal lm_pool lm);
+                    Alcotest.(check int64) (what ^ ": rng state") state_pool state)
+                  [
+                    ( "index built",
+                      fun ~scratch ~rng ->
+                        Routing.Route_batch.sample_and_route ~scratch table ~rng ~alive ~pairs );
+                    ( "index given",
+                      fun ~scratch ~rng ->
+                        Routing.Route_batch.sample_and_route ~scratch
+                          ~survivors:(Overlay.Rank.create alive) table ~rng ~alive ~pairs );
+                  ]
+              end)
+            [ 0.0; 0.3; 0.9 ])
+        [ 6; 12 ])
+    (all_geometries @ [ Lazy.force scalar_lane_geometry ])
 
 (* Property: random (bits, seed) instances agree pair-for-pair across
    the batch and scalar paths on the rng-free geometries. *)
@@ -497,6 +720,23 @@ let test_validation_errors () =
       ignore
         (Routing.Route_batch.sample_and_route flat ~rng ~alive ~pool:[| 1; 2 |]
            ~pairs:(-1)));
+  Alcotest.check_raises "fewer than two survivors"
+    (Invalid_argument "Route_batch.sample_and_route: fewer than two survivors") (fun () ->
+      let one = Overlay.Failure.Bitset.create (Overlay.Table.node_count flat) in
+      Overlay.Failure.set one 3 true;
+      ignore (Routing.Route_batch.sample_and_route flat ~rng ~alive:one ~pairs:10));
+  Alcotest.check_raises "survivors of another mask"
+    (Invalid_argument "Route_batch.sample_and_route: survivors index another mask") (fun () ->
+      ignore
+        (Routing.Route_batch.sample_and_route flat ~rng ~alive
+           ~survivors:(Overlay.Rank.create (Overlay.Failure.Bitset.copy alive))
+           ~pairs:10));
+  Alcotest.check_raises "pool and survivors"
+    (Invalid_argument "Route_batch.sample_and_route: both a pool and survivors given")
+    (fun () ->
+      ignore
+        (Routing.Route_batch.sample_and_route flat ~rng ~alive ~pool:[| 1; 2 |]
+           ~survivors:(Overlay.Rank.create alive) ~pairs:10));
   match Routing.Route_batch.route_many flat ~rng ~alive [| (0, 99) |] with
   | _ -> Alcotest.fail "pair outside the id space accepted"
   | exception Invalid_argument _ -> ()
@@ -672,4 +912,11 @@ let suite =
     Alcotest.test_case "pool ids checked on every lane" `Quick test_pool_ids_checked;
     Alcotest.test_case "metrics totals: batch = scalar" `Quick test_metrics_totals_equal;
     Alcotest.test_case "CLI --no-batch byte-identical" `Slow test_cli_no_batch_byte_identical;
+    (* Appended so that no earlier case's suite index moves. *)
+    prop_sample_variants;
+    prop_select_equals_members;
+    Alcotest.test_case "rank: select at 2^20" `Quick test_select_d20;
+    Alcotest.test_case "rank: bounds" `Quick test_select_bounds;
+    Alcotest.test_case "sample_and_route: rank index = pool" `Quick
+      test_sample_and_route_rank_equals_pool;
   ]

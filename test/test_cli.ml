@@ -438,6 +438,12 @@ let test_sweep_command_errors () =
         "dhtlab storage: storage point 0 (");
       ([ "hotspots"; "--smoke"; "--inject-fault"; "trial:1:1" ], 1,
         "dhtlab hotspots: hotspots point 0 (");
+      (* A negative retry count is a CLI error, not an exception from
+         the sweep engine. *)
+      (smoke_xor @ [ "--trial-retries=-1" ], 124, "dhtlab: option '--trial-retries'");
+      ([ "churn"; "--smoke"; "--trial-retries=-1" ], 124, "dhtlab: option '--trial-retries'");
+      ([ "storage"; "--smoke"; "--trial-retries=-1" ], 124, "dhtlab: option '--trial-retries'");
+      ([ "hotspots"; "--smoke"; "--trial-retries=-1" ], 124, "dhtlab: option '--trial-retries'");
       (* Failure probabilities, route endpoints and sizes, and analysis
          bits are checked before anything runs. *)
       ([ "analyze"; "-q"; "1.5" ], 124, "dhtlab: option '-q'");
@@ -547,13 +553,19 @@ let check_golden args file () =
 
 (* The only goldens that build tables above d = 16: at d = 20 an xor
    table's entries come from draws up to 2^20 * 20, so these pin the
-   computed entries far past what the small-table tests reach. *)
-let simulate_d20_golden g =
-  ( "golden simulate -d 20 " ^ g,
+   computed entries far past what the small-table tests reach, and a
+   symphony table's draws across a 16 MiB block. Each runs twice, on
+   the batch kernel and under [--no-batch]: the scalar loop selects
+   its pairs through the rank index of a 2^20-node mask too. *)
+let d20_geometries = [ "tree"; "hypercube"; "xor"; "ring"; "symphony" ]
+
+let simulate_d20_golden ?(flags = []) g =
+  ( String.concat " " ("golden simulate -d 20" :: g :: flags),
     `Quick,
     check_golden
-      [ "simulate"; "-g"; g; "-d"; "20"; "--trials"; "1"; "--pairs"; "2000"; "--seed"; "11";
-        "--csv" ]
+      ([ "simulate"; "-g"; g; "-d"; "20"; "--trials"; "1"; "--pairs"; "2000"; "--seed"; "11";
+         "--csv" ]
+      @ flags)
       ("simulate-d20-" ^ g ^ ".csv") )
 
 (* The ablation figures: each builds its own overlays around
@@ -645,3 +657,7 @@ let suite =
       ("golden validate --sim -d 10", `Quick,
         check_golden [ "validate"; "--sim"; "-d"; "10" ] "validate-sim-d10.txt");
     ]
+  (* Appended after the cases above so that none of their suite
+     indexes moves. *)
+  @ [ simulate_d20_golden "symphony" ]
+  @ List.map (simulate_d20_golden ~flags:[ "--no-batch" ]) d20_geometries

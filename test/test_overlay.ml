@@ -209,7 +209,7 @@ let test_block_failure_deterministic_and_extreme () =
        (Overlay.Failure.sample_block ~rng:(Prng.Splitmix.create ~seed:1) ~fraction:1.0 20));
   Alcotest.check_raises "invalid fraction rejected"
     (Invalid_argument "Failure.sample_block: invalid fraction") (fun () ->
-      ignore (Overlay.Failure.sample_block ~fraction:1.5 10))
+      ignore (Overlay.Failure.sample_block ~rng:(Prng.Splitmix.create ~seed:1) ~fraction:1.5 10))
 
 let neighbors_within_space =
   qcheck "all neighbours lie inside the id space"
