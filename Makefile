@@ -36,8 +36,9 @@ sweep-smoke: build
 	done
 
 # Observability smoke: traced --smoke sweep (stdout byte-identical to
-# an untraced one), trace report aggregates, Chrome export, and
-# validated manifest/metrics/Prometheus sinks.
+# an untraced one), trace report aggregates, its hop histograms equal
+# under --no-batch, Chrome export, and validated
+# manifest/metrics/Prometheus sinks.
 trace-smoke: build
 	sh scripts/trace_smoke.sh
 

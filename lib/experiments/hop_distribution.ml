@@ -34,7 +34,8 @@ let simulated cfg geometry =
       let alive = Overlay.Failure.sample ~rng ~q:cfg.q (Overlay.Table.node_count table) in
       Sim.Trial.run ~table ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
           Routing.Router.route table ~rng ~alive ~src ~dst))
-  |> List.iter (fun (t : Sim.Trial.t) -> List.iter (Stats.Histogram.add histogram) t.hops);
+  |> List.iter (fun (t : Sim.Trial.t) ->
+         Array.iteri (Stats.Histogram.add_many histogram) t.hop_counts);
   Stats.Histogram.to_fractions histogram
 
 let pad target xs =

@@ -27,11 +27,14 @@ let length t = t.length
 
 let words t = t.words
 
-let create len =
+let unfilled len =
   if len < 0 then invalid_arg "Bitset.create: negative length";
-  let words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (word_count len) in
-  Bigarray.Array1.fill words 0;
-  { length = len; words }
+  { length = len; words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (word_count len) }
+
+let create len =
+  let t = unfilled len in
+  Bigarray.Array1.fill t.words 0;
+  t
 
 (* All-ones, with the bits beyond [len] in the last word kept zero so
    popcount-based accounting never sees ghost members. *)

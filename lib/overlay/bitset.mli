@@ -20,6 +20,13 @@ val create : int -> t
 (** [create len] is the empty set over ids [0 .. len-1].
     @raise Invalid_argument on a negative length. *)
 
+val unfilled : int -> t
+(** [unfilled len] is a set over ids [0 .. len-1] whose words hold
+    whatever the allocator left there: for a caller that then writes
+    every word whole, the bits past [len] in the last one as zeros
+    ({!Failure.sample}), and so need not pay for zeroing them first.
+    @raise Invalid_argument on a negative length. *)
+
 val all : int -> t
 (** [all len] contains every id in [0 .. len-1]. *)
 

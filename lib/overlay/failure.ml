@@ -18,11 +18,12 @@ external sample_words_variant : int -> Bitset.words -> int -> float -> int64 -> 
    order the historical [Array.init n (fun _ -> not (bernoulli ...))]
    consumed, so masks sampled from a given rng state are unchanged by
    the packed representation and by the C loop, which replays those n
-   draws from the rng's state. *)
+   draws from the rng's state. Every variant writes each word whole,
+   the tail bits as zeros, so the words need no zeroing first. *)
 let sample_with fill ~rng ~q n =
   if not (Numerics.Prob.is_valid q) then invalid_arg "Failure.sample: invalid q";
   if n < 0 then invalid_arg "Failure.sample: negative size";
-  let mask = Bitset.create n in
+  let mask = Bitset.unfilled n in
   fill (Bitset.words mask) n q (Prng.Splitmix.state rng);
   Prng.Splitmix.advance rng n;
   mask

@@ -52,9 +52,10 @@ type scratch = {
   mutable count : int;  (* pairs routed by the last batch *)
   mutable delivered : int;
   mutable dropped : int;
-  (* Hop histogram of the last batch, accumulated here so the shared
-     metrics registry sees one locked add per batch, not one per
-     route. [hist_used] caps the zeroing cost on reuse. *)
+  (* Hop histogram of the last batch's deliveries: what a trial keeps
+     ([hop_counts]), and what the shared metrics registry gets in one
+     locked add per batch, not one per route. [hist_used] is one past
+     the largest delivered hop, and caps the zeroing cost on reuse. *)
   mutable hist : int array;
   mutable hist_used : int;
 }
@@ -122,10 +123,10 @@ let raw_hops s = Bigarray.Array1.sub s.hops_buf 0 s.count
 
 let raw_stuck s = Bigarray.Array1.sub s.stuck_buf 0 s.count
 
-(* Delivered hop counts in routing order, as the [float list] the
-   estimate layer aggregates (built back-to-front so the list comes
-   out in pair order, exactly like the scalar trial loop's
-   [List.rev] of its accumulator). *)
+let hop_counts s = Array.sub s.hist 0 s.hist_used
+
+(* Delivered hop counts in routing order, as floats (built
+   back-to-front so the list comes out in pair order). *)
 let delivered_hops_rev_order s =
   let acc = ref [] in
   for k = s.count - 1 downto 0 do

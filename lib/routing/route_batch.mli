@@ -129,9 +129,14 @@ val outcome : scratch -> int -> Outcome.t
 (** Pair [k]'s outcome, reconstructed exactly as the scalar router
     would have returned it. *)
 
+val hop_counts : scratch -> int array
+(** The hop counts of the last batch's delivered pairs as a fresh
+    histogram: entry [h] counts the pairs delivered in [h] hops, and
+    the array is one longer than the largest such [h] ([[||]] when
+    nothing was delivered). *)
+
 val delivered_hops_rev_order : scratch -> float list
-(** Delivered hop counts as floats, in routing order — the exact list
-    the scalar trial loop accumulates for the hop summary. *)
+(** Delivered hop counts as floats, in routing order. *)
 
 val raw_hops : scratch -> (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The per-pair hop counts of the last batch (a window into the

@@ -1,6 +1,6 @@
 module Json = Obs.Tiny_json
 
-let version = 1
+let version = 2
 
 type key = {
   geometry : string;
@@ -15,7 +15,7 @@ type trial = {
   delivered : int;
   attempted : int;
   alive_fraction : float;
-  hops : int list;
+  hop_counts : int array;
 }
 
 type outcome = Trial of trial | Failed of { attempts : int; error : string }
@@ -86,6 +86,26 @@ let get_ints =
       | _ -> None)
     "an integer array"
 
+(* A delivered route visits distinct nodes, so its hop count is below
+   the key's node count 2^bits. *)
+let below_node_count ~bits h = bits >= 62 || (bits >= 0 && h < 1 lsl bits)
+
+(* The canonical histogram of a version-1 record's per-delivery hop
+   list, and that list's checks: one hop per delivery, each within
+   [0, 2^bits) (which also bounds the array this allocates). *)
+let hop_counts_of_v1 ~bits ~delivered hops =
+  if List.length hops <> delivered then
+    failwith
+      (Printf.sprintf "field \"hops\": %d hops for %d deliveries" (List.length hops) delivered);
+  List.iter
+    (fun h ->
+      if h < 0 || not (below_node_count ~bits h) then
+        failwith (Printf.sprintf "field \"hops\": hop %d outside [0, 2^%d)" h bits))
+    hops;
+  let counts = Array.make (List.fold_left (fun m h -> max m (h + 1)) 0 hops) 0 in
+  List.iter (fun h -> counts.(h) <- counts.(h) + 1) hops;
+  counts
+
 (* --- the printer ----------------------------------------------------------- *)
 
 (* Every line goes through here. %.17g round-trips every finite double
@@ -137,12 +157,44 @@ let trial_fields key outcome =
         ("delivered", int t.delivered);
         ("attempted", int t.attempted);
         ("alive_fraction", Json.Num t.alive_fraction);
-        ("hops", Json.Arr (List.map int t.hops));
+        ("hop_counts", Json.Arr (Array.to_list (Array.map int t.hop_counts)));
       ]
   | Failed { attempts; error } ->
       [ ("status", Json.Str "failed"); ("attempts", int attempts); ("error", Json.Str error) ]
 
-let trial_of_fields fields =
+(* A stored trial must be one [Trial.run] can return for its key, or a
+   resume would report numbers no run produced: [attempted] is 0 (too
+   few survivors) or the key's pairs, the deliveries lie within it,
+   and the hop histogram counts exactly the deliveries. A histogram
+   never ends in a zero count. *)
+let check_trial key t =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  if t.attempted <> 0 && t.attempted <> key.pairs then
+    fail "attempted %d is neither 0 nor the key's %d pairs" t.attempted key.pairs;
+  if t.delivered < 0 || t.delivered > t.attempted then
+    fail "delivered %d outside [0, attempted %d]" t.delivered t.attempted;
+  if not (t.alive_fraction >= 0. && t.alive_fraction <= 1.) then
+    fail "alive_fraction %.17g outside [0, 1]" t.alive_fraction;
+  let n = Array.length t.hop_counts in
+  if n > 0 && t.hop_counts.(n - 1) = 0 then fail "field \"hop_counts\": ends in a zero count";
+  if n > 0 && not (below_node_count ~bits:key.bits (n - 1)) then
+    fail "field \"hop_counts\": hop %d outside [0, 2^%d)" (n - 1) key.bits;
+  (* Counts are checked one by one against [delivered], so their sum
+     cannot overflow on the way. *)
+  let total =
+    Array.fold_left
+      (fun total c ->
+        if c < 0 then fail "field \"hop_counts\": negative count %d" c;
+        if c > t.delivered - total then
+          fail "field \"hop_counts\": counts exceed delivered %d" t.delivered;
+        total + c)
+      0 t.hop_counts
+  in
+  if total <> t.delivered then
+    fail "field \"hop_counts\": counts sum to %d, not delivered %d" total t.delivered;
+  t
+
+let trial_of_fields ~v fields =
   let key =
     {
       geometry = get_string fields "geometry";
@@ -156,13 +208,19 @@ let trial_of_fields fields =
   let outcome =
     match get_string fields "status" with
     | "ok" ->
+        let delivered = get_int fields "delivered" in
+        let hop_counts =
+          if v = 1 then hop_counts_of_v1 ~bits:key.bits ~delivered (get_ints fields "hops")
+          else Array.of_list (get_ints fields "hop_counts")
+        in
         Trial
-          {
-            delivered = get_int fields "delivered";
-            attempted = get_int fields "attempted";
-            alive_fraction = get_float fields "alive_fraction";
-            hops = get_ints fields "hops";
-          }
+          (check_trial key
+             {
+               delivered;
+               attempted = get_int fields "attempted";
+               alive_fraction = get_float fields "alive_fraction";
+               hop_counts;
+             })
     | "failed" ->
         Failed { attempts = get_int fields "attempts"; error = get_string fields "error" }
     | other -> failwith (Printf.sprintf "unknown status %S" other)
@@ -228,12 +286,12 @@ let add_line t ~line text =
   match Json.parse text with
   | Json.Obj fields -> (
       let v = get_int fields "v" in
-      if v <> version then
-        failwith (Printf.sprintf "unsupported checkpoint version %d (expected %d)" v version);
+      if v < 1 || v > version then
+        failwith (Printf.sprintf "unsupported checkpoint version %d (expected 1 to %d)" v version);
       let fields = List.remove_assoc "v" fields in
       match List.assoc_opt "kind" fields with
       | None ->
-          let key, outcome = trial_of_fields fields in
+          let key, outcome = trial_of_fields ~v fields in
           Hashtbl.replace t.trials key outcome
       | Some (Json.Str kind) when kind = header_kind -> ()
       | Some (Json.Str kind) ->

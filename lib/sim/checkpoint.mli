@@ -15,9 +15,14 @@
       experiment's codec decides the fields.
 
     On-disk format: one JSON object per line, every object starting
-    with ["v"] (the format version). The first line is a header,
-    [{"v": 1, "kind": "dht_rcm-checkpoint"}]; trial records follow in
-    key order, then point records sorted by (kind, key fields). One
+    with ["v"] (the format version, {!version}). The first line is a
+    header, [{"v": 2, "kind": "dht_rcm-checkpoint"}]; trial records
+    follow in key order, then point records sorted by (kind, key
+    fields). A trial record keeps its hops as the histogram
+    ["hop_counts"], so its size does not grow with the pairs per
+    trial. Version 1 stored a ["hops"] list, one entry per delivery;
+    {!load} reads such lines and converts the list exactly, and the
+    next flush writes version 2. One
     printer writes every line: every number with [%.17g], which
     round-trips every finite double (and every integer within
     ±(2^53 − 1)) exactly — the foundation of the byte-identical-resume
@@ -45,8 +50,11 @@ type trial = {
   delivered : int;
   attempted : int;
   alive_fraction : float;
-  hops : int list;  (** per-delivery hop counts, in routing order *)
+  hop_counts : int array;
+      (** [hop_counts.(h)] delivered pairs took [h] hops; one longer
+          than the largest such [h], [[||]] when none was delivered *)
 }
+(** What {!Trial.run} returns. *)
 
 type outcome =
   | Trial of trial
@@ -59,6 +67,7 @@ type fields = (string * Obs.Tiny_json.t) list
 (** The fields of a record, in file order. *)
 
 val version : int
+(** The format version written: 2. {!load} reads 1 and 2. *)
 
 val create : ?interval:int -> path:string -> unit -> t
 (** A fresh store writing to [path]; any existing file is ignored and
@@ -71,10 +80,15 @@ val load : ?interval:int -> path:string -> unit -> t
     [path]. A missing file yields an empty store (an interrupted run
     may have stopped before its first flush). Point records of every
     kind are kept, and rewritten unchanged, whether or not the run
-    looks them up.
+    looks them up. A trial record must be one {!Trial.run} can return
+    for its key: [attempted] is 0 or the key's [pairs],
+    [0 <= delivered <= attempted], [0 <= alive_fraction <= 1], and the
+    hop counts are non-negative, sum to [delivered] and end in a
+    positive count, with no hop at or past [2^bits] (a version-1 list:
+    one hop per delivery, each in [[0, 2^bits)]).
     @raise Failure naming the path and line (["<path>, line N: ..."])
-    on a corrupt or version-incompatible line, or naming the path when
-    the file cannot be read. *)
+    on a corrupt, inconsistent or version-incompatible line, or naming
+    the path when the file cannot be read. *)
 
 val find : t -> key -> outcome option
 

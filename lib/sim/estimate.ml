@@ -29,18 +29,14 @@ let routability r =
 let failed_percent r = 100.0 *. (1.0 -. routability r)
 
 (* Hop counts of one trial as the compact "hops:count,..." string the
-   estimate/trial trace event carries — the per-geometry hop-count
-   distributions [dhtlab trace report] aggregates (the Roos et al.
-   lens on routing behaviour) are rebuilt from these. *)
-let hops_attr hops =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun h -> Hashtbl.replace table h (1 + Option.value ~default:0 (Hashtbl.find_opt table h)))
-    hops;
-  Hashtbl.fold (fun h c acc -> (h, c) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (h, c) -> Printf.sprintf "%d:%d" h c)
-  |> String.concat ","
+   estimate/trial trace event carries, hops ascending and empty bins
+   left out — the per-geometry hop-count distributions
+   [dhtlab trace report] aggregates (the Roos et al. lens on routing
+   behaviour) are rebuilt from these. *)
+let hops_attr hop_counts =
+  Array.to_list hop_counts
+  |> List.mapi (fun h c -> if c > 0 then Some (Printf.sprintf "%d:%d" h c) else None)
+  |> List.filter_map Fun.id |> String.concat ","
 
 (* One static-resilience trial (section 1): build (or fetch) the
    overlay, fail every node independently with probability q, then
@@ -86,13 +82,15 @@ let run_trial cfg cache build_seed =
           ("delivered", Obs.Trace.Int trial.delivered);
           ("attempted", Obs.Trace.Int trial.attempted);
           ("dur_s", Obs.Trace.Float (Unix.gettimeofday () -. t0));
-          ("hops", Obs.Trace.String (hops_attr trial.hops));
+          ("hops", Obs.Trace.String (hops_attr trial.hop_counts));
         ]
       ();
   trial
 
 (* Reduce trial contributions in index order (the determinism
-   contract: this is the only order-sensitive step). Failed trials
+   contract: the alive fractions are the only float sum, so the only
+   order-sensitive step; hop histograms add up exactly in any order,
+   and the hop summary is computed once, from their sum). Failed trials
    contribute nothing: the estimate covers the surviving trials only,
    so its CI widens honestly with the lost sample size, and the failure
    count is reported alongside instead of raising. When no surviving
@@ -101,7 +99,7 @@ let run_trial cfg cache build_seed =
 let collect cfg outcomes =
   let delivered = ref 0 in
   let attempted = ref 0 in
-  let hop_summary = Stats.Summary.create () in
+  let hop_counts = ref [||] in
   let alive_total = ref 0.0 in
   let survivors = ref 0 in
   let failed = ref 0 in
@@ -112,7 +110,12 @@ let collect cfg outcomes =
           delivered := !delivered + t.delivered;
           attempted := !attempted + t.attempted;
           alive_total := !alive_total +. t.alive_fraction;
-          List.iter (fun h -> Stats.Summary.add hop_summary (float_of_int h)) t.hops
+          hop_counts :=
+            Array.init
+              (max (Array.length !hop_counts) (Array.length t.hop_counts))
+              (fun h ->
+                let count a = if h < Array.length a then a.(h) else 0 in
+                count !hop_counts + count t.hop_counts)
       | Exec.Pool.Failed _ -> incr failed
       | Exec.Pool.Cancelled -> assert false (* Sweep.run raised *))
     outcomes;
@@ -123,7 +126,7 @@ let collect cfg outcomes =
     ci =
       (if !attempted = 0 then None
        else Some (Stats.Binomial_ci.wilson ~successes:!delivered ~trials:!attempted ()));
-    hop_summary;
+    hop_summary = Stats.Summary.of_counts !hop_counts;
     mean_alive_fraction =
       (if !survivors = 0 then Float.nan else !alive_total /. float_of_int !survivors);
     failed_trials = !failed;

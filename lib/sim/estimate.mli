@@ -1,6 +1,8 @@
 (** Monte-Carlo estimation of routability under the static-resilience
     failure model — the simulation half of the paper's Fig. 6
-    comparison. *)
+    comparison. Each trial is a {!Trial.run}; a grid point pools its
+    trials' deliveries and adds up their hop histograms, and the hop
+    summary is computed once from the sum. *)
 
 type config = {
   geometry : Rcm.Geometry.t;
@@ -21,7 +23,9 @@ type result = {
           in which case there is no estimate at all, as opposed to an
           estimate of zero (a fabricated 0/1 interval would present
           "no data" as certainty). *)
-  hop_summary : Stats.Summary.t;  (** hop counts of delivered messages *)
+  hop_summary : Stats.Summary.t;
+      (** hop counts of delivered messages, {!Stats.Summary.of_counts}
+          of the trials' summed histograms *)
   mean_alive_fraction : float;
       (** Mean over surviving trials; [nan] when every trial failed. *)
   failed_trials : int;

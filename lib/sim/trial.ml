@@ -2,15 +2,25 @@ type t = Checkpoint.trial = {
   delivered : int;
   attempted : int;
   alive_fraction : float;
-  hops : int list;
+  hop_counts : int array;
 }
+
+(* [counts] with one more delivery at [h] hops, grown to exactly
+   [h + 1] entries when [h] is past its end, so it stays canonical. *)
+let count_hop counts h =
+  let counts =
+    if h < Array.length counts then counts
+    else Array.append counts (Array.make (h + 1 - Array.length counts) 0)
+  in
+  counts.(h) <- counts.(h) + 1;
+  counts
 
 let run ?table ~rng ~alive ~pairs route =
   if pairs < 1 then invalid_arg "Trial.run: need at least one pair";
   let survivors = Overlay.Rank.create alive in
   let count = Overlay.Rank.count survivors in
   let alive_fraction = float_of_int count /. float_of_int (Overlay.Failure.length alive) in
-  if count < 2 then { delivered = 0; attempted = 0; alive_fraction; hops = [] }
+  if count < 2 then { delivered = 0; attempted = 0; alive_fraction; hop_counts = [||] }
   else
     match table with
     | Some table when Routing.Route_batch.enabled () && Overlay.Table.layout table <> None ->
@@ -19,29 +29,24 @@ let run ?table ~rng ~alive ~pairs route =
            byte-identity). Churn's row tables are neither blocks nor
            rules, so they keep the loop. *)
         let s = Routing.Route_batch.sample_and_route table ~rng ~alive ~survivors ~pairs in
-        let hops = ref [] in
-        for k = pairs - 1 downto 0 do
-          if Routing.Route_batch.is_delivered s k then
-            hops := Routing.Route_batch.hops s k :: !hops
-        done;
         {
           delivered = Routing.Route_batch.delivered_count s;
           attempted = pairs;
           alive_fraction;
-          hops = !hops;
+          hop_counts = Routing.Route_batch.hop_counts s;
         }
     | Some _ | None ->
         let delivered = ref 0 in
-        let hops = ref [] in
+        let hop_counts = ref [||] in
         for _ = 1 to pairs do
           let i, j = Stats.Sampler.ordered_indexes rng count in
           match route (Overlay.Rank.select survivors i) (Overlay.Rank.select survivors j) with
-          | Routing.Outcome.Delivered { hops = h } ->
+          | Routing.Outcome.Delivered { hops } ->
               incr delivered;
-              hops := h :: !hops
+              hop_counts := count_hop !hop_counts hops
           | Routing.Outcome.Dropped _ -> ()
         done;
-        { delivered = !delivered; attempted = pairs; alive_fraction; hops = List.rev !hops }
+        { delivered = !delivered; attempted = pairs; alive_fraction; hop_counts = !hop_counts }
 
 let routability trials =
   let delivered, attempted =

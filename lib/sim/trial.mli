@@ -1,6 +1,9 @@
 (** One static-resilience trial (section 1), shared by every static
     experiment: on a failed overlay, draw ordered pairs of survivors,
-    route each without back-tracking and tally the deliveries. Also the
+    route each without back-tracking and tally the deliveries, their
+    hop counts as a histogram. A trial's result therefore has the same
+    size at any pair count, and trials combine by adding integers, in
+    any order. Also the
     per-index seed derivation that goes with it (DESIGN.md,
     "Determinism under parallelism"); {!Sweep} fans trials out. *)
 
@@ -8,7 +11,10 @@ type t = Checkpoint.trial = {
   delivered : int;
   attempted : int;
   alive_fraction : float;  (** survivors over the nodes the mask covers *)
-  hops : int list;  (** hop counts of delivered pairs, in routing order *)
+  hop_counts : int array;
+      (** [hop_counts.(h)] delivered pairs took [h] hops; one longer
+          than the largest such [h], [[||]] when none was delivered.
+          Its size depends on the hops, not on [pairs]. *)
 }
 
 val run :
@@ -33,8 +39,9 @@ val run :
     {!Overlay.Table.of_neighbors} matrix) and
     {!Routing.Route_batch.enabled}, the
     pairs go through {!Routing.Route_batch.sample_and_route} instead,
-    which draws and routes them identically (generator state included);
-    [route] must then be [table]'s scalar router.
+    which draws and routes them identically (generator state included)
+    and bins the hops as it tallies; [route] must then be [table]'s
+    scalar router.
     @raise Invalid_argument if [pairs < 1]. *)
 
 val routability : t list -> float

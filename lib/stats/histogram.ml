@@ -4,14 +4,17 @@ let create ~buckets =
   if buckets <= 0 then invalid_arg "Histogram.create: non-positive bucket count"
   else { counts = Array.make buckets 0; total = 0; overflow = 0 }
 
-let add t bucket =
+let add_many t bucket n =
   if bucket < 0 then invalid_arg "Histogram.add: negative bucket"
+  else if n < 0 then invalid_arg "Histogram.add_many: negative count"
   else begin
-    t.total <- t.total + 1;
+    t.total <- t.total + n;
     if bucket < Array.length t.counts then
-      t.counts.(bucket) <- t.counts.(bucket) + 1
-    else t.overflow <- t.overflow + 1
+      t.counts.(bucket) <- t.counts.(bucket) + n
+    else t.overflow <- t.overflow + n
   end
+
+let add t bucket = add_many t bucket 1
 
 let count t bucket =
   if bucket < 0 || bucket >= Array.length t.counts then 0 else t.counts.(bucket)

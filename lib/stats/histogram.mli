@@ -8,6 +8,11 @@ val create : buckets:int -> t
 val add : t -> int -> unit
 (** @raise Invalid_argument on a negative bucket index. *)
 
+val add_many : t -> int -> int -> unit
+(** [add_many t bucket n] adds [n] samples to [bucket], as [n] calls
+    of {!add} would.
+    @raise Invalid_argument on a negative bucket index or count. *)
+
 val count : t -> int -> int
 val total : t -> int
 val overflow : t -> int

@@ -23,6 +23,31 @@ let of_array xs =
   Array.iter (add t) xs;
   t
 
+let of_counts counts =
+  let n = ref 0 and sum = ref 0 in
+  Array.iteri
+    (fun h c ->
+      if c < 0 then invalid_arg "Summary.of_counts: negative count";
+      n := !n + c;
+      sum := !sum + (h * c))
+    counts;
+  let t = create () in
+  if !n > 0 then begin
+    let mean = float_of_int !sum /. float_of_int !n in
+    t.count <- !n;
+    t.mean <- mean;
+    Array.iteri
+      (fun h c ->
+        if c > 0 then begin
+          let x = float_of_int h in
+          t.m2 <- t.m2 +. (float_of_int c *. (x -. mean) *. (x -. mean));
+          if x < t.min then t.min <- x;
+          t.max <- x
+        end)
+      counts
+  end;
+  t
+
 let count t = t.count
 
 let mean t = if t.count = 0 then nan else t.mean

@@ -10,7 +10,10 @@
 #      tooling promises (spans, domains, per-geometry hop counts,
 #      slowest spans) must be present, and at least one heartbeat must
 #      have been recorded.
-#   3. dhtlab trace export-chrome: the converted file must carry the
+#   3. The same sweep on the scalar routers (--no-batch --jobs 1):
+#      the per-geometry hop histograms of its trace report must equal
+#      step 2's line for line, since stdout carries only their mean.
+#   4. dhtlab trace export-chrome: the converted file must carry the
 #      Chrome trace-event envelope and complete-span events.
 #
 # Usage: scripts/trace_smoke.sh [path-to-dhtlab] [path-to-validate]
@@ -30,14 +33,20 @@ else
     trap 'rm -rf "$WORK"' EXIT INT TERM
 fi
 
-ARGS="simulate --smoke -g xor --seed 7 --jobs 2"
+SWEEP="simulate --smoke -g xor --seed 7"
+ARGS="$SWEEP --jobs 2"
 
 fail() {
     echo "trace-smoke: FAIL: $1" >&2
     exit 1
 }
 
-echo "trace-smoke: 1/3 traced sweep vs observability-free baseline"
+# The "==== hops (per geometry) ====" section of a trace report.
+hops_section() {
+    awk '/^==== /{on = ($0 == "==== hops (per geometry) ====")} on' "$1"
+}
+
+echo "trace-smoke: 1/4 traced sweep vs observability-free baseline"
 $DHTLAB $ARGS > "$WORK/baseline.txt"
 $DHTLAB $ARGS --trace-out "$WORK/run.jsonl" --obs-interval 0.1 \
     --metrics-out "$WORK/run.metrics.json" --metrics-prom "$WORK/run.prom" \
@@ -56,7 +65,7 @@ done
 grep -q '^# TYPE dhtlab_' "$WORK/run.prom" \
     || fail "Prometheus textfile carries no dhtlab_ family"
 
-echo "trace-smoke: 2/3 trace report aggregates"
+echo "trace-smoke: 2/4 trace report aggregates"
 $DHTLAB trace report "$WORK/run.jsonl" > "$WORK/report.txt"
 for section in "==== trace ====" "==== spans ====" "==== domains ====" \
                "==== hops (per geometry) ====" "==== slowest spans ===="; do
@@ -65,11 +74,22 @@ done
 grep -q "estimate/sweep" "$WORK/report.txt" || fail "report lists no estimate/sweep span"
 grep -q "^xor " "$WORK/report.txt" || fail "report has no xor hop distribution"
 
-echo "trace-smoke: 3/3 Chrome trace-event export"
+echo "trace-smoke: 3/4 hop histograms, batch kernel vs scalar routers"
+$DHTLAB $SWEEP --jobs 1 --no-batch --trace-out "$WORK/scalar.jsonl" --no-progress \
+    > "$WORK/scalar.txt"
+diff "$WORK/baseline.txt" "$WORK/scalar.txt" || fail "stdout differs under --no-batch"
+$DHTLAB trace report "$WORK/scalar.jsonl" > "$WORK/scalar-report.txt"
+hops_section "$WORK/report.txt" > "$WORK/hops.txt"
+hops_section "$WORK/scalar-report.txt" > "$WORK/scalar-hops.txt"
+grep -q "^xor " "$WORK/hops.txt" || fail "no xor hop histogram to compare"
+diff "$WORK/hops.txt" "$WORK/scalar-hops.txt" \
+    || fail "hop histograms differ between the batch kernel and --no-batch"
+
+echo "trace-smoke: 4/4 Chrome trace-event export"
 $DHTLAB trace export-chrome "$WORK/run.jsonl" -o "$WORK/run.chrome.json" > /dev/null
 grep -q '"displayTimeUnit": "ms"' "$WORK/run.chrome.json" \
     || fail "chrome export missing the trace-event envelope"
 grep -q '"ph": "X"' "$WORK/run.chrome.json" \
     || fail "chrome export carries no complete-span events"
 
-echo "trace-smoke: OK (trace, report, chrome export and sinks all consistent)"
+echo "trace-smoke: OK (trace, report, hop histograms, chrome export and sinks all consistent)"

@@ -145,6 +145,39 @@ let prop_sample_variants =
        QCheck.(triple small_nat (float_range 0.0 1.0) (int_range 0 300))
        (fun (seed, q, n) -> sample_mismatches ~seed ~q n = []))
 
+(* [Failure.sample] allocates its words unfilled, so every variant
+   must write the last word whole, zeros past n included. Word arrays
+   of the same size are first filled with ones and freed, so the
+   allocator likely hands that dirty memory to the mask. *)
+let test_sample_tail_written () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (name, sample) ->
+          List.iter
+            (fun q ->
+              for _ = 1 to 4 do
+                Bigarray.Array1.fill
+                  (Bigarray.Array1.create Bigarray.int Bigarray.c_layout ((n + 31) / 32))
+                  (-1)
+              done;
+              Gc.full_major ();
+              let mask = sample ~rng:(Prng.Splitmix.create ~seed:n) ~q n in
+              let survivors = ref 0 in
+              for v = 0 to n - 1 do
+                if Overlay.Failure.get mask v then incr survivors
+              done;
+              let label = Printf.sprintf "%s n=%d q=%g" name n q in
+              Alcotest.(check bool)
+                (label ^ ": no member at or past n")
+                true
+                (Array.for_all (fun v -> v < n) (Overlay.Failure.survivors mask));
+              Alcotest.(check int) (label ^ ": alive_count") !survivors
+                (Overlay.Failure.alive_count mask))
+            [ 0.0; 0.5 ])
+        sample_variants)
+    [ 1; 5; 33; 100; 1000; 4097 ]
+
 (* --- rank index ------------------------------------------------------------- *)
 
 (* Random masks: a length with a partial tail word; all dead, one
@@ -351,6 +384,20 @@ let test_sample_and_route_matches_scalar () =
               (what ^ ": delivered hop list")
               (List.rev !scalar_hops_rev)
               (Routing.Route_batch.delivered_hops_rev_order scratch);
+            let histogram =
+              List.fold_left
+                (fun counts h ->
+                  let h = int_of_float h in
+                  let counts =
+                    Array.init (max (Array.length counts) (h + 1)) (fun i ->
+                        if i < Array.length counts then counts.(i) else 0)
+                  in
+                  counts.(h) <- counts.(h) + 1;
+                  counts)
+                [||] !scalar_hops_rev
+            in
+            Alcotest.(check (array int)) (what ^ ": hop histogram") histogram
+              (Routing.Route_batch.hop_counts scratch);
             Alcotest.(check int64) (what ^ ": rng state")
               (Prng.Splitmix.state rng_scalar) (Prng.Splitmix.state rng_batch)
           end)
@@ -919,4 +966,5 @@ let suite =
     Alcotest.test_case "rank: bounds" `Quick test_select_bounds;
     Alcotest.test_case "sample_and_route: rank index = pool" `Quick
       test_sample_and_route_rank_equals_pool;
+    Alcotest.test_case "failure mask tail: no member past n" `Quick test_sample_tail_written;
   ]

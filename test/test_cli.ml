@@ -494,8 +494,10 @@ let test_sweep_command_errors () =
    from a copy of the golden under a fault plan that fails every
    computed point or trial ([--inject-fault trial:1:1], no retries)
    must recompute nothing — the writing command's stdout, and the
-   golden rewritten unchanged. *)
-let check_checkpoint_golden ~write ~resume file () =
+   golden rewritten unchanged. [from] resumes from another file, an
+   older format of the same records, which must be rewritten as the
+   golden. *)
+let check_checkpoint_golden ?from ~write ~resume file () =
   let dir = temp_dir "golden" in
   let golden = read_file (Filename.concat "golden" file) in
   let ck = Filename.concat dir "ck.jsonl" in
@@ -503,7 +505,8 @@ let check_checkpoint_golden ~write ~resume file () =
   check_exit (String.concat " " write) status;
   Alcotest.(check string) ("checkpoint matches golden/" ^ file) golden (read_file ck);
   let copy = Filename.concat dir "copy.jsonl" in
-  write_file copy golden;
+  write_file copy
+    (match from with Some f -> read_file (Filename.concat "golden" f) | None -> golden);
   let status, resumed =
     run_capture
       (resume @ [ "--jobs"; "2"; "--inject-fault"; "trial:1:1"; "--checkpoint"; copy; "--resume" ])
@@ -661,3 +664,13 @@ let suite =
      indexes moves. *)
   @ [ simulate_d20_golden "symphony" ]
   @ List.map (simulate_d20_golden ~flags:[ "--no-batch" ]) d20_geometries
+  @ [
+      (* The same trials as the golden, stored as the per-delivery hop
+         lists of checkpoint version 1. *)
+      ("v1 checkpoint resumes as the v2 golden", `Quick,
+        check_checkpoint_golden ~from:"checkpoint-simulate-smoke-xor-faults-v1.jsonl"
+          ~write:
+            (simulate_golden_args
+            @ [ "--trial-retries"; "1"; "--inject-fault"; "trial:0.5:9:5" ])
+          ~resume:simulate_golden_args "checkpoint-simulate-smoke-xor-faults.jsonl");
+    ]

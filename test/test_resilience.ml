@@ -169,7 +169,7 @@ let test_checkpoint_store_roundtrip () =
       let ok =
         Sim.Checkpoint.Trial
           { Sim.Checkpoint.delivered = 280; attempted = 300; alive_fraction = 0.8125;
-            hops = [ 3; 4; 5 ] }
+            hop_counts = [| 0; 0; 0; 100; 120; 60 |] }
       in
       let failed =
         Sim.Checkpoint.Failed
@@ -212,8 +212,9 @@ let test_checkpoint_missing_and_corrupt () =
 
 (* Every record goes through one printer and one reader: random fields
    (-0.0, subnormals, max_float, integers at ±(2^53 - 1), strings with
-   quotes, backslashes, control and high bytes, empty and long int
-   lists) must reload bit-equal and reprint to the same bytes. *)
+   quotes, backslashes, control and high bytes) and random valid trial
+   records (hop histograms empty or long, with large counts) must
+   reload bit-equal and reprint to the same bytes. *)
 type field_value = F of float | I of int | S of string
 
 let max_exact = (1 lsl 53) - 1
@@ -248,17 +249,36 @@ let field_gen =
         map (fun s -> S s) string_gen;
       ])
 
+(* What a trial can hold, so what load accepts: a hop histogram that
+   is empty or ends in a positive count, an alive fraction in [0, 1],
+   and [spare] undelivered pairs on top of the deliveries. *)
+let hop_counts_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return [||];
+        map2
+          (fun counts last -> Array.of_list (counts @ [ last ]))
+          (list_size (int_range 0 40) (oneof [ return 0; int_range 0 (1 lsl 40) ]))
+          (int_range 1 (1 lsl 40));
+      ])
+
+let trial_gen =
+  QCheck2.Gen.(
+    triple hop_counts_gen
+      (oneof [ oneofl [ 0.0; -0.0; 5e-324; 1.0; 0.1; 1.0 -. epsilon_float ]; float_range 0. 1. ])
+      (int_range 0 1000))
+
 let record_gen =
   QCheck2.Gen.(
     quad
       (list_size (int_range 0 12) (pair string_gen field_gen))
-      (pair float_gen exact_int_gen)
-      (oneof [ return []; list_size (int_range 0 2000) exact_int_gen ])
-      string_gen)
+      (pair float_gen exact_int_gen) trial_gen string_gen)
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let prop_checkpoint_fields_round_trip (fields, (q, seed), hops, text) =
+let prop_checkpoint_fields_round_trip
+    (fields, (q, seed), (hop_counts, alive_fraction, spare), text) =
   with_temp_file (fun path ->
       (* Names are made unique by an index prefix, and never "v" or
          "kind", which every record line reserves. *)
@@ -269,18 +289,18 @@ let prop_checkpoint_fields_round_trip (fields, (q, seed), hops, text) =
         | S s -> Obs.Tiny_json.Str s
       in
       let key = [ ("seed", Sim.Checkpoint.int seed); ("name", Obs.Tiny_json.Str text) ] in
+      let delivered = Array.fold_left ( + ) 0 hop_counts in
       let trial_key =
-        { Sim.Checkpoint.geometry = text; bits = 8; q; pairs = 300; seed; trial = 0 }
+        { Sim.Checkpoint.geometry = text; bits = 8; q; pairs = delivered + spare; seed; trial = 0 }
       in
-      let ok =
-        Sim.Checkpoint.Trial
-          { Sim.Checkpoint.delivered = 1; attempted = 2; alive_fraction = q; hops }
+      let trial =
+        { Sim.Checkpoint.delivered; attempted = delivered + spare; alive_fraction; hop_counts }
       in
       let failed = Sim.Checkpoint.Failed { attempts = 3; error = text } in
       let ck = Sim.Checkpoint.create ~path () in
       Sim.Checkpoint.record_point ck ~kind:"prop" ~key
         (List.map (fun (name, v) -> (name, json v)) named);
-      Sim.Checkpoint.record ck trial_key ok;
+      Sim.Checkpoint.record ck trial_key (Sim.Checkpoint.Trial trial);
       Sim.Checkpoint.record ck { trial_key with trial = 1 } failed;
       Sim.Checkpoint.flush ck;
       let bytes = read_file path in
@@ -297,7 +317,8 @@ let prop_checkpoint_fields_round_trip (fields, (q, seed), hops, text) =
       in
       let trial_ok =
         match Sim.Checkpoint.find loaded trial_key with
-        | Some (Sim.Checkpoint.Trial t) -> bits_equal t.alive_fraction q && t.hops = hops
+        | Some (Sim.Checkpoint.Trial t) ->
+            bits_equal t.alive_fraction alive_fraction && { t with alive_fraction } = trial
         | Some (Sim.Checkpoint.Failed _) | None -> false
       in
       let failed_ok = Sim.Checkpoint.find loaded { trial_key with trial = 1 } = Some failed in
@@ -315,7 +336,7 @@ let sample_checkpoint path =
   Sim.Checkpoint.record ck (sample_key 0)
     (Sim.Checkpoint.Trial
        { Sim.Checkpoint.delivered = 280; attempted = 300; alive_fraction = 0.8125;
-         hops = [ 3; 4; 5 ] });
+         hop_counts = [| 0; 0; 0; 100; 120; 60 |] });
   Sim.Checkpoint.record ck (sample_key 1)
     (Sim.Checkpoint.Failed { attempts = 2; error = "bad \"quote\" \\ \001 and\nnewline" });
   Sim.Checkpoint.record_point ck ~kind:"churn"
@@ -336,6 +357,76 @@ let prop_checkpoint_cut_line_rejected (line_pick, cut_pick) =
       | _ -> false
       | exception Failure msg ->
           Astring_contains.contains msg (Printf.sprintf "%s, line %d: " path (i + 1)))
+
+(* One trial record of the xor golden's key, delivered 5 of 200 pairs:
+   [hops] is its hop field, a v2 ["hop_counts"] histogram or a v1
+   ["hops"] list. *)
+let trial_line ?(v = 2) ?(bits = 8) ?(delivered = 5) ?(attempted = 200) ?(alive = "0.71484375")
+    hops =
+  Printf.sprintf
+    "{\"v\": %d, \"geometry\": \"xor\", \"bits\": %d, \"q\": 0.29999999999999999, \"pairs\": 200, \
+     \"seed\": 7, \"trial\": 1, \"status\": \"ok\", \"delivered\": %d, \"attempted\": %d, \
+     \"alive_fraction\": %s, %s}"
+    v bits delivered attempted alive hops
+
+let load_trial_line path line =
+  write_file path ("{\"v\": 2, \"kind\": \"dht_rcm-checkpoint\"}\n" ^ line ^ "\n");
+  Sim.Checkpoint.load ~path ()
+
+(* A record no trial could have produced fails the load on its line
+   (a [Failure], never an [Invalid_argument]), one case per rule. *)
+let test_checkpoint_rejects_inconsistent_trials () =
+  let counts = {|"hop_counts": [0,1,2,0,2]|} and list = {|"hops": [1,2,2,4,4]|} in
+  with_temp_file (fun path ->
+      List.iter
+        (fun (rule, line, reason) ->
+          match load_trial_line path line with
+          | _ -> Alcotest.failf "%s: record accepted" rule
+          | exception Failure msg ->
+              if
+                not
+                  (Astring_contains.contains msg (path ^ ", line 2: ")
+                  && Astring_contains.contains msg reason)
+              then Alcotest.failf "%s: unexpected message %S" rule msg)
+        [
+          ("delivered below 0", trial_line ~delivered:(-1) {|"hop_counts": []|}, "delivered -1");
+          ("delivered above attempted", trial_line ~delivered:201 counts, "delivered 201");
+          ("attempted neither 0 nor pairs", trial_line ~attempted:100 counts, "attempted 100");
+          ("alive fraction below 0", trial_line ~alive:"-0.25" counts, "alive_fraction");
+          ("alive fraction above 1", trial_line ~alive:"1.5" counts, "alive_fraction");
+          ("negative count", trial_line {|"hop_counts": [0,1,-2,0,6]|}, "negative count");
+          ("counts above delivered", trial_line {|"hop_counts": [0,1,2,0,3]|}, "delivered 5");
+          ("counts below delivered", trial_line {|"hop_counts": [0,1,2,0,1]|}, "sum to 4");
+          ("trailing zero count", trial_line {|"hop_counts": [0,1,2,0,2,0]|}, "zero count");
+          ("hop beyond the node count", trial_line ~bits:2 counts, "hop 4");
+          ("v1 list longer than delivered", trial_line ~v:1 ~delivered:4 list, "5 hops");
+          ("v1 list shorter than delivered", trial_line ~v:1 ~delivered:6 list, "5 hops");
+          ("v1 negative hop", trial_line ~v:1 {|"hops": [1,2,2,-4,4]|}, "hop -4");
+          ("v1 hop beyond the node count", trial_line ~v:1 ~bits:2 list, "hop 4");
+          ("v1 field in a v2 record", trial_line list, "hop_counts");
+        ])
+
+(* A v1 hop list loads as its exact histogram, and is rewritten as
+   one. *)
+let test_checkpoint_reads_v1_hop_lists () =
+  with_temp_file (fun path ->
+      let key =
+        { Sim.Checkpoint.geometry = "xor"; bits = 8; q = 0.3; pairs = 200; seed = 7; trial = 1 }
+      in
+      let expected =
+        Sim.Checkpoint.Trial
+          { Sim.Checkpoint.delivered = 5; attempted = 200; alive_fraction = 0.71484375;
+            hop_counts = [| 0; 1; 2; 0; 2 |] }
+      in
+      let v1 = load_trial_line path (trial_line ~v:1 {|"hops": [4,2,1,4,2]|}) in
+      Alcotest.(check bool) "v1 list converted" true (Sim.Checkpoint.find v1 key = Some expected);
+      Sim.Checkpoint.flush v1;
+      let v2 = read_file path in
+      Alcotest.(check bool) "rewritten as v2" true
+        (Astring_contains.contains v2 (trial_line {|"hop_counts": [0,1,2,0,2]|}));
+      let reloaded = load_trial_line path (trial_line {|"hop_counts": [0,1,2,0,2]|}) in
+      Alcotest.(check bool) "v2 record equal" true
+        (Sim.Checkpoint.find reloaded key = Some expected))
 
 let test_checkpoint_refuses_inexact_ints () =
   Alcotest.check_raises "2^53 refused"
@@ -617,6 +708,10 @@ let suite =
       prop_checkpoint_cut_line_rejected;
     ("checkpoint: integers beyond 2^53 refused", `Quick,
       test_checkpoint_refuses_inexact_ints);
+    ("checkpoint: inconsistent trial records rejected", `Quick,
+      test_checkpoint_rejects_inconsistent_trials);
+    ("checkpoint: v1 hop lists load as histograms", `Quick,
+      test_checkpoint_reads_v1_hop_lists);
     ("sweep: transient fault + retry bit-identical", `Quick,
       test_sweep_transient_fault_plus_retry_bit_identical);
     ("sweep: persistent fault counts failures exactly", `Quick,

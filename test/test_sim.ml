@@ -181,33 +181,37 @@ let trial_seeds_match_split =
 
 let route_on table ~rng ~alive src dst = Routing.Router.route table ~rng ~alive ~src ~dst
 
-(* The batch hook must be invisible: same tallies, same hops in the
-   same order, and the generator left in the same state. *)
-let test_trial_batch_equals_scalar () =
-  let was = Routing.Route_batch.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Routing.Route_batch.set_enabled was)
-    (fun () ->
-      List.iter
-        (fun g ->
-          List.iter
-            (fun q ->
-              let build_rng = Prng.Splitmix.create ~seed:31 in
-              let table = Overlay.Table.build ~rng:build_rng ~bits:8 g in
-              let alive = Overlay.Failure.sample ~rng:build_rng ~q 256 in
-              let trial batch =
-                Routing.Route_batch.set_enabled batch;
-                let rng = Prng.Splitmix.copy build_rng in
-                let t = Sim.Trial.run ~table ~rng ~alive ~pairs:300 (route_on table ~rng ~alive) in
-                (t, Prng.Splitmix.state rng)
-              in
-              let batch, batch_state = trial true in
-              let scalar, scalar_state = trial false in
-              let name = Printf.sprintf "%s q=%.1f" (Rcm.Geometry.name g) q in
-              Alcotest.(check bool) (name ^ ": same trial") true (batch = scalar);
-              Alcotest.(check int64) (name ^ ": same generator state") scalar_state batch_state)
-            [ 0.0; 0.3; 0.7 ])
-        Rcm.Geometry.all_default)
+(* The batch hook must be invisible: the same trial (tallies and hop
+   histogram, which counts exactly the deliveries and ends in a
+   positive count) and the generator left in the same state, for every
+   paper geometry. The per-pair order of the two paths is
+   [test_batch]'s [sample_and_route] case. *)
+let trial_batch_equals_scalar =
+  qcheck ~count:100 "trial: batch = scalar"
+    QCheck2.Gen.(
+      quad (oneofl Rcm.Geometry.all_default) (int_range 4 10) (float_range 0. 0.9)
+        (pair (int_range 1 500) int))
+    (fun (g, bits, q, (pairs, seed)) ->
+      let was = Routing.Route_batch.enabled () in
+      Fun.protect
+        ~finally:(fun () -> Routing.Route_batch.set_enabled was)
+        (fun () ->
+          let build_rng = Prng.Splitmix.create ~seed in
+          let table = Overlay.Table.build ~rng:build_rng ~bits g in
+          let alive = Overlay.Failure.sample ~rng:build_rng ~q (Overlay.Table.node_count table) in
+          let trial batch =
+            Routing.Route_batch.set_enabled batch;
+            let rng = Prng.Splitmix.copy build_rng in
+            let t = Sim.Trial.run ~table ~rng ~alive ~pairs (route_on table ~rng ~alive) in
+            (t, Prng.Splitmix.state rng)
+          in
+          let batch, batch_state = trial true in
+          let scalar, scalar_state = trial false in
+          let counts = batch.Sim.Trial.hop_counts in
+          let n = Array.length counts in
+          batch = scalar && batch_state = scalar_state
+          && Array.fold_left ( + ) 0 counts = batch.Sim.Trial.delivered
+          && (n = 0 || counts.(n - 1) > 0)))
 
 let test_trial_too_few_survivors () =
   List.iter
@@ -284,7 +288,7 @@ let suite =
     ("percolation: gap non-negative", `Slow, test_percolation_gap_nonnegative);
     ("percolation: tree gap large", `Slow, test_percolation_tree_gap_large);
     trial_seeds_match_split;
-    ("trial: batch = scalar", `Quick, test_trial_batch_equals_scalar);
+    trial_batch_equals_scalar;
     ("trial: fewer than two survivors", `Quick, test_trial_too_few_survivors);
     ("trial: grid pool-invariant", `Quick, test_trial_grid_pool_invariant);
     ("no survivors report nan", `Quick, test_no_survivors_is_nan);

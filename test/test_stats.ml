@@ -40,6 +40,39 @@ let summary_mean_bounds =
       Stats.Summary.mean s >= Stats.Summary.min s -. 1e-9
       && Stats.Summary.mean s <= Stats.Summary.max s +. 1e-9)
 
+(* A histogram summarises like its expanded samples: the same count,
+   min and max, the variance within a relative 1e-12, nan when empty.
+   The mean is one rounding of the exact quotient (the float sum of
+   small integer samples is exact), so it is checked bit for bit; the
+   Welford mean of [of_array] rounds at every sample and drifts, up to
+   33 ulp on sorted samples of this size, so it is only checked to a
+   relative 1e-12. *)
+let summary_of_counts =
+  qcheck "summary of_counts = of_array over the samples"
+    QCheck2.Gen.(list_size (int_range 0 40) (oneof [ return 0; int_range 0 300 ]))
+    (fun counts ->
+      let counts = Array.of_list counts in
+      let samples =
+        Array.concat
+          (Array.to_list (Array.mapi (fun h c -> Array.make c (float_of_int h)) counts))
+      in
+      let a = Stats.Summary.of_counts counts and b = Stats.Summary.of_array samples in
+      let same x y = (Float.is_nan x && Float.is_nan y) || x = y in
+      let relative x y =
+        (Float.is_nan x && Float.is_nan y)
+        || Float.abs (x -. y) <= 1e-12 *. Float.max (Float.abs x) (Float.abs y)
+      in
+      let exact_mean =
+        Array.fold_left ( +. ) 0. samples /. float_of_int (Array.length samples)
+      in
+      Stats.Summary.count a = Stats.Summary.count b
+      && same (Stats.Summary.min a) (Stats.Summary.min b)
+      && same (Stats.Summary.max a) (Stats.Summary.max b)
+      && same (Stats.Summary.mean a) exact_mean
+      && relative (Stats.Summary.mean a) (Stats.Summary.mean b)
+      && relative (Stats.Summary.variance a) (Stats.Summary.variance b)
+      && (Array.length samples > 0 || Float.is_nan (Stats.Summary.mean a)))
+
 let test_wilson_midpoint () =
   let ci = Stats.Binomial_ci.wilson ~successes:50 ~trials:100 () in
   check_close 0.5 (Stats.Binomial_ci.point ci);
@@ -83,7 +116,14 @@ let test_histogram_basic () =
   Alcotest.(check int) "total" 5 (Stats.Histogram.total h);
   Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h);
   check_close 0.4 (Stats.Histogram.fraction h 1);
-  check_close 1.0 (Stats.Histogram.mean h)
+  check_close 1.0 (Stats.Histogram.mean h);
+  let many = Stats.Histogram.create ~buckets:4 in
+  List.iter
+    (fun (bucket, n) -> Stats.Histogram.add_many many bucket n)
+    [ (1, 2); (3, 0); (0, 1); (9, 1); (2, 1) ];
+  Alcotest.(check (array (float 0.0))) "add_many = repeated add"
+    (Stats.Histogram.to_fractions h) (Stats.Histogram.to_fractions many);
+  Alcotest.(check int) "add_many overflow" 1 (Stats.Histogram.overflow many)
 
 let test_histogram_negative () =
   let h = Stats.Histogram.create ~buckets:2 in
@@ -112,6 +152,7 @@ let suite =
     ("summary constant", `Quick, test_summary_constant);
     ("summary shifted variance", `Quick, test_summary_shifted_variance);
     summary_mean_bounds;
+    summary_of_counts;
     ("wilson midpoint", `Quick, test_wilson_midpoint);
     ("wilson extremes", `Quick, test_wilson_extremes);
     ("wilson width shrinks", `Quick, test_wilson_width_shrinks);
