@@ -29,7 +29,8 @@ docs-smoke: build
 # across --jobs and --no-batch, CSV/JSON/loadmap shapes, checkpoint +
 # resume (also from a truncated checkpoint) and SIGINT recovery with
 # validated manifest/metrics telemetry, each diffed byte-for-byte
-# against an uninterrupted baseline.
+# against an uninterrupted baseline; and a memory guard, the manifest's
+# peak_rss_kb of a d = 22 Symphony run below 48 MiB.
 sweep-smoke: build
 	for row in simulate record hotspots churn percolation storage; do \
 	  sh scripts/sweep_smoke.sh $$row || exit 1; \

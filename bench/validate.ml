@@ -93,6 +93,10 @@ let validate_manifest json =
   if finished < started then fail "$.finished: before $.started";
   if wall < 0.0 then fail "$.wall_s: negative";
   ignore (as_int "$.exit_status" (field "$" json "exit_status"));
+  (* Optional: absent where the peak resident set cannot be read. *)
+  Option.iter
+    (fun v -> if as_int "$.peak_rss_kb" v < 0 then fail "$.peak_rss_kb: negative")
+    (member "peak_rss_kb" json);
   ignore (as_obj_fields "$.notes" (field "$" json "notes"));
   let artefacts = as_list "$.artefacts" (field "$" json "artefacts") in
   (* Re-checksum every artefact the manifest claims exists. Paths are

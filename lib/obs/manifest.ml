@@ -85,7 +85,7 @@ let add_artefact_json buffer (kind, path) =
   else Buffer.add_string buffer ", \"exists\": false";
   Buffer.add_char buffer '}'
 
-let render m ~finished ~exit_status =
+let render m ~finished ~exit_status ~peak_rss_kb =
   let buffer = Buffer.create 1024 in
   Buffer.add_string buffer
     (Printf.sprintf "{\n  \"v\": %d,\n  \"kind\": \"dht_rcm-manifest\",\n  \"argv\": " version);
@@ -101,6 +101,9 @@ let render m ~finished ~exit_status =
        m.started finished
        (json_float (finished -. m.started))
        exit_status);
+  Option.iter
+    (fun kb -> Buffer.add_string buffer (Printf.sprintf ",\n  \"peak_rss_kb\": %d" kb))
+    peak_rss_kb;
   Buffer.add_string buffer ",\n  \"notes\": {";
   List.iteri
     (fun i (key, v) ->
@@ -129,5 +132,7 @@ let finish ~exit_status =
   match m with
   | None -> ()
   | Some m ->
-      let body = render m ~finished:(Unix.gettimeofday ()) ~exit_status in
+      let body =
+        render m ~finished:(Unix.gettimeofday ()) ~exit_status ~peak_rss_kb:(Rss.peak_kb ())
+      in
       Atomic_file.write m.path (fun oc -> output_string oc body)

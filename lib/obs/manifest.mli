@@ -44,8 +44,10 @@ val add_artefact : kind:string -> string -> unit
     that completed no trial). No-op when inactive. *)
 
 val finish : exit_status:int -> unit
-(** Stamp the end time and [exit_status], checksum the artefacts and
-    atomically write the manifest. Closes the singleton (further calls
+(** Stamp the end time, [exit_status] and the process's peak resident
+    set so far ([peak_rss_kb], KiB, from {!Rss.peak_kb}; omitted where
+    that reader returns [None]), checksum the artefacts and atomically
+    write the manifest. Closes the singleton (further calls
     are no-ops until the next {!start}). Call it after every sink has
     flushed and renamed its own file, so the recorded checksums match
     what is on disk. *)

@@ -1,6 +1,7 @@
 /* The per-node passes of a static trial, in C: the failure-mask sample
    (Failure.sample), the rank index over a mask (Rank.create) and the
-   survivor list (Bitset.members).
+   survivor list (Bitset.members); and the one per-entry pass of a
+   table build, Symphony's shortcut column (Table.build).
 
    Why C: at 2^20 nodes each pass is a million-iteration loop whose
    body is a handful of ALU ops. In OCaml every per-node
@@ -230,4 +231,36 @@ CAMLprim value rcm_bitset_members(value vwords, value vout)
     }
   }
   return Val_unit;
+}
+
+/* Table.build's Symphony shortcut column: entry v*k_s + j is node v's
+   shortcut j, (v + dist) mod n, where dist is the value
+   Splitmix.harmonic_int ~n:(n - 1) takes at draw v*k_s + j of the
+   build generator at [state] — the draw Splitmix.float_at gives, then
+   harmonic_int's own formula with its ln n computed once by the
+   caller: int_of_float (exp (u *. ln_n)), clamped to [1, n - 1]. The
+   product and the libm exp are those OCaml's float ops compile to, and
+   the C truncating cast is int_of_float, so every entry equals the
+   OCaml draw's bit for bit. The exp keeps the loop scalar; at 2^20
+   nodes it fills in about 10 ms, against 30-35 ms for evaluating the
+   entry closure per node. The caller advances its generator by the
+   column length. */
+CAMLprim value rcm_fill_shortcuts(value vcolumn, intnat k_s, double ln_n, int64_t state)
+{
+  int32_t *column = (int32_t *)Caml_ba_data_val(vcolumn);
+  intnat n = Caml_ba_array_val(vcolumn)->dim[0] / k_s, mask = n - 1, e = 0;
+  for (intnat v = 0; v < n; v++)
+    for (intnat j = 0; j < k_s; j++, e++) {
+      uint64_t z = splitmix_mix((uint64_t)state + ((uint64_t)e + 1) * SPLITMIX_GAMMA);
+      double u = (double)(int64_t)(z >> 11) * 0x1p-53;
+      intnat dist = (intnat)exp(u * ln_n);
+      dist = dist < 1 ? 1 : dist > mask ? mask : dist;
+      column[e] = (int32_t)((v + dist) & mask);
+    }
+  return Val_unit;
+}
+
+CAMLprim value rcm_fill_shortcuts_bc(value vcolumn, value vk_s, value vln_n, value vstate)
+{
+  return rcm_fill_shortcuts(vcolumn, Long_val(vk_s), Double_val(vln_n), Int64_val(vstate));
 }

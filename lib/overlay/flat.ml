@@ -60,14 +60,17 @@ external advise_hugepages : ('a, 'b, 'c) Bigarray.Array1.t -> unit
   = "rcm_advise_hugepages"
 [@@noalloc]
 
-(* Both payloads, advised before anything writes them: the advice only
+(* Payloads are advised before anything writes them: the advice only
    shapes pages faulted in after it. *)
+let create_targets length =
+  let targets = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout length in
+  advise_hugepages targets;
+  targets
+
 let alloc ~nodes ~edges =
   let offsets = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (nodes + 1) in
-  let targets = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout edges in
   advise_hugepages offsets;
-  advise_hugepages targets;
-  (offsets, targets)
+  (offsets, create_targets edges)
 
 (* Uniform-degree construction. [f v i] is called for v = 0..nodes-1 in
    ascending order and, within each node, i = 0..degree-1 in ascending

@@ -12,9 +12,10 @@
       alive-bitset ({!Failure.t}) overlaid at routing time.
     - {b Compactness.} 4 bytes per edge + 8 per node, about half of
       per-node rows' word-size entries and headers, which is what makes
-      2^20–2^22-node sweeps of Symphony and plugin tables fit in
-      memory. The builtin tree, hypercube, ring and xor tables need no
-      block at all: {!Table} stores their closed-form rule.
+      2^20–2^22-node sweeps of plugin tables fit in memory. The builtin
+      tables need no block at all: {!Table} stores the closed-form rule
+      of tree, hypercube, ring and xor, and Symphony's shortcuts alone,
+      in one {!targets} column.
     - {b Immutability by convention.} Nothing in this module mutates a
       block after construction. {!offsets} and {!targets} expose the
       underlying Bigarrays read-only so the batch routing kernel
@@ -49,6 +50,12 @@ val init : ?allow_missing:bool -> nodes:int -> degree:int -> (int -> int -> int)
     take {!Table} blocks, never see a [-1].
     @raise Invalid_argument if a produced id falls outside [0, nodes)
     (and is not an admitted [-1]). *)
+
+val create_targets : int -> targets
+(** [create_targets length] is a fresh, unfilled targets array, advised
+    for huge pages as a block's payloads are: the storage of a table
+    layout that fills its own entries ({!Table}'s Symphony shortcut
+    column). *)
 
 val of_rows : int array array -> t
 (** Copies a per-node adjacency into a flat block (supports

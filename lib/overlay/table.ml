@@ -1,14 +1,18 @@
 type backend = Flat
 
 (* Rows is churn's mutable matrix, one heap array per node, repaired in
-   place ([of_neighbors] only); Csr is a shared read-only
-   struct-of-arrays block; Computed is a table whose entries follow a
-   closed-form rule, evaluated on each read. *)
+   place ([of_neighbors] only); every other table is flat: a shared
+   read-only struct-of-arrays block, a closed-form rule evaluated on
+   each read, or Symphony's computed successors beside a shortcut
+   column. *)
 type rule = Flip | Finger | Flip_suffix of int64
 
-type layout = Block of Flat.t | Rule of rule
+type layout =
+  | Block of Flat.t
+  | Rule of rule
+  | Shortcuts of { k_n : int; k_s : int; column : Flat.targets }
 
-type repr = Rows of int array array | Csr of Flat.t | Computed of rule
+type repr = Rows of int array array | Flat of layout
 
 type t = { space : Idspace.Space.t; geometry : Rcm.Geometry.t; repr : repr }
 
@@ -16,8 +20,7 @@ let space t = t.space
 
 let geometry t = t.geometry
 
-let layout t =
-  match t.repr with Rows _ -> None | Csr f -> Some (Block f) | Computed r -> Some (Rule r)
+let layout t = match t.repr with Rows _ -> None | Flat l -> Some l
 
 let node_count t = Idspace.Space.size t.space
 
@@ -61,15 +64,6 @@ let ring_randomized_entry ~size rng v i =
   let dist = lo + Prng.Splitmix.int rng lo in
   (v + dist) land (size - 1)
 
-(* Symphony: k_n clockwise near neighbours (successors) followed by k_s
-   shortcuts whose clockwise distance follows the harmonic ~1/x law. *)
-let symphony_entry ~size rng ~k_n v i =
-  if i < k_n then (v + i + 1) land (size - 1)
-  else begin
-    let dist = Prng.Splitmix.harmonic_int rng ~n:(size - 1) in
-    (v + dist) land (size - 1)
-  end
-
 (* Chord with a successor list: the next [successors] nodes clockwise
    (distances 1..successors), as in real Chord. Distances that are
    powers of two duplicate existing fingers and add nothing; the greedy
@@ -91,67 +85,93 @@ let[@inline] rule_entry ~bits rule v i =
   | Flip_suffix seed ->
       xor_entry ~bits v i ~suffix:(Prng.Splitmix.bits62_at seed ((v * bits) + i))
 
-(* Rows raise on a bad index by themselves; a block or a rule would
-   read a neighbouring row, outside the payload or an unspecified
-   shift, so their accessors check first. *)
+(* Symphony's entry (v, i): near neighbour i < k_n is the (i + 1)-th
+   successor, computed; shortcut i - k_n is read from the column, which
+   holds node v's k_s shortcuts from index v * k_s. *)
+let[@inline] shortcuts_entry ~bits ~k_n ~k_s column v i =
+  if i < k_n then (v + i + 1) land ((1 lsl bits) - 1)
+  else Int32.to_int (Bigarray.Array1.unsafe_get column ((v * k_s) + i - k_n))
+
+(* Rows raise on a bad index by themselves; a block checks its own
+   reads; a rule or a column would read an unspecified shift, another
+   node's shortcuts or past the column, so their accessors check
+   first. *)
 let check_node t context v =
   if v < 0 || v >= node_count t then
     invalid_arg
       (Printf.sprintf "Table.%s: node %d outside [0, %d)" context v (node_count t))
 
+(* The uniform degree of a rule or a column. *)
+let computed_degree t = function
+  | Shortcuts { k_n; k_s; _ } -> k_n + k_s
+  | Block _ | Rule _ -> bits t
+
+let check_entry t layout v i =
+  check_node t "neighbor" v;
+  let degree = computed_degree t layout in
+  if i < 0 || i >= degree then
+    invalid_arg (Printf.sprintf "Table.neighbor: entry %d outside [0, %d) of node %d" i degree v)
+
 let neighbor t v i =
   match t.repr with
   | Rows rows -> rows.(v).(i)
-  | Csr f -> Flat.neighbor f v i
-  | Computed rule ->
-      let bits = bits t in
-      check_node t "neighbor" v;
-      if i < 0 || i >= bits then
-        invalid_arg
-          (Printf.sprintf "Table.neighbor: entry %d outside [0, %d) of node %d" i bits v);
-      rule_entry ~bits rule v i
+  | Flat (Block f) -> Flat.neighbor f v i
+  | Flat (Rule rule as layout) ->
+      check_entry t layout v i;
+      rule_entry ~bits:(bits t) rule v i
+  | Flat (Shortcuts { k_n; k_s; column } as layout) ->
+      check_entry t layout v i;
+      shortcuts_entry ~bits:(bits t) ~k_n ~k_s column v i
 
 let degree t v =
   match t.repr with
   | Rows rows -> Array.length rows.(v)
-  | Csr f -> Flat.degree f v
-  | Computed _ ->
+  | Flat (Block f) -> Flat.degree f v
+  | Flat layout ->
       check_node t "degree" v;
-      bits t
+      computed_degree t layout
 
 let neighbors t v =
   match t.repr with
   | Rows rows -> rows.(v)
-  | Csr f -> Flat.row f v
-  | Computed _ -> Array.init (degree t v) (neighbor t v)
+  | Flat (Block f) -> Flat.row f v
+  | Flat _ -> Array.init (degree t v) (neighbor t v)
 
 let iter_neighbors t v f =
   match t.repr with
   | Rows rows -> Array.iter f rows.(v)
-  | Csr fl -> Flat.iter_neighbors fl v f
-  | Computed rule ->
+  | Flat (Block fl) -> Flat.iter_neighbors fl v f
+  | Flat (Rule rule) ->
       check_node t "iter_neighbors" v;
       let bits = bits t in
       for i = 0 to bits - 1 do
         f (rule_entry ~bits rule v i)
       done
+  | Flat (Shortcuts { k_n; k_s; column }) ->
+      check_node t "iter_neighbors" v;
+      let bits = bits t in
+      for i = 0 to k_n + k_s - 1 do
+        f (shortcuts_entry ~bits ~k_n ~k_s column v i)
+      done
 
 let edge_count t =
   match t.repr with
   | Rows rows -> Array.fold_left (fun acc row -> acc + Array.length row) 0 rows
-  | Csr f -> Flat.edge_count f
-  | Computed _ -> node_count t * bits t
+  | Flat (Block f) -> Flat.edge_count f
+  | Flat layout -> node_count t * computed_degree t layout
 
 (* Rows: one boxed array per node (header word + elements) under the
-   outer array; an OCaml word is 8 bytes. Csr: Bigarray payloads. A
-   rule has no adjacency payload. *)
+   outer array; an OCaml word is 8 bytes. A block: its Bigarray
+   payloads. A rule has no adjacency payload, and a column only its
+   int32 shortcuts. *)
 let memory_bytes t =
   match t.repr with
   | Rows rows ->
       let n = Array.length rows in
       8 * (1 + n + Array.fold_left (fun acc row -> acc + 1 + Array.length row) 0 rows)
-  | Csr f -> Flat.memory_bytes f
-  | Computed _ -> 0
+  | Flat (Block f) -> Flat.memory_bytes f
+  | Flat (Rule _) -> 0
+  | Flat (Shortcuts { column; _ }) -> 4 * Bigarray.Array1.dim column
 
 (* Custom-family table builders, keyed by family name. A builder
    returns the uniform degree plus the entry function [(v, i) ->
@@ -173,27 +193,47 @@ let register_custom_builder ~family builder =
   Hashtbl.replace custom_builders family builder
 
 let make ~space ~geometry ~degree entry =
-  { space; geometry; repr = Csr (Flat.init ~nodes:(Idspace.Space.size space) ~degree entry) }
+  {
+    space;
+    geometry;
+    repr = Flat (Block (Flat.init ~nodes:(Idspace.Space.size space) ~degree entry));
+  }
+
+(* Fills a Symphony shortcut column in C (fill_stubs.c): entry e is
+   (e / k_s + dist) mod the node count, dist the value
+   [Prng.Splitmix.harmonic_int ~n:(nodes - 1)] takes at draw e of the
+   generator at [state] ([Splitmix.float_at state e] through the same
+   libm [exp]), with ln of the node count passed in. *)
+external fill_shortcuts :
+  Flat.targets -> (int[@untagged]) -> (float[@unboxed]) -> (int64[@unboxed]) -> unit
+  = "rcm_fill_shortcuts_bc" "rcm_fill_shortcuts"
+[@@noalloc]
 
 (* The builtin tree, hypercube, ring and xor tables are rules: nothing
    is stored, and every read evaluates the entry function. An xor rule
    keeps the generator's state before its draws and advances the
    generator past all 2^bits * bits of them, so the resume state is
-   that of drawing every suffix in row order. *)
+   that of drawing every suffix in row order. Symphony's successors
+   draw nothing and are computed; its shortcut j of node v is draw
+   v * k_s + j, stored in a column, and the generator is advanced past
+   all 2^bits * k_s draws. *)
 let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ~bits geometry =
   Rcm.Geometry.check_size_exn "Table.build" ~bits geometry;
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
-  let rule r = { space; geometry; repr = Computed r } in
+  let flat layout = { space; geometry; repr = Flat layout } in
   match geometry with
-  | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> rule Flip
-  | Rcm.Geometry.Ring -> rule Finger
+  | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> flat (Rule Flip)
+  | Rcm.Geometry.Ring -> flat (Rule Finger)
   | Rcm.Geometry.Xor ->
       let seed = Prng.Splitmix.state rng in
       Prng.Splitmix.advance rng (size * bits);
-      rule (Flip_suffix seed)
+      flat (Rule (Flip_suffix seed))
   | Rcm.Geometry.Symphony { k_n; k_s } ->
-      make ~space ~geometry ~degree:(k_n + k_s) (symphony_entry ~size rng ~k_n)
+      let column = Flat.create_targets (size * k_s) in
+      fill_shortcuts column k_s (log (float_of_int size)) (Prng.Splitmix.state rng);
+      Prng.Splitmix.advance rng (size * k_s);
+      flat (Shortcuts { k_n; k_s; column })
   | Rcm.Geometry.Custom { family; params } -> (
       match Hashtbl.find_opt custom_builders family with
       | Some builder ->
@@ -215,9 +255,7 @@ let of_neighbors ~bits geometry neighbors =
   { space; geometry; repr = Rows neighbors }
 
 let flatten t =
-  match t.repr with
-  | Csr _ | Computed _ -> t
-  | Rows rows -> { t with repr = Csr (Flat.of_rows rows) }
+  match t.repr with Flat _ -> t | Rows rows -> { t with repr = Flat (Block (Flat.of_rows rows)) }
 
 (* Real Symphony links are bidirectional: a node routes over its own
    near neighbours and shortcuts in both directions *and* over the
@@ -252,7 +290,11 @@ let build_symphony_bidirectional ?(rng = Prng.Splitmix.create ~seed:0x51de) ~bit
   let neighbors =
     Array.map (fun links -> Array.of_list (List.sort_uniq compare links)) buckets
   in
-  { space; geometry = Rcm.Geometry.Symphony { k_n; k_s }; repr = Csr (Flat.of_rows neighbors) }
+  {
+    space;
+    geometry = Rcm.Geometry.Symphony { k_n; k_s };
+    repr = Flat (Block (Flat.of_rows neighbors));
+  }
 
 let build_ring_with_successors ~bits ~successors () =
   if successors < 0 then invalid_arg "Table.build_ring_with_successors: negative count";

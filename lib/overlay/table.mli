@@ -18,14 +18,16 @@
     immutable, and shared read-only across [Exec.Pool] domains with
     zero copying. The builtin tree, hypercube, ring and xor tables
     follow a closed form, so {!build} stores that {!rule} (a few words)
-    and every read computes the entry. Every other table is a single
+    and every read computes the entry. A Symphony table computes its
+    near neighbours and stores only its drawn shortcuts, in one int32
+    column ({!layout}'s [Shortcuts]). Every other table is a single
     {!Flat.t} struct-of-arrays block (CSR over Bigarrays). Per-node rows
     exist only behind {!of_neighbors}: churn's mutable matrix, which it
     repairs in place.
 
     Randomized builders draw for node [v] ascending, then entry [i]
-    ascending, and a rule advances the generator past the draws it
-    stands for. A table and the post-build generator state are
+    ascending, and a rule or a column advances the generator past the
+    draws it stands for. A table and the post-build generator state are
     therefore those of evaluating the entry functions row by row, which
     the [flat] test suite checks against reference rows.
 
@@ -119,12 +121,23 @@ val geometry : t -> Rcm.Geometry.t
       draws (xor). *)
 type rule = Flip | Finger | Flip_suffix of int64
 
-(** How a flat table holds its entries. *)
-type layout = Block of Flat.t | Rule of rule
+(** How a flat table holds its entries:
+    - [Block]: every entry stored, in a CSR block;
+    - [Rule]: every entry computed from a {!rule};
+    - [Shortcuts]: {!build}'s Symphony table, of degree [k_n + k_s]
+      over [2^bits] nodes. Entry [i < k_n] of node [v] is its
+      [(i + 1)]-th successor [(v + i + 1) mod 2^bits], computed;
+      entry [k_n + j] is shortcut [j], stored at [column.{v * k_s + j}]
+      ([2^bits * k_s] int32 entries, no offsets). That entry was drawn
+      at draw [v * k_s + j] of the build generator. *)
+type layout =
+  | Block of Flat.t
+  | Rule of rule
+  | Shortcuts of { k_n : int; k_s : int; column : Flat.targets }
 
 val layout : t -> layout option
 (** [None] for {!of_neighbors} rows. The batch routing kernel hands a
-    block's arrays or the rule to its lanes. *)
+    block's arrays, the rule or the shortcut column to its lanes. *)
 
 val node_count : t -> int
 val bits : t -> int
@@ -134,8 +147,10 @@ val edge_count : t -> int
 
 val memory_bytes : t -> int
 (** Approximate resident size of the adjacency payload: exact Bigarray
-    bytes for a block, [0] for a rule; header-word accounting (8-byte
-    words) for {!of_neighbors} rows. GC bookkeeping is not included. *)
+    bytes for a block, [0] for a rule, the column's [4 * 2^bits * k_s]
+    bytes for a Symphony table (its near neighbours are computed);
+    header-word accounting (8-byte words) for {!of_neighbors} rows. GC
+    bookkeeping is not included. *)
 
 val neighbors : t -> int -> int array
 (** The neighbour array of a node. For an {!of_neighbors} table this is

@@ -151,7 +151,9 @@ let check_size ?nodes ~bits g =
           if nodes = None then Ok ()
           else Error "no sparse hypercube overlay exists (CAN's sparse form is a zone partition)"
       | Symphony { k_n; k_s } ->
-          if k_n + k_s < n then Ok ()
+          if k_n < 0 || k_s < 1 then
+            Error (Printf.sprintf "symphony needs k_s >= 1, k_n >= 0 (got k_n = %d, k_s = %d)" k_n k_s)
+          else if k_n + k_s < n then Ok ()
           else
             Error
               (Printf.sprintf "symphony degree k_n + k_s = %d must be below the node count %d"

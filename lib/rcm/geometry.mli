@@ -83,7 +83,9 @@ val check_size : ?nodes:int -> bits:int -> t -> (unit, string) result
     built over the [2^bits] identifier space, fully populated or, given
     [nodes], with [nodes] occupied identifiers (a sparse build): [bits]
     in [1..Idspace.Space.max_bits], [nodes] in [2..2^bits], a Symphony
-    degree [k_n + k_s] below the node count, no sparse hypercube, and
+    with [k_s >= 1] and [k_n >= 0] (the rule of its analytic model and
+    Markov chain) and degree [k_n + k_s] below the node count,
+    no sparse hypercube, and
     a custom family's [check_bits] rule. [Overlay.Table.build] and
     [Overlay.Sparse.build] raise [Invalid_argument] with this message,
     so a command that checks its grid first rejects a config before

@@ -172,7 +172,7 @@ let flush_metrics geometry s =
    parallelism needs prefetches that retire and hops of a few
    instructions) and for the bit-identity contract.
 
-   The rng-free geometries (tree, xor, ring/symphony) route whole pair
+   The rng-free geometries (tree, xor, ring, symphony) route whole pair
    blocks through lanes: many independent routes in flight, one hop
    per lane per round. Lane interleaving is invisible in the results:
    each pair still visits candidates in the scalar order — or an
@@ -184,7 +184,8 @@ let flush_metrics geometry s =
    alive words, offsets, srcs, dsts, pair count, hops out, stuck out,
    bits, uniform degree (-1 when ragged), and the loadmap traversal /
    termination counter slices (zero-length = telemetry off). A
-   built-in lane applied to a rule code and seed is a [block_router]. *)
+   built-in lane applied to a rule code and seed is a [block_router],
+   and so is the Symphony driver applied to k_n. *)
 
 external route_block_tree :
   int ->
@@ -238,6 +239,26 @@ external route_block_ring :
   buf ->
   buf ->
   unit = "rcm_route_ring_bc" "rcm_route_ring"
+[@@noalloc]
+
+(* Symphony on its shortcut-column layout, by its own driver: applied
+   to k_n, a [block_router] over the column as a uniform block of
+   degree k_s (the offsets it is passed go unread). *)
+external route_symphony :
+  int ->
+  targets ->
+  words ->
+  offsets ->
+  int array ->
+  int array ->
+  int ->
+  buf ->
+  buf ->
+  int ->
+  int ->
+  buf ->
+  buf ->
+  unit = "rcm_route_symphony_bc" "rcm_route_symphony"
 [@@noalloc]
 
 (* Draws pairs [lo, hi) into the two arrays, draw for draw
@@ -379,10 +400,12 @@ let empty_targets = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
    (empty arrays and the rule's degree for a rule). The codes are
    route_batch_stubs.c's [BLOCK]..[FLIP_SUFFIX]. Only the built-in
    tree, hypercube, ring and xor tables are rules, so a plugin's Block
-   lane always gets a block. *)
+   lane always gets a block. A Symphony column goes to
+   [route_symphony] alone, as a block of degree k_s without offsets. *)
 let entries ~bits = function
   | Overlay.Table.Block f ->
       (0, 0L, Overlay.Flat.targets f, Overlay.Flat.offsets f, Overlay.Flat.uniform_degree f)
+  | Overlay.Table.Shortcuts { k_s; column; _ } -> (0, 0L, column, empty_buf, k_s)
   | Overlay.Table.Rule rule ->
       let code, seed =
         match rule with
@@ -485,7 +508,10 @@ let route context ?scratch table ~rng ~alive pairs n =
   (match Overlay.Table.geometry table with
   | Rcm.Geometry.Tree -> block (route_block_tree code seed) bits
   | Rcm.Geometry.Xor -> block (route_block_xor code seed) bits
-  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> block (route_block_ring code seed) bits
+  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> (
+      match layout with
+      | Overlay.Table.Shortcuts { k_n; _ } -> block (route_symphony k_n) bits
+      | Overlay.Table.Block _ | Overlay.Table.Rule _ -> block (route_block_ring code seed) bits)
   | Rcm.Geometry.Hypercube ->
       let srcs, dsts =
         match pairs with Given (srcs, dsts) -> (srcs, dsts) | Drawn _ -> ([||], [||])

@@ -3,9 +3,11 @@
     Routes a whole pair set per call through monomorphic, per-geometry
     int loops: each entry is computed in registers from the table's
     rule (the built-in tree, hypercube, ring and xor tables; see
-    {!Overlay.Table.layout}) or loaded from an {!Overlay.Flat} block's
-    [offsets]/[targets] Bigarrays (Symphony, the variant builders,
-    plugins, {!Overlay.Table.flatten}), with packed-bitset liveness
+    {!Overlay.Table.layout}), loaded from an {!Overlay.Flat} block's
+    [offsets]/[targets] Bigarrays (the variant builders, plugins,
+    {!Overlay.Table.flatten}), or, for a built Symphony table, computed
+    for the successors and loaded from the shortcut column by a lane of
+    its own, with packed-bitset liveness
     tests ({!Overlay.Bitset}) and reusable off-heap scratch buffers —
     zero allocation per hop, and 10–50× the scalar [Router.route]
     throughput at [bits = 20].

@@ -1,19 +1,22 @@
-/* Batched routing kernels, one call per pair block: tree, xor and ring /
-   symphony route many pairs at once; hypercube walks its pairs one
+/* Batched routing kernels, one call per pair block: tree, xor, ring
+   and symphony route many pairs at once; hypercube walks its pairs one
    after another, drawing from the caller's generator.
 
    Entries: a lane reads entry i of node v through entry() below,
    which either computes it from the table's rule (the builtin tree,
    hypercube, ring and xor tables: Overlay.Table.rule) or loads it
-   from a CSR block (Symphony, the variant builders, plugins,
-   Table.flatten). That one switch is the only difference between the
-   two; there is one set of lanes.
+   from a CSR block (the variant builders, plugins, Table.flatten).
+   That one switch is the only difference between the two; there is
+   one set of lanes. Table.build's Symphony layout, computed
+   successors beside a column of drawn shortcuts, has a driver of its
+   own, rcm_route_symphony, for the measured reason given there.
 
    Why C, and why whole blocks: at 2^20 nodes a CSR targets block is
-   tens of MiB, so each hop is a dependent random load the hardware
-   prefetchers cannot follow. Hiding that latency needs (a) many
-   independent routes in flight with a software PREFETCH issued one
-   round ahead of each lane's next row — prefetches retire immediately,
+   tens of MiB (a Symphony shortcut column 4 MiB), so each hop is a
+   dependent random load the hardware prefetchers cannot follow.
+   Hiding that latency needs (a) many independent routes in flight
+   with a software PREFETCH issued one round ahead of each lane's next
+   row — prefetches retire immediately,
    while a discarded demand load would stall the reorder buffer on
    every miss and serialise the lanes again — and (b) so few
    instructions per hop that the out-of-order window always holds the
@@ -194,7 +197,7 @@ struct batch {
   intnat *hops_out, *stuck_out, *trav, *term;
 };
 
-static inline struct batch batch_of(value vrule, value vseed, value vtargets,
+static inline struct batch batch_of(intnat rule, uint64_t seed, value vtargets,
                                     value vwords, value voffsets, value vsrcs,
                                     value vdsts, value vn, value vhops_out,
                                     value vstuck_out, value vbits, value vdeg,
@@ -204,9 +207,9 @@ static inline struct batch batch_of(value vrule, value vseed, value vtargets,
   b.t.targets = (const int32_t *)Caml_ba_data_val(vtargets);
   b.t.offsets = (const intnat *)Caml_ba_data_val(voffsets);
   b.t.deg = Long_val(vdeg);
-  b.t.rule = Long_val(vrule);
+  b.t.rule = rule;
   b.t.bits = Long_val(vbits);
-  b.t.seed = (uint64_t)Int64_val(vseed);
+  b.t.seed = seed;
   b.words = (const intnat *)Caml_ba_data_val(vwords);
   b.srcs = vsrcs;
   b.dsts = vdsts;
@@ -282,9 +285,10 @@ static inline struct batch batch_of(value vrule, value vseed, value vtargets,
                       value vstuck_out, value vbits, value vdeg,           \
                       value vtrav, value vterm)                            \
   {                                                                        \
-    struct batch b = batch_of(vrule, vseed, vtargets, vwords, voffsets,    \
-                              vsrcs, vdsts, vn, vhops_out, vstuck_out,     \
-                              vbits, vdeg, vtrav, vterm);                  \
+    struct batch b = batch_of(Long_val(vrule), (uint64_t)Int64_val(vseed), \
+                              vtargets, vwords, voffsets, vsrcs, vdsts,    \
+                              vn, vhops_out, vstuck_out, vbits, vdeg,      \
+                              vtrav, vterm);                               \
     if (b.t.rule == BLOCK)                                                 \
       body(&b, BLOCK);                                                     \
     else                                                                   \
@@ -522,6 +526,134 @@ LANE_BODY void ring_lanes(const struct batch *b, intnat rule)
 
 LANE_DRIVER(rcm_route_ring, ring_lanes)
 
+/* Symphony (scalar Greedy_ring) on Table.build's layout
+   (Overlay.Table.Shortcuts): near neighbour i < k_n of v is its
+   (i + 1)-th successor, computed, and shortcut j is column[v*k_s + j],
+   loaded. The greedy choice, and the order-independence that lets the
+   hop probe liveness best candidate first, are the ring lane's (above).
+
+   A driver of its own rather than a rule code of entry(): with a third
+   instance of ring_lanes in rcm_route_ring, that function's untouched
+   BLOCK instance slowed from 14.0 to 22.6 ns per hop on a 2^20-node
+   Symphony block (one AVX-512 Xeon vCPU), so the ring lane stays as it
+   was, and Symphony blocks (Table.flatten) still route there. Here a
+   hop keeps each candidate's id in its key, so the winner is read from
+   the key instead of recomputed, and a lane prefetches the next node's
+   shortcut row only (successors are computed; their liveness words sit
+   beside the current node's). The lane's struct
+   table is the column as a uniform block of degree k_s, so
+   prefetch_entries and TAKE_PAIR fetch shortcut rows. Shortcuts are
+   stored, not computed: one libm exp per shortcut per hop took this
+   lane from 13.9 to 22.0 ns per hop at 2^20 nodes, q = 0.1.
+
+   A hop packs (after << 30) | id per candidate, as ring_hop_eager
+   does, and probes the liveness of each one closer than the best so
+   far; at 2^20 nodes this ran at the speed of ring_hop_fast's lazy key
+   arrays for (k_n, k_s) = (2, 4) and faster for (1, 1), where it took
+   0.87x the ring lane's time per hop on the same entries as a block.
+   Fig. 7's table, k_n = k_s = 1, has a hop of its own: its successor is
+   always closer (rem - 1 < rem), and of the two candidates the nearer
+   is probed first, which took 0.80x. */
+static inline intnat symphony_hop_one(const int32_t *row, const intnat *words,
+                                      intnat cur, intnat dst, intnat mask,
+                                      intnat *rem /* in/out */)
+{
+  intnat succ = (cur + 1) & mask, after_succ = *rem - 1;
+  intnat cut = row[0], after_cut = (dst - cut) & mask;
+  int cut_first = after_cut < after_succ;
+  intnat near = cut_first ? cut : succ, after_near = cut_first ? after_cut : after_succ;
+  intnat far = cut_first ? succ : cut, after_far = cut_first ? after_succ : after_cut;
+  if (alive_bit(words, near)) {
+    *rem = after_near;
+    return near;
+  }
+  if (after_far < *rem && alive_bit(words, far)) {
+    *rem = after_far;
+    return far;
+  }
+  return -1;
+}
+
+static inline intnat symphony_hop(const int32_t *row, intnat k_n, intnat k_s,
+                                  const intnat *words, intnat cur, intnat dst,
+                                  intnat mask, intnat *rem /* in/out */)
+{
+  int64_t seed = (int64_t)*rem << 30;
+  int64_t best = seed;
+  for (intnat k = 0; k < k_n + k_s; k++) {
+    intnat cand = k < k_n ? (cur + k + 1) & mask : row[k - k_n];
+    int64_t key = ((int64_t)((dst - cand) & mask) << 30) | cand;
+    if (key < best && alive_bit(words, cand))
+      best = key;
+  }
+  if (best >= seed)
+    return -1;
+  *rem = (intnat)(best >> 30);
+  return (intnat)(best & 0x3FFFFFFF);
+}
+
+LANE_BODY void symphony_lanes(const struct batch *b, intnat k_n)
+{
+  UNPACK(b, BLOCK);
+  intnat mask = ((intnat)1 << t.bits) - 1, k_s = t.deg;
+  int one = k_n == 1 && k_s == 1;
+  intnat lk[RING_LANES], lcur[RING_LANES], ldst[RING_LANES], lhops[RING_LANES], lrem[RING_LANES];
+  intnat lanes = n < RING_LANES ? n : RING_LANES, live = lanes, next_pair = 0;
+  for (intnat m = 0; m < lanes; m++) {
+    TAKE_PAIR(m);
+    lrem[m] = (ldst[m] - lcur[m]) & mask;
+  }
+  while (live > 0) {
+    for (intnat m = 0; m < lanes; m++) {
+      if (lk[m] < 0)
+        continue;
+      if (lrem[m] == 0) {
+        FINISH(m, -1);
+        lrem[m] = (ldst[m] - lcur[m]) & mask;
+        continue;
+      }
+      intnat cur = lcur[m], rem = lrem[m];
+      const int32_t *row = t.targets + cur * k_s;
+      intnat next = one ? symphony_hop_one(row, words, cur, ldst[m], mask, &rem)
+                        : symphony_hop(row, k_n, k_s, words, cur, ldst[m], mask, &rem);
+      if (next < 0) {
+        FINISH(m, cur);
+        lrem[m] = (ldst[m] - lcur[m]) & mask;
+        continue;
+      }
+      lcur[m] = next;
+      lrem[m] = rem;
+      lhops[m]++;
+      if (trav)
+        trav[next]++;
+      if (rem != 0)
+        prefetch_entries(&t, next);
+    }
+  }
+}
+
+/* The lane drivers' arguments, with k_n first, the column in the
+   targets place, k_s in the degree place and an unused offsets
+   array. */
+CAMLprim value rcm_route_symphony(value vk_n, value vcolumn, value vwords, value voffsets,
+                                  value vsrcs, value vdsts, value vn, value vhops_out,
+                                  value vstuck_out, value vbits, value vk_s, value vtrav,
+                                  value vterm)
+{
+  struct batch b = batch_of(BLOCK, 0, vcolumn, vwords, voffsets, vsrcs, vdsts, vn,
+                            vhops_out, vstuck_out, vbits, vk_s, vtrav, vterm);
+  symphony_lanes(&b, Long_val(vk_n));
+  return Val_unit;
+}
+
+CAMLprim value rcm_route_symphony_bc(value *argv, int argn)
+{
+  (void)argn;
+  return rcm_route_symphony(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                            argv[6], argv[7], argv[8], argv[9], argv[10], argv[11],
+                            argv[12]);
+}
+
 /* Prng.Splitmix.int at [bound] > 0: the top 62 bits of a draw, drawn
    again while above the bound's rejection limit, then reduced mod
    [bound]. */
@@ -705,9 +837,9 @@ CAMLprim value rcm_route_hypercube(value vrule, value vseed, value vtargets,
                                    value vbits, value vdeg, value vtrav,
                                    value vterm, value vrng)
 {
-  struct batch b = batch_of(vrule, vseed, vtargets, vwords, voffsets, vsrcs,
-                            vdsts, vn, vhops_out, vstuck_out, vbits, vdeg,
-                            vtrav, vterm);
+  struct batch b = batch_of(Long_val(vrule), (uint64_t)Int64_val(vseed), vtargets,
+                            vwords, voffsets, vsrcs, vdsts, vn, vhops_out,
+                            vstuck_out, vbits, vdeg, vtrav, vterm);
   struct survivors sv = survivors_of(vrank, vpool);
   uint64_t s;
   memcpy(&s, Bytes_val(vrng), sizeof s);

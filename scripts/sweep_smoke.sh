@@ -25,6 +25,9 @@
 #      no .tmp turd; the resumed run must be byte-identical to an
 #      uninterrupted one and record exit_status 0.
 #
+# The simulate row's extras also guard memory: a d = 22 Symphony run
+# must record a peak_rss_kb below 48 MiB in its manifest.
+#
 # Usage: scripts/sweep_smoke.sh simulate|record|hotspots|churn|percolation|storage
 #        [path-to-dhtlab] [path-to-validate]
 # SMOKE_WORK, when set, names a directory to keep the artefacts in (the
@@ -253,6 +256,23 @@ case "$ROW" in
                     || fail "sweep output carries no routability line ($g -d $d -q $q)"
             done
         done
+        # Memory guard: a Symphony table stores one int32 shortcut per
+        # node (16 MiB at d = 22) and computes its successor, where a
+        # per-node block stored both plus an offsets array (64 MiB). The
+        # whole run peaks near 25 MiB, a block near 74 MiB, and the
+        # other four geometries near 14 MiB.
+        say "extra: simulate -g symphony -d 22 peaks below 48 MiB of resident memory"
+        $DHTLAB simulate -g symphony -d 22 -q 0.1 --trials 1 --pairs 2000 --jobs 1 \
+            --manifest "$WORK/sym-d22.manifest.json" > "$WORK/sym-d22.txt"
+        $VALIDATE --manifest "$WORK/sym-d22.manifest.json" || fail "sym-d22 manifest failed validation"
+        KB=$(sed -n 's/^ *"peak_rss_kb": \([0-9]*\),$/\1/p' "$WORK/sym-d22.manifest.json")
+        if [ -z "$KB" ]; then
+            say "    no peak_rss_kb in the manifest (no reader on this OS): guard skipped"
+        elif [ "$KB" -gt $((48 * 1024)) ]; then
+            fail "simulate -g symphony -d 22 peaked at $KB KiB, above 48 MiB"
+        else
+            say "    peak $KB KiB"
+        fi
         ;;
     record)
         say "extra: record family registered; record figures byte-identical across --jobs"

@@ -552,18 +552,46 @@ let prop_batch_scalar_agreement =
    and flattened), which the same lanes load: outcomes (hops and stuck
    nodes), loadmap traversal and termination counters and the
    generator state after the batch (the hypercube lane draws while it
-   routes), through both entry points. Bits 1 is a two-node table. *)
+   routes), through both entry points. Bits 1 is a two-node table.
+   Symphony's layout (computed successors, a shortcut column) routes
+   on its own lane and its block on the ring lane, which is the
+   reference here: (1, 1) takes the lane's two-candidate hop, the rest
+   of k_n in 0..3 and k_s in 1..4 its general hop, and (2, 31) has more
+   candidates than the ring lane's 32-slot key scratch holds. A
+   Symphony's bits grow until its degree is below the node count. *)
 let prop_rule_block_agreement =
+  let symphony =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun k_n k_s -> Rcm.Geometry.Symphony { k_n; k_s }) (int_range 0 3) (int_range 1 4));
+          (1, return (Rcm.Geometry.Symphony { k_n = 2; k_s = 31 }));
+        ])
+  in
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:80 ~name:"computed lanes = loaded lanes"
+    (QCheck.Test.make ~count:120 ~name:"computed lanes = loaded lanes"
        QCheck.(
          quad small_nat (int_range 1 16) (float_range 0.0 0.6)
-           (make ~print:Rcm.Geometry.slug
-              (Gen.oneofl
-                 [
-                   Rcm.Geometry.Tree; Rcm.Geometry.Hypercube; Rcm.Geometry.Xor; Rcm.Geometry.Ring;
-                 ])))
+           (make
+              ~print:(Fmt.str "%a" Rcm.Geometry.pp)
+              Gen.(
+                frequency
+                  [
+                    ( 4,
+                      oneofl
+                        [
+                          Rcm.Geometry.Tree;
+                          Rcm.Geometry.Hypercube;
+                          Rcm.Geometry.Xor;
+                          Rcm.Geometry.Ring;
+                        ] );
+                    (1, symphony);
+                  ])))
        (fun (seed, bits, q, geometry) ->
+         let rec fit bits =
+           if Rcm.Geometry.check_size ~bits geometry = Ok () then bits else fit (bits + 1)
+         in
+         let bits = fit bits in
          let rule = flat_table ~seed ~bits geometry in
          let nodes = Overlay.Table.node_count rule in
          let block =
@@ -596,7 +624,8 @@ let prop_rule_block_agreement =
            && Obs.Loadmap.equal lm_r lm_b && state_r = state_b
          in
          (match (Overlay.Table.layout rule, Overlay.Table.layout block) with
-         | Some (Overlay.Table.Rule _), Some (Overlay.Table.Block _) -> true
+         | Some (Overlay.Table.Rule _ | Overlay.Table.Shortcuts _), Some (Overlay.Table.Block _) ->
+             true
          | _ -> false)
          && agree (fun table ~rng ->
                 Routing.Route_batch.route_many

@@ -557,9 +557,10 @@ let check_golden args file () =
 (* The only goldens that build tables above d = 16: at d = 20 an xor
    table's entries come from draws up to 2^20 * 20, so these pin the
    computed entries far past what the small-table tests reach, and a
-   symphony table's draws across a 16 MiB block. Each runs twice, on
-   the batch kernel and under [--no-batch]: the scalar loop selects
-   its pairs through the rank index of a 2^20-node mask too. *)
+   symphony table's draws across its 4 MiB shortcut column, routed by
+   its own lane. Each runs twice, on the batch kernel and under
+   [--no-batch]: the scalar loop selects its pairs through the rank
+   index of a 2^20-node mask too. *)
 let d20_geometries = [ "tree"; "hypercube"; "xor"; "ring"; "symphony" ]
 
 let simulate_d20_golden ?(flags = []) g =

@@ -14,6 +14,13 @@ let all_geometries = List.map (fun d -> d.Geom.default) (Geom.all ())
 let builtin_geometries =
   List.filter_map (fun d -> if d.Geom.builtin then Some d.Geom.default else None) (Geom.all ())
 
+(* Symphony beyond the default (1, 1): no near neighbour, several of
+   each, more shortcuts than near neighbours and the reverse. *)
+let symphony_variants =
+  List.map
+    (fun (k_n, k_s) -> Rcm.Geometry.Symphony { k_n; k_s })
+    [ (0, 1); (2, 3); (1, 4); (3, 2) ]
+
 (* The section 3 neighbour constructions of the five built-in
    geometries, evaluated node by node and entry by entry, drawing from
    [rng] in that order: entry [i] of node [v] is
@@ -81,26 +88,40 @@ let is_rule table =
 let is_block table =
   match Overlay.Table.layout table with Some (Overlay.Table.Block _) -> true | _ -> false
 
+(* Symphony's layout: [k_s] shortcuts per node in the column, nothing
+   stored for the near neighbours. *)
+let is_shortcuts ~k_n ~k_s table =
+  match Overlay.Table.layout table with
+  | Some (Overlay.Table.Shortcuts s) ->
+      s.k_n = k_n && s.k_s = k_s
+      && Bigarray.Array1.dim s.column = Overlay.Table.node_count table * k_s
+  | _ -> false
+
 (* Same seed: the built table equals the reference rows, and the
    generator ends in the same state (the resume-state contract
-   Table_cache relies on). Tree, hypercube, xor and ring are rules,
-   Symphony a block. *)
+   Table_cache relies on). Tree, hypercube, xor and ring are rules
+   with no payload; Symphony computes its successors and stores its
+   shortcuts in a column of 4 bytes each. *)
 let test_built_equals_reference () =
   List.iter
     (fun geometry ->
-      let what = Rcm.Geometry.slug geometry in
+      let what = Fmt.str "%a" Rcm.Geometry.pp geometry in
       let rng_r = Prng.Splitmix.create ~seed:77 in
       let rng_b = Prng.Splitmix.create ~seed:77 in
       let rows = reference_rows ~rng:rng_r ~bits:6 geometry in
       let built = Overlay.Table.build ~rng:rng_b ~bits:6 geometry in
-      let symphony = match geometry with Rcm.Geometry.Symphony _ -> true | _ -> false in
-      Alcotest.(check bool) (what ^ ": layout") true
-        (if symphony then is_block built else is_rule built);
+      let layout, payload =
+        match geometry with
+        | Rcm.Geometry.Symphony { k_n; k_s } -> (is_shortcuts ~k_n ~k_s built, 4 * 64 * k_s)
+        | _ -> (is_rule built, 0)
+      in
+      Alcotest.(check bool) (what ^ ": layout") true layout;
+      Alcotest.(check int) (what ^ ": memory_bytes") payload (Overlay.Table.memory_bytes built);
       check_rows ~what rows built;
       Alcotest.(check int64)
         (what ^ ": post-build rng state")
         (Prng.Splitmix.state rng_r) (Prng.Splitmix.state rng_b))
-    builtin_geometries
+    (builtin_geometries @ symphony_variants)
 
 let test_flatten () =
   let rows = reference_rows ~rng:(Prng.Splitmix.create ~seed:3) ~bits:5 Rcm.Geometry.Xor in
@@ -206,8 +227,9 @@ let test_percolation_bit_identical () =
     all_geometries
 
 (* Property: random (bits, seed) builds equal the reference rows,
-   generator state included, for every built-in geometry the size
-   admits. Bits 1 is xor without a random suffix. *)
+   generator state included, for every built-in geometry and Symphony
+   variant the size admits. Bits 1 is xor without a random suffix, and
+   a two-node Symphony whose one shortcut is clamped to distance 1. *)
 let prop_built_equals_reference =
   QCheck.Test.make ~count:40 ~name:"built = reference rows (random bits, seeds)"
     QCheck.(pair (int_range 1 12) small_nat)
@@ -222,7 +244,9 @@ let prop_built_equals_reference =
           && Seq.for_all
                (fun (v, row) -> Overlay.Table.neighbors built v = row)
                (Array.to_seqi rows))
-        (List.filter (fun g -> Rcm.Geometry.check_size ~bits g = Ok ()) builtin_geometries))
+        (List.filter
+           (fun g -> Rcm.Geometry.check_size ~bits g = Ok ())
+           (builtin_geometries @ symphony_variants)))
 
 (* Every read outside a table raises, on churn's rows and on built
    tables, for every built-in geometry: without the check a block reads

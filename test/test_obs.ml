@@ -415,6 +415,7 @@ let test_manifest_roundtrip () =
       Obs.Manifest.add_artefact ~kind:"csv" artefact;
       Obs.Manifest.add_artefact ~kind:"csv" artefact (* deduped *);
       Obs.Manifest.add_artefact ~kind:"checkpoint" (Filename.concat dir "missing.jsonl");
+      let peak_before = Obs.Rss.peak_kb () in
       Obs.Manifest.finish ~exit_status:0;
       Alcotest.(check bool) "inactive after finish" false (Obs.Manifest.active ());
       Alcotest.(check bool) "no .tmp left" false
@@ -425,6 +426,16 @@ let test_manifest_roundtrip () =
       Alcotest.(check (option int)) "v" (Some 1) (to_int (get "v"));
       Alcotest.(check (option string)) "kind" (Some "dht_rcm-manifest") (to_str (get "kind"));
       Alcotest.(check (option int)) "exit_status" (Some 0) (to_int (get "exit_status"));
+      (* Recorded exactly when the reader has a value, and no smaller
+         than this process's peak before [finish]. *)
+      (match (peak_before, member "peak_rss_kb" json) with
+      | None, None -> ()
+      | Some before, Some v -> (
+          match to_int v with
+          | Some kb when kb >= before -> ()
+          | _ -> Alcotest.failf "peak_rss_kb below the peak read before finish (%d KiB)" before)
+      | Some _, None -> Alcotest.fail "peak_rss_kb missing"
+      | None, Some _ -> Alcotest.fail "peak_rss_kb recorded without a reader");
       Alcotest.(check bool) "hostname recorded" true (to_str (get "hostname") <> None);
       Alcotest.(check (option string)) "ocaml_version" (Some Sys.ocaml_version)
         (to_str (get "ocaml_version"));

@@ -97,6 +97,23 @@ let test_symphony_structure () =
     done
   done
 
+(* Geometry.check_size's Symphony rule, the one the model, the chain
+   and the bidirectional builder apply: without it a negative k_n
+   built a table of shortcuts only and a negative k_s one of fewer
+   entries than near neighbours. *)
+let test_symphony_parameters_rejected () =
+  List.iter
+    (fun (k_n, k_s) ->
+      Alcotest.check_raises
+        (Printf.sprintf "k_n = %d, k_s = %d" k_n k_s)
+        (Invalid_argument
+           (Printf.sprintf "Table.build: symphony needs k_s >= 1, k_n >= 0 (got k_n = %d, k_s = %d)"
+              k_n k_s))
+        (fun () -> ignore (Overlay.Table.build ~bits:6 (Rcm.Geometry.Symphony { k_n; k_s }))))
+    [ (-1, 3); (2, -1); (0, 0) ];
+  Alcotest.(check int) "k_n = 0 builds" 1
+    (Overlay.Table.degree (Overlay.Table.build ~bits:6 (Rcm.Geometry.Symphony { k_n = 0; k_s = 1 })) 0)
+
 let test_deterministic_xor_table () =
   let t = Overlay.Table.build_deterministic_xor ~bits () in
   Alcotest.(check bool) "geometry tag" true
@@ -261,4 +278,5 @@ let suite =
       test_block_failure_deterministic_and_extreme);
     neighbors_within_space;
     no_self_loops;
+    ("symphony parameters rejected", `Quick, test_symphony_parameters_rejected);
   ]

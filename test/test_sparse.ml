@@ -119,6 +119,18 @@ let test_hypercube_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* The same Symphony parameter rule as Table.build's. *)
+let test_symphony_parameters_rejected () =
+  List.iter
+    (fun (k_n, k_s) ->
+      Alcotest.check_raises
+        (Printf.sprintf "k_n = %d, k_s = %d" k_n k_s)
+        (Invalid_argument
+           (Printf.sprintf
+              "Sparse.build: symphony needs k_s >= 1, k_n >= 0 (got k_n = %d, k_s = %d)" k_n k_s))
+        (fun () -> ignore (build (Rcm.Geometry.Symphony { k_n; k_s }))))
+    [ (-1, 3); (2, -1); (0, 0) ]
+
 let test_routing_no_failures () =
   let all_alive = Overlay.Failure.none 200 in
   List.iter
@@ -541,4 +553,5 @@ let suite =
     flat_layout_matches_model;
     ("routing allocates only its outcome", `Quick, test_routing_allocates_only_outcomes);
     ("E6 experiment shape", `Slow, test_e6_experiment_shape);
+    ("symphony parameters rejected", `Quick, test_symphony_parameters_rejected);
   ]
