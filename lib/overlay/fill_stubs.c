@@ -236,9 +236,9 @@ CAMLprim value rcm_bitset_members(value vwords, value vout)
 /* Table.build's Symphony shortcut column: entry v*k_s + j is node v's
    shortcut j, (v + dist) mod n, where dist is the value
    Splitmix.harmonic_int ~n:(n - 1) takes at draw v*k_s + j of the
-   build generator at [state] — the draw Splitmix.float_at gives, then
-   harmonic_int's own formula with its ln n computed once by the
-   caller: int_of_float (exp (u *. ln_n)), clamped to [1, n - 1]. The
+   build generator at [state] — Splitmix.float at that draw (the
+   draw's top 53 bits times 2^-53), then harmonic_int's own formula
+   with its ln n computed once by the caller: int_of_float (exp (u *. ln_n)), clamped to [1, n - 1]. The
    product and the libm exp are those OCaml's float ops compile to, and
    the C truncating cast is int_of_float, so every entry equals the
    OCaml draw's bit for bit. The exp keeps the loop scalar; at 2^20

@@ -202,8 +202,8 @@ let make ~space ~geometry ~degree entry =
 (* Fills a Symphony shortcut column in C (fill_stubs.c): entry e is
    (e / k_s + dist) mod the node count, dist the value
    [Prng.Splitmix.harmonic_int ~n:(nodes - 1)] takes at draw e of the
-   generator at [state] ([Splitmix.float_at state e] through the same
-   libm [exp]), with ln of the node count passed in. *)
+   generator at [state] ([Splitmix.float] at that draw, through the
+   same libm [exp]), with ln of the node count passed in. *)
 external fill_shortcuts :
   Flat.targets -> (int[@untagged]) -> (float[@unboxed]) -> (int64[@unboxed]) -> unit
   = "rcm_fill_shortcuts_bc" "rcm_fill_shortcuts"
@@ -265,12 +265,12 @@ let flatten t =
    the sorted link sets become a variable-degree block. *)
 let build_symphony_bidirectional ?(rng = Prng.Splitmix.create ~seed:0x51de) ~bits ~k_n ~k_s
     () =
+  let geometry = Rcm.Geometry.Symphony { k_n; k_s } in
+  Rcm.Geometry.check_size_exn "Table.build_symphony_bidirectional" ~bits geometry;
   let space = Idspace.Space.create ~bits in
   let size = Idspace.Space.size space in
   if (2 * k_n) + k_s >= size then
     invalid_arg "Table.build_symphony_bidirectional: degree exceeds ring size";
-  if k_n < 0 || k_s < 1 then
-    invalid_arg "Table.build_symphony_bidirectional: need k_s >= 1, k_n >= 0";
   let buckets = Array.make size [] in
   let add a b =
     if a <> b then begin
@@ -290,11 +290,7 @@ let build_symphony_bidirectional ?(rng = Prng.Splitmix.create ~seed:0x51de) ~bit
   let neighbors =
     Array.map (fun links -> Array.of_list (List.sort_uniq compare links)) buckets
   in
-  {
-    space;
-    geometry = Rcm.Geometry.Symphony { k_n; k_s };
-    repr = Flat (Block (Flat.of_rows neighbors));
-  }
+  { space; geometry; repr = Flat (Block (Flat.of_rows neighbors)) }
 
 let build_ring_with_successors ~bits ~successors () =
   if successors < 0 then invalid_arg "Table.build_ring_with_successors: negative count";

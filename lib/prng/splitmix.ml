@@ -50,12 +50,9 @@ let float t = Int64.to_float (Int64.shift_right_logical (step t) 11) *. 0x1.0p-5
 let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (step t) 2)
 
 (* Draw [k] is the mix of the state after [k + 1] steps. *)
-let[@inline] draw_at state k = mix (Int64.add state (Int64.mul (Int64.of_int (k + 1)) golden_gamma))
-
-let bits62_at state k = Int64.to_int (Int64.shift_right_logical (draw_at state k) 2)
-
-let float_at state k =
-  Int64.to_float (Int64.shift_right_logical (draw_at state k) 11) *. 0x1.0p-53
+let bits62_at state k =
+  let z = Int64.add state (Int64.mul (Int64.of_int (k + 1)) golden_gamma) in
+  Int64.to_int (Int64.shift_right_logical (mix z) 2)
 
 (* Unbiased bounded integers by rejection on the top chunk. *)
 let int t bound =

@@ -47,11 +47,6 @@ val bits62_at : int64 -> int -> int
     table compute one entry of a drawn construction without replaying
     the draws before it. *)
 
-val float_at : int64 -> int -> float
-(** [float_at state k] is the value of {!float} at draw [k] (counting
-    from 0) of the generator [of_int64 state], in O(1) and without
-    replaying the draws before it. *)
-
 val float : t -> float
 (** [float t] is uniform on [0, 1) with 53 random bits. *)
 

@@ -546,57 +546,51 @@ LANE_DRIVER(rcm_route_ring, ring_lanes)
    stored, not computed: one libm exp per shortcut per hop took this
    lane from 13.9 to 22.0 ns per hop at 2^20 nodes, q = 0.1.
 
-   A hop packs (after << 30) | id per candidate, as ring_hop_eager
-   does, and probes the liveness of each one closer than the best so
-   far; at 2^20 nodes this ran at the speed of ring_hop_fast's lazy key
-   arrays for (k_n, k_s) = (2, 4) and faster for (1, 1), where it took
-   0.87x the ring lane's time per hop on the same entries as a block.
-   Fig. 7's table, k_n = k_s = 1, has a hop of its own: its successor is
-   always closer (rem - 1 < rem), and of the two candidates the nearer
-   is probed first, which took 0.80x. */
-static inline intnat symphony_hop_one(const int32_t *row, const intnat *words,
-                                      intnat cur, intnat dst, intnat mask,
-                                      intnat *rem /* in/out */)
-{
-  intnat succ = (cur + 1) & mask, after_succ = *rem - 1;
-  intnat cut = row[0], after_cut = (dst - cut) & mask;
-  int cut_first = after_cut < after_succ;
-  intnat near = cut_first ? cut : succ, after_near = cut_first ? after_cut : after_succ;
-  intnat far = cut_first ? succ : cut, after_far = cut_first ? after_succ : after_cut;
-  if (alive_bit(words, near)) {
-    *rem = after_near;
-    return near;
-  }
-  if (after_far < *rem && alive_bit(words, far)) {
-    *rem = after_far;
-    return far;
-  }
-  return -1;
-}
-
+   A hop is ring_hop_fast's lazy best-first probe without its key
+   array: a pass packs (after << 30) | id per candidate, as
+   ring_hop_eager does, and keeps the least key at or above a floor;
+   when that candidate is dead the floor moves past its key and the
+   pass is run again over the row (in L1 by then). A key holds its
+   candidate's id, so moving the floor drops exactly the dead
+   candidate, and the window test is one unsigned compare, so a pass
+   compiles to conditional moves. An eager hop that probed every candidate closer
+   than the best so far branched on each shortcut's distance, and took
+   1.45x the ring lane's time per hop at (k_n, k_s) = (2, 4) and 1.56x
+   at (0, 4) on the same entries as a block; this one took 0.78x at
+   (1, 1), 0.93x at (2, 4), 0.96x at (0, 4) and 0.68x at (2, 31)
+   (2^20 nodes, q = 0.1, 15 alternating 1M-pair batches). */
 static inline intnat symphony_hop(const int32_t *row, intnat k_n, intnat k_s,
                                   const intnat *words, intnat cur, intnat dst,
                                   intnat mask, intnat *rem /* in/out */)
 {
-  int64_t seed = (int64_t)*rem << 30;
-  int64_t best = seed;
-  for (intnat k = 0; k < k_n + k_s; k++) {
-    intnat cand = k < k_n ? (cur + k + 1) & mask : row[k - k_n];
-    int64_t key = ((int64_t)((dst - cand) & mask) << 30) | cand;
-    if (key < best && alive_bit(words, cand))
-      best = key;
+  uint64_t seed = (uint64_t)*rem << 30, floor = 0;
+  for (;;) {
+    uint64_t best = seed;
+    for (intnat i = 1; i <= k_n; i++) {
+      intnat cand = (cur + i) & mask;
+      uint64_t key = ((uint64_t)((dst - cand) & mask) << 30) | (uint64_t)cand;
+      best = key - floor < best - floor ? key : best;
+    }
+    for (intnat j = 0; j < k_s; j++) {
+      intnat cand = row[j];
+      uint64_t key = ((uint64_t)((dst - cand) & mask) << 30) | (uint64_t)cand;
+      best = key - floor < best - floor ? key : best;
+    }
+    if (best == seed)
+      return -1;
+    intnat cand = (intnat)(best & 0x3FFFFFFF);
+    if (alive_bit(words, cand)) {
+      *rem = (intnat)(best >> 30);
+      return cand;
+    }
+    floor = best + 1;
   }
-  if (best >= seed)
-    return -1;
-  *rem = (intnat)(best >> 30);
-  return (intnat)(best & 0x3FFFFFFF);
 }
 
 LANE_BODY void symphony_lanes(const struct batch *b, intnat k_n)
 {
   UNPACK(b, BLOCK);
   intnat mask = ((intnat)1 << t.bits) - 1, k_s = t.deg;
-  int one = k_n == 1 && k_s == 1;
   intnat lk[RING_LANES], lcur[RING_LANES], ldst[RING_LANES], lhops[RING_LANES], lrem[RING_LANES];
   intnat lanes = n < RING_LANES ? n : RING_LANES, live = lanes, next_pair = 0;
   for (intnat m = 0; m < lanes; m++) {
@@ -614,8 +608,7 @@ LANE_BODY void symphony_lanes(const struct batch *b, intnat k_n)
       }
       intnat cur = lcur[m], rem = lrem[m];
       const int32_t *row = t.targets + cur * k_s;
-      intnat next = one ? symphony_hop_one(row, words, cur, ldst[m], mask, &rem)
-                        : symphony_hop(row, k_n, k_s, words, cur, ldst[m], mask, &rem);
+      intnat next = symphony_hop(row, k_n, k_s, words, cur, ldst[m], mask, &rem);
       if (next < 0) {
         FINISH(m, cur);
         lrem[m] = (ldst[m] - lcur[m]) & mask;

@@ -555,10 +555,11 @@ let prop_batch_scalar_agreement =
    routes), through both entry points. Bits 1 is a two-node table.
    Symphony's layout (computed successors, a shortcut column) routes
    on its own lane and its block on the ring lane, which is the
-   reference here: (1, 1) takes the lane's two-candidate hop, the rest
-   of k_n in 0..3 and k_s in 1..4 its general hop, and (2, 31) has more
-   candidates than the ring lane's 32-slot key scratch holds. A
-   Symphony's bits grow until its degree is below the node count. *)
+   reference here: k_n in 0..3 and k_s in 1..4, and (2, 31), which has
+   more candidates than the ring lane's 32-slot key scratch holds; at
+   q up to 0.6 the lane's hop often passes over dead candidates before
+   it finds the best alive one. A Symphony's bits grow until its degree
+   is below the node count. *)
 let prop_rule_block_agreement =
   let symphony =
     QCheck.Gen.(

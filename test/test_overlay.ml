@@ -97,19 +97,25 @@ let test_symphony_structure () =
     done
   done
 
-(* Geometry.check_size's Symphony rule, the one the model, the chain
-   and the bidirectional builder apply: without it a negative k_n
-   built a table of shortcuts only and a negative k_s one of fewer
-   entries than near neighbours. *)
+(* Geometry.check_size's Symphony rule, which both table builders
+   apply through it and the model and the chain state alike: without
+   it a negative k_n built a table of shortcuts only and a negative k_s
+   one of fewer entries than near neighbours. *)
 let test_symphony_parameters_rejected () =
   List.iter
     (fun (k_n, k_s) ->
-      Alcotest.check_raises
-        (Printf.sprintf "k_n = %d, k_s = %d" k_n k_s)
-        (Invalid_argument
-           (Printf.sprintf "Table.build: symphony needs k_s >= 1, k_n >= 0 (got k_n = %d, k_s = %d)"
-              k_n k_s))
-        (fun () -> ignore (Overlay.Table.build ~bits:6 (Rcm.Geometry.Symphony { k_n; k_s }))))
+      let rejected context build =
+        Alcotest.check_raises
+          (Printf.sprintf "%s k_n = %d, k_s = %d" context k_n k_s)
+          (Invalid_argument
+             (Printf.sprintf "%s: symphony needs k_s >= 1, k_n >= 0 (got k_n = %d, k_s = %d)"
+                context k_n k_s))
+          (fun () -> ignore (build ()))
+      in
+      rejected "Table.build" (fun () ->
+          Overlay.Table.build ~bits:6 (Rcm.Geometry.Symphony { k_n; k_s }));
+      rejected "Table.build_symphony_bidirectional" (fun () ->
+          Overlay.Table.build_symphony_bidirectional ~bits:6 ~k_n ~k_s ()))
     [ (-1, 3); (2, -1); (0, 0) ];
   Alcotest.(check int) "k_n = 0 builds" 1
     (Overlay.Table.degree (Overlay.Table.build ~bits:6 (Rcm.Geometry.Symphony { k_n = 0; k_s = 1 })) 0)

@@ -178,18 +178,6 @@ let bits62_at_matches_draws =
       let draw = Int64.to_int (Int64.shift_right_logical next 2) in
       direct = draw && Prng.Splitmix.int g (1 lsl b) = direct land ((1 lsl b) - 1))
 
-(* The same for [float], at indexes past the largest Symphony
-   column's 2^30 * 31 draws: bit-identical to stepping, so a column
-   filled from [float_at] draws what [harmonic_int] drew in row order. *)
-let float_at_matches_draws =
-  qcheck "float_at k = float at draw k"
-    QCheck2.Gen.(pair int64 (int_range 0 (32 * (1 lsl 30))))
-    (fun (state, k) ->
-      let g = Prng.Splitmix.of_int64 state in
-      Prng.Splitmix.advance g k;
-      Int64.bits_of_float (Prng.Splitmix.float_at state k)
-      = Int64.bits_of_float (Prng.Splitmix.float g))
-
 let int_unbiased_small_bounds =
   qcheck "int covers the whole range"
     QCheck2.Gen.(int_range 2 20)
@@ -418,5 +406,4 @@ let suite =
     ("zipf determinism", `Quick, test_zipf_determinism);
     ("zipf single-draw alignment", `Quick, test_zipf_single_draw);
     ("zipf empirical slope", `Slow, test_zipf_empirical_slope);
-    float_at_matches_draws;
   ]
