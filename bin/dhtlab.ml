@@ -92,10 +92,12 @@ let jobs_arg =
 let no_batch_arg =
   let doc =
     "Route pairs one at a time through the scalar router instead of the batched \
-     per-geometry kernel. The two paths are bit-identical — same outcomes, hop \
-     counts, PRNG draws and stdout (pinned by the test suite) — but the kernel is an \
-     order of magnitude faster, so this flag exists for differential checks and as an \
-     escape hatch. The resolved choice lands in the provenance manifest."
+     per-geometry kernel (for $(b,storage): run the quorum reads one by one through \
+     the OCaml sparse walks instead of the C read loop). The two paths are \
+     bit-identical — same outcomes, hop counts, PRNG draws and stdout (pinned by the \
+     test suite) — but the kernel is an order of magnitude faster, so this flag \
+     exists for differential checks and as an escape hatch. The resolved choice lands \
+     in the provenance manifest."
   in
   Arg.(value & flag & info [ "no-batch" ] ~doc)
 
@@ -897,8 +899,8 @@ let churn_cmd =
 (* --- storage ----------------------------------------------------------------- *)
 
 let storage geometry bits nodes keys reads zipf rs read_quorum write_quorum qs trials
-    sessions session_dist gap gap_dist warmup measurements spacing seed jobs obs csv
-    json smoke retries fault ck =
+    sessions session_dist gap gap_dist warmup measurements spacing seed jobs no_batch obs
+    csv json smoke retries fault ck =
   let module S = Experiments.Storage_sweep in
   let churn_mode = sessions <> [] in
   let bits, nodes, keys, reads, rs, qs, trials, sessions, measurements =
@@ -953,6 +955,7 @@ let storage geometry bits nodes keys reads zipf rs read_quorum write_quorum qs t
   validate_or_die "storage" (fun () -> S.validate ~geometries cfg);
   run_sweep_cmd ~cmd:"storage" ~unit:"points" ~ck obs @@ fun checkpoint ->
   Obs.Manifest.note "subcommand" (Obs.Manifest.String "storage");
+  apply_batch no_batch;
   Obs.Manifest.note "geometries"
     (Obs.Manifest.Strings (List.map Rcm.Geometry.slug geometries));
   Obs.Manifest.note "bits" (Obs.Manifest.Int bits);
@@ -1086,8 +1089,9 @@ let storage_cmd =
     Term.(
       const storage $ geometry_arg $ bits_arg ~default:10 $ nodes $ keys $ reads $ zipf
       $ rs $ read_quorum $ write_quorum $ qs $ trials $ sessions $ session_dist $ gap
-      $ gap_dist $ warmup $ measurements $ spacing $ seed_arg $ jobs_arg $ obs_term
-      $ csv_arg $ json_arg $ smoke $ retries_arg $ inject_fault_arg $ checkpoint_term)
+      $ gap_dist $ warmup $ measurements $ spacing $ seed_arg $ jobs_arg $ no_batch_arg
+      $ obs_term $ csv_arg $ json_arg $ smoke $ retries_arg $ inject_fault_arg
+      $ checkpoint_term)
 
 (* --- hotspots ----------------------------------------------------------------- *)
 

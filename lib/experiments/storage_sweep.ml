@@ -181,30 +181,19 @@ let point_at cfg (geometry, quorum, axis) =
 
 let run_point cfg ((geometry, quorum, axis) as coords) ~seed =
   let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-  let base = { (point_at cfg coords) with analytic = analytic cfg ~quorum ~axis } in
-  let point =
+  let reads, availability, survival, mean_alive, (load_max, load_mean, load_p99), events =
     match cfg.mode with
     | Static { trials; _ } ->
         let r =
           Storage.Failure_sim.run geometry (failure_config cfg ~quorum ~trials) ~q:axis ~seed
         in
-        {
-          base with
-          attempted = r.Storage.Failure_sim.attempted;
-          quorum_reads = r.quorum_reads;
-          degraded_reads = r.degraded_reads;
-          failed_reads = r.failed_reads;
-          no_client = r.no_client;
-          availability = Option.value r.availability ~default:Float.nan;
-          survival = r.survival;
-          mean_alive = r.mean_alive;
-          probe_routes = r.probe_routes;
-          repair_routes = r.repair_routes;
-          repair_transfers = r.repair_transfers;
-          load_max = r.load_max;
-          load_mean = r.load_mean;
-          load_p99 = r.load_p99;
-        }
+        Storage.Failure_sim.
+          ( r.reads,
+            r.availability,
+            r.survival,
+            r.mean_alive,
+            (r.load_max, r.load_mean, r.load_p99),
+            0 )
     | Churn { session_shape; gap_shape; gap_mean; warmup; measurements; spacing; _ } ->
         let r =
           Storage.Churn_sim.run geometry
@@ -212,24 +201,34 @@ let run_point cfg ((geometry, quorum, axis) as coords) ~seed =
                ~measurements ~spacing ~session_mean:axis)
             ~seed
         in
-        {
-          base with
-          attempted = r.Storage.Churn_sim.attempted;
-          quorum_reads = r.quorum_reads;
-          degraded_reads = r.degraded_reads;
-          failed_reads = r.failed_reads;
-          no_client = r.no_client;
-          availability = Option.value r.availability ~default:Float.nan;
-          survival = r.survival;
-          mean_alive = r.mean_alive;
-          probe_routes = r.probe_routes;
-          repair_routes = r.repair_routes;
-          repair_transfers = r.repair_transfers;
-          load_max = r.load_max;
-          load_mean = r.load_mean;
-          load_p99 = r.load_p99;
-          events = r.events;
-        }
+        Storage.Churn_sim.
+          ( r.reads,
+            r.availability,
+            r.survival,
+            r.mean_alive,
+            (r.load_max, r.load_mean, r.load_p99),
+            r.events )
+  in
+  let point =
+    {
+      (point_at cfg coords) with
+      analytic = analytic cfg ~quorum ~axis;
+      attempted = reads.Storage.Store.attempted;
+      quorum_reads = reads.quorum_reads;
+      degraded_reads = reads.degraded_reads;
+      failed_reads = reads.failed_reads;
+      no_client = reads.no_client;
+      availability = Option.value availability ~default:Float.nan;
+      survival;
+      mean_alive;
+      probe_routes = reads.probe_routes;
+      repair_routes = reads.repair_routes;
+      repair_transfers = reads.repair_transfers;
+      load_max;
+      load_mean;
+      load_p99;
+      events;
+    }
   in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr_named "storage/points";

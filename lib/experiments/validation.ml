@@ -132,7 +132,7 @@ let pp_chain_rows ppf rows =
 
 let pp_sim_rows ppf rows =
   Fmt.pf ppf "# V2: analytical routability vs Monte-Carlo simulation@.";
-  Fmt.pf ppf "%-10s %6s %10s %24s %s@." "geometry" "q" "analysis" "simulated (95%% CI)" "status";
+  Fmt.pf ppf "%-10s %6s %10s %24s %s@." "geometry" "q" "analysis" "simulated (95% CI)" "status";
   List.iter
     (fun r ->
       let status =

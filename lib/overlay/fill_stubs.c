@@ -36,17 +36,7 @@
 #include <stdint.h>
 
 #include "rank.h"
-
-#define SPLITMIX_GAMMA 0x9E3779B97F4A7C15ULL
-
-/* The output function of Prng.Splitmix: the state after a step,
-   mixed. */
-static inline uint64_t splitmix_mix(uint64_t z)
-{
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
+#include "splitmix.h"
 
 /* Failure.sample: node v is dead iff its draw, read as Splitmix.float,
    is below q — exactly Splitmix.bernoulli ~p:q, one draw per node, id

@@ -97,6 +97,17 @@ let init ?(allow_missing = false) ~nodes ~degree f =
   offsets.{nodes} <- !k;
   { offsets; targets; uniform = (if nodes > 0 then degree else -1) }
 
+(* A uniform-degree block over entries already written to [targets],
+   [degree] per node. *)
+let of_targets ~nodes ~degree targets =
+  if nodes < 0 || degree < 0 || Bigarray.Array1.dim targets <> nodes * degree then
+    invalid_arg "Flat.of_targets: targets length is not nodes * degree";
+  let offsets = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (nodes + 1) in
+  for v = 0 to nodes do
+    Bigarray.Array1.unsafe_set offsets v (v * degree)
+  done;
+  { offsets; targets; uniform = (if nodes > 0 then degree else -1) }
+
 (* Variable-degree conversion from per-node rows (copies). *)
 let of_rows rows =
   let nodes = Array.length rows in

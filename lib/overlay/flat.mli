@@ -57,6 +57,15 @@ val create_targets : int -> targets
     layout that fills its own entries ({!Table}'s Symphony shortcut
     column). *)
 
+val of_targets : nodes:int -> degree:int -> targets -> t
+(** [of_targets ~nodes ~degree targets] is the uniform-degree block
+    whose entry [(v, i)] is [targets.{v * degree + i}], taking the
+    array as it is, unchecked and uncopied: the layout of a builder
+    that fills its entries in C ({!Sparse.build}). Entries must lie in
+    [[0, nodes)], or be [-1] in a sparse overlay's block.
+    @raise Invalid_argument if the array's length is not
+    [nodes * degree]. *)
+
 val of_rows : int array array -> t
 (** Copies a per-node adjacency into a flat block (supports
     variable-degree rows, e.g. the bidirectional Symphony overlay).

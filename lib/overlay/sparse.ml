@@ -2,7 +2,9 @@
    indexes or [missing] (-1): entry i of node v sits at
    [v * degree + i] of its targets. Only the targets leave this module,
    never the Flat.t, so no -1 reaches the batch kernel, which routes
-   Table blocks. *)
+   Table blocks. The C sparse walks (sparse_walk.h) read a [t]'s fields
+   by position, so their order is fixed: bits, geometry, ids,
+   contacts. *)
 type t = {
   bits : int;
   geometry : Rcm.Geometry.t;
@@ -64,28 +66,33 @@ let prefix_range t ~pattern ~prefix_len =
     (lower_bound t lo_id, lower_bound t hi_id)
   end
 
+(* Sparse.build's passes in C (sparse_stubs.c): the dense-regime id
+   draw into [ids], with 4 bytes per id of the space as scratch, and
+   one fill of the contact block per rule. The passes that draw take
+   the generator and write its final state back. *)
+external dense_ids : Prng.Splitmix.t -> Bytes.t -> int array -> unit = "rcm_sparse_dense_ids"
+[@@noalloc]
+
+external fill_ring : int array -> int -> Flat.targets -> unit = "rcm_sparse_fill_ring"
+[@@noalloc]
+
+external fill_prefix : int array -> int -> Prng.Splitmix.t -> Flat.targets -> unit
+  = "rcm_sparse_fill_prefix"
+[@@noalloc]
+
+external fill_symphony : int -> int -> float -> Prng.Splitmix.t -> Flat.targets -> unit
+  = "rcm_sparse_fill_symphony"
+[@@noalloc]
+
 let sample_ids rng ~bits ~count =
   let size = 1 lsl bits in
   if count < 2 || count > size then
     invalid_arg "Sparse.sample_ids: node count outside 2..2^bits";
   if 2 * count >= size then begin
-    (* Dense regime: shuffle the whole space and take a prefix.
-       Marking the prefix in a byte map and scanning it yields the ids
-       ascending, without a sort. *)
-    let all = Array.init size Fun.id in
-    Prng.Splitmix.shuffle_in_place rng all;
-    let chosen = Bytes.make size '\000' in
-    for k = 0 to count - 1 do
-      Bytes.unsafe_set chosen (Array.unsafe_get all k) '\001'
-    done;
+    (* Dense regime: shuffle the whole space and take a prefix, sorted
+       (sparse_stubs.c). *)
     let ids = Array.make count 0 in
-    let filled = ref 0 in
-    for id = 0 to size - 1 do
-      if Bytes.unsafe_get chosen id <> '\000' then begin
-        Array.unsafe_set ids !filled id;
-        incr filled
-      end
-    done;
+    dense_ids rng (Bytes.create (4 * size)) ids;
     ids
   end
   else begin
@@ -104,92 +111,6 @@ let sample_ids rng ~bits ~count =
     chosen
   end
 
-(* The builders below return the entry function [(v, i) -> contact]
-   that [Flat.init] evaluates for v ascending, then i ascending; each
-   keeps state across calls that relies on that order. *)
-
-(* Chord over a sparse ring: finger i of node v is the first occupied
-   id clockwise from id_v + 2^i (the standard sparse-Chord rule);
-   finger 0 is the successor. Self-pointing fingers (possible in tiny
-   rings) are kept and simply never useful.
-
-   The unwrapped target id_v + 2^i rises with v, so each finger keeps
-   one forward pointer into the doubled id sequence
-   ids.(0..n-1), ids.(0..n-1) + 2^bits: its first position whose value
-   reaches the target. Position p names node p mod n, which covers the
-   wrap past the top of the ring (p >= n) and past the largest id
-   (p = 2n, node 0); two subtractions take the mod without a
-   division. *)
-let ring_entry t =
-  let ids = t.ids in
-  let n = Array.length ids in
-  let size = 1 lsl t.bits in
-  let pointers = Array.make t.bits 0 in
-  fun v i ->
-    let target = ids.(v) + (1 lsl i) in
-    let p = ref (Array.unsafe_get pointers i) in
-    while
-      !p < 2 * n
-      && (if !p < n then Array.unsafe_get ids !p
-          else Array.unsafe_get ids (!p - n) + size)
-         < target
-    do
-      incr p
-    done;
-    Array.unsafe_set pointers i !p;
-    let p = if !p >= n then !p - n else !p in
-    if p = n then 0 else p
-
-(* Kademlia/Plaxton buckets over a sparse space: the level-i contact of
-   v is a uniformly random occupied id matching v's first i-1 bits and
-   differing on bit i, or [missing] when no such node exists.
-
-   The buckets come from one descent of the id trie per node:
-   [own_lo/own_hi.(l)] is the index range of the ids sharing v's first
-   l bits, and the level-l bucket is the other half of the range at
-   depth l-1. Consecutive ids share their common prefix, so node v
-   recomputes only the levels below the prefix it shares with v-1. *)
-let prefix_entry t rng =
-  let ids = t.ids in
-  let bits = t.bits in
-  let own_lo = Array.make (bits + 1) 0 in
-  let own_hi = Array.make (bits + 1) (Array.length ids) in
-  let bucket_lo = Array.make (bits + 1) 0 in
-  let bucket_hi = Array.make (bits + 1) 0 in
-  fun v i ->
-    if i = 0 then begin
-      let id = ids.(v) in
-      let shared =
-        if v = 0 then 0 else bits - 1 - Idspace.Id.floor_log2 (ids.(v - 1) lxor id)
-      in
-      for level = shared + 1 to bits do
-        let lo = own_lo.(level - 1) and hi = own_hi.(level - 1) in
-        let bit = 1 lsl (bits - level) in
-        (* The first id with v's first level-1 bits and bit [level] set. *)
-        let split = lower_bound_in ids lo hi (id land lnot ((2 * bit) - 1) lor bit) in
-        if id land bit = 0 then begin
-          own_lo.(level) <- lo;
-          own_hi.(level) <- split;
-          bucket_lo.(level) <- split;
-          bucket_hi.(level) <- hi
-        end
-        else begin
-          own_lo.(level) <- split;
-          own_hi.(level) <- hi;
-          bucket_lo.(level) <- lo;
-          bucket_hi.(level) <- split
-        end
-      done
-    end;
-    let lo = bucket_lo.(i + 1) and hi = bucket_hi.(i + 1) in
-    if hi <= lo then missing else lo + Prng.Splitmix.int rng (hi - lo)
-
-(* Symphony over a sparse ring: positions live on the circle of the n
-   occupied nodes; near neighbours are the next k_n nodes and each
-   shortcut's position distance follows the harmonic law on n. *)
-let symphony_entry ~n ~k_n rng v i =
-  if i < k_n then (v + i + 1) mod n else (v + Prng.Splitmix.harmonic_int rng ~n:(n - 1)) mod n
-
 (* Custom-family sparse contact builders, keyed by family name. *)
 type custom_builder = t -> Prng.Splitmix.t -> (string * int) list -> int * (int -> int -> int)
 
@@ -204,22 +125,39 @@ let register_custom_builder ~family builder =
 (* What a custom builder's overlay holds before its contacts exist. *)
 let no_contacts = Flat.init ~nodes:0 ~degree:0 (fun _ _ -> missing)
 
+(* The built-in rules fill their block in C, v ascending then entry
+   ascending, drawing from [rng] in that order:
+   - Chord (ring): finger i of v is the first occupied id clockwise
+     from id_v + 2^i; finger 0 is the successor.
+   - Kademlia/Plaxton (tree, xor): the level-l contact of v is a
+     uniformly random occupied id matching v's first l-1 bits and
+     differing on bit l, or [missing] when there is none.
+   - Symphony: on the circle of the n occupied nodes, the next k_n
+     nodes, then k_s shortcuts at harmonic distances on n. *)
 let build ?(rng = Prng.Splitmix.create ~seed:0x5ea5) ~bits ~nodes geometry =
   Rcm.Geometry.check_size_exn "Sparse.build" ~nodes ~bits geometry;
   let ids = sample_ids rng ~bits ~count:nodes in
   let t = { bits; geometry; ids; contacts = no_contacts } in
-  let degree, entry =
+  let filled degree fill =
+    let targets = Flat.create_targets (nodes * degree) in
+    fill targets;
+    Flat.of_targets ~nodes ~degree targets
+  in
+  let contacts =
     match geometry with
-    | Rcm.Geometry.Ring -> (bits, ring_entry t)
-    | Rcm.Geometry.Tree | Rcm.Geometry.Xor -> (bits, prefix_entry t rng)
-    | Rcm.Geometry.Symphony { k_n; k_s } -> (k_n + k_s, symphony_entry ~n:nodes ~k_n rng)
+    | Rcm.Geometry.Ring -> filled bits (fill_ring ids bits)
+    | Rcm.Geometry.Tree | Rcm.Geometry.Xor -> filled bits (fill_prefix ids bits rng)
+    | Rcm.Geometry.Symphony { k_n; k_s } ->
+        filled (k_n + k_s) (fill_symphony k_n k_s (log (float_of_int nodes)) rng)
     | Rcm.Geometry.Hypercube -> assert false (* rejected by check_size *)
     | Rcm.Geometry.Custom { family; params } -> (
         match Hashtbl.find_opt custom_builders family with
-        | Some builder -> builder t rng params
+        | Some builder ->
+            let degree, entry = builder t rng params in
+            Flat.init ~allow_missing:true ~nodes ~degree entry
         | None ->
             invalid_arg
               (Printf.sprintf "Sparse.build: family %S has no registered sparse builder"
                  family))
   in
-  { t with contacts = Flat.init ~allow_missing:true ~nodes ~degree entry }
+  { t with contacts }

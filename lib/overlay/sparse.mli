@@ -22,7 +22,9 @@ val missing : int
 val build :
   ?rng:Prng.Splitmix.t -> bits:int -> nodes:int -> Rcm.Geometry.t -> t
 (** Draws the ids, then fills the contacts in linear passes over the
-    sorted ids.
+    sorted ids, in C for the built-in geometries (and for the ids in
+    the dense regime, [2 nodes >= 2^bits]), with the same draws in the
+    same order as evaluating each contact in OCaml.
     @raise Invalid_argument when {!Rcm.Geometry.check_size} rejects
     [(bits, nodes, geometry)] (hypercube included), or for a custom
     geometry with no registered sparse builder. *)

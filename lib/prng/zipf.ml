@@ -20,6 +20,7 @@ let create ~s ~n =
 
 let n t = Array.length t.cdf
 let s t = t.s
+let cdf t = t.cdf
 
 let pmf t k =
   let n = n t in

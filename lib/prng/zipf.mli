@@ -25,6 +25,12 @@ val n : t -> int
 val s : t -> float
 (** The exponent the sampler was built with. *)
 
+val cdf : t -> float array
+(** The cumulative distribution {!draw} searches: entry [k] is the
+    probability of a rank [<= k], and the last entry is [1.]. The array
+    itself, read-only by convention: the storage read loop searches it
+    in C, as {!draw} does. *)
+
 val pmf : t -> int -> float
 (** [pmf t k] is P(rank = k), for [k] in [0 .. n-1].
     @raise Invalid_argument if [k] is out of range. *)

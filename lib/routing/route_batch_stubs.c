@@ -64,6 +64,7 @@
 #include <string.h>
 
 #include "rank.h"
+#include "splitmix.h"
 
 /* Independent routes in flight per block. Enough that a full round of
    other lanes (each a handful of nanoseconds once rows are cached)
@@ -88,22 +89,6 @@ static inline intnat *loadmap_slice(value v)
 {
   return Caml_ba_array_val(v)->dim[0] == 0 ? NULL
                                            : (intnat *)Caml_ba_data_val(v);
-}
-
-/* One step of Prng.Splitmix.next_int64: add gamma to the state, then
-   mix. */
-#define SPLITMIX_GAMMA 0x9E3779B97F4A7C15ULL
-
-static inline uint64_t splitmix_mix(uint64_t z)
-{
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-static inline uint64_t splitmix_next(uint64_t *state)
-{
-  return splitmix_mix(*state += SPLITMIX_GAMMA);
 }
 
 /* The table a lane routes on. [rule] is one of the codes below, as
@@ -647,16 +632,16 @@ CAMLprim value rcm_route_symphony_bc(value *argv, int argn)
                             argv[12]);
 }
 
-/* Prng.Splitmix.int at [bound] > 0: the top 62 bits of a draw, drawn
-   again while above the bound's rejection limit, then reduced mod
-   [bound]. */
+/* Prng.Splitmix.int at [bound] > 0 with its rejection limit computed
+   once per bound: the top 62 bits of a draw, drawn again while above
+   the limit, then reduced mod [bound]. */
 static inline intnat splitmix_limit(intnat bound)
 {
   const intnat max62 = ((intnat)1 << 62) - 1;
   return max62 - (max62 % bound + 1) % bound;
 }
 
-static inline intnat splitmix_int(uint64_t *state, intnat bound, intnat limit)
+static inline intnat splitmix_int_limited(uint64_t *state, intnat bound, intnat limit)
 {
   intnat v;
   do
@@ -703,12 +688,12 @@ static inline intnat survivor(const struct survivors *sv, intnat i)
 static inline int draw_pair(const struct survivors *sv, uint64_t *s, intnat bits,
                             intnat *src, intnat *dst)
 {
-  intnat i = splitmix_int(s, sv->count, sv->limit), j;
+  intnat i = splitmix_int_limited(s, sv->count, sv->limit), j;
   *src = survivor(sv, i);
   if ((uintnat)*src >> bits)
     return -1;
   do
-    j = splitmix_int(s, sv->count, sv->limit);
+    j = splitmix_int_limited(s, sv->count, sv->limit);
   while (j == i);
   *dst = survivor(sv, j);
   if ((uintnat)*dst >> bits) {
@@ -800,7 +785,7 @@ LANE_BODY intnat hypercube_walk(const struct batch *b, intnat rule,
         if (alive_bit(words, cand)) {
           prefetch_entries(&t, cand);
           seen++;
-          if (splitmix_int(&s, seen, limits[seen]) == 0)
+          if (splitmix_int_limited(&s, seen, limits[seen]) == 0)
             chosen = cand;
         }
         rem &= rem - 1;

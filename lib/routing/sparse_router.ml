@@ -7,7 +7,12 @@
    index the ids array, the contact block and the alive-bitset words
    directly and allocate only the final outcome. The library builds
    with -opaque in the dev profile, so an accessor of another module
-   would stay one call per candidate. *)
+   would stay one call per candidate.
+
+   A route with no [on_hop] and no loadmap sink takes the same walk in
+   C (sparse_walk.h) unless [Route_batch] is disabled (--no-batch): the
+   OCaml walks below are its reference, and take every route that
+   reports its hops. *)
 
 let[@inline] alive_at (words : Overlay.Failure.Bitset.words) v =
   Bigarray.Array1.unsafe_get words (v lsr 5) lsr (v land 31) land 1 <> 0
@@ -103,26 +108,51 @@ let register_custom ~family router =
       (Printf.sprintf "Sparse_router.register_custom: %S already registered" family);
   Hashtbl.replace custom_routers family router
 
+(* The walk codes of sparse_walk.h. *)
+let walk_kind overlay =
+  match Overlay.Sparse.geometry overlay with
+  | Rcm.Geometry.Symphony _ -> 0
+  | Rcm.Geometry.Tree -> 1
+  | Rcm.Geometry.Xor -> 2
+  | Rcm.Geometry.Ring -> 3
+  | Rcm.Geometry.Hypercube | Rcm.Geometry.Custom _ -> -1
+
+(* One C walk (sparse_route_stubs.c), its outcome packed as
+   hops lsl 31 lor (stuck + 1), stuck = -1 when delivered. *)
+external walk :
+  Overlay.Sparse.t -> Overlay.Failure.Bitset.words -> int -> int -> int -> int
+  = "rcm_sparse_route"
+[@@noalloc]
+
+let walk_outcome packed =
+  let hops = packed lsr 31 and stuck = (packed land 0x7FFF_FFFF) - 1 in
+  if stuck < 0 then Outcome.Delivered { hops } else Outcome.Dropped { hops; stuck_at = stuck }
+
 let dispatch ?on_hop overlay ~alive ~src ~dst =
   let n = Overlay.Sparse.node_count overlay in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Sparse_router.route: src or dst outside the overlay";
   if Overlay.Failure.length alive < n then
     invalid_arg "Sparse_router.route: alive mask shorter than the overlay";
-  let hop = Option.value on_hop ~default:ignore in
-  match Overlay.Sparse.geometry overlay with
-  | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> route_ring hop overlay ~alive ~src ~dst
-  | Rcm.Geometry.Tree -> route_prefix hop ~xor:false overlay ~alive ~src ~dst
-  | Rcm.Geometry.Xor -> route_prefix hop ~xor:true overlay ~alive ~src ~dst
-  | Rcm.Geometry.Hypercube ->
-      invalid_arg "Sparse_router.route: no sparse hypercube overlay exists"
-  | Rcm.Geometry.Custom { family; _ } -> (
-      match Hashtbl.find_opt custom_routers family with
-      | Some router -> router ?on_hop overlay ~alive ~src ~dst
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Sparse_router.route: family %S has no registered sparse router"
-               family))
+  let kind = walk_kind overlay in
+  if Option.is_none on_hop && kind >= 0 && Route_batch.enabled () then
+    walk_outcome (walk overlay (Overlay.Failure.Bitset.words alive) kind src dst)
+  else begin
+    let hop = Option.value on_hop ~default:ignore in
+    match Overlay.Sparse.geometry overlay with
+    | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> route_ring hop overlay ~alive ~src ~dst
+    | Rcm.Geometry.Tree -> route_prefix hop ~xor:false overlay ~alive ~src ~dst
+    | Rcm.Geometry.Xor -> route_prefix hop ~xor:true overlay ~alive ~src ~dst
+    | Rcm.Geometry.Hypercube ->
+        invalid_arg "Sparse_router.route: no sparse hypercube overlay exists"
+    | Rcm.Geometry.Custom { family; _ } -> (
+        match Hashtbl.find_opt custom_routers family with
+        | Some router -> router ?on_hop overlay ~alive ~src ~dst
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Sparse_router.route: family %S has no registered sparse router"
+                 family))
+  end
 
 (* Same per-node load accounting as Routing.Router: one traversal per
    accepted hop (the node hopped to), one termination where the walk

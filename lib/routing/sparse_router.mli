@@ -22,6 +22,12 @@ val register_custom : family:string -> custom_router -> unit
     time from the plugin library.
     @raise Invalid_argument if the family is already registered. *)
 
+val walk_kind : Overlay.Sparse.t -> int
+(** The overlay's walk in C ([sparse_walk.h]): 0 for Symphony's ring
+    walk, 1 for the tree's prefix walk, 2 for xor's, 3 for the ring
+    walk over Chord fingers; [-1] for a family with no C walk. The
+    storage read loop takes it. *)
+
 val route :
   ?on_hop:(int -> unit) ->
   Overlay.Sparse.t ->
@@ -30,7 +36,10 @@ val route :
   dst:int ->
   Outcome.t
 (** [src], [dst] and the hops reported to [on_hop] are node *indexes*.
-    The built-in walks allocate only the returned outcome.
+    The built-in walks allocate only the returned outcome. Without
+    [on_hop] or a loadmap sink, a built-in walk runs in C unless
+    {!Route_batch.set_enabled} turned batching off; both walks take
+    the same hops.
     @raise Invalid_argument when [src] or [dst] is not a node index or
     [alive] covers fewer nodes than the overlay, on a hypercube
     overlay, or on a custom geometry whose family has no registered

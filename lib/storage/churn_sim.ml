@@ -42,17 +42,10 @@ type measurement = {
 
 type result = {
   measurements : measurement list;
-  attempted : int;
-  quorum_reads : int;
-  degraded_reads : int;
-  failed_reads : int;
-  no_client : int;
+  reads : Store.tally;
   availability : float option;
   survival : float;
   mean_alive : float;
-  probe_routes : int;
-  repair_routes : int;
-  repair_transfers : int;
   load_max : int;
   load_mean : float;
   load_p99 : int;
@@ -70,42 +63,19 @@ let run geometry cfg ~seed =
       overlay
   in
   let alive = Overlay.Failure.none cfg.nodes in
-  let attempted = ref 0 in
-  let quorum_reads = ref 0 in
-  let degraded_reads = ref 0 in
-  let failed_reads = ref 0 in
-  let no_client = ref 0 in
-  let probe_routes = ref 0 in
-  let repair_routes = ref 0 in
-  let repair_transfers = ref 0 in
+  let reads = Store.tally () in
   let out = ref [] in
   let measure time =
-    let survivors = Overlay.Failure.survivors alive in
-    let alive_n = Array.length survivors in
+    let rank = Overlay.Rank.create alive in
+    let alive_n = Overlay.Rank.count rank in
+    let quorum_before = reads.Store.quorum_reads in
+    Store.read_batch store ~rng ~rank reads cfg.reads;
     let availability =
-      if alive_n = 0 then begin
-        no_client := !no_client + cfg.reads;
-        None
-      end
-      else begin
-        let epoch_quorum = ref 0 in
-        for _ = 1 to cfg.reads do
-          let client = survivors.(Prng.Splitmix.int rng alive_n) in
-          let stats = Store.read store ~rng ~alive ~client in
-          incr attempted;
-          (match stats.Store.outcome with
-          | Quorum.Quorum ->
-              incr quorum_reads;
-              incr epoch_quorum
-          | Quorum.Degraded _ -> incr degraded_reads
-          | Quorum.Unavailable -> incr failed_reads);
-          probe_routes := !probe_routes + stats.Store.probe_routes;
-          repair_routes := !repair_routes + stats.Store.repair_routes;
-          repair_transfers := !repair_transfers + stats.Store.repair_transfers
-        done;
-        if cfg.reads = 0 then None
-        else Some (float_of_int !epoch_quorum /. float_of_int cfg.reads)
-      end
+      if alive_n = 0 || cfg.reads = 0 then None
+      else
+        Some
+          (float_of_int (reads.Store.quorum_reads - quorum_before)
+          /. float_of_int cfg.reads)
     in
     let survival =
       float_of_int
@@ -137,19 +107,10 @@ let run geometry cfg ~seed =
   let load_max, load_mean, load_p99 = Store.load_stats (Store.loads store) in
   {
     measurements;
-    attempted = !attempted;
-    quorum_reads = !quorum_reads;
-    degraded_reads = !degraded_reads;
-    failed_reads = !failed_reads;
-    no_client = !no_client;
-    availability =
-      (if !attempted = 0 then None
-       else Some (float_of_int !quorum_reads /. float_of_int !attempted));
+    reads;
+    availability = Store.availability reads;
     survival = mean (fun m -> m.survival);
     mean_alive = mean (fun m -> m.alive_fraction);
-    probe_routes = !probe_routes;
-    repair_routes = !repair_routes;
-    repair_transfers = !repair_transfers;
     load_max;
     load_mean;
     load_p99;

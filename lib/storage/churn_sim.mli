@@ -53,17 +53,10 @@ type measurement = {
 
 type result = {
   measurements : measurement list;
-  attempted : int;
-  quorum_reads : int;
-  degraded_reads : int;
-  failed_reads : int;
-  no_client : int;
+  reads : Store.tally;  (** the reads of every epoch, and their routes *)
   availability : float option;  (** aggregate over all epochs *)
   survival : float;  (** mean over epochs *)
   mean_alive : float;
-  probe_routes : int;
-  repair_routes : int;
-  repair_transfers : int;
   load_max : int;
   load_mean : float;
   load_p99 : int;

@@ -3,7 +3,8 @@
     One {!run} evaluates a single (geometry, q) point: [trials]
     independent worlds are built (fresh overlay, key placement and
     alive-mask each), and in each world [reads] quorum reads with
-    read-repair are issued from uniformly chosen alive clients. The
+    read-repair are issued from uniformly chosen alive clients
+    ({!Store.read_batch}). The
     replica-survival observable is counted once per key per trial
     against the {e initial} placement, so it is exactly
     Binomial(r, 1-q) per key and comparable to
@@ -26,19 +27,12 @@ val validate : config -> unit
 (** @raise Invalid_argument on out-of-range fields. *)
 
 type result = {
-  attempted : int;  (** reads actually issued (requires an alive client) *)
-  quorum_reads : int;
-  degraded_reads : int;
-  failed_reads : int;
-  no_client : int;  (** reads skipped because no node was alive *)
+  reads : Store.tally;  (** the reads issued or skipped, and their routes *)
   availability : float option;
       (** quorum_reads / attempted; [None] when nothing was attempted —
           never fabricated as 0. *)
   survival : float;  (** surviving key fraction over all key-trials *)
   mean_alive : float;  (** measured alive fraction over all trials *)
-  probe_routes : int;
-  repair_routes : int;
-  repair_transfers : int;
   load_max : int;  (** busiest node's reads served, over all trials *)
   load_mean : float;  (** mean reads served per node *)
   load_p99 : int;  (** 99th percentile of per-node reads served *)

@@ -1,13 +1,20 @@
+(* The C read loop (read_stubs.c) reads the first seven fields by
+   position, so their order is fixed. *)
 type t = {
   overlay : Overlay.Sparse.t;
   quorum : Quorum.t;
+  holders : int array array;  (* current holder set per key, rank order *)
+  loads : int array;  (* reads served per node *)
+  cdf : float array;  (* the Zipf key-popularity cdf *)
+  walk : int;  (* Sparse_router.walk_kind, -1: reads stay in OCaml *)
+  (* The last read's pending repair: key, coordinator, dead-slot count,
+     then the dead slots. *)
+  pending : int array;
   key_ids : int array;
   zipf : Prng.Zipf.t;
-  holders : int array array;  (* current holder set per key, rank order *)
   initial : int array array;  (* immutable placement snapshot *)
   cands : int array array;  (* cached placement order per key, grown on demand *)
   next_rank : int array;  (* next unused placement rank per key *)
-  loads : int array;  (* reads served per node *)
 }
 
 let repair_attempt_cap = 4
@@ -24,16 +31,20 @@ let create ?(zipf_s = 0.8) ~keys ~quorum ~rng overlay =
       (fun key -> Placement.replica_set overlay ~key ~r:quorum.Quorum.r)
       key_ids
   in
+  let zipf = Prng.Zipf.create ~s:zipf_s ~n:keys in
   {
     overlay;
     quorum;
-    key_ids;
-    zipf = Prng.Zipf.create ~s:zipf_s ~n:keys;
     holders = Array.map Array.copy initial;
+    loads = Array.make n 0;
+    cdf = Prng.Zipf.cdf zipf;
+    walk = Routing.Sparse_router.walk_kind overlay;
+    pending = Array.make (3 + quorum.Quorum.r) 0;
+    key_ids;
+    zipf;
     initial;
     cands = Array.map Array.copy initial;
     next_rank = Array.make keys quorum.Quorum.r;
-    loads = Array.make n 0;
   }
 
 let overlay t = t.overlay
@@ -107,40 +118,55 @@ let candidate_at t ~key ~rank =
     grown.(rank)
   end
 
-let repair t ~alive ~key ~coordinator ~dead_slots =
+(* The repair [pending] describes. *)
+let repair t ~alive =
+  let key = t.pending.(0) and coordinator = t.pending.(1) in
   let routes = ref 0 and transfers = ref 0 in
   let holders = t.holders.(key) in
   let n = Overlay.Sparse.node_count t.overlay in
-  List.iter
-    (fun slot ->
-      let attempts = ref 0 in
-      let installed = ref false in
-      while (not !installed) && !attempts < repair_attempt_cap do
-        let rank = t.next_rank.(key) in
-        if rank >= n then attempts := repair_attempt_cap
-        else begin
-          t.next_rank.(key) <- rank + 1;
-          incr attempts;
-          let candidate = candidate_at t ~key ~rank in
-          incr routes;
-          if
-            Overlay.Failure.get alive candidate
-            && delivered
-                 (Routing.Sparse_router.route t.overlay ~alive
-                    ~src:coordinator ~dst:candidate)
-          then begin
-            holders.(slot) <- candidate;
-            incr transfers;
-            (* The candidate absorbed a re-replicated copy: the Repair
-               plane of the shared loadmap (the repair *routes* land in
-               the traversal counters via Sparse_router). *)
-            Obs.Loadmap.note Obs.Loadmap.Repair candidate;
-            installed := true
-          end
+  for k = 3 to 2 + t.pending.(2) do
+    let slot = t.pending.(k) in
+    let attempts = ref 0 in
+    let installed = ref false in
+    while (not !installed) && !attempts < repair_attempt_cap do
+      let rank = t.next_rank.(key) in
+      if rank >= n then attempts := repair_attempt_cap
+      else begin
+        t.next_rank.(key) <- rank + 1;
+        incr attempts;
+        let candidate = candidate_at t ~key ~rank in
+        incr routes;
+        if
+          Overlay.Failure.get alive candidate
+          && delivered
+               (Routing.Sparse_router.route t.overlay ~alive ~src:coordinator
+                  ~dst:candidate)
+        then begin
+          holders.(slot) <- candidate;
+          incr transfers;
+          (* The candidate absorbed a re-replicated copy: the Repair
+             plane of the shared loadmap (the repair *routes* land in
+             the traversal counters via Sparse_router). *)
+          Obs.Loadmap.note Obs.Loadmap.Repair candidate;
+          installed := true
         end
-      done)
-    dead_slots;
+      end
+    done
+  done;
   (!routes, !transfers)
+
+(* The storage/* counters of [reads] reads; an outcome's counter exists
+   once a read had that outcome. *)
+let meter ~reads ~quorum ~degraded ~failed ~probe_routes ~repair_routes ~repair_transfers =
+  if reads > 0 && Obs.Metrics.enabled () then begin
+    Obs.Metrics.incr_named ~by:reads "storage/reads";
+    if quorum > 0 then Obs.Metrics.incr_named ~by:quorum "storage/quorum_reads";
+    if degraded > 0 then Obs.Metrics.incr_named ~by:degraded "storage/degraded_reads";
+    if failed > 0 then Obs.Metrics.incr_named ~by:failed "storage/failed_reads";
+    Obs.Metrics.incr_named ~by:probe_routes "storage/probe_routes";
+    Obs.Metrics.incr_named ~by:repair_routes "storage/repair_routes";
+    Obs.Metrics.incr_named ~by:repair_transfers "storage/repair_transfers"
+  end
 
 let read t ~rng ~alive ~client =
   let key = Prng.Zipf.draw t.zipf rng in
@@ -150,7 +176,7 @@ let read t ~rng ~alive ~client =
   let probes = ref 0 in
   let probe_routes = ref 0 in
   let coordinator = ref (-1) in
-  let dead_slots = ref [] in
+  let dead = ref 0 in
   let slot = ref 0 in
   let r = Array.length holders in
   while !reached < rq && !slot < r do
@@ -176,27 +202,30 @@ let read t ~rng ~alive ~client =
       Obs.Loadmap.note Obs.Loadmap.Storage_read holder;
       if !coordinator < 0 then coordinator := holder
     end
-    else if not (Overlay.Failure.get alive holder) then
-      dead_slots := !slot :: !dead_slots;
+    else if not (Overlay.Failure.get alive holder) then begin
+      t.pending.(3 + !dead) <- !slot;
+      incr dead
+    end;
     incr slot
   done;
   let repair_routes, repair_transfers =
-    if !coordinator >= 0 && !dead_slots <> [] then
-      repair t ~alive ~key ~coordinator:!coordinator
-        ~dead_slots:(List.rev !dead_slots)
+    if !coordinator >= 0 && !dead > 0 then begin
+      t.pending.(0) <- key;
+      t.pending.(1) <- !coordinator;
+      t.pending.(2) <- !dead;
+      repair t ~alive
+    end
     else (0, 0)
   in
   let outcome = Quorum.classify t.quorum ~reached:!reached in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.incr_named "storage/reads";
-    (match outcome with
-    | Quorum.Quorum -> Obs.Metrics.incr_named "storage/quorum_reads"
-    | Quorum.Degraded _ -> Obs.Metrics.incr_named "storage/degraded_reads"
-    | Quorum.Unavailable -> Obs.Metrics.incr_named "storage/failed_reads");
-    Obs.Metrics.incr_named ~by:!probe_routes "storage/probe_routes";
-    Obs.Metrics.incr_named ~by:repair_routes "storage/repair_routes";
-    Obs.Metrics.incr_named ~by:repair_transfers "storage/repair_transfers"
-  end;
+  let quorum, degraded, failed =
+    match outcome with
+    | Quorum.Quorum -> (1, 0, 0)
+    | Quorum.Degraded _ -> (0, 1, 0)
+    | Quorum.Unavailable -> (0, 0, 1)
+  in
+  meter ~reads:1 ~quorum ~degraded ~failed ~probe_routes:!probe_routes ~repair_routes
+    ~repair_transfers;
   {
     outcome;
     reached = !reached;
@@ -205,3 +234,84 @@ let read t ~rng ~alive ~client =
     repair_routes;
     repair_transfers;
   }
+
+type tally = {
+  mutable attempted : int;
+  mutable quorum_reads : int;
+  mutable degraded_reads : int;
+  mutable failed_reads : int;
+  mutable no_client : int;
+  mutable probe_routes : int;
+  mutable repair_routes : int;
+  mutable repair_transfers : int;
+}
+
+let tally () =
+  {
+    attempted = 0;
+    quorum_reads = 0;
+    degraded_reads = 0;
+    failed_reads = 0;
+    no_client = 0;
+    probe_routes = 0;
+    repair_routes = 0;
+    repair_transfers = 0;
+  }
+
+let availability tally =
+  if tally.attempted = 0 then None
+  else Some (float_of_int tally.quorum_reads /. float_of_int tally.attempted)
+
+(* Reads in C (read_stubs.c) until [count] are done or one leaves a
+   repair pending; see read_batch. The C side reads a [tally]'s fields
+   by position up to [probe_routes], so their order is fixed. *)
+external read_loop : t -> Prng.Splitmix.t -> Overlay.Rank.t -> tally -> int -> int
+  = "rcm_store_read_batch"
+[@@noalloc]
+
+let count_read tally (stats : read_stats) =
+  tally.attempted <- tally.attempted + 1;
+  (match stats.outcome with
+  | Quorum.Quorum -> tally.quorum_reads <- tally.quorum_reads + 1
+  | Quorum.Degraded _ -> tally.degraded_reads <- tally.degraded_reads + 1
+  | Quorum.Unavailable -> tally.failed_reads <- tally.failed_reads + 1);
+  tally.probe_routes <- tally.probe_routes + stats.probe_routes;
+  tally.repair_routes <- tally.repair_routes + stats.repair_routes;
+  tally.repair_transfers <- tally.repair_transfers + stats.repair_transfers
+
+let read_batch t ~rng ~rank tally count =
+  let alive = Overlay.Rank.mask rank and alive_n = Overlay.Rank.count rank in
+  if count < 0 then invalid_arg "Store.read_batch: negative read count";
+  if Overlay.Failure.length alive <> Overlay.Sparse.node_count t.overlay then
+    invalid_arg "Store.read_batch: alive mask length differs from the node count";
+  if alive_n = 0 then tally.no_client <- tally.no_client + count
+  else if
+    t.walk < 0
+    || (not (Routing.Route_batch.enabled ()))
+    || Option.is_some (Obs.Loadmap.sink ())
+  then
+    for _ = 1 to count do
+      let client = Overlay.Rank.select rank (Prng.Splitmix.int rng alive_n) in
+      count_read tally (read t ~rng ~alive ~client)
+    done
+  else begin
+    let before = { tally with attempted = tally.attempted } in
+    let left = ref count in
+    while !left > 0 do
+      let done_ = read_loop t rng rank tally !left in
+      left := !left - abs done_;
+      if done_ < 0 then begin
+        let routes, transfers = repair t ~alive in
+        tally.repair_routes <- tally.repair_routes + routes;
+        tally.repair_transfers <- tally.repair_transfers + transfers
+      end
+    done;
+    meter
+      ~reads:(tally.attempted - before.attempted)
+      ~quorum:(tally.quorum_reads - before.quorum_reads)
+      ~degraded:(tally.degraded_reads - before.degraded_reads)
+      ~failed:(tally.failed_reads - before.failed_reads)
+      ~probe_routes:(tally.probe_routes - before.probe_routes)
+      ~repair_routes:(tally.repair_routes - before.repair_routes)
+      ~repair_transfers:(tally.repair_transfers - before.repair_transfers)
+  end

@@ -12,9 +12,10 @@
     quantity Leslie's closed form ({!Rcm.Data_availability}) predicts.
 
     Determinism: a call to {!read} consumes exactly one uniform draw
-    (the Zipf rank); routing and repair consume none. All bookkeeping
-    (per-node load counters, holder mutation) is sequential, so a trial
-    replays bit-identically from its seed. *)
+    (the Zipf rank); routing and repair consume none. {!read_batch}
+    draws a client, then calls {!read}, so each of its reads consumes
+    two. All bookkeeping (per-node load counters, holder mutation) is
+    sequential, so a trial replays bit-identically from its seed. *)
 
 type t
 
@@ -89,3 +90,43 @@ val read : t -> rng:Prng.Splitmix.t -> alive:Overlay.Failure.t -> client:int -> 
 
 val repair_attempt_cap : int
 (** Candidate ranks tried per dead holder before giving up (4). *)
+
+(** {1 Batched reads} *)
+
+type tally = {
+  mutable attempted : int;  (** reads issued (each needs an alive client) *)
+  mutable quorum_reads : int;
+  mutable degraded_reads : int;
+  mutable failed_reads : int;
+  mutable no_client : int;  (** reads skipped because no node was alive *)
+  mutable probe_routes : int;
+  mutable repair_routes : int;
+  mutable repair_transfers : int;
+}
+(** The running totals of a simulation's reads: {!read_batch} adds to
+    them, and [Failure_sim] and [Churn_sim] report them. *)
+
+val tally : unit -> tally
+(** A tally at zero. *)
+
+val availability : tally -> float option
+(** [quorum_reads / attempted]; [None] when nothing was attempted —
+    never fabricated as 0. *)
+
+val read_batch : t -> rng:Prng.Splitmix.t -> rank:Overlay.Rank.t -> tally -> int -> unit
+(** [read_batch t ~rng ~rank tally count] issues [count] reads, each
+    from a client drawn uniformly over the members of [rank]'s mask
+    ([Overlay.Rank.select rank (Prng.Splitmix.int rng (Rank.count
+    rank))]) against that mask, and adds them to [tally]. With no
+    member, the reads count as [no_client] and nothing is drawn.
+
+    The reads run in one C loop, which hands back to OCaml only to
+    repair after a read that found a dead holder and a responder. The
+    loop and the [read] loop draw, route, count and repair alike; the
+    [read] loop runs instead, as the reference, when
+    [Routing.Route_batch] is disabled, when a loadmap sink is installed
+    (whose per-node counts only [read] and the OCaml walks record), or
+    for a custom family. Metering: the {!read} counters, added once
+    per call on the C path.
+    @raise Invalid_argument if [count < 0] or the mask's length is not
+    the node count. *)

@@ -86,6 +86,7 @@ case "$ROW" in
     storage)
         ARGS="storage --smoke --seed 7"
         JOBS="2 1"
+        SCALAR_JOBS=2
         EXPECT="avail survival analytic"
         CSV_HEADER="geometry,bits,nodes,keys,mode,r,rq,wq,axis"
         POINTS=16 # R in {1, 2} over 2 qs and four geometries

@@ -583,6 +583,12 @@ let figure_golden ?(flags = []) name =
 
 let figure_no_batch_golden = figure_golden ~flags:[ "--no-batch" ]
 
+let storage_sessions_args = [ "storage"; "--smoke"; "--sessions"; "2,8"; "--csv" ]
+
+let storage_sparse_args =
+  [ "storage"; "-d"; "16"; "--nodes"; "300"; "--keys"; "32"; "--reads"; "128"; "-r"; "1,3";
+    "--qs"; "0.2,0.4"; "--trials"; "2"; "--seed"; "7"; "--csv" ]
+
 let suite =
   [
     ("binary present", `Quick, test_binary_present);
@@ -635,14 +641,9 @@ let suite =
     ("golden churn --smoke --seed 7", `Quick,
       check_golden [ "churn"; "--smoke"; "--csv"; "--seed"; "7" ] "churn-smoke-seed7.csv");
     ("golden storage --smoke --sessions 2,8", `Quick,
-      check_golden
-        [ "storage"; "--smoke"; "--sessions"; "2,8"; "--csv" ]
-        "storage-smoke-sessions-2-8.csv");
+      check_golden storage_sessions_args "storage-smoke-sessions-2-8.csv");
     ("golden storage sparse regime d16", `Quick,
-      check_golden
-        [ "storage"; "-d"; "16"; "--nodes"; "300"; "--keys"; "32"; "--reads"; "128"; "-r"; "1,3";
-          "--qs"; "0.2,0.4"; "--trials"; "2"; "--seed"; "7"; "--csv" ]
-        "storage-sparse-d16.csv");
+      check_golden storage_sparse_args "storage-sparse-d16.csv");
     figure_golden "rep-xor";
   ]
   @ List.map simulate_d20_golden [ "tree"; "hypercube"; "xor"; "ring" ]
@@ -674,4 +675,9 @@ let suite =
             (simulate_golden_args
             @ [ "--trial-retries"; "1"; "--inject-fault"; "trial:0.5:9:5" ])
           ~resume:simulate_golden_args "checkpoint-simulate-smoke-xor-faults.jsonl");
+      (* The same goldens from the OCaml read loop and sparse walks. *)
+      ("golden storage --smoke --sessions 2,8 --no-batch", `Quick,
+        check_golden (storage_sessions_args @ [ "--no-batch" ]) "storage-smoke-sessions-2-8.csv");
+      ("golden storage sparse regime d16 --no-batch", `Quick,
+        check_golden (storage_sparse_args @ [ "--no-batch" ]) "storage-sparse-d16.csv");
     ]

@@ -220,7 +220,9 @@ let test_full_occupancy_matches_dense_ring () =
    fingers, [prefix_range] buckets, ids sorted after sampling, and
    closure-per-hop walks. The flat layout must reproduce them draw for
    draw: same ids, same contacts, same PRNG state after the build, and
-   the same outcome and hop path for every route. *)
+   the same outcome and hop path for every route. It is the reference
+   for the C passes that build the built-in overlays (ids in the dense
+   regime, and every contact) and for the C walks. *)
 module Model = struct
   type t = { bits : int; ids : int array; contacts : int array array }
 
@@ -436,7 +438,11 @@ let record4 = Result.get_ok (Rcm.Geometry.of_string "record:h=4")
 (* Seed, geometry, bits 4..20 (even for record:h=4, whose digits are 2
    bits wide) and a node count in either sampling regime: the dense one
    (2 nodes >= 2^bits, capped at bits 12) shuffles the whole space,
-   the sparse one (capped at 1500 nodes) rejects duplicate draws. *)
+   the sparse one (capped at 1500 nodes) rejects duplicate draws. Two
+   edges get cases of their own: the smallest overlay, 2 nodes (at
+   bits 2, in the dense regime; Symphony with one shortcut), and the
+   regime boundary 2 nodes = 2^bits, the first node count that
+   shuffles. *)
 let model_case_gen =
   let open QCheck2.Gen in
   let* seed = int_range 0 1_000_000 in
@@ -444,12 +450,26 @@ let model_case_gen =
     oneofl [ Rcm.Geometry.Ring; Rcm.Geometry.Tree; Rcm.Geometry.Xor;
              Rcm.Geometry.default_symphony; record4 ]
   in
-  let* dense = bool in
-  let* bits = if dense then int_range 4 12 else int_range 4 20 in
+  let* regime = oneofl [ `Dense; `Sparse; `Two; `Boundary ] in
+  let* bits =
+    match regime with
+    | `Dense | `Boundary -> int_range 4 12
+    | `Sparse -> int_range 4 20
+    | `Two -> int_range 2 20
+  in
   let bits = if Rcm.Geometry.equal geometry record4 then bits land lnot 1 else bits in
+  (* Symphony's degree must stay below the node count. *)
+  let geometry =
+    match (regime, geometry) with
+    | `Two, Rcm.Geometry.Symphony _ -> Rcm.Geometry.Symphony { k_n = 0; k_s = 1 }
+    | _ -> geometry
+  in
   let+ nodes =
-    if dense then int_range (1 lsl (bits - 1)) (1 lsl bits)
-    else int_range 3 (min 1500 ((1 lsl (bits - 1)) - 1))
+    match regime with
+    | `Dense -> int_range (1 lsl (bits - 1)) (1 lsl bits)
+    | `Sparse -> int_range 3 (min 1500 ((1 lsl (bits - 1)) - 1))
+    | `Two -> return 2
+    | `Boundary -> return (1 lsl (bits - 1))
   in
   (seed, geometry, bits, nodes)
 
@@ -482,7 +502,12 @@ let flat_layout_matches_model =
         in
         if not (Routing.Outcome.equal outcome expected && !path = !model_path) then
           QCheck2.Test.fail_reportf "%s: route %d -> %d: %a vs model %a" case src dst
-            Routing.Outcome.pp outcome Routing.Outcome.pp expected
+            Routing.Outcome.pp outcome Routing.Outcome.pp expected;
+        (* Without [on_hop], the built-in geometries walk in C. *)
+        let walked = Routing.Sparse_router.route t ~alive ~src ~dst in
+        if not (Routing.Outcome.equal walked expected) then
+          QCheck2.Test.fail_reportf "%s: route %d -> %d without on_hop: %a vs model %a" case
+            src dst Routing.Outcome.pp walked Routing.Outcome.pp expected
       done;
       true)
 

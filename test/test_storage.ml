@@ -317,22 +317,22 @@ let test_failure_sim_no_failures () =
   let r = Storage.Failure_sim.run Rcm.Geometry.Ring cfg ~q:0.0 ~seed:7 in
   check_close ~msg:"survival" 1.0 r.Storage.Failure_sim.survival;
   check_close ~msg:"alive" 1.0 r.Storage.Failure_sim.mean_alive;
-  Alcotest.(check int) "no skipped reads" 0 r.Storage.Failure_sim.no_client;
-  Alcotest.(check int) "no repairs" 0 r.Storage.Failure_sim.repair_transfers;
+  Alcotest.(check int) "no skipped reads" 0 r.Storage.Failure_sim.reads.no_client;
+  Alcotest.(check int) "no repairs" 0 r.Storage.Failure_sim.reads.repair_transfers;
   (match r.Storage.Failure_sim.availability with
   | Some a -> check_close ~msg:"availability" 1.0 a
   | None -> Alcotest.fail "availability missing with alive clients");
-  Alcotest.(check int) "attempted all" 64 r.Storage.Failure_sim.attempted
+  Alcotest.(check int) "attempted all" 64 r.Storage.Failure_sim.reads.attempted
 
 let test_failure_sim_total_failure_honest () =
   (* q = 1: nobody is alive, so no read is ever attempted and the
      availability is *absent*, not a fabricated 0. *)
   let cfg = failure_config () in
   let r = Storage.Failure_sim.run Rcm.Geometry.Ring cfg ~q:1.0 ~seed:7 in
-  Alcotest.(check int) "nothing attempted" 0 r.Storage.Failure_sim.attempted;
+  Alcotest.(check int) "nothing attempted" 0 r.Storage.Failure_sim.reads.attempted;
   Alcotest.(check bool) "availability withheld" true
     (r.Storage.Failure_sim.availability = None);
-  Alcotest.(check int) "all reads skipped" 64 r.Storage.Failure_sim.no_client;
+  Alcotest.(check int) "all reads skipped" 64 r.Storage.Failure_sim.reads.no_client;
   check_close ~msg:"no survivors" 0.0 r.Storage.Failure_sim.survival
 
 let test_failure_sim_loads_accounted () =
@@ -660,6 +660,126 @@ let test_checkpoint_storage_round_trip () =
           Alcotest.(check int) "counts restored" 32 p.no_client
       | None -> Alcotest.fail "dead point not found")
 
+(* --- batched reads = the Store.read loop ------------------------------------ *)
+
+let storage_counters () =
+  List.filter
+    (fun (name, _) -> String.length name > 8 && String.sub name 0 8 = "storage/")
+    (Obs.Metrics.snapshot ()).Obs.Metrics.counters
+
+(* [f ()] with metrics on, once through the C read loop and once
+   through the Store.read loop ([Route_batch] off): each result with
+   the storage/* counters it left. *)
+let on_both_read_paths f =
+  let was_enabled = Obs.Metrics.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.reset ();
+      Obs.Metrics.set_enabled was_enabled;
+      Routing.Route_batch.set_enabled true)
+    (fun () ->
+      Obs.Metrics.set_enabled true;
+      let run batch =
+        Routing.Route_batch.set_enabled batch;
+        Obs.Metrics.reset ();
+        let result = f () in
+        (result, storage_counters ())
+      in
+      let batched = run true in
+      (batched, run false))
+
+let check_read_paths case f =
+  let (batched, batched_counters), (looped, looped_counters) = on_both_read_paths f in
+  Alcotest.(check bool) (case ^ ": results equal") true (batched = looped);
+  Alcotest.(check (list (pair string int)))
+    (case ^ ": storage counters") looped_counters batched_counters;
+  Alcotest.(check bool) (case ^ ": counters present") true (batched_counters <> [])
+
+let record4 = Result.get_ok (Rcm.Geometry.of_string "record:h=4")
+
+(* Ring, tree, xor and Symphony read in C; record:h=4 has no C walk,
+   so it reads through Store.read on both paths. *)
+let read_geometries =
+  [ Rcm.Geometry.Ring; Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.default_symphony;
+    record4 ]
+
+let test_record_reads_in_ocaml () =
+  Alcotest.(check int) "record:h=4 has no C walk" (-1)
+    (Routing.Sparse_router.walk_kind (build ~bits:8 record4))
+
+let test_batched_failure_sim_matches_read_loop () =
+  List.iter
+    (fun geometry ->
+      List.iter
+        (fun r ->
+          List.iter
+            (fun q ->
+              let cfg =
+                { (failure_config ~keys:16 ~reads:96 ~r ~rq:((r / 2) + 1) ()) with
+                  bits = 8; nodes = 100 }
+              in
+              check_read_paths
+                (Printf.sprintf "%s r=%d q=%g" (Rcm.Geometry.slug geometry) r q)
+                (fun () -> Storage.Failure_sim.run geometry cfg ~q ~seed:77))
+            [ 0.; 0.3; 0.9 ])
+        [ 1; 2; 4 ])
+    read_geometries
+
+let test_batched_churn_sim_matches_read_loop () =
+  List.iter
+    (fun geometry ->
+      List.iter
+        (fun r ->
+          List.iter
+            (fun session_mean ->
+              let cfg =
+                { (churn_config ~session_mean ()) with
+                  bits = 8; nodes = 100; quorum = Storage.Quorum.majority ~r }
+              in
+              check_read_paths
+                (Printf.sprintf "%s r=%d session %g" (Rcm.Geometry.slug geometry) r session_mean)
+                (fun () -> Storage.Churn_sim.run geometry cfg ~seed:78))
+            [ 1e6; 8.; 0.25 ])
+        [ 1; 2; 4 ])
+    read_geometries
+
+(* Every read comes from the one survivor, a holder of key 0: its own
+   copy answers locally, every other probe finds a dead holder, and
+   each repair's candidates are dead too. *)
+let test_batched_reads_one_survivor () =
+  List.iter
+    (fun geometry ->
+      List.iter
+        (fun r ->
+          check_read_paths
+            (Printf.sprintf "%s r=%d, one survivor" (Rcm.Geometry.slug geometry) r)
+            (fun () ->
+              let _, store = mk_store ~nodes:100 ~keys:16 ~r ~rq:1 geometry in
+              let survivor = (Storage.Store.initial_holders store 0).(0) in
+              let alive = Overlay.Failure.of_bool_array (Array.init 100 (( = ) survivor)) in
+              let rng = Prng.Splitmix.create ~seed:5 in
+              let tally = Storage.Store.tally () in
+              Storage.Store.read_batch store ~rng ~rank:(Overlay.Rank.create alive) tally 200;
+              ( tally,
+                Storage.Store.loads store,
+                Array.init 16 (Storage.Store.holders store),
+                Prng.Splitmix.state rng )))
+        [ 1; 2; 4 ])
+    read_geometries
+
+let test_read_batch_guards () =
+  let _, store = mk_store Rcm.Geometry.Ring in
+  let rng = Prng.Splitmix.create ~seed:1 and tally = Storage.Store.tally () in
+  let read_over nodes count () =
+    Storage.Store.read_batch store ~rng ~rank:(Overlay.Rank.create (Overlay.Failure.none nodes))
+      tally count
+  in
+  rejects "shorter mask" (read_over 63 1);
+  rejects "longer mask" (read_over 65 1);
+  rejects "negative count" (read_over 64 (-1));
+  read_over 64 0 ();
+  Alcotest.(check int) "nothing read" 0 tally.Storage.Store.attempted
+
 let suite =
   [
     ("ring placement = successor list", `Quick, test_ring_placement_is_successor_list);
@@ -698,4 +818,9 @@ let suite =
     ("sweep matches Leslie (Wilson CI)", `Slow, test_sweep_matches_leslie_within_wilson);
     ("sweep churn mode", `Quick, test_sweep_churn_mode_runs);
     ("checkpoint storage round trip", `Quick, test_checkpoint_storage_round_trip);
+    ("record reads stay in OCaml", `Quick, test_record_reads_in_ocaml);
+    ("batched failure sim = read loop", `Quick, test_batched_failure_sim_matches_read_loop);
+    ("batched churn sim = read loop", `Quick, test_batched_churn_sim_matches_read_loop);
+    ("batched reads, one survivor", `Quick, test_batched_reads_one_survivor);
+    ("read_batch guards", `Quick, test_read_batch_guards);
   ]
