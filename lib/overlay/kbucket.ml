@@ -7,19 +7,15 @@
    Storage is flat. Bucket [b = v * bits + level - 1] owns the contact
    slots [b * stride ..] of [contacts] and the cache slots
    [b * cache_stride ..] of [cache]; [len.(b)] and [cache_len.(b)] say
-   how many are in use. Every maintenance step moves ints within those
-   slots one store at a time: the arrays live in the major heap, where
-   [Array.blit] would pass every element through [caml_modify], while
-   a store typed [int] needs no write barrier. Scans are loops over
-   [int array]s, so they compare ints directly and build no closure;
-   the churn hot path allocates nothing. *)
+   how many are in use. The hooks that change buckets (observe,
+   maintain, the bucket draws) are C loops over these arrays
+   (kbucket_stubs.c), which store immediates: no write barrier, no
+   allocation. The field order is the C side's: keep them in step. *)
 
 type t = {
-  space : Idspace.Space.t;
   bits : int;
   nodes : int;
   k : int;
-  cache_k : int;
   stride : int;
   cache_stride : int;
   contacts : int array;
@@ -28,32 +24,43 @@ type t = {
   cache_len : int array;
 }
 
-type maintenance =
-  | No_contact
-  | Refreshed of int
-  | Evicted of { dead : int; promoted : int option }
+external build_buckets : t -> Prng.Splitmix.t -> unit = "rcm_kbucket_build" [@@noalloc]
 
-let space t = t.space
+external rebuild : t -> Prng.Splitmix.t -> int -> int -> Bitset.words option -> unit
+  = "rcm_kbucket_rebuild"
+[@@noalloc]
+
+external rejoin_node : t -> Prng.Splitmix.t -> int -> Bitset.words -> unit
+  = "rcm_kbucket_rejoin"
+[@@noalloc]
+
+external observe_contact : t -> int -> int -> unit = "rcm_kbucket_observe" [@@noalloc]
+
+external maintain_node : t -> int -> Bitset.words -> unit = "rcm_kbucket_maintain"
+[@@noalloc]
 
 let bits t = t.bits
 
 let node_count t = t.nodes
 
-let k t = t.k
-
-let cache_k t = t.cache_k
-
+(* [min k (2^(bits-level))]: the candidate-set bound on bucket size. *)
 let capacity t ~level =
   let candidates = 1 lsl (t.bits - level) in
   if t.k < candidates then t.k else candidates
 
-(* Explicit range checks: a flat layout would otherwise let an
-   out-of-range node or contact address a neighbour's slots. *)
+(* Explicit range checks, since the C hooks check nothing: a flat
+   layout would otherwise let an out-of-range node or contact address
+   a neighbour's slots, and the hooks read the mask word of every
+   contact they test. *)
 let check_node t fn v =
   if v < 0 || v >= t.nodes then invalid_arg (fn ^ ": node outside 0..2^bits-1")
 
 let check_level t fn level =
   if level < 1 || level > t.bits then invalid_arg (fn ^ ": level outside 1..bits")
+
+let check_mask t fn alive =
+  if Bitset.length alive <> t.nodes then
+    invalid_arg (fn ^ ": alive mask does not cover 2^bits nodes")
 
 let bucket_index t fn v level =
   check_node t fn v;
@@ -75,61 +82,10 @@ let cache t v level =
   let b = bucket_index t "Kbucket.cache" v level in
   Array.sub t.cache (b * t.cache_stride) t.cache_len.(b)
 
-(* Position of [id] among the [n] entries of [a] starting at [off], or
-   -1. *)
-let index_of (a : int array) off n id =
-  let i = ref 0 in
-  while !i < n && a.(off + !i) <> id do
-    incr i
-  done;
-  if !i < n then !i else -1
-
-(* One rejection draw for bucket slot [filled]: a suffix already taken
-   is redrawn without counting an attempt; a dead candidate is retried
-   up to 8 times, then accepted. For a fixed prefix, id and suffix are
-   in bijection, so scanning the ids written so far is the same test as
-   remembering the drawn suffixes. *)
-let rec draw ~alive rng contacts ~off ~filled ~prefix ~candidates attempts =
-  let id = prefix lor Prng.Splitmix.int rng candidates in
-  if index_of contacts off filled id >= 0 then
-    draw ~alive rng contacts ~off ~filled ~prefix ~candidates attempts
-  else
-    match alive with
-    | Some is_alive when attempts < 8 && not (is_alive id) ->
-        draw ~alive rng contacts ~off ~filled ~prefix ~candidates (attempts + 1)
-    | Some _ | None -> id
-
-(* All candidates for the level bucket of v share v's first level-1
-   bits and differ on bit [level]; there are 2^(bits-level) of them.
-   When the candidate set is small we enumerate it; otherwise we draw k
-   distinct random suffixes by rejection (k << candidates). With
-   [?alive] a dead draw is retried up to 8 times before being accepted,
-   so redraws under churn prefer live contacts without ever spinning on
-   a mostly-dead population. Writes straight into the bucket's slots. *)
-let sample_bucket ?alive t rng v ~level =
-  let b = (v * t.bits) + level - 1 in
-  let off = b * t.stride in
-  let candidates = 1 lsl (t.bits - level) in
-  let prefix = (v lxor candidates) land lnot (candidates - 1) in
-  if candidates <= t.k then begin
-    for suffix = 0 to candidates - 1 do
-      t.contacts.(off + suffix) <- prefix lor suffix
-    done;
-    t.len.(b) <- candidates
-  end
-  else begin
-    for filled = 0 to t.k - 1 do
-      t.contacts.(off + filled) <-
-        draw ~alive rng t.contacts ~off ~filled ~prefix ~candidates 0
-    done;
-    t.len.(b) <- t.k
-  end
-
 let build ?(rng = Prng.Splitmix.create ~seed:0xb0cce) ?(cache_k = 0) ~bits ~k () =
   if k < 1 then invalid_arg "Kbucket.build: k < 1";
   if cache_k < 0 then invalid_arg "Kbucket.build: cache_k < 0";
-  let space = Idspace.Space.create ~bits in
-  let nodes = Idspace.Space.size space in
+  let nodes = Idspace.Space.size (Idspace.Space.create ~bits) in
   (* No bucket holds more than the 2^(bits-1) level-1 candidates, so a
      huge k or cache_k costs no more than that per slot. *)
   let widest = 1 lsl (bits - 1) in
@@ -137,11 +93,9 @@ let build ?(rng = Prng.Splitmix.create ~seed:0xb0cce) ?(cache_k = 0) ~bits ~k ()
   let buckets = nodes * bits in
   let t =
     {
-      space;
       bits;
       nodes;
       k;
-      cache_k;
       stride;
       cache_stride;
       contacts = Array.make (buckets * stride) 0;
@@ -150,107 +104,52 @@ let build ?(rng = Prng.Splitmix.create ~seed:0xb0cce) ?(cache_k = 0) ~bits ~k ()
       cache_len = Array.make buckets 0;
     }
   in
-  for v = 0 to nodes - 1 do
-    for level = 1 to bits do
-      sample_bucket t rng v ~level
-    done
-  done;
+  build_buckets t rng;
   t
 
 let rebuild_bucket ?alive t rng v ~level =
-  let b = bucket_index t "Kbucket.rebuild_bucket" v level in
-  sample_bucket ?alive t rng v ~level;
-  t.cache_len.(b) <- 0
+  ignore (bucket_index t "Kbucket.rebuild_bucket" v level);
+  let words =
+    Option.map
+      (fun mask ->
+        check_mask t "Kbucket.rebuild_bucket" mask;
+        Bitset.words mask)
+      alive
+  in
+  rebuild t rng v level words
 
-let iter_contacts t v f =
-  check_node t "Kbucket.iter_contacts" v;
-  for b = v * t.bits to ((v + 1) * t.bits) - 1 do
-    let off = b * t.stride in
-    for i = 0 to t.len.(b) - 1 do
-      f t.contacts.(off + i)
-    done
-  done
-
-(* Moves the [count] entries after slot [dst] down by one slot. *)
-let shift_down (a : int array) dst count =
-  for j = dst to dst + count - 1 do
-    a.(j) <- a.(j + 1)
-  done
-
-(* Moves entry [i] of the [n] entries at [off] to the tail, keeping the
-   others in order. *)
-let move_to_tail (a : int array) off n i =
-  let x = a.(off + i) in
-  shift_down a (off + i) (n - i - 1);
-  a.(off + n - 1) <- x
+let rejoin t rng ~alive v =
+  check_node t "Kbucket.rejoin" v;
+  check_mask t "Kbucket.rejoin" alive;
+  rejoin_node t rng v (Bitset.words alive)
 
 let observe t v id =
   check_node t "Kbucket.observe" v;
   check_node t "Kbucket.observe" id;
-  if v <> id then begin
-    let level = t.bits - Idspace.Id.floor_log2 (v lxor id) in
-    let b = (v * t.bits) + level - 1 in
-    let off = b * t.stride and n = t.len.(b) in
-    let i = index_of t.contacts off n id in
-    if i >= 0 then move_to_tail t.contacts off n i
-    else if n < capacity t ~level then begin
-      t.contacts.(off + n) <- id;
-      t.len.(b) <- n + 1
-    end
-    else if t.cache_k > 0 then begin
-      let coff = b * t.cache_stride and m = t.cache_len.(b) in
-      let j = index_of t.cache coff m id in
-      if j >= 0 then move_to_tail t.cache coff m j
-      else if m < t.cache_stride then begin
-        t.cache.(coff + m) <- id;
-        t.cache_len.(b) <- m + 1
-      end
-      else begin
-        (* Full cache: the oldest entry drops out at the head. *)
-        shift_down t.cache coff (m - 1);
-        t.cache.(coff + m - 1) <- id
-      end
-    end
-  end
-
-(* Ping-before-evict on the head of non-empty bucket [b], whose liveness
-   the caller has already probed: a live head rotates to the tail; a
-   dead one is dropped and the cache's newest entry, if any, takes the
-   freed tail slot. *)
-let ping_head t b ~head_alive =
-  let off = b * t.stride and n = t.len.(b) in
-  let head = t.contacts.(off) in
-  shift_down t.contacts off (n - 1);
-  if head_alive then t.contacts.(off + n - 1) <- head
-  else begin
-    let m = t.cache_len.(b) in
-    if m = 0 then t.len.(b) <- n - 1
-    else begin
-      t.contacts.(off + n - 1) <- t.cache.((b * t.cache_stride) + m - 1);
-      t.cache_len.(b) <- m - 1
-    end
-  end
-
-let ping_evict t v ~level ~alive =
-  let b = bucket_index t "Kbucket.ping_evict" v level in
-  if t.len.(b) = 0 then No_contact
-  else begin
-    let head = t.contacts.(b * t.stride) in
-    let head_alive = alive head in
-    let promoted =
-      let m = t.cache_len.(b) in
-      if head_alive || m = 0 then None
-      else Some t.cache.((b * t.cache_stride) + m - 1)
-    in
-    ping_head t b ~head_alive;
-    if head_alive then Refreshed head else Evicted { dead = head; promoted }
-  end
+  observe_contact t v id
 
 let maintain t v ~alive =
   check_node t "Kbucket.maintain" v;
-  for b = v * t.bits to ((v + 1) * t.bits) - 1 do
-    if t.len.(b) > 0 then ping_head t b ~head_alive:(alive t.contacts.(b * t.stride))
-  done
+  check_mask t "Kbucket.maintain" alive;
+  maintain_node t v (Bitset.words alive)
+
+let stale_slots t ~alive =
+  check_mask t "Kbucket.stale_slots" alive;
+  let stale = ref 0 and total = ref 0 in
+  for v = 0 to t.nodes - 1 do
+    if Bitset.unsafe_get alive v then
+      for level = 1 to t.bits do
+        let b = (v * t.bits) + level - 1 in
+        let off = b * t.stride and n = t.len.(b) in
+        let capacity = capacity t ~level in
+        total := !total + capacity;
+        stale := !stale + capacity - n;
+        for i = off to off + n - 1 do
+          if not (Bitset.unsafe_get alive t.contacts.(i)) then incr stale
+        done
+      done
+  done;
+  (!stale, !total)
 
 let invariant_violation t =
   let fail = ref None in
@@ -260,7 +159,7 @@ let invariant_violation t =
       let contacts = bucket t v level and cached = cache t v level in
       if Array.length contacts > capacity t ~level then
         note (Printf.sprintf "node %d level %d: over capacity" v level);
-      if Array.length cached > t.cache_k then
+      if Array.length cached > t.cache_stride then
         note (Printf.sprintf "node %d level %d: cache over bound" v level);
       let entries = Array.append contacts cached in
       Array.iteri
@@ -273,7 +172,7 @@ let invariant_violation t =
             note
               (Printf.sprintf "node %d level %d: contact %d belongs to another bucket" v
                  level id);
-          if index_of entries 0 i id >= 0 then
+          if Array.exists (( = ) id) (Array.sub entries 0 i) then
             note (Printf.sprintf "node %d level %d: duplicate %d" v level id))
         entries
     done

@@ -5,47 +5,37 @@
 
     Buckets carry the maintenance discipline of real Kademlia
     implementations: contacts stay in least-recently-seen order (head
-    at index 0, most recently seen at the tail), {!ping_evict} applies
-    ping-before-evict to the head, and each bucket keeps a bounded
-    replacement cache whose most-recently-seen entry is promoted when a
-    dead head is evicted.
+    at index 0, most recently seen at the tail), {!maintain} applies
+    ping-before-evict to each bucket's head, and each bucket keeps a
+    bounded replacement cache whose most-recently-seen entry is
+    promoted when a dead head is evicted.
 
     Contacts and caches live in flat [int] arrays, one fixed run of
-    slots per bucket, so maintenance rotates, evicts and promotes in
-    place, one [int] store at a time (an [Array.blit] into these
-    major-heap arrays would pass every element through the write
-    barrier), and scans compare [int]s in a loop: {!observe},
-    {!maintain} and {!rebuild_bucket} allocate nothing, and
-    {!ping_evict} only its result. A caller on a hot path should build
-    its [alive] predicate, and the option {!rebuild_bucket} takes, once
-    rather than per call.
+    slots per bucket. The hooks that change them — {!observe},
+    {!maintain} and the bucket draw shared by {!build},
+    {!rebuild_bucket} and {!rejoin} — are C loops over those arrays
+    that store immediates, so they allocate nothing and pass nothing
+    through the write barrier. Liveness is an alive mask
+    ({!Failure.t}), read one word per contact, not a closure. The
+    draws are [Prng.Splitmix.int]'s, and the generator's state is
+    written back after each drawing call.
 
     Used by the replication experiments (A5) and the churn simulators;
     the basic single-contact tables live in {!Table}. *)
 
 type t
 
-type maintenance =
-  | No_contact  (** The bucket is empty. *)
-  | Refreshed of int  (** Live head, moved to the tail. *)
-  | Evicted of { dead : int; promoted : int option }
-      (** Dead head evicted; [promoted] is the replacement-cache entry
-          appended at the tail, if the cache had one. *)
-
 val build :
   ?rng:Prng.Splitmix.t -> ?cache_k:int -> bits:int -> k:int -> unit -> t
-(** [cache_k] bounds each bucket's replacement cache (default [0]: no
+(** Draws every bucket, node-major and level-ascending. A bucket with
+    no more candidates than [k] holds all of them in suffix order, with
+    no draw; a larger one draws [k] distinct suffixes by rejection.
+    [cache_k] bounds each bucket's replacement cache (default [0]: no
     cache, matching the static experiments).
     @raise Invalid_argument when [k < 1] or [cache_k < 0]. *)
 
-val space : t -> Idspace.Space.t
 val bits : t -> int
 val node_count : t -> int
-val k : t -> int
-val cache_k : t -> int
-
-val capacity : t -> level:int -> int
-(** [min k (2^(bits-level))] — the candidate-set bound on bucket size. *)
 
 val length : t -> int -> int -> int
 (** [length t v level] is the number of contacts in [v]'s bucket for
@@ -57,9 +47,8 @@ val contact : t -> int -> int -> int -> int
 (** [contact t v level i] is the [i]-th contact of that bucket,
     least-recently-seen first — [(bucket t v level).(i)] without the
     copy. Together with {!length} it is the allocation-free read path
-    for routing and staleness scans; the value is read at call time, so
-    a later {!observe}/{!ping_evict}/{!rebuild_bucket} is seen by the
-    next call.
+    for routing; the value is read at call time, so a later change to
+    the bucket is seen by the next call.
     @raise Invalid_argument when [v], [level] or [i] is out of range. *)
 
 val bucket : t -> int -> int -> int array
@@ -80,30 +69,39 @@ val observe : t -> int -> int -> unit
     @raise Invalid_argument when [v] or [id] is outside
     [0 .. 2^bits - 1]. *)
 
-val ping_evict : t -> int -> level:int -> alive:(int -> bool) -> maintenance
-(** One ping-before-evict step on the bucket head: a live head is
-    refreshed to the tail; a dead head is evicted and the cache's
-    most-recently-seen entry promoted in its place.
-    @raise Invalid_argument when [v] or the level is out of range. *)
+val maintain : t -> int -> alive:Failure.t -> unit
+(** One ping-before-evict pass over every non-empty bucket of node
+    [v], level-ascending: a live head is refreshed to the tail; a dead
+    head is evicted and the cache's most-recently-seen entry, if any,
+    is appended in its place.
+    @raise Invalid_argument when [v] is out of range or [alive] does
+    not cover exactly [2^bits] nodes. *)
 
-val maintain : t -> int -> alive:(int -> bool) -> unit
-(** One {!ping_evict} pass over every bucket of node [v].
-    @raise Invalid_argument when [v] is out of range. *)
-
-val rebuild_bucket :
-  ?alive:(int -> bool) -> t -> Prng.Splitmix.t -> int -> level:int -> unit
+val rebuild_bucket : ?alive:Failure.t -> t -> Prng.Splitmix.t -> int -> level:int -> unit
 (** Redraws one bucket — a routing-table repair action under churn —
     and clears its replacement cache. With [?alive], each draw retries
     a dead candidate up to 8 times, preferring live contacts. A suffix
     already drawn is redrawn without counting as a retry, so the draws
     match {!build}'s for the same generator state.
-    @raise Invalid_argument when [v] or the level is out of range. *)
+    @raise Invalid_argument when [v] or the level is out of range, or
+    [alive] does not cover exactly [2^bits] nodes. *)
 
-val iter_contacts : t -> int -> (int -> unit) -> unit
-(** Iterates over every contact of a node, all buckets in level order
-    (caches excluded). [f] may update other nodes' buckets but not
-    [v]'s own.
-    @raise Invalid_argument when [v] is out of range. *)
+val rejoin : t -> Prng.Splitmix.t -> alive:Failure.t -> int -> unit
+(** A rejoining node's bootstrap: [rebuild_bucket ~alive] on every
+    level of [v] in ascending order, then [observe t c v] for each live
+    contact [c] of [v], buckets in level order and each bucket head
+    first. The announce is what seeds the contacts' buckets and
+    replacement caches with the returned node.
+    @raise Invalid_argument when [v] is out of range or [alive] does
+    not cover exactly [2^bits] nodes. *)
+
+val stale_slots : t -> alive:Failure.t -> int * int
+(** [(stale, total)] over the buckets of the live nodes: [total] sums
+    their capacities, [min k (2^(bits-level))] each, and [stale] counts
+    their dead contacts plus the slots eviction left empty, since a
+    missing contact is as useless to the router as a dead one.
+    @raise Invalid_argument when [alive] does not cover exactly
+    [2^bits] nodes. *)
 
 val invariant_violation : t -> string option
 (** [None] when every bucket satisfies the structural invariants

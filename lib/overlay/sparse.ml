@@ -45,6 +45,11 @@ let lower_bound_in (ids : int array) lo hi (target : int) =
 
 let lower_bound t target = lower_bound_in t.ids 0 (Array.length t.ids) target
 
+let lower_bound_within t ~lo ~hi target =
+  if lo < 0 || lo > hi || hi > Array.length t.ids then
+    invalid_arg "Sparse.lower_bound_within: range outside 0..node_count";
+  lower_bound_in t.ids lo hi target
+
 (* Index of the first node clockwise from [target] (inclusive),
    wrapping past the top of the ring. *)
 let successor_index t target =

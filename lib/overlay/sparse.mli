@@ -84,6 +84,11 @@ val lower_bound : t -> int -> int
 (** First index whose id is >= the target; [node_count] when none.
     Allocates nothing. *)
 
+val lower_bound_within : t -> lo:int -> hi:int -> int -> int
+(** {!lower_bound} over the index range [\[lo, hi)] only: the first
+    index there whose id is >= the target; [hi] when none.
+    @raise Invalid_argument unless [0 <= lo <= hi <= node_count]. *)
+
 val prefix_range : t -> pattern:int -> prefix_len:int -> int * int
 (** Half-open index range of nodes sharing the prefix of [pattern]. *)
 

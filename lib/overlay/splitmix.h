@@ -50,6 +50,14 @@ static inline intnat splitmix_int(uint64_t *state, intnat bound)
   return v % bound;
 }
 
+/* Prng.Splitmix.int at a power-of-two bound, [mask] = bound - 1: the
+   rejection limit there is max62 itself, so no draw is rejected, and
+   the reduction is a mask instead of a division. */
+static inline intnat splitmix_int_pow2(uint64_t *state, intnat mask)
+{
+  return (intnat)(splitmix_next(state) >> 2) & mask;
+}
+
 /* Prng.Splitmix.float: the draw's top 53 bits times 2^-53. */
 static inline double splitmix_float(uint64_t *state)
 {

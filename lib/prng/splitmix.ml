@@ -54,16 +54,25 @@ let bits62_at state k =
   let z = Int64.add state (Int64.mul (Int64.of_int (k + 1)) golden_gamma) in
   Int64.to_int (Int64.shift_right_logical (mix z) 2)
 
-(* Unbiased bounded integers by rejection on the top chunk. *)
+(* Unbiased bounded integers by rejection on the top chunk: a draw
+   above max62 - ((max62 mod bound) + 1) mod bound is drawn again. That
+   limit is never below max62 - bound + 1, so a draw at or below
+   max62 - bound is accepted without computing it, as splitmix.h does:
+   the two divisions are paid only for draws within [bound] of the
+   top. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Splitmix.int: non-positive bound";
   let max62 = (1 lsl 62) - 1 in
-  let limit = max62 - (((max62 mod bound) + 1) mod bound) in
-  let v = ref (bits62 t) in
-  while !v > limit do
-    v := bits62 t
-  done;
-  !v mod bound
+  let v = bits62 t in
+  if v <= max62 - bound then v mod bound
+  else begin
+    let limit = max62 - (((max62 mod bound) + 1) mod bound) in
+    let v = ref v in
+    while !v > limit do
+      v := bits62 t
+    done;
+    !v mod bound
+  end
 
 let int_in_range t ~lo ~hi =
   if lo > hi then invalid_arg "Splitmix.int_in_range: empty range"

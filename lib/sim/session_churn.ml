@@ -91,12 +91,21 @@ and measure_event = 3
    order, which every caller's output depends on. *)
 let drive ~rng ~alive ~session ~gap ~maintenance ~warmup ~measurements ~spacing ~rejoin
     ~measure =
-  let queue = Event_queue.create () in
+  (* Maintenance ticks ride the queue's periodic lane, which re-arms
+     each one [interval] later as it pops, with the next sequence
+     number: the one a re-add right after the pop would take. *)
+  let queue =
+    match maintenance with
+    | Some (interval, _) -> Event_queue.create ~interval ()
+    | None -> Event_queue.create ()
+  in
   for v = 0 to Overlay.Failure.length alive - 1 do
     Event_queue.add queue ~time:(Lifetime.draw session rng) ((4 * v) + depart);
     match maintenance with
     | Some (interval, _) ->
-        Event_queue.add queue ~time:(Prng.Splitmix.float rng *. interval) ((4 * v) + maintain)
+        Event_queue.add_periodic queue
+          ~time:(Prng.Splitmix.float rng *. interval)
+          ((4 * v) + maintain)
     | None -> ()
   done;
   for i = 0 to measurements - 1 do
@@ -122,9 +131,7 @@ let drive ~rng ~alive ~session ~gap ~maintenance ~warmup ~measurements ~spacing 
         end
         else if kind = maintain then begin
           match maintenance with
-          | Some (interval, tick) ->
-              if Overlay.Failure.get alive v then tick v;
-              Event_queue.add queue ~time:(time +. interval) ((4 * v) + maintain)
+          | Some (_, tick) -> if Overlay.Failure.get alive v then tick v
           | None -> ()
         end
         else measure time;
@@ -157,28 +164,13 @@ let redraw_shortcut rng ~alive ~size v =
   !candidate
 
 (* Stale fraction of the k-bucket overlay, counted against bucket
-   *capacity*: a slot emptied by eviction is exactly as useless to the
-   router as a dead contact, so missing entries count as stale. This
-   keeps the static prediction at q = stale honest for tables that
-   shrink under churn. *)
+   *capacity* ([Kbucket.stale_slots]): a slot emptied by eviction is
+   exactly as useless to the router as a dead contact, so missing
+   entries count as stale. This keeps the static prediction at
+   q = stale honest for tables that shrink under churn. *)
 let bucket_staleness table ~alive =
-  let bits = Overlay.Kbucket.bits table in
-  let n = Overlay.Kbucket.node_count table in
-  let stale = ref 0 and total = ref 0 in
-  for v = 0 to n - 1 do
-    if Overlay.Failure.get alive v then
-      for level = 1 to bits do
-        let capacity = Overlay.Kbucket.capacity table ~level in
-        let len = Overlay.Kbucket.length table v level in
-        total := !total + capacity;
-        stale := !stale + (capacity - len);
-        for i = 0 to len - 1 do
-          if not (Overlay.Failure.get alive (Overlay.Kbucket.contact table v level i)) then
-            incr stale
-        done
-      done
-  done;
-  if !total = 0 then 0.0 else float_of_int !stale /. float_of_int !total
+  let stale, total = Overlay.Kbucket.stale_slots table ~alive in
+  if total = 0 then 0.0 else float_of_int stale /. float_of_int total
 
 let matrix_staleness ~alive ~near_slots neighbors =
   let stale = [| 0; 0 |] in
@@ -255,19 +247,6 @@ let measure cfg ~profile rng ~alive ~tables ~time =
     static_prediction;
   }
 
-(* A rejoining xor node rebuilds its own buckets (alive-preferring
-   draws, caches cleared) and announces itself to the live contacts it
-   just acquired — the announce is what seeds *their* buckets and
-   replacement caches with the returned node, mirroring a real Kademlia
-   bootstrap lookup. [prefer_alive] is [Some] of the run's liveness
-   predicate, built once per run rather than once per bucket. *)
-let rejoin_xor table rng ~alive ~prefer_alive v =
-  for level = 1 to Overlay.Kbucket.bits table do
-    Overlay.Kbucket.rebuild_bucket ?alive:prefer_alive table rng v ~level
-  done;
-  Overlay.Kbucket.iter_contacts table v (fun c ->
-      if Overlay.Failure.get alive c then Overlay.Kbucket.observe table c v)
-
 let rejoin_matrix cfg ~profile rng ~alive ~neighbors v =
   match (cfg.geometry, profile) with
   | Rcm.Geometry.Symphony { k_n; _ }, _ ->
@@ -291,10 +270,10 @@ let rejoin_matrix cfg ~profile rng ~alive ~neighbors v =
    candidate is drawn and, when live, observed, which is how buckets
    emptied by eviction regain contacts once their cache has drained.
    Symphony: dead shortcuts are redrawn in place. *)
-let maintain_node cfg ~profile rng ~alive ~is_alive ~tables ~refresh_level v =
+let maintain_node cfg ~profile rng ~alive ~tables ~refresh_level v =
   match tables with
   | Buckets table ->
-      Overlay.Kbucket.maintain table v ~alive:is_alive;
+      Overlay.Kbucket.maintain table v ~alive;
       let bits = cfg.bits in
       let level = (refresh_level.(v) mod bits) + 1 in
       refresh_level.(v) <- refresh_level.(v) + 1;
@@ -346,10 +325,6 @@ let run cfg =
         Matrix { neighbors; table }
   in
   let alive = Overlay.Failure.none n in
-  (* The xor hooks' liveness predicate and its option, built once: made
-     per rejoin or tick they would allocate on every event. *)
-  let is_alive = Overlay.Failure.get alive in
-  let prefer_alive = Some is_alive in
   let refresh_level = Array.make n 0 in
   let maintained =
     match (cfg.geometry, profile) with
@@ -361,12 +336,16 @@ let run cfg =
     if maintained then
       Some
         ( cfg.maintenance_interval,
-          maintain_node cfg ~profile rng ~alive ~is_alive ~tables ~refresh_level )
+          maintain_node cfg ~profile rng ~alive ~tables ~refresh_level )
     else None
   in
   let rejoin v =
     match tables with
-    | Buckets table -> rejoin_xor table rng ~alive ~prefer_alive v
+    | Buckets table ->
+        (* Alive-preferring bucket redraws, caches cleared, then the
+           self-announce that seeds the new contacts' buckets with the
+           returned node, as a Kademlia bootstrap lookup would. *)
+        Overlay.Kbucket.rejoin table rng ~alive v
     | Matrix { neighbors; _ } -> rejoin_matrix cfg ~profile rng ~alive ~neighbors v
   in
   let out = ref [] in

@@ -137,7 +137,8 @@ val drive :
     calls [rejoin v], then draws the next session. A maintenance event
     calls [tick v] only if [v] is alive and always reschedules itself
     [interval] later, so the schedule never depends on the alive
-    pattern's history. [measure time] runs at [warmup + i * spacing]
+    pattern's history (the ticks ride {!Event_queue}'s periodic lane,
+    which re-arms each as it pops). [measure time] runs at [warmup + i * spacing]
     for [i < measurements]. Every draw comes from [rng], in event
     order. *)
 

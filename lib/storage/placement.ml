@@ -15,43 +15,52 @@ let successor_set o ~key ~count =
   Array.init count (fun k -> (first + k) mod n)
 
 (* Neighbourhood placement: the [count] nodes XOR-closest to the key,
-   found by trie descent over the sorted id array. At prefix depth
-   [level] the nodes sharing the key's [level]-bit prefix form one
-   contiguous index range; every node in the half that matches the
-   key's next bit is XOR-closer than any node in the other half, so we
-   recurse near-half first and fill the remainder from the far half.
-   O(count · bits) range lookups, each O(log n). *)
+   found by trie descent over the sorted id array. The nodes whose ids
+   share a [level]-bit prefix form one contiguous index range [lo, hi),
+   and one search bounded to that range splits it at the next bit.
+   Every node in the half that matches the key's next bit is XOR-closer
+   than any node in the other half, so we recurse near-half first and
+   fill the remainder from the far half. A descent takes at most [bits]
+   splits plus one per node taken, each a binary search within its
+   parent's range. *)
 let closest_set o ~key ~count =
-  let bits = Overlay.Sparse.bits o in
+  let bits = Overlay.Sparse.bits o and ids = Overlay.Sparse.ids o in
   let acc = Array.make count 0 in
   let filled = ref 0 in
-  let take lo hi =
-    for i = lo to hi - 1 do
-      acc.(!filled) <- i;
-      incr filled
-    done
-  in
-  let rec go pattern level need =
+  (* [prefix] holds the range's shared top [level] bits, zeros below. *)
+  let rec go prefix level lo hi need =
     if need > 0 then begin
-      let lo, hi = Overlay.Sparse.prefix_range o ~pattern ~prefix_len:level in
-      let size = hi - lo in
-      if size <= need then take lo hi
+      if hi - lo <= need then
+        for i = lo to hi - 1 do
+          acc.(!filled) <- i;
+          incr filled
+        done
       else begin
-        let next = level + 1 in
-        let bit = 1 lsl (bits - next) in
-        let near = pattern land lnot bit lor (key land bit) in
+        (* More nodes than [need], so at least two distinct ids: the
+           prefix is shorter than [bits]. *)
+        let bit = 1 lsl (bits - level - 1) in
+        let upper = prefix lor bit in
+        let mid = Overlay.Sparse.lower_bound_within o ~lo ~hi upper in
         let before = !filled in
-        go near next need;
-        go (near lxor bit) next (need - (!filled - before))
+        if key land bit = 0 then begin
+          go prefix (level + 1) lo mid need;
+          go upper (level + 1) mid hi (need - (!filled - before))
+        end
+        else begin
+          go upper (level + 1) mid hi need;
+          go prefix (level + 1) lo mid (need - (!filled - before))
+        end
       end
     end
   in
-  go key 0 count;
-  (* Subtree collection preserves index order, not distance order;
-     sort by XOR distance to the key (ids are distinct, so no ties). *)
-  let dist i = Idspace.Id.xor_distance (Overlay.Sparse.id_of o i) key in
-  Array.sort (fun a b -> compare (dist a) (dist b)) acc;
-  acc
+  go 0 0 0 (Array.length ids) count;
+  (* Subtree collection preserves index order, not distance order.
+     Ids are distinct, so distances are too, and each distance
+     (< 2^bits) packs above its index (< 2^bits) into one int, bits
+     <= 30: sorting the packed ints sorts by distance. *)
+  let packed = Array.map (fun i -> ((ids.(i) lxor key) lsl bits) lor i) acc in
+  Array.sort Int.compare packed;
+  Array.map (fun p -> p land ((1 lsl bits) - 1)) packed
 
 (* Custom-family placement styles: a plugin picks which of the two
    placement structures its family uses (the structures themselves are

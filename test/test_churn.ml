@@ -138,6 +138,77 @@ let queue_interleaved_matches_model =
         ops
       && Sim.Event_queue.size q = List.length !model)
 
+(* One-shot events, periodic ticks and pops on a 0.25 grid with a 0.5
+   interval, so ticks tie with ticks, with one-shot events and with
+   their own re-arms. The model is the sorted list again; a popped tick
+   goes back in at its time plus the interval with the next sequence
+   number, as a caller re-adding it right after the pop would. Ticks
+   added late or far apart exercise the lane's re-sort. *)
+type lane_op = One_shot of int | Tick of int | Pop
+
+let interval = 0.5
+
+let periodic_lane_matches_model =
+  qcheck "periodic lane + heap match a sorted-list model"
+    QCheck2.Gen.(
+      list_size (int_range 0 300)
+        (frequency
+           [
+             (2, map (fun t -> One_shot t) (int_range 0 12));
+             (2, map (fun t -> Tick t) (int_range 0 12));
+             (5, pure Pop);
+           ]))
+    (fun ops ->
+      let q = Sim.Event_queue.create ~interval () in
+      (* Model entries: (time, payload, periodic) in pop order; a new
+         entry has the largest sequence number, so it goes after every
+         entry at its time. *)
+      let model = ref [] in
+      let insert time payload periodic =
+        let rec go = function
+          | [] -> [ (time, payload, periodic) ]
+          | ((t', _, _) :: _ as rest) when t' > time -> (time, payload, periodic) :: rest
+          | x :: rest -> x :: go rest
+        in
+        model := go !model
+      in
+      let payload = ref 0 in
+      let add push t periodic =
+        let time = 0.25 *. float_of_int t in
+        incr payload;
+        push ~time !payload;
+        insert time !payload periodic;
+        true
+      in
+      List.for_all
+        (function
+          | One_shot t -> add (Sim.Event_queue.add q) t false
+          | Tick t -> add (Sim.Event_queue.add_periodic q) t true
+          | Pop -> (
+              match (pop_event q, !model) with
+              | None, [] -> true
+              | Some (time, p), (time', p', periodic) :: rest ->
+                  model := rest;
+                  if periodic then insert (time' +. interval) p' true;
+                  time = time' && p = p'
+              | None, _ :: _ | Some _, [] -> false))
+        ops
+      && Sim.Event_queue.size q = List.length !model)
+
+let test_queue_rejects_bad_interval () =
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises (Printf.sprintf "interval %g" interval)
+        (Invalid_argument "Event_queue.create: interval must be positive and finite")
+        (fun () -> ignore (Sim.Event_queue.create ~interval ())))
+    [ 0.0; -0.0; -1.0; nan; infinity; neg_infinity ];
+  let q = Sim.Event_queue.create () in
+  Alcotest.check_raises "no lane" (Invalid_argument "Event_queue.add_periodic: no interval")
+    (fun () -> Sim.Event_queue.add_periodic q ~time:0.0 0);
+  let q = Sim.Event_queue.create ~interval:1.0 () in
+  Alcotest.check_raises "nan tick" (Invalid_argument "Event_queue.add_periodic: nan time")
+    (fun () -> Sim.Event_queue.add_periodic q ~time:nan 0)
+
 (* --- Lifetime distributions ------------------------------------------------- *)
 
 let test_lifetime_of_string () =
@@ -752,4 +823,6 @@ let suite =
     ("curves deterministic across pools", `Slow, test_curves_deterministic_across_pools);
     ("curves checkpoint replay", `Slow, test_curves_checkpoint_replay);
     ("checkpoint churn round trip", `Quick, test_checkpoint_churn_round_trip);
+    periodic_lane_matches_model;
+    ("event queue rejects a bad interval", `Quick, test_queue_rejects_bad_interval);
   ]

@@ -680,4 +680,13 @@ let suite =
         check_golden (storage_sessions_args @ [ "--no-batch" ]) "storage-smoke-sessions-2-8.csv");
       ("golden storage sparse regime d16 --no-batch", `Quick,
         check_golden (storage_sparse_args @ [ "--no-batch" ]) "storage-sparse-d16.csv");
+      (* Paths the smoke golden does not reach: k = 8 enumerates the
+         four deepest xor buckets, there is no replacement cache, ticks
+         come every half unit, and sessions are heavy-tailed. *)
+      ("golden churn -d 9 pareto sessions, no cache", `Quick,
+        check_golden
+          [ "churn"; "-d"; "9"; "--sessions"; "2,8"; "-k"; "8"; "--cache"; "0"; "--maintain";
+            "0.5"; "--session-dist"; "pareto:1.5"; "--measurements"; "2"; "--pairs"; "200";
+            "--json"; "--seed"; "11" ]
+          "churn-d9-pareto-nocache-seed11.jsonl");
     ]

@@ -188,31 +188,32 @@ let test_bucket_cache_promotion () =
   (* Re-observing a cached entry moves it to the newest slot. *)
   Overlay.Kbucket.observe t v c2;
   Alcotest.(check (array int)) "cache LRU refresh" [| c3; c2 |] (Overlay.Kbucket.cache t v 1);
-  (* Kill the head: ping-before-evict must evict it and promote the
-     most-recently-seen cache entry (c2) to the bucket tail. *)
-  let head = (Overlay.Kbucket.bucket t v 1).(0) in
-  (match Overlay.Kbucket.ping_evict t v ~level:1 ~alive:(fun id -> id <> head) with
-  | Overlay.Kbucket.Evicted { dead; promoted } ->
-      Alcotest.(check int) "evicted the dead head" head dead;
-      Alcotest.(check (option int)) "promoted most-recently-seen" (Some c2) promoted
-  | Overlay.Kbucket.Refreshed _ | Overlay.Kbucket.No_contact ->
-      Alcotest.fail "expected an eviction");
-  let bucket = Overlay.Kbucket.bucket t v 1 in
-  Alcotest.(check int) "bucket refilled" 3 (Array.length bucket);
-  Alcotest.(check int) "promoted entry at tail" c2 bucket.(2);
+  (* Kill the head: the ping-before-evict pass must evict it and
+     promote the most-recently-seen cache entry (c2) to the bucket
+     tail. *)
+  let before = Overlay.Kbucket.bucket t v 1 in
+  let alive = Overlay.Failure.none (1 lsl bits) in
+  Overlay.Failure.set alive before.(0) false;
+  Overlay.Kbucket.maintain t v ~alive;
+  Alcotest.(check (array int)) "dead head evicted, newest cache entry promoted"
+    [| before.(1); before.(2); c2 |]
+    (Overlay.Kbucket.bucket t v 1);
   Alcotest.(check (array int)) "cache shrank" [| c3 |] (Overlay.Kbucket.cache t v 1);
   Alcotest.(check (option string)) "invariants hold" None (Overlay.Kbucket.invariant_violation t)
 
 let test_bucket_ping_refreshes_live_head () =
   let t = build_buckets ~k:3 () in
-  let before = Overlay.Kbucket.bucket t 7 1 in
-  (match Overlay.Kbucket.ping_evict t 7 ~level:1 ~alive:(fun _ -> true) with
-  | Overlay.Kbucket.Refreshed id -> Alcotest.(check int) "refreshed the head" before.(0) id
-  | Overlay.Kbucket.Evicted _ | Overlay.Kbucket.No_contact ->
-      Alcotest.fail "live head must be refreshed, not evicted");
-  Alcotest.(check (array int)) "head rotated to tail"
-    [| before.(1); before.(2); before.(0) |]
-    (Overlay.Kbucket.bucket t 7 1)
+  let before = Array.init bits (fun l -> Overlay.Kbucket.bucket t 7 (l + 1)) in
+  Overlay.Kbucket.maintain t 7 ~alive:(Overlay.Failure.none (1 lsl bits));
+  (* Every live head rotates to its bucket's tail; nothing is evicted. *)
+  Array.iteri
+    (fun l b ->
+      let n = Array.length b in
+      Alcotest.(check (array int))
+        (Printf.sprintf "level %d: head rotated to tail" (l + 1))
+        (Array.init n (fun i -> b.((i + 1) mod n)))
+        (Overlay.Kbucket.bucket t 7 (l + 1)))
+    before
 
 let kbucket_invariants_under_churn =
   qcheck "k-bucket invariants survive random churn" ~count:60
@@ -221,18 +222,18 @@ let kbucket_invariants_under_churn =
       let rng = rng_of_seed seed in
       let t = Overlay.Kbucket.build ~rng:(rng_of_seed (seed + 1)) ~cache_k:2 ~bits:6 ~k:3 () in
       let n = 1 lsl 6 in
-      let dead = Array.make n false in
+      let alive = Overlay.Failure.none n in
       for _ = 1 to 300 do
         let v = Prng.Splitmix.int rng n in
-        match Prng.Splitmix.int rng 4 with
-        | 0 -> dead.(Prng.Splitmix.int rng n) <- Prng.Splitmix.bool rng
+        match Prng.Splitmix.int rng 5 with
+        | 0 -> Overlay.Failure.set alive (Prng.Splitmix.int rng n) (Prng.Splitmix.bool rng)
         | 1 ->
             let id = Prng.Splitmix.int rng n in
             if id <> v then Overlay.Kbucket.observe t v id
-        | 2 -> Overlay.Kbucket.maintain t v ~alive:(fun id -> not dead.(id))
+        | 2 -> Overlay.Kbucket.maintain t v ~alive
+        | 3 -> Overlay.Kbucket.rejoin t rng ~alive v
         | _ ->
-            Overlay.Kbucket.rebuild_bucket ~alive:(fun id -> not dead.(id)) t rng v
-              ~level:(1 + Prng.Splitmix.int rng 6)
+            Overlay.Kbucket.rebuild_bucket ~alive t rng v ~level:(1 + Prng.Splitmix.int rng 6)
       done;
       match Overlay.Kbucket.invariant_violation t with
       | None -> true
@@ -240,8 +241,9 @@ let kbucket_invariants_under_churn =
 
 (* A list-based reference model of the k-bucket rules: per bucket, the
    contacts least-recently-seen first and the replacement cache oldest
-   first. Rebuilds replay the sampling rule with their own copy of the
-   generator, so the model also pins the draws. *)
+   first. Liveness is an alive mask, read through [Failure.get].
+   Rebuilds and rejoins replay the sampling rule with their own copy of
+   the generator, so the model also pins the draws. *)
 module Kbucket_model = struct
   type t = {
     bits : int;
@@ -264,7 +266,9 @@ module Kbucket_model = struct
     let candidates = 1 lsl (bits - level) in
     if candidates <= m.k then List.init candidates id_of
     else begin
-      let is_alive id = match alive with None -> true | Some f -> f id in
+      let is_alive id =
+        match alive with None -> true | Some mask -> Overlay.Failure.get mask id
+      in
       let rec fill chosen =
         if List.length chosen = m.k then List.rev_map id_of chosen
         else begin
@@ -308,32 +312,55 @@ module Kbucket_model = struct
       end
     end
 
-  let ping_evict m v level ~alive =
+  (* Ping-before-evict on one bucket's head. *)
+  let ping m v level ~alive =
     let b = slot m v level in
     match m.contacts.(b) with
-    | [] -> Overlay.Kbucket.No_contact
-    | head :: rest when alive head ->
-        m.contacts.(b) <- rest @ [ head ];
-        Overlay.Kbucket.Refreshed head
-    | head :: rest -> (
+    | [] -> ()
+    | head :: rest when Overlay.Failure.get alive head -> m.contacts.(b) <- rest @ [ head ]
+    | _ :: rest -> (
         match List.rev m.cache.(b) with
-        | [] ->
-            m.contacts.(b) <- rest;
-            Overlay.Kbucket.Evicted { dead = head; promoted = None }
+        | [] -> m.contacts.(b) <- rest
         | newest :: older ->
             m.cache.(b) <- List.rev older;
-            m.contacts.(b) <- rest @ [ newest ];
-            Overlay.Kbucket.Evicted { dead = head; promoted = Some newest })
+            m.contacts.(b) <- rest @ [ newest ])
 
   let maintain m v ~alive =
     for level = 1 to m.bits do
-      ignore (ping_evict m v level ~alive)
+      ping m v level ~alive
     done
 
   let rebuild ?alive m rng v level =
     let b = slot m v level in
     m.contacts.(b) <- sample ?alive m rng v level;
     m.cache.(b) <- []
+
+  (* Every level redrawn preferring live contacts, then the announce
+     to each live contact, buckets in level order, heads first. *)
+  let rejoin m rng ~alive v =
+    for level = 1 to m.bits do
+      rebuild ~alive m rng v level
+    done;
+    for level = 1 to m.bits do
+      List.iter
+        (fun c -> if Overlay.Failure.get alive c then observe m c v)
+        m.contacts.(slot m v level)
+    done
+
+  (* Dead contacts plus empty slots, over the live nodes' buckets, and
+     their total capacity. *)
+  let stale_slots m ~alive =
+    let stale = ref 0 and total = ref 0 in
+    for v = 0 to (1 lsl m.bits) - 1 do
+      if Overlay.Failure.get alive v then
+        for level = 1 to m.bits do
+          let contacts = m.contacts.(slot m v level) in
+          let dead = List.filter (fun c -> not (Overlay.Failure.get alive c)) contacts in
+          total := !total + capacity m level;
+          stale := !stale + capacity m level - List.length contacts + List.length dead
+        done
+    done;
+    (!stale, !total)
 
   (* First bucket or cache that differs from the table, if any. *)
   let mismatch m t =
@@ -353,9 +380,9 @@ end
 type kbucket_op =
   | Toggle of int
   | Observe of int * int
-  | Ping of int * int
   | Maintain of int
   | Rebuild of int * int
+  | Rejoin of int
 
 (* Most operations act on four owners, so their buckets fill, their
    caches overflow and their heads get evicted within one run. *)
@@ -363,28 +390,30 @@ let kbucket_op_gen =
   let open QCheck2.Gen in
   let node = int_range 0 63 and level = int_range 1 6 in
   let owner = frequency [ (4, int_range 0 3); (1, node) ] in
-  oneof
+  frequency
     [
-      map (fun v -> Toggle v) node;
-      map2 (fun v id -> Observe (v, id)) owner node;
-      map2 (fun v l -> Ping (v, l)) owner level;
-      map (fun v -> Maintain v) owner;
-      map2 (fun v l -> Rebuild (v, l)) owner level;
+      (2, map (fun v -> Toggle v) node);
+      (2, map2 (fun v id -> Observe (v, id)) owner node);
+      (2, map (fun v -> Maintain v) owner);
+      (2, map2 (fun v l -> Rebuild (v, l)) owner level);
+      (1, map (fun v -> Rejoin v) node);
     ]
 
+(* k = 3 draws every bucket above level 4 at bits = 6; k = 8
+   enumerates levels 3 to 6, whose candidate sets are no larger. *)
 let kbucket_matches_model =
   qcheck "k-bucket rules match a list model" ~count:100
     QCheck2.Gen.(
-      quad (oneofl [ 0; 2 ]) bool (int_range 0 10_000)
+      pair
+        (quad (oneofl [ 3; 8 ]) (oneofl [ 0; 2 ]) bool (int_range 0 10_000))
         (list_size (int_range 1 200) kbucket_op_gen))
-    (fun (cache_k, with_alive, seed, ops) ->
-      let bits = 6 and k = 3 in
+    (fun ((k, cache_k, with_alive, seed), ops) ->
+      let bits = 6 in
       let rng = rng_of_seed seed in
       let model_rng = rng_of_seed seed in
       let t = Overlay.Kbucket.build ~rng ~cache_k ~bits ~k () in
       let m = Kbucket_model.create ~bits ~k ~cache_k model_rng in
-      let dead = Array.make (1 lsl bits) false in
-      let alive id = not dead.(id) in
+      let alive = Overlay.Failure.none (1 lsl bits) in
       let fail step what = QCheck2.Test.fail_reportf "step %d: %s" step what in
       let same_rng step =
         Prng.Splitmix.state rng = Prng.Splitmix.state model_rng
@@ -396,19 +425,14 @@ let kbucket_matches_model =
       same_rng 0 && same_tables 0
       && List.for_all
            (fun (step, op) ->
-             let rebuilt =
+             let drew =
                match op with
                | Toggle v ->
-                   dead.(v) <- not dead.(v);
+                   Overlay.Failure.set alive v (not (Overlay.Failure.get alive v));
                    false
                | Observe (v, id) ->
                    Overlay.Kbucket.observe t v id;
                    Kbucket_model.observe m v id;
-                   false
-               | Ping (v, level) ->
-                   let got = Overlay.Kbucket.ping_evict t v ~level ~alive in
-                   let want = Kbucket_model.ping_evict m v level ~alive in
-                   if got <> want then ignore (fail step "ping_evict result differs");
                    false
                | Maintain v ->
                    Overlay.Kbucket.maintain t v ~alive;
@@ -424,14 +448,20 @@ let kbucket_matches_model =
                      Kbucket_model.rebuild m model_rng v level
                    end;
                    true
+               | Rejoin v ->
+                   Overlay.Kbucket.rejoin t rng ~alive v;
+                   Kbucket_model.rejoin m model_rng ~alive v;
+                   true
              in
-             same_tables step && ((not rebuilt) || same_rng step))
-           (List.mapi (fun i op -> (i + 1, op)) ops))
+             same_tables step && ((not drew) || same_rng step))
+           (List.mapi (fun i op -> (i + 1, op)) ops)
+      && (Overlay.Kbucket.stale_slots t ~alive = Kbucket_model.stale_slots m ~alive
+         || fail (List.length ops) "stale_slots differs"))
 
 let test_bucket_range_checks () =
   let t = Overlay.Kbucket.build ~rng:(rng_of_seed 9) ~cache_k:2 ~bits:6 ~k:3 () in
   let rng = rng_of_seed 10 in
-  let alive _ = true in
+  let alive = Overlay.Failure.none 64 and short = Overlay.Failure.none 63 in
   List.iter
     (fun (name, f) ->
       match f () with
@@ -443,13 +473,17 @@ let test_bucket_range_checks () =
       ("observe: contact 64", fun () -> Overlay.Kbucket.observe t 0 64);
       ("observe: contact -1", fun () -> Overlay.Kbucket.observe t 0 (-1));
       ("observe: node 64 = contact", fun () -> Overlay.Kbucket.observe t 64 64);
-      ("ping_evict: node 64", fun () -> ignore (Overlay.Kbucket.ping_evict t 64 ~level:1 ~alive));
-      ("ping_evict: level 0", fun () -> ignore (Overlay.Kbucket.ping_evict t 0 ~level:0 ~alive));
       ("maintain: node -1", fun () -> Overlay.Kbucket.maintain t (-1) ~alive);
       ("maintain: node 64", fun () -> Overlay.Kbucket.maintain t 64 ~alive);
+      ("maintain: short mask", fun () -> Overlay.Kbucket.maintain t 0 ~alive:short);
       ("rebuild: node 64", fun () -> Overlay.Kbucket.rebuild_bucket t rng 64 ~level:1);
       ("rebuild: level 7", fun () -> Overlay.Kbucket.rebuild_bucket t rng 0 ~level:7);
-      ("iter_contacts: node 64", fun () -> Overlay.Kbucket.iter_contacts t 64 ignore);
+      ("rebuild: short mask", fun () ->
+        Overlay.Kbucket.rebuild_bucket ~alive:short t rng 0 ~level:1);
+      ("rejoin: node 64", fun () -> Overlay.Kbucket.rejoin t rng ~alive 64);
+      ("rejoin: node -1", fun () -> Overlay.Kbucket.rejoin t rng ~alive (-1));
+      ("rejoin: short mask", fun () -> Overlay.Kbucket.rejoin t rng ~alive:short 0);
+      ("stale_slots: short mask", fun () -> ignore (Overlay.Kbucket.stale_slots t ~alive:short));
       ("bucket: node 64", fun () -> ignore (Overlay.Kbucket.bucket t 64 1));
       ("cache: node -1", fun () -> ignore (Overlay.Kbucket.cache t (-1) 1));
       ("length: level 7", fun () -> ignore (Overlay.Kbucket.length t 0 7));

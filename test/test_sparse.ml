@@ -35,7 +35,20 @@ let test_lower_bound_and_successor () =
   for v = 0 to n - 1 do
     Alcotest.(check int) "lower_bound of own id" v
       (Overlay.Sparse.lower_bound t (Overlay.Sparse.id_of t v))
-  done
+  done;
+  (* Within a range, the search clamps to it. *)
+  let lo = n / 4 and hi = n / 2 in
+  for v = 0 to n - 1 do
+    Alcotest.(check int) "lower_bound_within clamps"
+      (max lo (min hi v))
+      (Overlay.Sparse.lower_bound_within t ~lo ~hi (Overlay.Sparse.id_of t v))
+  done;
+  List.iter
+    (fun (lo, hi) ->
+      match Overlay.Sparse.lower_bound_within t ~lo ~hi 0 with
+      | _ -> Alcotest.failf "range [%d, %d) accepted" lo hi
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (3, 2); (0, n + 1) ]
 
 let test_index_of_id () =
   let t = build Rcm.Geometry.Ring in

@@ -48,21 +48,23 @@ let brute_closest o ~key ~count =
     idx;
   Array.sub idx 0 count
 
-let test_xor_placement_matches_brute_force () =
-  List.iter
-    (fun geometry ->
-      let o = build geometry in
-      let space = 1 lsl Overlay.Sparse.bits o in
-      let rng = Prng.Splitmix.create ~seed:4 in
-      for _ = 1 to 50 do
-        let key = Prng.Splitmix.int rng space in
-        let count = 1 + Prng.Splitmix.int rng 9 in
-        Alcotest.(check (array int))
-          (Printf.sprintf "%s key=%d count=%d" (Rcm.Geometry.name geometry) key count)
-          (brute_closest o ~key ~count)
-          (Storage.Placement.candidates o ~key ~count)
-      done)
-    [ Rcm.Geometry.Xor; Rcm.Geometry.Tree ]
+(* Random overlays from 2 nodes to a full space, every count up to the
+   node count: the trie descent against a sort of the whole overlay. *)
+let xor_placement_matches_brute_force =
+  qcheck "xor placement = brute force" ~count:150
+    QCheck2.Gen.(
+      let* bits = int_range 2 14 in
+      let* nodes = int_range 2 (1 lsl bits) in
+      let* count = int_range 0 nodes in
+      triple
+        (pair (oneofl [ Rcm.Geometry.Xor; Rcm.Geometry.Tree ]) (int_range 0 10_000))
+        (pure (bits, nodes, count))
+        (int_range 0 ((1 lsl bits) - 1)))
+    (fun ((geometry, seed), (bits, nodes, count), key) ->
+      let o = build ~bits ~nodes ~seed geometry in
+      brute_closest o ~key ~count = Storage.Placement.candidates o ~key ~count
+      || QCheck2.Test.fail_reportf "%s bits=%d nodes=%d key=%d count=%d"
+           (Rcm.Geometry.name geometry) bits nodes key count)
 
 let test_placement_prefix_stable () =
   (* Rank k of the candidate enumeration never changes as the
@@ -783,7 +785,7 @@ let test_read_batch_guards () =
 let suite =
   [
     ("ring placement = successor list", `Quick, test_ring_placement_is_successor_list);
-    ("xor placement = brute force", `Quick, test_xor_placement_matches_brute_force);
+    xor_placement_matches_brute_force;
     ("placement prefix stable", `Quick, test_placement_prefix_stable);
     ("placement covers overlay once", `Quick, test_placement_distinct_and_whole_overlay);
     ("placement guards", `Quick, test_placement_guards);
