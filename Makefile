@@ -38,8 +38,8 @@ sweep-smoke: build
 
 # Observability smoke: traced --smoke sweep (stdout byte-identical to
 # an untraced one), trace report aggregates, its hop histograms equal
-# under --no-batch, Chrome export, and validated
-# manifest/metrics/Prometheus sinks.
+# under --no-batch, Chrome export, validated manifest/metrics sinks,
+# and a traced storage --smoke run whose report lists storage/point.
 trace-smoke: build
 	sh scripts/trace_smoke.sh
 

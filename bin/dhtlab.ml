@@ -120,10 +120,8 @@ type obs_opts = {
   metrics : bool;  (* human summary on stderr *)
   trace_out : string option;
   metrics_out : string option;  (* JSON snapshot sink *)
-  metrics_prom : string option;  (* Prometheus textfile sink *)
   manifest : string option;
   progress : bool option;  (* None = auto (TTY detection) *)
-  obs_interval : float option;  (* heartbeat period, seconds *)
 }
 
 let metrics_arg =
@@ -144,19 +142,10 @@ let trace_arg =
 
 let metrics_out_arg =
   let doc =
-    "Write the metrics snapshot as JSON to $(docv) when the run ends (atomically; also \
-     re-written on every $(b,--obs-interval) heartbeat). Implies metrics collection \
-     without the stderr summary."
+    "Write the metrics snapshot as JSON to $(docv) when the run ends (atomically). \
+     Implies metrics collection without the stderr summary."
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-let metrics_prom_arg =
-  let doc =
-    "Write the metrics snapshot in the Prometheus text exposition format to $(docv) \
-     (atomically; re-written on every heartbeat) — point the node_exporter textfile \
-     collector at it to scrape long runs. Implies metrics collection."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-prom" ] ~docv:"FILE" ~doc)
 
 let manifest_arg =
   let doc =
@@ -181,54 +170,25 @@ let progress_term =
   let resolve on off = if off then Some false else if on then Some true else None in
   Term.(const resolve $ progress $ no_progress)
 
-let obs_interval_arg =
-  let doc =
-    "Heartbeat period in seconds: every $(docv) seconds re-flush the \
-     $(b,--metrics-out) / $(b,--metrics-prom) sinks and the trace (emitting a trace \
-     $(b,heartbeat) event), so a run that dies hard still leaves telemetry at most one \
-     period old."
-  in
-  Arg.(value & opt (some float) None & info [ "obs-interval" ] ~docv:"SECS" ~doc)
-
 let obs_term =
-  let make metrics trace_out metrics_out metrics_prom manifest progress obs_interval =
-    { metrics; trace_out; metrics_out; metrics_prom; manifest; progress; obs_interval }
+  let make metrics trace_out metrics_out manifest progress =
+    { metrics; trace_out; metrics_out; manifest; progress }
   in
   Term.(
-    const make $ metrics_arg $ trace_arg $ metrics_out_arg $ metrics_prom_arg
-    $ manifest_arg $ progress_term $ obs_interval_arg)
-
-(* Both sinks are rewritten from one snapshot so a heartbeat cannot
-   publish two different views of the same instant. *)
-let write_metric_sinks opts =
-  if opts.metrics_out <> None || opts.metrics_prom <> None then begin
-    let snapshot = Obs.Metrics.snapshot () in
-    Option.iter
-      (fun path ->
-        Obs.Atomic_file.write path (fun oc ->
-            output_string oc (Obs.Metrics.json_of_snapshot snapshot)))
-      opts.metrics_out;
-    Option.iter
-      (fun path ->
-        Obs.Atomic_file.write path (fun oc ->
-            output_string oc (Obs.Metrics.prometheus_of_snapshot snapshot)))
-      opts.metrics_prom
-  end
+    const make $ metrics_arg $ trace_arg $ metrics_out_arg $ manifest_arg $ progress_term)
 
 (* Enable the requested observability around [f]: metrics (stderr
-   summary and/or file sinks), JSONL trace, live progress line,
-   provenance manifest and the heartbeat that keeps the file sinks
-   fresh. Teardown runs on every exit path — normal return, cooperative
-   cancellation, any other exception — in dependency order: stop the
-   heartbeat (so nothing races the final writes), erase the progress
-   line, close the trace (rename .tmp into place), rewrite the metric
-   sinks, print the summary, and only then finalise the manifest so its
-   checksums cover the finished artefacts. Everything here observes the
-   run: stdout and every exported artefact are byte-identical whatever
-   combination of these options is enabled (pinned by test/test_cli.ml). *)
+   summary and/or JSON file), JSONL trace, live progress line and
+   provenance manifest. Teardown runs on every exit path — normal
+   return, cooperative cancellation, any other exception — in
+   dependency order: erase the progress line, close the trace (rename
+   .tmp into place), write the metrics file, print the summary, and
+   only then finalise the manifest so its checksums cover the finished
+   artefacts. Everything here observes the run: stdout and every
+   exported artefact are byte-identical whatever combination of these
+   options is enabled (pinned by test/test_cli.ml). *)
 let with_obs opts f =
-  if opts.metrics || opts.metrics_out <> None || opts.metrics_prom <> None then
-    Obs.Metrics.set_enabled true;
+  if opts.metrics || opts.metrics_out <> None then Obs.Metrics.set_enabled true;
   Obs.Progress.set_mode
     (match opts.progress with
     | Some true -> Obs.Progress.On
@@ -243,22 +203,14 @@ let with_obs opts f =
       Obs.Manifest.add_artefact ~kind:"trace" path
   | None -> ());
   Option.iter (fun p -> Obs.Manifest.add_artefact ~kind:"metrics-json" p) opts.metrics_out;
-  Option.iter (fun p -> Obs.Manifest.add_artefact ~kind:"metrics-prom" p) opts.metrics_prom;
-  (match opts.obs_interval with
-  | Some secs ->
-      Obs.Heartbeat.start ~interval_s:secs (fun () ->
-          write_metric_sinks opts;
-          if Obs.Trace.enabled () then begin
-            Obs.Trace.event "heartbeat" ();
-            Obs.Trace.flush ()
-          end)
-  | None -> ());
   let finish exit_status =
-    Obs.Heartbeat.stop ();
     Obs.Progress.finish ();
     Obs.Progress.set_mode Obs.Progress.Off;
     Obs.Trace.close ();
-    write_metric_sinks opts;
+    Option.iter
+      (fun path ->
+        Obs.Atomic_file.write path (fun oc -> output_string oc (Obs.Metrics.to_json ())))
+      opts.metrics_out;
     if opts.metrics then Fmt.epr "%a@." Obs.Metrics.pp_summary ();
     Obs.Manifest.finish ~exit_status
   in
@@ -426,7 +378,7 @@ let run_sweep_cmd ~cmd ~unit ?ck obs f =
   with
   | () -> ()
   | exception Exec.Cancel.Cancelled -> (
-      (* with_obs already closed the trace and the metric sinks; the
+      (* with_obs already closed the trace and the metrics file; the
          sweep flushed the checkpoint before unwinding. *)
       match (ck, checkpoint) with
       | _, Some store ->
@@ -1240,10 +1192,6 @@ let hotspots geometry bits pairs qs nodes keys reads r storage_q zipf_ss trials
       let points =
         H.run ?pool ~planes ~routing_geometries ~storage_geometries ~retries ?fault cfg
       in
-      (* Per-node counts of each plane's merged map feed the
-         loadmap/<kind> histograms, which --metrics-prom renders as the
-         dhtlab_loadmap_* summary families. *)
-      List.iter (fun pl -> Option.iter Obs.Loadmap_report.to_metrics (H.merged pl points)) planes;
       Option.iter
         (fun path ->
           match List.find_map (fun pl -> H.merged pl points) planes with

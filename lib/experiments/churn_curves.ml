@@ -88,15 +88,20 @@ let point_at cfg (geometry, session_mean) =
   }
 
 let run_point cfg ((geometry, session_mean) as coords) ~seed =
-  let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-  let report = Sim.Session_churn.run (session_config cfg geometry ~session_mean ~seed) in
-  if Obs.Metrics.enabled () then begin
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Obs.Metrics.incr_named "churn/points";
-    Obs.Metrics.observe_named "churn/point_s" elapsed;
+  let report =
+    Obs.Trace.span "churn/point"
+      ~attrs:
+        (if Obs.Trace.enabled () then
+           [
+             ("geometry", Obs.Trace.String (Rcm.Geometry.slug geometry));
+             ("session_mean", Obs.Trace.Float session_mean);
+           ]
+         else [])
+      (fun () -> Sim.Session_churn.run (session_config cfg geometry ~session_mean ~seed))
+  in
+  if Obs.Metrics.enabled () then
     Obs.Metrics.observe_named "churn/events"
-      (float_of_int report.Sim.Session_churn.events_processed)
-  end;
+      (float_of_int report.Sim.Session_churn.events_processed);
   let ms = report.measurements in
   {
     (point_at cfg coords) with

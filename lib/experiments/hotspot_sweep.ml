@@ -146,16 +146,21 @@ let point_of_loadmap ~plane ~geometry ~axis lm =
   }
 
 let run_point cfg (plane, geometry, axis) ~seed =
-  let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
   let lm =
-    match plane with
-    | Routing -> run_routing_point cfg geometry ~q:axis ~seed
-    | Storage -> run_storage_point cfg geometry ~zipf_s:axis ~seed
+    Obs.Trace.span "hotspots/point"
+      ~attrs:
+        (if Obs.Trace.enabled () then
+           [
+             ("plane", Obs.Trace.String (plane_tag plane));
+             ("geometry", Obs.Trace.String (Rcm.Geometry.slug geometry));
+             ("axis", Obs.Trace.Float axis);
+           ]
+         else [])
+      (fun () ->
+        match plane with
+        | Routing -> run_routing_point cfg geometry ~q:axis ~seed
+        | Storage -> run_storage_point cfg geometry ~zipf_s:axis ~seed)
   in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.incr_named "hotspots/points";
-    Obs.Metrics.observe_named "hotspots/point_s" (Unix.gettimeofday () -. t0)
-  end;
   point_of_loadmap ~plane ~geometry ~axis lm
 
 let run ?pool ?(planes = [ Routing; Storage ])

@@ -180,7 +180,16 @@ let point_at cfg (geometry, quorum, axis) =
   }
 
 let run_point cfg ((geometry, quorum, axis) as coords) ~seed =
-  let t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
+  Obs.Trace.span "storage/point"
+    ~attrs:
+      (if Obs.Trace.enabled () then
+         [
+           ("geometry", Obs.Trace.String (Rcm.Geometry.slug geometry));
+           ("quorum", Obs.Trace.String (Format.asprintf "%a" Storage.Quorum.pp quorum));
+           ("axis", Obs.Trace.Float axis);
+         ]
+       else [])
+  @@ fun () ->
   let reads, availability, survival, mean_alive, (load_max, load_mean, load_p99), events =
     match cfg.mode with
     | Static { trials; _ } ->
@@ -209,32 +218,25 @@ let run_point cfg ((geometry, quorum, axis) as coords) ~seed =
             (r.load_max, r.load_mean, r.load_p99),
             r.events )
   in
-  let point =
-    {
-      (point_at cfg coords) with
-      analytic = analytic cfg ~quorum ~axis;
-      attempted = reads.Storage.Store.attempted;
-      quorum_reads = reads.quorum_reads;
-      degraded_reads = reads.degraded_reads;
-      failed_reads = reads.failed_reads;
-      no_client = reads.no_client;
-      availability = Option.value availability ~default:Float.nan;
-      survival;
-      mean_alive;
-      probe_routes = reads.probe_routes;
-      repair_routes = reads.repair_routes;
-      repair_transfers = reads.repair_transfers;
-      load_max;
-      load_mean;
-      load_p99;
-      events;
-    }
-  in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.incr_named "storage/points";
-    Obs.Metrics.observe_named "storage/point_s" (Unix.gettimeofday () -. t0)
-  end;
-  point
+  {
+    (point_at cfg coords) with
+    analytic = analytic cfg ~quorum ~axis;
+    attempted = reads.Storage.Store.attempted;
+    quorum_reads = reads.quorum_reads;
+    degraded_reads = reads.degraded_reads;
+    failed_reads = reads.failed_reads;
+    no_client = reads.no_client;
+    availability = Option.value availability ~default:Float.nan;
+    survival;
+    mean_alive;
+    probe_routes = reads.probe_routes;
+    repair_routes = reads.repair_routes;
+    repair_transfers = reads.repair_transfers;
+    load_max;
+    load_mean;
+    load_p99;
+    events;
+  }
 
 let codec cfg =
   let open Obs.Tiny_json in

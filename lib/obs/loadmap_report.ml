@@ -89,20 +89,6 @@ let hottest ?(top = 10) counts =
   let k = min top nodes in
   List.init k (fun i -> (order.(i), counts.(order.(i))))
 
-(* Feed every per-node count into a loadmap/<kind> histogram so the
-   existing snapshot/JSON/Prometheus pipeline renders the load
-   distribution as dhtlab_loadmap_* summary families. Gated by the
-   metrics flag inside observe; guard the name construction like every
-   other dynamic call site. *)
-let to_metrics t =
-  if Metrics.enabled () then
-    List.iter
-      (fun kind ->
-        let h = Metrics.histogram ("loadmap/" ^ Loadmap.kind_name kind) in
-        let counts = Loadmap.counts t kind in
-        Array.iter (fun c -> Metrics.observe h (float_of_int c)) counts)
-      Loadmap.all_kinds
-
 let pp_summary ppf (kind, s) =
   Format.fprintf ppf
     "%-14s total %d over %d/%d nodes  mean %.2f  max %d  congestion %.2f  gini %.3f"

@@ -1,8 +1,7 @@
 (** Hot-spot analysis over {!Loadmap} counters: per-kind load
     summaries (mean, max, max/mean congestion ratio, Gini coefficient),
-    load CDFs, top-K hottest nodes, and the bridge into the {!Metrics}
-    snapshot pipeline. Everything is a pure function of the counters:
-    no PRNG, no mutation. *)
+    load CDFs and top-K hottest nodes. Everything is a pure function of
+    the counters: no PRNG, no mutation. *)
 
 type summary = {
   nodes : int;
@@ -33,11 +32,6 @@ val hottest : ?top:int -> int array -> (int * int) list
 (** The [top] (default 10) most-loaded nodes as [(node, load)], load
     descending with node index breaking ties — a total order, so the
     listing is deterministic. *)
-
-val to_metrics : Loadmap.t -> unit
-(** Observe every per-node count into [loadmap/<kind>] histograms,
-    which the Prometheus renderer exposes as [dhtlab_loadmap_*] summary
-    families. No-op when metrics are disabled. *)
 
 val pp_summary : Format.formatter -> Loadmap.kind * summary -> unit
 

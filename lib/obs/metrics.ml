@@ -128,14 +128,6 @@ let observe_n h v ~times =
 let observe_named name v =
   if Atomic.get enabled_flag then observe (histogram name) v
 
-let time name f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    let h = histogram name in
-    let t0 = Unix.gettimeofday () in
-    Fun.protect ~finally:(fun () -> observe h (Unix.gettimeofday () -. t0)) f
-  end
-
 (* --- snapshots ------------------------------------------------------------ *)
 
 type hist_summary = {
@@ -248,7 +240,8 @@ let pp_summary ppf () =
 let json_float v =
   if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
-let json_of_snapshot s =
+let to_json () =
+  let s = snapshot () in
   let buffer = Buffer.create 1024 in
   Buffer.add_string buffer "{\"counters\": {";
   List.iteri
@@ -272,99 +265,3 @@ let json_of_snapshot s =
     s.histograms;
   Buffer.add_string buffer "}}";
   Buffer.contents buffer
-
-let to_json () = json_of_snapshot (snapshot ())
-
-(* --- Prometheus text format ------------------------------------------------ *)
-
-(* Internal metric names use '/' separators and an optional "[k=v]"
-   label suffix (e.g. "estimate/task_s[q=0.5]"). Prometheus names must
-   match [a-zA-Z_:][a-zA-Z0-9_:]*, so the base is sanitised (every
-   other character becomes '_') under a "dhtlab_" prefix and the suffix
-   becomes a real label — grid points stay one metric family instead of
-   exploding into one family per q. *)
-let prom_sanitize s =
-  String.map
-    (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':') as c -> c | _ -> '_')
-    s
-
-let prom_split name =
-  match String.index_opt name '[' with
-  | Some i when String.length name > i + 1 && name.[String.length name - 1] = ']' -> (
-      let base = String.sub name 0 i in
-      let inside = String.sub name (i + 1) (String.length name - i - 2) in
-      match String.index_opt inside '=' with
-      | Some j ->
-          let k = String.sub inside 0 j in
-          let v = String.sub inside (j + 1) (String.length inside - j - 1) in
-          (base, [ (prom_sanitize k, v) ])
-      | None -> (base, [ ("label", inside) ]))
-  | Some _ | None -> (name, [])
-
-let prom_name base = "dhtlab_" ^ prom_sanitize base
-
-let prom_escape_label v =
-  let buffer = Buffer.create (String.length v) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | c -> Buffer.add_char buffer c)
-    v;
-  Buffer.contents buffer
-
-let prom_labels = function
-  | [] -> ""
-  | labels ->
-      Printf.sprintf "{%s}"
-        (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k (prom_escape_label v)) labels))
-
-(* Non-finite values are representable in the exposition format, so
-   unlike JSON nothing needs to degrade to null. *)
-let prom_float v =
-  if Float.is_nan v then "NaN"
-  else if v = infinity then "+Inf"
-  else if v = neg_infinity then "-Inf"
-  else Printf.sprintf "%.9g" v
-
-let prometheus_of_snapshot s =
-  let buffer = Buffer.create 2048 in
-  (* One TYPE line per family: several internal names can share a base
-     after label extraction, and duplicate TYPE lines are a scrape
-     error. *)
-  let typed = Hashtbl.create 16 in
-  let declare name kind =
-    if not (Hashtbl.mem typed name) then begin
-      Hashtbl.add typed name ();
-      Buffer.add_string buffer (Printf.sprintf "# TYPE %s %s\n" name kind)
-    end
-  in
-  List.iter
-    (fun (name, v) ->
-      let base, labels = prom_split name in
-      let family = prom_name base ^ "_total" in
-      declare family "counter";
-      Buffer.add_string buffer (Printf.sprintf "%s%s %d\n" family (prom_labels labels) v))
-    s.counters;
-  List.iter
-    (fun (name, h) ->
-      let base, labels = prom_split name in
-      let family = prom_name base in
-      declare family "summary";
-      List.iter
-        (fun (q, v) ->
-          Buffer.add_string buffer
-            (Printf.sprintf "%s%s %s\n" family
-               (prom_labels (labels @ [ ("quantile", q) ]))
-               (prom_float v)))
-        [ ("0.5", h.p50); ("0.9", h.p90); ("0.99", h.p99) ];
-      Buffer.add_string buffer
-        (Printf.sprintf "%s_sum%s %s\n" family (prom_labels labels) (prom_float h.sum));
-      Buffer.add_string buffer
-        (Printf.sprintf "%s_count%s %d\n" family (prom_labels labels) h.count))
-    s.histograms;
-  Buffer.contents buffer
-
-let to_prometheus () = prometheus_of_snapshot (snapshot ())

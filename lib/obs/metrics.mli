@@ -1,18 +1,24 @@
-(** Thread-safe metrics for the Monte-Carlo engine: named counters,
-    log-bucketed histograms and wall-clock timers.
+(** Thread-safe metrics for the Monte-Carlo engine: named counters and
+    log-bucketed histograms.
 
     The registry is global and process-wide so that instrumentation
     points scattered across the overlay, routing, simulation and
     executor layers all land in one place, and a front end ([dhtlab
-    --metrics], [--metrics-out], [--metrics-prom]) can render or
-    serialise the whole state with one {!snapshot}.
+    --metrics], [--metrics-out]) can render or serialise the whole
+    state with one {!snapshot}.
+
+    Timed regions are not measured here: {!Trace.span} times them and,
+    when metrics are on, records each duration in the histogram
+    [<span name>_s], so one call site feeds both the trace and this
+    registry. Only [Exec.Pool]'s queue-wait and block times are
+    observed directly, from {!now} readings.
 
     {b Disabled by default, zero-cost when disabled.} Every mutation
-    ({!incr}, {!observe}, {!time}, …) first reads one atomic flag and
-    returns immediately when metrics are off — no locking, no clock
-    reads, no allocation. Call sites that must build a metric name
-    dynamically should guard the construction with {!enabled} so the
-    disabled path does not even concatenate strings.
+    ({!incr}, {!observe}, …) first reads one atomic flag and returns
+    immediately when metrics are off — no locking, no clock reads, no
+    allocation. Call sites that must build a metric name dynamically
+    should guard the construction with {!enabled} so the disabled path
+    does not even concatenate strings.
 
     {b Instrumentation is observation-only.} Nothing in this module
     touches any PRNG, and none of the instrumented code paths may draw
@@ -48,13 +54,13 @@ val incr_named : ?by:int -> string -> unit
 
 val counter_value : counter -> int
 
-(** {1 Histograms and timers}
+(** {1 Histograms}
 
     Histograms record count / sum / min / max exactly plus a base-2
     log-bucketed distribution (one bucket per binary order of
     magnitude), enough to report approximate quantiles for latency and
-    fraction-valued observations without storing samples. A timer is a
-    histogram of seconds fed by {!time} / {!observe_span}. *)
+    fraction-valued observations without storing samples. A duration
+    histogram is named [<span name>_s] and fed by {!Trace.span}. *)
 
 type histogram
 
@@ -69,10 +75,6 @@ val observe_n : histogram -> float -> times:int -> unit
     result is bit-equal to [times] separate {!observe} calls.
     No-op when [times = 0] or disabled.
     @raise Invalid_argument on a negative [times]. *)
-
-val time : string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f] and records its wall-clock duration in the
-    histogram called [name]. When disabled it is exactly [f ()]. *)
 
 (** {1 Snapshots and rendering} *)
 
@@ -104,26 +106,9 @@ val pp_summary : Format.formatter -> unit -> unit
     one per histogram, plus derived lines (e.g. the pool imbalance
     ratio [max/mean] of [pool/block_s]) when their inputs exist. *)
 
-val json_of_snapshot : snapshot -> string
-(** The snapshot as one JSON object:
+val to_json : unit -> string
+(** The current {!snapshot} as one JSON object:
     [{"counters": {name: int, ...},
       "histograms": {name: {"count":..,"sum":..,"min":..,"max":..,
                             "mean":..,"p50":..,"p90":..,"p99":..}}}].
     Keys are sorted; floats are finite or rendered as [null]. *)
-
-val to_json : unit -> string
-(** [json_of_snapshot (snapshot ())]. *)
-
-val prometheus_of_snapshot : snapshot -> string
-(** The snapshot in the Prometheus text exposition format (what the
-    node_exporter textfile collector scrapes). Counters become
-    [dhtlab_<name>_total] counter families; histograms become summary
-    families with [quantile="0.5"|"0.9"|"0.99"] samples plus [_sum] and
-    [_count]. Internal names are sanitised to legal metric names
-    ([/ -> _], "dhtlab_" prefix) and a trailing ["[k=v]"] suffix (the
-    per-q latency series) becomes a real [k="v"] label, so a q-grid
-    stays one metric family. Non-finite values render as
-    [NaN]/[+Inf]/[-Inf], which the format supports natively. *)
-
-val to_prometheus : unit -> string
-(** [prometheus_of_snapshot (snapshot ())]. *)

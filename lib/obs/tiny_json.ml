@@ -166,8 +166,14 @@ let to_str = function Str s -> Some s | _ -> None
 
 let to_num = function Num v -> Some v | _ -> None
 
+(* A JSON number is a double, which holds every integer exactly only
+   within +-(2^53 - 1); past that a number stands for several integers
+   (or none an [int] can hold), so it is refused, not converted. *)
+let max_exact_int = (1 lsl 53) - 1
+
 let to_int = function
-  | Num v when Float.is_finite v && Float.rem v 1.0 = 0.0 -> Some (int_of_float v)
+  | Num v when Float.is_integer v && Float.abs v <= float_of_int max_exact_int ->
+      Some (int_of_float v)
   | _ -> None
 
 let to_list = function Arr l -> Some l | _ -> None

@@ -32,7 +32,9 @@ val member : string -> t -> t option
 val to_str : t -> string option
 val to_num : t -> float option
 val to_int : t -> int option
-(** [to_int] succeeds only on a number with no fractional part. *)
+(** [to_int] succeeds only on a number with no fractional part within
+    ±(2^53 − 1), where every integer has an exact double: a larger
+    number may stand for a neighbouring integer, so it gives [None]. *)
 
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option

@@ -1,24 +1,20 @@
 type value = String of string | Int of int | Float of float | Bool of bool
 
 (* The sink is guarded by [lock]; [active] mirrors "sink <> None" so the
-   disabled fast path is one atomic load, with no lock taken. A sink
-   opened via [open_file] writes to a sibling ".tmp" file and is renamed
-   into place only when closed, so an aborted run never leaves a
-   truncated trace at the requested path. *)
+   disabled fast path is one atomic load, with no lock taken. The sink
+   writes to a sibling ".tmp" file and is renamed into place only when
+   closed, so an aborted run never leaves a truncated trace at the
+   requested path. *)
 let lock = Mutex.create ()
 
-type target = {
-  oc : out_channel;
-  rename_to : (string * string) option;
-  mutable unflushed : int;
-}
+type target = { oc : out_channel; tmp : string; path : string; mutable unflushed : int }
 
 (* A hard-killed run never runs [close]: without periodic flushing the
    whole trace would sit in the channel buffer and the ".tmp" file on
-   disk would stay empty. Flushing every [flush_interval] records (and
-   on every heartbeat, via [flush]) bounds the loss to the last few
-   records; "dhtlab trace report --allow-partial" reads the possibly
-   mid-line ".tmp" that such a kill leaves behind. *)
+   disk would stay empty. Flushing every [flush_interval] records bounds
+   the loss to the records since the last flush; "dhtlab trace report
+   --allow-partial" reads the possibly mid-line ".tmp" that such a kill
+   leaves behind. *)
 let flush_interval = 32
 
 let sink : target option ref = ref None
@@ -35,36 +31,18 @@ let install target =
       (match !sink with
       | Some old -> (
           (try close_out old.oc with Sys_error _ -> ());
-          match old.rename_to with
-          | Some (tmp, final) -> (
-              try Sys.rename tmp final
-              with Sys_error e ->
-                Printf.eprintf "Obs.Trace: could not finalise %s: %s\n%!" final e)
-          | None -> ())
+          try Sys.rename old.tmp old.path
+          with Sys_error e ->
+            Printf.eprintf "Obs.Trace: could not finalise %s: %s\n%!" old.path e)
       | None -> ());
       sink := target;
       Atomic.set active (target <> None))
 
-let set_sink oc = install (Option.map (fun oc -> { oc; rename_to = None; unflushed = 0 }) oc)
-
 let open_file path =
   let tmp = Atomic_file.temp_path path in
-  install (Some { oc = open_out tmp; rename_to = Some (tmp, path); unflushed = 0 })
+  install (Some { oc = open_out tmp; tmp; path; unflushed = 0 })
 
 let close () = install None
-
-let flush () =
-  if Atomic.get active then begin
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        match !sink with
-        | Some target ->
-            target.unflushed <- 0;
-            (try Stdlib.flush target.oc with Sys_error _ -> ())
-        | None -> ())
-  end
 
 let with_file path f =
   open_file path;
@@ -77,9 +55,9 @@ let buffer_value buffer = function
       Buffer.add_string buffer (if Float.is_finite f then Printf.sprintf "%.9g" f else "null")
   | Bool b -> Buffer.add_string buffer (string_of_bool b)
 
-let emit ~kind ~name ?dur_s attrs =
+let emit ~ts ~kind ~name ?dur_s attrs =
   let buffer = Buffer.create 160 in
-  Buffer.add_string buffer (Printf.sprintf "{\"ts\": %.6f, \"kind\": " (Unix.gettimeofday ()));
+  Buffer.add_string buffer (Printf.sprintf "{\"ts\": %.6f, \"kind\": " ts);
   Tiny_json.add_escaped buffer kind;
   Buffer.add_string buffer ", \"name\": ";
   Tiny_json.add_escaped buffer name;
@@ -114,13 +92,17 @@ let emit ~kind ~name ?dur_s attrs =
       | None -> () (* sink removed since the atomic check: drop the record *))
 
 let span name ?(attrs = []) f =
-  if not (Atomic.get active) then f ()
+  let tracing = Atomic.get active and metering = Metrics.enabled () in
+  if not (tracing || metering) then f ()
   else begin
     let t0 = Unix.gettimeofday () in
     Fun.protect
-      ~finally:(fun () -> emit ~kind:"span" ~name ~dur_s:(Unix.gettimeofday () -. t0) attrs)
+      ~finally:(fun () ->
+        let t1 = Unix.gettimeofday () in
+        if metering then Metrics.observe_named (name ^ "_s") (t1 -. t0);
+        if tracing then emit ~ts:t1 ~kind:"span" ~name ~dur_s:(t1 -. t0) attrs)
       f
   end
 
 let event name ?(attrs = []) () =
-  if Atomic.get active then emit ~kind:"event" ~name attrs
+  if Atomic.get active then emit ~ts:(Unix.gettimeofday ()) ~kind:"event" ~name attrs

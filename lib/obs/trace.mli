@@ -1,13 +1,13 @@
-(** Optional JSONL trace sink for the Monte-Carlo engine.
+(** The library's one timer, and its optional JSONL trace sink.
 
-    When a sink is installed, instrumented code paths emit one JSON
-    object per line describing spans (named regions with a wall-clock
-    duration: overlay builds, failure injection, per-trial estimation)
-    and instant events. With no sink installed ({!set_sink} [None], the
-    default) every entry point is a no-op that reads one atomic flag —
-    tracing must cost nothing when off and, like {!Metrics}, must never
-    touch a PRNG stream (simulation results are bit-identical with
-    tracing on or off; pinned by [test/test_obs.ml]).
+    {!span} times a named region: an overlay build, a failure
+    injection, a trial, a sweep point. When a sink is open it writes
+    the span as one JSON line; when {!Metrics} are on it also records
+    the duration in the histogram [<name>_s], so one call site and one
+    pair of clock reads feed both sinks. With neither on, a span is
+    exactly [f ()]. Like {!Metrics}, tracing must never touch a PRNG
+    stream (simulation results are bit-identical with tracing on or
+    off; pinned by [test/test_obs.ml]).
 
     Record schema (one line each, fields in this order):
     {v
@@ -15,48 +15,45 @@
      "name": <string>, "domain": <int, Domain.self>,
      "dur_s": <float, spans only>, "attrs": {<string>: value, ...}}
     v}
-    [value] is a JSON string, int, float or bool. Writes are serialised
-    by a mutex, so lines from concurrent domains never interleave. *)
+    [value] is a JSON string, int, float or bool. A span's [ts] is its
+    end. Writes are serialised by a mutex, so lines from concurrent
+    domains never interleave. *)
 
 type value = String of string | Int of int | Float of float | Bool of bool
 
-val set_sink : out_channel option -> unit
-(** Install ([Some oc]) or remove ([None]) the sink. Removing (or
-    replacing) a sink flushes and closes the previous channel. *)
-
 val open_file : string -> unit
-(** [open_file path] installs a file sink that writes to
-    [path ^ ".tmp"] and is atomically renamed onto [path] when the sink
-    is removed ({!close}, {!set_sink}, or another [open_file]). Readers
-    therefore never observe a truncated trace at [path], even when the
-    run is interrupted and the sink is closed from a cleanup handler. *)
+(** [open_file path] opens a sink that writes to [path ^ ".tmp"] and
+    is atomically renamed onto [path] when the sink is closed
+    ({!close} or another [open_file]). Readers therefore never observe
+    a truncated trace at [path], even when the run is interrupted and
+    the sink is closed from a cleanup handler. *)
 
 val enabled : unit -> bool
+(** Whether a sink is open: one atomic load. *)
 
 val with_file : string -> (unit -> 'a) -> 'a
-(** [with_file path f] installs {!open_file}[ path] as the sink, runs
-    [f] and removes the sink afterwards, also on raise — at which point
-    the complete trace is renamed into place at [path]. *)
+(** [with_file path f] opens {!open_file}[ path], runs [f] and closes
+    the sink afterwards, also on raise — at which point the complete
+    trace is renamed into place at [path]. *)
 
 val span : string -> ?attrs:(string * value) list -> (unit -> 'a) -> 'a
-(** [span name f] runs [f] and, when enabled, emits a span record with
-    [f]'s wall-clock duration — also when [f] raises. When disabled it
-    is exactly [f ()]: no clock read, and [attrs] should be built
-    lazily by the caller only when {!enabled}. *)
+(** [span name f] runs [f] and returns its result. With a sink open it
+    emits a span record carrying [f]'s wall-clock duration; with
+    metrics on it records the same duration in the histogram
+    [name ^ "_s"]. Both happen also when [f] raises, and the exception
+    is re-raised. With neither on it is exactly [f ()]: no clock read
+    and no allocation, so callers build [attrs] only when {!enabled}. *)
 
 val event : string -> ?attrs:(string * value) list -> unit -> unit
-(** Emit an instant event (no duration). No-op when disabled. *)
-
-val flush : unit -> unit
-(** Flush the sink's channel to disk without closing it. Records are
-    also auto-flushed every {!flush_interval} records, so a hard-killed
-    run (SIGKILL, OOM) leaves at most the last few records in the
-    channel buffer. The on-disk file is still the staging ["<path>.tmp"]
-    until {!close} renames it; recover such a file with
-    [dhtlab trace report --allow-partial]. *)
+(** Emit an instant event (no duration). No-op when no sink is open. *)
 
 val flush_interval : int
-(** Records between automatic channel flushes (a constant). *)
+(** Records between automatic flushes of the sink's channel (a
+    constant). A hard-killed run (SIGKILL, OOM) never closes its sink,
+    so it loses at most the records since the last flush, and its
+    trace stays at the staging ["<path>.tmp"]; recover that file with
+    [dhtlab trace report --allow-partial]. *)
 
 val close : unit -> unit
-(** [set_sink None]. *)
+(** Close the open sink, if any, and rename its staging file onto its
+    path. *)

@@ -85,7 +85,6 @@ type report = {
   total_records : int;
   span_records : int;
   event_records : int;
-  heartbeats : int;
   wall_s : float;
   spans : (string * span_stats) list;
   domains : domain_stats list;
@@ -142,7 +141,6 @@ let analyze ?(top = 5) records =
   let by_geometry : (string, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   let span_records = ref 0 in
   let event_records = ref 0 in
-  let heartbeats = ref 0 in
   let first_ts = ref infinity in
   let last_ts = ref neg_infinity in
   let slowest = ref [] in
@@ -164,7 +162,6 @@ let analyze ?(top = 5) records =
       end
       else begin
         incr event_records;
-        if r.name = "heartbeat" then incr heartbeats;
         if r.name = "estimate/trial" then
           match
             ( Option.bind (List.assoc_opt "geometry" r.attrs) Tiny_json.to_str,
@@ -229,7 +226,6 @@ let analyze ?(top = 5) records =
     total_records = List.length records;
     span_records = !span_records;
     event_records = !event_records;
-    heartbeats = !heartbeats;
     wall_s =
       (if Float.is_finite !first_ts && !last_ts >= !first_ts then !last_ts -. !first_ts
        else 0.0);
@@ -242,9 +238,8 @@ let analyze ?(top = 5) records =
 
 let pp_report ppf r =
   Format.fprintf ppf "==== trace ====@\n";
-  Format.fprintf ppf "records %d (spans %d, events %d, heartbeats %d), domains %d, wall %.3f s@\n"
-    r.total_records r.span_records r.event_records r.heartbeats (List.length r.domains)
-    r.wall_s;
+  Format.fprintf ppf "records %d (spans %d, events %d), domains %d, wall %.3f s@\n"
+    r.total_records r.span_records r.event_records (List.length r.domains) r.wall_s;
   Format.fprintf ppf "==== spans ====@\n";
   if r.spans = [] then Format.fprintf ppf "(no spans)@\n"
   else begin

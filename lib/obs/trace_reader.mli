@@ -55,7 +55,6 @@ type report = {
   total_records : int;
   span_records : int;
   event_records : int;
-  heartbeats : int;
   wall_s : float;  (** last timestamp - first timestamp *)
   spans : (string * span_stats) list;  (** sorted by total time, descending *)
   domains : domain_stats list;  (** sorted by domain id *)

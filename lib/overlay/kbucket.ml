@@ -26,10 +26,6 @@ type t = {
 
 external build_buckets : t -> Prng.Splitmix.t -> unit = "rcm_kbucket_build" [@@noalloc]
 
-external rebuild : t -> Prng.Splitmix.t -> int -> int -> Bitset.words option -> unit
-  = "rcm_kbucket_rebuild"
-[@@noalloc]
-
 external rejoin_node : t -> Prng.Splitmix.t -> int -> Bitset.words -> unit
   = "rcm_kbucket_rejoin"
 [@@noalloc]
@@ -106,17 +102,6 @@ let build ?(rng = Prng.Splitmix.create ~seed:0xb0cce) ?(cache_k = 0) ~bits ~k ()
   in
   build_buckets t rng;
   t
-
-let rebuild_bucket ?alive t rng v ~level =
-  ignore (bucket_index t "Kbucket.rebuild_bucket" v level);
-  let words =
-    Option.map
-      (fun mask ->
-        check_mask t "Kbucket.rebuild_bucket" mask;
-        Bitset.words mask)
-      alive
-  in
-  rebuild t rng v level words
 
 let rejoin t rng ~alive v =
   check_node t "Kbucket.rejoin" v;

@@ -12,8 +12,8 @@
 
     Contacts and caches live in flat [int] arrays, one fixed run of
     slots per bucket. The hooks that change them — {!observe},
-    {!maintain} and the bucket draw shared by {!build},
-    {!rebuild_bucket} and {!rejoin} — are C loops over those arrays
+    {!maintain} and the bucket draw shared by {!build} and {!rejoin}
+    — are C loops over those arrays
     that store immediates, so they allocate nothing and pass nothing
     through the write barrier. Liveness is an alive mask
     ({!Failure.t}), read one word per contact, not a closure. The
@@ -77,21 +77,16 @@ val maintain : t -> int -> alive:Failure.t -> unit
     @raise Invalid_argument when [v] is out of range or [alive] does
     not cover exactly [2^bits] nodes. *)
 
-val rebuild_bucket : ?alive:Failure.t -> t -> Prng.Splitmix.t -> int -> level:int -> unit
-(** Redraws one bucket — a routing-table repair action under churn —
-    and clears its replacement cache. With [?alive], each draw retries
-    a dead candidate up to 8 times, preferring live contacts. A suffix
-    already drawn is redrawn without counting as a retry, so the draws
-    match {!build}'s for the same generator state.
-    @raise Invalid_argument when [v] or the level is out of range, or
-    [alive] does not cover exactly [2^bits] nodes. *)
-
 val rejoin : t -> Prng.Splitmix.t -> alive:Failure.t -> int -> unit
-(** A rejoining node's bootstrap: [rebuild_bucket ~alive] on every
-    level of [v] in ascending order, then [observe t c v] for each live
-    contact [c] of [v], buckets in level order and each bucket head
-    first. The announce is what seeds the contacts' buckets and
-    replacement caches with the returned node.
+(** A rejoining node's bootstrap: every bucket of [v] is redrawn in
+    level order and its replacement cache cleared, then [observe t c v]
+    runs for each live contact [c] of [v], buckets in level order and
+    each bucket head first. The announce is what seeds the contacts'
+    buckets and replacement caches with the returned node. A redraw
+    prefers live contacts: each draw retries a dead candidate up to 8
+    times. A suffix already drawn is redrawn without counting as a
+    retry, so with every node alive the draws match {!build}'s for the
+    same generator state.
     @raise Invalid_argument when [v] is out of range or [alive] does
     not cover exactly [2^bits] nodes. *)
 

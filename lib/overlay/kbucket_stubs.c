@@ -1,6 +1,6 @@
 /* Kbucket's hooks in C: observe, the ping-before-evict pass
-   (Kbucket.maintain) and the bucket draw that Kbucket.build,
-   rebuild_bucket and rejoin share.
+   (Kbucket.maintain) and the bucket draw that Kbucket.build and rejoin
+   share.
 
    Why C: under churn these run once per event. An xor rejoin redraws
    every bucket of the node and then announces it to each live contact,
@@ -167,19 +167,6 @@ CAMLprim value rcm_kbucket_build(value t, value rng)
   for (intnat v = 0; v < nodes; v++)
     for (intnat level = 1; level <= kb.bits; level++)
       draw_bucket(&kb, &s, v, level, NULL);
-  splitmix_store(rng, s);
-  return Val_unit;
-}
-
-/* Kbucket.rebuild_bucket: one bucket; [alive] is None or Some words. */
-CAMLprim value rcm_kbucket_rebuild(value t, value rng, value v, value level, value alive)
-{
-  struct kb kb = kb_of(t);
-  intnat b = Long_val(v) * kb.bits + Long_val(level) - 1;
-  uint64_t s = splitmix_load(rng);
-  draw_bucket(&kb, &s, Long_val(v), Long_val(level),
-              Is_block(alive) ? words_of(Field(alive, 0)) : NULL);
-  kb.cache_len[b] = Val_long(0);
   splitmix_store(rng, s);
   return Val_unit;
 }

@@ -61,11 +61,6 @@ let int i =
       (Printf.sprintf "Sim.Checkpoint: %d is outside +-(2^53 - 1) and would not round-trip" i);
   Json.Num (float_of_int i)
 
-let to_int = function
-  | Json.Num v when Float.is_integer v && Float.abs v <= float_of_int max_exact ->
-      Some (int_of_float v)
-  | _ -> None
-
 let field conv what fields name =
   match List.assoc_opt name fields with
   | None -> failwith (Printf.sprintf "missing field %S" name)
@@ -74,15 +69,15 @@ let field conv what fields name =
       | Some x -> x
       | None -> failwith (Printf.sprintf "field %S: expected %s" name what))
 
-let get_int = field to_int "an integer"
+let get_int = field Json.to_int "an integer"
 let get_float = field Json.to_num "a number"
 let get_string = field Json.to_str "a string"
 
 let get_ints =
   field
     (function
-      | Json.Arr items when List.for_all (fun v -> to_int v <> None) items ->
-          Some (List.filter_map to_int items)
+      | Json.Arr items when List.for_all (fun v -> Json.to_int v <> None) items ->
+          Some (List.filter_map Json.to_int items)
       | _ -> None)
     "an integer array"
 

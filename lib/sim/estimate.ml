@@ -50,9 +50,8 @@ let hops_attr hop_counts =
 let run_trial cfg cache build_seed =
   (* The clock is read when either subsystem observes this trial;
      tracing alone must not depend on metrics being enabled. *)
-  let t0 =
-    if Obs.Metrics.enabled () || Obs.Trace.enabled () then Unix.gettimeofday () else 0.0
-  in
+  let timed = Obs.Metrics.enabled () || Obs.Trace.enabled () in
+  let t0 = if timed then Unix.gettimeofday () else 0.0 in
   let table, rng = Trial.table ?cache ~bits:cfg.bits cfg.geometry build_seed in
   let alive =
     Obs.Trace.span "failure/inject"
@@ -63,28 +62,29 @@ let run_trial cfg cache build_seed =
     Trial.run ~table ~rng ~alive ~pairs:cfg.pairs_per_trial (fun src dst ->
         Routing.Router.route table ~rng ~alive ~src ~dst)
   in
-  if Obs.Metrics.enabled () then begin
+  if timed then begin
     let elapsed = Unix.gettimeofday () -. t0 in
-    Obs.Metrics.incr_named "estimate/trials";
-    Obs.Metrics.observe_named "estimate/alive_fraction" trial.alive_fraction;
-    Obs.Metrics.observe_named "estimate/trial_s" elapsed;
-    (* Per-grid-point task latency, keyed by q: the sweep scheduler's
-       unit of work is one (trial, q) task. *)
-    Obs.Metrics.observe_named (Printf.sprintf "estimate/task_s[q=%g]" cfg.q) elapsed
+    if Obs.Metrics.enabled () then begin
+      Obs.Metrics.observe_named "estimate/alive_fraction" trial.alive_fraction;
+      Obs.Metrics.observe_named "estimate/trial_s" elapsed;
+      (* Per-grid-point task latency, keyed by q: the sweep scheduler's
+         unit of work is one (trial, q) task. *)
+      Obs.Metrics.observe_named (Printf.sprintf "estimate/task_s[q=%g]" cfg.q) elapsed
+    end;
+    if Obs.Trace.enabled () then
+      Obs.Trace.event "estimate/trial"
+        ~attrs:
+          [
+            ("geometry", Obs.Trace.String (Rcm.Geometry.slug cfg.geometry));
+            ("q", Obs.Trace.Float cfg.q);
+            ("alive_fraction", Obs.Trace.Float trial.alive_fraction);
+            ("delivered", Obs.Trace.Int trial.delivered);
+            ("attempted", Obs.Trace.Int trial.attempted);
+            ("dur_s", Obs.Trace.Float elapsed);
+            ("hops", Obs.Trace.String (hops_attr trial.hop_counts));
+          ]
+        ()
   end;
-  if Obs.Trace.enabled () then
-    Obs.Trace.event "estimate/trial"
-      ~attrs:
-        [
-          ("geometry", Obs.Trace.String (Rcm.Geometry.slug cfg.geometry));
-          ("q", Obs.Trace.Float cfg.q);
-          ("alive_fraction", Obs.Trace.Float trial.alive_fraction);
-          ("delivered", Obs.Trace.Int trial.delivered);
-          ("attempted", Obs.Trace.Int trial.attempted);
-          ("dur_s", Obs.Trace.Float (Unix.gettimeofday () -. t0));
-          ("hops", Obs.Trace.String (hops_attr trial.hop_counts));
-        ]
-      ();
   trial
 
 (* Reduce trial contributions in index order (the determinism

@@ -29,7 +29,12 @@ let components table alive =
    pair-connectivity. The experiment quantifies the gap the paper's
    introduction argues makes percolation theory insufficient. *)
 let run_trial ~bits ~q geometry cache build_seed ~pairs =
-  let t0 = Obs.Metrics.now () in
+  Obs.Trace.span "percolation/trial"
+    ~attrs:
+      (if Obs.Trace.enabled () then
+         [ ("geometry", Obs.Trace.String (Rcm.Geometry.slug geometry)); ("q", Obs.Trace.Float q) ]
+       else [])
+  @@ fun () ->
   let table, rng = Trial.table ?cache ~bits geometry build_seed in
   let alive =
     Obs.Trace.span "failure/inject"
@@ -41,12 +46,6 @@ let run_trial ~bits ~q geometry cache build_seed ~pairs =
     Trial.run ~table ~rng ~alive ~pairs (fun src dst ->
         Routing.Router.route table ~rng ~alive ~src ~dst)
   in
-  (* Observation only — reads the clock and the finished trial, never
-     [rng], so results are bit-identical with metrics on or off. *)
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.incr_named "percolation/trials";
-    Obs.Metrics.observe_named "percolation/trial_s" (Obs.Metrics.now () -. t0)
-  end;
   { connectivity; routability = Trial.routability [ routed ]; routed_pairs = routed.attempted }
 
 (* The mean of [f] over the trials where it is defined: a trial with

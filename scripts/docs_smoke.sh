@@ -67,7 +67,7 @@ fi
 
 # --- 2. documented flags exist ---------------------------------------------
 # Flags in the docs that belong to other tools, not dhtlab.
-ALLOW="--deps-only --with-test --smoke --manifest --metrics --collector.textfile.directory"
+ALLOW="--deps-only --with-test --smoke --manifest --metrics"
 
 grep -hoE -- '--[a-z][a-z0-9.-]*' $DOCS | sort -u >"$work/doc_flags.txt"
 while IFS= read -r flag; do

@@ -233,38 +233,44 @@ let test_resume_keys_exact_lifetime_shape () =
       check_exit "resumed" status;
       Alcotest.(check string) "resume prints the fresh output" fresh resumed)
 
-(* The tentpole acceptance criterion: any combination of observability
-   flags leaves stdout byte-identical, while every requested sink file
-   appears, validates, and no .tmp staging file survives. *)
+(* Any combination of observability flags leaves stdout byte-identical,
+   while every requested sink file appears, validates, and no .tmp
+   staging file survives. Churn's points are timed by spans, so its
+   trace and its metrics count the same points. *)
 let test_obs_flags_preserve_stdout () =
   let dir = Filename.temp_file "dhtlab" "obs" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
-  let path name = Filename.concat dir name in
-  let args = [ "simulate"; "-g"; "ring"; "--smoke"; "--seed"; "11"; "--jobs"; "2" ] in
-  let status, baseline = run_capture args in
-  check_exit "baseline" status;
-  let status, observed =
-    run_capture
-      (args
-      @ [
-          "--trace-out"; path "t.jsonl"; "--metrics-out"; path "m.json";
-          "--metrics-prom"; path "m.prom"; "--manifest"; path "man.json";
-          "--obs-interval"; "0.05"; "--no-progress";
-        ])
+  let observe tag args =
+    let path name = Filename.concat dir (tag ^ "." ^ name) in
+    let status, baseline = run_capture args in
+    check_exit (tag ^ " baseline") status;
+    let status, observed =
+      run_capture
+        (args
+        @ [
+            "--trace-out"; path "t.jsonl"; "--metrics-out"; path "m.json"; "--manifest";
+            path "man.json"; "--no-progress";
+          ])
+    in
+    check_exit (tag ^ " observed") status;
+    Alcotest.(check string) (tag ^ ": all obs flags leave stdout byte-identical") baseline
+      observed;
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) (path name ^ " written") true (Sys.file_exists (path name));
+        Alcotest.(check bool) (path name ^ " left no .tmp") false
+          (Sys.file_exists (path name ^ ".tmp")))
+      [ "t.jsonl"; "m.json"; "man.json" ];
+    let open Obs.Tiny_json in
+    let manifest = parse (read_file (path "man.json")) in
+    Alcotest.(check (option int)) (tag ^ ": manifest exit status") (Some 0)
+      (Option.bind (member "exit_status" manifest) to_int);
+    (manifest, parse (read_file (path "m.json")), path "t.jsonl")
   in
-  check_exit "observed" status;
-  Alcotest.(check string) "all obs flags leave stdout byte-identical" baseline observed;
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " written") true (Sys.file_exists (path name));
-      Alcotest.(check bool) (name ^ " left no .tmp") false
-        (Sys.file_exists (path name ^ ".tmp")))
-    [ "t.jsonl"; "m.json"; "m.prom"; "man.json" ];
+  let args = [ "simulate"; "-g"; "ring"; "--smoke"; "--seed"; "11"; "--jobs"; "2" ] in
+  let manifest, metrics, _ = observe "simulate" args in
   let open Obs.Tiny_json in
-  let manifest = parse (read_file (path "man.json")) in
-  Alcotest.(check (option int)) "manifest exit status" (Some 0)
-    (Option.bind (member "exit_status" manifest) to_int);
   (match member "notes" manifest with
   | Some notes ->
       Alcotest.(check (option int)) "manifest resolved jobs" (Some 2)
@@ -272,11 +278,19 @@ let test_obs_flags_preserve_stdout () =
       Alcotest.(check (option int)) "manifest seed" (Some 11)
         (Option.bind (member "seed" notes) to_int)
   | None -> Alcotest.fail "manifest has no notes");
-  (match parse (read_file (path "m.json")) with
+  (match metrics with
   | Obj _ -> ()
   | _ -> Alcotest.fail "metrics snapshot is not a JSON object");
-  Alcotest.(check bool) "prometheus sink carries dhtlab_ families" true
-    (Astring_contains.contains (read_file (path "m.prom")) "# TYPE dhtlab_");
+  let _, metrics, trace = observe "churn" [ "churn"; "--smoke"; "--seed"; "7" ] in
+  let point_spans =
+    List.filter
+      (fun r -> r.Obs.Trace_reader.kind = "span" && r.Obs.Trace_reader.name = "churn/point")
+      (Obs.Trace_reader.load trace).Obs.Trace_reader.records
+  in
+  Alcotest.(check int) "the churn trace holds one span per point" 10 (List.length point_spans);
+  Alcotest.(check (option int)) "churn/point_s counts the same points" (Some 10)
+    (Option.bind (member "histograms" metrics) (fun h ->
+         Option.bind (member "churn/point_s" h) (fun s -> Option.bind (member "count" s) to_int)));
   (* A forced progress line goes to stderr and never stdout. *)
   let command =
     Printf.sprintf "%s 2>&1 >/dev/null"
@@ -286,6 +300,30 @@ let test_obs_flags_preserve_stdout () =
   check_exit "simulate --progress" status;
   Alcotest.(check bool) "progress line painted on stderr" true
     (Astring_contains.contains err "trials")
+
+(* No subcommand has a --metrics-prom or --obs-interval option: each
+   is a usage error (cmdliner's 124), never an internal error. *)
+let test_removed_obs_flags_rejected () =
+  List.iter
+    (fun command ->
+      List.iter
+        (fun flag ->
+          let args = command @ flag in
+          match run_capture_shell (Filename.quote_command binary args ^ " 2>&1") with
+          | Unix.WEXITED 124, _ -> ()
+          | Unix.WEXITED n, out ->
+              Alcotest.failf "%s exited %d, not a usage error:\n%s" (String.concat " " args) n
+                out
+          | (Unix.WSIGNALED n | Unix.WSTOPPED n), _ ->
+              Alcotest.failf "%s killed by signal %d" (String.concat " " args) n)
+        [ [ "--metrics-prom"; "m.prom" ]; [ "--obs-interval"; "0" ]; [ "--obs-interval"; "1" ] ])
+    [
+      [ "analyze" ]; [ "simulate"; "--smoke" ]; [ "figure"; "f7a" ]; [ "export" ];
+      [ "scalability" ]; [ "validate" ]; [ "percolation" ]; [ "churn"; "--smoke" ];
+      [ "storage"; "--smoke" ]; [ "hotspots"; "--smoke" ]; [ "route"; "1"; "2" ];
+      [ "trace"; "report"; "t.jsonl" ]; [ "trace"; "export-chrome"; "t.jsonl" ];
+      [ "geometries" ];
+    ]
 
 let test_trace_cli_report_and_chrome () =
   let dir = Filename.temp_file "dhtlab" "trace" in
@@ -689,4 +727,5 @@ let suite =
             "0.5"; "--session-dist"; "pareto:1.5"; "--measurements"; "2"; "--pairs"; "200";
             "--json"; "--seed"; "11" ]
           "churn-d9-pareto-nocache-seed11.jsonl");
+      ("removed obs flags are usage errors", `Quick, test_removed_obs_flags_rejected);
     ]

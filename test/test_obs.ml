@@ -168,9 +168,29 @@ let test_trace_writes_jsonl () =
 
 let test_disabled_span_runs_body () =
   Obs.Trace.close ();
+  Alcotest.(check bool) "metrics off" false (Obs.Metrics.enabled ());
   Alcotest.(check int) "span is identity when disabled" 7
     (Obs.Trace.span "test/none" (fun () -> 7));
-  Obs.Trace.event "test/none" ()
+  Obs.Trace.event "test/none" ();
+  Alcotest.(check bool) "no histogram registered" false
+    (List.mem_assoc "test/none_s" (Obs.Metrics.snapshot ()).Obs.Metrics.histograms)
+
+(* With metrics on and no trace sink, a span still times its body into
+   the histogram named after it, also when the body raises. *)
+let test_span_feeds_metrics () =
+  Obs.Trace.close ();
+  with_metrics (fun () ->
+      let count name =
+        match List.assoc_opt name (Obs.Metrics.snapshot ()).Obs.Metrics.histograms with
+        | Some s -> s.Obs.Metrics.count
+        | None -> 0
+      in
+      Alcotest.(check int) "span returns the body's value" 5
+        (Obs.Trace.span "test/timed" (fun () -> 5));
+      Alcotest.(check int) "one observation in test/timed_s" 1 (count "test/timed_s");
+      Alcotest.check_raises "a raising body is re-raised" (Failure "boom") (fun () ->
+          Obs.Trace.span "test/raised" (fun () -> failwith "boom"));
+      Alcotest.(check int) "the raising body is still counted" 1 (count "test/raised_s"))
 
 (* JSON must stay standard: a histogram fed nan/inf renders those
    aggregates as null, never as a bare NaN token. *)
@@ -235,78 +255,6 @@ let test_reset_preserves_registration () =
       Obs.Metrics.incr c;
       Alcotest.(check int) "handle survives reset" 1 (Obs.Metrics.counter_value c))
 
-(* Prometheus exposition: every sample line must carry a legal metric
-   name, counters must be non-negative integers, each family gets
-   exactly one TYPE line, and a "[k=v]" internal suffix becomes a real
-   label so a q-grid stays one family. *)
-let test_prometheus_renderer () =
-  with_metrics (fun () ->
-      Obs.Metrics.incr_named ~by:7 "test/prom count";
-      Obs.Metrics.observe_named "test/lat[q=0.5]" 0.25;
-      Obs.Metrics.observe_named "test/lat[q=0.9]" 0.5;
-      let text = Obs.Metrics.to_prometheus () in
-      let lines =
-        List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
-      in
-      Alcotest.(check bool) "renders something" true (lines <> []);
-      let legal_name n =
-        n <> ""
-        && (match n.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false)
-        && String.for_all
-             (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true | _ -> false)
-             n
-      in
-      let sample_name line =
-        let stop =
-          match (String.index_opt line '{', String.index_opt line ' ') with
-          | Some b, Some s -> Stdlib.min b s
-          | Some b, None -> b
-          | None, Some s -> s
-          | None, None -> String.length line
-        in
-        String.sub line 0 stop
-      in
-      let type_lines = ref [] in
-      List.iter
-        (fun line ->
-          if String.length line > 0 && line.[0] = '#' then begin
-            (match String.split_on_char ' ' line with
-            | "#" :: "TYPE" :: family :: _ ->
-                Alcotest.(check bool) ("legal family name " ^ family) true (legal_name family);
-                Alcotest.(check bool) ("one TYPE line for " ^ family) false
-                  (List.mem family !type_lines);
-                type_lines := family :: !type_lines
-            | _ -> Alcotest.fail ("unexpected comment line: " ^ line))
-          end
-          else begin
-            let name = sample_name line in
-            Alcotest.(check bool) ("legal sample name " ^ name) true (legal_name name);
-            Alcotest.(check bool) ("dhtlab_ prefix on " ^ name) true
-              (String.length name > 7 && String.sub name 0 7 = "dhtlab_")
-          end)
-        lines;
-      (* Counter sample: monotone (non-negative integer) with _total. *)
-      let counter_line =
-        List.find
-          (fun l ->
-            l.[0] <> '#' && contains_substring l "dhtlab_test_prom_count_total")
-          lines
-      in
-      (match String.split_on_char ' ' counter_line with
-      | [ _; v ] ->
-          (match int_of_string_opt v with
-          | Some n -> Alcotest.(check bool) "counter non-negative" true (n >= 0)
-          | None -> Alcotest.fail ("counter value not an integer: " ^ v))
-      | _ -> Alcotest.fail ("malformed counter line: " ^ counter_line));
-      (* The [q=...] suffix became a label on one shared family. *)
-      Alcotest.(check bool) "q label extracted" true
-        (contains_substring text {|q="0.5"|} && contains_substring text {|q="0.9"|});
-      Alcotest.(check bool) "summary quantiles present" true
-        (contains_substring text {|quantile="0.5"|}
-        && contains_substring text {|quantile="0.99"|});
-      Alcotest.(check bool) "summary count sample" true
-        (contains_substring text "dhtlab_test_lat_count"))
-
 let count_lines path =
   let ic = open_in path in
   Fun.protect
@@ -321,8 +269,8 @@ let count_lines path =
        with End_of_file -> ());
       !n)
 
-(* The flush satellite: a hard-killed run must find most of its records
-   already on disk in the staging .tmp, not in a channel buffer. *)
+(* A hard-killed run must find all but its last few records already on
+   disk in the staging .tmp, not in a channel buffer. *)
 let test_trace_flushes_periodically () =
   let path = Filename.temp_file "dht_rcm_test" ".jsonl" in
   let tmp = path ^ ".tmp" in
@@ -341,9 +289,6 @@ let test_trace_flushes_periodically () =
         (Printf.sprintf "all %d records flushed without close" Obs.Trace.flush_interval)
         Obs.Trace.flush_interval (count_lines tmp);
       Obs.Trace.event "test/straggler" ();
-      Obs.Trace.flush ();
-      Alcotest.(check int) "explicit flush pushes the straggler"
-        (Obs.Trace.flush_interval + 1) (count_lines tmp);
       Obs.Trace.close ();
       Alcotest.(check bool) ".tmp renamed away on close" false (Sys.file_exists tmp);
       Alcotest.(check int) "final file complete" (Obs.Trace.flush_interval + 1)
@@ -461,25 +406,6 @@ let test_manifest_roundtrip () =
           | _ -> Alcotest.fail "missing artefact not recorded with exists:false")
       | _ -> Alcotest.fail "expected exactly two artefacts (duplicate not deduped?)")
 
-let test_heartbeat_beats_and_stops () =
-  Alcotest.check_raises "non-positive interval rejected"
-    (Invalid_argument "Obs.Heartbeat.start: interval must be positive") (fun () ->
-      Obs.Heartbeat.start ~interval_s:0.0 (fun () -> ()));
-  let beats = Atomic.make 0 in
-  Obs.Heartbeat.start ~interval_s:0.02 (fun () -> Atomic.incr beats);
-  Alcotest.(check bool) "active while running" true (Obs.Heartbeat.active ());
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while Atomic.get beats < 2 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.01
-  done;
-  Alcotest.(check bool) "beat at least twice" true (Atomic.get beats >= 2);
-  Obs.Heartbeat.stop ();
-  Alcotest.(check bool) "inactive after stop" false (Obs.Heartbeat.active ());
-  let after = Atomic.get beats in
-  Unix.sleepf 0.06;
-  Alcotest.(check int) "no beat after stop" after (Atomic.get beats);
-  Obs.Heartbeat.stop () (* idempotent *)
-
 (* Every JSON sink writes strings through one escaper: control bytes in
    a trace name, attr key or attr value and in a metric name come out
    escaped (RFC 8259 forbids them raw) and parse back equal. *)
@@ -515,6 +441,36 @@ let test_json_strings_escaped () =
       Alcotest.(check (option int)) "metric name" (Some 1)
         (Option.bind (field (Obs.Tiny_json.parse text) [ "counters"; odd ]) Obs.Tiny_json.to_int))
 
+(* A JSON number is a double: past 2^53 it no longer names one integer,
+   and past max_int it names none an [int] holds. *)
+let test_json_to_int_exact () =
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check (option int)) text expected
+        (Obs.Tiny_json.to_int (Obs.Tiny_json.parse text)))
+    [
+      ("1e300", None);
+      ("-1e19", None);
+      ("4611686018427387904", None);
+      ("9007199254740993", None);
+      ("9007199254740991", Some 9007199254740991);
+      ("-9007199254740991", Some (-9007199254740991));
+      ("1.5", None);
+    ]
+
+let max_exact = (1 lsl 53) - 1
+
+let json_to_int_round_trip =
+  Helpers.qcheck "json: to_int reads back every exact integer"
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range (-max_exact) max_exact;
+          int_range (-1000) 1000;
+          oneofl [ max_exact; -max_exact; 0 ];
+        ])
+    (fun i -> Obs.Tiny_json.to_int (Obs.Tiny_json.parse (string_of_int i)) = Some i)
+
 let suite =
   [
     ("metrics: counters", `Quick, test_counters);
@@ -524,13 +480,14 @@ let suite =
     ("metrics: non-finite values render as null", `Quick, test_json_non_finite_is_null);
     ("metrics: quantiles at count 0 and 1", `Quick, test_quantiles_empty_and_singleton);
     ("metrics: reset preserves registration", `Quick, test_reset_preserves_registration);
-    ("metrics: prometheus exposition", `Quick, test_prometheus_renderer);
     ("obs: instrumentation preserves results", `Quick, test_instrumentation_preserves_results);
     ("trace: writes one JSON object per line", `Quick, test_trace_writes_jsonl);
     ("trace: disabled span runs body", `Quick, test_disabled_span_runs_body);
     ("trace: flushes every K records", `Quick, test_trace_flushes_periodically);
     ("progress: renders On, silent Off", `Quick, test_progress_renders_and_off_is_silent);
     ("manifest: roundtrip with checksums", `Quick, test_manifest_roundtrip);
-    ("heartbeat: beats and stops", `Quick, test_heartbeat_beats_and_stops);
     ("json: control bytes escaped in trace and metrics", `Quick, test_json_strings_escaped);
+    ("trace: span feeds <name>_s metrics", `Quick, test_span_feeds_metrics);
+    ("json: to_int refuses inexact integers", `Quick, test_json_to_int_exact);
+    json_to_int_round_trip;
   ]

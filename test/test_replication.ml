@@ -122,24 +122,6 @@ let test_bucket_prefix_property () =
     done
   done
 
-let test_bucket_rebuild () =
-  let t = build_buckets ~k:2 () in
-  let rng = rng_of_seed 1234 in
-  let before = Array.copy (Overlay.Kbucket.bucket t 7 1) in
-  (* Level-1 buckets draw from 128 candidates, so a redraw almost surely
-     changes the contact set; rebuild a few times to make the check
-     robust. *)
-  let changed = ref false in
-  for _ = 1 to 5 do
-    Overlay.Kbucket.rebuild_bucket t rng 7 ~level:1;
-    if Overlay.Kbucket.bucket t 7 1 <> before then changed := true
-  done;
-  Alcotest.(check bool) "rebuild changes the bucket" true !changed;
-  (* The prefix invariant survives rebuilds. *)
-  Array.iter
-    (fun c -> Alcotest.(check int) "prefix after rebuild" 0 (Idspace.Id.common_prefix_length ~bits 7 c))
-    (Overlay.Kbucket.bucket t 7 1)
-
 let test_bucket_copy_isolated () =
   (* [bucket] must return a copy: mutating it cannot corrupt the table.
      This pins the aliasing fix — the accessor used to hand out the
@@ -225,15 +207,13 @@ let kbucket_invariants_under_churn =
       let alive = Overlay.Failure.none n in
       for _ = 1 to 300 do
         let v = Prng.Splitmix.int rng n in
-        match Prng.Splitmix.int rng 5 with
+        match Prng.Splitmix.int rng 4 with
         | 0 -> Overlay.Failure.set alive (Prng.Splitmix.int rng n) (Prng.Splitmix.bool rng)
         | 1 ->
             let id = Prng.Splitmix.int rng n in
             if id <> v then Overlay.Kbucket.observe t v id
         | 2 -> Overlay.Kbucket.maintain t v ~alive
-        | 3 -> Overlay.Kbucket.rejoin t rng ~alive v
-        | _ ->
-            Overlay.Kbucket.rebuild_bucket ~alive t rng v ~level:(1 + Prng.Splitmix.int rng 6)
+        | _ -> Overlay.Kbucket.rejoin t rng ~alive v
       done;
       match Overlay.Kbucket.invariant_violation t with
       | None -> true
@@ -242,7 +222,7 @@ let kbucket_invariants_under_churn =
 (* A list-based reference model of the k-bucket rules: per bucket, the
    contacts least-recently-seen first and the replacement cache oldest
    first. Liveness is an alive mask, read through [Failure.get].
-   Rebuilds and rejoins replay the sampling rule with their own copy of
+   Builds and rejoins replay the sampling rule with their own copy of
    the generator, so the model also pins the draws. *)
 module Kbucket_model = struct
   type t = {
@@ -330,16 +310,14 @@ module Kbucket_model = struct
       ping m v level ~alive
     done
 
-  let rebuild ?alive m rng v level =
-    let b = slot m v level in
-    m.contacts.(b) <- sample ?alive m rng v level;
-    m.cache.(b) <- []
-
-  (* Every level redrawn preferring live contacts, then the announce
-     to each live contact, buckets in level order, heads first. *)
+  (* Every level redrawn preferring live contacts, with its cache
+     cleared, then the announce to each live contact, buckets in level
+     order, heads first. *)
   let rejoin m rng ~alive v =
     for level = 1 to m.bits do
-      rebuild ~alive m rng v level
+      let b = slot m v level in
+      m.contacts.(b) <- sample ~alive m rng v level;
+      m.cache.(b) <- []
     done;
     for level = 1 to m.bits do
       List.iter
@@ -381,21 +359,19 @@ type kbucket_op =
   | Toggle of int
   | Observe of int * int
   | Maintain of int
-  | Rebuild of int * int
   | Rejoin of int
 
 (* Most operations act on four owners, so their buckets fill, their
    caches overflow and their heads get evicted within one run. *)
 let kbucket_op_gen =
   let open QCheck2.Gen in
-  let node = int_range 0 63 and level = int_range 1 6 in
+  let node = int_range 0 63 in
   let owner = frequency [ (4, int_range 0 3); (1, node) ] in
   frequency
     [
       (2, map (fun v -> Toggle v) node);
       (2, map2 (fun v id -> Observe (v, id)) owner node);
       (2, map (fun v -> Maintain v) owner);
-      (2, map2 (fun v l -> Rebuild (v, l)) owner level);
       (1, map (fun v -> Rejoin v) node);
     ]
 
@@ -405,9 +381,9 @@ let kbucket_matches_model =
   qcheck "k-bucket rules match a list model" ~count:100
     QCheck2.Gen.(
       pair
-        (quad (oneofl [ 3; 8 ]) (oneofl [ 0; 2 ]) bool (int_range 0 10_000))
+        (triple (oneofl [ 3; 8 ]) (oneofl [ 0; 2 ]) (int_range 0 10_000))
         (list_size (int_range 1 200) kbucket_op_gen))
-    (fun ((k, cache_k, with_alive, seed), ops) ->
+    (fun ((k, cache_k, seed), ops) ->
       let bits = 6 in
       let rng = rng_of_seed seed in
       let model_rng = rng_of_seed seed in
@@ -438,16 +414,6 @@ let kbucket_matches_model =
                    Overlay.Kbucket.maintain t v ~alive;
                    Kbucket_model.maintain m v ~alive;
                    false
-               | Rebuild (v, level) ->
-                   if with_alive then begin
-                     Overlay.Kbucket.rebuild_bucket ~alive t rng v ~level;
-                     Kbucket_model.rebuild ~alive m model_rng v level
-                   end
-                   else begin
-                     Overlay.Kbucket.rebuild_bucket t rng v ~level;
-                     Kbucket_model.rebuild m model_rng v level
-                   end;
-                   true
                | Rejoin v ->
                    Overlay.Kbucket.rejoin t rng ~alive v;
                    Kbucket_model.rejoin m model_rng ~alive v;
@@ -476,10 +442,6 @@ let test_bucket_range_checks () =
       ("maintain: node -1", fun () -> Overlay.Kbucket.maintain t (-1) ~alive);
       ("maintain: node 64", fun () -> Overlay.Kbucket.maintain t 64 ~alive);
       ("maintain: short mask", fun () -> Overlay.Kbucket.maintain t 0 ~alive:short);
-      ("rebuild: node 64", fun () -> Overlay.Kbucket.rebuild_bucket t rng 64 ~level:1);
-      ("rebuild: level 7", fun () -> Overlay.Kbucket.rebuild_bucket t rng 0 ~level:7);
-      ("rebuild: short mask", fun () ->
-        Overlay.Kbucket.rebuild_bucket ~alive:short t rng 0 ~level:1);
       ("rejoin: node 64", fun () -> Overlay.Kbucket.rejoin t rng ~alive 64);
       ("rejoin: node -1", fun () -> Overlay.Kbucket.rejoin t rng ~alive (-1));
       ("rejoin: short mask", fun () -> Overlay.Kbucket.rejoin t rng ~alive:short 0);
@@ -712,7 +674,6 @@ let suite =
     ("k-bucket sizes", `Quick, test_bucket_sizes);
     ("k-bucket contacts distinct", `Quick, test_bucket_contacts_distinct);
     ("k-bucket prefix property", `Quick, test_bucket_prefix_property);
-    ("k-bucket rebuild", `Quick, test_bucket_rebuild);
     ("k-bucket copy isolation", `Quick, test_bucket_copy_isolated);
     ("k-bucket LRU on observe", `Quick, test_bucket_observe_lru);
     ("k-bucket cache promotion", `Quick, test_bucket_cache_promotion);
