@@ -1,4 +1,4 @@
-.PHONY: all build test check doc docs-smoke sweep-smoke trace-smoke perfbench-smoke clean
+.PHONY: all build test check doc docs-smoke exports-audit sweep-smoke trace-smoke perfbench-smoke clean
 
 all: build
 
@@ -21,9 +21,17 @@ doc:
 	sh scripts/doc.sh
 
 # Docs-drift audit: README/EXPERIMENTS/DESIGN flag and subcommand
-# references checked against the built binary's real --help output.
+# references checked against the built binary's real --help output,
+# and their Module.name API references (with the {!Module.name} ones
+# in lib/*/*.mli) against the exports (scripts/exports_audit.py).
 docs-smoke: build
 	sh scripts/docs_smoke.sh
+
+# Every val/external in lib/*/*.mli has a caller in bin/, examples/,
+# perfbench/, bench/ or another lib/ module, or a "Test hook:" marker
+# in its doc comment; every documented API reference resolves.
+exports-audit:
+	python3 scripts/exports_audit.py
 
 # Smoke table, one row per sweep (scripts/sweep_smoke.sh): byte-identity
 # across --jobs and --no-batch, CSV/JSON/loadmap shapes, checkpoint +

@@ -567,7 +567,7 @@ let figure name quick csv plot jobs no_batch obs =
         with_jobs jobs (fun pool -> figure_series ?pool name quick))
   in
   print_series ~csv series;
-  if plot then Experiments.Ascii_plot.print series
+  if plot then print_string (Experiments.Ascii_plot.render series)
 
 let figure_cmd =
   let doc = "Regenerate a paper figure or an ablation: " ^ String.concat ", " figure_names in

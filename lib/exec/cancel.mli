@@ -27,11 +27,13 @@ val install : unit -> unit
     from the main domain before starting work. *)
 
 val request : unit -> unit
-(** Set the flag programmatically (tests, embedding applications). *)
+(** Set the flag programmatically. Test hook: lets a test cancel a
+    sweep at a chosen task boundary, which no signal can time. *)
 
 val requested : unit -> bool
 (** One atomic load; cheap on any hot path. *)
 
 val reset : unit -> unit
-(** Clear the flag (between independent runs in one process, and in
-    tests). Does not uninstall signal handlers. *)
+(** Clear the flag. Does not uninstall signal handlers. Test hook:
+    lets the tests that cancel a sweep run further sweeps in the same
+    process. *)

@@ -39,8 +39,8 @@ val of_env : unit -> t option
     invalid value is rejected with a one-line stderr warning naming the
     value (mirroring [DHT_RCM_JOBS] handling) and yields [None]. *)
 
-val should_fail : t -> task:int -> attempt:int -> bool
-(** Pure: whether this plan fails the given task attempt. *)
-
 val inject : t option -> task:int -> attempt:int -> unit
-(** @raise Injected when [should_fail]; no-op on [None]. *)
+(** A pure function of the plan, [task] and [attempt]: within the
+    plan's attempt budget a task fails on every attempt or on none.
+    @raise Injected when the plan fails this task attempt; no-op on
+    [None]. *)

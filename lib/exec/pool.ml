@@ -56,7 +56,7 @@ let worker pool member =
 
 let create ?domains () =
   let size = match domains with Some n -> n | None -> default_domains () in
-  if size < 1 then invalid_arg "Exec.Pool.create: need at least one domain";
+  if size < 1 then invalid_arg "Exec.Pool.with_pool: need at least one domain";
   let pool =
     {
       lock = Mutex.create ();
@@ -197,8 +197,6 @@ let map t n f =
     end;
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let map_reduce t ~n ~map:f ~init ~fold = Array.fold_left fold init (map t n f)
 
 (* --- Supervised execution -------------------------------------------------- *)
 

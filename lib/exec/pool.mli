@@ -10,7 +10,7 @@
 
     Determinism contract for callers: a task must derive all of its
     randomness from its own index (e.g. a per-trial PRNG seed taken
-    from a pre-generated array, see {!Prng.Splitmix.split}) and must
+    from a pre-generated array, as [Sim.Trial.seeds] does) and must
     not mutate state shared with other tasks. Tasks must not submit
     nested work to the pool they run on.
 
@@ -39,12 +39,6 @@ val default_domains : unit -> int
     with a one-line warning on stderr naming the rejected value, and
     the recommended count is used instead. *)
 
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] starts a pool of [domains - 1] worker domains
-    (the caller participates as the remaining member). [domains = 1]
-    spawns nothing and makes every [map] run inline on the caller.
-    @raise Invalid_argument if [domains < 1]. *)
-
 val size : t -> int
 (** Total parallelism, including the calling domain. *)
 
@@ -53,11 +47,6 @@ val map : t -> int -> (int -> 'a) -> 'a array
     range split into [size pool] contiguous blocks executed in
     parallel. The caller runs block 0 itself. Exceptions raised by
     tasks are re-raised on the caller after all blocks finish. *)
-
-val map_reduce : t -> n:int -> map:(int -> 'a) -> init:'b -> fold:('b -> 'a -> 'b) -> 'b
-(** [map_reduce pool ~n ~map ~init ~fold] folds the [map] results in
-    index order: [fold (... (fold init (map 0)) ...) (map (n-1))].
-    Equals the sequential fold for every pool size. *)
 
 (** {1 Supervised execution}
 
@@ -96,12 +85,12 @@ val supervised : ?retries:int -> task:(attempt:int -> int -> 'a) -> int -> 'a ou
     runs every sweep task through it.
     @raise Invalid_argument if [retries < 0]. *)
 
-val shutdown : t -> unit
-(** Joins the worker domains. The pool must not be used afterwards
-    ([map] raises [Invalid_argument]). Jobs submitted but not yet
-    started when shutdown begins are failed explicitly — their owning
-    [map] raises [Failure] instead of waiting forever. Idempotent. *)
-
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] on a fresh pool and shuts it down on exit,
-    including on exceptions. *)
+(** [with_pool ~domains f] starts a pool of [domains - 1] worker
+    domains (the caller participates as the remaining member; the
+    default is {!default_domains}), runs [f] on it and joins the
+    workers on exit, including on exceptions. [domains = 1] spawns
+    nothing and makes every [map] run inline on the caller. The pool
+    must not be used after [f] returns ([map] raises
+    [Invalid_argument]).
+    @raise Invalid_argument if [domains < 1]. *)

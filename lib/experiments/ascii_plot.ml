@@ -102,6 +102,3 @@ let render ?(width = 64) ?(height = 20) ?y_floor ?y_ceiling (series : Series.t) 
         (Printf.sprintf "%9s%c = %s\n" "" markers.(index mod Array.length markers) column.label))
     series.columns;
   Buffer.contents buffer
-
-let print ?width ?height ?y_floor ?y_ceiling series =
-  print_string (render ?width ?height ?y_floor ?y_ceiling series)

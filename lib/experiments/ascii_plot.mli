@@ -4,11 +4,11 @@
     y-axis range annotation, an x-axis rule and a legend — enough to
     eyeball the paper's figure shapes straight from the CLI. *)
 
-val markers : char array
-
 val interpolate : float array -> float array -> float -> float option
 (** Piecewise-linear interpolation over an x-sorted grid; [None]
-    outside the range or across non-finite values. *)
+    outside the range or across non-finite values. Test hook: {!render}
+    shows it only at character resolution, and the tests check the
+    values. *)
 
 val render :
   ?width:int -> ?height:int -> ?y_floor:float -> ?y_ceiling:float -> Series.t -> string
@@ -17,5 +17,3 @@ val render :
     onto the border). @raise Invalid_argument on an empty series or a
     canvas smaller than 16x4. *)
 
-val print :
-  ?width:int -> ?height:int -> ?y_floor:float -> ?y_ceiling:float -> Series.t -> unit

@@ -38,8 +38,6 @@ let simulate_sweep ?pool cfg ~mode ~group qs =
   |> List.map Sim.Trial.routability
   |> Array.of_list
 
-let simulate cfg ~mode ~group q = (simulate_sweep cfg ~mode ~group [ q ]).(0)
-
 let label ~group suffix = Printf.sprintf "b=%d(%s)" (Idspace.Digit.base ~group) suffix
 
 let tree_series ?pool cfg =
@@ -75,19 +73,3 @@ let xor_series ?pool cfg =
              (simulate_sweep ?pool cfg ~mode:`Xor ~group cfg.qs);
          ])
        cfg.groups)
-
-(* Shorter routes help: analytical routability is monotone in the digit
-   width at every grid point (for the tree, where p = (1-q)^h). *)
-let tree_monotone_in_base cfg =
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-    | [ _ ] | [] -> []
-  in
-  List.for_all
-    (fun (small, large) ->
-      List.for_all
-        (fun q ->
-          Rcm.Digits.tree_routability ~d:cfg.bits ~q ~group:large
-          >= Rcm.Digits.tree_routability ~d:cfg.bits ~q ~group:small -. 1e-9)
-        cfg.qs)
-    (pairs cfg.groups)

@@ -18,24 +18,6 @@ type config = {
 
 val default_config : config
 
-val simulate : config -> mode:[ `Tree | `Xor ] -> group:int -> float -> float
-(** Simulated routability at one grid point; [nan] when no trial had
-    two survivors. *)
-
-val simulate_sweep :
-  ?pool:Exec.Pool.t ->
-  config ->
-  mode:[ `Tree | `Xor ] ->
-  group:int ->
-  float list ->
-  float array
-(** The simulated column over a q grid as one [|qs| × trials] task
-    batch; bit-identical to per-point {!simulate} calls for every pool
-    size. *)
-
 val tree_series : ?pool:Exec.Pool.t -> config -> Series.t
 val xor_series : ?pool:Exec.Pool.t -> config -> Series.t
 
-val tree_monotone_in_base : config -> bool
-(** True when analytical tree routability never decreases with the
-    digit width across the grid. *)

@@ -18,6 +18,10 @@ type config = {
 }
 
 val default_config : config
+(** The published E8 table's settings. Test hook: like everything in
+    this module, since no command prints E8; [test_churn] diffs
+    {!pp_rows} over these rows against
+    [test/golden/churn-bridge-default.txt]. *)
 
 type row = {
   geometry : Rcm.Geometry.t;
@@ -36,11 +40,13 @@ val run : geometries:Rcm.Geometry.t list -> config -> row list
     {!Sim.Session_churn.config} defaults. The published table runs [record:h=2], ring and
     symphony: ReCord at h = 2 is the paper's one-contact xor table
     with dead entries redrawn at each repair, where the built-in [xor]
-    would run k-bucket maintenance instead. *)
+    would run k-bucket maintenance instead. Test hook: see
+    {!default_config}. *)
 
 val bridge_error : row -> float
 (** |measured routability - static *simulation* at q = stale fraction|:
     the pure static-to-churn mapping error, free of model
-    idealisations. *)
+    idealisations. Test hook: see {!default_config}. *)
 
 val pp_rows : Format.formatter -> row list -> unit
+(** The E8 table. Test hook: see {!default_config}. *)

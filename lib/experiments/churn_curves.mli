@@ -77,7 +77,9 @@ val codec : config -> (Rcm.Geometry.t * float, point) Sim.Sweep.codec
     (geometry, session mean) coordinates. The key holds every config
     field that determines a point plus its derived seed; a
     [mean_routability] of [nan] (no measurement found a pair, so
-    [routable_measurements = 0]) is stored as an absent field. *)
+    [routable_measurements = 0]) is stored as an absent field.
+    Test hook: {!run} uses it only inside the sweep engine, and
+    [test_churn] round-trips points through it, [nan] included. *)
 
 val pp_points : Format.formatter -> point list -> unit
 

@@ -34,16 +34,3 @@ let run ?pool cfg geometry =
       Series.column ~label:"gap"
         (Array.of_list (List.map Sim.Percolation.routing_gap reports));
     ]
-
-(* Routability can exceed connectivity only through Monte-Carlo noise. *)
-let gap_violations ?(slack = 0.02) series =
-  match (Series.find_column series "connectivity", Series.find_column series "routability") with
-  | Some c, Some r ->
-      let out = ref [] in
-      Array.iteri
-        (fun i q ->
-          if r.Series.values.(i) > c.Series.values.(i) +. slack then
-            out := (q, c.Series.values.(i), r.Series.values.(i)) :: !out)
-        series.Series.x;
-      List.rev !out
-  | None, _ | _, None -> invalid_arg "Connectivity.gap_violations: not an A1 series"

@@ -14,7 +14,3 @@ val run : ?pool:Exec.Pool.t -> config -> Rcm.Geometry.t -> Series.t
     and their gap, over the q grid. Bit-identical for every pool size;
     overlay builds are shared across the sweep (trials builds total). *)
 
-val gap_violations : ?slack:float -> Series.t -> (float * float * float) list
-(** Grid points where routability exceeds connectivity by more than
-    [slack] — empty on a correct build (routing cannot beat
-    connectivity). *)

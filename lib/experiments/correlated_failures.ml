@@ -22,18 +22,6 @@ let simulate cfg geometry ~mode q =
          Sim.Trial.run ~table ~rng ~alive ~pairs:cfg.pairs (fun src dst ->
              Routing.Router.route table ~rng ~alive ~src ~dst)))
 
-let run cfg geometry =
-  Series.tabulate
-    ~title:
-      (Printf.sprintf
-         "A6 (%s): independent vs correlated (block) failures, N=2^%d (routability)"
-         (Rcm.Geometry.slug geometry) cfg.bits)
-    ~x_label:"q" ~x:cfg.qs
-    [
-      ("independent", simulate cfg geometry ~mode:`Independent);
-      ("block", simulate cfg geometry ~mode:`Block);
-    ]
-
 let run_all cfg =
   Series.tabulate
     ~title:
@@ -47,18 +35,3 @@ let run_all cfg =
            (Rcm.Geometry.slug g ^ "(blk)", simulate cfg g ~mode:`Block);
          ])
        Rcm.Geometry.all_default)
-
-(* Summary statistic: mean over the grid of (block - independent). *)
-let block_penalty series ~geometry =
-  let name = Rcm.Geometry.slug geometry in
-  match
-    (Series.find_column series (name ^ "(iid)"), Series.find_column series (name ^ "(blk)"))
-  with
-  | Some iid, Some blk ->
-      let n = Array.length iid.Series.values in
-      let total = ref 0.0 in
-      for i = 0 to n - 1 do
-        total := !total +. (blk.Series.values.(i) -. iid.Series.values.(i))
-      done;
-      !total /. float_of_int n
-  | None, _ | _, None -> invalid_arg "Correlated_failures.block_penalty: not an A6 series"

@@ -11,17 +11,6 @@ type config = { bits : int; qs : float list; trials : int; pairs : int; seed : i
 
 val default_config : config
 
-val simulate :
-  config -> Rcm.Geometry.t -> mode:[ `Independent | `Block ] -> float -> float
-(** Simulated routability at one failure level; [nan] when no trial had
-    two survivors. *)
-
-val run : config -> Rcm.Geometry.t -> Series.t
-(** Two columns (independent, block) for one geometry. *)
-
 val run_all : config -> Series.t
 (** All five geometries, interleaved iid/blk columns. *)
 
-val block_penalty : Series.t -> geometry:Rcm.Geometry.t -> float
-(** Mean (block - independent) routability over the grid; negative when
-    correlation hurts. Use on a {!run_all} series. *)

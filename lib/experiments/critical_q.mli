@@ -11,9 +11,6 @@ val critical_q : Rcm.Geometry.t -> d:int -> target:float -> float option
     target is unattainable even as q -> 0, [Some 1.] when it holds for
     every q. @raise Invalid_argument for targets outside (0,1). *)
 
-val default_ds : int list
-val default_targets : float list
-
 val run : ?ds:int list -> ?targets:float list -> unit -> row list
 
 val pp_rows : Format.formatter -> row list -> unit

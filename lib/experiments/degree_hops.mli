@@ -26,9 +26,6 @@ type row = {
   routability : float;  (** simulated delivery fraction (nan without data) *)
 }
 
-val rows : config -> Rcm.Geometry.t list -> row list
-(** One measured row per geometry, sorted by ascending degree. *)
-
 val run : config -> Rcm.Geometry.t list -> Series.t
 (** The rows as a plottable series: x = degree, columns
     [hops(chain)], [hops(sim)], [routability]. *)

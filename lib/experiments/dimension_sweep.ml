@@ -42,26 +42,3 @@ let run cfg =
            (label ~dim ~side "up", fun q -> Rcm.Torus_bounds.routability_upper ~dim ~side ~q);
          ])
        cfg.configurations)
-
-(* The sandwich must hold: lo <= sim <= up at every point (up to
-   Monte-Carlo noise). *)
-let sandwich_violations ?(slack = 0.02) series ~configurations =
-  let out = ref [] in
-  List.iter
-    (fun (dim, side) ->
-      match
-        ( Series.find_column series (label ~dim ~side "lo"),
-          Series.find_column series (label ~dim ~side "sim"),
-          Series.find_column series (label ~dim ~side "up") )
-      with
-      | Some lo, Some sim, Some up ->
-          Array.iteri
-            (fun i q ->
-              if sim.Series.values.(i) < lo.Series.values.(i) -. slack then
-                out := (q, label ~dim ~side "lo") :: !out;
-              if sim.Series.values.(i) > up.Series.values.(i) +. slack then
-                out := (q, label ~dim ~side "up") :: !out)
-            series.Series.x
-      | _, _, _ -> ())
-    configurations;
-  List.rev !out

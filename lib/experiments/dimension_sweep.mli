@@ -15,16 +15,6 @@ type config = {
 
 val default_config : config
 
-val simulate : config -> dim:int -> side:int -> float -> float
-(** Simulated routability at one failure level; [nan] when no trial had
-    two survivors. *)
-
-val label : dim:int -> side:int -> string -> string
-
 val run : config -> Series.t
 (** Columns lo/sim/up per configuration. *)
 
-val sandwich_violations :
-  ?slack:float -> Series.t -> configurations:(int * int) list -> (float * string) list
-(** Points where the simulation escapes its bounds — empty on a correct
-    build. *)

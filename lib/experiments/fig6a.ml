@@ -26,9 +26,6 @@ let analysis_label geometry = Rcm.Geometry.slug geometry ^ "(ana)"
 
 let simulation_label geometry = Rcm.Geometry.slug geometry ^ "(sim)"
 
-let analysis_column cfg geometry =
-  (analysis_label geometry, fun q -> Rcm.Model.failed_paths_percent geometry ~d:cfg.bits ~q)
-
 (* One simulated column over the whole q grid: the sweep runs all
    |qs| × trials grid points as one task batch (parallel under [pool])
    and, because trial seeds do not depend on q, builds each trial's
@@ -44,14 +41,6 @@ let simulation_values ?pool ?cache cfg geometry =
 let analysis_values cfg geometry =
   Array.of_list
     (List.map (fun q -> Rcm.Model.failed_paths_percent geometry ~d:cfg.bits ~q) cfg.qs)
-
-let analysis cfg =
-  Series.tabulate
-    ~title:
-      (Printf.sprintf "Fig 6(a) analysis: %% failed paths, N=2^%d (tree/hypercube/xor)"
-         cfg.bits)
-    ~x_label:"q" ~x:cfg.qs
-    (List.map (analysis_column cfg) geometries)
 
 let run ?pool cfg =
   let cache = Overlay.Table_cache.create () in

@@ -21,11 +21,6 @@ val default_config : config
 val quick_config : config
 (** A smaller instance (bits = 10) for tests and smoke runs. *)
 
-val geometries : Rcm.Geometry.t list
-
-val analysis_column : config -> Rcm.Geometry.t -> string * (float -> float)
-(** One analytical failed-percent column (shared with {!Fig6b}). *)
-
 val analysis_values : config -> Rcm.Geometry.t -> float array
 (** The analytical column evaluated over [cfg.qs]. *)
 
@@ -39,9 +34,6 @@ val simulation_values :
     [|qs| × trials] task batch: parallel under [pool], and paying
     [trials] overlay builds for the whole column (a fresh cache is
     used when none is supplied). *)
-
-val analysis : config -> Series.t
-(** Analytical failed-path percentages only. *)
 
 val run : ?pool:Exec.Pool.t -> config -> Series.t
 (** Interleaved analysis and simulation columns — the full figure.

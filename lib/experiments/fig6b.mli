@@ -10,15 +10,7 @@ type config = Fig6a.config = {
   seed : int;
 }
 
-val default_config : config
-val quick_config : config
-
 val run : ?pool:Exec.Pool.t -> config -> Series.t
 (** Bit-identical output for every pool size; the simulation column
     reuses one overlay build per trial across the whole q grid. *)
 
-val bound_violations : ?slack:float -> Series.t -> (float * float * float) list
-(** Grid points where the simulated failed percentage exceeds the
-    analytical upper bound by more than [slack] percentage points
-    (Monte-Carlo allowance). Empty on a correct run.
-    @raise Invalid_argument on a series that is not a Fig. 6(b) table. *)

@@ -16,18 +16,3 @@ let run cfg =
        (fun g ->
          (Rcm.Geometry.slug g, fun q -> Rcm.Model.failed_paths_percent g ~d:cfg.bits ~q))
        geometries)
-
-(* The qualitative claims the paper reads off this figure. *)
-let step_function_like series ~label =
-  match Series.find_column series label with
-  | None -> false
-  | Some c ->
-      (* Near 0 failed paths at q = 0 and >= 99% for every q >= 0.1. *)
-      let ok = ref true in
-      Array.iteri
-        (fun i q ->
-          let v = c.Series.values.(i) in
-          if q = 0.0 then ok := !ok && v < 1e-6
-          else if q >= 0.1 then ok := !ok && v > 99.0)
-        series.Series.x;
-      !ok

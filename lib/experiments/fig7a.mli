@@ -6,11 +6,6 @@
 type config = { bits : int; qs : float list }
 
 val default_config : config
-val geometries : Rcm.Geometry.t list
 
 val run : config -> Series.t
 
-val step_function_like : Series.t -> label:string -> bool
-(** True when the named column is ~0% failed at q = 0 and above 99% for
-    every q >= 0.1 — the paper's description of the tree and Symphony
-    asymptotic curves. *)

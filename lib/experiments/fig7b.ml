@@ -15,22 +15,3 @@ let run cfg =
          ( Rcm.Geometry.slug g,
            fun d -> Rcm.Model.routability g ~d:(int_of_float d) ~q:cfg.q ))
        geometries)
-
-(* Tree decays like ((2-q)/2)^d — slow at q = 0.1 (~0.14 at d = 40) —
-   so the default final ceiling is loose; what matters is the monotone
-   decay toward zero, in contrast with the scalable geometries' flat
-   curves. *)
-let monotonically_decaying ?(final_below = 0.3) series ~label =
-  match Series.find_column series label with
-  | None -> false
-  | Some c ->
-      let ok = ref true in
-      Array.iteri
-        (fun i v -> if i > 0 then ok := !ok && v <= c.Series.values.(i - 1) +. 1e-12)
-        c.Series.values;
-      !ok && c.Series.values.(Array.length c.Series.values - 1) < final_below
-
-let stays_routable series ~label ~floor =
-  match Series.find_column series label with
-  | None -> false
-  | Some c -> Array.for_all (fun v -> v >= floor) c.Series.values

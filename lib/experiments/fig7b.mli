@@ -6,14 +6,6 @@
 type config = { q : float; ds : int list }
 
 val default_config : config
-val geometries : Rcm.Geometry.t list
 
 val run : config -> Series.t
 
-val monotonically_decaying : ?final_below:float -> Series.t -> label:string -> bool
-(** True when the column never increases with d and ends below
-    [final_below] (default 0.3) — the unscalable signature. *)
-
-val stays_routable : Series.t -> label:string -> floor:float -> bool
-(** True when the column never drops below [floor] — the scalable
-    signature. *)

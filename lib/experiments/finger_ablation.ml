@@ -23,15 +23,3 @@ let run cfg =
       ( "rand-fingers",
         sim ~build:(fun rng -> Overlay.Table.build_randomized_ring ~rng ~bits:cfg.bits ()) );
     ]
-
-let bound_violations ?(slack = 0.02) series =
-  match (Series.find_column series "analysis", Series.find_column series "det-fingers") with
-  | Some ana, Some det ->
-      let out = ref [] in
-      Array.iteri
-        (fun i q ->
-          if det.Series.values.(i) +. slack < ana.Series.values.(i) then
-            out := (q, ana.Series.values.(i), det.Series.values.(i)) :: !out)
-        series.Series.x;
-      List.rev !out
-  | None, _ | _, None -> invalid_arg "Finger_ablation.bound_violations: not an A4 series"

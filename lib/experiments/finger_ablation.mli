@@ -14,7 +14,3 @@ val run : config -> Series.t
 (** Columns: analysis, det-fingers simulation, rand-fingers
     simulation. *)
 
-val bound_violations : ?slack:float -> Series.t -> (float * float * float) list
-(** Grid points where deterministic-finger routability fell below the
-    analytical lower bound by more than [slack]; empty on a correct
-    build. *)

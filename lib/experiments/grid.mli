@@ -3,8 +3,6 @@
 val floats : lo:float -> hi:float -> steps:int -> float list
 (** [steps] evenly spaced values from [lo] to [hi] inclusive. *)
 
-val ints : lo:int -> hi:int -> int list
-
 val fig6_q : float list
 (** q = 0.00, 0.05, ..., 0.50 (the x-axis of Fig. 6). *)
 

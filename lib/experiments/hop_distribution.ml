@@ -41,15 +41,6 @@ let simulated cfg geometry =
 let pad target xs =
   Array.init target (fun i -> if i < Array.length xs then xs.(i) else 0.0)
 
-let total_variation a b =
-  let n = max (Array.length a) (Array.length b) in
-  let a = pad n a and b = pad n b in
-  let sum = ref 0.0 in
-  for i = 0 to n - 1 do
-    sum := !sum +. Float.abs (a.(i) -. b.(i))
-  done;
-  !sum /. 2.0
-
 let run cfg geometry =
   let chain = predicted geometry ~d:cfg.bits ~q:cfg.q in
   let sim = simulated cfg geometry in

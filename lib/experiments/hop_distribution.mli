@@ -7,15 +7,5 @@ type config = { bits : int; q : float; trials : int; pairs : int; seed : int }
 
 val default_config : config
 
-val predicted : Rcm.Geometry.t -> d:int -> q:float -> float array
-(** pmf indexed by hop count; empty when nothing is deliverable. *)
-
-val simulated : config -> Rcm.Geometry.t -> float array
-(** Fraction of delivered routes per hop count. *)
-
-val total_variation : float array -> float array -> float
-(** Total-variation distance between two pmfs (padded to equal
-    length). *)
-
 val run : config -> Rcm.Geometry.t -> Series.t
 (** Two columns (chain, sim) over the hop-count axis. *)

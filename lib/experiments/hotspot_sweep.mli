@@ -71,10 +71,6 @@ type point = {
   repairs : Obs.Loadmap_report.summary;
 }
 
-val primary_kind : plane -> Obs.Loadmap.kind
-(** The counter the plane's congestion figure plots: route traversals
-    on the routing plane, storage reads on the storage plane. *)
-
 val primary : point -> Obs.Loadmap_report.summary
 
 val default_routing_geometries : Rcm.Geometry.t list

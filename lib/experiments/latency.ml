@@ -52,17 +52,6 @@ let simulated_hops cfg geometry q =
   in
   Stats.Summary.mean result.Sim.Estimate.hop_summary
 
-let run cfg geometry =
-  Series.tabulate
-    ~title:
-      (Printf.sprintf "E7 (%s): mean hops of delivered messages, N=2^%d — chain vs simulation"
-         (Rcm.Geometry.slug geometry) cfg.bits)
-    ~x_label:"q" ~x:cfg.qs
-    [
-      ("chain", fun q -> predicted_hops geometry ~d:cfg.bits ~q);
-      ("sim", simulated_hops cfg geometry);
-    ]
-
 let geometries = Rcm.Geometry.all_default
 
 let run_all cfg =

@@ -18,10 +18,5 @@ val predicted_hops : Rcm.Geometry.t -> d:int -> q:float -> float
 (** Chain-predicted mean hop count of delivered messages to a uniform
     random target. [nan] when nothing is deliverable. *)
 
-val simulated_hops : config -> Rcm.Geometry.t -> float -> float
-
-val run : config -> Rcm.Geometry.t -> Series.t
-(** Two columns (chain, sim) over the q grid. *)
-
 val run_all : config -> Series.t
 (** All five geometries, interleaved chain/sim columns. *)

@@ -77,24 +77,3 @@ let ring_series cfg =
           ... duplicate them), so meaningful lengths start around 4;
           map the bucket sweep to r = 0, 4, 8, 16, ... *)
        (List.map (fun k -> if k = 1 then 0 else 2 * k) cfg.ks))
-
-(* Replication can only help: analytical routability is monotone in the
-   knob at every grid point. *)
-let monotonicity_violations series ~labels =
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-    | [ _ ] | [] -> []
-  in
-  let out = ref [] in
-  List.iter
-    (fun (small, large) ->
-      match (Series.find_column series small, Series.find_column series large) with
-      | Some cs, Some cl ->
-          Array.iteri
-            (fun i q ->
-              if cl.Series.values.(i) < cs.Series.values.(i) -. 1e-9 then
-                out := (q, small, large) :: !out)
-            series.Series.x
-      | None, _ | _, None -> ())
-    (pairs labels);
-  List.rev !out

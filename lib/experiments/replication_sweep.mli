@@ -28,6 +28,3 @@ val tree_series : config -> Series.t
 val ring_series : config -> Series.t
 (** Chord with successor lists (r = 0 for k = 1, else r = 2k). *)
 
-val monotonicity_violations : Series.t -> labels:string list -> (float * string * string) list
-(** Grid points where increasing the knob decreased routability, over
-    consecutive label pairs — empty on a correct build. *)

@@ -16,8 +16,6 @@ type t = {
   analysis_kind : [ `Exact_model | `Lower_bound ];
 }
 
-val default_qs : float list
-
 val build : ?bits:int -> ?qs:float list -> Rcm.Geometry.t -> t
 
 val pp : Format.formatter -> t -> unit

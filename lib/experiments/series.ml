@@ -24,20 +24,6 @@ let tabulate ~title ~x_label ~x columns =
   in
   create ~title ~x_label ~x columns
 
-let find_column t label = List.find_opt (fun c -> c.label = label) t.columns
-
-(* Grid points are built by floating-point stepping, so match the
-   requested x up to a tiny tolerance rather than exactly. *)
-let value_at ?(tolerance = 1e-9) t ~label ~x =
-  match find_column t label with
-  | None -> None
-  | Some c ->
-      let found = ref None in
-      Array.iteri
-        (fun i xv -> if Float.abs (xv -. x) <= tolerance && !found = None then found := Some c.values.(i))
-        t.x;
-      !found
-
 let pp ppf t =
   let width = 12 in
   Fmt.pf ppf "# %s@." t.title;

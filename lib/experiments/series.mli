@@ -15,12 +15,6 @@ val tabulate :
 (** [tabulate ~title ~x_label ~x columns] evaluates each labelled
     function over the x-grid. *)
 
-val find_column : t -> string -> column option
-
-val value_at : ?tolerance:float -> t -> label:string -> x:float -> float option
-(** The value of a column at a grid point (matched within [tolerance],
-    default 1e-9, since grids are built by floating-point stepping). *)
-
 val pp : Format.formatter -> t -> unit
 (** Aligned plain-text rendering. *)
 

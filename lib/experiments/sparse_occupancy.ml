@@ -36,8 +36,6 @@ let simulate_sweep ?pool cfg geometry ~bits qs =
   |> List.map Sim.Trial.routability
   |> Array.of_list
 
-let simulate cfg geometry ~bits q = (simulate_sweep cfg geometry ~bits [ q ]).(0)
-
 (* The paper assumes fully-populated spaces and argues results for real
    (sparse) DHTs "can be similarly derived": this table tests the
    natural conjecture that routability depends on the population size
@@ -61,22 +59,3 @@ let run ?pool cfg geometry =
              ~label:(Printf.sprintf "sim(d=%d)" bits)
              (simulate_sweep ?pool cfg geometry ~bits cfg.qs))
          cfg.bits_list)
-
-(* The conjecture quantified: max over the grid of the spread between
-   the sparse simulations at different id-space sizes. *)
-let max_spread series ~labels =
-  let columns = List.filter_map (Series.find_column series) labels in
-  match columns with
-  | [] | [ _ ] -> 0.0
-  | first :: _ ->
-      let n = Array.length first.Series.values in
-      let spread i =
-        let values = List.map (fun c -> c.Series.values.(i)) columns in
-        List.fold_left Float.max neg_infinity values
-        -. List.fold_left Float.min infinity values
-      in
-      let worst = ref 0.0 in
-      for i = 0 to n - 1 do
-        worst := Float.max !worst (spread i)
-      done;
-      !worst

@@ -19,20 +19,7 @@ type config = {
 
 val default_config : config
 
-val effective_bits : config -> int
-
-val simulate : config -> Rcm.Geometry.t -> bits:int -> float -> float
-(** Simulated routability of the sparse overlay at one grid point. *)
-
-val simulate_sweep :
-  ?pool:Exec.Pool.t -> config -> Rcm.Geometry.t -> bits:int -> float list -> float array
-(** The simulated column over a q grid as one [|qs| × trials] task
-    batch; bit-identical to per-point {!simulate} calls for every pool
-    size. *)
-
 val run : ?pool:Exec.Pool.t -> config -> Rcm.Geometry.t -> Series.t
 (** One analysis column at d_eff plus one simulation column per
     id-space size. Supported geometries: tree, xor, ring, symphony. *)
 
-val max_spread : Series.t -> labels:string list -> float
-(** Largest spread between the named columns over the grid. *)

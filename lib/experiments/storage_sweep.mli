@@ -114,7 +114,8 @@ val codec : config -> (Rcm.Geometry.t * Storage.Quorum.t * float, point) Sim.Swe
     modes (the churn-only fields are [""] / 0 in static mode, [trials]
     is 1 in churn mode) and ends with the derived seed; an
     [availability] of [nan] (nothing attempted) is stored as an absent
-    field. *)
+    field. Test hook: {!run} uses it only inside the sweep engine, and
+    [test_storage] round-trips points through it, [nan] included. *)
 
 val pp_points : Format.formatter -> point list -> unit
 

@@ -23,21 +23,3 @@ let run cfg =
       ( "rand-suffix",
         sim ~build:(fun rng -> Overlay.Table.build ~rng ~bits:cfg.bits Rcm.Geometry.Xor) );
     ]
-
-(* Ordering implied by the model: deterministic-suffix routability
-   dominates the analysis, which dominates... nothing provable for the
-   randomised variant, but empirically rand <= det always. *)
-let ordering_violations ?(slack = 0.02) series =
-  let get label = Series.find_column series label in
-  match (get "analysis", get "det-suffix", get "rand-suffix") with
-  | Some ana, Some det, Some rand ->
-      let out = ref [] in
-      Array.iteri
-        (fun i q ->
-          if det.Series.values.(i) +. slack < ana.Series.values.(i) then
-            out := (q, "det-suffix < analysis") :: !out;
-          if rand.Series.values.(i) > det.Series.values.(i) +. slack then
-            out := (q, "rand-suffix > det-suffix") :: !out)
-        series.Series.x;
-      List.rev !out
-  | _, _, _ -> invalid_arg "Suffix_ablation.ordering_violations: not an A3 series"

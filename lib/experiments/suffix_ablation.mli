@@ -14,6 +14,3 @@ val default_config : config
 val run : config -> Series.t
 (** Columns: analysis, det-suffix simulation, rand-suffix simulation. *)
 
-val ordering_violations : ?slack:float -> Series.t -> (float * string) list
-(** Grid points violating det >= analysis or det >= rand; empty on a
-    correct build (up to the Monte-Carlo [slack]). *)

@@ -38,15 +38,3 @@ let run ?(k_n = 1) ?(k_s = 1) cfg =
       ("sim(uni)", simulate_unidirectional cfg ~k_n ~k_s);
       ("sim(bidir)", simulate_bidirectional cfg ~k_n ~k_s);
     ]
-
-(* Bidirectional links can only help (twice the usable degree and two
-   approach directions). *)
-let bidirectional_wins ?(slack = 0.03) series =
-  match (Series.find_column series "sim(uni)", Series.find_column series "sim(bidir)") with
-  | Some uni, Some bidir ->
-      let ok = ref true in
-      Array.iteri
-        (fun i _ -> if bidir.Series.values.(i) < uni.Series.values.(i) -. slack then ok := false)
-        series.Series.x;
-      !ok
-  | None, _ | _, None -> invalid_arg "Symphony_deployment.bidirectional_wins: not an A9 series"

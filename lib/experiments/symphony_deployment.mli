@@ -9,12 +9,6 @@ type config = { bits : int; qs : float list; trials : int; pairs : int; seed : i
 
 val default_config : config
 
-val simulate_unidirectional : config -> k_n:int -> k_s:int -> float -> float
-val simulate_bidirectional : config -> k_n:int -> k_s:int -> float -> float
-
 val run : ?k_n:int -> ?k_s:int -> config -> Series.t
 (** Columns: analysis(uni), sim(uni), sim(bidir). *)
 
-val bidirectional_wins : ?slack:float -> Series.t -> bool
-(** True when the deployed protocol's routability dominates the basic
-    geometry's at every grid point (up to noise). *)

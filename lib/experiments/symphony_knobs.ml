@@ -22,25 +22,3 @@ let run cfg =
            fun q ->
              Rcm.Model.routability (Rcm.Geometry.Symphony { k_n; k_s }) ~d:cfg.bits ~q ))
        cfg.knobs)
-
-(* More connections never hurt: routability is monotone in both knobs
-   at every grid point (checked pairwise on comparable knob settings). *)
-let monotonicity_violations series ~knobs =
-  let dominated (n1, s1) (n2, s2) = n1 <= n2 && s1 <= s2 && (n1, s1) <> (n2, s2) in
-  let out = ref [] in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          if dominated a b then
-            match (Series.find_column series (label a), Series.find_column series (label b)) with
-            | Some ca, Some cb ->
-                Array.iteri
-                  (fun i q ->
-                    if ca.Series.values.(i) > cb.Series.values.(i) +. 1e-9 then
-                      out := (q, label a, label b) :: !out)
-                  series.Series.x
-            | None, _ | _, None -> ())
-        knobs)
-    knobs;
-  List.rev !out

@@ -9,11 +9,5 @@ type config = { bits : int; qs : float list; knobs : (int * int) list }
 
 val default_config : config
 
-val label : int * int -> string
-
 val run : config -> Series.t
 
-val monotonicity_violations :
-  Series.t -> knobs:(int * int) list -> (float * string * string) list
-(** Grid points where adding connections *decreased* analytical
-    routability — empty on a correct build. *)

@@ -14,8 +14,4 @@ type row = {
 
 val run : ?bits:int -> ?trials:int -> ?seed:int -> unit -> row list
 
-val margin : row -> float
-(** connectivity collapse minus routing collapse; positive when routing
-    dies first. *)
-
 val pp_rows : Format.formatter -> row list -> unit

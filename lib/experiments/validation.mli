@@ -18,9 +18,6 @@ type chain_row = {
   abs_error : float;
 }
 
-val default_qs : float list
-val default_hs : int list
-
 val chain_vs_closed :
   ?hs:int list -> ?qs:float list -> ?symphony_d:int -> unit -> chain_row list
 

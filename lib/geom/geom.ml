@@ -42,9 +42,6 @@ let register d =
 
 let all () = !registry
 
-let find n =
-  List.find_opt (fun d -> String.equal (name d) (String.lowercase_ascii n)) !registry
-
 let names () = List.map name !registry
 
 (* --- the five paper geometries -------------------------------------------- *)

@@ -44,9 +44,6 @@ val all : unit -> t list
 (** Every registered descriptor, built-ins first, then plugins in link
     order. *)
 
-val find : string -> t option
-(** Descriptor by family name (case-insensitive). *)
-
 val name : t -> string
 (** The family name ([Rcm.Geometry.name] of [default]). *)
 

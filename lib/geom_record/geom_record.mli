@@ -23,9 +23,3 @@
     XOR-style fallback. At [h = 2] the family reproduces the built-in
     [xor] geometry draw-for-draw (pinned by the conformance tests). *)
 
-val family : string
-(** ["record"]. *)
-
-val geometry : ?h:int -> unit -> Rcm.Geometry.t
-(** A record instance, [Custom {family = "record"; params = [("h", h)]}].
-    @raise Invalid_argument unless [h] is a power of two in 2..1024. *)

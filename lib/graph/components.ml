@@ -48,7 +48,3 @@ let analyze_iter ?alive ~nodes iter =
     giant_fraction = (if !alive_nodes = 0 then Float.nan else float_of_int largest /. a);
     pair_connectivity;
   }
-
-let pp ppf r =
-  Fmt.pf ppf "alive=%d components=%d largest=%d giant=%.4f pair-connectivity=%.4f"
-    r.alive_nodes r.component_count r.largest r.giant_fraction r.pair_connectivity

@@ -21,5 +21,3 @@ val analyze_iter :
     the successors [iter v] visits, restricted to the nodes whose
     [alive] entry is true (all nodes by default). The graph is read in
     place, so an overlay table is analysed without copying it. *)
-
-val pp : Format.formatter -> report -> unit

@@ -1,8 +1,8 @@
-type t = { parent : int array; rank : int array; mutable components : int }
+type t = { parent : int array; rank : int array }
 
 let create n =
   if n < 0 then invalid_arg "Union_find.create: negative size"
-  else { parent = Array.init n Fun.id; rank = Array.make n 0; components = n }
+  else { parent = Array.init n Fun.id; rank = Array.make n 0 }
 
 let rec find t x =
   let p = t.parent.(x) in
@@ -21,21 +21,5 @@ let union t a b =
     let ra, rb = if t.rank.(ra) < t.rank.(rb) then (rb, ra) else (ra, rb) in
     t.parent.(rb) <- ra;
     if t.rank.(ra) = t.rank.(rb) then t.rank.(ra) <- t.rank.(ra) + 1;
-    t.components <- t.components - 1;
     true
   end
-
-let same_component t a b = find t a = find t b
-
-let component_count t = t.components
-
-let component_sizes t =
-  let sizes = Hashtbl.create 64 in
-  Array.iteri
-    (fun x _ ->
-      let r = find t x in
-      Hashtbl.replace sizes r (1 + Option.value ~default:0 (Hashtbl.find_opt sizes r)))
-    t.parent;
-  Hashtbl.fold (fun _ s acc -> s :: acc) sizes [] |> List.sort (fun a b -> compare b a)
-
-let size t = Array.length t.parent

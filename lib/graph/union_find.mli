@@ -9,11 +9,3 @@ val find : t -> int -> int
 val union : t -> int -> int -> bool
 (** [union t a b] merges the components of [a] and [b]; returns [false]
     when they were already joined. *)
-
-val same_component : t -> int -> int -> bool
-val component_count : t -> int
-
-val component_sizes : t -> int list
-(** Sizes of all components, largest first. *)
-
-val size : t -> int

@@ -17,7 +17,9 @@ val highest_differing : bits:int -> group:int -> int -> int -> int option
 (** Most significant level where two ids differ. *)
 
 val distance : bits:int -> group:int -> int -> int -> int
-(** Number of differing digits (base-b Hamming distance). *)
+(** Number of differing digits (base-b Hamming distance). Test hook:
+    the reference the tests check base-b hop counts against. *)
 
 val common_prefix : bits:int -> group:int -> int -> int -> int
-(** Number of leading digits shared. *)
+(** Number of leading digits shared. Test hook: the reference the
+    tests check base-b table rows against. *)

@@ -18,14 +18,6 @@ let floor_log2 x =
   let log = if x lsr (log + 2) <> 0 then log + 2 else log in
   if x lsr (log + 1) <> 0 then log + 1 else log
 
-(* Paper section 3: the routing process is at phase j when the relevant
-   distance lies in [2^j, 2^(j+1)); a target at distance [dist] therefore
-   needs [floor_log2 dist + 1] phases. *)
-let phases_of_distance dist =
-  if dist < 0 then invalid_arg "Id.phases_of_distance: negative distance"
-  else if dist = 0 then 0
-  else floor_log2 dist + 1
-
 (* Bits are numbered 1..bits from the most significant end, matching the
    paper's "correct bits from left to right" convention. *)
 let bit_mask ~bits i =

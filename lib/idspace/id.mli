@@ -7,7 +7,8 @@ val xor_distance : int -> int -> int
 (** The Kademlia metric: numeric value of the XOR of the ids. *)
 
 val hamming_distance : int -> int -> int
-(** The hypercube (CAN) metric: number of differing bits. *)
+(** The hypercube (CAN) metric: number of differing bits. Test hook:
+    the reference the tests check hypercube hop counts against. *)
 
 val ring_distance : bits:int -> int -> int -> int
 (** [ring_distance ~bits a b] is the clockwise distance from [a] to [b]
@@ -16,15 +17,10 @@ val ring_distance : bits:int -> int -> int -> int
 val floor_log2 : int -> int
 (** @raise Invalid_argument on non-positive arguments. *)
 
-val phases_of_distance : int -> int
-(** Number of routing phases needed to cover a given distance: h such
-    that the distance lies in [2^(h-1), 2^h); 0 at distance 0. *)
-
-val bit_mask : bits:int -> int -> int
-(** [bit_mask ~bits i] selects bit [i] (1-based from the MSB).
-    @raise Invalid_argument if outside 1..bits. *)
-
 val get_bit : bits:int -> int -> int -> bool
+(** [get_bit ~bits id i] reads bit [i] (1-based from the MSB).
+    @raise Invalid_argument if [i] is outside 1..bits. *)
+
 val flip_bit : bits:int -> int -> int -> int
 
 val highest_differing_bit : bits:int -> int -> int -> int option
@@ -32,12 +28,13 @@ val highest_differing_bit : bits:int -> int -> int -> int option
     index) bit where [a] and [b] differ, or [None] when equal. *)
 
 val common_prefix_length : bits:int -> int -> int -> int
+(** Number of leading bits two ids share. Test hook: the reference the
+    tests check prefix-table rows (tree, xor, sparse, k-buckets)
+    against. *)
 
 val with_suffix : bits:int -> int -> prefix_len:int -> suffix:int -> int
 (** [with_suffix ~bits id ~prefix_len ~suffix] keeps the first
     [prefix_len] bits of [id] and replaces the rest with the low bits of
     [suffix]. *)
-
-val to_binary_string : bits:int -> int -> string
 
 val pp : bits:int -> Format.formatter -> int -> unit

@@ -12,21 +12,6 @@ let bits t = t.bits
 
 let size t = t.size
 
-let mask t = t.size - 1
-
-let contains t id = id >= 0 && id < t.size
-
 let check t id =
-  if not (contains t id) then
+  if id < 0 || id >= t.size then
     invalid_arg (Printf.sprintf "Space: id %d outside 2^%d space" id t.bits)
-
-let random_id t rng = Prng.Splitmix.int rng t.size
-
-let fold_ids t ~init ~f =
-  let acc = ref init in
-  for id = 0 to t.size - 1 do
-    acc := f !acc id
-  done;
-  !acc
-
-let pp ppf t = Format.fprintf ppf "2^%d identifier space (%d ids)" t.bits t.size

@@ -15,16 +15,5 @@ val create : bits:int -> t
 val bits : t -> int
 val size : t -> int
 
-val mask : t -> int
-(** [mask t] is [size t - 1], i.e. all-ones over the id width. *)
-
-val contains : t -> int -> bool
-
 val check : t -> int -> unit
 (** @raise Invalid_argument if the id lies outside the space. *)
-
-val random_id : t -> Prng.Splitmix.t -> int
-
-val fold_ids : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
-val pp : Format.formatter -> t -> unit

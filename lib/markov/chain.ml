@@ -19,10 +19,6 @@ let create ~num_states ~start ~edges =
 
 let num_states t = Array.length t.edges
 
-let start t = t.start
-
-let out_edges t s = t.edges.(s)
-
 let is_absorbing t s = Array.length t.edges.(s) = 0
 
 let out_probability t s = Array.fold_left (fun acc (_, p) -> acc +. p) 0.0 t.edges.(s)
@@ -103,12 +99,6 @@ let absorption_probability t ~into =
   if not (is_absorbing t into) then
     invalid_arg "Chain.absorption_probability: target state is not absorbing";
   (visit_probabilities t).(into)
-
-let expected_steps t =
-  let f = visit_probabilities t in
-  let total = ref 0.0 in
-  Array.iteri (fun s fs -> if not (is_absorbing t s) then total := !total +. fs) f;
-  !total
 
 (* Probability of eventually reaching [target] from every state, by a
    single pass in reverse topological order. *)

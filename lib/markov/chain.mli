@@ -13,39 +13,20 @@ val create : num_states:int -> start:int -> edges:(int * int * float) list -> t
     dropped; states without out-edges are absorbing.
     @raise Invalid_argument on malformed input. *)
 
-val num_states : t -> int
-val start : t -> int
-val out_edges : t -> int -> (int * float) array
-val is_absorbing : t -> int -> bool
-
-val out_probability : t -> int -> float
-(** Sum of outgoing probabilities of a state. *)
-
 val validate : ?tolerance:float -> t -> (unit, string) result
-(** Checks that every non-absorbing state's out-probability is 1. *)
+(** Checks that every non-absorbing state's out-probability is 1.
+    Test hook: the check the tests run on every routing chain the
+    library builds. *)
 
 exception Cyclic
-
-val topological_order : t -> int list
-(** States reachable from the start in topological order.
-    @raise Cyclic if the reachable subgraph has a cycle. *)
-
-val visit_probabilities : t -> float array
-(** [visit_probabilities t].(s) is the probability that the chain,
-    started at [start t], ever visits [s] — the paper's G(start, s).
-    Exact single-pass computation; requires a DAG.
-    @raise Cyclic on cyclic chains. *)
+(** Raised by the DAG solvers below when the states reachable from the
+    start form a cycle. *)
 
 val absorption_probability : t -> into:int -> float
 (** Probability of being absorbed in the given absorbing state (DAG
-    solver). @raise Invalid_argument if [into] is not absorbing. *)
-
-val expected_steps : t -> float
-(** Expected number of transitions before absorption (DAG solver). *)
-
-val reach_probabilities : t -> target:int -> float array
-(** [reach_probabilities t ~target].(s) is the probability that a walk
-    started at [s] ever reaches [target] (DAG solver). *)
+    solver: the paper's G(start, into), from visit probabilities
+    computed in topological order). @raise Invalid_argument if [into]
+    is not absorbing. *)
 
 val expected_steps_given : t -> into:int -> float
 (** [expected_steps_given t ~into] is the expected number of
@@ -61,5 +42,7 @@ val absorption_time_distribution : ?max_steps:int -> t -> into:int -> float arra
 
 val absorption_probability_iterative :
   ?tolerance:float -> ?max_sweeps:int -> t -> into:int -> float
-(** Gauss-Seidel solver; also handles cyclic chains.
+(** Gauss-Seidel solver; also handles cyclic chains. Test hook: the
+    independent solver the tests check {!absorption_probability}
+    against, and the only one for cyclic chains.
     @raise Failure when the sweep budget is exhausted. *)

@@ -2,9 +2,7 @@ type routing = { chain : Chain.t; success : int; failure : int }
 
 let success_probability r = Chain.absorption_probability r.chain ~into:r.success
 
-let failure_probability r = Chain.absorption_probability r.chain ~into:r.failure
 
-let expected_hops r = Chain.expected_steps r.chain
 
 let expected_hops_given_success r = Chain.expected_steps_given r.chain ~into:r.success
 

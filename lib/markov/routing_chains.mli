@@ -11,12 +11,6 @@ type routing = { chain : Chain.t; success : int; failure : int }
 val success_probability : routing -> float
 (** Absorption probability in the success state: p(h, q). *)
 
-val failure_probability : routing -> float
-
-val expected_hops : routing -> float
-(** Expected number of hops taken before absorption (success or
-    failure). *)
-
 val expected_hops_given_success : routing -> float
 (** Expected hop count of successfully delivered messages — the latency
     the RCM chains predict for surviving paths. *)
@@ -34,16 +28,10 @@ val hypercube : h:int -> q:float -> routing
 val xor : h:int -> q:float -> routing
 (** Fig. 5(b): Kademlia XOR routing, target h phases away. *)
 
-val ring_max_phases : int
-(** Phase m of the ring chain has 2^(m-1) suboptimal states, so chains
-    above this bound are refused. *)
-
 val ring : h:int -> q:float -> routing
 (** Fig. 8(a): Chord ring (lower-bound model), target h phases away.
-    @raise Invalid_argument when [h > ring_max_phases]. *)
-
-val symphony_suboptimal_cap : d:int -> q:float -> int
-(** ceil(d / (1 - q)): the paper's cap on suboptimal hops per phase. *)
+    Phase m has 2^(m-1) suboptimal states.
+    @raise Invalid_argument when [h > 22]. *)
 
 val symphony : d:int -> phases:int -> q:float -> k_n:int -> k_s:int -> routing
 (** Fig. 8(b): Symphony with [k_n] near neighbours and [k_s] shortcuts

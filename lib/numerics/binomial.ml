@@ -37,13 +37,3 @@ let choose_exn n k =
       acc := next / i
     done;
     !acc
-
-let pascal_row n =
-  if n < 0 then invalid_arg "Binomial.pascal_row: negative n";
-  let row = Array.make (n + 1) 1.0 in
-  for k = 1 to n do
-    row.(k) <- row.(k - 1) *. float_of_int (n - k + 1) /. float_of_int k
-  done;
-  row
-
-let logspace n k = Logspace.of_log (log_choose n k)

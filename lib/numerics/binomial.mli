@@ -12,11 +12,6 @@ val choose_float : int -> int -> float
     formula (accurate to a few ulps for d <= 1000). *)
 
 val choose_exn : int -> int -> int
-(** [choose_exn n k] is C(n,k) as an exact int.
+(** [choose_exn n k] is C(n,k) as an exact int. Test hook: the exact
+    reference the tests check {!choose_float} against.
     @raise Failure on overflow. *)
-
-val pascal_row : int -> float array
-(** [pascal_row n] is [| C(n,0); ...; C(n,n) |]. *)
-
-val logspace : int -> int -> Logspace.t
-(** [logspace n k] is C(n,k) as a log-space value. *)

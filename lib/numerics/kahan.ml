@@ -1,10 +1,9 @@
 type t = {
   mutable total : float;
   mutable compensation : float;
-  mutable count : int;
 }
 
-let create () = { total = 0.0; compensation = 0.0; count = 0 }
+let create () = { total = 0.0; compensation = 0.0 }
 
 (* Neumaier's variant of Kahan summation: unlike classic Kahan, it stays
    accurate when the incoming term is larger in magnitude than the running
@@ -18,21 +17,13 @@ let add acc x =
     else (x -. sum) +. acc.total
   in
   acc.total <- sum;
-  acc.compensation <- acc.compensation +. correction;
-  acc.count <- acc.count + 1
+  acc.compensation <- acc.compensation +. correction
 
 let total acc = acc.total +. acc.compensation
-
-let count acc = acc.count
 
 let sum_array xs =
   let acc = create () in
   Array.iter (fun x -> add acc x) xs;
-  total acc
-
-let sum_list xs =
-  let acc = create () in
-  List.iter (fun x -> add acc x) xs;
   total acc
 
 let sum_fn ~lo ~hi f =

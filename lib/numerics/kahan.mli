@@ -15,14 +15,8 @@ val add : t -> float -> unit
 val total : t -> float
 (** [total acc] is the compensated value of the sum so far. *)
 
-val count : t -> int
-(** [count acc] is the number of terms added so far. *)
-
 val sum_array : float array -> float
 (** [sum_array xs] is the compensated sum of all elements of [xs]. *)
-
-val sum_list : float list -> float
-(** [sum_list xs] is the compensated sum of all elements of [xs]. *)
 
 val sum_fn : lo:int -> hi:int -> (int -> float) -> float
 (** [sum_fn ~lo ~hi f] is the compensated sum of [f i] for [i] from [lo]

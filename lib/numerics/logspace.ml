@@ -4,29 +4,13 @@ let zero = neg_infinity
 
 let one = 0.0
 
-let of_float x =
-  if x < 0.0 then invalid_arg "Logspace.of_float: negative argument"
-  else log x
-
 let of_log x = x
 
 let to_float x = exp x
 
-let to_log x = x
-
 let is_zero x = x = neg_infinity
 
-let mul = ( +. )
-
 let div = ( -. )
-
-(* log(e^a + e^b) anchored at the larger operand so the exp never
-   overflows. *)
-let add a b =
-  if is_zero a then b
-  else if is_zero b then a
-  else if a >= b then a +. Special.log1pexp (b -. a)
-  else b +. Special.log1pexp (a -. b)
 
 (* log(e^a - e^b), requiring a >= b. *)
 let sub a b =
@@ -36,17 +20,6 @@ let sub a b =
   else a +. Special.log1mexp (b -. a)
 
 let compare = Float.compare
-
-let sum terms =
-  match Array.length terms with
-  | 0 -> zero
-  | _ ->
-      let m = Array.fold_left Float.max neg_infinity terms in
-      if is_zero m || m = infinity then m
-      else
-        let acc = Kahan.create () in
-        Array.iter (fun t -> Kahan.add acc (exp (t -. m))) terms;
-        m +. log (Kahan.total acc)
 
 let sum_fn ~lo ~hi f =
   if lo > hi then zero
@@ -64,7 +37,3 @@ let sum_fn ~lo ~hi f =
       !m +. log (Kahan.total acc)
     end
   end
-
-let pow x k = x *. k
-
-let pp ppf x = Fmt.pf ppf "exp(%g)" x

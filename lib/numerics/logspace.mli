@@ -8,11 +8,7 @@
 
 type t = private float
 
-val zero : t
 val one : t
-
-val of_float : float -> t
-(** [of_float x] represents [x]. @raise Invalid_argument if [x < 0]. *)
 
 val of_log : float -> t
 (** [of_log l] is the value whose natural log is [l] (unchecked). *)
@@ -21,15 +17,7 @@ val to_float : t -> float
 (** [to_float x] is the represented real; underflows to [0.] or overflows
     to [infinity] when outside float range. *)
 
-val to_log : t -> float
-
-val is_zero : t -> bool
-
-val mul : t -> t -> t
 val div : t -> t -> t
-
-val add : t -> t -> t
-(** Overflow-safe log-sum-exp of two values. *)
 
 val sub : t -> t -> t
 (** [sub a b] is a - b in the represented domain.
@@ -37,13 +25,6 @@ val sub : t -> t -> t
 
 val compare : t -> t -> int
 
-val sum : t array -> t
-(** Compensated log-sum-exp over an array. *)
-
 val sum_fn : lo:int -> hi:int -> (int -> t) -> t
-(** [sum_fn ~lo ~hi f] sums [f i] for [i] in [lo..hi]; [zero] when empty. *)
-
-val pow : t -> float -> t
-(** [pow x k] is x^k. *)
-
-val pp : Format.formatter -> t -> unit
+(** [sum_fn ~lo ~hi f] sums [f i] for [i] in [lo..hi] by a compensated,
+    overflow-safe log-sum-exp; 0 when empty. *)

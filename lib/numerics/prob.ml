@@ -9,10 +9,6 @@ let clamp p =
   if Float.is_nan p then invalid_arg "Prob.clamp: nan"
   else Float.max 0.0 (Float.min 1.0 p)
 
-let complement p =
-  check ~fn:"Prob.complement" p;
-  1.0 -. p
-
 (* q^m via exp(m log q): one rounding instead of m of them, and exact at
    the q = 0 / q = 1 endpoints. *)
 let pow q m =
@@ -22,14 +18,6 @@ let pow q m =
   else if q = 0.0 then 0.0
   else if q = 1.0 then 1.0
   else exp (float_of_int m *. log q)
-
-let pow_real q x =
-  check ~fn:"Prob.pow_real" q;
-  if x < 0.0 then invalid_arg "Prob.pow_real: negative exponent"
-  else if x = 0.0 then 1.0
-  else if q = 0.0 then 0.0
-  else if q = 1.0 then 1.0
-  else exp (x *. log q)
 
 (* sum_{k=0..n-1} x^k, stable when x is close to 1 (where the closed form
    (1-x^n)/(1-x) cancels catastrophically). [n] is a float so that callers
@@ -50,8 +38,4 @@ let at_least_one_of ~q ~count =
   else if count = 0 then 0.0
   else if q = 0.0 then 1.0
   else if q = 1.0 then 0.0
-  else clamp (-.Float.expm1 (float_of_int count *. Stdlib.log q))
-
-let log p =
-  check ~fn:"Prob.log" p;
-  Stdlib.log p
+  else clamp (-.Float.expm1 (float_of_int count *. log q))

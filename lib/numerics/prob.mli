@@ -12,16 +12,9 @@ val is_valid : t -> bool
 val clamp : float -> t
 (** [clamp x] clips [x] into [0, 1]. @raise Invalid_argument on nan. *)
 
-val complement : t -> t
-(** [complement p] is 1 - p. @raise Invalid_argument if invalid. *)
-
 val pow : t -> int -> t
 (** [pow q m] is q^m, exact at the endpoints.
     @raise Invalid_argument if [q] invalid or [m < 0]. *)
-
-val pow_real : t -> float -> t
-(** [pow_real q x] is q^x for real [x >= 0] (underflows cleanly to 0 for
-    astronomically large [x]). *)
 
 val geometric_sum : float -> float -> float
 (** [geometric_sum x n] is sum of x^k for k in 0..n-1, computed stably
@@ -31,7 +24,3 @@ val at_least_one_of : q:t -> count:int -> t
 (** [at_least_one_of ~q ~count] is 1 - q^count: the probability that at
     least one of [count] independent nodes, each failed with probability
     [q], is alive. *)
-
-val log : t -> float
-(** [log p] is the natural log of [p] ([neg_infinity] at 0).
-    @raise Invalid_argument if [p] is not a probability. *)

@@ -3,18 +3,6 @@ type verdict =
   | Divergent of { reason : string; partial_sum : float; terms_used : int }
   | Inconclusive of { partial_sum : float; terms_used : int }
 
-let pp_verdict ppf = function
-  | Convergent { partial_sum; tail_bound; terms_used } ->
-      Fmt.pf ppf "convergent (sum ~ %.6g, tail < %.2g after %d terms)" partial_sum
-        tail_bound terms_used
-  | Divergent { reason; partial_sum; terms_used } ->
-      Fmt.pf ppf "divergent (%s; partial sum %.6g after %d terms)" reason partial_sum
-        terms_used
-  | Inconclusive { partial_sum; terms_used } ->
-      Fmt.pf ppf "inconclusive (partial sum %.6g after %d terms)" partial_sum terms_used
-
-let is_convergent = function Convergent _ -> true | Divergent _ | Inconclusive _ -> false
-
 (* Empirical convergence analysis of a non-negative series sum f(m) for
    m >= 1. The series we classify (the per-phase failure probabilities
    Q(m) of section 5) are eventually monotone, so a sustained ratio

@@ -11,10 +11,6 @@ type verdict =
   | Divergent of { reason : string; partial_sum : float; terms_used : int }
   | Inconclusive of { partial_sum : float; terms_used : int }
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
-val is_convergent : verdict -> bool
-
 val classify :
   ?max_terms:int -> ?ratio_window:int -> ?tolerance:float -> (int -> float) -> verdict
 (** [classify f] analyses sum over m >= 1 of [f m] (terms must be

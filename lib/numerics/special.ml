@@ -57,9 +57,3 @@ let log1mexp x =
   else if x = 0.0 then neg_infinity
   else if x > -.Float.log 2.0 then log (-.Float.expm1 x)
   else Float.log1p (-.Float.exp x)
-
-let log1pexp x =
-  if x <= -37.0 then Float.exp x
-  else if x <= 18.0 then Float.log1p (Float.exp x)
-  else if x <= 33.3 then x +. Float.exp (-.x)
-  else x

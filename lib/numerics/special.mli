@@ -4,8 +4,6 @@
     Lanczos implementation accurate to ~1e-13 relative error, plus the
     numerically delicate [log(1 - e^x)] and [log(1 + e^x)] helpers. *)
 
-val pi : float
-
 val log_gamma : float -> float
 (** [log_gamma x] is log |Gamma(x)|. Returns [infinity] at the poles
     (non-positive integers) and [nan] on [nan]. *)
@@ -19,5 +17,3 @@ val log1mexp : float -> float
     cancellation near both [x = 0] and [x = -inf].
     @raise Invalid_argument if [x > 0]. *)
 
-val log1pexp : float -> float
-(** [log1pexp x] is log(1 + e^x), overflow-safe for large [x]. *)

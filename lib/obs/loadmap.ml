@@ -46,12 +46,6 @@ let create ~nodes =
 
 let nodes t = t.nodes
 
-let get t kind node =
-  if node < 0 || node >= t.nodes then
-    invalid_arg
-      (Printf.sprintf "Loadmap.get: node %d out of range [0, %d)" node t.nodes);
-  t.data.{(kind_index kind * t.nodes) + node}
-
 (* The flat Bigarray's own bounds check is not enough here: a negative
    node offset into a non-first kind's stripe still lands inside the
    array, on another kind's counter. Check the node range explicitly. *)
@@ -68,14 +62,6 @@ let counts t kind =
   let s = slice t kind in
   Array.init t.nodes (fun i -> Bigarray.Array1.unsafe_get s i)
 
-let total t kind =
-  let s = slice t kind in
-  let acc = ref 0 in
-  for i = 0 to t.nodes - 1 do
-    acc := !acc + Bigarray.Array1.unsafe_get s i
-  done;
-  !acc
-
 let merge_into ~dst t =
   if dst.nodes <> t.nodes then
     invalid_arg
@@ -86,16 +72,6 @@ let merge_into ~dst t =
       (Bigarray.Array1.unsafe_get dst.data i + Bigarray.Array1.unsafe_get t.data i)
   done
 
-let equal a b =
-  a.nodes = b.nodes
-  &&
-  let rec go i =
-    i >= kind_count * a.nodes
-    || (Bigarray.Array1.unsafe_get a.data i = Bigarray.Array1.unsafe_get b.data i
-        && go (i + 1))
-  in
-  go 0
-
 (* --- the process-wide sink ------------------------------------------------- *)
 
 (* [installed] counts open [with_sink] scopes across every domain, so
@@ -105,8 +81,6 @@ let equal a b =
    shard its current task installed, so recording needs no lock and no
    atomic read-modify-write. *)
 let installed = Atomic.make 0
-
-let enabled () = Atomic.get installed > 0
 
 let sink_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 

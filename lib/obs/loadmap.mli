@@ -28,8 +28,6 @@ type kind =
   | Storage_read  (** this replica holder served a successful read probe *)
   | Repair  (** this node absorbed a re-replicated copy during repair *)
 
-val kind_count : int
-
 val all_kinds : kind list
 (** In layout order: traversals, terminations, storage reads, repairs. *)
 
@@ -48,10 +46,6 @@ val create : nodes:int -> t
 
 val nodes : t -> int
 
-val get : t -> kind -> int -> int
-(** [get t kind node] reads one counter.
-    @raise Invalid_argument when [node] is out of range. *)
-
 val record : t -> kind -> int -> unit
 (** Bump one counter (bounds-checked). *)
 
@@ -63,17 +57,11 @@ val slice : t -> kind -> counts
 val counts : t -> kind -> int array
 (** Copy of one kind's counters as a heap array. *)
 
-val total : t -> kind -> int
-
 val merge_into : dst:t -> t -> unit
 (** Elementwise [dst += t]. Integer addition commutes, so merging any
     permutation of the same shards yields identical bytes; callers
     still merge in task-index order by convention.
     @raise Invalid_argument on a node-count mismatch. *)
-
-val equal : t -> t -> bool
-(** Same node count and identical counters — the differential tests'
-    verdict. *)
 
 (** {1 The process-wide sink}
 
@@ -81,10 +69,6 @@ val equal : t -> t -> bool
     {!Storage.Store}) records into whatever sink the current task
     installed for its domain; with no sink installed anywhere, every
     {!note} is one atomic load. *)
-
-val enabled : unit -> bool
-(** True while at least one {!with_sink} scope is open in any domain.
-    One atomic load; safe on any hot path. *)
 
 val sink : unit -> t option
 (** The calling domain's installed sink, if any. Hot paths that bump
@@ -106,14 +90,13 @@ val note : kind -> int -> unit
     a function of the counters alone, so a run that is bit-identical
     across [--jobs] persists byte-identical files. *)
 
-val csv_header : string
-
-val output_csv : t -> out_channel -> unit
-
 val save : t -> string -> unit
 (** Write the CSV atomically via {!Atomic_file}. *)
 
 exception Corrupt of string
 
 val load : string -> t
-(** Read a {!save}d loadmap back. @raise Corrupt on a malformed file. *)
+(** Read a {!save}d loadmap back. Test hook: nothing in the system
+    reads a loadmap back; [test_loadmap] round-trips {!save} through
+    this reader and checks that it refuses corrupt files.
+    @raise Corrupt on a malformed file. *)

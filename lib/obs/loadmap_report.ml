@@ -58,24 +58,6 @@ let summarize_counts counts =
 
 let summarize t kind = summarize_counts (Loadmap.counts t kind)
 
-(* CDF as (load value, fraction of nodes with load <= value), one point
-   per distinct load value, ascending. *)
-let cdf counts =
-  let nodes = Array.length counts in
-  if nodes = 0 then []
-  else begin
-    let sorted = Array.copy counts in
-    Array.sort compare sorted;
-    let points = ref [] in
-    Array.iteri
-      (fun i v ->
-        (* keep only the last index of each run of equal values *)
-        if i = nodes - 1 || sorted.(i + 1) <> v then
-          points := (v, float_of_int (i + 1) /. float_of_int nodes) :: !points)
-      sorted;
-    List.rev !points
-  end
-
 (* Top-k hottest nodes as (node, load), load descending, node index
    ascending among ties — a total order, so the listing is
    deterministic. *)

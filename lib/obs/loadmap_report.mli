@@ -16,24 +16,7 @@ type summary = {
   gini : float;  (** in [0, 1): 0 uniform, -> 1 maximally concentrated *)
 }
 
-val gini : int array -> float
-(** Exact rank-formula Gini coefficient of a load vector; 0.0 on an
-    empty or all-zero vector. *)
-
-val summarize_counts : int array -> summary
-
 val summarize : Loadmap.t -> Loadmap.kind -> summary
-
-val cdf : int array -> (int * float) list
-(** [(v, f)] points, ascending in [v]: fraction [f] of nodes carry load
-    at most [v]. One point per distinct load value. *)
-
-val hottest : ?top:int -> int array -> (int * int) list
-(** The [top] (default 10) most-loaded nodes as [(node, load)], load
-    descending with node index breaking ties — a total order, so the
-    listing is deterministic. *)
-
-val pp_summary : Format.formatter -> Loadmap.kind * summary -> unit
 
 val pp :
   ?top:int -> ?pp_node:(int -> string) -> Format.formatter -> Loadmap.t -> unit

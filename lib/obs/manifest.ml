@@ -20,8 +20,6 @@ let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let active () = with_lock (fun () -> !current <> None)
-
 let start ~argv ~path =
   let hostname = try Unix.gethostname () with Unix.Unix_error _ -> "unknown" in
   with_lock (fun () ->

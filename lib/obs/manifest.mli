@@ -28,8 +28,6 @@ val start : argv:string list -> path:string -> unit
     [argv]. Replaces any manifest already open (the previous one is
     discarded unwritten). *)
 
-val active : unit -> bool
-
 val note : string -> value -> unit
 (** Record one resolved-configuration fact (seed, jobs, geometry
     parameters, ...). Last write per key wins; insertion order is

@@ -59,8 +59,6 @@ let incr ?(by = 1) c =
 
 let incr_named ?by name = if Atomic.get enabled_flag then incr ?by (counter name)
 
-let counter_value c = Atomic.get c.c_value
-
 (* --- histograms ----------------------------------------------------------- *)
 
 let histogram name =

@@ -14,7 +14,7 @@
     observed directly, from {!now} readings.
 
     {b Disabled by default, zero-cost when disabled.} Every mutation
-    ({!incr}, {!observe}, …) first reads one atomic flag and returns
+    ({!incr_named}, {!observe_named}, …) first reads one atomic flag and returns
     immediately when metrics are off — no locking, no clock reads, no
     allocation. Call sites that must build a metric name dynamically
     should guard the construction with {!enabled} so the disabled path
@@ -45,14 +45,9 @@ val counter : string -> counter
     Handles are cheap to look up but call sites on hot loops should
     hoist them when the name is static. *)
 
-val incr : ?by:int -> counter -> unit
-(** No-op when disabled. Atomic; safe from any domain. *)
-
 val incr_named : ?by:int -> string -> unit
 (** [incr_named name] = [incr (counter name)], gated on {!enabled}
     before the registry lookup. *)
-
-val counter_value : counter -> int
 
 (** {1 Histograms}
 
@@ -65,14 +60,13 @@ val counter_value : counter -> int
 type histogram
 
 val histogram : string -> histogram
-val observe : histogram -> float -> unit
 val observe_named : string -> float -> unit
 
 val observe_n : histogram -> float -> times:int -> unit
 (** [observe_n h v ~times] records [times] identical observations
     under a single lock acquisition — the per-batch flush of the batch
     routing kernel. For integer-valued observations (hop counts) the
-    result is bit-equal to [times] separate {!observe} calls.
+    result is bit-equal to [times] separate observations of [v].
     No-op when [times = 0] or disabled.
     @raise Invalid_argument on a negative [times]. *)
 
@@ -95,11 +89,14 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Consistent point-in-time view (taken under the registry lock). *)
+(** Consistent point-in-time view (taken under the registry lock).
+    Test hook: the sinks render it as JSON or text, and the tests read
+    the exact values. *)
 
 val reset : unit -> unit
 (** Zeroes every registered metric; registration survives, the
-    enabled flag is untouched. *)
+    enabled flag is untouched. Test hook: a process records one run,
+    and the tests record many in one process. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Human-readable dump of the current snapshot: one line per counter,

@@ -43,8 +43,6 @@ let set_channel oc =
   channel := oc;
   Mutex.unlock lock
 
-let active () = Atomic.get live
-
 let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f

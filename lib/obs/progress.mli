@@ -30,11 +30,9 @@ val set_mode : mode -> unit
     next {!start}. *)
 
 val set_channel : out_channel -> unit
-(** Redirect rendering (default [stderr]; tests point it at a file).
-    The TTY check of [Auto] mode is performed against this channel. *)
-
-val active : unit -> bool
-(** True between a {!start} that enabled rendering and its {!finish}. *)
+(** Redirect rendering (default [stderr]). The TTY check of [Auto]
+    mode is performed against this channel. Test hook: lets the tests
+    capture the rendered line in a file. *)
 
 val start :
   ?label:string -> ?groups:(string * int) list -> total:int -> unit -> unit
@@ -68,5 +66,6 @@ val safe_rate : completed:int -> elapsed:float -> float
     from: [completed / elapsed], except that a zero, near-zero (below
     one microsecond), negative or non-finite [elapsed] — and any
     quotient that overflows to a non-finite value — yields [0.0], the
-    "no estimate yet" sentinel rendered as ["-:--"]. Exposed for the
-    regression tests only. *)
+    "no estimate yet" sentinel rendered as ["-:--"]. Test hook: the
+    line shows the rate rounded, and the regression tests check the
+    guards exactly. *)

@@ -44,10 +44,6 @@ let open_file path =
 
 let close () = install None
 
-let with_file path f =
-  open_file path;
-  Fun.protect ~finally:close f
-
 let buffer_value buffer = function
   | String s -> Tiny_json.add_escaped buffer s
   | Int i -> Buffer.add_string buffer (string_of_int i)

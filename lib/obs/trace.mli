@@ -31,11 +31,6 @@ val open_file : string -> unit
 val enabled : unit -> bool
 (** Whether a sink is open: one atomic load. *)
 
-val with_file : string -> (unit -> 'a) -> 'a
-(** [with_file path f] opens {!open_file}[ path], runs [f] and closes
-    the sink afterwards, also on raise — at which point the complete
-    trace is renamed into place at [path]. *)
-
 val span : string -> ?attrs:(string * value) list -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] and returns its result. With a sink open it
     emits a span record carrying [f]'s wall-clock duration; with
@@ -52,7 +47,8 @@ val flush_interval : int
     constant). A hard-killed run (SIGKILL, OOM) never closes its sink,
     so it loses at most the records since the last flush, and its
     trace stays at the staging ["<path>.tmp"]; recover that file with
-    [dhtlab trace report --allow-partial]. *)
+    [dhtlab trace report --allow-partial]. Test hook: lets the
+    crash-recovery test write exactly one flush's worth of records. *)
 
 val close : unit -> unit
 (** Close the open sink, if any, and rename its staging file onto its

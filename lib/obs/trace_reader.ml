@@ -135,19 +135,26 @@ let parse_hops_attr s =
                | Some hops, Some count when hops >= 0 && count > 0 -> Some (hops, count)
                | _ -> None))
 
+(* A trace's wall window, over finite values only: from its earliest
+   span start to its latest timestamp. A span's [ts] is stamped when it
+   ends, so it started at [ts - dur_s]; an event starts at its [ts]. *)
+let window records =
+  List.fold_left
+    (fun (lo, hi) r ->
+      let start = r.ts -. Option.value ~default:0.0 r.dur_s in
+      ( (if Float.is_finite start then Float.min lo start else lo),
+        if Float.is_finite r.ts then Float.max hi r.ts else hi ))
+    (infinity, neg_infinity) records
+
 let analyze ?(top = 5) records =
   let by_name : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
   let by_domain : (int, int * float) Hashtbl.t = Hashtbl.create 8 in
   let by_geometry : (string, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   let span_records = ref 0 in
   let event_records = ref 0 in
-  let first_ts = ref infinity in
-  let last_ts = ref neg_infinity in
   let slowest = ref [] in
   List.iter
     (fun r ->
-      if r.ts < !first_ts then first_ts := r.ts;
-      if r.ts > !last_ts then last_ts := r.ts;
       if r.kind = "span" then begin
         incr span_records;
         let dur = Option.value ~default:0.0 r.dur_s in
@@ -226,9 +233,7 @@ let analyze ?(top = 5) records =
     total_records = List.length records;
     span_records = !span_records;
     event_records = !event_records;
-    wall_s =
-      (if Float.is_finite !first_ts && !last_ts >= !first_ts then !last_ts -. !first_ts
-       else 0.0);
+    wall_s = (match window records with lo, hi when hi >= lo -> hi -. lo | _ -> 0.0);
     spans;
     domains;
     imbalance;
@@ -297,14 +302,9 @@ let pp_report ppf r =
 (* --- Chrome trace-event export --------------------------------------------- *)
 
 let export_chrome records oc =
-  (* Rebase to the earliest span *start* so no event sits at a negative
-     timestamp ([ts] in our schema is stamped when a span ends). *)
-  let origin =
-    List.fold_left
-      (fun acc r -> Float.min acc (r.ts -. Option.value ~default:0.0 r.dur_s))
-      infinity records
-  in
-  let origin = if Float.is_finite origin then origin else 0.0 in
+  (* Rebase to the window's start so no event sits at a negative
+     timestamp. *)
+  let origin = match window records with lo, _ when Float.is_finite lo -> lo | _ -> 0.0 in
   (* A non-finite ts/dur (a corrupt or hand-edited trace parses "1e999"
      to infinity) must not leak into the output as the bare token "inf"
      / "nan" — that is not JSON. Serialize it as null, exactly like the

@@ -55,7 +55,9 @@ type report = {
   total_records : int;
   span_records : int;
   event_records : int;
-  wall_s : float;  (** last timestamp - first timestamp *)
+  wall_s : float;
+      (** last timestamp - earliest span start ([ts - dur_s]; a span's
+          [ts] is its end), over finite values *)
   spans : (string * span_stats) list;  (** sorted by total time, descending *)
   domains : domain_stats list;  (** sorted by domain id *)
   imbalance : float option;

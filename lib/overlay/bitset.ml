@@ -89,14 +89,4 @@ let members t =
   members_into t.words out;
   out
 
-let of_bool_array mask =
-  let t = create (Array.length mask) in
-  Array.iteri (fun v b -> if b then set t v true) mask;
-  t
-
 let to_bool_array t = Array.init t.length (unsafe_get t)
-
-let copy t =
-  let fresh = create t.length in
-  Bigarray.Array1.blit t.words fresh.words;
-  fresh

@@ -43,20 +43,11 @@ val set : t -> int -> bool -> unit
 (** [set t v b] adds ([b = true]) or removes [v].
     @raise Invalid_argument outside [0, length). *)
 
-val count : t -> int
-(** Member count (word-level popcount). *)
-
 val members : t -> int array
 (** Member ids, ascending. *)
 
-val of_bool_array : bool array -> t
-(** [of_bool_array m] contains the ids [i] with [m.(i) = true]. *)
-
 val to_bool_array : t -> bool array
-(** Inverse of {!of_bool_array}. *)
-
-val copy : t -> t
-(** An independent copy (mutating one does not affect the other). *)
+(** Bit [i] of the set as entry [i]. *)
 
 val words : t -> words
 (** The underlying payload, for read-only word-at-a-time access by the

@@ -7,13 +7,9 @@ type t = {
   neighbors : int array array;
 }
 
-let space t = t.space
-
 let bits t = Idspace.Space.bits t.space
 
 let group t = t.group
-
-let style t = t.style
 
 let node_count t = Idspace.Space.size t.space
 
@@ -65,5 +61,3 @@ let build ?(rng = Prng.Splitmix.create ~seed:0xd161) ~bits ~group style =
     out
   in
   { space; group; style; neighbors = Array.init size row }
-
-let degree t = levels t * (base t - 1)

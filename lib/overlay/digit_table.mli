@@ -13,19 +13,12 @@ type t
 val build : ?rng:Prng.Splitmix.t -> bits:int -> group:int -> style -> t
 (** @raise Invalid_argument unless [group] divides [bits]. *)
 
-val space : t -> Idspace.Space.t
 val bits : t -> int
 val group : t -> int
-val style : t -> style
 val node_count : t -> int
 
 val levels : t -> int
 (** Number of digit levels D. *)
-
-val base : t -> int
-
-val degree : t -> int
-(** (b-1)·D. *)
 
 val neighbor : t -> int -> level:int -> digit:int -> int
 (** The contact of node [v] for correcting [level] to [digit].

@@ -39,8 +39,6 @@ let sample_variants =
       else None)
     [ (0, "x86-64-v4"); (1, "x86-64-v3"); (2, "default") ]
 
-let alive_count = Bitset.count
-
 let survivors = Bitset.members
 
 let none = Bitset.all
@@ -50,10 +48,6 @@ let length = Bitset.length
 let get = Bitset.get
 
 let set = Bitset.set
-
-let kill mask ids = Array.iter (fun v -> Bitset.set mask v false) ids
-
-let of_bool_array = Bitset.of_bool_array
 
 let to_bool_array = Bitset.to_bool_array
 

@@ -6,9 +6,9 @@
     not a [bool array]: the batch routing kernel tests liveness with a
     single load + mask, the mask is shared read-only across domains
     with no GC traffic, and it is 32× smaller than the boxed
-    representation at [2^20] nodes. {!of_bool_array} /
-    {!to_bool_array} bridge callers that still build or inspect plain
-    arrays (tests, the graph layer's component analysis). Sampling
+    representation at [2^20] nodes. {!to_bool_array} bridges callers
+    that inspect plain arrays (the graph layer's component analysis).
+    Sampling
     draws from the rng in the same order as the historical [bool
     array] implementation, so masks are bit-identical across the
     representation change. *)
@@ -32,13 +32,12 @@ val sample_variants : (string * (rng:Prng.Splitmix.t -> q:float -> int -> t)) li
     run, each called directly rather than picked per call:
     ["x86-64-v4"] and ["x86-64-v3"] (x86-64 GCC builds on CPUs with
     those levels), then ["default"]. Every one returns {!sample}'s
-    mask. For tests. *)
-
-val alive_count : t -> int
+    mask. Test hook: [sample] runs only the best variant, so only this
+    list lets [test_batch] check the others on this host. *)
 
 val survivors : t -> int array
-(** Ids of alive nodes, ascending: a fresh array of {!alive_count}
-    ints. Static trials draw through a {!Rank} index instead. *)
+(** Ids of alive nodes, ascending, in a fresh array. Static trials
+    draw through a {!Rank} index instead. *)
 
 val length : t -> int
 (** Number of nodes the mask covers (alive or dead). *)
@@ -54,14 +53,8 @@ val set : t -> int -> bool -> unit
 val none : int -> t
 (** A mask with every node alive. *)
 
-val kill : t -> int array -> unit
-(** Marks the given ids dead (targeted-failure experiments). *)
-
-val of_bool_array : bool array -> t
-(** [of_bool_array m] is the mask with node [v] alive iff [m.(v)]. *)
-
 val to_bool_array : t -> bool array
-(** Inverse of {!of_bool_array} (for [bool array] consumers such as
+(** Node [v] alive as entry [v] (for [bool array] consumers such as
     the component analysis of [Sim.Percolation]). *)
 
 val sample_block : rng:Prng.Splitmix.t -> fraction:float -> int -> t

@@ -23,10 +23,6 @@ let uniform_degree t = t.uniform
 
 let targets t = t.targets
 
-let node_count t = Bigarray.Array1.dim t.offsets - 1
-
-let edge_count t = Bigarray.Array1.dim t.targets
-
 let degree t v = t.offsets.{v + 1} - t.offsets.{v}
 
 (* The offsets reads check [v]; [i] is checked against the row, which

@@ -72,9 +72,6 @@ val of_rows : int array array -> t
     Later mutation of [rows] is {e not} reflected in the block.
     @raise Invalid_argument if an entry falls outside the node range. *)
 
-val node_count : t -> int
-val edge_count : t -> int
-
 val degree : t -> int -> int
 (** [degree t v] is the number of neighbours of [v]. *)
 

@@ -54,11 +54,15 @@ val contact : t -> int -> int -> int -> int
 val bucket : t -> int -> int -> int array
 (** [bucket t v level] is a copy of the contacts of [v]'s bucket for
     bit [level] (1-based from the MSB), least-recently-seen first.
-    Mutating the returned array cannot affect the table.
+    Mutating the returned array cannot affect the table. Test hook:
+    routing shows only which contact answers, and [test_replication]
+    checks the bucket order against its list model.
     @raise Invalid_argument when [v] or the level is out of range. *)
 
 val cache : t -> int -> int -> int array
-(** A copy of the bucket's replacement cache, oldest first.
+(** A copy of the bucket's replacement cache, oldest first. Test hook:
+    nothing but this shows the cache, which [test_replication] checks
+    against its list model.
     @raise Invalid_argument when [v] or the level is out of range. *)
 
 val observe : t -> int -> int -> unit
@@ -102,4 +106,5 @@ val invariant_violation : t -> string option
 (** [None] when every bucket satisfies the structural invariants
     (distinct entries, correct bucket placement, no self-contact,
     capacity and cache bounds); otherwise a description of the first
-    violation found. For tests. *)
+    violation found. Test hook: the structural check the churn and
+    k-bucket tests run after every maintenance step. *)

@@ -42,4 +42,5 @@ val select : t -> int -> int
     @raise Invalid_argument outside [0, count t). *)
 
 val memory_bytes : t -> int
-(** Bytes the index adds to its mask. *)
+(** Bytes the index adds to its mask. Test hook: lets [test_batch] pin
+    the index at most N/4 bytes, which no other API reports. *)

@@ -28,10 +28,6 @@ let degree t = Flat.uniform_degree t.contacts
 
 let targets t = Flat.targets t.contacts
 
-let contacts t index = Flat.row t.contacts index
-
-let occupancy t = float_of_int (node_count t) /. Float.pow 2.0 (float_of_int t.bits)
-
 (* First index in [lo, hi) of the sorted [ids] whose id is >= target;
    [hi] when none. The annotations keep [>=] an int comparison instead
    of a call to the polymorphic compare. *)
@@ -55,10 +51,6 @@ let lower_bound_within t ~lo ~hi target =
 let successor_index t target =
   let i = lower_bound t target in
   if i = Array.length t.ids then 0 else i
-
-let index_of_id t id =
-  let i = successor_index t id in
-  if t.ids.(i) = id then Some i else None
 
 (* Range of node indexes whose ids share the given [prefix_len]-bit
    prefix of [pattern]: ids are sorted, so it is one contiguous run. *)

@@ -48,19 +48,8 @@ val bits : t -> int
 val geometry : t -> Rcm.Geometry.t
 val node_count : t -> int
 
-val occupancy : t -> float
-(** nodes / 2^bits. *)
-
 val id_of : t -> int -> int
 (** The identifier of a node index. *)
-
-val index_of_id : t -> int -> int option
-
-val contacts : t -> int -> int array
-(** Contact *indexes* of a node (layout as in {!Table}: level-indexed
-    for tree/xor and ring fingers, near-then-shortcuts for symphony);
-    entries may be [missing] for tree/xor. Returns a fresh copy —
-    callers may mutate it freely. Hot loops read {!targets}. *)
 
 val ids : t -> int array
 (** The sorted id array itself ([id_of t v] is its entry [v]),
@@ -80,17 +69,11 @@ val successor_index : t -> int -> int
 (** Index of the first node clockwise from an id (inclusive, with
     wraparound). *)
 
-val lower_bound : t -> int -> int
-(** First index whose id is >= the target; [node_count] when none.
-    Allocates nothing. *)
-
 val lower_bound_within : t -> lo:int -> hi:int -> int -> int
-(** {!lower_bound} over the index range [\[lo, hi)] only: the first
-    index there whose id is >= the target; [hi] when none.
+(** The first index in [\[lo, hi)] whose id is >= the target; [hi]
+    when none. Allocates nothing.
     @raise Invalid_argument unless [0 <= lo <= hi <= node_count]. *)
 
 val prefix_range : t -> pattern:int -> prefix_len:int -> int * int
 (** Half-open index range of nodes sharing the prefix of [pattern]. *)
 
-val sample_ids : Prng.Splitmix.t -> bits:int -> count:int -> int array
-(** [count] distinct sorted ids, uniform over the space. *)

@@ -154,12 +154,6 @@ let iter_neighbors t v f =
         f (shortcuts_entry ~bits ~k_n ~k_s column v i)
       done
 
-let edge_count t =
-  match t.repr with
-  | Rows rows -> Array.fold_left (fun acc row -> acc + Array.length row) 0 rows
-  | Flat (Block f) -> Flat.edge_count f
-  | Flat layout -> node_count t * computed_degree t layout
-
 (* Rows: one boxed array per node (header word + elements) under the
    outer array; an OCaml word is 8 bytes. A block: its Bigarray
    payloads. A rule has no adjacency payload, and a column only its

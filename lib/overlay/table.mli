@@ -81,7 +81,10 @@ val of_neighbors : bits:int -> Rcm.Geometry.t -> int array array -> t
 val flatten : t -> t
 (** [flatten t] copies an {!of_neighbors} matrix into a block, and is
     the identity on any other table. The result does not alias [t]'s
-    rows, so subsequent mutation of the matrix is not reflected. *)
+    rows, so subsequent mutation of the matrix is not reflected.
+    Test hook: the only way [test_batch] can store a rule table's entries
+    as a block, to check the lanes that compute a rule against the
+    lanes that load a block. *)
 
 val build_ring_with_successors : bits:int -> successors:int -> unit -> t
 (** Chord fingers plus an extra [successors]-entry successor list
@@ -142,9 +145,6 @@ val layout : t -> layout option
 val node_count : t -> int
 val bits : t -> int
 
-val edge_count : t -> int
-(** Total number of table entries, summed over all nodes. *)
-
 val memory_bytes : t -> int
 (** Approximate resident size of the adjacency payload: exact Bigarray
     bytes for a block, [0] for a rule, the column's [4 * 2^bits * k_s]
@@ -163,10 +163,6 @@ val neighbor : t -> int -> int -> int
     computes the entry without allocating.
     @raise Invalid_argument unless [0 <= v < node_count t] and
     [0 <= i < degree t v]. *)
-
-val degree : t -> int -> int
-(** Number of table entries of a node.
-    @raise Invalid_argument unless [0 <= v < node_count t]. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Applies a function to each entry of [v]'s table, in table order

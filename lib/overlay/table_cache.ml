@@ -5,8 +5,7 @@ type entry = { table : Table.t; resume : int64 }
 type t = {
   lock : Mutex.t;
   entries : (key, entry) Hashtbl.t;
-  (* Insertion order, oldest first; may contain keys already removed by
-     [clear] — eviction skips those. *)
+  (* Insertion order, oldest first: exactly the cached keys. *)
   order : key Queue.t;
   capacity : int;
   mutable hits : int;
@@ -38,18 +37,12 @@ let locked t f =
    forgets them. Never resets the whole table: an in-flight q-sweep
    sharing a hot entry must not lose it to an unrelated insertion. *)
 let evict_oldest t =
-  let rec loop () =
-    match Queue.take_opt t.order with
-    | None -> ()
-    | Some old ->
-        if Hashtbl.mem t.entries old then begin
-          Hashtbl.remove t.entries old;
-          t.evictions <- t.evictions + 1;
-          Obs.Metrics.incr_named "cache/evictions"
-        end
-        else loop () (* stale queue entry from [clear] *)
-  in
-  loop ()
+  match Queue.take_opt t.order with
+  | None -> ()
+  | Some old ->
+      Hashtbl.remove t.entries old;
+      t.evictions <- t.evictions + 1;
+      Obs.Metrics.incr_named "cache/evictions"
 
 let get t ?backend:_ ~bits ~build_seed geometry =
   let key = (geometry, bits, build_seed) in
@@ -108,8 +101,3 @@ let evictions t = locked t (fun () -> t.evictions)
 let double_builds t = locked t (fun () -> t.double_builds)
 
 let length t = locked t (fun () -> Hashtbl.length t.entries)
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.entries;
-      Queue.clear t.order)

@@ -45,15 +45,19 @@ val get :
 
 val locked : t -> (unit -> 'a) -> 'a
 (** [locked t f] runs [f] while holding the cache's lock, releasing it
-    when [f] returns {e or raises}. Used by the accessors below (and
-    their exception-safety regression test); [f] must not re-enter the
-    cache — the lock is not recursive. *)
+    when [f] returns {e or raises}. Used by the accessors below; [f]
+    must not re-enter the cache — the lock is not recursive. Test hook:
+    lets [test_exec] check that a raising [f] releases the lock. *)
 
 val hits : t -> int
+(** Lookups served from the cache. Test hook: [test_exec]'s LRU cases
+    check the hit count. *)
+
 val misses : t -> int
 
 val evictions : t -> int
-(** Entries dropped to make room at capacity. *)
+(** Entries dropped to make room at capacity. Test hook: [test_exec]'s
+    LRU cases check that a full cache evicts one entry, not all. *)
 
 val double_builds : t -> int
 (** Builds whose result was discarded because a concurrent miss on the
@@ -61,7 +65,6 @@ val double_builds : t -> int
     are deterministic in the key). *)
 
 val length : t -> int
-(** Number of cached tables. *)
+(** Number of cached tables. Test hook: [test_exec]'s LRU cases check
+    the cache stays at capacity. *)
 
-val clear : t -> unit
-(** Drops every entry (hit/miss/eviction counters are kept). *)

@@ -1,17 +1,10 @@
-type t = {
-  dim : int;
-  side : int;
-  size : int;
-  neighbors : int array array;
-}
+type t = { dim : int; side : int; size : int }
 
 let dim t = t.dim
 
 let side t = t.side
 
 let node_count t = t.size
-
-let neighbors t v = t.neighbors.(v)
 
 (* Mixed-radix coordinates: coordinate i of v is (v / side^i) mod side. *)
 let coordinate t v i =
@@ -38,8 +31,8 @@ let with_coordinate t v i value =
 
 (* CAN as a dim-dimensional torus of side s (N = s^dim); the paper's
    hypercube is side = 2. Neighbours step one unit along each
-   dimension; at side = 2 the two directions coincide, giving degree
-   dim instead of 2 dim. *)
+   dimension ([with_coordinate]); at side = 2 the two directions
+   coincide. *)
 let build ~dim ~side =
   if dim < 1 then invalid_arg "Torus.build: dim < 1";
   if side < 2 then invalid_arg "Torus.build: side < 2";
@@ -48,17 +41,4 @@ let build ~dim ~side =
     power 1 dim
   in
   if size > 1 lsl 24 then invalid_arg "Torus.build: more than 2^24 nodes";
-  let t = { dim; side; size; neighbors = [||] } in
-  let row v =
-    let out = ref [] in
-    for i = dim - 1 downto 0 do
-      let c = coordinate t v i in
-      let forward = with_coordinate t v i ((c + 1) mod side) in
-      let backward = with_coordinate t v i ((c + side - 1) mod side) in
-      out := forward :: (if backward = forward then [] else [ backward ]) @ !out
-    done;
-    Array.of_list !out
-  in
-  { t with neighbors = Array.init size row }
-
-let degree t = Array.length t.neighbors.(0)
+  { dim; side; size }

@@ -42,8 +42,6 @@ let advance t k =
   if k < 0 then invalid_arg "Splitmix.advance: negative count";
   set64 t 0 (Int64.add (get64 t 0) (Int64.mul (Int64.of_int k) golden_gamma))
 
-let split t = of_int64 (step t)
-
 (* 53 uniformly random mantissa bits scaled into [0, 1). *)
 let float t = Int64.to_float (Int64.shift_right_logical (step t) 11) *. 0x1.0p-53
 
@@ -74,23 +72,9 @@ let int t bound =
     !v mod bound
   end
 
-let int_in_range t ~lo ~hi =
-  if lo > hi then invalid_arg "Splitmix.int_in_range: empty range"
-  else lo + int t (hi - lo + 1)
-
-let bool t = Int64.logand (step t) 1L = 1L
-
 let bernoulli t ~p =
   if not (Numerics.Prob.is_valid p) then invalid_arg "Splitmix.bernoulli: invalid p"
   else float t < p
-
-let shuffle_in_place t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 (* Harmonic distance sampling on {1, ..., n}: P(X = x) ~ 1/x. Symphony
    draws shortcut end-points this way (Manku et al. 2003). Inverse-CDF on

@@ -24,10 +24,6 @@ val state : t -> int64
 val copy : t -> t
 (** [copy t] is an independent generator with the same state. *)
 
-val split : t -> t
-(** [split t] advances [t] and returns a statistically independent
-    generator. *)
-
 val next_int64 : t -> int64
 (** The raw 64-bit output stream. *)
 
@@ -54,16 +50,8 @@ val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound), unbiased.
     @raise Invalid_argument if [bound <= 0]. *)
 
-val int_in_range : t -> lo:int -> hi:int -> int
-(** Uniform on [lo, hi] inclusive. @raise Invalid_argument if empty. *)
-
-val bool : t -> bool
-
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is true with probability [p]. *)
-
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
 
 val harmonic_int : t -> n:int -> int
 (** [harmonic_int t ~n] draws from {1..n} with P(X = x) proportional to

@@ -1,4 +1,4 @@
-type t = { s : float; cdf : float array }
+type t = { cdf : float array }
 
 let create ~s ~n =
   if n < 1 then invalid_arg "Zipf.create: n must be >= 1";
@@ -16,14 +16,12 @@ let create ~s ~n =
   done;
   (* Guard against rounding: the last bucket must cover u -> 1. *)
   cdf.(n - 1) <- 1.;
-  { s; cdf }
+  { cdf }
 
-let n t = Array.length t.cdf
-let s t = t.s
 let cdf t = t.cdf
 
 let pmf t k =
-  let n = n t in
+  let n = Array.length t.cdf in
   if k < 0 || k >= n then invalid_arg "Zipf.pmf: rank out of range";
   if k = 0 then t.cdf.(0) else t.cdf.(k) -. t.cdf.(k - 1)
 

@@ -19,12 +19,6 @@ val create : s:float -> n:int -> t
     @raise Invalid_argument if [n < 1], or [s] is negative or not
     finite. *)
 
-val n : t -> int
-(** Number of ranks. *)
-
-val s : t -> float
-(** The exponent the sampler was built with. *)
-
 val cdf : t -> float array
 (** The cumulative distribution {!draw} searches: entry [k] is the
     probability of a rank [<= k], and the last entry is [1.]. The array
@@ -32,7 +26,8 @@ val cdf : t -> float array
     in C, as {!draw} does. *)
 
 val pmf : t -> int -> float
-(** [pmf t k] is P(rank = k), for [k] in [0 .. n-1].
+(** [pmf t k] is P(rank = k), for [k] in [0 .. n-1]. Test hook: the
+    exact distribution the tests check {!cdf} and the draws against.
     @raise Invalid_argument if [k] is out of range. *)
 
 val draw : t -> Splitmix.t -> int

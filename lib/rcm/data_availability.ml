@@ -1,9 +1,5 @@
 let check_r r = if r < 1 then invalid_arg "Data_availability: r must be >= 1"
 
-let check_quorum ~r ~name k =
-  if k < 1 || k > r then
-    invalid_arg (Printf.sprintf "Data_availability: %s must be in [1, r]" name)
-
 let clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
 
 let replica_survival ~q ~r ~quorum =
@@ -29,20 +25,3 @@ let replica_survival ~q ~r ~quorum =
     if upper <= lower then clamp01 (tail_from quorum r)
     else clamp01 (1. -. tail_from 0 (quorum - 1))
   end
-
-let expected_alive ~q ~r =
-  check_r r;
-  Spec.check_q q;
-  float_of_int r *. (1. -. q)
-
-let read_write_survival ~q ~r ~rq ~wq =
-  check_r r;
-  check_quorum ~r ~name:"rq" rq;
-  check_quorum ~r ~name:"wq" wq;
-  replica_survival ~q ~r ~quorum:(max rq wq)
-
-let read_your_writes ~r ~rq ~wq =
-  check_r r;
-  check_quorum ~r ~name:"rq" rq;
-  check_quorum ~r ~name:"wq" wq;
-  rq + wq > r

@@ -17,18 +17,3 @@ val replica_survival : q:float -> r:int -> quorum:int -> float
     [quorum <= 0] gives 1; [quorum > r] gives 0.
     @raise Invalid_argument if [r < 1] or [q] is outside [0, 1]. *)
 
-val expected_alive : q:float -> r:int -> float
-(** [expected_alive ~q ~r] is the mean surviving replica count,
-    [r *. (1 -. q)].
-    @raise Invalid_argument if [r < 1] or [q] is outside [0, 1]. *)
-
-val read_write_survival : q:float -> r:int -> rq:int -> wq:int -> float
-(** [read_write_survival ~q ~r ~rq ~wq] is the probability that both a
-    read quorum of [rq] and a write quorum of [wq] can be assembled from
-    the survivors, i.e. P(alive >= max rq wq).
-    @raise Invalid_argument if the quorums are outside [1, r]. *)
-
-val read_your_writes : r:int -> rq:int -> wq:int -> bool
-(** [read_your_writes ~r ~rq ~wq] is [rq + wq > r]: any read quorum
-    intersects any write quorum, so a read that reaches quorum observes
-    the latest write. *)

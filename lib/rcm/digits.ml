@@ -59,5 +59,3 @@ let xor_spec ~group =
 let tree_routability ~d ~q ~group = Engine.routability (tree_spec ~group) ~d ~q
 
 let xor_routability ~d ~q ~group = Engine.routability (xor_spec ~group) ~d ~q
-
-let table_entries ~d ~group = digit_count ~d ~group * (base ~group - 1)

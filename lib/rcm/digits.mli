@@ -8,19 +8,6 @@
     Pastry's base parameter, analysable with the same engine. At
     [group = 1] every function reduces to the binary modules. *)
 
-val digit_count : d:int -> group:int -> int
-(** D = d / group. @raise Invalid_argument unless [group] divides [d]. *)
-
-val base : group:int -> int
-(** b = 2^group. *)
-
-val log_population : group:int -> d:int -> h:int -> float
-(** log n(h) = log [C(D,h) (b-1)^h]. *)
-
-val tree_spec : group:int -> Spec.t
-(** Base-b Plaxton: Q(m) = q (the one digit-correcting contact must be
-    alive). *)
-
 val xor_spec : group:int -> Spec.t
 (** Base-b Kademlia: Q(m) as in Eq. 6 (one useful contact per differing
     digit, base-independent). *)
@@ -28,5 +15,3 @@ val xor_spec : group:int -> Spec.t
 val tree_routability : d:int -> q:float -> group:int -> float
 val xor_routability : d:int -> q:float -> group:int -> float
 
-val table_entries : d:int -> group:int -> int
-(** Routing-table size (b-1)·D bought by the base. *)

@@ -72,10 +72,3 @@ let routability spec ~d ~q =
       Prob.clamp (Logspace.to_float (Logspace.div log_reachable log_peers))
 
 let failed_paths_percent spec ~d ~q = 100.0 *. (1.0 -. routability spec ~d ~q)
-
-let population (spec : Spec.t) ~d ~h = exp (spec.log_population ~d ~h)
-
-let total_population (spec : Spec.t) ~d =
-  let h_max = spec.max_phase ~d in
-  Logspace.to_float
-    (Logspace.sum_fn ~lo:1 ~hi:h_max (fun h -> Logspace.of_log (spec.log_population ~d ~h)))

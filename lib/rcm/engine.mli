@@ -8,24 +8,13 @@
     so the d = 100 asymptotic evaluation of Fig. 7(a) is exact to float
     precision. *)
 
-val log_success_probability : Spec.t -> d:int -> q:float -> h:int -> float
-(** log p(h,q) = sum_{m=1..h} log(1 - Q(m)).
-    @raise Invalid_argument if [h] is outside 0..max phase or the spec
-    produces an invalid probability. *)
-
 val success_probability : Spec.t -> d:int -> q:float -> h:int -> float
 (** p(h,q): probability of successfully routing to a target h
     hops/phases away. *)
 
-val log_expected_reachable : Spec.t -> d:int -> q:float -> Numerics.Logspace.t
-
 val expected_reachable : Spec.t -> d:int -> q:float -> float
 (** E[S] = sum_h n(h)·p(h,q): expected reachable-component size of a
     surviving root node. *)
-
-val log_surviving_peers : d:int -> q:float -> Numerics.Logspace.t option
-(** log((1-q)·2^d - 1), or [None] when at most one node survives on
-    average. *)
 
 val routability : Spec.t -> d:int -> q:float -> float
 (** Eq. 1. In [0,1]; equals 1 at q = 0 and 0 when no pairs survive. *)
@@ -33,8 +22,3 @@ val routability : Spec.t -> d:int -> q:float -> float
 val failed_paths_percent : Spec.t -> d:int -> q:float -> float
 (** 100·(1 - r): the y-axis of Figs. 6 and 7(a). *)
 
-val population : Spec.t -> d:int -> h:int -> float
-(** n(h). *)
-
-val total_population : Spec.t -> d:int -> float
-(** sum_h n(h); equals 2^d - 1 for all five geometries. *)

@@ -61,10 +61,6 @@ let register_family f =
 
 let find_family name = Hashtbl.find_opt families (String.lowercase_ascii name)
 
-let registered_families () =
-  Hashtbl.fold (fun n f acc -> if n = f.family_name then f :: acc else acc) families []
-  |> List.sort (fun a b -> compare a.family_name b.family_name)
-
 (* Canonical parameter form: family defaults overridden by the caller's
    pairs, sorted by key — [equal] is structural, so every constructor
    path must normalise identically. *)
@@ -93,16 +89,6 @@ let custom ~family:name params =
           match f.validate params with
           | Ok () -> Ok (Custom { family = f.family_name; params })
           | Error e -> Error (Printf.sprintf "geometry %s: %s" f.family_name e)))
-
-let param_exn g key =
-  match g with
-  | Custom { params; family } -> (
-      match List.assoc_opt key params with
-      | Some v -> v
-      | None ->
-          invalid_arg (Printf.sprintf "Geometry.param_exn: %s has no parameter %S" family key))
-  | Tree | Hypercube | Xor | Ring | Symphony _ ->
-      invalid_arg "Geometry.param_exn: not a custom geometry"
 
 let name = function
   | Tree -> "tree"

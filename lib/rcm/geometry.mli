@@ -56,17 +56,10 @@ val register_family : family -> unit
 val find_family : string -> family option
 (** Family (or alias) lookup, case-insensitive. *)
 
-val registered_families : unit -> family list
-(** All registered families, sorted by name. *)
-
 val custom : family:string -> (string * int) list -> (t, string) result
 (** [custom ~family overrides] builds a validated {!Custom}: unknown
     parameter keys are rejected, missing ones take the family default,
     and the result is normalised (sorted by key). *)
-
-val param_exn : t -> string -> int
-(** Parameter lookup on a {!Custom} geometry.
-    @raise Invalid_argument on a built-in geometry or unknown key. *)
 
 val name : t -> string
 (** Short lowercase geometry name ("tree", "hypercube", ..., or the

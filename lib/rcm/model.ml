@@ -19,12 +19,6 @@ let register_custom ~family analysis =
     invalid_arg (Printf.sprintf "Model.register_custom: %S already registered" family);
   Hashtbl.replace custom_analyses family analysis
 
-let has_analysis = function
-  | Geometry.Tree | Geometry.Hypercube | Geometry.Xor | Geometry.Ring | Geometry.Symphony _
-    ->
-      true
-  | Geometry.Custom { family; _ } -> Hashtbl.mem custom_analyses family
-
 let spec_of_geometry = function
   | Geometry.Tree -> Tree.spec
   | Geometry.Hypercube -> Hypercube.spec
@@ -49,9 +43,6 @@ let success_probability geometry ~d ~q ~h =
 
 let expected_reachable geometry ~d ~q =
   Engine.expected_reachable (spec_of_geometry geometry) ~d ~q
-
-let phase_failure geometry ~d ~q ~m =
-  (spec_of_geometry geometry).Spec.phase_failure ~d ~q ~m
 
 (* The paper's comparison targets (section 4): for tree, hypercube, XOR
    and Symphony the chain model is exact for the basic geometry, while

@@ -2,9 +2,8 @@
 
     Built-in geometries dispatch to the paper's closed forms. A plugin
     family plugs in through {!register_custom}; geometries of families
-    that never register have no analysis ({!has_analysis} is [false])
-    and the analytical entry points raise [Invalid_argument] for
-    them. *)
+    that never register have no analysis, and the analytical entry
+    points raise [Invalid_argument] for them. *)
 
 type custom_analysis = {
   spec : (string * int) list -> Spec.t;
@@ -25,9 +24,6 @@ val register_custom : family:string -> custom_analysis -> unit
     time, after [Geometry.register_family].
     @raise Invalid_argument if the family is already registered. *)
 
-val has_analysis : Geometry.t -> bool
-(** [true] when {!spec_of_geometry} will succeed. *)
-
 val spec_of_geometry : Geometry.t -> Spec.t
 (** @raise Invalid_argument on a custom geometry with no registered
     analysis. *)
@@ -40,9 +36,6 @@ val failed_paths_percent : Geometry.t -> d:int -> q:float -> float
 val success_probability : Geometry.t -> d:int -> q:float -> h:int -> float
 
 val expected_reachable : Geometry.t -> d:int -> q:float -> float
-
-val phase_failure : Geometry.t -> d:int -> q:float -> m:int -> float
-(** Q(m) for the geometry. *)
 
 val analysis_kind : Geometry.t -> [ `Exact_model | `Lower_bound ]
 (** Whether the paper's chain model is exact for the basic geometry or a

@@ -10,29 +10,24 @@
     generalise accordingly. At k = 1 every expression reduces exactly to
     the paper's. *)
 
-val capacity : k:int -> m:int -> int
-(** min(k, 2^(m-1)): contacts available to the bucket that corrects the
-    leading bit of a phase-m target. *)
-
 val tree_phase_failure : q:float -> k:int -> m:int -> float
-(** Q(m) = q^capacity — the single useful bucket must die entirely. *)
+(** Q(m) = q^min(k, 2^(m-1)) — the single useful bucket, which has
+    only 2^(m-1) candidate ids, must die entirely. Test hook: like the
+    two below, the routability functions show only the product of the
+    phases, and the tests check each Q(m) against the paper's at
+    [k = 1] and for monotonicity in the replication. *)
 
 val xor_phase_failure : q:float -> k:int -> m:int -> float
 (** The Fig. 5(b) chain with per-bucket capacities, solved by backward
-    recursion. Equals Eq. 6 at [k = 1]. *)
-
-val effective_successors : int -> int
-(** Number of entries of an r-node successor list (clockwise distances
-    1..r) that do not duplicate a finger: r - (floor(log2 r) + 1). *)
+    recursion. Equals Eq. 6 at [k = 1]. Test hook: see
+    {!tree_phase_failure}. *)
 
 val ring_phase_failure : q:float -> successors:int -> m:int -> float
 (** Section 4.3.3's Q with an [successors]-entry successor list: the
-    failure exponent grows from m to m + effective_successors
-    (the destination itself must still be alive at m = 1). *)
-
-val tree_spec : k:int -> Spec.t
-val xor_spec : k:int -> Spec.t
-val ring_spec : successors:int -> Spec.t
+    failure exponent grows from m by the number of entries that do not
+    duplicate a finger, r - (floor(log2 r) + 1) (the destination
+    itself must still be alive at m = 1). Test hook: see
+    {!tree_phase_failure}. *)
 
 val routability_tree : d:int -> q:float -> k:int -> float
 val routability_xor : d:int -> q:float -> k:int -> float

@@ -9,9 +9,6 @@
 val log_population : d:int -> h:int -> float
 (** log n(h) = (h-1)·log 2. *)
 
-val phase_failure : q:float -> m:int -> float
-(** Q(m) = q^m (1 - s^(2^(m-1))) / (1 - s), s = q(1 - q^(m-1)). *)
-
 val success_probability : q:float -> h:int -> float
 
 val spec : Spec.t

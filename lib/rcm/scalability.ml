@@ -27,14 +27,6 @@ let paper_classification = function
   | Geometry.Hypercube | Geometry.Xor | Geometry.Ring -> `Scalable
   | Geometry.Custom _ as g -> fst (custom_classification_exn "paper_classification" g)
 
-let paper_argument = function
-  | Geometry.Tree -> "Q(m) = q is constant, so sum Q(m) diverges (term test)"
-  | Geometry.Hypercube -> "Q(m) = q^m is geometric, so sum Q(m) converges"
-  | Geometry.Xor -> "Q(m) involves only q^m and m q^m terms, so sum Q(m) converges"
-  | Geometry.Ring -> "p(h,q) dominates the XOR expression, which converges"
-  | Geometry.Symphony _ -> "Q is constant across phases, so sum Q(m) diverges"
-  | Geometry.Custom _ as g -> snd (custom_classification_exn "paper_argument" g)
-
 (* Theorem 1 (Knopp): prod (1 - Q(m)) > 0 iff sum Q(m) < infinity. We
    certify the series numerically and, when convergent, evaluate the
    limiting success probability lim_{h->inf} p(h,q). The reference

@@ -11,8 +11,6 @@ type verdict =
           lim_{h->inf} p(h,q) *)
   | Unscalable of { reason : string }
 
-val is_scalable : verdict -> bool
-
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val paper_classification : Geometry.t -> [ `Scalable | `Unscalable ]
@@ -21,18 +19,11 @@ val paper_classification : Geometry.t -> [ `Scalable | `Unscalable ]
     [Model.register_custom].
     @raise Invalid_argument on an unregistered custom family. *)
 
-val paper_argument : Geometry.t -> string
-(** One-line restatement of the (paper's or the family's declared)
-    convergence argument.
-    @raise Invalid_argument on an unregistered custom family. *)
-
 val classify_spec : ?d:int -> Spec.t -> q:float -> verdict
 (** Numeric classification of an arbitrary geometry description — the
     entry point for screening *proposed* architectures, per the paper's
     concluding remarks. Inconclusive numerics are reported as
     unscalable with an explanatory reason. *)
-
-val asymptotic_success_spec : ?d:int -> Spec.t -> q:float -> float
 
 val classify : ?d:int -> Geometry.t -> q:float -> verdict
 (** Numeric classification of sum Q(m) at failure probability [q]

@@ -9,7 +9,3 @@ let check_d d = if d < 1 then invalid_arg "Rcm: identifier length d must be >= 1
 
 let check_q q =
   if not (Numerics.Prob.is_valid q) then invalid_arg "Rcm: q must be a probability"
-
-let check_phase ~d ~m =
-  if m < 1 || m > d then
-    invalid_arg (Printf.sprintf "Rcm: phase %d outside 1..%d" m d)

@@ -16,6 +16,3 @@ type t = {
 
 val check_d : int -> unit
 val check_q : float -> unit
-val check_phase : d:int -> m:int -> unit
-(** Argument guards shared by the geometry modules.
-    @raise Invalid_argument on violation. *)

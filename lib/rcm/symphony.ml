@@ -96,5 +96,3 @@ let spec ~k_n ~k_s =
     log_population = (fun ~d ~h -> log_population ~d ~h);
     phase_failure = (fun ~d ~q ~m:_ -> phase_failure ~d ~q ~k_n ~k_s);
   }
-
-let default_spec = spec ~k_n:1 ~k_s:1

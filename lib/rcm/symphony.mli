@@ -5,24 +5,8 @@
     otherwise suboptimal; Q is therefore constant across phases (Eq. 7),
     which makes the geometry unscalable. *)
 
-val log_population : d:int -> h:int -> float
-
-val suboptimal_cap : d:int -> q:float -> int
-(** The paper's cap ceil(d / (1-q)) on suboptimal hops per phase. *)
-
-val phase_failure : d:int -> q:float -> k_n:int -> k_s:int -> float
-(** Eq. 7 (exact finite geometric sum). When the model leaves its domain
-    (k_s/d + q^(k_n+k_s) > 1) the suboptimal branch is empty and Q
-    degenerates to q^(k_n+k_s). *)
-
 val success_probability : d:int -> q:float -> k_n:int -> k_s:int -> h:int -> float
 (** p(h,q) = (1 - Q)^h. *)
-
-val phase_failure_heterogeneous :
-  d:int -> q_near:float -> q_shortcut:float -> k_n:int -> k_s:int -> float
-(** Eq. 7 with class-specific link death probabilities (near links vs
-    shortcuts age differently under churn). Equals {!phase_failure}
-    when the two probabilities coincide. *)
 
 val spec_heterogeneous : q_near:float -> k_n:int -> k_s:int -> Spec.t
 (** A spec whose engine-supplied q plays the *shortcut* death role
@@ -31,5 +15,3 @@ val spec_heterogeneous : q_near:float -> k_n:int -> k_s:int -> Spec.t
 val spec : k_n:int -> k_s:int -> Spec.t
 (** @raise Invalid_argument unless k_s >= 1 and k_n >= 0. *)
 
-val default_spec : Spec.t
-(** [spec ~k_n:1 ~k_s:1], the configuration of Fig. 7. *)

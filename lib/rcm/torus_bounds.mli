@@ -7,21 +7,11 @@
     all-dimensions-available upper bound; at side = 2 the upper bound
     coincides with Eq. 2 (the paper's hypercube) and is exact. *)
 
-val max_distance : dim:int -> side:int -> int
-(** Torus diameter dim·(side/2). *)
-
 val population : dim:int -> side:int -> float array
 (** n(h) indexed by distance h (index 0 is the node itself); computed
-    by per-dimension convolution and summing to N. *)
-
-val network_size : dim:int -> side:int -> float
-
-val success_lower : q:float -> h:int -> float
-(** (1-q)^h: at least one useful neighbour per hop. *)
-
-val success_upper : dim:int -> q:float -> h:int -> float
-(** prod_i (1 - q^min(dim, h-i)): at most min(dim, remaining) useful
-    neighbours. *)
+    by per-dimension convolution and summing to N. Test hook: the bounds
+    below show only sums over it, and the tests check it entry by
+    entry. *)
 
 val routability_lower : dim:int -> side:int -> q:float -> float
 val routability_upper : dim:int -> side:int -> q:float -> float

@@ -27,22 +27,6 @@ let phase_failure ~q ~m =
     end
   end
 
-(* The paper's closed approximation of Eq. 6 (obtained via 1-x ~ e^-x),
-   kept for comparison; the exact form above is used everywhere else. *)
-let phase_failure_approx ~q ~m =
-  Spec.check_q q;
-  if m < 1 then invalid_arg "Xor_routing.phase_failure_approx: m < 1"
-  else if q = 0.0 then 0.0
-  else if q = 1.0 then 1.0
-  else begin
-    let qm = Prob.pow q m in
-    let mf = float_of_int m in
-    let inner =
-      (Prob.pow q (m - 1) *. (mf -. 1.0)) -. ((1.0 -. Prob.pow q (m + 1)) /. (1.0 -. q))
-    in
-    Prob.clamp (qm *. (mf +. (q /. (1.0 -. q) *. inner)))
-  end
-
 let success_probability ~q ~h =
   Spec.check_q q;
   if h < 0 then invalid_arg "Xor_routing.success_probability: negative h"

@@ -11,10 +11,6 @@ val log_population : d:int -> h:int -> float
 val phase_failure : q:float -> m:int -> float
 (** Q(m) of Eq. 6 in exact form. *)
 
-val phase_failure_approx : q:float -> m:int -> float
-(** The paper's e^(-x)-based approximation of Eq. 6 (for comparison
-    only). *)
-
 val success_probability : q:float -> h:int -> float
 (** p(h,q) = prod_{m=1..h} (1 - Q(m)). *)
 

@@ -2,13 +2,10 @@
     each hop minimises the circular distance to the destination over
     all alive neighbours, approaching from either side.
 
-    Progress measure: {!circular_distance}, required to strictly
-    decrease — a hop to the {e same} distance on the other side is
+    Progress measure: the circular distance (the shorter way around),
+    required to strictly decrease — a hop to the {e same} distance on the other side is
     refused, preserving the no-backtracking/termination invariants of
     {!Router} while still allowing direction changes mid-route. *)
-
-val circular_distance : bits:int -> int -> int -> int
-(** min of the two ways around the ring. *)
 
 val route :
   ?on_hop:(int -> unit) ->

@@ -2,10 +2,6 @@ type t =
   | Delivered of { hops : int }
   | Dropped of { hops : int; stuck_at : int }
 
-let is_delivered = function Delivered _ -> true | Dropped _ -> false
-
-let hops = function Delivered { hops } | Dropped { hops; _ } -> hops
-
 let equal a b =
   match (a, b) with
   | Delivered { hops = h1 }, Delivered { hops = h2 } -> h1 = h2

@@ -7,8 +7,6 @@ type t =
           progress; no back-tracking is allowed (section 4.1), so the
           message is lost. *)
 
-val is_delivered : t -> bool
-
 val metric_label : t -> string
 (** ["delivered"] or ["dead_end"] — the class this outcome lands in
     within the [routing/<geometry>/<class>] metric family. Loops are
@@ -19,6 +17,5 @@ val metric_labels : string list
 (** The full outcome partition used by the metric schema:
     [["delivered"; "dead_end"; "loop"]]. *)
 
-val hops : t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -95,33 +95,17 @@ let prepare s n =
 
 (* --- scratch accessors ---------------------------------------------------- *)
 
-let batch_size s = s.count
-
 let delivered_count s = s.delivered
-
-let dropped_count s = s.dropped
 
 let check_index s k context =
   if k < 0 || k >= s.count then
     invalid_arg (Printf.sprintf "Route_batch.%s: index %d outside [0, %d)" context k s.count)
-
-let hops s k =
-  check_index s k "hops";
-  Bigarray.Array1.unsafe_get s.hops_buf k
-
-let is_delivered s k =
-  check_index s k "is_delivered";
-  Bigarray.Array1.unsafe_get s.stuck_buf k < 0
 
 let outcome s k =
   check_index s k "outcome";
   let hops = Bigarray.Array1.unsafe_get s.hops_buf k in
   let stuck = Bigarray.Array1.unsafe_get s.stuck_buf k in
   if stuck < 0 then Outcome.Delivered { hops } else Outcome.Dropped { hops; stuck_at = stuck }
-
-let raw_hops s = Bigarray.Array1.sub s.hops_buf 0 s.count
-
-let raw_stuck s = Bigarray.Array1.sub s.stuck_buf 0 s.count
 
 let hop_counts s = Array.sub s.hist 0 s.hist_used
 

@@ -54,16 +54,10 @@
 type scratch
 (** Reusable per-batch result buffers, the pair arrays of drawn
     batches, and outcome/hop-histogram accumulators. A scratch instance
-    is single-domain state: share one
-    per domain (see {!domain_scratch}), never across domains. *)
+    is single-domain state: share one per domain, never across
+    domains. *)
 
 val create_scratch : unit -> scratch
-
-val domain_scratch : unit -> scratch
-(** The calling domain's scratch (domain-local storage, created on
-    first use) — what {!Sim.Estimate}/{!Sim.Percolation} trials use so
-    each {!Exec.Pool} domain reuses one buffer set across its whole
-    trial block. *)
 
 val route_many :
   ?scratch:scratch ->
@@ -74,8 +68,9 @@ val route_many :
   scratch
 (** [route_many table ~rng ~alive pairs] routes every [(src, dst)]
     pair and returns the scratch holding per-pair outcomes ([scratch]
-    defaults to {!domain_scratch}; the return value is that same
-    scratch, valid until the next batch run on it). [rng] is consumed
+    defaults to the calling domain's own, created on first use; the
+    return value is that same scratch, valid until the next batch run
+    on it). [rng] is consumed
     by the hypercube kernel only, exactly as in the scalar router.
     @raise Invalid_argument if the table holds per-node rows, if
     the mask length differs from the node count, or a pair member is
@@ -114,18 +109,7 @@ val sample_and_route :
 
     Valid until the scratch is reused by a later batch. *)
 
-val batch_size : scratch -> int
-(** Pairs routed by the last batch. *)
-
 val delivered_count : scratch -> int
-
-val dropped_count : scratch -> int
-
-val is_delivered : scratch -> int -> bool
-
-val hops : scratch -> int -> int
-(** Hops taken by pair [k] (on delivery, the full path length; on a
-    drop, hops completed before sticking). *)
 
 val outcome : scratch -> int -> Outcome.t
 (** Pair [k]'s outcome, reconstructed exactly as the scalar router
@@ -139,14 +123,6 @@ val hop_counts : scratch -> int array
 
 val delivered_hops_rev_order : scratch -> float list
 (** Delivered hop counts as floats, in routing order. *)
-
-val raw_hops : scratch -> (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The per-pair hop counts of the last batch (a window into the
-    scratch buffer: no copy, invalidated by the next batch). *)
-
-val raw_stuck : scratch -> (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Per-pair stuck node ids, [-1] for delivered pairs (same aliasing
-    caveat as {!raw_hops}). *)
 
 (** {1 Custom-family lanes}
 

@@ -15,7 +15,7 @@
       experiment's codec decides the fields.
 
     On-disk format: one JSON object per line, every object starting
-    with ["v"] (the format version, {!version}). The first line is a
+    with ["v"] (the format version, 2). The first line is a
     header, [{"v": 2, "kind": "dht_rcm-checkpoint"}]; trial records
     follow in key order, then point records sorted by (kind, key
     fields). A trial record keeps its hops as the histogram
@@ -66,9 +66,6 @@ type outcome =
 type fields = (string * Obs.Tiny_json.t) list
 (** The fields of a record, in file order. *)
 
-val version : int
-(** The format version written: 2. {!load} reads 1 and 2. *)
-
 val create : ?interval:int -> path:string -> unit -> t
 (** A fresh store writing to [path]; any existing file is ignored and
     replaced at the first flush. [interval] (default 8) is the number
@@ -118,7 +115,6 @@ val int : int -> Obs.Tiny_json.t
 
 val get_int : fields -> string -> int
 val get_float : fields -> string -> float
-val get_string : fields -> string -> string
 (** Field getters for decoders.
     @raise Failure naming the field when it is absent or of another
     type ([get_int] also rejects a fraction or a value outside

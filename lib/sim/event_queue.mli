@@ -55,6 +55,8 @@ val pop : t -> int
     @raise Invalid_argument when the queue is empty. *)
 
 val size : t -> int
-(** Pending events, periodic ones included. *)
+(** Pending events, periodic ones included. Test hook: [is_empty] is
+    all the engine needs, and [test_churn] checks the count against its
+    sorted-list model. *)
 
 val is_empty : t -> bool

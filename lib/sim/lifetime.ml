@@ -41,10 +41,6 @@ let mean t = t.mean
 
 let shape t = t.shape
 
-let with_mean t ~mean =
-  check_mean mean;
-  { t with mean }
-
 (* Inverse-CDF sampling from one uniform draw each, so a distribution
    swap costs exactly one PRNG float either way — event schedules stay
    comparable across shapes at the same seed. *)
@@ -95,5 +91,3 @@ let shape_to_string = function
   | Exponential -> "exp"
   | Pareto alpha -> "pareto:" ^ round_trip alpha
   | Weibull shape -> "weibull:" ^ round_trip shape
-
-let pp ppf t = Fmt.pf ppf "%s(mean=%g)" (shape_to_string t.shape) t.mean

@@ -27,9 +27,6 @@ val weibull : shape:float -> mean:float -> t
 val mean : t -> float
 val shape : t -> shape
 
-val with_mean : t -> mean:float -> t
-(** Same shape, rescaled to a new mean — the sweep operation. *)
-
 val draw : t -> Prng.Splitmix.t -> float
 (** One sample by inverse-CDF; consumes exactly one uniform draw for
     every shape, so schedules stay comparable across shapes at a given
@@ -45,4 +42,3 @@ val shape_to_string : shape -> string
     same float, so [of_string (shape_to_string s)] returns [s] bit for
     bit and distinct shapes never share a checkpoint key. *)
 
-val pp : Format.formatter -> t -> unit

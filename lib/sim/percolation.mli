@@ -47,18 +47,6 @@ val routing_gap : report -> float
 (** pair-connectivity minus routability; non-negative up to Monte-Carlo
     noise. *)
 
-val giant_fraction :
-  ?pool:Exec.Pool.t ->
-  ?cache:Overlay.Table_cache.t ->
-  ?trials:int ->
-  ?seed:int ->
-  bits:int ->
-  q:float ->
-  Rcm.Geometry.t ->
-  float
-(** Mean fraction of survivors inside the largest connected component,
-    over the trials with a survivor; [nan] when no trial had one. *)
-
 val giant_threshold :
   ?pool:Exec.Pool.t ->
   ?cache:Overlay.Table_cache.t ->
@@ -71,6 +59,7 @@ val giant_threshold :
   float
 (** Bisected failure probability at which the giant component stops
     covering [target] (default 0.5) of the survivors — the finite-size
-    stand-in for 1 - p_c in Definition 2; a [nan] {!giant_fraction}
-    counts as not covered. Routing always collapses at or before this
+    stand-in for 1 - p_c in Definition 2. Each step averages the giant
+    fraction over the trials with a survivor; a [nan] mean (no trial
+    had one) counts as not covered. Routing always collapses at or before this
     point. *)

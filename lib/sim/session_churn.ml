@@ -375,13 +375,3 @@ let run cfg =
     no_pair_measurements = List.length measurements - List.length routable;
     events_processed = events;
   }
-
-let pp_report ppf r =
-  Fmt.pf ppf
-    "%a d=%d session=%a gap=%a maintain=%.2f: alive %.3f, stale %.4f, routability %.4f (static @ q_stale: %.4f)"
-    Rcm.Geometry.pp r.config.geometry r.config.bits Lifetime.pp r.config.session
-    Lifetime.pp r.config.gap r.config.maintenance_interval r.mean_alive r.mean_stale
-    r.mean_routability r.mean_prediction;
-  if r.no_pair_measurements > 0 then
-    Fmt.pf ppf " [%d measurement%s with no routable pairs]" r.no_pair_measurements
-      (if r.no_pair_measurements = 1 then "" else "s")

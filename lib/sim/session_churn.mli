@@ -142,4 +142,3 @@ val drive :
     for [i < measurements]. Every draw comes from [rng], in event
     order. *)
 
-val pp_report : Format.formatter -> report -> unit

@@ -50,10 +50,8 @@ val routability : t list -> float
 
 val seeds : seed:int -> trials:int -> int64 array
 (** [(seeds ~seed ~trials).(i)] seeds trial [i]: the [i]-th output of
-    the master stream [Splitmix.create ~seed]. It is the state the
-    [i+1]-th [Splitmix.split] of that master returns, but derived by
-    index, so trials run on any domain in any order with the same
-    draws. *)
+    the master stream [Splitmix.create ~seed], derived by index, so
+    trials run on any domain in any order with the same draws. *)
 
 val table :
   ?cache:Overlay.Table_cache.t ->

@@ -32,8 +32,6 @@ let lower t = t.lower
 
 let upper t = t.upper
 
-let half_width t = (t.upper -. t.lower) /. 2.0
-
 let contains t p = p >= t.lower && p <= t.upper
 
 let pp ppf t =

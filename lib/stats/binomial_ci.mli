@@ -3,16 +3,13 @@
 
 type t
 
-val z_95 : float
-(** Two-sided 95% normal quantile. *)
-
 val wilson : ?z:float -> successes:int -> trials:int -> unit -> t
-(** @raise Invalid_argument when [trials <= 0] or counts inconsistent. *)
+(** [z] defaults to the two-sided 95% normal quantile.
+    @raise Invalid_argument when [trials <= 0] or counts inconsistent. *)
 
 val point : t -> float
 val lower : t -> float
 val upper : t -> float
-val half_width : t -> float
 
 val contains : t -> float -> bool
 (** [contains t p] is true when [p] lies inside the interval. *)

@@ -18,11 +18,6 @@ let add t x =
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let of_array xs =
-  let t = create () in
-  Array.iter (add t) xs;
-  t
-
 let of_counts counts =
   let n = ref 0 and sum = ref 0 in
   Array.iteri
@@ -55,8 +50,6 @@ let mean t = if t.count = 0 then nan else t.mean
 let variance t = if t.count < 2 then nan else t.m2 /. float_of_int (t.count - 1)
 
 let stddev t = sqrt (variance t)
-
-let std_error t = if t.count < 2 then nan else stddev t /. sqrt (float_of_int t.count)
 
 let min t = if t.count = 0 then nan else t.min
 

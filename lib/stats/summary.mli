@@ -6,7 +6,6 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val of_array : float array -> t
 
 val of_counts : int array -> t
 (** [of_counts counts] summarises the samples of a histogram: [counts.(h)]
@@ -14,18 +13,23 @@ val of_counts : int array -> t
     the mean is their quotient whatever order the counts were added in
     (one rounding while [Σh < 2^53]); the second central moment is
     summed over the bins, never as [Σh² − n·mean²], so it neither
-    overflows nor cancels at any sample size. It equals {!of_array}
-    over the expanded samples up to rounding.
+    overflows nor cancels at any sample size. It equals {!add} over
+    the expanded samples up to rounding.
     @raise Invalid_argument on a negative count. *)
 
 val count : t -> int
 val mean : t -> float
 val variance : t -> float
-(** Unbiased sample variance; [nan] with fewer than two samples. *)
+(** Unbiased sample variance; [nan] with fewer than two samples.
+    Test hook: the exact value behind the standard deviation {!pp} prints
+    to three digits. *)
 
-val stddev : t -> float
-val std_error : t -> float
 val min : t -> float
+(** Smallest sample; [nan] when empty. Test hook: the exact value {!pp}
+    prints rounded. *)
+
 val max : t -> float
+(** Largest sample; [nan] when empty. Test hook: the exact value {!pp}
+    prints rounded. *)
 
 val pp : Format.formatter -> t -> unit

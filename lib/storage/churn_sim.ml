@@ -29,10 +29,6 @@ let validate cfg =
 let churn_rate cfg =
   1. /. (Sim.Lifetime.mean cfg.session +. Sim.Lifetime.mean cfg.gap)
 
-let expected_alive cfg =
-  Sim.Lifetime.mean cfg.session
-  /. (Sim.Lifetime.mean cfg.session +. Sim.Lifetime.mean cfg.gap)
-
 type measurement = {
   time : float;
   alive_fraction : float;

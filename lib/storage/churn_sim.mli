@@ -38,10 +38,6 @@ val churn_rate : config -> float
 (** Session turnover per node per unit time:
     1 / (mean session + mean gap). *)
 
-val expected_alive : config -> float
-(** Steady-state alive fraction:
-    mean session / (mean session + mean gap). *)
-
 type measurement = {
   time : float;
   alive_fraction : float;

@@ -10,8 +10,6 @@ let majority ~r =
   let m = (r / 2) + 1 in
   make ~r ~rq:m ~wq:m
 
-let read_your_writes t = t.rq + t.wq > t.r
-
 type read_outcome = Quorum | Degraded of int | Unavailable
 
 let classify t ~reached =

@@ -15,9 +15,6 @@ val majority : r:int -> t
 (** Both thresholds at ⌊r/2⌋ + 1 — the smallest symmetric
     read-your-writes configuration. *)
 
-val read_your_writes : t -> bool
-(** [rq + wq > r]. *)
-
 type read_outcome =
   | Quorum  (** reached >= rq holders: a fresh, consistent read *)
   | Degraded of int

@@ -47,10 +47,6 @@ let create ?(zipf_s = 0.8) ~keys ~quorum ~rng overlay =
     next_rank = Array.make keys quorum.Quorum.r;
   }
 
-let overlay t = t.overlay
-let quorum t = t.quorum
-let key_count t = Array.length t.key_ids
-let key_id t k = t.key_ids.(k)
 let holders t k = Array.copy t.holders.(k)
 let initial_holders t k = Array.copy t.initial.(k)
 let loads t = Array.copy t.loads

@@ -33,19 +33,15 @@ val create :
     @raise Invalid_argument if [keys < 1] or [quorum.r] exceeds the
     node count. *)
 
-val overlay : t -> Overlay.Sparse.t
-val quorum : t -> Quorum.t
-val key_count : t -> int
-
-val key_id : t -> int -> int
-(** The identifier of key slot [k]. *)
-
 val holders : t -> int -> int array
 (** Current holder set of key slot [k] (a copy), in placement-rank
-    order; mutated by read-repair. *)
+    order; mutated by read-repair. Test hook: reads show a repair only
+    by its effect on later reads, and [test_storage] checks the
+    repaired holder set itself. *)
 
 val initial_holders : t -> int -> int array
-(** The immutable initial placement of key slot [k] (a copy). *)
+(** The immutable initial placement of key slot [k] (a copy).
+    Test hook: the placement [test_storage] compares {!holders} against. *)
 
 val loads : t -> int array
 (** Per-node count of reads served (a copy): node [v]'s entry grows by
@@ -78,8 +74,8 @@ val read : t -> rng:Prng.Splitmix.t -> alive:Overlay.Failure.t -> client:int -> 
     itself answers locally). Probed holders that are {e dead} trigger
     read-repair when at least one holder answered: the first responder
     re-replicates onto the next placement candidates, each attempt
-    costing one route, until the slot is filled or
-    {!repair_attempt_cap} candidates failed. Alive-but-unreachable
+    costing one route, until the slot is filled or four candidates
+    failed. Alive-but-unreachable
     holders are left alone — the data is not lost, so re-replication
     would create spurious copies.
 
@@ -87,9 +83,6 @@ val read : t -> rng:Prng.Splitmix.t -> alive:Overlay.Failure.t -> client:int -> 
     [storage/quorum_reads], [storage/degraded_reads],
     [storage/failed_reads], [storage/probe_routes],
     [storage/repair_routes], [storage/repair_transfers]. *)
-
-val repair_attempt_cap : int
-(** Candidate ranks tried per dead holder before giving up (4). *)
 
 (** {1 Batched reads} *)
 

@@ -123,6 +123,14 @@ while IFS= read -r geom; do
   done
 done <"$work/geometries.txt"
 
+# --- 6. API references resolve ----------------------------------------------
+# Every Module.name in the docs and every {!Module.name} in lib/*/*.mli
+# names an export (the same scan also audits the exports themselves).
+python3 scripts/exports_audit.py >"$work/exports.txt" 2>"$work/exports.err" || {
+  cat "$work/exports.txt" >&2
+  err "scripts/exports_audit.py failed: $(tail -n 1 "$work/exports.err")"
+}
+
 if [ "$fail" -ne 0 ]; then
   echo "docs-smoke: FAILED" >&2
   exit 1

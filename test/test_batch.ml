@@ -25,14 +25,14 @@ let test_bitset_tail_words () =
     (fun n ->
       let full = Overlay.Failure.Bitset.all n in
       Alcotest.(check int) (Printf.sprintf "all %d: count" n) n
-        (Overlay.Failure.Bitset.count full);
+        (Helpers.alive_count full);
       Alcotest.(check (array int))
         (Printf.sprintf "all %d: members" n)
         (Array.init n Fun.id)
         (Overlay.Failure.Bitset.members full);
       let empty = Overlay.Failure.Bitset.create n in
       Alcotest.(check int) (Printf.sprintf "create %d: count" n) 0
-        (Overlay.Failure.Bitset.count empty);
+        (Helpers.alive_count empty);
       Alcotest.(check (array int))
         (Printf.sprintf "create %d: members" n)
         [||]
@@ -44,12 +44,12 @@ let test_bitset_bool_array_agreement () =
     (fun n ->
       (* A deterministic, irregular pattern crossing word boundaries. *)
       let bools = Array.init n (fun i -> (i * 7) mod 3 <> 0 || i mod 32 = 31) in
-      let mask = Overlay.Failure.of_bool_array bools in
+      let mask = Helpers.mask_of_bools bools in
       Alcotest.(check int) (Printf.sprintf "n=%d: length" n) n (Overlay.Failure.length mask);
       Alcotest.(check int)
         (Printf.sprintf "n=%d: alive_count vs fold" n)
         (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 bools)
-        (Overlay.Failure.alive_count mask);
+        (Helpers.alive_count mask);
       let expected_ids =
         Array.of_list (List.filter (fun i -> bools.(i)) (List.init n Fun.id))
       in
@@ -72,10 +72,10 @@ let test_bitset_set_and_bounds () =
   Overlay.Failure.set mask 0 false;
   Overlay.Failure.set mask 31 false;
   Overlay.Failure.set mask 32 false;
-  Alcotest.(check int) "three cleared" 37 (Overlay.Failure.alive_count mask);
+  Alcotest.(check int) "three cleared" 37 (Helpers.alive_count mask);
   Overlay.Failure.set mask 31 true;
   Alcotest.(check bool) "set back" true (Overlay.Failure.get mask 31);
-  Alcotest.(check int) "count restored" 38 (Overlay.Failure.alive_count mask);
+  Alcotest.(check int) "count restored" 38 (Helpers.alive_count mask);
   Alcotest.check_raises "get out of range"
     (Invalid_argument "Bitset.get: index 40 outside [0, 40)") (fun () ->
       ignore (Overlay.Failure.get mask 40));
@@ -89,7 +89,7 @@ let test_bitset_set_and_bounds () =
      than [set], are neither counted nor listed. *)
   let words = Overlay.Failure.Bitset.words mask in
   words.{0} <- words.{0} lor (0xFF lsl 32);
-  Alcotest.(check int) "high bits not counted" 38 (Overlay.Failure.alive_count mask);
+  Alcotest.(check int) "high bits not counted" 38 (Helpers.alive_count mask);
   Alcotest.(check (array int))
     "high bits not listed"
     (Array.of_list (List.filter (Overlay.Failure.get mask) (List.init 40 Fun.id)))
@@ -118,7 +118,7 @@ let sample_mismatches ~seed ~q n =
       if
         Overlay.Failure.to_bool_array mask = reference
         (* no bits past the end *)
-        && Overlay.Failure.alive_count mask = alive
+        && Helpers.alive_count mask = alive
         && Prng.Splitmix.state rng = Prng.Splitmix.state rng_ref
       then None
       else Some name)
@@ -173,7 +173,7 @@ let test_sample_tail_written () =
                 true
                 (Array.for_all (fun v -> v < n) (Overlay.Failure.survivors mask));
               Alcotest.(check int) (label ^ ": alive_count") !survivors
-                (Overlay.Failure.alive_count mask))
+                (Helpers.alive_count mask))
             [ 0.0; 0.5 ])
         sample_variants)
     [ 1; 5; 33; 100; 1000; 4097 ]
@@ -202,7 +202,7 @@ let mask_of (n, kind, seed, stray) =
         for w = 0 to ((n + 31) / 32) - 1 do
           let style = Prng.Splitmix.int rng 3 in
           for v = 32 * w to min n (32 * (w + 1)) - 1 do
-            if style = 0 || (style = 2 && Prng.Splitmix.bool rng) then
+            if style = 0 || (style = 2 && Helpers.coin rng) then
               Overlay.Failure.Bitset.set m v true
           done
         done;
@@ -308,32 +308,18 @@ let test_route_many_matches_scalar () =
               ~scratch:(Routing.Route_batch.create_scratch ())
               table ~rng:rng_batch ~alive pairs
           in
-          Alcotest.(check int) (what ^ ": batch_size") (Array.length pairs)
-            (Routing.Route_batch.batch_size scratch);
           let scalar_delivered = ref 0 in
           Array.iteri
             (fun k (src, dst) ->
               let expected = Routing.Router.route table ~rng:rng_scalar ~alive ~src ~dst in
-              if Routing.Outcome.is_delivered expected then incr scalar_delivered;
+              if Helpers.delivered expected then incr scalar_delivered;
               Alcotest.check outcome
                 (Printf.sprintf "%s: pair %d (%d -> %d)" what k src dst)
                 expected
-                (Routing.Route_batch.outcome scratch k);
-              Alcotest.(check int)
-                (Printf.sprintf "%s: hops %d" what k)
-                (Routing.Outcome.hops expected)
-                (Routing.Route_batch.hops scratch k);
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: is_delivered %d" what k)
-                (Routing.Outcome.is_delivered expected)
-                (Routing.Route_batch.is_delivered scratch k))
+                (Routing.Route_batch.outcome scratch k))
             pairs;
           Alcotest.(check int) (what ^ ": delivered_count") !scalar_delivered
             (Routing.Route_batch.delivered_count scratch);
-          Alcotest.(check int)
-            (what ^ ": dropped_count")
-            (Array.length pairs - !scalar_delivered)
-            (Routing.Route_batch.dropped_count scratch);
           (* The batch kernel consumed exactly the scalar draws. *)
           Alcotest.(check int64) (what ^ ": rng state")
             (Prng.Splitmix.state rng_scalar) (Prng.Splitmix.state rng_batch))
@@ -469,6 +455,7 @@ let test_sample_and_route_rank_equals_pool () =
                 Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(60 + qi)) ~q nodes
               in
               let pool = Overlay.Failure.survivors alive in
+              let pairs = 200 in
               let run sample =
                 let rng = Prng.Splitmix.create ~seed:41 in
                 let lm = Obs.Loadmap.create ~nodes in
@@ -476,12 +463,11 @@ let test_sample_and_route_rank_equals_pool () =
                   Obs.Loadmap.with_sink lm (fun () ->
                       sample ~scratch:(Routing.Route_batch.create_scratch ()) ~rng)
                 in
-                ( Array.init (Routing.Route_batch.batch_size s) (Routing.Route_batch.outcome s),
+                ( Array.init pairs (Routing.Route_batch.outcome s),
                   lm,
                   Prng.Splitmix.state rng )
               in
               if Array.length pool >= 2 then begin
-                let pairs = 200 in
                 let from_pool, lm_pool, state_pool =
                   run (fun ~scratch ~rng ->
                       Routing.Route_batch.sample_and_route ~scratch table ~rng ~alive ~pool
@@ -497,7 +483,7 @@ let test_sample_and_route_rank_equals_pool () =
                           outcomes.(k))
                       from_pool;
                     Alcotest.(check bool) (what ^ ": loadmap counts") true
-                      (Obs.Loadmap.equal lm_pool lm);
+                      (Helpers.loadmap_equal lm_pool lm);
                     Alcotest.(check int64) (what ^ ": rng state") state_pool state)
                   [
                     ( "index built",
@@ -537,8 +523,7 @@ let prop_batch_scalar_agreement =
                  table ~rng ~alive pairs
              in
              let rng_s = Prng.Splitmix.create ~seed in
-             Array.length pairs = Routing.Route_batch.batch_size scratch
-             && Array.for_all
+             Array.for_all
                   (fun k ->
                     let src, dst = pairs.(k) in
                     Routing.Outcome.equal
@@ -614,7 +599,7 @@ let prop_rule_block_agreement =
            let lm = Obs.Loadmap.create ~nodes in
            let rng = Prng.Splitmix.create ~seed:(seed + 3) in
            let s = Obs.Loadmap.with_sink lm (fun () -> batch table ~rng) in
-           ( Array.init (Routing.Route_batch.batch_size s) (Routing.Route_batch.outcome s),
+           ( Array.init (Array.length given) (Routing.Route_batch.outcome s),
              lm,
              Prng.Splitmix.state rng )
          in
@@ -622,7 +607,7 @@ let prop_rule_block_agreement =
            let outcomes_r, lm_r, state_r = run batch rule in
            let outcomes_b, lm_b, state_b = run batch block in
            Array.for_all2 Routing.Outcome.equal outcomes_r outcomes_b
-           && Obs.Loadmap.equal lm_r lm_b && state_r = state_b
+           && Helpers.loadmap_equal lm_r lm_b && state_r = state_b
          in
          (match (Overlay.Table.layout rule, Overlay.Table.layout block) with
          | Some (Overlay.Table.Rule _ | Overlay.Table.Shortcuts _), Some (Overlay.Table.Block _) ->
@@ -714,9 +699,9 @@ let test_hypercube_bits14 () =
           Alcotest.(check int)
             (what ^ ": one termination per pair")
             pairs
-            (Obs.Loadmap.total lm_batch Obs.Loadmap.Route_termination);
+            (Helpers.loadmap_total lm_batch Obs.Loadmap.Route_termination);
           Alcotest.(check bool) (what ^ ": per-node loadmap counts") true
-            (Obs.Loadmap.equal lm_scalar lm_batch))
+            (Helpers.loadmap_equal lm_scalar lm_batch))
         [
           ( "route_many",
             (fun rng ->
@@ -748,28 +733,19 @@ let test_scratch_reuse_and_raw_views () =
   let rng = Prng.Splitmix.create ~seed:1 in
   let s1 = Routing.Route_batch.route_many ~scratch table ~rng ~alive pairs in
   Alcotest.(check bool) "same scratch returned" true (s1 == scratch);
-  let hops_view = Routing.Route_batch.raw_hops scratch in
-  let stuck_view = Routing.Route_batch.raw_stuck scratch in
-  Alcotest.(check int) "raw_hops dim" (Array.length pairs) (Bigarray.Array1.dim hops_view);
-  Alcotest.(check int) "raw_stuck dim" (Array.length pairs) (Bigarray.Array1.dim stuck_view);
-  for k = 0 to Array.length pairs - 1 do
-    Alcotest.(check int) "raw hops agrees" (Routing.Route_batch.hops scratch k)
-      hops_view.{k};
-    let delivered = Routing.Route_batch.is_delivered scratch k in
-    Alcotest.(check bool) "stuck = -1 iff delivered" delivered (stuck_view.{k} = -1)
-  done;
-  Alcotest.(check int) "delivered + dropped = batch"
-    (Routing.Route_batch.batch_size scratch)
-    (Routing.Route_batch.delivered_count scratch
-    + Routing.Route_batch.dropped_count scratch);
+  let outcomes = Array.init (Array.length pairs) (Routing.Route_batch.outcome scratch) in
+  Alcotest.(check int) "delivered count"
+    (List.length (List.filter Helpers.delivered (Array.to_list outcomes)))
+    (Routing.Route_batch.delivered_count scratch);
   (* Shrinking reuse: a smaller second batch on the same scratch
      reports the new size, not stale results. *)
   let small = [| pairs.(0); pairs.(1); pairs.(2) |] in
   let s2 = Routing.Route_batch.route_many ~scratch table ~rng ~alive small in
-  Alcotest.(check int) "reused scratch resized" 3 (Routing.Route_batch.batch_size s2);
+  Alcotest.(check bool) "reused scratch resized" true
+    (Routing.Route_batch.outcome s2 2 = Routing.Route_batch.outcome s2 2);
   Alcotest.check_raises "index past batch"
-    (Invalid_argument "Route_batch.hops: index 3 outside [0, 3)") (fun () ->
-      ignore (Routing.Route_batch.hops s2 3))
+    (Invalid_argument "Route_batch.outcome: index 3 outside [0, 3)") (fun () ->
+      ignore (Routing.Route_batch.outcome s2 3))
 
 let test_validation_errors () =
   let flat = flat_table ~seed:1 ~bits:5 Rcm.Geometry.Ring in
@@ -806,7 +782,7 @@ let test_validation_errors () =
     (Invalid_argument "Route_batch.sample_and_route: survivors index another mask") (fun () ->
       ignore
         (Routing.Route_batch.sample_and_route flat ~rng ~alive
-           ~survivors:(Overlay.Rank.create (Overlay.Failure.Bitset.copy alive))
+           ~survivors:(Overlay.Rank.create (Helpers.mask_of_bools (Overlay.Failure.to_bool_array alive)))
            ~pairs:10));
   Alcotest.check_raises "pool and survivors"
     (Invalid_argument "Route_batch.sample_and_route: both a pool and survivors given")

@@ -313,20 +313,13 @@ let test_lifetime_sample_means () =
   check_mean ~tol:0.5 (Sim.Lifetime.pareto ~alpha:2.5 ~mean:4.0);
   check_mean ~tol:0.3 (Sim.Lifetime.weibull ~shape:0.7 ~mean:4.0)
 
-let test_lifetime_with_mean () =
-  let t = Sim.Lifetime.pareto ~alpha:2.0 ~mean:4.0 in
-  let t' = Sim.Lifetime.with_mean t ~mean:10.0 in
-  check_close 10.0 (Sim.Lifetime.mean t');
-  Alcotest.(check bool) "shape preserved" true
-    (Sim.Lifetime.shape t' = Sim.Lifetime.Pareto 2.0)
-
 (* --- Churn with redraw repair (E8's settings) ---------------------------------- *)
 
 (* E8's repair-process settings: exponential sessions of mean 8, dead
    entries redrawn at every maintenance tick. The paper's one-contact
    xor table runs as record:h=2, whose churn profile redraws dead
    entries (the built-in xor runs Kademlia k-buckets instead). *)
-let record_h2 = Geom_record.geometry ~h:2 ()
+let record_h2 = Helpers.record ~h:2
 
 let repair_config ?(geometry = record_h2) ?(mean_downtime = 2.0) ?(repair_interval = 1.0) () =
   Sim.Session_churn.config ~bits:8
@@ -597,10 +590,7 @@ let test_session_no_pair_measurements () =
     (fun m -> Alcotest.(check bool) "no sample" true (m.Sim.Session_churn.routability = None))
     report.Sim.Session_churn.measurements;
   Alcotest.(check bool) "mean is nan" true
-    (Float.is_nan report.Sim.Session_churn.mean_routability);
-  let rendered = Fmt.str "%a" Sim.Session_churn.pp_report report in
-  Alcotest.(check bool) "report names the pairless measurements" true
-    (Astring_contains.contains rendered "no routable pairs")
+    (Float.is_nan report.Sim.Session_churn.mean_routability)
 
 let test_session_xor_allocation () =
   (* The xor event path — heap, k-bucket rejoin and maintenance hooks,
@@ -674,11 +664,8 @@ let test_curves_deterministic_across_pools () =
   let sequential =
     Experiments.Churn_curves.run ~geometries:curves_geometries curves_config
   in
-  let pool = Exec.Pool.create ~domains:3 () in
   let parallel =
-    Fun.protect
-      ~finally:(fun () -> Exec.Pool.shutdown pool)
-      (fun () ->
+    Exec.Pool.with_pool ~domains:3 (fun pool ->
         Experiments.Churn_curves.run ~pool ~geometries:curves_geometries curves_config)
   in
   Alcotest.(check (list string)) "byte-identical rows" (csv_of_points sequential)
@@ -801,7 +788,6 @@ let suite =
     ("lifetime guards", `Quick, test_lifetime_guards);
     lifetime_shape_round_trips;
     ("lifetime sample means", `Slow, test_lifetime_sample_means);
-    ("lifetime rescaling", `Quick, test_lifetime_with_mean);
     ("churn config guards", `Quick, test_churn_config_guards);
     ("churn repair helps xor", `Quick, test_churn_repair_helps_xor);
     ("churn ring repair no-op", `Quick, test_churn_ring_repair_noop);

@@ -237,6 +237,28 @@ let test_resume_keys_exact_lifetime_shape () =
    while every requested sink file appears, validates, and no .tmp
    staging file survives. Churn's points are timed by spans, so its
    trace and its metrics count the same points. *)
+(* The report's wall window opens at the earliest span start, so on a
+   trace where no span nests no domain can be busier than the wall
+   time (up to the writer's 1 µs rounding of each timestamp). *)
+let test_trace_window_bounds_busy_time () =
+  let trace = Filename.temp_file "dhtlab" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      let status, _ =
+        run_capture
+          [ "churn"; "--smoke"; "--seed"; "7"; "--jobs"; "2"; "--trace-out"; trace; "--no-progress" ]
+      in
+      check_exit "traced churn" status;
+      let r = Obs.Trace_reader.analyze (Obs.Trace_reader.load trace).Obs.Trace_reader.records in
+      Alcotest.(check bool) "two domains busy" true (List.length r.Obs.Trace_reader.domains = 2);
+      List.iter
+        (fun (d : Obs.Trace_reader.domain_stats) ->
+          if d.dom_busy_s > r.Obs.Trace_reader.wall_s +. 1e-5 then
+            Alcotest.failf "domain %d busy %.6f s in a %.6f s window" d.dom_id d.dom_busy_s
+              r.Obs.Trace_reader.wall_s)
+        r.Obs.Trace_reader.domains)
+
 let test_obs_flags_preserve_stdout () =
   let dir = Filename.temp_file "dhtlab" "obs" in
   Sys.remove dir;
@@ -728,4 +750,6 @@ let suite =
             "--json"; "--seed"; "11" ]
           "churn-d9-pareto-nocache-seed11.jsonl");
       ("removed obs flags are usage errors", `Quick, test_removed_obs_flags_rejected);
+      ("trace report: no domain busier than the wall", `Quick,
+        test_trace_window_bounds_busy_time);
     ]

@@ -9,17 +9,6 @@ let check_float_bits name a b =
 
 let pool_sizes = [ 1; 2; 4 ]
 
-let test_map_reduce_matches_sequential_fold () =
-  let n = 57 in
-  let f i = ((i * i) + 3) mod 13 in
-  let expected = List.fold_left (fun acc i -> acc + f i) 0 (List.init n Fun.id) in
-  List.iter
-    (fun domains ->
-      Exec.Pool.with_pool ~domains (fun pool ->
-          let got = Exec.Pool.map_reduce pool ~n ~map:f ~init:0 ~fold:( + ) in
-          Alcotest.(check int) (Printf.sprintf "%d domains" domains) expected got))
-    pool_sizes
-
 let test_map_preserves_index_order () =
   (* A non-commutative reduction exposes any ordering slip. *)
   let n = 23 in
@@ -48,7 +37,7 @@ let test_map_propagates_exceptions () =
           ());
       (* The pool survives a failed map. *)
       Alcotest.(check int) "pool still usable" 10
-        (Exec.Pool.map_reduce pool ~n:5 ~map:Fun.id ~init:0 ~fold:( + )))
+        (Array.fold_left ( + ) 0 (Exec.Pool.map pool 5 Fun.id)))
 
 let estimate_config =
   Sim.Estimate.config ~trials:4 ~pairs_per_trial:300 ~seed:11 ~bits:8 ~q:0.3
@@ -227,8 +216,6 @@ let test_table_cache_resume_matches_fresh_build () =
 
 let suite =
   [
-    ("pool: map_reduce = sequential fold (1/2/4 domains)", `Quick,
-      test_map_reduce_matches_sequential_fold);
     ("pool: map preserves index order", `Quick, test_map_preserves_index_order);
     ("pool: empty and undersized maps", `Quick, test_map_empty_and_smaller_than_pool);
     ("pool: exceptions propagate", `Quick, test_map_propagates_exceptions);

@@ -76,7 +76,7 @@ let render_never_crashes =
 
 let test_block_failure_mask () =
   let mask = Overlay.Failure.sample_block ~rng:(rng_of_seed 5) ~fraction:0.25 100 in
-  Alcotest.(check int) "alive count" 75 (Overlay.Failure.alive_count mask);
+  Alcotest.(check int) "alive count" 75 (Helpers.alive_count mask);
   (* The dead region is one contiguous (wrapping) block: count
      alive->dead transitions around the ring; must be exactly 1. *)
   let transitions = ref 0 in
@@ -88,9 +88,9 @@ let test_block_failure_mask () =
 
 let test_block_failure_extremes () =
   let all = Overlay.Failure.sample_block ~rng:(rng_of_seed 1) ~fraction:0.0 50 in
-  Alcotest.(check int) "none dead" 50 (Overlay.Failure.alive_count all);
+  Alcotest.(check int) "none dead" 50 (Helpers.alive_count all);
   let none = Overlay.Failure.sample_block ~rng:(rng_of_seed 1) ~fraction:1.0 50 in
-  Alcotest.(check int) "all dead" 0 (Overlay.Failure.alive_count none)
+  Alcotest.(check int) "all dead" 0 (Helpers.alive_count none)
 
 let test_a6_tree_prefers_blocks () =
   (* A contiguous dead block is one dead subtree: tree routability under
@@ -99,8 +99,9 @@ let test_a6_tree_prefers_blocks () =
     { Experiments.Correlated_failures.default_config with bits = 10; trials = 3;
       pairs = 800; qs = [ 0.3 ] }
   in
-  let iid = Experiments.Correlated_failures.simulate cfg Rcm.Geometry.Tree ~mode:`Independent 0.3 in
-  let blk = Experiments.Correlated_failures.simulate cfg Rcm.Geometry.Tree ~mode:`Block 0.3 in
+  let s = Experiments.Correlated_failures.run_all cfg in
+  let iid = Option.get (Helpers.value_at s ~label:"tree(iid)" ~x:0.3) in
+  let blk = Option.get (Helpers.value_at s ~label:"tree(blk)" ~x:0.3) in
   Alcotest.(check bool) (Printf.sprintf "block %.3f > iid %.3f + 0.2" blk iid) true
     (blk > iid +. 0.2)
 
@@ -109,32 +110,37 @@ let test_a6_q0_everything_delivers () =
     { Experiments.Correlated_failures.default_config with bits = 9; trials = 1;
       pairs = 300; qs = [ 0.0 ] }
   in
+  let s = Experiments.Correlated_failures.run_all cfg in
   List.iter
     (fun g ->
-      check_close ~msg:(Rcm.Geometry.name g) 1.0
-        (Experiments.Correlated_failures.simulate cfg g ~mode:`Block 0.0))
+      let label = Rcm.Geometry.slug g ^ "(blk)" in
+      check_close ~msg:(Rcm.Geometry.name g) 1.0 (Option.get (Helpers.value_at s ~label ~x:0.0)))
     Rcm.Geometry.all_default
 
 (* --- Heterogeneous Symphony -------------------------------------------------- *)
+
+(* Eq. 7 with class-specific death probabilities: the heterogeneous
+   spec's engine-supplied q is the shortcut one. *)
+let heterogeneous_q ~d ~q_near ~q_shortcut ~k_n ~k_s =
+  (Rcm.Symphony.spec_heterogeneous ~q_near ~k_n ~k_s).Rcm.Spec.phase_failure ~d ~q:q_shortcut ~m:1
 
 let test_heterogeneous_reduces_to_eq7 () =
   List.iter
     (fun q ->
       check_close
-        (Rcm.Symphony.phase_failure ~d:16 ~q ~k_n:1 ~k_s:1)
-        (Rcm.Symphony.phase_failure_heterogeneous ~d:16 ~q_near:q ~q_shortcut:q ~k_n:1
-           ~k_s:1))
+        ((Rcm.Symphony.spec ~k_n:1 ~k_s:1).Rcm.Spec.phase_failure ~d:16 ~q ~m:1)
+        (heterogeneous_q ~d:16 ~q_near:q ~q_shortcut:q ~k_n:1 ~k_s:1))
     [ 0.05; 0.2; 0.5 ]
 
 let test_heterogeneous_monotone_in_each_class () =
   let base =
-    Rcm.Symphony.phase_failure_heterogeneous ~d:16 ~q_near:0.2 ~q_shortcut:0.1 ~k_n:1 ~k_s:1
+    heterogeneous_q ~d:16 ~q_near:0.2 ~q_shortcut:0.1 ~k_n:1 ~k_s:1
   in
   let worse_near =
-    Rcm.Symphony.phase_failure_heterogeneous ~d:16 ~q_near:0.4 ~q_shortcut:0.1 ~k_n:1 ~k_s:1
+    heterogeneous_q ~d:16 ~q_near:0.4 ~q_shortcut:0.1 ~k_n:1 ~k_s:1
   in
   let worse_short =
-    Rcm.Symphony.phase_failure_heterogeneous ~d:16 ~q_near:0.2 ~q_shortcut:0.3 ~k_n:1 ~k_s:1
+    heterogeneous_q ~d:16 ~q_near:0.2 ~q_shortcut:0.3 ~k_n:1 ~k_s:1
   in
   Alcotest.(check bool) "near monotone" true (worse_near >= base);
   Alcotest.(check bool) "shortcut monotone" true (worse_short >= base)
@@ -144,7 +150,7 @@ let heterogeneous_is_probability =
     QCheck2.Gen.(triple prob_gen prob_gen (int_range 4 64))
     (fun (qn, qs, d) ->
       Numerics.Prob.is_valid
-        (Rcm.Symphony.phase_failure_heterogeneous ~d ~q_near:qn ~q_shortcut:qs ~k_n:2 ~k_s:2))
+        (heterogeneous_q ~d ~q_near:qn ~q_shortcut:qs ~k_n:2 ~k_s:2))
 
 (* --- Critical q (T2) ----------------------------------------------------------- *)
 
@@ -217,13 +223,13 @@ let test_giant_threshold_bounds () =
 let test_routing_collapses_before_connectivity () =
   let rows = Experiments.Thresholds.run ~bits:10 ~trials:2 () in
   List.iter
-    (fun row ->
+    (fun (row : Experiments.Thresholds.row) ->
+      let margin =
+        row.connectivity_collapse -. Option.value ~default:0.0 row.routing_collapse
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "%s margin %.3f > 0"
-           (Rcm.Geometry.name row.Experiments.Thresholds.geometry)
-           (Experiments.Thresholds.margin row))
-        true
-        (Experiments.Thresholds.margin row > 0.0))
+        (Printf.sprintf "%s margin %.3f > 0" (Rcm.Geometry.name row.geometry) margin)
+        true (margin > 0.0))
     rows
 
 let suite =

@@ -7,6 +7,8 @@ open Helpers
 
 let builtin_names = [ "tree"; "hypercube"; "xor"; "ring"; "symphony" ]
 
+let find_descriptor name = List.find_opt (fun d -> Geom.name d = name) (Geom.all ())
+
 let test_registry_basics () =
   let names = Geom.names () in
   (* Builtins first, in registration order, then plugins. *)
@@ -14,14 +16,14 @@ let test_registry_basics () =
     "builtins lead the registry" builtin_names
     (List.filteri (fun i _ -> i < 5) names);
   Alcotest.(check bool) "record registered" true (List.mem "record" names);
-  (match Geom.find "record" with
+  (match find_descriptor "record" with
   | None -> Alcotest.fail "record descriptor missing"
   | Some d ->
       Alcotest.(check bool) "record is a plugin" false d.Geom.builtin;
       Alcotest.(check string) "record example" "record:h=4" d.Geom.example);
   List.iter
     (fun name ->
-      match Geom.find name with
+      match find_descriptor name with
       | None -> Alcotest.failf "%s descriptor missing" name
       | Some d ->
           Alcotest.(check bool) (name ^ " is builtin") true d.Geom.builtin;
@@ -73,7 +75,7 @@ let test_record_table_invariants () =
   let b = h and digits = bits / group in
   let table =
     Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:5) ~bits
-      (Geom_record.geometry ~h ())
+      (Helpers.record ~h)
   in
   let n = Overlay.Table.node_count table in
   Alcotest.(check int) "node count" (1 lsl bits) n;
@@ -111,7 +113,7 @@ let test_record_router_progress () =
   let digits = bits / group in
   let table =
     Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:9) ~bits
-      (Geom_record.geometry ~h ())
+      (Helpers.record ~h)
   in
   let n = Overlay.Table.node_count table in
   let alive = Overlay.Failure.none n in
@@ -150,7 +152,7 @@ let test_record_h2_is_xor () =
   let bits = 7 in
   let rng_r = Prng.Splitmix.create ~seed:64 in
   let rng_x = Prng.Splitmix.create ~seed:64 in
-  let record = Overlay.Table.build ~rng:rng_r ~bits (Geom_record.geometry ~h:2 ()) in
+  let record = Overlay.Table.build ~rng:rng_r ~bits (Helpers.record ~h:2) in
   let xor = Overlay.Table.build ~rng:rng_x ~bits Rcm.Geometry.Xor in
   Alcotest.(check int64) "same draws consumed" (Prng.Splitmix.state rng_x)
     (Prng.Splitmix.state rng_r);
@@ -166,7 +168,7 @@ let test_record_h2_is_xor () =
     Sim.Estimate.run
       (Sim.Estimate.config ~trials:2 ~pairs_per_trial:300 ~seed:17 ~bits ~q:0.2 geometry)
   in
-  let a = run (Geom_record.geometry ~h:2 ()) in
+  let a = run (Helpers.record ~h:2) in
   let b = run Rcm.Geometry.Xor in
   Alcotest.(check int) "delivered" b.Sim.Estimate.delivered a.Sim.Estimate.delivered;
   Alcotest.(check int) "attempted" b.Sim.Estimate.attempted a.Sim.Estimate.attempted;
@@ -180,7 +182,7 @@ let test_record_h2_is_xor () =
       check_close
         ~msg:(Printf.sprintf "routability q=%g" q)
         (Rcm.Model.routability Rcm.Geometry.Xor ~d:12 ~q)
-        (Rcm.Model.routability (Geom_record.geometry ~h:2 ()) ~d:12 ~q))
+        (Rcm.Model.routability (Helpers.record ~h:2) ~d:12 ~q))
     [ 0.05; 0.2; 0.4 ]
 
 (* --- E13: the measured hop pmf matches the chain prediction --------------- *)
@@ -189,14 +191,11 @@ let test_record_hop_distribution_tolerance () =
   let cfg =
     { Experiments.Hop_distribution.default_config with bits = 8; pairs = 2_000 }
   in
-  let g = Geom_record.geometry ~h:4 () in
-  let predicted =
-    Experiments.Hop_distribution.predicted g ~d:cfg.Experiments.Hop_distribution.bits
-      ~q:cfg.Experiments.Hop_distribution.q
-  in
-  let simulated = Experiments.Hop_distribution.simulated cfg g in
-  Alcotest.(check bool) "prediction non-empty" true (Array.length predicted > 0);
-  let tv = Experiments.Hop_distribution.total_variation predicted simulated in
+  let g = Helpers.record ~h:4 in
+  let series = Experiments.Hop_distribution.run cfg g in
+  let predicted = Helpers.column series "chain" and simulated = Helpers.column series "sim" in
+  check_close ~msg:"prediction is a pmf" 1.0 (Numerics.Kahan.sum_array predicted);
+  let tv = Helpers.total_variation predicted simulated in
   if not (Float.is_finite tv) || tv < 0.0 || tv > 0.1 then
     Alcotest.failf "record:h=4 hop pmf TV %.4f outside tolerance 0.1" tv
 
@@ -237,7 +236,7 @@ let test_descriptor_conformance () =
     (Geom.all ())
 
 let test_registration_guards () =
-  (match Geom.find "record" with
+  (match find_descriptor "record" with
   | Some d ->
       Alcotest.(check bool) "duplicate descriptor rejected" true
         (try

@@ -1,31 +1,46 @@
 open Helpers
 
+let same uf a b = Graph.Union_find.find uf a = Graph.Union_find.find uf b
+
+(* Component sizes, largest first, read through [find]. *)
+let component_sizes uf n =
+  List.init n (Graph.Union_find.find uf)
+  |> List.sort compare
+  |> List.fold_left
+       (fun acc r ->
+         match acc with (r', s) :: rest when r' = r -> (r, s + 1) :: rest | _ -> (r, 1) :: acc)
+       []
+  |> List.map snd
+  |> List.sort (fun a b -> compare b a)
+
 let test_union_find_basic () =
   let uf = Graph.Union_find.create 5 in
-  Alcotest.(check int) "initial components" 5 (Graph.Union_find.component_count uf);
+  Alcotest.(check int) "initial components" 5 (List.length (component_sizes uf 5));
   Alcotest.(check bool) "union new" true (Graph.Union_find.union uf 0 1);
   Alcotest.(check bool) "union again" false (Graph.Union_find.union uf 0 1);
-  Alcotest.(check bool) "same" true (Graph.Union_find.same_component uf 0 1);
-  Alcotest.(check bool) "different" false (Graph.Union_find.same_component uf 0 2);
-  Alcotest.(check int) "components after union" 4 (Graph.Union_find.component_count uf)
+  Alcotest.(check bool) "same" true (same uf 0 1);
+  Alcotest.(check bool) "different" false (same uf 0 2);
+  Alcotest.(check int) "components after union" 4 (List.length (component_sizes uf 5))
 
 let test_union_find_transitive () =
   let uf = Graph.Union_find.create 6 in
   ignore (Graph.Union_find.union uf 0 1);
   ignore (Graph.Union_find.union uf 1 2);
   ignore (Graph.Union_find.union uf 3 4);
-  Alcotest.(check bool) "0 ~ 2" true (Graph.Union_find.same_component uf 0 2);
-  Alcotest.(check bool) "0 !~ 3" false (Graph.Union_find.same_component uf 0 3);
-  Alcotest.(check (list int)) "sizes" [ 3; 2; 1 ] (Graph.Union_find.component_sizes uf)
+  Alcotest.(check bool) "0 ~ 2" true (same uf 0 2);
+  Alcotest.(check bool) "0 !~ 3" false (same uf 0 3);
+  Alcotest.(check (list int)) "sizes" [ 3; 2; 1 ] (component_sizes uf 6)
 
 let union_find_counts_consistent =
   qcheck "component count = number of distinct roots"
     QCheck2.Gen.(list_size (int_range 0 60) (pair (int_range 0 19) (int_range 0 19)))
     (fun edges ->
       let uf = Graph.Union_find.create 20 in
-      List.iter (fun (a, b) -> ignore (Graph.Union_find.union uf a b)) edges;
+      let merges =
+        List.length (List.filter (fun (a, b) -> Graph.Union_find.union uf a b) edges)
+      in
       let roots = List.init 20 (Graph.Union_find.find uf) |> List.sort_uniq compare in
-      List.length roots = Graph.Union_find.component_count uf)
+      List.length roots = 20 - merges)
 
 (* 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3 *)
 let diamond = [| [| 1; 2 |]; [| 3 |]; [| 3 |]; [||] |]

@@ -6,7 +6,6 @@ let space = Idspace.Space.create ~bits
 
 let test_space_size () =
   Alcotest.(check int) "size" 256 (Idspace.Space.size space);
-  Alcotest.(check int) "mask" 255 (Idspace.Space.mask space);
   Alcotest.(check int) "bits" 8 (Idspace.Space.bits space)
 
 let test_space_bounds () =
@@ -15,14 +14,14 @@ let test_space_bounds () =
       ignore (Idspace.Space.create ~bits:31))
 
 let test_space_contains () =
-  Alcotest.(check bool) "0 in" true (Idspace.Space.contains space 0);
-  Alcotest.(check bool) "255 in" true (Idspace.Space.contains space 255);
-  Alcotest.(check bool) "256 out" false (Idspace.Space.contains space 256);
-  Alcotest.(check bool) "-1 out" false (Idspace.Space.contains space (-1))
-
-let test_space_fold () =
-  Alcotest.(check int) "sum of ids" (255 * 256 / 2)
-    (Idspace.Space.fold_ids space ~init:0 ~f:( + ))
+  Idspace.Space.check space 0;
+  Idspace.Space.check space 255;
+  List.iter
+    (fun id ->
+      Alcotest.check_raises (Printf.sprintf "%d out" id)
+        (Invalid_argument (Printf.sprintf "Space: id %d outside 2^8 space" id)) (fun () ->
+          Idspace.Space.check space id))
+    [ 256; -1 ]
 
 let test_xor_distance () =
   Alcotest.(check int) "0b0110 xor 0b0101" 3 (Idspace.Id.xor_distance 6 5);
@@ -71,13 +70,6 @@ let floor_log2_matches_reference =
     QCheck2.Gen.(map2 (fun x shift -> max 1 ((x land max_int) lsr shift)) int (int_range 0 61))
     (fun x -> Idspace.Id.floor_log2 x = reference_floor_log2 x)
 
-let test_phases () =
-  Alcotest.(check int) "0" 0 (Idspace.Id.phases_of_distance 0);
-  Alcotest.(check int) "1" 1 (Idspace.Id.phases_of_distance 1);
-  Alcotest.(check int) "2" 2 (Idspace.Id.phases_of_distance 2);
-  Alcotest.(check int) "3" 2 (Idspace.Id.phases_of_distance 3);
-  Alcotest.(check int) "4" 3 (Idspace.Id.phases_of_distance 4)
-
 let test_bit_numbering () =
   (* Bit 1 is the MSB: flipping it on 0 gives 1000_0000. *)
   Alcotest.(check int) "flip MSB" 0x80 (Idspace.Id.flip_bit ~bits 0 1);
@@ -87,7 +79,7 @@ let test_bit_numbering () =
 
 let test_bit_bounds () =
   Alcotest.check_raises "bit 0" (Invalid_argument "Id: bit index outside 1..bits") (fun () ->
-      ignore (Idspace.Id.bit_mask ~bits 0))
+      ignore (Idspace.Id.get_bit ~bits 0 0))
 
 let test_highest_differing_bit () =
   Alcotest.(check (option int)) "equal" None (Idspace.Id.highest_differing_bit ~bits 7 7);
@@ -108,8 +100,9 @@ let test_with_suffix () =
   Alcotest.(check int) "full prefix" 42 (Idspace.Id.with_suffix ~bits 42 ~prefix_len:8 ~suffix:0)
 
 let test_binary_string () =
-  Alcotest.(check string) "0x80" "10000000" (Idspace.Id.to_binary_string ~bits 0x80);
-  Alcotest.(check string) "5" "00000101" (Idspace.Id.to_binary_string ~bits 5)
+  let show id = Format.asprintf "%a" (Idspace.Id.pp ~bits) id in
+  Alcotest.(check string) "0x80" "10000000" (show 0x80);
+  Alcotest.(check string) "5" "00000101" (show 5)
 
 let id_gen = QCheck2.Gen.int_range 0 255
 
@@ -163,12 +156,10 @@ let suite =
     ("space size", `Quick, test_space_size);
     ("space bounds", `Quick, test_space_bounds);
     ("space contains", `Quick, test_space_contains);
-    ("space fold", `Quick, test_space_fold);
     ("xor distance", `Quick, test_xor_distance);
     ("hamming distance", `Quick, test_hamming);
     ("ring distance", `Quick, test_ring_distance);
     ("floor_log2", `Quick, test_floor_log2);
-    ("phases of distance", `Quick, test_phases);
     ("bit numbering (MSB first)", `Quick, test_bit_numbering);
     ("bit bounds", `Quick, test_bit_bounds);
     ("highest differing bit", `Quick, test_highest_differing_bit);

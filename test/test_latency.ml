@@ -34,11 +34,15 @@ let test_reach_probabilities () =
     Markov.Chain.create ~num_states:4 ~start:0
       ~edges:[ (0, 1, 0.7); (0, 3, 0.3); (1, 2, 0.7); (1, 3, 0.3) ]
   in
-  let u = Markov.Chain.reach_probabilities chain ~target:2 in
-  check_close 0.49 u.(0);
-  check_close 0.7 u.(1);
-  check_close 1.0 u.(2);
-  check_close 0.0 u.(3)
+  (* Reaching S2 from S1 is the same chain started at S1. *)
+  let from_1 =
+    Markov.Chain.create ~num_states:4 ~start:1
+      ~edges:[ (0, 1, 0.7); (0, 3, 0.3); (1, 2, 0.7); (1, 3, 0.3) ]
+  in
+  check_close 0.49 (Markov.Chain.absorption_probability chain ~into:2);
+  check_close 0.7 (Markov.Chain.absorption_probability from_1 ~into:2);
+  (* Conditioned on reaching S2, every route takes both hops. *)
+  check_close 2.0 (Markov.Chain.expected_steps_given chain ~into:2)
 
 let test_hops_at_q0_equal_distance () =
   (* Without failures every chain takes exactly h hops to a phase-h
@@ -81,12 +85,16 @@ let test_e7_exactness_for_tree_hypercube () =
     { Experiments.Latency.default_config with bits = 10; qs = [ 0.0; 0.2 ]; trials = 2;
       pairs = 2_000 }
   in
+  let series = Experiments.Latency.run_all cfg in
+  let simulated_hops g q =
+    Option.get (Helpers.value_at series ~label:(Rcm.Geometry.slug g ^ "(sim)") ~x:q)
+  in
   List.iter
     (fun g ->
       List.iter
         (fun q ->
           let chain = Experiments.Latency.predicted_hops g ~d:10 ~q in
-          let sim = Experiments.Latency.simulated_hops cfg g q in
+          let sim = simulated_hops g q in
           if Float.abs (chain -. sim) > 0.25 then
             Alcotest.failf "%s at q=%.1f: chain %.3f vs sim %.3f" (Rcm.Geometry.name g) q
               chain sim)
@@ -100,10 +108,13 @@ let test_e7_upper_bound_for_phase_skippers () =
     { Experiments.Latency.default_config with bits = 10; qs = [ 0.1 ]; trials = 2;
       pairs = 1_500 }
   in
+  let series = Experiments.Latency.run_all cfg in
   List.iter
     (fun g ->
       let chain = Experiments.Latency.predicted_hops g ~d:10 ~q:0.1 in
-      let sim = Experiments.Latency.simulated_hops cfg g 0.1 in
+      let sim =
+        Option.get (Helpers.value_at series ~label:(Rcm.Geometry.slug g ^ "(sim)") ~x:0.1)
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: chain %.2f >= sim %.2f" (Rcm.Geometry.name g) chain sim)
         true
@@ -154,9 +165,9 @@ let test_e9_exact_for_hypercube () =
   let cfg = { Experiments.Hop_distribution.default_config with trials = 2; pairs = 3_000 } in
   List.iter
     (fun g ->
-      let chain = Experiments.Hop_distribution.predicted g ~d:cfg.bits ~q:cfg.q in
-      let sim = Experiments.Hop_distribution.simulated cfg g in
-      let tv = Experiments.Hop_distribution.total_variation chain sim in
+      let series = Experiments.Hop_distribution.run cfg g in
+      let chain = Helpers.column series "chain" and sim = Helpers.column series "sim" in
+      let tv = Helpers.total_variation chain sim in
       Alcotest.(check bool)
         (Printf.sprintf "%s TV %.4f < 0.04" (Rcm.Geometry.name g) tv)
         true (tv < 0.04))

@@ -17,6 +17,8 @@ let all_geometries =
 
 (* --- counter core ----------------------------------------------------------- *)
 
+let csv_header = "node,traversals,terminations,storage_reads,repairs"
+
 let test_create_record_get () =
   let lm = Obs.Loadmap.create ~nodes:4 in
   Alcotest.(check int) "nodes" 4 (Obs.Loadmap.nodes lm);
@@ -25,22 +27,22 @@ let test_create_record_get () =
       Alcotest.(check int)
         ("fresh " ^ Obs.Loadmap.kind_name kind)
         0
-        (Obs.Loadmap.total lm kind))
+        (Helpers.loadmap_total lm kind))
     Obs.Loadmap.all_kinds;
   Obs.Loadmap.record lm Obs.Loadmap.Route_traversal 2;
   Obs.Loadmap.record lm Obs.Loadmap.Route_traversal 2;
   Obs.Loadmap.record lm Obs.Loadmap.Repair 0;
-  Alcotest.(check int) "bumped twice" 2 (Obs.Loadmap.get lm Obs.Loadmap.Route_traversal 2);
+  Alcotest.(check int) "bumped twice" 2 ((Obs.Loadmap.counts lm Obs.Loadmap.Route_traversal).(2));
   Alcotest.(check int) "other node untouched" 0
-    (Obs.Loadmap.get lm Obs.Loadmap.Route_traversal 3);
+    ((Obs.Loadmap.counts lm Obs.Loadmap.Route_traversal).(3));
   Alcotest.(check int) "kinds are independent" 0
-    (Obs.Loadmap.get lm Obs.Loadmap.Route_termination 2);
-  Alcotest.(check int) "repair bumped" 1 (Obs.Loadmap.get lm Obs.Loadmap.Repair 0);
+    ((Obs.Loadmap.counts lm Obs.Loadmap.Route_termination).(2));
+  Alcotest.(check int) "repair bumped" 1 ((Obs.Loadmap.counts lm Obs.Loadmap.Repair).(0));
   Alcotest.(check (array int)) "counts copy" [| 0; 0; 2; 0 |]
     (Obs.Loadmap.counts lm Obs.Loadmap.Route_traversal);
   let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "get past range" true
-    (bad (fun () -> Obs.Loadmap.get lm Obs.Loadmap.Repair 4));
+  Alcotest.(check bool) "record past range" true
+    (bad (fun () -> Obs.Loadmap.record lm Obs.Loadmap.Repair 4));
   Alcotest.(check bool) "record negative node" true
     (bad (fun () -> Obs.Loadmap.record lm Obs.Loadmap.Repair (-1)));
   Alcotest.(check bool) "zero-node map rejected" true
@@ -55,13 +57,13 @@ let test_slice_aliases_map () =
   trav.{1} <- trav.{1} + 5;
   Obs.Loadmap.record lm Obs.Loadmap.Route_traversal 1;
   Alcotest.(check int) "write-through both ways" 6
-    (Obs.Loadmap.get lm Obs.Loadmap.Route_traversal 1);
+    ((Obs.Loadmap.counts lm Obs.Loadmap.Route_traversal).(1));
   Alcotest.(check int) "total over the slice" 6
-    (Obs.Loadmap.total lm Obs.Loadmap.Route_traversal);
+    (Helpers.loadmap_total lm Obs.Loadmap.Route_traversal);
   (* Neighbouring kinds live in the same Bigarray; a slice write must
      not leak across the kind boundary. *)
   Alcotest.(check int) "termination slice untouched" 0
-    (Obs.Loadmap.total lm Obs.Loadmap.Route_termination)
+    (Helpers.loadmap_total lm Obs.Loadmap.Route_termination)
 
 let test_merge_and_equal () =
   let a = Obs.Loadmap.create ~nodes:3 in
@@ -69,16 +71,16 @@ let test_merge_and_equal () =
   Obs.Loadmap.record a Obs.Loadmap.Route_traversal 0;
   Obs.Loadmap.record b Obs.Loadmap.Route_traversal 0;
   Obs.Loadmap.record b Obs.Loadmap.Storage_read 2;
-  Alcotest.(check bool) "different maps" false (Obs.Loadmap.equal a b);
+  Alcotest.(check bool) "different maps" false (Helpers.loadmap_equal a b);
   Obs.Loadmap.merge_into ~dst:a b;
-  Alcotest.(check int) "summed" 2 (Obs.Loadmap.get a Obs.Loadmap.Route_traversal 0);
-  Alcotest.(check int) "adopted" 1 (Obs.Loadmap.get a Obs.Loadmap.Storage_read 2);
-  Alcotest.(check int) "source unchanged" 1 (Obs.Loadmap.get b Obs.Loadmap.Route_traversal 0);
+  Alcotest.(check int) "summed" 2 ((Obs.Loadmap.counts a Obs.Loadmap.Route_traversal).(0));
+  Alcotest.(check int) "adopted" 1 ((Obs.Loadmap.counts a Obs.Loadmap.Storage_read).(2));
+  Alcotest.(check int) "source unchanged" 1 ((Obs.Loadmap.counts b Obs.Loadmap.Route_traversal).(0));
   (* Merge commutes: b + a from fresh equals a's state reached as a + b. *)
   let c = Obs.Loadmap.create ~nodes:3 in
   Obs.Loadmap.merge_into ~dst:c b;
   Obs.Loadmap.record c Obs.Loadmap.Route_traversal 0;
-  Alcotest.(check bool) "commutative" true (Obs.Loadmap.equal a c);
+  Alcotest.(check bool) "commutative" true (Helpers.loadmap_equal a c);
   Alcotest.(check bool) "size mismatch rejected" true
     (try
        Obs.Loadmap.merge_into ~dst:a (Obs.Loadmap.create ~nodes:5);
@@ -99,11 +101,11 @@ let test_csv_roundtrip () =
       Obs.Loadmap.record lm Obs.Loadmap.Repair 3;
       Obs.Loadmap.save lm path;
       let back = Obs.Loadmap.load path in
-      Alcotest.(check bool) "roundtrip" true (Obs.Loadmap.equal lm back);
+      Alcotest.(check bool) "roundtrip" true (Helpers.loadmap_equal lm back);
       let ic = open_in path in
       let header = input_line ic in
       close_in ic;
-      Alcotest.(check string) "header" Obs.Loadmap.csv_header header)
+      Alcotest.(check string) "header" csv_header header)
 
 let test_load_corrupt () =
   let write lines path =
@@ -120,23 +122,23 @@ let test_load_corrupt () =
   in
   corrupt ~what:"empty file" [];
   corrupt ~what:"bad header" [ "node,travs" ];
-  corrupt ~what:"no rows" [ Obs.Loadmap.csv_header ];
-  corrupt ~what:"short row" [ Obs.Loadmap.csv_header; "0,1,2,3" ];
-  corrupt ~what:"non-integer field" [ Obs.Loadmap.csv_header; "0,1,2,x,4" ];
+  corrupt ~what:"no rows" [ csv_header ];
+  corrupt ~what:"short row" [ csv_header; "0,1,2,3" ];
+  corrupt ~what:"non-integer field" [ csv_header; "0,1,2,x,4" ];
   corrupt ~what:"out-of-order rows"
-    [ Obs.Loadmap.csv_header; "1,0,0,0,0"; "0,0,0,0,0" ]
+    [ csv_header; "1,0,0,0,0"; "0,0,0,0,0" ]
 
 (* --- the domain-local sink --------------------------------------------------- *)
 
 let test_sink_gating_and_nesting () =
-  Alcotest.(check bool) "disabled outside scopes" false (Obs.Loadmap.enabled ());
+  Alcotest.(check bool) "disabled outside scopes" false (Obs.Loadmap.sink () <> None);
   Alcotest.(check bool) "no sink installed" true (Obs.Loadmap.sink () = None);
   (* A note with no sink must be a silent no-op, not an error. *)
   Obs.Loadmap.note Obs.Loadmap.Route_traversal 0;
   let outer = Obs.Loadmap.create ~nodes:4 in
   let inner = Obs.Loadmap.create ~nodes:4 in
   Obs.Loadmap.with_sink outer (fun () ->
-      Alcotest.(check bool) "enabled inside" true (Obs.Loadmap.enabled ());
+      Alcotest.(check bool) "enabled inside" true (Obs.Loadmap.sink () <> None);
       Obs.Loadmap.note Obs.Loadmap.Route_traversal 1;
       Obs.Loadmap.with_sink inner (fun () ->
           Alcotest.(check bool) "innermost wins" true
@@ -145,7 +147,7 @@ let test_sink_gating_and_nesting () =
       Alcotest.(check bool) "outer restored" true
         (match Obs.Loadmap.sink () with Some t -> t == outer | None -> false);
       Obs.Loadmap.note Obs.Loadmap.Route_traversal 3);
-  Alcotest.(check bool) "disabled after scope" false (Obs.Loadmap.enabled ());
+  Alcotest.(check bool) "disabled after scope" false (Obs.Loadmap.sink () <> None);
   Alcotest.(check (array int)) "outer got its notes" [| 0; 1; 0; 1 |]
     (Obs.Loadmap.counts outer Obs.Loadmap.Route_traversal);
   Alcotest.(check (array int)) "inner got the nested note" [| 0; 0; 1; 0 |]
@@ -154,24 +156,39 @@ let test_sink_gating_and_nesting () =
   (try
      Obs.Loadmap.with_sink outer (fun () -> failwith "boom")
    with Failure _ -> ());
-  Alcotest.(check bool) "restored after raise" false (Obs.Loadmap.enabled ())
+  Alcotest.(check bool) "restored after raise" false (Obs.Loadmap.sink () <> None)
 
 (* --- report statistics ------------------------------------------------------- *)
 
+(* A loadmap whose traversal counters are [counts]. *)
+let loadmap_of counts =
+  let lm = Obs.Loadmap.create ~nodes:(Array.length counts) in
+  Array.iteri
+    (fun v c ->
+      for _ = 1 to c do
+        Obs.Loadmap.record lm Obs.Loadmap.Route_traversal v
+      done)
+    counts;
+  lm
+
+let summarize_counts counts =
+  Obs.Loadmap_report.summarize (loadmap_of counts) Obs.Loadmap.Route_traversal
+
+let gini counts = (summarize_counts counts).Obs.Loadmap_report.gini
+
 let test_gini () =
-  Alcotest.(check (float 1e-12)) "empty" 0.0 (Obs.Loadmap_report.gini [||]);
-  Alcotest.(check (float 1e-12)) "all zero" 0.0 (Obs.Loadmap_report.gini [| 0; 0; 0 |]);
-  Alcotest.(check (float 1e-12)) "uniform" 0.0 (Obs.Loadmap_report.gini [| 7; 7; 7; 7 |]);
+  Alcotest.(check (float 1e-12)) "all zero" 0.0 (gini [| 0; 0; 0 |]);
+  Alcotest.(check (float 1e-12)) "uniform" 0.0 (gini [| 7; 7; 7; 7 |]);
   (* Rank formula on sorted [0;0;0;12]: 2*(4*12)/(4*12) - 5/4 = 0.75. *)
   Alcotest.(check (float 1e-12)) "one hot node" 0.75
-    (Obs.Loadmap_report.gini [| 0; 12; 0; 0 |]);
+    (gini [| 0; 12; 0; 0 |]);
   (* Order-independent. *)
   Alcotest.(check (float 1e-12)) "permutation invariant"
-    (Obs.Loadmap_report.gini [| 1; 2; 3; 4 |])
-    (Obs.Loadmap_report.gini [| 4; 1; 3; 2 |])
+    (gini [| 1; 2; 3; 4 |])
+    (gini [| 4; 1; 3; 2 |])
 
 let test_summary () =
-  let s = Obs.Loadmap_report.summarize_counts [| 0; 3; 0; 9 |] in
+  let s = summarize_counts [| 0; 3; 0; 9 |] in
   Alcotest.(check int) "nodes" 4 s.Obs.Loadmap_report.nodes;
   Alcotest.(check int) "active" 2 s.Obs.Loadmap_report.active_nodes;
   Alcotest.(check int) "total" 12 s.Obs.Loadmap_report.total;
@@ -179,22 +196,20 @@ let test_summary () =
   Alcotest.(check int) "max" 9 s.Obs.Loadmap_report.max;
   Alcotest.(check (float 1e-12)) "congestion = max/mean" 3.0
     s.Obs.Loadmap_report.congestion;
-  let z = Obs.Loadmap_report.summarize_counts [| 0; 0 |] in
+  let z = summarize_counts [| 0; 0 |] in
   Alcotest.(check (float 1e-12)) "congestion 0 when idle" 0.0
     z.Obs.Loadmap_report.congestion;
   Alcotest.(check (float 1e-12)) "gini 0 when idle" 0.0 z.Obs.Loadmap_report.gini
 
 let test_cdf_and_hottest () =
-  Alcotest.(check (list (pair int (float 1e-12)))) "cdf"
-    [ (0, 0.5); (2, 0.75); (5, 1.0) ]
-    (Obs.Loadmap_report.cdf [| 5; 0; 2; 0 |]);
+  let hottest ~top counts =
+    let report = Fmt.str "%a" (fun ppf -> Obs.Loadmap_report.pp ~top ppf) (loadmap_of counts) in
+    List.find (fun line -> Astring_contains.contains line "hottest:") (String.split_on_char '\n' report)
+  in
   (* Load descending, node index ascending on ties: deterministic. *)
-  Alcotest.(check (list (pair int int))) "hottest with ties"
-    [ (1, 5); (0, 2); (3, 2) ]
-    (Obs.Loadmap_report.hottest ~top:3 [| 2; 5; 1; 2 |]);
-  Alcotest.(check (list (pair int int))) "top larger than n"
-    [ (0, 4); (1, 0) ]
-    (Obs.Loadmap_report.hottest ~top:10 [| 4; 0 |])
+  Alcotest.(check string) "hottest with ties" "  hottest: 1:5 0:2 3:2"
+    (hottest ~top:3 [| 2; 5; 1; 2 |]);
+  Alcotest.(check string) "top larger than n" "  hottest: 0:4" (hottest ~top:10 [| 4; 0 |])
 
 (* --- Obs.Progress.safe_rate regression --------------------------------------- *)
 
@@ -258,13 +273,13 @@ let test_batch_scalar_loadmap_equal () =
                   let src, dst = Stats.Sampler.ordered_pair rng pool in
                   ignore (Routing.Router.route table ~rng ~alive ~src ~dst)
                 done);
-            if not (Obs.Loadmap.equal lm_batch lm_scalar) then
+            if not (Helpers.loadmap_equal lm_batch lm_scalar) then
               Alcotest.failf "%s q=%g: batch and scalar loadmaps differ" name q;
             (* Every pair terminates exactly once, somewhere. *)
             Alcotest.(check int)
               (Printf.sprintf "%s q=%g: one termination per pair" name q)
               pairs
-              (Obs.Loadmap.total lm_batch Obs.Loadmap.Route_termination)
+              (Helpers.loadmap_total lm_batch Obs.Loadmap.Route_termination)
           end)
         [ 0.0; 0.3; 0.9 ])
     all_geometries
@@ -282,7 +297,7 @@ let test_batch_without_sink_records_nothing () =
        ~rng:(Prng.Splitmix.create ~seed:1)
        ~alive ~pool ~pairs:50);
   Alcotest.(check bool) "still all zero" true
-    (Obs.Loadmap.equal lm (Obs.Loadmap.create ~nodes))
+    (Helpers.loadmap_equal lm (Obs.Loadmap.create ~nodes))
 
 (* --- Storage.Store: loads and the loadmap agree ------------------------------- *)
 
@@ -306,7 +321,7 @@ let test_store_loads_match_loadmap () =
     (Storage.Store.loads store)
     (Obs.Loadmap.counts lm Obs.Loadmap.Storage_read);
   Alcotest.(check bool) "some reads landed" true
-    (Obs.Loadmap.total lm Obs.Loadmap.Storage_read > 0)
+    (Helpers.loadmap_total lm Obs.Loadmap.Storage_read > 0)
 
 (* --- Hotspot_sweep: pool-size determinism ------------------------------------- *)
 
@@ -349,7 +364,7 @@ let test_hotspot_sweep_jobs_identical () =
         (Printf.sprintf "point %d: geometry" i)
         (Rcm.Geometry.name pa.geometry)
         (Rcm.Geometry.name pb.geometry);
-      if not (Obs.Loadmap.equal pa.loadmap pb.loadmap) then
+      if not (Helpers.loadmap_equal pa.loadmap pb.loadmap) then
         Alcotest.failf "point %d: loadmaps differ between 1 and 4 domains" i;
       Alcotest.(check bool)
         (Printf.sprintf "point %d: summaries" i)
@@ -364,8 +379,8 @@ let test_hotspot_sweep_jobs_identical () =
       Experiments.Hotspot_sweep.(merged Storage a, merged Storage b) )
   with
   | (Some ra, Some rb), (Some sa, Some sb) ->
-      Alcotest.(check bool) "merged routing maps equal" true (Obs.Loadmap.equal ra rb);
-      Alcotest.(check bool) "merged storage maps equal" true (Obs.Loadmap.equal sa sb)
+      Alcotest.(check bool) "merged routing maps equal" true (Helpers.loadmap_equal ra rb);
+      Alcotest.(check bool) "merged storage maps equal" true (Helpers.loadmap_equal sa sb)
   | _ -> Alcotest.fail "a plane lost its merged loadmap"
 
 let suite =

@@ -7,10 +7,13 @@ let two_step =
     ~edges:[ (0, 1, 0.7); (0, 3, 0.3); (1, 2, 0.7); (1, 3, 0.3) ]
 
 let test_chain_shape () =
-  Alcotest.(check int) "states" 4 (Markov.Chain.num_states two_step);
-  Alcotest.(check int) "start" 0 (Markov.Chain.start two_step);
-  Alcotest.(check bool) "2 absorbing" true (Markov.Chain.is_absorbing two_step 2);
-  Alcotest.(check bool) "0 not absorbing" false (Markov.Chain.is_absorbing two_step 0)
+  (* States without out-edges absorb; the others do not. *)
+  check_close 1.0
+    (Markov.Chain.absorption_probability two_step ~into:2
+    +. Markov.Chain.absorption_probability two_step ~into:3);
+  Alcotest.check_raises "0 not absorbing"
+    (Invalid_argument "Chain.absorption_probability: target state is not absorbing")
+    (fun () -> ignore (Markov.Chain.absorption_probability two_step ~into:0))
 
 let test_chain_validate () =
   Alcotest.(check bool) "valid" true (Result.is_ok (Markov.Chain.validate two_step));
@@ -36,22 +39,34 @@ let test_absorption_not_absorbing () =
     (Invalid_argument "Chain.absorption_probability: target state is not absorbing")
     (fun () -> ignore (Markov.Chain.absorption_probability two_step ~into:1))
 
+(* E[steps] from the absorption-time pmfs of the absorbing states. *)
+let expected_steps chain absorbing =
+  List.fold_left
+    (fun acc into ->
+      let pmf = Markov.Chain.absorption_time_distribution chain ~into in
+      Array.fold_left ( +. ) acc (Array.mapi (fun t p -> float_of_int t *. p) pmf))
+    0.0 absorbing
+
 let test_expected_steps () =
   (* Visits: S0 always, S1 w.p. 0.7 -> E[steps] = 1.7. *)
-  check_close 1.7 (Markov.Chain.expected_steps two_step)
+  check_close 1.7 (expected_steps two_step [ 2; 3 ])
 
 let test_visit_probabilities () =
-  let f = Markov.Chain.visit_probabilities two_step in
-  check_close 1.0 f.(0);
-  check_close 0.7 f.(1);
-  check_close 0.49 f.(2);
-  check_close 0.51 f.(3)
+  (* Visits by step: failure absorbs from S0 (0.3) or S1 (0.7 * 0.3). *)
+  let fail = Markov.Chain.absorption_time_distribution two_step ~into:3 in
+  Alcotest.(check (array (float 1e-12))) "failure by step" [| 0.0; 0.3; 0.21 |] fail;
+  let success = Markov.Chain.absorption_time_distribution two_step ~into:2 in
+  Alcotest.(check (array (float 1e-12))) "success by step" [| 0.0; 0.0; 0.49 |] success
 
 let test_topological_order () =
-  let order = Markov.Chain.topological_order two_step in
-  let position s = Option.get (List.find_index (Int.equal s) order) in
-  Alcotest.(check bool) "0 before 1" true (position 0 < position 1);
-  Alcotest.(check bool) "1 before 2" true (position 1 < position 2)
+  (* The same chain numbered against its order (S2 -> S1 -> S0): the
+     solver must follow the edges, not the state numbers. *)
+  let reversed =
+    Markov.Chain.create ~num_states:4 ~start:2
+      ~edges:[ (2, 1, 0.7); (2, 3, 0.3); (1, 0, 0.7); (1, 3, 0.3) ]
+  in
+  check_close 0.49 (Markov.Chain.absorption_probability reversed ~into:0);
+  check_close 1.7 (expected_steps reversed [ 0; 3 ])
 
 let test_cycle_detection () =
   let cyclic =
@@ -59,7 +74,7 @@ let test_cycle_detection () =
       ~edges:[ (0, 1, 1.0); (1, 0, 0.5); (1, 2, 0.5) ]
   in
   Alcotest.check_raises "cyclic" Markov.Chain.Cyclic (fun () ->
-      ignore (Markov.Chain.topological_order cyclic))
+      ignore (Markov.Chain.absorption_probability cyclic ~into:2))
 
 let test_iterative_on_cyclic () =
   (* 0 -> 1 (1.0); 1 -> 0 (0.5) | -> 2 (0.5): success is certain. *)
@@ -89,15 +104,14 @@ let random_dag_chain seed =
     let skip_target = if s + 2 >= layers then success else s + 2 in
     edges := (s, next, p_advance) :: (s, failure, p_fail) :: (s, skip_target, p_skip) :: !edges
   done;
-  Markov.Chain.create ~num_states ~start:0 ~edges:!edges
+  (Markov.Chain.create ~num_states ~start:0 ~edges:!edges, success)
 
 let dag_vs_iterative =
   qcheck "DAG solver matches Gauss-Seidel on random chains"
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let chain = random_dag_chain seed in
-      let success = Markov.Chain.num_states chain - 2 in
-      Numerics.Approx.equal ~rtol:1e-9 ~atol:1e-11
+      let chain, success = random_dag_chain seed in
+      approx_equal ~rtol:1e-9 ~atol:1e-11
         (Markov.Chain.absorption_probability chain ~into:success)
         (Markov.Chain.absorption_probability_iterative chain ~into:success))
 
@@ -105,11 +119,10 @@ let absorption_sums_to_one =
   qcheck "success + failure absorption = 1"
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let chain = random_dag_chain seed in
-      let n = Markov.Chain.num_states chain in
-      Numerics.Approx.equal ~rtol:1e-12 1.0
-        (Markov.Chain.absorption_probability chain ~into:(n - 2)
-        +. Markov.Chain.absorption_probability chain ~into:(n - 1)))
+      let chain, success = random_dag_chain seed in
+      approx_equal ~rtol:1e-12 1.0
+        (Markov.Chain.absorption_probability chain ~into:success
+        +. Markov.Chain.absorption_probability chain ~into:(success + 1)))
 
 (* --- Routing chains: structure ------------------------------------------- *)
 
@@ -147,7 +160,8 @@ let test_routing_chains_complement () =
     (fun (name, r) ->
       check_close ~msg:(name ^ " success+failure=1") 1.0
         (Markov.Routing_chains.success_probability r
-        +. Markov.Routing_chains.failure_probability r))
+        +. Markov.Chain.absorption_probability r.Markov.Routing_chains.chain
+             ~into:r.Markov.Routing_chains.failure))
     (all_routing_chains ~h:8 ~q:0.3)
 
 let test_tree_chain_closed_form () =
@@ -166,9 +180,9 @@ let test_hypercube_chain_fig3 () =
 let test_expected_hops_at_least_h () =
   (* With q = 0, routing takes exactly h hops in tree/hypercube chains. *)
   let r = Markov.Routing_chains.tree ~h:7 ~q:0.0 in
-  check_close 7.0 (Markov.Routing_chains.expected_hops r);
+  check_close 7.0 (Markov.Routing_chains.expected_hops_given_success r);
   let r = Markov.Routing_chains.hypercube ~h:7 ~q:0.0 in
-  check_close 7.0 (Markov.Routing_chains.expected_hops r)
+  check_close 7.0 (Markov.Routing_chains.expected_hops_given_success r)
 
 let test_ring_phase_cap () =
   Alcotest.(check bool) "refuses huge chains" true

@@ -20,10 +20,9 @@ let with_metrics f =
 
 let test_counters () =
   with_metrics (fun () ->
-      let c = Obs.Metrics.counter "test/count" in
-      Obs.Metrics.incr c;
-      Obs.Metrics.incr ~by:4 c;
-      Alcotest.(check int) "1 + 4" 5 (Obs.Metrics.counter_value c);
+      Obs.Metrics.incr_named "test/count";
+      Obs.Metrics.incr_named ~by:4 "test/count";
+      Alcotest.(check int) "1 + 4" 5 (Helpers.counter_value "test/count");
       Obs.Metrics.incr_named "test/named";
       let snap = Obs.Metrics.snapshot () in
       Alcotest.(check (option int)) "snapshot sees interned counter" (Some 5)
@@ -33,8 +32,7 @@ let test_counters () =
 
 let test_histograms () =
   with_metrics (fun () ->
-      let h = Obs.Metrics.histogram "test/hist" in
-      List.iter (fun v -> Obs.Metrics.observe h (float_of_int v)) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+      List.iter (fun v -> Obs.Metrics.observe_named "test/hist" (float_of_int v)) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
       let snap = Obs.Metrics.snapshot () in
       match List.assoc_opt "test/hist" snap.Obs.Metrics.histograms with
       | None -> Alcotest.fail "histogram missing from snapshot"
@@ -58,10 +56,9 @@ let test_histograms () =
 let test_disabled_is_noop () =
   Obs.Metrics.reset ();
   Alcotest.(check bool) "disabled by default in tests" false (Obs.Metrics.enabled ());
-  let c = Obs.Metrics.counter "test/disabled" in
-  Obs.Metrics.incr c;
+  Obs.Metrics.incr_named "test/disabled";
   Obs.Metrics.observe_named "test/disabled-hist" 1.0;
-  Alcotest.(check int) "counter untouched" 0 (Obs.Metrics.counter_value c);
+  Alcotest.(check int) "counter untouched" 0 (Helpers.counter_value "test/disabled");
   Alcotest.(check (float 0.0)) "now () skips the clock" 0.0 (Obs.Metrics.now ());
   let snap = Obs.Metrics.snapshot () in
   (match List.assoc_opt "test/disabled-hist" snap.Obs.Metrics.histograms with
@@ -100,14 +97,14 @@ let test_instrumentation_preserves_results () =
   let loadmap = Obs.Loadmap.create ~nodes:256 in
   let observed =
     with_metrics (fun () ->
-        Obs.Trace.with_file trace_path (fun () ->
+        Helpers.with_trace trace_path (fun () ->
             Obs.Loadmap.with_sink loadmap run_estimate))
   in
   Fun.protect
     ~finally:(fun () -> Sys.remove trace_path)
     (fun () ->
       Alcotest.(check bool) "the sink counted traversals" true
-        (Obs.Loadmap.total loadmap Obs.Loadmap.Route_traversal > 0);
+        (Helpers.loadmap_total loadmap Obs.Loadmap.Route_traversal > 0);
       Alcotest.(check int) "delivered" plain.Sim.Estimate.delivered
         observed.Sim.Estimate.delivered;
       Alcotest.(check int) "attempted" plain.Sim.Estimate.attempted
@@ -124,7 +121,7 @@ let test_trace_writes_jsonl () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Obs.Trace.with_file path (fun () ->
+      Helpers.with_trace path (fun () ->
           Alcotest.(check bool) "enabled while sink installed" true (Obs.Trace.enabled ());
           Obs.Trace.event "test/event" ~attrs:[ ("k", Obs.Trace.String "v") ] ();
           Alcotest.(check int) "span returns f's result" 3
@@ -240,8 +237,8 @@ let test_quantiles_empty_and_singleton () =
 
 let test_reset_preserves_registration () =
   with_metrics (fun () ->
-      let c = Obs.Metrics.counter "test/reset-c" in
-      Obs.Metrics.incr ~by:3 c;
+      ignore (Obs.Metrics.counter "test/reset-c");
+      Obs.Metrics.incr_named ~by:3 "test/reset-c";
       Obs.Metrics.observe_named "test/reset-h" 1.5;
       Obs.Metrics.reset ();
       Alcotest.(check bool) "still enabled" true (Obs.Metrics.enabled ());
@@ -251,9 +248,9 @@ let test_reset_preserves_registration () =
       (match List.assoc_opt "test/reset-h" snap.Obs.Metrics.histograms with
       | None -> Alcotest.fail "histogram lost by reset"
       | Some s -> Alcotest.(check int) "histogram zeroed" 0 s.Obs.Metrics.count);
-      (* The interned handle keeps working after reset. *)
-      Obs.Metrics.incr c;
-      Alcotest.(check int) "handle survives reset" 1 (Obs.Metrics.counter_value c))
+      (* The interned counter keeps working after reset. *)
+      Obs.Metrics.incr_named "test/reset-c";
+      Alcotest.(check int) "handle survives reset" 1 (Helpers.counter_value "test/reset-c"))
 
 let count_lines path =
   let ic = open_in path in
@@ -312,12 +309,10 @@ let test_progress_renders_and_off_is_silent () =
       Obs.Progress.set_channel oc;
       Obs.Progress.set_mode Obs.Progress.On;
       Obs.Progress.start ~label:"xor" ~groups:[ ("q=0.1", 2) ] ~total:2 ();
-      Alcotest.(check bool) "active while started" true (Obs.Progress.active ());
       Obs.Progress.tick ~group:"q=0.1" ();
       Obs.Progress.note_retry ();
       Obs.Progress.tick ~group:"q=0.1" ();
       Obs.Progress.finish ();
-      Alcotest.(check bool) "inactive after finish" false (Obs.Progress.active ());
       close_out oc;
       let out = read_file path in
       Alcotest.(check bool) "painted the completion state" true
@@ -353,7 +348,6 @@ let test_manifest_roundtrip () =
       output_string oc "x,y\n1,2\n";
       close_out oc;
       Obs.Manifest.start ~argv:[ "dhtlab"; "test" ] ~path:manifest_path;
-      Alcotest.(check bool) "active after start" true (Obs.Manifest.active ());
       Obs.Manifest.note "seed" (Obs.Manifest.Int 42);
       Obs.Manifest.note "seed" (Obs.Manifest.Int 7) (* last write wins *);
       Obs.Manifest.note "geometries" (Obs.Manifest.Strings [ "xor"; "ring" ]);
@@ -362,7 +356,6 @@ let test_manifest_roundtrip () =
       Obs.Manifest.add_artefact ~kind:"checkpoint" (Filename.concat dir "missing.jsonl");
       let peak_before = Obs.Rss.peak_kb () in
       Obs.Manifest.finish ~exit_status:0;
-      Alcotest.(check bool) "inactive after finish" false (Obs.Manifest.active ());
       Alcotest.(check bool) "no .tmp left" false
         (Sys.file_exists (manifest_path ^ ".tmp"));
       let json = Obs.Tiny_json.parse (read_file manifest_path) in
@@ -423,7 +416,7 @@ let test_json_strings_escaped () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Obs.Trace.with_file path (fun () ->
+      Helpers.with_trace path (fun () ->
           Obs.Trace.event odd ~attrs:[ (odd, Obs.Trace.String error) ] ());
       let ic = open_in_bin path in
       let line = input_line ic in

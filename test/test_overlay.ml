@@ -15,7 +15,7 @@ let test_degrees () =
   let expect g degree =
     let t = build g in
     for v = 0 to 255 do
-      Alcotest.(check int) (Rcm.Geometry.name g) degree (Overlay.Table.degree t v)
+      Alcotest.(check int) (Rcm.Geometry.name g) degree (Array.length (Overlay.Table.neighbors t v))
     done
   in
   expect Rcm.Geometry.Tree bits;
@@ -118,7 +118,7 @@ let test_symphony_parameters_rejected () =
           Overlay.Table.build_symphony_bidirectional ~bits:6 ~k_n ~k_s ()))
     [ (-1, 3); (2, -1); (0, 0) ];
   Alcotest.(check int) "k_n = 0 builds" 1
-    (Overlay.Table.degree (Overlay.Table.build ~bits:6 (Rcm.Geometry.Symphony { k_n = 0; k_s = 1 })) 0)
+    (Array.length (Overlay.Table.neighbors (Overlay.Table.build ~bits:6 (Rcm.Geometry.Symphony { k_n = 0; k_s = 1 })) 0))
 
 let test_deterministic_xor_table () =
   let t = Overlay.Table.build_deterministic_xor ~bits () in
@@ -144,7 +144,6 @@ let test_build_reproducible () =
    nodes, read through the table in place. *)
 let test_one_component () =
   let t = build Rcm.Geometry.Ring in
-  Alcotest.(check int) "edges" (256 * bits) (Overlay.Table.edge_count t);
   let r =
     Graph.Components.analyze_iter ~nodes:(Overlay.Table.node_count t)
       (Overlay.Table.iter_neighbors t)
@@ -155,7 +154,7 @@ let test_one_component () =
 let test_failure_sampling () =
   let rng = rng_of_seed 23 in
   let mask = Overlay.Failure.sample ~rng ~q:0.3 10_000 in
-  let alive = Overlay.Failure.alive_count mask in
+  let alive = Helpers.alive_count mask in
   Alcotest.(check bool)
     (Printf.sprintf "alive fraction %.3f ~ 0.7" (float_of_int alive /. 10_000.0))
     true
@@ -164,15 +163,15 @@ let test_failure_sampling () =
 let test_failure_extremes () =
   let rng = rng_of_seed 1 in
   Alcotest.(check int) "q=0 all alive" 100
-    (Overlay.Failure.alive_count (Overlay.Failure.sample ~rng ~q:0.0 100));
+    (Helpers.alive_count (Overlay.Failure.sample ~rng ~q:0.0 100));
   Alcotest.(check int) "q=1 all dead" 0
-    (Overlay.Failure.alive_count (Overlay.Failure.sample ~rng ~q:1.0 100))
+    (Helpers.alive_count (Overlay.Failure.sample ~rng ~q:1.0 100))
 
 let test_failure_survivors_kill () =
   let mask = Overlay.Failure.none 5 in
-  Overlay.Failure.kill mask [| 1; 3 |];
+  Helpers.kill mask [| 1; 3 |];
   Alcotest.(check (array int)) "survivors" [| 0; 2; 4 |] (Overlay.Failure.survivors mask);
-  Alcotest.(check int) "count" 3 (Overlay.Failure.alive_count mask)
+  Alcotest.(check int) "count" 3 (Helpers.alive_count mask)
 
 (* The dead region of a block sample must be one circular run: walking
    the mask around the ring crosses at most one alive->dead edge. *)
@@ -190,7 +189,7 @@ let test_block_failure_size_and_contiguity () =
     (fun (fraction, n) ->
       let rng = Prng.Splitmix.create ~seed:(int_of_float (fraction *. 1000.) + n) in
       let mask = Overlay.Failure.sample_block ~rng ~fraction n in
-      let dead = n - Overlay.Failure.alive_count mask in
+      let dead = n - Helpers.alive_count mask in
       Alcotest.(check int)
         (Printf.sprintf "dead = round(%g * %d)" fraction n)
         (int_of_float (Float.round (fraction *. float_of_int n)))
@@ -210,7 +209,7 @@ let test_block_failure_wraparound () =
   for seed = 0 to 63 do
     let rng = Prng.Splitmix.create ~seed in
     let mask = Overlay.Failure.sample_block ~rng ~fraction:0.5 n in
-    Alcotest.(check int) "dead count under wrap" 16 (n - Overlay.Failure.alive_count mask);
+    Alcotest.(check int) "dead count under wrap" 16 (n - Helpers.alive_count mask);
     Alcotest.(check bool) "one circular run" true (circular_dead_runs mask <= 1);
     if (not (Overlay.Failure.get mask (n - 1))) && not (Overlay.Failure.get mask 0) then
       found_wrap := true
@@ -225,10 +224,10 @@ let test_block_failure_deterministic_and_extreme () =
     (Overlay.Failure.to_bool_array (sample 9))
     (Overlay.Failure.to_bool_array (sample 9));
   Alcotest.(check int) "fraction 0 kills nobody" 20
-    (Overlay.Failure.alive_count
+    (Helpers.alive_count
        (Overlay.Failure.sample_block ~rng:(Prng.Splitmix.create ~seed:1) ~fraction:0.0 20));
   Alcotest.(check int) "fraction 1 kills everyone" 0
-    (Overlay.Failure.alive_count
+    (Helpers.alive_count
        (Overlay.Failure.sample_block ~rng:(Prng.Splitmix.create ~seed:1) ~fraction:1.0 20));
   Alcotest.check_raises "invalid fraction rejected"
     (Invalid_argument "Failure.sample_block: invalid fraction") (fun () ->

@@ -2,6 +2,8 @@ open Helpers
 
 let geometries = Rcm.Geometry.all_default
 
+let is_scalable = function Rcm.Scalability.Scalable _ -> true | Unscalable _ -> false
+
 (* --- Geometry ------------------------------------------------------------ *)
 
 let test_geometry_names () =
@@ -32,15 +34,14 @@ let test_population_sums_to_network () =
       check_loose
         ~msg:(Rcm.Geometry.name g)
         (Float.pow 2.0 16.0 -. 1.0)
-        (Rcm.Engine.total_population spec ~d:16))
+        (total_population spec ~d:16))
     geometries
 
 let test_population_binomial_vs_ring () =
   check_close
     (Numerics.Binomial.choose_float 16 5)
-    (Rcm.Engine.population (Rcm.Model.spec_of_geometry Rcm.Geometry.Tree) ~d:16 ~h:5);
-  check_close 16.0
-    (Rcm.Engine.population (Rcm.Model.spec_of_geometry Rcm.Geometry.Ring) ~d:16 ~h:5)
+    (exp (Rcm.Tree.spec.Rcm.Spec.log_population ~d:16 ~h:5));
+  check_close 16.0 (exp (Rcm.Ring.spec.Rcm.Spec.log_population ~d:16 ~h:5))
 
 (* --- p(h,q): closed forms vs the generic engine and exact chains --------- *)
 
@@ -84,16 +85,18 @@ let closed_forms_match_chains () =
 
 (* --- Q(m) -------------------------------------------------------------------- *)
 
+let q_of (spec : Rcm.Spec.t) ~q ~m = spec.phase_failure ~d:64 ~q ~m
+
 let test_q_last_phase_is_q () =
   (* In every geometry's chain the final phase needs exactly the
      destination's availability: Q(1) = q. (Symphony differs: its Q is
      phase-independent by construction.) *)
   List.iter
     (fun q ->
-      check_close ~msg:"tree" q (Rcm.Tree.phase_failure ~q ~m:1);
-      check_close ~msg:"hypercube" q (Rcm.Hypercube.phase_failure ~q ~m:1);
+      check_close ~msg:"tree" q (q_of Rcm.Tree.spec ~q ~m:1);
+      check_close ~msg:"hypercube" q (q_of Rcm.Hypercube.spec ~q ~m:1);
       check_close ~msg:"xor" q (Rcm.Xor_routing.phase_failure ~q ~m:1);
-      check_close ~msg:"ring" q (Rcm.Ring.phase_failure ~q ~m:1))
+      check_close ~msg:"ring" q (q_of Rcm.Ring.spec ~q ~m:1))
     [ 0.05; 0.3; 0.8 ]
 
 let test_q_xor_exact_vs_sum () =
@@ -115,14 +118,14 @@ let test_q_xor_exact_vs_sum () =
 let test_q_ring_small_cases () =
   let q = 0.3 in
   (* m=1: Q = q. m=2: s = q(1-q), K = 2: Q = q^2 (1 + s). *)
-  check_close q (Rcm.Ring.phase_failure ~q ~m:1);
-  check_close (q *. q *. (1.0 +. (q *. (1.0 -. q)))) (Rcm.Ring.phase_failure ~q ~m:2)
+  check_close q (q_of Rcm.Ring.spec ~q ~m:1);
+  check_close (q *. q *. (1.0 +. (q *. (1.0 -. q)))) (q_of Rcm.Ring.spec ~q ~m:2)
 
 let test_q_symphony_degenerate_domain () =
   (* Outside the model domain the suboptimal branch vanishes and
      Q = q^(kn+ks). *)
   let q = 0.99 in
-  check_close (q *. q) (Rcm.Symphony.phase_failure ~d:4 ~q ~k_n:1 ~k_s:1)
+  check_close (q *. q) ((Rcm.Symphony.spec ~k_n:1 ~k_s:1).Rcm.Spec.phase_failure ~d:4 ~q ~m:1)
 
 let q_values_are_probabilities =
   qcheck "Q(m) is a probability for every geometry"
@@ -147,7 +150,7 @@ let q_ring_below_xor =
   qcheck "Q_ring(m) <= Q_xor(m) (section 5.4 comparison)"
     QCheck2.Gen.(pair small_prob_gen (int_range 1 30))
     (fun (q, m) ->
-      Rcm.Ring.phase_failure ~q ~m <= Rcm.Xor_routing.phase_failure ~q ~m +. 1e-12)
+      q_of Rcm.Ring.spec ~q ~m <= Rcm.Xor_routing.phase_failure ~q ~m +. 1e-12)
 
 (* --- Routability ------------------------------------------------------------ *)
 
@@ -308,7 +311,7 @@ let test_classify_spec_custom_geometry () =
     }
   in
   Alcotest.(check bool) "constant Q unscalable" false
-    (Rcm.Scalability.is_scalable (Rcm.Scalability.classify_spec (constant_q 3) ~q:0.3));
+    (is_scalable (Rcm.Scalability.classify_spec (constant_q 3) ~q:0.3));
   let geometric_q =
     {
       Rcm.Spec.geometry = Rcm.Geometry.Tree;
@@ -318,7 +321,7 @@ let test_classify_spec_custom_geometry () =
     }
   in
   Alcotest.(check bool) "geometric Q scalable" true
-    (Rcm.Scalability.is_scalable (Rcm.Scalability.classify_spec geometric_q ~q:0.3))
+    (is_scalable (Rcm.Scalability.classify_spec geometric_q ~q:0.3))
 
 let test_scalability_at_q0 () =
   List.iter
@@ -356,14 +359,14 @@ let engine_log_space_matches_naive =
             done;
             !total
           in
-          Numerics.Approx.equal ~rtol:1e-6 ~atol:1e-9 naive
+          approx_equal ~rtol:1e-6 ~atol:1e-9 naive
             (Rcm.Engine.expected_reachable spec ~d ~q))
         geometries)
 
 let test_report_brief () =
   let report = Experiments.Report.build ~bits:12 Rcm.Geometry.Hypercube in
   Alcotest.(check bool) "scalable" true
-    (Rcm.Scalability.is_scalable report.Experiments.Report.classification);
+    (is_scalable report.Experiments.Report.classification);
   Alcotest.(check bool) "agrees" true report.Experiments.Report.agrees_with_paper;
   Alcotest.(check bool) "has envelope" true (report.Experiments.Report.critical_q_90 <> None);
   check_loose ~msg:"hops at q0"
@@ -391,13 +394,13 @@ let test_engine_rejects_bad_args () =
      with Invalid_argument _ -> true)
 
 let test_surviving_peers () =
-  (* (1-q) 2^d - 1 *)
-  (match Rcm.Engine.log_surviving_peers ~d:10 ~q:0.5 with
-  | Some peers -> check_close 511.0 (Numerics.Logspace.to_float peers)
-  | None -> Alcotest.fail "expected peers");
+  (* r = E[S] / ((1-q) 2^d - 1): 511 peers at d = 10, q = 0.5. *)
+  let spec = Rcm.Model.spec_of_geometry Rcm.Geometry.Tree in
+  check_close 511.0
+    (Rcm.Engine.expected_reachable spec ~d:10 ~q:0.5
+    /. Rcm.Engine.routability spec ~d:10 ~q:0.5);
   (* Fewer than one survivor on average. *)
-  Alcotest.(check bool) "degenerate" true
-    (Rcm.Engine.log_surviving_peers ~d:1 ~q:0.5 = None)
+  Alcotest.(check (float 0.0)) "degenerate" 0.0 (Rcm.Engine.routability spec ~d:1 ~q:0.5)
 
 let suite =
   [

@@ -3,32 +3,37 @@ open Helpers
 (* --- Analysis ------------------------------------------------------------- *)
 
 let test_capacity () =
-  Alcotest.(check int) "m=1" 1 (Rcm.Replication.capacity ~k:8 ~m:1);
-  Alcotest.(check int) "m=2" 2 (Rcm.Replication.capacity ~k:8 ~m:2);
-  Alcotest.(check int) "m=4 capped by k" 8 (Rcm.Replication.capacity ~k:8 ~m:5);
-  Alcotest.(check int) "huge m" 8 (Rcm.Replication.capacity ~k:8 ~m:100)
+  (* The replicated tree's Q(m) = q^capacity: read the capacity back at
+     q = 1/2. *)
+  let capacity ~m = Float.to_int (Float.round (-.Float.log2 (Rcm.Replication.tree_phase_failure ~q:0.5 ~k:8 ~m))) in
+  Alcotest.(check int) "m=1" 1 (capacity ~m:1);
+  Alcotest.(check int) "m=2" 2 (capacity ~m:2);
+  Alcotest.(check int) "m=4 capped by k" 8 (capacity ~m:5);
+  Alcotest.(check int) "huge m" 8 (capacity ~m:60)
 
 let test_effective_successors () =
-  Alcotest.(check int) "r=0" 0 (Rcm.Replication.effective_successors 0);
+  (* Only successor entries that do not duplicate a finger lower Q. *)
+  let q r = Rcm.Replication.ring_phase_failure ~q:0.3 ~successors:r ~m:4 in
   (* r=1 and r=2 only duplicate fingers (distances 1 and 1,2). *)
-  Alcotest.(check int) "r=1" 0 (Rcm.Replication.effective_successors 1);
-  Alcotest.(check int) "r=2" 0 (Rcm.Replication.effective_successors 2);
+  check_close ~msg:"r=1" (q 0) (q 1);
+  check_close ~msg:"r=2" (q 0) (q 2);
   (* r=3 adds distance 3. *)
-  Alcotest.(check int) "r=3" 1 (Rcm.Replication.effective_successors 3);
-  (* r=8: distances 3,5,6,7 are new (1,2,4,8 are fingers). *)
-  Alcotest.(check int) "r=8" 4 (Rcm.Replication.effective_successors 8)
+  Alcotest.(check bool) "r=3" true (q 3 < q 2);
+  (* r=8: distances 3,5,6,7 are new (1,2,4,8 are fingers), as at r=7. *)
+  check_close ~msg:"r=8" (q 7) (q 8);
+  Alcotest.(check bool) "r=7" true (q 7 < q 6)
 
 let test_reduces_to_base_at_k1 () =
   List.iter
     (fun q ->
       List.iter
         (fun m ->
-          check_close ~msg:"tree" (Rcm.Tree.phase_failure ~q ~m)
+          check_close ~msg:"tree" (Rcm.Tree.spec.Rcm.Spec.phase_failure ~d:64 ~q ~m)
             (Rcm.Replication.tree_phase_failure ~q ~k:1 ~m);
           check_close ~msg:"xor"
             (Rcm.Xor_routing.phase_failure ~q ~m)
             (Rcm.Replication.xor_phase_failure ~q ~k:1 ~m);
-          check_close ~msg:"ring" (Rcm.Ring.phase_failure ~q ~m)
+          check_close ~msg:"ring" (Rcm.Ring.spec.Rcm.Spec.phase_failure ~d:64 ~q ~m)
             (Rcm.Replication.ring_phase_failure ~q ~successors:0 ~m))
         [ 1; 2; 5; 10 ])
     [ 0.1; 0.3; 0.6 ]
@@ -208,7 +213,7 @@ let kbucket_invariants_under_churn =
       for _ = 1 to 300 do
         let v = Prng.Splitmix.int rng n in
         match Prng.Splitmix.int rng 4 with
-        | 0 -> Overlay.Failure.set alive (Prng.Splitmix.int rng n) (Prng.Splitmix.bool rng)
+        | 0 -> Overlay.Failure.set alive (Prng.Splitmix.int rng n) (coin rng)
         | 1 ->
             let id = Prng.Splitmix.int rng n in
             if id <> v then Overlay.Kbucket.observe t v id
@@ -520,7 +525,7 @@ let bucket_routing_improves_with_k =
           for _ = 1 to 60 do
             let src, dst = Stats.Sampler.ordered_pair rng pool in
             if
-              Routing.Outcome.is_delivered
+              Helpers.delivered
                 (Routing.Bucket_router.route ~mode:`Xor t ~alive ~src ~dst)
             then incr delivered
           done;
@@ -535,7 +540,7 @@ let bucket_routing_improves_with_k =
 
 let test_successor_table_layout () =
   let t = Overlay.Table.build_ring_with_successors ~bits ~successors:4 () in
-  Alcotest.(check int) "degree" (bits + 4) (Overlay.Table.degree t 0);
+  Alcotest.(check int) "degree" (bits + 4) (Array.length (Overlay.Table.neighbors t 0));
   (* Extra entries are the next nodes clockwise. *)
   for j = 0 to 3 do
     Alcotest.(check int) "successor distance" (j + 1)
@@ -552,7 +557,7 @@ let test_successor_routing_beats_plain_ring () =
     let delivered = ref 0 in
     for _ = 1 to 400 do
       let src, dst = Stats.Sampler.ordered_pair rng pool in
-      if Routing.Outcome.is_delivered (Routing.Router.route table ~rng ~alive ~src ~dst)
+      if Helpers.delivered (Routing.Router.route table ~rng ~alive ~src ~dst)
       then incr delivered
     done;
     !delivered
@@ -566,6 +571,17 @@ let test_successor_routing_beats_plain_ring () =
 
 (* --- A5 experiment ------------------------------------------------------------ *)
 
+(* Grid points where raising the knob (consecutive labels) lowered
+   analytical routability. *)
+let monotonicity_violations series ~labels =
+  let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> [] in
+  List.concat_map
+    (fun (small, large) ->
+      List.map
+        (fun q -> (q, small, large))
+        (violations series small large (fun s l -> l < s -. 1e-9)))
+    (pairs labels)
+
 let test_a5_analysis_monotone () =
   let cfg =
     { Experiments.Replication_sweep.default_config with bits = 10; qs = [ 0.1; 0.3; 0.5 ];
@@ -574,7 +590,7 @@ let test_a5_analysis_monotone () =
   let s = Experiments.Replication_sweep.xor_series cfg in
   Alcotest.(check (list (triple (float 0.0) string string)))
     "monotone" []
-    (Experiments.Replication_sweep.monotonicity_violations s
+    (monotonicity_violations s
        ~labels:[ "k=1(ana)"; "k=2(ana)"; "k=4(ana)"; "k=8(ana)" ])
 
 let test_a5_analysis_is_lower_bound_for_k2 () =
@@ -588,8 +604,8 @@ let test_a5_analysis_is_lower_bound_for_k2 () =
   let s = Experiments.Replication_sweep.xor_series cfg in
   List.iter
     (fun q ->
-      let ana = Option.get (Experiments.Series.value_at s ~label:"k=4(ana)" ~x:q) in
-      let sim = Option.get (Experiments.Series.value_at s ~label:"k=4(sim)" ~x:q) in
+      let ana = Option.get (Helpers.value_at s ~label:"k=4(ana)" ~x:q) in
+      let sim = Option.get (Helpers.value_at s ~label:"k=4(sim)" ~x:q) in
       Alcotest.(check bool)
         (Printf.sprintf "q=%.1f: sim %.3f >= ana %.3f" q sim ana)
         true
@@ -604,7 +620,7 @@ let test_a5_monotone_all_geometries () =
   (* The A5 violation detector wired over every series on a small grid:
      a correct build reports none anywhere. *)
   let check name series labels =
-    match Experiments.Replication_sweep.monotonicity_violations series ~labels with
+    match monotonicity_violations series ~labels with
     | [] -> ()
     | (q, small, large) :: _ ->
         Alcotest.failf "%s violation at q=%g: %s -> %s" name q small large
@@ -631,7 +647,7 @@ let test_ring_column_bounded_by_replica_survival () =
       let label = Printf.sprintf "r=%d(ana)" successors in
       List.iter
         (fun q ->
-          match Experiments.Series.value_at series ~label ~x:q with
+          match Helpers.value_at series ~label ~x:q with
           | Some routability ->
               let bound =
                 Rcm.Data_availability.replica_survival ~q ~r:(successors + 1)

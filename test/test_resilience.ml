@@ -69,21 +69,26 @@ let test_fault_parse_roundtrip () =
       | Error _ -> ())
     [ ""; "trial"; "trial:2:1"; "trial:-0.1:1"; "node:0.5:1"; "trial:0.5:x"; "trial:0.5:1:0" ]
 
+let fault_fails fault ~task ~attempt =
+  match Exec.Fault.inject (Some fault) ~task ~attempt with
+  | () -> false
+  | exception Exec.Fault.Injected _ -> true
+
 let test_fault_deterministic_and_attempt_bounded () =
   match Exec.Fault.parse "trial:0.5:123:2" with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok t ->
       let hits = ref 0 in
       for task = 0 to 199 do
-        let a = Exec.Fault.should_fail t ~task ~attempt:1 in
-        let b = Exec.Fault.should_fail t ~task ~attempt:1 in
+        let a = fault_fails t ~task ~attempt:1 in
+        let b = fault_fails t ~task ~attempt:1 in
         Alcotest.(check bool) "pure function of (seed, task, attempt)" a b;
         (* Within the attempt budget the decision is per-task constant;
            past it the fault clears (transient). *)
         Alcotest.(check bool) "attempt 2 same as 1" a
-          (Exec.Fault.should_fail t ~task ~attempt:2);
+          (fault_fails t ~task ~attempt:2);
         Alcotest.(check bool) "attempt 3 clears" false
-          (Exec.Fault.should_fail t ~task ~attempt:3);
+          (fault_fails t ~task ~attempt:3);
         if a then incr hits
       done;
       (* p = 0.5 over 200 tasks: a degenerate plan (none or all faulted)
@@ -152,8 +157,7 @@ let test_supervised_cancellation_at_task_boundaries () =
         shape)
 
 let test_map_after_shutdown_raises () =
-  let pool = Exec.Pool.create ~domains:2 () in
-  Exec.Pool.shutdown pool;
+  let pool = Exec.Pool.with_pool ~domains:2 Fun.id in
   Alcotest.check_raises "map on a shut-down pool"
     (Invalid_argument "Exec.Pool.map: pool is shut down") (fun () ->
       ignore (Exec.Pool.map pool 4 Fun.id))
@@ -312,7 +316,7 @@ let prop_checkpoint_fields_round_trip
                 match v with
                 | F x -> bits_equal x (Sim.Checkpoint.get_float f name)
                 | I i -> i = Sim.Checkpoint.get_int f name
-                | S s -> s = Sim.Checkpoint.get_string f name)
+                | S s -> List.assoc_opt name f = Some (Obs.Tiny_json.Str s))
               named)
       in
       let trial_ok =
@@ -479,7 +483,7 @@ let test_sweep_persistent_fault_counts_failures_exactly () =
           let predicted = ref 0 in
           for j = 0 to cfg.Sim.Estimate.trials - 1 do
             if
-              Exec.Fault.should_fail fault
+              fault_fails fault
                 ~task:((qi * cfg.Sim.Estimate.trials) + j)
                 ~attempt:(retries + 1)
             then incr predicted

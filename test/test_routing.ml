@@ -87,7 +87,7 @@ let test_xor_distance_decreases () =
     Routing.Xor_router.route ~on_hop:(fun v -> path := v :: !path) table ~alive:all_alive
       ~src ~dst
   in
-  Alcotest.(check bool) "delivered" true (Routing.Outcome.is_delivered outcome);
+  Alcotest.(check bool) "delivered" true (Helpers.delivered outcome);
   let rec check_decreasing = function
     | a :: (b :: _ as rest) ->
         Alcotest.(check bool) "xor distance strictly decreases" true
@@ -102,9 +102,9 @@ let test_route_with_path () =
   let outcome, path =
     Routing.Router.route_with_path table ~rng:(rng_of_seed 1) ~alive:all_alive ~src:0 ~dst:5
   in
-  Alcotest.(check bool) "delivered" true (Routing.Outcome.is_delivered outcome);
+  Alcotest.(check bool) "delivered" true (Helpers.delivered outcome);
   Alcotest.(check int) "path length = hops + 1"
-    (Routing.Outcome.hops outcome + 1)
+    (Helpers.hops_of outcome + 1)
     (List.length path);
   Alcotest.(check int) "starts at src" 0 (List.hd path);
   Alcotest.(check int) "ends at dst" 5 (List.nth path (List.length path - 1))
@@ -115,7 +115,7 @@ let test_tree_dead_neighbor_drops () =
   let table = build Rcm.Geometry.Tree in
   (* Route 0 -> 255 must first hop to 128; kill it. *)
   let alive = Overlay.Failure.none size in
-  Overlay.Failure.kill alive [| 128 |];
+  Helpers.kill alive [| 128 |];
   match route table ~alive ~src:0 ~dst:255 with
   | Routing.Outcome.Dropped { hops = 0; stuck_at = 0 } -> ()
   | o -> Alcotest.failf "expected immediate drop, got %a" Routing.Outcome.pp o
@@ -124,7 +124,7 @@ let test_hypercube_routes_around_failure () =
   let table = build Rcm.Geometry.Hypercube in
   (* 0 -> 3 via 1 or 2; killing 1 must still deliver via 2. *)
   let alive = Overlay.Failure.none size in
-  Overlay.Failure.kill alive [| 1 |];
+  Helpers.kill alive [| 1 |];
   match route table ~alive ~src:0 ~dst:3 with
   | Routing.Outcome.Delivered { hops = 2 } -> ()
   | o -> Alcotest.failf "expected 2-hop delivery, got %a" Routing.Outcome.pp o
@@ -132,7 +132,7 @@ let test_hypercube_routes_around_failure () =
 let test_hypercube_drops_when_surrounded () =
   let table = build Rcm.Geometry.Hypercube in
   let alive = Overlay.Failure.none size in
-  Overlay.Failure.kill alive [| 1; 2 |];
+  Helpers.kill alive [| 1; 2 |];
   match route table ~alive ~src:0 ~dst:3 with
   | Routing.Outcome.Dropped { stuck_at = 0; _ } -> ()
   | o -> Alcotest.failf "expected drop at source, got %a" Routing.Outcome.pp o
@@ -143,7 +143,7 @@ let test_ring_suboptimal_progress () =
      preserved. *)
   let table = build Rcm.Geometry.Ring in
   let alive = Overlay.Failure.none size in
-  Overlay.Failure.kill alive [| 4 |];
+  Helpers.kill alive [| 4 |];
   match route table ~alive ~src:0 ~dst:6 with
   | Routing.Outcome.Delivered { hops = 2 } -> ()
   | o -> Alcotest.failf "expected 2 hops via node 2, got %a" Routing.Outcome.pp o
@@ -153,7 +153,7 @@ let test_ring_successor_chain () =
      successor walk: 0 -> 1 -> 2 -> 3. *)
   let table = build Rcm.Geometry.Ring in
   let alive = Overlay.Failure.none size in
-  Overlay.Failure.kill alive [| 2 |];
+  Helpers.kill alive [| 2 |];
   match route table ~alive ~src:0 ~dst:3 with
   | Routing.Outcome.Delivered { hops = 2 } ->
       (* 0 -> 1 (successor^... actually finger 1 of 1 reaches 3). *)
@@ -170,7 +170,7 @@ let test_symphony_walks_ring () =
 
 let test_dropped_messages_report_position () =
   let table = build Rcm.Geometry.Tree in
-  let alive = Overlay.Failure.of_bool_array (Array.make size false) in
+  let alive = Helpers.mask_of_bools (Array.make size false) in
   Overlay.Failure.set alive 0 true;
   Overlay.Failure.set alive 255 true;
   match route table ~alive ~src:0 ~dst:255 with

@@ -176,7 +176,7 @@ let trial_seeds_match_split =
     QCheck2.Gen.(pair int (int_range 1 8))
     (fun (seed, trials) ->
       let master = Prng.Splitmix.create ~seed in
-      let split = Array.init trials (fun _ -> Prng.Splitmix.state (Prng.Splitmix.split master)) in
+      let split = Array.init trials (fun _ -> Prng.Splitmix.next_int64 master) in
       Sim.Trial.seeds ~seed ~trials = split)
 
 let route_on table ~rng ~alive src dst = Routing.Router.route table ~rng ~alive ~src ~dst
@@ -216,7 +216,7 @@ let trial_batch_equals_scalar =
 let test_trial_too_few_survivors () =
   List.iter
     (fun live ->
-      let alive = Overlay.Failure.of_bool_array (Array.init 16 (fun v -> v < live)) in
+      let alive = Helpers.mask_of_bools (Array.init 16 (fun v -> v < live)) in
       let rng = Prng.Splitmix.create ~seed:5 in
       let t =
         Sim.Trial.run ~rng ~alive ~pairs:10 (fun _ _ -> Alcotest.fail "routed a pair")
@@ -252,18 +252,25 @@ let test_trial_grid_pool_invariant () =
 (* q = 1 leaves no survivors: no experiment may report that as 0. *)
 let test_no_survivors_is_nan () =
   let nan name v = Alcotest.(check bool) (name ^ " is nan") true (Float.is_nan v) in
-  nan "Correlated_failures.simulate"
-    (Experiments.Correlated_failures.simulate
-       { Experiments.Correlated_failures.default_config with bits = 6; trials = 2; pairs = 50 }
-       Rcm.Geometry.Tree ~mode:`Independent 1.0);
-  nan "Base_sweep.simulate"
-    (Experiments.Base_sweep.simulate
-       { Experiments.Base_sweep.default_config with bits = 6; trials = 2; pairs = 50 }
-       ~mode:`Tree ~group:1 1.0);
-  nan "Dimension_sweep.simulate"
-    (Experiments.Dimension_sweep.simulate
-       { Experiments.Dimension_sweep.default_config with trials = 2; pairs = 50 }
-       ~dim:2 ~side:8 1.0);
+  let at series label = Option.get (Helpers.value_at series ~label ~x:1.0) in
+  nan "Correlated_failures.run_all"
+    (at
+       (Experiments.Correlated_failures.run_all
+          { Experiments.Correlated_failures.default_config with
+            bits = 6; trials = 2; pairs = 50; qs = [ 1.0 ] })
+       "tree(iid)");
+  nan "Base_sweep.tree_series"
+    (at
+       (Experiments.Base_sweep.tree_series
+          { Experiments.Base_sweep.default_config with
+            bits = 6; trials = 2; pairs = 50; groups = [ 1 ]; qs = [ 1.0 ] })
+       "b=2(sim)");
+  nan "Dimension_sweep.run"
+    (at
+       (Experiments.Dimension_sweep.run
+          { Experiments.Dimension_sweep.default_config with
+            trials = 2; pairs = 50; configurations = [ (2, 8) ]; qs = [ 1.0 ] })
+       "2x8(sim)");
   let percolation =
     Sim.Percolation.run ~trials:2 ~pairs:50 ~seed:3 ~bits:6 ~q:1.0 Rcm.Geometry.Ring
   in

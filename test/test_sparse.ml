@@ -3,6 +3,15 @@ open Helpers
 let build ?(seed = 51) ?(bits = 10) ?(nodes = 200) geometry =
   Overlay.Sparse.build ~rng:(rng_of_seed seed) ~bits ~nodes geometry
 
+(* The contact indexes of node [v]: row [v] of the uniform-degree block. *)
+let contacts t v =
+  let degree = Overlay.Sparse.degree t and targets = Overlay.Sparse.targets t in
+  Array.init degree (fun i -> Int32.to_int targets.{(v * degree) + i})
+
+let index_of_id t id =
+  let i = Overlay.Sparse.successor_index t id in
+  if Overlay.Sparse.id_of t i = id then Some i else None
+
 let test_ids_sorted_distinct () =
   let t = build Rcm.Geometry.Ring in
   let ids = Array.init (Overlay.Sparse.node_count t) (Overlay.Sparse.id_of t) in
@@ -14,8 +23,7 @@ let test_ids_sorted_distinct () =
 let test_dense_sampling_regime () =
   (* nodes close to 2^bits exercises the shuffle path. *)
   let t = build ~bits:8 ~nodes:250 Rcm.Geometry.Ring in
-  Alcotest.(check int) "count" 250 (Overlay.Sparse.node_count t);
-  check_close (250.0 /. 256.0) (Overlay.Sparse.occupancy t)
+  Alcotest.(check int) "count" 250 (Overlay.Sparse.node_count t)
 
 let test_fully_populated_extreme () =
   let t = build ~bits:6 ~nodes:64 Rcm.Geometry.Ring in
@@ -34,7 +42,7 @@ let test_lower_bound_and_successor () =
   (* lower_bound of each id is its own index. *)
   for v = 0 to n - 1 do
     Alcotest.(check int) "lower_bound of own id" v
-      (Overlay.Sparse.lower_bound t (Overlay.Sparse.id_of t v))
+      (Overlay.Sparse.lower_bound_within t ~lo:0 ~hi:n (Overlay.Sparse.id_of t v))
   done;
   (* Within a range, the search clamps to it. *)
   let lo = n / 4 and hi = n / 2 in
@@ -53,11 +61,11 @@ let test_lower_bound_and_successor () =
 let test_index_of_id () =
   let t = build Rcm.Geometry.Ring in
   Alcotest.(check (option int)) "existing" (Some 5)
-    (Overlay.Sparse.index_of_id t (Overlay.Sparse.id_of t 5));
+    (index_of_id t (Overlay.Sparse.id_of t 5));
   (* Some id is unoccupied at 200/1024 occupancy; find one. *)
   let unoccupied = ref (-1) in
   for id = 0 to 1023 do
-    if !unoccupied < 0 && Overlay.Sparse.index_of_id t id = None then unoccupied := id
+    if !unoccupied < 0 && index_of_id t id = None then unoccupied := id
   done;
   Alcotest.(check bool) "an unoccupied id exists" true (!unoccupied >= 0)
 
@@ -93,7 +101,7 @@ let test_ring_fingers_are_successors () =
           let d = Idspace.Id.ring_distance ~bits target (Overlay.Sparse.id_of t w) in
           if d < gap then Alcotest.failf "finger %d of node %d not the closest successor" i v
         done)
-      (Overlay.Sparse.contacts t v)
+      (contacts t v)
   done
 
 let test_prefix_contacts_valid () =
@@ -111,7 +119,7 @@ let test_prefix_contacts_valid () =
               Alcotest.(check int) "prefix length" (level - 1)
                 (Idspace.Id.common_prefix_length ~bits id_v id_c)
             end)
-          (Overlay.Sparse.contacts t v)
+          (contacts t v)
       done)
     [ Rcm.Geometry.Tree; Rcm.Geometry.Xor ]
 
@@ -119,7 +127,7 @@ let test_symphony_contacts () =
   let t = build (Rcm.Geometry.Symphony { k_n = 2; k_s = 2 }) in
   let n = Overlay.Sparse.node_count t in
   for v = 0 to n - 1 do
-    let contacts = Overlay.Sparse.contacts t v in
+    let contacts = contacts t v in
     Alcotest.(check int) "degree" 4 (Array.length contacts);
     Alcotest.(check int) "first near neighbour" ((v + 1) mod n) contacts.(0);
     Alcotest.(check int) "second near neighbour" ((v + 2) mod n) contacts.(1)
@@ -155,7 +163,7 @@ let test_routing_no_failures () =
         if dst <> src then
           if
             not
-              (Routing.Outcome.is_delivered
+              (Helpers.delivered
                  (Routing.Sparse_router.route t ~alive:all_alive ~src ~dst))
           then incr drops
       done;
@@ -211,7 +219,7 @@ let test_full_occupancy_matches_dense_ring () =
   let dense = Overlay.Table.build ~bits Rcm.Geometry.Ring in
   for v = 0 to (1 lsl bits) - 1 do
     Alcotest.(check (array int)) "fingers coincide" (Overlay.Table.neighbors dense v)
-      (Overlay.Sparse.contacts sparse v)
+      (contacts sparse v)
   done;
   (* And routing agrees outcome-for-outcome under the same failures. *)
   let rng = rng_of_seed 8 in
@@ -268,7 +276,12 @@ module Model = struct
     let size = 1 lsl bits in
     if 2 * count >= size then begin
       let all = Array.init size Fun.id in
-      Prng.Splitmix.shuffle_in_place rng all;
+      for i = size - 1 downto 1 do
+        let j = Prng.Splitmix.int rng (i + 1) in
+        let tmp = all.(i) in
+        all.(i) <- all.(j);
+        all.(j) <- tmp
+      done;
       let chosen = Array.sub all 0 count in
       Array.sort compare chosen;
       chosen
@@ -326,7 +339,9 @@ module Model = struct
             let lo, hi = prefix_range t ~pattern ~prefix_len:(level * group) in
             if hi <= lo then missing else lo + Prng.Splitmix.int rng (hi - lo)))
 
-  let group_of g = Idspace.Id.floor_log2 (Rcm.Geometry.param_exn g "h")
+  let group_of = function
+    | Rcm.Geometry.Custom { params; _ } -> Idspace.Id.floor_log2 (List.assoc "h" params)
+    | _ -> assert false
 
   let build rng ~bits ~nodes geometry =
     let t = { bits; ids = sample_ids rng ~bits ~count:nodes; contacts = [||] } in
@@ -500,7 +515,7 @@ let flat_layout_matches_model =
       for v = 0 to nodes - 1 do
         if Overlay.Sparse.id_of t v <> m.ids.(v) then
           QCheck2.Test.fail_reportf "%s: id %d differs" case v;
-        if Overlay.Sparse.contacts t v <> m.contacts.(v) then
+        if contacts t v <> m.contacts.(v) then
           QCheck2.Test.fail_reportf "%s: contacts of node %d differ" case v
       done;
       let alive = Overlay.Failure.sample ~rng ~q:(float_of_int (seed mod 6) /. 10.) nodes in
@@ -564,11 +579,12 @@ let test_e6_experiment_shape () =
   (* q = 0 delivers everything regardless of occupancy. *)
   List.iter
     (fun label ->
-      check_close ~msg:label 1.0 (Option.get (Experiments.Series.value_at s ~label ~x:0.0)))
+      check_close ~msg:label 1.0 (Option.get (Helpers.value_at s ~label ~x:0.0)))
     [ "sim(d=8)"; "sim(d=11)" ];
   (* The spread between occupancies stays modest. *)
   let spread =
-    Experiments.Sparse_occupancy.max_spread s ~labels:[ "sim(d=8)"; "sim(d=11)" ]
+    let a = Helpers.column s "sim(d=8)" and b = Helpers.column s "sim(d=11)" in
+    Array.fold_left Float.max 0.0 (Array.map2 (fun x y -> Float.abs (x -. y)) a b)
   in
   Alcotest.(check bool) (Printf.sprintf "spread %.3f < 0.12" spread) true (spread < 0.12)
 

@@ -1,7 +1,13 @@
 open Helpers
 
+(* Welford's summary of the samples, in array order. *)
+let of_array xs =
+  let s = Stats.Summary.create () in
+  Array.iter (Stats.Summary.add s) xs;
+  s
+
 let test_summary_basic () =
-  let s = Stats.Summary.of_array [| 1.0; 2.0; 3.0; 4.0 |] in
+  let s = of_array [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check int) "count" 4 (Stats.Summary.count s);
   check_close 2.5 (Stats.Summary.mean s);
   check_close (5.0 /. 3.0) (Stats.Summary.variance s);
@@ -14,13 +20,13 @@ let test_summary_empty () =
   Alcotest.(check bool) "variance nan" true (Float.is_nan (Stats.Summary.variance s))
 
 let test_summary_single () =
-  let s = Stats.Summary.of_array [| 7.0 |] in
+  let s = of_array [| 7.0 |] in
   check_close 7.0 (Stats.Summary.mean s);
   Alcotest.(check bool) "variance nan with one sample" true
     (Float.is_nan (Stats.Summary.variance s))
 
 let test_summary_constant () =
-  let s = Stats.Summary.of_array (Array.make 100 3.0) in
+  let s = of_array (Array.make 100 3.0) in
   check_close 3.0 (Stats.Summary.mean s);
   Alcotest.(check bool) "zero variance" true (Stats.Summary.variance s < 1e-20)
 
@@ -29,14 +35,14 @@ let test_summary_shifted_variance () =
   let base = [| 1.0; 2.0; 3.0; 4.0 |] in
   let shifted = Array.map (fun x -> x +. 1e9) base in
   check_loose
-    (Stats.Summary.variance (Stats.Summary.of_array base))
-    (Stats.Summary.variance (Stats.Summary.of_array shifted))
+    (Stats.Summary.variance (of_array base))
+    (Stats.Summary.variance (of_array shifted))
 
 let summary_mean_bounds =
   qcheck "mean lies within min..max"
     QCheck2.Gen.(list_size (int_range 1 100) (float_range (-1e3) 1e3))
     (fun xs ->
-      let s = Stats.Summary.of_array (Array.of_list xs) in
+      let s = of_array (Array.of_list xs) in
       Stats.Summary.mean s >= Stats.Summary.min s -. 1e-9
       && Stats.Summary.mean s <= Stats.Summary.max s +. 1e-9)
 
@@ -56,7 +62,7 @@ let summary_of_counts =
         Array.concat
           (Array.to_list (Array.mapi (fun h c -> Array.make c (float_of_int h)) counts))
       in
-      let a = Stats.Summary.of_counts counts and b = Stats.Summary.of_array samples in
+      let a = Stats.Summary.of_counts counts and b = of_array samples in
       let same x y = (Float.is_nan x && Float.is_nan y) || x = y in
       let relative x y =
         (Float.is_nan x && Float.is_nan y)
@@ -92,7 +98,7 @@ let test_wilson_width_shrinks () =
   let narrow = Stats.Binomial_ci.wilson ~successes:5_000 ~trials:10_000 () in
   let wide = Stats.Binomial_ci.wilson ~successes:50 ~trials:100 () in
   Alcotest.(check bool) "more trials, narrower CI" true
-    (Stats.Binomial_ci.half_width narrow < Stats.Binomial_ci.half_width wide)
+    Stats.Binomial_ci.(upper narrow -. lower narrow < upper wide -. lower wide)
 
 let test_wilson_invalid () =
   Alcotest.check_raises "no trials" (Invalid_argument "Binomial_ci.wilson: no trials")
@@ -111,24 +117,25 @@ let wilson_ordered =
 
 let test_histogram_basic () =
   let h = Stats.Histogram.create ~buckets:4 in
-  List.iter (Stats.Histogram.add h) [ 0; 1; 1; 2; 9 ];
-  Alcotest.(check int) "bucket 1" 2 (Stats.Histogram.count h 1);
-  Alcotest.(check int) "total" 5 (Stats.Histogram.total h);
-  Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h);
-  check_close 0.4 (Stats.Histogram.fraction h 1);
-  check_close 1.0 (Stats.Histogram.mean h);
+  Alcotest.(check (array (float 0.0))) "empty" [| 0.0; 0.0; 0.0; 0.0 |]
+    (Stats.Histogram.to_fractions h);
+  List.iter (fun b -> Stats.Histogram.add_many h b 1) [ 0; 1; 1; 2; 9 ];
+  (* The overflow sample (9) counts in the total, not in a bucket. *)
+  Alcotest.(check (array (float 1e-12))) "fractions" [| 0.2; 0.4; 0.2; 0.0 |]
+    (Stats.Histogram.to_fractions h);
   let many = Stats.Histogram.create ~buckets:4 in
   List.iter
     (fun (bucket, n) -> Stats.Histogram.add_many many bucket n)
     [ (1, 2); (3, 0); (0, 1); (9, 1); (2, 1) ];
   Alcotest.(check (array (float 0.0))) "add_many = repeated add"
-    (Stats.Histogram.to_fractions h) (Stats.Histogram.to_fractions many);
-  Alcotest.(check int) "add_many overflow" 1 (Stats.Histogram.overflow many)
+    (Stats.Histogram.to_fractions h) (Stats.Histogram.to_fractions many)
 
 let test_histogram_negative () =
   let h = Stats.Histogram.create ~buckets:2 in
   Alcotest.check_raises "negative" (Invalid_argument "Histogram.add: negative bucket")
-    (fun () -> Stats.Histogram.add h (-1))
+    (fun () -> Stats.Histogram.add_many h (-1) 1);
+  Alcotest.check_raises "negative count" (Invalid_argument "Histogram.add_many: negative count")
+    (fun () -> Stats.Histogram.add_many h 0 (-1))
 
 let test_sampler_pair_distinct () =
   let rng = rng_of_seed 99 in

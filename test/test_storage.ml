@@ -117,7 +117,7 @@ let test_quorum_majority () =
       Alcotest.(check bool)
         (Printf.sprintf "majority intersects at r=%d" r)
         true
-        (Storage.Quorum.read_your_writes q))
+        (q.Storage.Quorum.rq + q.Storage.Quorum.wq > r))
     [ (1, 1); (2, 2); (3, 2); (4, 3); (5, 3) ]
 
 let test_threshold_of_string () =
@@ -165,7 +165,8 @@ let quorum_intersection =
             if popcount b = wq && a land b = 0 then always := false
           done
       done;
-      Storage.Quorum.read_your_writes (Storage.Quorum.make ~r ~rq ~wq) = !always)
+      let q = Storage.Quorum.make ~r ~rq ~wq in
+      (q.Storage.Quorum.rq + q.Storage.Quorum.wq > q.Storage.Quorum.r) = !always)
 
 (* --- Leslie closed form ------------------------------------------------------ *)
 
@@ -191,14 +192,6 @@ let test_survival_closed_forms () =
 let test_survival_edges () =
   check_close ~msg:"quorum 0" 1.0 (survival ~q:0.9 ~r:3 ~quorum:0);
   check_close ~msg:"quorum > r" 0.0 (survival ~q:0.1 ~r:3 ~quorum:4);
-  check_close ~msg:"expected alive" 2.1 (Rcm.Data_availability.expected_alive ~q:0.3 ~r:3);
-  check_close ~msg:"rw survival = tail at max"
-    (survival ~q:0.3 ~r:5 ~quorum:4)
-    (Rcm.Data_availability.read_write_survival ~q:0.3 ~r:5 ~rq:2 ~wq:4);
-  Alcotest.(check bool) "ryw 3/2/2" true
-    (Rcm.Data_availability.read_your_writes ~r:3 ~rq:2 ~wq:2);
-  Alcotest.(check bool) "no ryw 3/1/2" false
-    (Rcm.Data_availability.read_your_writes ~r:3 ~rq:1 ~wq:2);
   rejects "r=0" (fun () -> survival ~q:0.5 ~r:0 ~quorum:1);
   rejects "q>1" (fun () -> survival ~q:1.5 ~r:2 ~quorum:1)
 
@@ -389,8 +382,7 @@ let test_churn_sim_deterministic () =
 
 let test_churn_sim_rates () =
   let cfg = churn_config ~session_mean:8.0 ~gap_mean:2.0 () in
-  check_close ~msg:"churn rate" 0.1 (Storage.Churn_sim.churn_rate cfg);
-  check_close ~msg:"expected alive" 0.8 (Storage.Churn_sim.expected_alive cfg)
+  check_close ~msg:"churn rate" 0.1 (Storage.Churn_sim.churn_rate cfg)
 
 let test_churn_sim_no_churn_limit () =
   (* Sessions far beyond the horizon: nobody ever departs, so every
@@ -448,11 +440,8 @@ let test_sweep_deterministic_across_pools () =
   let sequential =
     Experiments.Storage_sweep.run ~geometries:sweep_geometries sweep_config
   in
-  let pool = Exec.Pool.create ~domains:3 () in
   let parallel =
-    Fun.protect
-      ~finally:(fun () -> Exec.Pool.shutdown pool)
-      (fun () ->
+    Exec.Pool.with_pool ~domains:3 (fun pool ->
         Experiments.Storage_sweep.run ~pool ~geometries:sweep_geometries sweep_config)
   in
   Alcotest.(check (list string)) "byte-identical rows"
@@ -758,7 +747,7 @@ let test_batched_reads_one_survivor () =
             (fun () ->
               let _, store = mk_store ~nodes:100 ~keys:16 ~r ~rq:1 geometry in
               let survivor = (Storage.Store.initial_holders store 0).(0) in
-              let alive = Overlay.Failure.of_bool_array (Array.init 100 (( = ) survivor)) in
+              let alive = Helpers.mask_of_bools (Array.init 100 (( = ) survivor)) in
               let rng = Prng.Splitmix.create ~seed:5 in
               let tally = Storage.Store.tally () in
               Storage.Store.read_batch store ~rng ~rank:(Overlay.Rank.create alive) tally 200;

@@ -4,14 +4,17 @@ let torus = Overlay.Torus.build ~dim:3 ~side:4
 
 let test_build_shape () =
   Alcotest.(check int) "size" 64 (Overlay.Torus.node_count torus);
-  Alcotest.(check int) "degree" 6 (Overlay.Torus.degree torus);
   Alcotest.(check int) "dim" 3 (Overlay.Torus.dim torus);
   Alcotest.(check int) "side" 4 (Overlay.Torus.side torus)
 
 let test_side2_degree () =
+  (* At side 2 a step either way along a dimension reaches the same
+     node, so the torus is the 5-cube: its distance is Hamming's. *)
   let h = Overlay.Torus.build ~dim:5 ~side:2 in
-  Alcotest.(check int) "hypercube degree" 5 (Overlay.Torus.degree h);
-  Alcotest.(check int) "size" 32 (Overlay.Torus.node_count h)
+  Alcotest.(check int) "size" 32 (Overlay.Torus.node_count h);
+  for v = 0 to 31 do
+    Alcotest.(check int) "hamming" (Idspace.Id.hamming_distance 0 v) (Overlay.Torus.distance h 0 v)
+  done
 
 let test_coordinates_roundtrip () =
   for v = 0 to 63 do
@@ -24,16 +27,22 @@ let test_coordinates_roundtrip () =
   done
 
 let test_ring_distance () =
-  Alcotest.(check int) "forward" 1 (Overlay.Torus.ring_distance ~side:4 0 1);
-  Alcotest.(check int) "wrap" 1 (Overlay.Torus.ring_distance ~side:4 0 3);
-  Alcotest.(check int) "half" 2 (Overlay.Torus.ring_distance ~side:4 0 2)
+  let ring = Overlay.Torus.build ~dim:1 ~side:4 in
+  Alcotest.(check int) "forward" 1 (Overlay.Torus.distance ring 0 1);
+  Alcotest.(check int) "wrap" 1 (Overlay.Torus.distance ring 0 3);
+  Alcotest.(check int) "half" 2 (Overlay.Torus.distance ring 0 2)
 
 let test_neighbors_at_distance_one () =
+  (* A neighbour steps one unit along one dimension, either way. *)
   for v = 0 to 63 do
-    Array.iter
-      (fun u ->
-        Alcotest.(check int) "unit step" 1 (Overlay.Torus.distance torus v u))
-      (Overlay.Torus.neighbors torus v)
+    for i = 0 to 2 do
+      let c = Overlay.Torus.coordinate torus v i in
+      List.iter
+        (fun step ->
+          let u = Overlay.Torus.with_coordinate torus v i ((c + step) mod 4) in
+          Alcotest.(check int) "unit step" 1 (Overlay.Torus.distance torus v u))
+        [ 1; 3 ]
+    done
   done
 
 let torus_distance_symmetric =
@@ -60,7 +69,7 @@ let test_route_around_failure () =
   (* dim 2, side 4: 0 -> 5 via 1 or 4; killing 1 forces 4. *)
   let t = Overlay.Torus.build ~dim:2 ~side:4 in
   let alive = Overlay.Failure.none 16 in
-  Overlay.Failure.kill alive [| 1 |];
+  Helpers.kill alive [| 1 |];
   match Routing.Torus_router.route t ~rng:(rng_of_seed 1) ~alive ~src:0 ~dst:5 with
   | Routing.Outcome.Delivered { hops = 2 } -> ()
   | o -> Alcotest.failf "expected 2 hops, got %a" Routing.Outcome.pp o
@@ -68,7 +77,7 @@ let test_route_around_failure () =
 let test_population_sums_to_n () =
   List.iter
     (fun (dim, side) ->
-      let n = Rcm.Torus_bounds.network_size ~dim ~side in
+      let n = Numerics.Kahan.sum_array (Rcm.Torus_bounds.population ~dim ~side) in
       let expected = Float.pow (float_of_int side) (float_of_int dim) in
       check_close ~msg:(Printf.sprintf "%dx%d" dim side) expected n)
     [ (2, 64); (3, 16); (4, 8); (12, 2); (3, 5) ]
@@ -109,17 +118,26 @@ let test_a8_sandwich () =
   let series = Experiments.Dimension_sweep.run cfg in
   Alcotest.(check (list (pair (float 0.0) string)))
     "sandwich holds" []
-    (Experiments.Dimension_sweep.sandwich_violations ~slack:0.03 series
-       ~configurations:cfg.Experiments.Dimension_sweep.configurations)
+    (List.concat_map
+       (fun (dim, side) ->
+         let label kind = Printf.sprintf "%dx%d(%s)" dim side kind in
+         List.map
+           (fun q -> (q, label "lo"))
+           (violations series (label "lo") (label "sim") (fun lo sim -> sim < lo -. 0.03))
+         @ List.map
+             (fun q -> (q, label "up"))
+             (violations series (label "up") (label "sim") (fun up sim -> sim > up +. 0.03)))
+       cfg.Experiments.Dimension_sweep.configurations)
 
 let test_a8_dimension_helps () =
   (* At fixed N, more dimensions = shorter paths with more options. *)
   let cfg =
     { Experiments.Dimension_sweep.default_config with
-      configurations = []; qs = []; trials = 3; pairs = 1_200 }
+      configurations = [ (2, 32); (10, 2) ]; qs = [ 0.3 ]; trials = 3; pairs = 1_200 }
   in
-  let low = Experiments.Dimension_sweep.simulate cfg ~dim:2 ~side:32 0.3 in
-  let high = Experiments.Dimension_sweep.simulate cfg ~dim:10 ~side:2 0.3 in
+  let series = Experiments.Dimension_sweep.run cfg in
+  let low = Option.get (value_at series ~label:"2x32(sim)" ~x:0.3) in
+  let high = Option.get (value_at series ~label:"10x2(sim)" ~x:0.3) in
   Alcotest.(check bool) (Printf.sprintf "%.3f < %.3f" low high) true (low < high)
 
 let suite =

@@ -62,7 +62,9 @@ let test_analyze_aggregates () =
       Alcotest.(check int) "spans" 3 r.Obs.Trace_reader.span_records;
       (* The heartbeat record of an older trace is an ordinary event. *)
       Alcotest.(check int) "events" 4 r.Obs.Trace_reader.event_records;
-      Alcotest.(check (float 1e-9)) "wall clock span" 3.0 r.Obs.Trace_reader.wall_s;
+      (* From the first span's start (it ends at 12.0 after 2.0 s) to the
+         last record at 15.0. *)
+      Alcotest.(check (float 1e-9)) "wall clock span" 5.0 r.Obs.Trace_reader.wall_s;
       (* Spans sorted by total time descending: overlay/build (3.0 s)
          before failure/inject (0.25 s). *)
       (match r.Obs.Trace_reader.spans with
@@ -328,7 +330,7 @@ let test_roundtrip_with_writer () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Obs.Trace.with_file path (fun () ->
+      Helpers.with_trace path (fun () ->
           ignore
             (Obs.Trace.span "test/work"
                ~attrs:[ ("geometry", Obs.Trace.String "xor"); ("n", Obs.Trace.Int 3) ]
@@ -345,6 +347,83 @@ let test_roundtrip_with_writer () =
       | Some [ (2, 7) ] -> ()
       | _ -> Alcotest.fail "hops attr did not round-trip")
 
+(* Corruption: a trace written by Obs.Trace, its names and attrs full of
+   escapes and control bytes, then cut at every byte and flipped at
+   every byte. A cut trace loads or fails with [Corrupt] only, and a
+   partial load keeps every complete line in order; a flipped trace
+   loads or fails with [Corrupt]; every damaged line either parses or
+   fails with [Tiny_json.Error]. *)
+let trace_corruption =
+  let text = QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; 'z'; '"'; '\\'; '\n'; '\t'; '\000'; '\031'; '\127'; '\200'; '/' ]) (int_range 0 6)) in
+  let value =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun s -> Obs.Trace.String s) text;
+          map (fun i -> Obs.Trace.Int i) (int_range (-1000) 1000);
+          map (fun x -> Obs.Trace.Float x) (float_range (-1e6) 1e6);
+          map (fun b -> Obs.Trace.Bool b) bool;
+        ])
+  in
+  let record = QCheck2.Gen.(triple bool text (list_size (int_range 0 3) (pair text value))) in
+  Helpers.qcheck ~count:25 "trace-reader: cut or flipped traces fail cleanly"
+    QCheck2.Gen.(pair (list_size (int_range 1 5) record) (int_range 1 255))
+    (fun (spec, flip) ->
+      let path = Filename.temp_file "dht_rcm_test" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Helpers.with_trace path (fun () ->
+              List.iter
+                (fun (is_span, name, attrs) ->
+                  if is_span then Obs.Trace.span name ~attrs ignore
+                  else Obs.Trace.event name ~attrs ())
+                spec);
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          let full = load path in
+          let names = List.map (fun r -> r.Obs.Trace_reader.name) full in
+          if names <> List.map (fun (_, name, _) -> name) spec then
+            QCheck2.Test.fail_report "names do not round-trip";
+          let write s =
+            let oc = open_out_bin path in
+            output_string oc s;
+            close_out oc
+          in
+          let clean what s =
+            write s;
+            (match Obs.Trace_reader.load path with
+            | _ -> ()
+            | exception Obs.Trace_reader.Corrupt _ -> ()
+            | exception e -> QCheck2.Test.fail_reportf "%s: load raised %s" what (Printexc.to_string e));
+            List.iter
+              (fun line ->
+                match Obs.Tiny_json.parse line with
+                | _ -> ()
+                | exception Obs.Tiny_json.Error _ -> ()
+                | exception e ->
+                    QCheck2.Test.fail_reportf "%s: parse raised %s" what (Printexc.to_string e))
+              (String.split_on_char '\n' s)
+          in
+          let rec prefix n = function
+            | [] -> []
+            | x :: rest -> if n = 0 then [] else x :: prefix (n - 1) rest
+          in
+          for cut = 0 to String.length bytes do
+            let s = String.sub bytes 0 cut in
+            clean (Printf.sprintf "cut at %d" cut) s;
+            let complete = List.length (String.split_on_char '\n' s) - 1 in
+            let kept = (Obs.Trace_reader.load ~allow_partial:true path).Obs.Trace_reader.records in
+            if kept <> prefix complete full && kept <> prefix (complete + 1) full then
+              QCheck2.Test.fail_reportf "cut at %d kept %d of %d complete lines" cut
+                (List.length kept) complete
+          done;
+          for i = 0 to String.length bytes - 1 do
+            let s = Bytes.of_string bytes in
+            Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor flip));
+            clean (Printf.sprintf "flip at %d" i) (Bytes.to_string s)
+          done;
+          true))
+
 let suite =
   [
     ("trace-reader: loads records", `Quick, test_load_shape);
@@ -359,4 +438,5 @@ let suite =
      test_chrome_export_non_finite);
     ("trace-reader: empty trace", `Quick, test_empty_trace);
     ("trace-reader: round-trips the writer", `Quick, test_roundtrip_with_writer);
+    trace_corruption;
   ]
