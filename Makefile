@@ -1,4 +1,4 @@
-.PHONY: all build test check doc docs-smoke exports-audit sweep-smoke trace-smoke perfbench-smoke clean
+.PHONY: all build test check doc docs-smoke exports-audit sanitize sweep-smoke trace-smoke perfbench-smoke clean
 
 all: build
 
@@ -32,6 +32,16 @@ docs-smoke: build
 # in its doc comment; every documented API reference resolves.
 exports-audit:
 	python3 scripts/exports_audit.py
+
+# The C kernels under AddressSanitizer and UndefinedBehaviorSanitizer
+# (the sanitize profile in ./dune): the whole suite, then the
+# sweep-smoke simulate row on the sanitized binaries the suite built.
+# Leak detection is off: the OCaml runtime does not free its heap at
+# exit. Leaves _build/ in the sanitize profile; the next plain dune
+# build rebuilds it.
+sanitize:
+	ASAN_OPTIONS=detect_leaks=0 DUNE_PROFILE=sanitize dune runtest
+	ASAN_OPTIONS=detect_leaks=0 sh scripts/sweep_smoke.sh simulate
 
 # Smoke table, one row per sweep (scripts/sweep_smoke.sh): byte-identity
 # across --jobs and --no-batch, CSV/JSON/loadmap shapes, checkpoint +

@@ -35,6 +35,7 @@
 #include <math.h>
 #include <stdint.h>
 
+#include "levels.h"
 #include "rank.h"
 #include "splitmix.h"
 
@@ -79,8 +80,8 @@ sample_words(intnat *words, intnat n, int64_t threshold, uint64_t state)
    the scalar float loop they replace. */
 typedef void sample_fn(intnat *, intnat, int64_t, uint64_t);
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
-__attribute__((target("arch=x86-64-v4"))) static void
+#ifdef RCM_LEVELS
+V4 static void
 sample_v4(intnat *words, intnat n, int64_t threshold, uint64_t state)
 {
   sample_words(words, n, threshold, state);
@@ -91,7 +92,6 @@ sample_v3(intnat *words, intnat n, int64_t threshold, uint64_t state)
 {
   sample_words(words, n, threshold, state);
 }
-#define SAMPLE_LEVELS 1
 #endif
 
 static void sample_default(intnat *words, intnat n, int64_t threshold, uint64_t state)
@@ -104,9 +104,9 @@ static void sample_default(intnat *words, intnat n, int64_t threshold, uint64_t 
 static sample_fn *sample_variant(intnat k)
 {
   switch (k) {
-#ifdef SAMPLE_LEVELS
+#ifdef RCM_LEVELS
   case 0:
-    return __builtin_cpu_supports("x86-64-v4") ? sample_v4 : NULL;
+    return cpu_v4() ? sample_v4 : NULL;
   case 1:
     return __builtin_cpu_supports("x86-64-v3") ? sample_v3 : NULL;
 #endif
@@ -198,6 +198,32 @@ CAMLprim value rcm_rank_directory(value vindex, value vnw, value vshift)
 CAMLprim value rcm_rank_select(value vrank, value vi)
 {
   struct rank r = rank_of(vrank);
+  return Val_long(rank_select(&r, Long_val(vi)));
+}
+
+/* Whether the x86-64-v4 variants run here: Rank.select_variants and
+   Route_batch.variants list them only then. */
+CAMLprim value rcm_x86_64_v4(value unit)
+{
+  (void)unit;
+#ifdef RCM_LEVELS
+  return Val_bool(cpu_v4());
+#else
+  return Val_false;
+#endif
+}
+
+/* Rank.select_variants: variant 0 selects in the word by PDEP, which
+   is listed, and so called, only where rcm_x86_64_v4 holds; 1 by the
+   search. */
+CAMLprim value rcm_rank_select_variant(value vk, value vrank, value vi)
+{
+  struct rank r = rank_of(vrank);
+#ifdef RCM_LEVELS
+  if (Long_val(vk) == 0)
+    return Val_long(rank_select_pdep(&r, Long_val(vi)));
+#endif
+  (void)vk;
   return Val_long(rank_select(&r, Long_val(vi)));
 }
 

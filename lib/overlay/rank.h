@@ -21,15 +21,16 @@
 
    select(i), for 0 <= i < count: start at word dir[i >> shift], step
    forward while incl[w] <= i, then take bit (i - incl[w-1]) of word w
-   counting set bits from the lowest, by a branch-free binary search
-   over the word's bit counts. Forced one way or the other over ten
-   rotating 20 s runs of route-d20 (7.2M selects a repetition, one
-   AVX-512 Xeon vCPU), the search took job_s to 0.91 s, PDEP to 0.83 s
-   and a bit-clearing loop, whose trip count the branch predictor
-   cannot learn, to 1.04 s. PDEP's 0.07 s lead was smaller than the
-   0.10 s interquartile range of the same workload's runs on the code
-   before the rank index, and AMD before Zen 3 runs PDEP in microcode,
-   so the search is the one select, on every CPU.
+   counting set bits from the lowest. rank_select finds that bit by a
+   branch-free binary search over the word's bit counts, and runs on
+   every CPU. rank_select_pdep finds it with one PDEP, and runs in the
+   x86-64-v4 variants only: the pair draw of route_batch_stubs.c and
+   Rank.select_variants. AMD before Zen 3 runs PDEP in microcode, but
+   none of those CPUs runs x86-64-v4. A 300k-pair draw at 2^20 nodes
+   (600k selects) took 9.6 ms with the search and 3.5 ms with PDEP on
+   one AVX-512 Xeon vCPU, with the same ids. A bit-clearing loop,
+   whose trip count the branch predictor cannot learn, was slower than
+   either (route-d20 job_s 1.04 s against 0.91 s for the search).
 
    No allocation, no exceptions; callers check i. */
 
@@ -39,6 +40,11 @@
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 #include <stdint.h>
+
+#include "levels.h"
+#ifdef RCM_LEVELS
+#include <immintrin.h>
+#endif
 
 struct rank {
   const intnat *words;
@@ -98,5 +104,17 @@ static inline intnat rank_select(const struct rank *r, intnat i)
   intnat before, w = rank_word(r, i, &before);
   return (w << 5) + select_in_word((uint32_t)r->words[w], i - before);
 }
+
+#ifdef RCM_LEVELS
+/* The same id with the in-word select done by PDEP, which deposits
+   1 << r at the r-th set bit of the word: its trailing zero count is
+   select_in_word's result. For x86-64-v4 callers only. */
+V4 static inline intnat rank_select_pdep(const struct rank *r, intnat i)
+{
+  intnat before, w = rank_word(r, i, &before);
+  uint32_t bit = _pdep_u32((uint32_t)1 << (i - before), (uint32_t)r->words[w]);
+  return (w << 5) + __builtin_ctz(bit);
+}
+#endif
 
 #endif

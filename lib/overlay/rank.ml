@@ -19,6 +19,8 @@ type t = {
 external prefix : Bitset.words -> int -> u32 -> int = "rcm_rank_prefix" [@@noalloc]
 external directory : u32 -> int -> int -> unit = "rcm_rank_directory" [@@noalloc]
 external select_unsafe : t -> int -> int = "rcm_rank_select" [@@noalloc]
+external select_variant_unsafe : int -> t -> int -> int = "rcm_rank_select_variant" [@@noalloc]
+external x86_64_v4 : unit -> bool = "rcm_x86_64_v4" [@@noalloc]
 
 let create mask =
   let n = Bitset.length mask in
@@ -51,3 +53,12 @@ let check t i context =
 let select t i =
   check t i "select";
   select_unsafe t i
+
+let select_variants =
+  List.map
+    (fun (name, k) ->
+      ( name,
+        fun t i ->
+          check t i "select";
+          select_variant_unsafe k t i ))
+    ((if x86_64_v4 () then [ ("x86-64-v4", 0) ] else []) @ [ ("default", 1) ])

@@ -41,6 +41,15 @@ val select : t -> int -> int
 (** [select t i] is the [i]-th member, ascending, from 0.
     @raise Invalid_argument outside [0, count t). *)
 
+val select_variants : (string * (t -> int -> int)) list
+(** {!select} once per in-word select this host runs, each called
+    directly: ["x86-64-v4"] (x86-64 GCC builds on CPUs with that
+    level), a PDEP, which the pair draws of [Routing.Route_batch] use
+    there, then ["default"], the search every CPU runs. Every one
+    returns {!select}'s id. Test hook: [select] runs only the search,
+    so only this list lets [test_batch] check the PDEP select against
+    it. *)
+
 val memory_bytes : t -> int
 (** Bytes the index adds to its mask. Test hook: lets [test_batch] pin
     the index at most N/4 bytes, which no other API reports. *)

@@ -14,13 +14,15 @@
 #include <string.h>
 
 #define SPLITMIX_GAMMA 0x9E3779B97F4A7C15ULL
+#define SPLITMIX_MUL1 0xBF58476D1CE4E5B9ULL
+#define SPLITMIX_MUL2 0x94D049BB133111EBULL
 
 /* The output function of Prng.Splitmix: the state after a step,
    mixed. */
 static inline uint64_t splitmix_mix(uint64_t z)
 {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  z = (z ^ (z >> 30)) * SPLITMIX_MUL1;
+  z = (z ^ (z >> 27)) * SPLITMIX_MUL2;
   return z ^ (z >> 31);
 }
 

@@ -8,8 +8,8 @@
     streams. A plugin library registers its family here (naming and
     parsing) and installs behaviour through the per-layer hook
     registries ([Overlay.Table.register_custom_builder],
-    [Routing.Router.register_custom], ...); the [Geom.Registry]
-    descriptor bundles all of that into one record. *)
+    [Routing.Router.register_custom], ...); a descriptor in the
+    [Geom] registry bundles all of that into one record. *)
 
 type t =
   | Tree  (** Plaxton prefix routing *)
@@ -30,7 +30,7 @@ val default_symphony : t
 val all_default : t list
 (** The five paper geometries with default parameters, in the paper's
     order — the default sweep set. Plugin families are enumerated via
-    [Geom.Registry], not here. *)
+    the [Geom] registry, not here. *)
 
 type family = {
   family_name : string;  (** canonical lowercase name, e.g. ["record"] *)

@@ -164,14 +164,16 @@ let flush_metrics geometry s =
    randomness while routing, and results are indexed by pair, not by
    completion order.
 
-   Arguments: the table's rule code and seed (see [entries]), targets,
-   alive words, offsets, srcs, dsts, pair count, hops out, stuck out,
-   bits, uniform degree (-1 when ragged), and the loadmap traversal /
-   termination counter slices (zero-length = telemetry off). A
-   built-in lane applied to a rule code and seed is a [block_router],
-   and so is the Symphony driver applied to k_n. *)
+   Arguments: the kernel variant (see [variants]), the table's rule
+   code and seed (see [entries]), targets, alive words, offsets, srcs,
+   dsts, pair count, hops out, stuck out, bits, uniform degree (-1
+   when ragged), and the loadmap traversal / termination counter
+   slices (zero-length = telemetry off). A built-in lane applied to a
+   variant, a rule code and a seed is a [block_router], and so is the
+   Symphony driver applied to k_n. *)
 
 external route_block_tree :
+  int ->
   int ->
   int64 ->
   targets ->
@@ -191,6 +193,7 @@ external route_block_tree :
 
 external route_block_xor :
   int ->
+  int ->
   int64 ->
   targets ->
   words ->
@@ -208,6 +211,7 @@ external route_block_xor :
 [@@noalloc]
 
 external route_block_ring :
+  int ->
   int ->
   int64 ->
   targets ->
@@ -248,10 +252,12 @@ external route_symphony :
 (* Draws pairs [lo, hi) into the two arrays, draw for draw
    [Stats.Sampler.ordered_indexes] mapped through the survivor source:
    the rank index, or the pool when it is non-empty (the C
-   [draw_pair]). Takes the generator and writes its final state back.
-   Returns hi, or the index of the pair a pool id outside [0, 2^bits)
-   stopped, with that id in the first array. *)
+   [draw_pair]). Takes the variant first and the generator, whose
+   final state it writes back. Returns hi, or the index of the pair a
+   pool id outside [0, 2^bits) stopped, with that id in the first
+   array. *)
 external draw_pairs :
+  int ->
   Overlay.Rank.t ->
   int array ->
   Prng.Splitmix.t ->
@@ -434,7 +440,7 @@ type pairs = Given of int array * int array | Drawn of Overlay.Rank.t * int arra
    draw, not a pass over a pool that can hold every node. The table's
    node count is 2^bits, and an id is below it iff no bit at or above
    [bits] is set (a negative id has them all). *)
-let route context ?scratch table ~rng ~alive pairs n =
+let route context ~variant ?scratch table ~rng ~alive pairs n =
   let layout = layout_of table context in
   let words = mask_words ~table ~alive context in
   let bits = Overlay.Table.bits table in
@@ -461,7 +467,7 @@ let route context ?scratch table ~rng ~alive pairs n =
     match pairs with
     | Given _ -> ()
     | Drawn _ ->
-        let drawn = draw_pairs rank pool rng srcs dsts lo hi bits in
+        let drawn = draw_pairs variant rank pool rng srcs dsts lo hi bits in
         if drawn < hi then reject srcs.(drawn)
   in
   let code, seed, targets, offsets, deg = entries ~bits layout in
@@ -490,12 +496,13 @@ let route context ?scratch table ~rng ~alive pairs n =
     lane targets words offsets srcs dsts n s.hops_buf s.stuck_buf param deg trav term
   in
   (match Overlay.Table.geometry table with
-  | Rcm.Geometry.Tree -> block (route_block_tree code seed) bits
-  | Rcm.Geometry.Xor -> block (route_block_xor code seed) bits
+  | Rcm.Geometry.Tree -> block (route_block_tree variant code seed) bits
+  | Rcm.Geometry.Xor -> block (route_block_xor variant code seed) bits
   | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> (
       match layout with
       | Overlay.Table.Shortcuts { k_n; _ } -> block (route_symphony k_n) bits
-      | Overlay.Table.Block _ | Overlay.Table.Rule _ -> block (route_block_ring code seed) bits)
+      | Overlay.Table.Block _ | Overlay.Table.Rule _ ->
+          block (route_block_ring variant code seed) bits)
   | Rcm.Geometry.Hypercube ->
       let srcs, dsts =
         match pairs with Given (srcs, dsts) -> (srcs, dsts) | Drawn _ -> ([||], [||])
@@ -530,12 +537,12 @@ let route context ?scratch table ~rng ~alive pairs n =
   flush_metrics (Overlay.Table.geometry table) s;
   s
 
-let route_many ?scratch table ~rng ~alive pairs =
-  route "route_many" ?scratch table ~rng ~alive
+let route_many_in variant ?scratch table ~rng ~alive pairs =
+  route "route_many" ~variant ?scratch table ~rng ~alive
     (Given (Array.map fst pairs, Array.map snd pairs))
     (Array.length pairs)
 
-let sample_and_route ?scratch ?pool ?survivors table ~rng ~alive ~pairs =
+let sample_and_route_in variant ?scratch ?pool ?survivors table ~rng ~alive ~pairs =
   let fail what = invalid_arg ("Route_batch.sample_and_route: " ^ what) in
   let indexed rank =
     if Overlay.Rank.count rank < 2 then fail "fewer than two survivors";
@@ -552,4 +559,42 @@ let sample_and_route ?scratch ?pool ?survivors table ~rng ~alive ~pairs =
         indexed rank
     | None, None -> indexed (Overlay.Rank.create alive)
   in
-  route "sample_and_route" ?scratch table ~rng ~alive source pairs
+  route "sample_and_route" ~variant ?scratch table ~rng ~alive source pairs
+
+let route_many = route_many_in 0
+
+let sample_and_route = sample_and_route_in 0
+
+(* --- kernel variants ------------------------------------------------------ *)
+
+(* The variant every C lane and draw takes: 0 runs the AVX-512 rule
+   lanes and the PDEP pair draw when the CPU runs x86-64-v4 (checked
+   per call, in C) and the portable code otherwise; 1 runs the
+   portable code on every CPU. The entry points above pass 0. *)
+external x86_64_v4 : unit -> bool = "rcm_x86_64_v4" [@@noalloc]
+
+type variant = {
+  route_many :
+    Overlay.Table.t -> rng:Prng.Splitmix.t -> alive:Overlay.Failure.t -> (int * int) array -> scratch;
+  sample_and_route :
+    ?pool:int array ->
+    Overlay.Table.t ->
+    rng:Prng.Splitmix.t ->
+    alive:Overlay.Failure.t ->
+    pairs:int ->
+    scratch;
+}
+
+let variants =
+  List.map
+    (fun (name, code) ->
+      ( name,
+        {
+          route_many =
+            (fun table ~rng ~alive pairs ->
+              route_many_in code ~scratch:(create_scratch ()) table ~rng ~alive pairs);
+          sample_and_route =
+            (fun ?pool table ~rng ~alive ~pairs ->
+              sample_and_route_in code ~scratch:(create_scratch ()) ?pool table ~rng ~alive ~pairs);
+        } ))
+    ((if x86_64_v4 () then [ ("x86-64-v4", 0) ] else []) @ [ ("default", 1) ])

@@ -124,6 +124,33 @@ val hop_counts : scratch -> int array
 val delivered_hops_rev_order : scratch -> float list
 (** Delivered hop counts as floats, in routing order. *)
 
+(** {1 Kernel variants} *)
+
+type variant = {
+  route_many :
+    Overlay.Table.t -> rng:Prng.Splitmix.t -> alive:Overlay.Failure.t -> (int * int) array -> scratch;
+  sample_and_route :
+    ?pool:int array ->
+    Overlay.Table.t ->
+    rng:Prng.Splitmix.t ->
+    alive:Overlay.Failure.t ->
+    pairs:int ->
+    scratch;
+}
+(** {!route_many} and {!sample_and_route} on one variant of the C
+    kernel, each call on a fresh scratch. *)
+
+val variants : (string * variant) list
+(** The kernel variants this host runs, each called directly rather
+    than picked per call: ["x86-64-v4"] (x86-64 GCC builds on CPUs
+    with that level), where the tree, xor and ring rule tables route
+    through AVX-512 lanes and pairs are drawn with a PDEP select, then
+    ["default"], the portable lanes and draw every CPU runs. Both give
+    the same outcomes, loadmap counts and generator state. Test hook:
+    {!route_many} and {!sample_and_route} run only the best variant,
+    so only this list lets [test_batch] check the others against it
+    on this host. *)
+
 (** {1 Custom-family lanes}
 
     A custom geometry routes under the batch engine through its

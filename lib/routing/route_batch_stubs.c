@@ -2,6 +2,15 @@
    and symphony route many pairs at once; hypercube walks its pairs one
    after another, drawing from the caller's generator.
 
+   Variants: on CPUs that run x86-64-v4, the tree, xor and ring lanes
+   route their computed tables through AVX-512 lanes and the pair draw
+   selects survivors with PDEP (the AVX-512 section below, and
+   rank.h); every other table, lane and CPU runs the portable code,
+   which is also the reference the tests hold the AVX-512 code to.
+   Each call takes a variant argument: 0 picks per call, by the CPU
+   check of levels.h, as the mask loop of fill_stubs.c does; 1 forces
+   the portable code (Route_batch.variants, a test hook).
+
    Entries: a lane reads entry i of node v through entry() below,
    which either computes it from the table's rule (the builtin tree,
    hypercube, ring and xor tables: Overlay.Table.rule) or loads it
@@ -63,8 +72,13 @@
 #include <stdint.h>
 #include <string.h>
 
+#include "levels.h"
 #include "rank.h"
 #include "splitmix.h"
+
+#ifdef RCM_LEVELS
+#include <immintrin.h>
+#endif
 
 /* Independent routes in flight per block. Enough that a full round of
    other lanes (each a handful of nanoseconds once rows are cached)
@@ -259,16 +273,24 @@ static inline struct batch batch_of(intnat rule, uint64_t seed, value vtargets,
       LANE_DONE(m);                                     \
   } while (0)
 
-/* The lane drivers' OCaml arguments: the rule code and its seed, the
-   block arrays (targets, then the alive words, then offsets), the
-   pairs and their count, the result buffers, bits, the block's
-   uniform degree and the loadmap slices. */
-#define LANE_DRIVER(name, body)                                            \
-  CAMLprim value name(value vrule, value vseed, value vtargets,            \
-                      value vwords, value voffsets, value vsrcs,           \
-                      value vdsts, value vn, value vhops_out,              \
-                      value vstuck_out, value vbits, value vdeg,           \
-                      value vtrav, value vterm)                            \
+/* The lanes that have AVX-512 bodies (defined after the Symphony
+   driver). route_v4 runs the batch on them and returns 1 when
+   [variant] is 0, the CPU runs x86-64-v4 and [lane] has a body for the
+   table's rule; otherwise it returns 0 having done nothing. */
+enum { TREE_LANE, XOR_LANE, RING_LANE };
+
+static int route_v4(intnat variant, int lane, const struct batch *b);
+
+/* The lane drivers' OCaml arguments: the variant, the rule code and
+   its seed, the block arrays (targets, then the alive words, then
+   offsets), the pairs and their count, the result buffers, bits, the
+   block's uniform degree and the loadmap slices. */
+#define LANE_DRIVER(name, body, lane)                                      \
+  CAMLprim value name(value vvariant, value vrule, value vseed,            \
+                      value vtargets, value vwords, value voffsets,        \
+                      value vsrcs, value vdsts, value vn,                  \
+                      value vhops_out, value vstuck_out, value vbits,      \
+                      value vdeg, value vtrav, value vterm)                \
   {                                                                        \
     struct batch b = batch_of(Long_val(vrule), (uint64_t)Int64_val(vseed), \
                               vtargets, vwords, voffsets, vsrcs, vdsts,    \
@@ -276,7 +298,7 @@ static inline struct batch batch_of(intnat rule, uint64_t seed, value vtargets,
                               vtrav, vterm);                               \
     if (b.t.rule == BLOCK)                                                 \
       body(&b, BLOCK);                                                     \
-    else                                                                   \
+    else if (!route_v4(Long_val(vvariant), lane, &b))                      \
       body(&b, b.t.rule);                                                  \
     return Val_unit;                                                       \
   }                                                                        \
@@ -286,7 +308,7 @@ static inline struct batch batch_of(intnat rule, uint64_t seed, value vtargets,
     (void)argn;                                                            \
     return name(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],      \
                 argv[6], argv[7], argv[8], argv[9], argv[10], argv[11],    \
-                argv[12], argv[13]);                                       \
+                argv[12], argv[13], argv[14]);                             \
   }
 
 /* Tree (Plaxton, scalar Tree_router): the only useful neighbour is the
@@ -324,7 +346,7 @@ LANE_BODY void tree_lanes(const struct batch *b, intnat rule)
   }
 }
 
-LANE_DRIVER(rcm_route_tree, tree_lanes)
+LANE_DRIVER(rcm_route_tree, tree_lanes, TREE_LANE)
 
 /* XOR (Kademlia, scalar Xor_router): candidates are the set bits of
    [cur lxor dst] from the highest down; the first alive contact
@@ -370,7 +392,7 @@ LANE_BODY void xor_lanes(const struct batch *b, intnat rule)
   }
 }
 
-LANE_DRIVER(rcm_route_xor, xor_lanes)
+LANE_DRIVER(rcm_route_xor, xor_lanes, XOR_LANE)
 
 /* Ring and Symphony (scalar Greedy_ring): greedy clockwise, next hop =
    the unique minimiser of the remaining clockwise distance over the
@@ -509,7 +531,7 @@ LANE_BODY void ring_lanes(const struct batch *b, intnat rule)
   }
 }
 
-LANE_DRIVER(rcm_route_ring, ring_lanes)
+LANE_DRIVER(rcm_route_ring, ring_lanes, RING_LANE)
 
 /* Symphony (scalar Greedy_ring) on Table.build's layout
    (Overlay.Table.Shortcuts): near neighbour i < k_n of v is its
@@ -632,6 +654,260 @@ CAMLprim value rcm_route_symphony_bc(value *argv, int argn)
                             argv[12]);
 }
 
+/* --- AVX-512 rule lanes ---------------------------------------------------- */
+
+/* The tree and xor lanes on FLIP and FLIP_SUFFIX, and the ring lane on
+   FINGER, as AVX-512 code for CPUs that run x86-64-v4. Block tables,
+   Symphony and hypercube keep the portable code above on every CPU,
+   and so does every rule on other CPUs; the portable lanes are the
+   reference the tests compare these with.
+
+   A computed hop is a few ALU ops, and the portable lane spends them
+   one pair at a time: a branch per probe that the predictor cannot
+   learn (alive or dead at rate q), a dependent load of the alive word,
+   and for xor a SplitMix mix of two 64-bit multiplies. Here eight
+   pairs take a probe per instruction: a lane's candidate bit is
+   63 - lzcnt (AVX512CD), the xor suffix's multiplies are mullo_epi64
+   (AVX512DQ), liveness is one masked gather of the alive words, and
+   which lanes hop and which pass over a dead candidate are mask bits,
+   not branches. 64 lanes are eight independent vectors, so one
+   vector's gather waits while the next ones issue. AVX2 has no 64-bit
+   multiply, lzcnt or masks, so a v3 lane would emulate all three.
+   Per hop, timing the C call alone on 300k drawn pairs at 2^20 nodes
+   and q = 0.1-0.3 (one AVX-512 Xeon vCPU), tree went from 4.1-8.8 ns
+   to 1.0-2.2 ns, xor from 6.8-12.1 ns to 2.2-2.7 ns and ring from
+   5.7-11.0 ns to 0.9-1.1 ns. With a refill every VSTEPS = 4 steps,
+   route-d20 ran within 1% of VSTEPS = 2 and 2% faster than 8.
+
+   Each walk is the portable lane's, probe for probe; only the
+   interleaving of pairs differs, and results are indexed by pair, the
+   loadmap counts are sums, and no lane draws, so the outputs and the
+   generator are the same. A step probes one candidate in every lane
+   with a walk in progress. Before the first step and after every
+   VSTEPS steps, a scalar pass finishes the lanes whose walks ended
+   (hop count, stuck node, termination count) and gives each the next
+   pair in pair order, or idles it; every lane starts out ended, with
+   no pair.
+
+   ASan does not check the gathers (it instruments plain loads and
+   stores): their indices are node ids below 2^bits, the alive words
+   cover 2^bits bits, and every gather is masked to the lanes with a
+   walk in progress. */
+
+#ifdef RCM_LEVELS
+
+#define VLANES 64
+#define VSTEPS 4
+
+typedef int64_t lane_words[VLANES] __attribute__((aligned(64)));
+
+/* The walk of pair [k] ended at [cur]: delivered there (cur is the
+   destination) or stuck there. */
+static inline void lane_end(const struct batch *b, intnat k, intnat hops, intnat cur,
+                            int delivered)
+{
+  b->hops_out[k] = hops;
+  b->stuck_out[k] = delivered ? -1 : cur;
+  if (b->term)
+    b->term[cur]++;
+}
+
+/* One step's liveness test: the lanes of [act] whose [cand] is alive. */
+V4 static inline __mmask8 alive_v4(const struct batch *b, __mmask8 act, __m512i cand)
+{
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i w = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), act,
+                                          _mm512_srli_epi64(cand, 5), b->words, 8);
+  w = _mm512_srlv_epi64(w, _mm512_and_si512(cand, _mm512_set1_epi64(31)));
+  return _mm512_mask_test_epi64_mask(act, w, one);
+}
+
+/* trav[cand] for the lanes of [hop]. */
+V4 static inline void count_hops_v4(const struct batch *b, __mmask8 hop, __m512i cand)
+{
+  int64_t at[8];
+  _mm512_storeu_si512(at, cand);
+  for (unsigned h = hop; h; h &= h - 1)
+    b->trav[at[__builtin_ctz(h)]]++;
+}
+
+V4 static inline __m512i mix_v4(__m512i z)
+{
+  z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
+  z = _mm512_mullo_epi64(z, _mm512_set1_epi64((int64_t)SPLITMIX_MUL1));
+  z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 27));
+  z = _mm512_mullo_epi64(z, _mm512_set1_epi64((int64_t)SPLITMIX_MUL2));
+  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+}
+
+/* Tree and xor. A lane holds cur, dst, rem (the bits of cur ^ dst not
+   yet probed at this hop) and its hop count, and probes the entry that
+   corrects rem's highest bit p, index bits - 1 - p: cur ^ 2^p, whose
+   low p bits FLIP_SUFFIX replaces with entry()'s draw. An alive
+   candidate is the hop, and rem becomes its distance to dst. A dead
+   one ends a tree walk (rem = 0); xor ([retry]) clears its bit and
+   probes the next one down. A walk ends at rem = 0: delivered iff
+   cur == dst, else stuck at cur. */
+V4 static inline __attribute__((always_inline)) void
+flip_lanes_v4(const struct batch *b, int retry, int suffix)
+{
+  lane_words cur = {0}, dst = {0}, rem = {0}, hops = {0};
+  intnat lk[VLANES], next_pair = 0;
+  uint64_t busy = ~(uint64_t)0;
+  for (int m = 0; m < VLANES; m++)
+    lk[m] = -1;
+  const __m512i one = _mm512_set1_epi64(1), top = _mm512_set1_epi64(63),
+                bits = _mm512_set1_epi64(b->t.bits), last = _mm512_set1_epi64(b->t.bits - 1),
+                seed = _mm512_set1_epi64((int64_t)b->t.seed),
+                gamma = _mm512_set1_epi64((int64_t)SPLITMIX_GAMMA),
+                dead_clears = _mm512_set1_epi64(retry ? 0 : -1);
+  for (;;) {
+    uint64_t ended = 0;
+    for (int v = 0; v < VLANES; v += 8) {
+      __m512i r = _mm512_load_si512(rem + v);
+      ended |= (uint64_t)_mm512_testn_epi64_mask(r, r) << v;
+    }
+    for (ended &= busy; ended; ended &= ended - 1) {
+      int m = __builtin_ctzll(ended);
+      if (lk[m] >= 0)
+        lane_end(b, lk[m], hops[m], cur[m], cur[m] == dst[m]);
+      if (next_pair < b->n) {
+        lk[m] = next_pair++;
+        cur[m] = Long_val(Field(b->srcs, lk[m]));
+        dst[m] = Long_val(Field(b->dsts, lk[m]));
+        rem[m] = cur[m] ^ dst[m];
+        hops[m] = 0;
+      } else
+        busy &= ~((uint64_t)1 << m);
+    }
+    if (!busy)
+      return;
+    for (int step = 0; step < VSTEPS; step++)
+      for (int v = 0; v < VLANES; v += 8) {
+        __m512i r = _mm512_load_si512(rem + v);
+        __mmask8 act = _mm512_test_epi64_mask(r, r);
+        if (!act)
+          continue;
+        __m512i c = _mm512_load_si512(cur + v);
+        __m512i p = _mm512_sub_epi64(top, _mm512_lzcnt_epi64(r));
+        __m512i bit = _mm512_sllv_epi64(one, p);
+        __m512i cand = _mm512_xor_si512(c, bit);
+        if (suffix) {
+          __m512i draw = _mm512_add_epi64(_mm512_mullo_epi64(c, bits), _mm512_sub_epi64(last, p));
+          __m512i z = mix_v4(_mm512_add_epi64(
+              seed, _mm512_mullo_epi64(_mm512_add_epi64(draw, one), gamma)));
+          __m512i low = _mm512_sub_epi64(bit, one);
+          cand = _mm512_or_si512(_mm512_andnot_si512(low, cand),
+                                 _mm512_and_si512(_mm512_srli_epi64(z, 2), low));
+        }
+        __mmask8 hop = alive_v4(b, act, cand), dead = act & ~hop;
+        __m512i h = _mm512_load_si512(hops + v);
+        _mm512_store_si512(cur + v, _mm512_mask_mov_epi64(c, hop, cand));
+        _mm512_store_si512(hops + v, _mm512_mask_add_epi64(h, hop, h, one));
+        r = _mm512_mask_xor_epi64(r, hop, cand, _mm512_load_si512(dst + v));
+        r = _mm512_mask_andnot_epi64(r, dead, _mm512_or_si512(bit, dead_clears), r);
+        _mm512_store_si512(rem + v, r);
+        if (b->trav && hop)
+          count_hops_v4(b, hop, cand);
+      }
+  }
+}
+
+V4 static void flip_v4(const struct batch *b, int retry)
+{
+  if (b->t.rule == FLIP_SUFFIX)
+    flip_lanes_v4(b, retry, 1);
+  else
+    flip_lanes_v4(b, retry, 0);
+}
+
+/* Ring. A lane holds cur, rem (the clockwise distance to dst), the
+   finger k it probes next and its hop count: ring_hop_finger's scan,
+   one probe per step. k starts at floor(log2 rem); an alive finger is
+   the hop (rem -= 2^k, and k starts again at floor(log2 rem)), a dead
+   one passes to k - 1. A walk ends at k < 0: delivered iff rem = 0
+   (where floor(log2 rem), 63 - lzcnt, is -1), else stuck at cur. */
+static inline int64_t first_finger(int64_t rem)
+{
+  return rem ? 63 - __builtin_clzll((uint64_t)rem) : -1;
+}
+
+V4 static void ring_v4(const struct batch *b)
+{
+  lane_words cur = {0}, rem = {0}, fk, hops = {0};
+  intnat lk[VLANES], next_pair = 0, mask = ((intnat)1 << b->t.bits) - 1;
+  uint64_t busy = ~(uint64_t)0;
+  for (int m = 0; m < VLANES; m++)
+    lk[m] = fk[m] = -1;
+  const __m512i one = _mm512_set1_epi64(1), top = _mm512_set1_epi64(63),
+                vmask = _mm512_set1_epi64(mask);
+  for (;;) {
+    uint64_t ended = 0;
+    for (int v = 0; v < VLANES; v += 8)
+      ended |= (uint64_t)_mm512_movepi64_mask(_mm512_load_si512(fk + v)) << v;
+    for (ended &= busy; ended; ended &= ended - 1) {
+      int m = __builtin_ctzll(ended);
+      if (lk[m] >= 0)
+        lane_end(b, lk[m], hops[m], cur[m], rem[m] == 0);
+      if (next_pair < b->n) {
+        lk[m] = next_pair++;
+        cur[m] = Long_val(Field(b->srcs, lk[m]));
+        rem[m] = (Long_val(Field(b->dsts, lk[m])) - cur[m]) & mask;
+        fk[m] = first_finger(rem[m]);
+        hops[m] = 0;
+      } else
+        busy &= ~((uint64_t)1 << m);
+    }
+    if (!busy)
+      return;
+    for (int step = 0; step < VSTEPS; step++)
+      for (int v = 0; v < VLANES; v += 8) {
+        __m512i k = _mm512_load_si512(fk + v);
+        __mmask8 act = (__mmask8)~_mm512_movepi64_mask(k);
+        if (!act)
+          continue;
+        __m512i c = _mm512_load_si512(cur + v), r = _mm512_load_si512(rem + v);
+        __m512i finger = _mm512_sllv_epi64(one, k);
+        __m512i cand = _mm512_and_si512(_mm512_add_epi64(c, finger), vmask);
+        __mmask8 hop = alive_v4(b, act, cand), dead = act & ~hop;
+        __m512i h = _mm512_load_si512(hops + v);
+        r = _mm512_mask_sub_epi64(r, hop, r, finger);
+        k = _mm512_mask_sub_epi64(k, dead, k, one);
+        k = _mm512_mask_sub_epi64(k, hop, top, _mm512_lzcnt_epi64(r));
+        _mm512_store_si512(cur + v, _mm512_mask_mov_epi64(c, hop, cand));
+        _mm512_store_si512(rem + v, r);
+        _mm512_store_si512(fk + v, k);
+        _mm512_store_si512(hops + v, _mm512_mask_add_epi64(h, hop, h, one));
+        if (b->trav && hop)
+          count_hops_v4(b, hop, cand);
+      }
+  }
+}
+#endif
+
+static int route_v4(intnat variant, int lane, const struct batch *b)
+{
+#ifdef RCM_LEVELS
+  if (variant != 0 || !cpu_v4())
+    return 0;
+  if (lane == RING_LANE) {
+    if (b->t.rule != FINGER)
+      return 0;
+    ring_v4(b);
+    return 1;
+  }
+  if (b->t.rule != FLIP && b->t.rule != FLIP_SUFFIX)
+    return 0;
+  flip_v4(b, lane == XOR_LANE);
+  return 1;
+#else
+  (void)variant;
+  (void)lane;
+  (void)b;
+  return 0;
+#endif
+}
+
 /* Prng.Splitmix.int at [bound] > 0 with its rejection limit computed
    once per bound: the top 62 bits of a draw, drawn again while above
    the limit, then reduced mod [bound]. */
@@ -674,10 +950,13 @@ static inline struct survivors survivors_of(value vrank, value vpool)
   return sv;
 }
 
-static inline intnat survivor(const struct survivors *sv, intnat i)
+/* A rank select: rank_select, or rank_select_pdep in the x86-64-v4
+   draw loop. */
+typedef intnat select_fn(const struct rank *, intnat);
+
+LANE_BODY intnat survivor(const struct survivors *sv, intnat i, select_fn *select)
 {
-  return Wosize_val(sv->pool) > 0 ? Long_val(Field(sv->pool, i))
-                                  : rank_select(&sv->rank, i);
+  return Wosize_val(sv->pool) > 0 ? Long_val(Field(sv->pool, i)) : select(&sv->rank, i);
 }
 
 /* One pair as Stats.Sampler.ordered_indexes draws it — the source
@@ -685,17 +964,17 @@ static inline intnat survivor(const struct survivors *sv, intnat i)
    its id. Returns 0; or -1 when an id is outside [0, 2^bits), with
    that id in *src and the generator just past the draw that picked
    it. */
-static inline int draw_pair(const struct survivors *sv, uint64_t *s, intnat bits,
-                            intnat *src, intnat *dst)
+LANE_BODY int draw_pair(const struct survivors *sv, select_fn *select, uint64_t *s,
+                        intnat bits, intnat *src, intnat *dst)
 {
   intnat i = splitmix_int_limited(s, sv->count, sv->limit), j;
-  *src = survivor(sv, i);
+  *src = survivor(sv, i, select);
   if ((uintnat)*src >> bits)
     return -1;
   do
     j = splitmix_int_limited(s, sv->count, sv->limit);
   while (j == i);
-  *dst = survivor(sv, j);
+  *dst = survivor(sv, j, select);
   if ((uintnat)*dst >> bits) {
     *src = *dst;
     return -1;
@@ -703,26 +982,53 @@ static inline int draw_pair(const struct survivors *sv, uint64_t *s, intnat bits
   return 0;
 }
 
-/* Route_batch's draw for the lanes that route after drawing: pairs
-   [lo, hi) into srcs/dsts (OCaml int arrays: immediate stores, no
-   write barrier), from the generator [rng], whose final state is
-   written back. Returns hi, or the index of the pair a rejected id
-   stopped, with that id in srcs. */
-CAMLprim value rcm_draw_pairs(value vrank, value vpool, value vrng, value vsrcs,
-                              value vdsts, value vlo, value vhi, value vbits)
+/* Pairs [lo, hi) into srcs/dsts (OCaml int arrays: immediate stores,
+   no write barrier). Returns hi, or the index of the pair a rejected
+   id stopped, with that id in srcs. The loop is built twice: with the
+   searched select, and for x86-64-v4 CPUs with the PDEP one, which
+   returns the same ids. */
+LANE_BODY intnat draw_loop(const struct survivors *sv, select_fn *select, uint64_t *s,
+                           value vsrcs, value vdsts, intnat lo, intnat hi, intnat bits)
 {
-  struct survivors sv = survivors_of(vrank, vpool);
-  intnat bits = Long_val(vbits), hi = Long_val(vhi), k;
-  uint64_t s;
-  memcpy(&s, Bytes_val(vrng), sizeof s);
-  for (k = Long_val(vlo); k < hi; k++) {
+  intnat k;
+  for (k = lo; k < hi; k++) {
     intnat src, dst;
-    int bad = draw_pair(&sv, &s, bits, &src, &dst);
+    int bad = draw_pair(sv, select, s, bits, &src, &dst);
     Field(vsrcs, k) = Val_long(src);
     if (bad)
       break;
     Field(vdsts, k) = Val_long(dst);
   }
+  return k;
+}
+
+#ifdef RCM_LEVELS
+V4 static intnat draw_loop_v4(const struct survivors *sv, uint64_t *s, value vsrcs,
+                              value vdsts, intnat lo, intnat hi, intnat bits)
+{
+  return draw_loop(sv, rank_select_pdep, s, vsrcs, vdsts, lo, hi, bits);
+}
+#endif
+
+/* Route_batch's draw for the lanes that route after drawing, through
+   draw_loop from the generator [rng], whose final state is written
+   back: with the PDEP select when [variant] is 0 and the CPU runs
+   x86-64-v4, as route_v4 picks the lanes. */
+CAMLprim value rcm_draw_pairs(value vvariant, value vrank, value vpool, value vrng,
+                              value vsrcs, value vdsts, value vlo, value vhi, value vbits)
+{
+  struct survivors sv = survivors_of(vrank, vpool);
+  intnat bits = Long_val(vbits), lo = Long_val(vlo), hi = Long_val(vhi), k;
+  uint64_t s;
+  memcpy(&s, Bytes_val(vrng), sizeof s);
+#ifdef RCM_LEVELS
+  if (Long_val(vvariant) == 0 && cpu_v4())
+    k = draw_loop_v4(&sv, &s, vsrcs, vdsts, lo, hi, bits);
+  else
+#else
+  (void)vvariant;
+#endif
+    k = draw_loop(&sv, rank_select, &s, vsrcs, vdsts, lo, hi, bits);
   memcpy(Bytes_val(vrng), &s, sizeof s);
   return Val_long(k);
 }
@@ -731,7 +1037,7 @@ CAMLprim value rcm_draw_pairs_bc(value *argv, int argn)
 {
   (void)argn;
   return rcm_draw_pairs(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                        argv[6], argv[7]);
+                        argv[6], argv[7], argv[8]);
 }
 
 /* Hypercube (CAN, scalar Hypercube_router): the next hop is uniform
@@ -768,7 +1074,7 @@ LANE_BODY intnat hypercube_walk(const struct batch *b, intnat rule,
   for (k = 0; k < n; k++) {
     intnat src, dst;
     if (sv->count > 0) {
-      if (draw_pair(sv, &s, bits, &src, &dst) < 0) {
+      if (draw_pair(sv, rank_select, &s, bits, &src, &dst) < 0) {
         stuck_out[k] = src;
         break;
       }

@@ -15,8 +15,13 @@ in lib/*/*.mli:
    EXPERIMENTS.md, and every `{!Module.name}` in lib/*/*.mli, whose
    module part names a library module must name a value, type or
    record field that module exports; a bare `{!name}` in an interface
-   must name one of that interface's own. Each dangling one is printed
-   as `file:line Module.name` (`file:line name` for a bare one).
+   must name one of that interface's own. A dotted path in those docs
+   or anywhere in an interface whose first segment is a library
+   (`Rcm.`, `Markov.`) must go on with one of that library's modules;
+   a later capitalised segment may be a constructor
+   (`Rcm.Geometry.Tree`). Each dangling one is printed as
+   `file:line Module.name` (`file:line name` for a bare one,
+   `file:line Library.Segment` for a path into no module).
 
 Exits 1 when either check finds something, 0 otherwise.
 
@@ -377,15 +382,35 @@ def audit_references(mods):
                 dangling += 1
                 print(f"{path}:{line_of(text, m.start())} {dotted}")
 
+    # A library's modules: a single-module library (Geom) is its own.
+    lib_modules = {}
+    for m in mods:
+        lib_modules.setdefault(m.lib, set()).add(m.name)
+    lib_path = re.compile(r"(?<![A-Za-z0-9_'.])([A-Z][A-Za-z0-9_]*)\.([A-Z][A-Za-z0-9_]*)")
+
+    def check_libraries(path, text):
+        nonlocal dangling, checked
+        for m in lib_path.finditer(text):
+            lib, seg = m.group(1), m.group(2)
+            if lib not in lib_modules:
+                continue
+            checked += 1
+            if seg not in lib_modules[lib]:
+                dangling += 1
+                print(f"{path}:{line_of(text, m.start())} {lib}.{seg}")
+
     for doc in DOCS:
         with open(doc, encoding="utf-8") as f:
-            check(doc, f.read(), ref)
+            text = f.read()
+        check(doc, text, ref)
+        check_libraries(doc, text)
     odoc = re.compile(r"\{!(?:val:|type:|field:)?((?:[A-Z][A-Za-z0-9_]*\.)+)(" + IDENT + r")\}")
     bare = re.compile(r"\{!(?:val:|type:|field:)?(" + IDENT + r")\}")
     for mod in mods:
         with open(mod.mli, encoding="utf-8") as f:
             text = f.read()
         check(mod.mli, text, odoc)
+        check_libraries(mod.mli, text)
         for m in bare.finditer(text):
             checked += 1
             if not mod.exported(m.group(1)):

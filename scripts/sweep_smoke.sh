@@ -239,15 +239,21 @@ fi
 case "$ROW" in
     simulate)
         say "extra: batch vs scalar byte-identity per geometry"
-        # Points are geometry:bits:q. Hypercube also runs at d = 16, where
-        # its routes are long enough to draw many reservoir samples per pair.
-        for point in ring:8:0.25 xor:8:0.25 tree:8:0.25 hypercube:8:0.25 symphony:8:0.25 \
-                     hypercube:16:0.1 hypercube:16:0.4; do
+        # Points are geometry:bits:q:pairs. Hypercube also runs at d = 16,
+        # where its routes are long enough to draw many reservoir samples
+        # per pair. Tree, xor and ring also route 20 000 pairs at d = 18,
+        # where the lanes of a block (64 in the AVX-512 lanes) refill
+        # hundreds of times.
+        for point in ring:8:0.25:80 xor:8:0.25:80 tree:8:0.25:80 hypercube:8:0.25:80 \
+                     symphony:8:0.25:80 hypercube:16:0.1:80 hypercube:16:0.4:80 \
+                     tree:18:0.3:20000 xor:18:0.3:20000 ring:18:0.3:20000; do
             g=${point%%:*}
-            d=${point#*:}
-            q=${d#*:}
-            d=${d%%:*}
-            ARGS="simulate -g $g -d $d -q $q --trials 2 --pairs 80 --seed 42"
+            rest=${point#*:}
+            d=${rest%%:*}
+            rest=${rest#*:}
+            q=${rest%%:*}
+            pairs=${rest#*:}
+            ARGS="simulate -g $g -d $d -q $q --trials 2 --pairs $pairs --seed 42"
             for jobs in 1 2; do
                 sweep "$g-d$d-q$q.j$jobs.batch" --jobs "$jobs"
                 sweep "$g-d$d-q$q.j$jobs.scalar" --jobs "$jobs" --no-batch

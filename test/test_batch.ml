@@ -182,8 +182,8 @@ let test_sample_tail_written () =
 
 (* Random masks: a length with a partial tail word; all dead, one
    alive, all alive, a random density, or words that are each all
-   alive, all dead or random (long dead runs between full words are
-   what makes select walk past its directory entry); and optionally
+   alive, all dead, random or a single bit (long dead runs between full
+   words are what makes select walk past its directory entry); and optionally
    stray bits above the low 32 of every word, written through
    [Bitset.words], which neither [members] nor the index may count. *)
 let mask_of (n, kind, seed, stray) =
@@ -200,10 +200,10 @@ let mask_of (n, kind, seed, stray) =
     | _ ->
         let m = Overlay.Failure.Bitset.create n in
         for w = 0 to ((n + 31) / 32) - 1 do
-          let style = Prng.Splitmix.int rng 3 in
+          let style = Prng.Splitmix.int rng 4 and single = Prng.Splitmix.int rng 32 in
           for v = 32 * w to min n (32 * (w + 1)) - 1 do
-            if style = 0 || (style = 2 && Helpers.coin rng) then
-              Overlay.Failure.Bitset.set m v true
+            if style = 0 || (style = 2 && Helpers.coin rng) || (style = 3 && v = (32 * w) + single)
+            then Overlay.Failure.Bitset.set m v true
           done
         done;
         m
@@ -221,6 +221,8 @@ let arb_mask =
       Printf.sprintf "n=%d kind=%d seed=%d stray=%b" n kind seed stray)
     QCheck.Gen.(quad (int_range 0 300) (int_range 0 4) nat bool)
 
+(* Through [select] and every in-word select this host runs (the
+   PDEP one on x86-64-v4, the search everywhere). *)
 let prop_select_equals_members =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:400 ~name:"rank: select = members" arb_mask (fun spec ->
@@ -230,7 +232,10 @@ let prop_select_equals_members =
          let words = (Overlay.Failure.Bitset.length mask + 31) / 32 in
          Overlay.Rank.count rank = Array.length members
          && Overlay.Rank.memory_bytes rank <= 8 * words
-         && Array.for_all Fun.id (Array.mapi (fun i v -> Overlay.Rank.select rank i = v) members)))
+         && List.for_all
+              (fun (_, select) ->
+                Array.for_all Fun.id (Array.mapi (fun i v -> select rank i = v) members))
+              (("select", Overlay.Rank.select) :: Overlay.Rank.select_variants)))
 
 (* At 2^20 nodes the directory, the word search and the in-word
    select run over every survivor of a mask the size the d = 20
@@ -532,12 +537,18 @@ let prop_batch_scalar_agreement =
                   (Array.init (Array.length pairs) Fun.id))
            [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]))
 
+(* The kernel variant every CPU runs: the portable lanes and draw. *)
+let portable = List.assoc "default" Routing.Route_batch.variants
+
 (* Property: a rule table, whose entries the lanes compute, routes
    exactly like the same entries stored as a block (its rows, wrapped
-   and flattened), which the same lanes load: outcomes (hops and stuck
-   nodes), loadmap traversal and termination counters and the
+   and flattened), which the portable lanes load: outcomes (hops and
+   stuck nodes), loadmap traversal and termination counters and the
    generator state after the batch (the hypercube lane draws while it
-   routes), through both entry points. Bits 1 is a two-node table.
+   routes), through both entry points. The rule table runs through
+   every kernel variant, so on an x86-64-v4 host the AVX-512 tree, xor
+   and ring lanes and the PDEP draw meet the portable block lanes and
+   draw. Bits 1 is a two-node table.
    Symphony's layout (computed successors, a shortcut column) routes
    on its own lane and its block on the ring lane, which is the
    reference here: k_n in 0..3 and k_s in 1..4, and (2, 31), which has
@@ -604,24 +615,114 @@ let prop_rule_block_agreement =
              Prng.Splitmix.state rng )
          in
          let agree batch =
-           let outcomes_r, lm_r, state_r = run batch rule in
-           let outcomes_b, lm_b, state_b = run batch block in
-           Array.for_all2 Routing.Outcome.equal outcomes_r outcomes_b
-           && Helpers.loadmap_equal lm_r lm_b && state_r = state_b
+           let outcomes_b, lm_b, state_b = run (batch portable) block in
+           List.for_all
+             (fun (_, variant) ->
+               let outcomes_r, lm_r, state_r = run (batch variant) rule in
+               Array.for_all2 Routing.Outcome.equal outcomes_r outcomes_b
+               && Helpers.loadmap_equal lm_r lm_b && state_r = state_b)
+             Routing.Route_batch.variants
          in
          (match (Overlay.Table.layout rule, Overlay.Table.layout block) with
          | Some (Overlay.Table.Rule _ | Overlay.Table.Shortcuts _), Some (Overlay.Table.Block _) ->
              true
          | _ -> false)
-         && agree (fun table ~rng ->
-                Routing.Route_batch.route_many
-                  ~scratch:(Routing.Route_batch.create_scratch ())
-                  table ~rng ~alive given)
+         && agree (fun (v : Routing.Route_batch.variant) table ~rng ->
+                v.route_many table ~rng ~alive given)
          && (Array.length pool < 2
-            || agree (fun table ~rng ->
-                   Routing.Route_batch.sample_and_route
-                     ~scratch:(Routing.Route_batch.create_scratch ())
-                     table ~rng ~alive ~pool ~pairs))))
+            || agree (fun (v : Routing.Route_batch.variant) table ~rng ->
+                   v.sample_and_route table ~rng ~alive ~pool ~pairs)
+            && agree (fun (v : Routing.Route_batch.variant) table ~rng ->
+                   v.sample_and_route table ~rng ~alive ~pairs))))
+
+(* --- kernel variants ------------------------------------------------------- *)
+
+(* Every kernel variant this host runs (on x86-64-v4 the AVX-512 rule
+   lanes and the PDEP draw, and everywhere the portable code) against
+   the scalar router, at the edges of the lanes: tree, xor and ring at
+   bits 1-3 and at random bits up to 16, q from none dead to nearly all,
+   and pair counts around one 8-lane vector and the 64 lanes of a block
+   (0, 1, 7, 8, 9, 63, 64, 65) and past them (300), where lanes refill
+   many times and finish out of pair order. [route_many]'s pairs include
+   src = dst, delivered in 0 hops, and [sample_and_route] draws through
+   the rank index. Each run must give the scalar outcomes (hops and
+   stuck nodes), loadmap counts and generator state, so the variants
+   also agree with each other. *)
+let test_variants_at_edges () =
+  Alcotest.(check bool) "the default variant always runs" true
+    (List.mem_assoc "default" Routing.Route_batch.variants);
+  let draw_bits = Prng.Splitmix.create ~seed:16 in
+  let bits_list = [ 1; 2; 3 ] @ List.init 4 (fun _ -> 4 + Prng.Splitmix.int draw_bits 13) in
+  let check_run what (outcomes, lm, state) (outcomes', lm', state') =
+    Alcotest.(check (array outcome)) (what ^ ": outcomes") outcomes outcomes';
+    Alcotest.(check bool) (what ^ ": loadmap") true (Helpers.loadmap_equal lm lm');
+    Alcotest.(check int64) (what ^ ": rng state") state state'
+  in
+  List.iter
+    (fun geometry ->
+      List.iter
+        (fun bits ->
+          let table = flat_table ~seed:bits ~bits geometry in
+          let nodes = Overlay.Table.node_count table in
+          List.iteri
+            (fun qi q ->
+              let alive =
+                Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(bits + qi)) ~q nodes
+              in
+              let pool = Overlay.Failure.survivors alive in
+              let survivors = Array.length pool in
+              let run n route =
+                let lm = Obs.Loadmap.create ~nodes in
+                let rng = Prng.Splitmix.create ~seed:n in
+                let outcomes = Obs.Loadmap.with_sink lm (fun () -> route ~rng) in
+                (outcomes, lm, Prng.Splitmix.state rng)
+              in
+              List.iter
+                (fun n ->
+                  let what =
+                    Printf.sprintf "%s bits=%d q=%g n=%d" (Rcm.Geometry.slug geometry) bits q n
+                  in
+                  let pick = Prng.Splitmix.create ~seed:(n + bits) in
+                  let given =
+                    if survivors = 0 then [||]
+                    else
+                      Array.init n (fun k ->
+                          let src = pool.(Prng.Splitmix.int pick survivors) in
+                          (src, if k mod 5 = 0 then src else pool.(Prng.Splitmix.int pick survivors)))
+                  in
+                  let scalar_given =
+                    run n (fun ~rng ->
+                        Array.map
+                          (fun (src, dst) -> Routing.Router.route table ~rng ~alive ~src ~dst)
+                          given)
+                  in
+                  let scalar_drawn =
+                    lazy
+                      (run n (fun ~rng ->
+                           Array.init n (fun _ ->
+                               let src, dst = Stats.Sampler.ordered_pair rng pool in
+                               Routing.Router.route table ~rng ~alive ~src ~dst)))
+                  in
+                  List.iter
+                    (fun (name, (v : Routing.Route_batch.variant)) ->
+                      check_run
+                        (Printf.sprintf "%s %s route_many" what name)
+                        scalar_given
+                        (run n (fun ~rng ->
+                             let s = v.route_many table ~rng ~alive given in
+                             Array.init (Array.length given) (Routing.Route_batch.outcome s)));
+                      if survivors >= 2 then
+                        check_run
+                          (Printf.sprintf "%s %s sample_and_route" what name)
+                          (Lazy.force scalar_drawn)
+                          (run n (fun ~rng ->
+                               let s = v.sample_and_route table ~rng ~alive ~pairs:n in
+                               Array.init n (Routing.Route_batch.outcome s))))
+                    Routing.Route_batch.variants)
+                [ 0; 1; 7; 8; 9; 63; 64; 65; 300 ])
+            [ 0.0; 0.5; 0.95 ])
+        bits_list)
+    [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]
 
 (* --- the hypercube lane ------------------------------------------------------ *)
 
@@ -973,4 +1074,5 @@ let suite =
     Alcotest.test_case "sample_and_route: rank index = pool" `Quick
       test_sample_and_route_rank_equals_pool;
     Alcotest.test_case "failure mask tail: no member past n" `Quick test_sample_tail_written;
+    Alcotest.test_case "kernel variants = scalar at the lane edges" `Quick test_variants_at_edges;
   ]
