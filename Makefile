@@ -33,9 +33,10 @@ docs-smoke: build
 exports-audit:
 	python3 scripts/exports_audit.py
 
-# The C kernels under AddressSanitizer and UndefinedBehaviorSanitizer
-# (the sanitize profile in ./dune): the whole suite, then the
-# sweep-smoke simulate row on the sanitized binaries the suite built.
+# The C kernels under AddressSanitizer and UndefinedBehaviorSanitizer,
+# with the index checks of lib/overlay/bounds.h on (the sanitize
+# profile in ./dune): the whole suite, then the sweep-smoke simulate
+# row on the sanitized binaries the suite built.
 # Leak detection is off: the OCaml runtime does not free its heap at
 # exit. Leaves _build/ in the sanitize profile; the next plain dune
 # build rebuilds it.

@@ -26,12 +26,14 @@
    immediates (Val_long), which need no write barrier.
 
    No allocation, no callbacks, no exceptions; the OCaml callers check
-   node, level and mask ranges. */
+   node, level and mask ranges. Every index into those arrays goes
+   through bounds.h, which checks it in the sanitize profile. */
 
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 #include <stdint.h>
 
+#include "bounds.h"
 #include "splitmix.h"
 
 /* The fields of a Kbucket.t, by position. */
@@ -89,6 +91,13 @@ static inline void move_to_tail(value *a, intnat n, intnat i)
   a[n - 1] = x;
 }
 
+/* Bucket b's slots of [a], which holds [stride] > 0 slots per bucket,
+   and its slot count from [lens], at most [stride]. Macros, not
+   functions, so that without RCM_BOUNDS the code is the bare
+   indexing's, instruction for instruction. */
+#define SLOTS(a, b, stride) ((a) + BOUND((b), Wosize_val((value)(a)) / (stride)) * (stride))
+#define USED(lens, b, stride) BOUND(Long_val(AT_PTR((lens), (b))), (stride) + 1)
+
 static inline intnat capacity(const struct kb *kb, intnat level)
 {
   intnat candidates = (intnat)1 << (kb->bits - level);
@@ -102,21 +111,21 @@ static void observe(const struct kb *kb, intnat v, intnat id)
     return;
   intnat level = kb->bits - (63 - __builtin_clzll((unsigned long long)(v ^ id)));
   intnat b = v * kb->bits + level - 1;
-  value *c = kb->contacts + b * kb->stride, vid = Val_long(id);
-  intnat n = Long_val(kb->len[b]), i = index_of(c, n, vid);
+  value *c = SLOTS(kb->contacts, b, kb->stride), vid = Val_long(id);
+  intnat n = USED(kb->len, b, kb->stride), i = index_of(c, n, vid);
   if (i >= 0)
     move_to_tail(c, n, i);
   else if (n < capacity(kb, level)) {
-    c[n] = vid;
-    kb->len[b] = Val_long(n + 1);
+    c[BOUND(n, kb->stride)] = vid;
+    AT_PTR(kb->len, b) = Val_long(n + 1);
   } else if (kb->cache_stride > 0) {
-    value *cc = kb->cache + b * kb->cache_stride;
-    intnat m = Long_val(kb->cache_len[b]), j = index_of(cc, m, vid);
+    value *cc = SLOTS(kb->cache, b, kb->cache_stride);
+    intnat m = USED(kb->cache_len, b, kb->cache_stride), j = index_of(cc, m, vid);
     if (j >= 0)
       move_to_tail(cc, m, j);
     else if (m < kb->cache_stride) {
       cc[m] = vid;
-      kb->cache_len[b] = Val_long(m + 1);
+      AT_PTR(kb->cache_len, b) = Val_long(m + 1);
     } else {
       /* Full cache: the oldest entry drops out at the head. */
       for (intnat j = 0; j < m - 1; j++)
@@ -132,13 +141,13 @@ static void draw_bucket(const struct kb *kb, uint64_t *s, intnat v, intnat level
                         const intnat *words)
 {
   intnat b = v * kb->bits + level - 1;
-  value *c = kb->contacts + b * kb->stride;
+  value *c = SLOTS(kb->contacts, b, kb->stride);
   intnat candidates = (intnat)1 << (kb->bits - level);
   intnat prefix = (v ^ candidates) & ~(candidates - 1);
   if (candidates <= kb->k) {
     for (intnat suffix = 0; suffix < candidates; suffix++)
-      c[suffix] = Val_long(prefix | suffix);
-    kb->len[b] = Val_long(candidates);
+      c[BOUND(suffix, kb->stride)] = Val_long(prefix | suffix);
+    AT_PTR(kb->len, b) = Val_long(candidates);
     return;
   }
   for (intnat filled = 0; filled < kb->k; filled++) {
@@ -153,9 +162,9 @@ static void draw_bucket(const struct kb *kb, uint64_t *s, intnat v, intnat level
       }
       break;
     }
-    c[filled] = Val_long(id);
+    c[BOUND(filled, kb->stride)] = Val_long(id);
   }
-  kb->len[b] = Val_long(kb->k);
+  AT_PTR(kb->len, b) = Val_long(kb->k);
 }
 
 /* Kbucket.build: every bucket, node-major, no liveness preference. */
@@ -182,12 +191,12 @@ CAMLprim value rcm_kbucket_rejoin(value t, value rng, value vv, value words)
   uint64_t s = splitmix_load(rng);
   for (intnat level = 1; level <= kb.bits; level++) {
     draw_bucket(&kb, &s, v, level, w);
-    kb.cache_len[first + level - 1] = Val_long(0);
+    AT_PTR(kb.cache_len, first + level - 1) = Val_long(0);
   }
   splitmix_store(rng, s);
   for (intnat b = first; b < first + kb.bits; b++) {
-    const value *c = kb.contacts + b * kb.stride;
-    intnat n = Long_val(kb.len[b]);
+    const value *c = SLOTS(kb.contacts, b, kb.stride);
+    intnat n = USED(kb.len, b, kb.stride);
     for (intnat i = 0; i < n; i++) {
       intnat id = Long_val(c[i]);
       if (is_alive(w, id))
@@ -213,21 +222,21 @@ CAMLprim value rcm_kbucket_maintain(value t, value vv, value words)
   const intnat *w = words_of(words);
   intnat v = Long_val(vv);
   for (intnat b = v * kb.bits; b < (v + 1) * kb.bits; b++) {
-    intnat n = Long_val(kb.len[b]);
+    intnat n = USED(kb.len, b, kb.stride);
     if (n == 0)
       continue;
-    value *c = kb.contacts + b * kb.stride, head = c[0];
+    value *c = SLOTS(kb.contacts, b, kb.stride), head = c[0];
     for (intnat j = 0; j < n - 1; j++)
       c[j] = c[j + 1];
     if (is_alive(w, Long_val(head)))
       c[n - 1] = head;
     else {
-      intnat m = Long_val(kb.cache_len[b]);
+      intnat m = USED(kb.cache_len, b, kb.cache_stride);
       if (m == 0)
-        kb.len[b] = Val_long(n - 1);
+        AT_PTR(kb.len, b) = Val_long(n - 1);
       else {
-        c[n - 1] = kb.cache[b * kb.cache_stride + m - 1];
-        kb.cache_len[b] = Val_long(m - 1);
+        c[n - 1] = AT_PTR(kb.cache, b * kb.cache_stride + m - 1);
+        AT_PTR(kb.cache_len, b) = Val_long(m - 1);
       }
     }
   }

@@ -17,16 +17,18 @@
    ids is the overlay's sorted OCaml int array; targets the contact
    block, degree entries per node, -1 for an empty bucket. No
    allocation, no callbacks, no exceptions; argument checks are the
-   OCaml caller's. */
+   OCaml caller's, and the sanitize profile checks every index into
+   ids (bounds.h). */
 
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 #include <math.h>
 #include <stdint.h>
 
+#include "bounds.h"
 #include "splitmix.h"
 
-#define ID(v) Long_val(Field(vids, (v)))
+#define ID(v) Long_val(AT(vids, (v)))
 
 /* Sparse.sample_ids's dense regime (2 count >= 2^bits): shuffle the
    whole space with Splitmix.shuffle_in_place (i from the top down,
@@ -59,7 +61,7 @@ CAMLprim value rcm_sparse_dense_ids(value vrng, value vscratch, value vids)
   intnat filled = 0;
   for (intnat id = 0; id < size; id++)
     if (all[id] & 0x80000000u)
-      Field(vids, filled++) = Val_long(id);
+      AT(vids, filled++) = Val_long(id);
   return Val_unit;
 }
 

@@ -158,7 +158,11 @@ let flush_metrics geometry s =
 
    The rng-free geometries (tree, xor, ring, symphony) route whole pair
    blocks through lanes: many independent routes in flight, one hop
-   per lane per round. Lane interleaving is invisible in the results:
+   per lane per round. On x86-64-v4 CPUs the tree, xor and ring rule
+   tables and Symphony's shortcut column run AVX-512 lanes, 64 walks
+   at a time, picked per call by the variant argument; every other
+   table and CPU runs the portable lanes. Lane interleaving is
+   invisible in the results:
    each pair still visits candidates in the scalar order — or an
    order-insensitive equivalent — these geometries consume no
    randomness while routing, and results are indexed by pair, not by
@@ -230,9 +234,10 @@ external route_block_ring :
 [@@noalloc]
 
 (* Symphony on its shortcut-column layout, by its own driver: applied
-   to k_n, a [block_router] over the column as a uniform block of
-   degree k_s (the offsets it is passed go unread). *)
+   to the variant and k_n, a [block_router] over the column as a
+   uniform block of degree k_s (the offsets it is passed go unread). *)
 external route_symphony :
+  int ->
   int ->
   targets ->
   words ->
@@ -500,7 +505,7 @@ let route context ~variant ?scratch table ~rng ~alive pairs n =
   | Rcm.Geometry.Xor -> block (route_block_xor variant code seed) bits
   | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> (
       match layout with
-      | Overlay.Table.Shortcuts { k_n; _ } -> block (route_symphony k_n) bits
+      | Overlay.Table.Shortcuts { k_n; _ } -> block (route_symphony variant k_n) bits
       | Overlay.Table.Block _ | Overlay.Table.Rule _ ->
           block (route_block_ring variant code seed) bits)
   | Rcm.Geometry.Hypercube ->
@@ -568,9 +573,10 @@ let sample_and_route = sample_and_route_in 0
 (* --- kernel variants ------------------------------------------------------ *)
 
 (* The variant every C lane and draw takes: 0 runs the AVX-512 rule
-   lanes and the PDEP pair draw when the CPU runs x86-64-v4 (checked
-   per call, in C) and the portable code otherwise; 1 runs the
-   portable code on every CPU. The entry points above pass 0. *)
+   and Symphony lanes and the PDEP pair draw when the CPU runs
+   x86-64-v4 (checked per call, in C) and the portable code otherwise;
+   1 runs the portable code on every CPU. The entry points above
+   pass 0. *)
 external x86_64_v4 : unit -> bool = "rcm_x86_64_v4" [@@noalloc]
 
 type variant = {

@@ -143,9 +143,10 @@ type variant = {
 val variants : (string * variant) list
 (** The kernel variants this host runs, each called directly rather
     than picked per call: ["x86-64-v4"] (x86-64 GCC builds on CPUs
-    with that level), where the tree, xor and ring rule tables route
-    through AVX-512 lanes and pairs are drawn with a PDEP select, then
-    ["default"], the portable lanes and draw every CPU runs. Both give
+    with that level), where the tree, xor and ring rule tables and
+    Symphony's shortcut column route through AVX-512 lanes and pairs
+    are drawn with a PDEP select, then ["default"], the portable lanes
+    and draw every CPU runs. Both give
     the same outcomes, loadmap counts and generator state. Test hook:
     {!route_many} and {!sample_and_route} run only the best variant,
     so only this list lets [test_batch] check the others against it

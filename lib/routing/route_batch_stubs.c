@@ -3,10 +3,11 @@
    after another, drawing from the caller's generator.
 
    Variants: on CPUs that run x86-64-v4, the tree, xor and ring lanes
-   route their computed tables through AVX-512 lanes and the pair draw
-   selects survivors with PDEP (the AVX-512 section below, and
-   rank.h); every other table, lane and CPU runs the portable code,
-   which is also the reference the tests hold the AVX-512 code to.
+   route their computed tables, and the Symphony driver its shortcut
+   column, through AVX-512 lanes, and the pair draw selects survivors
+   with PDEP (the AVX-512 section below, and rank.h); every other
+   table, lane and CPU runs the portable code, which is also the
+   reference the tests hold the AVX-512 code to.
    Each call takes a variant argument: 0 picks per call, by the CPU
    check of levels.h, as the mask loop of fill_stubs.c does; 1 forces
    the portable code (Route_batch.variants, a test hook).
@@ -52,7 +53,9 @@
    Memory discipline: no allocation, no callbacks, no GC interaction —
    the OCaml int arrays (srcs/dsts/pool), the generator's bytes and the
    Bigarray payloads cannot move during the call, so raw pointers are
-   safe. The xor rule's seed is read out of its boxed int64 once.
+   safe. The xor rule's seed is read out of its boxed int64 once. The
+   sanitize profile checks every index into srcs, dsts and pool
+   (bounds.h), and every gather's indexes (CHECK_GATHER below).
    Results are written straight into the caller's scratch Bigarrays:
    hops_out[k] = hop count, stuck_out[k] = -1 when delivered or the
    stuck node id.
@@ -72,6 +75,7 @@
 #include <stdint.h>
 #include <string.h>
 
+#include "bounds.h"
 #include "levels.h"
 #include "rank.h"
 #include "splitmix.h"
@@ -187,13 +191,18 @@ static inline void prefetch_entries(const struct table *t, intnat v)
 
 /* Everything a lane driver reads besides its lane state: the table,
    the alive words, the pairs (OCaml int arrays) and their count, the
-   result buffers and the loadmap slices. */
+   result buffers and the loadmap slices; in the sanitize profile also
+   the lengths of the alive words and of the targets, which bound the
+   AVX-512 lanes' gathers. */
 struct batch {
   struct table t;
   const intnat *words;
   value srcs, dsts;
   intnat n;
   intnat *hops_out, *stuck_out, *trav, *term;
+#ifdef RCM_BOUNDS
+  intnat nwords, ntargets;
+#endif
 };
 
 static inline struct batch batch_of(intnat rule, uint64_t seed, value vtargets,
@@ -217,6 +226,10 @@ static inline struct batch batch_of(intnat rule, uint64_t seed, value vtargets,
   b.stuck_out = (intnat *)Caml_ba_data_val(vstuck_out);
   b.trav = loadmap_slice(vtrav);
   b.term = loadmap_slice(vterm);
+#ifdef RCM_BOUNDS
+  b.nwords = Caml_ba_array_val(vwords)->dim[0];
+  b.ntargets = Caml_ba_array_val(vtargets)->dim[0];
+#endif
   return b;
 }
 
@@ -241,10 +254,10 @@ static inline struct batch batch_of(intnat rule, uint64_t seed, value vtargets,
 #define TAKE_PAIR(m)                                  \
   do {                                                \
     intnat kk = next_pair++;                          \
-    intnat src_ = Long_val(Field(vsrcs, kk));         \
+    intnat src_ = Long_val(AT(vsrcs, kk));            \
     lk[m] = kk;                                       \
     lcur[m] = src_;                                   \
-    ldst[m] = Long_val(Field(vdsts, kk));             \
+    ldst[m] = Long_val(AT(vdsts, kk));                \
     lhops[m] = 0;                                     \
     if (src_ != ldst[m])                              \
       prefetch_entries(&t, src_);                     \
@@ -273,10 +286,11 @@ static inline struct batch batch_of(intnat rule, uint64_t seed, value vtargets,
       LANE_DONE(m);                                     \
   } while (0)
 
-/* The lanes that have AVX-512 bodies (defined after the Symphony
-   driver). route_v4 runs the batch on them and returns 1 when
-   [variant] is 0, the CPU runs x86-64-v4 and [lane] has a body for the
-   table's rule; otherwise it returns 0 having done nothing. */
+/* The rule lanes that have AVX-512 bodies (defined after the Symphony
+   lane, whose driver picks its own AVX-512 body). route_v4 runs the
+   batch on them and returns 1 when [variant] is 0, the CPU runs
+   x86-64-v4 and [lane] has a body for the table's rule; otherwise it
+   returns 0 having done nothing. */
 enum { TREE_LANE, XOR_LANE, RING_LANE };
 
 static int route_v4(intnat variant, int lane, const struct batch *b);
@@ -539,6 +553,10 @@ LANE_DRIVER(rcm_route_ring, ring_lanes, RING_LANE)
    loaded. The greedy choice, and the order-independence that lets the
    hop probe liveness best candidate first, are the ring lane's (above).
 
+   On x86-64-v4 CPUs the driver runs the AVX-512 lane of the section
+   below (symphony_v4), 64 walks at a time; symphony_lanes is the
+   portable lane every other CPU runs and the reference for that one.
+
    A driver of its own rather than a rule code of entry(): with a third
    instance of ring_lanes in rcm_route_ring, that function's untouched
    BLOCK instance slowed from 14.0 to 22.6 ns per hop on a 2^20-node
@@ -632,35 +650,14 @@ LANE_BODY void symphony_lanes(const struct batch *b, intnat k_n)
   }
 }
 
-/* The lane drivers' arguments, with k_n first, the column in the
-   targets place, k_s in the degree place and an unused offsets
-   array. */
-CAMLprim value rcm_route_symphony(value vk_n, value vcolumn, value vwords, value voffsets,
-                                  value vsrcs, value vdsts, value vn, value vhops_out,
-                                  value vstuck_out, value vbits, value vk_s, value vtrav,
-                                  value vterm)
-{
-  struct batch b = batch_of(BLOCK, 0, vcolumn, vwords, voffsets, vsrcs, vdsts, vn,
-                            vhops_out, vstuck_out, vbits, vk_s, vtrav, vterm);
-  symphony_lanes(&b, Long_val(vk_n));
-  return Val_unit;
-}
+/* --- AVX-512 lanes --------------------------------------------------------- */
 
-CAMLprim value rcm_route_symphony_bc(value *argv, int argn)
-{
-  (void)argn;
-  return rcm_route_symphony(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                            argv[6], argv[7], argv[8], argv[9], argv[10], argv[11],
-                            argv[12]);
-}
-
-/* --- AVX-512 rule lanes ---------------------------------------------------- */
-
-/* The tree and xor lanes on FLIP and FLIP_SUFFIX, and the ring lane on
-   FINGER, as AVX-512 code for CPUs that run x86-64-v4. Block tables,
-   Symphony and hypercube keep the portable code above on every CPU,
-   and so does every rule on other CPUs; the portable lanes are the
-   reference the tests compare these with.
+/* The tree and xor lanes on FLIP and FLIP_SUFFIX, the ring lane on
+   FINGER and the Symphony driver on its shortcut column, as AVX-512
+   code for CPUs that run x86-64-v4. Block tables and hypercube keep
+   the portable code above on every CPU, and so does every lane on
+   other CPUs; the portable lanes are the reference the tests compare
+   these with.
 
    A computed hop is a few ALU ops, and the portable lane spends them
    one pair at a time: a branch per probe that the predictor cannot
@@ -690,9 +687,11 @@ CAMLprim value rcm_route_symphony_bc(value *argv, int argn)
    no pair.
 
    ASan does not check the gathers (it instruments plain loads and
-   stores): their indices are node ids below 2^bits, the alive words
-   cover 2^bits bits, and every gather is masked to the lanes with a
-   walk in progress. */
+   stores): their indices are node ids below 2^bits, or shortcut slots
+   below 2^bits * k_s, the alive words cover 2^bits bits, and every
+   gather is masked to the lanes with a walk in progress. So in the
+   sanitize profile CHECK_GATHER tests each in-flight lane's index in
+   scalar code before the gather; elsewhere it compiles to nothing. */
 
 #ifdef RCM_LEVELS
 
@@ -712,12 +711,27 @@ static inline void lane_end(const struct batch *b, intnat k, intnat hops, intnat
     b->term[cur]++;
 }
 
+#ifdef RCM_BOUNDS
+/* The lanes of [act] index [at] below [n]. */
+V4 static void check_gather(__mmask8 act, __m512i at, intnat n, const char *file, int line)
+{
+  int64_t idx[8];
+  _mm512_storeu_si512(idx, at);
+  for (unsigned h = act; h; h &= h - 1)
+    rcm_bound(idx[__builtin_ctz(h)], n, file, line);
+}
+#define CHECK_GATHER(act, at, n) check_gather((act), (at), (n), __FILE__, __LINE__)
+#else
+#define CHECK_GATHER(act, at, n) ((void)0)
+#endif
+
 /* One step's liveness test: the lanes of [act] whose [cand] is alive. */
 V4 static inline __mmask8 alive_v4(const struct batch *b, __mmask8 act, __m512i cand)
 {
   const __m512i one = _mm512_set1_epi64(1);
-  __m512i w = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), act,
-                                          _mm512_srli_epi64(cand, 5), b->words, 8);
+  __m512i at = _mm512_srli_epi64(cand, 5);
+  CHECK_GATHER(act, at, b->nwords);
+  __m512i w = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), act, at, b->words, 8);
   w = _mm512_srlv_epi64(w, _mm512_and_si512(cand, _mm512_set1_epi64(31)));
   return _mm512_mask_test_epi64_mask(act, w, one);
 }
@@ -773,8 +787,8 @@ flip_lanes_v4(const struct batch *b, int retry, int suffix)
         lane_end(b, lk[m], hops[m], cur[m], cur[m] == dst[m]);
       if (next_pair < b->n) {
         lk[m] = next_pair++;
-        cur[m] = Long_val(Field(b->srcs, lk[m]));
-        dst[m] = Long_val(Field(b->dsts, lk[m]));
+        cur[m] = Long_val(AT(b->srcs, lk[m]));
+        dst[m] = Long_val(AT(b->dsts, lk[m]));
         rem[m] = cur[m] ^ dst[m];
         hops[m] = 0;
       } else
@@ -851,8 +865,8 @@ V4 static void ring_v4(const struct batch *b)
         lane_end(b, lk[m], hops[m], cur[m], rem[m] == 0);
       if (next_pair < b->n) {
         lk[m] = next_pair++;
-        cur[m] = Long_val(Field(b->srcs, lk[m]));
-        rem[m] = (Long_val(Field(b->dsts, lk[m])) - cur[m]) & mask;
+        cur[m] = Long_val(AT(b->srcs, lk[m]));
+        rem[m] = (Long_val(AT(b->dsts, lk[m])) - cur[m]) & mask;
         fk[m] = first_finger(rem[m]);
         hops[m] = 0;
       } else
@@ -883,6 +897,107 @@ V4 static void ring_v4(const struct batch *b)
       }
   }
 }
+
+/* symphony_hop's key (after << 30) | id of [cand] on the walk to
+   [dst], less the floor [f]. */
+V4 static inline __m512i key_v4(__m512i dst, __m512i cand, __m512i vmask, __m512i f)
+{
+  __m512i after = _mm512_and_si512(_mm512_sub_epi64(dst, cand), vmask);
+  return _mm512_sub_epi64(_mm512_or_si512(_mm512_slli_epi64(after, 30), cand), f);
+}
+
+/* Symphony. A lane holds cur, dst, rem (the clockwise distance to
+   dst), the floor of symphony_hop's probe window and its hop count,
+   and [walking] has a mask per vector of the lanes whose walk is in
+   progress (one word for all 64 would chain each vector's gathers to
+   the previous vector's outcome, and serialise the misses). A step
+   is one pass of symphony_hop: it packs (after << 30) | id for the k_n
+   successors, computed, and the k_s shortcuts, gathered from the
+   column at cur * k_s + j, and keeps the least key in [floor, seed),
+   seed = rem << 30, as the unsigned minimum of key - floor (keys below
+   the floor wrap past every other). One gather of alive words then
+   tests every lane's winner. An alive winner is the hop (rem becomes
+   its distance and the floor 0), a dead one moves the floor past its
+   key, and a lane with no key left ends stuck at cur; a walk also
+   ends, delivered, at rem = 0. A dead winner's next pass gathers the
+   row again, from L1 by then.
+
+   Per hop, timing the C call alone on 300k drawn pairs at 2^20 nodes
+   and q = 0.1-0.3 against the portable lane (one AVX-512 Xeon vCPU),
+   (k_n, k_s) = (1, 1) took 0.35-0.51x (4.5-9.8 ns against
+   10.2-19.5 ns), (0, 4) 0.44-0.59x, (2, 4) 0.38-0.56x and (2, 31)
+   0.74-0.97x. At 2^14 nodes, where the column sits in L2, (1, 1) took
+   0.18x: at 2^20 the column gathers are what is left. A prefetch of
+   each hopping lane's next row, scalar over the hop mask, took (1, 1)
+   at q = 0.1 from 0.35-0.41x to 0.57-0.76x, so the lane issues
+   none. */
+V4 static void symphony_v4(const struct batch *b, intnat k_n)
+{
+  lane_words cur = {0}, dst = {0}, rem = {0}, floor = {0}, hops = {0};
+  intnat lk[VLANES], next_pair = 0, mask = ((intnat)1 << b->t.bits) - 1, k_s = b->t.deg;
+  uint64_t busy = ~(uint64_t)0;
+  __mmask8 walking[VLANES / 8] = {0};
+  for (int m = 0; m < VLANES; m++)
+    lk[m] = -1;
+  const int32_t *column = b->t.targets;
+  const __m512i one = _mm512_set1_epi64(1), vmask = _mm512_set1_epi64(mask),
+                ids = _mm512_set1_epi64(0x3FFFFFFF), row_len = _mm512_set1_epi64(k_s);
+  for (;;) {
+    uint64_t ended = 0;
+    for (int v = 0; v < VLANES; v += 8)
+      ended |= (uint64_t)(__mmask8)~walking[v / 8] << v;
+    for (ended &= busy; ended; ended &= ended - 1) {
+      int m = __builtin_ctzll(ended);
+      if (lk[m] >= 0)
+        lane_end(b, lk[m], hops[m], cur[m], rem[m] == 0);
+      if (next_pair < b->n) {
+        lk[m] = next_pair++;
+        cur[m] = Long_val(AT(b->srcs, lk[m]));
+        dst[m] = Long_val(AT(b->dsts, lk[m]));
+        rem[m] = (dst[m] - cur[m]) & mask;
+        floor[m] = hops[m] = 0;
+        walking[m / 8] |= (__mmask8)((rem[m] != 0) << (m % 8));
+      } else
+        busy &= ~((uint64_t)1 << m);
+    }
+    if (!busy)
+      return;
+    for (int step = 0; step < VSTEPS; step++)
+      for (int v = 0; v < VLANES; v += 8) {
+        __mmask8 act = walking[v / 8];
+        if (!act)
+          continue;
+        __m512i c = _mm512_load_si512(cur + v), d = _mm512_load_si512(dst + v),
+                r = _mm512_load_si512(rem + v), f = _mm512_load_si512(floor + v);
+        __m512i seed = _mm512_slli_epi64(r, 30), least = _mm512_sub_epi64(seed, f);
+        for (intnat i = 1; i <= k_n; i++) {
+          __m512i cand = _mm512_and_si512(_mm512_add_epi64(c, _mm512_set1_epi64(i)), vmask);
+          least = _mm512_min_epu64(least, key_v4(d, cand, vmask, f));
+        }
+        __m512i row = _mm512_mullo_epi64(c, row_len);
+        for (intnat j = 0; j < k_s; j++) {
+          __m512i at = _mm512_add_epi64(row, _mm512_set1_epi64(j));
+          CHECK_GATHER(act, at, b->ntargets);
+          __m512i cand = _mm512_cvtepu32_epi64(
+              _mm512_mask_i64gather_epi32(_mm256_setzero_si256(), act, at, column, 4));
+          least = _mm512_min_epu64(least, key_v4(d, cand, vmask, f));
+        }
+        __m512i best = _mm512_add_epi64(least, f), cand = _mm512_and_si512(best, ids);
+        __mmask8 probe = _mm512_mask_cmpneq_epi64_mask(act, best, seed);
+        __mmask8 hop = alive_v4(b, probe, cand), dead = probe & ~hop;
+        __m512i h = _mm512_load_si512(hops + v);
+        r = _mm512_mask_srli_epi64(r, hop, best, 30);
+        f = _mm512_mask_add_epi64(_mm512_maskz_mov_epi64((__mmask8)~hop, f), dead, best, one);
+        _mm512_store_si512(cur + v, _mm512_mask_mov_epi64(c, hop, cand));
+        _mm512_store_si512(rem + v, r);
+        _mm512_store_si512(floor + v, f);
+        _mm512_store_si512(hops + v, _mm512_mask_add_epi64(h, hop, h, one));
+        walking[v / 8] = dead | _mm512_mask_test_epi64_mask(hop, r, r);
+        if (b->trav && hop)
+          count_hops_v4(b, hop, cand);
+      }
+  }
+}
 #endif
 
 static int route_v4(intnat variant, int lane, const struct batch *b)
@@ -906,6 +1021,37 @@ static int route_v4(intnat variant, int lane, const struct batch *b)
   (void)b;
   return 0;
 #endif
+}
+
+/* The lane drivers' arguments, with the variant and k_n first, the
+   column in the targets place, k_s in the degree place and an unused
+   offsets array. Variant 0 runs symphony_v4 when the CPU runs
+   x86-64-v4, as route_v4 picks the rule lanes; 1 runs
+   symphony_lanes. */
+CAMLprim value rcm_route_symphony(value vvariant, value vk_n, value vcolumn, value vwords,
+                                  value voffsets, value vsrcs, value vdsts, value vn,
+                                  value vhops_out, value vstuck_out, value vbits, value vk_s,
+                                  value vtrav, value vterm)
+{
+  struct batch b = batch_of(BLOCK, 0, vcolumn, vwords, voffsets, vsrcs, vdsts, vn,
+                            vhops_out, vstuck_out, vbits, vk_s, vtrav, vterm);
+#ifdef RCM_LEVELS
+  if (Long_val(vvariant) == 0 && cpu_v4())
+    symphony_v4(&b, Long_val(vk_n));
+  else
+#else
+  (void)vvariant;
+#endif
+    symphony_lanes(&b, Long_val(vk_n));
+  return Val_unit;
+}
+
+CAMLprim value rcm_route_symphony_bc(value *argv, int argn)
+{
+  (void)argn;
+  return rcm_route_symphony(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                            argv[6], argv[7], argv[8], argv[9], argv[10], argv[11],
+                            argv[12], argv[13]);
 }
 
 /* Prng.Splitmix.int at [bound] > 0 with its rejection limit computed
@@ -956,7 +1102,7 @@ typedef intnat select_fn(const struct rank *, intnat);
 
 LANE_BODY intnat survivor(const struct survivors *sv, intnat i, select_fn *select)
 {
-  return Wosize_val(sv->pool) > 0 ? Long_val(Field(sv->pool, i)) : select(&sv->rank, i);
+  return Wosize_val(sv->pool) > 0 ? Long_val(AT(sv->pool, i)) : select(&sv->rank, i);
 }
 
 /* One pair as Stats.Sampler.ordered_indexes draws it — the source
@@ -994,10 +1140,10 @@ LANE_BODY intnat draw_loop(const struct survivors *sv, select_fn *select, uint64
   for (k = lo; k < hi; k++) {
     intnat src, dst;
     int bad = draw_pair(sv, select, s, bits, &src, &dst);
-    Field(vsrcs, k) = Val_long(src);
+    AT(vsrcs, k) = Val_long(src);
     if (bad)
       break;
-    Field(vdsts, k) = Val_long(dst);
+    AT(vdsts, k) = Val_long(dst);
   }
   return k;
 }
@@ -1079,8 +1225,8 @@ LANE_BODY intnat hypercube_walk(const struct batch *b, intnat rule,
         break;
       }
     } else {
-      src = Long_val(Field(vsrcs, k));
-      dst = Long_val(Field(vdsts, k));
+      src = Long_val(AT(vsrcs, k));
+      dst = Long_val(AT(vdsts, k));
     }
     intnat cur = src, hops = 0, stuck = -1;
     while (cur != dst) {

@@ -8,7 +8,8 @@
    storage tests and goldens against --no-batch).
 
    No allocation, no callbacks, no exceptions; callers check src, dst
-   and the mask length. */
+   and the mask length. The sanitize profile checks every index into
+   the ids (bounds.h). */
 
 #ifndef RCM_SPARSE_WALK_H
 #define RCM_SPARSE_WALK_H
@@ -16,6 +17,8 @@
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 #include <stdint.h>
+
+#include "bounds.h"
 
 /* Sparse_router.walk_kind's codes: the ring walk (Symphony links),
    the prefix walk correcting the leading differing bit (tree) or
@@ -48,7 +51,7 @@ static inline struct sparse sparse_of(value overlay, value words, intnat kind)
 
 static inline intnat sparse_id(const struct sparse *o, intnat v)
 {
-  return Long_val(o->ids[v]);
+  return Long_val(AT_PTR(o->ids, v));
 }
 
 static inline int sparse_alive(const struct sparse *o, intnat v)

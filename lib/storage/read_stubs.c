@@ -20,12 +20,15 @@
    as immediates: no write barrier.
 
    No allocation, no callbacks, no exceptions; the OCaml caller checks
-   that the rank has members and that the overlay has a C walk. */
+   that the rank has members and that the overlay has a C walk. The
+   sanitize profile checks every index into the store's arrays
+   (bounds.h). */
 
 #include <caml/bigarray.h>
 #include <caml/mlvalues.h>
 #include <stdint.h>
 
+#include "bounds.h"
 #include "rank.h"
 #include "sparse_walk.h"
 #include "splitmix.h"
@@ -36,7 +39,7 @@ enum { ATTEMPTED, QUORUM_READS, DEGRADED_READS, FAILED_READS, NO_CLIENT, PROBE_R
 
 static inline void bump(value block, intnat field, intnat by)
 {
-  Field(block, field) = Val_long(Long_val(Field(block, field)) + by);
+  AT(block, field) = Val_long(Long_val(Field(block, field)) + by);
 }
 
 /* Up to [count] reads from clients drawn over the rank's members.
@@ -60,15 +63,15 @@ CAMLprim value rcm_store_read_batch(value vt, value vrng, value vrank, value vta
     intnat key = 0, hi = top;
     while (key < hi) {
       intnat mid = (key + hi) >> 1;
-      if (cdf[mid] > u)
+      if (cdf[BOUND(mid, top + 1)] > u)
         hi = mid;
       else
         key = mid + 1;
     }
-    value h = Field(holders, key);
+    value h = AT(holders, key);
     intnat r = Wosize_val(h), reached = 0, coordinator = -1, dead = 0;
     for (intnat slot = 0; reached < rq && slot < r; slot++) {
-      intnat holder = Long_val(Field(h, slot)), hops;
+      intnat holder = Long_val(AT(h, slot)), hops;
       int ok = holder == client;
       if (!ok) {
         probe_routes++;
@@ -80,15 +83,15 @@ CAMLprim value rcm_store_read_batch(value vt, value vrng, value vrank, value vta
         if (coordinator < 0)
           coordinator = holder;
       } else if (!sparse_alive(&o, holder))
-        Field(pending, 3 + dead++) = Val_long(slot);
+        AT(pending, 3 + dead++) = Val_long(slot);
     }
     done++;
     /* Quorum.classify: quorum, degraded, unavailable. */
     outcomes[reached >= rq ? 0 : reached > 0 ? 1 : 2]++;
     if (coordinator >= 0 && dead > 0) {
-      Field(pending, 0) = Val_long(key);
-      Field(pending, 1) = Val_long(coordinator);
-      Field(pending, 2) = Val_long(dead);
+      AT(pending, 0) = Val_long(key);
+      AT(pending, 1) = Val_long(coordinator);
+      AT(pending, 2) = Val_long(dead);
       repair = 1;
     }
   }

@@ -241,12 +241,13 @@ case "$ROW" in
         say "extra: batch vs scalar byte-identity per geometry"
         # Points are geometry:bits:q:pairs. Hypercube also runs at d = 16,
         # where its routes are long enough to draw many reservoir samples
-        # per pair. Tree, xor and ring also route 20 000 pairs at d = 18,
-        # where the lanes of a block (64 in the AVX-512 lanes) refill
-        # hundreds of times.
+        # per pair. Tree, xor, ring and symphony also route 20 000 pairs
+        # at d = 18, where the lanes of a block (64 in the AVX-512 lanes)
+        # refill hundreds of times.
         for point in ring:8:0.25:80 xor:8:0.25:80 tree:8:0.25:80 hypercube:8:0.25:80 \
                      symphony:8:0.25:80 hypercube:16:0.1:80 hypercube:16:0.4:80 \
-                     tree:18:0.3:20000 xor:18:0.3:20000 ring:18:0.3:20000; do
+                     tree:18:0.3:20000 xor:18:0.3:20000 ring:18:0.3:20000 \
+                     symphony:18:0.3:20000; do
             g=${point%%:*}
             rest=${point#*:}
             d=${rest%%:*}

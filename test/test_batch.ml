@@ -550,7 +550,8 @@ let portable = List.assoc "default" Routing.Route_batch.variants
    and ring lanes and the PDEP draw meet the portable block lanes and
    draw. Bits 1 is a two-node table.
    Symphony's layout (computed successors, a shortcut column) routes
-   on its own lane and its block on the ring lane, which is the
+   on its own driver, on an x86-64-v4 host through its AVX-512 lane
+   too, and its block on the portable ring lane, which is the
    reference here: k_n in 0..3 and k_s in 1..4, and (2, 31), which has
    more candidates than the ring lane's 32-slot key scratch holds; at
    q up to 0.6 the lane's hop often passes over dead candidates before
@@ -638,12 +639,15 @@ let prop_rule_block_agreement =
 (* --- kernel variants ------------------------------------------------------- *)
 
 (* Every kernel variant this host runs (on x86-64-v4 the AVX-512 rule
-   lanes and the PDEP draw, and everywhere the portable code) against
-   the scalar router, at the edges of the lanes: tree, xor and ring at
-   bits 1-3 and at random bits up to 16, q from none dead to nearly all,
-   and pair counts around one 8-lane vector and the 64 lanes of a block
-   (0, 1, 7, 8, 9, 63, 64, 65) and past them (300), where lanes refill
-   many times and finish out of pair order. [route_many]'s pairs include
+   and Symphony lanes and the PDEP draw, and everywhere the portable
+   code) against the scalar router, at the edges of the lanes: tree,
+   xor and ring at bits 1-3 and at random bits up to 16; Symphony as
+   (k_n, k_s) = (0, 1) at bits 1, (1, 1) at every other bits, and
+   (2, 4) and (2, 31) wherever their degree is below the node count;
+   q from none dead to nearly all, and pair counts around one 8-lane
+   vector and the 64 lanes of a block (0, 1, 7, 8, 9, 63, 64, 65) and
+   past them (300), where lanes refill many times and finish out of
+   pair order. [route_many]'s pairs include
    src = dst, delivered in 0 hops, and [sample_and_route] draws through
    the rank index. Each run must give the scalar outcomes (hops and
    stuck nodes), loadmap counts and generator state, so the variants
@@ -658,71 +662,83 @@ let test_variants_at_edges () =
     Alcotest.(check bool) (what ^ ": loadmap") true (Helpers.loadmap_equal lm lm');
     Alcotest.(check int64) (what ^ ": rng state") state state'
   in
+  let symphony_shapes bits =
+    List.filter
+      (fun g -> Rcm.Geometry.check_size ~bits g = Ok ())
+      (List.map
+         (fun (k_n, k_s) -> Rcm.Geometry.Symphony { k_n; k_s })
+         (if bits = 1 then [ (0, 1) ] else [ (1, 1); (2, 4); (2, 31) ]))
+  in
+  let cases =
+    List.concat_map
+      (fun geometry -> List.map (fun bits -> (geometry, bits)) bits_list)
+      [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]
+    @ List.concat_map
+        (fun bits -> List.map (fun geometry -> (geometry, bits)) (symphony_shapes bits))
+        bits_list
+  in
   List.iter
-    (fun geometry ->
-      List.iter
-        (fun bits ->
-          let table = flat_table ~seed:bits ~bits geometry in
-          let nodes = Overlay.Table.node_count table in
-          List.iteri
-            (fun qi q ->
-              let alive =
-                Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(bits + qi)) ~q nodes
+    (fun (geometry, bits) ->
+      let table = flat_table ~seed:bits ~bits geometry in
+      let nodes = Overlay.Table.node_count table in
+      List.iteri
+        (fun qi q ->
+          let alive =
+            Overlay.Failure.sample ~rng:(Prng.Splitmix.create ~seed:(bits + qi)) ~q nodes
+          in
+          let pool = Overlay.Failure.survivors alive in
+          let survivors = Array.length pool in
+          let run n route =
+            let lm = Obs.Loadmap.create ~nodes in
+            let rng = Prng.Splitmix.create ~seed:n in
+            let outcomes = Obs.Loadmap.with_sink lm (fun () -> route ~rng) in
+            (outcomes, lm, Prng.Splitmix.state rng)
+          in
+          List.iter
+            (fun n ->
+              let what =
+                Fmt.str "%a bits=%d q=%g n=%d" Rcm.Geometry.pp geometry bits q n
               in
-              let pool = Overlay.Failure.survivors alive in
-              let survivors = Array.length pool in
-              let run n route =
-                let lm = Obs.Loadmap.create ~nodes in
-                let rng = Prng.Splitmix.create ~seed:n in
-                let outcomes = Obs.Loadmap.with_sink lm (fun () -> route ~rng) in
-                (outcomes, lm, Prng.Splitmix.state rng)
+              let pick = Prng.Splitmix.create ~seed:(n + bits) in
+              let given =
+                if survivors = 0 then [||]
+                else
+                  Array.init n (fun k ->
+                      let src = pool.(Prng.Splitmix.int pick survivors) in
+                      (src, if k mod 5 = 0 then src else pool.(Prng.Splitmix.int pick survivors)))
+              in
+              let scalar_given =
+                run n (fun ~rng ->
+                    Array.map
+                      (fun (src, dst) -> Routing.Router.route table ~rng ~alive ~src ~dst)
+                      given)
+              in
+              let scalar_drawn =
+                lazy
+                  (run n (fun ~rng ->
+                       Array.init n (fun _ ->
+                           let src, dst = Stats.Sampler.ordered_pair rng pool in
+                           Routing.Router.route table ~rng ~alive ~src ~dst)))
               in
               List.iter
-                (fun n ->
-                  let what =
-                    Printf.sprintf "%s bits=%d q=%g n=%d" (Rcm.Geometry.slug geometry) bits q n
-                  in
-                  let pick = Prng.Splitmix.create ~seed:(n + bits) in
-                  let given =
-                    if survivors = 0 then [||]
-                    else
-                      Array.init n (fun k ->
-                          let src = pool.(Prng.Splitmix.int pick survivors) in
-                          (src, if k mod 5 = 0 then src else pool.(Prng.Splitmix.int pick survivors)))
-                  in
-                  let scalar_given =
-                    run n (fun ~rng ->
-                        Array.map
-                          (fun (src, dst) -> Routing.Router.route table ~rng ~alive ~src ~dst)
-                          given)
-                  in
-                  let scalar_drawn =
-                    lazy
+                (fun (name, (v : Routing.Route_batch.variant)) ->
+                  check_run
+                    (Printf.sprintf "%s %s route_many" what name)
+                    scalar_given
+                    (run n (fun ~rng ->
+                         let s = v.route_many table ~rng ~alive given in
+                         Array.init (Array.length given) (Routing.Route_batch.outcome s)));
+                  if survivors >= 2 then
+                    check_run
+                      (Printf.sprintf "%s %s sample_and_route" what name)
+                      (Lazy.force scalar_drawn)
                       (run n (fun ~rng ->
-                           Array.init n (fun _ ->
-                               let src, dst = Stats.Sampler.ordered_pair rng pool in
-                               Routing.Router.route table ~rng ~alive ~src ~dst)))
-                  in
-                  List.iter
-                    (fun (name, (v : Routing.Route_batch.variant)) ->
-                      check_run
-                        (Printf.sprintf "%s %s route_many" what name)
-                        scalar_given
-                        (run n (fun ~rng ->
-                             let s = v.route_many table ~rng ~alive given in
-                             Array.init (Array.length given) (Routing.Route_batch.outcome s)));
-                      if survivors >= 2 then
-                        check_run
-                          (Printf.sprintf "%s %s sample_and_route" what name)
-                          (Lazy.force scalar_drawn)
-                          (run n (fun ~rng ->
-                               let s = v.sample_and_route table ~rng ~alive ~pairs:n in
-                               Array.init n (Routing.Route_batch.outcome s))))
-                    Routing.Route_batch.variants)
-                [ 0; 1; 7; 8; 9; 63; 64; 65; 300 ])
-            [ 0.0; 0.5; 0.95 ])
-        bits_list)
-    [ Rcm.Geometry.Tree; Rcm.Geometry.Xor; Rcm.Geometry.Ring ]
+                           let s = v.sample_and_route table ~rng ~alive ~pairs:n in
+                           Array.init n (Routing.Route_batch.outcome s))))
+                Routing.Route_batch.variants)
+            [ 0; 1; 7; 8; 9; 63; 64; 65; 300 ])
+        [ 0.0; 0.5; 0.95 ])
+    cases
 
 (* --- the hypercube lane ------------------------------------------------------ *)
 
