@@ -36,13 +36,16 @@ exports-audit:
 # The C kernels under AddressSanitizer and UndefinedBehaviorSanitizer,
 # with the index checks of lib/overlay/bounds.h on (the sanitize
 # profile in ./dune): the whole suite, then the sweep-smoke simulate
-# row on the sanitized binaries the suite built.
+# and record rows on the sanitized binaries the suite built (the record
+# row routes ReCord's block lane, whose pairs come from the C pair
+# draw).
 # Leak detection is off: the OCaml runtime does not free its heap at
 # exit. Leaves _build/ in the sanitize profile; the next plain dune
 # build rebuilds it.
 sanitize:
 	ASAN_OPTIONS=detect_leaks=0 DUNE_PROFILE=sanitize dune runtest
 	ASAN_OPTIONS=detect_leaks=0 sh scripts/sweep_smoke.sh simulate
+	ASAN_OPTIONS=detect_leaks=0 sh scripts/sweep_smoke.sh record
 
 # Smoke table, one row per sweep (scripts/sweep_smoke.sh): byte-identity
 # across --jobs and --no-batch, CSV/JSON/loadmap shapes, checkpoint +

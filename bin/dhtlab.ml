@@ -9,23 +9,26 @@ let geometry_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Rcm.Geometry.of_string s) in
   Arg.conv (parse, Rcm.Geometry.pp)
 
+(* An example [--geometry] argument, as the docs and [dhtlab
+   geometries] show it. *)
+let geometry_example = function
+  | Rcm.Geometry.Record _ -> "record:h=4"
+  | (Rcm.Geometry.Tree | Hypercube | Xor | Ring | Symphony _) as g -> Rcm.Geometry.slug g
+
 let geometry_arg =
-  (* Enumerated from the Geom registry so plugin geometries document
-     themselves; see `dhtlab geometries` for the full table. *)
+  (* See `dhtlab geometries` for the full table. *)
   let doc =
-    let names = String.concat ", " (Geom.names ()) in
+    let names = String.concat ", " (List.map Rcm.Geometry.name Rcm.Geometry.all) in
     let examples =
-      Geom.all ()
-      |> List.filter (fun g -> not g.Geom.builtin)
-      |> List.map (fun g -> g.Geom.example)
+      Rcm.Geometry.all
+      |> List.filter (fun g -> not (List.mem g Rcm.Geometry.all_default))
+      |> List.map geometry_example
     in
     Printf.sprintf
       "Routing geometry: %s (system names work too). Parameterised families take \
-       colon-separated key=value pairs%s. See $(b,dhtlab geometries) for the registry."
-      names
-      (match examples with
-      | [] -> ""
-      | es -> Printf.sprintf ", e.g. %s" (String.concat ", " es))
+       colon-separated key=value pairs, e.g. %s. See $(b,dhtlab geometries) for the \
+       registry."
+      names (String.concat ", " examples)
   in
   Arg.(value & opt (some geometry_conv) None & info [ "g"; "geometry" ] ~docv:"GEOMETRY" ~doc)
 
@@ -260,6 +263,12 @@ let die cmd code fmt =
 let analyze geometry bits q csv full =
   if bits < 1 then die "analyze" 2 "--bits %d: the identifier length must be at least 1" bits;
   let geometries = geometries_of_opt geometry in
+  (* The geometry's own rule, not the overlay-size cap: the closed
+     forms run at any bits. *)
+  List.iter
+    (fun g ->
+      match Rcm.Geometry.check_params ~bits g with Ok () -> () | Error e -> die "analyze" 2 "%s" e)
+    geometries;
   if full then
     List.iter (fun g -> Fmt.pr "%a@." Experiments.Report.pp (Experiments.Report.build ~bits g)) geometries
   else begin
@@ -472,11 +481,6 @@ let figure_names =
     "record-hops"; "record-tradeoff";
   ]
 
-let record_geometry h =
-  match Rcm.Geometry.of_string (Printf.sprintf "record:h=%d" h) with
-  | Ok g -> g
-  | Error e -> Fmt.failwith "%s" e
-
 let figure_series ?pool name quick =
   let fig6_config =
     if quick then Experiments.Fig6a.quick_config else Experiments.Fig6a.default_config
@@ -545,14 +549,19 @@ let figure_series ?pool name quick =
         Experiments.Hop_distribution.run
           (if quick then { Experiments.Hop_distribution.default_config with bits = 10 }
            else Experiments.Hop_distribution.default_config)
-          (record_geometry 4)
+          (Rcm.Geometry.Record { h = 4 })
     | "record-tradeoff" ->
         (* E13b: the degree / hop tradeoff along the ReCord base axis,
            anchored by builtin xor (= record at h=2's draw-identical twin). *)
         Experiments.Degree_hops.run
           (if quick then Experiments.Degree_hops.quick_config
            else Experiments.Degree_hops.default_config)
-          [ Rcm.Geometry.Xor; record_geometry 2; record_geometry 4; record_geometry 16 ]
+          [
+            Rcm.Geometry.Xor;
+            Rcm.Geometry.Record { h = 2 };
+            Rcm.Geometry.Record { h = 4 };
+            Rcm.Geometry.Record { h = 16 };
+          ]
   | other ->
       Fmt.failwith "unknown figure %S (expected one of %s)" other
         (String.concat ", " figure_names)
@@ -1416,36 +1425,46 @@ let trace_cmd =
 
 (* --- geometries ------------------------------------------------------------ *)
 
+(* Every geometry has a closed form, a routing chain and a churn
+   engine. Hypercube's router draws while it routes, so the batch
+   kernel runs it pair by pair rather than as a block lane, and it has
+   no sparse overlay; "builtin" marks the paper's five. *)
 let geometries names_only =
-  if names_only then List.iter print_endline (Geom.names ())
+  if names_only then List.iter (fun g -> print_endline (Rcm.Geometry.name g)) Rcm.Geometry.all
   else begin
     Fmt.pr "%-12s %-22s %-16s %-14s %s@." "name" "example" "degree" "hops" "capabilities";
     List.iter
       (fun g ->
+        let degree, hops =
+          match g with
+          | Rcm.Geometry.Tree | Hypercube | Xor | Ring -> ("d", "O(log N)")
+          | Symphony _ -> ("k_n + k_s", "O(log^2 N)")
+          | Record _ -> ("(h-1) d / log2 h", "O(log_h N)")
+        in
+        let hypercube = Rcm.Geometry.equal g Rcm.Geometry.Hypercube in
         let caps =
           List.filter_map
             (fun (label, on) -> if on then Some label else None)
             [
-              ("analysis", g.Geom.analysis); ("chain", g.Geom.chain);
-              ("batch-block", g.Geom.batch_block); ("sparse", g.Geom.sparse);
-              ("session-churn", g.Geom.session_churn);
-              ("builtin", g.Geom.builtin);
+              ("analysis", true); ("chain", true); ("batch-block", not hypercube);
+              ("sparse", not hypercube); ("session-churn", true);
+              ("builtin", List.mem g Rcm.Geometry.all_default);
             ]
         in
-        Fmt.pr "%-12s %-22s %-16s %-14s %s@." (Geom.name g) g.Geom.example g.Geom.degree
-          g.Geom.hops (String.concat "," caps))
-      (Geom.all ())
+        Fmt.pr "%-12s %-22s %-16s %-14s %s@." (Rcm.Geometry.name g) (geometry_example g) degree
+          hops (String.concat "," caps))
+      Rcm.Geometry.all
   end
 
 let geometries_cmd =
   let doc =
-    "List the registered routing geometries: built-ins and plugins, with their \
-     example slugs, asymptotics and per-layer capabilities."
+    "List the routing geometries: the paper's five and ReCord, with their example \
+     slugs, asymptotics and per-layer capabilities."
   in
   let names_only =
     Arg.(value & flag
          & info [ "names" ]
-             ~doc:"Print bare registry names only, one per line (for scripts).")
+             ~doc:"Print bare geometry names only, one per line (for scripts).")
   in
   Cmd.v (Cmd.info "geometries" ~doc) Term.(const geometries $ names_only)
 

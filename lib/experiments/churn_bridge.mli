@@ -39,7 +39,7 @@ val run : geometries:Rcm.Geometry.t list -> config -> row list
     maintenance every repair interval, the remaining
     {!Sim.Session_churn.config} defaults. The published table runs [record:h=2], ring and
     symphony: ReCord at h = 2 is the paper's one-contact xor table
-    with dead entries redrawn at each repair, where the built-in [xor]
+    with dead entries redrawn at each repair, where [xor]
     would run k-bucket maintenance instead. Test hook: see
     {!default_config}. *)
 

@@ -49,8 +49,8 @@ val validate : ?geometries:Rcm.Geometry.t list -> config -> unit
 (** Builds the {!Sim.Session_churn.config} of every grid point
     ([geometries] defaults to {!default_geometries}), so any bad value
     — non-positive or non-finite times and means, [k < 1],
-    [cache_k < 0], no measurements or pairs, an empty sweep, a custom
-    family without a churn profile — fails here, once, before any
+    [cache_k < 0], no measurements or pairs, an empty sweep, a
+    geometry that does not fit [bits] — fails here, once, before any
     point runs.
     @raise Invalid_argument on the first violation. *)
 

@@ -5,7 +5,7 @@
    ReCord base sweep (record:h=2,4,16,...), where raising the digit
    base buys shorter routes with fatter tables along the Pastry design
    axis; the module itself is geometry-agnostic and works for any mix
-   of registered geometries, built-ins included. Rows are sorted by
+   of geometries. Rows are sorted by
    degree so the series reads as a tradeoff curve. *)
 
 type config = { bits : int; q : float; trials : int; pairs : int; seed : int }

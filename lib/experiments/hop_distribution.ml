@@ -10,8 +10,8 @@ let predicted geometry ~d ~q =
   let spec = Rcm.Model.spec_of_geometry geometry in
   let mix = Array.make (4 * d) 0.0 in
   let total = ref 0.0 in
-  (* Phases run 1 .. max_phase: d for the five built-ins, d/group for
-     digit-grouped custom specs. *)
+  (* Phases run 1 .. max_phase: d for the five paper geometries,
+     d/log2 h for ReCord's digit-grouped spec. *)
   for h = 1 to spec.Rcm.Spec.max_phase ~d do
     let routing = Latency.chain_for geometry ~d ~q ~h in
     let p = Markov.Routing_chains.success_probability routing in

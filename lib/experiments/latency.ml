@@ -11,13 +11,7 @@ let chain_for geometry ~d ~q ~h =
   | Rcm.Geometry.Ring -> Markov.Routing_chains.ring ~h ~q
   | Rcm.Geometry.Symphony { k_n; k_s } ->
       Markov.Routing_chains.symphony ~d ~phases:h ~q ~k_n ~k_s
-  | Rcm.Geometry.Custom _ as g -> (
-      match Rcm.Model.custom_chain g ~d ~q ~h with
-      | Some routing -> routing
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Latency.chain_for: %s has no registered routing chain"
-               (Rcm.Geometry.slug g)))
+  | Rcm.Geometry.Record _ -> Markov.Routing_chains.xor ~h ~q
 
 (* E7: expected hop count of *delivered* messages, as the routing
    chains predict it — E_h[ hops | success ] weighted by n(h) p(h)
@@ -29,8 +23,8 @@ let predicted_hops geometry ~d ~q =
   let spec = Rcm.Model.spec_of_geometry geometry in
   let weighted = Numerics.Kahan.create () in
   let total = Numerics.Kahan.create () in
-  (* Phases run 1 .. max_phase; for the five built-ins that is d, while
-     digit-grouped custom specs stop at d/group. *)
+  (* Phases run 1 .. max_phase; for the five paper geometries that is
+     d, while ReCord's digit-grouped spec stops at d/log2 h. *)
   for h = 1 to spec.Rcm.Spec.max_phase ~d do
     let routing = chain_for geometry ~d ~q ~h in
     let p = Markov.Routing_chains.success_probability routing in

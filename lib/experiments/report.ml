@@ -55,7 +55,7 @@ let pp ppf r =
     match r.geometry with
     | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube -> "exact"
     | Rcm.Geometry.Xor | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _
-    | Rcm.Geometry.Custom _ ->
+    | Rcm.Geometry.Record _ ->
         "chain upper bound; real routes skip phases (see E7)"
   in
   Fmt.pf ppf "expected hops (delivered): %.2f at q = 0, %.2f at q = 0.2 (%s)@."

@@ -84,22 +84,11 @@ let classify_sim_row geometry ~analysis ~ci =
       | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube ->
           if analysis >= low && analysis <= high then `Matches
           else `Violation (Float.abs (analysis -. Stats.Binomial_ci.point ci))
-      | Rcm.Geometry.Ring ->
+      | Rcm.Geometry.Ring | Rcm.Geometry.Record _ ->
           if Stats.Binomial_ci.point ci >= analysis -. tolerance then `Bound_holds
           else `Violation (analysis -. Stats.Binomial_ci.point ci)
       | Rcm.Geometry.Xor | Rcm.Geometry.Symphony _ ->
-          `Gap (Stats.Binomial_ci.point ci -. analysis)
-      | Rcm.Geometry.Custom _ as g -> (
-          (* A custom family declared [`Exact_model] is held to the
-             tree/hypercube standard; a [`Lower_bound] one must sit at
-             or above its analysis, like ring. *)
-          match Rcm.Model.analysis_kind g with
-          | `Exact_model ->
-              if analysis >= low && analysis <= high then `Matches
-              else `Violation (Float.abs (analysis -. Stats.Binomial_ci.point ci))
-          | `Lower_bound ->
-              if Stats.Binomial_ci.point ci >= analysis -. tolerance then `Bound_holds
-              else `Violation (analysis -. Stats.Binomial_ci.point ci)))
+          `Gap (Stats.Binomial_ci.point ci -. analysis))
 
 let sim_vs_analysis ?(bits = 12) ?(qs = [ 0.05; 0.1; 0.2; 0.3 ]) ?(trials = 3)
     ?(pairs_per_trial = 2_000) ?(seed = 2006) () =

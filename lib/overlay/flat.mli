@@ -12,8 +12,8 @@
       alive-bitset ({!Failure.t}) overlaid at routing time.
     - {b Compactness.} 4 bytes per edge + 8 per node, about half of
       per-node rows' word-size entries and headers, which is what makes
-      2^20–2^22-node sweeps of plugin tables fit in memory. The builtin
-      tables need no block at all: {!Table} stores the closed-form rule
+      2^20–2^22-node sweeps of ReCord and variant tables fit in memory.
+      The paper's tables need no block at all: {!Table} stores the closed-form rule
       of tree, hypercube, ring and xor, and Symphony's shortcuts alone,
       in one {!targets} column.
     - {b Immutability by convention.} Nothing in this module mutates a

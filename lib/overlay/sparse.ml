@@ -108,19 +108,24 @@ let sample_ids rng ~bits ~count =
     chosen
   end
 
-(* Custom-family sparse contact builders, keyed by family name. *)
-type custom_builder = t -> Prng.Splitmix.t -> (string * int) list -> int * (int -> int -> int)
-
-let custom_builders : (string, custom_builder) Hashtbl.t = Hashtbl.create 8
-
-let register_custom_builder ~family builder =
-  if Hashtbl.mem custom_builders family then
-    invalid_arg
-      (Printf.sprintf "Sparse.register_custom_builder: %S already registered" family);
-  Hashtbl.replace custom_builders family builder
-
-(* What a custom builder's overlay holds before its contacts exist. *)
+(* What the overlay holds while ReCord's contacts are drawn. *)
 let no_contacts = Flat.init ~nodes:0 ~degree:0 (fun _ _ -> missing)
+
+(* The digit generalisation of the prefix buckets, slot for slot
+   Table.record_entry: the (level, rank) contact of node v is a
+   uniformly random occupied id matching v's digits above [level] and
+   holding digit own + rank (mod b) there, or [missing] when that digit
+   subtree is empty. *)
+let record_entry t rng ~group v i =
+  let bits = t.bits in
+  let b = 1 lsl group in
+  let id_v = t.ids.(v) in
+  let level = (i / (b - 1)) + 1 in
+  let rank = (i mod (b - 1)) + 1 in
+  let own = Idspace.Digit.get ~bits ~group id_v level in
+  let pattern = Idspace.Digit.set ~bits ~group id_v level ((own + rank) mod b) in
+  let lo, hi = prefix_range t ~pattern ~prefix_len:(level * group) in
+  if hi <= lo then missing else lo + Prng.Splitmix.int rng (hi - lo)
 
 (* The built-in rules fill their block in C, v ascending then entry
    ascending, drawing from [rng] in that order:
@@ -130,7 +135,9 @@ let no_contacts = Flat.init ~nodes:0 ~degree:0 (fun _ _ -> missing)
      uniformly random occupied id matching v's first l-1 bits and
      differing on bit l, or [missing] when there is none.
    - Symphony: on the circle of the n occupied nodes, the next k_n
-     nodes, then k_s shortcuts at harmonic distances on n. *)
+     nodes, then k_s shortcuts at harmonic distances on n.
+   ReCord's entries ([record_entry]) are evaluated in OCaml, in the
+   same order. *)
 let build ?(rng = Prng.Splitmix.create ~seed:0x5ea5) ~bits ~nodes geometry =
   Rcm.Geometry.check_size_exn "Sparse.build" ~nodes ~bits geometry;
   let ids = sample_ids rng ~bits ~count:nodes in
@@ -147,14 +154,9 @@ let build ?(rng = Prng.Splitmix.create ~seed:0x5ea5) ~bits ~nodes geometry =
     | Rcm.Geometry.Symphony { k_n; k_s } ->
         filled (k_n + k_s) (fill_symphony k_n k_s (log (float_of_int nodes)) rng)
     | Rcm.Geometry.Hypercube -> assert false (* rejected by check_size *)
-    | Rcm.Geometry.Custom { family; params } -> (
-        match Hashtbl.find_opt custom_builders family with
-        | Some builder ->
-            let degree, entry = builder t rng params in
-            Flat.init ~allow_missing:true ~nodes ~degree entry
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Sparse.build: family %S has no registered sparse builder"
-                 family))
+    | Rcm.Geometry.Record { h } ->
+        let group = Idspace.Id.floor_log2 h in
+        Flat.init ~allow_missing:true ~nodes ~degree:(bits / group * (h - 1))
+          (record_entry t rng ~group)
   in
   { t with contacts }

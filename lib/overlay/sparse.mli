@@ -6,7 +6,8 @@
     Constructions mirror the real sparse protocols: Chord fingers point
     at the clockwise successor of id + 2^i; Kademlia/Plaxton buckets
     draw a uniform occupied id from the matching prefix range (possibly
-    [missing] when the range is empty); Symphony works on the circle of
+    [missing] when the range is empty), and ReCord one per digit
+    subtree; Symphony works on the circle of
     occupied positions. CAN is excluded: its sparse form is a
     zone partition, not an id subset.
 
@@ -22,27 +23,11 @@ val missing : int
 val build :
   ?rng:Prng.Splitmix.t -> bits:int -> nodes:int -> Rcm.Geometry.t -> t
 (** Draws the ids, then fills the contacts in linear passes over the
-    sorted ids, in C for the built-in geometries (and for the ids in
+    sorted ids, in C for the paper's geometries (and for the ids in
     the dense regime, [2 nodes >= 2^bits]), with the same draws in the
-    same order as evaluating each contact in OCaml.
+    same order as evaluating each contact in OCaml, as ReCord's are.
     @raise Invalid_argument when {!Rcm.Geometry.check_size} rejects
-    [(bits, nodes, geometry)] (hypercube included), or for a custom
-    geometry with no registered sparse builder. *)
-
-type custom_builder =
-  t -> Prng.Splitmix.t -> (string * int) list -> int * (int -> int -> int)
-(** A plugin family's sparse construction, the shape of
-    [Table.custom_builder]: called with the overlay's ids populated
-    (no contacts yet — use the id/range accessors only), the build
-    PRNG and the family parameters; returns the uniform degree and the
-    entry function [(v, i) -> contact index], [missing] allowed. The
-    entries are evaluated in {!Flat.init}'s order, [v] ascending then
-    [i] ascending. *)
-
-val register_custom_builder : family:string -> custom_builder -> unit
-(** Registers the sparse contact builder of a custom family. Call at
-    module-init time from the plugin library.
-    @raise Invalid_argument if the family is already registered. *)
+    [(bits, nodes, geometry)] (hypercube included). *)
 
 val bits : t -> int
 val geometry : t -> Rcm.Geometry.t
@@ -75,5 +60,8 @@ val lower_bound_within : t -> lo:int -> hi:int -> int -> int
     @raise Invalid_argument unless [0 <= lo <= hi <= node_count]. *)
 
 val prefix_range : t -> pattern:int -> prefix_len:int -> int * int
-(** Half-open index range of nodes sharing the prefix of [pattern]. *)
+(** Half-open index range of nodes sharing the prefix of [pattern].
+    Test hook: only {!build}'s ReCord entries call it, inside this
+    module, so only this export lets [test_sparse] check the ranges
+    directly. *)
 

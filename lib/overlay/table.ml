@@ -72,6 +72,21 @@ let ring_with_successors_entry ~bits ~size v i =
   if i < bits then (v + (1 lsl i)) land (size - 1)
   else (v + (i - bits) + 1) land (size - 1)
 
+(* ReCord over base-b digits, b = 2^group: slot i of node v is
+   (level, rank) with level = i / (b-1) + 1 (most significant digit
+   first) and rank = i mod (b-1) + 1. The entry carries v's digits
+   above [level], own + rank (mod b) at [level], and lower-order bits
+   from one draw over the whole space — the digit generalisation of
+   xor_entry, one draw per entry. *)
+let record_entry ~bits ~group rng v i =
+  let b = 1 lsl group in
+  let level = (i / (b - 1)) + 1 in
+  let rank = (i mod (b - 1)) + 1 in
+  let own = Idspace.Digit.get ~bits ~group v level in
+  let stepped = Idspace.Digit.set ~bits ~group v level ((own + rank) mod b) in
+  let suffix = Prng.Splitmix.int rng (1 lsl bits) in
+  Idspace.Id.with_suffix ~bits stepped ~prefix_len:(level * group) ~suffix
+
 (* A rule table's entry (v, i), from the entry function its build
    evaluated. Flip_suffix's suffix is draw v * bits + i of the build
    generator, computed in O(1) and without allocating: the build took
@@ -167,25 +182,6 @@ let memory_bytes t =
   | Flat (Rule _) -> 0
   | Flat (Shortcuts { column; _ }) -> 4 * Bigarray.Array1.dim column
 
-(* Custom-family table builders, keyed by family name. A builder
-   returns the uniform degree plus the entry function [(v, i) ->
-   neighbour id] that [make] evaluates for v ascending then i
-   ascending into a block. Registered at module-init time from plugin
-   libraries, before any build. *)
-type custom_builder =
-  space:Idspace.Space.t ->
-  rng:Prng.Splitmix.t ->
-  (string * int) list ->
-  int * (int -> int -> int)
-
-let custom_builders : (string, custom_builder) Hashtbl.t = Hashtbl.create 8
-
-let register_custom_builder ~family builder =
-  if Hashtbl.mem custom_builders family then
-    invalid_arg
-      (Printf.sprintf "Table.register_custom_builder: %S already registered" family);
-  Hashtbl.replace custom_builders family builder
-
 let make ~space ~geometry ~degree entry =
   {
     space;
@@ -210,7 +206,8 @@ external fill_shortcuts :
    that of drawing every suffix in row order. Symphony's successors
    draw nothing and are computed; its shortcut j of node v is draw
    v * k_s + j, stored in a column, and the generator is advanced past
-   all 2^bits * k_s draws. *)
+   all 2^bits * k_s draws. A ReCord table is a block of its drawn
+   entries. *)
 let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ~bits geometry =
   Rcm.Geometry.check_size_exn "Table.build" ~bits geometry;
   let space = Idspace.Space.create ~bits in
@@ -228,14 +225,9 @@ let build ?(rng = Prng.Splitmix.create ~seed:0x5eed) ~bits geometry =
       fill_shortcuts column k_s (log (float_of_int size)) (Prng.Splitmix.state rng);
       Prng.Splitmix.advance rng (size * k_s);
       flat (Shortcuts { k_n; k_s; column })
-  | Rcm.Geometry.Custom { family; params } -> (
-      match Hashtbl.find_opt custom_builders family with
-      | Some builder ->
-          let degree, entry = builder ~space ~rng params in
-          make ~space ~geometry ~degree entry
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Table.build: family %S has no registered table builder" family))
+  | Rcm.Geometry.Record { h } ->
+      let group = Idspace.Id.floor_log2 h in
+      make ~space ~geometry ~degree:(bits / group * (h - 1)) (record_entry ~bits ~group rng)
 
 (* Wrap an externally managed neighbour matrix (no copy): the churn
    simulator repairs rows in place and routes through the shared

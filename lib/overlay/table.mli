@@ -1,4 +1,4 @@
-(** Concrete neighbour tables for the registered DHT geometries over a
+(** Concrete neighbour tables for the DHT geometries over a
     fully-populated [2^bits] identifier space (the simulation
     counterpart of the analytical model).
 
@@ -10,7 +10,8 @@
     - ring: index [i] holds finger [i], at clockwise distance in
       [[2^i, 2^(i+1))];
     - symphony [(k_n, k_s)]: indices [0..k_n-1] are the clockwise near
-      neighbours, the rest are harmonic-distance shortcuts.
+      neighbours, the rest are harmonic-distance shortcuts;
+    - record [h]: see {!record_entry}.
 
     {1 Representation}
 
@@ -45,30 +46,21 @@ type backend = Flat
 
 val build : ?rng:Prng.Splitmix.t -> bits:int -> Rcm.Geometry.t -> t
 (** Builds the overlay. Randomized constructions (xor bucket suffixes,
-    symphony shortcuts) draw from [rng]; ring fingers are the classic
-    deterministic Chord fingers at distance [2^i]. Custom geometries
-    dispatch to their family's registered builder.
+    symphony shortcuts, record suffixes) draw from [rng]; ring fingers
+    are the classic deterministic Chord fingers at distance [2^i].
     @raise Invalid_argument when {!Rcm.Geometry.check_size} rejects
-    [(bits, geometry)], or on a custom geometry whose family never
-    called {!register_custom_builder}. *)
+    [(bits, geometry)]. *)
 
-type custom_builder =
-  space:Idspace.Space.t ->
-  rng:Prng.Splitmix.t ->
-  (string * int) list ->
-  int * (int -> int -> int)
-(** A plugin family's table construction: given the identifier space,
-    the build PRNG and the family parameters, return the uniform
-    degree and the entry function [(v, i) -> neighbour id]. {!build}
-    evaluates entries for [v] ascending then [i] ascending into a
-    block, so a builder that draws from [rng] only inside its entry
-    function leaves [rng] where evaluating the rows in order would —
-    the same mechanism the built-in randomized constructions use. *)
-
-val register_custom_builder : family:string -> custom_builder -> unit
-(** Registers the table builder of a custom family. Call at
-    module-init time from the plugin library.
-    @raise Invalid_argument if the family is already registered. *)
+val record_entry : bits:int -> group:int -> Prng.Splitmix.t -> int -> int -> int
+(** [record_entry ~bits ~group rng v i] is entry [i] of node [v] in a
+    ReCord table over base-[2^group] digits, drawing its suffix from
+    [rng]: with [b = 2^group], slot [i] is digit level
+    [i / (b - 1) + 1] (most significant first) and rank
+    [i mod (b - 1) + 1], and the entry keeps [v]'s digits above that
+    level, holds [v]'s digit plus the rank (mod [b]) at it, and takes
+    its lower-order bits from one [Prng.Splitmix.int rng 2^bits] draw.
+    {!build} evaluates it row by row into a block; churn redraws a
+    slot with it. At [group = 1] it is the xor entry, draw for draw. *)
 
 val of_neighbors : bits:int -> Rcm.Geometry.t -> int array array -> t
 (** Wraps an externally managed neighbour matrix {e without copying}:

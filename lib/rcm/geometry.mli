@@ -1,15 +1,12 @@
 (** Routing geometries: the five the paper analyses (section 3) plus
-    registered plugin families.
+    ReCord.
 
-    The closed constructors are the paper's geometries. {!Custom}
-    carries a registered {e family} name plus its integer parameters —
-    pure data, so geometries remain polymorphically comparable (the
-    table cache keys on them) and serialisable into checkpoint
-    streams. A plugin library registers its family here (naming and
-    parsing) and installs behaviour through the per-layer hook
-    registries ([Overlay.Table.register_custom_builder],
-    [Routing.Router.register_custom], ...); a descriptor in the
-    [Geom] registry bundles all of that into one record. *)
+    ReCord (Zeng & Hsu, cs/0410074) generalises randomized Chord to
+    h-ary recursive rings; in RCM terms it is digit-granular Kademlia
+    over base-[h] digits, and at [h = 2] it is the xor geometry draw for
+    draw. Geometries are pure data, so they remain polymorphically
+    comparable (the table cache keys on them) and serialisable into
+    checkpoint streams. *)
 
 type t =
   | Tree  (** Plaxton prefix routing *)
@@ -19,57 +16,39 @@ type t =
   | Symphony of { k_n : int; k_s : int }
       (** small-world ring with [k_n] near neighbours and [k_s]
           shortcuts per node *)
-  | Custom of { family : string; params : (string * int) list }
-      (** a registered plugin family; [params] is the full parameter
-          set (defaults applied), sorted by key. Construct via
-          {!custom} or {!of_string}, which normalise and validate. *)
+  | Record of { h : int }
+      (** ReCord over base-[h] digits of [log2 h] bits: one randomized
+          contact per (digit level, alternative digit value), degree
+          [(h - 1) d / log2 h]. [h] is a power of two in [2..1024]
+          ({!check_params}). *)
 
 val default_symphony : t
 (** Symphony with k_n = k_s = 1, the configuration plotted in Fig. 7. *)
 
 val all_default : t list
 (** The five paper geometries with default parameters, in the paper's
-    order — the default sweep set. Plugin families are enumerated via
-    the [Geom] registry, not here. *)
+    order — the default sweep set. *)
 
-type family = {
-  family_name : string;  (** canonical lowercase name, e.g. ["record"] *)
-  aliases : string list;  (** extra [of_string] spellings *)
-  family_system : string;  (** representative system, e.g. ["ReCord"] *)
-  summary : string;  (** one-line description for listings *)
-  defaults : (string * int) list;  (** full parameter schema with defaults *)
-  validate : (string * int) list -> (unit, string) result;
-      (** called on the normalised full parameter list *)
-  check_bits : (string * int) list -> bits:int -> (unit, string) result;
-      (** the family's own size rule, called by {!check_size} on the
-          normalised parameters (e.g. ReCord's digit width must divide
-          [bits]) *)
-}
-(** Parse-time face of a plugin geometry family. *)
-
-val register_family : family -> unit
-(** Registers a family for {!of_string} and {!custom}. Call at
-    module-init time from the plugin library.
-    @raise Invalid_argument on a name collision (built-ins included)
-    or a name that is not lowercase [a-z0-9_-]. *)
-
-val find_family : string -> family option
-(** Family (or alias) lookup, case-insensitive. *)
-
-val custom : family:string -> (string * int) list -> (t, string) result
-(** [custom ~family overrides] builds a validated {!Custom}: unknown
-    parameter keys are rejected, missing ones take the family default,
-    and the result is normalised (sorted by key). *)
+val all : t list
+(** One geometry per constructor: {!all_default}, then ReCord at
+    [h = 2] — the test matrices and [dhtlab geometries]. *)
 
 val name : t -> string
-(** Short lowercase geometry name ("tree", "hypercube", ..., or the
-    family name for {!Custom}). *)
+(** Short lowercase geometry name ("tree", "hypercube", ..., "record"). *)
 
 val slug : t -> string
-(** Parameter-qualified identifier: equals {!name} for the built-ins
-    and ["family:key=v:key=v"] for {!Custom} — the form used in
+(** Parameter-qualified identifier: equals {!name} for the paper's
+    geometries and ["record:h=N"] for ReCord — the form used in
     checkpoint keys, CSV/JSON labels and metric names, and accepted
     back by {!of_string}. *)
+
+val check_params : bits:int -> t -> (unit, string) result
+(** [check_params ~bits g] is the rule [g]'s own parameters set on the
+    identifier length, whatever [bits] is: ReCord's [h] must be a
+    power of two in [2..1024] whose digit width [log2 h] divides
+    [bits]. [Ok ()] for the other geometries. {!check_size} applies
+    it; the analytical commands, which run at any [bits], apply it
+    alone. *)
 
 val check_size : ?nodes:int -> bits:int -> t -> (unit, string) result
 (** [check_size ~bits g] is [Ok ()] when an overlay of [g] can be
@@ -78,8 +57,7 @@ val check_size : ?nodes:int -> bits:int -> t -> (unit, string) result
     in [1..Idspace.Space.max_bits], [nodes] in [2..2^bits], a Symphony
     with [k_s >= 1] and [k_n >= 0] (the rule of its analytic model and
     Markov chain) and degree [k_n + k_s] below the node count,
-    no sparse hypercube, and
-    a custom family's [check_bits] rule. [Overlay.Table.build] and
+    no sparse hypercube, and {!check_params}. [Overlay.Table.build] and
     [Overlay.Sparse.build] raise [Invalid_argument] with this message,
     so a command that checks its grid first rejects a config before
     any point runs. *)
@@ -90,14 +68,15 @@ val check_size_exn : string -> ?nodes:int -> bits:int -> t -> unit
 
 val system : t -> string
 (** The representative system name (Plaxton, CAN, Kademlia, Chord,
-    Symphony, or the plugin family's system). *)
+    Symphony, ReCord). *)
 
 val description : t -> string
 
 val of_string : string -> (t, string) result
-(** Parses geometry names, system names and registered family names
-    (with optional ["family:key=v:..."] parameters),
-    case-insensitively. Accepts everything {!slug} produces. *)
+(** Parses geometry names and system names case-insensitively, and
+    ReCord's ["record:h=N"] (alias ["rechord"]; bare ["record"] is
+    [h = 2]). [N] is a decimal integer, given at most once. Accepts
+    everything {!slug} produces, and never raises. *)
 
 val equal : t -> t -> bool
 

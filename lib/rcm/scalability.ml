@@ -11,21 +11,12 @@ let pp_verdict ppf = function
       Fmt.pf ppf "scalable (sum Q = %.6g, lim p(h,q) = %.6g)" series_sum asymptotic_success
   | Unscalable { reason } -> Fmt.pf ppf "unscalable (%s)" reason
 
-(* Section 5: the paper's symbolic classification. Custom families
-   declare theirs (verdict + argument) when registering their analysis
-   with [Model.register_custom]. *)
-let custom_classification_exn context g =
-  match Model.custom_classification g with
-  | Some c -> c
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Scalability.%s: %s has no registered analysis" context
-           (Geometry.name g))
-
+(* Section 5: the paper's symbolic classification. ReCord's Q(m) is
+   the XOR expression (m useful contacts at m unresolved digits),
+   independent of the base, so sum Q(m) converges for every h. *)
 let paper_classification = function
   | Geometry.Tree | Geometry.Symphony _ -> `Unscalable
-  | Geometry.Hypercube | Geometry.Xor | Geometry.Ring -> `Scalable
-  | Geometry.Custom _ as g -> fst (custom_classification_exn "paper_classification" g)
+  | Geometry.Hypercube | Geometry.Xor | Geometry.Ring | Geometry.Record _ -> `Scalable
 
 (* Theorem 1 (Knopp): prod (1 - Q(m)) > 0 iff sum Q(m) < infinity. We
    certify the series numerically and, when convergent, evaluate the

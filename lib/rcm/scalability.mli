@@ -14,10 +14,8 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val paper_classification : Geometry.t -> [ `Scalable | `Unscalable ]
-(** The paper's symbolic result (sections 5.1-5.5); for a custom
-    geometry, the verdict its family declared when registering with
-    [Model.register_custom].
-    @raise Invalid_argument on an unregistered custom family. *)
+(** The paper's symbolic result (sections 5.1-5.5); ReCord, whose
+    Q(m) is XOR's, is scalable. *)
 
 val classify_spec : ?d:int -> Spec.t -> q:float -> verdict
 (** Numeric classification of an arbitrary geometry description — the

@@ -172,9 +172,10 @@ let flush_metrics geometry s =
    code and seed (see [entries]), targets, alive words, offsets, srcs,
    dsts, pair count, hops out, stuck out, bits, uniform degree (-1
    when ragged), and the loadmap traversal / termination counter
-   slices (zero-length = telemetry off). A built-in lane applied to a
-   variant, a rule code and a seed is a [block_router], and so is the
-   Symphony driver applied to k_n. *)
+   slices (zero-length = telemetry off). A lane applied to a variant, a
+   rule code and a seed routes a block of pairs ([block] in [route]
+   below), and so do the Symphony driver applied to the variant and
+   k_n and ReCord's OCaml walk ([Record_router.block]) applied to h. *)
 
 external route_block_tree :
   int ->
@@ -234,8 +235,8 @@ external route_block_ring :
 [@@noalloc]
 
 (* Symphony on its shortcut-column layout, by its own driver: applied
-   to the variant and k_n, a [block_router] over the column as a
-   uniform block of degree k_s (the offsets it is passed go unread). *)
+   to the variant and k_n, a lane over the column as a uniform block
+   of degree k_s (the offsets it is passed go unread). *)
 external route_symphony :
   int ->
   int ->
@@ -321,63 +322,6 @@ let tally s n =
     else s.dropped <- s.dropped + 1
   done
 
-(* --- custom-family lanes --------------------------------------------------- *)
-
-(* How a custom family routes under the batch engine. [Scalar] (the
-   default when a family registers no lane) drives the family's
-   registered scalar router pair by pair, interleaving pair-sampling
-   draws with any forwarding draws — bit-identical to the scalar trial
-   loop for every router, including randomized ones, at scalar speed.
-   [Block] is the opt-in fast path: a driver with the signature of a
-   built-in C lane applied to the block code, valid only for rng-free
-   routers (the block runs after all pairs are sampled). The [int]
-   argument in [bits] position is lane-defined — a plugin driver can
-   pack extra static parameters into it inside its closure. *)
-type block_router =
-  targets ->
-  words ->
-  offsets ->
-  int array ->
-  int array ->
-  int ->
-  buf ->
-  buf ->
-  int ->
-  int ->
-  buf ->
-  buf ->
-  unit
-
-type lane = Scalar | Block of block_router
-
-let custom_lanes : (string, (string * int) list -> lane) Hashtbl.t = Hashtbl.create 8
-
-let register_custom_lane ~family resolve =
-  if Hashtbl.mem custom_lanes family then
-    invalid_arg
-      (Printf.sprintf "Route_batch.register_custom_lane: %S already registered" family);
-  Hashtbl.replace custom_lanes family resolve
-
-let custom_lane ~family params =
-  match Hashtbl.find_opt custom_lanes family with
-  | Some resolve -> resolve params
-  | None -> Scalar
-
-let custom_router_exn ~family context =
-  match Router.find_custom family with
-  | Some router -> router
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Route_batch.%s: family %S has no registered router" context family)
-
-(* Loadmap counter bump for the [Scalar] lane, one length test when the
-   zero-length "telemetry off" buffer is installed — the OCaml twin of
-   the NULL-pointer guard in the C kernels. Indices are node ids of the
-   routed table, in range by construction. *)
-let bump (b : buf) v =
-  if Bigarray.Array1.dim b > 0 then
-    Bigarray.Array1.unsafe_set b v (Bigarray.Array1.unsafe_get b v + 1)
-
 (* --- drivers -------------------------------------------------------------- *)
 
 let layout_of table context =
@@ -394,8 +338,8 @@ let empty_targets = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
    rule's generator state, and a block's arrays and uniform degree
    (empty arrays and the rule's degree for a rule). The codes are
    route_batch_stubs.c's [BLOCK]..[FLIP_SUFFIX]. Only the built-in
-   tree, hypercube, ring and xor tables are rules, so a plugin's Block
-   lane always gets a block. A Symphony column goes to
+   tree, hypercube, ring and xor tables are rules, so ReCord's lane
+   always gets a block. A Symphony column goes to
    [route_symphony] alone, as a block of degree k_s without offsets. *)
 let entries ~bits = function
   | Overlay.Table.Block f ->
@@ -417,8 +361,8 @@ let mask_words ~table ~alive context =
 
 (* The calling domain's loadmap slices, or the zero-length "off"
    buffers when no sink is installed — what the C drivers decode to
-   NULL and [bump] to a length test. Looked up once per batch, not per
-   hop. *)
+   NULL and ReCord's lane to a length test. Looked up once per batch,
+   not per hop. *)
 let loadmap_slices ~table context =
   match Obs.Loadmap.sink () with
   | None -> (empty_buf, empty_buf)
@@ -468,46 +412,37 @@ let route context ~variant ?scratch table ~rng ~alive pairs n =
     invalid_arg
       (Printf.sprintf "Route_batch.%s: pool id %d outside [0, %d)" context v (1 lsl bits))
   in
-  let draw srcs dsts lo hi =
-    match pairs with
-    | Given _ -> ()
-    | Drawn _ ->
-        let drawn = draw_pairs variant rank pool rng srcs dsts lo hi bits in
-        if drawn < hi then reject srcs.(drawn)
-  in
   let code, seed, targets, offsets, deg = entries ~bits layout in
   let trav, term = loadmap_slices ~table context in
   let s = match scratch with Some s -> s | None -> domain_scratch () in
   prepare s n;
-  (* The pair arrays the OCaml-side lanes read: the given ones, or the
-     scratch's, which [draw] fills with pairs [lo, hi). Reusing them
-     keeps a drawn batch from allocating two arrays of [n] per trial. *)
-  let endpoints () =
-    match pairs with
-    | Given (srcs, dsts) -> (srcs, dsts)
-    | Drawn _ ->
-        if Array.length s.srcs < n then begin
-          s.srcs <- Array.make n 0;
-          s.dsts <- Array.make n 0
-        end;
-        (s.srcs, s.dsts)
-  in
   (* Block lanes consume no randomness while routing, so drawing every
      pair first reproduces the scalar draw sequence — sample pair k,
-     route pair k. *)
-  let block (lane : block_router) param =
-    let srcs, dsts = endpoints () in
-    draw srcs dsts 0 n;
-    lane targets words offsets srcs dsts n s.hops_buf s.stuck_buf param deg trav term
+     route pair k. A drawn batch lands in the scratch's pair arrays,
+     which keeps it from allocating two arrays of [n] per trial. *)
+  let block lane =
+    let srcs, dsts =
+      match pairs with
+      | Given (srcs, dsts) -> (srcs, dsts)
+      | Drawn _ ->
+          if Array.length s.srcs < n then begin
+            s.srcs <- Array.make n 0;
+            s.dsts <- Array.make n 0
+          end;
+          let drawn = draw_pairs variant rank pool rng s.srcs s.dsts 0 n bits in
+          if drawn < n then reject s.srcs.(drawn);
+          (s.srcs, s.dsts)
+    in
+    lane targets words offsets srcs dsts n s.hops_buf s.stuck_buf bits deg trav term
   in
   (match Overlay.Table.geometry table with
-  | Rcm.Geometry.Tree -> block (route_block_tree variant code seed) bits
-  | Rcm.Geometry.Xor -> block (route_block_xor variant code seed) bits
+  | Rcm.Geometry.Tree -> block (route_block_tree variant code seed)
+  | Rcm.Geometry.Xor -> block (route_block_xor variant code seed)
   | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> (
       match layout with
-      | Overlay.Table.Shortcuts { k_n; _ } -> block (route_symphony variant k_n) bits
+      | Overlay.Table.Shortcuts { k_n; _ } -> block (route_symphony variant k_n)
       | Overlay.Table.Block _ | Overlay.Table.Rule _ ->
-          block (route_block_ring variant code seed) bits)
+          block (route_block_ring variant code seed))
   | Rcm.Geometry.Hypercube ->
       let srcs, dsts =
         match pairs with Given (srcs, dsts) -> (srcs, dsts) | Drawn _ -> ([||], [||])
@@ -517,27 +452,7 @@ let route context ~variant ?scratch table ~rng ~alive pairs n =
           s.stuck_buf bits deg trav term rng
       in
       if routed < n then reject (Bigarray.Array1.unsafe_get s.stuck_buf routed)
-  | Rcm.Geometry.Custom { family; params } -> (
-      match custom_lane ~family params with
-      | Block lane -> block lane bits
-      | Scalar ->
-          (* Sampling and routing interleave pair by pair — the scalar
-             trial loop's draw order for any router, randomized ones
-             included. Metrics are flushed once per batch below. *)
-          let router = custom_router_exn ~family context in
-          let srcs, dsts = endpoints () in
-          for k = 0 to n - 1 do
-            draw srcs dsts k (k + 1);
-            let src = srcs.(k) and dst = dsts.(k) in
-            let hops, stuck =
-              match router ~on_hop:(bump trav) table ~rng ~alive ~src ~dst with
-              | Outcome.Delivered { hops } -> (hops, -1)
-              | Outcome.Dropped { hops; stuck_at } -> (hops, stuck_at)
-            in
-            bump term (if stuck < 0 then dst else stuck);
-            Bigarray.Array1.unsafe_set s.hops_buf k hops;
-            Bigarray.Array1.unsafe_set s.stuck_buf k stuck
-          done));
+  | Rcm.Geometry.Record { h } -> block (Record_router.block ~h));
   tally s n;
   flush_metrics (Overlay.Table.geometry table) s;
   s

@@ -1,10 +1,10 @@
 (** Batched routing kernel over flat overlay tables.
 
     Routes a whole pair set per call through monomorphic, per-geometry
-    int loops: each entry is computed in registers from the table's
+    int loops, in C but for ReCord's ({!Record_router.block}): each entry is computed in registers from the table's
     rule (the built-in tree, hypercube, ring and xor tables; see
     {!Overlay.Table.layout}), loaded from an {!Overlay.Flat} block's
-    [offsets]/[targets] Bigarrays (the variant builders, plugins,
+    [offsets]/[targets] Bigarrays (ReCord, the variant builders,
     {!Overlay.Table.flatten}), or, for a built Symphony table, computed
     for the successors and loaded from the shortcut column by a lane of
     its own, with packed-bitset liveness
@@ -151,53 +151,6 @@ val variants : (string * variant) list
     {!route_many} and {!sample_and_route} run only the best variant,
     so only this list lets [test_batch] check the others against it
     on this host. *)
-
-(** {1 Custom-family lanes}
-
-    A custom geometry routes under the batch engine through its
-    family's {e lane}. Without registration the family gets the
-    {!Scalar} lane: its registered [Router] custom router is driven
-    pair by pair with pair-sampling and forwarding draws interleaved —
-    bit-identical to the scalar trial loop for {e any} router,
-    randomized ones included, with the batch path's per-batch metrics
-    flush and loadmap slice accounting. Registering a {!Block} lane
-    opts into the C-driver fast path. *)
-
-type block_router =
-  Overlay.Flat.targets ->
-  Overlay.Bitset.words ->
-  Overlay.Flat.offsets ->
-  int array ->
-  int array ->
-  int ->
-  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
-  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
-  int ->
-  int ->
-  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
-  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
-  unit
-(** A block driver with the built-in C lanes' calling convention:
-    [targets alive_words offsets srcs dsts n hops_out stuck_out bits
-    degree trav term], where pairs [0 .. n-1] are
-    [(srcs.(k), dsts.(k))] (the arrays may be longer). It must route
-    pair [k] with the scalar router's
-    candidate order (lane interleaving must be invisible in results),
-    write [stuck_out.(k) = -1] on delivery or the stuck node id
-    otherwise, and bump the [trav]/[term] loadmap slices at the scalar
-    counting points (skip when zero-length). The [bits] argument is
-    lane-defined — wrap the raw external in a closure to pack extra
-    static parameters into it. A custom family's table is always a
-    block, never a rule. Block lanes are valid only for families
-    whose router draws no randomness while forwarding. *)
-
-type lane = Scalar | Block of block_router
-
-val register_custom_lane : family:string -> ((string * int) list -> lane) -> unit
-(** Registers how a family resolves its lane from its parameters.
-    Call at module-init time from the plugin library; families that
-    never call this default to {!Scalar}.
-    @raise Invalid_argument if the family is already registered. *)
 
 (** {1 Enabling}
 

@@ -15,7 +15,7 @@
    Entries: a lane reads entry i of node v through entry() below,
    which either computes it from the table's rule (the builtin tree,
    hypercube, ring and xor tables: Overlay.Table.rule) or loads it
-   from a CSR block (the variant builders, plugins, Table.flatten).
+   from a CSR block (the variant builders, Table.flatten).
    That one switch is the only difference between the two; there is
    one set of lanes. Table.build's Symphony layout, computed
    successors beside a column of drawn shortcuts, has a driver of its

@@ -25,38 +25,6 @@ let record geometry outcome =
    somewhere — at [dst] when delivered, at the stuck node when dropped.
    The batched kernel counts the same events at the same points
    (pinned by test/test_batch.ml). *)
-(* Custom-family scalar routers, keyed by family name. The registered
-   function is the raw forwarding walk: [route] below wraps it with
-   the same loadmap accounting and metrics recording as the built-in
-   routers, so plugins inherit the observability invariants (metrics
-   and loadmaps are observation-only and never consume [rng]) without
-   writing any telemetry code. Routers that need randomness draw from
-   [rng] — the hypercube contract then applies: batch routing must
-   interleave draws pair by pair (the default custom lane does). *)
-type custom_router =
-  ?on_hop:(int -> unit) ->
-  Overlay.Table.t ->
-  rng:Prng.Splitmix.t ->
-  alive:Overlay.Failure.t ->
-  src:int ->
-  dst:int ->
-  Outcome.t
-
-let custom_routers : (string, custom_router) Hashtbl.t = Hashtbl.create 8
-
-let register_custom ~family router =
-  if Hashtbl.mem custom_routers family then
-    invalid_arg (Printf.sprintf "Router.register_custom: %S already registered" family);
-  Hashtbl.replace custom_routers family router
-
-let find_custom family = Hashtbl.find_opt custom_routers family
-
-let custom_exn family =
-  match Hashtbl.find_opt custom_routers family with
-  | Some router -> router
-  | None ->
-      invalid_arg (Printf.sprintf "Router.route: family %S has no registered router" family)
-
 let count_termination lm ~dst outcome =
   match outcome with
   | Outcome.Delivered _ -> Obs.Loadmap.record lm Obs.Loadmap.Route_termination dst
@@ -89,8 +57,7 @@ let route ?on_hop table ~rng ~alive ~src ~dst =
     | Rcm.Geometry.Xor -> Xor_router.route ?on_hop table ~alive ~src ~dst
     | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ ->
         Greedy_ring.route ?on_hop table ~alive ~src ~dst
-    | Rcm.Geometry.Custom { family; _ } ->
-        (custom_exn family) ?on_hop table ~rng ~alive ~src ~dst
+    | Rcm.Geometry.Record { h } -> Record_router.route ?on_hop ~h table ~alive ~src ~dst
   in
   Option.iter (fun lm -> count_termination lm ~dst outcome) lm;
   record geometry outcome;

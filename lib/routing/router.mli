@@ -33,37 +33,10 @@
 
     The five paper geometries dispatch to {!Tree_router} (3.1),
     {!Hypercube_router} (3.2), {!Xor_router} (3.3) and {!Greedy_ring}
-    (Chord 3.4, Symphony 3.5); custom geometries dispatch to their
-    family's registered router (see {!register_custom}), wrapped in
-    the same telemetry so the invariants and observability guarantees
-    are uniform. Ablation overlays use the specialised routers
+    (Chord 3.4, Symphony 3.5), and ReCord to {!Record_router}.
+    Ablation overlays use the specialised routers
     ({!Bidirectional_ring}, {!Bucket_router}, {!Digit_router},
     {!Sparse_router}, {!Torus_router}) directly. *)
-
-type custom_router =
-  ?on_hop:(int -> unit) ->
-  Overlay.Table.t ->
-  rng:Prng.Splitmix.t ->
-  alive:Overlay.Failure.t ->
-  src:int ->
-  dst:int ->
-  Outcome.t
-(** A plugin family's raw forwarding walk. It must uphold the routing
-    invariants above (greedy progress in the family's own distance,
-    termination, failure-obliviousness), call [on_hop] for every node
-    the message reaches after [src] including the final one, and touch
-    the table only through the geometry-generic accessors, so it routes
-    every table layout alike. It must {e not} record metrics or loadmap entries —
-    {!route} layers those on, exactly as for the built-ins. *)
-
-val register_custom : family:string -> custom_router -> unit
-(** Registers the scalar router of a custom family. Call at
-    module-init time from the plugin library.
-    @raise Invalid_argument if the family is already registered. *)
-
-val find_custom : string -> custom_router option
-(** The registered raw router of a family (no telemetry wrapping) —
-    used by the batch engine's default scalar lane. *)
 
 val route :
   ?on_hop:(int -> unit) ->

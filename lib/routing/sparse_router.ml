@@ -90,24 +90,6 @@ let route_prefix on_hop ~xor overlay ~alive ~src ~dst =
   if !stuck >= 0 then Outcome.Dropped { hops = !hops; stuck_at = !stuck }
   else Outcome.Delivered { hops = !hops }
 
-(* Custom-family sparse routers, keyed by family name, wrapped by
-   [route] with the same loadmap accounting as the built-ins. *)
-type custom_router =
-  ?on_hop:(int -> unit) ->
-  Overlay.Sparse.t ->
-  alive:Overlay.Failure.t ->
-  src:int ->
-  dst:int ->
-  Outcome.t
-
-let custom_routers : (string, custom_router) Hashtbl.t = Hashtbl.create 8
-
-let register_custom ~family router =
-  if Hashtbl.mem custom_routers family then
-    invalid_arg
-      (Printf.sprintf "Sparse_router.register_custom: %S already registered" family);
-  Hashtbl.replace custom_routers family router
-
 (* The walk codes of sparse_walk.h. *)
 let walk_kind overlay =
   match Overlay.Sparse.geometry overlay with
@@ -115,7 +97,7 @@ let walk_kind overlay =
   | Rcm.Geometry.Tree -> 1
   | Rcm.Geometry.Xor -> 2
   | Rcm.Geometry.Ring -> 3
-  | Rcm.Geometry.Hypercube | Rcm.Geometry.Custom _ -> -1
+  | Rcm.Geometry.Hypercube | Rcm.Geometry.Record _ -> -1
 
 (* One C walk (sparse_route_stubs.c), its outcome packed as
    hops lsl 31 lor (stuck + 1), stuck = -1 when delivered. *)
@@ -145,13 +127,7 @@ let dispatch ?on_hop overlay ~alive ~src ~dst =
     | Rcm.Geometry.Xor -> route_prefix hop ~xor:true overlay ~alive ~src ~dst
     | Rcm.Geometry.Hypercube ->
         invalid_arg "Sparse_router.route: no sparse hypercube overlay exists"
-    | Rcm.Geometry.Custom { family; _ } -> (
-        match Hashtbl.find_opt custom_routers family with
-        | Some router -> router ?on_hop overlay ~alive ~src ~dst
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Sparse_router.route: family %S has no registered sparse router"
-                 family))
+    | Rcm.Geometry.Record { h } -> Record_router.sparse_route ~on_hop:hop ~h overlay ~alive ~src ~dst
   end
 
 (* Same per-node load accounting as Routing.Router: one traversal per

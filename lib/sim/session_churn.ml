@@ -33,11 +33,6 @@ let config ?(bits = 10) ?(session = Lifetime.exponential ~mean:8.0)
   check_schedule "Session_churn.config" ~warmup ~measurements ~spacing:measurement_spacing;
   if pairs_per_measurement < 1 then
     invalid_arg "Session_churn.config: need at least one pair per measurement";
-  (* Resolving a custom family's profile checks its registration. *)
-  (match geometry with
-  | Rcm.Geometry.Custom _ ->
-      ignore (Churn_profile.resolve_exn "Session_churn.config" geometry ~bits)
-  | _ -> ());
   {
     geometry;
     bits;
@@ -146,19 +141,40 @@ let drive ~rng ~alive ~session ~gap ~maintenance ~warmup ~measurements ~spacing 
    neighbour matrix (ring fingers and tree/hypercube bit-links are
    deterministic — their "re-binding" on rejoin is to the same
    identifier, so they heal exactly when the target returns; symphony
-   shortcuts are re-drawable). *)
+   shortcuts and record slots are re-drawable). *)
 type tables =
   | Buckets of Overlay.Kbucket.t
   | Matrix of { neighbors : int array array; table : Overlay.Table.t }
 
 let draw_shortcut rng ~size v = (v + Prng.Splitmix.harmonic_int rng ~n:(size - 1)) land (size - 1)
 
-(* Alive-preferring redraw of a symphony shortcut (bounded rejection,
-   as in Churn_profile.redraw_alive). *)
-let redraw_shortcut rng ~alive ~size v =
-  let candidate = ref (draw_shortcut rng ~size v) and attempts = ref 0 in
+(* The slots churn redraws in place: every slot of a row from [first]
+   on is drawn afresh on rejoin and, once dead, at maintenance —
+   Symphony's shortcuts after its k_n positional near links, and every
+   ReCord slot. [draw rng v slot] is one raw candidate, the table
+   builder's own draw, so a fully-repaired row is distributed like a
+   fresh one. The other geometries have no such slots. *)
+type redraw = { first : int; draw : Prng.Splitmix.t -> int -> int -> int }
+
+let redraw_of cfg =
+  match cfg.geometry with
+  | Rcm.Geometry.Symphony { k_n; _ } ->
+      let size = 1 lsl cfg.bits in
+      Some { first = k_n; draw = (fun rng v _ -> draw_shortcut rng ~size v) }
+  | Rcm.Geometry.Record { h } ->
+      Some
+        {
+          first = 0;
+          draw = Overlay.Table.record_entry ~bits:cfg.bits ~group:(Idspace.Id.floor_log2 h);
+        }
+  | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube | Rcm.Geometry.Xor | Rcm.Geometry.Ring -> None
+
+(* Alive-preferring redraw (bounded rejection): at most 8 extra draws
+   while the candidate is dead, then accept whatever came up. *)
+let redraw_alive redraw rng ~alive v slot =
+  let candidate = ref (redraw.draw rng v slot) and attempts = ref 0 in
   while !attempts < 8 && not (Overlay.Failure.get alive !candidate) do
-    candidate := draw_shortcut rng ~size v;
+    candidate := redraw.draw rng v slot;
     incr attempts
   done;
   !candidate
@@ -195,7 +211,7 @@ let matrix_staleness ~alive ~near_slots neighbors =
   in
   (overall, fraction 0, fraction 1)
 
-let measure cfg ~profile rng ~alive ~tables ~time =
+let measure cfg ~redraw rng ~alive ~tables ~time =
   let route src dst =
     match tables with
     | Buckets table ->
@@ -214,28 +230,22 @@ let measure cfg ~profile rng ~alive ~tables ~time =
         let s = bucket_staleness table ~alive in
         (s, s, s)
     | Matrix { neighbors; _ } ->
-        let near_slots =
-          match (cfg.geometry, profile) with
-          | Rcm.Geometry.Symphony { k_n; _ }, _ -> k_n
-          | _, Some p -> p.Churn_profile.near_slots
-          | _, None -> 0
-        in
+        let near_slots = match redraw with Some r -> r.first | None -> 0 in
         matrix_staleness ~alive ~near_slots neighbors
   in
   (* The churn-to-static bridge: evaluate the closed-form r(N,q) at
      q = the instantaneous stale fraction just measured. Xor uses the
      k-bucket form; Symphony the heterogeneous Eq. 7 with per-class
-     staleness; custom families bring their own; the rest use the
-     paper's basic model. *)
+     staleness; the rest use their basic model. *)
   let static_prediction =
-    match (cfg.geometry, profile) with
-    | Rcm.Geometry.Xor, _ -> Rcm.Replication.routability_xor ~d:cfg.bits ~q:stale ~k:cfg.k
-    | Rcm.Geometry.Symphony { k_n; k_s }, _ ->
+    match cfg.geometry with
+    | Rcm.Geometry.Xor -> Rcm.Replication.routability_xor ~d:cfg.bits ~q:stale ~k:cfg.k
+    | Rcm.Geometry.Symphony { k_n; k_s } ->
         Rcm.Engine.routability
           (Rcm.Symphony.spec_heterogeneous ~q_near:stale_near ~k_n ~k_s)
           ~d:cfg.bits ~q:stale_shortcut
-    | _, Some p -> p.Churn_profile.prediction ~bits:cfg.bits ~stale ~stale_near ~stale_shortcut
-    | _, None -> Rcm.Model.routability cfg.geometry ~d:cfg.bits ~q:stale
+    | Rcm.Geometry.Tree | Rcm.Geometry.Hypercube | Rcm.Geometry.Ring | Rcm.Geometry.Record _ ->
+        Rcm.Model.routability cfg.geometry ~d:cfg.bits ~q:stale
   in
   {
     time;
@@ -247,20 +257,14 @@ let measure cfg ~profile rng ~alive ~tables ~time =
     static_prediction;
   }
 
-let rejoin_matrix cfg ~profile rng ~alive ~neighbors v =
-  match (cfg.geometry, profile) with
-  | Rcm.Geometry.Symphony { k_n; _ }, _ ->
-      let size = 1 lsl cfg.bits in
+let rejoin_matrix ~redraw rng ~alive ~neighbors v =
+  match redraw with
+  | Some r ->
       let row = neighbors.(v) in
-      for slot = k_n to Array.length row - 1 do
-        row.(slot) <- redraw_shortcut rng ~alive ~size v
+      for slot = r.first to Array.length row - 1 do
+        row.(slot) <- redraw_alive r rng ~alive v slot
       done
-  | _, Some profile ->
-      let row = neighbors.(v) in
-      for slot = profile.Churn_profile.near_slots to Array.length row - 1 do
-        row.(slot) <- Churn_profile.redraw_alive profile rng ~alive ~v ~slot
-      done
-  | _, None ->
+  | None ->
       (* Deterministic links re-bind to the same identifiers. *)
       ()
 
@@ -269,8 +273,8 @@ let rejoin_matrix cfg ~profile rng ~alive ~neighbors v =
    one Kademlia-style bucket refresh on a rotating level — a fresh
    candidate is drawn and, when live, observed, which is how buckets
    emptied by eviction regain contacts once their cache has drained.
-   Symphony: dead shortcuts are redrawn in place. *)
-let maintain_node cfg ~profile rng ~alive ~tables ~refresh_level v =
+   Symphony and record: dead re-drawable slots are redrawn in place. *)
+let maintain_node cfg ~redraw rng ~alive ~tables ~refresh_level v =
   match tables with
   | Buckets table ->
       Overlay.Kbucket.maintain table v ~alive;
@@ -285,33 +289,19 @@ let maintain_node cfg ~profile rng ~alive ~tables ~refresh_level v =
         Overlay.Kbucket.observe table candidate v
       end
   | Matrix { neighbors; _ } -> (
-      match (cfg.geometry, profile) with
-      | Rcm.Geometry.Symphony { k_n; _ }, _ ->
-          let size = 1 lsl cfg.bits in
+      match redraw with
+      | Some r ->
           let row = neighbors.(v) in
-          for slot = k_n to Array.length row - 1 do
+          for slot = r.first to Array.length row - 1 do
             if not (Overlay.Failure.get alive row.(slot)) then
-              row.(slot) <- redraw_shortcut rng ~alive ~size v
+              row.(slot) <- redraw_alive r rng ~alive v slot
           done
-      | _, Some profile ->
-          let row = neighbors.(v) in
-          for slot = profile.Churn_profile.near_slots to Array.length row - 1 do
-            if not (Overlay.Failure.get alive row.(slot)) then
-              row.(slot) <- Churn_profile.redraw_alive profile rng ~alive ~v ~slot
-          done
-      | _, None -> ())
+      | None -> ())
 
 let run cfg =
   let rng = Prng.Splitmix.create ~seed:cfg.seed in
   let n = 1 lsl cfg.bits in
-  (* A custom family's profile is resolved once here and passed down,
-     not per event. *)
-  let profile =
-    match cfg.geometry with
-    | Rcm.Geometry.Custom _ ->
-        Some (Churn_profile.resolve_exn "Session_churn.run" cfg.geometry ~bits:cfg.bits)
-    | _ -> None
-  in
+  let redraw = redraw_of cfg in
   let tables =
     match cfg.geometry with
     | Rcm.Geometry.Xor ->
@@ -326,17 +316,12 @@ let run cfg =
   in
   let alive = Overlay.Failure.none n in
   let refresh_level = Array.make n 0 in
-  let maintained =
-    match (cfg.geometry, profile) with
-    | (Rcm.Geometry.Symphony _ | Rcm.Geometry.Xor), _ -> true
-    | _, Some p -> p.Churn_profile.maintained
-    | _, None -> false
-  in
+  let maintained = Rcm.Geometry.equal cfg.geometry Rcm.Geometry.Xor || Option.is_some redraw in
   let maintenance =
     if maintained then
       Some
         ( cfg.maintenance_interval,
-          maintain_node cfg ~profile rng ~alive ~tables ~refresh_level )
+          maintain_node cfg ~redraw rng ~alive ~tables ~refresh_level )
     else None
   in
   let rejoin v =
@@ -346,13 +331,13 @@ let run cfg =
            self-announce that seeds the new contacts' buckets with the
            returned node, as a Kademlia bootstrap lookup would. *)
         Overlay.Kbucket.rejoin table rng ~alive v
-    | Matrix { neighbors; _ } -> rejoin_matrix cfg ~profile rng ~alive ~neighbors v
+    | Matrix { neighbors; _ } -> rejoin_matrix ~redraw rng ~alive ~neighbors v
   in
   let out = ref [] in
   let events =
     drive ~rng ~alive ~session:cfg.session ~gap:cfg.gap ~maintenance ~warmup:cfg.warmup
       ~measurements:cfg.measurements ~spacing:cfg.measurement_spacing ~rejoin
-      ~measure:(fun time -> out := measure cfg ~profile rng ~alive ~tables ~time :: !out)
+      ~measure:(fun time -> out := measure cfg ~redraw rng ~alive ~tables ~time :: !out)
   in
   let measurements = List.rev !out in
   let mean f =

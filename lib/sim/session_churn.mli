@@ -10,7 +10,7 @@
     promoted on eviction, alive-preferring bucket rebuilds plus a
     self-announce on rejoin, and rotating bucket refreshes. The other
     geometries get their natural analogues — symphony redraws dead
-    shortcuts; ring fingers and tree/hypercube bit-links are
+    shortcuts and record dead slots; ring fingers and tree/hypercube bit-links are
     deterministic, so re-binding on rejoin is to the same identifier
     and a stale entry heals exactly when its target returns.
 
@@ -55,14 +55,12 @@ val config :
   ?seed:int ->
   Rcm.Geometry.t ->
   config
-(** All five geometries are supported, and custom families with a
-    {!Churn_profile}.
-    @raise Invalid_argument when [bits] is outside
-    1..{!Idspace.Space.max_bits}, on a non-positive or non-finite
+(** Every geometry is supported.
+    @raise Invalid_argument when {!Rcm.Geometry.check_size} rejects
+    [(bits, geometry)], on a non-positive or non-finite
     maintenance interval or measurement spacing, a negative or
-    non-finite warmup, [k < 1], [cache_k < 0], no measurements, no
-    pairs per measurement, or a custom family whose profile does not
-    resolve at [bits]. *)
+    non-finite warmup, [k < 1], [cache_k < 0], no measurements, or no
+    pairs per measurement. *)
 
 val churn_rate : config -> float
 (** Steady-state per-node turnover rate: 1 / (mean session + mean gap).

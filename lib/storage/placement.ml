@@ -62,34 +62,12 @@ let closest_set o ~key ~count =
   Array.sort Int.compare packed;
   Array.map (fun p -> p land ((1 lsl bits) - 1)) packed
 
-(* Custom-family placement styles: a plugin picks which of the two
-   placement structures its family uses (the structures themselves are
-   geometry-independent — both work on any sorted id array). *)
-type style = [ `Successors | `Closest ]
-
-let custom_styles : (string, style) Hashtbl.t = Hashtbl.create 8
-
-let register_custom_style ~family style =
-  if Hashtbl.mem custom_styles family then
-    invalid_arg
-      (Printf.sprintf "Placement.register_custom_style: %S already registered" family);
-  Hashtbl.replace custom_styles family style
-
 let candidates o ~key ~count =
   check o ~key ~count;
   match Overlay.Sparse.geometry o with
   | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> successor_set o ~key ~count
-  | Rcm.Geometry.Tree | Rcm.Geometry.Xor -> closest_set o ~key ~count
+  | Rcm.Geometry.Tree | Rcm.Geometry.Xor | Rcm.Geometry.Record _ -> closest_set o ~key ~count
   | Rcm.Geometry.Hypercube ->
       invalid_arg "Placement.candidates: no sparse hypercube overlay exists"
-  | Rcm.Geometry.Custom { family; _ } -> (
-      match Hashtbl.find_opt custom_styles family with
-      | Some `Successors -> successor_set o ~key ~count
-      | Some `Closest -> closest_set o ~key ~count
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Placement.candidates: family %S has no registered placement style"
-               family))
 
 let replica_set o ~key ~r = candidates o ~key ~count:r

@@ -7,8 +7,9 @@
     - ring / symphony: the successor list — the first [r] nodes
       clockwise from the key (Chord; Zave, "How to Make Chord Correct",
       identifies this list as the correctness-critical structure).
-    - tree / xor: the neighbourhood set — the [r] nodes whose
-      identifiers are XOR-closest to the key (Kademlia/Plaxton).
+    - tree / xor / record: the neighbourhood set — the [r] nodes whose
+      identifiers are XOR-closest to the key (Kademlia/Plaxton; ReCord
+      follows the same digit/XOR proximity, and at [h = 2] is xor).
 
     Placement is a pure function of the overlay and the key, so every
     participant computes the same holder set without coordination, and
@@ -16,25 +17,14 @@
     enumerates nodes in placement order, and rank [r], [r+1], … are
     exactly the nodes a repair promotes when earlier holders die. *)
 
-type style = [ `Successors | `Closest ]
-(** The two placement structures. Both are geometry-independent
-    functions of the sorted id array, so a custom family just picks
-    the one matching its distance: [`Successors] for clockwise/ring
-    distances, [`Closest] for XOR/prefix distances. *)
-
-val register_custom_style : family:string -> style -> unit
-(** Registers which placement structure a custom family uses. Call at
-    module-init time from the plugin library.
-    @raise Invalid_argument if the family is already registered. *)
-
 val candidates : Overlay.Sparse.t -> key:int -> count:int -> int array
 (** The first [count] replica candidates for [key], best first:
     clockwise successors of [key] on ring/symphony, XOR-closest nodes
-    on tree/xor; custom families use their registered {!style}.
+    on tree/xor/record.
     Entries are distinct node indexes.
     @raise Invalid_argument if [count] is outside [0, node_count], the
-    key is outside the identifier space, the geometry is [Hypercube],
-    or a custom family has no registered style. *)
+    key is outside the identifier space, or the geometry is
+    [Hypercube]. *)
 
 val replica_set : Overlay.Sparse.t -> key:int -> r:int -> int array
 (** [replica_set o ~key ~r] = [candidates o ~key ~count:r] — the

@@ -119,7 +119,7 @@ val read_batch : t -> rng:Prng.Splitmix.t -> rank:Overlay.Rank.t -> tally -> int
     [read] loop runs instead, as the reference, when
     [Routing.Route_batch] is disabled, when a loadmap sink is installed
     (whose per-node counts only [read] and the OCaml walks record), or
-    for a custom family. Metering: the {!read} counters, added once
-    per call on the C path.
+    for ReCord, whose walk has no C form. Metering: the {!read}
+    counters, added once per call on the C path.
     @raise Invalid_argument if [count < 0] or the mask's length is not
     the node count. *)

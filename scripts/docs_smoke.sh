@@ -108,17 +108,17 @@ if [ -s "$work/bad_targets.txt" ]; then
   err "documented make targets missing: $(tr '\n' ' ' <"$work/bad_targets.txt")"
 fi
 
-# --- 5. every registered geometry is documented ----------------------------
-# The registry (builtins and plugins alike) is the ground truth: a
-# geometry that registers a descriptor must appear in the README
-# geometry table and in EXPERIMENTS.md, so plugging in a family
+# --- 5. every geometry is documented ----------------------------------------
+# Rcm.Geometry.all, as `dhtlab geometries --names` prints it, is the
+# ground truth: every geometry in it must appear in the README
+# geometry table and in EXPERIMENTS.md, so adding a constructor
 # without documenting it fails CI.
 "$BIN" geometries --names >"$work/geometries.txt"
 [ -s "$work/geometries.txt" ] || err "dhtlab geometries --names returned nothing"
 while IFS= read -r geom; do
   for doc in README.md EXPERIMENTS.md; do
     if ! grep -qE "(^|[^a-z-])$geom([^a-z-]|$)" "$doc"; then
-      err "registered geometry '$geom' undocumented in $doc"
+      err "geometry '$geom' undocumented in $doc"
     fi
   done
 done <"$work/geometries.txt"

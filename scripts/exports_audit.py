@@ -382,7 +382,7 @@ def audit_references(mods):
                 dangling += 1
                 print(f"{path}:{line_of(text, m.start())} {dotted}")
 
-    # A library's modules: a single-module library (Geom) is its own.
+    # A library's modules: a single-module library is its own.
     lib_modules = {}
     for m in mods:
         lib_modules.setdefault(m.lib, set()).add(m.name)

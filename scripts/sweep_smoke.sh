@@ -283,7 +283,7 @@ case "$ROW" in
         fi
         ;;
     record)
-        say "extra: record family registered; record figures byte-identical across --jobs"
+        say "extra: record listed by dhtlab geometries; record figures byte-identical across --jobs"
         $DHTLAB geometries --names > "$WORK/names.txt"
         grep -qx record "$WORK/names.txt" || fail "record missing from dhtlab geometries --names"
         for fig in record-hops record-tradeoff; do

@@ -67,8 +67,10 @@ let total_variation a b =
   let n = max (Array.length a) (Array.length b) in
   Numerics.Kahan.sum_fn ~lo:0 ~hi:(n - 1) (fun i -> Float.abs (at a i -. at b i)) /. 2.0
 
-(* A ReCord instance of base [h], through the slug grammar's builder. *)
-let record ~h = Result.get_ok (Rcm.Geometry.custom ~family:"record" [ ("h", h) ])
+(* Every geometry with a sparse overlay: all but hypercube, whose
+   sparse form is a zone partition. *)
+let sparse_geometries =
+  List.filter (fun g -> not (Rcm.Geometry.equal g Rcm.Geometry.Hypercube)) Rcm.Geometry.all
 
 (* [f ()] with the trace sink open on [path], closed afterwards. *)
 let with_trace path f =

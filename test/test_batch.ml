@@ -5,10 +5,9 @@
    block table through the batch kernel. Also pins the packed
    Failure bitset against its bool-array ancestor. *)
 
-(* Every registered geometry, built-ins and plugins alike — a plugin's
-   batch lane (Scalar or Block) joins the differential matrix just by
-   registering its descriptor. *)
-let all_geometries = List.map (fun d -> d.Geom.default) (Geom.all ())
+(* One geometry per constructor: a new constructor's batch lane joins
+   the differential matrix through Rcm.Geometry.all. *)
+let all_geometries = Rcm.Geometry.all
 
 let outcome = Alcotest.testable Routing.Outcome.pp Routing.Outcome.equal
 
@@ -395,49 +394,6 @@ let test_sample_and_route_matches_scalar () =
         qs)
     all_geometries
 
-(* A custom family with no registered lane, so the batch engine drives
-   its router through the Scalar lane. Its table is the Chord finger
-   table and its router draws while it routes: each hop goes to a
-   uniformly drawn alive finger that does not overshoot the
-   destination, so pair-sampling and forwarding draws interleave. *)
-let scalar_lane_geometry =
-  lazy
-    (let family = "test-scalar-lane" in
-     Rcm.Geometry.register_family
-       {
-         Rcm.Geometry.family_name = family;
-         aliases = [];
-         family_system = "test";
-         summary = "Chord fingers with a randomized greedy router (Scalar lane test)";
-         defaults = [];
-         validate = (fun _ -> Ok ());
-         check_bits = (fun _ ~bits:_ -> Ok ());
-       };
-     Overlay.Table.register_custom_builder ~family (fun ~space ~rng:_ _ ->
-         let size = Idspace.Space.size space in
-         (Idspace.Space.bits space, fun v i -> (v + (1 lsl i)) mod size));
-     Routing.Router.register_custom ~family
-       (fun ?(on_hop = fun _ -> ()) table ~rng ~alive ~src ~dst ->
-         let size = Overlay.Table.node_count table in
-         let gap v = (dst - v + size) mod size in
-         let rec step cur hops =
-           if cur = dst then Routing.Outcome.Delivered { hops }
-           else
-             let closer =
-               List.filter
-                 (fun v -> Overlay.Failure.get alive v && gap v < gap cur)
-                 (Array.to_list (Overlay.Table.neighbors table cur))
-             in
-             match closer with
-             | [] -> Routing.Outcome.Dropped { hops; stuck_at = cur }
-             | _ ->
-                 let next = List.nth closer (Prng.Splitmix.int rng (List.length closer)) in
-                 on_hop next;
-                 step next (hops + 1)
-         in
-         step src 0);
-     Result.get_ok (Rcm.Geometry.custom ~family []))
-
 (* Without a pool, sample_and_route draws survivor indexes and maps
    them through a rank index of the mask, built there or handed in;
    handed the survivor list as a pool, it draws the same indexes and
@@ -445,7 +401,7 @@ let scalar_lane_geometry =
    the same order: the same outcome per pair, the same per-node
    loadmap counts (termination is counted at each delivered pair's
    destination) and the same generator state after the batch, on
-   every registered geometry and on a custom family's Scalar lane. *)
+   every geometry. *)
 let test_sample_and_route_rank_equals_pool () =
   List.iter
     (fun geometry ->
@@ -502,7 +458,7 @@ let test_sample_and_route_rank_equals_pool () =
               end)
             [ 0.0; 0.3; 0.9 ])
         [ 6; 12 ])
-    (all_geometries @ [ Lazy.force scalar_lane_geometry ])
+    all_geometries
 
 (* Property: random (bits, seed) instances agree pair-for-pair across
    the batch and scalar paths on the rng-free geometries. *)

@@ -317,9 +317,9 @@ let test_lifetime_sample_means () =
 
 (* E8's repair-process settings: exponential sessions of mean 8, dead
    entries redrawn at every maintenance tick. The paper's one-contact
-   xor table runs as record:h=2, whose churn profile redraws dead
-   entries (the built-in xor runs Kademlia k-buckets instead). *)
-let record_h2 = Helpers.record ~h:2
+   xor table runs as record:h=2, whose churn engine redraws dead
+   entries (xor itself runs Kademlia k-buckets instead). *)
+let record_h2 = Rcm.Geometry.Record { h = 2 }
 
 let repair_config ?(geometry = record_h2) ?(mean_downtime = 2.0) ?(repair_interval = 1.0) () =
   Sim.Session_churn.config ~bits:8
@@ -540,11 +540,8 @@ let test_session_all_geometries () =
           | Some r -> check_in_unit ~msg:"routability" r
           | None -> ())
         report.Sim.Session_churn.measurements)
-    (* The registry drives the matrix: every descriptor that declares
-       the session-churn capability must survive the engine. *)
-    (Geom.all ()
-    |> List.filter (fun d -> d.Geom.session_churn)
-    |> List.map (fun d -> d.Geom.default))
+    (* Every geometry must survive the engine. *)
+    Rcm.Geometry.all
 
 let test_session_alive_tracks_availability () =
   let report = Sim.Session_churn.run (session_config ~geometry:Rcm.Geometry.Ring ()) in

@@ -514,6 +514,12 @@ let test_sweep_command_errors () =
       ([ "route"; "-d"; "31"; "3"; "5" ], 2, "dhtlab route: ");
       ([ "analyze"; "-d"; "0" ], 2, "dhtlab analyze: ");
       ([ "analyze"; "--full"; "-d"; "0" ], 2, "dhtlab analyze: ");
+      (* ReCord's digit width must divide bits, checked before any
+         closed form runs. *)
+      ([ "analyze"; "-g"; "record:h=4"; "-d"; "9" ], 2,
+        "dhtlab analyze: record:h=4: h=4 needs digit width 2 to divide bits=9");
+      ([ "analyze"; "--full"; "-g"; "record:h=4"; "-d"; "9" ], 2,
+        "dhtlab analyze: record:h=4: h=4 needs digit width 2 to divide bits=9");
       (* One table layout: the old backend flag is gone. *)
       ([ "simulate"; "--overlay"; "flat"; "-d"; "6" ], 124, "dhtlab: unknown option '--overlay'");
       (* Zero or negative trial and pair counts fail at parse time. *)

@@ -7,13 +7,6 @@
    between the batch kernel and the scalar router at every domain
    count. *)
 
-(* Every registered geometry, built-ins and plugins alike: a new
-   descriptor joins the simulation matrix just by registering. *)
-let all_geometries = List.map (fun d -> d.Geom.default) (Geom.all ())
-
-let builtin_geometries =
-  List.filter_map (fun d -> if d.Geom.builtin then Some d.Geom.default else None) (Geom.all ())
-
 (* Symphony beyond the default (1, 1): no near neighbour, several of
    each, more shortcuts than near neighbours and the reverse. *)
 let symphony_variants =
@@ -48,7 +41,7 @@ let reference_rows ~rng ~bits geometry =
           fun v i ->
             if i < k_n then clockwise v (i + 1)
             else clockwise v (Prng.Splitmix.harmonic_int rng ~n:(size - 1)) )
-    | Rcm.Geometry.Custom _ -> invalid_arg "reference_rows: not a built-in geometry"
+    | Rcm.Geometry.Record _ -> invalid_arg "reference_rows: ReCord's rows are checked in test_geom"
   in
   Array.init size (fun v -> Array.init degree (entry v))
 
@@ -117,7 +110,7 @@ let test_built_equals_reference () =
       Alcotest.(check int64)
         (what ^ ": post-build rng state")
         (Prng.Splitmix.state rng_r) (Prng.Splitmix.state rng_b))
-    (builtin_geometries @ symphony_variants)
+    (Rcm.Geometry.all_default @ symphony_variants)
 
 let test_flatten () =
   let rows = reference_rows ~rng:(Prng.Splitmix.create ~seed:3) ~bits:5 Rcm.Geometry.Xor in
@@ -197,7 +190,7 @@ let test_estimate_bit_identical () =
       check_results_equal ~what:(what ^ "+cache") reference (Sim.Estimate.run ~cache cfg);
       Exec.Pool.with_pool ~domains:2 (fun pool ->
           check_results_equal ~what:(what ^ "+pool") reference (Sim.Estimate.run ~pool cfg)))
-    all_geometries
+    Rcm.Geometry.all
 
 let test_percolation_bit_identical () =
   List.iter
@@ -218,7 +211,7 @@ let test_percolation_bit_identical () =
         (what ^ ": giant bits")
         (bits_of_float reference.Sim.Percolation.mean_giant_fraction)
         (bits_of_float batch.Sim.Percolation.mean_giant_fraction))
-    all_geometries
+    Rcm.Geometry.all
 
 (* Property: random (bits, seed) builds equal the reference rows,
    generator state included, for every built-in geometry and Symphony
@@ -240,7 +233,7 @@ let prop_built_equals_reference =
                (Array.to_seqi rows))
         (List.filter
            (fun g -> Rcm.Geometry.check_size ~bits g = Ok ())
-           (builtin_geometries @ symphony_variants)))
+           (Rcm.Geometry.all_default @ symphony_variants)))
 
 (* Every read outside a table raises, on churn's rows and on built
    tables, for every built-in geometry: without the check a block reads
@@ -283,7 +276,7 @@ let test_neighbor_bounds () =
           ("rows", Overlay.Table.of_neighbors ~bits:4 geometry rows);
           ("built", Overlay.Table.build ~rng:(Prng.Splitmix.create ~seed:4) ~bits:4 geometry);
         ])
-    builtin_geometries
+    Rcm.Geometry.all_default
 
 (* A rule computes its entries on every read, whole-table walks
    (component analysis, the scalar routers) included, so reading one

@@ -339,10 +339,6 @@ module Model = struct
             let lo, hi = prefix_range t ~pattern ~prefix_len:(level * group) in
             if hi <= lo then missing else lo + Prng.Splitmix.int rng (hi - lo)))
 
-  let group_of = function
-    | Rcm.Geometry.Custom { params; _ } -> Idspace.Id.floor_log2 (List.assoc "h" params)
-    | _ -> assert false
-
   let build rng ~bits ~nodes geometry =
     let t = { bits; ids = sample_ids rng ~bits ~count:nodes; contacts = [||] } in
     let contacts =
@@ -350,7 +346,7 @@ module Model = struct
       | Rcm.Geometry.Ring -> ring_contacts t
       | Rcm.Geometry.Tree | Rcm.Geometry.Xor -> prefix_contacts t rng
       | Rcm.Geometry.Symphony { k_n; k_s } -> symphony_contacts t rng ~k_n ~k_s
-      | Rcm.Geometry.Custom _ -> record_contacts t rng ~group:(group_of geometry)
+      | Rcm.Geometry.Record { h } -> record_contacts t rng ~group:(Idspace.Id.floor_log2 h)
       | Rcm.Geometry.Hypercube -> assert false
     in
     { t with contacts }
@@ -457,11 +453,12 @@ module Model = struct
     | Rcm.Geometry.Ring | Rcm.Geometry.Symphony _ -> route_ring ~on_hop t ~alive ~src ~dst
     | Rcm.Geometry.Tree -> route_prefix ~on_hop ~mode:`Tree t ~alive ~src ~dst
     | Rcm.Geometry.Xor -> route_prefix ~on_hop ~mode:`Xor t ~alive ~src ~dst
-    | Rcm.Geometry.Custom _ -> route_record ~on_hop ~group:(group_of geometry) t ~alive ~src ~dst
+    | Rcm.Geometry.Record { h } ->
+        route_record ~on_hop ~group:(Idspace.Id.floor_log2 h) t ~alive ~src ~dst
     | Rcm.Geometry.Hypercube -> assert false
 end
 
-let record4 = Result.get_ok (Rcm.Geometry.of_string "record:h=4")
+let record4 = Rcm.Geometry.Record { h = 4 }
 
 (* Seed, geometry, bits 4..20 (even for record:h=4, whose digits are 2
    bits wide) and a node count in either sampling regime: the dense one

@@ -79,11 +79,9 @@ let test_placement_prefix_stable () =
       Alcotest.(check (array int))
         (Rcm.Geometry.slug geometry)
         small (Array.sub large 0 4))
-    (* Registry-driven: every descriptor with sparse-overlay support
-       must expose a prefix-stable placement enumeration. *)
-    (Geom.all ()
-    |> List.filter (fun d -> d.Geom.sparse)
-    |> List.map (fun d -> d.Geom.default))
+    (* Every geometry with a sparse overlay must expose a prefix-stable
+       placement enumeration. *)
+    Helpers.sparse_geometries
 
 let test_placement_distinct_and_whole_overlay () =
   let o = build Rcm.Geometry.Xor ~nodes:32 in
@@ -343,12 +341,10 @@ let test_failure_sim_loads_accounted () =
     (r.Storage.Failure_sim.load_max >= r.Storage.Failure_sim.load_p99)
 
 let test_failure_sim_registry () =
-  (* Registry-driven: every sparse-capable descriptor runs through the
+  (* Every geometry with a sparse overlay runs through the
      replicated-storage failure sweep with sane outputs. *)
-  Geom.all ()
-  |> List.filter (fun d -> d.Geom.sparse)
-  |> List.iter (fun d ->
-         let geometry = d.Geom.default in
+  Helpers.sparse_geometries
+  |> List.iter (fun geometry ->
          let slug = Rcm.Geometry.slug geometry in
          let r = Storage.Failure_sim.run geometry (failure_config ()) ~q:0.2 ~seed:5 in
          check_in_unit ~msg:(slug ^ " survival") r.Storage.Failure_sim.survival;
@@ -686,7 +682,7 @@ let check_read_paths case f =
     (case ^ ": storage counters") looped_counters batched_counters;
   Alcotest.(check bool) (case ^ ": counters present") true (batched_counters <> [])
 
-let record4 = Result.get_ok (Rcm.Geometry.of_string "record:h=4")
+let record4 = Rcm.Geometry.Record { h = 4 }
 
 (* Ring, tree, xor and Symphony read in C; record:h=4 has no C walk,
    so it reads through Store.read on both paths. *)
